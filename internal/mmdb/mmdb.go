@@ -304,7 +304,7 @@ func (ix *SortedIndex) SelectInCtx(ctx context.Context, values []uint32) ([]uint
 		}
 	}
 	defer release()
-	out, err := ix.selectInCtl(ctl, values)
+	out, err := ix.selectInCtl(ctl, dedupeValues(values))
 	if err != nil {
 		governor.NoteAbort(err)
 		return nil, err
@@ -348,15 +348,15 @@ func (ix *SortedIndex) SelectRangeCtx(ctx context.Context, lo, hi uint32) ([]uin
 // parallel worker pool.  Duplicate list values contribute their rows once;
 // RIDs come back grouped by list order, ascending within a value.
 func (ix *SortedIndex) SelectIn(values []uint32) []uint32 {
-	out, _ := ix.selectInCtl(nil, values)
+	out, _ := ix.selectInCtl(nil, dedupeValues(values))
 	return out
 }
 
-// selectInCtl is SelectIn under governance: the ctl's cancellation,
-// deadline and budget are observed at chunk boundaries inside the probe
-// loops (nil ctl = the legacy ungoverned path, bit-identical output).
-func (ix *SortedIndex) selectInCtl(ctl *governor.Ctl, values []uint32) ([]uint32, error) {
-	distinct := dedupeValues(values)
+// selectInCtl is SelectIn over a pre-deduplicated list under governance:
+// the ctl's cancellation, deadline and budget are observed at chunk
+// boundaries inside the probe loops (nil ctl = the legacy ungoverned path,
+// bit-identical output).
+func (ix *SortedIndex) selectInCtl(ctl *governor.Ctl, distinct []uint32) ([]uint32, error) {
 	if len(ix.runs) == 0 {
 		return selectInRIDs(ix.col.dom, ix.rids, distinct, ix.equalRangeBatchIDs, parallel.Options{}, ctl)
 	}

@@ -569,11 +569,16 @@ func scanRange(c *Column, lo, hi uint32, cp *governor.Checkpoint) ([]uint32, err
 // index competitive to higher selectivity than a scalar probe.  Hash indexes
 // qualify — an IN-list needs only equality probes, not ordered access.
 func (t *Table) PlanIn(col string, values []uint32) (Plan, error) {
+	return t.planIn(col, dedupeValues(values))
+}
+
+// planIn is PlanIn over an already deduplicated list, so selectIn dedupes
+// once for the plan, the fingerprint and the probes.
+func (t *Table) planIn(col string, distinct []uint32) (Plan, error) {
 	c, ok := t.cols[col]
 	if !ok {
 		return Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
-	distinct := dedupeValues(values)
 	present := 0
 	if len(distinct) > 0 {
 		ids := make([]int32, len(distinct))
@@ -651,7 +656,8 @@ func (t *Table) SelectInCtx(ctx context.Context, col string, values []uint32, tr
 }
 
 func (t *Table) selectIn(ctl *governor.Ctl, col string, values []uint32, sp *telemetry.Span) ([]uint32, Plan, error) {
-	plan, err := t.PlanIn(col, values)
+	distinct := dedupeValues(values)
+	plan, err := t.planIn(col, distinct)
 	if err != nil {
 		return nil, Plan{}, err
 	}
@@ -662,17 +668,15 @@ func (t *Table) selectIn(ctl *governor.Ctl, col string, values []uint32, sp *tel
 	notePlan(plan)
 	if plan.UseIndex {
 		if _, ok := t.indexes[col]; !ok {
-			rids, err := t.sharded[col].selectIn(ctl, values, sp)
+			rids, err := t.sharded[col].selectIn(ctl, distinct, sp)
 			return rids, plan, err
 		}
 	}
 	qc, tok := t.Cache(), t.token()
 	var key qcache.Key
-	var distinct []uint32
 	var cs *telemetry.Span
 	if qc.Enabled() {
 		cs = sp.Child("cache")
-		distinct = dedupeValues(values)
 		key = inFP(t.name, col, qcache.LayerTable, distinct)
 		if rids, ok := qc.Lookup(key, tok); ok {
 			cs.Attr("outcome", "hit").AttrInt("rows", len(rids))
@@ -728,9 +732,9 @@ func (t *Table) selectIn(ctl *governor.Ctl, col string, values []uint32, sp *tel
 		out, goff, err = t.indexes[col].selectInGrouped(distinct, ctl.Checkpoint())
 		ex.Attr("path", "index-grouped").AttrInt("workers", 1)
 	case plan.UseIndex:
-		out, err = t.indexes[col].selectInCtl(ctl, values)
+		out, err = t.indexes[col].selectInCtl(ctl, distinct)
 		if ex != nil { // attr args must not run on the untraced path
-			ex.Attr("path", "index-batch").AttrInt("workers", (parallel.Options{}).WorkersFor(len(values)))
+			ex.Attr("path", "index-batch").AttrInt("workers", (parallel.Options{}).WorkersFor(len(distinct)))
 		}
 	default:
 		want := make(map[uint32]struct{}, len(values))

@@ -222,7 +222,7 @@ func (ix *ShardedIndex) qc() *qcache.Cache {
 // contribute their rows once; RIDs come back grouped by list order,
 // ascending within a value.  Results are cached per frozen epoch.
 func (ix *ShardedIndex) SelectIn(values []uint32) []uint32 {
-	out, _ := ix.selectIn(nil, values, nil)
+	out, _ := ix.selectIn(nil, dedupeValues(values), nil)
 	return out
 }
 
@@ -234,19 +234,18 @@ func (ix *ShardedIndex) SelectInCtx(ctx context.Context, values []uint32) ([]uin
 		governor.NoteAbort(err)
 		return nil, err
 	}
-	out, err := ix.selectIn(ctl, values, nil)
+	out, err := ix.selectIn(ctl, dedupeValues(values), nil)
 	if err != nil {
 		governor.NoteAbort(err)
 	}
 	return out, err
 }
 
-// selectIn is SelectIn threading the governance handle (nil = ungoverned)
-// and a trace span recording the epoch-layer cache outcome and execution
-// shape.
-func (ix *ShardedIndex) selectIn(ctl *governor.Ctl, values []uint32, sp *telemetry.Span) ([]uint32, error) {
+// selectIn is SelectIn over a pre-deduplicated list, threading the
+// governance handle (nil = ungoverned) and a trace span recording the
+// epoch-layer cache outcome and execution shape.
+func (ix *ShardedIndex) selectIn(ctl *governor.Ctl, distinct []uint32, sp *telemetry.Span) ([]uint32, error) {
 	s := ix.cur.Load()
-	distinct := dedupeValues(values)
 	qc, tok := ix.qc(), qcache.Token{Epoch: s.uid}
 	var key qcache.Key
 	grouped := false

@@ -114,6 +114,10 @@ type colKey struct {
 	layer Layer
 }
 
+// column is the (table, column, layer) triple k's reuse structures are
+// filed under.
+func (k Key) column() colKey { return colKey{table: k.Table, col: k.Col, layer: k.Layer} }
+
 // stripeFor routes a key to its lock stripe.  Only the identity fields
 // (table, column, kind, layer) participate, so all range entries of one
 // column land in one stripe and containment scans need a single lock.

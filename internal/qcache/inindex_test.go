@@ -1,0 +1,537 @@
+package qcache
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// refInReuse is the candidate scan LookupInReuse ran before the inverted
+// index existed, kept as the differential reference: visit every live
+// grouped IN entry of the column — gathered from the stripe's entry map,
+// the ground truth the index is derived from — first for a full-subset
+// source, then, only if there is none, for the best partial among the
+// entries long enough to matter.  Map order is arbitrary, so it returns
+// every entry tied for the win.  Caller holds the stripe lock.
+func refInReuse(st *stripe, ck colKey, tok Token, distinct []uint32) (wins []*entry, covered int) {
+	var cands []*entry
+	for k, e := range st.m {
+		if e.goff != nil && k.column() == ck {
+			cands = append(cands, e)
+		}
+	}
+	has := func(e *entry, v uint32) bool {
+		_, ok := slices.BinarySearch(e.vals, v)
+		return ok
+	}
+	// Phase 1: a full-subset source.
+scan:
+	for _, e := range cands {
+		if e.tok != tok || len(e.vals) < len(distinct) {
+			continue
+		}
+		for _, v := range distinct {
+			if !has(e, v) {
+				continue scan
+			}
+		}
+		wins = append(wins, e)
+	}
+	if wins != nil {
+		return wins, len(distinct)
+	}
+	// Phase 2: the best partial.  An entry one fifth shorter than the query
+	// cannot reach the ~80% coverage a fill needs; skip it.
+	for _, e := range cands {
+		if e.tok != tok || 5*len(e.vals) < 4*len(distinct) {
+			continue
+		}
+		n := 0
+		for _, v := range distinct {
+			if has(e, v) {
+				n++
+			}
+		}
+		switch {
+		case n > covered:
+			wins, covered = []*entry{e}, n
+		case n == covered && n > 0:
+			wins = append(wins, e)
+		}
+	}
+	return wins, covered
+}
+
+// reuseFrom is what LookupInReuse must report when e is its source.
+func reuseFrom(e *entry, distinct []uint32) InReuse {
+	r := InReuse{Groups: make([][]uint32, len(distinct))}
+	for i, v := range distinct {
+		if p, ok := slices.BinarySearch(e.vals, v); ok {
+			g := e.s2g[p]
+			r.Groups[i] = e.rids[e.goff[g]:e.goff[g+1]]
+			if r.Groups[i] == nil {
+				r.Groups[i] = emptyGroup
+			}
+		} else {
+			r.Missing = append(r.Missing, v)
+		}
+	}
+	return r
+}
+
+// checkInIndex verifies every stripe's inverted indexes against its entry
+// map: each live grouped entry is reachable exactly once from each of its
+// values, no posting reaches a dead or unmapped entry, no empty chain, index
+// or id slot is kept, and no chain node has leaked.  It also re-derives the
+// residency counters.
+func checkInIndex(t *testing.T, c *Cache) {
+	t.Helper()
+	for si := range c.stripes {
+		st := &c.stripes[si]
+		st.mu.Lock()
+		grouped := map[colKey]int{}  // live grouped entries per column
+		postings := map[colKey]int{} // values they list
+		var bytes int64
+		for k, e := range st.m {
+			bytes += e.bytes
+			if e.dead || e.key != k || e.bytes != payloadBytes(e) {
+				t.Fatalf("stripe %d: mapped entry %+v dead=%v bytes=%d", si, k, e.dead, e.bytes)
+			}
+			if e.goff == nil {
+				if e.inID != 0 {
+					t.Fatalf("ungrouped entry %+v is indexed", k)
+				}
+				continue
+			}
+			ck := k.column()
+			grouped[ck]++
+			postings[ck] += len(e.vals)
+			ix := st.inIdx[ck]
+			if ix == nil || e.inID == 0 || ix.owners[e.inID] != e {
+				t.Fatalf("grouped entry %+v (id %d) not owned by its column index", k, e.inID)
+			}
+		}
+		if bytes != st.bytes || int64(len(st.m)) != st.stats.Entries || bytes != st.stats.Bytes || len(st.m) != st.live {
+			t.Fatalf("stripe %d residency: %d entries %d B, counters live=%d bytes=%d stats=%d/%d",
+				si, len(st.m), bytes, st.live, st.bytes, st.stats.Entries, st.stats.Bytes)
+		}
+		if len(st.inIdx) != len(grouped) {
+			t.Fatalf("stripe %d keeps %d column indexes for %d indexed columns", si, len(st.inIdx), len(grouped))
+		}
+		for ck, ix := range st.inIdx {
+			if ix.live != grouped[ck] || ix.live == 0 {
+				t.Fatalf("%+v: index counts %d entries, map holds %d", ck, ix.live, grouped[ck])
+			}
+			if free := len(ix.owners) - 1 - ix.live; free != len(ix.freeIDs) {
+				t.Fatalf("%+v: %d unused id slots, %d on the free stack", ck, free, len(ix.freeIDs))
+			}
+			total := 0
+			for v, p := range ix.heads {
+				seen := map[uint32]bool{}
+				for {
+					var e *entry
+					if p.id != 0 && int(p.id) < len(ix.owners) {
+						e = ix.owners[p.id]
+					}
+					if e == nil || e.dead || st.m[e.key] != e {
+						t.Fatalf("%+v: value %d posts to id %d, not a live entry", ck, v, p.id)
+					}
+					if _, ok := slices.BinarySearch(e.vals, v); !ok || seen[p.id] {
+						t.Fatalf("%+v: value %d posts to %+v (again=%v), which lists %v", ck, v, e.key, seen[p.id], e.vals)
+					}
+					seen[p.id] = true
+					total++
+					if p.next == 0 {
+						break
+					}
+					p = ix.nodes[p.next]
+				}
+			}
+			// Every posting lands on a listing entry at most once, so equal
+			// totals mean every listed value is posted exactly once.
+			if total != postings[ck] {
+				t.Fatalf("%+v: %d postings for %d listed values", ck, total, postings[ck])
+			}
+			free := 0
+			for n := ix.freeNode; n != 0; n = ix.nodes[n].next {
+				free++
+			}
+			if used := total - len(ix.heads); used+free != len(ix.nodes)-1 {
+				t.Fatalf("%+v: %d chain nodes used + %d free of %d", ck, used, free, len(ix.nodes)-1)
+			}
+		}
+		st.mu.Unlock()
+	}
+}
+
+// inDom is one invalidation domain of the differential driver: a (table,
+// layer) pair with its own appended rows and token history.
+type inDom struct {
+	table string
+	layer Layer
+	tok   Token
+	// past are the earlier tokens with the RID horizon each could see.
+	past []inTokState
+	// appended[col][v] are the appended RIDs holding v, ascending.
+	appended map[string]map[uint32][]uint32
+}
+
+type inTokState struct {
+	tok   Token
+	limit uint32
+}
+
+// inDriver drives a cache through the IN-list surfaces the way mmdb does,
+// against a synthetic table whose true rows per value it knows.
+type inDriver struct {
+	t       *testing.T
+	c       *Cache
+	rng     *rand.Rand
+	doms    []*inDom
+	nextRID uint32
+	lists   [][]uint32   // earlier query lists, to derive subsets and supersets from
+	row     map[Key]bool // keys last admitted ungrouped, in row order
+}
+
+const inBaseRIDs = 1 << 20 // appended RIDs start here, above every base RID
+
+var inCols = []string{"a", "b"}
+
+// baseRows are the rows holding v before any append: 0–3 of them.
+func baseRows(col string, v uint32) []uint32 {
+	n := (v + uint32(len(col))*7 + uint32(col[0])) % 4
+	return seq(v%inBaseRIDs*4, n)[:n:n]
+}
+
+// rows are the true rows of v visible below the RID horizon limit.
+func (dom *inDom) rows(col string, v, limit uint32) []uint32 {
+	out := baseRows(col, v)
+	for _, r := range dom.appended[col][v] {
+		if r < limit {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// list draws a deduplicated value list: fresh, disjoint from everything
+// else, or an earlier list again, as is or as a shuffled subset or
+// near-superset.
+func (d *inDriver) list() []uint32 {
+	var out []uint32
+	pick := func(n int, lo, span uint32) {
+		for len(out) < n {
+			if v := lo + uint32(d.rng.Intn(int(span))); !slices.Contains(out, v) {
+				out = append(out, v)
+			}
+		}
+	}
+	mode := d.rng.Intn(10)
+	switch {
+	case len(d.lists) == 0 || mode < 3:
+		pick(1+d.rng.Intn(20), 0, 40)
+	case mode < 4:
+		pick(1+d.rng.Intn(12), 1000+uint32(d.rng.Intn(1<<16)), 64)
+	case mode < 7: // subset
+		src := d.lists[d.rng.Intn(len(d.lists))]
+		out = slices.Clone(src)
+		d.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		out = out[:1+d.rng.Intn(len(out))]
+	case mode < 8: // the same question again
+		return d.lists[d.rng.Intn(len(d.lists))]
+	default: // near-superset
+		out = slices.Clone(d.lists[d.rng.Intn(len(d.lists))])
+		pick(len(out)+1+d.rng.Intn(3), 0, 48)
+		d.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	}
+	if len(d.lists) < 64 {
+		d.lists = append(d.lists, out)
+	} else {
+		d.lists[d.rng.Intn(len(d.lists))] = out
+	}
+	return out
+}
+
+// query answers one IN-list the way Table.selectIn does — exact lookup,
+// grouped reuse, fill or recompute, admit — checking LookupInReuse against
+// the reference scan and every returned row against the synthetic table.
+func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, limit uint32, grouped bool) {
+	t, c := d.t, d.c
+	key := Key{Table: dom.table, Col: col, Kind: KindIn, Layer: dom.layer,
+		Hash: HashU32s(HashSeed, distinct), N: uint32(len(distinct))}
+	var want, goff []uint32
+	for _, v := range distinct {
+		goff = append(goff, uint32(len(want)))
+		want = append(want, dom.rows(col, v, limit)...)
+	}
+	goff = append(goff, uint32(len(want)))
+	inRowOrder := func(rids []uint32) []uint32 {
+		s := slices.Clone(rids)
+		slices.Sort(s)
+		return s
+	}
+	if got, ok := c.Lookup(key, tok); ok {
+		if !slices.Equal(got, want) && !(d.row[key] && slices.Equal(got, inRowOrder(want))) {
+			t.Fatalf("exact hit %+v under %+v: got %v want %v", key, tok, got, want)
+		}
+		return
+	}
+
+	st := c.stripeFor(key)
+	st.mu.Lock()
+	wins, covered := refInReuse(st, key.column(), tok, distinct)
+	var accept []InReuse
+	for _, e := range wins {
+		accept = append(accept, reuseFrom(e, distinct))
+	}
+	st.mu.Unlock()
+	before := c.Stats()
+	r, ok := c.LookupInReuse(key, tok, distinct)
+	after := c.Stats()
+
+	if ok != (len(wins) > 0) {
+		t.Fatalf("LookupInReuse(%v) found=%v, reference scan has %d sources covering %d", distinct, ok, len(wins), covered)
+	}
+	if ok {
+		if got := len(distinct) - len(r.Missing); got != covered {
+			t.Fatalf("LookupInReuse(%v) covers %d values, reference scan %d", distinct, got, covered)
+		}
+		if !slices.ContainsFunc(accept, func(a InReuse) bool { return reflect.DeepEqual(a, *r) }) {
+			t.Fatalf("LookupInReuse(%v) = %+v, reference scan allows %+v", distinct, *r, accept)
+		}
+		for i, g := range r.Groups {
+			if g != nil && !slices.Equal(g, dom.rows(col, distinct[i], limit)) {
+				t.Fatalf("group of %d under %+v: got %v want %v", distinct[i], tok, g, dom.rows(col, distinct[i], limit))
+			}
+		}
+	}
+	if ok && covered == len(distinct) {
+		before.Misses--
+		before.Hits++
+		before.SubsetHits++
+	}
+	if after != before {
+		t.Fatalf("LookupInReuse(%v) covered %d/%d: stats moved to %+v, reference predicts %+v", distinct, covered, len(distinct), after, before)
+	}
+
+	switch {
+	case ok && len(r.Missing) == 0:
+		return // subset replay: not re-admitted
+	case ok:
+		c.NoteInFill(key, len(r.Missing))
+	case !grouped:
+		delete(d.row, key)
+		if d.rng.Intn(2) == 0 {
+			d.row[key] = true
+			c.InsertIn(key, tok, distinct, nil, inRowOrder(want), 10)
+			return
+		}
+	}
+	delete(d.row, key)
+	c.InsertIn(key, tok, distinct, goff, want, 10)
+}
+
+// step performs one random operation.
+func (d *inDriver) step() {
+	dom := d.doms[d.rng.Intn(len(d.doms))]
+	col := inCols[d.rng.Intn(len(inCols))]
+	switch op := d.rng.Intn(100); {
+	case op < 80: // a query under the current token
+		d.query(dom, col, d.list(), dom.tok, d.nextRID, d.rng.Intn(4) > 0)
+	case op < 86: // a straggler still holding an earlier token
+		if len(dom.past) > 0 {
+			p := dom.past[d.rng.Intn(len(dom.past))]
+			d.query(dom, col, d.list(), p.tok, p.limit, true)
+		}
+	case op < 88: // a token from the future: nothing may match it
+		d.c.LookupInReuse(Key{Table: dom.table, Col: col, Kind: KindIn, Layer: dom.layer, Hash: 1, N: 1},
+			Token{Gen: dom.tok.Gen + 9}, d.list())
+	case op < 98: // an absorbed append: retoken, splice or drop per entry
+		n := 1 + d.rng.Intn(4)
+		p := AppendPatch{Table: dom.table, Layer: dom.layer, OldTok: dom.tok,
+			NewTok: Token{Gen: dom.tok.Gen, Epoch: dom.tok.Epoch + 1}, StartRID: d.nextRID,
+			Cols: map[string][]uint32{}}
+		for _, cn := range inCols {
+			vals := make([]uint32, n)
+			for i := range vals {
+				vals[i] = uint32(d.rng.Intn(60))
+				m := dom.appended[cn]
+				m[vals[i]] = append(m[vals[i]], d.nextRID+uint32(i))
+			}
+			if cn == "a" || d.rng.Intn(4) > 0 { // a batch without b drops b's entries
+				p.Cols[cn] = vals
+			}
+		}
+		d.nextRID += uint32(n)
+		dom.past = append(dom.past, inTokState{dom.tok, p.StartRID})
+		d.c.PatchAppend(p)
+		dom.tok = p.NewTok
+	default: // a fold: the table's entries drop, both layers move on
+		d.c.DropTable(dom.table)
+		for _, o := range d.doms {
+			if o.table == dom.table {
+				o.past = append(o.past, inTokState{o.tok, d.nextRID})
+				o.tok = Token{Gen: o.tok.Gen + 1, Epoch: o.tok.Epoch + 1}
+			}
+		}
+	}
+}
+
+// TestInReusePatchEvictDifferential drives the inverted index and the
+// pre-index reference scan through seeded random sequences of grouped and
+// ungrouped InsertIn (overlapping, disjoint, subset and superset lists)
+// under a budget tight enough to evict, PatchAppend sweeps that retoken,
+// splice and drop, DropTable, and current-, stale- and future-token
+// lookups.  Every LookupInReuse must agree with the reference on
+// found/not-found, covered count, Missing, group contents and its Stats
+// settlement (a tie between equally good sources may name either), and the
+// index invariants must hold after every step.  The concurrent leg adds
+// readers that race the sweeps; run it with -race.
+func TestInReusePatchEvictDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, concurrent := range []bool{false, true} {
+			t.Run(fmt.Sprintf("seed=%d/concurrent=%v", seed, concurrent), func(t *testing.T) {
+				c := New(admitAll(Options{MaxBytes: 24 << 10, Stripes: 4}))
+				d := &inDriver{t: t, c: c, rng: rand.New(rand.NewSource(seed)), nextRID: inBaseRIDs, row: map[Key]bool{}}
+				for _, table := range []string{"t", "u"} {
+					for _, layer := range []Layer{LayerTable, LayerEpoch} {
+						d.doms = append(d.doms, &inDom{table: table, layer: layer, tok: Token{Gen: 1, Epoch: 1},
+							appended: map[string]map[uint32][]uint32{"a": {}, "b": {}}})
+					}
+				}
+				var wg sync.WaitGroup
+				stop := make(chan struct{})
+				if concurrent {
+					for w := 0; w < 3; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							rng := rand.New(rand.NewSource(seed*100 + int64(w)))
+							for {
+								select {
+								case <-stop:
+									return
+								default:
+								}
+								// 1<<30 is cached nowhere, so these lookups are
+								// never complete and settle no counter: the
+								// driver's Stats predictions stay exact.
+								q := []uint32{1 << 30, uint32(rng.Intn(40)), 40 + uint32(rng.Intn(8))}
+								k := Key{Table: "tu"[w%2 : w%2+1], Col: inCols[rng.Intn(2)], Kind: KindIn, Layer: Layer(rng.Intn(2)), Hash: 7, N: 3}
+								r, ok := c.LookupInReuse(k, Token{Gen: 1 + uint64(rng.Intn(3)), Epoch: 1 + uint64(rng.Intn(40))}, q)
+								if ok && (len(r.Missing) == 0 || r.Missing[0] != 1<<30 || r.Groups[0] != nil) {
+									t.Errorf("concurrent lookup %v: %+v", q, r)
+									return
+								}
+							}
+						}(w)
+					}
+				}
+				for i := 0; i < 2000; i++ {
+					d.step()
+					checkInIndex(t, c)
+				}
+				close(stop)
+				wg.Wait()
+				s := c.Stats()
+				if s.SubsetHits == 0 || s.SupersetHits == 0 || s.Evictions == 0 || s.Patches == 0 || s.Invalidations == 0 {
+					t.Fatalf("sequence left a path unexercised: %+v", s)
+				}
+			})
+		}
+	}
+}
+
+// TestPatchGroupedInOutgrowsBudget splices so many rows into a grouped
+// entry that its successor no longer fits the stripe: the entry must drop
+// and take the postings its successor had inherited with it.
+func TestPatchGroupedInOutgrowsBudget(t *testing.T) {
+	c := New(admitAll(Options{MaxBytes: 1 << 10, Stripes: 1}))
+	old, new := Token{Epoch: 1}, Token{Epoch: 2}
+	k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1, N: 2}
+	c.InsertIn(k, old, []uint32{5, 9}, []uint32{0, 1, 2}, []uint32{1, 2}, 10)
+	batch := make([]uint32, 300)
+	for i := range batch {
+		batch[i] = 5
+	}
+	c.PatchAppend(patchFor(old, new, 100, map[string][]uint32{"a": batch}))
+	checkInIndex(t, c)
+	if s := c.Stats(); s.Entries != 0 || s.Patches != 0 || s.Invalidations != 1 {
+		t.Fatalf("after a splice larger than the stripe: %+v", s)
+	}
+	if _, ok := c.LookupInReuse(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 3, N: 1}, new, []uint32{9}); ok {
+		t.Fatal("reuse from the dropped entry")
+	}
+}
+
+// fillResident admits n grouped 36-value IN entries on one column, each
+// over its own values so that no two share a posting chain, plus one
+// 45-value entry over 0..44 for the fill lookups to find.
+func fillResident(c *Cache, tok Token, n int) {
+	for i := 0; i < n; i++ {
+		vals := seq(1000+uint32(i)*36, 36)
+		c.InsertIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: uint64(i), N: 36}, tok, vals, seq(0, 37), vals, 10)
+	}
+	c.InsertIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1 << 40, N: 45}, tok, seq(0, 45), seq(0, 46), seq(0, 45), 10)
+}
+
+// TestLookupInReuseMissCostFollowsQuery is the scaling guard: a lookup that
+// shares no value with any resident entry allocates nothing and probes at
+// most one posting head per query value, at every residency.
+func TestLookupInReuseMissCostFollowsQuery(t *testing.T) {
+	for _, resident := range []int{10, 1000, 10000} {
+		c := New(admitAll(Options{MaxBytes: 1 << 30, Stripes: 1}))
+		tok := Token{Gen: 1}
+		fillResident(c, tok, resident)
+		if got := c.Stats().Entries; got != int64(resident)+1 {
+			t.Fatalf("resident=%d: %d entries admitted", resident, got)
+		}
+		k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1 << 41, N: 36}
+		q := seq(1<<30, 36)
+		ix := c.stripes[0].inIdx[colKey{table: "t", col: "a"}]
+		before := ix.visits
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := c.LookupInReuse(k, tok, q); ok {
+				t.Fatal("reuse found for values no entry lists")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("resident=%d: a no-candidate miss allocates %v times", resident, allocs)
+		}
+		if per := (ix.visits - before) / 101; per > int64(len(q)) { // AllocsPerRun adds a warm-up call
+			t.Errorf("resident=%d: a no-candidate miss visits %d postings for %d query values", resident, per, len(q))
+		}
+	}
+}
+
+// BenchmarkLookupInReuseMiss times the two lookups whose cost must not grow
+// with the resident entry count: the ad-hoc miss that shares no value with
+// anything cached, and a superset fill found among the residents.
+func BenchmarkLookupInReuseMiss(b *testing.B) {
+	for _, resident := range []int{100, 1000, 10000} {
+		c := New(admitAll(Options{MaxBytes: 1 << 30, Stripes: 1}))
+		tok := Token{Gen: 1}
+		fillResident(c, tok, resident)
+		k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1 << 41, N: 36}
+		for _, q := range []struct {
+			name string
+			vals []uint32
+			fill bool
+		}{
+			{"miss", seq(1<<30, 36), false},
+			{"fill", seq(9, 40), true}, // 36 of its 40 values are cached in one entry
+		} {
+			b.Run(fmt.Sprintf("resident=%d/%s", resident, q.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if r, ok := c.LookupInReuse(k, tok, q.vals); ok != q.fill || (ok && len(r.Missing) != 4) {
+						b.Fatalf("lookup found=%v %+v", ok, r)
+					}
+				}
+			})
+		}
+	}
+}

@@ -183,7 +183,7 @@ func (st *stripe) patchOne(e *entry, p AppendPatch, sorted map[string]sortedBatc
 					total++
 				}
 			}
-			ne.vals, ne.s2g, ne.vmap = e.vals, e.s2g, e.vmap
+			ne.vals, ne.s2g = e.vals, e.s2g
 			if total == 0 {
 				ne.rids, ne.goff = e.rids, e.goff
 				break
@@ -253,8 +253,14 @@ func (st *stripe) patchOne(e *entry, p AppendPatch, sorted map[string]sortedBatc
 		return false
 	}
 	ne.bytes = payloadBytes(ne)
+	if e.inID != 0 {
+		// The successor lists the same values: the column index's postings
+		// stay as they are, and remove below leaves them alone.
+		st.inIdx[e.key.column()].inherit(e, ne)
+	}
 	st.remove(e, c)
 	if !st.evictFor(ne.bytes, c) {
+		st.unlinkIn(ne)
 		return false
 	}
 	st.m[ne.key] = ne

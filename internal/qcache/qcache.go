@@ -43,7 +43,10 @@
 //   - IN-list subset/superset reuse.  Index-path IN entries record per-value
 //     group offsets, so a query whose value list is a subset of a cached one
 //     replays by concatenating the cached groups, and a near-superset probes
-//     only the missing values and splices them in.
+//     only the missing values and splices them in.  Candidates are found
+//     through a per-column inverted index, value → the entries listing it
+//     (inindex.go): one posting lookup per query value, so a miss costs
+//     O(query values) whatever is resident.
 //   - GroupAggregate caching (KindAgg).  Grouped-aggregation results are
 //     cached whole and carried across absorbed appends by merging the
 //     appended rows' group deltas into the sorted group list.
@@ -65,6 +68,7 @@
 package qcache
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -117,16 +121,20 @@ type entry struct {
 	preds []PredBound
 	// goff are an index-path IN entry's group offsets: the rows of the
 	// i-th listed value (first-occurrence order) are rids[goff[i]:goff[i+1]],
-	// and s2g maps each sorted position in vals back to its group index.
-	// nil goff marks an ungrouped entry (scan/parallel path): exact reuse
-	// only, no subset replay, carry-or-drop on append.
+	// and s2g maps each sorted position in vals back to its group index, so
+	// a value resolves to its rows by one binary search of vals.  vals and
+	// s2g are shared, never mutated — patches carry them to their successor
+	// entry.  nil goff marks an ungrouped entry (scan/parallel path): exact
+	// reuse only, no subset replay, carry-or-drop on append.
 	goff []uint32
 	s2g  []uint32
-	// vmap maps each listed value of a grouped IN entry to its group
-	// index: the subset-replay scan probes it instead of binary-searching
-	// vals, so scoring a candidate costs O(query) map hits.  Shared, never
-	// mutated — patches carry it to their successor entry.
-	vmap map[uint32]uint32
+	// inID is a grouped IN entry's list id in its column's inIndex, whose
+	// postings file the entry under each of vals; 0 while not indexed.  A
+	// patched successor inherits the id instead of re-filing.  seen and cnt
+	// are the index's per-lookup coverage tally (inIndex.best).  All three
+	// are touched only under the stripe lock.
+	inID      uint32
+	seen, cnt uint32
 	// aggs is a cached GroupAggregate result sorted by group value, with
 	// aggMeasure the measure column it aggregates and aggAll marking a
 	// whole-table (nil RID) source — the only kind PatchAppend can extend.
@@ -148,9 +156,12 @@ type stripe struct {
 	// ordered by (lo, hi) so it doubles as the interval map containment
 	// and stitch lookups walk.
 	ranges map[colKey][]*entry
-	// ins holds, per column, the grouped IN entries — the subset/superset
-	// reuse candidates.
-	ins   map[colKey][]*entry
+	// inIdx holds, per column, the inverted index over the grouped IN
+	// entries (value → the entries listing it): LookupInReuse finds its
+	// subset/superset candidates with one posting lookup per query value
+	// instead of visiting every resident entry.  A column's index exists
+	// only while it has entries.
+	inIdx map[colKey]*inIndex
 	ring  []*entry // CLOCK ring (insertion order, holes marked dead)
 	hand  int
 	bytes int64
@@ -194,7 +205,7 @@ func New(opts Options) *Cache {
 	for i := range c.stripes {
 		c.stripes[i].m = make(map[Key]*entry)
 		c.stripes[i].ranges = make(map[colKey][]*entry)
-		c.stripes[i].ins = make(map[colKey][]*entry)
+		c.stripes[i].inIdx = make(map[colKey]*inIndex)
 	}
 	return c
 }
@@ -350,7 +361,7 @@ func (c *Cache) LookupRangeKind(k Key, tok Token) ([]uint32, HitKind) {
 	// An inverted key ([Lo, Hi] with Lo > Hi) is an empty range; refusing
 	// containment keeps the slice arithmetic below in bounds.
 	if k.Lo <= k.Hi {
-		ck := colKey{table: k.Table, col: k.Col, layer: k.Layer}
+		ck := k.column()
 		for _, e := range st.ranges[ck] {
 			if e.lo > k.Lo {
 				break // interval map is ordered by lo: nothing further can cover
@@ -408,21 +419,27 @@ func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs
 	}
 	e := &entry{key: k, tok: tok, rids: rids, cost: costNs}
 	e.vals = append([]uint32(nil), distinct...)
-	sort.Slice(e.vals, func(i, j int) bool { return e.vals[i] < e.vals[j] })
-	if goff != nil {
-		if len(goff) != len(distinct)+1 {
+	if goff == nil {
+		slices.Sort(e.vals)
+		c.insert(e)
+		return
+	}
+	if len(goff) != len(distinct)+1 {
+		c.countReject(k)
+		return // malformed group offsets: refuse rather than mis-slice
+	}
+	// Sorting the values in tandem with their first-occurrence positions
+	// leaves s2g mapping each sorted position back to its group.
+	e.goff = goff
+	e.s2g = make([]uint32, len(distinct))
+	for g := range e.s2g {
+		e.s2g[g] = uint32(g)
+	}
+	sort.Sort(pairsByKey{e.vals, e.s2g})
+	for i := 1; i < len(e.vals); i++ {
+		if e.vals[i] == e.vals[i-1] {
 			c.countReject(k)
-			return // malformed group offsets: refuse rather than mis-slice
-		}
-		e.goff = goff
-		// s2g maps sorted-value positions back to first-occurrence groups;
-		// vmap answers "which group holds value v" in one hash probe.
-		e.s2g = make([]uint32, len(distinct))
-		e.vmap = make(map[uint32]uint32, len(distinct))
-		for g, v := range distinct {
-			p := sort.Search(len(e.vals), func(i int) bool { return e.vals[i] >= v })
-			e.s2g[p] = uint32(g)
-			e.vmap[v] = uint32(g)
+			return // not deduplicated: the index would file the entry twice under one value
 		}
 	}
 	c.insert(e)
@@ -463,7 +480,9 @@ func EntryBytesForPairs(count int) int64 { return entryOverheadBytes + 8*int64(c
 // overhead; shared between insert admission and PatchAppend re-accounting.
 func payloadBytes(e *entry) int64 {
 	b := entryOverheadBytes + 4*int64(len(e.rids)+len(e.keys)+len(e.inner)+len(e.vals)+len(e.goff)+len(e.s2g))
-	b += 16 * int64(len(e.vmap)) // ~bucket cost of the value→group hash
+	if e.goff != nil {
+		b += 16 * int64(len(e.vals)) // ~one inIndex posting (map slot or chain node) per listed value
+	}
 	b += 32*int64(len(e.aggs)) + int64(len(e.aggMeasure))
 	for _, p := range e.preds {
 		b += 24 + int64(len(p.Col))
@@ -486,13 +505,12 @@ func (c *Cache) insert(e *entry) {
 		return
 	}
 	// Copy the payload before taking the lock; callers own their slices.
+	// vals and s2g are not the caller's: InsertIn built them for this entry.
 	e.rids = append([]uint32(nil), e.rids...)
 	e.keys = append([]uint32(nil), e.keys...)
 	e.inner = append([]uint32(nil), e.inner...)
-	e.vals = append([]uint32(nil), e.vals...)
 	e.preds = append([]PredBound(nil), e.preds...)
 	e.goff = append([]uint32(nil), e.goff...)
-	e.s2g = append([]uint32(nil), e.s2g...)
 	e.aggs = append([]AggRow(nil), e.aggs...)
 	// Expensive results get one extra CLOCK life up front: benefit-based
 	// admission's counterpart on the eviction side.
@@ -565,16 +583,16 @@ func (c *Cache) DropTable(table string) {
 	}
 }
 
-// link adds an entry to the per-column reuse lists: range runs splice into
-// the lo-ordered interval map, grouped IN entries append to the candidate
-// list.  A new range run also supersedes same-token entries it fully
-// covers — containment answers every query they could, so keeping them
-// only bloats the interval walk; this is how a shifting dashboard's
-// stitched runs converge instead of accumulating.  Caller holds the
-// stripe lock.
+// link adds an entry to the per-column reuse structures: range runs splice
+// into the lo-ordered interval map, grouped IN entries are filed in the
+// column's inverted index.  A new range run also supersedes same-token
+// entries it fully covers — containment answers every query they could, so
+// keeping them only bloats the interval walk; this is how a shifting
+// dashboard's stitched runs converge instead of accumulating.  Caller
+// holds the stripe lock.
 func (st *stripe) link(e *entry, c *Cache) {
 	if e.keys != nil {
-		ck := colKey{table: e.key.Table, col: e.key.Col, layer: e.key.Layer}
+		ck := e.key.column()
 		list := st.ranges[ck]
 		for i := 0; i < len(list); {
 			x := list[i]
@@ -593,9 +611,33 @@ func (st *stripe) link(e *entry, c *Cache) {
 		list[i] = e
 		st.ranges[ck] = list
 	}
-	if e.goff != nil {
-		ck := colKey{table: e.key.Table, col: e.key.Col, layer: e.key.Layer}
-		st.ins[ck] = append(st.ins[ck], e)
+	if e.goff != nil && e.inID == 0 { // a patched successor arrives already indexed
+		ck := e.key.column()
+		ix := st.inIdx[ck]
+		if ix == nil {
+			ix = newInIndex()
+			st.inIdx[ck] = ix
+		}
+		ix.add(e)
+	}
+}
+
+// unlinkIn removes a grouped IN entry's postings from its column's index,
+// and the index with its last entry.  It is a no-op for an entry that is
+// not indexed or whose list id PatchAppend has handed to a successor.
+// Caller holds the stripe lock.
+func (st *stripe) unlinkIn(e *entry) {
+	if e.inID == 0 {
+		return
+	}
+	ck := e.key.column()
+	ix := st.inIdx[ck]
+	if ix.owners[e.inID] != e {
+		return
+	}
+	ix.drop(e)
+	if ix.live == 0 {
+		delete(st.inIdx, ck)
 	}
 }
 
@@ -608,10 +650,15 @@ func (st *stripe) remove(e *entry, c *Cache) {
 	}
 	delete(st.m, e.key)
 	if e.keys != nil {
-		ck := colKey{table: e.key.Table, col: e.key.Col, layer: e.key.Layer}
+		ck := e.key.column()
 		list := st.ranges[ck]
-		for i, x := range list {
-			if x == e {
+		// The list is ordered by (lo, hi): binary-search to the first run
+		// with e's bounds and compare pointers among those neighbours only.
+		i := sort.Search(len(list), func(j int) bool {
+			return list[j].lo > e.lo || (list[j].lo == e.lo && list[j].hi >= e.hi)
+		})
+		for ; i < len(list) && list[i].lo == e.lo && list[i].hi == e.hi; i++ {
+			if list[i] == e {
 				copy(list[i:], list[i+1:])
 				list[len(list)-1] = nil
 				st.ranges[ck] = list[:len(list)-1]
@@ -622,21 +669,7 @@ func (st *stripe) remove(e *entry, c *Cache) {
 			delete(st.ranges, ck)
 		}
 	}
-	if e.goff != nil {
-		ck := colKey{table: e.key.Table, col: e.key.Col, layer: e.key.Layer}
-		list := st.ins[ck]
-		for i, x := range list {
-			if x == e {
-				list[i] = list[len(list)-1]
-				list[len(list)-1] = nil
-				st.ins[ck] = list[:len(list)-1]
-				break
-			}
-		}
-		if len(st.ins[ck]) == 0 {
-			delete(st.ins, ck)
-		}
-	}
+	st.unlinkIn(e)
 	e.dead = true
 	st.bytes -= e.bytes
 	st.live--

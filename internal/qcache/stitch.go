@@ -53,7 +53,7 @@ func (c *Cache) StitchRange(k Key, tok Token) (*StitchPlan, bool) {
 		return nil, false
 	}
 	st := c.stripeFor(k)
-	ck := colKey{table: k.Table, col: k.Col, layer: k.Layer}
+	ck := k.column()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	list := st.ranges[ck]
@@ -151,59 +151,33 @@ var emptyGroup = []uint32{}
 // counted as a subset hit here; a partial match returns the covered groups
 // plus the missing values and counts nothing until the caller commits with
 // NoteInFill.  The entry covering the most query values wins.
+//
+// Candidates come from the column's inverted index (inindex.go): one
+// posting lookup per query value, so the common ad-hoc miss — no resident
+// entry lists any of the values — costs len(distinct) map probes, not a
+// visit to every resident entry.
 func (c *Cache) LookupInReuse(k Key, tok Token, distinct []uint32) (*InReuse, bool) {
 	if !c.Enabled() || len(distinct) == 0 {
 		return nil, false
 	}
 	st := c.stripeFor(k)
-	ck := colKey{table: k.Table, col: k.Col, layer: k.Layer}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	cands := st.ins[ck]
-	var best *entry
-	bestCovered := 0
-	// Phase 1: a full-subset source.  The check is boolean, so a wrong
-	// candidate is dismissed at its first missing value — usually one map
-	// probe — instead of being scored against the whole query.
-scan:
-	for _, e := range cands {
-		if e.tok != tok || e.vmap == nil || len(e.vals) < len(distinct) {
-			continue
-		}
-		for _, v := range distinct {
-			if _, ok := e.vmap[v]; !ok {
-				continue scan
-			}
-		}
-		best, bestCovered = e, len(distinct)
-		break
+	ix := st.inIdx[k.column()]
+	if ix == nil {
+		return nil, false
 	}
-	// Phase 2: no full cover, so score for the best partial — worth the
-	// full scan only now, because the caller's fill path is about to pay
-	// for index probes anyway.  An entry one fifth shorter than the query
-	// cannot reach the ~80% coverage a fill needs; skip it.
-	if best == nil {
-		for _, e := range cands {
-			if e.tok != tok || e.vmap == nil || 5*len(e.vals) < 4*len(distinct) {
-				continue
-			}
-			covered := 0
-			for _, v := range distinct {
-				if _, ok := e.vmap[v]; ok {
-					covered++
-				}
-			}
-			if covered > bestCovered {
-				best, bestCovered = e, covered
-			}
-		}
-	}
+	best, covered := ix.best(tok, distinct)
 	if best == nil {
 		return nil, false
 	}
 	r := &InReuse{Groups: make([][]uint32, len(distinct))}
+	if covered < len(distinct) {
+		r.Missing = make([]uint32, 0, len(distinct)-covered)
+	}
 	for i, v := range distinct {
-		if g, ok := best.vmap[v]; ok {
+		if p, ok := findSorted(best.vals, v); ok {
+			g := best.s2g[p]
 			grp := best.rids[best.goff[g]:best.goff[g+1]]
 			if grp == nil {
 				grp = emptyGroup
@@ -273,4 +247,23 @@ func (c *Cache) LookupAgg(k Key, tok Token) ([]AggRow, bool) {
 	st.stats.AggregateHits++
 	st.mu.Unlock()
 	return append([]AggRow(nil), e.aggs...), true
+}
+
+// findSorted returns the position of v in the ascending slice a.  The
+// halving step is a conditional add, not a branch: a replay resolves every
+// query value against the source's list, and with values in query order the
+// comparisons are unpredictable.
+func findSorted(a []uint32, v uint32) (int, bool) {
+	if len(a) == 0 {
+		return 0, false
+	}
+	base := 0
+	for n := len(a); n > 1; {
+		half := n >> 1
+		// base += half when a[base+half] <= v: the difference's sign bit
+		// masks the step out otherwise.
+		base += half &^ int((int64(v)-int64(a[base+half]))>>63)
+		n -= half
+	}
+	return base, a[base] == v
 }

@@ -168,6 +168,13 @@ func TestInsertInRejectsMalformedGroups(t *testing.T) {
 	if s := c.Stats(); s.Rejects != 1 {
 		t.Fatalf("reject not counted: %+v", s)
 	}
+	c.InsertIn(k, tok, []uint32{5, 17, 5}, []uint32{0, 1, 2, 3}, []uint32{8, 9, 8}, 10) // 5 listed twice
+	if _, ok := c.Lookup(k, tok); ok {
+		t.Fatal("grouped entry with a repeated value admitted")
+	}
+	if s := c.Stats(); s.Rejects != 2 || s.Entries != 0 {
+		t.Fatalf("repeated-value reject not counted: %+v", s)
+	}
 }
 
 func TestLookupAggRoundTrip(t *testing.T) {
