@@ -3,16 +3,16 @@
 // filter answers "definitely absent" from one or two cache lines, so base
 // reads on key ranges a delta batch never touched pay almost nothing for
 // the delta's existence.  The filter is sized at build time for the run it
-// guards (~10 bits/key, two probes, <2% false positives) and is immutable
+// guards (10–20 bits/key, two probes, 1–3% false positives) and is immutable
 // after Build — it lives inside published snapshots, so reads need no
 // synchronisation.
 package bloom
 
 import "hash/maphash"
 
-// seed is shared by every filter: filters are rebuilt per run and never
-// compared across processes, so one process-wide random seed suffices and
-// keeps Filter values trivially copyable.
+// seed is shared by every filter over non-integer keys: filters are rebuilt
+// per run and never compared across processes, so one process-wide random
+// seed suffices and keeps Filter values trivially copyable.
 var seed = maphash.MakeSeed()
 
 // Filter is a split-probe bloom filter over comparable keys.  The zero
@@ -22,8 +22,9 @@ type Filter[K comparable] struct {
 	mask uint32 // len(bits)*64 - 1; bit count is a power of two
 }
 
-// bitsPerKey sizes the filter: 10 bits/key with 2 probes gives a false-
-// positive rate under 2%, cheap enough that fence checks rarely matter.
+// bitsPerKey is the floor the filter is sized to before rounding the bit
+// count up to a power of two: 10–20 bits/key with 2 probes gives a false-
+// positive rate of 1–3%, cheap enough that fence checks rarely matter.
 const bitsPerKey = 10
 
 // Build constructs a filter over the keys.
@@ -44,10 +45,34 @@ func Build[K comparable](keys []K) Filter[K] {
 	return f
 }
 
-// probes derives both bit positions from one maphash invocation.
+// probes derives both bit positions from one 64-bit hash.  The delta
+// layer's keys are uint32 (mmdb) and uint32/uint64 (shard), and with
+// several runs per index a point probe hashes once per run, so integer
+// keys take an inlined multiply-xorshift finaliser; every other key type
+// keeps maphash.
 func (f Filter[K]) probes(k K) (uint32, uint32) {
-	h := maphash.Comparable(seed, k)
+	var h uint64
+	switch v := any(k).(type) {
+	case uint32:
+		h = mix64(uint64(v))
+	case uint64:
+		h = mix64(v)
+	default:
+		h = maphash.Comparable(seed, k)
+	}
 	return uint32(h) & f.mask, uint32(h>>32) & f.mask
+}
+
+// mix64 is the 64-bit finaliser of MurmurHash3: two multiplies and three
+// xor-shifts, after which every input bit reaches both halves of the
+// output — the two probe positions are drawn one from each half.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // May reports whether the key may be in the set (false = definitely not).

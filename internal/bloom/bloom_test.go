@@ -42,3 +42,38 @@ func TestZeroFilter(t *testing.T) {
 		t.Fatal("empty build claimed membership")
 	}
 }
+
+// TestIntegerKeysDoNotAllocate pins the integer fast path: a point probe
+// pays one hash per delta run, so neither May nor the per-key work of Build
+// may reach the allocator (Build's one allocation is the bit array).
+func TestIntegerKeysDoNotAllocate(t *testing.T) {
+	keys := make([]uint32, 4096)
+	for i := range keys {
+		keys[i] = uint32(i) * 2654435761
+	}
+	f := Build(keys)
+	hits := 0
+	if n := testing.AllocsPerRun(100, func() {
+		for _, k := range keys[:64] {
+			if f.May(k + 1) {
+				hits++
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("May allocated %.1f times per 64 probes", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { f = Build(keys) }); n != 1 {
+		t.Fatalf("Build allocated %.1f times, want 1 (the bit array)", n)
+	}
+	_ = hits
+}
+
+func TestNonIntegerKeys(t *testing.T) {
+	keys := []string{"a", "bb", "ccc", "dddd"}
+	f := Build(keys)
+	for _, k := range keys {
+		if !f.May(k) {
+			t.Fatalf("false negative for %q", k)
+		}
+	}
+}

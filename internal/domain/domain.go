@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"cssidx/internal/csstree"
+	"cssidx/internal/sortu32"
 )
 
 // IntDomain is a sorted dictionary of distinct uint32 values with
@@ -28,7 +29,7 @@ type IntDomain struct {
 // column re-encoded as domain IDs (ids[i] is the rank of column[i]).
 func BuildInt(column []uint32) (*IntDomain, []uint32) {
 	values := append([]uint32(nil), column...)
-	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
+	sortu32.Sort(values)
 	// Dedupe in place.
 	distinct := values[:0]
 	for i, v := range values {
@@ -40,16 +41,26 @@ func BuildInt(column []uint32) (*IntDomain, []uint32) {
 		values: distinct,
 		idx:    csstree.BuildLevel(distinct, 16),
 	}
+	// Encode the column through the lockstep batched translation, a chunk
+	// at a time so the position scratch stays cache-resident.
 	ids := make([]uint32, len(column))
-	for i, v := range column {
-		id, ok := d.ID(v)
-		if !ok {
-			panic("domain: value vanished during build")
+	var pos [encodeChunk]int32
+	for base := 0; base < len(column); base += encodeChunk {
+		chunk := column[base:min(base+encodeChunk, len(column))]
+		d.IDsBatch(chunk, pos[:len(chunk)])
+		for i, p := range pos[:len(chunk)] {
+			if p < 0 {
+				panic("domain: value vanished during build")
+			}
+			ids[base+i] = uint32(p)
 		}
-		ids[i] = id
 	}
 	return d, ids
 }
+
+// encodeChunk is how many column values BuildInt translates per batched
+// descent of the domain tree.
+const encodeChunk = 1024
 
 // ID returns the domain ID (rank) of value, and whether it is present.
 func (d *IntDomain) ID(value uint32) (uint32, bool) {

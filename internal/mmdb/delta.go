@@ -20,8 +20,6 @@ package mmdb
 // closed bounds for the same reason (qcache).
 
 import (
-	"sync/atomic"
-
 	"cssidx/internal/bloom"
 	"cssidx/internal/domain"
 	"cssidx/internal/sortu32"
@@ -75,11 +73,6 @@ func (t *Table) DeltaRows() int { return t.rows - t.baseRows }
 
 // --- delta runs ---------------------------------------------------------------
 
-// maxDeltaRuns caps the runs an index accumulates before they are merged
-// into one (size-tiering collapsed to a single tier: probe cost stays
-// bounded without tracking run sizes).
-const maxDeltaRuns = 4
-
 // idxRun is one sorted delta run: the (value, RID) pairs of absorbed
 // append batches ordered by (value, RID), fenced by min/max and guarded by
 // a bloom filter over the values so point probes skip runs that cannot
@@ -105,20 +98,23 @@ func newIdxRun(vals []uint32, startRID uint32) idxRun {
 	return idxRun{vals: v, rids: r, min: v[0], max: v[len(v)-1], filter: bloom.Build(v)}
 }
 
-// appendRun adds a freshly absorbed run, merging the whole tier into one
-// run once it exceeds maxDeltaRuns.  Runs hold disjoint ascending RID
-// intervals in creation order, so the earlier-run-wins merge preserves
-// (value, RID) order.
-func appendRun(runs []idxRun, r idxRun) []idxRun {
-	runs = append(runs, r)
-	if len(runs) <= maxDeltaRuns {
-		return runs
+// pushRun returns the tier with a freshly absorbed run on the end, tiered
+// geometrically: while the run before the last holds fewer than twice its
+// pairs the two merge.  Sizes therefore at least halve along the slice, so
+// an index holds at most ⌊log2(deltaRows/batch)⌋+1 runs, every pair is
+// merged O(log) times over the delta's life, and an absorb never touches
+// the large old runs it does not outgrow — reads probe the runs as they
+// are and never merge them.  Runs hold disjoint ascending RID intervals in
+// slice order, so the earlier-run-wins merge preserves (value, RID) order.
+// The result is a fresh slice: published epochs keep theirs untouched.
+func pushRun(runs []idxRun, r idxRun) []idxRun {
+	out := append(make([]idxRun, 0, len(runs)+1), runs...)
+	out = append(out, r)
+	for n := len(out); n >= 2 && len(out[n-2].vals) < 2*len(out[n-1].vals); n-- {
+		out[n-2] = mergeIdxRuns(out[n-2], out[n-1])
+		out = out[:n-1]
 	}
-	merged := runs[0]
-	for _, next := range runs[1:] {
-		merged = mergeIdxRuns(merged, next)
-	}
-	return []idxRun{merged}
+	return out
 }
 
 // mergeIdxRuns merges two runs by (value, RID); a wins ties, which is
@@ -126,81 +122,6 @@ func appendRun(runs []idxRun, r idxRun) []idxRun {
 func mergeIdxRuns(a, b idxRun) idxRun {
 	vals, rids := mergePairsTieFirst(a.vals, a.rids, b.vals, b.rids)
 	return idxRun{vals: vals, rids: rids, min: vals[0], max: vals[len(vals)-1], filter: bloom.Build(vals)}
-}
-
-// mergedRuns serves reads a single-run view of the tier, memoized in view:
-// absorbs stay cheap (runs merge only when the tier overflows) while every
-// read surface pays one fence check, one bloom filter and one pair of
-// bounds instead of one per run.  The first read after an absorb folds the
-// tier into one run and publishes it; absorbs and rebuilds reset the memo.
-// Racing readers may each build the view, but the builds are identical, so
-// last-store-wins is harmless.
-func mergedRuns(runs []idxRun, view *atomic.Pointer[[]idxRun]) []idxRun {
-	if len(runs) <= 1 {
-		return runs
-	}
-	if v := view.Load(); v != nil {
-		return *v
-	}
-	m := runs[0]
-	for _, next := range runs[1:] {
-		m = mergeIdxRuns(m, next)
-	}
-	out := []idxRun{m}
-	view.Store(&out)
-	return out
-}
-
-// rangeOverlay is the fully merged (raw value, RID) image of base ∪ delta,
-// memoized per delta state for range reads: with it a merged range select
-// costs exactly what the pure-immutable path costs — one pair of binary
-// searches and one bulk RID copy — instead of a per-element weave on every
-// query.  Building it is one O(n + d·log n) pass, far below a fold (which
-// re-sorts everything and rebuilds domains, encodings and search
-// structures), and it only happens on the first range read after an
-// absorb, so append bursts never pay it.
-type rangeOverlay struct {
-	vals []uint32 // merged raw values, ascending (ties: ascending RID)
-	rids []uint32 // RIDs in (value, RID) order
-}
-
-func (ov *rangeOverlay) lowerBound(v uint32) int {
-	lo, hi := 0, len(ov.vals)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ov.vals[m] >= v {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
-}
-
-func (ov *rangeOverlay) upperBound(v uint32) int {
-	lo, hi := 0, len(ov.vals)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ov.vals[m] > v {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
-}
-
-// mergedOverlay returns the memoized overlay, building it on first use for
-// the current delta state.  Racing readers may each build it; the builds
-// are identical.
-func mergedOverlay(dom *domain.IntDomain, keys, rids []uint32, runs []idxRun, memo *atomic.Pointer[rangeOverlay]) *rangeOverlay {
-	if ov := memo.Load(); ov != nil {
-		return ov
-	}
-	r, v := mergeRangeDelta(dom, keys, rids, 0, len(keys), runs, 0, ^uint32(0), true)
-	ov := &rangeOverlay{vals: v, rids: r}
-	memo.Store(ov)
-	return ov
 }
 
 // lowerBound returns the first position with value ≥ v.  Hand-rolled: the
@@ -300,79 +221,126 @@ func deltaRunsBytes(runs []idxRun) int {
 
 // --- merged reads -------------------------------------------------------------
 
-// mergeRangeDelta merges the base segment keys[first:last) (domain IDs
-// with parallel RIDs) with every run's lo ≤ value ≤ hi slice into one
+// mergeRangeDelta weaves the base segment keys[first:last) (domain IDs
+// with parallel RIDs) and every run's lo ≤ value ≤ hi span into one
 // (value, RID)-ordered RID list — exactly the output a fully rebuilt index
 // would produce, because every delta RID exceeds every base RID and the
 // rebuild's radix sort is stable.  When wantKeys is set the merged raw
-// values ride along for the cache's containment runs.
+// values ride along for the cache's containment runs.  An empty result is
+// nil.
 //
-// The merge is asymmetric by design: the delta is tiny next to the base,
-// so the run slices first merge among themselves (earlier run wins ties —
+// The weave is asymmetric by design: the delta is tiny next to the base.
+// Each run is clipped to [lo, hi] by two binary searches; the clipped
+// spans' heads are then drained smallest-first (the earlier run wins ties —
 // RID order, since a later run's RIDs all exceed an earlier run's), and
-// each delta element then binary-searches its split point in the base
-// segment.  Base RIDs move in bulk copies and the common no-delta-overlap
-// case degenerates to one copy, which keeps merged reads near the
-// pure-immutable read cost.
+// each delta element finds its split point in the base segment by
+// scanning, then galloping, from the previous split (splitPast), so the
+// searches cost O(log gap) rather than O(log segment).  Base RIDs move in
+// bulk copies and the common no-delta-overlap case degenerates to one copy.
+// There is no memoised merged image to rebuild after an absorb: a read costs
+// O(result + delta in range) whatever the table size.
 func mergeRangeDelta(dom *domain.IntDomain, keys, rids []uint32, first, last int, runs []idxRun, lo, hi uint32, wantKeys bool) (outRids, outVals []uint32) {
-	// Clip each run to [lo, hi].  Readers hand in the memoized single-run
-	// view (readRuns), so the common case is one span; left-to-right
-	// pairwise merging keeps multi-span tie order correct anyway (earlier
-	// run wins = smaller RIDs first).
-	var dv, dr []uint32
+	type span struct{ vals, rids []uint32 }
+	var buf [8]span // the geometric tier rarely holds more; append spills to the heap if it does
+	spans := buf[:0]
 	total := last - first
 	for ri := range runs {
 		r := &runs[ri]
 		if r.min > hi || r.max < lo {
 			continue
 		}
-		f, l := r.lowerBound(lo), r.upperBound(hi)
-		if f >= l {
-			continue
-		}
-		total += l - f
-		if dv == nil {
-			dv, dr = r.vals[f:l], r.rids[f:l]
-		} else {
-			dv, dr = mergePairsTieFirst(dv, dr, r.vals[f:l], r.rids[f:l])
+		if f, l := r.lowerBound(lo), r.upperBound(hi); f < l {
+			spans = append(spans, span{r.vals[f:l], r.rids[f:l]})
+			total += l - f
 		}
 	}
-	outRids = make([]uint32, 0, total)
+	if total == 0 {
+		return nil, nil
+	}
+	outRids = make([]uint32, total)
 	if wantKeys {
-		outVals = make([]uint32, 0, total)
+		outVals = make([]uint32, total)
 	}
-	appendBase := func(from, to int) {
-		outRids = append(outRids, rids[from:to]...)
+	values := dom.Values()
+	// moveBase copies base positions [from, to) to output position n.
+	moveBase := func(n, from, to int) int {
+		copy(outRids[n:], rids[from:to])
 		if wantKeys {
-			for p := from; p < to; p++ {
-				outVals = append(outVals, dom.Value(keys[p]))
+			for i, id := range keys[from:to] {
+				outVals[n+i] = values[id]
 			}
 		}
+		return n + to - from
 	}
-	bi := first
-	for i, v := range dv {
+	n, bi := 0, first
+	for {
+		best := -1
+		for i := range spans {
+			if len(spans[i].vals) > 0 && (best < 0 || spans[i].vals[0] < spans[best].vals[0]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		sp := &spans[best]
+		v := sp.vals[0]
 		// Base elements with value ≤ v precede the delta element (base RIDs
 		// are smaller, so ties resolve base-first); move them in one copy.
-		s, e := bi, last
-		for s < e {
-			m := int(uint(s+e) >> 1)
-			if dom.Value(keys[m]) > v {
-				e = m
-			} else {
-				s = m + 1
-			}
-		}
-		if s > bi {
-			appendBase(bi, s)
+		if s := splitPast(values, keys, bi, last, v); s > bi {
+			n = moveBase(n, bi, s)
 			bi = s
 		}
-		outRids = append(outRids, dr[i])
+		// Every pair of this span equal to v follows at once: the split is
+		// the same, and the later spans' equal values carry larger RIDs.
+		j := 1
+		for j < len(sp.vals) && sp.vals[j] == v {
+			j++
+		}
+		copy(outRids[n:], sp.rids[:j])
 		if wantKeys {
-			outVals = append(outVals, v)
+			copy(outVals[n:], sp.vals[:j])
+		}
+		n += j
+		sp.vals, sp.rids = sp.vals[j:], sp.rids[j:]
+	}
+	moveBase(n, bi, last)
+	return outRids, outVals
+}
+
+// splitPast returns the first position in keys[from:to) whose domain value
+// exceeds v (to when none does).  Successive delta elements land close
+// together in the base, so the search starts at the previous split: a short
+// linear scan (predictable, and the common case — near the 1/8 fold trigger
+// a delta element arrives every dozen base rows or sooner; it measures a
+// quarter faster there than galloping from step one), then doubling steps
+// that bracket a distant split for a binary search to close, at a cost that
+// follows the distance moved, not the segment.
+func splitPast(values, keys []uint32, from, to int, v uint32) int {
+	const scan = 16
+	for lim := min(from+scan, to); from < lim; from++ {
+		if values[keys[from]] > v {
+			return from
 		}
 	}
-	appendBase(bi, last)
-	return outRids, outVals
+	s, step := from, scan
+	for s < to && values[keys[s]] <= v {
+		from = s + 1
+		s += step
+		step <<= 1
+	}
+	if s < to {
+		to = s
+	}
+	for from < to {
+		m := int(uint(from+to) >> 1)
+		if values[keys[m]] > v {
+			to = m
+		} else {
+			from = m + 1
+		}
+	}
+	return from
 }
 
 // mergePairsTieFirst merges two (value, payload) pair lists by value; a

@@ -3,11 +3,13 @@ package mmdb
 // Differential tests for the delta layer: a live table absorbing append
 // batches must stay bit-identical, on every read surface, to an oracle
 // twin that folds every batch the pre-delta way.  The sequences are chosen
-// to drive the live table through absorbs, run merges (> maxDeltaRuns) and
-// size-triggered folds.
+// to drive the live table through absorbs, the geometric tier's run merges
+// (partial and cascading) and size-triggered folds, and a second leg holds
+// one to eight live runs against a table rebuilt from scratch.
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"cssidx"
@@ -55,11 +57,63 @@ func genCols(g *workload.Gen, base []uint32, n int) map[string][]uint32 {
 	}
 }
 
-// checkSurfaces compares every read surface of live against oracle.
-func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, live, oracle *twin) {
+// checkRuns verifies the structural invariants of one index's delta tier:
+// every run sorted by (value, RID) with fences and bloom filter admitting
+// each of its keys, RID intervals disjoint and ascending in run order, and
+// sizes at least halving along the slice (pushRun's geometric tier).
+func checkRuns(runs []idxRun) error {
+	for i := range runs {
+		r := &runs[i]
+		if len(r.vals) == 0 || len(r.vals) != len(r.rids) {
+			return fmt.Errorf("run %d: %d values, %d RIDs", i, len(r.vals), len(r.rids))
+		}
+		if r.min != r.vals[0] || r.max != r.vals[len(r.vals)-1] {
+			return fmt.Errorf("run %d: fences [%d,%d] over values [%d,%d]", i, r.min, r.max, r.vals[0], r.vals[len(r.vals)-1])
+		}
+		minRID, maxRID := r.rids[0], r.rids[0]
+		for j, v := range r.vals {
+			if j > 0 && (v < r.vals[j-1] || (v == r.vals[j-1] && r.rids[j] <= r.rids[j-1])) {
+				return fmt.Errorf("run %d: pair %d (%d,%d) out of (value, RID) order", i, j, v, r.rids[j])
+			}
+			if !r.filter.May(v) {
+				return fmt.Errorf("run %d: bloom filter rejects resident value %d", i, v)
+			}
+			minRID, maxRID = min(minRID, r.rids[j]), max(maxRID, r.rids[j])
+		}
+		if i > 0 {
+			prev := &runs[i-1]
+			for _, rid := range prev.rids {
+				if rid >= minRID {
+					return fmt.Errorf("run %d: RID %d of run %d is not below its RIDs [%d,%d]", i, rid, i-1, minRID, maxRID)
+				}
+			}
+			if len(prev.vals) < 2*len(r.vals) {
+				return fmt.Errorf("runs %d,%d: %d pairs before %d breaks the geometric tier", i-1, i, len(prev.vals), len(r.vals))
+			}
+		}
+	}
+	return nil
+}
+
+// checkTwinRuns applies checkRuns to both of a twin's indexes.
+func checkTwinRuns(t *testing.T, tag string, w *twin) {
+	t.Helper()
+	if err := checkRuns(w.kIx.runs); err != nil {
+		t.Fatalf("%s sorted index: %v", tag, err)
+	}
+	if err := checkRuns(w.sIx.cur.Load().runs); err != nil {
+		t.Fatalf("%s sharded epoch: %v", tag, err)
+	}
+}
+
+// checkSurfaces compares every read surface of live against oracle.  hot
+// values join the generated probes: callers pass values they know sit in
+// the base and in several runs at once.
+func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, live, oracle *twin, hot ...uint32) {
 	t.Helper()
 	probes := g.Lookups(base, 6)
 	probes = append(probes, probes[0]+1) // likely absent value
+	probes = append(probes, hot...)
 
 	for _, p := range probes {
 		mustEqualU32(t, tag+" SelectEqual(k)", live.kIx.SelectEqual(p), oracle.kIx.SelectEqual(p))
@@ -117,6 +171,20 @@ func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, liv
 	}
 
 	inList := append(g.Lookups(base, 5), probes[0]+1, probes[1])
+	inList = append(inList, hot...)
+	// The index's own two IN drivers, whatever path the table's planner
+	// and cache pick below: merged, and grouped with its value offsets.
+	mustEqualU32(t, tag+" SortedIndex.SelectIn(k)", live.kIx.SelectIn(inList), oracle.kIx.SelectIn(inList))
+	lr, lgo, err := live.kIx.selectInGrouped(dedupeValues(inList), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	or, ogo, err := oracle.kIx.selectInGrouped(dedupeValues(inList), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualU32(t, tag+" selectInGrouped(k) rows", lr, or)
+	mustEqualU32(t, tag+" selectInGrouped(k) offsets", lgo, ogo)
 	li, _, err := live.tab.SelectIn("k", inList)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +264,7 @@ func TestDeltaDifferentialAllSurfaces(t *testing.T) {
 			base := g.SortedUniform(500)
 			initial := genCols(g, base, 3000)
 			// MinFoldRows keeps the live table absorbing through enough
-			// batches to exceed maxDeltaRuns before its first fold.
+			// batches to stack and merge several runs before its first fold.
 			live := newTwin(t, "t", AppendPolicy{MinFoldRows: 600}, initial, cached)
 			defer live.close()
 			oracle := newTwin(t, "t", AppendPolicy{Disabled: true}, initial, false)
@@ -208,10 +276,15 @@ func TestDeltaDifferentialAllSurfaces(t *testing.T) {
 			oracleInner := newTwin(t, "d", AppendPolicy{Disabled: true}, innerCols, false)
 			defer oracleInner.close()
 
-			// 8 batches: absorbs 1..5 push past maxDeltaRuns (run merge),
-			// batch 6 folds (3000/8 < 500+ rows ≥ MinFoldRows kicks in
-			// once delta*8 ≥ base), then two more absorbs on the new base.
-			sizes := []int{60, 70, 80, 90, 100, 400, 50, 60}
+			// 8 batches against the geometric tier (a run merges into its
+			// predecessor while that holds fewer than twice its pairs):
+			// batches 1..4 stack four runs (320, 100, 30, 12), batch 5
+			// cascades 12+12 → 24, 30+24 → 54, 100+54 → 154 and stops at
+			// 320 ≥ 2·154, batch 6 brings the delta to 874 ≥ MinFoldRows
+			// with 874·8 ≥ base and folds, then two more absorbs leave two
+			// runs at rest on the new base.
+			sizes := []int{320, 100, 30, 12, 12, 400, 50, 20}
+			wantRuns := []int{1, 2, 3, 4, 2, 0, 1, 2}
 			for bi, n := range sizes {
 				batch := genCols(g, base, n)
 				if err := live.tab.AppendRows(batch); err != nil {
@@ -228,6 +301,11 @@ func TestDeltaDifferentialAllSurfaces(t *testing.T) {
 					t.Fatal(err)
 				}
 				tag := fmt.Sprintf("batch %d", bi)
+				if got := len(live.kIx.runs); got != wantRuns[bi] {
+					t.Fatalf("%s: %d live runs, want %d", tag, got, wantRuns[bi])
+				}
+				checkTwinRuns(t, tag, live)
+				checkTwinRuns(t, tag, liveInner)
 				checkSurfaces(t, tag, g, base, live, oracle)
 				checkJoin(t, tag, live, oracle, liveInner, oracleInner)
 				if cached {
@@ -250,6 +328,93 @@ func TestDeltaDifferentialAllSurfaces(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeltaManyRunsAgainstRebuild holds one to eight live runs — batch sizes
+// more than halve, so the geometric tier cannot collapse them — then pushes
+// batches that merge part of the tier and finally all of it, and after
+// every step compares each surface of both index types with a table rebuilt
+// from scratch over the same rows.  A handful of hot values ride in every
+// batch, so they sit in the base and in every live run at once: the order
+// of their RIDs across runs is what a read-time weave can get wrong.
+func TestDeltaManyRunsAgainstRebuild(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		for _, seed := range []int64{1, 2, 3} {
+			t.Run(fmt.Sprintf("cached=%v/seed=%d", cached, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				g := workload.New(100 + seed)
+				dict := g.SortedUniform(300)
+				hot := g.Lookups(dict, 4)
+				all := genCols(g, dict, 6000)
+				live := newTwin(t, "t", AppendPolicy{MinFoldRows: 1 << 30}, all, cached)
+				defer live.close()
+				// A small fixed outer keeps the join's pair stream short; the
+				// index under test is the inner.
+				outerCols := genCols(g, dict, 400)
+				copy(outerCols["k"], hot)
+				outer := newTwin(t, "o", AppendPolicy{}, outerCols, false)
+				defer outer.close()
+
+				// Eight shrinking batches, each under half its predecessor,
+				// then three that merge back: the smallest run's size again
+				// (a partial cascade), a mid-sized one, and one larger than
+				// the whole delta (everything collapses into one run).
+				sizes := make([]int, 8)
+				sizes[0] = 2400 + rng.Intn(400)
+				for i := 1; i < len(sizes); i++ {
+					sizes[i] = sizes[i-1]/2 - 1 - rng.Intn(sizes[i-1]/32+1)
+				}
+				sizes = append(sizes, sizes[7], sizes[3], 3*sizes[0])
+				maxRuns := 0
+				for step, n := range sizes {
+					batch := genCols(g, dict, n)
+					for _, c := range []string{"k", "s"} {
+						for i, h := range hot {
+							batch[c][rng.Intn(n/len(hot))*len(hot)+i] = h
+						}
+					}
+					if err := live.tab.AppendRows(batch); err != nil {
+						t.Fatal(err)
+					}
+					for c, vals := range batch {
+						all[c] = append(all[c], vals...)
+					}
+					tag := fmt.Sprintf("step %d (+%d rows)", step, n)
+					if step < 8 && len(live.kIx.runs) != step+1 {
+						t.Fatalf("%s: %d live runs, want %d", tag, len(live.kIx.runs), step+1)
+					}
+					maxRuns = max(maxRuns, len(live.kIx.runs))
+					checkTwinRuns(t, tag, live)
+					if step >= 2 {
+						for _, h := range hot {
+							in := 0
+							for i := range live.kIx.runs {
+								if f, l := live.kIx.runs[i].equalRange(h); f < l {
+									in++
+								}
+							}
+							if in < min(3, len(live.kIx.runs)) {
+								t.Fatalf("%s: hot value %d sits in %d runs", tag, h, in)
+							}
+						}
+					}
+					rebuilt := newTwin(t, "t", AppendPolicy{Disabled: true}, all, false)
+					checkSurfaces(t, tag, g, dict, live, rebuilt, hot...)
+					checkJoin(t, tag, outer, outer, live, rebuilt)
+					if cached {
+						checkSurfaces(t, tag+" (replay)", g, dict, live, rebuilt, hot...)
+					}
+					rebuilt.close()
+				}
+				if maxRuns != 8 || len(live.kIx.runs) != 1 {
+					t.Fatalf("tier peaked at %d runs and ended with %d, want 8 and 1", maxRuns, len(live.kIx.runs))
+				}
+				if live.tab.Generation() != 1 {
+					t.Fatalf("live table folded: generation %d", live.tab.Generation())
+				}
+			})
+		}
 	}
 }
 

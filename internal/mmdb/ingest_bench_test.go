@@ -1,63 +1,194 @@
 package mmdb
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"cssidx"
 	"cssidx/internal/workload"
 )
 
-func buildIngestBench(b *testing.B, pol AppendPolicy) *Table {
-	b.Helper()
-	g := workload.New(1)
-	dict := g.SortedUniform(4096)
-	tab := NewTable("b")
-	tab.SetAppendPolicy(pol)
-	for _, c := range []string{"k", "v"} {
-		if err := tab.AddColumn(c, g.Lookups(dict, 50_000)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if err := tab.AppendRows(map[string][]uint32{
-			"k": g.Lookups(dict, 256),
-			"v": g.Lookups(dict, 256),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return tab
+// scaleBatch is the append size the ingest guard and benchmarks use: the
+// end-to-end benchmark's 256-row durable append.
+const scaleBatch = 256
+
+// scaleTable is a two-column table with a sorted index on "k" whose reads
+// return the same number of rows whatever the base size: the dictionary
+// grows with the table (≈ 8 rows per distinct value), so a range over 100
+// adjacent dictionary values is ≈ 800 rows and a 16-value IN-list ≈ 128
+// rows at 50K rows and at 800K alike.  What is left to vary with the base is
+// exactly what the delta layer must not touch on an absorb.
+type scaleTable struct {
+	tab  *Table
+	ix   *SortedIndex
+	g    *workload.Gen
+	dict []uint32
 }
 
-func benchRangeReads(b *testing.B, tab *Table) {
-	g := workload.New(7)
-	dict := g.SortedUniform(4096)
-	los := g.Lookups(dict, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := los[i%len(los)]
-		rids, _, err := tab.SelectRange("k", lo, lo+1<<24)
-		if err != nil {
-			b.Fatal(err)
+func newScaleTable(tb testing.TB, baseRows int, pol AppendPolicy) *scaleTable {
+	tb.Helper()
+	g := workload.New(int64(baseRows))
+	s := &scaleTable{tab: NewTable("b"), g: g, dict: g.SortedUniform(baseRows / 8)}
+	s.tab.SetAppendPolicy(pol)
+	for _, c := range []string{"k", "v"} {
+		if err := s.tab.AddColumn(c, g.Lookups(s.dict, baseRows)); err != nil {
+			tb.Fatal(err)
 		}
-		sinkInt += len(rids)
 	}
+	ix, err := s.tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.ix = ix
+	return s
+}
+
+func (s *scaleTable) batch(n int) map[string][]uint32 {
+	return map[string][]uint32{"k": s.g.Lookups(s.dict, n), "v": s.g.Lookups(s.dict, n)}
+}
+
+func (s *scaleTable) append(tb testing.TB, n int) {
+	tb.Helper()
+	if err := s.tab.AppendRows(s.batch(n)); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// rangeBounds returns the i-th ≈800-row range.
+func (s *scaleTable) rangeBounds(i int) (lo, hi uint32) {
+	p := (i * 7919) % (len(s.dict) - 100)
+	return s.dict[p], s.dict[p+100]
+}
+
+// absorbThenRead is the unit the guard measures and the benchmark times: one
+// absorbed batch, then the first range read and the first IN read after it —
+// the reads on which any state memoised per delta state would be rebuilt.
+func (s *scaleTable) absorbThenRead(tb testing.TB, batch map[string][]uint32, i int, in []uint32) {
+	if err := s.tab.AppendRows(batch); err != nil {
+		tb.Fatal(err)
+	}
+	lo, hi := s.rangeBounds(i)
+	rids, _, err := s.tab.SelectRange("k", lo, hi)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sinkInt += len(rids)
+	rids, _, err = s.tab.SelectIn("k", in)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sinkInt += len(rids)
 }
 
 var sinkInt int
 
-func BenchmarkRangeReadDelta(b *testing.B) {
-	tab := buildIngestBench(b, AppendPolicy{MinFoldRows: 1 << 30})
-	if tab.DeltaRows() == 0 {
-		b.Fatal("no delta")
+// TestAbsorbThenReadCostFollowsBatch is the delta layer's scaling guard: the
+// bytes allocated by one 256-row absorb plus the first SelectRange and first
+// SelectIn after it follow the batch and the results, not the table — equal
+// within 2× from 50K to 800K base rows, and under a fixed cap.  A memoised
+// merged image of base ∪ delta (8 B per table row, rebuilt by the first read
+// after every absorb) fails it by two orders of magnitude at 800K.
+func TestAbsorbThenReadCostFollowsBatch(t *testing.T) {
+	const capBytes = 64 << 10
+	bases := []int{50_000, 200_000, 800_000}
+	if testing.Short() {
+		bases = bases[:2]
 	}
-	benchRangeReads(b, tab)
+	var lo, hi uint64
+	for _, base := range bases {
+		s := newScaleTable(t, base, AppendPolicy{})
+		// Room for the appended rows up front: append's amortised doubling
+		// of the raw columns is the table's cost, not the delta layer's,
+		// and where it lands depends on the base size.  Four warm absorbs
+		// then leave the tier at one 1024-pair run, so the measured absorb
+		// stacks a second run at every base size.
+		for _, c := range s.tab.cols {
+			c.raw = slices.Grow(c.raw, 8*scaleBatch)
+		}
+		for i := 0; i < 4; i++ {
+			s.append(t, scaleBatch)
+		}
+		batch, in := s.batch(scaleBatch), s.g.Lookups(s.dict, 16)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.absorbThenRead(t, batch, 1, in)
+		runtime.ReadMemStats(&after)
+		if s.tab.DeltaRows() != 5*scaleBatch || len(s.ix.runs) != 2 {
+			t.Fatalf("base=%d: delta %d rows in %d runs, want %d in 2", base, s.tab.DeltaRows(), len(s.ix.runs), 5*scaleBatch)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("base=%d: absorb + first range + first IN allocate %d B", base, got)
+		if got > capBytes {
+			t.Errorf("base=%d: absorb + first reads allocate %d B, cap %d", base, got, capBytes)
+		}
+		if lo == 0 || got < lo {
+			lo = got
+		}
+		hi = max(hi, got)
+	}
+	if hi > 2*lo {
+		t.Errorf("absorb + first reads allocate %d…%d B across base sizes: cost follows the table", lo, hi)
+	}
 }
 
-func BenchmarkRangeReadFolded(b *testing.B) {
-	tab := buildIngestBench(b, AppendPolicy{Disabled: true})
-	benchRangeReads(b, tab)
+// BenchmarkAbsorbThenRead times absorbThenRead at three base sizes.  Folds
+// are kept out of the timed region: when the next batch would cross the fold
+// threshold, an untimed append folds first.
+func BenchmarkAbsorbThenRead(b *testing.B) {
+	for _, base := range []int{50_000, 200_000, 800_000} {
+		b.Run(fmt.Sprintf("base=%dK", base/1000), func(b *testing.B) {
+			s := newScaleTable(b, base, AppendPolicy{})
+			s.append(b, scaleBatch)
+			in := s.g.Lookups(s.dict, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if s.tab.AppendPolicy().shouldFold(s.tab.DeltaRows()+2*scaleBatch, s.tab.BaseRows()) {
+					s.append(b, 2*scaleBatch)
+				}
+				batch := s.batch(scaleBatch)
+				b.StartTimer()
+				s.absorbThenRead(b, batch, i, in)
+			}
+		})
+	}
+}
+
+// BenchmarkRangeWeave prices the read-time weave: the same ≈800-row ranges
+// over a 200K-row base with a 16K-row delta folded in, held as one run, and
+// held as six geometrically tiered runs.
+func BenchmarkRangeWeave(b *testing.B) {
+	const base = 200_000
+	for _, c := range []struct {
+		name    string
+		pol     AppendPolicy
+		batches []int
+	}{
+		{"folded", AppendPolicy{Disabled: true}, []int{16128}},
+		{"runs=1", AppendPolicy{MinFoldRows: 1 << 30}, []int{16128}},
+		{"runs=6", AppendPolicy{MinFoldRows: 1 << 30}, []int{8192, 4096, 2048, 1024, 512, 256}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := newScaleTable(b, base, c.pol)
+			for _, n := range c.batches {
+				s.append(b, n)
+			}
+			if want := len(c.batches); !c.pol.Disabled && len(s.ix.runs) != want {
+				b.Fatalf("%d live runs, want %d", len(s.ix.runs), want)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo, hi := s.rangeBounds(i)
+				rids, err := s.ix.SelectRange(lo, hi)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkInt += len(rids)
+			}
+		})
+	}
 }

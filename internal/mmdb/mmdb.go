@@ -161,18 +161,8 @@ type SortedIndex struct {
 	idx   cssidx.Index
 	batch cssidx.BatchIndex        // idx behind the batch surface (native or adapted)
 	bord  cssidx.BatchOrderedIndex // non-nil when the method has ordered access
-	runs  []idxRun                 // absorbed delta runs since the last fold (delta.go)
-
-	// view memoizes runs folded to a single run for readers (mergedRuns),
-	// and overlay the fully merged base ∪ delta image for range reads
-	// (mergedOverlay); absorb and rebuild reset both.
-	view    atomic.Pointer[[]idxRun]
-	overlay atomic.Pointer[rangeOverlay]
+	runs  []idxRun                 // absorbed delta runs since the last fold, geometrically tiered (delta.go)
 }
-
-// readRuns returns the delta runs as reads should see them: the memoized
-// single-run view of the tier.
-func (ix *SortedIndex) readRuns() []idxRun { return mergedRuns(ix.runs, &ix.view) }
 
 // BuildIndex builds (or rebuilds) an index on the column using the given
 // method, and registers it on the table.
@@ -219,17 +209,13 @@ func (ix *SortedIndex) rebuild() {
 		ix.bord = cssidx.AsBatchOrdered(ord)
 	}
 	ix.runs = nil
-	ix.view.Store(nil)
-	ix.overlay.Store(nil)
 }
 
 // absorb lands one appended batch in the delta layer: a sorted run over
-// the batch's (value, RID) pairs, tier-merged once the run count exceeds
-// maxDeltaRuns.  The base arrays and search structure are untouched.
+// the batch's (value, RID) pairs pushed onto the geometric tier (pushRun).
+// The base arrays and search structure are untouched.
 func (ix *SortedIndex) absorb(vals []uint32, startRID uint32) {
-	ix.runs = appendRun(ix.runs, newIdxRun(vals, startRID))
-	ix.view.Store(nil)
-	ix.overlay.Store(nil)
+	ix.runs = pushRun(ix.runs, newIdxRun(vals, startRID))
 }
 
 // Kind returns the index method.
@@ -257,7 +243,7 @@ func (ix *SortedIndex) SelectEqual(value uint32) []uint32 {
 			}
 		}
 	}
-	return deltaEqualAppend(ix.readRuns(), value, out)
+	return deltaEqualAppend(ix.runs, value, out)
 }
 
 // SelectEqualCtx is SelectEqual under governance: the context's
@@ -360,14 +346,14 @@ func (ix *SortedIndex) selectInCtl(ctl *governor.Ctl, distinct []uint32) ([]uint
 	if len(ix.runs) == 0 {
 		return selectInRIDs(ix.col.dom, ix.rids, distinct, ix.equalRangeBatchIDs, parallel.Options{}, ctl)
 	}
-	return selectInMerged(ix.col.dom, ix.rids, distinct, ix.equalRangeBatchIDs, ix.readRuns(), ctl.Checkpoint())
+	return selectInMerged(ix.col.dom, ix.rids, distinct, ix.equalRangeBatchIDs, ix.runs, ctl.Checkpoint())
 }
 
 // selectInGrouped answers the pre-deduplicated IN-list single-threaded with
 // per-value group offsets, the admission shape the result cache's
 // subset/superset reuse needs.  Output rows are identical to SelectIn's.
 func (ix *SortedIndex) selectInGrouped(distinct []uint32, cp *governor.Checkpoint) (out, goff []uint32, err error) {
-	return selectInGrouped(ix.col.dom, ix.rids, distinct, ix.equalRangeBatchIDs, ix.readRuns(), true, cp)
+	return selectInGrouped(ix.col.dom, ix.rids, distinct, ix.equalRangeBatchIDs, ix.runs, true, cp)
 }
 
 // selectInRIDs is the shared IN-list driver: deduped values are translated
@@ -447,12 +433,12 @@ func (ix *SortedIndex) SelectRange(lo, hi uint32) ([]uint32, error) {
 	return rids, err
 }
 
-// rangeMerged is the shared range core: the base segment resolved through
-// the ordered surface, merged with the delta runs.  wantKeys additionally
-// returns the merged raw values (for the cache's containment runs).  With
-// a delta outstanding the read serves from the memoized overlay, so it
-// costs the same pair of binary searches and bulk copy as the pure-base
-// path.
+// rangeMerged is the one range path: the base segment resolved through the
+// ordered surface, woven with the delta runs' clipped spans at read time
+// (mergeRangeDelta) — O(result + delta-in-range), whatever the table size
+// and however recent the last absorb.  wantKeys additionally returns the
+// merged raw values: the cache's containment runs and every stitch gap
+// probe want them, a bare SelectRange does not pay for them.
 func (ix *SortedIndex) rangeMerged(lo, hi uint32, wantKeys bool) (rids, rawKeys []uint32, err error) {
 	ord, ok := ix.idx.(cssidx.OrderedIndex)
 	if !ok {
@@ -461,55 +447,12 @@ func (ix *SortedIndex) rangeMerged(lo, hi uint32, wantKeys bool) (rids, rawKeys 
 	if lo > hi {
 		return nil, nil, nil
 	}
-	if len(ix.runs) > 0 {
-		ov := mergedOverlay(ix.col.dom, ix.keys, ix.rids, ix.readRuns(), &ix.overlay)
-		f, l := ov.lowerBound(lo), ov.upperBound(hi)
-		if f >= l {
-			return nil, nil, nil
-		}
-		rids = append([]uint32(nil), ov.rids[f:l]...)
-		if wantKeys {
-			rawKeys = ov.vals[f:l]
-		}
-		return rids, rawKeys, nil
-	}
 	loID, hiID := ix.col.dom.IDRange(lo, hi)
 	var first, last int
 	if loID < hiID {
 		first, last = ord.LowerBound(loID), ord.LowerBound(hiID)
 	}
-	if first >= last {
-		return nil, nil, nil
-	}
-	rids, rawKeys = mergeRangeDelta(ix.col.dom, ix.keys, ix.rids, first, last, nil, lo, hi, wantKeys)
-	return rids, rawKeys, nil
-}
-
-// rangeDirect answers lo ≤ value ≤ hi in (value, RID) order without
-// consulting or building the memoized range overlay — the stitch gap-probe
-// path.  Gaps are small by the stitch break-even, so paying the O(n)
-// overlay build to answer one would defeat the point of stitching around
-// an absorb; the direct base-segment ∪ runs merge costs O(gap + delta)
-// instead.  The merged raw keys always ride along (stitched results are
-// admitted with their key runs).
-func (ix *SortedIndex) rangeDirect(lo, hi uint32) (rids, rawKeys []uint32, err error) {
-	ord, ok := ix.idx.(cssidx.OrderedIndex)
-	if !ok {
-		return nil, nil, ErrNoOrderedAccess
-	}
-	if lo > hi {
-		return nil, nil, nil
-	}
-	loID, hiID := ix.col.dom.IDRange(lo, hi)
-	var first, last int
-	if loID < hiID {
-		first, last = ord.LowerBound(loID), ord.LowerBound(hiID)
-	}
-	runs := ix.readRuns()
-	if first >= last && len(runs) == 0 {
-		return nil, nil, nil
-	}
-	rids, rawKeys = mergeRangeDelta(ix.col.dom, ix.keys, ix.rids, first, last, runs, lo, hi, true)
+	rids, rawKeys = mergeRangeDelta(ix.col.dom, ix.keys, ix.rids, first, last, ix.runs, lo, hi, wantKeys)
 	return rids, rawKeys, nil
 }
 
@@ -522,7 +465,7 @@ func (ix *SortedIndex) CountRange(lo, hi uint32) (int, error) {
 	if lo > hi {
 		return 0, nil
 	}
-	n := deltaCountRange(ix.readRuns(), lo, hi)
+	n := deltaCountRange(ix.runs, lo, hi)
 	loID, hiID := ix.col.dom.IDRange(lo, hi)
 	if loID < hiID {
 		n += ord.LowerBound(hiID) - ord.LowerBound(loID)
@@ -572,7 +515,7 @@ func newProbeScratch(n int) *probeScratch {
 // order, then ascending RID within a value's duplicates (base rows before
 // delta rows).
 func (ix *SortedIndex) probeEqualBatch(values []uint32, s *probeScratch, emit func(ordinal int, rid uint32)) int {
-	return probeEqualCore(ix.col.dom, values, s, ix.equalRangeBatchIDs, ix.rids, ix.readRuns(), emit)
+	return probeEqualCore(ix.col.dom, values, s, ix.equalRangeBatchIDs, ix.rids, ix.runs, emit)
 }
 
 // probeEqualCore is the shared translate-compact-probe-emit driver behind

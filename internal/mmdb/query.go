@@ -447,7 +447,7 @@ func (t *Table) selectRangeIndexed(ctl *governor.Ctl, ix *SortedIndex, col strin
 		cs.End()
 		return rids, nil
 	}
-	if rids, ok, err := tryStitchRange(qc, key, tok, plan.EstRows, t.rows, ix.rangeDirect, cs); ok || err != nil {
+	if rids, ok, err := tryStitchRange(qc, key, tok, plan.EstRows, t.rows, ix.rangeMerged, cs); ok || err != nil {
 		cs.End()
 		// The stitched entry is valid data; only the caller's budget can
 		// still refuse the materialised copy.
@@ -491,9 +491,10 @@ func (t *Table) selectRangeIndexed(ctl *governor.Ctl, ix *SortedIndex, col strin
 	return out, nil
 }
 
-// stitchProbe answers one uncovered gap of a stitch plan with the (RIDs,
-// raw keys) pair for the closed value range [lo, hi].
-type stitchProbe func(lo, hi uint32) (rids, keys []uint32, err error)
+// stitchProbe answers one uncovered gap of a stitch plan: the index's own
+// range path (rangeMerged) over the closed value range [lo, hi], asked for
+// the raw key run stitched results are admitted with.
+type stitchProbe func(lo, hi uint32, wantKeys bool) (rids, keys []uint32, err error)
 
 // stitchAssemble materialises a stitch plan: cached segments and probed
 // gaps concatenate in ascending value order.  The output slices are fresh —
@@ -512,7 +513,7 @@ func stitchAssemble(sp *qcache.StitchPlan, probe stitchProbe) (rids, keys []uint
 			continue
 		}
 		g := sp.Gaps[gi]
-		pr, pk, perr := probe(g.Lo, g.Hi)
+		pr, pk, perr := probe(g.Lo, g.Hi, true)
 		if perr != nil {
 			return nil, nil, perr
 		}
@@ -937,7 +938,7 @@ func (t *Table) selectWhere(ctl *governor.Ctl, preds []RangePred, sp *telemetry.
 		}
 		if plans[i].UseIndex {
 			if ix, ok := t.indexes[p.Col]; ok {
-				if rids, hit, err := tryStitchRange(qc, ckey, tok, plans[i].EstRows, t.rows, ix.rangeDirect, cj); err != nil {
+				if rids, hit, err := tryStitchRange(qc, ckey, tok, plans[i].EstRows, t.rows, ix.rangeMerged, cj); err != nil {
 					return nil, nil, err
 				} else if hit {
 					sets[i] = rids

@@ -50,19 +50,8 @@ type shardedEpoch struct {
 	keys  []uint32          // domain IDs in sorted order
 	rids  []uint32          // RIDs ordered by column value
 	idx   *cssidx.ShardedIndex[uint32]
-	runs  []idxRun // absorbed delta runs since the last fold (delta.go)
-
-	// view memoizes runs folded to a single run for readers (mergedRuns),
-	// and overlay the fully merged base ∪ delta image for range reads
-	// (mergedOverlay); an epoch is immutable once published, so neither
-	// memo ever goes stale.
-	view    atomic.Pointer[[]idxRun]
-	overlay atomic.Pointer[rangeOverlay]
+	runs  []idxRun // absorbed delta runs since the last fold, geometrically tiered (delta.go)
 }
-
-// readRuns returns the delta runs as reads should see them: the memoized
-// single-run view of the tier.
-func (s *shardedEpoch) readRuns() []idxRun { return mergedRuns(s.runs, &s.view) }
 
 // epochUID issues globally-unique ids for published epochs.  Epoch() counts
 // per index instance and restarts at 1 when BuildShardedIndex replaces an
@@ -140,7 +129,7 @@ func (ix *ShardedIndex) absorb(vals []uint32, startRID uint32) {
 		keys:  s.keys,
 		rids:  s.rids,
 		idx:   s.idx,
-		runs:  appendRun(append([]idxRun(nil), s.runs...), newIdxRun(vals, startRID)),
+		runs:  pushRun(s.runs, newIdxRun(vals, startRID)),
 	}
 	ix.cur.Store(next)
 }
@@ -203,7 +192,7 @@ func (s *shardedEpoch) selectEqual(value uint32) []uint32 {
 			out = append(out, s.rids[first:last]...)
 		}
 	}
-	return deltaEqualAppend(s.readRuns(), value, out)
+	return deltaEqualAppend(s.runs, value, out)
 }
 
 // qc returns the owning table's result cache (nil when caching is off).
@@ -309,7 +298,7 @@ func (ix *ShardedIndex) selectIn(ctl *governor.Ctl, distinct []uint32, sp *telem
 		// Small lists stay single-threaded and record group offsets, the
 		// admission shape subset/superset reuse needs; output rows are
 		// identical to the ungrouped drivers.
-		out, goff, err = selectInGrouped(s.dom, s.rids, distinct, v.EqualRangeBatch, s.readRuns(), true, ctl.Checkpoint())
+		out, goff, err = selectInGrouped(s.dom, s.rids, distinct, v.EqualRangeBatch, s.runs, true, ctl.Checkpoint())
 		ex.Attr("path", "sharded-grouped").AttrInt("workers", 1)
 	case len(s.runs) == 0:
 		out, err = selectInRIDs(s.dom, s.rids, distinct, v.EqualRangeBatch, parallel.Options{}, ctl)
@@ -317,7 +306,7 @@ func (ix *ShardedIndex) selectIn(ctl *governor.Ctl, distinct []uint32, sp *telem
 			ex.Attr("path", "sharded-batch").AttrInt("workers", (parallel.Options{}).WorkersFor(len(distinct)))
 		}
 	default:
-		out, err = selectInMerged(s.dom, s.rids, distinct, v.EqualRangeBatch, s.readRuns(), ctl.Checkpoint())
+		out, err = selectInMerged(s.dom, s.rids, distinct, v.EqualRangeBatch, s.runs, ctl.Checkpoint())
 		ex.Attr("path", "sharded-delta-merged").AttrInt("delta_runs", len(s.runs))
 	}
 	if err != nil {
@@ -345,7 +334,7 @@ func (ix *ShardedIndex) selectIn(ctl *governor.Ctl, distinct []uint32, sp *telem
 // AppendRows epochs publish while it runs.
 func (ix *ShardedIndex) joinFreeze() joinProber {
 	s := ix.cur.Load()
-	p := &shardedJoinProber{dom: s.dom, rids: s.rids, v: s.idx.Snapshot(), runs: s.readRuns(), epoch: s.uid}
+	p := &shardedJoinProber{dom: s.dom, rids: s.rids, v: s.idx.Snapshot(), runs: s.runs, epoch: s.uid}
 	if ix.tbl != nil {
 		p.table, p.col = ix.tbl.name, ix.colName
 	}
@@ -427,9 +416,9 @@ func (ix *ShardedIndex) selectRange(ctl *governor.Ctl, lo, hi uint32, sp *teleme
 			cs.End()
 			return rids, nil
 		}
-		// Gap probes run against this same frozen epoch (s.rangeDirect), so
+		// Gap probes run against this same frozen epoch (s.rangeMerged), so
 		// stitched segments and probe results can never mix states.
-		if rids, hit, err := tryStitchRange(qc, key, tok, s.estRangeRows(loID, hiID), 0, s.rangeDirect, cs); hit || err != nil {
+		if rids, hit, err := tryStitchRange(qc, key, tok, s.estRangeRows(loID, hiID), 0, s.rangeMerged, cs); hit || err != nil {
 			cs.End()
 			return rids, err
 		}
@@ -448,7 +437,7 @@ func (ix *ShardedIndex) selectRange(ctl *governor.Ctl, lo, hi uint32, sp *teleme
 	defer release()
 	ex := sp.Child("execute")
 	start := time.Now()
-	out, keys := s.rangeMerged(lo, hi, qc.Enabled())
+	out, keys, _ := s.rangeMerged(lo, hi, qc.Enabled())
 	if err := ctl.Charge(4 * int64(len(out))); err != nil {
 		ex.Attr("aborted", err.Error())
 		ex.End()
@@ -469,34 +458,11 @@ func (ix *ShardedIndex) selectRange(ctl *governor.Ctl, lo, hi uint32, sp *teleme
 	return out, nil
 }
 
-// rangeMerged answers the closed raw range from the epoch's fully merged
-// image: through the memoized base ∪ delta overlay when delta runs exist,
-// else directly from the base arrays.  keys aliases epoch-immutable memory.
-func (s *shardedEpoch) rangeMerged(lo, hi uint32, wantKeys bool) (out, keys []uint32) {
-	if len(s.runs) > 0 {
-		ov := mergedOverlay(s.dom, s.keys, s.rids, s.readRuns(), &s.overlay)
-		if f, l := ov.lowerBound(lo), ov.upperBound(hi); f < l {
-			out = append([]uint32(nil), ov.rids[f:l]...)
-			keys = ov.vals[f:l]
-		}
-		return out, keys
-	}
-	loID, hiID := s.dom.IDRange(lo, hi)
-	var first, last int
-	if loID < hiID {
-		first, last = s.idx.LowerBound(loID), s.idx.LowerBound(hiID)
-	}
-	if first < last {
-		out, keys = mergeRangeDelta(s.dom, s.keys, s.rids, first, last, nil, lo, hi, wantKeys)
-	}
-	return out, keys
-}
-
-// rangeDirect answers the closed raw range by merging the base segment with
-// the delta runs directly, never touching the memoized overlay — a stitch's
-// gap probes must stay proportional to the gap, not trigger the O(n) merged
-// image a full recompute would build.
-func (s *shardedEpoch) rangeDirect(lo, hi uint32) (rids, keys []uint32, err error) {
+// rangeMerged is the epoch's one range path: the base segment woven with
+// the delta runs' clipped spans at read time (mergeRangeDelta).  The error
+// is always nil — a sharded index has ordered access by construction — and
+// is there so the method serves as a stitchProbe like SortedIndex's.
+func (s *shardedEpoch) rangeMerged(lo, hi uint32, wantKeys bool) (rids, keys []uint32, err error) {
 	if lo > hi {
 		return nil, nil, nil
 	}
@@ -505,11 +471,7 @@ func (s *shardedEpoch) rangeDirect(lo, hi uint32) (rids, keys []uint32, err erro
 	if loID < hiID {
 		first, last = s.idx.LowerBound(loID), s.idx.LowerBound(hiID)
 	}
-	runs := s.readRuns()
-	if first >= last && len(runs) == 0 {
-		return nil, nil, nil
-	}
-	rids, keys = mergeRangeDelta(s.dom, s.keys, s.rids, first, last, runs, lo, hi, true)
+	rids, keys = mergeRangeDelta(s.dom, s.keys, s.rids, first, last, s.runs, lo, hi, wantKeys)
 	return rids, keys, nil
 }
 
@@ -528,7 +490,7 @@ func (ix *ShardedIndex) CountRange(lo, hi uint32) (int, error) {
 		return 0, nil
 	}
 	s := ix.cur.Load()
-	n := deltaCountRange(s.readRuns(), lo, hi)
+	n := deltaCountRange(s.runs, lo, hi)
 	loID, hiID := s.dom.IDRange(lo, hi)
 	if loID < hiID {
 		n += s.idx.LowerBound(hiID) - s.idx.LowerBound(loID)

@@ -40,7 +40,11 @@ package qcache
 // stripe lock), so a patch REPLACES the entry rather than editing it; the
 // old entry becomes a dead ring husk exactly as invalidation leaves one.
 
-import "sort"
+import (
+	"sort"
+
+	"cssidx/internal/sortu32"
+)
 
 // PredBound is one conjunct of a cached KindWhere entry: the raw closed
 // bounds its rows satisfy on one column.
@@ -81,8 +85,8 @@ func (c *Cache) PatchAppend(p AppendPatch) {
 	// then finds an entry's qualifying rows by binary search instead of
 	// scanning the whole batch per entry, so a sweep over many resident
 	// entries costs O(entries·log batch + qualifying), not O(entries·batch).
-	// Stable sort keeps equal values in append order, i.e. ascending RID —
-	// the invariant every splice below relies on.
+	// The radix pair sort is stable: equal values keep append order, i.e.
+	// ascending RID — the invariant every splice below relies on.
 	sorted := make(map[string]sortedBatch, len(p.Cols))
 	for col, vals := range p.Cols {
 		sk := append([]uint32(nil), vals...)
@@ -90,7 +94,7 @@ func (c *Cache) PatchAppend(p AppendPatch) {
 		for i := range sr {
 			sr[i] = p.StartRID + uint32(i)
 		}
-		sortPairs(sk, sr)
+		sortu32.SortPairs(sk, sr)
 		sorted[col] = sortedBatch{keys: sk, rids: sr}
 	}
 	for i := range c.stripes {
@@ -273,21 +277,6 @@ func (st *stripe) patchOne(e *entry, p AppendPatch, sorted map[string]sortedBatc
 	return true
 }
 
-// sortPairs sorts (keys, rids) in tandem by key, stably — both slices are
-// generated in ascending-RID order, so stability yields (key, RID) order.
-func sortPairs(keys, rids []uint32) {
-	sort.Stable(pairsByKey{keys, rids})
-}
-
-type pairsByKey struct{ k, r []uint32 }
-
-func (p pairsByKey) Len() int           { return len(p.k) }
-func (p pairsByKey) Less(i, j int) bool { return p.k[i] < p.k[j] }
-func (p pairsByKey) Swap(i, j int) {
-	p.k[i], p.k[j] = p.k[j], p.k[i]
-	p.r[i], p.r[j] = p.r[j], p.r[i]
-}
-
 // mergePairs merges two (key, RID) pair runs each sorted by (key, RID)
 // into a fresh pair of slices; a-pairs win ties, which is (key, RID) order
 // whenever every b-RID exceeds every a-RID (the append invariant).
@@ -322,7 +311,7 @@ func mergeAggAppend(aggs []AggRow, gvals, mvals []uint32) []AggRow {
 	// Aggregate the batch by group value first (batches are small).
 	gv := append([]uint32(nil), gvals...)
 	mv := append([]uint32(nil), mvals...)
-	sortPairs(gv, mv)
+	sortu32.SortPairs(gv, mv)
 	delta := make([]AggRow, 0, len(gv))
 	for i := 0; i < len(gv); {
 		r := AggRow{Value: gv[i], Count: 1, Sum: uint64(mv[i]), Min: mv[i], Max: mv[i]}

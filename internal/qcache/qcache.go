@@ -71,6 +71,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"cssidx/internal/sortu32"
 )
 
 // Options configures New.
@@ -435,7 +437,7 @@ func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs
 	for g := range e.s2g {
 		e.s2g[g] = uint32(g)
 	}
-	sort.Sort(pairsByKey{e.vals, e.s2g})
+	sortu32.SortPairs(e.vals, e.s2g)
 	for i := 1; i < len(e.vals); i++ {
 		if e.vals[i] == e.vals[i-1] {
 			c.countReject(k)
