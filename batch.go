@@ -20,7 +20,7 @@
 package cssidx
 
 import (
-	"cssidx/internal/binsearch"
+	"cssidx/internal/csstree"
 	"cssidx/internal/sortu32"
 )
 
@@ -241,100 +241,32 @@ func (x levelCSS) EqualRangeBatch(probes []Key, first, last []int32) {
 
 // --- generic CSS-tree batch descent -----------------------------------------
 
-// genericBatchWidth mirrors the lockstep width of internal/csstree: wide
-// enough to keep a full complement of independent node reads in flight per
-// level, small enough to keep the group state in registers/L1.  It equals
-// binsearch.GroupWidth so uint32-keyed groups can use the multi-probe
-// node kernel.
-const genericBatchWidth = binsearch.GroupWidth
+// genericBatchWidth is the lockstep width of the comparison descent below:
+// with one lowerBoundG call per visit and no prefetch, the overlap comes
+// from the out-of-order window, which sixteen independent node reads fill.
+const genericBatchWidth = 16
 
-// lowerBoundU32 is the scalar uint32 descent through the dispatched
-// node-search kernels — the tail path of lowerBoundBatchU32.
-func (t *Generic[K]) lowerBoundU32(key uint32) int {
-	g := &t.g
-	if g.Internal == 0 {
-		return binsearch.LowerBound(t.keysU32, key)
+// batchU32 answers the batch through csstree.DescendBatch — the one
+// lockstep descent of the uint32 trees, with its level-pass kernel and
+// fused leaf step — when K is uint32, and reports whether it did.
+func (t *Generic[K]) batchU32(op csstree.BatchOp, probes []K, first, last []int32) bool {
+	if t.keysU32 == nil {
+		return false
 	}
-	m, fan, routing := g.M, g.Fanout, t.routing
-	d := 0
-	for d <= g.LNode {
-		base := d * m
-		j := binsearch.NodeLowerBound(t.dirU32[base:base+routing], routing, key)
-		d = d*fan + 1 + j
+	pu, ok := any(probes).([]uint32)
+	if ok {
+		csstree.DescendBatch(&t.g, t.dirU32, t.keysU32, op, pu, first, last)
 	}
-	lo, hi := g.LeafRange(d)
-	return lo + binsearch.NodeLowerBound(t.keysU32[lo:hi], hi-lo, key)
-}
-
-// lowerBoundBatchU32 is the uint32 fast path of LowerBoundBatch: the same
-// lockstep descent, but every node visit goes through the dispatched
-// kernels of internal/binsearch (SIMD/SWAR/scalar ladder), and a pass
-// whose group shares one node collapses into the multi-probe kernel —
-// exactly the execution model of the native uint32 CSS-trees.
-func (t *Generic[K]) lowerBoundBatchU32(probes []uint32, out []int32) {
-	g := &t.g
-	if g.Internal == 0 {
-		for i, p := range probes {
-			out[i] = int32(binsearch.LowerBound(t.keysU32, p))
-		}
-		return
-	}
-	m, fan, lNode, routing := g.M, g.Fanout, g.LNode, t.routing
-	dir, keys := t.dirU32, t.keysU32
-	var nodes [genericBatchWidth]int32
-	var ks [genericBatchWidth]int32
-	i := 0
-	for ; i+genericBatchWidth <= len(probes); i += genericBatchWidth {
-		group := probes[i : i+genericBatchWidth]
-		for j := range nodes {
-			nodes[j] = 0
-		}
-		for pass := 0; pass < g.Depth-1; pass++ {
-			if binsearch.GroupOnOneNode(&nodes) {
-				d := int(nodes[0])
-				base := d * m
-				binsearch.NodeLowerBound16(dir[base:base+routing], routing, group, ks[:])
-				for j := 0; j < genericBatchWidth; j++ {
-					nodes[j] = int32(d*fan + 1 + int(ks[j]))
-				}
-				continue
-			}
-			for j := 0; j < genericBatchWidth; j++ {
-				d := int(nodes[j])
-				base := d * m
-				k := binsearch.NodeLowerBound(dir[base:base+routing], routing, group[j])
-				nodes[j] = int32(d*fan + 1 + k)
-			}
-		}
-		for j := 0; j < genericBatchWidth; j++ {
-			d := int(nodes[j])
-			if d > lNode {
-				continue
-			}
-			base := d * m
-			k := binsearch.NodeLowerBound(dir[base:base+routing], routing, group[j])
-			nodes[j] = int32(d*fan + 1 + k)
-		}
-		for j := 0; j < genericBatchWidth; j++ {
-			lo, hi := g.LeafRange(int(nodes[j]))
-			out[i+j] = int32(lo + binsearch.NodeLowerBound(keys[lo:hi], hi-lo, group[j]))
-		}
-	}
-	for ; i < len(probes); i++ {
-		out[i] = int32(t.lowerBoundU32(probes[i]))
-	}
+	return ok
 }
 
 // LowerBoundBatch computes LowerBound for every probe into out
 // (len(out) must equal len(probes)), descending the group in lockstep.
-// uint32 keys route through the dispatched node-search kernels.
+// uint32 keys take the kernel descent of internal/csstree.
 func (t *Generic[K]) LowerBoundBatch(probes []K, out []int32) {
 	checkBatchLen(len(probes), len(out))
-	if t.keysU32 != nil {
-		if pu, ok := any(probes).([]uint32); ok {
-			t.lowerBoundBatchU32(pu, out)
-			return
-		}
+	if t.batchU32(csstree.BatchLowerBound, probes, out, nil) {
+		return
 	}
 	g := &t.g
 	if g.Internal == 0 {
@@ -352,8 +284,7 @@ func (t *Generic[K]) LowerBoundBatch(probes []K, out []int32) {
 			nodes[j] = 0
 		}
 		// Leaves exist only on the two deepest levels, so the first Depth-1
-		// passes are internal for every probe — no depth checks needed (see
-		// the internal/csstree lockstep kernels).
+		// passes are internal for every probe — no depth checks needed.
 		for pass := 0; pass < g.Depth-1; pass++ {
 			for j := 0; j < genericBatchWidth; j++ {
 				d := int(nodes[j])
@@ -384,6 +315,9 @@ func (t *Generic[K]) LowerBoundBatch(probes []K, out []int32) {
 // SearchBatch computes Search for every probe into out: the position of the
 // leftmost occurrence, or -1 if absent.
 func (t *Generic[K]) SearchBatch(probes []K, out []int32) {
+	if t.batchU32(csstree.BatchSearch, probes, out, nil) {
+		return
+	}
 	t.LowerBoundBatch(probes, out)
 	n := int32(len(t.keys))
 	for i, p := range probes {
@@ -396,6 +330,9 @@ func (t *Generic[K]) SearchBatch(probes []K, out []int32) {
 // EqualRangeBatch computes EqualRange for every probe into (first, last).
 func (t *Generic[K]) EqualRangeBatch(probes []K, first, last []int32) {
 	checkBatchLen(len(probes), len(last))
+	if t.batchU32(csstree.BatchEqualRange, probes, first, last) {
+		return
+	}
 	t.LowerBoundBatch(probes, first)
 	n := int32(len(t.keys))
 	for i, p := range probes {

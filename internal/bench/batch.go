@@ -7,12 +7,13 @@ package bench
 // streams, then repeats the comparison for the sharded serving layer (both
 // batch schedules) and for the indexed nested-loop join end to end.
 //
-// The shape target: batch size 1 costs slightly more than scalar (the batch
-// plumbing with none of the overlap), and from batch size ≥ 64 the lockstep
-// descent wins on both distributions — the out-of-order core overlaps the
-// group's cache misses where the scalar loop serialises them.  The sorted
-// schedule pays off most on skewed batches, which touch each directory node
-// once after sorting.
+// The shape target: a batch of one pays the level pass's call overhead with
+// nothing to overlap and loses to the scalar loop; from batch size ≥ 8 the
+// lockstep descent wins on both distributions — the level pass prefetches
+// the group's next nodes together where the scalar loop serialises the
+// misses.  The sorted schedule's radix sort costs more than the descents it
+// saves on a single tree and about breaks even on the sharded index, where
+// it also routes.
 
 import (
 	"fmt"
@@ -191,10 +192,11 @@ func runBatch(cfg Config, w io.Writer) error {
 		recordCell("uniform", "input-order", "join", bs, sec, joinOuter)
 	}
 	tj.flush()
-	fmt.Fprintln(w, "\nshape target: on uniform probes the input-order lockstep wins from batch")
-	fmt.Fprintln(w, "size ≥ 8 (overlapped independent misses); on skewed probes the scalar loop's")
-	fmt.Fprintln(w, "branch predictor already overlaps the hot paths, and the batch needs the")
-	fmt.Fprintln(w, "sorted schedule — radix sort groups duplicates so each distinct key descends")
-	fmt.Fprintln(w, "once — to win at batch 512; the batched join beats the scalar join throughout")
+	fmt.Fprintln(w, "\nshape target: on both distributions the input-order lockstep wins from batch")
+	fmt.Fprintln(w, "size ≥ 8 (the level pass prefetches the group's next nodes together); a batch")
+	fmt.Fprintln(w, "of one pays the pass's call overhead with nothing to overlap and loses to the")
+	fmt.Fprintln(w, "scalar loop; the sorted schedule's radix sort costs more than the descents it")
+	fmt.Fprintln(w, "saves on a single tree and about breaks even on the sharded index; the batched")
+	fmt.Fprintln(w, "join beats the scalar join throughout")
 	return nil
 }

@@ -4,7 +4,8 @@ package bench
 // internal/binsearch (scalar branch-free ladder / SWAR counting / AVX2
 // vector) measured per node visit across node sizes and probe
 // distributions, the 16-wide multi-probe kernel against the single-probe
-// baseline, and the tiers under a full tree-descent batch — the
+// baseline, the fused level pass against the per-probe calls it replaced,
+// and the tiers under a full tree-descent batch — the
 // machine-readable record (BENCH_nodesearch.json) behind the "True SIMD
 // node search" ROADMAP item.
 //
@@ -21,6 +22,7 @@ import (
 
 	"cssidx"
 	"cssidx/internal/binsearch"
+	"cssidx/internal/mem"
 	"cssidx/internal/workload"
 )
 
@@ -110,9 +112,9 @@ func runNodeSearch(cfg Config, w io.Writer) error {
 	t.flush()
 
 	// --- multi-probe kernel: one node, a 16-wide lockstep group ------------
-	// The lockstep engine's unit of work: every group shares the root node,
-	// and sorted schedules share nodes deep into the directory.  The scalar
-	// baseline is 16 independent bflb calls.
+	// NodeLowerBound16 against 16 independent bflb calls.  Nothing in the
+	// engine calls it since the level pass (below) replaced the per-probe
+	// descent; it stays exported and measured for the end-to-end benchmark.
 	fmt.Fprintln(w, "\n16-wide multi-probe kernel vs 16 scalar calls (ns per probe-node visit)")
 	tm := newTable(w)
 	tm.row("node slots", "workload", "scalar ns", "multi ns", "speedup")
@@ -176,6 +178,79 @@ func runNodeSearch(cfg Config, w io.Writer) error {
 	}
 	tm.flush()
 
+	// --- level pass: a lockstep group on 64 different resident nodes --------
+	// What one level of the batch descent costs once the lines are in L1:
+	// 64 NodeLowerBound calls plus the child arithmetic — the per-probe
+	// loop the descent used to run — against one DescendLevel call.  Under
+	// simd the cache-line shapes run the fused assembly pass; the other
+	// tiers run the portable loop, i.e. the same calls from inside the
+	// package.
+	fmt.Fprintln(w, "\nlevel pass, 64 probes on 64 different resident nodes (ns per probe-node visit)")
+	td := newTable(w)
+	td.row("node", "kernel", "64 calls ns", "fused pass ns", "speedup")
+	for _, shape := range []struct {
+		name   string
+		m, fan int
+	}{{"level 15/16", 16, 16}, {"full 16/17", 16, 17}} {
+		const width = 64
+		routing := shape.fan - 1
+		// Root, its children and theirs: an L1-resident directory whose
+		// deepest level holds more than 64 nodes.
+		internal := 1 + shape.fan + shape.fan*shape.fan
+		lNode := internal - 1
+		dir := mem.AlignedU32(internal*shape.m, mem.CacheLine) // one node per line, as the trees lay them
+		for d := 0; d < internal; d++ {
+			copy(dir[d*shape.m:], g.SortedDistinct(routing))
+		}
+		probes := g.Misses(nil, width)
+		var start, nodes [width]int32
+		for j := range start {
+			start[j] = int32(1 + shape.fan + j)
+		}
+		passes := iters / width
+		for _, kern := range nodeSearchKernels() {
+			binsearch.SetKernel(kern)
+			calls := Measure(func() {
+				for i := 0; i < passes; i++ {
+					nodes = start
+					for j, p := range probes {
+						d := int(nodes[j])
+						base := d * shape.m
+						nodes[j] = int32(d*shape.fan + 1 + binsearch.NodeLowerBound(dir[base:base+routing], routing, p))
+					}
+				}
+				Sink += int(nodes[0])
+			}, cfg.Repeats)
+			fused := Measure(func() {
+				for i := 0; i < passes; i++ {
+					nodes = start
+					binsearch.DescendLevel(dir, shape.m, shape.fan, lNode, probes, nodes[:])
+				}
+				Sink += int(nodes[0])
+			}, cfg.Repeats)
+			visits := float64(passes) * width
+			callsNs, fusedNs := calls/visits*1e9, fused/visits*1e9
+			td.row(shape.name, kern.String(),
+				fmt.Sprintf("%.2f", callsNs), fmt.Sprintf("%.2f", fusedNs),
+				fmt.Sprintf("%.2fx", callsNs/fusedNs))
+			for _, v := range []struct {
+				variant string
+				ns      float64
+			}{{"calls", callsNs}, {"fused", fusedNs}} {
+				cfg.record(Record{
+					Experiment: "nodesearch",
+					Params: map[string]any{
+						"surface": "descend", "node_slots": routing,
+						"kernel": kern.String(), "variant": v.variant,
+					},
+					Metric: "per_visit", Value: v.ns, Unit: "ns",
+				})
+			}
+		}
+	}
+	td.flush()
+	binsearch.SetKernel(prev)
+
 	// --- tree-level: the tiers under a full lockstep batch descent ---------
 	n := 1_000_000
 	if cfg.Quick {
@@ -210,8 +285,10 @@ func runNodeSearch(cfg Config, w io.Writer) error {
 	}
 	tt.flush()
 
-	fmt.Fprintln(w, "\nshape target: simd never loses to the scalar ladder; the multi-probe kernel")
-	fmt.Fprintln(w, "answers a 16-slot visit several times faster than 16 scalar calls (the batch")
-	fmt.Fprintln(w, "engine's hot case); swar is the portable non-vector fallback")
+	fmt.Fprintln(w, "\nshape target: simd never loses to the scalar ladder; under simd the fused level")
+	fmt.Fprintln(w, "pass — the batch engine's unit of work — costs a fraction of the 64 calls it")
+	fmt.Fprintln(w, "replaced; the multi-probe kernel (benchmark-only since the level pass) answers a")
+	fmt.Fprintln(w, "16-slot visit several times faster than 16 scalar calls; swar is the portable")
+	fmt.Fprintln(w, "non-vector fallback")
 	return nil
 }

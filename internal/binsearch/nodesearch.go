@@ -180,33 +180,16 @@ func nodeLowerBoundScalarTier(a []uint32, m int, key uint32) int {
 
 // --- multi-probe kernel ------------------------------------------------------
 
-// GroupWidth is the lockstep group width the multi-probe kernel answers at
-// once; it matches the batch kernels of internal/csstree.
+// GroupWidth is the number of probes NodeLowerBound16 answers at once.
 const GroupWidth = 16
-
-// GroupOnOneNode reports whether a lockstep group's probes all sit on the
-// same node — true on the root pass for every group, and common on upper
-// levels under the key-ordered schedule, where neighbouring probes walk
-// neighbouring paths.  The OR-fold is branch-free: ~1 ALU op per member,
-// cheap against the GroupWidth node searches NodeLowerBound16 can collapse.
-func GroupOnOneNode(nodes *[GroupWidth]int32) bool {
-	acc := int32(0)
-	for _, d := range nodes {
-		acc |= d ^ nodes[0]
-	}
-	return acc == 0
-}
 
 // NodeLowerBound16 answers GroupWidth probes against ONE node of m sorted
 // slots: out[j] receives the leftmost index in a[:m] with a[i] >= probes[j],
 // for every j.  probes and out must hold at least GroupWidth entries.
 //
-// When a lockstep group's probes all sit on the same node — always true at
-// the root, and common on upper levels under the key-ordered schedule — the
-// group's 16 independent node searches collapse into one call.  The SIMD
-// tier answers it from registers: the probes are loaded once into two
-// vectors and each node slot is broadcast and compared against the whole
-// group, so the node is read m times total instead of 16·m, with no
+// The SIMD tier answers it from registers: the probes are loaded once into
+// two vectors and each node slot is broadcast and compared against the
+// whole group, so the node is read m times total instead of 16·m, with no
 // per-probe call overhead.  Other tiers loop the single-probe kernel; the
 // results are bit-identical in every tier.
 func NodeLowerBound16(a []uint32, m int, probes []uint32, out []int32) {
@@ -216,5 +199,54 @@ func NodeLowerBound16(a []uint32, m int, probes []uint32, out []int32) {
 	}
 	for j := 0; j < GroupWidth; j++ {
 		out[j] = int32(NodeLowerBound(a, m, probes[j]))
+	}
+}
+
+// --- level-pass kernel -------------------------------------------------------
+
+// DescendLevel advances a lockstep group one level down a CSS directory
+// whose node d occupies dir[d·m : d·m+m] with fan−1 routing keys and
+// children d·fan+1 … d·fan+fan: for every j with nodes[j] ≤ lNode (still on
+// an internal node) it searches that node for probes[j] and stores the
+// child number back into nodes[j]; a probe already past lNode — on a leaf —
+// is left alone.  One call replaces len(probes) NodeLowerBound calls.
+//
+// For the cache-line node (m = 16; 15 routing keys under fan 16, 16 under
+// fan 17) the SIMD tier runs the whole pass as one assembly loop that also
+// prefetches each child's line, so the group's next level is in flight
+// before the next pass reads it.  Every other tier, node size and
+// architecture loops NodeLowerBound; the children are identical.
+//
+// Memory safety does not depend on the directory's contents: the sizes are
+// checked once here, a node is read only after its number is checked
+// against lNode (as unsigned, so a negative number is past it too), and a
+// child is computed from a slot count in [0, fan).  Prefetches may name any
+// address; they never fault.  The assembly bodies VZEROUPPER before every
+// RET, so the Go code they return to pays no SSE/AVX transition.
+func DescendLevel(dir []uint32, m, fan, lNode int, probes []uint32, nodes []int32) {
+	if len(nodes) != len(probes) || fan < 2 || fan-1 > m || len(dir) < (lNode+1)*m {
+		panic("binsearch: DescendLevel: group or directory size mismatch")
+	}
+	if lNode < 0 || len(probes) == 0 {
+		return
+	}
+	if activeKernel == KernelSIMD && m == 16 {
+		switch fan {
+		case 16:
+			simdDescend15(&dir[0], int64(lNode), &probes[0], &nodes[0], int64(len(probes)))
+			return
+		case 17:
+			simdDescend16(&dir[0], int64(lNode), &probes[0], &nodes[0], int64(len(probes)))
+			return
+		}
+	}
+	routing := fan - 1
+	for j, p := range probes {
+		d := int(nodes[j])
+		if uint(d) > uint(lNode) {
+			continue
+		}
+		base := d * m
+		nodes[j] = int32(d*fan + 1 + NodeLowerBound(dir[base:base+routing], routing, p))
 	}
 }

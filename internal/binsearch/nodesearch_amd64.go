@@ -70,6 +70,31 @@ func simdCountLT(p *uint32, n8 int64, key uint32) int64
 //go:noescape
 func simdLBMulti16(node *uint32, m int64, probes *uint32, out *int32)
 
+// The level-pass kernels behind DescendLevel: one loop over n probes of a
+// lockstep group against a directory of 64-byte nodes (15 routing keys and
+// fan 16, or 16 keys and fan 17).  They read node nodes[j] only when it is
+// ≤ lNode, so dir must hold lNode+1 nodes.
+
+//go:noescape
+func simdDescend15(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
+
+//go:noescape
+func simdDescend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
+
+//go:noescape
+func prefetchAt(base *uint32, idx *int32, n int64)
+
+// PrefetchAt asks for the cache line holding a[idx[j]], for every j, ahead
+// of the reads that follow.  It is a hint: an index outside a is harmless
+// (a prefetch never faults), and architectures without the instruction
+// wired up do nothing.  It is not tier-dispatched — PREFETCHT0 is baseline
+// amd64 and changes no result.
+func PrefetchAt(a []uint32, idx []int32) {
+	if len(a) > 0 && len(idx) > 0 {
+		prefetchAt(&a[0], &idx[0], int64(len(idx)))
+	}
+}
+
 // nodeLowerBoundSIMD is the SIMD tier body: the specialised vector kernels
 // for the node sizes the trees use, the strip-mined count kernel for other
 // windows of ≥ 8 slots (leaf remainders), and the SWAR kernel below a

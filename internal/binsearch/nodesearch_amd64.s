@@ -298,3 +298,97 @@ multidone:
 	VMOVDQU Y5, 32(DX)
 	VZEROUPPER
 	RET
+
+// LEVELPASS is the fused per-level pass of the lockstep descent (see
+// DescendLevel): for each of the n probes of a group it loads the probe's
+// node number d, skips the probe if d is past lNode (compared unsigned, so
+// a negative number is skipped too — no node outside [0, lNode] is ever
+// read), counts the routing keys ≥ the probe exactly as simdLB15/simdLB16
+// do, stores the child number d·FAN + FAN − count, and prefetches the
+// child's line so the next pass finds it in flight.  A child that is a leaf
+// has no line in the directory; its prefetch is pointed at the node just
+// read instead, which costs nothing.
+//
+// OFF2 is where the second vector loads (28: lanes 7-14 of a 15-key node,
+// overlapping lane 7 of the first; 32: lanes 8-15 of a 16-key node) and
+// LOMASK drops the double-counted lane 7 from the first vector's mask
+// (0x0FFFFFFF) or keeps all eight (-1).  The count is a popcount of compare
+// masks, so it lies in [0, FAN−1] whatever the node holds: arbitrary
+// directory contents move a probe to a wrong child, never outside the
+// numbering.
+//
+// AX dir  BX probes  DX nodes  CX n  R8 lNode  R9 j  R10 d  R11 d·64
+// SI/DI masks → count  R12 child, then the byte offset to prefetch
+#define LEVELPASS(OFF2, LOMASK, FAN) \
+	XORQ R9, R9; \
+	JMP test; \
+loop: \
+	MOVL (DX)(R9*4), R10; \
+	CMPQ R10, R8; \
+	JHI next; \
+	MOVQ R10, R11; \
+	SHLQ $6, R11; \
+	VPBROADCASTD (BX)(R9*4), Y0; \
+	VPMAXUD (AX)(R11*1), Y0, Y2; \
+	VPCMPEQD (AX)(R11*1), Y2, Y2; \
+	VPMOVMSKB Y2, SI; \
+	VPMAXUD OFF2(AX)(R11*1), Y0, Y3; \
+	VPCMPEQD OFF2(AX)(R11*1), Y3, Y3; \
+	VPMOVMSKB Y3, DI; \
+	ANDL $LOMASK, SI; \
+	SHLQ $32, DI; \
+	ORQ DI, SI; \
+	POPCNTQ SI, SI; \
+	SHRQ $2, SI; \
+	IMUL3Q $FAN, R10, R12; \
+	ADDQ $FAN, R12; \
+	SUBQ SI, R12; \
+	MOVL R12, (DX)(R9*4); \
+	CMPQ R12, R8; \
+	CMOVQHI R10, R12; \
+	SHLQ $6, R12; \
+	PREFETCHT0 (AX)(R12*1); \
+next: \
+	INCQ R9; \
+test: \
+	CMPQ R9, CX; \
+	JLT loop
+
+// func simdDescend15(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
+TEXT ·simdDescend15(SB), NOSPLIT, $0-40
+	MOVQ dir+0(FP), AX
+	MOVQ lNode+8(FP), R8
+	MOVQ probes+16(FP), BX
+	MOVQ nodes+24(FP), DX
+	MOVQ n+32(FP), CX
+	LEVELPASS(28, 0x0FFFFFFF, 16)
+	VZEROUPPER
+	RET
+
+// func simdDescend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
+TEXT ·simdDescend16(SB), NOSPLIT, $0-40
+	MOVQ dir+0(FP), AX
+	MOVQ lNode+8(FP), R8
+	MOVQ probes+16(FP), BX
+	MOVQ nodes+24(FP), DX
+	MOVQ n+32(FP), CX
+	LEVELPASS(32, -1, 17)
+	VZEROUPPER
+	RET
+
+// func prefetchAt(base *uint32, idx *int32, n int64)
+// Prefetches the line of base[idx[j]] for j < n.
+TEXT ·prefetchAt(SB), NOSPLIT, $0-24
+	MOVQ base+0(FP), AX
+	MOVQ idx+8(FP), BX
+	MOVQ n+16(FP), CX
+	XORQ R9, R9
+	JMP pftest
+pfloop:
+	MOVLQSX (BX)(R9*4), R10
+	PREFETCHT0 (AX)(R10*4)
+	INCQ R9
+pftest:
+	CMPQ R9, CX
+	JLT pfloop
+	RET

@@ -27,3 +27,17 @@ func simdLB16(p *uint32, key uint32) int64 {
 func simdLBMulti16(node *uint32, m int64, probes *uint32, out *int32) {
 	panic("binsearch: simd kernel on non-amd64 build")
 }
+
+// The level-pass kernels are unreachable too: DescendLevel runs its
+// portable loop over NodeLowerBound on this architecture.
+func simdDescend15(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64) {
+	panic("binsearch: simd kernel on non-amd64 build")
+}
+
+func simdDescend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64) {
+	panic("binsearch: simd kernel on non-amd64 build")
+}
+
+// PrefetchAt is a no-op here (see nodesearch_amd64.go): Go has no portable
+// prefetch, and the hint changes no result.
+func PrefetchAt(a []uint32, idx []int32) {}

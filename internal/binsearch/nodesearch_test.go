@@ -4,9 +4,9 @@ package binsearch
 // kernel (scalar ladder, SWAR, SIMD) must answer bit-identically to the
 // branchy NodeLowerBoundScalar oracle on every node size m∈{1..64}, over
 // adversarial windows (duplicate-saturated, boundary-value, padded) and
-// every distinguishing probe, for both the single-probe and the 16-wide
-// multi-probe kernels.  A fuzz target extends the same invariant to
-// arbitrary windows.
+// every distinguishing probe, for the single-probe kernels, the 16-wide
+// multi-probe kernel and the level-pass kernel.  A fuzz target extends the
+// same invariant to arbitrary windows.
 
 import (
 	"fmt"
@@ -130,6 +130,75 @@ func TestNodeLowerBound16AllTiers(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDescendLevelAllTiers checks the level-pass kernel against the branchy
+// oracle for both cache-line shapes (the assembly bodies under simd) and a
+// spread of other node sizes (the portable loop): a directory whose nodes
+// are the adversarial windows, every distinguishing probe on every node,
+// group lengths from one probe up, and node numbers past lNode mixed in —
+// those must come back untouched.
+func TestDescendLevelAllTiers(t *testing.T) {
+	withKernel(t, func(t *testing.T, k Kernel) {
+		g := workload.New(12)
+		for _, shape := range []struct{ m, fan int }{{16, 16}, {16, 17}, {8, 8}, {8, 9}, {4, 5}, {32, 32}, {64, 65}} {
+			m, fan, routing := shape.m, shape.fan, shape.fan-1
+			windows := windowsFor(routing, g)
+			lNode := len(windows) - 1
+			dir := make([]uint32, len(windows)*m)
+			var probes []uint32
+			var nodes []int32
+			for d, w := range windows {
+				copy(dir[d*m:], w)
+				if routing < m {
+					dir[d*m+routing] = 0 // a level node's spare slot never routes
+				}
+				for _, p := range probesFor(w) {
+					probes = append(probes, p, p)
+					nodes = append(nodes, int32(d), int32(lNode+1+d))
+				}
+			}
+			for _, width := range []int{1, 3, 64, len(probes)} {
+				for lo := 0; lo < len(probes); lo += width {
+					hi := min(lo+width, len(probes))
+					got := append([]int32(nil), nodes[lo:hi]...)
+					DescendLevel(dir, m, fan, lNode, probes[lo:hi], got)
+					for j, d := range nodes[lo:hi] {
+						want := d
+						if int(d) <= lNode {
+							base := int(d) * m
+							want = d*int32(fan) + 1 + int32(NodeLowerBoundScalar(dir[base:base+routing], routing, probes[lo+j]))
+						}
+						if got[j] != want {
+							t.Fatalf("%v m=%d fan=%d width=%d: node %d probe %d → %d, want %d", k, m, fan, width, d, probes[lo+j], got[j], want)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestDescendLevelChecksSizes pins the once-per-call assertions the memory
+// safety of the assembly pass rests on.
+func TestDescendLevelChecksSizes(t *testing.T) {
+	dir := make([]uint32, 3*16)
+	for name, call := range map[string]func(){
+		"short directory":  func() { DescendLevel(dir, 16, 16, 3, make([]uint32, 2), make([]int32, 2)) },
+		"nodes/probes":     func() { DescendLevel(dir, 16, 16, 2, make([]uint32, 2), make([]int32, 3)) },
+		"routing > m":      func() { DescendLevel(dir, 16, 18, 2, make([]uint32, 2), make([]int32, 2)) },
+		"no routing slots": func() { DescendLevel(dir, 16, 1, 2, make([]uint32, 2), make([]int32, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	DescendLevel(nil, 16, 16, -1, []uint32{1}, []int32{0}) // no directory: nothing to descend
 }
 
 // TestDefaultKernelIsBestAvailable pins the init-time selection policy.

@@ -1,213 +1,127 @@
 package csstree
 
 // Batched lookups: decision-support plans rarely need one key — an indexed
-// nested-loop join probes millions (§2.2).  Descending a group of
-// independent probes in lockstep lets the out-of-order core overlap their
-// cache misses (memory-level parallelism), recovering much of the miss
-// latency the paper's single-lookup analysis counts one at a time.  This is
-// the batching counterpart of the paper's §8 direction of exploiting cache
-// behaviour across whole operations.
+// nested-loop join probes millions (§2.2).  The paper prices a lookup at one
+// cache miss per level; a batch pays those misses together instead of one
+// after another.  Probes descend in groups of groupWidth, one level per
+// pass: a pass is ONE call into the level-pass kernel of internal/binsearch,
+// which searches every probe's node, stores its child and prefetches the
+// child's line, so by the time the next pass reads a node its miss has been
+// in flight for a whole group's worth of work.  After Depth passes every
+// probe is on a leaf: the leaf lines are prefetched the same way, and the
+// leaf search finishes each answer — Search's match test, EqualRange's
+// duplicate scan — on the line it has just read, rather than in a second
+// walk over the key array after the lines have gone cold.
+//
+// DescendBatch is the only copy of that descent.  Full, Level and the root
+// package's Generic[uint32] all call it; a batch tail, or a batch shorter
+// than a group, is simply a shorter group.
 //
 // The answers are bit-identical to the scalar Search/LowerBound/EqualRange;
 // only the schedule of memory accesses changes.
 
 import "cssidx/internal/binsearch"
 
-// batchWidth is the number of probes descended in lockstep.  Wide enough to
-// cover DRAM latency with independent misses, small enough that the group's
-// working state stays in registers/L1.  With the branch-free node searches
-// there is no data-dependent branch between group members, so the width is
-// set by the core's miss-tracking capacity (line-fill buffers / MSHRs, ~10–16
-// on current cores) rather than by the branch predictor: 16 keeps a full
-// complement of independent node reads in flight per level.  It equals
-// binsearch.GroupWidth so a group whose probes sit on one node collapses
-// into a single multi-probe kernel call.
-const batchWidth = binsearch.GroupWidth
+// groupWidth is the number of probes descended in lockstep.  The kernel's
+// prefetches, not the out-of-order window, carry the overlap, so the width
+// is set by how long a miss takes against how long a probe's node search
+// does: 64 searches cover a DRAM round trip with room to spare, and the
+// group's state (three 256-byte arrays) stays in L1 on the stack.  Widths
+// 16, 32 and 128 measured no better.
+const groupWidth = 64
 
-// sameNode is binsearch.GroupOnOneNode under this package's width name.
-func sameNode(nodes *[batchWidth]int32) bool {
-	return binsearch.GroupOnOneNode(nodes)
+// BatchOp selects what DescendBatch stores for each probe.
+type BatchOp uint8
+
+const (
+	// BatchLowerBound stores LowerBound(probe) into first.
+	BatchLowerBound BatchOp = iota
+	// BatchSearch stores Search(probe) into first: the leftmost position,
+	// or -1 if the probe is absent.
+	BatchSearch
+	// BatchEqualRange stores EqualRange(probe) into (first, last).
+	BatchEqualRange
+)
+
+// DescendBatch answers every probe against the CSS-tree whose directory dir
+// is laid out by g over the sorted array keys.  first (and, for
+// BatchEqualRange, last) must be as long as probes; last is otherwise
+// unused.  It allocates nothing.
+func DescendBatch(g *Geometry, dir, keys []uint32, op BatchOp, probes []uint32, first, last []int32) {
+	if len(first) != len(probes) || (op == BatchEqualRange && len(last) != len(probes)) {
+		panic("csstree: probes/out length mismatch")
+	}
+	var nodes, los, his [groupWidth]int32
+	for i := 0; i < len(probes); i += groupWidth {
+		group := probes[i:min(i+groupWidth, len(probes))]
+		n := len(group)
+		// Every probe starts at the root.  Leaves sit on the two deepest
+		// levels only, so the kernel's "already on a leaf" skip fires on the
+		// last pass alone.  A tree of one leaf has Depth 0: node 0 is that
+		// leaf and no pass runs.
+		clear(nodes[:n])
+		for pass := 0; pass < g.Depth; pass++ {
+			binsearch.DescendLevel(dir, g.M, g.Fanout, g.LNode, group, nodes[:n])
+		}
+		for j, d := range nodes[:n] {
+			lo, hi := g.LeafRange(int(d))
+			los[j], his[j] = int32(lo), int32(hi)
+		}
+		binsearch.PrefetchAt(keys, los[:n])
+		for j, p := range group {
+			lo, hi := int(los[j]), int(his[j])
+			pos := lo + binsearch.NodeLowerBound(keys[lo:hi], hi-lo, p)
+			switch op {
+			case BatchSearch:
+				if pos >= len(keys) || keys[pos] != p {
+					pos = -1
+				}
+			case BatchEqualRange:
+				end := pos
+				for end < len(keys) && keys[end] == p {
+					end++
+				}
+				last[i+j] = int32(end)
+			}
+			first[i+j] = int32(pos)
+		}
+	}
 }
 
 // LowerBoundBatch computes LowerBound for every probe into out
 // (len(out) must equal len(probes)).
 func (t *Full) LowerBoundBatch(probes []uint32, out []int32) {
-	if len(out) != len(probes) {
-		panic("csstree: probes/out length mismatch")
-	}
-	g := &t.g
-	if g.Internal == 0 {
-		for i, p := range probes {
-			out[i] = int32(t.LowerBound(p))
-		}
-		return
-	}
-	m, fan, lNode := g.M, g.Fanout, g.LNode
-	var nodes [batchWidth]int32
-	var ks [batchWidth]int32
-	i := 0
-	for ; i+batchWidth <= len(probes); i += batchWidth {
-		group := probes[i : i+batchWidth]
-		for j := range nodes {
-			nodes[j] = 0
-		}
-		// Lockstep descent: advance every probe one level per pass, so the
-		// group issues batchWidth independent node reads back to back.
-		// Leaves exist only on the two deepest levels, so the first Depth-1
-		// passes are internal for every probe — no depth checks needed.
-		// A pass whose whole group sits on ONE node (the root pass always;
-		// upper levels often, under sorted probe order) collapses into a
-		// single multi-probe kernel call answered from registers.
-		for pass := 0; pass < g.Depth-1; pass++ {
-			if sameNode(&nodes) {
-				d := int(nodes[0])
-				base := d * m
-				binsearch.NodeLowerBound16(t.dir[base:base+m], m, group, ks[:])
-				for j := 0; j < batchWidth; j++ {
-					nodes[j] = int32(d*fan + 1 + int(ks[j]))
-				}
-				continue
-			}
-			for j := 0; j < batchWidth; j++ {
-				d := int(nodes[j])
-				base := d * m
-				k := binsearch.NodeLowerBound(t.dir[base:base+m], m, group[j])
-				nodes[j] = int32(d*fan + 1 + k)
-			}
-		}
-		// Final internal level: only region-I probes are still on a node.
-		for j := 0; j < batchWidth; j++ {
-			d := int(nodes[j])
-			if d > lNode {
-				continue
-			}
-			base := d * m
-			k := binsearch.NodeLowerBound(t.dir[base:base+m], m, group[j])
-			nodes[j] = int32(d*fan + 1 + k)
-		}
-		for j := 0; j < batchWidth; j++ {
-			lo, hi := g.LeafRange(int(nodes[j]))
-			out[i+j] = int32(lo + binsearch.NodeLowerBound(t.keys[lo:hi], hi-lo, group[j]))
-		}
-	}
-	for ; i < len(probes); i++ {
-		out[i] = int32(t.LowerBound(probes[i]))
-	}
+	DescendBatch(&t.g, t.dir, t.keys, BatchLowerBound, probes, out, nil)
 }
 
 // SearchBatch computes Search for every probe into out (len(out) must equal
 // len(probes)): the position of the leftmost occurrence, or -1 if absent.
 func (t *Full) SearchBatch(probes []uint32, out []int32) {
-	t.LowerBoundBatch(probes, out)
-	fixupSearch(t.keys, probes, out)
+	DescendBatch(&t.g, t.dir, t.keys, BatchSearch, probes, out, nil)
 }
 
 // EqualRangeBatch computes EqualRange for every probe: first and last receive
 // the half-open position range of each probe's occurrences (all three slices
 // must have equal length).
 func (t *Full) EqualRangeBatch(probes []uint32, first, last []int32) {
-	t.LowerBoundBatch(probes, first)
-	fixupEqualRange(t.keys, probes, first, last)
+	DescendBatch(&t.g, t.dir, t.keys, BatchEqualRange, probes, first, last)
 }
 
 // LowerBoundBatch computes LowerBound for every probe into out
 // (len(out) must equal len(probes)).
 func (t *Level) LowerBoundBatch(probes []uint32, out []int32) {
-	if len(out) != len(probes) {
-		panic("csstree: probes/out length mismatch")
-	}
-	g := &t.g
-	if g.Internal == 0 {
-		for i, p := range probes {
-			out[i] = int32(t.LowerBound(p))
-		}
-		return
-	}
-	m, lNode := g.M, g.LNode
-	var nodes [batchWidth]int32
-	var ks [batchWidth]int32
-	i := 0
-	for ; i+batchWidth <= len(probes); i += batchWidth {
-		group := probes[i : i+batchWidth]
-		for j := range nodes {
-			nodes[j] = 0
-		}
-		// See the Full kernel: the first Depth-1 passes need no depth checks,
-		// and a group sharing one node collapses into the multi-probe kernel.
-		for pass := 0; pass < g.Depth-1; pass++ {
-			if sameNode(&nodes) {
-				d := int(nodes[0])
-				base := d * m
-				binsearch.NodeLowerBound16(t.dir[base:base+m-1], m-1, group, ks[:])
-				for j := 0; j < batchWidth; j++ {
-					nodes[j] = int32(d*m + 1 + int(ks[j]))
-				}
-				continue
-			}
-			for j := 0; j < batchWidth; j++ {
-				d := int(nodes[j])
-				base := d * m
-				k := binsearch.NodeLowerBound(t.dir[base:base+m-1], m-1, group[j])
-				nodes[j] = int32(d*m + 1 + k)
-			}
-		}
-		for j := 0; j < batchWidth; j++ {
-			d := int(nodes[j])
-			if d > lNode {
-				continue
-			}
-			base := d * m
-			k := binsearch.NodeLowerBound(t.dir[base:base+m-1], m-1, group[j])
-			nodes[j] = int32(d*m + 1 + k)
-		}
-		for j := 0; j < batchWidth; j++ {
-			lo, hi := g.LeafRange(int(nodes[j]))
-			out[i+j] = int32(lo + binsearch.NodeLowerBound(t.keys[lo:hi], hi-lo, group[j]))
-		}
-	}
-	for ; i < len(probes); i++ {
-		out[i] = int32(t.LowerBound(probes[i]))
-	}
+	DescendBatch(&t.g, t.dir, t.keys, BatchLowerBound, probes, out, nil)
 }
 
 // SearchBatch computes Search for every probe into out (len(out) must equal
 // len(probes)): the position of the leftmost occurrence, or -1 if absent.
 func (t *Level) SearchBatch(probes []uint32, out []int32) {
-	t.LowerBoundBatch(probes, out)
-	fixupSearch(t.keys, probes, out)
+	DescendBatch(&t.g, t.dir, t.keys, BatchSearch, probes, out, nil)
 }
 
 // EqualRangeBatch computes EqualRange for every probe: first and last receive
 // the half-open position range of each probe's occurrences (all three slices
 // must have equal length).
 func (t *Level) EqualRangeBatch(probes []uint32, first, last []int32) {
-	t.LowerBoundBatch(probes, first)
-	fixupEqualRange(t.keys, probes, first, last)
-}
-
-// fixupSearch turns in-place lower bounds into Search results: -1 where the
-// landing key does not match the probe.
-func fixupSearch(keys []uint32, probes []uint32, out []int32) {
-	n := int32(len(keys))
-	for i, p := range probes {
-		if lb := out[i]; lb >= n || keys[lb] != p {
-			out[i] = -1
-		}
-	}
-}
-
-// fixupEqualRange extends lower bounds in first to half-open equal ranges by
-// scanning duplicates rightward (§3.6).
-func fixupEqualRange(keys []uint32, probes []uint32, first, last []int32) {
-	if len(first) != len(probes) || len(last) != len(probes) {
-		panic("csstree: probes/first/last length mismatch")
-	}
-	n := int32(len(keys))
-	for i, p := range probes {
-		end := first[i]
-		for end < n && keys[end] == p {
-			end++
-		}
-		last[i] = end
-	}
+	DescendBatch(&t.g, t.dir, t.keys, BatchEqualRange, probes, first, last)
 }

@@ -1,7 +1,10 @@
 package csstree
 
 import (
-	"sort"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cssidx/internal/binsearch"
@@ -14,7 +17,7 @@ func TestBatchMatchesScalarFull(t *testing.T) {
 		keys := g.SortedWithDuplicates(n, 3)
 		tr := BuildFull(keys, 16)
 		probes := append(g.Lookups(keys, 1000), g.Misses(keys, 500)...)
-		probes = append(probes, 0, ^uint32(0)) // odd tail exercises the scalar remainder
+		probes = append(probes, 0, ^uint32(0)) // odd tail: the last group is a short one
 		out := make([]int32, len(probes))
 		tr.LowerBoundBatch(probes, out)
 		for i, p := range probes {
@@ -74,17 +77,77 @@ func TestSearchAndEqualRangeBatchMatchScalar(t *testing.T) {
 	}
 }
 
-func TestBatchSmallerThanWidth(t *testing.T) {
-	keys := []uint32{10, 20, 30}
-	tr := BuildFull(keys, 16)
-	probes := []uint32{5, 20, 35}
-	out := make([]int32, 3)
-	tr.LowerBoundBatch(probes, out)
-	want := []int32{0, 1, 3}
-	for i := range out {
-		if out[i] != want[i] {
-			t.Errorf("out[%d]=%d, want %d", i, out[i], want[i])
+// batchTree is what the differential battery drives: the three scalar
+// methods and their batch counterparts.
+type batchTree interface {
+	Geometry() Geometry
+	LowerBound(uint32) int
+	Search(uint32) int
+	EqualRange(uint32) (int, int)
+	LowerBoundBatch([]uint32, []int32)
+	SearchBatch([]uint32, []int32)
+	EqualRangeBatch([]uint32, []int32, []int32)
+}
+
+// checkBatchesMatchScalar runs the three batch methods over probes and
+// requires every answer to equal the scalar method's.
+func checkBatchesMatchScalar(t *testing.T, what string, tr batchTree, probes []uint32) {
+	t.Helper()
+	lb := make([]int32, len(probes))
+	sr := make([]int32, len(probes))
+	first := make([]int32, len(probes))
+	last := make([]int32, len(probes))
+	tr.LowerBoundBatch(probes, lb)
+	tr.SearchBatch(probes, sr)
+	tr.EqualRangeBatch(probes, first, last)
+	for i, p := range probes {
+		if want := tr.LowerBound(p); int(lb[i]) != want {
+			t.Fatalf("%s len=%d: LowerBoundBatch[%d]=%d, scalar=%d (key %d)", what, len(probes), i, lb[i], want, p)
 		}
+		if want := tr.Search(p); int(sr[i]) != want {
+			t.Fatalf("%s len=%d: SearchBatch[%d]=%d, scalar=%d (key %d)", what, len(probes), i, sr[i], want, p)
+		}
+		if wf, wl := tr.EqualRange(p); int(first[i]) != wf || int(last[i]) != wl {
+			t.Fatalf("%s len=%d: EqualRangeBatch[%d]=[%d,%d), scalar=[%d,%d) (key %d)",
+				what, len(probes), i, first[i], last[i], wf, wl, p)
+		}
+	}
+}
+
+// batchKeyCounts straddle every depth boundary of the m=16 trees and their
+// region I/II switch (the other node sizes cross theirs inside the same
+// list).
+var batchKeyCounts = []int{1, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097, 65535, 65536, 65537, 70001}
+
+// batchProbePool mixes present keys, absent keys and the edges of the key
+// space: 0, MaxUint32, just below the minimum and just above the maximum.
+func batchProbePool(g *workload.Gen, keys []uint32, size int) []uint32 {
+	pool := []uint32{0, ^uint32(0), keys[0], keys[0] - 1, keys[len(keys)-1], keys[len(keys)-1] + 1}
+	pool = append(pool, g.Lookups(keys, size/2)...)
+	pool = append(pool, g.Misses(keys, size-len(pool))...)
+	return pool
+}
+
+// TestBatchSmallerThanWidth checks every batch length from empty through
+// two groups and a tail, under every tier: a batch shorter than a group,
+// and the tail of a longer one, take the same path as a full group.
+func TestBatchSmallerThanWidth(t *testing.T) {
+	g := workload.New(184)
+	keys := g.SortedWithDuplicates(70001, 3)
+	pool := batchProbePool(g, keys, 400)
+	forEachKernel(t, func(kern binsearch.Kernel) {
+		for name, tr := range map[string]batchTree{"full": BuildFull(keys, 16), "level": BuildLevel(keys, 16)} {
+			for n := 0; n <= 2*groupWidth+2; n++ {
+				off := n * 7 % (len(pool) - n)
+				checkBatchesMatchScalar(t, fmt.Sprintf("%v %s", kern, name), tr, pool[off:off+n])
+			}
+		}
+	})
+	tr := BuildFull([]uint32{10, 20, 30}, 16) // one leaf, no directory
+	out := make([]int32, 3)
+	tr.LowerBoundBatch([]uint32{5, 20, 35}, out)
+	if want := []int32{0, 1, 3}; !slices.Equal(out, want) {
+		t.Errorf("single-leaf tree: got %v, want %v", out, want)
 	}
 }
 
@@ -122,41 +185,170 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 
 var sinkBatch int
 
-// TestBatchAllKernelTiers drives the lockstep kernels under every
-// node-search dispatch tier this host has — including sorted probe streams,
-// whose groups share nodes deep into the directory and so exercise the
-// multi-probe kernel beyond the root pass — and checks bit-identity with
-// the scalar descent (which runs under the same tier) and with the branchy
-// oracle tier.
+// TestBatchAllKernelTiers is the differential battery of the lockstep
+// descent: the three batch methods against the scalar ones (which run under
+// the same tier) for both tree variants, every node size the trees are
+// built with, key counts on both sides of every depth boundary, distinct
+// and duplicate-saturated keys, random and sorted probe order, and batch
+// lengths on both sides of the group width — under every node-search tier
+// this host has.  m = 16 takes the assembly level pass under simd; every
+// other cell takes the portable one.
 func TestBatchAllKernelTiers(t *testing.T) {
+	g := workload.New(182)
+	forEachKernel(t, func(kern binsearch.Kernel) {
+		for _, n := range batchKeyCounts {
+			dists := map[string][]uint32{
+				"distinct": g.SortedDistinct(n),
+				"dups":     g.SortedWithDuplicates(n, 40),
+			}
+			if n <= 4097 { // EqualRange scans the run: keep the long runs on the small arrays
+				dists["saturated"] = g.SortedWithDuplicates(n, n)
+			}
+			for dist, keys := range dists {
+				pool := batchProbePool(g, keys, 300)
+				sorted := slices.Clone(pool)
+				slices.Sort(sorted)
+				for _, m := range []int{4, 8, 16, 32, 64} {
+					for kind, tr := range map[string]batchTree{"full": BuildFull(keys, m), "level": BuildLevel(keys, m)} {
+						what := fmt.Sprintf("%v %s m=%d n=%d %s", kern, kind, m, n, dist)
+						checkBatchesMatchScalar(t, what+" random", tr, pool)
+						checkBatchesMatchScalar(t, what+" sorted", tr, sorted)
+						for _, l := range []int{0, 1, groupWidth - 1, groupWidth, groupWidth + 1} {
+							checkBatchesMatchScalar(t, what, tr, pool[:l])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestBatchSurvivesCorruptDirectory is the portable leg of the level-pass
+// kernel's memory-safety contract (batch_guard_linux_test.go puts the same
+// directories against a guard page): whatever a directory holds — a corrupt
+// file admitted by a loader, a torn slice — the descent reads inside it and
+// lands every probe on a real leaf, so each answer is a position in [0, n].
+// The answers are wrong; they are never out of range and nothing faults.
+func TestBatchSurvivesCorruptDirectory(t *testing.T) {
+	forEachKernel(t, func(kern binsearch.Kernel) {
+		for _, m := range []int{8, 16} {
+			checkCorruptDirectories(t, kern, m, func(slots int) []uint32 { return make([]uint32, slots) })
+		}
+	})
+}
+
+// forEachKernel runs body under every node-search tier this host has.
+func forEachKernel(t *testing.T, body func(binsearch.Kernel)) {
+	t.Helper()
 	prev := binsearch.ActiveKernel()
 	defer binsearch.SetKernel(prev)
-	g := workload.New(182)
 	for _, kern := range []binsearch.Kernel{binsearch.KernelScalar, binsearch.KernelSWAR, binsearch.KernelSIMD} {
-		if !binsearch.SetKernel(kern) {
+		if binsearch.SetKernel(kern) {
+			body(kern)
+		}
+	}
+}
+
+// checkCorruptDirectories swaps the directory of a full and a level tree of
+// node size m for arrays from alloc (which returns exactly the slots asked
+// for) filled with random words, all-ones and zeroes, and requires every
+// batch answer to stay in range.
+func checkCorruptDirectories(t *testing.T, kern binsearch.Kernel, m int, alloc func(slots int) []uint32) {
+	t.Helper()
+	g := workload.New(185)
+	rng := rand.New(rand.NewSource(185))
+	keys := g.SortedWithDuplicates(70001, 3)
+	probes := batchProbePool(g, keys, 3*groupWidth+5)
+	n := int32(len(keys))
+	first := make([]int32, len(probes))
+	last := make([]int32, len(probes))
+	fills := map[string]func() uint32{
+		"random": rng.Uint32,
+		"ones":   func() uint32 { return ^uint32(0) },
+		"zeroes": func() uint32 { return 0 },
+	}
+	for fill, word := range fills {
+		full, level := BuildFull(keys, m), BuildLevel(keys, m)
+		for kind, tr := range map[string]struct {
+			batchTree
+			dir *[]uint32
+		}{"full": {full, &full.dir}, "level": {level, &level.dir}} {
+			dir := alloc(len(*tr.dir))
+			for i := range dir {
+				dir[i] = word()
+			}
+			*tr.dir = dir
+			what := fmt.Sprintf("%v %s m=%d %s", kern, kind, m, fill)
+			checkLevelPassStaysInside(t, what, tr.Geometry(), dir, probes)
+			tr.LowerBoundBatch(probes, first)
+			for i, pos := range first {
+				if pos < 0 || pos > n {
+					t.Fatalf("%s: LowerBoundBatch[%d]=%d outside [0,%d]", what, i, pos, n)
+				}
+			}
+			tr.SearchBatch(probes, first)
+			for i, pos := range first {
+				if pos < -1 || pos >= n {
+					t.Fatalf("%s: SearchBatch[%d]=%d outside [-1,%d)", what, i, pos, n)
+				}
+			}
+			tr.EqualRangeBatch(probes, first, last)
+			for i := range first {
+				if first[i] < 0 || first[i] > last[i] || last[i] > n {
+					t.Fatalf("%s: EqualRangeBatch[%d]=[%d,%d) outside [0,%d]", what, i, first[i], last[i], n)
+				}
+			}
+		}
+	}
+}
+
+// checkLevelPassStaysInside hands the level-pass kernel every node number
+// of the directory — the last one included, whose vector loads end at the
+// directory's last byte — and numbers that name no node: each internal node
+// must yield one of its own children, and a number past lNode (or negative)
+// must be left alone, unread.
+func checkLevelPassStaysInside(t *testing.T, what string, g Geometry, dir, probes []uint32) {
+	t.Helper()
+	nodes := make([]int32, 0, g.Internal+4)
+	for d := 0; d <= g.LNode; d++ {
+		nodes = append(nodes, int32(d))
+	}
+	nodes = append(nodes, int32(g.LNode+1), -1, math.MinInt32, math.MaxInt32)
+	before := slices.Clone(nodes)
+	group := make([]uint32, len(nodes))
+	for j := range group {
+		group[j] = probes[j%len(probes)]
+	}
+	binsearch.DescendLevel(dir, g.M, g.Fanout, g.LNode, group, nodes)
+	for j, d := range before {
+		if int(d) > g.LNode || d < 0 {
+			if nodes[j] != d {
+				t.Fatalf("%s: node %d is past lNode=%d but was advanced to %d", what, d, g.LNode, nodes[j])
+			}
 			continue
 		}
-		for _, n := range []int{50, 4096, 120000} {
-			keys := g.SortedWithDuplicates(n, 5)
-			full := BuildFull(keys, 16)
-			level := BuildLevel(keys, 16)
-			probes := append(g.Lookups(keys, 2000), g.Misses(keys, 500)...)
-			sorted := append([]uint32(nil), probes...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			for name, ps := range map[string][]uint32{"random": probes, "sorted": sorted} {
-				out := make([]int32, len(ps))
-				full.LowerBoundBatch(ps, out)
-				for i, p := range ps {
-					if int(out[i]) != full.LowerBound(p) {
-						t.Fatalf("%v full %s n=%d: batch[%d]=%d scalar=%d (key %d)", kern, name, n, i, out[i], full.LowerBound(p), p)
-					}
-				}
-				level.LowerBoundBatch(ps, out)
-				for i, p := range ps {
-					if int(out[i]) != level.LowerBound(p) {
-						t.Fatalf("%v level %s n=%d: batch[%d]=%d scalar=%d (key %d)", kern, name, n, i, out[i], level.LowerBound(p), p)
-					}
-				}
+		if lo, hi := int(d)*g.Fanout+1, int(d)*g.Fanout+g.Fanout; int(nodes[j]) < lo || int(nodes[j]) > hi {
+			t.Fatalf("%s: node %d advanced to %d, not one of its children [%d,%d]", what, d, nodes[j], lo, hi)
+		}
+	}
+}
+
+// TestBatchAllocatesNothing pins that the group state lives on the stack:
+// no batch method allocates, whatever the batch length.
+func TestBatchAllocatesNothing(t *testing.T) {
+	g := workload.New(186)
+	keys := g.SortedWithDuplicates(70001, 3)
+	probes := batchProbePool(g, keys, 1000)
+	first := make([]int32, len(probes))
+	last := make([]int32, len(probes))
+	for name, tr := range map[string]batchTree{"full": BuildFull(keys, 16), "level": BuildLevel(keys, 16)} {
+		for method, call := range map[string]func(){
+			"LowerBoundBatch": func() { tr.LowerBoundBatch(probes, first) },
+			"SearchBatch":     func() { tr.SearchBatch(probes, first) },
+			"EqualRangeBatch": func() { tr.EqualRangeBatch(probes, first, last) },
+		} {
+			if allocs := testing.AllocsPerRun(10, call); allocs != 0 {
+				t.Errorf("%s %s: %v allocations per batch, want 0", name, method, allocs)
 			}
 		}
 	}

@@ -128,8 +128,10 @@ func (g Geometry) Levels() int { return g.Depth + 1 }
 // range [lo,hi) of the sorted array it covers, applying the region I/II
 // switch of Figure 3 and clamping padding.  A dangling leaf (beyond the
 // real data) yields an empty range whose position is the correct global
-// lower bound for any probe routed to it.
-func (g Geometry) LeafRange(d int) (lo, hi int) {
+// lower bound for any probe routed to it.  The receiver is a pointer because
+// the batch descent calls this once per probe and a value receiver copies
+// the whole struct each time.
+func (g *Geometry) LeafRange(d int) (lo, hi int) {
 	diff := d*g.M - g.MarkKeys
 	if diff < 0 {
 		// Region II: shallower leaf level holds the back of the array.

@@ -79,7 +79,7 @@ type paddedCell struct {
 // batch.
 func cellIndex() int {
 	var x byte
-	p := uintptr(unsafe.Pointer(&x))
+	p := uint64(uintptr(unsafe.Pointer(&x)))
 	return int(((p >> 6) * 0x9E3779B97F4A7C15) >> 58 & (cellCount - 1))
 }
 
