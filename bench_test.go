@@ -6,11 +6,13 @@
 //	BenchmarkFig12VaryNode      — Figures 12/13: lookup time vs node size
 //	BenchmarkFig14SpaceTime     — Figure 2/14: space (reported metric) + time
 //	BenchmarkTable1CostModel    — Figure 6/Table 1: analytic model evaluation
-//	BenchmarkAblation*          — design-choice ablations called out in DESIGN.md
+//	BenchmarkAblation*          — design-choice ablations (README "Node-search dispatch")
 //	BenchmarkJoin               — §2.2 indexed nested-loop join
 //
 // Wall-clock numbers land wherever the host CPU puts them; the reproduction
-// target is the *shape* (see EXPERIMENTS.md).  The deterministic,
+// target is the *shape* (README "Model vs measured" reconciles the host's
+// numbers with the paper's miss counts; `cssbench -list` is the experiment
+// list, under README "Commands").  The deterministic,
 // paper-machine versions of figs 10–13 come from `cssbench -run figNN`.
 package cssidx_test
 

@@ -13,7 +13,9 @@
 // configurations; wall-clock sections time the real implementations on this
 // machine.  Absolute numbers differ from the paper's 1998 hardware — the
 // shapes (who wins, by what factor, where the crossovers fall) are the
-// reproduction target, as recorded in EXPERIMENTS.md.
+// reproduction target; README "Model vs measured" reconciles this host's
+// numbers with the paper's miss counts, and the experiment list is
+// `cssbench -list` (README "Commands").
 package main
 
 import (

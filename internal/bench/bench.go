@@ -13,8 +13,9 @@
 //     CPU, following the paper's protocol (pre-generated random matching
 //     keys, repeated runs, minimum reported).
 //
-// The shapes that must reproduce are listed in DESIGN.md; EXPERIMENTS.md
-// records paper-vs-measured values.
+// The experiments and the shapes they must reproduce are listed by
+// `cssbench -list` (README "Commands"); README "Model vs measured" records
+// paper-vs-measured values.
 package bench
 
 import (

@@ -5,7 +5,9 @@ package bench
 // runGovernor proves the query-governance cost contract: the same mmdb
 // workload measured three ways per surface —
 //
-//	legacy      the non-Ctx surfaces, no governance plumbing at all
+//	legacy      the plain surfaces — each is its *Ctx form called with
+//	            a background context and no trace, so this leg and
+//	            the next run one code path and pin each other
 //	background  the *Ctx surfaces under context.Background(): the
 //	            governor handle resolves to nil and every checkpoint
 //	            is a pointer test — the committed BENCH_governor.json

@@ -73,7 +73,7 @@ func PentiumII() *Machine {
 // demonstrate the paper's own thesis in reverse — when a giant cheap cache
 // absorbs the working set, the miss penalty that powers the CSS-tree
 // advantage shrinks, and the method gaps compress exactly as the host
-// wall-clock measurements in EXPERIMENTS.md show.
+// wall-clock measurements in README "Model vs measured" show.
 func ModernServer() *Machine {
 	return &Machine{
 		Name:    "modern server (2.1 GHz, 256 MB L3)",

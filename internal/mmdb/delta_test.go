@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cssidx"
+	"cssidx/internal/parallel"
 	"cssidx/internal/workload"
 )
 
@@ -98,7 +99,7 @@ func checkRuns(runs []idxRun) error {
 // checkTwinRuns applies checkRuns to both of a twin's indexes.
 func checkTwinRuns(t *testing.T, tag string, w *twin) {
 	t.Helper()
-	if err := checkRuns(w.kIx.runs); err != nil {
+	if err := checkRuns(w.kIx.seg.runs); err != nil {
 		t.Fatalf("%s sorted index: %v", tag, err)
 	}
 	if err := checkRuns(w.sIx.cur.Load().runs); err != nil {
@@ -172,19 +173,19 @@ func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, liv
 
 	inList := append(g.Lookups(base, 5), probes[0]+1, probes[1])
 	inList = append(inList, hot...)
-	// The index's own two IN drivers, whatever path the table's planner
-	// and cache pick below: merged, and grouped with its value offsets.
+	// The index's own IN driver, whatever path the table's planner and
+	// cache pick below: plain, and grouped with its value offsets.
 	mustEqualU32(t, tag+" SortedIndex.SelectIn(k)", live.kIx.SelectIn(inList), oracle.kIx.SelectIn(inList))
-	lr, lgo, err := live.kIx.selectInGrouped(dedupeValues(inList), nil)
+	lr, lgo, err := live.kIx.seg.selectIn(nil, dedupeValues(inList), true, parallel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	or, ogo, err := oracle.kIx.selectInGrouped(dedupeValues(inList), nil)
+	or, ogo, err := oracle.kIx.seg.selectIn(nil, dedupeValues(inList), true, parallel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualU32(t, tag+" selectInGrouped(k) rows", lr, or)
-	mustEqualU32(t, tag+" selectInGrouped(k) offsets", lgo, ogo)
+	mustEqualU32(t, tag+" grouped selectIn(k) rows", lr, or)
+	mustEqualU32(t, tag+" grouped selectIn(k) offsets", lgo, ogo)
 	li, _, err := live.tab.SelectIn("k", inList)
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +302,7 @@ func TestDeltaDifferentialAllSurfaces(t *testing.T) {
 					t.Fatal(err)
 				}
 				tag := fmt.Sprintf("batch %d", bi)
-				if got := len(live.kIx.runs); got != wantRuns[bi] {
+				if got := len(live.kIx.seg.runs); got != wantRuns[bi] {
 					t.Fatalf("%s: %d live runs, want %d", tag, got, wantRuns[bi])
 				}
 				checkTwinRuns(t, tag, live)
@@ -381,20 +382,20 @@ func TestDeltaManyRunsAgainstRebuild(t *testing.T) {
 						all[c] = append(all[c], vals...)
 					}
 					tag := fmt.Sprintf("step %d (+%d rows)", step, n)
-					if step < 8 && len(live.kIx.runs) != step+1 {
-						t.Fatalf("%s: %d live runs, want %d", tag, len(live.kIx.runs), step+1)
+					if step < 8 && len(live.kIx.seg.runs) != step+1 {
+						t.Fatalf("%s: %d live runs, want %d", tag, len(live.kIx.seg.runs), step+1)
 					}
-					maxRuns = max(maxRuns, len(live.kIx.runs))
+					maxRuns = max(maxRuns, len(live.kIx.seg.runs))
 					checkTwinRuns(t, tag, live)
 					if step >= 2 {
 						for _, h := range hot {
 							in := 0
-							for i := range live.kIx.runs {
-								if f, l := live.kIx.runs[i].equalRange(h); f < l {
+							for i := range live.kIx.seg.runs {
+								if f, l := live.kIx.seg.runs[i].equalRange(h); f < l {
 									in++
 								}
 							}
-							if in < min(3, len(live.kIx.runs)) {
+							if in < min(3, len(live.kIx.seg.runs)) {
 								t.Fatalf("%s: hot value %d sits in %d runs", tag, h, in)
 							}
 						}
@@ -407,8 +408,8 @@ func TestDeltaManyRunsAgainstRebuild(t *testing.T) {
 					}
 					rebuilt.close()
 				}
-				if maxRuns != 8 || len(live.kIx.runs) != 1 {
-					t.Fatalf("tier peaked at %d runs and ended with %d, want 8 and 1", maxRuns, len(live.kIx.runs))
+				if maxRuns != 8 || len(live.kIx.seg.runs) != 1 {
+					t.Fatalf("tier peaked at %d runs and ended with %d, want 8 and 1", maxRuns, len(live.kIx.seg.runs))
 				}
 				if live.tab.Generation() != 1 {
 					t.Fatalf("live table folded: generation %d", live.tab.Generation())

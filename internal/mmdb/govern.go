@@ -1,35 +1,37 @@
 package mmdb
 
-// Query governance: every public query surface has a *Ctx variant that
-// threads a context.Context (cancellation, deadline, per-query byte
-// budget via governor.WithBudget) through planning and execution, and a
-// Table can attach a governor.Admission controller that gates cache-miss
-// compute work under overload.
+// Query governance: every public query surface is its *Ctx form — the plain
+// form is the same call with a background context — which threads a
+// context.Context (cancellation, deadline, per-query byte budget via
+// governor.WithBudget) through planning and execution, and a Table can
+// attach a governor.Admission controller that gates cache-miss compute work
+// under overload.
 //
-// The plumbing rules, which every new surface must follow:
+// The plumbing rules, each implemented once (query.go) so a new surface
+// follows them by calling the helper:
 //
-//  1. The public *Ctx wrapper builds the handle once (governor.For) and
-//     checks it before touching any shared state, so an already-dead
-//     context costs nothing and serves nothing.
-//  2. Admission is acquired at the execute stage, after the cache
-//     missed: cache hits are served even under overload (the shed
-//     policy's "serve cached lookups last"), and the grant is released
-//     when the compute finishes or aborts.  Nested surfaces never
-//     re-acquire (governor.Ctl.EnterAdmission).
+//  1. enter builds the handle once (governor.For) and checks it before any
+//     shared state is touched, so an already-dead context costs nothing and
+//     serves nothing.
+//  2. Admission is acquired at the execute stage, after the cache missed
+//     (Table.compute): cache hits are served even under overload (the shed
+//     policy's "serve cached lookups last"), and the grant is released when
+//     the compute finishes or aborts.  Nested surfaces never re-acquire
+//     (governor.Ctl.EnterAdmission).
 //  3. Budgets are charged where result memory is allocated — scan
-//     buffers, merge copies, aggregate tables, join pair buffers —
-//     through a per-goroutine governor.Checkpoint so parallel workers
+//     buffers, merge copies, aggregate tables, join pair buffers, and the
+//     slices the cache's reuse paths assemble (env.fresh) — through a
+//     per-goroutine governor.Checkpoint inside loops, so parallel workers
 //     do not contend on the budget atomic per row.
-//  4. Abort paths return BEFORE the cache admit stage, so a cancelled
-//     query can never insert a poisoned qcache entry; and they never
-//     interrupt a mutation mid-publish, so epochs and delta runs are
+//  4. Abort paths return BEFORE the cache admit stage (stage.abort), so a
+//     cancelled query can never insert a poisoned qcache entry; and they
+//     never interrupt a mutation mid-publish, so epochs and delta runs are
 //     never torn.  Every abort surfaces as one of the four typed errors
-//     and is counted once (governor.NoteAbort) at the public surface.
+//     and is counted once (governor.NoteAbort, in leave).
 //
-// An ungoverned call (background context, or the legacy non-Ctx
-// surfaces) resolves to a nil handle and pays a pointer test per
-// checkpoint — the "one atomic load when disabled" contract, pinned by
-// the governor bench experiment.
+// An ungoverned call (background context, so every plain surface) resolves
+// to a nil handle and pays a pointer test per checkpoint — the "one atomic
+// load when disabled" contract, pinned by the governor bench experiment.
 
 import (
 	"cssidx/internal/governor"

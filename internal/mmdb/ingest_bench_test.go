@@ -115,8 +115,8 @@ func TestAbsorbThenReadCostFollowsBatch(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		s.absorbThenRead(t, batch, 1, in)
 		runtime.ReadMemStats(&after)
-		if s.tab.DeltaRows() != 5*scaleBatch || len(s.ix.runs) != 2 {
-			t.Fatalf("base=%d: delta %d rows in %d runs, want %d in 2", base, s.tab.DeltaRows(), len(s.ix.runs), 5*scaleBatch)
+		if s.tab.DeltaRows() != 5*scaleBatch || len(s.ix.seg.runs) != 2 {
+			t.Fatalf("base=%d: delta %d rows in %d runs, want %d in 2", base, s.tab.DeltaRows(), len(s.ix.seg.runs), 5*scaleBatch)
 		}
 		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("base=%d: absorb + first range + first IN allocate %d B", base, got)
@@ -176,8 +176,8 @@ func BenchmarkRangeWeave(b *testing.B) {
 			for _, n := range c.batches {
 				s.append(b, n)
 			}
-			if want := len(c.batches); !c.pol.Disabled && len(s.ix.runs) != want {
-				b.Fatalf("%d live runs, want %d", len(s.ix.runs), want)
+			if want := len(c.batches); !c.pol.Disabled && len(s.ix.seg.runs) != want {
+				b.Fatalf("%d live runs, want %d", len(s.ix.seg.runs), want)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -150,18 +149,14 @@ func (c *Column) Len() int { return len(c.raw) }
 // key array (of domain IDs) searched by the chosen cssidx method.  Queries
 // arrive as raw values and are translated through the domain first — the
 // §2.2 flow: "transforming domain values to domain IDs requires searching on
-// the domain".
+// the domain".  The read state is one segment (segment.go), stamped with the
+// table-layer cache identity.
 type SortedIndex struct {
-	col   *Column
-	owner *Table // registering table (generation + cache for join reuse)
-	kind  cssidx.Kind
-	opts  cssidx.Options
-	keys  []uint32 // domain IDs in sorted order
-	rids  []uint32 // RIDs ordered by column value
-	idx   cssidx.Index
-	batch cssidx.BatchIndex        // idx behind the batch surface (native or adapted)
-	bord  cssidx.BatchOrderedIndex // non-nil when the method has ordered access
-	runs  []idxRun                 // absorbed delta runs since the last fold, geometrically tiered (delta.go)
+	seg  segment
+	col  *Column
+	kind cssidx.Kind
+	opts cssidx.Options
+	idx  cssidx.Index
 }
 
 // BuildIndex builds (or rebuilds) an index on the column using the given
@@ -171,7 +166,8 @@ func (t *Table) BuildIndex(colName string, kind cssidx.Kind, opts cssidx.Options
 	if !ok {
 		return nil, fmt.Errorf("mmdb: no column %s in table %s", colName, t.name)
 	}
-	ix := &SortedIndex{col: col, owner: t, kind: kind, opts: opts}
+	ix := &SortedIndex{col: col, kind: kind, opts: opts}
+	ix.seg = segment{tbl: t, col: colName, layer: qcache.LayerTable}
 	ix.rebuild()
 	// The base structure covers the frozen encoding (baseRows); rows
 	// appended since the last fold live only in raw form, so hand them to
@@ -190,32 +186,38 @@ func (t *Table) Index(colName string) (*SortedIndex, bool) {
 	return ix, ok
 }
 
-// rebuild re-sorts the RID list and reconstructs the search structure.
-// The key/RID pair sort is a stable radix sort (internal/sortu32), the
+// sortedPairs returns the column's domain IDs in sorted order with the
+// parallel RID list — what both index kinds build their base arrays from.
+// The pair sort is a stable radix sort (internal/sortu32), the
 // cache-conscious choice for the 4-byte keys of Table 1.
+func (c *Column) sortedPairs() (keys, rids []uint32) {
+	keys = append([]uint32(nil), c.ids...)
+	rids = make([]uint32, len(keys))
+	for i := range rids {
+		rids[i] = uint32(i)
+	}
+	sortu32.SortPairs(keys, rids)
+	return keys, rids
+}
+
+// rebuild re-sorts the RID list and reconstructs the search structure over
+// the column's current encoding, clearing the delta runs.
 func (ix *SortedIndex) rebuild() {
-	n := len(ix.col.ids)
-	ix.rids = make([]uint32, n)
-	ix.keys = make([]uint32, n)
-	copy(ix.keys, ix.col.ids)
-	for i := range ix.rids {
-		ix.rids[i] = uint32(i)
-	}
-	sortu32.SortPairs(ix.keys, ix.rids)
-	ix.idx = cssidx.New(ix.kind, ix.keys, ix.opts)
-	ix.batch = cssidx.AsBatch(ix.idx)
-	ix.bord = nil
+	s := &ix.seg
+	s.dom, s.runs = ix.col.dom, nil
+	s.keys, s.rids = ix.col.sortedPairs()
+	ix.idx = cssidx.New(ix.kind, s.keys, ix.opts)
+	s.eq, s.ord = cssidx.AsBatch(ix.idx), nil
 	if ord, ok := ix.idx.(cssidx.OrderedIndex); ok {
-		ix.bord = cssidx.AsBatchOrdered(ord)
+		s.ord = cssidx.AsBatchOrdered(ord)
 	}
-	ix.runs = nil
 }
 
 // absorb lands one appended batch in the delta layer: a sorted run over
 // the batch's (value, RID) pairs pushed onto the geometric tier (pushRun).
 // The base arrays and search structure are untouched.
 func (ix *SortedIndex) absorb(vals []uint32, startRID uint32) {
-	ix.runs = pushRun(ix.runs, newIdxRun(vals, startRID))
+	ix.seg.runs = pushRun(ix.seg.runs, newIdxRun(vals, startRID))
 }
 
 // Kind returns the index method.
@@ -223,108 +225,32 @@ func (ix *SortedIndex) Kind() cssidx.Kind { return ix.kind }
 
 // SpaceBytes returns the index footprint: RID list, key array, structure
 // and outstanding delta runs.
-func (ix *SortedIndex) SpaceBytes() int {
-	return 4*len(ix.rids) + 4*len(ix.keys) + ix.idx.SpaceBytes() + deltaRunsBytes(ix.runs)
-}
+func (ix *SortedIndex) SpaceBytes() int { return ix.seg.spaceBytes() + ix.idx.SpaceBytes() }
 
 // RIDs returns the RID list in column-value order (ordered access, §2.2).
-func (ix *SortedIndex) RIDs() []uint32 { return ix.rids }
+func (ix *SortedIndex) RIDs() []uint32 { return ix.seg.rids }
 
 // SelectEqual returns the RIDs of rows whose column equals value, in RID
 // order of the sorted list (stable: insertion order within duplicates).
 // Delta rows follow base rows — still ascending-RID, since appended RIDs
 // exceed all resident ones.
-func (ix *SortedIndex) SelectEqual(value uint32) []uint32 {
-	var out []uint32
-	if id, ok := ix.col.dom.ID(value); ok {
-		if pos := ix.idx.Search(id); pos >= 0 {
-			for ; pos < len(ix.keys) && ix.keys[pos] == id; pos++ {
-				out = append(out, ix.rids[pos])
-			}
-		}
-	}
-	return deltaEqualAppend(ix.runs, value, out)
-}
+func (ix *SortedIndex) SelectEqual(value uint32) []uint32 { return ix.seg.selectEqual(value) }
 
 // SelectEqualCtx is SelectEqual under governance: the context's
 // cancellation/deadline/budget are observed, and on an attached admission
 // controller the probe enters as ClassPoint — the class served last by the
 // shed policy, with extra queue headroom under overload.
 func (ix *SortedIndex) SelectEqualCtx(ctx context.Context, value uint32) ([]uint32, error) {
-	ctl := governor.For(ctx)
-	if err := ctl.Err(); err != nil {
-		governor.NoteAbort(err)
-		return nil, err
-	}
-	if ix.owner != nil {
-		release, err := ix.owner.admit(ctl, governor.ClassPoint, 0)
-		if err != nil {
-			governor.NoteAbort(err)
-			return nil, err
-		}
-		defer release()
-	}
-	out := ix.SelectEqual(value)
-	if err := ctl.Charge(4 * int64(len(out))); err != nil {
-		governor.NoteAbort(err)
-		return nil, err
-	}
-	return out, nil
+	return selectEqualCtx(ctx, &ix.seg, value)
 }
 
-// SelectInCtx is SelectIn under governance; see SelectEqualCtx.  The list
-// probes under ClassSelect with cancellation observed at chunk boundaries.
-func (ix *SortedIndex) SelectInCtx(ctx context.Context, values []uint32) ([]uint32, error) {
-	ctl := governor.For(ctx)
-	if err := ctl.Err(); err != nil {
-		governor.NoteAbort(err)
-		return nil, err
+// selectEqualCtx is the governed point probe of either index kind.
+func selectEqualCtx(ctx context.Context, seg *segment, value uint32) (out []uint32, err error) {
+	var q entry
+	if q.enterProbe(ctx, seg.tbl, governor.ClassPoint, 0) {
+		out, err = q.fresh(seg.selectEqual(value), nil)
 	}
-	var release = func() {}
-	if ix.owner != nil {
-		var err error
-		release, err = ix.owner.admit(ctl, governor.ClassSelect, 4*int64(len(values)))
-		if err != nil {
-			governor.NoteAbort(err)
-			return nil, err
-		}
-	}
-	defer release()
-	out, err := ix.selectInCtl(ctl, dedupeValues(values))
-	if err != nil {
-		governor.NoteAbort(err)
-		return nil, err
-	}
-	return out, nil
-}
-
-// SelectRangeCtx is SelectRange under governance; the merged result is
-// charged against the context's budget after materialisation.
-func (ix *SortedIndex) SelectRangeCtx(ctx context.Context, lo, hi uint32) ([]uint32, error) {
-	ctl := governor.For(ctx)
-	if err := ctl.Err(); err != nil {
-		governor.NoteAbort(err)
-		return nil, err
-	}
-	var release = func() {}
-	if ix.owner != nil {
-		var err error
-		release, err = ix.owner.admit(ctl, governor.ClassSelect, 0)
-		if err != nil {
-			governor.NoteAbort(err)
-			return nil, err
-		}
-	}
-	defer release()
-	out, err := ix.SelectRange(lo, hi)
-	if err == nil {
-		err = ctl.Charge(4 * int64(len(out)))
-	}
-	if err != nil {
-		governor.NoteAbort(err)
-		return nil, err
-	}
-	return out, nil
+	return out, q.leave(err)
 }
 
 // SelectIn returns the RIDs of rows whose column equals any value in the
@@ -334,81 +260,19 @@ func (ix *SortedIndex) SelectRangeCtx(ctx context.Context, lo, hi uint32) ([]uin
 // parallel worker pool.  Duplicate list values contribute their rows once;
 // RIDs come back grouped by list order, ascending within a value.
 func (ix *SortedIndex) SelectIn(values []uint32) []uint32 {
-	out, _ := ix.selectInCtl(nil, dedupeValues(values))
+	out, _ := ix.SelectInCtx(context.Background(), values)
 	return out
 }
 
-// selectInCtl is SelectIn over a pre-deduplicated list under governance:
-// the ctl's cancellation, deadline and budget are observed at chunk
-// boundaries inside the probe loops (nil ctl = the legacy ungoverned path,
-// bit-identical output).
-func (ix *SortedIndex) selectInCtl(ctl *governor.Ctl, distinct []uint32) ([]uint32, error) {
-	if len(ix.runs) == 0 {
-		return selectInRIDs(ix.col.dom, ix.rids, distinct, ix.equalRangeBatchIDs, parallel.Options{}, ctl)
+// SelectInCtx is SelectIn under governance; see SelectEqualCtx.  The list
+// probes under ClassSelect with cancellation observed and the budget charged
+// at chunk boundaries.
+func (ix *SortedIndex) SelectInCtx(ctx context.Context, values []uint32) (out []uint32, err error) {
+	var q entry
+	if q.enterProbe(ctx, ix.seg.tbl, governor.ClassSelect, 4*int64(len(values))) {
+		out, _, err = ix.seg.selectIn(q.ctl, dedupeValues(values), false, parallel.Options{})
 	}
-	return selectInMerged(ix.col.dom, ix.rids, distinct, ix.equalRangeBatchIDs, ix.runs, ctl.Checkpoint())
-}
-
-// selectInGrouped answers the pre-deduplicated IN-list single-threaded with
-// per-value group offsets, the admission shape the result cache's
-// subset/superset reuse needs.  Output rows are identical to SelectIn's.
-func (ix *SortedIndex) selectInGrouped(distinct []uint32, cp *governor.Checkpoint) (out, goff []uint32, err error) {
-	return selectInGrouped(ix.col.dom, ix.rids, distinct, ix.equalRangeBatchIDs, ix.runs, true, cp)
-}
-
-// selectInRIDs is the shared IN-list driver: deduped values are translated
-// and probed in chunks (forEachEqualRange), gathering rids[first:last] per
-// present value.  Lists large enough for the worker options are split into
-// contiguous spans probed concurrently — probe is required to be safe for
-// concurrent use — and the per-span results concatenate in span order, so
-// the output is identical at every worker count.  A governed call (non-nil
-// ctl) observes cancellation and the byte budget at chunk boundaries, each
-// worker through its own Checkpoint.
-func selectInRIDs(dom *domain.IntDomain, rids []uint32, values []uint32, probe func(ids []uint32, first, last []int32), par parallel.Options, ctl *governor.Ctl) ([]uint32, error) {
-	w := par.WorkersFor(len(values))
-	span := func(vals []uint32, cp *governor.Checkpoint) ([]uint32, error) {
-		var out []uint32
-		err := forEachEqualRange(dom, vals, probe, cp, func(first, last int32) {
-			out = append(out, rids[first:last]...)
-			cp.Charge(4 * int64(last-first))
-		})
-		if err == nil {
-			err = cp.Flush()
-		}
-		return out, err
-	}
-	if w <= 1 {
-		return span(values, ctl.Checkpoint())
-	}
-	outs := make([][]uint32, w)
-	errs := make([]error, w)
-	body := func(t int) {
-		lo, hi := parallel.Span(len(values), w, t)
-		outs[t], errs[t] = span(values[lo:hi], ctl.Checkpoint())
-	}
-	var err error
-	if ctl == nil {
-		parallel.Do(w, len(values), par, body)
-	} else {
-		err = parallel.DoCtx(ctl.Context(), w, len(values), par, body)
-	}
-	for _, e := range errs {
-		if err == nil && e != nil {
-			err = e
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make([]uint32, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	return out, nil
+	return out, q.leave(err)
 }
 
 // dedupeValues keeps the first occurrence of each value, preserving order.
@@ -429,305 +293,22 @@ func dedupeValues(values []uint32) []uint32 {
 // index would order them.  Methods without ordered access return
 // ErrNoOrderedAccess.
 func (ix *SortedIndex) SelectRange(lo, hi uint32) ([]uint32, error) {
-	rids, _, err := ix.rangeMerged(lo, hi, false)
+	rids, _, err := ix.seg.rangeMerged(lo, hi, false)
 	return rids, err
 }
 
-// rangeMerged is the one range path: the base segment resolved through the
-// ordered surface, woven with the delta runs' clipped spans at read time
-// (mergeRangeDelta) — O(result + delta-in-range), whatever the table size
-// and however recent the last absorb.  wantKeys additionally returns the
-// merged raw values: the cache's containment runs and every stitch gap
-// probe want them, a bare SelectRange does not pay for them.
-func (ix *SortedIndex) rangeMerged(lo, hi uint32, wantKeys bool) (rids, rawKeys []uint32, err error) {
-	ord, ok := ix.idx.(cssidx.OrderedIndex)
-	if !ok {
-		return nil, nil, ErrNoOrderedAccess
+// SelectRangeCtx is SelectRange under governance; the merged result is
+// charged against the context's budget after materialisation.
+func (ix *SortedIndex) SelectRangeCtx(ctx context.Context, lo, hi uint32) (out []uint32, err error) {
+	var q entry
+	if q.enterProbe(ctx, ix.seg.tbl, governor.ClassSelect, 0) {
+		out, err = q.fresh(ix.SelectRange(lo, hi))
 	}
-	if lo > hi {
-		return nil, nil, nil
-	}
-	loID, hiID := ix.col.dom.IDRange(lo, hi)
-	var first, last int
-	if loID < hiID {
-		first, last = ord.LowerBound(loID), ord.LowerBound(hiID)
-	}
-	rids, rawKeys = mergeRangeDelta(ix.col.dom, ix.keys, ix.rids, first, last, ix.runs, lo, hi, wantKeys)
-	return rids, rawKeys, nil
+	return out, q.leave(err)
 }
 
 // CountRange is SelectRange without materialising RIDs.
-func (ix *SortedIndex) CountRange(lo, hi uint32) (int, error) {
-	ord, ok := ix.idx.(cssidx.OrderedIndex)
-	if !ok {
-		return 0, ErrNoOrderedAccess
-	}
-	if lo > hi {
-		return 0, nil
-	}
-	n := deltaCountRange(ix.runs, lo, hi)
-	loID, hiID := ix.col.dom.IDRange(lo, hi)
-	if loID < hiID {
-		n += ord.LowerBound(hiID) - ord.LowerBound(loID)
-	}
-	return n, nil
-}
-
-// --- batched probing core ------------------------------------------------------
-
-// probeScratch holds the reusable buffers of one batched probe stream; drawn
-// from scratchPool per worker and grown to the chunk size, so concurrent
-// join spans reuse buffers without sharing them.
-type probeScratch struct {
-	ids    []int32  // domain IDs per raw value (-1 = absent from the domain)
-	probes []uint32 // compacted present IDs
-	ord    []int32  // original ordinal within the chunk per compacted probe
-	first  []int32
-	last   []int32
-}
-
-// ensure sizes the scratch for chunks of up to n values.
-func (s *probeScratch) ensure(n int) {
-	if cap(s.ids) < n {
-		s.ids = make([]int32, n)
-		s.probes = make([]uint32, 0, n)
-		s.ord = make([]int32, 0, n)
-		s.first = make([]int32, n)
-		s.last = make([]int32, n)
-	}
-}
-
-// scratchPool recycles probeScratch across batched operations and workers.
-var scratchPool = sync.Pool{New: func() any { return &probeScratch{} }}
-
-func newProbeScratch(n int) *probeScratch {
-	s := scratchPool.Get().(*probeScratch)
-	s.ensure(n)
-	return s
-}
-
-// probeEqualBatch probes the index with one chunk of raw values: the chunk is
-// translated to domain IDs in one lockstep descent of the domain tree, the
-// present IDs are compacted and answered by one batched equal-range probe
-// (lockstep again for CSS methods, scalar loop for the rest), and emit is
-// called per occurrence with the value's ordinal in the chunk and the
-// matching row's RID.  Emission order matches the scalar path: chunk
-// order, then ascending RID within a value's duplicates (base rows before
-// delta rows).
-func (ix *SortedIndex) probeEqualBatch(values []uint32, s *probeScratch, emit func(ordinal int, rid uint32)) int {
-	return probeEqualCore(ix.col.dom, values, s, ix.equalRangeBatchIDs, ix.rids, ix.runs, emit)
-}
-
-// probeEqualCore is the shared translate-compact-probe-emit driver behind
-// every join prober: the chunk is translated to domain IDs in one lockstep
-// descent, absent values are compacted away, the present IDs are answered by
-// one batched equal-range call, and emit runs per occurrence in chunk order
-// then ascending RID — base positions first, then the delta runs, whose
-// RIDs all exceed the base's.  A negative first marks an absent probe (the
-// hash-backed equal range); it contributes nothing.  Values absent from
-// the frozen domain still probe the runs: the delta may hold values the
-// dictionary has never seen.
-func probeEqualCore(dom *domain.IntDomain, values []uint32, s *probeScratch, equalRange func(probes []uint32, first, last []int32), rids []uint32, runs []idxRun, emit func(ordinal int, rid uint32)) int {
-	s.ensure(len(values))
-	ids := s.ids[:len(values)]
-	dom.IDsBatch(values, ids)
-	s.probes = s.probes[:0]
-	s.ord = s.ord[:0]
-	for i, id := range ids {
-		if id >= 0 {
-			s.probes = append(s.probes, uint32(id))
-			s.ord = append(s.ord, int32(i))
-		}
-	}
-	if len(s.probes) == 0 && len(runs) == 0 {
-		return 0
-	}
-	first := s.first[:len(s.probes)]
-	last := s.last[:len(s.probes)]
-	if len(s.probes) > 0 {
-		equalRange(s.probes, first, last)
-	}
-	count := 0
-	emitBase := func(j int, ordinal int) {
-		f, l := first[j], last[j]
-		if f < 0 {
-			return
-		}
-		count += int(l - f)
-		if emit != nil {
-			for pos := f; pos < l; pos++ {
-				emit(ordinal, rids[pos])
-			}
-		}
-	}
-	if len(runs) == 0 {
-		for j := range s.probes {
-			emitBase(j, int(s.ord[j]))
-		}
-		return count
-	}
-	j := 0
-	for i, v := range values {
-		if ids[i] >= 0 {
-			emitBase(j, i)
-			j++
-		}
-		for ri := range runs {
-			f, l := runs[ri].equalRange(v)
-			count += l - f
-			if emit != nil {
-				for k := f; k < l; k++ {
-					emit(i, runs[ri].rids[k])
-				}
-			}
-		}
-	}
-	return count
-}
-
-// selectInMerged is the delta-aware IN-list driver: per chunk one lockstep
-// domain translation and one batched equal-range for the base, then per
-// listed value the base RIDs followed by the runs' — the same value-grouped,
-// ascending-RID output selectInRIDs produces against a rebuilt index.
-func selectInMerged(dom *domain.IntDomain, rids []uint32, values []uint32, probe func(ids []uint32, first, last []int32), runs []idxRun, cp *governor.Checkpoint) ([]uint32, error) {
-	out, _, err := selectInGrouped(dom, rids, values, probe, runs, false, cp)
-	return out, err
-}
-
-// selectInGrouped is selectInMerged with group offsets: when wantGroups is
-// set, goff[i] marks where value i's rows start in out (goff has
-// len(values)+1 entries), which is what the cache's subset/superset reuse
-// and per-group append patching need.  runs may be empty — the driver then
-// degenerates to the pure-base batched probe with identical output to
-// selectInRIDs at any worker count.  cp (nil = ungoverned) is consulted
-// once per chunk and charged for the gathered rows.
-func selectInGrouped(dom *domain.IntDomain, rids []uint32, values []uint32, probe func(ids []uint32, first, last []int32), runs []idxRun, wantGroups bool, cp *governor.Checkpoint) (out, goff []uint32, err error) {
-	if len(values) == 0 {
-		if wantGroups {
-			goff = []uint32{0}
-		}
-		return nil, goff, nil
-	}
-	if wantGroups {
-		goff = make([]uint32, 0, len(values)+1)
-	}
-	batch := cssidx.DefaultBatchSize
-	if batch > len(values) {
-		batch = len(values)
-	}
-	ids := make([]int32, batch)
-	probes := make([]uint32, 0, batch)
-	first := make([]int32, batch)
-	last := make([]int32, batch)
-	for base := 0; base < len(values); base += batch {
-		end := base + batch
-		if end > len(values) {
-			end = len(values)
-		}
-		prevRows := len(out)
-		chunk := values[base:end]
-		dom.IDsBatch(chunk, ids[:len(chunk)])
-		probes = probes[:0]
-		for _, id := range ids[:len(chunk)] {
-			if id >= 0 {
-				probes = append(probes, uint32(id))
-			}
-		}
-		if len(probes) > 0 {
-			probe(probes, first[:len(probes)], last[:len(probes)])
-		}
-		j := 0
-		for i, v := range chunk {
-			if wantGroups {
-				goff = append(goff, uint32(len(out)))
-			}
-			if ids[i] >= 0 {
-				if f, l := first[j], last[j]; f >= 0 && f < l {
-					out = append(out, rids[f:l]...)
-				}
-				j++
-			}
-			out = deltaEqualAppend(runs, v, out)
-		}
-		cp.Charge(4 * int64(len(out)-prevRows))
-		if err := cp.TickN(len(chunk)); err != nil {
-			return nil, nil, err
-		}
-	}
-	if wantGroups {
-		goff = append(goff, uint32(len(out)))
-	}
-	return out, goff, cp.Flush()
-}
-
-// equalRangeBatchIDs answers the equal range of every domain-ID probe:
-// batched through the ordered surface when the method has one, or — for hash
-// — batched leftmost-hit searches extended across each hit's duplicate run
-// in the sorted key array (§3.6).
-func (ix *SortedIndex) equalRangeBatchIDs(probes []uint32, first, last []int32) {
-	if ix.bord != nil {
-		ix.bord.EqualRangeBatch(probes, first, last)
-		return
-	}
-	ix.batch.SearchBatch(probes, first)
-	n := int32(len(ix.keys))
-	for j, f := range first {
-		e := f
-		if f >= 0 {
-			e++
-			for e < n && ix.keys[e] == probes[j] {
-				e++
-			}
-		}
-		last[j] = e
-	}
-}
-
-// forEachEqualRange drives the shared IN-list flow: values (pre-deduplicated)
-// are translated to domain IDs in chunks of cssidx.DefaultBatchSize with one
-// lockstep descent each, absent values are compacted away, present IDs are
-// answered by one batched equal-range probe, and emit is called per value
-// with its half-open position range.  cp (nil = ungoverned) is consulted
-// once per chunk; on abort the error surfaces mid-stream and emitted values
-// so far stand.
-func forEachEqualRange(dom *domain.IntDomain, values []uint32, probe func(ids []uint32, first, last []int32), cp *governor.Checkpoint, emit func(first, last int32)) error {
-	if len(values) == 0 {
-		return nil
-	}
-	batch := cssidx.DefaultBatchSize
-	if batch > len(values) {
-		batch = len(values)
-	}
-	ids := make([]int32, batch)
-	probes := make([]uint32, 0, batch)
-	first := make([]int32, batch)
-	last := make([]int32, batch)
-	for base := 0; base < len(values); base += batch {
-		end := base + batch
-		if end > len(values) {
-			end = len(values)
-		}
-		chunk := values[base:end]
-		if err := cp.TickN(len(chunk)); err != nil {
-			return err
-		}
-		dom.IDsBatch(chunk, ids[:len(chunk)])
-		probes = probes[:0]
-		for _, id := range ids[:len(chunk)] {
-			if id >= 0 {
-				probes = append(probes, uint32(id))
-			}
-		}
-		if len(probes) == 0 {
-			continue
-		}
-		probe(probes, first[:len(probes)], last[:len(probes)])
-		for j := range probes {
-			emit(first[j], last[j])
-		}
-	}
-	return nil
-}
+func (ix *SortedIndex) CountRange(lo, hi uint32) (int, error) { return ix.seg.countRange(lo, hi) }
 
 // --- joins -------------------------------------------------------------------
 
@@ -737,46 +318,18 @@ func forEachEqualRange(dom *domain.IntDomain, values []uint32, probe func(ids []
 // against one consistent epoch — while concurrent AppendRows publish new
 // ones.
 type JoinIndex interface {
-	// joinFreeze captures the prober state the whole join runs against.
-	joinFreeze() joinProber
-}
-
-// joinProber answers equality probes for join chunks against one frozen
-// index state.  Implementations must be safe for concurrent probeEqual
-// calls with distinct scratches.
-type joinProber interface {
-	// probeEqual probes one chunk of raw outer values and calls emit per
-	// matching occurrence with the value's ordinal in the chunk and the
-	// matching row's RID; it returns the number of occurrences.  Emission
-	// order: chunk order, ascending RID within a value's duplicates (base
-	// rows before delta rows).
-	probeEqual(values []uint32, s *probeScratch, emit func(ordinal int, rid uint32)) int
-	// cacheTag identifies the frozen inner state for result caching: a
-	// fingerprint of the inner index identity and the single-counter
-	// version (table state version or frozen epoch) this prober serves.
-	// ok=false opts the join out of caching.
-	cacheTag() (hash uint64, version uint64, ok bool)
+	// joinFreeze captures the segment the whole join probes, and the
+	// single-counter version (table state version or frozen epoch uid) the
+	// join's cached pair set is stamped with.
+	joinFreeze() (seg *segment, version uint64)
 }
 
 // joinFreeze: a SortedIndex has no concurrent rebuilds to freeze against
 // (Table.AppendRows rebuilds it in place, which was never safe to race);
-// the index itself is the frozen state.
-func (ix *SortedIndex) joinFreeze() joinProber { return ix }
-
-func (ix *SortedIndex) probeEqual(values []uint32, s *probeScratch, emit func(ordinal int, rid uint32)) int {
-	return ix.probeEqualBatch(values, s, emit)
-}
-
-// cacheTag: a SortedIndex inner is identified by its table and column and
-// versioned by the table state version (AppendRows moves it in place,
-// whether the batch folds or is absorbed).
-func (ix *SortedIndex) cacheTag() (uint64, uint64, bool) {
-	if ix.owner == nil {
-		return 0, 0, false
-	}
-	h := qcache.HashString(qcache.HashString(qcache.HashSeed, ix.owner.name), ix.col.name)
-	h = qcache.HashU32(h, uint32(qcache.LayerTable))
-	return h, ix.owner.stateVer.Load(), true
+// its segment is the frozen state, versioned by the table state version
+// (AppendRows moves it whether the batch folds or is absorbed).
+func (ix *SortedIndex) joinFreeze() (*segment, uint64) {
+	return &ix.seg, ix.seg.tbl.stateVer.Load()
 }
 
 // JoinOptions configures JoinWith.
@@ -831,49 +384,30 @@ func JoinBatch(outer *Table, outerCol string, inner JoinIndex, batchSize int, em
 // buffers the pairs even on the otherwise-streaming sequential path —
 // disable the cache when streaming emission matters more than reuse.
 func JoinWith(outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32)) (int, error) {
-	start := telemetry.Now()
-	n, err := joinWith(nil, outer, outerCol, inner, opts, emit, nil)
-	histJoinNs.Since(start)
-	return n, err
+	return JoinWithCtx(context.Background(), outer, outerCol, inner, opts, emit, nil)
 }
 
-// JoinWithTraced is JoinWith recording an EXPLAIN ANALYZE trace under tr's
-// root span: cache outcome, worker fan-out, probe batch size and pair
-// count.  tr may be nil.
-func JoinWithTraced(outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32), tr *telemetry.Trace) (int, error) {
-	start := telemetry.Now()
-	n, err := joinWith(nil, outer, outerCol, inner, opts, emit, tr.Root())
-	histJoinNs.Since(start)
-	tr.Finish()
-	return n, err
-}
-
-// JoinWithCtx is JoinWith under governance: probe workers observe ctx's
+// JoinWithCtx is JoinWith under governance, recording an EXPLAIN ANALYZE
+// trace under tr's root span (tr may be nil): cache outcome, worker fan-out,
+// probe batch size and pair count.  Probe workers observe ctx's
 // cancellation/deadline at chunk boundaries, staged pairs are charged
 // against the context's budget, and on an attached admission controller
 // the join enters as ClassSelect after a cache miss.  A cancelled join
-// never fills the pair cache.  tr may be nil.
-func JoinWithCtx(ctx context.Context, outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32), tr *telemetry.Trace) (int, error) {
-	start := telemetry.Now()
-	ctl := governor.For(ctx)
-	if err := ctl.Err(); err != nil {
-		return 0, abortEntry(tr, err)
+// never fills the pair cache.
+func JoinWithCtx(ctx context.Context, outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32), tr *telemetry.Trace) (n int, err error) {
+	var q entry
+	if q.enter(ctx, tr, histJoinNs) {
+		n, err = joinWith(q.env, outer, outerCol, inner, opts, emit)
 	}
-	n, err := joinWith(ctl, outer, outerCol, inner, opts, emit, tr.Root())
-	histJoinNs.Since(start)
-	tr.Finish()
-	if err != nil {
-		governor.NoteAbort(err)
-	}
-	return n, err
+	return n, q.leave(err)
 }
 
-func joinWith(ctl *governor.Ctl, outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32), sp *telemetry.Span) (int, error) {
+func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32)) (int, error) {
 	col, ok := outer.cols[outerCol]
 	if !ok {
 		return 0, fmt.Errorf("mmdb: no column %s in table %s", outerCol, outer.name)
 	}
-	sp.Attr("outer", outer.name).Attr("outer_col", outerCol)
+	e.sp.Attr("outer", outer.name).Attr("outer_col", outerCol)
 	batchSize := opts.BatchSize
 	if batchSize <= 0 {
 		batchSize = cssidx.DefaultBatchSize
@@ -881,140 +415,99 @@ func joinWith(ctl *governor.Ctl, outer *Table, outerCol string, inner JoinIndex,
 	if batchSize > len(col.raw) && len(col.raw) > 0 {
 		batchSize = len(col.raw)
 	}
-	p := inner.joinFreeze()
+	seg, version := inner.joinFreeze()
 
+	// The pair set is fingerprinted by (outer table+column, inner segment
+	// identity) and stamped with (outer state version, inner version).
 	qc := outer.Cache()
 	var jkey qcache.Key
 	var jtok qcache.Token
-	cacheable := false
 	if qc.Enabled() {
-		if h, version, ok := p.cacheTag(); ok {
-			cs := sp.Child("cache")
-			jkey = qcache.Key{Table: outer.name, Col: outerCol, Kind: qcache.KindJoin, Hash: h}
-			jtok = qcache.Token{Gen: outer.stateVer.Load(), Epoch: version}
-			if emit == nil {
-				if n, ok := qc.LookupPairCount(jkey, jtok); ok {
-					cs.Attr("outcome", "hit").AttrInt("pairs", n)
-					cs.End()
-					return n, nil
-				}
-			} else if a, b, ok := qc.LookupPair(jkey, jtok); ok {
-				for i := range a {
-					emit(a[i], b[i])
-				}
-				cs.Attr("outcome", "hit").AttrInt("pairs", len(a))
-				cs.End()
-				return len(a), nil
+		cs := e.sp.Child("cache")
+		jkey = qcache.Key{Table: outer.name, Col: outerCol, Kind: qcache.KindJoin, Hash: seg.innerTag()}
+		jtok = qcache.Token{Gen: outer.stateVer.Load(), Epoch: version}
+		if emit == nil {
+			if n, ok := qc.LookupPairCount(jkey, jtok); ok {
+				cs.Attr("outcome", "hit").AttrInt("pairs", n).End()
+				return n, nil
 			}
-			cs.Attr("outcome", "miss")
-			cs.End()
-			cacheable = emit != nil
+		} else if a, b, ok := qc.LookupPair(jkey, jtok); ok {
+			for i := range a {
+				emit(a[i], b[i])
+			}
+			cs.Attr("outcome", "hit").AttrInt("pairs", len(a)).End()
+			return len(a), nil
 		}
+		cs.Attr("outcome", "miss").End()
 	}
-	release, aerr := outer.admit(ctl, governor.ClassSelect, 4*int64(len(col.raw)))
-	if aerr != nil {
-		sp.Attr("aborted", aerr.Error())
-		return 0, aerr
+	cacheable := qc.Enabled() && emit != nil
+	st, err := outer.compute(e, governor.ClassSelect, 4*int64(len(col.raw)))
+	if err != nil {
+		return 0, err
 	}
-	defer release()
-	ex := sp.Child("execute")
-	start := time.Now()
+	defer st.release()
 	nRows := len(col.raw)
 	par := parallel.Options{Workers: opts.Parallel.Workers, MinBatchPerWorker: opts.Parallel.MinBatchPerWorker}
 	w := par.WorkersFor(nRows)
-	ex.Attr("path", "indexed-nested-loop").AttrInt("outer_rows", nRows).AttrInt("batch", batchSize).AttrInt("workers", w)
+	st.ex.Attr("path", "indexed-nested-loop").AttrInt("outer_rows", nRows).AttrInt("batch", batchSize).AttrInt("workers", w)
 
 	// joinSpan probes rows [lo, hi) in chunks, emitting through spanEmit;
 	// a governed join pays one checkpoint consult per chunk and charges
 	// the budget 8 bytes per staged pair.
-	joinSpan := func(lo, hi int, cp *governor.Checkpoint, spanEmit func(outerRID, innerRID uint32)) (int, error) {
-		s := newProbeScratch(batchSize)
-		defer scratchPool.Put(s)
+	joinSpan := func(lo, hi int, spanEmit func(outerRID, innerRID uint32)) (int, error) {
+		sc := newProbeScratch(batchSize)
+		defer scratchPool.Put(sc)
+		cp := e.ctl.Checkpoint()
 		count := 0
 		for base := lo; base < hi; base += batchSize {
-			end := base + batchSize
-			if end > hi {
-				end = hi
-			}
-			chunkBase := base
+			end := min(base+batchSize, hi)
 			var chunkEmit func(ordinal int, rid uint32)
 			if spanEmit != nil {
-				chunkEmit = func(ordinal int, rid uint32) {
-					spanEmit(uint32(chunkBase+ordinal), rid)
-				}
+				chunkEmit = func(ordinal int, rid uint32) { spanEmit(uint32(base+ordinal), rid) }
 			}
-			n := p.probeEqual(col.raw[base:end], s, chunkEmit)
+			n := seg.probeEqual(col.raw[base:end], sc, chunkEmit)
 			count += n
 			cp.Charge(8 * int64(n))
 			if err := cp.TickN(end - base); err != nil {
 				return count, err
 			}
 		}
-		if err := cp.Flush(); err != nil {
-			return count, err
-		}
-		return count, nil
+		return count, cp.Flush()
 	}
 
+	// The sequential uncached join streams: emit runs as pairs are found.
+	// Every other shape stages each span's pairs and replays them in span
+	// order, so the emission order is identical at every worker count.
 	type pair struct{ outer, inner uint32 }
 	var bufs [][]pair
+	if emit != nil && (w > 1 || cacheable) {
+		bufs = make([][]pair, w)
+	}
+	sink := func(t int) func(outerRID, innerRID uint32) {
+		if bufs == nil {
+			return emit // streaming (w == 1), or count-only (nil)
+		}
+		return func(o, i uint32) { bufs[t] = append(bufs[t], pair{o, i}) }
+	}
 	count := 0
-	switch {
-	case w <= 1 && !cacheable:
-		n, err := joinSpan(0, nRows, ctl.Checkpoint(), emit)
-		if err != nil {
-			ex.Attr("aborted", err.Error())
-			ex.End()
-			return 0, err
-		}
-		ex.AttrInt("pairs", n)
-		ex.End()
-		return n, nil
-	case w <= 1:
-		var err error
-		bufs = make([][]pair, 1)
-		count, err = joinSpan(0, nRows, ctl.Checkpoint(), func(o, i uint32) { bufs[0] = append(bufs[0], pair{o, i}) })
-		if err != nil {
-			ex.Attr("aborted", err.Error())
-			ex.End()
-			return 0, err
-		}
-	default:
+	if w <= 1 {
+		count, err = joinSpan(0, nRows, sink(0))
+	} else {
 		counts := make([]int, w)
-		errs := make([]error, w)
-		if emit != nil || cacheable {
-			bufs = make([][]pair, w)
-		}
-		body := func(t int) {
+		err = fanOut(e.ctl, w, nRows, par, func(t int) (err error) {
 			lo, hi := parallel.Span(nRows, w, t)
-			var spanEmit func(outerRID, innerRID uint32)
-			if bufs != nil {
-				spanEmit = func(o, i uint32) { bufs[t] = append(bufs[t], pair{o, i}) }
-			}
-			counts[t], errs[t] = joinSpan(lo, hi, ctl.Checkpoint(), spanEmit)
-		}
-		var err error
-		if ctl == nil {
-			parallel.Do(w, nRows, par, body)
-		} else {
-			err = parallel.DoCtx(ctl.Context(), w, nRows, par, body)
-		}
-		for _, e := range errs {
-			if err == nil && e != nil {
-				err = e
-			}
-		}
-		if err != nil {
-			ex.Attr("aborted", err.Error())
-			ex.End()
-			return 0, err
-		}
+			counts[t], err = joinSpan(lo, hi, sink(t))
+			return err
+		})
 		for _, c := range counts {
 			count += c
 		}
 	}
-	ex.AttrInt("pairs", count)
-	ex.End()
+	if err != nil {
+		return 0, st.abort(err)
+	}
+	st.ex.AttrInt("pairs", count)
+	st.ex.End()
 	// A pair set admission would reject anyway (oversized for the cache)
 	// is not worth staging a second copy of.
 	if cacheable && qcache.EntryBytesForPairs(count) > qc.MaxEntryBytes() {
@@ -1037,8 +530,8 @@ func joinWith(ctl *governor.Ctl, outer *Table, outerCol string, inner JoinIndex,
 		}
 	}
 	if cacheable {
-		ad := sp.Child("admit")
-		qc.InsertPair(jkey, jtok, cacheOuter, cacheInner, joinRecomputeCost(time.Since(start), nRows, count))
+		ad := e.sp.Child("admit")
+		qc.InsertPair(jkey, jtok, cacheOuter, cacheInner, joinRecomputeCost(time.Since(st.start), nRows, count))
 		ad.End()
 	}
 	return count, nil

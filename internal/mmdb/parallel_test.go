@@ -1,6 +1,7 @@
 package mmdb
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -218,18 +219,83 @@ func TestSelectInParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("rid %d: sharded %d, sorted %d", i, got[i], want[i])
 		}
 	}
-	// And the internal driver at forced worker counts.
-	deduped := dedupeValues(values)
-	seq, _ := selectInRIDs(ix.col.dom, ix.rids, deduped, ix.equalRangeBatchIDs, parallelForce(1), nil)
-	for _, w := range []int{2, 4, 7} {
-		par, _ := selectInRIDs(ix.col.dom, ix.rids, deduped, ix.equalRangeBatchIDs, parallelForce(w), nil)
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d rids, want %d", w, len(par), len(seq))
+}
+
+// TestInDriverMatchesRebuiltOracle pins the one IN driver (segment.selectIn)
+// to what the three drivers it replaced produced: for every listed value in
+// list order, the RIDs of the rows holding it, ascending — which is what an
+// index rebuilt over all rows returns — on an ordered SortedIndex, a hash
+// SortedIndex and a sharded epoch, with and without delta runs, at one
+// worker and at four, with and without group offsets.
+func TestInDriverMatchesRebuiltOracle(t *testing.T) {
+	g := workload.New(45)
+	base := g.SortedWithDuplicates(6000, 3)
+	vals := g.Shuffled(base)
+	tbl := NewTable("t")
+	tbl.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 20})
+	for _, c := range []string{"o", "h", "s"} {
+		if err := tbl.AddColumn(c, vals); err != nil {
+			t.Fatal(err)
 		}
-		for i := range seq {
-			if par[i] != seq[i] {
-				t.Fatalf("workers=%d rid %d: %d want %d", w, i, par[i], seq[i])
+	}
+	ord, err := tbl.BuildIndex("o", cssidx.KindLevelCSS, cssidx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := tbl.BuildIndex("h", cssidx.KindHash, cssidx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := tbl.BuildShardedIndex("s", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	all := vals
+	list := dedupeValues(append(g.Lookups(base, 2500), g.Misses(base, 700)...)) // several chunks, some absent
+
+	check := func(tag string) {
+		t.Helper()
+		rowsOf := map[uint32][]uint32{}
+		for rid, v := range all {
+			rowsOf[v] = append(rowsOf[v], uint32(rid))
+		}
+		var want, wantOff []uint32
+		for _, v := range list {
+			wantOff = append(wantOff, uint32(len(want)))
+			want = append(want, rowsOf[v]...)
+		}
+		wantOff = append(wantOff, uint32(len(want)))
+		segs := map[string]*segment{"ordered": &ord.seg, "hash": &hash.seg, "sharded": &sh.cur.Load().segment}
+		for name, seg := range segs {
+			for _, w := range []int{1, 4} {
+				for _, groups := range []bool{false, true} {
+					what := fmt.Sprintf("%s %s workers=%d groups=%v", tag, name, w, groups)
+					got, goff, err := seg.selectIn(nil, list, groups, parallelForce(w))
+					if err != nil {
+						t.Fatal(err)
+					}
+					mustEqualU32(t, what+" rows", got, want)
+					if groups {
+						mustEqualU32(t, what+" offsets", goff, wantOff)
+					} else if goff != nil {
+						t.Fatalf("%s: offsets returned unasked", what)
+					}
+				}
 			}
 		}
 	}
+	check("base")
+	for round := 0; round < 3; round++ {
+		batch := append(g.Lookups(base, 150), g.Misses(base, 50)...)
+		all = append(all, batch...)
+		if err := tbl.AppendRows(map[string][]uint32{"o": batch, "h": batch, "s": batch}); err != nil {
+			t.Fatal(err)
+		}
+		list = dedupeValues(append(list, batch[:40]...)) // values only the runs hold
+	}
+	if len(ord.seg.runs) == 0 || tbl.DeltaRows() != 600 {
+		t.Fatalf("appends did not absorb: %d runs, %d delta rows", len(ord.seg.runs), tbl.DeltaRows())
+	}
+	check("runs")
 }

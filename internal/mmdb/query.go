@@ -1,5 +1,29 @@
 package mmdb
 
+// The query layer, in three steps.
+//
+//  1. A segment (segment.go) is the frozen read view every index probe runs
+//     against: a SortedIndex's, or one published epoch of a ShardedIndex.
+//  2. A cached path answers one query shape over a segment and a cache
+//     token: selectRange and selectIn below are each written once — the table
+//     layer passes its (generation, delta-sequence) token, the sharded index
+//     its epoch uid — and follow one protocol: exact or containment lookup,
+//     the reuse paths (range stitch, IN subset replay and superset fill),
+//     then on a miss admission, execute, charge, insert.  Scans, WHERE
+//     conjunctions, aggregates and joins run the same stages through the same
+//     helpers (reuseRange, compute, stage.abort, env.fresh).
+//  3. One entry: every public surface is its *Ctx form, and the plain form is
+//     the *Ctx form with a background context and no trace.  enter builds the
+//     env — the governance handle and the trace span, both nil on the plain
+//     path — and leave settles the histogram, the trace and the abort
+//     counters.
+//
+// On top of the storage this adds grouped aggregation over domain IDs (the
+// classic dictionary-encoded OLAP aggregate) and access-path selection
+// between an index probe and a sequential scan — the §2.2 observation that
+// indexes "reduce overall computation time" only when selective, echoing the
+// access-path selection of [SAC+79].
+
 import (
 	"context"
 	"fmt"
@@ -13,23 +37,126 @@ import (
 	"cssidx/internal/telemetry"
 )
 
-// abortEntry finalizes a query that died before execution started (the
-// entry governance check failed): the abort is classified into the
-// governor_* counters and the would-be trace root carries the annotation,
-// so even a zero-work EXPLAIN ANALYZE says why it stopped.
-func abortEntry(tr *telemetry.Trace, err error) error {
-	governor.NoteAbort(err)
-	tr.Root().Attr("aborted", err.Error())
-	tr.Finish()
+// env is what a query threads through execution: the governance handle
+// (cancellation, deadline, byte budget) and the EXPLAIN ANALYZE span to
+// record under.  Both are nil on the plain path and every method on either
+// is nil-safe, so env is passed by value and costs two pointer tests.
+type env struct {
+	ctl *governor.Ctl
+	sp  *telemetry.Span
+}
+
+// entry brackets one public query: the env, plus what leave settles.
+type entry struct {
+	env
+	tr      *telemetry.Trace
+	hist    *telemetry.Histogram
+	start   time.Time
+	dead    error  // the entry check's verdict: the query must not run
+	release func() // admission grant taken at entry (enterProbe), or nil
+}
+
+// enter opens a public query surface (govern.go rule 1): the handle is built
+// once and checked before any shared state is touched, so an already-dead
+// context costs nothing and serves nothing.  It reports whether the query may
+// run; either way the caller returns through leave.  hist (nil = none) is the
+// surface's latency histogram; tr may be nil.  (A method on a caller-declared
+// entry, not a constructor: the bracket is on the 3 µs cache-hit path, and
+// copying the struct out and back in cost more than everything it does.)
+func (q *entry) enter(ctx context.Context, tr *telemetry.Trace, hist *telemetry.Histogram) bool {
+	q.env = env{governor.For(ctx), tr.Root()}
+	q.tr, q.hist, q.start = tr, hist, telemetry.Now()
+	if q.ctl != nil {
+		q.dead = q.ctl.Err()
+	}
+	return q.dead == nil
+}
+
+// enterProbe opens a governed probe on an index's own uncached surface,
+// which has no cache stage to miss first: enter, then admission, held until
+// leave.
+func (q *entry) enterProbe(ctx context.Context, t *Table, class governor.Class, estBytes int64) bool {
+	if q.enter(ctx, nil, nil) {
+		q.release, q.dead = t.admit(q.ctl, class, estBytes)
+	}
+	return q.dead == nil
+}
+
+// leave closes the surface and returns the query's error: a query refused at
+// entry says why on the would-be trace root, so even a zero-work EXPLAIN
+// ANALYZE explains itself; one that ran has its latency observed.  The trace
+// is finished and a governed abort is classified into the governor_*
+// counters exactly once.
+func (q *entry) leave(err error) error {
+	if q.dead != nil {
+		err = q.dead
+		q.sp.Attr("aborted", err.Error())
+	} else if q.hist != nil {
+		q.hist.Since(q.start)
+	}
+	if q.release != nil {
+		q.release()
+	}
+	q.tr.Finish()
+	if err != nil {
+		governor.NoteAbort(err)
+	}
 	return err
 }
 
-// This file adds the decision-support query layer on top of the storage:
-// grouped aggregation over domain IDs (the classic dictionary-encoded OLAP
-// aggregate) and access-path selection between an index probe and a
-// sequential scan — the §2.2 observation that indexes "reduce overall
-// computation time" only when selective, echoing the access-path selection
-// of [SAC+79].
+// fresh passes on a result materialised in one piece in this package — a
+// stitched range, a replayed subset, a filled superset, an uncached index
+// probe: a new slice of any size, charged against the caller's byte budget
+// exactly once, exactly like a computed one.  Exact and containment hits are
+// not charged: qcache copies them out under its own stripe lock before this
+// layer sees them, and serving cached answers to a constrained query is the
+// degradation order governance promises (govern.go rule 2).
+func (e env) fresh(rids []uint32, err error) ([]uint32, error) {
+	if err == nil {
+		err = e.ctl.Charge(4 * int64(len(rids)))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rids, nil
+}
+
+// explainPlan records the planner's choice and counts the committed path.
+func (e env) explainPlan(p Plan) {
+	ps := e.sp.Child("plan")
+	ps.AttrBool("use_index", p.UseIndex).AttrInt("est_rows", p.EstRows).Attr("why", p.Why)
+	ps.End()
+	notePlan(p)
+}
+
+// stage is the compute stage of a query the cache could not answer: the
+// admission grant held, the "execute" span open, the clock recomputeCost
+// reads running.
+type stage struct {
+	ex      *telemetry.Span
+	start   time.Time
+	release func()
+}
+
+// compute opens the compute stage (govern.go rule 2: admission after the
+// cache missed, released when the compute finishes or aborts — defer
+// st.release()).  A refused admission is annotated on the query's span.
+func (t *Table) compute(e env, class governor.Class, estBytes int64) (stage, error) {
+	release, err := t.admit(e.ctl, class, estBytes)
+	if err != nil {
+		e.sp.Attr("aborted", err.Error())
+		return stage{}, err
+	}
+	return stage{e.sp.Child("execute"), time.Now(), release}, nil
+}
+
+// abort annotates the execute span where execution stopped (rule 4: before
+// the cache admit stage, so an aborted query never inserts).
+func (st stage) abort(err error) error {
+	st.ex.Attr("aborted", err.Error())
+	st.ex.End()
+	return err
+}
 
 // GroupRow is one group of an aggregation: the group's raw value and the
 // COUNT/SUM/MIN/MAX aggregates of the measure column within it.  It aliases
@@ -51,42 +178,23 @@ type GroupRow = qcache.AggRow
 // batch's (group, measure) pairs into the cached rows; explicit-RID
 // aggregates are retokened when the append cannot touch them.
 func GroupAggregate(t *Table, groupCol, measureCol string, rids []uint32) ([]GroupRow, error) {
-	start := telemetry.Now()
-	rows, err := groupAggregate(t, groupCol, measureCol, rids, nil, nil)
-	histAggNs.Since(start)
-	return rows, err
+	return GroupAggregateCtx(context.Background(), t, groupCol, measureCol, rids, nil)
 }
 
-// GroupAggregateTraced is GroupAggregate recording an EXPLAIN ANALYZE
-// trace under tr's root span.  tr may be nil.
-func GroupAggregateTraced(t *Table, groupCol, measureCol string, rids []uint32, tr *telemetry.Trace) ([]GroupRow, error) {
-	start := telemetry.Now()
-	rows, err := groupAggregate(t, groupCol, measureCol, rids, nil, tr.Root())
-	histAggNs.Since(start)
-	tr.Finish()
-	return rows, err
-}
-
-// GroupAggregateCtx is GroupAggregate under governance: cancellation,
-// deadline and budget are observed per accumulated row (stride-amortized),
-// and on an attached admission controller a cache-missing aggregate enters
-// as ClassAggregate — the first class shed under overload.  tr may be nil.
-func GroupAggregateCtx(ctx context.Context, t *Table, groupCol, measureCol string, rids []uint32, tr *telemetry.Trace) ([]GroupRow, error) {
-	start := telemetry.Now()
-	ctl := governor.For(ctx)
-	if err := ctl.Err(); err != nil {
-		return nil, abortEntry(tr, err)
+// GroupAggregateCtx is GroupAggregate under governance, recording an EXPLAIN
+// ANALYZE trace under tr's root span (tr may be nil): cancellation, deadline
+// and budget are observed per accumulated row (stride-amortized), and on an
+// attached admission controller a cache-missing aggregate enters as
+// ClassAggregate — the first class shed under overload.
+func GroupAggregateCtx(ctx context.Context, t *Table, groupCol, measureCol string, rids []uint32, tr *telemetry.Trace) (rows []GroupRow, err error) {
+	var q entry
+	if q.enter(ctx, tr, histAggNs) {
+		rows, err = groupAggregate(t, groupCol, measureCol, rids, q.env)
 	}
-	rows, err := groupAggregate(t, groupCol, measureCol, rids, ctl, tr.Root())
-	histAggNs.Since(start)
-	tr.Finish()
-	if err != nil {
-		governor.NoteAbort(err)
-	}
-	return rows, err
+	return rows, q.leave(err)
 }
 
-func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, ctl *governor.Ctl, sp *telemetry.Span) ([]GroupRow, error) {
+func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env) ([]GroupRow, error) {
 	gc, ok := t.cols[groupCol]
 	if !ok {
 		return nil, fmt.Errorf("mmdb: no column %s in table %s", groupCol, t.name)
@@ -95,52 +203,44 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, ctl *g
 	if !ok {
 		return nil, fmt.Errorf("mmdb: no column %s in table %s", measureCol, t.name)
 	}
-	sp.Attr("table", t.name).Attr("group_col", groupCol).Attr("measure_col", measureCol)
+	e.sp.Attr("table", t.name).Attr("group_col", groupCol).Attr("measure_col", measureCol)
 	if rids == nil {
-		sp.AttrInt("source_rows", t.rows).AttrBool("all_rows", true)
+		e.sp.AttrInt("source_rows", t.rows).AttrBool("all_rows", true)
 	} else {
-		sp.AttrInt("source_rows", len(rids))
+		e.sp.AttrInt("source_rows", len(rids))
 	}
 	qc, tok := t.Cache(), t.token()
 	var akey qcache.Key
-	var cs *telemetry.Span
 	if qc.Enabled() {
-		cs = sp.Child("cache")
+		cs := e.sp.Child("cache")
 		akey = aggFP(t.name, groupCol, measureCol, rids)
 		if rows, ok := qc.LookupAgg(akey, tok); ok {
-			cs.Attr("outcome", "hit").AttrInt("groups", len(rows))
-			cs.End()
+			cs.Attr("outcome", "hit").AttrInt("groups", len(rows)).End()
 			return rows, nil
 		}
-		cs.Attr("outcome", "miss")
-		cs.End()
+		cs.Attr("outcome", "miss").End()
 	}
 	nGroups := gc.dom.Len()
 	// Aggregates shed first: a cache-missing aggregate is the most
 	// expensive work class, so under overload admission refuses it
 	// outright rather than queueing it.
-	release, aerr := t.admit(ctl, governor.ClassAggregate, 24*int64(nGroups))
-	if aerr != nil {
-		sp.Attr("aborted", aerr.Error())
-		return nil, aerr
+	st, err := t.compute(e, governor.ClassAggregate, 24*int64(nGroups))
+	if err != nil {
+		return nil, err
 	}
-	defer release()
-	ex := sp.Child("execute")
-	start := time.Now()
+	defer st.release()
 	// The accumulator arrays are the aggregate's dominant allocation:
 	// charge them up front so an over-budget aggregate dies before the
 	// scan, not after it.
-	if err := ctl.Charge(24 * int64(nGroups)); err != nil {
-		ex.Attr("aborted", err.Error())
-		ex.End()
-		return nil, err
+	if err := e.ctl.Charge(24 * int64(nGroups)); err != nil {
+		return nil, st.abort(err)
 	}
 	counts := make([]int64, nGroups)
 	sums := make([]uint64, nGroups)
 	mins := make([]uint32, nGroups)
 	maxs := make([]uint32, nGroups)
 	var delta map[uint32]*GroupRow
-	cp := ctl.Checkpoint()
+	cp := e.ctl.Checkpoint()
 
 	accumulate := func(row int) {
 		v := mc.raw[row]
@@ -182,27 +282,21 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, ctl *g
 	if rids == nil {
 		for row := 0; row < t.rows; row++ {
 			if err := cp.Tick(); err != nil {
-				ex.Attr("aborted", err.Error())
-				ex.End()
-				return nil, err
+				return nil, st.abort(err)
 			}
 			accumulate(row)
 		}
 	} else {
 		for _, r := range rids {
 			if err := cp.Tick(); err != nil {
-				ex.Attr("aborted", err.Error())
-				ex.End()
-				return nil, err
+				return nil, st.abort(err)
 			}
 			accumulate(int(r))
 		}
 	}
 	cp.Charge(48 * int64(len(delta)))
 	if err := cp.Flush(); err != nil {
-		ex.Attr("aborted", err.Error())
-		ex.End()
-		return nil, err
+		return nil, st.abort(err)
 	}
 
 	out := make([]GroupRow, 0, nGroups+len(delta))
@@ -237,16 +331,16 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, ctl *g
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	}
-	ex.Attr("path", "domain-array").AttrInt("groups", len(out)).AttrInt("delta_rows", t.rows-t.baseRows)
-	ex.End()
+	st.ex.Attr("path", "domain-array").AttrInt("groups", len(out)).AttrInt("delta_rows", t.rows-t.baseRows)
+	st.ex.End()
 	if qc.Enabled() {
-		ad := sp.Child("admit")
+		ad := e.sp.Child("admit")
 		src := len(rids)
 		if rids == nil {
 			src = t.rows
 		}
 		qc.InsertAgg(akey, tok, measureCol, rids == nil, out,
-			aggRecomputeCost(time.Since(start), src, len(out)))
+			aggRecomputeCost(time.Since(st.start), src, len(out)))
 		ad.End()
 	}
 	return out, nil
@@ -327,66 +421,43 @@ func (t *Table) planRangeIDs(col string, c *Column, loID, hiID uint32) Plan {
 // sliced — and the computed result is admitted after, stamped with the
 // table generation.
 func (t *Table) SelectRange(col string, lo, hi uint32) ([]uint32, Plan, error) {
-	start := telemetry.Now()
-	rids, plan, err := t.selectRange(nil, col, lo, hi, nil)
-	histRangeNs.Since(start)
-	return rids, plan, err
+	return t.SelectRangeCtx(context.Background(), col, lo, hi, nil)
 }
 
-// SelectRangeTraced is SelectRange recording an EXPLAIN ANALYZE trace
-// under tr's root span: plan choice, cache outcome, access path, shards
-// touched, delta runs and per-stage timings.  tr may be nil.
-func (t *Table) SelectRangeTraced(col string, lo, hi uint32, tr *telemetry.Trace) ([]uint32, Plan, error) {
-	start := telemetry.Now()
-	rids, plan, err := t.selectRange(nil, col, lo, hi, tr.Root())
-	histRangeNs.Since(start)
-	tr.Finish()
-	return rids, plan, err
-}
-
-// SelectRangeCtx is SelectRange under governance: ctx's cancellation,
-// deadline and byte budget (governor.WithBudget) are observed at stride
-// boundaries inside scans and merges, and on an attached admission
-// controller a cache-missing range enters as ClassSelect.  A cancelled
-// query never fills the result cache; with tr attached the partial
-// EXPLAIN ANALYZE tree is annotated where execution stopped.  tr may be
-// nil.
-func (t *Table) SelectRangeCtx(ctx context.Context, col string, lo, hi uint32, tr *telemetry.Trace) ([]uint32, Plan, error) {
-	start := telemetry.Now()
-	ctl := governor.For(ctx)
-	if err := ctl.Err(); err != nil {
-		return nil, Plan{}, abortEntry(tr, err)
+// SelectRangeCtx is SelectRange under governance, recording an EXPLAIN
+// ANALYZE trace under tr's root span (tr may be nil): plan choice, cache
+// outcome, access path, shards touched, delta runs and per-stage timings.
+// ctx's cancellation, deadline and byte budget (governor.WithBudget) are
+// observed at stride boundaries inside scans and merges, and on an attached
+// admission controller a cache-missing range enters as ClassSelect.  A
+// cancelled query never fills the result cache, and its partial trace is
+// annotated where execution stopped.
+func (t *Table) SelectRangeCtx(ctx context.Context, col string, lo, hi uint32, tr *telemetry.Trace) (rids []uint32, plan Plan, err error) {
+	var q entry
+	if q.enter(ctx, tr, histRangeNs) {
+		rids, plan, err = t.selectRange(q.env, col, lo, hi)
 	}
-	rids, plan, err := t.selectRange(ctl, col, lo, hi, tr.Root())
-	histRangeNs.Since(start)
-	tr.Finish()
-	if err != nil {
-		governor.NoteAbort(err)
-	}
-	return rids, plan, err
+	return rids, plan, q.leave(err)
 }
 
-func (t *Table) selectRange(ctl *governor.Ctl, col string, lo, hi uint32, sp *telemetry.Span) ([]uint32, Plan, error) {
+func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, error) {
 	c, ok := t.cols[col]
 	if !ok {
 		return nil, Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
-	sp.Attr("table", t.name).Attr("col", col).AttrInt("lo", int(lo)).AttrInt("hi", int(hi))
+	e.sp.Attr("table", t.name).Attr("col", col).AttrInt("lo", int(lo)).AttrInt("hi", int(hi))
 	if lo > hi {
 		return nil, Plan{}, nil
 	}
-	ps := sp.Child("plan")
 	loID, hiID := c.dom.IDRange(lo, hi)
 	plan := t.planRangeIDs(col, c, loID, hiID)
-	ps.AttrBool("use_index", plan.UseIndex).AttrInt("est_rows", plan.EstRows).Attr("why", plan.Why)
-	ps.End()
-	notePlan(plan)
+	e.explainPlan(plan)
 	if plan.UseIndex {
 		if ix, ok := t.indexes[col]; ok {
-			rids, err := t.selectRangeIndexed(ctl, ix, col, lo, hi, plan, sp)
+			rids, err := selectRange(&ix.seg, t.token(), e, lo, hi, plan.EstRows)
 			return rids, plan, err
 		}
-		rids, err := t.sharded[col].selectRange(ctl, lo, hi, sp) // cached per frozen epoch inside
+		rids, err := t.sharded[col].selectRange(e, lo, hi) // cached per frozen epoch
 		return rids, plan, err
 	}
 	if loID >= hiID && t.rows == t.baseRows {
@@ -394,113 +465,103 @@ func (t *Table) selectRange(ctl *governor.Ctl, col string, lo, hi uint32, sp *te
 	}
 	qc, tok := t.Cache(), t.token()
 	key := rangeFP(t.name, col, qcache.LayerTable, lo, hi)
-	var cs *telemetry.Span
 	if qc.Enabled() {
-		cs = sp.Child("cache")
+		cs := e.sp.Child("cache")
+		if rids, kind := qc.LookupRangeKind(key, tok); kind != qcache.HitMiss {
+			cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)).End()
+			return rids, plan, nil
+		}
+		cs.Attr("outcome", "miss").End()
 	}
-	if rids, kind := qc.LookupRangeKind(key, tok); kind != qcache.HitMiss {
-		cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids))
-		cs.End()
-		return rids, plan, nil
-	}
-	cs.Attr("outcome", "miss")
-	cs.End()
-	release, aerr := t.admit(ctl, governor.ClassSelect, 4*int64(plan.EstRows))
-	if aerr != nil {
-		sp.Attr("aborted", aerr.Error())
-		return nil, plan, aerr
-	}
-	defer release()
-	ex := sp.Child("execute")
-	start := time.Now()
-	out, err := scanRange(c, lo, hi, ctl.Checkpoint())
+	st, err := t.compute(e, governor.ClassSelect, 4*int64(plan.EstRows))
 	if err != nil {
-		ex.Attr("aborted", err.Error())
-		ex.End()
 		return nil, plan, err
 	}
-	ex.Attr("path", "scan").AttrInt("rows", len(out))
-	ex.End()
+	defer st.release()
+	out, err := scanRange(c, lo, hi, e.ctl.Checkpoint())
+	if err != nil {
+		return nil, plan, st.abort(err)
+	}
+	st.ex.Attr("path", "scan").AttrInt("rows", len(out)).End()
 	// Scan results are in row order, not value order, so they enter as
 	// exact-only entries (no key run, no containment slicing).
-	var ad *telemetry.Span
 	if qc.Enabled() {
-		ad = sp.Child("admit")
+		ad := e.sp.Child("admit")
+		qc.InsertRange(key, tok, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
+		ad.End()
 	}
-	qc.InsertRange(key, tok, nil, out, recomputeCost(time.Since(start), plan, t.rows))
-	ad.End()
 	return out, plan, nil
 }
 
-// selectRangeIndexed answers a raw closed range through the sorted index —
-// base segment merged with the delta runs — consulting and filling the
-// token-stamped cache.
-func (t *Table) selectRangeIndexed(ctl *governor.Ctl, ix *SortedIndex, col string, lo, hi uint32, plan Plan, sp *telemetry.Span) ([]uint32, error) {
-	qc, tok := t.Cache(), t.token()
-	key := rangeFP(t.name, col, qcache.LayerTable, lo, hi)
-	var cs *telemetry.Span
+// selectRange is the one cached index-range path: a raw closed range over a
+// segment — base span woven with the delta runs — consulting and filling
+// the cache under tok.  The table layer passes its (generation, delta
+// sequence) token and the planner's row estimate; a sharded index passes the
+// frozen epoch's uid, so lookups, stitch segments, gap probes and the insert
+// all see that one epoch whatever the index pointer has moved on to.
+func selectRange(seg *segment, tok qcache.Token, e env, lo, hi uint32, est int) ([]uint32, error) {
+	qc := seg.tbl.Cache()
+	key := rangeFP(seg.tbl.name, seg.col, seg.layer, lo, hi)
 	if qc.Enabled() {
-		cs = sp.Child("cache")
-	}
-	if rids, kind := qc.LookupRangeKind(key, tok); kind != qcache.HitMiss {
-		cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids))
-		cs.End()
-		return rids, nil
-	}
-	if rids, ok, err := tryStitchRange(qc, key, tok, plan.EstRows, t.rows, ix.rangeMerged, cs); ok || err != nil {
-		cs.End()
-		// The stitched entry is valid data; only the caller's budget can
-		// still refuse the materialised copy.
-		if err == nil {
-			err = ctl.Charge(4 * int64(len(rids)))
-			if err != nil {
-				rids = nil
-			}
+		cs := e.sp.Child("cache")
+		rids, kind, err := reuseRange(seg, qc, key, tok, e, est, cs)
+		if kind == "hit" || kind == "contained" { // a stitch is annotated where it is assembled
+			cs.Attr("outcome", kind).AttrInt("rows", len(rids))
 		}
-		return rids, err
+		if kind != "" || err != nil {
+			cs.End()
+			return rids, err
+		}
+		cs.Attr("outcome", "miss").End()
 	}
-	cs.Attr("outcome", "miss")
-	cs.End()
-	release, aerr := t.admit(ctl, governor.ClassSelect, 4*int64(plan.EstRows))
-	if aerr != nil {
-		sp.Attr("aborted", aerr.Error())
-		return nil, aerr
-	}
-	defer release()
-	ex := sp.Child("execute")
-	start := time.Now()
-	// The merged raw key run rides along so any subrange of this result
-	// can be answered by slicing it (containment reuse).
-	out, keys, err := ix.rangeMerged(lo, hi, qc.Enabled())
-	if err == nil {
-		err = ctl.Charge(4 * int64(len(out)))
-	}
+	st, err := seg.tbl.compute(e, governor.ClassSelect, 4*int64(est))
 	if err != nil {
-		ex.Attr("aborted", err.Error())
-		ex.End()
 		return nil, err
 	}
-	ex.Attr("path", "sorted-index").AttrInt("delta_runs", len(ix.runs)).AttrInt("rows", len(out))
-	ex.End()
-	var ad *telemetry.Span
-	if qc.Enabled() {
-		ad = sp.Child("admit")
+	defer st.release()
+	// The merged raw key run rides along so any subrange of this result
+	// can be answered by slicing it (containment reuse).
+	out, keys, err := seg.rangeMerged(lo, hi, qc.Enabled())
+	if err == nil {
+		err = e.ctl.Charge(4 * int64(len(out)))
 	}
-	qc.InsertRange(key, tok, keys, out, recomputeCost(time.Since(start), plan, t.rows))
-	ad.End()
+	if err != nil {
+		return nil, st.abort(err)
+	}
+	seg.explainRange(st.ex, lo, hi, len(out))
+	st.ex.End()
+	if qc.Enabled() {
+		ad := e.sp.Child("admit")
+		qc.InsertRange(key, tok, keys, out,
+			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
+		ad.End()
+	}
 	return out, nil
 }
 
-// stitchProbe answers one uncovered gap of a stitch plan: the index's own
-// range path (rangeMerged) over the closed value range [lo, hi], asked for
-// the raw key run stitched results are admitted with.
-type stitchProbe func(lo, hi uint32, wantKeys bool) (rids, keys []uint32, err error)
+// reuseRange is the read half of the range protocol, shared by selectRange
+// and SelectWhere's conjuncts: an exact or containment hit (kind "hit" /
+// "contained"), else a stitch of overlapping cached runs with gap probes
+// (kind "stitched", annotated on note and charged as the fresh slice it
+// is), else a miss (kind "").
+func reuseRange(seg *segment, qc *qcache.Cache, key qcache.Key, tok qcache.Token, e env, est int, note *telemetry.Span) ([]uint32, string, error) {
+	if rids, kind := qc.LookupRangeKind(key, tok); kind != qcache.HitMiss {
+		return rids, kind.String(), nil
+	}
+	rids, ok, err := tryStitchRange(seg, qc, key, tok, est, note)
+	if !ok || err != nil {
+		return nil, "", err
+	}
+	rids, err = e.fresh(rids, nil)
+	return rids, "stitched", err
+}
 
 // stitchAssemble materialises a stitch plan: cached segments and probed
-// gaps concatenate in ascending value order.  The output slices are fresh —
-// segment slices alias immutable cache memory and must not escape to
-// callers that may sort or grow the result.
-func stitchAssemble(sp *qcache.StitchPlan, probe stitchProbe) (rids, keys []uint32, err error) {
+// gaps concatenate in ascending value order, each gap answered by the
+// segment's own range path over the closed value range.  The output slices
+// are fresh — plan slices alias immutable cache memory and must not escape
+// to callers that may sort or grow the result.
+func stitchAssemble(sp *qcache.StitchPlan, seg *segment) (rids, keys []uint32, err error) {
 	rids = make([]uint32, 0, sp.CachedRows)
 	keys = make([]uint32, 0, sp.CachedRows)
 	si, gi := 0, 0
@@ -513,7 +574,7 @@ func stitchAssemble(sp *qcache.StitchPlan, probe stitchProbe) (rids, keys []uint
 			continue
 		}
 		g := sp.Gaps[gi]
-		pr, pk, perr := probe(g.Lo, g.Hi, true)
+		pr, pk, perr := seg.rangeMerged(g.Lo, g.Hi, true)
 		if perr != nil {
 			return nil, nil, perr
 		}
@@ -530,19 +591,19 @@ func stitchAssemble(sp *qcache.StitchPlan, probe stitchProbe) (rids, keys []uint
 // the stitched run is admitted under the request's own key — admission
 // supersedes the runs it covers, so overlapping dashboard windows converge
 // to one covering run instead of accumulating fragments.
-func tryStitchRange(qc *qcache.Cache, key qcache.Key, tok qcache.Token, estRows, tableRows int, probe stitchProbe, cs *telemetry.Span) ([]uint32, bool, error) {
+func tryStitchRange(seg *segment, qc *qcache.Cache, key qcache.Key, tok qcache.Token, estRows int, cs *telemetry.Span) ([]uint32, bool, error) {
 	sp, ok := qc.StitchRange(key, tok)
 	if !ok || !stitchWorthwhile(sp, key.Lo, key.Hi, estRows) {
 		return nil, false, nil
 	}
-	rids, keys, err := stitchAssemble(sp, probe)
+	rids, keys, err := stitchAssemble(sp, seg)
 	if err != nil {
 		return nil, false, err
 	}
 	cs.Attr("outcome", "stitched").AttrInt("gap_probes", len(sp.Gaps)).
 		AttrInt("cached_rows", sp.CachedRows).AttrInt("rows", len(rids))
 	qc.NoteStitch(key, len(sp.Gaps))
-	qc.InsertRange(key, tok, keys, rids, estRecomputeNs(Plan{UseIndex: true, EstRows: len(rids)}, tableRows))
+	qc.InsertRange(key, tok, keys, rids, estRecomputeNs(Plan{UseIndex: true, EstRows: len(rids)}, 0))
 	return rids, true, nil
 }
 
@@ -618,162 +679,152 @@ func (t *Table) planIn(col string, distinct []uint32) (Plan, error) {
 // With a cache attached, the deduplicated list is fingerprinted (in
 // first-occurrence order, so a hit replays the exact RID grouping) and
 // results are stamped with the table generation; sharded-only columns
-// cache inside ShardedIndex.SelectIn per frozen epoch instead.  Index-path
-// misses then try the grouped entries of the same column: a subset list
-// replays by concatenating cached groups, and a near-superset probes only
-// the missing values (inFillWorthwhile) before splicing them in.
+// cache per frozen epoch instead.  Index-path misses then try the grouped
+// entries of the same column: a subset list replays by concatenating cached
+// groups, and a near-superset probes only the missing values
+// (inFillWorthwhile) before splicing them in.
 func (t *Table) SelectIn(col string, values []uint32) ([]uint32, Plan, error) {
-	start := telemetry.Now()
-	rids, plan, err := t.selectIn(nil, col, values, nil)
-	histInNs.Since(start)
-	return rids, plan, err
+	return t.SelectInCtx(context.Background(), col, values, nil)
 }
 
-// SelectInTraced is SelectIn recording an EXPLAIN ANALYZE trace under tr's
-// root span.  tr may be nil.
-func (t *Table) SelectInTraced(col string, values []uint32, tr *telemetry.Trace) ([]uint32, Plan, error) {
-	start := telemetry.Now()
-	rids, plan, err := t.selectIn(nil, col, values, tr.Root())
-	histInNs.Since(start)
-	tr.Finish()
-	return rids, plan, err
-}
-
-// SelectInCtx is SelectIn under governance; see SelectRangeCtx for the
-// contract.  tr may be nil.
-func (t *Table) SelectInCtx(ctx context.Context, col string, values []uint32, tr *telemetry.Trace) ([]uint32, Plan, error) {
-	start := telemetry.Now()
-	ctl := governor.For(ctx)
-	if err := ctl.Err(); err != nil {
-		return nil, Plan{}, abortEntry(tr, err)
+// SelectInCtx is SelectIn under governance and tracing; see SelectRangeCtx
+// for the contract.  tr may be nil.
+func (t *Table) SelectInCtx(ctx context.Context, col string, values []uint32, tr *telemetry.Trace) (rids []uint32, plan Plan, err error) {
+	var q entry
+	if q.enter(ctx, tr, histInNs) {
+		rids, plan, err = t.selectIn(q.env, col, values)
 	}
-	rids, plan, err := t.selectIn(ctl, col, values, tr.Root())
-	histInNs.Since(start)
-	tr.Finish()
-	if err != nil {
-		governor.NoteAbort(err)
-	}
-	return rids, plan, err
+	return rids, plan, q.leave(err)
 }
 
-func (t *Table) selectIn(ctl *governor.Ctl, col string, values []uint32, sp *telemetry.Span) ([]uint32, Plan, error) {
+func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, error) {
 	distinct := dedupeValues(values)
 	plan, err := t.planIn(col, distinct)
 	if err != nil {
 		return nil, Plan{}, err
 	}
-	sp.Attr("table", t.name).Attr("col", col).AttrInt("values", len(values))
-	ps := sp.Child("plan")
-	ps.AttrBool("use_index", plan.UseIndex).AttrInt("est_rows", plan.EstRows).Attr("why", plan.Why)
-	ps.End()
-	notePlan(plan)
+	e.sp.Attr("table", t.name).Attr("col", col).AttrInt("values", len(values))
+	e.explainPlan(plan)
 	if plan.UseIndex {
-		if _, ok := t.indexes[col]; !ok {
-			rids, err := t.sharded[col].selectIn(ctl, distinct, sp)
+		if ix, ok := t.indexes[col]; ok {
+			rids, err := selectIn(&ix.seg, t.token(), e, distinct, plan.EstRows)
 			return rids, plan, err
 		}
+		rids, err := t.sharded[col].selectIn(e, distinct) // cached per frozen epoch
+		return rids, plan, err
 	}
+	// The scan path caches by exact fingerprint only: grouped reuse replays
+	// in probe order, which a scan-planned query must not inherit.
 	qc, tok := t.Cache(), t.token()
 	var key qcache.Key
-	var cs *telemetry.Span
 	if qc.Enabled() {
-		cs = sp.Child("cache")
+		cs := e.sp.Child("cache")
 		key = inFP(t.name, col, qcache.LayerTable, distinct)
 		if rids, ok := qc.Lookup(key, tok); ok {
-			cs.Attr("outcome", "hit").AttrInt("rows", len(rids))
-			cs.End()
+			cs.Attr("outcome", "hit").AttrInt("rows", len(rids)).End()
 			return rids, plan, nil
 		}
-		// Grouped reuse is index-path only: cached groups replay in probe
-		// order, which a scan-planned query must not inherit.
-		if plan.UseIndex && len(distinct) > 0 {
-			if r, ok := qc.LookupInReuse(key, tok, distinct); ok {
-				if len(r.Missing) == 0 {
-					// Not re-admitted: the source entry already answers any
-					// repeat of this subset at the same price, so caching the
-					// derived copy would only cost an insert per replay.
-					out, _ := assembleInGroups(distinct, r.Groups, nil)
-					cs.Attr("outcome", "subset-replay").AttrInt("rows", len(out))
-					cs.End()
-					return out, plan, nil
-				}
-				if inFillWorthwhile(len(r.Missing), len(distinct)) {
-					ix := t.indexes[col]
-					fills := make(map[uint32][]uint32, len(r.Missing))
-					for _, v := range r.Missing {
-						fills[v] = ix.SelectEqual(v)
-					}
-					out, goff := assembleInGroups(distinct, r.Groups, fills)
-					cs.Attr("outcome", "superset-fill").AttrInt("missing_probes", len(r.Missing)).AttrInt("rows", len(out))
-					cs.End()
-					qc.NoteInFill(key, len(r.Missing))
-					qc.InsertIn(key, tok, distinct, goff, out, estRecomputeNs(plan, t.rows))
-					return out, plan, nil
-				}
-			}
-		}
-		cs.Attr("outcome", "miss")
-		cs.End()
+		cs.Attr("outcome", "miss").End()
 	}
-	release, aerr := t.admit(ctl, governor.ClassSelect, 4*int64(plan.EstRows))
-	if aerr != nil {
-		sp.Attr("aborted", aerr.Error())
-		return nil, plan, aerr
-	}
-	defer release()
-	ex := sp.Child("execute")
-	start := time.Now()
-	var out, goff []uint32
-	err = nil
-	switch {
-	case plan.UseIndex && qc.Enabled() && (parallel.Options{}).WorkersFor(len(distinct)) <= 1:
-		// Lists small enough to stay single-threaded compute with group
-		// offsets, the admission shape subset/superset reuse needs; larger
-		// lists keep the parallel driver and enter ungrouped.
-		out, goff, err = t.indexes[col].selectInGrouped(distinct, ctl.Checkpoint())
-		ex.Attr("path", "index-grouped").AttrInt("workers", 1)
-	case plan.UseIndex:
-		out, err = t.indexes[col].selectInCtl(ctl, distinct)
-		if ex != nil { // attr args must not run on the untraced path
-			ex.Attr("path", "index-batch").AttrInt("workers", (parallel.Options{}).WorkersFor(len(distinct)))
-		}
-	default:
-		want := make(map[uint32]struct{}, len(values))
-		for _, v := range values {
-			want[v] = struct{}{}
-		}
-		c := t.cols[col]
-		cp := ctl.Checkpoint()
-		for row, v := range c.raw {
-			if err = cp.Tick(); err != nil {
-				break
-			}
-			if _, hit := want[v]; hit {
-				out = append(out, uint32(row))
-				cp.Charge(4)
-			}
-		}
-		if err == nil {
-			err = cp.Flush()
-		}
-		ex.Attr("path", "scan")
-	}
+	st, err := t.compute(e, governor.ClassSelect, 4*int64(plan.EstRows))
 	if err != nil {
-		ex.Attr("aborted", err.Error())
-		ex.End()
 		return nil, plan, err
 	}
-	ex.AttrInt("rows", len(out))
-	ex.End()
+	defer st.release()
+	st.ex.Attr("path", "scan")
+	want := make(map[uint32]struct{}, len(distinct))
+	for _, v := range distinct {
+		want[v] = struct{}{}
+	}
+	var out []uint32
+	cp := e.ctl.Checkpoint()
+	for row, v := range t.cols[col].raw {
+		if err := cp.Tick(); err != nil {
+			return nil, plan, st.abort(err)
+		}
+		if _, hit := want[v]; hit {
+			out = append(out, uint32(row))
+			cp.Charge(4)
+		}
+	}
+	if err := cp.Flush(); err != nil {
+		return nil, plan, st.abort(err)
+	}
+	st.ex.AttrInt("rows", len(out)).End()
+	if qc.Enabled() {
+		ad := e.sp.Child("admit")
+		qc.InsertIn(key, tok, distinct, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
+		ad.End()
+	}
+	return out, plan, nil
+}
+
+// selectIn is the one cached IN path over an index segment: exact lookup,
+// then the grouped entries of the same column and token — a subset list
+// replays by concatenating cached groups, a near-superset probes only its
+// missing values against this same segment — then on a miss the batched
+// driver, admitted with the value list and (for lists that stay on one
+// worker) the group offsets reuse and append patching need.  est is the
+// admission estimate in rows: the planner's on the table layer, the list
+// length on the epoch layer.
+func selectIn(seg *segment, tok qcache.Token, e env, distinct []uint32, est int) ([]uint32, error) {
+	qc := seg.tbl.Cache()
+	var key qcache.Key
+	if qc.Enabled() {
+		cs := e.sp.Child("cache")
+		key = inFP(seg.tbl.name, seg.col, seg.layer, distinct)
+		if rids, ok := qc.Lookup(key, tok); ok {
+			cs.Attr("outcome", "hit").AttrInt("rows", len(rids)).End()
+			return rids, nil
+		}
+		if r, ok := qc.LookupInReuse(key, tok, distinct); ok {
+			if len(r.Missing) == 0 {
+				// Not re-admitted: the source entry already answers any
+				// repeat of this subset at the same price, so caching the
+				// derived copy would only cost an insert per replay.
+				out, _ := assembleInGroups(distinct, r.Groups, nil)
+				cs.Attr("outcome", "subset-replay").AttrInt("rows", len(out)).End()
+				return e.fresh(out, nil)
+			}
+			if inFillWorthwhile(len(r.Missing), len(distinct)) {
+				fills := make(map[uint32][]uint32, len(r.Missing))
+				for _, v := range r.Missing {
+					fills[v] = seg.selectEqual(v)
+				}
+				out, goff := assembleInGroups(distinct, r.Groups, fills)
+				cs.Attr("outcome", "superset-fill").AttrInt("missing_probes", len(r.Missing)).AttrInt("rows", len(out)).End()
+				qc.NoteInFill(key, len(r.Missing))
+				qc.InsertIn(key, tok, distinct, goff, out,
+					estRecomputeNs(Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
+				return e.fresh(out, nil)
+			}
+		}
+		cs.Attr("outcome", "miss").End()
+	}
+	st, err := seg.tbl.compute(e, governor.ClassSelect, 4*int64(est))
+	if err != nil {
+		return nil, err
+	}
+	defer st.release()
+	grouped := qc.Enabled() && (parallel.Options{}).WorkersFor(len(distinct)) <= 1
+	seg.explainIn(st.ex, len(distinct), grouped)
+	out, goff, err := seg.selectIn(e.ctl, distinct, grouped, parallel.Options{})
+	if err != nil {
+		return nil, st.abort(err)
+	}
+	if seg.shards != nil && st.ex != nil {
+		st.ex.AttrInt("shards_touched", seg.shards.ShardCount())
+	}
+	st.ex.AttrInt("rows", len(out)).End()
 	// The value list rides along so PatchAppend can test an absorbed batch
 	// against the entry instead of dropping it.
-	var ad *telemetry.Span
 	if qc.Enabled() {
-		ad = sp.Child("admit")
+		ad := e.sp.Child("admit")
+		qc.InsertIn(key, tok, distinct, goff, out,
+			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
+		ad.End()
 	}
-	qc.InsertIn(key, tok, distinct, goff, out, recomputeCost(time.Since(start), plan, t.rows))
-	ad.End()
-	return out, plan, nil
+	return out, nil
 }
 
 // assembleInGroups concatenates cached groups and probed fills in the
@@ -817,88 +868,61 @@ type RangePred struct {
 // when their conjunctions differ — including by containment when one
 // dashboard's range covers the other's.
 func (t *Table) SelectWhere(preds []RangePred) ([]uint32, []Plan, error) {
-	start := telemetry.Now()
-	rids, plans, err := t.selectWhere(nil, preds, nil)
-	histWhereNs.Since(start)
-	return rids, plans, err
+	return t.SelectWhereCtx(context.Background(), preds, nil)
 }
 
-// SelectWhereTraced is SelectWhere recording an EXPLAIN ANALYZE trace
-// under tr's root span, with one child span per conjunct.  tr may be nil.
-func (t *Table) SelectWhereTraced(preds []RangePred, tr *telemetry.Trace) ([]uint32, []Plan, error) {
-	start := telemetry.Now()
-	rids, plans, err := t.selectWhere(nil, preds, tr.Root())
-	histWhereNs.Since(start)
-	tr.Finish()
-	return rids, plans, err
-}
-
-// SelectWhereCtx is SelectWhere under governance; see SelectRangeCtx for
-// the contract.  Admission is acquired once for the whole conjunction —
-// conjuncts probing sharded indexes ride the same grant.  tr may be nil.
-func (t *Table) SelectWhereCtx(ctx context.Context, preds []RangePred, tr *telemetry.Trace) ([]uint32, []Plan, error) {
-	start := telemetry.Now()
-	ctl := governor.For(ctx)
-	if err := ctl.Err(); err != nil {
-		return nil, nil, abortEntry(tr, err)
+// SelectWhereCtx is SelectWhere under governance and tracing, with one child
+// span per conjunct; see SelectRangeCtx for the contract.  Admission is
+// acquired once for the whole conjunction — conjuncts probing sharded
+// indexes ride the same grant.  tr may be nil.
+func (t *Table) SelectWhereCtx(ctx context.Context, preds []RangePred, tr *telemetry.Trace) (rids []uint32, plans []Plan, err error) {
+	var q entry
+	if q.enter(ctx, tr, histWhereNs) {
+		rids, plans, err = t.selectWhere(q.env, preds)
 	}
-	rids, plans, err := t.selectWhere(ctl, preds, tr.Root())
-	histWhereNs.Since(start)
-	tr.Finish()
-	if err != nil {
-		governor.NoteAbort(err)
-	}
-	return rids, plans, err
+	return rids, plans, q.leave(err)
 }
 
-func (t *Table) selectWhere(ctl *governor.Ctl, preds []RangePred, sp *telemetry.Span) ([]uint32, []Plan, error) {
+func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) {
 	if len(preds) == 0 {
 		return nil, nil, fmt.Errorf("mmdb: SelectWhere needs at least one predicate")
 	}
-	sp.Attr("table", t.name).AttrInt("conjuncts", len(preds))
-	ps := sp.Child("plan")
+	e.sp.Attr("table", t.name).AttrInt("conjuncts", len(preds))
+	ps := e.sp.Child("plan")
 	loIDs, hiIDs, err := t.resolveBounds(preds)
 	if err != nil {
 		return nil, nil, err
 	}
 	plans := make([]Plan, len(preds))
 	indexed := 0
+	estBytes := int64(0)
 	for i, p := range preds {
 		plans[i] = t.planRangeIDs(p.Col, t.cols[p.Col], loIDs[i], hiIDs[i])
 		if plans[i].UseIndex {
 			indexed++
 		}
+		estBytes += 4 * int64(plans[i].EstRows)
 	}
 	ps.AttrInt("index_conjuncts", indexed).AttrInt("scan_conjuncts", len(preds)-indexed)
 	ps.End()
 	qc, tok := t.Cache(), t.token()
 	var wkey qcache.Key
-	var cs *telemetry.Span
 	if qc.Enabled() {
-		cs = sp.Child("cache")
+		cs := e.sp.Child("cache")
 		wkey = whereFP(t.name, preds)
 		if rids, ok := qc.Lookup(wkey, tok); ok {
-			cs.Attr("outcome", "hit").AttrInt("rows", len(rids))
-			cs.End()
+			cs.Attr("outcome", "hit").AttrInt("rows", len(rids)).End()
 			return rids, plans, nil
 		}
-		cs.Attr("outcome", "miss")
-		cs.End()
-	}
-	estBytes := int64(0)
-	for i := range plans {
-		estBytes += 4 * int64(plans[i].EstRows)
+		cs.Attr("outcome", "miss").End()
 	}
 	// One grant covers the whole conjunction: conjuncts probing sharded
 	// indexes below find the query already admitted and pass for free.
-	release, aerr := t.admit(ctl, governor.ClassSelect, estBytes)
-	if aerr != nil {
-		sp.Attr("aborted", aerr.Error())
-		return nil, nil, aerr
+	st, err := t.compute(e, governor.ClassSelect, estBytes)
+	if err != nil {
+		return nil, nil, err
 	}
-	defer release()
-	ex := sp.Child("execute")
-	start := time.Now()
+	defer st.release()
 
 	// Resolve each conjunct's RID set: cached runs first, scans and
 	// sharded probes inline, and the sorted-index conjuncts deferred so
@@ -909,59 +933,51 @@ func (t *Table) selectWhere(ctl *governor.Ctl, preds []RangePred, sp *telemetry.
 	// before an abort are valid data and stay cached; the conjunction
 	// entry itself is only inserted on full completion.
 	sets := make([][]uint32, len(preds))
-	byIndex := map[*SortedIndex][]int{}
+	byIndex := map[*segment][]int{}
 	conjSpans := make([]*telemetry.Span, len(preds))
 	abortConj := func(cj *telemetry.Span, err error) ([]uint32, []Plan, error) {
 		cj.Attr("aborted", err.Error()).End()
-		ex.Attr("aborted", err.Error())
-		ex.End()
-		return nil, nil, err
+		return nil, nil, st.abort(err)
 	}
 	for i, p := range preds {
-		cj := ex.Child("conjunct")
+		cj := st.ex.Child("conjunct")
 		cj.Attr("col", p.Col).AttrInt("lo", int(p.Lo)).AttrInt("hi", int(p.Hi))
 		conjSpans[i] = cj
-		if err := ctl.Err(); err != nil {
+		if err := e.ctl.Err(); err != nil {
 			return abortConj(cj, err)
 		}
 		if p.Lo > p.Hi || (loIDs[i] >= hiIDs[i] && t.rows == t.baseRows) {
 			cj.Attr("path", "empty").End()
 			continue // empty conjunct: the intersection is empty
 		}
+		// A conjunct walks the range protocol on its own span: no admission
+		// (the conjunction holds the grant), no stage spans, and entries
+		// priced by the model alone.
 		ckey := rangeFP(t.name, p.Col, qcache.LayerTable, p.Lo, p.Hi)
-		if rids, kind := qc.LookupRangeKind(ckey, tok); kind != qcache.HitMiss {
+		ix, sorted := t.indexes[p.Col]
+		var rids, keys []uint32
+		var kind string
+		if plans[i].UseIndex && sorted {
+			rids, kind, err = reuseRange(&ix.seg, qc, ckey, tok, e, plans[i].EstRows, cj)
+		} else if r, k := qc.LookupRangeKind(ckey, tok); k != qcache.HitMiss {
+			rids, kind = r, k.String()
+		}
+		if err != nil {
+			return abortConj(cj, err)
+		}
+		if kind != "" {
 			sets[i] = rids
 			if cj != nil { // attr args must not run on the untraced path
-				cj.Attr("path", "cache-"+kind.String()).AttrInt("rows", len(rids)).End()
+				cj.Attr("path", "cache-"+kind)
+				if kind != "stitched" {
+					cj.AttrInt("rows", len(rids))
+				}
+				cj.End()
 			}
 			continue
 		}
-		if plans[i].UseIndex {
-			if ix, ok := t.indexes[p.Col]; ok {
-				if rids, hit, err := tryStitchRange(qc, ckey, tok, plans[i].EstRows, t.rows, ix.rangeMerged, cj); err != nil {
-					return nil, nil, err
-				} else if hit {
-					sets[i] = rids
-					cj.Attr("path", "cache-stitched").End()
-					continue
-				}
-				if len(ix.runs) == 0 {
-					byIndex[ix] = append(byIndex[ix], i)
-					continue // span ends after the batched resolution below
-				}
-				rids, keys, err := ix.rangeMerged(p.Lo, p.Hi, qc.Enabled())
-				if err == nil {
-					err = ctl.Charge(4 * int64(len(rids)))
-				}
-				if err != nil {
-					return abortConj(cj, err)
-				}
-				sets[i] = rids
-				cj.Attr("path", "sorted-index").AttrInt("delta_runs", len(ix.runs)).AttrInt("rows", len(rids)).End()
-				qc.InsertRange(ckey, tok, keys, rids, estRecomputeNs(plans[i], t.rows))
-				continue
-			}
-			rids, err := t.sharded[p.Col].selectRange(ctl, p.Lo, p.Hi, cj)
+		if plans[i].UseIndex && !sorted {
+			rids, err := t.sharded[p.Col].selectRange(env{e.ctl, cj}, p.Lo, p.Hi) // cached per frozen epoch
 			if err != nil {
 				return abortConj(cj, err)
 			}
@@ -969,33 +985,46 @@ func (t *Table) selectWhere(ctl *governor.Ctl, preds []RangePred, sp *telemetry.
 			cj.AttrInt("rows", len(rids)).End()
 			continue
 		}
-		rids, err := scanRange(t.cols[p.Col], p.Lo, p.Hi, ctl.Checkpoint())
+		if plans[i].UseIndex && len(ix.seg.runs) == 0 {
+			byIndex[&ix.seg] = append(byIndex[&ix.seg], i)
+			continue // span ends after the batched resolution below
+		}
+		if !plans[i].UseIndex {
+			rids, err = scanRange(t.cols[p.Col], p.Lo, p.Hi, e.ctl.Checkpoint())
+		} else if rids, keys, err = ix.seg.rangeMerged(p.Lo, p.Hi, qc.Enabled()); err == nil {
+			err = e.ctl.Charge(4 * int64(len(rids)))
+		}
 		if err != nil {
 			return abortConj(cj, err)
 		}
 		sets[i] = rids
-		cj.Attr("path", "scan").AttrInt("rows", len(sets[i])).End()
-		qc.InsertRange(ckey, tok, nil, sets[i], estRecomputeNs(plans[i], t.rows))
+		if plans[i].UseIndex {
+			cj.Attr("path", "sorted-index").AttrInt("delta_runs", len(ix.seg.runs))
+		} else {
+			cj.Attr("path", "scan")
+		}
+		cj.AttrInt("rows", len(rids)).End()
+		qc.InsertRange(ckey, tok, keys, rids, estRecomputeNs(plans[i], t.rows))
 	}
-	for ix, list := range byIndex {
+	for seg, list := range byIndex {
 		probes := make([]uint32, 0, 2*len(list))
 		for _, i := range list {
 			probes = append(probes, loIDs[i], hiIDs[i])
 		}
 		out := make([]int32, len(probes))
-		ix.bord.LowerBoundBatch(probes, out)
+		seg.ord.LowerBoundBatch(probes, out)
 		for j, i := range list {
 			first, last := out[2*j], out[2*j+1]
-			if err := ctl.Charge(4 * int64(last-first)); err != nil {
+			if err := e.ctl.Charge(4 * int64(last-first)); err != nil {
 				return abortConj(conjSpans[i], err)
 			}
 			rids := make([]uint32, last-first)
-			copy(rids, ix.rids[first:last])
+			copy(rids, seg.rids[first:last])
 			sets[i] = rids
 			conjSpans[i].Attr("path", "sorted-index-batched").AttrInt("rows", len(rids)).End()
 			if qc.Enabled() {
 				ckey := rangeFP(t.name, preds[i].Col, qcache.LayerTable, preds[i].Lo, preds[i].Hi)
-				qc.InsertRange(ckey, tok, idsToRaw(ix.col.dom, ix.keys[first:last]), rids, estRecomputeNs(plans[i], t.rows))
+				qc.InsertRange(ckey, tok, idsToRaw(seg.dom, seg.keys[first:last]), rids, estRecomputeNs(plans[i], t.rows))
 			}
 		}
 	}
@@ -1011,14 +1040,11 @@ func (t *Table) selectWhere(ctl *governor.Ctl, preds []RangePred, sp *telemetry.
 			order[b], order[b-1] = order[b-1], order[b]
 		}
 	}
-	is := ex.Child("intersect")
+	is := st.ex.Child("intersect")
 	var acc []uint32
 	for step, oi := range order {
-		if err := ctl.Err(); err != nil {
-			is.Attr("aborted", err.Error()).End()
-			ex.Attr("aborted", err.Error())
-			ex.End()
-			return nil, nil, err
+		if err := e.ctl.Err(); err != nil {
+			return abortConj(is, err)
 		}
 		rids := sets[oi]
 		sortu32.Sort(rids)
@@ -1033,11 +1059,11 @@ func (t *Table) selectWhere(ctl *governor.Ctl, preds []RangePred, sp *telemetry.
 	}
 	is.AttrInt("rows", len(acc))
 	is.End()
-	ex.AttrInt("rows", len(acc))
-	ex.End()
+	st.ex.AttrInt("rows", len(acc))
+	st.ex.End()
 	if qc.Enabled() {
-		ad := sp.Child("admit")
-		cost := time.Since(start).Nanoseconds()
+		ad := e.sp.Child("admit")
+		cost := time.Since(st.start).Nanoseconds()
 		est := int64(0)
 		for i := range plans {
 			est += estRecomputeNs(plans[i], t.rows)

@@ -1,10 +1,13 @@
 package mmdb
 
 import (
+	"context"
+	"reflect"
 	"sort"
 	"testing"
 
 	"cssidx"
+	"cssidx/internal/telemetry"
 	"cssidx/internal/workload"
 )
 
@@ -281,4 +284,192 @@ func TestPlanRangeHashIndexScans(t *testing.T) {
 	if len(rids) != 3 {
 		t.Errorf("scan fallback found %d rows, want 3", len(rids))
 	}
+}
+
+// entryForms runs one query through its three entry forms — plain, *Ctx with
+// a background context, *Ctx with a trace — each against its own identically
+// built and identically driven table, so cached order cannot leak between
+// forms.
+type entryForms struct {
+	tabs  [3]*Table // plain, ctx, traced
+	outer [3]*Table
+	g     *workload.Gen
+	base  []uint32
+}
+
+func newEntryForms(t *testing.T, seed int64) *entryForms {
+	t.Helper()
+	f := &entryForms{g: workload.New(seed)}
+	f.base = f.g.SortedUniform(1500)
+	cols := map[string][]uint32{}
+	for _, c := range []string{"k", "s", "m"} {
+		cols[c] = f.g.Lookups(f.base, 3000)
+	}
+	fk := append(f.g.Lookups(f.base, 600), f.g.Misses(f.base, 200)...)
+	for i := range f.tabs {
+		tab := NewTable("t")
+		tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 300})
+		for _, c := range []string{"k", "s", "m"} {
+			if err := tab.AddColumn(c, cols[c]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		sh, err := tab.BuildShardedIndex("s", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sh.Close)
+		tab.EnableCache(CacheOptions{MinCostNs: -1})
+		f.tabs[i] = tab
+		f.outer[i] = NewTable("o")
+		if err := f.outer[i].AddColumn("fk", fk); err != nil {
+			t.Fatal(err)
+		}
+		f.outer[i].EnableCache(CacheOptions{MinCostNs: -1})
+	}
+	return f
+}
+
+func (f *entryForms) append(t *testing.T, rows int) {
+	t.Helper()
+	batch := map[string][]uint32{}
+	for _, c := range []string{"k", "s", "m"} {
+		batch[c] = append(f.g.Lookups(f.base, rows-1), f.g.Misses(f.base, 1)...)
+	}
+	for _, tab := range f.tabs {
+		if err := tab.AppendRows(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// check runs every surface in all three forms and demands identical rows in
+// identical order.
+func (f *entryForms) check(t *testing.T, tag string) {
+	t.Helper()
+	bg := context.Background()
+	same := func(what string, plain, ctx, traced []uint32) {
+		t.Helper()
+		mustEqualU32(t, tag+" "+what+" ctx", ctx, plain)
+		mustEqualU32(t, tag+" "+what+" traced", traced, plain)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo, hi := f.base[200], f.base[330]
+	list := append(f.g.Lookups(f.base, 12), f.g.Misses(f.base, 2)...)
+	for _, col := range []string{"k", "s"} {
+		for pass := 0; pass < 2; pass++ { // miss, then hit
+			p, _, err := f.tabs[0].SelectRange(col, lo, hi)
+			must(err)
+			c, _, err := f.tabs[1].SelectRangeCtx(bg, col, lo, hi, nil)
+			must(err)
+			tr, _, err := f.tabs[2].SelectRangeCtx(bg, col, lo, hi, telemetry.NewTrace("SelectRange"))
+			must(err)
+			same(col+" SelectRange", p, c, tr)
+
+			p, _, err = f.tabs[0].SelectIn(col, list)
+			must(err)
+			c, _, err = f.tabs[1].SelectInCtx(bg, col, list, nil)
+			must(err)
+			tr, _, err = f.tabs[2].SelectInCtx(bg, col, list, telemetry.NewTrace("SelectIn"))
+			must(err)
+			same(col+" SelectIn", p, c, tr)
+		}
+	}
+	preds := []RangePred{{Col: "k", Lo: f.base[100], Hi: f.base[400]}, {Col: "s", Lo: f.base[50], Hi: f.base[500]}, {Col: "m", Lo: 0, Hi: f.base[1200]}}
+	p, _, err := f.tabs[0].SelectWhere(preds)
+	must(err)
+	c, _, err := f.tabs[1].SelectWhereCtx(bg, preds, nil)
+	must(err)
+	tr, _, err := f.tabs[2].SelectWhereCtx(bg, preds, telemetry.NewTrace("SelectWhere"))
+	must(err)
+	same("SelectWhere", p, c, tr)
+
+	ap, err := GroupAggregate(f.tabs[0], "k", "m", p)
+	must(err)
+	ac, err := GroupAggregateCtx(bg, f.tabs[1], "k", "m", c, nil)
+	must(err)
+	at, err := GroupAggregateCtx(bg, f.tabs[2], "k", "m", tr, telemetry.NewTrace("GroupAggregate"))
+	must(err)
+	if !reflect.DeepEqual(ap, ac) || !reflect.DeepEqual(ap, at) {
+		t.Fatalf("%s GroupAggregate forms disagree", tag)
+	}
+
+	for _, inner := range []string{"k", "s"} {
+		var pairs [3][]uint32
+		for i := range f.tabs {
+			var ix JoinIndex
+			if six, ok := f.tabs[i].ShardedIndex(inner); ok {
+				ix = six
+			} else {
+				ix, _ = f.tabs[i].Index(inner)
+			}
+			emit := func(o, in uint32) { pairs[i] = append(pairs[i], o, in) }
+			switch i {
+			case 0:
+				_, err = JoinWith(f.outer[i], "fk", ix, JoinOptions{}, emit)
+			case 1:
+				_, err = JoinWithCtx(bg, f.outer[i], "fk", ix, JoinOptions{}, emit, nil)
+			default:
+				_, err = JoinWithCtx(bg, f.outer[i], "fk", ix, JoinOptions{}, emit, telemetry.NewTrace("Join"))
+			}
+			must(err)
+		}
+		same(inner+" JoinWith", pairs[0], pairs[1], pairs[2])
+	}
+
+	// The index-level trios have no traced form: plain vs *Ctx.
+	kIx, _ := f.tabs[0].Index("k")
+	sIx, _ := f.tabs[0].ShardedIndex("s")
+	v := list[0]
+	ke, err := kIx.SelectEqualCtx(bg, v)
+	must(err)
+	mustEqualU32(t, tag+" SortedIndex.SelectEqualCtx", ke, kIx.SelectEqual(v))
+	ki, err := kIx.SelectInCtx(bg, list)
+	must(err)
+	mustEqualU32(t, tag+" SortedIndex.SelectInCtx", ki, kIx.SelectIn(list))
+	kr, err := kIx.SelectRangeCtx(bg, lo, hi)
+	must(err)
+	krp, err := kIx.SelectRange(lo, hi)
+	must(err)
+	mustEqualU32(t, tag+" SortedIndex.SelectRangeCtx", kr, krp)
+	se, err := sIx.SelectEqualCtx(bg, v)
+	must(err)
+	mustEqualU32(t, tag+" ShardedIndex.SelectEqualCtx", se, sIx.SelectEqual(v))
+	si, err := sIx.SelectInCtx(bg, list)
+	must(err)
+	mustEqualU32(t, tag+" ShardedIndex.SelectInCtx", si, sIx.SelectIn(list))
+	sr, err := sIx.SelectRangeCtx(bg, lo, hi)
+	must(err)
+	srp, err := sIx.SelectRange(lo, hi)
+	must(err)
+	mustEqualU32(t, tag+" ShardedIndex.SelectRangeCtx", sr, srp)
+}
+
+// TestEntryFormsAgree: the plain surface IS the *Ctx surface with a
+// background context and no trace, so all three forms must return identical
+// rows in identical order — on the SortedIndex column and the sharded-only
+// column, over the folded base, across absorbs, and after a fold.
+func TestEntryFormsAgree(t *testing.T) {
+	f := newEntryForms(t, 97)
+	f.check(t, "base")
+	f.append(t, 40)
+	f.check(t, "one run")
+	f.append(t, 60)
+	f.check(t, "two runs")
+	if f.tabs[0].DeltaRows() == 0 {
+		t.Fatal("appends folded before the absorbed legs ran")
+	}
+	f.append(t, 600)
+	if f.tabs[0].DeltaRows() != 0 {
+		t.Fatal("large append did not fold")
+	}
+	f.check(t, "folded")
 }

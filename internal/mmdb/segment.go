@@ -1,0 +1,376 @@
+package mmdb
+
+// The segment is the §2.2 query engine in one place: a RID list sorted by a
+// column's domain IDs, probed through a search structure, plus the sorted
+// delta runs absorbed since the last fold (Asadi & Lin's split — one
+// immutable compact base, small sorted runs, one read path over both).  A
+// SortedIndex holds one, a published shardedEpoch is one, and a join probes
+// one, so every read primitive below exists once: the range weave, the range
+// count, the point probe, the join's chunk probe and the chunked IN driver.
+// The cached query paths (query.go) are written against a segment and a
+// cache token and never ask which kind of index is underneath.
+
+import (
+	"sync"
+
+	"cssidx"
+	"cssidx/internal/domain"
+	"cssidx/internal/governor"
+	"cssidx/internal/parallel"
+	"cssidx/internal/qcache"
+	"cssidx/internal/telemetry"
+)
+
+// orderedProbe is what a segment asks of a search structure with ordered
+// access over the sorted domain-ID array: cssidx.BatchOrderedIndex for the
+// single-tree methods, *cssidx.ShardedIndex (or a frozen ShardedView of it)
+// for an epoch.
+type orderedProbe interface {
+	LowerBound(id uint32) int
+	LowerBoundBatch(ids []uint32, out []int32)
+	EqualRange(id uint32) (first, last int)
+	EqualRangeBatch(ids []uint32, first, last []int32)
+}
+
+// segment is one frozen read view of an index.  Nothing reachable from it is
+// written after it is built, except that a SortedIndex — which was never
+// safe to read while AppendRows runs — replaces runs in place on an absorb.
+type segment struct {
+	dom  *domain.IntDomain // the domain the keys were encoded against
+	keys []uint32          // domain IDs in sorted order
+	rids []uint32          // RIDs ordered by column value
+	runs []idxRun          // absorbed delta runs since the last fold, geometrically tiered (delta.go)
+
+	ord    orderedProbe                 // nil when the method has no ordered access (hashing, §3.5)
+	eq     cssidx.BatchIndex            // equality probes when ord is nil
+	shards *cssidx.ShardedIndex[uint32] // the structure's shard layout, for EXPLAIN; nil under a SortedIndex
+
+	// Identity for the result cache: entries are fingerprinted by table,
+	// column and layer, and looked up in the owning table's cache.
+	tbl   *Table
+	col   string
+	layer qcache.Layer
+}
+
+// equalRange returns the half-open base positions holding domain ID id.
+func (s *segment) equalRange(id uint32) (first, last int) {
+	if s.ord != nil {
+		return s.ord.EqualRange(id)
+	}
+	first = s.eq.Search(id)
+	if first < 0 {
+		return 0, 0
+	}
+	for last = first + 1; last < len(s.keys) && s.keys[last] == id; last++ {
+	}
+	return first, last
+}
+
+// equalRangeBatch answers the equal range of every domain-ID probe: batched
+// through the ordered surface when the method has one, or — for hash —
+// batched leftmost-hit searches extended across each hit's duplicate run in
+// the sorted key array (§3.6).  An absent probe of the hash form comes back
+// with a negative first.
+func (s *segment) equalRangeBatch(ids []uint32, first, last []int32) {
+	if s.ord != nil {
+		s.ord.EqualRangeBatch(ids, first, last)
+		return
+	}
+	s.eq.SearchBatch(ids, first)
+	n := int32(len(s.keys))
+	for j, f := range first {
+		e := f
+		if f >= 0 {
+			e++
+			for e < n && s.keys[e] == ids[j] {
+				e++
+			}
+		}
+		last[j] = e
+	}
+}
+
+// selectEqual returns the RIDs of rows equal to value: base rows, then the
+// delta runs' — ascending RID, since appended RIDs exceed all resident ones.
+func (s *segment) selectEqual(value uint32) []uint32 {
+	var out []uint32
+	if id, ok := s.dom.ID(value); ok {
+		if first, last := s.equalRange(id); first < last {
+			out = append(out, s.rids[first:last]...)
+		}
+	}
+	return deltaEqualAppend(s.runs, value, out)
+}
+
+// rangeMerged is the one range path: the base span resolved through the
+// ordered surface, woven with the delta runs' clipped spans at read time
+// (mergeRangeDelta) — O(result + delta-in-range), whatever the table size
+// and however recent the last absorb.  wantKeys additionally returns the
+// merged raw values: the cache's containment runs and every stitch gap
+// probe want them, a bare SelectRange does not pay for them.
+func (s *segment) rangeMerged(lo, hi uint32, wantKeys bool) (rids, rawKeys []uint32, err error) {
+	if s.ord == nil {
+		return nil, nil, ErrNoOrderedAccess
+	}
+	if lo > hi {
+		return nil, nil, nil
+	}
+	loID, hiID := s.dom.IDRange(lo, hi)
+	var first, last int
+	if loID < hiID {
+		first, last = s.ord.LowerBound(loID), s.ord.LowerBound(hiID)
+	}
+	rids, rawKeys = mergeRangeDelta(s.dom, s.keys, s.rids, first, last, s.runs, lo, hi, wantKeys)
+	return rids, rawKeys, nil
+}
+
+// countRange is rangeMerged without materialising RIDs.
+func (s *segment) countRange(lo, hi uint32) (int, error) {
+	if s.ord == nil {
+		return 0, ErrNoOrderedAccess
+	}
+	if lo > hi {
+		return 0, nil
+	}
+	n := deltaCountRange(s.runs, lo, hi)
+	if loID, hiID := s.dom.IDRange(lo, hi); loID < hiID {
+		n += s.ord.LowerBound(hiID) - s.ord.LowerBound(loID)
+	}
+	return n, nil
+}
+
+// spaceBytes is the footprint of the arrays a segment serves from.
+func (s *segment) spaceBytes() int {
+	return 4*len(s.rids) + 4*len(s.keys) + deltaRunsBytes(s.runs)
+}
+
+// --- batched probing ----------------------------------------------------------
+
+// probeScratch holds the reusable buffers of one batched probe stream; drawn
+// from scratchPool per worker and grown to the chunk size, so concurrent
+// spans reuse buffers without sharing them.
+type probeScratch struct {
+	ids    []int32  // domain IDs per raw value (-1 = absent from the domain)
+	probes []uint32 // compacted present IDs
+	first  []int32
+	last   []int32
+}
+
+// scratchPool recycles probeScratch across batched operations and workers.
+var scratchPool = sync.Pool{New: func() any { return &probeScratch{} }}
+
+// newProbeScratch draws a scratch sized for chunks of up to n values.
+func newProbeScratch(n int) *probeScratch {
+	sc := scratchPool.Get().(*probeScratch)
+	if cap(sc.ids) < n {
+		sc.ids = make([]int32, n)
+		sc.probes = make([]uint32, 0, n)
+		sc.first = make([]int32, n)
+		sc.last = make([]int32, n)
+	}
+	return sc
+}
+
+// equalRanges resolves one chunk of raw values (at most the scratch's size):
+// the chunk is translated to domain IDs in one lockstep descent of the domain
+// tree, absent values are compacted away, and the present IDs are answered
+// by one batched equal-range probe.  ids[i] is value i's domain ID or -1;
+// first/last hold the base position ranges of the present values, in chunk
+// order.  Values absent from the frozen domain may still live in the runs.
+func (s *segment) equalRanges(values []uint32, sc *probeScratch) (ids, first, last []int32) {
+	ids = sc.ids[:len(values)]
+	s.dom.IDsBatch(values, ids)
+	sc.probes = sc.probes[:0]
+	for _, id := range ids {
+		if id >= 0 {
+			sc.probes = append(sc.probes, uint32(id))
+		}
+	}
+	first, last = sc.first[:len(sc.probes)], sc.last[:len(sc.probes)]
+	if len(sc.probes) > 0 {
+		s.equalRangeBatch(sc.probes, first, last)
+	}
+	return ids, first, last
+}
+
+// probeEqual answers one join chunk: emit runs per matching occurrence with
+// the value's ordinal in the chunk and the matching row's RID, in chunk
+// order then ascending RID (base rows before delta rows); it returns the
+// number of occurrences.  Safe for concurrent calls with distinct scratches.
+func (s *segment) probeEqual(values []uint32, sc *probeScratch, emit func(ordinal int, rid uint32)) int {
+	ids, first, last := s.equalRanges(values, sc)
+	if len(first) == 0 && len(s.runs) == 0 {
+		return 0
+	}
+	count, j := 0, 0
+	for i, v := range values {
+		if ids[i] >= 0 {
+			if f, l := first[j], last[j]; f >= 0 {
+				count += int(l - f)
+				if emit != nil {
+					for pos := f; pos < l; pos++ {
+						emit(i, s.rids[pos])
+					}
+				}
+			}
+			j++
+		}
+		for ri := range s.runs {
+			f, l := s.runs[ri].equalRange(v)
+			count += l - f
+			if emit != nil {
+				for k := f; k < l; k++ {
+					emit(i, s.runs[ri].rids[k])
+				}
+			}
+		}
+	}
+	return count
+}
+
+// selectIn is the one IN-list driver.  The pre-deduplicated values are
+// probed in chunks of cssidx.DefaultBatchSize (equalRanges), each value
+// contributing its base rows then its run rows — value-grouped in list
+// order, ascending RID within a value, exactly what a rebuilt index would
+// return.  With wantGroups, goff[i] marks where value i's rows start in out
+// (len(distinct)+1 entries): the shape the cache's subset/superset reuse
+// and per-group append patching need.
+//
+// A list large enough for the worker options, on a segment with no runs and
+// no offsets wanted, is split into contiguous spans probed concurrently —
+// every probe primitive is safe for that — and the spans' rows concatenate
+// in span order, so the output is identical at every worker count.  A
+// governed call observes cancellation and charges the byte budget once per
+// chunk, each worker through its own Checkpoint.
+func (s *segment) selectIn(ctl *governor.Ctl, distinct []uint32, wantGroups bool, par parallel.Options) (out, goff []uint32, err error) {
+	w := 1
+	if !wantGroups && len(s.runs) == 0 {
+		w = par.WorkersFor(len(distinct))
+	}
+	if w <= 1 {
+		return s.selectInSpan(distinct, wantGroups, ctl.Checkpoint())
+	}
+	outs := make([][]uint32, w)
+	err = fanOut(ctl, w, len(distinct), par, func(t int) (err error) {
+		lo, hi := parallel.Span(len(distinct), w, t)
+		outs[t], _, err = s.selectInSpan(distinct[lo:hi], false, ctl.Checkpoint())
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	total := 0
+	for _, o := range outs {
+		total += len(o)
+	}
+	out = make([]uint32, 0, total)
+	for _, o := range outs {
+		out = append(out, o...)
+	}
+	return out, nil, nil
+}
+
+// fanOut runs body(t) for every span t in [0, w) on the worker pool — bound
+// to ctl's context when governed, so the undrawn spans of a cancelled query
+// never start — and returns the first error.  n is the combined work size.
+func fanOut(ctl *governor.Ctl, w, n int, par parallel.Options, body func(t int) error) error {
+	errs := make([]error, w)
+	run := func(t int) { errs[t] = body(t) }
+	var err error
+	if ctl == nil {
+		parallel.Do(w, n, par, run)
+	} else {
+		err = parallel.DoCtx(ctl.Context(), w, n, par, run)
+	}
+	for _, e := range errs {
+		if err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// selectInSpan is selectIn's single-goroutine body over one span of the list.
+func (s *segment) selectInSpan(values []uint32, wantGroups bool, cp *governor.Checkpoint) (out, goff []uint32, err error) {
+	if wantGroups {
+		goff = make([]uint32, 0, len(values)+1)
+	}
+	sc := newProbeScratch(min(len(values), cssidx.DefaultBatchSize))
+	defer scratchPool.Put(sc)
+	for base := 0; base < len(values); base += cssidx.DefaultBatchSize {
+		chunk := values[base:min(base+cssidx.DefaultBatchSize, len(values))]
+		ids, first, last := s.equalRanges(chunk, sc)
+		before, j := len(out), 0
+		for i, v := range chunk {
+			if wantGroups {
+				goff = append(goff, uint32(len(out)))
+			}
+			if ids[i] >= 0 {
+				if f, l := first[j], last[j]; 0 <= f && f < l {
+					out = append(out, s.rids[f:l]...)
+				}
+				j++
+			}
+			out = deltaEqualAppend(s.runs, v, out)
+		}
+		cp.Charge(4 * int64(len(out)-before))
+		if err := cp.TickN(len(chunk)); err != nil {
+			return nil, nil, err
+		}
+	}
+	if wantGroups {
+		goff = append(goff, uint32(len(out)))
+	}
+	return out, goff, cp.Flush()
+}
+
+// --- identity and EXPLAIN -----------------------------------------------------
+
+// innerTag fingerprints the segment as a join's inner side: table, column
+// and cache layer.  The version it pairs with — the table state version, or
+// the frozen epoch's uid — is the freezer's to supply (joinFreeze).
+func (s *segment) innerTag() uint64 {
+	h := qcache.HashString(qcache.HashString(qcache.HashSeed, s.tbl.name), s.col)
+	return qcache.HashU32(h, uint32(s.layer))
+}
+
+// planRows is the row count the recompute-cost model prices a computed entry
+// by: the planner's estimate on the table layer; an epoch-layer query is
+// never planned, so it is priced by what it materialised.
+func (s *segment) planRows(est, rows int) int {
+	if s.layer == qcache.LayerEpoch {
+		return rows
+	}
+	return est
+}
+
+// explainRange annotates the execute span of a computed range.
+func (s *segment) explainRange(ex *telemetry.Span, lo, hi uint32, rows int) {
+	switch {
+	case ex == nil: // attr args must not run on the untraced path
+	case s.shards == nil:
+		ex.Attr("path", "sorted-index").AttrInt("delta_runs", len(s.runs)).AttrInt("rows", rows)
+	default:
+		loID, hiID := s.dom.IDRange(lo, hi)
+		ex.Attr("path", "sharded").AttrInt("shards_touched", shardsTouched(s.shards.Bounds(), loID, hiID)).
+			AttrInt("delta_runs", len(s.runs)).AttrInt("rows", rows)
+	}
+}
+
+// explainIn names the IN driver's shape on the execute span before it runs,
+// so an aborted probe still says what it was.
+func (s *segment) explainIn(ex *telemetry.Span, values int, grouped bool) {
+	switch {
+	case ex == nil:
+	case grouped && s.shards == nil:
+		ex.Attr("path", "index-grouped").AttrInt("workers", 1)
+	case grouped:
+		ex.Attr("path", "sharded-grouped").AttrInt("workers", 1)
+	case s.shards == nil:
+		ex.Attr("path", "index-batch").AttrInt("workers", (parallel.Options{}).WorkersFor(values))
+	case len(s.runs) == 0:
+		ex.Attr("path", "sharded-batch").AttrInt("workers", (parallel.Options{}).WorkersFor(values))
+	default:
+		ex.Attr("path", "sharded-delta-merged").AttrInt("delta_runs", len(s.runs))
+	}
+}

@@ -3,9 +3,12 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cssidx/internal/telemetry"
 )
 
 func TestRunCtxCompletesWithLiveContext(t *testing.T) {
@@ -86,10 +89,31 @@ func TestRunCtxDeadline(t *testing.T) {
 // TestRunCtxPanicCancelsSiblings verifies governance-aware panic isolation:
 // one worker's panic trips the shared flag, so siblings stop at their next
 // checkpoint instead of running their partitions to completion.
+//
+// The order of events is forced, not timed.  Every sibling parks inside its
+// first chunk on a channel the panicking worker closes immediately before
+// panic("boom") — but the flag is only set once that panic has unwound into
+// the pool's recover, so a sibling released by the close alone could still
+// race a whole partition through the gap whenever the panicking thread loses
+// its core there (the old ≈1-in-100 failure on two cores).  The siblings
+// therefore also wait for the first worker to be recorded as finished
+// (parallel_worker_run_ns, observed after the recover returns): with every
+// sibling parked, that worker can only be the panicking one, and the flag is
+// set before its run time is.  From there the bound is exact — each sibling
+// finishes the chunk it is in and stops at the checkpoint after it.
 func TestRunCtxPanicCancelsSiblings(t *testing.T) {
-	const n = 1 << 22
+	const (
+		n       = 1 << 22
+		workers = 4
+		stride  = 512
+	)
+	telemetry.Enable()
+	defer telemetry.Disable()
+	finished := histRunNs.Count()
+	raised := make(chan struct{})
+	deadline := time.Now().Add(30 * time.Second)
 	var rows atomic.Int64
-	var panicked atomic.Bool
+	var panicked, stuck atomic.Bool
 	defer func() {
 		v := recover()
 		wp, ok := v.(*WorkerPanic)
@@ -99,15 +123,24 @@ func TestRunCtxPanicCancelsSiblings(t *testing.T) {
 		if wp.Value != "boom" {
 			t.Fatalf("panic value = %v, want boom", wp.Value)
 		}
-		// Siblings must have stopped near their first checkpoints: well
-		// under the full n rows.
-		if got := rows.Load(); got > n/4 {
-			t.Fatalf("siblings processed %d of %d rows after panic", got, n)
+		if stuck.Load() {
+			t.Fatal("no worker was ever recorded as finished: the panicking worker's run time is no longer observed after its recover")
+		}
+		if got := rows.Load(); got > (workers-1)*stride {
+			t.Fatalf("siblings processed %d rows after the panic was trapped, want at most %d (one in-flight chunk each)", got, (workers-1)*stride)
 		}
 	}()
-	RunCtx(context.Background(), n, Options{Workers: 4, MinBatchPerWorker: 1, CheckpointStride: 512}, func(lo, hi int) {
+	RunCtx(context.Background(), n, Options{Workers: workers, MinBatchPerWorker: 1, CheckpointStride: stride}, func(lo, hi int) {
 		if panicked.CompareAndSwap(false, true) {
+			close(raised)
 			panic("boom")
+		}
+		<-raised
+		for histRunNs.Count() == finished && !stuck.Load() {
+			if time.Now().After(deadline) {
+				stuck.Store(true)
+			}
+			runtime.Gosched()
 		}
 		rows.Add(int64(hi - lo))
 	})

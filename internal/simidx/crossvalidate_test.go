@@ -112,11 +112,11 @@ func TestSimulatedCrossoverInCache(t *testing.T) {
 }
 
 // TestModernCacheCompressesTheGap closes the loop on the host-vs-paper
-// divergence recorded in EXPERIMENTS.md: on a simulated 2020s server whose
-// L3 swallows the whole array, the CSS-vs-binary factor shrinks toward the
-// host's measured ~1.5x, while on the paper's Ultra Sparc II it stays >2x.
-// The CSS advantage is proportional to the miss penalty — the paper's
-// thesis, demonstrated from both ends.
+// divergence recorded in README "Model vs measured": on a simulated 2020s
+// server whose L3 swallows the whole array, the CSS-vs-binary factor shrinks
+// toward the host's measured ~1.5x, while on the paper's Ultra Sparc II it
+// stays >2x.  The CSS advantage is proportional to the miss penalty — the
+// paper's thesis, demonstrated from both ends.
 func TestModernCacheCompressesTheGap(t *testing.T) {
 	const n = 2_000_000
 	g := workload.New(93)
