@@ -24,14 +24,15 @@ package bench
 // which need overlap rather than repetition: a shifting range window
 // (every query a new fingerprint, stitched from the previous window plus
 // one gap probe), IN-list subsets replayed from a cached superset, and a
-// repeated GroupAggregate that PatchAppend carries across absorbed
-// appends.  These streams interleave absorbed AppendRows batches and
-// time them IN the stream: the cached side pays PatchAppend over its
-// resident entries on every absorb, the uncached side pays nothing but the
-// read-time weave.  Bar: group-agg ≥5×.  shift and in-subset carry no bar:
-// the uncached side has nothing to rebuild after an absorb, so on these
-// streams a plain indexed read is about as cheap as (shift: cheaper than)
-// stitch or replay plus the patching, and the records say so.
+// repeated GroupAggregate that is carried across absorbed appends.
+// These streams interleave absorbed AppendRows batches and time them IN
+// the stream: an absorb costs the cache nothing, the cached side pays to
+// bring an entry current only when it next answers from it, and the
+// uncached side pays nothing but the read-time weave.  Bar: group-agg
+// ≥5×.  shift and in-subset carry no bar: the uncached side has nothing
+// to rebuild after an absorb, so on these streams a plain indexed read is
+// about as cheap as stitch or replay plus the refresh, and the records
+// say so.
 
 import (
 	"fmt"
@@ -269,8 +270,8 @@ func runReuse(cfg Config, w io.Writer) error {
 // exact-match caching is useless and the recycler classes — range stitching,
 // IN-subset replay, GroupAggregate patching — carry the reuse.  Appends are
 // absorbed (never folded) and their time is INCLUDED in the stream timing:
-// what the cached side pays to carry its entries across an absorb
-// (PatchAppend) against what the reuse saves is the comparison being made.
+// what the cached side pays to bring the entries it reuses current after
+// an absorb against what the reuse saves is the comparison being made.
 func runRecycler(cfg Config, w io.Writer, g *workload.Gen, n int, aVals, bVals []uint32) error {
 	// Group column over a small domain plus a free-range measure column.
 	gdom := make([]uint32, 256)
@@ -286,7 +287,7 @@ func runRecycler(cfg Config, w io.Writer, g *workload.Gen, n int, aVals, bVals [
 	}
 	// ~0.2% selectivity window marching by an eighth of its width: 7/8 of
 	// every query is the previous query.  Narrow windows keep cached runs
-	// small (PatchAppend rewrites resident runs on every absorb).
+	// small (a stitch after an absorb rewrites the runs it draws on).
 	width := uint32(workload.MaxKey / 500)
 	step := width / 8
 
@@ -419,8 +420,8 @@ func runRecycler(cfg Config, w io.Writer, g *workload.Gen, n int, aVals, bVals [
 		var offSec float64
 		// The cached side runs under a deliberately tight budget: the
 		// marching window leaves superseded-by-nothing fragments behind it,
-		// and CLOCK shedding them caps the resident set PatchAppend rewrites
-		// on every absorb — the recent windows stitching feeds on stay warm.
+		// and CLOCK sheds them — the recent windows stitching feeds on stay
+		// warm.
 		for _, budget := range []string{"off", "2MB"} {
 			opts := mmdb.CacheOptions{Disabled: true}
 			if budget != "off" {
@@ -484,12 +485,12 @@ func runRecycler(cfg Config, w io.Writer, g *workload.Gen, n int, aVals, bVals [
 	}
 	fmt.Fprintln(w, "\nshape target: shift stitches every window after the first (one gap probe per")
 	fmt.Fprintln(w, "query) and is informational (no bar): the uncached side weaves the delta in at")
-	fmt.Fprintln(w, "read time and has nothing to rebuild after an absorb, so stitch + PatchAppend")
-	fmt.Fprintln(w, "competes with a plain indexed range read and loses on this stream; in-subset")
-	fmt.Fprintln(w, "replays cached superset groups and is informational too: against cheap indexed")
-	fmt.Fprintln(w, "point probes replay is about break-even — its win needs expensive probes or")
-	fmt.Fprintln(w, "scan-priced recomputes;")
-	fmt.Fprintln(w, "group-agg recomputes only the first query — PatchAppend folds each absorbed")
-	fmt.Fprintln(w, "batch's (group, measure) pairs into the cached rows — ≥5× (the acceptance bar)")
+	fmt.Fprintln(w, "read time and has nothing to rebuild after an absorb, so stitching — which after")
+	fmt.Fprintln(w, "an absorb first brings the runs it draws on current — competes with a plain")
+	fmt.Fprintln(w, "indexed range read and loses on this stream; in-subset replays cached superset")
+	fmt.Fprintln(w, "groups and is informational too: against cheap indexed point probes replay is")
+	fmt.Fprintln(w, "about break-even — its win needs expensive probes or scan-priced recomputes;")
+	fmt.Fprintln(w, "group-agg recomputes only the first query — the first hit after an absorb folds")
+	fmt.Fprintln(w, "the appended (group, measure) pairs into the cached rows — ≥5× (the acceptance bar)")
 	return nil
 }

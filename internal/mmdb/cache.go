@@ -9,11 +9,12 @@ package mmdb
 // instead of a recomputation.
 //
 // Invalidation rides the structures the engine already maintains: every
-// result is stamped with the table generation (bumped by AppendRows) or
-// the frozen sharded-index epoch it was computed against, so a rebuild
-// invalidates by moving the token — readers never stop, stale entries are
-// reaped at their next access, and AppendRows additionally sweeps the
-// table's entries eagerly (qcache.DropTable).
+// result is stamped with the fold generation and the row count it was
+// computed over, so a fold invalidates by moving the generation — readers
+// never stop, stale entries are reaped at their next access, and the fold
+// sweeps the table's entries eagerly (qcache.DropTable) — while an absorbed
+// append does nothing: the lookup that next picks an entry brings it current
+// from the rows appended since.
 
 import (
 	"fmt"
@@ -22,6 +23,7 @@ import (
 
 	"cssidx/internal/governor"
 	"cssidx/internal/qcache"
+	"cssidx/internal/telemetry"
 )
 
 // CacheOptions configures the result cache attached to a Table or DB.
@@ -67,8 +69,8 @@ func (t *Table) CacheStats() qcache.Stats { return t.cache.Load().StatsSnapshot(
 
 // Generation returns the table's current generation: 1 after creation,
 // +1 per fold (a full rebuild of encodings and indexes).  Absorbed append
-// batches move the delta sequence instead — see StateVersion for the
-// counter that moves on every append.
+// batches only grow the row count — see StateVersion for the counter that
+// moves on every append.
 func (t *Table) Generation() uint64 { return t.gen.Load() }
 
 // StateVersion returns the single counter that moves on every AppendRows
@@ -76,11 +78,42 @@ func (t *Table) Generation() uint64 { return t.gen.Load() }
 func (t *Table) StateVersion() uint64 { return t.stateVer.Load() }
 
 // token stamps results computed against the table's in-place state: the
-// (generation, delta sequence) pair.  A fold moves Gen and drops the
-// table's entries; an absorb moves Epoch and *patches* them across
-// (qcache.PatchAppend), so append-heavy streams keep their cache.
+// answer over rows [0, rows) of one generation.  A fold moves Gen and drops
+// the table's entries; an absorb only grows rows, so append-heavy streams
+// keep their cache and pay for it only where they use it.
 func (t *Table) token() qcache.Token {
-	return qcache.Token{Gen: t.gen.Load(), Epoch: t.deltaSeq.Load()}
+	return qcache.Token{Gen: t.gen.Load(), Epoch: uint64(t.rows)}
+}
+
+// reader is the table layer's cache reader: the token, the raw appended rows
+// the scan-path kinds are brought current from and, when the query runs
+// through a SortedIndex, its delta runs for the index-path kinds.
+func (t *Table) reader(seg *segment) qcache.Reader {
+	rd := qcache.Reader{Tok: t.token(), Rows: rawTail{t}}
+	if seg != nil {
+		rd.Runs = seg
+	}
+	return rd
+}
+
+// rawTail is the table's raw columns as a qcache.RowTail.
+type rawTail struct{ t *Table }
+
+func (r rawTail) Column(col string, mark uint32) ([]uint32, bool) {
+	c, ok := r.t.cols[col]
+	if !ok || int(mark) > len(c.raw) {
+		return nil, false
+	}
+	return c.raw[mark:], true
+}
+
+// tailRows annotates a cache hit that was brought current with the tail rows
+// it merged; a hit that was missing none says nothing.
+func tailRows(sp *telemetry.Span, tail int) *telemetry.Span {
+	if tail != qcache.Current {
+		sp.AttrInt("tail_rows", tail)
+	}
+	return sp
 }
 
 // --- fingerprints -----------------------------------------------------------
@@ -88,7 +121,7 @@ func (t *Table) token() qcache.Token {
 // rangeFP fingerprints lo ≤ col ≤ hi by its raw closed bounds.  Raw, not
 // domain IDs: with a delta layer the frozen dictionary no longer ranks
 // every live value, so IDs are not canonical across an absorbed append
-// while the raw bounds are — and PatchAppend can qualify appended rows
+// while the raw bounds are — and a refresh can qualify appended rows
 // against them directly.
 func rangeFP(table, col string, layer qcache.Layer, lo, hi uint32) qcache.Key {
 	return qcache.Key{Table: table, Col: col, Kind: qcache.KindRange, Layer: layer, Lo: lo, Hi: hi}
@@ -119,7 +152,7 @@ func whereFP(table string, preds []RangePred) qcache.Key {
 // aggFP fingerprints a GroupAggregate: the group column is the key's
 // column, and the hash folds the measure column plus the source-RID set —
 // a marker separates the nil all-rows source from an explicit (possibly
-// empty) RID list, because only the former can be patched across appends.
+// empty) RID list, because only the former grows with appended rows.
 func aggFP(table, groupCol, measureCol string, rids []uint32) qcache.Key {
 	h := qcache.HashString(qcache.HashSeed, measureCol)
 	if rids == nil {
@@ -132,15 +165,6 @@ func aggFP(table, groupCol, measureCol string, rids []uint32) qcache.Key {
 		Table: table, Col: groupCol, Kind: qcache.KindAgg, Layer: qcache.LayerTable,
 		Hash: h, N: uint32(len(rids)),
 	}
-}
-
-// predBounds converts the conjuncts to the cache's patchable form.
-func predBounds(preds []RangePred) []qcache.PredBound {
-	out := make([]qcache.PredBound, len(preds))
-	for i, p := range preds {
-		out[i] = qcache.PredBound{Col: p.Col, Lo: p.Lo, Hi: p.Hi}
-	}
-	return out
 }
 
 // --- recompute cost model ---------------------------------------------------

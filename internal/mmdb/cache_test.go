@@ -398,9 +398,9 @@ func TestCacheRaceAppendRows(t *testing.T) {
 		if err := cached.AppendRows(batches[i]); err != nil {
 			t.Fatal(err)
 		}
-		// Seed an entry between batches so every absorb has something to
-		// patch and every fold something to drop, independent of how far
-		// the racing readers got.
+		// Seed an entry between batches so after every absorb a hit has an
+		// entry to bring current and every fold something to drop,
+		// independent of how far the racing readers got.
 		if _, err := shC.SelectRange(1<<28, 1<<31); err != nil {
 			t.Fatal(err)
 		}

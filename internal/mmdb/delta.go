@@ -120,7 +120,7 @@ func pushRun(runs []idxRun, r idxRun) []idxRun {
 // mergeIdxRuns merges two runs by (value, RID); a wins ties, which is
 // (value, RID) order because every b-RID exceeds every a-RID.
 func mergeIdxRuns(a, b idxRun) idxRun {
-	vals, rids := mergePairsTieFirst(a.vals, a.rids, b.vals, b.rids)
+	vals, rids := sortu32.MergePairs(a.vals, a.rids, b.vals, b.rids)
 	return idxRun{vals: vals, rids: rids, min: vals[0], max: vals[len(vals)-1], filter: bloom.Build(vals)}
 }
 
@@ -182,16 +182,6 @@ func deltaEqualAppend(runs []idxRun, v uint32, out []uint32) []uint32 {
 		}
 	}
 	return out
-}
-
-// deltaCountEqual counts the delta rows equal to v.
-func deltaCountEqual(runs []idxRun, v uint32) int {
-	n := 0
-	for i := range runs {
-		f, l := runs[i].equalRange(v)
-		n += l - f
-	}
-	return n
 }
 
 // deltaCountRange counts the delta rows with lo ≤ value ≤ hi.
@@ -308,6 +298,51 @@ func mergeRangeDelta(dom *domain.IntDomain, keys, rids []uint32, first, last int
 	return outRids, outVals
 }
 
+// Pairs and Equal are the segment as a qcache.RunTail: what a cached result
+// computed over rows [0, mark) is missing.  Runs hold disjoint ascending RID
+// intervals in slice order, starting where the base ends, so the runs wholly
+// below mark are skipped by arithmetic and at most one straddles it.
+//
+// Pairs returns the delta pairs with lo ≤ value ≤ hi and RID ≥ mark in
+// (value, RID) order: the runs from the straddling one on weave clipped to the
+// bounds, and the straddling run's pairs below mark are dropped from the
+// result — O(log delta + pairs in range), never a scan of the appended rows.
+func (s *segment) Pairs(lo, hi, mark uint32) (vals, rids []uint32) {
+	start, i := uint32(len(s.rids)), 0
+	for ; i < len(s.runs) && start+uint32(len(s.runs[i].rids)) <= mark; i++ {
+		start += uint32(len(s.runs[i].rids))
+	}
+	rids, vals = mergeRangeDelta(s.dom, nil, nil, 0, 0, s.runs[i:], lo, hi, true)
+	if start < mark {
+		n := 0
+		for j, r := range rids {
+			if r >= mark {
+				vals[n], rids[n] = vals[j], r
+				n++
+			}
+		}
+		vals, rids = vals[:n], rids[:n]
+	}
+	return vals, rids
+}
+
+// Equal appends the delta RIDs ≥ mark of the rows equal to v, ascending.
+func (s *segment) Equal(v, mark uint32, out []uint32) []uint32 {
+	start := uint32(len(s.rids))
+	for i := range s.runs {
+		r := &s.runs[i]
+		if end := start + uint32(len(r.rids)); end > mark {
+			f, l := r.equalRange(v)
+			for start < mark && f < l && r.rids[f] < mark {
+				f++
+			}
+			out = append(out, r.rids[f:l]...)
+		}
+		start += uint32(len(r.rids))
+	}
+	return out
+}
+
 // splitPast returns the first position in keys[from:to) whose domain value
 // exceeds v (to when none does).  Successive delta elements land close
 // together in the base, so the search starts at the previous split: a short
@@ -343,43 +378,11 @@ func splitPast(values, keys []uint32, from, to int, v uint32) int {
 	return from
 }
 
-// mergePairsTieFirst merges two (value, payload) pair lists by value; a
-// wins ties.
-func mergePairsTieFirst(av, ap, bv, bp []uint32) (vals, payload []uint32) {
-	vals = make([]uint32, 0, len(av)+len(bv))
-	payload = make([]uint32, 0, len(ap)+len(bp))
-	i, j := 0, 0
-	for i < len(av) && j < len(bv) {
-		if av[i] <= bv[j] {
-			vals, payload = append(vals, av[i]), append(payload, ap[i])
-			i++
-		} else {
-			vals, payload = append(vals, bv[j]), append(payload, bp[j])
-			j++
-		}
-	}
-	vals = append(append(vals, av[i:]...), bv[j:]...)
-	payload = append(append(payload, ap[i:]...), bp[j:]...)
-	return vals, payload
-}
-
 // idsToRaw maps a slice of domain IDs to their raw values.
 func idsToRaw(dom *domain.IntDomain, ids []uint32) []uint32 {
 	out := make([]uint32, len(ids))
 	for i, id := range ids {
 		out[i] = dom.Value(id)
-	}
-	return out
-}
-
-// deltaScanRange collects the delta-row RIDs with lo ≤ value ≤ hi by
-// scanning the column's appended tail, in row order.
-func (t *Table) deltaScanRange(c *Column, lo, hi uint32) []uint32 {
-	var out []uint32
-	for row := t.baseRows; row < len(c.raw); row++ {
-		if v := c.raw[row]; v >= lo && v <= hi {
-			out = append(out, uint32(row))
-		}
 	}
 	return out
 }

@@ -157,6 +157,92 @@ func BenchmarkAbsorbThenRead(b *testing.B) {
 	}
 }
 
+// fillResident leaves n resident range entries (≈40 rows each) in the
+// table's cache.
+func (s *scaleTable) fillResident(tb testing.TB, n int) {
+	tb.Helper()
+	for i := 0; i < n; i++ {
+		p := (i * 7919) % (len(s.dict) - 100)
+		if _, _, err := s.tab.SelectRange("k", s.dict[p], s.dict[p+5]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if got := s.tab.CacheStats().Entries; got != int64(n) {
+		tb.Fatalf("%d resident entries, want %d", got, n)
+	}
+}
+
+// TestAbsorbCostIndependentOfResidentEntries is the cache side of the
+// scaling guard: an absorbed append does nothing to the result cache, so the
+// bytes one 256-row AppendRows allocates — a count, which the host cannot
+// disturb — agree within 1.25× with 0, 500 and 5,000 entries resident.  A
+// sweep that revalidates every resident entry per append allocates a
+// successor per entry and fails it a hundredfold.
+func TestAbsorbCostIndependentOfResidentEntries(t *testing.T) {
+	var lo, hi uint64
+	for _, resident := range []int{0, 500, 5000} {
+		s := newScaleTable(t, 200_000, AppendPolicy{})
+		s.tab.EnableCache(CacheOptions{MinCostNs: -1})
+		s.fillResident(t, resident)
+		// As in TestAbsorbThenReadCostFollowsBatch: room for the rows up
+		// front, and four warm absorbs so the measured one stacks a second
+		// run at every residency.
+		for _, c := range s.tab.cols {
+			c.raw = slices.Grow(c.raw, 8*scaleBatch)
+		}
+		for i := 0; i < 4; i++ {
+			s.append(t, scaleBatch)
+		}
+		batch := s.batch(scaleBatch)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.tab.AppendRows(batch); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("resident=%d: one absorb allocates %d B", resident, got)
+		if st := s.tab.CacheStats(); st.Entries != int64(resident) || st.Patches != 0 || st.Invalidations != 0 {
+			t.Fatalf("resident=%d: absorbs touched the cache: %+v", resident, st)
+		}
+		if lo == 0 || got < lo {
+			lo = got
+		}
+		hi = max(hi, got)
+	}
+	if 4*hi > 5*lo {
+		t.Errorf("one absorb allocates %d…%d B across residencies: cost follows the cache", lo, hi)
+	}
+}
+
+// BenchmarkAbsorbResident times one 256-row absorb on a 200K-row table with
+// 0, 500 and 5,000 cache entries resident.  A fold empties the cache, so when
+// the next batch would fold, an untimed append folds first and the entries
+// are admitted again.
+func BenchmarkAbsorbResident(b *testing.B) {
+	for _, resident := range []int{0, 500, 5000} {
+		b.Run(fmt.Sprint(resident), func(b *testing.B) {
+			s := newScaleTable(b, 200_000, AppendPolicy{})
+			s.tab.EnableCache(CacheOptions{MinCostNs: -1})
+			s.fillResident(b, resident)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if s.tab.AppendPolicy().shouldFold(s.tab.DeltaRows()+2*scaleBatch, s.tab.BaseRows()) {
+					s.append(b, 2*scaleBatch)
+					s.fillResident(b, resident)
+				}
+				batch := s.batch(scaleBatch)
+				b.StartTimer()
+				if err := s.tab.AppendRows(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRangeWeave prices the read-time weave: the same ≈800-row ranges
 // over a 200K-row base with a 16K-row delta folded in, held as one run, and
 // held as six geometrically tiered runs.

@@ -50,20 +50,13 @@ type Table struct {
 	appendPol AppendPolicy
 
 	// gen is the table generation: 1 after creation, +1 per *fold* (a
-	// full rebuild of encodings and indexes).  Together with deltaSeq it
-	// forms the validity token of every cached result computed against
-	// the table's in-place state (cache.go), read atomically so the
-	// epoch-serving ShardedIndex surfaces can stamp entries while a
-	// rebuild publishes.
+	// full rebuild of encodings and indexes).  Together with rows it forms
+	// the validity token of every cached result computed against the
+	// table's in-place state (cache.go).
 	gen atomic.Uint64
-	// deltaSeq counts absorbed append batches (never reset): the token's
-	// second component, so an absorb moves the token without the
-	// generation — letting the cache patch entries across it rather than
-	// drop the table.
-	deltaSeq atomic.Uint64
 	// stateVer is 1 after creation, +1 per AppendRows batch of either
 	// kind — the single-counter version join caching stamps outer state
-	// with (always gen + deltaSeq, kept explicit for cheap reads).
+	// with.
 	stateVer atomic.Uint64
 	// cache is the attached result cache (nil = caching off); behind an
 	// atomic pointer so concurrent sharded readers see attachment safely.
@@ -177,6 +170,10 @@ func (t *Table) BuildIndex(colName string, kind cssidx.Kind, opts cssidx.Options
 		ix.absorb(col.raw[t.baseRows:], uint32(t.baseRows))
 	}
 	t.indexes[colName] = ix
+	// Scan- and index-path results share fingerprints but not row order:
+	// entries computed without the index must not answer queries planned
+	// with it.
+	t.Cache().DropTable(t.name)
 	return ix, nil
 }
 
@@ -634,21 +631,10 @@ func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 
 // absorbRows is the delta path: raw columns grow, the frozen encodings do
 // not, and each index absorbs the batch as one sorted run (sharded indexes
-// publish a new epoch sharing the base arrays).  Instead of dropping the
-// table's cached entries, the move from the old token to the new one is a
-// PatchAppend sweep: entries whose key domain misses the batch are carried
-// across untouched, intersecting ones are extended with the qualifying
-// appended rows, and only the kinds that cannot be patched drop.
+// publish a new epoch sharing the base arrays).  The result cache is not
+// touched: an entry that is asked for again is brought current then.
 func (t *Table) absorbRows(newCols map[string][]uint32, batch int) {
 	startRID := uint32(t.rows)
-	oldTok := t.token()
-	var oldUIDs map[string]uint64
-	if len(t.sharded) > 0 {
-		oldUIDs = make(map[string]uint64, len(t.sharded))
-		for col, six := range t.sharded {
-			oldUIDs[col] = six.cur.Load().uid
-		}
-	}
 	for _, name := range t.order {
 		c := t.cols[name]
 		c.raw = append(c.raw, newCols[name]...)
@@ -660,21 +646,5 @@ func (t *Table) absorbRows(newCols map[string][]uint32, batch int) {
 	for col, six := range t.sharded {
 		six.absorb(newCols[col], startRID)
 	}
-	t.deltaSeq.Add(1)
 	t.stateVer.Add(1)
-	if qc := t.Cache(); qc.Enabled() {
-		qc.PatchAppend(qcache.AppendPatch{
-			Table: t.name, Layer: qcache.LayerTable,
-			OldTok: oldTok, NewTok: t.token(),
-			StartRID: startRID, Cols: newCols,
-		})
-		for col, six := range t.sharded {
-			qc.PatchAppend(qcache.AppendPatch{
-				Table: t.name, Layer: qcache.LayerEpoch, Col: col,
-				OldTok:   qcache.Token{Epoch: oldUIDs[col]},
-				NewTok:   qcache.Token{Epoch: six.cur.Load().uid},
-				StartRID: startRID, Cols: newCols,
-			})
-		}
-	}
 }

@@ -5,9 +5,10 @@ package mmdb
 //  1. A segment (segment.go) is the frozen read view every index probe runs
 //     against: a SortedIndex's, or one published epoch of a ShardedIndex.
 //  2. A cached path answers one query shape over a segment and a cache
-//     token: selectRange and selectIn below are each written once — the table
-//     layer passes its (generation, delta-sequence) token, the sharded index
-//     its epoch uid — and follow one protocol: exact or containment lookup,
+//     reader: selectRange and selectIn below are each written once — the table
+//     layer passes its (generation, rows) reader, the sharded index its frozen
+//     epoch's — and follow one protocol: exact or containment lookup (the entry
+//     picked is first brought current from the rows appended since),
 //     the reuse paths (range stitch, IN subset replay and superset fill),
 //     then on a miss admission, execute, charge, insert.  Scans, WHERE
 //     conjunctions, aggregates and joins run the same stages through the same
@@ -174,9 +175,9 @@ type GroupRow = qcache.AggRow
 //
 // With a cache attached, the (groupCol, measureCol, source-RID) fingerprint
 // is looked up first and the computed result admitted after.  All-rows
-// aggregates (nil rids) survive absorbed appends — PatchAppend folds the
-// batch's (group, measure) pairs into the cached rows; explicit-RID
-// aggregates are retokened when the append cannot touch them.
+// aggregates (nil rids) survive absorbed appends — a hit folds the
+// (group, measure) pairs of the rows appended since into the cached rows;
+// explicit-RID aggregates are re-stamped, since an append cannot touch them.
 func GroupAggregate(t *Table, groupCol, measureCol string, rids []uint32) ([]GroupRow, error) {
 	return GroupAggregateCtx(context.Background(), t, groupCol, measureCol, rids, nil)
 }
@@ -209,13 +210,13 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 	} else {
 		e.sp.AttrInt("source_rows", len(rids))
 	}
-	qc, tok := t.Cache(), t.token()
+	qc, rd := t.Cache(), t.reader(nil)
 	var akey qcache.Key
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		akey = aggFP(t.name, groupCol, measureCol, rids)
-		if rows, ok := qc.LookupAgg(akey, tok); ok {
-			cs.Attr("outcome", "hit").AttrInt("groups", len(rows)).End()
+		if rows, tail, ok := qc.LookupAgg(akey, rd); ok {
+			tailRows(cs.Attr("outcome", "hit").AttrInt("groups", len(rows)), tail).End()
 			return rows, nil
 		}
 		cs.Attr("outcome", "miss").End()
@@ -339,7 +340,7 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 		if rids == nil {
 			src = t.rows
 		}
-		qc.InsertAgg(akey, tok, measureCol, rids == nil, out,
+		qc.InsertAgg(akey, rd.Tok, measureCol, rids == nil, out,
 			aggRecomputeCost(time.Since(st.start), src, len(out)))
 		ad.End()
 	}
@@ -454,7 +455,7 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	e.explainPlan(plan)
 	if plan.UseIndex {
 		if ix, ok := t.indexes[col]; ok {
-			rids, err := selectRange(&ix.seg, t.token(), e, lo, hi, plan.EstRows)
+			rids, err := selectRange(&ix.seg, t.reader(&ix.seg), e, lo, hi, plan.EstRows)
 			return rids, plan, err
 		}
 		rids, err := t.sharded[col].selectRange(e, lo, hi) // cached per frozen epoch
@@ -463,12 +464,12 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	if loID >= hiID && t.rows == t.baseRows {
 		return nil, plan, nil // no live value in [lo, hi]
 	}
-	qc, tok := t.Cache(), t.token()
+	qc, rd := t.Cache(), t.reader(nil)
 	key := rangeFP(t.name, col, qcache.LayerTable, lo, hi)
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
-		if rids, kind := qc.LookupRangeKind(key, tok); kind != qcache.HitMiss {
-			cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)).End()
+		if rids, kind, tail := qc.LookupRange(key, rd); kind != qcache.HitMiss {
+			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
 			return rids, plan, nil
 		}
 		cs.Attr("outcome", "miss").End()
@@ -487,7 +488,7 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	// exact-only entries (no key run, no containment slicing).
 	if qc.Enabled() {
 		ad := e.sp.Child("admit")
-		qc.InsertRange(key, tok, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
+		qc.InsertRange(key, rd.Tok, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
 		ad.End()
 	}
 	return out, plan, nil
@@ -495,18 +496,18 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 
 // selectRange is the one cached index-range path: a raw closed range over a
 // segment — base span woven with the delta runs — consulting and filling
-// the cache under tok.  The table layer passes its (generation, delta
-// sequence) token and the planner's row estimate; a sharded index passes the
-// frozen epoch's uid, so lookups, stitch segments, gap probes and the insert
-// all see that one epoch whatever the index pointer has moved on to.
-func selectRange(seg *segment, tok qcache.Token, e env, lo, hi uint32, est int) ([]uint32, error) {
+// the cache as rd.  The table layer passes its (generation, rows) reader and
+// the planner's row estimate; a sharded index passes the frozen epoch's, so
+// lookups, refreshes, stitch segments, gap probes and the insert all see that
+// one epoch whatever the index pointer has moved on to.
+func selectRange(seg *segment, rd qcache.Reader, e env, lo, hi uint32, est int) ([]uint32, error) {
 	qc := seg.tbl.Cache()
 	key := rangeFP(seg.tbl.name, seg.col, seg.layer, lo, hi)
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
-		rids, kind, err := reuseRange(seg, qc, key, tok, e, est, cs)
+		rids, kind, tail, err := reuseRange(seg, qc, key, rd, e, est, cs)
 		if kind == "hit" || kind == "contained" { // a stitch is annotated where it is assembled
-			cs.Attr("outcome", kind).AttrInt("rows", len(rids))
+			tailRows(cs.Attr("outcome", kind).AttrInt("rows", len(rids)), tail)
 		}
 		if kind != "" || err != nil {
 			cs.End()
@@ -532,7 +533,7 @@ func selectRange(seg *segment, tok qcache.Token, e env, lo, hi uint32, est int) 
 	st.ex.End()
 	if qc.Enabled() {
 		ad := e.sp.Child("admit")
-		qc.InsertRange(key, tok, keys, out,
+		qc.InsertRange(key, rd.Tok, keys, out,
 			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
 		ad.End()
 	}
@@ -541,19 +542,20 @@ func selectRange(seg *segment, tok qcache.Token, e env, lo, hi uint32, est int) 
 
 // reuseRange is the read half of the range protocol, shared by selectRange
 // and SelectWhere's conjuncts: an exact or containment hit (kind "hit" /
-// "contained"), else a stitch of overlapping cached runs with gap probes
-// (kind "stitched", annotated on note and charged as the fresh slice it
-// is), else a miss (kind "").
-func reuseRange(seg *segment, qc *qcache.Cache, key qcache.Key, tok qcache.Token, e env, est int, note *telemetry.Span) ([]uint32, string, error) {
-	if rids, kind := qc.LookupRangeKind(key, tok); kind != qcache.HitMiss {
-		return rids, kind.String(), nil
+// "contained", with the tail rows merged bringing the entry current), else a
+// stitch of overlapping cached runs with gap probes (kind "stitched",
+// annotated on note and charged as the fresh slice it is), else a miss
+// (kind "").
+func reuseRange(seg *segment, qc *qcache.Cache, key qcache.Key, rd qcache.Reader, e env, est int, note *telemetry.Span) (rids []uint32, kind string, tail int, err error) {
+	if rids, kind, tail := qc.LookupRange(key, rd); kind != qcache.HitMiss {
+		return rids, kind.String(), tail, nil
 	}
-	rids, ok, err := tryStitchRange(seg, qc, key, tok, est, note)
+	rids, ok, err := tryStitchRange(seg, qc, key, rd, est, note)
 	if !ok || err != nil {
-		return nil, "", err
+		return nil, "", qcache.Current, err
 	}
 	rids, err = e.fresh(rids, nil)
-	return rids, "stitched", err
+	return rids, "stitched", qcache.Current, err
 }
 
 // stitchAssemble materialises a stitch plan: cached segments and probed
@@ -591,8 +593,8 @@ func stitchAssemble(sp *qcache.StitchPlan, seg *segment) (rids, keys []uint32, e
 // the stitched run is admitted under the request's own key — admission
 // supersedes the runs it covers, so overlapping dashboard windows converge
 // to one covering run instead of accumulating fragments.
-func tryStitchRange(seg *segment, qc *qcache.Cache, key qcache.Key, tok qcache.Token, estRows int, cs *telemetry.Span) ([]uint32, bool, error) {
-	sp, ok := qc.StitchRange(key, tok)
+func tryStitchRange(seg *segment, qc *qcache.Cache, key qcache.Key, rd qcache.Reader, estRows int, cs *telemetry.Span) ([]uint32, bool, error) {
+	sp, ok := qc.StitchRange(key, rd)
 	if !ok || !stitchWorthwhile(sp, key.Lo, key.Hi, estRows) {
 		return nil, false, nil
 	}
@@ -600,10 +602,10 @@ func tryStitchRange(seg *segment, qc *qcache.Cache, key qcache.Key, tok qcache.T
 	if err != nil {
 		return nil, false, err
 	}
-	cs.Attr("outcome", "stitched").AttrInt("gap_probes", len(sp.Gaps)).
-		AttrInt("cached_rows", sp.CachedRows).AttrInt("rows", len(rids))
+	tailRows(cs.Attr("outcome", "stitched").AttrInt("gap_probes", len(sp.Gaps)).
+		AttrInt("cached_rows", sp.CachedRows).AttrInt("rows", len(rids)), sp.TailRows)
 	qc.NoteStitch(key, len(sp.Gaps))
-	qc.InsertRange(key, tok, keys, rids, estRecomputeNs(Plan{UseIndex: true, EstRows: len(rids)}, 0))
+	qc.InsertRange(key, rd.Tok, keys, rids, estRecomputeNs(Plan{UseIndex: true, EstRows: len(rids)}, 0))
 	return rids, true, nil
 }
 
@@ -707,7 +709,7 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	e.explainPlan(plan)
 	if plan.UseIndex {
 		if ix, ok := t.indexes[col]; ok {
-			rids, err := selectIn(&ix.seg, t.token(), e, distinct, plan.EstRows)
+			rids, err := selectIn(&ix.seg, t.reader(&ix.seg), e, distinct, plan.EstRows)
 			return rids, plan, err
 		}
 		rids, err := t.sharded[col].selectIn(e, distinct) // cached per frozen epoch
@@ -715,13 +717,13 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	}
 	// The scan path caches by exact fingerprint only: grouped reuse replays
 	// in probe order, which a scan-planned query must not inherit.
-	qc, tok := t.Cache(), t.token()
+	qc, rd := t.Cache(), t.reader(nil)
 	var key qcache.Key
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		key = inFP(t.name, col, qcache.LayerTable, distinct)
-		if rids, ok := qc.Lookup(key, tok); ok {
-			cs.Attr("outcome", "hit").AttrInt("rows", len(rids)).End()
+		if rids, tail, ok := qc.Lookup(key, rd); ok {
+			tailRows(cs.Attr("outcome", "hit").AttrInt("rows", len(rids)), tail).End()
 			return rids, plan, nil
 		}
 		cs.Attr("outcome", "miss").End()
@@ -753,37 +755,37 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	st.ex.AttrInt("rows", len(out)).End()
 	if qc.Enabled() {
 		ad := e.sp.Child("admit")
-		qc.InsertIn(key, tok, distinct, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
+		qc.InsertIn(key, rd.Tok, distinct, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
 		ad.End()
 	}
 	return out, plan, nil
 }
 
 // selectIn is the one cached IN path over an index segment: exact lookup,
-// then the grouped entries of the same column and token — a subset list
+// then the grouped entries of the same column that serve rd — a subset list
 // replays by concatenating cached groups, a near-superset probes only its
 // missing values against this same segment — then on a miss the batched
 // driver, admitted with the value list and (for lists that stay on one
-// worker) the group offsets reuse and append patching need.  est is the
+// worker) the group offsets reuse and refresh splicing need.  est is the
 // admission estimate in rows: the planner's on the table layer, the list
 // length on the epoch layer.
-func selectIn(seg *segment, tok qcache.Token, e env, distinct []uint32, est int) ([]uint32, error) {
+func selectIn(seg *segment, rd qcache.Reader, e env, distinct []uint32, est int) ([]uint32, error) {
 	qc := seg.tbl.Cache()
 	var key qcache.Key
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		key = inFP(seg.tbl.name, seg.col, seg.layer, distinct)
-		if rids, ok := qc.Lookup(key, tok); ok {
-			cs.Attr("outcome", "hit").AttrInt("rows", len(rids)).End()
+		if rids, tail, ok := qc.Lookup(key, rd); ok {
+			tailRows(cs.Attr("outcome", "hit").AttrInt("rows", len(rids)), tail).End()
 			return rids, nil
 		}
-		if r, ok := qc.LookupInReuse(key, tok, distinct); ok {
+		if r, ok := qc.LookupInReuse(key, rd, distinct); ok {
 			if len(r.Missing) == 0 {
 				// Not re-admitted: the source entry already answers any
 				// repeat of this subset at the same price, so caching the
 				// derived copy would only cost an insert per replay.
 				out, _ := assembleInGroups(distinct, r.Groups, nil)
-				cs.Attr("outcome", "subset-replay").AttrInt("rows", len(out)).End()
+				tailRows(cs.Attr("outcome", "subset-replay").AttrInt("rows", len(out)), r.TailRows).End()
 				return e.fresh(out, nil)
 			}
 			if inFillWorthwhile(len(r.Missing), len(distinct)) {
@@ -792,9 +794,9 @@ func selectIn(seg *segment, tok qcache.Token, e env, distinct []uint32, est int)
 					fills[v] = seg.selectEqual(v)
 				}
 				out, goff := assembleInGroups(distinct, r.Groups, fills)
-				cs.Attr("outcome", "superset-fill").AttrInt("missing_probes", len(r.Missing)).AttrInt("rows", len(out)).End()
+				tailRows(cs.Attr("outcome", "superset-fill").AttrInt("missing_probes", len(r.Missing)).AttrInt("rows", len(out)), r.TailRows).End()
 				qc.NoteInFill(key, len(r.Missing))
-				qc.InsertIn(key, tok, distinct, goff, out,
+				qc.InsertIn(key, rd.Tok, distinct, goff, out,
 					estRecomputeNs(Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
 				return e.fresh(out, nil)
 			}
@@ -816,11 +818,11 @@ func selectIn(seg *segment, tok qcache.Token, e env, distinct []uint32, est int)
 		st.ex.AttrInt("shards_touched", seg.shards.ShardCount())
 	}
 	st.ex.AttrInt("rows", len(out)).End()
-	// The value list rides along so PatchAppend can test an absorbed batch
-	// against the entry instead of dropping it.
+	// The value list rides along so a refresh can test the rows appended
+	// since against the entry instead of dropping it.
 	if qc.Enabled() {
 		ad := e.sp.Child("admit")
-		qc.InsertIn(key, tok, distinct, goff, out,
+		qc.InsertIn(key, rd.Tok, distinct, goff, out,
 			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
 		ad.End()
 	}
@@ -905,13 +907,13 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	}
 	ps.AttrInt("index_conjuncts", indexed).AttrInt("scan_conjuncts", len(preds)-indexed)
 	ps.End()
-	qc, tok := t.Cache(), t.token()
+	qc, rd := t.Cache(), t.reader(nil)
 	var wkey qcache.Key
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		wkey = whereFP(t.name, preds)
-		if rids, ok := qc.Lookup(wkey, tok); ok {
-			cs.Attr("outcome", "hit").AttrInt("rows", len(rids)).End()
+		if rids, tail, ok := qc.Lookup(wkey, rd); ok {
+			tailRows(cs.Attr("outcome", "hit").AttrInt("rows", len(rids)), tail).End()
 			return rids, plans, nil
 		}
 		cs.Attr("outcome", "miss").End()
@@ -957,10 +959,11 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		ix, sorted := t.indexes[p.Col]
 		var rids, keys []uint32
 		var kind string
+		tail := qcache.Current
 		if plans[i].UseIndex && sorted {
-			rids, kind, err = reuseRange(&ix.seg, qc, ckey, tok, e, plans[i].EstRows, cj)
-		} else if r, k := qc.LookupRangeKind(ckey, tok); k != qcache.HitMiss {
-			rids, kind = r, k.String()
+			rids, kind, tail, err = reuseRange(&ix.seg, qc, ckey, t.reader(&ix.seg), e, plans[i].EstRows, cj)
+		} else if r, k, n := qc.LookupRange(ckey, rd); k != qcache.HitMiss {
+			rids, kind, tail = r, k.String(), n
 		}
 		if err != nil {
 			return abortConj(cj, err)
@@ -970,7 +973,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			if cj != nil { // attr args must not run on the untraced path
 				cj.Attr("path", "cache-"+kind)
 				if kind != "stitched" {
-					cj.AttrInt("rows", len(rids))
+					tailRows(cj.AttrInt("rows", len(rids)), tail)
 				}
 				cj.End()
 			}
@@ -1004,7 +1007,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			cj.Attr("path", "scan")
 		}
 		cj.AttrInt("rows", len(rids)).End()
-		qc.InsertRange(ckey, tok, keys, rids, estRecomputeNs(plans[i], t.rows))
+		qc.InsertRange(ckey, rd.Tok, keys, rids, estRecomputeNs(plans[i], t.rows))
 	}
 	for seg, list := range byIndex {
 		probes := make([]uint32, 0, 2*len(list))
@@ -1024,7 +1027,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			conjSpans[i].Attr("path", "sorted-index-batched").AttrInt("rows", len(rids)).End()
 			if qc.Enabled() {
 				ckey := rangeFP(t.name, preds[i].Col, qcache.LayerTable, preds[i].Lo, preds[i].Hi)
-				qc.InsertRange(ckey, tok, idsToRaw(seg.dom, seg.keys[first:last]), rids, estRecomputeNs(plans[i], t.rows))
+				qc.InsertRange(ckey, rd.Tok, idsToRaw(seg.dom, seg.keys[first:last]), rids, estRecomputeNs(plans[i], t.rows))
 			}
 		}
 	}
@@ -1071,7 +1074,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		if est > cost {
 			cost = est
 		}
-		qc.Insert(wkey, tok, acc, cost)
+		qc.Insert(wkey, rd.Tok, acc, cost)
 		ad.End()
 	}
 	return acc, plans, nil

@@ -180,13 +180,13 @@ func TestInSubsetSupersetDifferential(t *testing.T) {
 	check("post-absorb fill", pool)
 	check("post-absorb subset", pool[1:9])
 	if s := cached.CacheStats(); s.Patches == 0 {
-		t.Fatalf("absorb patched nothing: %+v", s)
+		t.Fatalf("no entry was brought current after an absorb: %+v", s)
 	}
 }
 
 // TestGroupAggregateCachedDifferential covers the aggregate cache through
-// repeats (hits), absorbs (PatchAppend merges), folds (drop + recompute)
-// and explicit-RID sources (retokened entries).
+// repeats (hits), absorbs (the next hit merges the tail), folds (drop +
+// recompute) and explicit-RID sources (re-stamped entries).
 func TestGroupAggregateCachedDifferential(t *testing.T) {
 	cached, plain, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 53)
 

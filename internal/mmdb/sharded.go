@@ -11,7 +11,7 @@ package mmdb
 // That snapshot is a segment (segment.go) plus its epoch numbers, so this
 // file holds only what is particular to epochs: building and publishing
 // them, and pinning one for the length of a query.  Every query method loads
-// the current epoch once and hands its segment and its uid token to the
+// the current epoch once and hands its segment and its cache reader to the
 // cached path every index kind shares (query.go: segment → cached path →
 // entry).
 
@@ -29,10 +29,11 @@ import (
 // any goroutine, concurrently with AppendRows.
 //
 // Results are cached per frozen epoch when the owning table has a result
-// cache: every entry is stamped with the epoch it was computed under, so a
-// query racing an AppendRows rebuild either hits an entry of exactly its
-// own epoch or computes against its own frozen snapshot — epochs never
-// mix, and a published rebuild invalidates simply by moving the token.
+// cache: every entry is stamped with the rebuild and the rows it was
+// computed over, so a query racing AppendRows either hits an entry no newer
+// than its own epoch — brought current from its own frozen delta runs — or
+// computes against its own frozen snapshot, and a published rebuild
+// invalidates simply by moving the token.
 type ShardedIndex struct {
 	col     *Column
 	tbl     *Table // owning table: result cache, admission, name for fingerprints
@@ -48,13 +49,20 @@ type ShardedIndex struct {
 type shardedEpoch struct {
 	segment
 	epoch uint64
-	uid   uint64 // globally-unique epoch id (cache token)
+	uid   uint64       // globally-unique epoch id: the version a join's pair set is stamped with
+	tok   qcache.Token // cache token: Gen the uid of the last rebuild, Epoch the rows covered
+}
+
+// reader is the epoch's cache reader: entries are brought current from its
+// own frozen runs, never from the live table.
+func (s *shardedEpoch) reader() qcache.Reader {
+	return qcache.Reader{Tok: s.tok, Runs: &s.segment}
 }
 
 // epochUID issues globally-unique ids for published epochs.  Epoch() counts
 // per index instance and restarts at 1 when BuildShardedIndex replaces an
-// index, so the *cache* token must come from here: a straggler reader's
-// late insert stamped with an old instance's epoch can then never collide
+// index, so the *cache* generation must come from here: a straggler reader's
+// late insert stamped with an old instance's rebuild can then never collide
 // with a fresh instance's tokens.
 var epochUID atomic.Uint64
 
@@ -78,6 +86,7 @@ func (t *Table) BuildShardedIndex(colName string, shards int) (*ShardedIndex, er
 		old.Close() // release the replaced index's background rebuilder
 	}
 	t.sharded[colName] = ix
+	t.Cache().DropTable(t.name) // see BuildIndex
 	return ix, nil
 }
 
@@ -101,6 +110,7 @@ func (ix *ShardedIndex) rebuild() {
 		epoch: 1,
 		uid:   epochUID.Add(1),
 	}
+	next.tok = qcache.Token{Gen: next.uid, Epoch: uint64(len(rids))}
 	if old := ix.cur.Load(); old != nil {
 		next.epoch = old.epoch + 1
 		// Absorb epochs share one base idx; the fold closes it exactly once.
@@ -116,6 +126,7 @@ func (ix *ShardedIndex) absorb(vals []uint32, startRID uint32) {
 	next := *ix.cur.Load()
 	next.epoch++
 	next.uid = epochUID.Add(1)
+	next.tok.Epoch += uint64(len(vals))
 	next.runs = pushRun(next.runs, newIdxRun(vals, startRID))
 	ix.cur.Store(&next)
 }
@@ -171,10 +182,10 @@ func (ix *ShardedIndex) SelectInCtx(ctx context.Context, values []uint32) (out [
 }
 
 // selectIn runs the cached IN path (query.go) against the epoch current at
-// entry, under that epoch's token.
+// entry, as that epoch's reader.
 func (ix *ShardedIndex) selectIn(e env, distinct []uint32) ([]uint32, error) {
 	s := ix.cur.Load()
-	return selectIn(&s.segment, qcache.Token{Epoch: s.uid}, e, distinct, len(distinct))
+	return selectIn(&s.segment, s.reader(), e, distinct, len(distinct))
 }
 
 // joinFreeze captures the prober state for a whole join: the current
@@ -192,7 +203,8 @@ func (ix *ShardedIndex) joinFreeze() (*segment, uint64) {
 // RID) order — base and delta rows interleaved exactly as a rebuilt epoch
 // would order them.  Results are cached per frozen epoch under the raw
 // closed bounds, with containment reuse: a cached wider range on this
-// column (same epoch) answers the query by slicing its sorted run.
+// column (no newer than the epoch) answers the query by slicing its sorted
+// run.
 func (ix *ShardedIndex) SelectRange(lo, hi uint32) ([]uint32, error) {
 	return ix.SelectRangeCtx(context.Background(), lo, hi)
 }
@@ -209,7 +221,7 @@ func (ix *ShardedIndex) SelectRangeCtx(ctx context.Context, lo, hi uint32) (out 
 }
 
 // selectRange runs the cached range path (query.go) against the epoch
-// current at entry, under that epoch's token, with the planner's
+// current at entry, as that epoch's reader, with the planner's
 // uniform-within-domain row estimate.  A range no live value can fall in is
 // answered without touching the cache.
 func (ix *ShardedIndex) selectRange(e env, lo, hi uint32) ([]uint32, error) {
@@ -225,7 +237,7 @@ func (ix *ShardedIndex) selectRange(e env, lo, hi uint32) ([]uint32, error) {
 	if s.dom.Len() > 0 {
 		est = int(float64(hiID-loID) / float64(s.dom.Len()) * float64(len(s.rids)))
 	}
-	return selectRange(&s.segment, qcache.Token{Epoch: s.uid}, e, lo, hi, est)
+	return selectRange(&s.segment, s.reader(), e, lo, hi, est)
 }
 
 // CountRange is SelectRange without materialising RIDs.

@@ -1,0 +1,56 @@
+package qcache
+
+import "testing"
+
+// Resident is one resident entry as the invariant checkers in this
+// directory's external tests see it; its slices alias cache memory.
+type Resident struct {
+	Key        Key
+	Tok        Token
+	Keys, RIDs []uint32
+	Vals, Goff []uint32 // an IN entry's sorted values; group offsets when grouped
+	S2G        []uint32
+	Aggs       []AggRow
+	AggMeasure string
+	AggAll     bool
+}
+
+// CheckStructure verifies the cache's structural invariants — checkInIndex's
+// (residency accounting against payloadBytes, the IN index against the entry
+// map) plus the interval maps: every list (lo, hi)-ordered, holding exactly
+// the live keyed range entries of its column — and returns every resident
+// entry.
+func CheckStructure(t *testing.T, c *Cache) []Resident {
+	t.Helper()
+	checkInIndex(t, c)
+	var out []Resident
+	for si := range c.stripes {
+		st := &c.stripes[si]
+		st.mu.Lock()
+		keyed := 0
+		for k, e := range st.m {
+			out = append(out, Resident{Key: k, Tok: e.tok, Keys: e.keys, RIDs: e.rids, Vals: e.vals,
+				Goff: e.goff, S2G: e.s2g, Aggs: e.aggs, AggMeasure: e.aggMeasure, AggAll: e.aggAll})
+			if e.keys != nil {
+				keyed++
+			}
+		}
+		for ck, list := range st.ranges {
+			keyed -= len(list)
+			for i, e := range list {
+				if e.dead || e.keys == nil || st.m[e.key] != e || e.key.column() != ck || e.lo != e.key.Lo || e.hi != e.key.Hi {
+					t.Fatalf("%+v: interval map holds %+v (dead=%v), not a live keyed run of the column", ck, e.key, e.dead)
+				}
+				if i > 0 && (list[i-1].lo > e.lo || (list[i-1].lo == e.lo && list[i-1].hi >= e.hi)) {
+					t.Fatalf("%+v: interval map out of (lo, hi) order at %d: [%d,%d] before [%d,%d]",
+						ck, i, list[i-1].lo, list[i-1].hi, e.lo, e.hi)
+				}
+			}
+		}
+		if keyed != 0 {
+			t.Fatalf("stripe %d: %d live keyed runs missing from the interval maps", si, keyed)
+		}
+		st.mu.Unlock()
+	}
+	return out
+}

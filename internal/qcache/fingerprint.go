@@ -3,11 +3,12 @@ package qcache
 // Canonical query fingerprints.  A cache entry is addressed by a Key — a
 // comparable value identifying *what* was asked (table, column, predicate
 // kind, normalized bounds or value-set hash) — and validated by a Token
-// identifying *which state* it was answered against (table generation or
-// frozen index epoch).  Keys deliberately exclude the token: the common
-// dashboard pattern asks the same question across many epochs, and keeping
-// the question stable lets a stale entry be detected (and its slot reused)
-// the moment the same question arrives under a fresh token.
+// identifying *which state* it was answered against (fold generation and row
+// high-water mark).  Keys deliberately exclude the token: the common
+// dashboard pattern asks the same question across many states, and keeping
+// the question stable lets a stale entry be detected (and its slot reused, or
+// the entry brought current) the moment the same question arrives under a
+// fresh token.
 
 // Kind classifies the query surface a fingerprint came from.  Two surfaces
 // never share entries even when their parameters collide.
@@ -37,7 +38,7 @@ const (
 
 // Layer tags which invalidation domain an entry lives in: LayerTable
 // entries are stamped with the owning table's generation (bumped by every
-// AppendRows), LayerEpoch entries with a frozen sharded-index epoch.  The
+// fold), LayerEpoch entries with a frozen sharded-index epoch.  The
 // two layers answer the same questions against different snapshots of the
 // data, so they must never share entries.
 type Layer uint8
@@ -47,14 +48,20 @@ const (
 	LayerEpoch
 )
 
-// Token is the validity stamp of an entry: the (table generation,
-// index/shard epoch) pair the result was computed under.  A lookup hits
-// only when the caller's current token is identical — the epoch-swap
-// serving layer hands the cache its invalidation signal for free.
+// Token is the validity stamp of an entry, and the state of a reader: Gen is
+// the fold generation (the table's, or the uid a sharded index was issued at
+// its last rebuild) and Epoch the row high-water mark — a result stamped
+// (g, m) is the answer over rows [0, m) of generation g.  Both components
+// only ever grow.
 type Token struct {
 	Gen   uint64
 	Epoch uint64
 }
+
+// serves reports whether an entry stamped t can answer a reader at r: same
+// generation, and no row the reader cannot see.  The rows the entry is
+// missing, [t.Epoch, r.Epoch), are merged in before it answers (patch.go).
+func (t Token) serves(r Token) bool { return t.Gen == r.Gen && t.Epoch <= r.Epoch }
 
 // Key is the canonical fingerprint of one query.  It is a comparable
 // struct, used directly as the stripe map key.

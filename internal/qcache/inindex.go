@@ -12,9 +12,9 @@ package qcache
 // ad-hoc value is usually listed by one entry, which then costs one map
 // slot and no chain node.  Further postings of the same value chain through
 // nodes by 32-bit index.  A posting names its entry by a 32-bit list id
-// resolved through owners; PatchAppend hands an entry's id to its successor
-// by re-pointing that one slot, so carrying an entry across an append never
-// rewrites a posting.  Slot 0 of owners and of nodes is reserved, so 0 reads
+// resolved through owners; a refresh hands an entry's id to its successor
+// by re-pointing that one slot, so bringing an entry current never rewrites
+// a posting.  Slot 0 of owners and of nodes is reserved, so 0 reads
 // as "not indexed" in entry.inID and as "end of chain" in posting.next.
 //
 // Everything here is touched only under the owning stripe's lock.
@@ -77,8 +77,8 @@ func (ix *inIndex) add(e *entry) {
 	}
 }
 
-// inherit hands e's list id, and with it every posting of e, to its patched
-// successor ne by re-pointing the id's one owner slot.
+// inherit hands e's list id, and with it every posting of e, to its
+// refreshed successor ne by re-pointing the id's one owner slot.
 func (ix *inIndex) inherit(e, ne *entry) {
 	ne.inID = e.inID
 	ix.owners[ne.inID] = ne
@@ -129,7 +129,7 @@ func (ix *inIndex) release(n uint32) {
 	ix.freeNode = n
 }
 
-// best returns the entry stamped tok that covers the most of distinct
+// best returns the entry serving a reader at tok that covers the most of distinct
 // (deduplicated query values) and how many it covers; nil when no entry
 // long enough to matter shares a value with the query.  Coverage is tallied
 // in the candidates' own scratch fields, so the lookup allocates nothing.
@@ -154,7 +154,7 @@ func (ix *inIndex) best(tok Token, distinct []uint32) (*entry, int) {
 		p, ok := ix.heads[v]
 		for ok {
 			e := ix.owners[p.id]
-			if e.tok == tok {
+			if e.tok.serves(tok) {
 				if e.seen != ix.stamp {
 					e.seen, e.cnt = ix.stamp, 0
 				}

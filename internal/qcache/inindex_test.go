@@ -3,7 +3,6 @@ package qcache
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -30,7 +29,7 @@ func refInReuse(st *stripe, ck colKey, tok Token, distinct []uint32) (wins []*en
 	// Phase 1: a full-subset source.
 scan:
 	for _, e := range cands {
-		if e.tok != tok || len(e.vals) < len(distinct) {
+		if !e.tok.serves(tok) || len(e.vals) < len(distinct) {
 			continue
 		}
 		for _, v := range distinct {
@@ -46,7 +45,7 @@ scan:
 	// Phase 2: the best partial.  An entry one fifth shorter than the query
 	// cannot reach the ~80% coverage a fill needs; skip it.
 	for _, e := range cands {
-		if e.tok != tok || 5*len(e.vals) < 4*len(distinct) {
+		if !e.tok.serves(tok) || 5*len(e.vals) < 4*len(distinct) {
 			continue
 		}
 		n := 0
@@ -65,21 +64,16 @@ scan:
 	return wins, covered
 }
 
-// reuseFrom is what LookupInReuse must report when e is its source.
-func reuseFrom(e *entry, distinct []uint32) InReuse {
-	r := InReuse{Groups: make([][]uint32, len(distinct))}
-	for i, v := range distinct {
-		if p, ok := slices.BinarySearch(e.vals, v); ok {
-			g := e.s2g[p]
-			r.Groups[i] = e.rids[e.goff[g]:e.goff[g+1]]
-			if r.Groups[i] == nil {
-				r.Groups[i] = emptyGroup
-			}
-		} else {
-			r.Missing = append(r.Missing, v)
+// missingFrom is what LookupInReuse must report Missing when e is its
+// source; the groups it returns for the other values are checked against the
+// table, since the source is brought current before it answers.
+func missingFrom(e *entry, distinct []uint32) (missing []uint32) {
+	for _, v := range distinct {
+		if _, ok := slices.BinarySearch(e.vals, v); !ok {
+			missing = append(missing, v)
 		}
 	}
-	return r
+	return missing
 }
 
 // checkInIndex verifies every stripe's inverted indexes against its entry
@@ -168,20 +162,36 @@ func checkInIndex(t *testing.T, c *Cache) {
 }
 
 // inDom is one invalidation domain of the differential driver: a (table,
-// layer) pair with its own appended rows and token history.
+// layer) pair with its own appended rows and token history.  A token's Epoch
+// is the RID horizon its reader sees.
 type inDom struct {
 	table string
 	layer Layer
 	tok   Token
-	// past are the earlier tokens with the RID horizon each could see.
-	past []inTokState
+	// past are the earlier tokens.
+	past []Token
 	// appended[col][v] are the appended RIDs holding v, ascending.
 	appended map[string]map[uint32][]uint32
 }
 
-type inTokState struct {
-	tok   Token
-	limit uint32
+// inTail is one column of a domain as the run view of a reader at tok.
+type inTail struct {
+	dom *inDom
+	col string
+	tok Token
+}
+
+func (t inTail) Pairs(lo, hi, mark uint32) (vals, rids []uint32) {
+	panic("IN entries are brought current value by value")
+}
+
+func (t inTail) Equal(v, mark uint32, out []uint32) []uint32 {
+	for _, r := range t.dom.appended[t.col][v] {
+		if r >= mark && uint64(r) < t.tok.Epoch {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // inDriver drives a cache through the IN-list surfaces the way mmdb does,
@@ -258,8 +268,9 @@ func (d *inDriver) list() []uint32 {
 // query answers one IN-list the way Table.selectIn does — exact lookup,
 // grouped reuse, fill or recompute, admit — checking LookupInReuse against
 // the reference scan and every returned row against the synthetic table.
-func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, limit uint32, grouped bool) {
-	t, c := d.t, d.c
+func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, grouped bool) {
+	t, c, limit := d.t, d.c, uint32(tok.Epoch)
+	rd := Reader{Tok: tok, Runs: inTail{dom, col, tok}}
 	key := Key{Table: dom.table, Col: col, Kind: KindIn, Layer: dom.layer,
 		Hash: HashU32s(HashSeed, distinct), N: uint32(len(distinct))}
 	var want, goff []uint32
@@ -273,7 +284,7 @@ func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, l
 		slices.Sort(s)
 		return s
 	}
-	if got, ok := c.Lookup(key, tok); ok {
+	if got, _, ok := c.Lookup(key, rd); ok {
 		if !slices.Equal(got, want) && !(d.row[key] && slices.Equal(got, inRowOrder(want))) {
 			t.Fatalf("exact hit %+v under %+v: got %v want %v", key, tok, got, want)
 		}
@@ -283,26 +294,31 @@ func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, l
 	st := c.stripeFor(key)
 	st.mu.Lock()
 	wins, covered := refInReuse(st, key.column(), tok, distinct)
-	var accept []InReuse
+	var accept [][]uint32
 	for _, e := range wins {
-		accept = append(accept, reuseFrom(e, distinct))
+		accept = append(accept, missingFrom(e, distinct))
 	}
 	st.mu.Unlock()
 	before := c.Stats()
-	r, ok := c.LookupInReuse(key, tok, distinct)
+	r, ok := c.LookupInReuse(key, rd, distinct)
 	after := c.Stats()
 
-	if ok != (len(wins) > 0) {
+	// A source that could not be brought current — its successor did not fit
+	// the stripe — is dropped and the lookup misses.
+	if dropped := !ok && after.Invalidations > before.Invalidations; ok != (len(wins) > 0) && !dropped {
 		t.Fatalf("LookupInReuse(%v) found=%v, reference scan has %d sources covering %d", distinct, ok, len(wins), covered)
 	}
 	if ok {
 		if got := len(distinct) - len(r.Missing); got != covered {
 			t.Fatalf("LookupInReuse(%v) covers %d values, reference scan %d", distinct, got, covered)
 		}
-		if !slices.ContainsFunc(accept, func(a InReuse) bool { return reflect.DeepEqual(a, *r) }) {
-			t.Fatalf("LookupInReuse(%v) = %+v, reference scan allows %+v", distinct, *r, accept)
+		if !slices.ContainsFunc(accept, func(m []uint32) bool { return slices.Equal(m, r.Missing) }) {
+			t.Fatalf("LookupInReuse(%v) = %+v, reference scan allows Missing %v", distinct, *r, accept)
 		}
 		for i, g := range r.Groups {
+			if (g == nil) != slices.Contains(r.Missing, distinct[i]) {
+				t.Fatalf("LookupInReuse(%v) = %+v: value %d both grouped and missing, or neither", distinct, *r, distinct[i])
+			}
 			if g != nil && !slices.Equal(g, dom.rows(col, distinct[i], limit)) {
 				t.Fatalf("group of %d under %+v: got %v want %v", distinct[i], tok, g, dom.rows(col, distinct[i], limit))
 			}
@@ -312,6 +328,11 @@ func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, l
 		before.Misses--
 		before.Hits++
 		before.SubsetHits++
+	}
+	// Bringing the source current moves the residency and refresh counters;
+	// the hit/miss settlement is what the reference predicts.
+	for _, s := range []*Stats{&before, &after} {
+		s.Patches, s.Invalidations, s.Evictions, s.Entries, s.Bytes = 0, 0, 0, 0, 0
 	}
 	if after != before {
 		t.Fatalf("LookupInReuse(%v) covered %d/%d: stats moved to %+v, reference predicts %+v", distinct, covered, len(distinct), after, before)
@@ -340,41 +361,31 @@ func (d *inDriver) step() {
 	col := inCols[d.rng.Intn(len(inCols))]
 	switch op := d.rng.Intn(100); {
 	case op < 80: // a query under the current token
-		d.query(dom, col, d.list(), dom.tok, d.nextRID, d.rng.Intn(4) > 0)
+		d.query(dom, col, d.list(), dom.tok, d.rng.Intn(4) > 0)
 	case op < 86: // a straggler still holding an earlier token
 		if len(dom.past) > 0 {
-			p := dom.past[d.rng.Intn(len(dom.past))]
-			d.query(dom, col, d.list(), p.tok, p.limit, true)
+			d.query(dom, col, d.list(), dom.past[d.rng.Intn(len(dom.past))], true)
 		}
 	case op < 88: // a token from the future: nothing may match it
 		d.c.LookupInReuse(Key{Table: dom.table, Col: col, Kind: KindIn, Layer: dom.layer, Hash: 1, N: 1},
-			Token{Gen: dom.tok.Gen + 9}, d.list())
-	case op < 98: // an absorbed append: retoken, splice or drop per entry
+			at(Token{Gen: dom.tok.Gen + 9}), d.list())
+	case op < 98: // an absorbed append: the cache hears nothing of it
 		n := 1 + d.rng.Intn(4)
-		p := AppendPatch{Table: dom.table, Layer: dom.layer, OldTok: dom.tok,
-			NewTok: Token{Gen: dom.tok.Gen, Epoch: dom.tok.Epoch + 1}, StartRID: d.nextRID,
-			Cols: map[string][]uint32{}}
 		for _, cn := range inCols {
-			vals := make([]uint32, n)
-			for i := range vals {
-				vals[i] = uint32(d.rng.Intn(60))
-				m := dom.appended[cn]
-				m[vals[i]] = append(m[vals[i]], d.nextRID+uint32(i))
-			}
-			if cn == "a" || d.rng.Intn(4) > 0 { // a batch without b drops b's entries
-				p.Cols[cn] = vals
+			for i := 0; i < n; i++ {
+				v := uint32(d.rng.Intn(60))
+				dom.appended[cn][v] = append(dom.appended[cn][v], d.nextRID+uint32(i))
 			}
 		}
 		d.nextRID += uint32(n)
-		dom.past = append(dom.past, inTokState{dom.tok, p.StartRID})
-		d.c.PatchAppend(p)
-		dom.tok = p.NewTok
+		dom.past = append(dom.past, dom.tok)
+		dom.tok.Epoch = uint64(d.nextRID)
 	default: // a fold: the table's entries drop, both layers move on
 		d.c.DropTable(dom.table)
 		for _, o := range d.doms {
 			if o.table == dom.table {
-				o.past = append(o.past, inTokState{o.tok, d.nextRID})
-				o.tok = Token{Gen: o.tok.Gen + 1, Epoch: o.tok.Epoch + 1}
+				o.past = append(o.past, o.tok)
+				o.tok.Gen++
 			}
 		}
 	}
@@ -383,13 +394,14 @@ func (d *inDriver) step() {
 // TestInReusePatchEvictDifferential drives the inverted index and the
 // pre-index reference scan through seeded random sequences of grouped and
 // ungrouped InsertIn (overlapping, disjoint, subset and superset lists)
-// under a budget tight enough to evict, PatchAppend sweeps that retoken,
-// splice and drop, DropTable, and current-, stale- and future-token
-// lookups.  Every LookupInReuse must agree with the reference on
-// found/not-found, covered count, Missing, group contents and its Stats
-// settlement (a tie between equally good sources may name either), and the
-// index invariants must hold after every step.  The concurrent leg adds
-// readers that race the sweeps; run it with -race.
+// under a budget tight enough to evict, absorbed appends whose rows the
+// next hit re-stamps, splices in or drops on, DropTable, and current-,
+// stale- and future-token lookups.  Every LookupInReuse must agree with the
+// reference on found/not-found, covered count, Missing, group contents
+// against the table and its Stats settlement (a tie between equally good
+// sources may name either), and the index invariants must hold after every
+// step.  The concurrent leg adds readers that race the refreshes' relinking;
+// run it with -race.
 func TestInReusePatchEvictDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, concurrent := range []bool{false, true} {
@@ -398,7 +410,7 @@ func TestInReusePatchEvictDifferential(t *testing.T) {
 				d := &inDriver{t: t, c: c, rng: rand.New(rand.NewSource(seed)), nextRID: inBaseRIDs, row: map[Key]bool{}}
 				for _, table := range []string{"t", "u"} {
 					for _, layer := range []Layer{LayerTable, LayerEpoch} {
-						d.doms = append(d.doms, &inDom{table: table, layer: layer, tok: Token{Gen: 1, Epoch: 1},
+						d.doms = append(d.doms, &inDom{table: table, layer: layer, tok: Token{Gen: 1, Epoch: inBaseRIDs},
 							appended: map[string]map[uint32][]uint32{"a": {}, "b": {}}})
 					}
 				}
@@ -416,14 +428,15 @@ func TestInReusePatchEvictDifferential(t *testing.T) {
 									return
 								default:
 								}
-								// 1<<30 is cached nowhere, so these lookups are
-								// never complete and settle no counter: the
-								// driver's Stats predictions stay exact.
+								// These readers are behind every entry (all marks
+								// are ≥ inBaseRIDs): they walk the posting chains
+								// the driver relinks, match nothing, bring nothing
+								// current and settle no counter, so the driver's
+								// predictions stay exact.
 								q := []uint32{1 << 30, uint32(rng.Intn(40)), 40 + uint32(rng.Intn(8))}
 								k := Key{Table: "tu"[w%2 : w%2+1], Col: inCols[rng.Intn(2)], Kind: KindIn, Layer: Layer(rng.Intn(2)), Hash: 7, N: 3}
-								r, ok := c.LookupInReuse(k, Token{Gen: 1 + uint64(rng.Intn(3)), Epoch: 1 + uint64(rng.Intn(40))}, q)
-								if ok && (len(r.Missing) == 0 || r.Missing[0] != 1<<30 || r.Groups[0] != nil) {
-									t.Errorf("concurrent lookup %v: %+v", q, r)
+								if r, ok := c.LookupInReuse(k, at(Token{Gen: 1 + uint64(rng.Intn(3)), Epoch: uint64(rng.Intn(inBaseRIDs))}), q); ok {
+									t.Errorf("concurrent lookup %v behind every entry: %+v", q, r)
 									return
 								}
 							}
@@ -450,19 +463,21 @@ func TestInReusePatchEvictDifferential(t *testing.T) {
 // and take the postings its successor had inherited with it.
 func TestPatchGroupedInOutgrowsBudget(t *testing.T) {
 	c := New(admitAll(Options{MaxBytes: 1 << 10, Stripes: 1}))
-	old, new := Token{Epoch: 1}, Token{Epoch: 2}
 	k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1, N: 2}
-	c.InsertIn(k, old, []uint32{5, 9}, []uint32{0, 1, 2}, []uint32{1, 2}, 10)
+	c.InsertIn(k, Token{Epoch: 100}, []uint32{5, 9}, []uint32{0, 1, 2}, []uint32{1, 2}, 10)
 	batch := make([]uint32, 300)
 	for i := range batch {
 		batch[i] = 5
 	}
-	c.PatchAppend(patchFor(old, new, 100, map[string][]uint32{"a": batch}))
+	rd := tailRows{start: 100, cols: map[string][]uint32{"a": batch}, col: "a"}.reader(0)
+	if _, _, ok := c.Lookup(k, rd); ok {
+		t.Fatal("hit on an entry whose successor cannot fit")
+	}
 	checkInIndex(t, c)
 	if s := c.Stats(); s.Entries != 0 || s.Patches != 0 || s.Invalidations != 1 {
 		t.Fatalf("after a splice larger than the stripe: %+v", s)
 	}
-	if _, ok := c.LookupInReuse(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 3, N: 1}, new, []uint32{9}); ok {
+	if _, ok := c.LookupInReuse(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 3, N: 1}, rd, []uint32{9}); ok {
 		t.Fatal("reuse from the dropped entry")
 	}
 }
@@ -494,7 +509,7 @@ func TestLookupInReuseMissCostFollowsQuery(t *testing.T) {
 		ix := c.stripes[0].inIdx[colKey{table: "t", col: "a"}]
 		before := ix.visits
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, ok := c.LookupInReuse(k, tok, q); ok {
+			if _, ok := c.LookupInReuse(k, at(tok), q); ok {
 				t.Fatal("reuse found for values no entry lists")
 			}
 		})
@@ -527,7 +542,7 @@ func BenchmarkLookupInReuseMiss(b *testing.B) {
 			b.Run(fmt.Sprintf("resident=%d/%s", resident, q.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if r, ok := c.LookupInReuse(k, tok, q.vals); ok != q.fill || (ok && len(r.Missing) != 4) {
+					if r, ok := c.LookupInReuse(k, at(tok), q.vals); ok != q.fill || (ok && len(r.Missing) != 4) {
 						b.Fatalf("lookup found=%v %+v", ok, r)
 					}
 				}

@@ -1,50 +1,43 @@
 package qcache
 
-// Delta revalidation.  When a table absorbs an append batch into its delta
-// layer instead of rebuilding, the previously cached results are not all
-// garbage: a range whose bounds miss every appended value is still the
-// exact answer under the new epoch, and a range that does intersect can be
-// fixed by merging in the few qualifying rows — recomputing it would walk
-// the whole index to rediscover everything it already holds.  PatchAppend
-// is that sweep: one pass over the affected (table, layer) entries that
-// carries each one across the epoch individually instead of the old
-// drop-the-table invalidation, so an append-heavy stream stops paying a
-// full cache rebuild per batch.
+// Refresh on touch.  A cached result is the answer over rows [0, mark) of
+// one fold generation (Token), and appends never change existing rows — so an
+// absorbed append leaves every resident entry exactly as right as it was,
+// about fewer rows, and costs the cache nothing.  The price is paid where the
+// benefit is: when a lookup picks an entry to answer from and the reader
+// covers more rows, current brings that one entry up to the reader's rows from
+// the tail [mark, reader's rows) — read through the views the reader carries —
+// and swaps the successor in.  An entry nobody asks for again is never touched
+// again; it ages out by CLOCK or dies at the fold.
 //
-// Per kind:
+// Per kind (extend):
 //
-//   - KindRange with a key run: qualifying appended (value, RID) pairs are
-//     merged into the run.  Appended RIDs all exceed resident RIDs, so the
-//     merged payload is exactly what recomputing against base ∪ delta
-//     would produce.
+//   - KindRange with a key run: the tail's qualifying (value, RID) pairs are
+//     merged into the run.  Tail RIDs all exceed resident RIDs, so the merged
+//     payload is exactly what recomputing over the reader's rows would
+//     produce.
 //   - KindRange in row order (nil key run): qualifying RIDs are appended —
-//     row order is ascending-RID order and appended RIDs are larger.
-//   - KindIn with group offsets (index-path results): qualifying appended
-//     rows are spliced into their value groups — appended RIDs exceed all
-//     resident ones, so appending at a group's end preserves the
-//     ascending-RID-within-value order a recompute would produce.
-//   - KindIn without groups (scan/parallel path): carried over when no
-//     appended value is in the list; a hit inside a value group would have
-//     to splice mid-result, which needs offsets the entry does not keep,
-//     so it drops.
-//   - KindWhere with conjunct bounds: appended rows are qualified against
-//     the whole conjunction and the survivors appended.
-//   - KindAgg over all rows: the appended (group, measure) pairs fold into
-//     the sorted group list — aggregates commute, so the merge equals a
-//     recompute.  Over an explicit RID set the entry is retokened
-//     unchanged: appends never mutate existing rows.
-//   - KindJoin: dropped — a join result can grow with any appended inner
-//     or outer row and the entry cannot tell.
+//     row order is ascending-RID order and tail RIDs are larger.
+//   - KindIn with group offsets (index-path results): each listed value's
+//     tail rows are appended to its group — ascending RID within a value, as
+//     a recompute would order them.
+//   - KindIn without groups (scan/parallel path): carried over when no tail
+//     row holds a listed value; a hit inside a value group would have to
+//     splice mid-result, which needs offsets the entry does not keep, so it
+//     drops.
+//   - KindWhere with conjunct bounds: tail rows are qualified against the
+//     whole conjunction and the survivors appended.
+//   - KindAgg over all rows: the tail's (group, measure) pairs fold into the
+//     sorted group list — aggregates commute, so the merge equals a
+//     recompute.  Over an explicit RID set the entry is re-stamped unchanged.
+//   - KindJoin, and any kind whose reader lacks the view or column it needs:
+//     dropped.
 //
 // Entries are immutable after insert (readers copy payloads outside the
-// stripe lock), so a patch REPLACES the entry rather than editing it; the
-// old entry becomes a dead ring husk exactly as invalidation leaves one.
+// stripe lock), so the successor REPLACES the entry rather than editing it;
+// the old entry becomes a dead ring husk exactly as invalidation leaves one.
 
-import (
-	"sort"
-
-	"cssidx/internal/sortu32"
-)
+import "cssidx/internal/sortu32"
 
 // PredBound is one conjunct of a cached KindWhere entry: the raw closed
 // bounds its rows satisfy on one column.
@@ -53,253 +46,210 @@ type PredBound struct {
 	Lo, Hi uint32
 }
 
-// AppendPatch describes one absorbed append batch to revalidate against.
-type AppendPatch struct {
-	Table string
-	Layer Layer
-	// Col restricts the sweep to one column's entries; "" sweeps every
-	// column of the layer.  Epoch-layer callers patch per indexed column.
-	Col string
-	// OldTok is the token the surviving entries currently carry; NewTok is
-	// the token they carry after the patch.  Entries with tokens older than
-	// OldTok are removed (stragglers), newer ones are left alone.
-	OldTok, NewTok Token
-	// StartRID is the row ID of the first appended row: appended row i has
-	// RID StartRID+i.
-	StartRID uint32
-	// Cols holds the appended raw values per column, row-aligned.  A kind
-	// that needs a column missing here drops its entries instead.
-	Cols map[string][]uint32
+// Reader is the state a lookup is asked against: its token, and the views of
+// the rows at or past a staler entry's mark that bring such an entry current.
+// The views are called under a stripe lock: they must only read state frozen
+// for the reader and never call back into the cache.  A nil view drops the
+// entries that need it.
+type Reader struct {
+	Tok Token
+	// Runs is the entry column's delta runs — the index-path view, whose cost
+	// follows the qualifying rows, not the appended ones.
+	Runs RunTail
+	// Rows is the table's raw appended rows — the scan-path view, for the
+	// kinds whose own compute path is a scan of the whole table.
+	Rows RowTail
 }
 
-// PatchAppend revalidates the cached results of one (table, layer) across
-// an absorbed append: every entry stamped OldTok is retokened, extended,
-// or dropped per its kind (see the package comment above); entries with
-// provably older tokens are dropped.  Safe to call concurrently with
-// lookups and inserts — the sweep holds one stripe lock at a time.
-func (c *Cache) PatchAppend(p AppendPatch) {
-	if !c.Enabled() {
-		return
-	}
-	// Sort each batch column's (value, RID) pairs once up front: patchOne
-	// then finds an entry's qualifying rows by binary search instead of
-	// scanning the whole batch per entry, so a sweep over many resident
-	// entries costs O(entries·log batch + qualifying), not O(entries·batch).
-	// The radix pair sort is stable: equal values keep append order, i.e.
-	// ascending RID — the invariant every splice below relies on.
-	sorted := make(map[string]sortedBatch, len(p.Cols))
-	for col, vals := range p.Cols {
-		sk := append([]uint32(nil), vals...)
-		sr := make([]uint32, len(vals))
-		for i := range sr {
-			sr[i] = p.StartRID + uint32(i)
-		}
-		sortu32.SortPairs(sk, sr)
-		sorted[col] = sortedBatch{keys: sk, rids: sr}
-	}
-	for i := range c.stripes {
-		st := &c.stripes[i]
-		st.mu.Lock()
-		// Collect first: patching replaces map entries mid-iteration.
-		var sweep []*entry
-		for k, e := range st.m {
-			if k.Table == p.Table && k.Layer == p.Layer && (p.Col == "" || k.Col == p.Col) {
-				sweep = append(sweep, e)
-			}
-		}
-		for _, e := range sweep {
-			if e.dead {
-				continue // superseded by an earlier patch's link this sweep
-			}
-			switch {
-			case e.tok == p.OldTok:
-				if st.patchOne(e, p, sorted, c) {
-					st.stats.Patches++
-				} else {
-					st.remove(e, c)
-					st.stats.Invalidations++
-				}
-			case olderOrEqual(e.tok, p.OldTok):
-				st.remove(e, c)
-				st.stats.Invalidations++
-			}
-		}
-		if len(st.ring) > 4*st.live+64 {
-			st.compactRing()
-		}
-		st.mu.Unlock()
-	}
+// RunTail reads one column's rows at or past a mark out of sorted delta runs.
+type RunTail interface {
+	// Pairs returns the (value, RID) pairs with lo ≤ value ≤ hi and
+	// RID ≥ mark, in (value, RID) order.
+	Pairs(lo, hi, mark uint32) (vals, rids []uint32)
+	// Equal appends the RIDs ≥ mark of the rows equal to v, ascending.
+	Equal(v, mark uint32, out []uint32) []uint32
 }
 
-// sortedBatch is one batch column's (value, RID) pairs sorted by value —
-// equal values keep append order, so RIDs ascend within a value.
-type sortedBatch struct {
-	keys, rids []uint32
+// RowTail reads the raw rows at or past a mark.
+type RowTail interface {
+	// Column returns col's raw values for rows [mark, the reader's rows), or
+	// false when there is no such column.
+	Column(col string, mark uint32) ([]uint32, bool)
 }
 
-// patchOne builds the entry's successor under NewTok and swaps it in, or
-// reports false when the entry cannot be carried across the append.  The
-// caller holds the stripe lock and removes the entry on false; sorted holds
-// the batch columns presorted by value (see PatchAppend).
-func (st *stripe) patchOne(e *entry, p AppendPatch, sorted map[string]sortedBatch, c *Cache) bool {
-	ne := &entry{key: e.key, tok: p.NewTok, lo: e.lo, hi: e.hi, cost: e.cost, ref: e.ref}
+// Current is the tail count of a hit whose entry already covered the
+// reader's rows: nothing was merged because nothing was missing.
+const Current = -1
+
+// current is the step every lookup takes with the entry it picked to answer
+// from: it returns e brought current for rd, with one more CLOCK life, and
+// how many tail rows that merged (Current when e already covered the reader's
+// rows) — e itself, its successor swapped in and counted in Patches, or nil
+// after removing an entry that cannot be carried (counted in Invalidations).
+// The caller holds the stripe lock and has checked e.tok.serves(rd.Tok).
+func (st *stripe) current(e *entry, rd Reader, c *Cache) (*entry, int) {
+	tail := Current
+	if e.tok.Epoch != rd.Tok.Epoch {
+		ne, merged, ok := extend(e, rd)
+		if ok {
+			ne.bytes = payloadBytes(ne)
+			if e.inID != 0 {
+				// The successor lists the same values: the column index's
+				// postings stay as they are, and remove leaves them alone.
+				st.inIdx[e.key.column()].inherit(e, ne)
+			}
+			st.remove(e, c)
+			if ok = st.evictFor(ne.bytes, c); !ok {
+				st.unlinkIn(ne)
+			}
+		}
+		if !ok {
+			st.remove(e, c)
+			st.stats.Invalidations++
+			return nil, Current
+		}
+		st.admit(ne, c)
+		st.stats.Patches++
+		e, tail = ne, merged
+	}
+	if e.ref < 3 {
+		e.ref++
+	}
+	return e, tail
+}
+
+// extend builds e's successor over the reader's rows, and reports how many
+// tail rows it merged; ok is false when the entry cannot be carried.  The
+// successor shares every payload slice the tail leaves unchanged.
+func extend(e *entry, rd Reader) (ne *entry, merged int, ok bool) {
+	mark := uint32(e.tok.Epoch)
+	ne = new(entry)
+	*ne = *e
+	ne.tok = rd.Tok
+	preds := e.preds
 	switch e.key.Kind {
 	case KindRange:
-		sb, ok := sorted[e.key.Col]
-		if !ok {
-			return false
-		}
-		f := sort.Search(len(sb.keys), func(i int) bool { return sb.keys[i] >= e.lo })
-		l := sort.Search(len(sb.keys), func(i int) bool { return sb.keys[i] > e.hi })
-		qKeys, qRids := sb.keys[f:l], sb.rids[f:l]
-		switch {
-		case len(qKeys) == 0:
-			// No appended row lands in the bounds: same answer, new epoch.
-			ne.keys, ne.rids = e.keys, e.rids
-		case e.keys != nil:
-			ne.keys, ne.rids = mergePairs(e.keys, e.rids, qKeys, qRids)
-		default:
-			// Row-order entry: qualifying RIDs append in ascending-RID
-			// order, which the value sort scrambled.
-			qr := append([]uint32(nil), qRids...)
-			sort.Slice(qr, func(i, j int) bool { return qr[i] < qr[j] })
-			ne.rids = concatU32(e.rids, qr)
-		}
-	case KindIn:
-		sb, ok := sorted[e.key.Col]
-		if !ok || e.vals == nil {
-			return false
-		}
-		if e.goff != nil {
-			// Grouped entry: splice qualifying appended rows into their
-			// value groups.  adds[g] collects group g's new RIDs in append
-			// order — ascending, and above every resident RID.
-			var adds map[uint32][]uint32
-			total := 0
-			for pos, v := range e.vals {
-				f := sort.Search(len(sb.keys), func(j int) bool { return sb.keys[j] >= v })
-				for j := f; j < len(sb.keys) && sb.keys[j] == v; j++ {
-					if adds == nil {
-						adds = make(map[uint32][]uint32)
-					}
-					g := e.s2g[pos]
-					adds[g] = append(adds[g], sb.rids[j])
-					total++
-				}
+		if e.keys != nil {
+			if rd.Runs == nil {
+				return nil, 0, false
 			}
-			ne.vals, ne.s2g = e.vals, e.s2g
-			if total == 0 {
-				ne.rids, ne.goff = e.rids, e.goff
-				break
+			qKeys, qRids := rd.Runs.Pairs(e.lo, e.hi, mark)
+			if merged = len(qKeys); merged > 0 {
+				ne.keys, ne.rids = sortu32.MergePairs(e.keys, e.rids, qKeys, qRids)
 			}
-			groups := len(e.goff) - 1
-			rids := make([]uint32, 0, len(e.rids)+total)
-			goff := make([]uint32, groups+1)
-			for g := 0; g < groups; g++ {
-				goff[g] = uint32(len(rids))
-				rids = append(rids, e.rids[e.goff[g]:e.goff[g+1]]...)
-				rids = append(rids, adds[uint32(g)]...)
-			}
-			goff[groups] = uint32(len(rids))
-			ne.rids, ne.goff = rids, goff
 			break
 		}
-		for _, v := range e.vals {
-			j := sort.Search(len(sb.keys), func(i int) bool { return sb.keys[i] >= v })
-			if j < len(sb.keys) && sb.keys[j] == v {
-				return false
-			}
-		}
-		ne.vals, ne.rids = e.vals, e.rids
+		// A row-order range is a conjunction of one.
+		preds = []PredBound{{Col: e.key.Col, Lo: e.key.Lo, Hi: e.key.Hi}}
+		fallthrough
 	case KindWhere:
-		if len(e.preds) == 0 {
-			return false
+		if len(preds) == 0 {
+			return nil, 0, false
 		}
-		n := -1
-		for _, pb := range e.preds {
-			col, ok := p.Cols[pb.Col]
-			if !ok {
-				return false
+		cols := make([][]uint32, len(preds))
+		for i, pb := range preds {
+			if cols[i], ok = rd.column(pb.Col, mark); !ok {
+				return nil, 0, false
 			}
-			n = len(col)
 		}
 		var qRids []uint32
 	rows:
-		for i := 0; i < n; i++ {
-			for _, pb := range e.preds {
-				if v := p.Cols[pb.Col][i]; v < pb.Lo || v > pb.Hi {
+		for r := range cols[0] {
+			for i, pb := range preds {
+				if v := cols[i][r]; v < pb.Lo || v > pb.Hi {
 					continue rows
 				}
 			}
-			qRids = append(qRids, p.StartRID+uint32(i))
+			qRids = append(qRids, mark+uint32(r))
 		}
-		ne.preds = e.preds
-		if len(qRids) == 0 {
-			ne.rids = e.rids
-		} else {
-			ne.rids = concatU32(e.rids, qRids)
+		ne.rids, merged = concatU32(e.rids, qRids), len(qRids)
+	case KindIn:
+		if e.vals == nil || (e.goff == nil && rd.listed(e, mark)) || (e.goff != nil && rd.Runs == nil) {
+			return nil, 0, false
 		}
-	case KindAgg:
-		ne.aggMeasure, ne.aggAll = e.aggMeasure, e.aggAll
-		if !e.aggAll {
-			// Explicit source rows: appended rows are not among them and
-			// existing rows never change, so the result carries as-is.
-			ne.aggs = e.aggs
+		if e.goff == nil {
+			break // ungrouped and no tail row holds a listed value: carried as-is
+		}
+		// Grouped entry: adds[g] collects group g's tail RIDs — ascending, and
+		// above every resident RID.
+		var adds map[uint32][]uint32
+		for pos, v := range e.vals {
+			if q := rd.Runs.Equal(v, mark, nil); len(q) > 0 {
+				if adds == nil {
+					adds = make(map[uint32][]uint32)
+				}
+				adds[e.s2g[pos]] = q
+				merged += len(q)
+			}
+		}
+		if merged == 0 {
 			break
 		}
-		gvals, ok := p.Cols[e.key.Col]
-		mvals, ok2 := p.Cols[e.aggMeasure]
+		groups := len(e.goff) - 1
+		ne.rids = make([]uint32, 0, len(e.rids)+merged)
+		ne.goff = make([]uint32, groups+1)
+		for g := 0; g < groups; g++ {
+			ne.goff[g] = uint32(len(ne.rids))
+			ne.rids = append(ne.rids, e.rids[e.goff[g]:e.goff[g+1]]...)
+			ne.rids = append(ne.rids, adds[uint32(g)]...)
+		}
+		ne.goff[groups] = uint32(len(ne.rids))
+	case KindAgg:
+		if !e.aggAll {
+			// Explicit source rows: tail rows are not among them and existing
+			// rows never change, so the result carries as-is.
+			break
+		}
+		gvals, ok := rd.column(e.key.Col, mark)
+		mvals, ok2 := rd.column(e.aggMeasure, mark)
 		if !ok || !ok2 {
-			return false
+			return nil, 0, false
 		}
-		ne.aggs = mergeAggAppend(e.aggs, gvals, mvals)
+		ne.aggs, merged = mergeAggAppend(e.aggs, gvals, mvals), len(gvals)
 	default: // KindJoin and anything unrecognised
-		return false
+		return nil, 0, false
 	}
-	ne.bytes = payloadBytes(ne)
-	if e.inID != 0 {
-		// The successor lists the same values: the column index's postings
-		// stay as they are, and remove below leaves them alone.
-		st.inIdx[e.key.column()].inherit(e, ne)
-	}
-	st.remove(e, c)
-	if !st.evictFor(ne.bytes, c) {
-		st.unlinkIn(ne)
-		return false
-	}
-	st.m[ne.key] = ne
-	st.link(ne, c)
-	st.ring = append(st.ring, ne)
-	st.bytes += ne.bytes
-	st.live++
-	st.stats.Entries++
-	st.stats.Bytes += ne.bytes
-	return true
+	return ne, merged, true
 }
 
-// mergePairs merges two (key, RID) pair runs each sorted by (key, RID)
-// into a fresh pair of slices; a-pairs win ties, which is (key, RID) order
-// whenever every b-RID exceeds every a-RID (the append invariant).
-func mergePairs(ak, ar, bk, br []uint32) (keys, rids []uint32) {
-	keys = make([]uint32, 0, len(ak)+len(bk))
-	rids = make([]uint32, 0, len(ar)+len(br))
-	i, j := 0, 0
-	for i < len(ak) && j < len(bk) {
-		if ak[i] <= bk[j] {
-			keys, rids = append(keys, ak[i]), append(rids, ar[i])
-			i++
-		} else {
-			keys, rids = append(keys, bk[j]), append(rids, br[j])
-			j++
+// column is Rows.Column, declining when the reader has no row view.
+func (rd Reader) column(col string, mark uint32) ([]uint32, bool) {
+	if rd.Rows == nil {
+		return nil, false
+	}
+	return rd.Rows.Column(col, mark)
+}
+
+// listed reports whether any tail row holds a value an ungrouped IN entry
+// lists (true also when the reader has no view to tell by): one membership
+// search per tail row through the raw rows, else one run probe per value.
+func (rd Reader) listed(e *entry, mark uint32) bool {
+	if col, ok := rd.column(e.key.Col, mark); ok {
+		for _, v := range col {
+			if _, hit := findSorted(e.vals, v); hit {
+				return true
+			}
+		}
+		return false
+	}
+	if rd.Runs == nil {
+		return true
+	}
+	var buf []uint32
+	for _, v := range e.vals {
+		if buf = rd.Runs.Equal(v, mark, buf[:0]); len(buf) > 0 {
+			return true
 		}
 	}
-	keys = append(append(keys, ak[i:]...), bk[j:]...)
-	rids = append(append(rids, ar[i:]...), br[j:]...)
-	return keys, rids
+	return false
 }
 
-// concatU32 returns a fresh a ++ b.
+// concatU32 returns a ++ b: a itself when b is empty (entries are immutable,
+// so the successor may share it), else a fresh slice.
 func concatU32(a, b []uint32) []uint32 {
+	if len(b) == 0 {
+		return a
+	}
 	return append(append(make([]uint32, 0, len(a)+len(b)), a...), b...)
 }
 

@@ -4,11 +4,12 @@
 // Zipf-skewed probe streams — and in a main-memory system recomputing them
 // burns exactly the cycles the paper's cache-conscious indexes fight to
 // save.  The cache closes that loop: RID-slice results are stored under a
-// canonical query fingerprint (fingerprint.go) and stamped with the
-// (table generation, index/shard epoch) token they were computed against,
-// so the epoch-swap serving layer's rebuild counter doubles as the
-// invalidation signal.  No reader ever blocks on invalidation: a stale
-// entry is simply a token mismatch at its next access.
+// canonical query fingerprint (fingerprint.go) and stamped with the token
+// they were computed against — the fold generation and the row high-water
+// mark: the result is the answer over rows [0, mark) of that generation —
+// so the engine's rebuild counter doubles as the invalidation signal.  No
+// reader ever blocks on invalidation: an entry of an older generation is
+// simply a token mismatch at its next access.
 //
 // Concurrency: the cache is lock-striped.  A fingerprint's identity fields
 // route it to one of a power-of-two number of stripes, each an independent
@@ -32,14 +33,15 @@
 // Three reuse classes (stitch.go):
 //
 //   - Containment and stitching for ranges.  A cached closed [lo, hi] run
-//     stores its sorted raw key values next to the RIDs, so any subrange
-//     under the same token is answered by two binary searches and a slice
-//     copy.  When no single run covers the request, StitchRange walks the
+//     stores its sorted raw key values next to the RIDs, so any subrange a
+//     reader it serves asks for is answered by two binary searches and a
+//     slice copy.  When no single run covers the request, StitchRange walks the
 //     per-column ordered interval map (range entries sorted by lo) and
 //     greedily assembles maximal cached segments plus the uncovered gaps;
 //     the caller probes only the gaps, concatenates in value order, and
 //     admits the stitched run — so hot dashboards converge to one covering
-//     run (admission drops same-token entries the new run fully covers).
+//     run (admission drops the entries the new run fully covers and is at
+//     least as current as).
 //   - IN-list subset/superset reuse.  Index-path IN entries record per-value
 //     group offsets, so a query whose value list is a subset of a cached one
 //     replays by concatenating the cached groups, and a near-superset probes
@@ -48,8 +50,8 @@
 //     (inindex.go): one posting lookup per query value, so a miss costs
 //     O(query values) whatever is resident.
 //   - GroupAggregate caching (KindAgg).  Grouped-aggregation results are
-//     cached whole and carried across absorbed appends by merging the
-//     appended rows' group deltas into the sorted group list.
+//     cached whole and brought current by merging the appended rows' group
+//     deltas into the sorted group list.
 //
 // Whether a stitch or superset fill beats recomputing is the caller's call:
 // the cache only reports what it holds (segments, gaps, groups, missing
@@ -58,13 +60,12 @@
 // hit/miss accounting).
 //
 // Appends that the table absorbs into its delta layer (rather than folding
-// into a rebuilt run) do not invalidate wholesale: PatchAppend (patch.go)
-// sweeps the affected table/layer and carries each entry across the epoch
-// individually — retokened untouched when the appended batch cannot change
-// its answer, merged with the qualifying appended rows when it can (range
-// runs merge pairs, grouped IN entries splice rows into their value groups,
-// whole-table aggregates fold in the appended groups), and dropped only
-// when neither is possible.
+// into a rebuilt run) do not touch the cache at all: an entry stays the
+// answer over the rows below its mark.  It serves any reader of its
+// generation that covers at least those rows, and whichever entry a lookup
+// picks to answer from is first brought current from the rows it is missing
+// (patch.go: re-stamped, extended, or dropped when neither is possible).  An
+// entry nobody asks for again costs nothing to keep valid.
 package qcache
 
 import (
@@ -116,30 +117,30 @@ type entry struct {
 	// outer RIDs); nil for every other kind.
 	inner []uint32
 	// vals is the sorted deduplicated value list of an IN entry and preds
-	// the conjunct bounds of a where entry: the payloads PatchAppend needs
-	// to decide whether an absorbed append intersects the entry.  nil
-	// means the entry cannot be patched and drops on append instead.
+	// the conjunct bounds of a where entry: the payloads a refresh needs to
+	// qualify the rows past the entry's mark against it.  nil means the
+	// entry cannot be carried and drops when a reader is ahead of it.
 	vals  []uint32
 	preds []PredBound
 	// goff are an index-path IN entry's group offsets: the rows of the
 	// i-th listed value (first-occurrence order) are rids[goff[i]:goff[i+1]],
 	// and s2g maps each sorted position in vals back to its group index, so
 	// a value resolves to its rows by one binary search of vals.  vals and
-	// s2g are shared, never mutated — patches carry them to their successor
+	// s2g are shared, never mutated — a refresh carries them to the successor
 	// entry.  nil goff marks an ungrouped entry (scan/parallel path): exact
-	// reuse only, no subset replay, carry-or-drop on append.
+	// reuse only, no subset replay, carry-or-drop on refresh.
 	goff []uint32
 	s2g  []uint32
 	// inID is a grouped IN entry's list id in its column's inIndex, whose
 	// postings file the entry under each of vals; 0 while not indexed.  A
-	// patched successor inherits the id instead of re-filing.  seen and cnt
+	// refreshed successor inherits the id instead of re-filing.  seen and cnt
 	// are the index's per-lookup coverage tally (inIndex.best).  All three
 	// are touched only under the stripe lock.
 	inID      uint32
 	seen, cnt uint32
 	// aggs is a cached GroupAggregate result sorted by group value, with
 	// aggMeasure the measure column it aggregates and aggAll marking a
-	// whole-table (nil RID) source — the only kind PatchAppend can extend.
+	// whole-table (nil RID) source — the only kind a refresh can extend.
 	aggs       []AggRow
 	aggMeasure string
 	aggAll     bool
@@ -234,92 +235,84 @@ func (c *Cache) MaxEntryBytes() int64 {
 	return c.budget / 2
 }
 
-// Lookup returns a copy of the RIDs cached under exactly this fingerprint
-// and token.  A token mismatch invalidates the stale entry in place.
-func (c *Cache) Lookup(k Key, tok Token) ([]uint32, bool) {
-	e := c.get(k, tok)
-	if e == nil {
-		return nil, false
-	}
-	return append([]uint32(nil), e.rids...), true
+// Lookup returns a copy of the RIDs cached under exactly this fingerprint,
+// brought current for the reader, and the tail rows that merged (Current when
+// none were missing).  An entry of an older generation, or one that cannot be
+// carried, is invalidated in place.
+func (c *Cache) Lookup(k Key, rd Reader) (rids []uint32, tail int, ok bool) {
+	rids, _, tail, ok = c.get(k, rd)
+	return append([]uint32(nil), rids...), tail, ok
 }
 
 // LookupPair returns copies of a cached join-pair result (outer RIDs,
 // inner RIDs).
 func (c *Cache) LookupPair(k Key, tok Token) (outer, inner []uint32, ok bool) {
-	e := c.get(k, tok)
-	if e == nil {
-		return nil, nil, false
-	}
-	return append([]uint32(nil), e.rids...), append([]uint32(nil), e.inner...), true
+	outer, inner, _, ok = c.get(k, Reader{Tok: tok})
+	return append([]uint32(nil), outer...), append([]uint32(nil), inner...), ok
 }
 
 // LookupPairCount returns the size of a cached join-pair result without
 // copying the pairs — the count-only join's O(1) hit path.
 func (c *Cache) LookupPairCount(k Key, tok Token) (int, bool) {
-	e := c.get(k, tok)
-	if e == nil {
-		return 0, false
-	}
-	return len(e.rids), true
+	outer, _, _, ok := c.get(k, Reader{Tok: tok})
+	return len(outer), ok
 }
 
 // olderOrEqual reports whether token a is not newer than b.  Both token
-// components are monotonic counters (generations only ever increment,
-// epoch uids are globally unique and increasing), so a ≤ b component-wise
-// means a's state is provably no fresher than b's.
+// components are monotonic counters (generations only ever increment, rows
+// only ever grow), so a ≤ b component-wise means a's state is provably no
+// fresher than b's.
 func olderOrEqual(a, b Token) bool { return a.Gen <= b.Gen && a.Epoch <= b.Epoch }
 
-// lookupLocked is the shared exact-match step: it returns the entry with
-// its ref warmed, or nil after reaping a provably stale entry (counted as
-// an invalidation).  A mismatching entry with a NEWER token is left
-// alone: a straggler reader still holding a pre-swap snapshot must not
-// evict the current epoch's entries out from under the readers they
-// serve.  The caller holds the stripe lock and settles the hit/miss
-// accounting for the outcome it commits to.  The returned entry is only
-// read — entries are immutable after insert — so callers may copy the
-// payload out after unlocking.
-func (st *stripe) lookupLocked(k Key, tok Token, c *Cache) *entry {
+// lookupLocked is the shared exact-match step: it returns the entry brought
+// current for the reader (and the tail rows that took), or nil after reaping
+// an entry that is provably stale or cannot be carried (counted as an
+// invalidation).  An entry with a NEWER token is left alone:
+// a straggler reader still holding a pre-swap snapshot must neither see rows
+// beyond it nor evict the current epoch's entries out from under the readers
+// they serve.  The caller holds the stripe lock and settles the hit/miss
+// accounting for the outcome it commits to, and takes the payload slices it
+// wants before unlocking: their contents are immutable after insert, so they
+// may be copied out after, but a removed entry lets go of them.
+func (st *stripe) lookupLocked(k Key, rd Reader, c *Cache) (*entry, int) {
 	e, ok := st.m[k]
-	if ok && e.tok == tok {
-		if e.ref < 3 {
-			e.ref++
-		}
-		return e
+	if ok && e.tok.serves(rd.Tok) {
+		return st.current(e, rd, c)
 	}
-	if ok && olderOrEqual(e.tok, tok) {
-		// Same question, older state: the epoch moved on under this entry.
+	if ok && olderOrEqual(e.tok, rd.Tok) {
+		// Same question, older generation: a fold moved on under this entry.
 		st.remove(e, c)
 		st.stats.Invalidations++
 	}
-	return nil
+	return nil, Current
 }
 
 // get is the exact-match path with hit/miss accounting settled under the
-// stripe lock.
-func (c *Cache) get(k Key, tok Token) *entry {
+// stripe lock; it returns the entry's RID payloads uncopied.
+func (c *Cache) get(k Key, rd Reader) (rids, inner []uint32, tail int, ok bool) {
 	if !c.Enabled() {
-		return nil
+		return nil, nil, Current, false
 	}
 	st := c.stripeFor(k)
 	st.mu.Lock()
-	e := st.lookupLocked(k, tok, c)
-	if e != nil {
+	e, tail := st.lookupLocked(k, rd, c)
+	if ok = e != nil; ok {
 		st.stats.Hits++
+		rids, inner = e.rids, e.inner
 	} else {
 		st.stats.Misses++
 	}
 	st.mu.Unlock()
-	return e
+	return rids, inner, tail, ok
 }
 
-// HitKind classifies how LookupRangeKind answered, for tracing and
+// HitKind classifies how LookupRange answered, for tracing and
 // EXPLAIN-style output.
 type HitKind uint8
 
 const (
 	HitMiss      HitKind = iota // not answered from cache
-	HitExact                    // same fingerprint, same token
+	HitExact                    // same fingerprint, a mark the reader covers
 	HitContained                // sliced from a covering cached run
 )
 
@@ -336,56 +329,59 @@ func (h HitKind) String() string {
 }
 
 // LookupRange answers a range fingerprint (k.Kind must be KindRange),
-// first by exact match, then by containment: any valid cached run on the
-// same column whose closed value bounds cover [k.Lo, k.Hi] yields the
-// answer by two binary searches and a slice copy.
-func (c *Cache) LookupRange(k Key, tok Token) ([]uint32, bool) {
-	rids, kind := c.LookupRangeKind(k, tok)
-	return rids, kind != HitMiss
-}
-
-// LookupRangeKind is LookupRange reporting how the answer was found —
-// the tracer's variant; the accounting is identical.
-func (c *Cache) LookupRangeKind(k Key, tok Token) ([]uint32, HitKind) {
+// first by exact match, then by containment: any cached run on the same
+// column that serves the reader and whose closed value bounds cover
+// [k.Lo, k.Hi] yields the answer — once brought current — by two binary
+// searches and a slice copy.  It reports how the answer was found, and the
+// tail rows merged bringing the answering entry current (Current when none
+// were missing).
+func (c *Cache) LookupRange(k Key, rd Reader) (rids []uint32, kind HitKind, tail int) {
 	if !c.Enabled() {
-		return nil, HitMiss
+		return nil, HitMiss, Current
 	}
 	// One lock acquisition answers exact match, containment, and the
 	// accounting: exactly one of hit / contained-hit / miss is counted,
 	// under the same lock a StatsSnapshot sums this stripe with.
 	st := c.stripeFor(k)
 	st.mu.Lock()
-	if e := st.lookupLocked(k, tok, c); e != nil {
-		st.stats.Hits++
-		st.mu.Unlock()
-		return append([]uint32(nil), e.rids...), HitExact
-	}
-	// An inverted key ([Lo, Hi] with Lo > Hi) is an empty range; refusing
-	// containment keeps the slice arithmetic below in bounds.
-	if k.Lo <= k.Hi {
-		ck := k.column()
-		for _, e := range st.ranges[ck] {
+	e, tail := st.lookupLocked(k, rd, c)
+	if e != nil {
+		kind, rids = HitExact, e.rids
+	} else if k.Lo <= k.Hi {
+		// (An inverted key is an empty range; refusing containment keeps the
+		// slice arithmetic below in bounds.)
+		for _, e = range st.ranges[k.column()] {
 			if e.lo > k.Lo {
 				break // interval map is ordered by lo: nothing further can cover
 			}
-			if e.dead || e.tok != tok || e.hi < k.Hi {
+			if !e.tok.serves(rd.Tok) || e.hi < k.Hi {
 				continue
 			}
-			first := sort.Search(len(e.keys), func(i int) bool { return e.keys[i] >= k.Lo })
-			last := sort.Search(len(e.keys), func(i int) bool { return e.keys[i] > k.Hi })
-			out := append([]uint32(nil), e.rids[first:last]...)
-			if e.ref < 3 {
-				e.ref++
+			// Past this point the walk is over: bringing e current relinks
+			// the list it runs on.
+			if e, tail = st.current(e, rd, c); e != nil {
+				first, last := e.span(k.Lo, k.Hi)
+				kind, rids = HitContained, e.rids[first:last]
+				st.stats.ContainedHits++
 			}
-			st.stats.Hits++
-			st.stats.ContainedHits++
-			st.mu.Unlock()
-			return out, HitContained
+			break
 		}
 	}
-	st.stats.Misses++
+	if kind != HitMiss {
+		st.stats.Hits++
+	} else {
+		st.stats.Misses++
+	}
 	st.mu.Unlock()
-	return nil, HitMiss
+	return append([]uint32(nil), rids...), kind, tail
+}
+
+// span returns the half-open positions of a key run's pairs with
+// lo ≤ key ≤ hi.
+func (e *entry) span(lo, hi uint32) (first, last int) {
+	first = sort.Search(len(e.keys), func(i int) bool { return e.keys[i] >= lo })
+	last = sort.Search(len(e.keys), func(i int) bool { return e.keys[i] > hi })
+	return first, last
 }
 
 // Insert caches a result under the fingerprint and token.  The slice is
@@ -405,12 +401,12 @@ func (c *Cache) InsertRange(k Key, tok Token, keys, rids []uint32, costNs int64)
 
 // InsertIn caches an IN-list result.  distinct is the deduplicated value
 // list in first-occurrence order (the order the result groups follow); the
-// cache keeps a sorted copy so PatchAppend can qualify absorbed appends
-// against the entry.  A non-nil goff records the group offsets of an
+// cache keeps a sorted copy so a refresh can qualify the rows past the
+// entry's mark against it.  A non-nil goff records the group offsets of an
 // index-path result (distinct[i]'s rows are rids[goff[i]:goff[i+1]]),
-// enabling subset/superset reuse and per-group append splicing; nil goff
-// degrades to exact reuse with carry-or-drop patching (scan-path results
-// are in row order and cannot be partitioned per value).
+// enabling subset/superset reuse and per-group splicing; nil goff degrades
+// to exact reuse with carry-or-drop refreshes (scan-path results are in row
+// order and cannot be partitioned per value).
 func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs int64) {
 	if !c.Enabled() {
 		return
@@ -449,17 +445,17 @@ func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs
 
 // InsertAgg caches a grouped-aggregation result (rows sorted by group
 // value, as GroupAggregate produces).  measureCol names the aggregated
-// column and allRows marks a whole-table source — the only kind
-// PatchAppend can extend with absorbed appends; explicit-RID sources are
-// retokened unchanged (appends never mutate existing rows).
+// column and allRows marks a whole-table source — the only kind a refresh
+// can extend with appended rows; explicit-RID sources are re-stamped
+// unchanged (appends never mutate existing rows).
 func (c *Cache) InsertAgg(k Key, tok Token, measureCol string, allRows bool, rows []AggRow, costNs int64) {
 	c.insert(&entry{key: k, tok: tok, aggs: rows, aggMeasure: measureCol, aggAll: allRows, cost: costNs})
 }
 
 // InsertWhere caches a conjunction result together with its conjunct
-// bounds (raw closed bounds per column), which lets PatchAppend qualify
-// appended rows against the whole predicate and extend the entry in place.
-// A nil preds degrades to Insert: exact reuse only.
+// bounds (raw closed bounds per column), which lets a refresh qualify
+// appended rows against the whole predicate and extend the entry.  A nil
+// preds degrades to Insert: exact reuse only.
 func (c *Cache) InsertWhere(k Key, tok Token, preds []PredBound, rids []uint32, costNs int64) {
 	c.insert(&entry{key: k, tok: tok, preds: preds, rids: rids, cost: costNs})
 }
@@ -479,7 +475,7 @@ const entryOverheadBytes = 160
 func EntryBytesForPairs(count int) int64 { return entryOverheadBytes + 8*int64(count) }
 
 // payloadBytes charges an entry for its payload slices plus the fixed
-// overhead; shared between insert admission and PatchAppend re-accounting.
+// overhead; shared between insert admission and a refresh's re-accounting.
 func payloadBytes(e *entry) int64 {
 	b := entryOverheadBytes + 4*int64(len(e.rids)+len(e.keys)+len(e.inner)+len(e.vals)+len(e.goff)+len(e.s2g))
 	if e.goff != nil {
@@ -537,19 +533,26 @@ func (c *Cache) insert(e *entry) {
 		st.mu.Unlock()
 		return
 	}
+	st.admit(e, c)
+	st.stats.Inserts++
+	st.mu.Unlock()
+}
+
+// admit makes an entry resident — a new one, or a refreshed successor: map,
+// reuse structures, ring and the residency accounting.  The caller holds the
+// stripe lock, has removed any entry under the same key and has made room.
+func (st *stripe) admit(e *entry, c *Cache) {
 	st.m[e.key] = e
 	st.link(e, c)
 	st.ring = append(st.ring, e)
 	st.bytes += e.bytes
 	st.live++
-	st.stats.Inserts++
 	st.stats.Entries++
 	st.stats.Bytes += e.bytes
 	// Bound the husk build-up when invalidation outpaces eviction.
 	if len(st.ring) > 4*st.live+64 {
 		st.compactRing()
 	}
-	st.mu.Unlock()
 }
 
 // countReject counts one admission rejection on the key's stripe — the
@@ -563,8 +566,9 @@ func (c *Cache) countReject(k Key) {
 }
 
 // DropTable removes every entry of one table — the eager half of
-// generation invalidation, called by AppendRows after it publishes the
-// rebuilt state.  Readers of other stripes are untouched; readers of the
+// generation invalidation, called by AppendRows after it publishes a fold's
+// rebuilt state and by the index builders (a new access path changes the
+// order results come back in).  Readers of other stripes are untouched; readers of the
 // same stripe wait only for the sweep of that stripe.  Entries inserted
 // by in-flight readers still holding the old state are caught lazily by
 // their token at next access.
@@ -587,18 +591,18 @@ func (c *Cache) DropTable(table string) {
 
 // link adds an entry to the per-column reuse structures: range runs splice
 // into the lo-ordered interval map, grouped IN entries are filed in the
-// column's inverted index.  A new range run also supersedes same-token
-// entries it fully covers — containment answers every query they could, so
-// keeping them only bloats the interval walk; this is how a shifting
-// dashboard's stitched runs converge instead of accumulating.  Caller
-// holds the stripe lock.
+// column's inverted index.  A new range run also supersedes the entries it
+// fully covers and is at least as current as — containment answers every
+// query they could, so keeping them only bloats the interval walk; this is
+// how a shifting dashboard's stitched runs converge instead of accumulating.
+// Caller holds the stripe lock.
 func (st *stripe) link(e *entry, c *Cache) {
 	if e.keys != nil {
 		ck := e.key.column()
 		list := st.ranges[ck]
 		for i := 0; i < len(list); {
 			x := list[i]
-			if x != e && x.tok == e.tok && x.lo >= e.lo && x.hi <= e.hi {
+			if x != e && x.tok.serves(e.tok) && x.lo >= e.lo && x.hi <= e.hi {
 				st.remove(x, c) // splices list in place
 				list = st.ranges[ck]
 				continue
@@ -613,7 +617,7 @@ func (st *stripe) link(e *entry, c *Cache) {
 		list[i] = e
 		st.ranges[ck] = list
 	}
-	if e.goff != nil && e.inID == 0 { // a patched successor arrives already indexed
+	if e.goff != nil && e.inID == 0 { // a refreshed successor arrives already indexed
 		ck := e.key.column()
 		ix := st.inIdx[ck]
 		if ix == nil {
@@ -626,7 +630,7 @@ func (st *stripe) link(e *entry, c *Cache) {
 
 // unlinkIn removes a grouped IN entry's postings from its column's index,
 // and the index with its last entry.  It is a no-op for an entry that is
-// not indexed or whose list id PatchAppend has handed to a successor.
+// not indexed or whose list id a refresh has handed to a successor.
 // Caller holds the stripe lock.
 func (st *stripe) unlinkIn(e *entry) {
 	if e.inID == 0 {
@@ -673,6 +677,10 @@ func (st *stripe) remove(e *entry, c *Cache) {
 	}
 	st.unlinkIn(e)
 	e.dead = true
+	// The husk stays on the ring until the hand or a compaction reaches it,
+	// but it pins nothing: whoever is still reading the payload took the
+	// slices under this lock.
+	e.keys, e.rids, e.inner, e.vals, e.s2g, e.goff, e.aggs, e.preds = nil, nil, nil, nil, nil, nil, nil, nil
 	st.bytes -= e.bytes
 	st.live--
 	st.stats.Entries--

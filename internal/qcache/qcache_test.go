@@ -28,13 +28,13 @@ func TestExactHitMissAndCopy(t *testing.T) {
 	c := New(admitAll(Options{}))
 	k := rangeKey("t", "a", 5, 9)
 	tok := Token{Gen: 1}
-	if _, ok := c.Lookup(k, tok); ok {
+	if _, _, ok := c.Lookup(k, at(tok)); ok {
 		t.Fatal("hit on empty cache")
 	}
 	rids := []uint32{3, 1, 4}
 	c.Insert(k, tok, rids, 10)
 	rids[0] = 99 // caller mutates after insert; cached copy must not see it
-	got, ok := c.Lookup(k, tok)
+	got, _, ok := c.Lookup(k, at(tok))
 	if !ok {
 		t.Fatal("miss after insert")
 	}
@@ -42,7 +42,7 @@ func TestExactHitMissAndCopy(t *testing.T) {
 		t.Fatalf("got %v, want [3 1 4]", got)
 	}
 	got[1] = 77 // mutating a hit must not corrupt the cache
-	again, _ := c.Lookup(k, tok)
+	again, _, _ := c.Lookup(k, at(tok))
 	if again[1] != 1 {
 		t.Fatalf("cached copy corrupted: %v", again)
 	}
@@ -56,7 +56,7 @@ func TestTokenMismatchInvalidates(t *testing.T) {
 	c := New(admitAll(Options{}))
 	k := rangeKey("t", "a", 0, 4)
 	c.Insert(k, Token{Gen: 1}, seq(0, 4), 10)
-	if _, ok := c.Lookup(k, Token{Gen: 2}); ok {
+	if _, _, ok := c.Lookup(k, at(Token{Gen: 2})); ok {
 		t.Fatal("stale token must miss")
 	}
 	s := c.Stats()
@@ -64,7 +64,7 @@ func TestTokenMismatchInvalidates(t *testing.T) {
 		t.Fatalf("stats %+v", s)
 	}
 	// The old token cannot resurrect the dropped entry.
-	if _, ok := c.Lookup(k, Token{Gen: 1}); ok {
+	if _, _, ok := c.Lookup(k, at(Token{Gen: 1})); ok {
 		t.Fatal("invalidated entry served")
 	}
 }
@@ -77,18 +77,18 @@ func TestStragglerDoesNotEvictFresh(t *testing.T) {
 	c.Insert(k, fresh, seq(10, 4), 10)
 	// A reader still holding the pre-swap epoch must miss without
 	// evicting the current epoch's entry...
-	if _, ok := c.Lookup(k, stale); ok {
+	if _, _, ok := c.Lookup(k, at(stale)); ok {
 		t.Fatal("stale token hit the fresh entry")
 	}
-	if got, ok := c.Lookup(k, fresh); !ok || got[0] != 10 {
+	if got, _, ok := c.Lookup(k, at(fresh)); !ok || got[0] != 10 {
 		t.Fatal("fresh entry evicted by a straggler lookup")
 	}
 	// ...and its late insert must not clobber it either.
 	c.Insert(k, stale, seq(99, 4), 10)
-	if got, ok := c.Lookup(k, fresh); !ok || got[0] != 10 {
+	if got, _, ok := c.Lookup(k, at(fresh)); !ok || got[0] != 10 {
 		t.Fatal("straggler insert clobbered the fresh entry")
 	}
-	if _, ok := c.Lookup(k, stale); ok {
+	if _, _, ok := c.Lookup(k, at(stale)); ok {
 		t.Fatal("rejected stale insert is being served")
 	}
 }
@@ -101,8 +101,8 @@ func TestContainmentReuse(t *testing.T) {
 	rids := seq(100, 10)
 	c.InsertRange(rangeKey("t", "a", 10, 19), tok, keys, rids, 10)
 
-	got, ok := c.LookupRange(rangeKey("t", "a", 13, 16), tok)
-	if !ok {
+	got, kind, _ := c.LookupRange(rangeKey("t", "a", 13, 16), at(tok))
+	if kind != HitContained {
 		t.Fatal("contained subrange missed")
 	}
 	want := []uint32{103, 104, 105, 106}
@@ -110,15 +110,15 @@ func TestContainmentReuse(t *testing.T) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 	// Point subrange within coverage: closed bounds include the value.
-	if got, ok := c.LookupRange(rangeKey("t", "a", 15, 15), tok); !ok || len(got) != 1 || got[0] != 105 {
-		t.Fatalf("point subrange: ok=%v got=%v", ok, got)
+	if got, kind, _ := c.LookupRange(rangeKey("t", "a", 15, 15), at(tok)); kind == HitMiss || len(got) != 1 || got[0] != 105 {
+		t.Fatalf("point subrange: kind=%v got=%v", kind, got)
 	}
 	// Not contained: extends past the cached run.
-	if _, ok := c.LookupRange(rangeKey("t", "a", 15, 25), tok); ok {
+	if _, kind, _ := c.LookupRange(rangeKey("t", "a", 15, 25), at(tok)); kind != HitMiss {
 		t.Fatal("non-contained range hit")
 	}
 	// Wrong token: no containment across epochs.
-	if _, ok := c.LookupRange(rangeKey("t", "a", 13, 16), Token{Gen: 2}); ok {
+	if _, kind, _ := c.LookupRange(rangeKey("t", "a", 13, 16), at(Token{Gen: 2})); kind != HitMiss {
 		t.Fatal("containment across tokens")
 	}
 	s := c.Stats()
@@ -132,10 +132,10 @@ func TestExactOnlyEntriesSkipContainment(t *testing.T) {
 	tok := Token{Gen: 1}
 	// nil key run = scan-path result; exact reuse only.
 	c.InsertRange(rangeKey("t", "a", 10, 20), tok, nil, seq(0, 5), 10)
-	if _, ok := c.Lookup(rangeKey("t", "a", 10, 20), tok); !ok {
+	if _, _, ok := c.Lookup(rangeKey("t", "a", 10, 20), at(tok)); !ok {
 		t.Fatal("exact lookup must still hit")
 	}
-	if _, ok := c.LookupRange(rangeKey("t", "a", 12, 14), tok); ok {
+	if _, kind, _ := c.LookupRange(rangeKey("t", "a", 12, 14), at(tok)); kind != HitMiss {
 		t.Fatal("containment over an exact-only entry")
 	}
 }
@@ -144,11 +144,11 @@ func TestAdmissionCostFloor(t *testing.T) {
 	c := New(Options{MinCostNs: 100})
 	k := rangeKey("t", "a", 0, 1)
 	c.Insert(k, Token{Gen: 1}, seq(0, 4), 99) // below the floor
-	if _, ok := c.Lookup(k, Token{Gen: 1}); ok {
+	if _, _, ok := c.Lookup(k, at(Token{Gen: 1})); ok {
 		t.Fatal("sub-floor result admitted")
 	}
 	c.Insert(k, Token{Gen: 1}, seq(0, 4), 100)
-	if _, ok := c.Lookup(k, Token{Gen: 1}); !ok {
+	if _, _, ok := c.Lookup(k, at(Token{Gen: 1})); !ok {
 		t.Fatal("at-floor result rejected")
 	}
 	if s := c.Stats(); s.Rejects != 1 {
@@ -190,13 +190,13 @@ func TestScanResistance(t *testing.T) {
 	hot := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 0xbeef}
 	c.Insert(hot, tok, seq(0, 500), 10)
 	for i := 0; i < 4; i++ { // warm it well past one CLOCK life
-		c.Lookup(hot, tok)
+		c.Lookup(hot, at(tok))
 	}
 	// A scan of one-shot queries big enough to churn the stripe twice.
 	for i := 0; i < 40; i++ {
 		c.Insert(Key{Table: "t", Col: "a", Kind: KindIn, Hash: uint64(i)}, tok, seq(0, 500), 10)
 	}
-	if _, ok := c.Lookup(hot, tok); !ok {
+	if _, _, ok := c.Lookup(hot, at(tok)); !ok {
 		t.Fatal("hot entry flushed by one cold scan")
 	}
 }
@@ -207,10 +207,10 @@ func TestDropTable(t *testing.T) {
 	c.Insert(rangeKey("t1", "a", 0, 1), tok, seq(0, 4), 10)
 	c.Insert(rangeKey("t2", "a", 0, 1), tok, seq(0, 4), 10)
 	c.DropTable("t1")
-	if _, ok := c.Lookup(rangeKey("t1", "a", 0, 1), tok); ok {
+	if _, _, ok := c.Lookup(rangeKey("t1", "a", 0, 1), at(tok)); ok {
 		t.Fatal("dropped table served")
 	}
-	if _, ok := c.Lookup(rangeKey("t2", "a", 0, 1), tok); !ok {
+	if _, _, ok := c.Lookup(rangeKey("t2", "a", 0, 1), at(tok)); !ok {
 		t.Fatal("other table dropped")
 	}
 	if s := c.Stats(); s.Invalidations != 1 {
@@ -235,7 +235,7 @@ func TestPairRoundTrip(t *testing.T) {
 func TestNilAndDisabled(t *testing.T) {
 	var nilCache *Cache
 	nilCache.Insert(rangeKey("t", "a", 0, 1), Token{}, seq(0, 4), 10)
-	if _, ok := nilCache.Lookup(rangeKey("t", "a", 0, 1), Token{}); ok {
+	if _, _, ok := nilCache.Lookup(rangeKey("t", "a", 0, 1), at(Token{})); ok {
 		t.Fatal("nil cache hit")
 	}
 	nilCache.DropTable("t")
@@ -244,7 +244,7 @@ func TestNilAndDisabled(t *testing.T) {
 	}
 	d := New(Options{Disabled: true})
 	d.Insert(rangeKey("t", "a", 0, 1), Token{}, seq(0, 4), 1<<30)
-	if _, ok := d.Lookup(rangeKey("t", "a", 0, 1), Token{}); ok {
+	if _, _, ok := d.Lookup(rangeKey("t", "a", 0, 1), at(Token{})); ok {
 		t.Fatal("disabled cache hit")
 	}
 }
@@ -267,9 +267,9 @@ func TestConcurrentChurn(t *testing.T) {
 				case 0:
 					c.InsertRange(k, tok, seq(lo, 10), seq(lo*10, 10), 10)
 				case 1:
-					c.Lookup(k, tok)
+					c.Lookup(k, at(tok))
 				case 2:
-					c.LookupRange(rangeKey("t", "a", lo+2, lo+5), tok)
+					c.LookupRange(rangeKey("t", "a", lo+2, lo+5), at(tok))
 				default:
 					if i%500 == 0 {
 						c.DropTable("t")

@@ -38,12 +38,14 @@ type Stats struct {
 	Rejects int64
 	// Evictions counts CLOCK victims; Invalidations counts entries
 	// removed because their token went stale (lazily at access, eagerly
-	// by DropTable, or dropped by a PatchAppend sweep).
+	// by DropTable) or because a reader ahead of them could not carry them.
 	Evictions     int64
 	Invalidations int64
-	// Patches counts entries PatchAppend carried across an absorbed
-	// append — retokened untouched or extended with the qualifying
-	// appended rows — instead of dropping.
+	// Patches counts entries carried at hit time: a lookup picked the
+	// entry to answer from, the reader covered rows past the entry's mark,
+	// and the entry was brought current — re-stamped untouched or extended
+	// with the qualifying appended rows — instead of dropped.  An absorbed
+	// append itself patches nothing.
 	Patches int64
 	// Entries and Bytes are the current residency.
 	Entries int64

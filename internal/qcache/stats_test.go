@@ -24,7 +24,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 			defer wg.Done()
 			k := rangeKey("t", "a", uint32(100*w), uint32(100*w+9))
 			for !stop.Load() {
-				if _, ok := c.Lookup(k, tok); ok {
+				if _, _, ok := c.Lookup(k, at(tok)); ok {
 					t.Error("unexpected hit")
 					return
 				}
@@ -58,7 +58,7 @@ func TestContainedHitCountsOnce(t *testing.T) {
 	c := New(admitAll(Options{}))
 	tok := Token{Gen: 1}
 	c.InsertRange(rangeKey("t", "a", 0, 99), tok, seq(0, 100), seq(0, 100), 10)
-	if _, ok := c.LookupRange(rangeKey("t", "a", 10, 19), tok); !ok {
+	if _, kind, _ := c.LookupRange(rangeKey("t", "a", 10, 19), at(tok)); kind == HitMiss {
 		t.Fatal("containment miss")
 	}
 	s := c.StatsSnapshot()

@@ -11,10 +11,8 @@ package qcache
 // already counted for a hit of the right kind.
 //
 // All returned slices alias immutable cache memory (entries are never
-// edited after insert — patches replace them), so they are safe to read
+// edited after insert — a refresh replaces them), so they are safe to read
 // without the stripe lock but must be copied before mutation.
-
-import "sort"
 
 // RangeSegment is one cached piece of a stitch plan: the (value, RID)
 // pairs covering the closed value interval [Lo, Hi], sliced from an
@@ -38,17 +36,21 @@ type StitchPlan struct {
 	// CachedRows is the total pair count across Segments — the copy-cost
 	// input to the caller's stitch-vs-recompute break-even.
 	CachedRows int
+	// TailRows is the tail rows merged bringing the segments' entries
+	// current; Current when none of them was missing any.
+	TailRows int
 }
 
 // StitchRange plans answering the range fingerprint k (Kind KindRange,
 // closed bounds k.Lo/k.Hi) from the overlapping cached runs of the same
-// column and token.  It walks the lo-ordered interval map greedily,
-// picking at each uncovered point the valid run reaching furthest right.
-// ok is false when no cached run overlaps the request at all (a plan that
-// is all gap is a recompute, not a stitch).  The caller should first try
-// LookupRange: a single fully-covering run is the cheaper containment
-// path and never reaches here.
-func (c *Cache) StitchRange(k Key, tok Token) (*StitchPlan, bool) {
+// column that serve the reader.  It walks the lo-ordered interval map
+// greedily, picking at each uncovered point the valid run reaching furthest
+// right, then brings each picked run current before slicing it.  ok is false
+// when no cached run overlaps the request at all (a plan that is all gap is
+// a recompute, not a stitch).  The caller should first try LookupRange: a
+// single fully-covering run is the cheaper containment path and never
+// reaches here.
+func (c *Cache) StitchRange(k Key, rd Reader) (*StitchPlan, bool) {
 	if !c.Enabled() || k.Lo > k.Hi {
 		return nil, false
 	}
@@ -60,7 +62,8 @@ func (c *Cache) StitchRange(k Key, tok Token) (*StitchPlan, bool) {
 	if len(list) == 0 {
 		return nil, false
 	}
-	plan := &StitchPlan{}
+	plan := &StitchPlan{TailRows: Current}
+	var picks []*entry // picks[i] answers plan.Segments[i]
 	cur := k.Lo
 	i := 0
 	for {
@@ -69,7 +72,7 @@ func (c *Cache) StitchRange(k Key, tok Token) (*StitchPlan, bool) {
 		// cur (it only grows past their hi), so the scan is one pass.
 		var best *entry
 		for ; i < len(list) && list[i].lo <= cur; i++ {
-			if e := list[i]; e.tok == tok && e.hi >= cur && (best == nil || e.hi > best.hi) {
+			if e := list[i]; e.tok.serves(rd.Tok) && e.hi >= cur && (best == nil || e.hi > best.hi) {
 				best = e
 			}
 		}
@@ -79,7 +82,7 @@ func (c *Cache) StitchRange(k Key, tok Token) (*StitchPlan, bool) {
 				plan.Gaps = append(plan.Gaps, RangeGap{Lo: cur, Hi: k.Hi})
 				break
 			}
-			if list[i].tok != tok {
+			if !list[i].tok.serves(rd.Tok) {
 				i++
 				continue
 			}
@@ -91,25 +94,33 @@ func (c *Cache) StitchRange(k Key, tok Token) (*StitchPlan, bool) {
 		if segHi > k.Hi {
 			segHi = k.Hi
 		}
-		first := sort.Search(len(best.keys), func(j int) bool { return best.keys[j] >= cur })
-		last := sort.Search(len(best.keys), func(j int) bool { return best.keys[j] > segHi })
-		plan.Segments = append(plan.Segments, RangeSegment{
-			Lo: cur, Hi: segHi,
-			Keys: best.keys[first:last], RIDs: best.rids[first:last],
-		})
-		plan.CachedRows += last - first
-		if best.ref < 3 {
-			best.ref++
-		}
+		plan.Segments = append(plan.Segments, RangeSegment{Lo: cur, Hi: segHi})
+		picks = append(picks, best)
 		if segHi == k.Hi {
 			break
 		}
 		cur = segHi + 1 // segHi < k.Hi, so this cannot wrap
 	}
-	if len(plan.Segments) == 0 {
-		return nil, false
+	// Bringing a pick current relinks the interval map the walk above read,
+	// so the picks are settled only now.  One that was evicted making room
+	// for an earlier pick's successor, or cannot be carried, voids the plan.
+	for i, e := range picks {
+		if e.dead {
+			return nil, false
+		}
+		e, tail := st.current(e, rd, c)
+		if e == nil {
+			return nil, false
+		}
+		if tail != Current {
+			plan.TailRows = max(plan.TailRows, 0) + tail
+		}
+		seg := &plan.Segments[i]
+		first, last := e.span(seg.Lo, seg.Hi)
+		seg.Keys, seg.RIDs = e.keys[first:last], e.rids[first:last]
+		plan.CachedRows += last - first
 	}
-	return plan, true
+	return plan, len(picks) > 0
 }
 
 // NoteStitch settles the accounting after the caller commits to a stitch
@@ -139,13 +150,16 @@ func (c *Cache) NoteStitch(k Key, gaps int) {
 type InReuse struct {
 	Groups  [][]uint32
 	Missing []uint32
+	// TailRows is the tail rows merged bringing the source entry current;
+	// Current when it was missing none.
+	TailRows int
 }
 
 // emptyGroup distinguishes "cached as empty" from "unknown, probe it".
 var emptyGroup = []uint32{}
 
 // LookupInReuse answers an IN fingerprint from the grouped IN entries of
-// the same column and token.  distinct must be the deduplicated query
+// the same column that serve the reader.  distinct must be the deduplicated query
 // values in first-occurrence order (the order the result concatenates
 // groups in).  A full subset match is complete — no probes needed — and is
 // counted as a subset hit here; a partial match returns the covered groups
@@ -156,7 +170,7 @@ var emptyGroup = []uint32{}
 // posting lookup per query value, so the common ad-hoc miss — no resident
 // entry lists any of the values — costs len(distinct) map probes, not a
 // visit to every resident entry.
-func (c *Cache) LookupInReuse(k Key, tok Token, distinct []uint32) (*InReuse, bool) {
+func (c *Cache) LookupInReuse(k Key, rd Reader, distinct []uint32) (*InReuse, bool) {
 	if !c.Enabled() || len(distinct) == 0 {
 		return nil, false
 	}
@@ -167,11 +181,15 @@ func (c *Cache) LookupInReuse(k Key, tok Token, distinct []uint32) (*InReuse, bo
 	if ix == nil {
 		return nil, false
 	}
-	best, covered := ix.best(tok, distinct)
+	best, covered := ix.best(rd.Tok, distinct)
 	if best == nil {
 		return nil, false
 	}
-	r := &InReuse{Groups: make([][]uint32, len(distinct))}
+	best, tail := st.current(best, rd, c)
+	if best == nil {
+		return nil, false
+	}
+	r := &InReuse{Groups: make([][]uint32, len(distinct)), TailRows: tail}
 	if covered < len(distinct) {
 		r.Missing = make([]uint32, 0, len(distinct)-covered)
 	}
@@ -186,9 +204,6 @@ func (c *Cache) LookupInReuse(k Key, tok Token, distinct []uint32) (*InReuse, bo
 		} else {
 			r.Missing = append(r.Missing, v)
 		}
-	}
-	if best.ref < 3 {
-		best.ref++
 	}
 	if len(r.Missing) == 0 {
 		// A complete replay: settle the exact-lookup miss now, still under
@@ -230,23 +245,25 @@ type AggRow struct {
 }
 
 // LookupAgg returns a copy of the grouped-aggregation result cached under
-// exactly this fingerprint and token.
-func (c *Cache) LookupAgg(k Key, tok Token) ([]AggRow, bool) {
+// exactly this fingerprint, brought current for the reader, and the tail
+// rows that folded in (Current when none were missing).
+func (c *Cache) LookupAgg(k Key, rd Reader) (rows []AggRow, tail int, ok bool) {
 	if !c.Enabled() {
-		return nil, false
+		return nil, Current, false
 	}
 	st := c.stripeFor(k)
 	st.mu.Lock()
-	e := st.lookupLocked(k, tok, c)
+	e, tail := st.lookupLocked(k, rd, c)
 	if e == nil {
 		st.stats.Misses++
 		st.mu.Unlock()
-		return nil, false
+		return nil, tail, false
 	}
 	st.stats.Hits++
 	st.stats.AggregateHits++
+	rows = e.aggs
 	st.mu.Unlock()
-	return append([]AggRow(nil), e.aggs...), true
+	return append([]AggRow(nil), rows...), tail, true
 }
 
 // findSorted returns the position of v in the ascending slice a.  The

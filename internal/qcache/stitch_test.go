@@ -17,7 +17,7 @@ func TestStitchRangeSegmentsAndGaps(t *testing.T) {
 	ident(c, tok, 10, 19)
 	ident(c, tok, 30, 39)
 
-	sp, ok := c.StitchRange(rangeKey("t", "a", 12, 35), tok)
+	sp, ok := c.StitchRange(rangeKey("t", "a", 12, 35), at(tok))
 	if !ok {
 		t.Fatal("no stitch plan over two overlapping runs")
 	}
@@ -44,7 +44,7 @@ func TestStitchRangeAdjacentRunsNoGap(t *testing.T) {
 	tok := Token{Gen: 1}
 	ident(c, tok, 10, 19)
 	ident(c, tok, 20, 29)
-	sp, ok := c.StitchRange(rangeKey("t", "a", 10, 29), tok)
+	sp, ok := c.StitchRange(rangeKey("t", "a", 10, 29), at(tok))
 	if !ok || len(sp.Gaps) != 0 || len(sp.Segments) != 2 {
 		t.Fatalf("adjacent runs: ok=%v %+v", ok, sp)
 	}
@@ -54,7 +54,7 @@ func TestStitchRangeHeadAndTailGaps(t *testing.T) {
 	c := New(admitAll(Options{}))
 	tok := Token{Gen: 1}
 	ident(c, tok, 20, 29)
-	sp, ok := c.StitchRange(rangeKey("t", "a", 15, 35), tok)
+	sp, ok := c.StitchRange(rangeKey("t", "a", 15, 35), at(tok))
 	if !ok || len(sp.Segments) != 1 || len(sp.Gaps) != 2 {
 		t.Fatalf("head/tail plan: ok=%v %+v", ok, sp)
 	}
@@ -68,23 +68,23 @@ func TestStitchRangeRefusals(t *testing.T) {
 	tok := Token{Gen: 1}
 	ident(c, tok, 50, 59)
 	// No overlap at all: recompute, not stitch.
-	if _, ok := c.StitchRange(rangeKey("t", "a", 10, 20), tok); ok {
+	if _, ok := c.StitchRange(rangeKey("t", "a", 10, 20), at(tok)); ok {
 		t.Fatal("stitch planned with zero overlapping runs")
 	}
 	// A run under another token must not contribute.
-	if _, ok := c.StitchRange(rangeKey("t", "a", 50, 59), Token{Gen: 2}); ok {
+	if _, ok := c.StitchRange(rangeKey("t", "a", 50, 59), at(Token{Gen: 2})); ok {
 		t.Fatal("stitch planned from a stale-token run")
 	}
 	// Inverted request.
-	if _, ok := c.StitchRange(rangeKey("t", "a", 9, 5), tok); ok {
+	if _, ok := c.StitchRange(rangeKey("t", "a", 9, 5), at(tok)); ok {
 		t.Fatal("stitch planned for an inverted range")
 	}
 	// Disabled and nil caches.
-	if _, ok := New(Options{Disabled: true}).StitchRange(rangeKey("t", "a", 50, 59), tok); ok {
+	if _, ok := New(Options{Disabled: true}).StitchRange(rangeKey("t", "a", 50, 59), at(tok)); ok {
 		t.Fatal("disabled cache planned a stitch")
 	}
 	var nilc *Cache
-	if _, ok := nilc.StitchRange(rangeKey("t", "a", 50, 59), tok); ok {
+	if _, ok := nilc.StitchRange(rangeKey("t", "a", 50, 59), at(tok)); ok {
 		t.Fatal("nil cache planned a stitch")
 	}
 }
@@ -107,8 +107,8 @@ func TestStitchAdmissionSupersedes(t *testing.T) {
 		t.Fatalf("supersede left %d entries, want 2 (covering + foreign token)", s.Entries)
 	}
 	// The covering run answers what the dropped fragments did.
-	if got, ok := c.LookupRange(rangeKey("t", "a", 11, 18), tok); !ok || len(got) != 8 {
-		t.Fatalf("containment after supersede: ok=%v got=%v", ok, got)
+	if got, kind, _ := c.LookupRange(rangeKey("t", "a", 11, 18), at(tok)); kind == HitMiss || len(got) != 8 {
+		t.Fatalf("containment after supersede: kind=%v got=%v", kind, got)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestLookupInReuseSubsetAndSuperset(t *testing.T) {
 
 	// Subset replay in a different order: groups come back per query order.
 	qk := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 2, N: 2}
-	c.Lookup(qk, tok) // the exact miss reuse trades back
-	r, ok := c.LookupInReuse(qk, tok, []uint32{5, 17})
+	c.Lookup(qk, at(tok)) // the exact miss reuse trades back
+	r, ok := c.LookupInReuse(qk, at(tok), []uint32{5, 17})
 	if !ok || len(r.Missing) != 0 {
 		t.Fatalf("subset not covered: ok=%v %+v", ok, r)
 	}
@@ -134,7 +134,7 @@ func TestLookupInReuseSubsetAndSuperset(t *testing.T) {
 	}
 
 	// A cached-empty group is covered (non-nil), not missing.
-	r, ok = c.LookupInReuse(qk, tok, []uint32{40, 99})
+	r, ok = c.LookupInReuse(qk, at(tok), []uint32{40, 99})
 	if !ok {
 		t.Fatal("partial coverage not reported")
 	}
@@ -146,13 +146,13 @@ func TestLookupInReuseSubsetAndSuperset(t *testing.T) {
 	}
 
 	// Wrong token: nothing reusable.
-	if _, ok := c.LookupInReuse(qk, Token{Gen: 9}, []uint32{5}); ok {
+	if _, ok := c.LookupInReuse(qk, at(Token{Gen: 9}), []uint32{5}); ok {
 		t.Fatal("reuse from a stale-token entry")
 	}
 	// Ungrouped entries (nil goff) are not reuse candidates.
 	c2 := New(admitAll(Options{}))
 	c2.InsertIn(k, tok, []uint32{17, 5}, nil, []uint32{8, 9}, 10)
-	if _, ok := c2.LookupInReuse(qk, tok, []uint32{5}); ok {
+	if _, ok := c2.LookupInReuse(qk, at(tok), []uint32{5}); ok {
 		t.Fatal("reuse from an ungrouped entry")
 	}
 }
@@ -162,14 +162,14 @@ func TestInsertInRejectsMalformedGroups(t *testing.T) {
 	tok := Token{Gen: 1}
 	k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 3, N: 2}
 	c.InsertIn(k, tok, []uint32{5, 17}, []uint32{0, 1}, []uint32{8, 9}, 10) // len(goff) != len(distinct)+1
-	if _, ok := c.Lookup(k, tok); ok {
+	if _, _, ok := c.Lookup(k, at(tok)); ok {
 		t.Fatal("malformed grouped entry admitted")
 	}
 	if s := c.Stats(); s.Rejects != 1 {
 		t.Fatalf("reject not counted: %+v", s)
 	}
 	c.InsertIn(k, tok, []uint32{5, 17, 5}, []uint32{0, 1, 2, 3}, []uint32{8, 9, 8}, 10) // 5 listed twice
-	if _, ok := c.Lookup(k, tok); ok {
+	if _, _, ok := c.Lookup(k, at(tok)); ok {
 		t.Fatal("grouped entry with a repeated value admitted")
 	}
 	if s := c.Stats(); s.Rejects != 2 || s.Entries != 0 {
@@ -183,20 +183,20 @@ func TestLookupAggRoundTrip(t *testing.T) {
 	k := Key{Table: "t", Col: "g", Kind: KindAgg, Hash: 7}
 	rows := []AggRow{{Value: 3, Count: 2, Sum: 30, Min: 10, Max: 20}, {Value: 9, Count: 1, Sum: 5, Min: 5, Max: 5}}
 	c.InsertAgg(k, tok, "m", true, rows, 10)
-	got, ok := c.LookupAgg(k, tok)
+	got, _, ok := c.LookupAgg(k, at(tok))
 	if !ok || fmt.Sprint(got) != fmt.Sprint(rows) {
 		t.Fatalf("agg round trip: ok=%v got=%v", ok, got)
 	}
 	// The hit returns a copy: mutating it must not reach the cache.
 	got[0].Count = 999
-	again, _ := c.LookupAgg(k, tok)
+	again, _, _ := c.LookupAgg(k, at(tok))
 	if again[0].Count != 2 {
 		t.Fatal("cached aggregate mutated through a hit")
 	}
 	if s := c.Stats(); s.AggregateHits != 2 {
 		t.Fatalf("agg hits %d, want 2", s.AggregateHits)
 	}
-	if _, ok := c.LookupAgg(k, Token{Gen: 2}); ok {
+	if _, _, ok := c.LookupAgg(k, at(Token{Gen: 2})); ok {
 		t.Fatal("agg hit across tokens")
 	}
 }
@@ -224,7 +224,7 @@ func FuzzStitch(f *testing.F) {
 			ident(c, tok, lo, hi)
 		}
 		k := rangeKey("t", "a", qlo, qhi)
-		sp, ok := c.StitchRange(k, tok)
+		sp, ok := c.StitchRange(k, at(tok))
 		if !ok {
 			return
 		}

@@ -170,6 +170,28 @@ func Merge(a, b []uint32) []uint32 {
 	return append(out, b[j:]...)
 }
 
+// MergePairs is Merge over (key, payload) pairs: two lists each ascending by
+// key merge into fresh slices, a's pairs first on equal keys — which keeps
+// (key, payload) order whenever every payload of b exceeds every payload of a
+// (appended RIDs; the delta layer's and the result cache's invariant).
+func MergePairs(ak, ap, bk, bp []uint32) (keys, payload []uint32) {
+	keys = make([]uint32, 0, len(ak)+len(bk))
+	payload = make([]uint32, 0, len(ap)+len(bp))
+	i, j := 0, 0
+	for i < len(ak) && j < len(bk) {
+		if ak[i] <= bk[j] {
+			keys, payload = append(keys, ak[i]), append(payload, ap[i])
+			i++
+		} else {
+			keys, payload = append(keys, bk[j]), append(payload, bp[j])
+			j++
+		}
+	}
+	keys = append(append(keys, ak[i:]...), bk[j:]...)
+	payload = append(append(payload, ap[i:]...), bp[j:]...)
+	return keys, payload
+}
+
 // IsSorted reports whether a is non-decreasing.
 func IsSorted(a []uint32) bool {
 	for i := 1; i < len(a); i++ {
