@@ -14,7 +14,7 @@
 // descent in chunks of -batch and reporting per-batch timings:
 //
 //	cssx -kind levelcss -n 1000000 -probefile probes.txt -batch 512
-//	generate-keys | cssx -probefile - -batch 64 -sortbatch
+//	generate-keys | cssx -probefile - -batch 64 -schedule sorted
 //	cssx -probefile probes.txt -schedule auto   # resolves per batch; rows
 //	                                            # show the schedule that ran
 //
@@ -111,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		probefile = fs.String("probefile", "", "batch mode: file of probe keys, one per line (\"-\" = stdin)")
 		batchSize = fs.Int("batch", 512, "batch mode: probes per lockstep batch")
 		schedule  = fs.String("schedule", "", "batch mode: probe schedule per batch: auto, input, sorted (default input; auto resolves per batch)")
-		sortBatch = fs.Bool("sortbatch", false, "batch mode: force the sort-probes-first schedule (forerunner of -schedule sorted)")
 		workers   = fs.Int("workers", 1, "batch mode: worker goroutines per batch (0 = GOMAXPROCS; needs an ordered method)")
 		useCache  = fs.Bool("cache", false, "batch mode: run each batch as an mmdb IN-list selection through the result cache; dumps cache stats")
 
@@ -191,13 +190,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if *useCache {
-			if *sortBatch || *schedule != "" || *workers != 1 {
-				fmt.Fprintln(stderr, "cssx: -cache drives the mmdb selection path; -schedule/-sortbatch/-workers do not apply")
+			if *schedule != "" || *workers != 1 {
+				fmt.Fprintln(stderr, "cssx: -cache drives the mmdb selection path; -schedule/-workers do not apply")
 				return 2
 			}
 			return runCachedBatchMode(qctx, stdout, stderr, *kind, keys, *node, *hashdir, *probefile, *batchSize)
 		}
-		return runBatchMode(qctx, stdout, stderr, *kind, keys, *node, *hashdir, *probefile, *batchSize, *schedule, *sortBatch, *workers)
+		return runBatchMode(qctx, stdout, stderr, *kind, keys, *node, *hashdir, *probefile, *batchSize, *schedule, *workers)
 	}
 
 	probes := g.Lookups(keys, *lookups)
@@ -258,7 +257,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // -schedule auto the sampled duplicate-density estimate resolves per batch,
 // and tagging the timing with the requested setting would misattribute the
 // sort cost whenever auto flips between batches.
-func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string, keys []uint32, nodeBytes, hashDir int, probefile string, batchSize int, scheduleName string, sortBatch bool, workers int) int {
+func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string, keys []uint32, nodeBytes, hashDir int, probefile string, batchSize int, scheduleName string, workers int) int {
 	probes, err := readProbes(probefile)
 	if err != nil {
 		fmt.Fprintf(stderr, "cssx: %v\n", err)
@@ -272,19 +271,12 @@ func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string
 		fmt.Fprintf(stderr, "cssx: batch size %d must be ≥ 1\n", batchSize)
 		return 2
 	}
-	if sortBatch && scheduleName != "" && scheduleName != "sorted" {
-		fmt.Fprintf(stderr, "cssx: -sortbatch forces the sorted schedule; it conflicts with -schedule %s\n", scheduleName)
-		return 2
-	}
 	var requested cssidx.BatchSchedule
 	switch scheduleName {
 	case "auto":
 		requested = cssidx.ScheduleAuto
 	case "", "input":
 		requested = cssidx.ScheduleInputOrder
-		if sortBatch {
-			requested = cssidx.ScheduleSorted
-		}
 	case "sorted":
 		requested = cssidx.ScheduleSorted
 	default:
@@ -300,7 +292,7 @@ func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string
 	case needSorted || parallel:
 		ord, ok := idx.(cssidx.OrderedIndex)
 		if !ok {
-			fmt.Fprintf(stderr, "cssx: -schedule/-sortbatch/-workers need an ordered method, %s has none\n", idx.Name())
+			fmt.Fprintf(stderr, "cssx: -schedule/-workers need an ordered method, %s has none\n", idx.Name())
 			return 2
 		}
 		b := cssidx.BatchOrderedIndex(cssidx.AsBatchOrdered(ord))
@@ -450,10 +442,8 @@ func runCachedBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName 
 		val("qcache_hits_total"), val("qcache_contained_hits_total"), val("qcache_misses_total"), 100*hitRate,
 		val("qcache_inserts_total"), val("qcache_rejects_total"), val("qcache_evictions_total"),
 		val("qcache_invalidations_total"), val("qcache_entries"), val("qcache_bytes"))
-	fmt.Fprintf(stdout, "reuse: %d stitched (%d gap probes), %d in-subset, %d in-superset (%d key probes), %d aggregate, %d patched entries\n",
-		val("qcache_stitched_hits_total"), val("qcache_gap_probes_total"), val("qcache_subset_hits_total"),
-		val("qcache_superset_hits_total"), val("qcache_missing_key_probes_total"),
-		val("qcache_agg_hits_total"), val("qcache_patches_total"))
+	fmt.Fprintf(stdout, "reuse: %d in-subset, %d aggregate, %d patched entries\n",
+		val("qcache_subset_hits_total"), val("qcache_agg_hits_total"), val("qcache_patches_total"))
 	return 0
 }
 

@@ -91,9 +91,9 @@ func writeProbeFile(t *testing.T, n, q int) (path string, hits int) {
 
 func TestBatchModeFile(t *testing.T) {
 	path, hits := writeProbeFile(t, 4000, 600)
-	for _, extra := range [][]string{nil, {"-sortbatch"}, {"-kind", "hash"}, {"-workers", "4"}, {"-workers", "0"}, {"-sortbatch", "-workers", "3"}} {
+	for _, extra := range [][]string{nil, {"-schedule", "sorted"}, {"-kind", "hash"}, {"-workers", "4"}, {"-workers", "0"}, {"-schedule", "sorted", "-workers", "3"}} {
 		args := append([]string{"-kind", "levelcss", "-n", "4000", "-probefile", path, "-batch", "128"}, extra...)
-		if len(extra) == 2 { // kind override replaces the leading pair
+		if len(extra) > 0 && extra[0] == "-kind" { // kind override replaces the leading pair
 			args = append([]string{"-n", "4000", "-probefile", path, "-batch", "128"}, extra...)
 		}
 		var out, errb bytes.Buffer
@@ -144,16 +144,16 @@ func TestBatchModeBadInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := [][]string{
-		{"-kind", "all", "-probefile", path},                      // batch mode needs one kind
-		{"-kind", "btree", "-probefile", path},                    // unknown kind
-		{"-kind", "hash", "-probefile", path, "-sortbatch"},       // hash has no ordered schedule
-		{"-kind", "hash", "-probefile", path, "-workers", "4"},    // hash has no parallel batch either
-		{"-probefile", bad},                                       // malformed key
-		{"-probefile", empty},                                     // no keys
-		{"-probefile", filepath.Join(t.TempDir(), "missing.txt")}, // unreadable
-		{"-probefile", path, "-batch", "0"},                       // bad batch size
-		{"-probefile", path, "-cache", "-sortbatch"},              // cache mode owns the schedule
-		{"-probefile", path, "-cache", "-workers", "4"},           // ...and the worker count
+		{"-kind", "all", "-probefile", path},                         // batch mode needs one kind
+		{"-kind", "btree", "-probefile", path},                       // unknown kind
+		{"-kind", "hash", "-probefile", path, "-schedule", "sorted"}, // hash has no ordered schedule
+		{"-kind", "hash", "-probefile", path, "-workers", "4"},       // hash has no parallel batch either
+		{"-probefile", bad},                                          // malformed key
+		{"-probefile", empty},                                        // no keys
+		{"-probefile", filepath.Join(t.TempDir(), "missing.txt")},    // unreadable
+		{"-probefile", path, "-batch", "0"},                          // bad batch size
+		{"-probefile", path, "-cache", "-schedule", "sorted"},        // cache mode owns the schedule
+		{"-probefile", path, "-cache", "-workers", "4"},              // ...and the worker count
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer
@@ -214,7 +214,7 @@ func TestBatchModeResolvedSchedule(t *testing.T) {
 		t.Errorf("uniform distinct batches should resolve to input-order:\n%s", s)
 	}
 
-	// Explicit schedules and the -sortbatch forerunner still work.
+	// Explicit schedules work.
 	for _, extra := range [][]string{{"-schedule", "sorted"}, {"-schedule", "input"}, {"-schedule", "sorted", "-workers", "2"}} {
 		out.Reset()
 		errb.Reset()
@@ -228,21 +228,6 @@ func TestBatchModeResolvedSchedule(t *testing.T) {
 	errb.Reset()
 	if code := run([]string{"-kind", "levelcss", "-n", "4000", "-probefile", probePath, "-schedule", "wat"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown schedule: exit=%d, want 2", code)
-	}
-}
-
-// TestBatchModeScheduleConflict pins the -sortbatch/-schedule conflict error.
-func TestBatchModeScheduleConflict(t *testing.T) {
-	path, _ := writeProbeFile(t, 1000, 50)
-	var out, errb bytes.Buffer
-	if code := run([]string{"-kind", "levelcss", "-n", "1000", "-probefile", path, "-schedule", "auto", "-sortbatch"}, &out, &errb); code != 2 {
-		t.Fatalf("conflicting flags: exit=%d, want 2", code)
-	}
-	// -sortbatch with the matching explicit schedule is fine.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-kind", "levelcss", "-n", "1000", "-probefile", path, "-schedule", "sorted", "-sortbatch"}, &out, &errb); code != 0 {
-		t.Fatalf("agreeing flags: exit=%d stderr=%s", code, errb.String())
 	}
 }
 

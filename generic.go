@@ -33,9 +33,9 @@ type Generic[K cmp.Ordered] struct {
 
 	// When K's width permits — K is uint32 — the same slices re-typed,
 	// cached once at build time: the batch descents then run through the
-	// dispatched node-search kernels of internal/binsearch (SIMD/SWAR/
-	// scalar) instead of the generic comparison loop, without paying an
-	// interface conversion per call.
+	// dispatched node-search kernels of internal/binsearch (SIMD/scalar)
+	// instead of the generic comparison loop, without paying an interface
+	// conversion per call.
 	keysU32 []uint32
 	dirU32  []uint32
 }

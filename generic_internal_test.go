@@ -16,7 +16,7 @@ func TestGenericUint32KernelFastPath(t *testing.T) {
 	prev := binsearch.ActiveKernel()
 	defer binsearch.SetKernel(prev)
 	g := workload.New(440)
-	for _, kern := range []binsearch.Kernel{binsearch.KernelScalar, binsearch.KernelSWAR, binsearch.KernelSIMD} {
+	for _, kern := range []binsearch.Kernel{binsearch.KernelScalar, binsearch.KernelSIMD} {
 		if !binsearch.SetKernel(kern) {
 			continue
 		}

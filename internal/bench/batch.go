@@ -124,8 +124,8 @@ func runBatch(cfg Config, w io.Writer) error {
 	ts := newTable(w)
 	ts.row("workload", "schedule", "Mprobes/s", "vs scalar")
 	for _, d := range dists {
-		for _, sorted := range []bool{false, true} {
-			idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 4, SortBatches: sorted})
+		for _, schedule := range []cssidx.BatchSchedule{cssidx.ScheduleInputOrder, cssidx.ScheduleSorted} {
+			idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 4, Schedule: schedule})
 			scalarSec := Measure(func() {
 				s := 0
 				for _, p := range d.probes {
@@ -134,18 +134,10 @@ func runBatch(cfg Config, w io.Writer) error {
 				Sink += s
 			}, cfg.Repeats)
 			batchSec := measureBatchedLB(idx, d.probes, 512, cfg.Repeats)
-			sched := "batch 512"
-			if sorted {
-				sched = "batch 512 sorted"
-			}
-			ts.row(d.name, sched,
+			ts.row(d.name, "batch 512 "+schedule.String(),
 				fmt.Sprintf("%.2f", float64(len(d.probes))/batchSec/1e6),
 				fmt.Sprintf("%.2fx", scalarSec/batchSec))
-			schedule := "input-order"
-			if sorted {
-				schedule = "sorted"
-			}
-			recordCell(d.name, schedule, "sharded", 512, batchSec, len(d.probes))
+			recordCell(d.name, schedule.String(), "sharded", 512, batchSec, len(d.probes))
 			idx.Close()
 		}
 	}

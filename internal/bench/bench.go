@@ -168,7 +168,7 @@ func Experiments() []Experiment {
 		{"shard", "Extension: sharded serving throughput under concurrent epoch-swap rebuilds", runShard},
 		{"batch", "Extension: batched lockstep probing vs scalar (batch size, skew, join)", runBatch},
 		{"parallel", "Extension: parallel batch engine (batch size × workers × skew, branch-free nodes)", runParallel},
-		{"nodesearch", "Extension: node-search kernel ablation (scalar/swar/simd × node size × skew)", runNodeSearch},
+		{"nodesearch", "Extension: node-search kernel ablation (scalar/simd × node size × skew)", runNodeSearch},
 		{"reuse", "Extension: epoch-aware result cache (hit rate × skew × append rate)", runReuse},
 		{"ingest", "Extension: append cliff — delta-layer absorbs vs rebuild-per-batch (appends/s, read tax)", runIngest},
 		{"durability", "Extension: WAL overhead per fsync policy (appends/s off/group/always, recovery vs log size)", runDurability},

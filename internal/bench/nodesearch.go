@@ -1,8 +1,8 @@
 package bench
 
 // runNodeSearch is the node-search kernel ablation: the dispatch tiers of
-// internal/binsearch (scalar branch-free ladder / SWAR counting / AVX2
-// vector) measured per node visit across node sizes and probe
+// internal/binsearch (scalar branch-free ladder / AVX2 vector) measured
+// per node visit across node sizes and probe
 // distributions, the 16-wide multi-probe kernel against the single-probe
 // baseline, the fused level pass against the per-probe calls it replaced,
 // and the tiers under a full tree-descent batch — the
@@ -12,9 +12,8 @@ package bench
 // Shape target: on AVX2 hosts the simd tier never loses to the bflb
 // scalar ladder and the multi-probe kernel answers a 16-slot node visit
 // several times faster than the scalar baseline (the lockstep engine's
-// unit of work); the swar tier is the portable fallback and is expected
-// to trail the ladder on hot nodes — it exists for architectures without
-// a vector kernel and for the ablation itself.
+// unit of work); the scalar ladder is the portable tier for architectures
+// without a vector kernel.
 
 import (
 	"fmt"
@@ -32,7 +31,7 @@ var nodeSearchSizes = []int{7, 8, 15, 16, 31, 32, 63, 64}
 
 // nodeSearchKernels returns the tiers available on this host.
 func nodeSearchKernels() []binsearch.Kernel {
-	ks := []binsearch.Kernel{binsearch.KernelScalar, binsearch.KernelSWAR}
+	ks := []binsearch.Kernel{binsearch.KernelScalar}
 	if binsearch.KernelAvailable(binsearch.KernelSIMD) {
 		ks = append(ks, binsearch.KernelSIMD)
 	}
@@ -60,7 +59,7 @@ func runNodeSearch(cfg Config, w io.Writer) error {
 	// --- single-probe dispatch: tier × node size × distribution ------------
 	fmt.Fprintln(w, "single-probe NodeLowerBound (ns per node visit; speedup vs the scalar bflb ladder)")
 	t := newTable(w)
-	t.row("node slots", "workload", "scalar ns", "swar ns", "simd ns", "best speedup")
+	t.row("node slots", "workload", "scalar ns", "simd ns", "best speedup")
 	for _, m := range nodeSearchSizes {
 		nodeKeys := g.SortedDistinct(m)
 		dists := []struct {
@@ -99,12 +98,8 @@ func runNodeSearch(cfg Config, w io.Writer) error {
 					best = v
 				}
 			}
-			if v := perTier[binsearch.KernelSWAR]; v < best {
-				best = v
-			}
 			t.row(fmt.Sprintf("%d", m), d.name,
 				fmt.Sprintf("%.2f", perTier[binsearch.KernelScalar]),
-				fmt.Sprintf("%.2f", perTier[binsearch.KernelSWAR]),
 				simdCell,
 				fmt.Sprintf("%.2fx", perTier[binsearch.KernelScalar]/best))
 		}
@@ -288,7 +283,6 @@ func runNodeSearch(cfg Config, w io.Writer) error {
 	fmt.Fprintln(w, "\nshape target: simd never loses to the scalar ladder; under simd the fused level")
 	fmt.Fprintln(w, "pass — the batch engine's unit of work — costs a fraction of the 64 calls it")
 	fmt.Fprintln(w, "replaced; the multi-probe kernel (benchmark-only since the level pass) answers a")
-	fmt.Fprintln(w, "16-slot visit several times faster than 16 scalar calls; swar is the portable")
-	fmt.Fprintln(w, "non-vector fallback")
+	fmt.Fprintln(w, "16-slot visit several times faster than 16 scalar calls")
 	return nil
 }

@@ -229,7 +229,7 @@ func runParallel(cfg Config, w io.Writer) error {
 	// Dispatched vs branchy-scalar node search: the per-node ablation under
 	// the kernels (random in-cache probes mispredict the branchy version;
 	// the dispatched tier is whatever binsearch selected at init — see the
-	// `nodesearch` experiment for the full scalar/swar/simd ablation).
+	// `nodesearch` experiment for the full scalar/simd ablation).
 	fmt.Fprintf(w, "\ndispatched (%s) vs branchy scalar node search (uniform random probes, in-cache node)\n\n",
 		binsearch.ActiveKernel())
 	tn := newTable(w)

@@ -109,8 +109,8 @@ func SearchGeneric(a []uint32, key uint32) int {
 
 // NodeLowerBound returns the leftmost index in a[:m] with a[i] >= key, or m.
 // It routes through the package-level kernel dispatch (see nodesearch.go):
-// the AVX2 vector kernel where the CPU has it, the word-parallel SWAR
-// kernel otherwise, or whichever tier CSSIDX_NODESEARCH pinned.  Every tier
+// the AVX2 vector kernel where the CPU has it, the scalar branch-free
+// ladder otherwise, or whichever tier CSSIDX_NODESEARCH pinned.  Every tier
 // answers bit-identically to NodeLowerBoundScalar on every sorted window.
 func NodeLowerBound(a []uint32, m int, key uint32) int {
 	return nodeLowerBoundDispatch(a, m, key)

@@ -4,28 +4,20 @@ package binsearch
 // resident, the probe's cost is the within-node search itself — "Fast Query
 // Processing by Distributing an Index over CPU Caches" makes the point that
 // with a cache-optimal layout the probe loop, not the miss count, becomes
-// the bottleneck.  Three kernel tiers answer the same leftmost-≥ question:
+// the bottleneck.  Two kernel tiers answer the same leftmost-≥ question:
 //
 //	scalar  the bflb* branch-free ALU ladders (PR 3): one borrow-bit compare
 //	        per halving step, a serial dependency chain of ~log₂ m steps.
-//	swar    word-parallel borrow-bit counting: slot pairs are packed into
-//	        uint64 words and compared lane-wise with the carry-isolation
-//	        trick (two uint32 compares per uint64 subtraction); because the
-//	        node is sorted, the lower bound is simply the count of slots
-//	        below the key, so the per-pair counts sum associatively — the
-//	        kernel is a short independent-op reduction instead of a serial
-//	        chain, and an out-of-order core overlaps all of it.  Pure Go,
-//	        portable everywhere.
+//	        Pure Go, portable everywhere.
 //	simd    AVX2 assembly (amd64): unsigned compares answer 8 slots per
 //	        instruction against the broadcast key, VPMOVMSKB extracts the
 //	        compare mask, POPCNT counts it — a 16-slot node is answered in
 //	        ~3 vector instructions.  arm64 NEON is a follow-on; without a
-//	        vector unit the dispatch defaults to the scalar ladder (swar
-//	        is an explicit opt-in: it trails the ladder on hot nodes).
+//	        vector unit the dispatch is the scalar ladder.
 //
 // The tier is selected once at package init from CPU feature detection
 // (hand-rolled CPUID, no external deps) and can be overridden with
-// CSSIDX_NODESEARCH=scalar|swar|simd for testing and ablation.  Every tier
+// CSSIDX_NODESEARCH=scalar|simd for testing and ablation.  Every tier
 // is bit-identical to NodeLowerBoundScalar on every sorted window — the
 // differential battery in nodesearch_test.go proves it exhaustively.
 
@@ -38,8 +30,6 @@ const (
 	// KernelScalar is the branch-free ALU ladder family (bflb*), the PR 3
 	// baseline the other tiers are measured against.
 	KernelScalar Kernel = iota
-	// KernelSWAR is the word-parallel borrow-bit counting kernel (pure Go).
-	KernelSWAR
 	// KernelSIMD is the AVX2 assembly kernel (amd64 with AVX2 only).
 	KernelSIMD
 )
@@ -49,8 +39,6 @@ func (k Kernel) String() string {
 	switch k {
 	case KernelScalar:
 		return "scalar"
-	case KernelSWAR:
-		return "swar"
 	case KernelSIMD:
 		return "simd"
 	default:
@@ -63,8 +51,6 @@ func ParseKernel(name string) (Kernel, bool) {
 	switch name {
 	case "scalar":
 		return KernelScalar, true
-	case "swar":
-		return KernelSWAR, true
 	case "simd":
 		return KernelSIMD, true
 	}
@@ -88,9 +74,9 @@ var (
 func kernelEnvValue() string { return os.Getenv(EnvKernel) }
 
 // detectKernel picks the fastest available tier, honouring the env override.
-// An override naming an unavailable tier (simd on a non-AVX2 host) degrades
-// to the best portable tier rather than failing, so one CI matrix works on
-// any runner.
+// An override naming an unknown or unavailable tier (simd on a non-AVX2
+// host) falls through to detection rather than failing, so one CI matrix
+// works on any runner.
 func detectKernel() Kernel {
 	if name := os.Getenv(EnvKernel); name != "" {
 		if k, ok := ParseKernel(name); ok && KernelAvailable(k) {
@@ -100,9 +86,6 @@ func detectKernel() Kernel {
 	if simdAvailable {
 		return KernelSIMD
 	}
-	// Without a vector unit the bflb ladder wins on hot nodes (measured:
-	// the SWAR reduction retires more µops than the short serial chain
-	// costs in latency), so swar stays an explicit opt-in tier.
 	return KernelScalar
 }
 
@@ -132,22 +115,18 @@ func SetKernel(k Kernel) bool {
 // tree's per-level hot case, so the SIMD arm jumps straight into their asm
 // kernels without the extra frame of the general m switch.
 func nodeLowerBoundDispatch(a []uint32, m int, key uint32) int {
-	switch activeKernel {
-	case KernelSIMD:
-		switch m {
-		case 16:
-			_ = a[15]
-			return int(simdLB16(&a[0], key))
-		case 15:
-			_ = a[14]
-			return int(simdLB15(&a[0], key))
-		}
-		return nodeLowerBoundSIMD(a, m, key)
-	case KernelSWAR:
-		return nodeLowerBoundSWAR(a, m, key)
-	default:
+	if activeKernel != KernelSIMD {
 		return nodeLowerBoundScalarTier(a, m, key)
 	}
+	switch m {
+	case 16:
+		_ = a[15]
+		return int(simdLB16(&a[0], key))
+	case 15:
+		_ = a[14]
+		return int(simdLB15(&a[0], key))
+	}
+	return nodeLowerBoundSIMD(a, m, key)
 }
 
 // nodeLowerBoundScalarTier is the scalar tier body: the bflb* ladders.

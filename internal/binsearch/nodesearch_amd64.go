@@ -97,7 +97,7 @@ func PrefetchAt(a []uint32, idx []int32) {
 
 // nodeLowerBoundSIMD is the SIMD tier body: the specialised vector kernels
 // for the node sizes the trees use, the strip-mined count kernel for other
-// windows of ≥ 8 slots (leaf remainders), and the SWAR kernel below a
+// windows of ≥ 8 slots (leaf remainders), and the scalar ladder below a
 // vector's width.
 func nodeLowerBoundSIMD(a []uint32, m int, key uint32) int {
 	if m < 8 {
@@ -105,7 +105,7 @@ func nodeLowerBoundSIMD(a []uint32, m int, key uint32) int {
 			_ = a[6]
 			return int(simdLB7(&a[0], key))
 		}
-		return nodeLowerBoundSWAR(a, m, key)
+		return nodeLowerBoundScalarTier(a, m, key)
 	}
 	_ = a[m-1]
 	switch m {

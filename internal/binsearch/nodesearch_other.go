@@ -4,14 +4,14 @@ package binsearch
 
 // Non-amd64 builds have no vector kernel yet (arm64 NEON is the planned
 // follow-on): the SIMD tier is unavailable and the dispatch defaults to
-// the scalar branch-free ladder (swar stays an explicit opt-in tier).
+// the scalar branch-free ladder.
 
 const simdAvailable = false
 
 // nodeLowerBoundSIMD is never reachable when simdAvailable is false; it
 // exists so the dispatch switch compiles on every architecture.
 func nodeLowerBoundSIMD(a []uint32, m int, key uint32) int {
-	return nodeLowerBoundSWAR(a, m, key)
+	return nodeLowerBoundScalarTier(a, m, key)
 }
 
 // The asm kernels referenced by the (unreachable) SIMD dispatch arms.

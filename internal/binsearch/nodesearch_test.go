@@ -1,7 +1,7 @@
 package binsearch
 
 // Differential battery for the node-search dispatch tiers: every available
-// kernel (scalar ladder, SWAR, SIMD) must answer bit-identically to the
+// kernel (scalar ladder, SIMD) must answer bit-identically to the
 // branchy NodeLowerBoundScalar oracle on every node size m∈{1..64}, over
 // adversarial windows (duplicate-saturated, boundary-value, padded) and
 // every distinguishing probe, for the single-probe kernels, the 16-wide
@@ -17,7 +17,7 @@ import (
 
 // availableKernels lists the tiers this host can run.
 func availableKernels() []Kernel {
-	ks := []Kernel{KernelScalar, KernelSWAR}
+	ks := []Kernel{KernelScalar}
 	if KernelAvailable(KernelSIMD) {
 		ks = append(ks, KernelSIMD)
 	}
@@ -38,17 +38,19 @@ func withKernel(t *testing.T, fn func(t *testing.T, k Kernel)) {
 }
 
 func TestKernelParseAndAvailability(t *testing.T) {
-	for _, k := range []Kernel{KernelScalar, KernelSWAR, KernelSIMD} {
+	for _, k := range []Kernel{KernelScalar, KernelSIMD} {
 		got, ok := ParseKernel(k.String())
 		if !ok || got != k {
 			t.Fatalf("ParseKernel(%q) = %v, %v", k.String(), got, ok)
 		}
 	}
-	if _, ok := ParseKernel("avx512"); ok {
-		t.Fatal("ParseKernel accepted an unknown tier")
+	for _, name := range []string{"avx512", "swar"} { // never a tier; a retired one
+		if _, ok := ParseKernel(name); ok {
+			t.Fatalf("ParseKernel accepted the unknown tier %q", name)
+		}
 	}
-	if !KernelAvailable(KernelScalar) || !KernelAvailable(KernelSWAR) {
-		t.Fatal("portable tiers must always be available")
+	if !KernelAvailable(KernelScalar) {
+		t.Fatal("the portable tier must always be available")
 	}
 	if !KernelAvailable(KernelSIMD) && SetKernel(KernelSIMD) {
 		t.Fatal("SetKernel accepted an unavailable kernel")
@@ -285,7 +287,7 @@ var sinkNS int
 
 func BenchmarkNodeSearchKernels(b *testing.B) {
 	for _, m := range []int{7, 8, 15, 16, 31, 32, 63, 64} {
-		for _, k := range []Kernel{KernelScalar, KernelSWAR, KernelSIMD} {
+		for _, k := range []Kernel{KernelScalar, KernelSIMD} {
 			b.Run(fmt.Sprintf("m=%d/%s", m, k), func(b *testing.B) { benchKernel(b, k, m) })
 		}
 	}

@@ -242,7 +242,7 @@ func forEachKernel(t *testing.T, body func(binsearch.Kernel)) {
 	t.Helper()
 	prev := binsearch.ActiveKernel()
 	defer binsearch.SetKernel(prev)
-	for _, kern := range []binsearch.Kernel{binsearch.KernelScalar, binsearch.KernelSWAR, binsearch.KernelSIMD} {
+	for _, kern := range []binsearch.Kernel{binsearch.KernelScalar, binsearch.KernelSIMD} {
 		if binsearch.SetKernel(kern) {
 			body(kern)
 		}

@@ -211,49 +211,6 @@ func aggRecomputeCost(elapsed time.Duration, sourceRows, groups int) int64 {
 	return cost
 }
 
-// --- reuse break-evens ------------------------------------------------------
-
-// Stitch-vs-recompute: a stitched answer pays one descent pair per gap,
-// a gather per estimated gap row, and a streamed copy per cached pair; a
-// recompute pays one descent pair and a gather per estimated row.  Beyond
-// the model, stitches with many or wide gaps are refused outright — the
-// cached fraction must be pulling real weight.
-const (
-	maxStitchGaps    = 8
-	maxStitchGapFrac = 0.5
-)
-
-// stitchWorthwhile prices answering [lo, hi] (estRows estimated matches)
-// from the plan's cached segments plus gap probes against recomputing.
-func stitchWorthwhile(sp *qcache.StitchPlan, lo, hi uint32, estRows int) bool {
-	if len(sp.Gaps) == 0 {
-		return true // pure assembly from cache: no probes at all
-	}
-	if len(sp.Gaps) > maxStitchGaps {
-		return false
-	}
-	width := float64(hi-lo) + 1
-	gapW := 0.0
-	for _, g := range sp.Gaps {
-		gapW += float64(g.Hi-g.Lo) + 1
-	}
-	frac := gapW / width
-	if frac > maxStitchGapFrac {
-		return false
-	}
-	gapRows := int64(frac * float64(estRows))
-	stitch := int64(len(sp.Gaps))*2*costProbeNs + gapRows*costGatherNs + int64(sp.CachedRows)*costScanRowNs
-	return stitch < 2*costProbeNs+int64(estRows)*costGatherNs
-}
-
-// inFillWorthwhile prices completing an IN-list from a cached near-superset
-// by scalar-probing the missing values against recomputing the whole list
-// with batched probes: worthwhile below a missing fraction of
-// costBatchProbeNs/costProbeNs (20%).
-func inFillWorthwhile(missing, total int) bool {
-	return int64(missing)*costProbeNs < int64(total)*costBatchProbeNs
-}
-
 // joinRecomputeCost models rerunning an indexed nested-loop join: one
 // batched probe per outer row plus one gather per emitted pair.
 func joinRecomputeCost(elapsed time.Duration, outerRows, pairs int) int64 {

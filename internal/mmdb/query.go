@@ -7,12 +7,12 @@ package mmdb
 //  2. A cached path answers one query shape over a segment and a cache
 //     reader: selectRange and selectIn below are each written once — the table
 //     layer passes its (generation, rows) reader, the sharded index its frozen
-//     epoch's — and follow one protocol: exact or containment lookup (the entry
-//     picked is first brought current from the rows appended since),
-//     the reuse paths (range stitch, IN subset replay and superset fill),
-//     then on a miss admission, execute, charge, insert.  Scans, WHERE
-//     conjunctions, aggregates and joins run the same stages through the same
-//     helpers (reuseRange, compute, stage.abort, env.fresh).
+//     epoch's — and follow one protocol: a lookup that returns a complete
+//     answer from one entry (exact, containment, IN subset replay; the entry
+//     picked is first brought current from the rows appended since), then on
+//     a miss admission, execute, charge, insert.  Scans, WHERE conjunctions,
+//     aggregates and joins run the same stages through the same helpers
+//     (compute, stage.abort, env.fresh).
 //  3. One entry: every public surface is its *Ctx form, and the plain form is
 //     the *Ctx form with a background context and no trace.  enter builds the
 //     env — the governance handle and the trace span, both nil on the plain
@@ -28,6 +28,7 @@ package mmdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -106,12 +107,12 @@ func (q *entry) leave(err error) error {
 }
 
 // fresh passes on a result materialised in one piece in this package — a
-// stitched range, a replayed subset, a filled superset, an uncached index
-// probe: a new slice of any size, charged against the caller's byte budget
-// exactly once, exactly like a computed one.  Exact and containment hits are
-// not charged: qcache copies them out under its own stripe lock before this
-// layer sees them, and serving cached answers to a constrained query is the
-// degradation order governance promises (govern.go rule 2).
+// replayed IN subset, an uncached index probe: a new slice of any size,
+// charged against the caller's byte budget exactly once, exactly like a
+// computed one.  Exact and containment hits are not charged: qcache copies
+// them out under its own stripe lock before this layer sees them, and serving
+// cached answers to a constrained query is the degradation order governance
+// promises (govern.go rule 2).
 func (e env) fresh(rids []uint32, err error) ([]uint32, error) {
 	if err == nil {
 		err = e.ctl.Charge(4 * int64(len(rids)))
@@ -498,20 +499,16 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 // segment — base span woven with the delta runs — consulting and filling
 // the cache as rd.  The table layer passes its (generation, rows) reader and
 // the planner's row estimate; a sharded index passes the frozen epoch's, so
-// lookups, refreshes, stitch segments, gap probes and the insert all see that
-// one epoch whatever the index pointer has moved on to.
+// lookups, refreshes and the insert all see that one epoch whatever the index
+// pointer has moved on to.
 func selectRange(seg *segment, rd qcache.Reader, e env, lo, hi uint32, est int) ([]uint32, error) {
 	qc := seg.tbl.Cache()
 	key := rangeFP(seg.tbl.name, seg.col, seg.layer, lo, hi)
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
-		rids, kind, tail, err := reuseRange(seg, qc, key, rd, e, est, cs)
-		if kind == "hit" || kind == "contained" { // a stitch is annotated where it is assembled
-			tailRows(cs.Attr("outcome", kind).AttrInt("rows", len(rids)), tail)
-		}
-		if kind != "" || err != nil {
-			cs.End()
-			return rids, err
+		if rids, kind, tail := qc.LookupRange(key, rd); kind != qcache.HitMiss {
+			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
+			return rids, nil
 		}
 		cs.Attr("outcome", "miss").End()
 	}
@@ -538,75 +535,6 @@ func selectRange(seg *segment, rd qcache.Reader, e env, lo, hi uint32, est int) 
 		ad.End()
 	}
 	return out, nil
-}
-
-// reuseRange is the read half of the range protocol, shared by selectRange
-// and SelectWhere's conjuncts: an exact or containment hit (kind "hit" /
-// "contained", with the tail rows merged bringing the entry current), else a
-// stitch of overlapping cached runs with gap probes (kind "stitched",
-// annotated on note and charged as the fresh slice it is), else a miss
-// (kind "").
-func reuseRange(seg *segment, qc *qcache.Cache, key qcache.Key, rd qcache.Reader, e env, est int, note *telemetry.Span) (rids []uint32, kind string, tail int, err error) {
-	if rids, kind, tail := qc.LookupRange(key, rd); kind != qcache.HitMiss {
-		return rids, kind.String(), tail, nil
-	}
-	rids, ok, err := tryStitchRange(seg, qc, key, rd, est, note)
-	if !ok || err != nil {
-		return nil, "", qcache.Current, err
-	}
-	rids, err = e.fresh(rids, nil)
-	return rids, "stitched", qcache.Current, err
-}
-
-// stitchAssemble materialises a stitch plan: cached segments and probed
-// gaps concatenate in ascending value order, each gap answered by the
-// segment's own range path over the closed value range.  The output slices
-// are fresh — plan slices alias immutable cache memory and must not escape
-// to callers that may sort or grow the result.
-func stitchAssemble(sp *qcache.StitchPlan, seg *segment) (rids, keys []uint32, err error) {
-	rids = make([]uint32, 0, sp.CachedRows)
-	keys = make([]uint32, 0, sp.CachedRows)
-	si, gi := 0, 0
-	for si < len(sp.Segments) || gi < len(sp.Gaps) {
-		if gi >= len(sp.Gaps) || (si < len(sp.Segments) && sp.Segments[si].Lo < sp.Gaps[gi].Lo) {
-			s := sp.Segments[si]
-			rids = append(rids, s.RIDs...)
-			keys = append(keys, s.Keys...)
-			si++
-			continue
-		}
-		g := sp.Gaps[gi]
-		pr, pk, perr := seg.rangeMerged(g.Lo, g.Hi, true)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		rids = append(rids, pr...)
-		keys = append(keys, pk...)
-		gi++
-	}
-	return rids, keys, nil
-}
-
-// tryStitchRange attempts to answer a range fingerprint by stitching
-// overlapping cached runs with gap probes, committing only when the cost
-// model prefers the stitch over recomputing (stitchWorthwhile).  On commit
-// the stitched run is admitted under the request's own key — admission
-// supersedes the runs it covers, so overlapping dashboard windows converge
-// to one covering run instead of accumulating fragments.
-func tryStitchRange(seg *segment, qc *qcache.Cache, key qcache.Key, rd qcache.Reader, estRows int, cs *telemetry.Span) ([]uint32, bool, error) {
-	sp, ok := qc.StitchRange(key, rd)
-	if !ok || !stitchWorthwhile(sp, key.Lo, key.Hi, estRows) {
-		return nil, false, nil
-	}
-	rids, keys, err := stitchAssemble(sp, seg)
-	if err != nil {
-		return nil, false, err
-	}
-	tailRows(cs.Attr("outcome", "stitched").AttrInt("gap_probes", len(sp.Gaps)).
-		AttrInt("cached_rows", sp.CachedRows).AttrInt("rows", len(rids)), sp.TailRows)
-	qc.NoteStitch(key, len(sp.Gaps))
-	qc.InsertRange(key, rd.Tok, keys, rids, estRecomputeNs(Plan{UseIndex: true, EstRows: len(rids)}, 0))
-	return rids, true, nil
 }
 
 // scanRange is the sequential-scan access path: stream the raw column and
@@ -682,9 +610,8 @@ func (t *Table) planIn(col string, distinct []uint32) (Plan, error) {
 // first-occurrence order, so a hit replays the exact RID grouping) and
 // results are stamped with the table generation; sharded-only columns
 // cache per frozen epoch instead.  Index-path misses then try the grouped
-// entries of the same column: a subset list replays by concatenating cached
-// groups, and a near-superset probes only the missing values
-// (inFillWorthwhile) before splicing them in.
+// entries of the same column: a list whose every value a cached list names
+// replays by concatenating cached groups.
 func (t *Table) SelectIn(col string, values []uint32) ([]uint32, Plan, error) {
 	return t.SelectInCtx(context.Background(), col, values, nil)
 }
@@ -763,10 +690,9 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 
 // selectIn is the one cached IN path over an index segment: exact lookup,
 // then the grouped entries of the same column that serve rd — a subset list
-// replays by concatenating cached groups, a near-superset probes only its
-// missing values against this same segment — then on a miss the batched
+// replays by concatenating cached groups — then on a miss the batched
 // driver, admitted with the value list and (for lists that stay on one
-// worker) the group offsets reuse and refresh splicing need.  est is the
+// worker) the group offsets replay and refresh splicing need.  est is the
 // admission estimate in rows: the planner's on the table layer, the list
 // length on the epoch layer.
 func selectIn(seg *segment, rd qcache.Reader, e env, distinct []uint32, est int) ([]uint32, error) {
@@ -780,26 +706,14 @@ func selectIn(seg *segment, rd qcache.Reader, e env, distinct []uint32, est int)
 			return rids, nil
 		}
 		if r, ok := qc.LookupInReuse(key, rd, distinct); ok {
-			if len(r.Missing) == 0 {
-				// Not re-admitted: the source entry already answers any
-				// repeat of this subset at the same price, so caching the
-				// derived copy would only cost an insert per replay.
-				out, _ := assembleInGroups(distinct, r.Groups, nil)
-				tailRows(cs.Attr("outcome", "subset-replay").AttrInt("rows", len(out)), r.TailRows).End()
-				return e.fresh(out, nil)
-			}
-			if inFillWorthwhile(len(r.Missing), len(distinct)) {
-				fills := make(map[uint32][]uint32, len(r.Missing))
-				for _, v := range r.Missing {
-					fills[v] = seg.selectEqual(v)
-				}
-				out, goff := assembleInGroups(distinct, r.Groups, fills)
-				tailRows(cs.Attr("outcome", "superset-fill").AttrInt("missing_probes", len(r.Missing)).AttrInt("rows", len(out)), r.TailRows).End()
-				qc.NoteInFill(key, len(r.Missing))
-				qc.InsertIn(key, rd.Tok, distinct, goff, out,
-					estRecomputeNs(Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
-				return e.fresh(out, nil)
-			}
+			// The groups arrive in the query's first-occurrence value order and
+			// alias immutable cache memory, so the answer is their fresh
+			// concatenation.  Not re-admitted: the source entry already answers
+			// any repeat of this subset at the same price, so caching the
+			// derived copy would only cost an insert per replay.
+			out := slices.Concat(r.Groups...)
+			tailRows(cs.Attr("outcome", "subset-replay").AttrInt("rows", len(out)), r.TailRows).End()
+			return e.fresh(out, nil)
 		}
 		cs.Attr("outcome", "miss").End()
 	}
@@ -827,24 +741,6 @@ func selectIn(seg *segment, rd qcache.Reader, e env, distinct []uint32, est int)
 		ad.End()
 	}
 	return out, nil
-}
-
-// assembleInGroups concatenates cached groups and probed fills in the
-// query's first-occurrence value order, recording the group offsets the
-// assembled result is admitted with.  A nil Groups[i] takes its rows from
-// fills.  The output is fresh — cached group slices are immutable.
-func assembleInGroups(distinct []uint32, groups [][]uint32, fills map[uint32][]uint32) (out, goff []uint32) {
-	goff = make([]uint32, 0, len(distinct)+1)
-	for i, v := range distinct {
-		goff = append(goff, uint32(len(out)))
-		if g := groups[i]; g != nil {
-			out = append(out, g...)
-		} else {
-			out = append(out, fills[v]...)
-		}
-	}
-	goff = append(goff, uint32(len(out)))
-	return out, goff
 }
 
 // RangePred is one conjunct of a multi-column predicate: lo ≤ Col ≤ hi.
@@ -957,25 +853,14 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		// priced by the model alone.
 		ckey := rangeFP(t.name, p.Col, qcache.LayerTable, p.Lo, p.Hi)
 		ix, sorted := t.indexes[p.Col]
-		var rids, keys []uint32
-		var kind string
-		tail := qcache.Current
+		crd := rd
 		if plans[i].UseIndex && sorted {
-			rids, kind, tail, err = reuseRange(&ix.seg, qc, ckey, t.reader(&ix.seg), e, plans[i].EstRows, cj)
-		} else if r, k, n := qc.LookupRange(ckey, rd); k != qcache.HitMiss {
-			rids, kind, tail = r, k.String(), n
+			crd = t.reader(&ix.seg)
 		}
-		if err != nil {
-			return abortConj(cj, err)
-		}
-		if kind != "" {
+		if rids, kind, tail := qc.LookupRange(ckey, crd); kind != qcache.HitMiss {
 			sets[i] = rids
 			if cj != nil { // attr args must not run on the untraced path
-				cj.Attr("path", "cache-"+kind)
-				if kind != "stitched" {
-					tailRows(cj.AttrInt("rows", len(rids)), tail)
-				}
-				cj.End()
+				tailRows(cj.Attr("path", "cache-"+kind.String()).AttrInt("rows", len(rids)), tail).End()
 			}
 			continue
 		}
@@ -992,6 +877,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			byIndex[&ix.seg] = append(byIndex[&ix.seg], i)
 			continue // span ends after the batched resolution below
 		}
+		var rids, keys []uint32
 		if !plans[i].UseIndex {
 			rids, err = scanRange(t.cols[p.Col], p.Lo, p.Hi, e.ctl.Checkpoint())
 		} else if rids, keys, err = ix.seg.rangeMerged(p.Lo, p.Hi, qc.Enabled()); err == nil {

@@ -1,18 +1,23 @@
 package mmdb
 
-// Differential tests for the intermediate-reuse (recycler) paths: range
-// stitching, IN-list subset/superset replay and GroupAggregate caching must
-// stay bit-identical to uncached execution — across every ordered index
-// kind, absorbed appends and sharded epoch swaps — while the hit-kind
-// counters prove the reuse paths actually served.
+// Differential tests for the intermediate-reuse (recycler) paths:
+// containment, IN-list subset replay and GroupAggregate caching must stay
+// bit-identical to uncached execution — across every ordered index kind,
+// absorbed appends and sharded epoch swaps — on streams of overlapping
+// windows and near-superset lists, which no single entry answers and which
+// must therefore miss, execute and admit.  The hit-kind counters prove which
+// paths served.
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"cssidx"
+	"cssidx/internal/telemetry"
 	"cssidx/internal/workload"
 )
 
@@ -61,11 +66,12 @@ func orderedKinds() []cssidx.Kind {
 	return out
 }
 
-// TestStitchedRangesDifferential marches an overlapping window across the
+// TestOverlappingRangesDifferential marches an overlapping window across the
 // value space — the shifting-dashboard pattern — interleaved with absorbed
 // appends, on every ordered index kind.  Every window must be bit-identical
-// to the uncached twin, and the stream must include stitched answers.
-func TestStitchedRangesDifferential(t *testing.T) {
+// to the uncached twin; no single cached run covers a window, so none is
+// answered from the cache, and the repeat of a window is an exact hit.
+func TestOverlappingRangesDifferential(t *testing.T) {
 	for _, kind := range orderedKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			cached, plain, g, base := recyclePair(t, kind, 4000, 41)
@@ -83,7 +89,7 @@ func TestStitchedRangesDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				mustEqualU32(t, fmt.Sprintf("%v window %d", kind, q), got, want)
-				if q%5 == 4 { // absorb mid-stream: entries patch, then stitch
+				if q%5 == 4 { // absorb mid-stream: later windows weave the delta in
 					batch := map[string][]uint32{
 						"a": g.Lookups(base, 40), "b": g.Lookups(base, 40), "v": g.Lookups(base, 40),
 					}
@@ -96,8 +102,21 @@ func TestStitchedRangesDifferential(t *testing.T) {
 				}
 			}
 			s := cached.CacheStats()
-			if s.StitchedHits == 0 {
-				t.Fatalf("%v: shifting windows never stitched: %+v", kind, s)
+			if s.StitchedHits != 0 || s.GapProbes != 0 || s.Hits != 0 {
+				t.Fatalf("%v: an overlapping window was answered from the cache: %+v", kind, s)
+			}
+			lo, hi := vals[step], vals[step+width]
+			want, _, err := plain.SelectRange("a", lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := cached.SelectRange("a", lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualU32(t, fmt.Sprintf("%v repeated window", kind), got, want)
+			if s := cached.CacheStats(); s.Hits != 1 || s.ContainedHits != 0 {
+				t.Fatalf("%v: the repeat of a window was not an exact hit: %+v", kind, s)
 			}
 			if cached.Generation() != 1 {
 				t.Fatalf("%v: fold happened, stream invalid", kind)
@@ -106,10 +125,10 @@ func TestStitchedRangesDifferential(t *testing.T) {
 	}
 }
 
-// TestStitchedWhereConjunct checks the SelectWhere conjunct path stitches
-// too: a conjunction sharing a shifted range with earlier queries reuses
-// their cached runs.
-func TestStitchedWhereConjunct(t *testing.T) {
+// TestOverlappingWhereConjunct checks the SelectWhere conjunct path the same
+// way: a conjunct that only overlaps an earlier query's cached run is a miss
+// that executes and admits, and its repeat is an exact conjunct hit.
+func TestOverlappingWhereConjunct(t *testing.T) {
 	cached, plain, _, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 43)
 	lo1, hi1 := base[100], base[360]
 	lo2, hi2 := base[200], base[460] // overlaps [lo1, hi1]
@@ -126,16 +145,32 @@ func TestStitchedWhereConjunct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualU32(t, "stitched where", got, want)
-	if s := cached.CacheStats(); s.StitchedHits != before.StitchedHits+1 {
-		t.Fatalf("conjunct did not stitch: %+v -> %+v", before, s)
+	mustEqualU32(t, "overlapping where", got, want)
+	s := cached.CacheStats()
+	if s.StitchedHits != 0 || s.GapProbes != 0 || s.Hits != before.Hits {
+		t.Fatalf("an overlapping conjunct was answered from the cache: %+v -> %+v", before, s)
+	}
+	// The conjunct's run was admitted: a different conjunction sharing it
+	// finds it by exact match.
+	preds[1].Hi--
+	want, _, err = plain.SelectWhere(preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = cached.SelectWhere(preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustEqualU32(t, "overlapping where, conjunct repeated", got, want)
+	if r := cached.CacheStats(); r.Hits != s.Hits+1 || r.ContainedHits != s.ContainedHits {
+		t.Fatalf("the repeated conjunct was not an exact hit: %+v -> %+v", s, r)
 	}
 }
 
-// TestInSubsetSupersetDifferential replays subset IN-lists and fills
-// near-supersets from a cached grouped entry, on both the table surface and
+// TestInSubsetNearSupersetDifferential replays subset IN-lists from a cached
+// grouped entry and recomputes near-supersets, on both the table surface and
 // the sharded epoch surface, across absorbed appends.
-func TestInSubsetSupersetDifferential(t *testing.T) {
+func TestInSubsetNearSupersetDifferential(t *testing.T) {
 	cached, plain, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 47)
 	pool := g.Lookups(base, 24)
 	shC, _ := cached.ShardedIndex("b")
@@ -161,10 +196,18 @@ func TestInSubsetSupersetDifferential(t *testing.T) {
 	check("subset", pool[3:15])
 	check("subset-reordered", []uint32{pool[9], pool[2], pool[5]})
 	near := append(append([]uint32(nil), pool...), base[7]+1) // one unseen value
-	check("near-superset", near)
 	s := cached.CacheStats()
-	if s.SubsetHits == 0 || s.SupersetHits == 0 {
-		t.Fatalf("IN reuse never engaged: %+v", s)
+	check("near-superset", near)
+	if r := cached.CacheStats(); r.Hits != s.Hits || r.Misses != s.Misses+2 || r.Inserts != s.Inserts+2 {
+		t.Fatalf("a near-superset was not a miss that admits, once per layer: %+v -> %+v", s, r)
+	}
+	s = cached.CacheStats()
+	check("near-superset repeated", near)
+	if r := cached.CacheStats(); r.Hits != s.Hits+2 || r.SubsetHits != s.SubsetHits || r.Misses != s.Misses {
+		t.Fatalf("the repeat of a near-superset was not an exact hit: %+v -> %+v", s, r)
+	}
+	if s = cached.CacheStats(); s.SubsetHits == 0 || s.SupersetHits != 0 || s.MissingKeyProbes != 0 {
+		t.Fatalf("IN reuse: subset replay never engaged, or a retired counter moved: %+v", s)
 	}
 
 	// Absorb, then replay: grouped entries must splice and keep serving.
@@ -257,9 +300,9 @@ func TestGroupAggregateCachedDifferential(t *testing.T) {
 }
 
 // TestRecycleRaceSharded is the -race gate for the reuse paths against
-// epoch swaps: readers stream overlapping sharded ranges (stitch + patch
-// targets) and IN subsets while a writer absorbs batches; the quiesced
-// state must match an uncached replica bit for bit.
+// epoch swaps: readers stream overlapping sharded ranges (containment and
+// refresh targets) and IN subsets while a writer absorbs batches; the
+// quiesced state must match an uncached replica bit for bit.
 func TestRecycleRaceSharded(t *testing.T) {
 	g := workload.New(59)
 	base := g.SortedUniform(2000)
@@ -301,8 +344,8 @@ func TestRecycleRaceSharded(t *testing.T) {
 			defer wg.Done()
 			lg := workload.New(int64(200 + r))
 			for i := 0; !stop.Load(); i++ {
-				// Overlapping windows: lo walks, width fixed — the stream
-				// that stitches against whatever epoch each query lands on.
+				// Overlapping windows: lo walks, width fixed — each lands on
+				// whatever epoch is current and finds its neighbours' runs.
 				j := i % (len(base) - 200)
 				rids, err := shC.SelectRange(base[j], base[j+150])
 				if err != nil {
@@ -346,7 +389,121 @@ func TestRecycleRaceSharded(t *testing.T) {
 		mustEqualU32(t, fmt.Sprintf("post-race in pass %d", pass), shC.SelectIn(pool), shP.SelectIn(pool))
 		mustEqualU32(t, fmt.Sprintf("post-race in-subset pass %d", pass), shC.SelectIn(pool[2:9]), shP.SelectIn(pool[2:9]))
 	}
-	if s := cached.CacheStats(); s.Hits == 0 {
-		t.Fatalf("race exercised nothing: %+v", s)
+	if s := cached.CacheStats(); s.Hits == 0 || s.StitchedHits != 0 || s.SupersetHits != 0 {
+		t.Fatalf("race exercised nothing, or a retired counter moved: %+v", s)
+	}
+}
+
+// TestHitKindsSumToHits runs a mixed range / IN / WHERE / aggregate stream
+// with absorbed appends under EXPLAIN and tallies the outcome every cache
+// stage printed.  The counters must agree with the tally kind by kind — a hit
+// is exact, contained, a subset replay or an aggregate, and nothing else: the
+// four retired counters stay zero — and a concurrent StatsSnapshot must never
+// see half of the subset path's miss-becomes-hit trade: lookups settled
+// (Hits + Misses) and exact hits (Hits less the three reuse kinds) only grow.
+func TestHitKindsSumToHits(t *testing.T) {
+	cached, _, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 61)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var settled, exact int64
+		for !stop.Load() {
+			s := cached.CacheStats()
+			e := s.Hits - s.ContainedHits - s.SubsetHits - s.AggregateHits
+			if s.Hits+s.Misses < settled || e < exact {
+				t.Errorf("torn snapshot: settled %d -> %d, exact %d -> %d: %+v", settled, s.Hits+s.Misses, exact, e, s)
+				return
+			}
+			settled, exact = s.Hits+s.Misses, e
+		}
+	}()
+
+	var exact, contained, subset, agg int64
+	tally := func(tr *telemetry.Trace, err error, isAgg bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := tr.String()
+		hits := int64(strings.Count(out, "outcome=hit") + strings.Count(out, "path=cache-hit"))
+		if isAgg {
+			agg += hits
+		} else {
+			exact += hits
+		}
+		contained += int64(strings.Count(out, "outcome=contained") + strings.Count(out, "path=cache-contained"))
+		subset += int64(strings.Count(out, "outcome=subset-replay"))
+		for _, gone := range []string{"stitched", "superset-fill", "gap_probes", "missing_probes"} {
+			if strings.Contains(out, gone) {
+				t.Fatalf("EXPLAIN printed a retired outcome:\n%s", out)
+			}
+		}
+	}
+	ctx := context.Background()
+	rng := func(col string, lo, hi uint32) {
+		tr := telemetry.NewTrace("SelectRange")
+		_, _, err := cached.SelectRangeCtx(ctx, col, lo, hi, tr)
+		tally(tr, err, false)
+	}
+	in := func(col string, list []uint32) {
+		tr := telemetry.NewTrace("SelectIn")
+		_, _, err := cached.SelectInCtx(ctx, col, list, tr)
+		tally(tr, err, false)
+	}
+	where := func(preds ...RangePred) {
+		tr := telemetry.NewTrace("SelectWhere")
+		_, _, err := cached.SelectWhereCtx(ctx, preds, tr)
+		tally(tr, err, false)
+	}
+	for round := 0; round < 6; round++ {
+		at := func(i int) uint32 { return base[round*200+i] }
+		for _, col := range []string{"a", "b"} { // sorted index, sharded epoch
+			rng(col, at(0), at(120))  // miss
+			rng(col, at(0), at(120))  // exact
+			rng(col, at(20), at(90))  // contained
+			rng(col, at(60), at(180)) // overlapping: miss
+			pool := g.Lookups(base, 16)
+			in(col, pool)                                     // miss
+			in(col, pool)                                     // exact
+			in(col, pool[3:11])                               // subset replay
+			in(col, append(pool[:12:12], base[round*200]+1))  // near-superset: miss
+			in(col, []uint32{pool[4], base[round*200+1] + 1}) // shares a first value only: miss
+		}
+		v := RangePred{Col: "v", Lo: 0, Hi: ^uint32(0) - uint32(round) - 1}
+		where(RangePred{Col: "a", Lo: at(130), Hi: at(190)}, v)                                           // miss
+		where(RangePred{Col: "a", Lo: at(130), Hi: at(190)}, v)                                           // exact
+		where(RangePred{Col: "a", Lo: at(130), Hi: at(190)}, RangePred{Col: "b", Lo: at(0), Hi: at(120)}) // conjuncts hit
+		where(RangePred{Col: "a", Lo: at(140), Hi: at(170)}, v)                                           // conjunct contained
+		for pass := 0; pass < 2; pass++ {                                                                 // miss (first round), then hits brought current
+			tr := telemetry.NewTrace("GroupAggregate")
+			_, err := GroupAggregateCtx(ctx, cached, "a", "v", nil, tr)
+			tally(tr, err, true)
+		}
+		batch := map[string][]uint32{"a": g.Lookups(base, 40), "b": g.Lookups(base, 40), "v": g.Lookups(base, 40)}
+		if err := cached.AppendRows(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	s := cached.CacheStats()
+	if s.ContainedHits != contained || s.SubsetHits != subset || s.AggregateHits != agg {
+		t.Fatalf("counters disagree with EXPLAIN (contained %d, subset %d, agg %d): %+v", contained, subset, agg, s)
+	}
+	if s.Hits != exact+s.ContainedHits+s.SubsetHits+s.AggregateHits {
+		t.Fatalf("Hits %d != exact %d + contained + subset + aggregate: %+v", s.Hits, exact, s)
+	}
+	if exact == 0 || contained == 0 || subset == 0 || agg == 0 || s.Patches == 0 {
+		t.Fatalf("stream left a hit kind unexercised (exact %d): %+v", exact, s)
+	}
+	if s.StitchedHits != 0 || s.GapProbes != 0 || s.SupersetHits != 0 || s.MissingKeyProbes != 0 {
+		t.Fatalf("a retired counter moved: %+v", s)
+	}
+	if cached.Generation() != 1 {
+		t.Fatal("fold happened, stream invalid")
 	}
 }

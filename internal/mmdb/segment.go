@@ -106,8 +106,8 @@ func (s *segment) selectEqual(value uint32) []uint32 {
 // ordered surface, woven with the delta runs' clipped spans at read time
 // (mergeRangeDelta) — O(result + delta-in-range), whatever the table size
 // and however recent the last absorb.  wantKeys additionally returns the
-// merged raw values: the cache's containment runs and every stitch gap
-// probe want them, a bare SelectRange does not pay for them.
+// merged raw values: the cache's containment runs want them, a bare
+// SelectRange does not pay for them.
 func (s *segment) rangeMerged(lo, hi uint32, wantKeys bool) (rids, rawKeys []uint32, err error) {
 	if s.ord == nil {
 		return nil, nil, ErrNoOrderedAccess
@@ -233,8 +233,8 @@ func (s *segment) probeEqual(values []uint32, sc *probeScratch, emit func(ordina
 // contributing its base rows then its run rows — value-grouped in list
 // order, ascending RID within a value, exactly what a rebuilt index would
 // return.  With wantGroups, goff[i] marks where value i's rows start in out
-// (len(distinct)+1 entries): the shape the cache's subset/superset reuse
-// and per-group append patching need.
+// (len(distinct)+1 entries): the shape the cache's subset replay and
+// per-group append patching need.
 //
 // A list large enough for the worker options, on a segment with no runs and
 // no offsets wanted, is split into contiguous spans probed concurrently —

@@ -304,10 +304,11 @@ func (s *explainScript) legCtx(name, root string, ctx context.Context, run func(
 // TestExplainSurfacesGolden pins the EXPLAIN ANALYZE tree of every query
 // surface — range, point, IN, WHERE, aggregate, join — on a SortedIndex
 // column ("k") and a sharded-only column ("s"), through cold miss, exact
-// hit, containment, stitch, subset replay, superset fill, an absorbed
-// append, cancellation at entry, a budget tripping mid-execute and an
-// admission shed: span names, attribute keys, path strings and which spans
-// are timed are all part of the contract `cssx explain` users read.
+// hit, containment, an overlapping window, subset replay, a near-superset
+// list, an absorbed append, cancellation at entry, a budget tripping
+// mid-execute and an admission shed: span names, attribute keys, path
+// strings and which spans are timed are all part of the contract
+// `cssx explain` users read.
 func TestExplainSurfacesGolden(t *testing.T) {
 	const n = 2000
 	cols := map[string][]uint32{"k": make([]uint32, n), "s": make([]uint32, n), "g": make([]uint32, n), "m": make([]uint32, n)}
@@ -410,7 +411,7 @@ func TestExplainSurfacesGolden(t *testing.T) {
 		s.leg(col+" range cold", "SelectRange", rangeLeg(col, 100, 199))
 		s.leg(col+" range exact hit", "SelectRange", rangeLeg(col, 100, 199))
 		s.leg(col+" range contained", "SelectRange", rangeLeg(col, 120, 150))
-		s.leg(col+" range stitched", "SelectRange", rangeLeg(col, 140, 219))
+		s.leg(col+" range overlapping a cached run", "SelectRange", rangeLeg(col, 140, 219))
 		s.leg(col+" range empty bounds", "SelectRange", rangeLeg(col, 9, 3))
 		s.leg(col+" range no live value", "SelectRange", rangeLeg(col, 5000, 6000))
 		s.leg(col+" point cold", "SelectRange", rangeLeg(col, 500, 500))
@@ -424,7 +425,7 @@ func TestExplainSurfacesGolden(t *testing.T) {
 		s.leg(col+" in cold", "SelectIn", inLeg(col, seq(10, 100, 10)))
 		s.leg(col+" in exact hit", "SelectIn", inLeg(col, seq(10, 100, 10)))
 		s.leg(col+" in subset replay", "SelectIn", inLeg(col, []uint32{20, 40, 60, 20}))
-		s.leg(col+" in superset fill", "SelectIn", inLeg(col, append(seq(10, 100, 10), 110)))
+		s.leg(col+" in near-superset", "SelectIn", inLeg(col, append(seq(10, 100, 10), 110)))
 		s.leg(col+" in absent values", "SelectIn", inLeg(col, []uint32{5000, 6000}))
 		s.leg(col+" in scan cold", "SelectIn", inLeg(col, seq(0, 999, 2)))
 		s.leg(col+" in scan hit", "SelectIn", inLeg(col, seq(0, 999, 2)))
@@ -438,7 +439,7 @@ func TestExplainSurfacesGolden(t *testing.T) {
 	gPred := RangePred{Col: "g", Lo: 2, Hi: 5}
 	s.leg("where cold: batched index, sharded, scan", "SelectWhere", whereLeg(kPred(600, 699), sPred(400, 520), gPred))
 	s.leg("where exact hit", "SelectWhere", whereLeg(kPred(600, 699), sPred(400, 520), gPred))
-	s.leg("where conjuncts hit, contained, stitched", "SelectWhere", whereLeg(kPred(600, 699), kPred(620, 640), kPred(650, 730), sPred(410, 500), sPred(450, 560)))
+	s.leg("where conjuncts hit, contained, overlapping", "SelectWhere", whereLeg(kPred(600, 699), kPred(620, 640), kPred(650, 730), sPred(410, 500), sPred(450, 560)))
 	s.leg("where two batched conjuncts on one index", "SelectWhere", whereLeg(kPred(800, 850), kPred(820, 899)))
 	s.leg("where empty conjunct", "SelectWhere", whereLeg(kPred(7, 3), gPred))
 	s.leg("where unknown column", "SelectWhere", whereLeg(RangePred{Col: "nope", Lo: 1, Hi: 2}))
@@ -484,15 +485,15 @@ func TestExplainSurfacesGolden(t *testing.T) {
 	for _, col := range []string{"k", "s"} {
 		s.leg(col+" range patched hit after absorb", "SelectRange", rangeLeg(col, 100, 199))
 		s.leg(col+" range cold over one run", "SelectRange", rangeLeg(col, 850, 1001))
-		s.leg(col+" range stitched over one run", "SelectRange", rangeLeg(col, 900, 1010))
+		s.leg(col+" range overlapping a cached run over one run", "SelectRange", rangeLeg(col, 900, 1010))
 		s.leg(col+" range beyond the frozen domain", "SelectRange", rangeLeg(col, 1001, 1001))
 		s.leg(col+" in patched hit after absorb", "SelectIn", inLeg(col, seq(10, 100, 10)))
 		s.leg(col+" in cold over one run", "SelectIn", inLeg(col, append(seq(15, 95, 10), 1001)))
-		s.leg(col+" in superset fill over one run", "SelectIn", inLeg(col, append(seq(15, 95, 10), 1001, 105)))
+		s.leg(col+" in near-superset over one run", "SelectIn", inLeg(col, append(seq(15, 95, 10), 1001, 105)))
 		s.legCtx(col+" in budget mid-execute over one run", "SelectIn", budget(16), inLeg(col, seq(205, 295, 10)))
 	}
 	s.leg("where after absorb: merged index, sharded, scan", "SelectWhere", whereLeg(kPred(700, 780), sPred(300, 380), gPred))
-	s.leg("where conjunct stitched over one run", "SelectWhere", whereLeg(kPred(720, 830), gPred))
+	s.leg("where conjunct overlapping a cached run over one run", "SelectWhere", whereLeg(kPred(720, 830), gPred))
 	s.legCtx("where budget mid-execute: merged index", "SelectWhere", budget(64), whereLeg(kPred(20, 90), gPred))
 	s.leg("agg all rows patched hit after absorb", "GroupAggregate", aggLeg(nil))
 	s.leg("agg rid list cold after absorb", "GroupAggregate", aggLeg(seq(1900, 2030, 1)))
@@ -525,17 +526,19 @@ func TestExplainSurfacesGolden(t *testing.T) {
 	tab.AttachGovernor(nil)
 	outer.AttachGovernor(nil)
 
-	// Reuse paths under a budget smaller than the replayed result: every
-	// freshly materialised answer is charged, whichever path produced it.
+	// Reuse under a budget smaller than the result: a replayed subset is a
+	// freshly materialised answer and is charged like a computed one; an
+	// overlapping window or a near-superset list is a miss whose execute
+	// stage trips the budget.
 	for _, col := range []string{"k", "s"} {
 		s.leg(col+" range seed for budgeted stitch", "SelectRange", rangeLeg(col, 240, 299))
-		s.legCtx(col+" range stitched over budget", "SelectRange", budget(64), rangeLeg(col, 260, 320))
+		s.legCtx(col+" range overlapping a cached run over budget", "SelectRange", budget(64), rangeLeg(col, 260, 320))
 		s.leg(col+" in seed for budgeted reuse", "SelectIn", inLeg(col, seq(302, 392, 10)))
 		s.legCtx(col+" in subset replay over budget", "SelectIn", budget(8), inLeg(col, []uint32{312, 332}))
-		s.legCtx(col+" in superset fill over budget", "SelectIn", budget(16), inLeg(col, append(seq(302, 392, 10), 402)))
+		s.legCtx(col+" in near-superset over budget", "SelectIn", budget(16), inLeg(col, append(seq(302, 392, 10), 402)))
 	}
 	s.leg("where seed for budgeted conjunct stitch", "SelectRange", rangeLeg("k", 440, 499))
-	s.legCtx("where conjunct stitched over budget", "SelectWhere", budget(64), whereLeg(kPred(460, 520), gPred))
+	s.legCtx("where conjunct overlapping a cached run over budget", "SelectWhere", budget(64), whereLeg(kPred(460, 520), gPred))
 
 	got := s.out.String()
 	golden := filepath.Join("testdata", "explain_surfaces.golden")

@@ -4,8 +4,8 @@ package qcache
 // column, layer) is filed under each value it lists, so LookupInReuse finds
 // the entries that share values with a query by one posting lookup per
 // query value.  The cost of a lookup follows the query, not the cache: a
-// miss with no reusable source is len(distinct) map probes that find
-// nothing, however many entries are resident.  (The incrementally
+// miss ends at the first query value nothing resident lists — one map probe
+// for an ad-hoc list — however many entries are resident.  (The incrementally
 // maintained value → postings index of Asadi & Lin, at result-cache scale.)
 //
 // Layout.  heads maps a value to its first posting, stored inline: an
@@ -129,15 +129,13 @@ func (ix *inIndex) release(n uint32) {
 	ix.freeNode = n
 }
 
-// best returns the entry serving a reader at tok that covers the most of distinct
-// (deduplicated query values) and how many it covers; nil when no entry
-// long enough to matter shares a value with the query.  Coverage is tallied
-// in the candidates' own scratch fields, so the lookup allocates nothing.
-// A candidate's count only grows, so the running maximum is the final one;
-// a full cover reaches len(distinct), which nothing can exceed.  An entry
-// more than a fifth shorter than the query cannot reach the ~80% coverage a
-// superset fill needs and is never returned.
-func (ix *inIndex) best(tok Token, distinct []uint32) (*entry, int) {
+// cover returns an entry serving a reader at tok that lists every value of
+// distinct (deduplicated query values), or nil.  A query value with no
+// posting ends the lookup: no resident entry can cover the query.  Coverage
+// is tallied in the candidates' own scratch fields, so the lookup allocates
+// nothing; an entry's list is deduplicated too, so the first candidate whose
+// tally reaches len(distinct) lists them all.
+func (ix *inIndex) cover(tok Token, distinct []uint32) *entry {
 	ix.stamp++
 	if ix.stamp == 0 { // wrapped: no old tally may read as current
 		for _, e := range ix.owners {
@@ -147,20 +145,21 @@ func (ix *inIndex) best(tok Token, distinct []uint32) (*entry, int) {
 		}
 		ix.stamp = 1
 	}
-	var best *entry
-	var covered uint32
+	want := uint32(len(distinct))
 	for _, v := range distinct {
 		ix.visits++
 		p, ok := ix.heads[v]
-		for ok {
+		if !ok {
+			return nil
+		}
+		for {
 			e := ix.owners[p.id]
 			if e.tok.serves(tok) {
 				if e.seen != ix.stamp {
 					e.seen, e.cnt = ix.stamp, 0
 				}
-				e.cnt++
-				if e.cnt > covered && 5*len(e.vals) >= 4*len(distinct) {
-					best, covered = e, e.cnt
+				if e.cnt++; e.cnt == want {
+					return e
 				}
 			}
 			if p.next == 0 {
@@ -170,5 +169,5 @@ func (ix *inIndex) best(tok Token, distinct []uint32) (*entry, int) {
 			p = ix.nodes[p.next]
 		}
 	}
-	return best, int(covered)
+	return nil
 }

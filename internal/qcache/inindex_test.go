@@ -11,69 +11,23 @@ import (
 // refInReuse is the candidate scan LookupInReuse ran before the inverted
 // index existed, kept as the differential reference: visit every live
 // grouped IN entry of the column — gathered from the stripe's entry map,
-// the ground truth the index is derived from — first for a full-subset
-// source, then, only if there is none, for the best partial among the
-// entries long enough to matter.  Map order is arbitrary, so it returns
-// every entry tied for the win.  Caller holds the stripe lock.
-func refInReuse(st *stripe, ck colKey, tok Token, distinct []uint32) (wins []*entry, covered int) {
-	var cands []*entry
-	for k, e := range st.m {
-		if e.goff != nil && k.column() == ck {
-			cands = append(cands, e)
-		}
-	}
-	has := func(e *entry, v uint32) bool {
-		_, ok := slices.BinarySearch(e.vals, v)
-		return ok
-	}
-	// Phase 1: a full-subset source.
+// the ground truth the index is derived from — for the sources that serve
+// the reader and list every query value.  Map order is arbitrary, so it
+// returns every such entry.  Caller holds the stripe lock.
+func refInReuse(st *stripe, ck colKey, tok Token, distinct []uint32) (wins []*entry) {
 scan:
-	for _, e := range cands {
-		if !e.tok.serves(tok) || len(e.vals) < len(distinct) {
+	for k, e := range st.m {
+		if e.goff == nil || k.column() != ck || !e.tok.serves(tok) {
 			continue
 		}
 		for _, v := range distinct {
-			if !has(e, v) {
+			if _, ok := slices.BinarySearch(e.vals, v); !ok {
 				continue scan
 			}
 		}
 		wins = append(wins, e)
 	}
-	if wins != nil {
-		return wins, len(distinct)
-	}
-	// Phase 2: the best partial.  An entry one fifth shorter than the query
-	// cannot reach the ~80% coverage a fill needs; skip it.
-	for _, e := range cands {
-		if !e.tok.serves(tok) || 5*len(e.vals) < 4*len(distinct) {
-			continue
-		}
-		n := 0
-		for _, v := range distinct {
-			if has(e, v) {
-				n++
-			}
-		}
-		switch {
-		case n > covered:
-			wins, covered = []*entry{e}, n
-		case n == covered && n > 0:
-			wins = append(wins, e)
-		}
-	}
-	return wins, covered
-}
-
-// missingFrom is what LookupInReuse must report Missing when e is its
-// source; the groups it returns for the other values are checked against the
-// table, since the source is brought current before it answers.
-func missingFrom(e *entry, distinct []uint32) (missing []uint32) {
-	for _, v := range distinct {
-		if _, ok := slices.BinarySearch(e.vals, v); !ok {
-			missing = append(missing, v)
-		}
-	}
-	return missing
+	return wins
 }
 
 // checkInIndex verifies every stripe's inverted indexes against its entry
@@ -266,7 +220,7 @@ func (d *inDriver) list() []uint32 {
 }
 
 // query answers one IN-list the way Table.selectIn does — exact lookup,
-// grouped reuse, fill or recompute, admit — checking LookupInReuse against
+// subset replay, else recompute and admit — checking LookupInReuse against
 // the reference scan and every returned row against the synthetic table.
 func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, grouped bool) {
 	t, c, limit := d.t, d.c, uint32(tok.Epoch)
@@ -293,11 +247,7 @@ func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, g
 
 	st := c.stripeFor(key)
 	st.mu.Lock()
-	wins, covered := refInReuse(st, key.column(), tok, distinct)
-	var accept [][]uint32
-	for _, e := range wins {
-		accept = append(accept, missingFrom(e, distinct))
-	}
+	wins := refInReuse(st, key.column(), tok, distinct)
 	st.mu.Unlock()
 	before := c.Stats()
 	r, ok := c.LookupInReuse(key, rd, distinct)
@@ -306,25 +256,14 @@ func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, g
 	// A source that could not be brought current — its successor did not fit
 	// the stripe — is dropped and the lookup misses.
 	if dropped := !ok && after.Invalidations > before.Invalidations; ok != (len(wins) > 0) && !dropped {
-		t.Fatalf("LookupInReuse(%v) found=%v, reference scan has %d sources covering %d", distinct, ok, len(wins), covered)
+		t.Fatalf("LookupInReuse(%v) found=%v, reference scan has %d covering sources", distinct, ok, len(wins))
 	}
 	if ok {
-		if got := len(distinct) - len(r.Missing); got != covered {
-			t.Fatalf("LookupInReuse(%v) covers %d values, reference scan %d", distinct, got, covered)
-		}
-		if !slices.ContainsFunc(accept, func(m []uint32) bool { return slices.Equal(m, r.Missing) }) {
-			t.Fatalf("LookupInReuse(%v) = %+v, reference scan allows Missing %v", distinct, *r, accept)
-		}
 		for i, g := range r.Groups {
-			if (g == nil) != slices.Contains(r.Missing, distinct[i]) {
-				t.Fatalf("LookupInReuse(%v) = %+v: value %d both grouped and missing, or neither", distinct, *r, distinct[i])
-			}
-			if g != nil && !slices.Equal(g, dom.rows(col, distinct[i], limit)) {
+			if !slices.Equal(g, dom.rows(col, distinct[i], limit)) {
 				t.Fatalf("group of %d under %+v: got %v want %v", distinct[i], tok, g, dom.rows(col, distinct[i], limit))
 			}
 		}
-	}
-	if ok && covered == len(distinct) {
 		before.Misses--
 		before.Hits++
 		before.SubsetHits++
@@ -335,14 +274,12 @@ func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, g
 		s.Patches, s.Invalidations, s.Evictions, s.Entries, s.Bytes = 0, 0, 0, 0, 0
 	}
 	if after != before {
-		t.Fatalf("LookupInReuse(%v) covered %d/%d: stats moved to %+v, reference predicts %+v", distinct, covered, len(distinct), after, before)
+		t.Fatalf("LookupInReuse(%v) found=%v: stats moved to %+v, reference predicts %+v", distinct, ok, after, before)
 	}
 
 	switch {
-	case ok && len(r.Missing) == 0:
-		return // subset replay: not re-admitted
 	case ok:
-		c.NoteInFill(key, len(r.Missing))
+		return // subset replay: not re-admitted
 	case !grouped:
 		delete(d.row, key)
 		if d.rng.Intn(2) == 0 {
@@ -397,10 +334,9 @@ func (d *inDriver) step() {
 // under a budget tight enough to evict, absorbed appends whose rows the
 // next hit re-stamps, splices in or drops on, DropTable, and current-,
 // stale- and future-token lookups.  Every LookupInReuse must agree with the
-// reference on found/not-found, covered count, Missing, group contents
-// against the table and its Stats settlement (a tie between equally good
-// sources may name either), and the index invariants must hold after every
-// step.  The concurrent leg adds readers that race the refreshes' relinking;
+// reference on found/not-found — a near-superset is a miss like any other —
+// group contents against the table and its Stats settlement, and the index
+// invariants must hold after every step.  The concurrent leg adds readers that race the refreshes' relinking;
 // run it with -race.
 func TestInReusePatchEvictDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
@@ -450,8 +386,11 @@ func TestInReusePatchEvictDifferential(t *testing.T) {
 				close(stop)
 				wg.Wait()
 				s := c.Stats()
-				if s.SubsetHits == 0 || s.SupersetHits == 0 || s.Evictions == 0 || s.Patches == 0 || s.Invalidations == 0 {
+				if s.SubsetHits == 0 || s.Evictions == 0 || s.Patches == 0 || s.Invalidations == 0 {
 					t.Fatalf("sequence left a path unexercised: %+v", s)
+				}
+				if s.SupersetHits != 0 || s.MissingKeyProbes != 0 {
+					t.Fatalf("retired superset-fill counters moved: %+v", s)
 				}
 			})
 		}
@@ -484,7 +423,7 @@ func TestPatchGroupedInOutgrowsBudget(t *testing.T) {
 
 // fillResident admits n grouped 36-value IN entries on one column, each
 // over its own values so that no two share a posting chain, plus one
-// 45-value entry over 0..44 for the fill lookups to find.
+// 45-value entry over 0..44 for the subset lookups to find.
 func fillResident(c *Cache, tok Token, n int) {
 	for i := 0; i < n; i++ {
 		vals := seq(1000+uint32(i)*36, 36)
@@ -493,9 +432,10 @@ func fillResident(c *Cache, tok Token, n int) {
 	c.InsertIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1 << 40, N: 45}, tok, seq(0, 45), seq(0, 46), seq(0, 45), 10)
 }
 
-// TestLookupInReuseMissCostFollowsQuery is the scaling guard: a lookup that
-// shares no value with any resident entry allocates nothing and probes at
-// most one posting head per query value, at every residency.
+// TestLookupInReuseMissCostFollowsQuery is the scaling guard: a lookup whose
+// first value no resident entry lists allocates nothing and probes exactly
+// one posting head — not one per query value — at every residency, and a
+// near-superset stops at its first unlisted value.
 func TestLookupInReuseMissCostFollowsQuery(t *testing.T) {
 	for _, resident := range []int{10, 1000, 10000} {
 		c := New(admitAll(Options{MaxBytes: 1 << 30, Stripes: 1}))
@@ -516,15 +456,24 @@ func TestLookupInReuseMissCostFollowsQuery(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("resident=%d: a no-candidate miss allocates %v times", resident, allocs)
 		}
-		if per := (ix.visits - before) / 101; per > int64(len(q)) { // AllocsPerRun adds a warm-up call
-			t.Errorf("resident=%d: a no-candidate miss visits %d postings for %d query values", resident, per, len(q))
+		if per := (ix.visits - before) / 101; per != 1 { // AllocsPerRun adds a warm-up call
+			t.Errorf("resident=%d: a no-candidate miss visits %d postings for %d query values, want 1", resident, per, len(q))
+		}
+		// 0..39 are listed by one entry, 1<<30 by none: five probes, then stop.
+		near := append(seq(0, 4), 1<<30, 5, 6, 7)
+		before = ix.visits
+		if _, ok := c.LookupInReuse(k, at(tok), near); ok {
+			t.Fatal("a near-superset was answered")
+		}
+		if got := ix.visits - before; got != 5 {
+			t.Errorf("resident=%d: a near-superset miss visits %d postings, want 5", resident, got)
 		}
 	}
 }
 
 // BenchmarkLookupInReuseMiss times the two lookups whose cost must not grow
 // with the resident entry count: the ad-hoc miss that shares no value with
-// anything cached, and a superset fill found among the residents.
+// anything cached, and a subset replay found among the residents.
 func BenchmarkLookupInReuseMiss(b *testing.B) {
 	for _, resident := range []int{100, 1000, 10000} {
 		c := New(admitAll(Options{MaxBytes: 1 << 30, Stripes: 1}))
@@ -534,15 +483,15 @@ func BenchmarkLookupInReuseMiss(b *testing.B) {
 		for _, q := range []struct {
 			name string
 			vals []uint32
-			fill bool
+			hit  bool
 		}{
 			{"miss", seq(1<<30, 36), false},
-			{"fill", seq(9, 40), true}, // 36 of its 40 values are cached in one entry
+			{"subset", seq(9, 36), true}, // all 36 values are cached in one entry
 		} {
 			b.Run(fmt.Sprintf("resident=%d/%s", resident, q.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if r, ok := c.LookupInReuse(k, at(tok), q.vals); ok != q.fill || (ok && len(r.Missing) != 4) {
+					if r, ok := c.LookupInReuse(k, at(tok), q.vals); ok != q.hit {
 						b.Fatalf("lookup found=%v %+v", ok, r)
 					}
 				}

@@ -116,10 +116,9 @@ func TestPatchMergesIntersectingRange(t *testing.T) {
 	}
 }
 
-// TestContainmentAndStitchBringTheirSourceCurrent: the covering run of a
-// containment hit and each segment of a stitch plan are refreshed before
-// they are sliced.
-func TestContainmentAndStitchBringTheirSourceCurrent(t *testing.T) {
+// TestContainmentBringsItsSourceCurrent: the covering run of a containment
+// hit is refreshed before it is sliced, and only that run.
+func TestContainmentBringsItsSourceCurrent(t *testing.T) {
 	c := New(admitAll(Options{}))
 	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, []uint32{10, 15}, []uint32{1, 2}, 10)
 	c.InsertRange(rangeKey("t", "a", 20, 29), mark500, []uint32{25}, []uint32{3}, 10)
@@ -128,15 +127,13 @@ func TestContainmentAndStitchBringTheirSourceCurrent(t *testing.T) {
 	if kind != HitContained || tail != 1 || fmt.Sprint(got) != fmt.Sprint([]uint32{500, 2}) {
 		t.Fatalf("contained: kind=%v tail=%d got=%v", kind, tail, got)
 	}
-	sp, ok := c.StitchRange(rangeKey("t", "a", 12, 45), rd)
-	if !ok || sp.TailRows != 1 || sp.CachedRows != 4 || len(sp.Gaps) != 1 || sp.Gaps[0] != (RangeGap{30, 45}) {
-		t.Fatalf("stitch: ok=%v %+v", ok, sp)
+	// A request the two runs only tile together is a miss: no entry answers
+	// it alone, and neither run is touched for it.
+	if got, kind, _ := c.LookupRange(rangeKey("t", "a", 12, 27), rd); kind != HitMiss || got != nil {
+		t.Fatalf("overlapping request: kind=%v got=%v", kind, got)
 	}
-	if fmt.Sprint(sp.Segments[0].RIDs, sp.Segments[1].RIDs) != fmt.Sprint([]uint32{500, 2}, []uint32{3, 501}) {
-		t.Fatalf("stitch segments %+v", sp.Segments)
-	}
-	if s := c.Stats(); s.Patches != 2 {
-		t.Fatalf("patches %d, want one per source entry", s.Patches)
+	if s := c.Stats(); s.Patches != 1 || s.Misses != 1 {
+		t.Fatalf("patches %d misses %d, want the one covering run refreshed and one miss", s.Patches, s.Misses)
 	}
 }
 
@@ -190,7 +187,7 @@ func TestPatchGroupedInSplice(t *testing.T) {
 	// The refreshed entry still answers subset replays with the new rows.
 	qk := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 10, N: 1}
 	r, ok := c.LookupInReuse(qk, tl.reader(1), []uint32{5})
-	if !ok || len(r.Missing) != 0 || r.TailRows != Current || fmt.Sprint(r.Groups[0]) != fmt.Sprint([]uint32{3, 500}) {
+	if !ok || r.TailRows != Current || fmt.Sprint(r.Groups[0]) != fmt.Sprint([]uint32{3, 500}) {
 		t.Fatalf("subset after splice: ok=%v %+v", ok, r)
 	}
 	// Rows with no listed value carry the entry untouched — here found as
@@ -371,16 +368,6 @@ func TestPatchConcurrentWithLookups(t *testing.T) {
 				c.LookupRange(rangeKey("t", "a", 3, 7), rd)
 				// The reuse surfaces walk the same interval map and grouped
 				// lists a refresh relinks; -race guards the walk.
-				if sp, ok := c.StitchRange(rangeKey("t", "a", 3, 1500), rd); ok {
-					n := 0
-					for _, s := range sp.Segments {
-						n += len(s.RIDs)
-					}
-					if n != sp.CachedRows {
-						t.Error("stitch plan disagrees with its own segments")
-						return
-					}
-				}
 				if r, ok := c.LookupInReuse(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 99, N: 1}, rd, []uint32{31}); ok && len(r.Groups[0]) > 0 && slices.Max(r.Groups[0]) >= m {
 					t.Errorf("reader at %d replayed a row past its mark: %v", m, r.Groups[0])
 					return

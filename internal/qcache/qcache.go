@@ -29,35 +29,28 @@
 // cannot flush the working set of a hot dashboard.
 //
 // Beyond exact replay, the cache is an intermediate-reuse engine (the
-// recycler): partially overlapping work is salvaged instead of recomputed.
-// Three reuse classes (stitch.go):
+// recycler) with one contract: a lookup returns a complete answer from one
+// entry, or a miss.  The reuse classes that meet it:
 //
-//   - Containment and stitching for ranges.  A cached closed [lo, hi] run
+//   - Containment for ranges (LookupRange).  A cached closed [lo, hi] run
 //     stores its sorted raw key values next to the RIDs, so any subrange a
 //     reader it serves asks for is answered by two binary searches and a
-//     slice copy.  When no single run covers the request, StitchRange walks the
-//     per-column ordered interval map (range entries sorted by lo) and
-//     greedily assembles maximal cached segments plus the uncovered gaps;
-//     the caller probes only the gaps, concatenates in value order, and
-//     admits the stitched run — so hot dashboards converge to one covering
-//     run (admission drops the entries the new run fully covers and is at
-//     least as current as).
-//   - IN-list subset/superset reuse.  Index-path IN entries record per-value
-//     group offsets, so a query whose value list is a subset of a cached one
-//     replays by concatenating the cached groups, and a near-superset probes
-//     only the missing values and splices them in.  Candidates are found
-//     through a per-column inverted index, value → the entries listing it
-//     (inindex.go): one posting lookup per query value, so a miss costs
-//     O(query values) whatever is resident.
+//     slice copy.  The per-column interval map (range entries sorted by lo)
+//     is what the containment walk reads; admission drops the entries a new
+//     run fully covers and is at least as current as.
+//   - IN-list subset replay (reuse.go).  Index-path IN entries record
+//     per-value group offsets, so a query whose value list is a subset of a
+//     cached one replays by concatenating the cached groups.  Candidates are
+//     found through a per-column inverted index, value → the entries listing
+//     it (inindex.go), and a query value nothing lists ends the lookup.
 //   - GroupAggregate caching (KindAgg).  Grouped-aggregation results are
 //     cached whole and brought current by merging the appended rows' group
 //     deltas into the sorted group list.
 //
-// Whether a stitch or superset fill beats recomputing is the caller's call:
-// the cache only reports what it holds (segments, gaps, groups, missing
-// values), and mmdb's cost model prices the gap probes against a fresh
-// computation before committing (NoteStitch/NoteInFill then settle the
-// hit/miss accounting).
+// Answers that would need index probes to finish — a range stitched from
+// overlapping runs plus gap probes, an IN-list filled from a near-superset —
+// are misses: measured end to end, finishing them cost more than the plain
+// index path that now takes over (BENCH_ablation.json).
 //
 // Appends that the table absorbs into its delta layer (rather than folding
 // into a rebuilt run) do not touch the cache at all: an entry stays the
@@ -134,7 +127,7 @@ type entry struct {
 	// inID is a grouped IN entry's list id in its column's inIndex, whose
 	// postings file the entry under each of vals; 0 while not indexed.  A
 	// refreshed successor inherits the id instead of re-filing.  seen and cnt
-	// are the index's per-lookup coverage tally (inIndex.best).  All three
+	// are the index's per-lookup coverage tally (inIndex.cover).  All three
 	// are touched only under the stripe lock.
 	inID      uint32
 	seen, cnt uint32
@@ -156,13 +149,12 @@ type stripe struct {
 	mu sync.Mutex
 	m  map[Key]*entry
 	// ranges holds, per column, the range entries carrying a key run —
-	// ordered by (lo, hi) so it doubles as the interval map containment
-	// and stitch lookups walk.
+	// ordered by (lo, hi): the interval map containment lookups walk.
 	ranges map[colKey][]*entry
 	// inIdx holds, per column, the inverted index over the grouped IN
 	// entries (value → the entries listing it): LookupInReuse finds its
-	// subset/superset candidates with one posting lookup per query value
-	// instead of visiting every resident entry.  A column's index exists
+	// subset candidates with one posting lookup per query value instead of
+	// visiting every resident entry.  A column's index exists
 	// only while it has entries.
 	inIdx map[colKey]*inIndex
 	ring  []*entry // CLOCK ring (insertion order, holes marked dead)
@@ -404,7 +396,7 @@ func (c *Cache) InsertRange(k Key, tok Token, keys, rids []uint32, costNs int64)
 // cache keeps a sorted copy so a refresh can qualify the rows past the
 // entry's mark against it.  A non-nil goff records the group offsets of an
 // index-path result (distinct[i]'s rows are rids[goff[i]:goff[i+1]]),
-// enabling subset/superset reuse and per-group splicing; nil goff degrades
+// enabling subset replay and per-group splicing; nil goff degrades
 // to exact reuse with carry-or-drop refreshes (scan-path results are in row
 // order and cannot be partitioned per value).
 func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs int64) {
@@ -593,8 +585,7 @@ func (c *Cache) DropTable(table string) {
 // into the lo-ordered interval map, grouped IN entries are filed in the
 // column's inverted index.  A new range run also supersedes the entries it
 // fully covers and is at least as current as — containment answers every
-// query they could, so keeping them only bloats the interval walk; this is
-// how a shifting dashboard's stitched runs converge instead of accumulating.
+// query they could, so keeping them only bloats the interval walk.
 // Caller holds the stripe lock.
 func (st *stripe) link(e *entry, c *Cache) {
 	if e.keys != nil {

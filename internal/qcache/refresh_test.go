@@ -108,8 +108,8 @@ func joinOn(inner func(*side) mmdb.JoinIndex) func(*side, int) (any, error) {
 }
 
 // surfaces lists every cached surface: index and scan ranges, a contained
-// subrange, a window that shifts with each ask (stitching what the last asks
-// left), grouped and ungrouped IN-lists, subset replays, superset fills,
+// subrange, a window that shifts with each ask (overlapping what the last
+// asks left), grouped and ungrouped IN-lists, subset replays, near-supersets,
 // WHERE, both aggregate sources and both join inners — on the SortedIndex
 // column k and the sharded-only column s.
 func surfaces() []surface {
@@ -121,7 +121,7 @@ func surfaces() []surface {
 			surface{col + " index range", rangeOn(col, 100, 180)},
 			surface{col + " index range overlapping", rangeOn(col, 170, 260)},
 			surface{col + " contained subrange", rangeOn(col, 120, 150)},
-			surface{col + " stitched window", func(s *side, n int) (any, error) {
+			surface{col + " shifting window", func(s *side, n int) (any, error) {
 				r, _, err := s.t.SelectRange(col, 110+uint32(n%40), 230+uint32(n%40))
 				return r, err
 			}},
@@ -131,7 +131,7 @@ func surfaces() []surface {
 			surface{col + " subset replay", inOn(col, func(n int) []uint32 {
 				return []uint32{list[(n+7)%12], list[n%12], list[(n+3)%12]}
 			})},
-			surface{col + " superset fill", inOn(col, func(n int) []uint32 { return append(slices.Clone(list), 1000+uint32(n%50)) })},
+			surface{col + " near-superset", inOn(col, func(n int) []uint32 { return append(slices.Clone(list), 1000+uint32(n%50)) })},
 			surface{col + " ungrouped IN", inOn(col, fixed(wide...))},
 		)
 	}
@@ -334,8 +334,10 @@ func TestRefreshOnTouchDifferential(t *testing.T) {
 		t.Fatalf("generation %d after two folds", g)
 	}
 	st := cached.t.CacheStats()
-	if st.Patches == 0 || st.ContainedHits == 0 || st.StitchedHits == 0 || st.SubsetHits == 0 ||
-		st.SupersetHits == 0 || st.AggregateHits == 0 || st.Invalidations == 0 {
+	if st.Patches == 0 || st.ContainedHits == 0 || st.SubsetHits == 0 || st.AggregateHits == 0 || st.Invalidations == 0 {
 		t.Fatalf("sequence left a reuse path unexercised: %+v", st)
+	}
+	if st.StitchedHits != 0 || st.GapProbes != 0 || st.SupersetHits != 0 || st.MissingKeyProbes != 0 {
+		t.Fatalf("a retired counter moved: %+v", st)
 	}
 }

@@ -8,24 +8,24 @@ import "cssidx/internal/telemetry"
 // cells that are only ever touched under that stripe's mutex, so the hot
 // path never bounces a shared counter cache line between stripes, and a
 // snapshot that locks each stripe once (StatsSnapshot) can never observe
-// a torn update — in particular it can never see one half of a
-// miss-becomes-hit settlement (NoteStitch/NoteInFill), which the old
-// global-atomic scheme allowed.
+// a torn update — in particular it can never see one half of the subset
+// replay's miss-becomes-hit trade (LookupInReuse).
 type Stats struct {
 	// Hits counts lookups answered from the cache.  The hit-kind
 	// breakdown below splits out the reuse classes that answered without
-	// an exact fingerprint match; exact hits are the remainder.
+	// an exact fingerprint match; exact hits are the remainder:
+	// Hits − ContainedHits − SubsetHits − AggregateHits.
 	Hits int64
 	// ContainedHits were answered by slicing a single covering range run.
 	ContainedHits int64
-	// StitchedHits were ranges assembled from one or more overlapping
-	// cached runs plus GapProbes index probes of the uncovered gaps.
-	StitchedHits int64
-	GapProbes    int64
-	// SubsetHits were IN-lists replayed by filtering a cached superset
-	// list; SupersetHits were IN-lists completed by probing only their
-	// MissingKeyProbes values absent from the best cached list.
-	SubsetHits       int64
+	// SubsetHits were IN-lists replayed from the groups of a cached list
+	// that names every query value.
+	SubsetHits int64
+	// Retired: range stitching and IN superset fill are deleted, so these
+	// four are always zero.  The fields stay only because the end-to-end
+	// benchmark's report reads them.
+	StitchedHits     int64
+	GapProbes        int64
 	SupersetHits     int64
 	MissingKeyProbes int64
 	// AggregateHits were GroupAggregate results served from cache.
@@ -56,11 +56,7 @@ type Stats struct {
 func (s *Stats) accumulate(o Stats) {
 	s.Hits += o.Hits
 	s.ContainedHits += o.ContainedHits
-	s.StitchedHits += o.StitchedHits
-	s.GapProbes += o.GapProbes
 	s.SubsetHits += o.SubsetHits
-	s.SupersetHits += o.SupersetHits
-	s.MissingKeyProbes += o.MissingKeyProbes
 	s.AggregateHits += o.AggregateHits
 	s.Misses += o.Misses
 	s.Inserts += o.Inserts
@@ -117,11 +113,7 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 	reg("qcache_hits_total", func(s Stats) int64 { return s.Hits })
 	reg("qcache_misses_total", func(s Stats) int64 { return s.Misses })
 	reg("qcache_contained_hits_total", func(s Stats) int64 { return s.ContainedHits })
-	reg("qcache_stitched_hits_total", func(s Stats) int64 { return s.StitchedHits })
-	reg("qcache_gap_probes_total", func(s Stats) int64 { return s.GapProbes })
 	reg("qcache_subset_hits_total", func(s Stats) int64 { return s.SubsetHits })
-	reg("qcache_superset_hits_total", func(s Stats) int64 { return s.SupersetHits })
-	reg("qcache_missing_key_probes_total", func(s Stats) int64 { return s.MissingKeyProbes })
 	reg("qcache_agg_hits_total", func(s Stats) int64 { return s.AggregateHits })
 	reg("qcache_inserts_total", func(s Stats) int64 { return s.Inserts })
 	reg("qcache_rejects_total", func(s Stats) int64 { return s.Rejects })

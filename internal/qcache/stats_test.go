@@ -4,14 +4,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"cssidx/internal/telemetry"
 )
 
-// TestStatsSnapshotConsistent: a snapshot taken while workers settle
-// miss-becomes-hit trades (NoteStitch) must never observe half a trade.
-// Each worker iteration counts one miss and immediately settles it, so at
-// any instant the un-settled misses number at most one per worker; a torn
-// read of the trade would show Hits != StitchedHits or Misses outside
-// [0, workers].  The old global-atomic counters failed exactly this way.
+// TestStatsSnapshotConsistent: a snapshot taken while workers settle the
+// subset replay's miss-becomes-hit trade (LookupInReuse) must never observe
+// half a trade.  Each worker iteration counts one exact miss and immediately
+// trades it, so at any instant the un-traded misses number at most one per
+// worker; a torn read of the trade would show Hits != SubsetHits or Misses
+// outside [0, workers].  The old global-atomic counters failed exactly this
+// way.
 func TestStatsSnapshotConsistent(t *testing.T) {
 	c := New(admitAll(Options{}))
 	tok := Token{Gen: 1}
@@ -19,29 +22,31 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		col := string(rune('a' + w))
+		c.InsertIn(Key{Table: "t", Col: col, Kind: KindIn, Hash: 1, N: 3}, tok, []uint32{5, 9, 17}, []uint32{0, 1, 2, 3}, []uint32{1, 2, 3}, 10)
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			k := rangeKey("t", "a", uint32(100*w), uint32(100*w+9))
+			k := Key{Table: "t", Col: col, Kind: KindIn, Hash: 2, N: 2}
 			for !stop.Load() {
 				if _, _, ok := c.Lookup(k, at(tok)); ok {
-					t.Error("unexpected hit")
+					t.Error("unexpected exact hit")
 					return
 				}
-				c.NoteStitch(k, 2)
+				if _, ok := c.LookupInReuse(k, at(tok), []uint32{17, 5}); !ok {
+					t.Error("subset not replayed")
+					return
+				}
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < 2000; i++ {
 		s := c.StatsSnapshot()
-		if s.Hits != s.StitchedHits {
-			t.Fatalf("torn trade: Hits=%d StitchedHits=%d", s.Hits, s.StitchedHits)
+		if s.Hits != s.SubsetHits {
+			t.Fatalf("torn trade: Hits=%d SubsetHits=%d", s.Hits, s.SubsetHits)
 		}
 		if s.Misses < 0 || s.Misses > workers {
 			t.Fatalf("Misses=%d outside [0,%d]", s.Misses, workers)
-		}
-		if s.GapProbes != 2*s.StitchedHits {
-			t.Fatalf("GapProbes=%d, want %d", s.GapProbes, 2*s.StitchedHits)
 		}
 	}
 	stop.Store(true)
@@ -64,5 +69,24 @@ func TestContainedHitCountsOnce(t *testing.T) {
 	s := c.StatsSnapshot()
 	if s.Hits != 1 || s.ContainedHits != 1 || s.Misses != 0 {
 		t.Fatalf("stats %+v", s)
+	}
+}
+
+// TestRegisteredSeries pins the metric catalogue's hit-kind series: the three
+// reuse classes are scraped, and the series of the two deleted partial-reuse
+// paths are not registered at all (their Stats fields survive only for the
+// end-to-end benchmark's report).
+func TestRegisteredSeries(t *testing.T) {
+	r := telemetry.NewRegistry()
+	New(Options{}).RegisterMetrics(r)
+	for _, name := range []string{"qcache_hits_total", "qcache_contained_hits_total", "qcache_subset_hits_total", "qcache_agg_hits_total"} {
+		if _, ok := r.Value(name); !ok {
+			t.Errorf("series %s not registered", name)
+		}
+	}
+	for _, name := range []string{"qcache_stitched_hits_total", "qcache_gap_probes_total", "qcache_superset_hits_total", "qcache_missing_key_probes_total"} {
+		if _, ok := r.Value(name); ok {
+			t.Errorf("retired series %s still registered", name)
+		}
 	}
 }

@@ -634,17 +634,6 @@ func (x *Index[K]) SetBatchSchedule(s Schedule) { x.sched = s }
 // to the concrete schedule a given batch runs under).
 func (x *Index[K]) Schedule() Schedule { return x.sched }
 
-// SetBatchKeyOrder is the boolean forerunner of SetBatchSchedule, kept for
-// callers predating ScheduleAuto: true forces the key-ordered schedule,
-// false forces input order.
-func (x *Index[K]) SetBatchKeyOrder(on bool) {
-	if on {
-		x.sched = ScheduleKeyOrdered
-	} else {
-		x.sched = ScheduleInput
-	}
-}
-
 // SetParallel configures the worker pool for batch execution (zero value:
 // GOMAXPROCS workers with adaptive per-worker spans — see parOpts).  Set
 // before serving; it is not synchronised with concurrent readers.

@@ -217,7 +217,7 @@ func checkSharded(t *testing.T, keys []uint32, o sliceOracle, probes []uint32, s
 		}
 	}
 	checkShardedBatches(t, x, o, probes, shards, false)
-	sorted := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: shards, SortBatches: true})
+	sorted := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: shards, Schedule: cssidx.ScheduleSorted})
 	defer sorted.Close()
 	checkShardedBatches(t, sorted, o, probes, shards, true)
 	par := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{
@@ -466,7 +466,7 @@ func TestDifferentialNodeSearchTiers(t *testing.T) {
 	prev := binsearch.ActiveKernel()
 	defer binsearch.SetKernel(prev)
 	g := workload.New(909)
-	for _, kern := range []binsearch.Kernel{binsearch.KernelScalar, binsearch.KernelSWAR, binsearch.KernelSIMD} {
+	for _, kern := range []binsearch.Kernel{binsearch.KernelScalar, binsearch.KernelSIMD} {
 		if !binsearch.SetKernel(kern) {
 			continue
 		}

@@ -45,14 +45,14 @@ func TestExplainGolden(t *testing.T) {
 	plan.SetDur(2 * time.Microsecond)
 
 	cache := root.Child("cache")
-	cache.Attr("outcome", "stitched").AttrInt("gap_probes", 2)
+	cache.Attr("outcome", "contained").AttrInt("tail_rows", 2)
 	cache.SetDur(87 * time.Nanosecond)
 
 	exec := root.Child("execute")
 	exec.Attr("path", "sharded").AttrInt("shards_touched", 3).AttrInt("delta_runs", 1).AttrInt("workers", 4).AttrInt("rows", 4980)
 	exec.SetDur(1100 * time.Microsecond)
-	probe := exec.Child("gap-probe")
-	probe.AttrInt("gaps", 2).SetDur(90 * time.Microsecond)
+	probe := exec.Child("shard-probe")
+	probe.AttrInt("shards", 2).SetDur(90 * time.Microsecond)
 	admit := root.Child("admit")
 	admit.AttrInt("bytes", 19920).AttrBool("admitted", true)
 	admit.SetDur(3 * time.Microsecond)

@@ -201,22 +201,3 @@ func TestShardedParallelSchedulesMatchScalar(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedSortBatchesOverrideStillSorted pins the manual override: the
-// legacy flag must force the sorted schedule regardless of Schedule.
-func TestShardedSortBatchesOverrideStillSorted(t *testing.T) {
-	g := workload.New(36)
-	keys := g.SortedDistinct(5000)
-	idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{
-		Shards: 3, SortBatches: true, Schedule: cssidx.ScheduleInputOrder,
-	})
-	defer idx.Close()
-	probes := g.Lookups(keys, 1000)
-	out := make([]int32, len(probes))
-	idx.SearchBatch(probes, out)
-	for i, p := range probes {
-		if want := int32(idx.Search(p)); out[i] != want {
-			t.Fatalf("override SearchBatch[%d]=%d want %d", i, out[i], want)
-		}
-	}
-}

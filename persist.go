@@ -74,7 +74,7 @@ func SaveSharded(w io.Writer, x *ShardedIndex[uint32]) error {
 // LoadSharded restores a snapshot written by SaveSharded, rebuilding each
 // shard's CSS-tree from its key array (building is the cheap half of the
 // paper's rebuild-don't-maintain cycle).  opts supplies the serving knobs
-// — NodeSlots, Schedule/SortBatches, Parallel — while Shards and
+// — NodeSlots, Schedule, Parallel — while Shards and
 // SkewSample are ignored: the partition comes from the snapshot.
 // Corrupt or truncated input returns an error — never a panic — and
 // reads are chunked so absurd length prefixes cannot force huge

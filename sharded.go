@@ -51,8 +51,8 @@ func (s BatchSchedule) String() string {
 }
 
 // toShard maps the public schedule to the internal engine's — the single
-// conversion site (ShardedOptions.schedule and both Resolve surfaces route
-// through it, so the mapping cannot drift).
+// conversion site (newShardedFrom and both Resolve surfaces route through
+// it, so the mapping cannot drift).
 func (s BatchSchedule) toShard() shard.Schedule {
 	switch s {
 	case ScheduleInputOrder:
@@ -96,9 +96,6 @@ type ShardedOptions[K cmp.Ordered] struct {
 	SkewSample []K
 	// Schedule picks the batch probe schedule (default ScheduleAuto).
 	Schedule BatchSchedule
-	// SortBatches is the boolean forerunner of Schedule, kept as a manual
-	// override: true forces ScheduleSorted.
-	SortBatches bool
 	// Parallel tunes the batch worker pool.  The zero value is the
 	// default engine — GOMAXPROCS workers, sequential below ~4k probes;
 	// set Workers to 1 to keep batches on the calling goroutine.
@@ -159,19 +156,10 @@ func newShardedFrom[K cmp.Ordered](keys []K, bounds []K, opts ShardedOptions[K])
 		m = 16
 	}
 	ix := shard.New(keys, bounds, shardedBuilder[K](m))
-	ix.SetBatchSchedule(opts.schedule())
+	ix.SetBatchSchedule(opts.Schedule.toShard())
 	ix.SetParallel(opts.Parallel.engine())
 	ix.SetDeltaPolicy(opts.Delta)
 	return &ShardedIndex[K]{ix: ix}
-}
-
-// schedule resolves the two schedule knobs: SortBatches is the manual
-// override, otherwise Schedule applies (default ScheduleAuto).
-func (o ShardedOptions[K]) schedule() shard.Schedule {
-	if o.SortBatches {
-		return shard.ScheduleKeyOrdered
-	}
-	return o.Schedule.toShard()
 }
 
 // shardedBuilder picks the tuned uint32 level CSS-tree when K is uint32 and
