@@ -3,15 +3,15 @@
 package mmdb
 
 import (
+	"fmt"
 	"testing"
 )
 
 // TestWarmHitAllocs pins the allocation count of the exact-hit path of every
-// cached surface at the figures measured before the *Ctx / *Traced clones
-// were folded into one entry: the plain call routes through the one entry
-// with a background context, and nothing on that route — the env value, the
-// entry bracket, the cached-path helpers — may cost an allocation of its
-// own.  (What does allocate on a hit is planning: the Plan.Why strings,
+// cached surface: the plain call routes through the one entry with a
+// background context, and nothing on that route — the env value, the entry
+// bracket, the cached-path helpers, the admission verdict — may cost an
+// allocation of its own.  (What does allocate on a hit is planning: the Plan.Why strings,
 // SelectIn's dedupe map, distinct list and plan IDs, SelectWhere's bound
 // resolution and plan slice, the aggregate's fingerprint.)  The race
 // detector's instrumentation moves a count, hence the build tag.
@@ -35,16 +35,74 @@ func TestWarmHitAllocs(t *testing.T) {
 		want float64
 		run  func()
 	}{
-		{"SelectRange", 3, func() { cached.SelectRange("a", 1<<28, 1<<28+1<<26) }},
-		{"SelectRange sharded-only", 3, func() { cached.SelectRange("b", 1<<28, 1<<28+1<<24) }},
-		{"SelectIn", 5, func() { cached.SelectIn("c", list) }},
-		{"SelectWhere", 16, func() { cached.SelectWhere(preds) }},
+		{"SelectRange", 2, func() { cached.SelectRange("a", 1<<28, 1<<28+1<<26) }},
+		{"SelectRange sharded-only", 2, func() { cached.SelectRange("b", 1<<28, 1<<28+1<<24) }},
+		{"SelectIn", 4, func() { cached.SelectIn("c", list) }},
+		{"SelectWhere", 14, func() { cached.SelectWhere(preds) }},
 		{"GroupAggregate", 1, func() { GroupAggregate(cached, "c", "a", nil) }},
 		{"JoinWith count-only", 0, func() { JoinWith(outer, "fk", aIx, JoinOptions{}, nil) }},
 	} {
 		c.run() // warm: the measured calls are all exact hits
 		if got := testing.AllocsPerRun(200, c.run); got != c.want {
 			t.Errorf("%s warm hit: %v allocs/op, pinned at %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFirstSightStagesNothing: a question asked for the first time runs as it
+// would with caching off — no key run, no group offsets, no sorted conjunct
+// keys, no staged join pairs, no insert.  Every measured call asks a question
+// never asked before, on a default-admission table and on a cache-off twin in
+// step, and the cached side may allocate at most a constant more (nothing,
+// today).  The emitting join's first sight streams: a staged one would pay a
+// growing pair buffer per worker on top.
+func TestFirstSightStagesNothing(t *testing.T) {
+	cached, plain, g := cachePair(t, 20000, 93)
+	cached.EnableCache(CacheOptions{}) // cachePair's admits at first sight
+	aVals, _ := plain.Column("a")
+	dom := aVals.Domain().Values()
+	// Each surface draws its i-th question from the column's domain, so the
+	// cached and the cache-off call of one step do identical index work.
+	const runs = 20
+	outers := func(tab *Table) []*Table {
+		out := make([]*Table, runs+1) // AllocsPerRun makes one warm-up call
+		for i := range out {
+			out[i] = NewTable(fmt.Sprintf("o%d", i)) // the outer table names the join's question
+			if err := out[i].AddColumn("fk", g.Lookups(dom, 600)); err != nil {
+				t.Fatal(err)
+			}
+			out[i].AttachCache(tab.Cache())
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		run  func(tab *Table, outer []*Table, i int)
+	}{
+		{"SelectRange", func(tab *Table, _ []*Table, i int) { tab.SelectRange("a", dom[40*i], dom[40*i+30]) }},
+		{"SelectRange sharded-only", func(tab *Table, _ []*Table, i int) {
+			tab.SelectRange("b", dom[40*i]>>1, dom[40*i]>>1+1<<22)
+		}},
+		{"SelectIn", func(tab *Table, _ []*Table, i int) { tab.SelectIn("a", dom[30*i:30*i+12]) }},
+		{"SelectWhere", func(tab *Table, _ []*Table, i int) {
+			tab.SelectWhere([]RangePred{{Col: "a", Lo: dom[50*i], Hi: dom[50*i+45]}, {Col: "b", Lo: uint32(i) << 20, Hi: 1 << 31}})
+		}},
+		{"JoinWith emitting", func(tab *Table, outer []*Table, i int) {
+			ix, _ := tab.Index("a")
+			JoinWith(outer[i], "fk", ix, JoinOptions{}, func(o, i uint32) {})
+		}},
+	} {
+		measure := func(tab *Table) float64 {
+			outer, i := outers(tab), 0
+			return testing.AllocsPerRun(runs, func() { c.run(tab, outer, i); i++ })
+		}
+		before := cached.CacheStats()
+		on, off := measure(cached), measure(plain)
+		if s := cached.CacheStats(); s.Deferred == before.Deferred || s.Inserts != before.Inserts {
+			t.Errorf("%s: the measured calls were not first sights: %+v", c.name, s)
+		}
+		if on > off {
+			t.Errorf("%s at first sight: %v allocs/op, %v with caching off", c.name, on, off)
 		}
 	}
 }

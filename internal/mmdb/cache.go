@@ -8,6 +8,15 @@ package mmdb
 // and over — is answered by a fingerprint lookup and one slice copy
 // instead of a recomputation.
 //
+// Nothing is cached at first sight.  Every lookup that misses returns the
+// cache's admission verdict (qcache/door.go: has this question missed
+// before?), and every miss path takes it before executing: a first-time
+// question runs exactly as it would with caching off — no key run, no group
+// offsets, no staged join pairs, no Insert — and only a question seen before
+// pays to stage the payload the cache wants.  A recurring question is
+// therefore computed twice before it is served from the cache; an ad-hoc
+// stream costs the cache one tag per query.
+//
 // Invalidation rides the structures the engine already maintains: every
 // result is stamped with the fold generation and the row count it was
 // computed over, so a fold invalidates by moving the generation — readers
@@ -114,6 +123,18 @@ func tailRows(sp *telemetry.Span, tail int) *telemetry.Span {
 		sp.AttrInt("tail_rows", tail)
 	}
 	return sp
+}
+
+// missed closes the cache span of a lookup that found nothing and passes the
+// admission verdict on.  A deferred miss — the question's first sight — says
+// so; it runs exactly as it would with caching off and has no admit stage.
+func missed(cs *telemetry.Span, admit bool) bool {
+	cs.Attr("outcome", "miss")
+	if !admit {
+		cs.AttrBool("first_sight", true)
+	}
+	cs.End()
+	return admit
 }
 
 // --- fingerprints -----------------------------------------------------------

@@ -377,9 +377,10 @@ func JoinBatch(outer *Table, outerCol string, inner JoinIndex, batchSize int, em
 // with the (outer generation, inner generation/epoch) pair: a repeat of
 // the join against unchanged state replays the cached pairs through emit
 // without probing.  Count-only joins (emit nil) consult the cache but
-// never fill it, so they stay unbuffered; emitting joins fill it, which
-// buffers the pairs even on the otherwise-streaming sequential path —
-// disable the cache when streaming emission matters more than reuse.
+// never fill it, so they stay unbuffered.  An emitting join streams the
+// first time it is asked (nothing is cached at first sight); asked again it
+// fills the cache, which buffers the pairs even on the otherwise-streaming
+// sequential path — disable the cache when a recurring join must stream.
 func JoinWith(outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32)) (int, error) {
 	return JoinWithCtx(context.Background(), outer, outerCol, inner, opts, emit, nil)
 }
@@ -419,6 +420,9 @@ func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOp
 	qc := outer.Cache()
 	var jkey qcache.Key
 	var jtok qcache.Token
+	// Only an emitting join whose pair set will be admitted stages it: a
+	// count-only join never fills the cache, and a first-sight join streams.
+	cacheable := false
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		jkey = qcache.Key{Table: outer.name, Col: outerCol, Kind: qcache.KindJoin, Hash: seg.innerTag()}
@@ -428,16 +432,19 @@ func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOp
 				cs.Attr("outcome", "hit").AttrInt("pairs", n).End()
 				return n, nil
 			}
-		} else if a, b, ok := qc.LookupPair(jkey, jtok); ok {
-			for i := range a {
-				emit(a[i], b[i])
+			cs.Attr("outcome", "miss").End()
+		} else {
+			a, b, ok, adm := qc.LookupPair(jkey, jtok)
+			if ok {
+				for i := range a {
+					emit(a[i], b[i])
+				}
+				cs.Attr("outcome", "hit").AttrInt("pairs", len(a)).End()
+				return len(a), nil
 			}
-			cs.Attr("outcome", "hit").AttrInt("pairs", len(a)).End()
-			return len(a), nil
+			cacheable = missed(cs, adm)
 		}
-		cs.Attr("outcome", "miss").End()
 	}
-	cacheable := qc.Enabled() && emit != nil
 	st, err := outer.compute(e, governor.ClassSelect, 4*int64(len(col.raw)))
 	if err != nil {
 		return 0, err

@@ -10,9 +10,11 @@ package mmdb
 //     epoch's — and follow one protocol: a lookup that returns a complete
 //     answer from one entry (exact, containment, IN subset replay; the entry
 //     picked is first brought current from the rows appended since), then on
-//     a miss admission, execute, charge, insert.  Scans, WHERE conjunctions,
-//     aggregates and joins run the same stages through the same helpers
-//     (compute, stage.abort, env.fresh).
+//     a miss — which arrives with the cache's verdict on the question: seen
+//     before, or first sight — admission, execute, charge, and only for a
+//     question seen before the staging the cache wants and the insert.  Scans,
+//     WHERE conjunctions, aggregates and joins run the same stages through the
+//     same helpers (missed, compute, stage.abort, env.fresh).
 //  3. One entry: every public surface is its *Ctx form, and the plain form is
 //     the *Ctx form with a background context and no trace.  enter builds the
 //     env — the governance handle and the trace span, both nil on the plain
@@ -28,10 +30,11 @@ package mmdb
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
+	"strconv"
 	"time"
 
+	"cssidx"
 	"cssidx/internal/governor"
 	"cssidx/internal/parallel"
 	"cssidx/internal/qcache"
@@ -175,7 +178,8 @@ type GroupRow = qcache.AggRow
 // in value order.
 //
 // With a cache attached, the (groupCol, measureCol, source-RID) fingerprint
-// is looked up first and the computed result admitted after.  All-rows
+// is looked up first and the computed result admitted after — from the
+// question's second miss on (cache.go).  All-rows
 // aggregates (nil rids) survive absorbed appends — a hit folds the
 // (group, measure) pairs of the rows appended since into the cached rows;
 // explicit-RID aggregates are re-stamped, since an append cannot touch them.
@@ -213,14 +217,16 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 	}
 	qc, rd := t.Cache(), t.reader(nil)
 	var akey qcache.Key
+	admit := false
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		akey = aggFP(t.name, groupCol, measureCol, rids)
-		if rows, tail, ok := qc.LookupAgg(akey, rd); ok {
+		rows, tail, ok, adm := qc.LookupAgg(akey, rd)
+		if ok {
 			tailRows(cs.Attr("outcome", "hit").AttrInt("groups", len(rows)), tail).End()
 			return rows, nil
 		}
-		cs.Attr("outcome", "miss").End()
+		admit = missed(cs, adm)
 	}
 	nGroups := gc.dom.Len()
 	// Aggregates shed first: a cache-missing aggregate is the most
@@ -335,7 +341,7 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 	}
 	st.ex.Attr("path", "domain-array").AttrInt("groups", len(out)).AttrInt("delta_rows", t.rows-t.baseRows)
 	st.ex.End()
-	if qc.Enabled() {
+	if admit {
 		ad := e.sp.Child("admit")
 		src := len(rids)
 		if rids == nil {
@@ -394,22 +400,30 @@ func (t *Table) planRangeIDs(col string, c *Column, loID, hiID uint32) Plan {
 	// ShardedIndex methods directly).
 	ix, indexed := t.indexes[col]
 	_, shardedOK := t.sharded[col]
-	ordered := (indexed && ix.Kind().String() != "hash") || (!indexed && shardedOK)
+	ordered := (indexed && ix.Kind() != cssidx.KindHash) || (!indexed && shardedOK)
 	switch {
 	case !indexed && !shardedOK:
 		return Plan{UseIndex: false, EstRows: est, Why: "no index on column"}
 	case !ordered:
 		return Plan{UseIndex: false, EstRows: est, Why: "hash index has no ordered access"}
 	case frac > scanBreakEven:
-		return Plan{UseIndex: false, EstRows: est,
-			Why: fmt.Sprintf("selectivity %.0f%% above scan break-even", 100*frac)}
+		return Plan{UseIndex: false, EstRows: est, Why: whyPct("selectivity ", frac, 0, " above scan break-even")}
 	case !indexed:
-		return Plan{UseIndex: true, EstRows: est,
-			Why: fmt.Sprintf("sharded index, selectivity %.1f%% below scan break-even", 100*frac)}
+		return Plan{UseIndex: true, EstRows: est, Why: whyPct("sharded index, selectivity ", frac, 1, " below scan break-even")}
 	default:
-		return Plan{UseIndex: true, EstRows: est,
-			Why: fmt.Sprintf("selectivity %.1f%% below scan break-even", 100*frac)}
+		return Plan{UseIndex: true, EstRows: est, Why: whyPct("selectivity ", frac, 1, " below scan break-even")}
 	}
+}
+
+// whyPct spells a plan's reason around a selectivity — pre, 100·frac to prec
+// decimals, a percent sign, post: the text fmt's %.*f%% gives — without fmt,
+// because every planned query pays for its Why, traced or not.
+func whyPct(pre string, frac float64, prec int, post string) string {
+	var buf [80]byte
+	b := append(buf[:0], pre...)
+	b = strconv.AppendFloat(b, 100*frac, 'f', prec, 64)
+	b = append(b, '%')
+	return string(append(b, post...))
 }
 
 // SelectRange returns the RIDs of rows with lo ≤ col ≤ hi, choosing the
@@ -421,7 +435,8 @@ func (t *Table) planRangeIDs(col string, c *Column, loID, hiID uint32) Plan {
 // With a cache attached, the normalized predicate is looked up first —
 // including by containment, when a cached wider range on the column can be
 // sliced — and the computed result is admitted after, stamped with the
-// table generation.
+// table generation, once the question has missed before: a first-time range
+// runs as it would with caching off (cache.go).
 func (t *Table) SelectRange(col string, lo, hi uint32) ([]uint32, Plan, error) {
 	return t.SelectRangeCtx(context.Background(), col, lo, hi, nil)
 }
@@ -467,13 +482,15 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	}
 	qc, rd := t.Cache(), t.reader(nil)
 	key := rangeFP(t.name, col, qcache.LayerTable, lo, hi)
+	admit := false
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
-		if rids, kind, tail := qc.LookupRange(key, rd); kind != qcache.HitMiss {
+		rids, kind, tail, adm := qc.LookupRange(key, rd)
+		if kind != qcache.HitMiss {
 			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
 			return rids, plan, nil
 		}
-		cs.Attr("outcome", "miss").End()
+		admit = missed(cs, adm)
 	}
 	st, err := t.compute(e, governor.ClassSelect, 4*int64(plan.EstRows))
 	if err != nil {
@@ -487,7 +504,7 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	st.ex.Attr("path", "scan").AttrInt("rows", len(out)).End()
 	// Scan results are in row order, not value order, so they enter as
 	// exact-only entries (no key run, no containment slicing).
-	if qc.Enabled() {
+	if admit {
 		ad := e.sp.Child("admit")
 		qc.InsertRange(key, rd.Tok, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
 		ad.End()
@@ -504,22 +521,24 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 func selectRange(seg *segment, rd qcache.Reader, e env, lo, hi uint32, est int) ([]uint32, error) {
 	qc := seg.tbl.Cache()
 	key := rangeFP(seg.tbl.name, seg.col, seg.layer, lo, hi)
+	admit := false
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
-		if rids, kind, tail := qc.LookupRange(key, rd); kind != qcache.HitMiss {
+		rids, kind, tail, adm := qc.LookupRange(key, rd)
+		if kind != qcache.HitMiss {
 			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
 			return rids, nil
 		}
-		cs.Attr("outcome", "miss").End()
+		admit = missed(cs, adm)
 	}
 	st, err := seg.tbl.compute(e, governor.ClassSelect, 4*int64(est))
 	if err != nil {
 		return nil, err
 	}
 	defer st.release()
-	// The merged raw key run rides along so any subrange of this result
-	// can be answered by slicing it (containment reuse).
-	out, keys, err := seg.rangeMerged(lo, hi, qc.Enabled())
+	// When the result will be admitted the merged raw key run rides along,
+	// so any subrange of it can be answered by slicing it (containment reuse).
+	out, keys, err := seg.rangeMerged(lo, hi, admit)
 	if err == nil {
 		err = e.ctl.Charge(4 * int64(len(out)))
 	}
@@ -528,7 +547,7 @@ func selectRange(seg *segment, rd qcache.Reader, e env, lo, hi uint32, est int) 
 	}
 	seg.explainRange(st.ex, lo, hi, len(out))
 	st.ex.End()
-	if qc.Enabled() {
+	if admit {
 		ad := e.sp.Child("admit")
 		qc.InsertRange(key, rd.Tok, keys, out,
 			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
@@ -592,11 +611,9 @@ func (t *Table) planIn(col string, distinct []uint32) (Plan, error) {
 	case !indexed && !shardedOK:
 		return Plan{UseIndex: false, EstRows: est, Why: "no index on column"}, nil
 	case frac > batchScanBreakEven:
-		return Plan{UseIndex: false, EstRows: est,
-			Why: fmt.Sprintf("selectivity %.0f%% above batched scan break-even", 100*frac)}, nil
+		return Plan{UseIndex: false, EstRows: est, Why: whyPct("selectivity ", frac, 0, " above batched scan break-even")}, nil
 	default:
-		return Plan{UseIndex: true, EstRows: est,
-			Why: fmt.Sprintf("batched IN probe, selectivity %.1f%% below batched break-even", 100*frac)}, nil
+		return Plan{UseIndex: true, EstRows: est, Why: whyPct("batched IN probe, selectivity ", frac, 1, " below batched break-even")}, nil
 	}
 }
 
@@ -646,14 +663,16 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	// in probe order, which a scan-planned query must not inherit.
 	qc, rd := t.Cache(), t.reader(nil)
 	var key qcache.Key
+	admit := false
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		key = inFP(t.name, col, qcache.LayerTable, distinct)
-		if rids, tail, ok := qc.Lookup(key, rd); ok {
-			tailRows(cs.Attr("outcome", "hit").AttrInt("rows", len(rids)), tail).End()
+		rids, kind, tail, adm := qc.LookupIn(key, rd, nil)
+		if kind != qcache.HitMiss {
+			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
 			return rids, plan, nil
 		}
-		cs.Attr("outcome", "miss").End()
+		admit = missed(cs, adm)
 	}
 	st, err := t.compute(e, governor.ClassSelect, 4*int64(plan.EstRows))
 	if err != nil {
@@ -680,7 +699,7 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 		return nil, plan, st.abort(err)
 	}
 	st.ex.AttrInt("rows", len(out)).End()
-	if qc.Enabled() {
+	if admit {
 		ad := e.sp.Child("admit")
 		qc.InsertIn(key, rd.Tok, distinct, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
 		ad.End()
@@ -688,41 +707,37 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	return out, plan, nil
 }
 
-// selectIn is the one cached IN path over an index segment: exact lookup,
-// then the grouped entries of the same column that serve rd — a subset list
-// replays by concatenating cached groups — then on a miss the batched
-// driver, admitted with the value list and (for lists that stay on one
-// worker) the group offsets replay and refresh splicing need.  est is the
+// selectIn is the one cached IN path over an index segment: one lookup —
+// exact, then the grouped entries of the same column that serve rd: a subset
+// list replays by concatenating cached groups — then on a miss the batched
+// driver, and for a list seen before admission with the value list and (for
+// lists that stay on one worker) the group offsets replay and refresh
+// splicing need; a first-time list collects no offsets.  est is the
 // admission estimate in rows: the planner's on the table layer, the list
 // length on the epoch layer.
 func selectIn(seg *segment, rd qcache.Reader, e env, distinct []uint32, est int) ([]uint32, error) {
 	qc := seg.tbl.Cache()
 	var key qcache.Key
+	admit := false
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		key = inFP(seg.tbl.name, seg.col, seg.layer, distinct)
-		if rids, tail, ok := qc.Lookup(key, rd); ok {
-			tailRows(cs.Attr("outcome", "hit").AttrInt("rows", len(rids)), tail).End()
+		rids, kind, tail, adm := qc.LookupIn(key, rd, distinct)
+		if kind != qcache.HitMiss {
+			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
+			if kind == qcache.HitSubset {
+				return e.fresh(rids, nil) // a replay is a freshly materialised answer
+			}
 			return rids, nil
 		}
-		if r, ok := qc.LookupInReuse(key, rd, distinct); ok {
-			// The groups arrive in the query's first-occurrence value order and
-			// alias immutable cache memory, so the answer is their fresh
-			// concatenation.  Not re-admitted: the source entry already answers
-			// any repeat of this subset at the same price, so caching the
-			// derived copy would only cost an insert per replay.
-			out := slices.Concat(r.Groups...)
-			tailRows(cs.Attr("outcome", "subset-replay").AttrInt("rows", len(out)), r.TailRows).End()
-			return e.fresh(out, nil)
-		}
-		cs.Attr("outcome", "miss").End()
+		admit = missed(cs, adm)
 	}
 	st, err := seg.tbl.compute(e, governor.ClassSelect, 4*int64(est))
 	if err != nil {
 		return nil, err
 	}
 	defer st.release()
-	grouped := qc.Enabled() && (parallel.Options{}).WorkersFor(len(distinct)) <= 1
+	grouped := admit && (parallel.Options{}).WorkersFor(len(distinct)) <= 1
 	seg.explainIn(st.ex, len(distinct), grouped)
 	out, goff, err := seg.selectIn(e.ctl, distinct, grouped, parallel.Options{})
 	if err != nil {
@@ -734,7 +749,7 @@ func selectIn(seg *segment, rd qcache.Reader, e env, distinct []uint32, est int)
 	st.ex.AttrInt("rows", len(out)).End()
 	// The value list rides along so a refresh can test the rows appended
 	// since against the entry instead of dropping it.
-	if qc.Enabled() {
+	if admit {
 		ad := e.sp.Child("admit")
 		qc.InsertIn(key, rd.Tok, distinct, goff, out,
 			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
@@ -805,14 +820,16 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	ps.End()
 	qc, rd := t.Cache(), t.reader(nil)
 	var wkey qcache.Key
+	admit := false
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		wkey = whereFP(t.name, preds)
-		if rids, tail, ok := qc.Lookup(wkey, rd); ok {
+		rids, tail, ok, adm := qc.Lookup(wkey, rd)
+		if ok {
 			tailRows(cs.Attr("outcome", "hit").AttrInt("rows", len(rids)), tail).End()
 			return rids, plans, nil
 		}
-		cs.Attr("outcome", "miss").End()
+		admit = missed(cs, adm)
 	}
 	// One grant covers the whole conjunction: conjuncts probing sharded
 	// indexes below find the query already admitted and pass for free.
@@ -829,8 +846,10 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	// empty frozen ID range — the appended tail may hold matching values
 	// the dictionary has never seen.  Per-conjunct results that complete
 	// before an abort are valid data and stay cached; the conjunction
-	// entry itself is only inserted on full completion.
+	// entry itself is only inserted on full completion.  Each conjunct's
+	// range is a question of its own, with its own admission verdict.
 	sets := make([][]uint32, len(preds))
+	admits := make([]bool, len(preds))
 	byIndex := map[*segment][]int{}
 	conjSpans := make([]*telemetry.Span, len(preds))
 	abortConj := func(cj *telemetry.Span, err error) ([]uint32, []Plan, error) {
@@ -848,24 +867,11 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			cj.Attr("path", "empty").End()
 			continue // empty conjunct: the intersection is empty
 		}
-		// A conjunct walks the range protocol on its own span: no admission
-		// (the conjunction holds the grant), no stage spans, and entries
-		// priced by the model alone.
-		ckey := rangeFP(t.name, p.Col, qcache.LayerTable, p.Lo, p.Hi)
 		ix, sorted := t.indexes[p.Col]
-		crd := rd
-		if plans[i].UseIndex && sorted {
-			crd = t.reader(&ix.seg)
-		}
-		if rids, kind, tail := qc.LookupRange(ckey, crd); kind != qcache.HitMiss {
-			sets[i] = rids
-			if cj != nil { // attr args must not run on the untraced path
-				tailRows(cj.Attr("path", "cache-"+kind.String()).AttrInt("rows", len(rids)), tail).End()
-			}
-			continue
-		}
 		if plans[i].UseIndex && !sorted {
-			rids, err := t.sharded[p.Col].selectRange(env{e.ctl, cj}, p.Lo, p.Hi) // cached per frozen epoch
+			// A sharded-only column answers through its index's own cached
+			// path, per frozen epoch; no table-layer entry can exist for it.
+			rids, err := t.sharded[p.Col].selectRange(env{e.ctl, cj}, p.Lo, p.Hi)
 			if err != nil {
 				return abortConj(cj, err)
 			}
@@ -873,14 +879,31 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			cj.AttrInt("rows", len(rids)).End()
 			continue
 		}
+		// Any other conjunct walks the range protocol on its own span: no
+		// admission (the conjunction holds the grant), no stage spans, and
+		// entries priced by the model alone.
+		ckey := rangeFP(t.name, p.Col, qcache.LayerTable, p.Lo, p.Hi)
+		crd := rd
+		if plans[i].UseIndex {
+			crd = t.reader(&ix.seg)
+		}
+		rids, kind, tail, adm := qc.LookupRange(ckey, crd)
+		admits[i] = adm
+		if kind != qcache.HitMiss {
+			sets[i] = rids
+			if cj != nil { // attr args must not run on the untraced path
+				tailRows(cj.Attr("path", "cache-"+kind.String()).AttrInt("rows", len(rids)), tail).End()
+			}
+			continue
+		}
 		if plans[i].UseIndex && len(ix.seg.runs) == 0 {
 			byIndex[&ix.seg] = append(byIndex[&ix.seg], i)
 			continue // span ends after the batched resolution below
 		}
-		var rids, keys []uint32
+		var keys []uint32
 		if !plans[i].UseIndex {
 			rids, err = scanRange(t.cols[p.Col], p.Lo, p.Hi, e.ctl.Checkpoint())
-		} else if rids, keys, err = ix.seg.rangeMerged(p.Lo, p.Hi, qc.Enabled()); err == nil {
+		} else if rids, keys, err = ix.seg.rangeMerged(p.Lo, p.Hi, adm); err == nil {
 			err = e.ctl.Charge(4 * int64(len(rids)))
 		}
 		if err != nil {
@@ -893,7 +916,9 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			cj.Attr("path", "scan")
 		}
 		cj.AttrInt("rows", len(rids)).End()
-		qc.InsertRange(ckey, rd.Tok, keys, rids, estRecomputeNs(plans[i], t.rows))
+		if adm {
+			qc.InsertRange(ckey, rd.Tok, keys, rids, estRecomputeNs(plans[i], t.rows))
+		}
 	}
 	for seg, list := range byIndex {
 		probes := make([]uint32, 0, 2*len(list))
@@ -911,7 +936,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			copy(rids, seg.rids[first:last])
 			sets[i] = rids
 			conjSpans[i].Attr("path", "sorted-index-batched").AttrInt("rows", len(rids)).End()
-			if qc.Enabled() {
+			if admits[i] {
 				ckey := rangeFP(t.name, preds[i].Col, qcache.LayerTable, preds[i].Lo, preds[i].Hi)
 				qc.InsertRange(ckey, rd.Tok, idsToRaw(seg.dom, seg.keys[first:last]), rids, estRecomputeNs(plans[i], t.rows))
 			}
@@ -950,7 +975,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	is.End()
 	st.ex.AttrInt("rows", len(acc))
 	st.ex.End()
-	if qc.Enabled() {
+	if admit {
 		ad := e.sp.Child("admit")
 		cost := time.Since(st.start).Nanoseconds()
 		est := int64(0)

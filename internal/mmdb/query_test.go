@@ -2,6 +2,7 @@ package mmdb
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -283,6 +284,74 @@ func TestPlanRangeHashIndexScans(t *testing.T) {
 	}
 	if len(rids) != 3 {
 		t.Errorf("scan fallback found %d rows, want 3", len(rids))
+	}
+}
+
+// TestPlanWhyText pins the planner's reasons byte for byte against the fmt
+// verbs they were first written with: the text is built without fmt on every
+// planned query, and EXPLAIN readers (and the golden trees) see it.
+func TestPlanWhyText(t *testing.T) {
+	const n = 1000
+	vals := make([]uint32, n)
+	for i := range vals {
+		vals[i] = uint32(i)
+	}
+	tab := NewTable("t")
+	for _, c := range []string{"plain", "hashed", "sorted", "sharded"} {
+		if err := tab.AddColumn(c, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tab.BuildIndex("hashed", cssidx.KindHash, cssidx.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.BuildIndex("sorted", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	six, err := tab.BuildShardedIndex("sharded", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer six.Close()
+	for _, c := range []struct {
+		col    string
+		lo, hi uint32
+		want   string
+	}{
+		{"plain", 0, 10, "no index on column"},
+		{"hashed", 0, 10, "hash index has no ordered access"},
+		{"sorted", 0, 334, fmt.Sprintf("selectivity %.0f%% above scan break-even", 33.5)},
+		{"sorted", 0, 995, fmt.Sprintf("selectivity %.0f%% above scan break-even", 99.6)},
+		{"sharded", 10, 21, fmt.Sprintf("sharded index, selectivity %.1f%% below scan break-even", 1.2)},
+		{"sorted", 10, 21, fmt.Sprintf("selectivity %.1f%% below scan break-even", 1.2)},
+		{"sorted", 7, 7, fmt.Sprintf("selectivity %.1f%% below scan break-even", 0.1)},
+		{"sorted", 5000, 6000, fmt.Sprintf("selectivity %.1f%% below scan break-even", 0.0)},
+	} {
+		p, err := tab.PlanRange(c.col, c.lo, c.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Why != c.want {
+			t.Errorf("PlanRange(%s, %d, %d): %q, want %q", c.col, c.lo, c.hi, p.Why, c.want)
+		}
+	}
+	for _, c := range []struct {
+		col  string
+		k    int
+		want string
+	}{
+		{"plain", 3, "no index on column"},
+		{"hashed", 400, fmt.Sprintf("selectivity %.0f%% above batched scan break-even", 40.0)},
+		{"hashed", 125, fmt.Sprintf("batched IN probe, selectivity %.1f%% below batched break-even", 12.5)},
+		{"sharded", 3, fmt.Sprintf("batched IN probe, selectivity %.1f%% below batched break-even", 0.3)},
+	} {
+		p, err := tab.PlanIn(c.col, vals[:c.k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Why != c.want {
+			t.Errorf("PlanIn(%s, %d values): %q, want %q", c.col, c.k, p.Why, c.want)
+		}
 	}
 }
 

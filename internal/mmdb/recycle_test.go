@@ -399,8 +399,8 @@ func TestRecycleRaceSharded(t *testing.T) {
 // stage printed.  The counters must agree with the tally kind by kind — a hit
 // is exact, contained, a subset replay or an aggregate, and nothing else: the
 // four retired counters stay zero — and a concurrent StatsSnapshot must never
-// see half of the subset path's miss-becomes-hit trade: lookups settled
-// (Hits + Misses) and exact hits (Hits less the three reuse kinds) only grow.
+// see half a settlement: lookups settled (Hits + Misses) and exact hits (Hits
+// less the three reuse kinds) only grow.
 func TestHitKindsSumToHits(t *testing.T) {
 	cached, _, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 61)
 

@@ -306,7 +306,8 @@ func (s *explainScript) legCtx(name, root string, ctx context.Context, run func(
 // column ("k") and a sharded-only column ("s"), through cold miss, exact
 // hit, containment, an overlapping window, subset replay, a near-superset
 // list, an absorbed append, cancellation at entry, a budget tripping
-// mid-execute and an admission shed: span names, attribute keys, path
+// mid-execute, an admission shed and the three sights of a question under
+// default admission: span names, attribute keys, path
 // strings and which spans are timed are all part of the contract
 // `cssx explain` users read.
 func TestExplainSurfacesGolden(t *testing.T) {
@@ -539,6 +540,15 @@ func TestExplainSurfacesGolden(t *testing.T) {
 	}
 	s.leg("where seed for budgeted conjunct stitch", "SelectRange", rangeLeg("k", 440, 499))
 	s.legCtx("where conjunct overlapping a cached run over budget", "SelectWhere", budget(64), whereLeg(kPred(460, 520), gPred))
+
+	// Default admission (every leg above admits at first sight): a question's
+	// first miss says so and has no admit stage, its second is admitted, its
+	// third is a hit.  (The range is wide enough that the cost model alone
+	// prices it above the 1µs floor, whatever the clock measured.)
+	tab.EnableCache(CacheOptions{})
+	for _, sight := range []string{"first sight deferred", "second sight admitted", "third sight hit"} {
+		s.leg("k range default admission: "+sight, "SelectRange", rangeLeg("k", 100, 289))
+	}
 
 	got := s.out.String()
 	golden := filepath.Join("testdata", "explain_surfaces.golden")

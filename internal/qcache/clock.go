@@ -2,13 +2,15 @@ package qcache
 
 // CLOCK eviction.  Each stripe keeps its entries on a ring with a sweeping
 // hand: a hit warms an entry (ref up to 3), the hand cools it, and only a
-// cold entry under the hand is evicted.  New entries enter cold, so a
-// one-pass scan of never-repeated queries recycles its own slots instead
-// of flushing the warmed working set — the scan resistance the paper's
-// buffer-management ancestors (CLOCK, GCLOCK) bought for page caches,
-// applied to query results.  Benefit feeds in twice: observed hit rate
-// through the ref lives, and recompute cost through the extra life that
-// admission grants expensive entries.
+// cold entry under the hand is evicted.  Scan resistance starts before the
+// copy: a one-pass scan of never-repeated queries does not get past the door
+// (door.go) and leaves only tags behind.  What the door lets through — a
+// question seen twice and then dropped — still enters cold, so it recycles
+// its own slot instead of flushing the warmed working set: the scan
+// resistance the paper's buffer-management ancestors (CLOCK, GCLOCK) bought
+// for page caches, applied to query results.  Benefit feeds in twice:
+// observed hit rate through the ref lives, and recompute cost through the
+// extra life that admission grants expensive entries.
 
 // evictFor frees room for `need` more bytes, evicting cold entries under
 // the hand until the stripe fits its budget share again.  It returns false

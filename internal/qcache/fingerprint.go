@@ -125,11 +125,28 @@ type colKey struct {
 // filed under.
 func (k Key) column() colKey { return colKey{table: k.Table, col: k.Col, layer: k.Layer} }
 
+// identity hashes the fields that route a key: table, column, kind, layer.
+func (k Key) identity() uint64 {
+	h := HashString(HashString(HashSeed, k.Table), k.Col)
+	return HashU32(h, uint32(k.Kind)<<8|uint32(k.Layer))
+}
+
 // stripeFor routes a key to its lock stripe.  Only the identity fields
 // (table, column, kind, layer) participate, so all range entries of one
 // column land in one stripe and containment scans need a single lock.
 func (c *Cache) stripeFor(k Key) *stripe {
-	h := HashString(HashString(HashSeed, k.Table), k.Col)
-	h = HashU32(h, uint32(k.Kind)<<8|uint32(k.Layer))
-	return &c.stripes[h&c.stripeMask]
+	return &c.stripes[k.identity()&c.stripeMask]
+}
+
+// tag hashes the whole question — identity and parameters, never the token —
+// for the stripe's door (door.go).  FNV's multiply only carries low bits
+// upward, so a finishing fold brings the high bits down before the door
+// takes its set index from the bottom and its tag from the top.
+func (k Key) tag() uint64 {
+	h := HashU32(HashU32(k.identity(), k.Lo), k.Hi)
+	h = HashU32(HashU32(h, uint32(k.Hash)), uint32(k.Hash>>32))
+	h = HashU32(h, k.N)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>33
 }

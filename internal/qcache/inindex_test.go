@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// refInReuse is the candidate scan LookupInReuse ran before the inverted
+// refInReuse is the candidate scan the subset replay ran before the inverted
 // index existed, kept as the differential reference: visit every live
 // grouped IN entry of the column — gathered from the stripe's entry map,
 // the ground truth the index is derived from — for the sources that serve
@@ -158,6 +158,7 @@ type inDriver struct {
 	nextRID uint32
 	lists   [][]uint32   // earlier query lists, to derive subsets and supersets from
 	row     map[Key]bool // keys last admitted ungrouped, in row order
+	racing  bool         // background readers are missing concurrently
 }
 
 const inBaseRIDs = 1 << 20 // appended RIDs start here, above every base RID
@@ -219,9 +220,10 @@ func (d *inDriver) list() []uint32 {
 	return out
 }
 
-// query answers one IN-list the way Table.selectIn does — exact lookup,
-// subset replay, else recompute and admit — checking LookupInReuse against
-// the reference scan and every returned row against the synthetic table.
+// query answers one IN-list the way Table.selectIn does — one LookupIn
+// (exact match, else subset replay), else recompute and admit — checking the
+// replay against the reference scan, the Stats settlement against what the
+// reference predicts, and every returned row against the synthetic table.
 func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, grouped bool) {
 	t, c, limit := d.t, d.c, uint32(tok.Epoch)
 	rd := Reader{Tok: tok, Runs: inTail{dom, col, tok}}
@@ -238,48 +240,60 @@ func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, g
 		slices.Sort(s)
 		return s
 	}
-	if got, _, ok := c.Lookup(key, rd); ok {
-		if !slices.Equal(got, want) && !(d.row[key] && slices.Equal(got, inRowOrder(want))) {
-			t.Fatalf("exact hit %+v under %+v: got %v want %v", key, tok, got, want)
-		}
-		return
-	}
 
 	st := c.stripeFor(key)
 	st.mu.Lock()
 	wins := refInReuse(st, key.column(), tok, distinct)
+	// An exact entry that does not answer is reaped (stale, or it cannot be
+	// carried) unless it is newer than the reader: one invalidation that is
+	// not a dropped replay source.
+	exactGone := int64(0)
+	if e := st.m[key]; e != nil && olderOrEqual(e.tok, tok) {
+		exactGone = 1
+	}
 	st.mu.Unlock()
 	before := c.Stats()
-	r, ok := c.LookupInReuse(key, rd, distinct)
+	got, kind, _, _ := c.LookupIn(key, rd, distinct)
 	after := c.Stats()
 
-	// A source that could not be brought current — its successor did not fit
-	// the stripe — is dropped and the lookup misses.
-	if dropped := !ok && after.Invalidations > before.Invalidations; ok != (len(wins) > 0) && !dropped {
-		t.Fatalf("LookupInReuse(%v) found=%v, reference scan has %d covering sources", distinct, ok, len(wins))
-	}
-	if ok {
-		for i, g := range r.Groups {
-			if !slices.Equal(g, dom.rows(col, distinct[i], limit)) {
-				t.Fatalf("group of %d under %+v: got %v want %v", distinct[i], tok, g, dom.rows(col, distinct[i], limit))
-			}
+	switch kind {
+	case HitExact:
+		if !slices.Equal(got, want) && !(d.row[key] && slices.Equal(got, inRowOrder(want))) {
+			t.Fatalf("exact hit %+v under %+v: got %v want %v", key, tok, got, want)
 		}
-		before.Misses--
+		before.Hits++
+	case HitSubset:
+		// The replay concatenates the source's groups in query order, which
+		// is what the table holds for the list.
+		if len(wins) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("LookupIn(%v) replayed %v with %d covering sources, want %v", distinct, got, len(wins), want)
+		}
 		before.Hits++
 		before.SubsetHits++
+	default:
+		// A source that could not be brought current — its successor did not
+		// fit the stripe — is dropped and the lookup misses.
+		if dropped := after.Invalidations-before.Invalidations > exactGone; len(wins) > 0 && !dropped {
+			t.Fatalf("LookupIn(%v) missed, reference scan has %d covering sources", distinct, len(wins))
+		}
+		before.Misses++
 	}
 	// Bringing the source current moves the residency and refresh counters;
-	// the hit/miss settlement is what the reference predicts.
+	// the hit/miss settlement is what the reference predicts.  (The concurrent
+	// leg's readers miss in the background.)
 	for _, s := range []*Stats{&before, &after} {
 		s.Patches, s.Invalidations, s.Evictions, s.Entries, s.Bytes = 0, 0, 0, 0, 0
+		if d.racing {
+			s.Misses = 0
+		}
 	}
 	if after != before {
-		t.Fatalf("LookupInReuse(%v) found=%v: stats moved to %+v, reference predicts %+v", distinct, ok, after, before)
+		t.Fatalf("LookupIn(%v) answered %v: stats moved to %+v, reference predicts %+v", distinct, kind, after, before)
 	}
 
 	switch {
-	case ok:
-		return // subset replay: not re-admitted
+	case kind != HitMiss:
+		return // answered; a subset replay is not re-admitted
 	case !grouped:
 		delete(d.row, key)
 		if d.rng.Intn(2) == 0 {
@@ -304,7 +318,7 @@ func (d *inDriver) step() {
 			d.query(dom, col, d.list(), dom.past[d.rng.Intn(len(dom.past))], true)
 		}
 	case op < 88: // a token from the future: nothing may match it
-		d.c.LookupInReuse(Key{Table: dom.table, Col: col, Kind: KindIn, Layer: dom.layer, Hash: 1, N: 1},
+		d.c.LookupIn(Key{Table: dom.table, Col: col, Kind: KindIn, Layer: dom.layer, Hash: 1, N: 1},
 			at(Token{Gen: dom.tok.Gen + 9}), d.list())
 	case op < 98: // an absorbed append: the cache hears nothing of it
 		n := 1 + d.rng.Intn(4)
@@ -333,7 +347,7 @@ func (d *inDriver) step() {
 // ungrouped InsertIn (overlapping, disjoint, subset and superset lists)
 // under a budget tight enough to evict, absorbed appends whose rows the
 // next hit re-stamps, splices in or drops on, DropTable, and current-,
-// stale- and future-token lookups.  Every LookupInReuse must agree with the
+// stale- and future-token lookups.  Every LookupIn must agree with the
 // reference on found/not-found — a near-superset is a miss like any other —
 // group contents against the table and its Stats settlement, and the index
 // invariants must hold after every step.  The concurrent leg adds readers that race the refreshes' relinking;
@@ -343,7 +357,7 @@ func TestInReusePatchEvictDifferential(t *testing.T) {
 		for _, concurrent := range []bool{false, true} {
 			t.Run(fmt.Sprintf("seed=%d/concurrent=%v", seed, concurrent), func(t *testing.T) {
 				c := New(admitAll(Options{MaxBytes: 24 << 10, Stripes: 4}))
-				d := &inDriver{t: t, c: c, rng: rand.New(rand.NewSource(seed)), nextRID: inBaseRIDs, row: map[Key]bool{}}
+				d := &inDriver{t: t, c: c, rng: rand.New(rand.NewSource(seed)), nextRID: inBaseRIDs, row: map[Key]bool{}, racing: concurrent}
 				for _, table := range []string{"t", "u"} {
 					for _, layer := range []Layer{LayerTable, LayerEpoch} {
 						d.doms = append(d.doms, &inDom{table: table, layer: layer, tok: Token{Gen: 1, Epoch: inBaseRIDs},
@@ -367,12 +381,12 @@ func TestInReusePatchEvictDifferential(t *testing.T) {
 								// These readers are behind every entry (all marks
 								// are ≥ inBaseRIDs): they walk the posting chains
 								// the driver relinks, match nothing, bring nothing
-								// current and settle no counter, so the driver's
-								// predictions stay exact.
+								// current and settle only a miss each, which the
+								// driver's predictions leave out on this leg.
 								q := []uint32{1 << 30, uint32(rng.Intn(40)), 40 + uint32(rng.Intn(8))}
 								k := Key{Table: "tu"[w%2 : w%2+1], Col: inCols[rng.Intn(2)], Kind: KindIn, Layer: Layer(rng.Intn(2)), Hash: 7, N: 3}
-								if r, ok := c.LookupInReuse(k, at(Token{Gen: 1 + uint64(rng.Intn(3)), Epoch: uint64(rng.Intn(inBaseRIDs))}), q); ok {
-									t.Errorf("concurrent lookup %v behind every entry: %+v", q, r)
+								if r, kind, _, _ := c.LookupIn(k, at(Token{Gen: 1 + uint64(rng.Intn(3)), Epoch: uint64(rng.Intn(inBaseRIDs))}), q); kind != HitMiss {
+									t.Errorf("concurrent lookup %v behind every entry: %v %v", q, kind, r)
 									return
 								}
 							}
@@ -409,14 +423,14 @@ func TestPatchGroupedInOutgrowsBudget(t *testing.T) {
 		batch[i] = 5
 	}
 	rd := tailRows{start: 100, cols: map[string][]uint32{"a": batch}, col: "a"}.reader(0)
-	if _, _, ok := c.Lookup(k, rd); ok {
+	if _, _, ok, _ := c.Lookup(k, rd); ok {
 		t.Fatal("hit on an entry whose successor cannot fit")
 	}
 	checkInIndex(t, c)
 	if s := c.Stats(); s.Entries != 0 || s.Patches != 0 || s.Invalidations != 1 {
 		t.Fatalf("after a splice larger than the stripe: %+v", s)
 	}
-	if _, ok := c.LookupInReuse(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 3, N: 1}, rd, []uint32{9}); ok {
+	if _, kind, _, _ := c.LookupIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 3, N: 1}, rd, []uint32{9}); kind != HitMiss {
 		t.Fatal("reuse from the dropped entry")
 	}
 }
@@ -449,7 +463,7 @@ func TestLookupInReuseMissCostFollowsQuery(t *testing.T) {
 		ix := c.stripes[0].inIdx[colKey{table: "t", col: "a"}]
 		before := ix.visits
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, ok := c.LookupInReuse(k, at(tok), q); ok {
+			if _, kind, _, _ := c.LookupIn(k, at(tok), q); kind != HitMiss {
 				t.Fatal("reuse found for values no entry lists")
 			}
 		})
@@ -462,7 +476,7 @@ func TestLookupInReuseMissCostFollowsQuery(t *testing.T) {
 		// 0..39 are listed by one entry, 1<<30 by none: five probes, then stop.
 		near := append(seq(0, 4), 1<<30, 5, 6, 7)
 		before = ix.visits
-		if _, ok := c.LookupInReuse(k, at(tok), near); ok {
+		if _, kind, _, _ := c.LookupIn(k, at(tok), near); kind != HitMiss {
 			t.Fatal("a near-superset was answered")
 		}
 		if got := ix.visits - before; got != 5 {
@@ -491,8 +505,8 @@ func BenchmarkLookupInReuseMiss(b *testing.B) {
 			b.Run(fmt.Sprintf("resident=%d/%s", resident, q.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if r, ok := c.LookupInReuse(k, at(tok), q.vals); ok != q.hit {
-						b.Fatalf("lookup found=%v %+v", ok, r)
+					if r, kind, _, _ := c.LookupIn(k, at(tok), q.vals); (kind == HitSubset) != q.hit {
+						b.Fatalf("lookup answered %v %+v", kind, r)
 					}
 				}
 			})

@@ -74,17 +74,17 @@ func TestPatchRetokensNonIntersectingRange(t *testing.T) {
 	if s := c.Stats(); s.Patches != 0 {
 		t.Fatalf("patches %d before any lookup", s.Patches)
 	}
-	got, tail, ok := c.Lookup(rangeKey("t", "a", 10, 19), rd)
+	got, tail, ok, _ := c.Lookup(rangeKey("t", "a", 10, 19), rd)
 	if !ok || tail != 0 || len(got) != 10 || got[0] != 100 {
 		t.Fatalf("re-stamped entry lost: ok=%v tail=%d got=%v", ok, tail, got)
 	}
 	// A straggler at the old mark no longer hits, and does not disturb the
 	// fresher entry.
-	if _, _, ok := c.Lookup(rangeKey("t", "a", 10, 19), at(mark500)); ok {
+	if _, _, ok, _ := c.Lookup(rangeKey("t", "a", 10, 19), at(mark500)); ok {
 		t.Fatal("old mark still served after the refresh")
 	}
 	// Containment reuse keeps working on the carried entry, now current.
-	if got, kind, tail := c.LookupRange(rangeKey("t", "a", 12, 14), rd); kind != HitContained || tail != Current || len(got) != 3 {
+	if got, kind, tail, _ := c.LookupRange(rangeKey("t", "a", 12, 14), rd); kind != HitContained || tail != Current || len(got) != 3 {
 		t.Fatalf("containment on re-stamped entry: kind=%v tail=%d got=%v", kind, tail, got)
 	}
 	if s := c.Stats(); s.Patches != 1 {
@@ -100,7 +100,7 @@ func TestPatchMergesIntersectingRange(t *testing.T) {
 	// Appended rows (rid 500: a=13) (501: a=99) (502: a=10) (503: a=11):
 	// three qualify, one misses.
 	rd := appended(map[string][]uint32{"a": {13, 99, 10, 11}}).reader(1)
-	got, tail, ok := c.Lookup(rangeKey("t", "a", 10, 16), rd)
+	got, tail, ok, _ := c.Lookup(rangeKey("t", "a", 10, 16), rd)
 	if !ok || tail != 3 {
 		t.Fatalf("merged entry: ok=%v tail=%d", ok, tail)
 	}
@@ -111,7 +111,7 @@ func TestPatchMergesIntersectingRange(t *testing.T) {
 		t.Fatalf("merged rids %v, want %v", got, want)
 	}
 	// The merged key run serves subranges that include appended values.
-	if got, kind, _ := c.LookupRange(rangeKey("t", "a", 11, 13), rd); kind != HitContained || fmt.Sprint(got) != fmt.Sprint([]uint32{503, 101, 500}) {
+	if got, kind, _, _ := c.LookupRange(rangeKey("t", "a", 11, 13), rd); kind != HitContained || fmt.Sprint(got) != fmt.Sprint([]uint32{503, 101, 500}) {
 		t.Fatalf("containment over merged run: kind=%v got=%v", kind, got)
 	}
 }
@@ -123,13 +123,13 @@ func TestContainmentBringsItsSourceCurrent(t *testing.T) {
 	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, []uint32{10, 15}, []uint32{1, 2}, 10)
 	c.InsertRange(rangeKey("t", "a", 20, 29), mark500, []uint32{25}, []uint32{3}, 10)
 	rd := appended(map[string][]uint32{"a": {12, 27, 40}}).reader(1)
-	got, kind, tail := c.LookupRange(rangeKey("t", "a", 11, 16), rd)
+	got, kind, tail, _ := c.LookupRange(rangeKey("t", "a", 11, 16), rd)
 	if kind != HitContained || tail != 1 || fmt.Sprint(got) != fmt.Sprint([]uint32{500, 2}) {
 		t.Fatalf("contained: kind=%v tail=%d got=%v", kind, tail, got)
 	}
 	// A request the two runs only tile together is a miss: no entry answers
 	// it alone, and neither run is touched for it.
-	if got, kind, _ := c.LookupRange(rangeKey("t", "a", 12, 27), rd); kind != HitMiss || got != nil {
+	if got, kind, _, _ := c.LookupRange(rangeKey("t", "a", 12, 27), rd); kind != HitMiss || got != nil {
 		t.Fatalf("overlapping request: kind=%v got=%v", kind, got)
 	}
 	if s := c.Stats(); s.Patches != 1 || s.Misses != 1 {
@@ -142,7 +142,7 @@ func TestPatchAppendsToRowOrderRange(t *testing.T) {
 	// Scan-path entry: row-order rids, no key run.
 	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, nil, []uint32{4, 7, 9}, 10)
 	rd := appended(map[string][]uint32{"a": {15, 3, 12}}).reader(1)
-	got, tail, ok := c.Lookup(rangeKey("t", "a", 10, 19), rd)
+	got, tail, ok, _ := c.Lookup(rangeKey("t", "a", 10, 19), rd)
 	if !ok || tail != 2 || fmt.Sprint(got) != fmt.Sprint([]uint32{4, 7, 9, 500, 502}) {
 		t.Fatalf("row-order refresh: ok=%v tail=%d got=%v", ok, tail, got)
 	}
@@ -155,18 +155,18 @@ func TestPatchInList(t *testing.T) {
 
 	// Appended values miss the list: carried over, through either view.
 	tl := appended(map[string][]uint32{"a": {6, 39}})
-	if got, _, ok := c.Lookup(k, Reader{Tok: tl.reader(1).Tok, Runs: tl}); !ok || len(got) != 3 {
+	if got, _, ok, _ := c.Lookup(k, Reader{Tok: tl.reader(1).Tok, Runs: tl}); !ok || len(got) != 3 {
 		t.Fatalf("IN entry not carried: ok=%v got=%v", ok, got)
 	}
 	// Appended value hits the list: dropped (mid-result splice impossible).
 	tl.cols["a"] = append(tl.cols["a"], 17)
-	if _, _, ok := c.Lookup(k, tl.reader(1)); ok {
+	if _, _, ok, _ := c.Lookup(k, tl.reader(1)); ok {
 		t.Fatal("intersecting IN entry served after the append")
 	}
 	// A plain Insert (no value payload) cannot be carried: dropped.
 	c.Insert(k, tl.reader(1).Tok, []uint32{1}, 10)
 	tl.cols["a"] = append(tl.cols["a"], 6)
-	if _, _, ok := c.Lookup(k, tl.reader(1)); ok {
+	if _, _, ok, _ := c.Lookup(k, tl.reader(1)); ok {
 		t.Fatal("payload-free IN entry survived an append")
 	}
 }
@@ -180,23 +180,23 @@ func TestPatchGroupedInSplice(t *testing.T) {
 	// Appended rows (500: a=5) (501: a=40) (502: a=7): two hit the list and
 	// splice into their groups instead of dropping the entry.
 	tl := appended(map[string][]uint32{"a": {5, 40, 7}})
-	got, tail, ok := c.Lookup(k, tl.reader(1))
+	got, tail, ok, _ := c.Lookup(k, tl.reader(1))
 	if !ok || tail != 2 || fmt.Sprint(got) != fmt.Sprint([]uint32{1, 2, 3, 500, 501}) {
 		t.Fatalf("grouped splice: ok=%v tail=%d got=%v", ok, tail, got)
 	}
 	// The refreshed entry still answers subset replays with the new rows.
 	qk := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 10, N: 1}
-	r, ok := c.LookupInReuse(qk, tl.reader(1), []uint32{5})
-	if !ok || r.TailRows != Current || fmt.Sprint(r.Groups[0]) != fmt.Sprint([]uint32{3, 500}) {
-		t.Fatalf("subset after splice: ok=%v %+v", ok, r)
+	r, kind, tail, _ := c.LookupIn(qk, tl.reader(1), []uint32{5})
+	if kind != HitSubset || tail != Current || fmt.Sprint(r) != fmt.Sprint([]uint32{3, 500}) {
+		t.Fatalf("subset after splice: %v tail=%d %v", kind, tail, r)
 	}
 	// Rows with no listed value carry the entry untouched — here found as
 	// the replay's source, which is brought current like any other hit.
 	tl.cols["a"] = append(tl.cols["a"], 6, 39)
-	if r, ok := c.LookupInReuse(qk, tl.reader(1), []uint32{5}); !ok || r.TailRows != 0 {
-		t.Fatalf("grouped carry through a replay: ok=%v %+v", ok, r)
+	if r, kind, tail, _ := c.LookupIn(qk, tl.reader(1), []uint32{5}); kind != HitSubset || tail != 0 {
+		t.Fatalf("grouped carry through a replay: %v tail=%d %v", kind, tail, r)
 	}
-	if got, tail, ok := c.Lookup(k, tl.reader(1)); !ok || tail != Current || len(got) != 5 {
+	if got, tail, ok, _ := c.Lookup(k, tl.reader(1)); !ok || tail != Current || len(got) != 5 {
 		t.Fatalf("grouped carry: ok=%v tail=%d got=%v", ok, tail, got)
 	}
 }
@@ -209,7 +209,7 @@ func TestPatchAggregates(t *testing.T) {
 	// Appended rows (g=5, m=7) and (g=9, m=100): group 5 extends, group 9
 	// appears — exactly what recomputing over base ∪ delta would yield.
 	tl := appended(map[string][]uint32{"g": {5, 9}, "m": {7, 100}})
-	got, tail, ok := c.LookupAgg(ka, tl.reader(1))
+	got, tail, ok, _ := c.LookupAgg(ka, tl.reader(1))
 	want := []AggRow{
 		{Value: 5, Count: 3, Sum: 37, Min: 7, Max: 20},
 		{Value: 9, Count: 1, Sum: 100, Min: 100, Max: 100},
@@ -223,14 +223,14 @@ func TestPatchAggregates(t *testing.T) {
 	ke := Key{Table: "t", Col: "g", Kind: KindAgg, Hash: 2, N: 3}
 	c.InsertAgg(ke, tl.reader(1).Tok, "m", false, rows, 10)
 	tl.cols["g"], tl.cols["m"] = append(tl.cols["g"], 5), append(tl.cols["m"], 1)
-	if got, tail, ok := c.LookupAgg(ke, tl.reader(1)); !ok || tail != 0 || fmt.Sprint(got) != fmt.Sprint(rows) {
+	if got, tail, ok, _ := c.LookupAgg(ke, tl.reader(1)); !ok || tail != 0 || fmt.Sprint(got) != fmt.Sprint(rows) {
 		t.Fatalf("explicit-RID agg re-stamp: ok=%v tail=%d got=%v", ok, tail, got)
 	}
 
 	// A reader whose rows lack the measure column cannot extend an all-rows
 	// aggregate: dropped.
 	tl.cols["g"] = append(tl.cols["g"], 5)
-	if _, _, ok := c.LookupAgg(ka, tl.reader(1)); ok {
+	if _, _, ok, _ := c.LookupAgg(ka, tl.reader(1)); ok {
 		t.Fatal("all-rows aggregate survived rows missing its measure column")
 	}
 }
@@ -247,13 +247,13 @@ func TestPatchWhereConjunction(t *testing.T) {
 		"a": {15, 15, 25},
 		"b": {3, 9, 1},
 	})
-	got, tail, ok := c.Lookup(k, tl.reader(1))
+	got, tail, ok, _ := c.Lookup(k, tl.reader(1))
 	if !ok || tail != 1 || fmt.Sprint(got) != fmt.Sprint([]uint32{8, 9, 500}) {
 		t.Fatalf("where refresh: ok=%v tail=%d got=%v", ok, tail, got)
 	}
 	// Rows missing one conjunct column drop the entry.
 	tl.cols["a"] = append(tl.cols["a"], 15)
-	if _, _, ok := c.Lookup(k, tl.reader(1)); ok {
+	if _, _, ok, _ := c.Lookup(k, tl.reader(1)); ok {
 		t.Fatal("where entry survived rows missing a conjunct column")
 	}
 }
@@ -270,19 +270,19 @@ func TestPatchDropsJoinsAndStragglers(t *testing.T) {
 	c.InsertRange(fk, Token{Gen: 1, Epoch: 900}, seq(0, 10), seq(0, 10), 10)
 
 	rd := appended(map[string][]uint32{"a": {100}, "b": {100}, "k": {100}}).reader(1)
-	if _, _, ok := c.LookupPair(jk, rd.Tok); ok {
+	if _, _, ok, _ := c.LookupPair(jk, rd.Tok); ok {
 		t.Fatal("join entry survived an append")
 	}
-	if _, _, ok := c.Lookup(sk, rd); ok {
+	if _, _, ok, _ := c.Lookup(sk, rd); ok {
 		t.Fatal("entry of an older generation served")
 	}
-	if _, _, ok := c.Lookup(fk, rd); ok {
+	if _, _, ok, _ := c.Lookup(fk, rd); ok {
 		t.Fatal("a reader saw rows past its own")
 	}
 	if s := c.Stats(); s.Invalidations != 2 || s.Entries != 1 {
 		t.Fatalf("join and old generation reaped, fresher entry kept: %+v", s)
 	}
-	if _, _, ok := c.Lookup(fk, at(Token{Gen: 1, Epoch: 900})); !ok {
+	if _, _, ok, _ := c.Lookup(fk, at(Token{Gen: 1, Epoch: 900})); !ok {
 		t.Fatal("a straggler removed an entry fresher than itself")
 	}
 }
@@ -299,11 +299,11 @@ func TestPatchScopesByColumnAndTable(t *testing.T) {
 	for _, k := range []Key{ka, ka2, kb, ko} {
 		c.InsertRange(k, mark500, seq(k.Lo, 10), seq(0, 10), 10)
 	}
-	if _, _, ok := c.Lookup(ka, appended(map[string][]uint32{"a": {100}}).reader(1)); !ok {
+	if _, _, ok, _ := c.Lookup(ka, appended(map[string][]uint32{"a": {100}}).reader(1)); !ok {
 		t.Fatal("asked-for entry not brought current")
 	}
 	for _, k := range []Key{ka2, kb, ko} {
-		if _, tail, ok := c.Lookup(k, at(mark500)); !ok || tail != Current {
+		if _, tail, ok, _ := c.Lookup(k, at(mark500)); !ok || tail != Current {
 			t.Fatalf("%+v was touched by another entry's refresh", k)
 		}
 	}
@@ -361,15 +361,15 @@ func TestPatchConcurrentWithLookups(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				m := uint32(base + (i*7+w*13)%(batches+1)) // marks out of order: stragglers and leaders
 				rd := readerAt(m)
-				if got, _, ok := c.Lookup(k, rd); ok && (len(got) < base || slices.Max(got) >= m) {
+				if got, _, ok, _ := c.Lookup(k, rd); ok && (len(got) < base || slices.Max(got) >= m) {
 					t.Errorf("reader at %d saw %d rows up to RID %d", m, len(got), slices.Max(got))
 					return
 				}
 				c.LookupRange(rangeKey("t", "a", 3, 7), rd)
 				// The reuse surfaces walk the same interval map and grouped
 				// lists a refresh relinks; -race guards the walk.
-				if r, ok := c.LookupInReuse(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 99, N: 1}, rd, []uint32{31}); ok && len(r.Groups[0]) > 0 && slices.Max(r.Groups[0]) >= m {
-					t.Errorf("reader at %d replayed a row past its mark: %v", m, r.Groups[0])
+				if r, _, _, _ := c.LookupIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 99, N: 1}, rd, []uint32{31}); len(r) > 0 && slices.Max(r) >= m {
+					t.Errorf("reader at %d replayed a row past its mark: %v", m, r)
 					return
 				}
 				c.LookupAgg(Key{Table: "t", Col: "a", Kind: KindAgg, Hash: 98}, rd)
@@ -385,7 +385,7 @@ func TestPatchConcurrentWithLookups(t *testing.T) {
 			want++
 		}
 	}
-	if got, _, ok := c.Lookup(k, readerAt(base+batches)); !ok || len(got) != want {
+	if got, _, ok, _ := c.Lookup(k, readerAt(base+batches)); !ok || len(got) != want {
 		t.Fatalf("entry after the race: ok=%v len=%d want %d", ok, len(got), want)
 	}
 }

@@ -19,14 +19,21 @@
 // insert and on hit, so callers may mutate what they pass in and what they
 // get back.
 //
-// Admission and eviction are benefit-based.  An entry is admitted only
-// when its estimated recompute cost (the caller passes the max of the
-// measured elapsed time and the planner's cost-model estimate) clears
+// Admission and eviction.  Recurrence comes first: nothing is cached at
+// first sight.  Every miss notes its question in the stripe's door (door.go)
+// and comes back with a verdict, and only a question that has missed before
+// is worth staging and inserting — so a stream of ad-hoc questions costs the
+// cache a tag each, not a payload copy, a link and an eviction, and the
+// executor builds no cache payload for them either.  The price: a recurring
+// question is computed twice before it is served from here.  A result whose
+// question passed the door is then admitted on benefit, as before: its
+// estimated recompute cost (the caller passes the max of the measured
+// elapsed time and the planner's cost-model estimate) must clear
 // Options.MinCostNs and its bytes fit the stripe's share of the budget;
-// expensive entries start with an extra CLOCK life.  Eviction is a
-// CLOCK sweep — scan-resistant because entries enter cold (ref 0) and
-// only observed hits warm them — so one pass of never-repeated queries
-// cannot flush the working set of a hot dashboard.
+// expensive entries start with an extra CLOCK life.  A negative MinCostNs
+// switches both tests off (admit everything).  Eviction is a CLOCK sweep:
+// entries enter cold (ref 0) and only observed hits warm them, so what does
+// get admitted still cannot flush the working set of a hot dashboard.
 //
 // Beyond exact replay, the cache is an intermediate-reuse engine (the
 // recycler) with one contract: a lookup returns a complete answer from one
@@ -76,7 +83,7 @@ type Options struct {
 	MaxBytes int64
 	// MinCostNs is the admission floor: results whose estimated recompute
 	// cost is below it are not worth a cache slot.  0 means
-	// DefaultMinCostNs; negative admits everything.
+	// DefaultMinCostNs; negative admits everything, at first sight.
 	MinCostNs int64
 	// Stripes is the lock-stripe count, rounded up to a power of two.
 	// 0 means 16.
@@ -152,7 +159,7 @@ type stripe struct {
 	// ordered by (lo, hi): the interval map containment lookups walk.
 	ranges map[colKey][]*entry
 	// inIdx holds, per column, the inverted index over the grouped IN
-	// entries (value → the entries listing it): LookupInReuse finds its
+	// entries (value → the entries listing it): LookupIn finds its
 	// subset candidates with one posting lookup per query value instead of
 	// visiting every resident entry.  A column's index exists
 	// only while it has entries.
@@ -161,6 +168,9 @@ type stripe struct {
 	hand  int
 	bytes int64
 	live  int
+	// door remembers which questions have missed here before (door.go); nil
+	// until the stripe's first miss, and for good under admit-all.
+	door *door
 	// stats are this stripe's counter cells: plain int64s touched only
 	// under mu, summed once per stripe by StatsSnapshot.
 	stats Stats
@@ -227,26 +237,33 @@ func (c *Cache) MaxEntryBytes() int64 {
 	return c.budget / 2
 }
 
+// Every lookup that can miss returns the admission verdict with the miss
+// (door.go): admit says whether the caller should stage and insert the
+// result it is about to compute.  It is false on a hit, on a first-sight
+// miss, and always on a disabled cache — so a caller that stages only on
+// admit needs no other test.
+
 // Lookup returns a copy of the RIDs cached under exactly this fingerprint,
 // brought current for the reader, and the tail rows that merged (Current when
 // none were missing).  An entry of an older generation, or one that cannot be
 // carried, is invalidated in place.
-func (c *Cache) Lookup(k Key, rd Reader) (rids []uint32, tail int, ok bool) {
-	rids, _, tail, ok = c.get(k, rd)
-	return append([]uint32(nil), rids...), tail, ok
+func (c *Cache) Lookup(k Key, rd Reader) (rids []uint32, tail int, ok, admit bool) {
+	rids, _, tail, ok, admit = c.get(k, rd)
+	return append([]uint32(nil), rids...), tail, ok, admit
 }
 
 // LookupPair returns copies of a cached join-pair result (outer RIDs,
 // inner RIDs).
-func (c *Cache) LookupPair(k Key, tok Token) (outer, inner []uint32, ok bool) {
-	outer, inner, _, ok = c.get(k, Reader{Tok: tok})
-	return append([]uint32(nil), outer...), append([]uint32(nil), inner...), ok
+func (c *Cache) LookupPair(k Key, tok Token) (outer, inner []uint32, ok, admit bool) {
+	outer, inner, _, ok, admit = c.get(k, Reader{Tok: tok})
+	return append([]uint32(nil), outer...), append([]uint32(nil), inner...), ok, admit
 }
 
 // LookupPairCount returns the size of a cached join-pair result without
-// copying the pairs — the count-only join's O(1) hit path.
+// copying the pairs — the count-only join's O(1) hit path.  A count-only
+// join never inserts, so its miss carries no verdict.
 func (c *Cache) LookupPairCount(k Key, tok Token) (int, bool) {
-	outer, _, _, ok := c.get(k, Reader{Tok: tok})
+	outer, _, _, ok, _ := c.get(k, Reader{Tok: tok})
 	return len(outer), ok
 }
 
@@ -281,9 +298,9 @@ func (st *stripe) lookupLocked(k Key, rd Reader, c *Cache) (*entry, int) {
 
 // get is the exact-match path with hit/miss accounting settled under the
 // stripe lock; it returns the entry's RID payloads uncopied.
-func (c *Cache) get(k Key, rd Reader) (rids, inner []uint32, tail int, ok bool) {
+func (c *Cache) get(k Key, rd Reader) (rids, inner []uint32, tail int, ok, admit bool) {
 	if !c.Enabled() {
-		return nil, nil, Current, false
+		return nil, nil, Current, false, false
 	}
 	st := c.stripeFor(k)
 	st.mu.Lock()
@@ -292,13 +309,13 @@ func (c *Cache) get(k Key, rd Reader) (rids, inner []uint32, tail int, ok bool) 
 		st.stats.Hits++
 		rids, inner = e.rids, e.inner
 	} else {
-		st.stats.Misses++
+		admit = st.miss(k, c)
 	}
 	st.mu.Unlock()
-	return rids, inner, tail, ok
+	return rids, inner, tail, ok, admit
 }
 
-// HitKind classifies how LookupRange answered, for tracing and
+// HitKind classifies how LookupRange or LookupIn answered, for tracing and
 // EXPLAIN-style output.
 type HitKind uint8
 
@@ -306,6 +323,7 @@ const (
 	HitMiss      HitKind = iota // not answered from cache
 	HitExact                    // same fingerprint, a mark the reader covers
 	HitContained                // sliced from a covering cached run
+	HitSubset                   // replayed from the groups of a cached IN-list naming every value
 )
 
 // String names the hit kind the way EXPLAIN output spells it.
@@ -315,6 +333,8 @@ func (h HitKind) String() string {
 		return "hit"
 	case HitContained:
 		return "contained"
+	case HitSubset:
+		return "subset-replay"
 	default:
 		return "miss"
 	}
@@ -327,9 +347,9 @@ func (h HitKind) String() string {
 // searches and a slice copy.  It reports how the answer was found, and the
 // tail rows merged bringing the answering entry current (Current when none
 // were missing).
-func (c *Cache) LookupRange(k Key, rd Reader) (rids []uint32, kind HitKind, tail int) {
+func (c *Cache) LookupRange(k Key, rd Reader) (rids []uint32, kind HitKind, tail int, admit bool) {
 	if !c.Enabled() {
-		return nil, HitMiss, Current
+		return nil, HitMiss, Current, false
 	}
 	// One lock acquisition answers exact match, containment, and the
 	// accounting: exactly one of hit / contained-hit / miss is counted,
@@ -362,10 +382,10 @@ func (c *Cache) LookupRange(k Key, rd Reader) (rids []uint32, kind HitKind, tail
 	if kind != HitMiss {
 		st.stats.Hits++
 	} else {
-		st.stats.Misses++
+		admit = st.miss(k, c)
 	}
 	st.mu.Unlock()
-	return append([]uint32(nil), rids...), kind, tail
+	return append([]uint32(nil), rids...), kind, tail, admit
 }
 
 // span returns the half-open positions of a key run's pairs with
@@ -376,6 +396,9 @@ func (e *entry) span(lo, hi uint32) (first, last int) {
 	return first, last
 }
 
+// The Insert family is the second half of a miss whose lookup said admit;
+// callers skip it (and the staging it needs) otherwise.
+//
 // Insert caches a result under the fingerprint and token.  The slice is
 // copied; admission may reject (cost floor, oversized, or unevictable
 // pressure).

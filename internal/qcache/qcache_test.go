@@ -28,13 +28,13 @@ func TestExactHitMissAndCopy(t *testing.T) {
 	c := New(admitAll(Options{}))
 	k := rangeKey("t", "a", 5, 9)
 	tok := Token{Gen: 1}
-	if _, _, ok := c.Lookup(k, at(tok)); ok {
+	if _, _, ok, _ := c.Lookup(k, at(tok)); ok {
 		t.Fatal("hit on empty cache")
 	}
 	rids := []uint32{3, 1, 4}
 	c.Insert(k, tok, rids, 10)
 	rids[0] = 99 // caller mutates after insert; cached copy must not see it
-	got, _, ok := c.Lookup(k, at(tok))
+	got, _, ok, _ := c.Lookup(k, at(tok))
 	if !ok {
 		t.Fatal("miss after insert")
 	}
@@ -42,7 +42,7 @@ func TestExactHitMissAndCopy(t *testing.T) {
 		t.Fatalf("got %v, want [3 1 4]", got)
 	}
 	got[1] = 77 // mutating a hit must not corrupt the cache
-	again, _, _ := c.Lookup(k, at(tok))
+	again, _, _, _ := c.Lookup(k, at(tok))
 	if again[1] != 1 {
 		t.Fatalf("cached copy corrupted: %v", again)
 	}
@@ -56,7 +56,7 @@ func TestTokenMismatchInvalidates(t *testing.T) {
 	c := New(admitAll(Options{}))
 	k := rangeKey("t", "a", 0, 4)
 	c.Insert(k, Token{Gen: 1}, seq(0, 4), 10)
-	if _, _, ok := c.Lookup(k, at(Token{Gen: 2})); ok {
+	if _, _, ok, _ := c.Lookup(k, at(Token{Gen: 2})); ok {
 		t.Fatal("stale token must miss")
 	}
 	s := c.Stats()
@@ -64,7 +64,7 @@ func TestTokenMismatchInvalidates(t *testing.T) {
 		t.Fatalf("stats %+v", s)
 	}
 	// The old token cannot resurrect the dropped entry.
-	if _, _, ok := c.Lookup(k, at(Token{Gen: 1})); ok {
+	if _, _, ok, _ := c.Lookup(k, at(Token{Gen: 1})); ok {
 		t.Fatal("invalidated entry served")
 	}
 }
@@ -77,18 +77,18 @@ func TestStragglerDoesNotEvictFresh(t *testing.T) {
 	c.Insert(k, fresh, seq(10, 4), 10)
 	// A reader still holding the pre-swap epoch must miss without
 	// evicting the current epoch's entry...
-	if _, _, ok := c.Lookup(k, at(stale)); ok {
+	if _, _, ok, _ := c.Lookup(k, at(stale)); ok {
 		t.Fatal("stale token hit the fresh entry")
 	}
-	if got, _, ok := c.Lookup(k, at(fresh)); !ok || got[0] != 10 {
+	if got, _, ok, _ := c.Lookup(k, at(fresh)); !ok || got[0] != 10 {
 		t.Fatal("fresh entry evicted by a straggler lookup")
 	}
 	// ...and its late insert must not clobber it either.
 	c.Insert(k, stale, seq(99, 4), 10)
-	if got, _, ok := c.Lookup(k, at(fresh)); !ok || got[0] != 10 {
+	if got, _, ok, _ := c.Lookup(k, at(fresh)); !ok || got[0] != 10 {
 		t.Fatal("straggler insert clobbered the fresh entry")
 	}
-	if _, _, ok := c.Lookup(k, at(stale)); ok {
+	if _, _, ok, _ := c.Lookup(k, at(stale)); ok {
 		t.Fatal("rejected stale insert is being served")
 	}
 }
@@ -101,7 +101,7 @@ func TestContainmentReuse(t *testing.T) {
 	rids := seq(100, 10)
 	c.InsertRange(rangeKey("t", "a", 10, 19), tok, keys, rids, 10)
 
-	got, kind, _ := c.LookupRange(rangeKey("t", "a", 13, 16), at(tok))
+	got, kind, _, _ := c.LookupRange(rangeKey("t", "a", 13, 16), at(tok))
 	if kind != HitContained {
 		t.Fatal("contained subrange missed")
 	}
@@ -110,15 +110,15 @@ func TestContainmentReuse(t *testing.T) {
 		t.Fatalf("got %v want %v", got, want)
 	}
 	// Point subrange within coverage: closed bounds include the value.
-	if got, kind, _ := c.LookupRange(rangeKey("t", "a", 15, 15), at(tok)); kind == HitMiss || len(got) != 1 || got[0] != 105 {
+	if got, kind, _, _ := c.LookupRange(rangeKey("t", "a", 15, 15), at(tok)); kind == HitMiss || len(got) != 1 || got[0] != 105 {
 		t.Fatalf("point subrange: kind=%v got=%v", kind, got)
 	}
 	// Not contained: extends past the cached run.
-	if _, kind, _ := c.LookupRange(rangeKey("t", "a", 15, 25), at(tok)); kind != HitMiss {
+	if _, kind, _, _ := c.LookupRange(rangeKey("t", "a", 15, 25), at(tok)); kind != HitMiss {
 		t.Fatal("non-contained range hit")
 	}
 	// Wrong token: no containment across epochs.
-	if _, kind, _ := c.LookupRange(rangeKey("t", "a", 13, 16), at(Token{Gen: 2})); kind != HitMiss {
+	if _, kind, _, _ := c.LookupRange(rangeKey("t", "a", 13, 16), at(Token{Gen: 2})); kind != HitMiss {
 		t.Fatal("containment across tokens")
 	}
 	s := c.Stats()
@@ -132,27 +132,52 @@ func TestExactOnlyEntriesSkipContainment(t *testing.T) {
 	tok := Token{Gen: 1}
 	// nil key run = scan-path result; exact reuse only.
 	c.InsertRange(rangeKey("t", "a", 10, 20), tok, nil, seq(0, 5), 10)
-	if _, _, ok := c.Lookup(rangeKey("t", "a", 10, 20), at(tok)); !ok {
+	if _, _, ok, _ := c.Lookup(rangeKey("t", "a", 10, 20), at(tok)); !ok {
 		t.Fatal("exact lookup must still hit")
 	}
-	if _, kind, _ := c.LookupRange(rangeKey("t", "a", 12, 14), at(tok)); kind != HitMiss {
+	if _, kind, _, _ := c.LookupRange(rangeKey("t", "a", 12, 14), at(tok)); kind != HitMiss {
 		t.Fatal("containment over an exact-only entry")
 	}
 }
 
+// TestAdmissionCostFloor: recurrence and the cost floor are both required.  A
+// question at its first sight is deferred however much it cost; at its second
+// it reaches admission, where a result cheaper than the floor is rejected.
 func TestAdmissionCostFloor(t *testing.T) {
 	c := New(Options{MinCostNs: 100})
-	k := rangeKey("t", "a", 0, 1)
-	c.Insert(k, Token{Gen: 1}, seq(0, 4), 99) // below the floor
-	if _, _, ok := c.Lookup(k, at(Token{Gen: 1})); ok {
+	tok := Token{Gen: 1}
+	// ask is one miss as the executor plays it: look up, and stage and insert
+	// only on the verdict.
+	ask := func(k Key, cost int64) (hit, admit bool) {
+		_, _, hit, admit = c.Lookup(k, at(tok))
+		if admit {
+			c.Insert(k, tok, seq(0, 4), cost)
+		}
+		return hit, admit
+	}
+	cheap, dear := rangeKey("t", "a", 0, 1), rangeKey("t", "a", 2, 3)
+	for _, k := range []Key{cheap, dear} {
+		if hit, admit := ask(k, 1<<30); hit || admit {
+			t.Fatalf("%+v at first sight: hit=%v admit=%v", k, hit, admit)
+		}
+	}
+	if s := c.Stats(); s.Deferred != 2 || s.Inserts != 0 || s.Rejects != 0 || s.Entries != 0 {
+		t.Fatalf("after two first sights: %+v", s)
+	}
+	if hit, admit := ask(cheap, 99); hit || !admit { // below the floor
+		t.Fatalf("cheap question at second sight: hit=%v admit=%v", hit, admit)
+	}
+	if hit, admit := ask(dear, 100); hit || !admit {
+		t.Fatalf("dear question at second sight: hit=%v admit=%v", hit, admit)
+	}
+	if hit, _ := ask(cheap, 99); hit {
 		t.Fatal("sub-floor result admitted")
 	}
-	c.Insert(k, Token{Gen: 1}, seq(0, 4), 100)
-	if _, _, ok := c.Lookup(k, at(Token{Gen: 1})); !ok {
-		t.Fatal("at-floor result rejected")
+	if hit, _ := ask(dear, 100); !hit {
+		t.Fatal("at-floor result of a recurring question rejected")
 	}
-	if s := c.Stats(); s.Rejects != 1 {
-		t.Fatalf("rejects %d, want 1", s.Rejects)
+	if s := c.Stats(); s.Deferred != 2 || s.Inserts != 1 || s.Rejects != 2 || s.Misses != 5 || s.Hits != 1 {
+		t.Fatalf("stats %+v", s)
 	}
 }
 
@@ -196,7 +221,7 @@ func TestScanResistance(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.Insert(Key{Table: "t", Col: "a", Kind: KindIn, Hash: uint64(i)}, tok, seq(0, 500), 10)
 	}
-	if _, _, ok := c.Lookup(hot, at(tok)); !ok {
+	if _, _, ok, _ := c.Lookup(hot, at(tok)); !ok {
 		t.Fatal("hot entry flushed by one cold scan")
 	}
 }
@@ -207,10 +232,10 @@ func TestDropTable(t *testing.T) {
 	c.Insert(rangeKey("t1", "a", 0, 1), tok, seq(0, 4), 10)
 	c.Insert(rangeKey("t2", "a", 0, 1), tok, seq(0, 4), 10)
 	c.DropTable("t1")
-	if _, _, ok := c.Lookup(rangeKey("t1", "a", 0, 1), at(tok)); ok {
+	if _, _, ok, _ := c.Lookup(rangeKey("t1", "a", 0, 1), at(tok)); ok {
 		t.Fatal("dropped table served")
 	}
-	if _, _, ok := c.Lookup(rangeKey("t2", "a", 0, 1), at(tok)); !ok {
+	if _, _, ok, _ := c.Lookup(rangeKey("t2", "a", 0, 1), at(tok)); !ok {
 		t.Fatal("other table dropped")
 	}
 	if s := c.Stats(); s.Invalidations != 1 {
@@ -223,11 +248,11 @@ func TestPairRoundTrip(t *testing.T) {
 	k := Key{Table: "outer", Col: "k", Kind: KindJoin, Hash: 7}
 	tok := Token{Gen: 1, Epoch: 3}
 	c.InsertPair(k, tok, []uint32{1, 2}, []uint32{10, 20}, 10)
-	a, b, ok := c.LookupPair(k, tok)
+	a, b, ok, _ := c.LookupPair(k, tok)
 	if !ok || len(a) != 2 || len(b) != 2 || a[1] != 2 || b[1] != 20 {
 		t.Fatalf("pair round-trip: ok=%v a=%v b=%v", ok, a, b)
 	}
-	if _, _, ok := c.LookupPair(k, Token{Gen: 1, Epoch: 4}); ok {
+	if _, _, ok, _ := c.LookupPair(k, Token{Gen: 1, Epoch: 4}); ok {
 		t.Fatal("stale epoch pair served")
 	}
 }
@@ -235,7 +260,7 @@ func TestPairRoundTrip(t *testing.T) {
 func TestNilAndDisabled(t *testing.T) {
 	var nilCache *Cache
 	nilCache.Insert(rangeKey("t", "a", 0, 1), Token{}, seq(0, 4), 10)
-	if _, _, ok := nilCache.Lookup(rangeKey("t", "a", 0, 1), at(Token{})); ok {
+	if _, _, ok, _ := nilCache.Lookup(rangeKey("t", "a", 0, 1), at(Token{})); ok {
 		t.Fatal("nil cache hit")
 	}
 	nilCache.DropTable("t")
@@ -244,7 +269,7 @@ func TestNilAndDisabled(t *testing.T) {
 	}
 	d := New(Options{Disabled: true})
 	d.Insert(rangeKey("t", "a", 0, 1), Token{}, seq(0, 4), 1<<30)
-	if _, _, ok := d.Lookup(rangeKey("t", "a", 0, 1), at(Token{})); ok {
+	if _, _, ok, _ := d.Lookup(rangeKey("t", "a", 0, 1), at(Token{})); ok {
 		t.Fatal("disabled cache hit")
 	}
 }

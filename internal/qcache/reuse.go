@@ -5,62 +5,60 @@ package qcache
 // answer from one entry, or a miss — nothing here hands back a partial
 // answer for the caller to finish with index probes.  Containment (a range
 // sliced from one covering run) lives with LookupRange in qcache.go; this
-// file holds IN-subset replay and the aggregate lookup.
+// file holds the IN lookup with its subset replay and the aggregate lookup.
 //
-// All returned slices alias immutable cache memory (entries are never
-// edited after insert — a refresh replaces them), so they are safe to read
-// without the stripe lock but must be copied before mutation.
+// Payload slices taken under the stripe lock alias immutable cache memory
+// (entries are never edited after insert — a refresh replaces them), so they
+// are copied out after the lock is released.
 
-// InReuse is an IN-list replayed from one cached grouped entry that lists
-// every query value: Groups[i] holds the cached rows of the i-th query value
-// (in the query's first-occurrence order; empty when the value matches no
-// rows).
-type InReuse struct {
-	Groups [][]uint32
-	// TailRows is the tail rows merged bringing the source entry current;
-	// Current when it was missing none.
-	TailRows int
-}
+import "slices"
 
-// LookupInReuse answers an IN fingerprint from a grouped IN entry of the
-// same column that serves the reader and lists every query value.  distinct
-// must be the deduplicated query values in first-occurrence order (the order
-// the result concatenates groups in).  The exact-lookup miss the caller
-// already counted becomes a subset hit, under the one stripe lock held since
-// entry, so a concurrent StatsSnapshot sees the trade entirely or not at all.
+// LookupIn answers an IN fingerprint (k.Kind must be KindIn) under one lock
+// acquisition: by exact match, else by subset replay — a grouped IN entry of
+// the same column that serves the reader and lists every query value yields
+// the answer, once brought current, as the concatenation of its groups in the
+// query's order — else it is a miss.  distinct must be the deduplicated query
+// values in first-occurrence order; nil asks for the exact match only (a
+// scan-planned query must not inherit a replay's probe order).  A replay is
+// not re-admitted: the source entry answers any repeat of the subset at the
+// same price.
 //
 // Candidates come from the column's inverted index (inindex.go): the common
 // ad-hoc miss — no resident entry lists the first query value — costs one
 // map probe, not a visit to every resident entry.
-func (c *Cache) LookupInReuse(k Key, rd Reader, distinct []uint32) (*InReuse, bool) {
-	if !c.Enabled() || len(distinct) == 0 {
-		return nil, false
+func (c *Cache) LookupIn(k Key, rd Reader, distinct []uint32) (rids []uint32, kind HitKind, tail int, admit bool) {
+	if !c.Enabled() {
+		return nil, HitMiss, Current, false
 	}
+	var groups [][]uint32
 	st := c.stripeFor(k)
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	ix := st.inIdx[k.column()]
-	if ix == nil {
-		return nil, false
+	e, tail := st.lookupLocked(k, rd, c)
+	if e != nil {
+		kind, rids = HitExact, e.rids
+	} else if ix := st.inIdx[k.column()]; ix != nil && len(distinct) > 0 {
+		if src := ix.cover(rd.Tok, distinct); src != nil {
+			if src, tail = st.current(src, rd, c); src != nil {
+				kind, groups = HitSubset, make([][]uint32, len(distinct))
+				for i, v := range distinct {
+					p, _ := findSorted(src.vals, v)
+					g := src.s2g[p]
+					groups[i] = src.rids[src.goff[g]:src.goff[g+1]]
+				}
+				st.stats.SubsetHits++
+			}
+		}
 	}
-	src := ix.cover(rd.Tok, distinct)
-	if src == nil {
-		return nil, false
+	if kind != HitMiss {
+		st.stats.Hits++
+	} else {
+		admit = st.miss(k, c)
 	}
-	src, tail := st.current(src, rd, c)
-	if src == nil {
-		return nil, false
+	st.mu.Unlock()
+	if kind == HitSubset {
+		return slices.Concat(groups...), kind, tail, false
 	}
-	r := &InReuse{Groups: make([][]uint32, len(distinct)), TailRows: tail}
-	for i, v := range distinct {
-		p, _ := findSorted(src.vals, v)
-		g := src.s2g[p]
-		r.Groups[i] = src.rids[src.goff[g]:src.goff[g+1]]
-	}
-	st.stats.Misses--
-	st.stats.Hits++
-	st.stats.SubsetHits++
-	return r, true
+	return append([]uint32(nil), rids...), kind, tail, admit
 }
 
 // AggRow is one group of a cached grouped-aggregation result: the group's
@@ -78,23 +76,23 @@ type AggRow struct {
 // LookupAgg returns a copy of the grouped-aggregation result cached under
 // exactly this fingerprint, brought current for the reader, and the tail
 // rows that folded in (Current when none were missing).
-func (c *Cache) LookupAgg(k Key, rd Reader) (rows []AggRow, tail int, ok bool) {
+func (c *Cache) LookupAgg(k Key, rd Reader) (rows []AggRow, tail int, ok, admit bool) {
 	if !c.Enabled() {
-		return nil, Current, false
+		return nil, Current, false, false
 	}
 	st := c.stripeFor(k)
 	st.mu.Lock()
 	e, tail := st.lookupLocked(k, rd, c)
 	if e == nil {
-		st.stats.Misses++
+		admit = st.miss(k, c)
 		st.mu.Unlock()
-		return nil, tail, false
+		return nil, tail, false, admit
 	}
 	st.stats.Hits++
 	st.stats.AggregateHits++
 	rows = e.aggs
 	st.mu.Unlock()
-	return append([]AggRow(nil), rows...), tail, true
+	return append([]AggRow(nil), rows...), tail, true, false
 }
 
 // findSorted returns the position of v in the ascending slice a.  The

@@ -8,8 +8,8 @@ import "cssidx/internal/telemetry"
 // cells that are only ever touched under that stripe's mutex, so the hot
 // path never bounces a shared counter cache line between stripes, and a
 // snapshot that locks each stripe once (StatsSnapshot) can never observe
-// a torn update — in particular it can never see one half of the subset
-// replay's miss-becomes-hit trade (LookupInReuse).
+// a torn update: every lookup settles its hit, hit kind, miss and deferral
+// under one lock acquisition, and no event counter ever moves backwards.
 type Stats struct {
 	// Hits counts lookups answered from the cache.  The hit-kind
 	// breakdown below splits out the reuse classes that answered without
@@ -31,9 +31,14 @@ type Stats struct {
 	// AggregateHits were GroupAggregate results served from cache.
 	AggregateHits int64
 	Misses        int64
-	// Inserts counts admitted entries; Rejects counts results that failed
-	// admission (below the cost floor, oversized, or unevictable
-	// pressure).
+	// Deferred counts the misses that were a question's first sight (door.go):
+	// the caller was told not to stage or insert, so nothing reached
+	// admission.  The other misses reach Insert* unless the query aborts or
+	// never fills the cache (a count-only join).
+	Deferred int64
+	// Inserts counts admitted entries; Rejects counts results that reached
+	// admission and failed it (below the cost floor, oversized, a straggler's
+	// late result, or unevictable pressure).
 	Inserts int64
 	Rejects int64
 	// Evictions counts CLOCK victims; Invalidations counts entries
@@ -59,6 +64,7 @@ func (s *Stats) accumulate(o Stats) {
 	s.SubsetHits += o.SubsetHits
 	s.AggregateHits += o.AggregateHits
 	s.Misses += o.Misses
+	s.Deferred += o.Deferred
 	s.Inserts += o.Inserts
 	s.Rejects += o.Rejects
 	s.Evictions += o.Evictions
@@ -115,6 +121,7 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 	reg("qcache_contained_hits_total", func(s Stats) int64 { return s.ContainedHits })
 	reg("qcache_subset_hits_total", func(s Stats) int64 { return s.SubsetHits })
 	reg("qcache_agg_hits_total", func(s Stats) int64 { return s.AggregateHits })
+	reg("qcache_deferred_total", func(s Stats) int64 { return s.Deferred })
 	reg("qcache_inserts_total", func(s Stats) int64 { return s.Inserts })
 	reg("qcache_rejects_total", func(s Stats) int64 { return s.Rejects })
 	reg("qcache_evictions_total", func(s Stats) int64 { return s.Evictions })

@@ -21,17 +21,20 @@ const radixSize = 1 << radixBits
 // insertionThreshold is the size below which insertion sort wins.
 const insertionThreshold = 64
 
-// Sort sorts keys ascending in place.
+// Sort sorts keys ascending in place.  The ping-pong buffer is allocated at
+// the first pass that runs, so an already-ascending slice allocates nothing.
 func Sort(keys []uint32) {
 	if len(keys) < insertionThreshold {
 		insertion(keys)
 		return
 	}
-	tmp := make([]uint32, len(keys))
-	src, dst := keys, tmp
+	src, dst := keys, []uint32(nil)
 	for shift := uint(0); shift < 32; shift += radixBits {
 		if sortedBy(src, shift) {
 			continue
+		}
+		if dst == nil {
+			dst = make([]uint32, len(keys))
 		}
 		countingPass(src, dst, shift)
 		src, dst = dst, src
@@ -94,7 +97,8 @@ func SortPairs(keys, vals []uint32) {
 // SortPairsScratch is SortPairs with caller-provided scratch space, for hot
 // paths that sort many small batches (the sort-probes-first probe schedule):
 // tmpK and tmpV are used as the radix ping-pong buffers when they have
-// capacity ≥ len(keys), and allocated otherwise.
+// capacity ≥ len(keys), and allocated otherwise — at the first pass that
+// runs, so already-ascending keys allocate nothing.
 func SortPairsScratch(keys, vals, tmpK, tmpV []uint32) {
 	if len(keys) != len(vals) {
 		panic("sortu32: keys and vals length mismatch")
@@ -104,14 +108,17 @@ func SortPairsScratch(keys, vals, tmpK, tmpV []uint32) {
 		insertionPairs(keys, vals)
 		return
 	}
-	if cap(tmpK) < n || cap(tmpV) < n {
-		tmpK = make([]uint32, n)
-		tmpV = make([]uint32, n)
-	}
-	srcK, srcV, dstK, dstV := keys, vals, tmpK[:n], tmpV[:n]
+	srcK, srcV := keys, vals
+	var dstK, dstV []uint32
 	for shift := uint(0); shift < 32; shift += radixBits {
 		if sortedBy(srcK, shift) {
 			continue
+		}
+		if dstK == nil {
+			if cap(tmpK) < n || cap(tmpV) < n {
+				tmpK, tmpV = make([]uint32, n), make([]uint32, n)
+			}
+			dstK, dstV = tmpK[:n], tmpV[:n]
 		}
 		var counts [radixSize]int
 		for _, k := range srcK {

@@ -61,6 +61,11 @@ func TestSortAlreadySortedAndReverse(t *testing.T) {
 	if !IsSorted(asc) || !IsSorted(desc) {
 		t.Error("edge distributions mis-sorted")
 	}
+	// No pass runs on ascending input, so no ping-pong buffer is allocated.
+	vals := make([]uint32, n)
+	if got := testing.AllocsPerRun(10, func() { Sort(asc); SortPairs(asc, vals) }); got != 0 {
+		t.Errorf("sorting ascending input allocates %v times", got)
+	}
 }
 
 func TestSortAllEqual(t *testing.T) {
