@@ -1,14 +1,17 @@
 // Sharded: the §2.3 rebuild cycle as a concurrent serving layer.  A
 // ShardedIndex range-partitions the key space, serves lock-free lookups
-// from every CPU, and absorbs update batches in the background: each
-// affected shard's CSS-tree is rebuilt from scratch and published with an
+// from every CPU, and absorbs update batches in the background: a large
+// batch rebuilds each affected shard's CSS-tree from scratch, a small one
+// is absorbed into the shard's delta (inserted keys and tombstones beside
+// the unchanged tree), and either way the result is published with an
 // epoch-swap, so readers never block and never see a half-updated
 // structure.
 //
 // The example starts a pool of reader goroutines over a 2M-key index, then
-// pushes "nightly" batches through the rebuilder while the readers keep
-// serving, and finally cross-checks every answer against a single-threaded
-// binary search over the final key set.
+// pushes "nightly" batches and a daytime trickle of small inserts and
+// deletes through the rebuilder while the readers keep serving, and finally
+// cross-checks every answer against a single-threaded binary search over
+// the final key set.
 //
 // Run: go run ./examples/sharded
 package main
@@ -62,8 +65,9 @@ func main() {
 	// Writer: three "nights" of batch updates, absorbed by epoch-swaps
 	// while the readers above keep running.
 	all := append([]uint32(nil), keys...)
+	var batch []uint32
 	for night := 1; night <= 3; night++ {
-		batch := g.SortedUniform(200_000)
+		batch = g.SortedUniform(200_000)
 		start := time.Now()
 		idx.Insert(batch...)
 		idx.Sync()
@@ -77,6 +81,23 @@ func main() {
 		fmt.Printf("night %d: +%d keys absorbed in %v while serving\n",
 			night, len(batch), time.Since(start).Round(time.Millisecond))
 	}
+
+	// Daytime trickle: small corrections — delete a few of last night's keys,
+	// insert a few new ones.  Nothing is rebuilt; the shards' deltas carry
+	// them until the next fold.
+	trickleDel, trickleIns := batch[5000:5300], g.SortedUniform(500)
+	idx.Delete(trickleDel...)
+	idx.Insert(trickleIns...)
+	idx.Sync()
+	for _, k := range trickleDel {
+		i := sort.Search(len(all), func(i int) bool { return all[i] >= k })
+		all = append(all[:i], all[i+1:]...)
+	}
+	all = append(all, trickleIns...)
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	st := idx.DeltaStats()
+	fmt.Printf("trickle absorbed: %d base keys, %d delta keys (%d tombstones), %d absorbs, %d folds\n",
+		st.BaseKeys, st.DeltaKeys, st.Tombstones, st.Appends, st.Folds)
 	close(stop)
 	wg.Wait()
 

@@ -37,7 +37,7 @@ func TestExamplesRun(t *testing.T) {
 		},
 		{
 			dir:   "./examples/sharded",
-			wants: []string{"built sharded index", "epoch swaps", "lookups agree with binary search"},
+			wants: []string{"built sharded index", "trickle absorbed", "epoch swaps", "lookups agree with binary search"},
 		},
 	}
 	for _, c := range cases {

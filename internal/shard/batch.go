@@ -341,15 +341,17 @@ func treeLowerBoundBatch[K cmp.Ordered](t Tree[K], probes []K, out []int32) {
 	}
 }
 
-// addRunLowerBounds adds each delta run's lower-bound count per probe to
-// the tree results, making them merged ranks.  A no-op without runs, so
-// delta-free batches pay nothing; with runs the per-probe cost is a fence
-// check or an O(log run) search per run.
+// addRunLowerBounds turns the tree lower bounds in res into live ranks:
+// plus the insert-run keys below each probe, minus the tombstones below it.
+// A no-op without a delta; with one, each probe costs one cache line of
+// directory and a scan of the (usually empty) bucket it bounds.
 func addRunLowerBounds[K cmp.Ordered](sn *snapshot[K], probes []K, res []int32) {
-	for _, r := range sn.runs {
-		for j, p := range probes {
-			res[j] += int32(r.lowerBound(p))
-		}
+	if sn.deltaKeys() == 0 {
+		return
+	}
+	for j, p := range probes {
+		il, _, tl, _ := sn.rank(p, res[j])
+		res[j] += il - tl
 	}
 }
 
@@ -540,11 +542,11 @@ func (v *View[K]) SearchBatch(probes []K, out []int32) {
 }
 
 // searchResolve turns the tree lower bounds in res into global Search
-// results: merged leftmost rank plus the shard offset when the key is
-// present in the base or any delta run, -1 otherwise.
+// results: live leftmost rank plus the shard offset when the key is live —
+// inserted, or a base occurrence its tombstones do not cover — -1 otherwise.
 func searchResolve[K cmp.Ordered](sn *snapshot[K], probes []K, res []int32, off int32) {
 	n := int32(len(sn.keys))
-	if len(sn.runs) == 0 {
+	if sn.deltaKeys() == 0 {
 		for j, p := range probes {
 			if lb := res[j]; lb < n && sn.keys[lb] == p {
 				res[j] = off + lb
@@ -556,16 +558,17 @@ func searchResolve[K cmp.Ordered](sn *snapshot[K], probes []K, res []int32, off 
 	}
 	for j, p := range probes {
 		lb := res[j]
-		found := lb < n && sn.keys[lb] == p
-		d := int32(0)
-		for _, r := range sn.runs {
-			d += int32(r.lowerBound(p))
-			if !found {
-				found = r.contains(p)
+		if adj, ok := sn.emptyBucket(lb); ok {
+			if lb < n && sn.keys[lb] == p {
+				res[j] = off + lb + adj
+			} else {
+				res[j] = -1
 			}
+			continue
 		}
-		if found {
-			res[j] = off + lb + d
+		il, insEq, tl, tombEq := sn.rank(p, lb)
+		if sn.present(p, lb, insEq, tombEq) {
+			res[j] = off + lb + il - tl
 		} else {
 			res[j] = -1
 		}
@@ -605,23 +608,20 @@ func (v *View[K]) EqualRangeBatch(probes []K, first, last []int32) {
 }
 
 // equalRangeResolve extends the tree lower bounds in resF across each
-// probe's duplicate run and adds the delta runs' contributions, producing
-// global merged [first, last) ranges.
+// probe's duplicate run and applies the delta (inserted occurrences added,
+// tombstoned ones removed), producing global live [first, last) ranges.
 func equalRangeResolve[K cmp.Ordered](sn *snapshot[K], probes []K, resF, resL []int32, off int32) {
-	n := int32(len(sn.keys))
+	delta := sn.deltaKeys() > 0
 	for j, p := range probes {
 		lb := resF[j]
-		end := lb
-		for end < n && sn.keys[end] == p {
-			end++
+		first, n := lb, sn.baseEqual(p, lb)
+		if delta {
+			il, insEq, tl, tombEq := sn.rank(p, lb)
+			first += il - tl
+			n += insEq - tombEq
 		}
-		f, l := lb, end
-		for _, r := range sn.runs {
-			f += int32(r.lowerBound(p))
-			l += int32(r.upperBound(p))
-		}
-		resF[j] = off + f
-		resL[j] = off + l
+		resF[j] = off + first
+		resL[j] = off + first + n
 	}
 }
 

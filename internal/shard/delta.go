@@ -2,40 +2,75 @@ package shard
 
 // The mutable delta layer under the epoch-swap cycle.  The paper's §2.3
 // position — rebuild indexes from scratch after a batch of updates — is
-// exactly right for large batches, but it makes small appends pay the full
-// O(shard) merge + tree build no matter how few keys arrived: the append
-// cliff.  The delta layer flattens the cliff the way in-memory LSM
-// memtables do: a small insert batch is sorted into an immutable delta
-// *run* (with min/max fences and a bloom filter) and published next to the
-// unchanged base array and tree, so the epoch-swap costs O(batch log batch)
-// instead of O(shard).  Reads serve the merged multiset base ∪ runs against
-// one frozen snapshot — positions are ranks in the merged order, so every
-// surface stays bit-identical to a fully rebuilt index.  A size-tiered
-// schedule bounds read amplification: runs merge together past MaxRuns, and
-// the whole delta folds into a fresh base (the original rebuild path) once
-// it reaches 1/FoldDenominator of the base.  Deletes always fold — a
-// tombstone layer would tax every read for a rare operation the OLAP cycle
-// batches anyway.
+// exactly right for large batches, but it makes small batches pay the full
+// O(shard) merge + tree build no matter how few keys arrived.  The delta
+// layer flattens that cliff for inserts AND deletes: a shard snapshot is an
+// immutable base (sorted array + tree) plus two small sorted runs published
+// beside it,
+//
+//	ins  — keys inserted since the last fold
+//	tomb — tombstones: base occurrences deleted since the last fold
+//	       (always a sub-multiset of the base)
+//
+// and its logical content is base − tomb + ins, total = len(base) +
+// len(ins) − len(tomb).  A drained batch is absorbed in O(delta): inserts
+// merge into ins; each delete cancels an ins key if there is one, else
+// tombstones a still-live base occurrence, else is ignored (multiset
+// semantics, inserts before deletes within one drained batch).  Only when
+// len(ins)+len(tomb) reaches 1/FoldDenominator of the base does the shard
+// fold — the original rebuild, now a span copy (mergedKeys) and a tree build.
+//
+// What a delta costs a read.  Positions are global ranks, so ANY outstanding
+// delta taxes EVERY probe with rank = base rank + rank in ins − rank in tomb.
+// Measured in one process on serve_sharded's shape (512-probe Zipf batches
+// over 8 × 500K keys, 23.9 µs a batch with no delta; half-full and full
+// deltas at the default threshold): a binary search per run costs 46–54 µs,
+// twice the read, at either size — a dozen mispredicted branches per probe,
+// not cache misses; a CSS-tree over each run 33–35 µs (+40 %).  What removes
+// the search is that the base descent has already produced the probe's base
+// lower bound lb, and every run key carries ITS base position: a cumulative
+// count directory indexed by base position (dir[lb>>dirShift]) bounds the
+// rank to the run keys positioned inside one 256-slot stretch of the base —
+// usually none — so the delta costs one cache line of directory and no
+// search (25–28 µs): the paper's "compute the offset, don't store or chase
+// it", applied to the delta.
+//
+// The fold threshold is the whole trade: a larger delta folds less often
+// (fewer O(shard) rebuilds, less allocation) but fills the directory buckets,
+// and a probe whose bucket is not empty has to look at run keys.  The sweep
+// behind the default (serve_sharded, 2-vCPU box, four trees alternating over
+// ten seeds, medians as ratios to the fold-on-every-delete parent; every run
+// is in BENCH_ablation.json under pr23_delete_absorb):
+//
+//	fold at    read_p50_us   ops_per_s   alloc B/op   folds (one traced run)
+//	base/128   1.21×         1.14×       0.35×        256
+//	base/256   1.16×         1.19×       0.38×        520
+//	base/512   1.09×         1.24×       0.52×        1,049   (parent: 2,202)
+//
+// Reads are 32 of that stream's 33 ops, so the read tax decides throughput
+// too: the smallest delta wins on both, and only base/512 keeps read_p50_us
+// within 1.10× of the parent (the rule fixed before measuring).  The old
+// threshold, base/8, would let an insert run reach tens of thousands of keys
+// a shard — and every absorb copies the run.
 
 import (
 	"cmp"
 	"slices"
 	"sort"
 
-	"cssidx/internal/bloom"
+	"cssidx/internal/telemetry"
 )
 
-// DeltaPolicy tunes the delta layer's tiering.  The zero value means the
-// defaults (enabled, 4 runs, fold at 1/8 of the base).
+// DeltaPolicy tunes the delta layer's fold schedule.  The zero value means
+// the defaults (enabled, fold at 1/512 of the base).
 type DeltaPolicy struct {
 	// Disabled restores the pre-delta behaviour: every batch folds into a
-	// fresh base array and tree (the pure §2.3 cycle).
+	// fresh base array and tree (the pure §2.3 cycle).  It still makes
+	// sense for an index whose updates arrive as rare bulk loads and whose
+	// reads must never pay the rank adjustment.
 	Disabled bool
-	// MaxRuns is the run count above which the runs merge into one
-	// (read amplification bound).  0 means 4.
-	MaxRuns int
 	// FoldDenominator folds the delta into the base once
-	// delta*FoldDenominator ≥ base.  0 means 8.
+	// (len(ins)+len(tomb))*FoldDenominator ≥ len(base).  0 means 512.
 	FoldDenominator int
 	// MinFoldKeys keeps tiny shards from folding on every batch: the delta
 	// must also hold at least this many keys before a size-triggered fold.
@@ -43,16 +78,9 @@ type DeltaPolicy struct {
 	MinFoldKeys int
 }
 
-func (p DeltaPolicy) maxRuns() int {
-	if p.MaxRuns <= 0 {
-		return 4
-	}
-	return p.MaxRuns
-}
-
 func (p DeltaPolicy) foldDenom() int {
 	if p.FoldDenominator <= 0 {
-		return 8
+		return 512
 	}
 	return p.FoldDenominator
 }
@@ -75,227 +103,343 @@ func (p DeltaPolicy) shouldFold(deltaKeys, baseKeys int) bool {
 
 // DeltaStats snapshots the delta layer across all shards.
 type DeltaStats struct {
-	BaseKeys  int // keys in the immutable base arrays
-	DeltaKeys int // keys in delta runs awaiting a fold
-	Runs      int // delta runs across shards
-	Appends   uint64
-	RunMerges uint64
-	Folds     uint64
+	BaseKeys   int // keys in the immutable base arrays
+	DeltaKeys  int // insert-run keys plus tombstones awaiting a fold
+	Tombstones int // the tombstone share of DeltaKeys
+	Runs       int // non-empty runs across shards (at most two per shard)
+	Appends    uint64
+	RunMerges  uint64 // always 0: a shard holds one run of each kind, nothing tiers
+	Folds      uint64
 }
 
-// deltaRun is one immutable sorted insert batch: fences bound the key range
-// (a probe outside [min,max] skips the run with two compares) and the bloom
-// filter answers most absent membership probes without a binary search.
-type deltaRun[K cmp.Ordered] struct {
-	keys     []K
-	min, max K
-	filter   bloom.Filter[K]
+// dirShift sizes the position directory: one entry pair per 2^dirShift base
+// positions, so at the default fold threshold a bucket holds half a run key
+// on average and the directory is 1/32 the size of the base.
+const dirShift = 8
+
+// bucketScanMax is the bucket size up to which rank scans linearly.  Past
+// it — many run keys positioned in one 256-slot stretch of the base, which
+// takes a skewed insert stream such as monotone appends — the bucket is
+// binary searched instead, so a probe never scans a whole run.
+const bucketScanMax = 32
+
+// run is one immutable sorted delta array positioned against the base.
+// pos[i] is the base position keys[i] belongs at: for an insert the base
+// lower bound of the key (it sorts before base[pos]), for a tombstone the
+// exact base occurrence it deletes (base[pos] == key, strictly ascending;
+// a key's tombstones delete its FIRST occurrences).  The zero value is the
+// empty run.
+type run[K cmp.Ordered] struct {
+	keys []K
+	pos  []int32
 }
 
-func newDeltaRun[K cmp.Ordered](sorted []K) *deltaRun[K] {
-	return &deltaRun[K]{
-		keys:   sorted,
-		min:    sorted[0],
-		max:    sorted[len(sorted)-1],
-		filter: bloom.Build(sorted),
+// buildDir builds a snapshot's position directory: dir[2b] and dir[2b+1]
+// count the insert-run keys and the tombstones positioned below base
+// position b<<dirShift; the last pair is (len(ins), len(tomb)).  The two
+// counts a probe needs sit side by side, and so do the next bucket's, so
+// the usual rank reads one cache line.
+func buildDir(ins, tomb []int32, nbase int) []int32 {
+	if len(ins)+len(tomb) == 0 {
+		return nil
 	}
-}
-
-// lowerBound returns the number of run keys < key, fence-short-circuited.
-func (r *deltaRun[K]) lowerBound(key K) int {
-	if key <= r.min {
-		return 0
+	dir := make([]int32, 2*(nbase>>dirShift+2))
+	// A key positioned at p counts into every bucket after p's own:
+	// histogram it there, then prefix-sum both columns.
+	for _, p := range ins {
+		dir[2*(p>>dirShift+1)]++
 	}
-	if key > r.max {
-		return len(r.keys)
+	for _, p := range tomb {
+		dir[2*(p>>dirShift+1)+1]++
 	}
-	return sort.Search(len(r.keys), func(i int) bool { return r.keys[i] >= key })
-}
-
-// upperBound returns the number of run keys ≤ key.
-func (r *deltaRun[K]) upperBound(key K) int {
-	if key < r.min {
-		return 0
+	var ni, nt int32
+	for j := 0; j < len(dir); j += 2 {
+		ni, nt = ni+dir[j], nt+dir[j+1]
+		dir[j], dir[j+1] = ni, nt
 	}
-	if key >= r.max {
-		return len(r.keys)
-	}
-	return sort.Search(len(r.keys), func(i int) bool { return r.keys[i] > key })
-}
-
-// contains reports membership, bloom- and fence-filtered.
-func (r *deltaRun[K]) contains(key K) bool {
-	if key < r.min || key > r.max || !r.filter.May(key) {
-		return false
-	}
-	lb := sort.Search(len(r.keys), func(i int) bool { return r.keys[i] >= key })
-	return lb < len(r.keys) && r.keys[lb] == key
+	return dir
 }
 
 // --- merged-snapshot read helpers -------------------------------------------
 //
-// A snapshot's logical content is the multiset base ∪ runs; positions are
-// ranks in that merged order (ties resolve base first, then runs in run
-// order — unobservable through keys, but fixed so counts compose).
+// Positions are ranks in the live multiset base − tomb + ins.  Ties between
+// equal keys resolve some fixed way per surface — unobservable through keys.
 
-// len returns the merged key count.
+// len returns the live key count.
 func (sn *snapshot[K]) len() int { return sn.total }
 
-// lowerBound returns the merged rank of the smallest key ≥ key.
-func (sn *snapshot[K]) lowerBound(key K) int {
-	n := sn.tree.LowerBound(key)
-	for _, r := range sn.runs {
-		n += r.lowerBound(key)
+// deltaKeys returns the number of run keys awaiting a fold.
+func (sn *snapshot[K]) deltaKeys() int { return len(sn.ins.keys) + len(sn.tomb.keys) }
+
+// rank is the one rank helper every read surface shares: given lb, key's
+// lower bound in the base, it returns how many insert-run keys and how many
+// tombstones are < key and == key — no search, because lb has already
+// located the key.  Run keys positioned below lb's bucket are all < key,
+// those above it all ≥ key, and a run key equal to key is positioned at lb
+// itself (a key's first tombstone deletes its first occurrence), so a
+// bucket empty in both runs answers from four adjacent directory entries
+// without touching a run.  Call it only on a snapshot that carries a delta.
+func (sn *snapshot[K]) rank(key K, lb int32) (insLess, insEq, tombLess, tombEq int32) {
+	d := sn.dir[2*(lb>>dirShift):][:4]
+	insLess, tombLess = d[0], d[1]
+	if insLess != d[2] {
+		insLess, insEq = rankIn(sn.ins.keys, key, int(insLess), int(d[2]))
 	}
-	return n
+	if tombLess != d[3] {
+		tombLess, tombEq = rankIn(sn.tomb.keys, key, int(tombLess), int(d[3]))
+	}
+	return
 }
 
-// search returns the merged rank of the leftmost occurrence of key, or -1.
+// emptyBucket is rank's usual case, small enough to inline into the hottest
+// batch loop: when lb's bucket holds no key of either run (ok), no run key
+// equals the probe and its live rank is lb + adj.
+func (sn *snapshot[K]) emptyBucket(lb int32) (adj int32, ok bool) {
+	d := sn.dir[2*(lb>>dirShift):][:4]
+	return d[0] - d[1], d[0] == d[2] && d[1] == d[3]
+}
+
+// rankIn finishes rank inside one run's non-empty bucket keys[i:end].  A
+// bucket usually holds one or two keys, so it is counted without a
+// data-dependent branch (the counts compile to conditional moves): what made
+// a per-run binary search expensive was its mispredictions, not its loads.
+func rankIn[K cmp.Ordered](keys []K, key K, i, end int) (less, equal int32) {
+	if end-i > bucketScanMax {
+		i += sort.Search(end-i, func(j int) bool { return keys[i+j] >= key })
+		j := i
+		for j < len(keys) && keys[j] == key {
+			j++
+		}
+		return int32(i), int32(j - i)
+	}
+	lt, eq := i, 0
+	for _, k := range keys[i:end] {
+		if k < key {
+			lt++
+		}
+		if k == key {
+			eq++
+		}
+	}
+	if keys[end-1] == key {
+		// Tombstones of one key may run past the bucket.
+		for j := end; j < len(keys) && keys[j] == key; j++ {
+			eq++
+		}
+	}
+	return int32(lt), int32(eq)
+}
+
+// present reports whether key is live: inserted, or a base occurrence
+// outlives the key's tombstones (which delete its first tombEq occurrences).
+func (sn *snapshot[K]) present(key K, lb, insEq, tombEq int32) bool {
+	q := int(lb + tombEq)
+	return insEq > 0 || (q < len(sn.keys) && sn.keys[q] == key)
+}
+
+// baseEqual counts the base occurrences of key from its lower bound lb.
+func (sn *snapshot[K]) baseEqual(key K, lb int32) int32 {
+	end := int(lb)
+	for end < len(sn.keys) && sn.keys[end] == key {
+		end++
+	}
+	return int32(end) - lb
+}
+
+// lowerBound returns the live rank of the smallest key ≥ key.
+func (sn *snapshot[K]) lowerBound(key K) int {
+	lb := sn.tree.LowerBound(key)
+	if sn.deltaKeys() == 0 {
+		return lb
+	}
+	il, _, tl, _ := sn.rank(key, int32(lb))
+	return lb + int(il-tl)
+}
+
+// search returns the live rank of the leftmost occurrence of key, or -1.
 func (sn *snapshot[K]) search(key K) int {
-	base := sn.tree.Search(key)
-	if len(sn.runs) == 0 {
-		return base
+	if sn.deltaKeys() == 0 {
+		return sn.tree.Search(key)
 	}
-	d := 0
-	hit := base >= 0
-	for _, r := range sn.runs {
-		d += r.lowerBound(key)
-		hit = hit || r.contains(key)
-	}
-	if !hit {
+	lb := int32(sn.tree.LowerBound(key))
+	il, insEq, tl, tombEq := sn.rank(key, lb)
+	if !sn.present(key, lb, insEq, tombEq) {
 		return -1
 	}
-	if base < 0 {
-		base = sn.tree.LowerBound(key)
-	}
-	return base + d
+	return int(lb + il - tl)
 }
 
-// equalRange returns the merged half-open rank range of key.
+// equalRange returns the live half-open rank range of key.
 func (sn *snapshot[K]) equalRange(key K) (first, last int) {
-	first, last = sn.tree.EqualRange(key)
-	for _, r := range sn.runs {
-		first += r.lowerBound(key)
-		last += r.upperBound(key)
+	if sn.deltaKeys() == 0 {
+		return sn.tree.EqualRange(key)
 	}
-	return first, last
+	lb := int32(sn.tree.LowerBound(key))
+	il, insEq, tl, tombEq := sn.rank(key, lb)
+	first = int(lb + il - tl)
+	return first, first + int(sn.baseEqual(key, lb)-tombEq+insEq)
 }
 
-// arrays returns the sorted arrays composing the snapshot, base first.
-func (sn *snapshot[K]) arrays() [][]K {
-	out := make([][]K, 0, 1+len(sn.runs))
-	out = append(out, sn.keys)
-	for _, r := range sn.runs {
-		out = append(out, r.keys)
-	}
-	return out
-}
-
-// selectKth returns the k-th smallest merged key (0-based rank-select).
-// The k-th value v satisfies cntLess(v) ≤ k < cntLessEq(v) and is an
-// element of some array, so each array is binary-searched for an element
-// meeting the predicate — O(runs² · log²), fine for the cold Key path.
+// selectKth returns the k-th smallest live key (0-based rank-select) — the
+// cold Key path, so it may binary search.  Placing each insert before its
+// equal base keys, insert i sits at live rank i + (pos[i] − tombstones below
+// pos[i]), strictly ascending in i; if no insert sits at k, the answer is a
+// live base key, whose base index is its live index plus the tombstones
+// that precede it.
 func (sn *snapshot[K]) selectKth(k int) K {
-	arrays := sn.arrays()
-	cntLess := func(v K) int {
-		n := 0
-		for _, a := range arrays {
-			n += sort.Search(len(a), func(i int) bool { return a[i] >= v })
-		}
-		return n
+	ins, tomb := &sn.ins, &sn.tomb
+	tombsBelow := func(p int32) int {
+		return sort.Search(len(tomb.pos), func(t int) bool { return tomb.pos[t] >= p })
 	}
-	cntLessEq := func(v K) int {
-		n := 0
-		for _, a := range arrays {
-			n += sort.Search(len(a), func(i int) bool { return a[i] > v })
-		}
-		return n
+	i := sort.Search(len(ins.keys), func(i int) bool {
+		return i+int(ins.pos[i])-tombsBelow(ins.pos[i]) >= k
+	})
+	if i < len(ins.keys) && i+int(ins.pos[i])-tombsBelow(ins.pos[i]) == k {
+		return ins.keys[i]
 	}
-	for _, a := range arrays {
-		j := sort.Search(len(a), func(i int) bool { return cntLessEq(a[i]) > k })
-		if j < len(a) && cntLess(a[j]) <= k {
-			return a[j]
-		}
-	}
-	panic("shard: selectKth rank out of range")
+	j := k - i // live base index; tombstone t precedes it iff pos[t]−t ≤ j
+	return sn.keys[j+sort.Search(len(tomb.pos), func(t int) bool { return int(tomb.pos[t])-t > j })]
 }
 
 // mergedKeys flattens the snapshot into one sorted array (fold input,
-// snapshot serialization).  With no runs it returns the base array itself.
+// snapshot serialization): the base spans between consecutive insert and
+// tombstone positions are copied whole into an exactly-sized array.  With
+// no delta it returns the base array itself.
 func (sn *snapshot[K]) mergedKeys() []K {
-	if len(sn.runs) == 0 {
+	if sn.deltaKeys() == 0 {
 		return sn.keys
 	}
-	out := sn.keys
-	for _, r := range sn.runs {
-		out = mergeSorted(out, r.keys)
+	ins, tomb := &sn.ins, &sn.tomb
+	out := make([]K, sn.total)
+	w, src := 0, 0
+	for i, j := 0, 0; i < len(ins.keys) || j < len(tomb.keys); {
+		if j == len(tomb.keys) || (i < len(ins.keys) && ins.pos[i] <= tomb.pos[j]) {
+			p := int(ins.pos[i])
+			w += copy(out[w:], sn.keys[src:p])
+			out[w] = ins.keys[i]
+			w, src, i = w+1, p, i+1
+		} else {
+			p := int(tomb.pos[j])
+			w += copy(out[w:], sn.keys[src:p])
+			src, j = p+1, j+1
+		}
 	}
+	copy(out[w:], sn.keys[src:])
 	return out
 }
 
-// mergeSorted merges two sorted arrays (a's elements first on ties).
-func mergeSorted[K cmp.Ordered](a, b []K) []K {
-	out := make([]K, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// totalDelta sums the run sizes.
-func totalDelta[K cmp.Ordered](runs []*deltaRun[K]) int {
-	n := 0
-	for _, r := range runs {
-		n += len(r.keys)
-	}
-	return n
-}
-
-// absorb builds shard s's next snapshot from an insert-only batch under the
-// tiering policy: publish a new run, merge the runs, or fold — whichever
-// the thresholds pick.  Delete batches and disabled deltas fold (callers
-// route them to fold directly).
-func (x *Index[K]) absorb(old *snapshot[K], ins []K) *snapshot[K] {
+// absorb builds shard s's next snapshot over the same base: the insert
+// batch merges into the insert run, then each delete cancels an insert-run
+// key if there is one, else tombstones a still-live base occurrence, else
+// is ignored.  ins and del are consumed (sorted and compacted in place).
+func absorb[K cmp.Ordered](old *snapshot[K], ins, del []K) *snapshot[K] {
 	slices.Sort(ins)
-	runs := make([]*deltaRun[K], 0, len(old.runs)+1)
-	runs = append(runs, old.runs...)
-	runs = append(runs, newDeltaRun(ins))
-	delta := totalDelta(runs)
-	if x.delta.shouldFold(delta, len(old.keys)) {
-		return x.fold(old, ins, nil)
+	slices.Sort(del)
+	next := &snapshot[K]{epoch: old.epoch + 1, keys: old.keys, tree: old.tree, ins: old.ins, tomb: old.tomb}
+	if len(ins) > 0 || (len(del) > 0 && len(old.ins.keys) > 0) {
+		next.ins, del = old.mergeInserts(ins, del)
 	}
-	if len(runs) > x.delta.maxRuns() {
-		merged := runs[0].keys
-		for _, r := range runs[1:] {
-			merged = mergeSorted(merged, r.keys)
-		}
-		runs = []*deltaRun[K]{newDeltaRun(merged)}
-		x.runMerges.Add(1)
+	if len(del) > 0 {
+		next.tomb = old.addTombstones(del)
 	}
-	x.deltaAppends.Add(1)
-	return &snapshot[K]{
-		epoch: old.epoch + 1,
-		keys:  old.keys,
-		tree:  old.tree,
-		runs:  runs,
-		total: len(old.keys) + totalDelta(runs),
-	}
+	next.dir = buildDir(next.ins.pos, next.tomb.pos, len(next.keys))
+	next.total = len(next.keys) + len(next.ins.keys) - len(next.tomb.keys)
+	return next
 }
 
-// fold builds the next snapshot the pre-delta way: one merged sorted array
-// (base ∪ runs ∪ ins, minus del) and a fresh tree over it.
-func (x *Index[K]) fold(old *snapshot[K], ins, del []K) *snapshot[K] {
-	keys := applyBatch(old.mergedKeys(), ins, del)
-	x.folds.Add(1)
-	return &snapshot[K]{epoch: old.epoch + 1, keys: keys, tree: x.build(keys), total: len(keys)}
+// mergeInserts merges the sorted batch into the insert run — the new keys
+// positioned by one descent over the batch only, the old keys carrying
+// their positions along — dropping one merged key per matching delete.  It
+// returns the new run and the deletes that cancelled nothing (compacted
+// into del's storage).  The batch is small next to the run, so the merge
+// walks the batch, not the run: each insert or delete finds its place in
+// the old run by binary search and the stretch before it moves as one copy.
+func (sn *snapshot[K]) mergeInserts(ins, del []K) (run[K], []K) {
+	old := &sn.ins
+	pos := make([]int32, len(ins))
+	treeLowerBoundBatch(sn.tree, ins, pos)
+	keys := make([]K, 0, len(old.keys)+len(ins))
+	kpos := make([]int32, 0, len(old.keys)+len(ins))
+	rest := del[:0]
+	i := 0 // old keys below i are merged
+	copyOldBelow := func(k K) {
+		hi := i + sort.Search(len(old.keys)-i, func(j int) bool { return old.keys[i+j] >= k })
+		keys = append(keys, old.keys[i:hi]...)
+		kpos = append(kpos, old.pos[i:hi]...)
+		i = hi
+	}
+	for j, d := 0, 0; j < len(ins) || d < len(del); {
+		if d == len(del) || (j < len(ins) && ins[j] <= del[d]) {
+			copyOldBelow(ins[j])
+			keys = append(keys, ins[j])
+			kpos = append(kpos, pos[j])
+			j++
+			continue
+		}
+		// Every merged key ≤ del[d] is placed: the delete cancels an old
+		// key equal to it, else an insert of this batch equal to it (the
+		// last key placed), else nothing.
+		k := del[d]
+		d++
+		copyOldBelow(k)
+		switch {
+		case i < len(old.keys) && old.keys[i] == k:
+			i++
+		case len(keys) > 0 && keys[len(keys)-1] == k:
+			keys, kpos = keys[:len(keys)-1], kpos[:len(kpos)-1]
+		default:
+			rest = append(rest, k)
+		}
+	}
+	if len(ins) == 0 && i == len(keys) {
+		return *old, rest // no delete matched an insert
+	}
+	keys = append(keys, old.keys[i:]...)
+	kpos = append(kpos, old.pos[i:]...)
+	return run[K]{keys: keys, pos: kpos}, rest
+}
+
+// addTombstones merges the sorted deletes into the tombstone run: each
+// tombstones the first occurrence of its key in the base that no earlier
+// tombstone covers, and deletes of keys with no live base occurrence are
+// dropped.
+func (sn *snapshot[K]) addTombstones(del []K) run[K] {
+	old := &sn.tomb
+	pos := make([]int32, len(del))
+	treeLowerBoundBatch(sn.tree, del, pos)
+	keys := make([]K, 0, len(old.keys)+len(del))
+	kpos := make([]int32, 0, len(old.keys)+len(del))
+	t := 0
+	for i := 0; i < len(del); {
+		k, q := del[i], int(pos[i])
+		for ; t < len(old.keys) && old.keys[t] <= k; t++ {
+			keys = append(keys, old.keys[t])
+			kpos = append(kpos, old.pos[t])
+			if old.keys[t] == k {
+				q++ // this occurrence is already deleted
+			}
+		}
+		for ; i < len(del) && del[i] == k; i++ {
+			if q < len(sn.keys) && sn.keys[q] == k {
+				keys = append(keys, k)
+				kpos = append(kpos, int32(q))
+				q++
+			}
+		}
+	}
+	if len(keys) == t {
+		return *old // nothing was live to delete
+	}
+	keys = append(keys, old.keys[t:]...)
+	kpos = append(kpos, old.pos[t:]...)
+	return run[K]{keys: keys, pos: kpos}
+}
+
+// fold builds the next snapshot the §2.3 way: the live keys in one fresh
+// sorted array and a fresh tree over it.
+func (x *Index[K]) fold(sn *snapshot[K], epoch uint64) *snapshot[K] {
+	keys := sn.mergedKeys()
+	return &snapshot[K]{epoch: epoch, keys: keys, tree: x.build(keys), total: len(keys)}
 }
 
 // SetDeltaPolicy configures the delta layer (default: enabled with the
@@ -307,26 +451,31 @@ func (x *Index[K]) SetDeltaPolicy(p DeltaPolicy) { x.delta = p }
 func (x *Index[K]) DeltaPolicyConfigured() DeltaPolicy { return x.delta }
 
 // DeltaStats snapshots the delta layer across shards plus the lifetime
-// tiering counters.
+// absorb and fold counters.
 func (x *Index[K]) DeltaStats() DeltaStats {
 	st := DeltaStats{
-		Appends:   x.deltaAppends.Load(),
-		RunMerges: x.runMerges.Load(),
-		Folds:     x.folds.Load(),
+		Appends: x.deltaAppends.Load(),
+		Folds:   x.folds.Load(),
 	}
 	for _, s := range x.shards {
 		sn := s.cur.Load()
 		st.BaseKeys += len(sn.keys)
-		st.DeltaKeys += sn.total - len(sn.keys)
-		st.Runs += len(sn.runs)
+		st.DeltaKeys += sn.deltaKeys()
+		st.Tombstones += len(sn.tomb.keys)
+		if len(sn.ins.keys) > 0 {
+			st.Runs++
+		}
+		if len(sn.tomb.keys) > 0 {
+			st.Runs++
+		}
 	}
 	return st
 }
 
-// Compact folds every shard's outstanding delta runs into fresh base
-// arrays and trees, after absorbing any pending batches, and blocks until
-// the folds are published — the manual counterpart of the size-tiered
-// fold.  After Close, Compact returns immediately.
+// Compact folds every shard's outstanding delta into fresh base arrays and
+// trees, after absorbing any pending batches, and blocks until the folds
+// are published — the manual counterpart of the size-triggered fold.  After
+// Close, Compact returns immediately.
 func (x *Index[K]) Compact() {
 	ack := make(chan struct{})
 	select {
@@ -336,13 +485,12 @@ func (x *Index[K]) Compact() {
 	}
 }
 
-// compactAll folds every shard that holds delta runs (background goroutine).
+// compactAll folds every shard that holds a delta (background goroutine).
 func (x *Index[K]) compactAll() {
 	for _, s := range x.shards {
-		old := s.cur.Load()
-		if len(old.runs) == 0 {
-			continue
+		if old := s.cur.Load(); old.deltaKeys() > 0 {
+			start := telemetry.Now()
+			x.publish(s, x.fold(old, old.epoch+1), true, start)
 		}
-		s.cur.Store(x.fold(old, nil, nil))
 	}
 }

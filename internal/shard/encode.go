@@ -94,8 +94,9 @@ func hashKeys(parts [][]uint32) uint64 {
 func SaveU32(w io.Writer, v *View[uint32]) error {
 	parts := make([][]uint32, len(v.snaps))
 	for i, s := range v.snaps {
-		// mergedKeys flattens any delta runs the snapshot carries, so a
-		// snapshot taken mid-delta still travels with every absorbed key.
+		// mergedKeys flattens any delta the snapshot carries, so a snapshot
+		// taken mid-delta travels with every absorbed insert and without
+		// any tombstoned key.
 		parts[i] = s.mergedKeys()
 	}
 	hd := shardHeader{

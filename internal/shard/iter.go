@@ -73,12 +73,12 @@ func (v *View[K]) Epochs() []uint64 {
 }
 
 // Key returns the key at a global position: a direct array access when the
-// shard carries no delta runs, a rank-select across base ∪ runs when it
+// shard carries no delta, a rank-select across base − tomb + ins when it
 // does.
 func (v *View[K]) Key(pos int) K {
 	s := sort.Search(len(v.snaps), func(i int) bool { return v.offs[i+1] > pos })
 	sn := v.snaps[s]
-	if len(sn.runs) == 0 {
+	if sn.deltaKeys() == 0 {
 		return sn.keys[pos-v.offs[s]]
 	}
 	return sn.selectKth(pos - v.offs[s])
@@ -135,24 +135,23 @@ func (v *View[K]) rangeAt(start, end int) *RangeIter[K] {
 
 // RangeIter is a merging cross-shard iterator.  Because the shards
 // range-partition the key space, the cross-shard merge degenerates to
-// ordered concatenation; inside a shard the base array and its delta runs
-// DO interleave, so the iterator keeps a small head-per-stream merge
-// (base first on ties) — with no runs outstanding, Next degenerates to the
-// plain array walk it was before the delta layer.
+// ordered concatenation; inside a shard the base array and its insert run
+// DO interleave and the tombstone run consumes base occurrences, so the
+// iterator keeps three cursors — with no delta outstanding, Next
+// degenerates to the plain array walk it was before the delta layer.
 type RangeIter[K cmp.Ordered] struct {
 	v     *View[K]
 	shard int
 	pos   int // global position of the next key
 	end   int // global position to stop before
 
-	// Merge state of the current shard: the composing arrays and a cursor
-	// per array.  Rebuilt on every shard hop; nil until first use.
-	streams   [][]K
-	cursor    []int
-	inShard   int  // shard the streams belong to
-	started   bool // streams initialised at least once
-	startKey  K    // value the iteration started at (set by Range):
-	haveStart bool // positions the cursors mid-shard on the first shard
+	// Cursors into the current shard's base, insert run and tombstone run.
+	// Repositioned on every shard hop.
+	base, ins, tomb int
+	inShard         int  // shard the cursors belong to
+	started         bool // cursors initialised at least once
+	startKey        K    // value the iteration started at (set by Range):
+	haveStart       bool // positions the cursors mid-shard on the first shard
 }
 
 // Remaining returns the number of keys left to yield.
@@ -170,43 +169,41 @@ func (it *RangeIter[K]) Next() (key K, pos int, ok bool) {
 	sn := v.snaps[it.shard]
 	pos = it.pos
 	it.pos++
-	if len(sn.runs) == 0 {
+	if sn.deltaKeys() == 0 {
 		return sn.keys[pos-v.offs[it.shard]], pos, true
 	}
 	if !it.started || it.inShard != it.shard {
 		it.initShard(sn, pos-v.offs[it.shard])
 	}
-	// Pick the smallest head; earliest stream (base first) wins ties.
-	best := -1
-	for i, a := range it.streams {
-		c := it.cursor[i]
-		if c >= len(a) {
-			continue
-		}
-		if best < 0 || a[c] < it.streams[best][it.cursor[best]] {
-			best = i
-		}
+	// A base occurrence is consumed by the tombstone that deletes it.
+	for it.tomb < len(sn.tomb.pos) && int(sn.tomb.pos[it.tomb]) == it.base {
+		it.base++
+		it.tomb++
 	}
-	key = it.streams[best][it.cursor[best]]
-	it.cursor[best]++
+	// The smaller head wins; the base wins ties.
+	if it.ins < len(sn.ins.keys) && (it.base == len(sn.keys) || sn.ins.keys[it.ins] < sn.keys[it.base]) {
+		key = sn.ins.keys[it.ins]
+		it.ins++
+	} else {
+		key = sn.keys[it.base]
+		it.base++
+	}
 	return key, pos, true
 }
 
-// initShard positions one cursor per composing array of the shard.  local
-// is the merged rank to start at: 0 at a shard boundary, or — only on the
-// iterator's first shard — the rank of startKey's lower bound, which every
-// array realises as its own lower bound of startKey.
+// initShard positions the three cursors.  local is the live rank to start
+// at: 0 at a shard boundary, or — only on the iterator's first shard — the
+// rank of startKey's lower bound, which the base realises as its own lower
+// bound of startKey and each run as its rank below it.
 func (it *RangeIter[K]) initShard(sn *snapshot[K], local int) {
-	it.streams = sn.arrays()
-	it.cursor = make([]int, len(it.streams))
+	it.base, it.ins, it.tomb = 0, 0, 0
 	if local != 0 {
 		if !it.haveStart {
 			panic("shard: range iterator started mid-shard without a start key")
 		}
-		it.cursor[0] = sn.tree.LowerBound(it.startKey)
-		for i, r := range sn.runs {
-			it.cursor[i+1] = r.lowerBound(it.startKey)
-		}
+		lb := int32(sn.tree.LowerBound(it.startKey))
+		il, _, tl, _ := sn.rank(it.startKey, lb)
+		it.base, it.ins, it.tomb = int(lb), int(il), int(tl)
 	}
 	it.inShard = it.shard
 	it.started = true

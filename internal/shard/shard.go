@@ -8,12 +8,15 @@
 // boundaries, loads that shard's current snapshot with a single atomic
 // pointer load, and searches an immutable tree.  Writers never touch a
 // published tree; Insert/Delete only append to a per-shard pending batch
-// under a short mutex.  One background goroutine drains dirty shards,
-// merges each batch into a freshly built sorted array, rebuilds the shard's
-// tree, and publishes the result with an epoch-swap: a new snapshot whose
-// epoch is one greater than the one it replaces.  A reader therefore always
-// sees a complete, internally consistent (keys, tree, epoch) triple, and the
-// epoch it observes for any shard never decreases.
+// under a short mutex.  One background goroutine drains dirty shards and
+// publishes each shard's next state with an epoch-swap: a new snapshot whose
+// epoch is one greater than the one it replaces.  A small batch — inserts
+// and deletes alike — is absorbed into the shard's delta (an insert run and
+// a tombstone run beside the unchanged base, delta.go) in O(delta); once the
+// delta reaches the fold threshold the shard is rebuilt the §2.3 way, into a
+// freshly built sorted array and tree.  A reader therefore always sees a
+// complete, internally consistent (base, tree, delta, epoch) snapshot, and
+// the epoch it observes for any shard never decreases.
 //
 // Sharding also bounds rebuild latency — only the shards a batch touches are
 // rebuilt, each over 1/N of the data — and lets rebuilds of different shards
@@ -31,6 +34,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cssidx/internal/csstree"
 	"cssidx/internal/parallel"
@@ -61,16 +65,18 @@ func LevelCSSBuilder(m int) Builder[uint32] {
 }
 
 // snapshot is one published epoch of a shard: an immutable sorted base
-// array with the tree over it, plus the delta runs not yet folded in
-// (delta.go).  The logical content is the merged multiset base ∪ runs;
-// positions are ranks in the merged order.  Snapshots are never mutated
-// after publication.
+// array with the tree over it, plus the delta not yet folded in (delta.go):
+// the keys inserted since and the base occurrences deleted since.  The
+// logical content is the multiset base − tomb + ins; positions are ranks in
+// it.  Snapshots are never mutated after publication.
 type snapshot[K cmp.Ordered] struct {
 	epoch uint64
 	keys  []K
 	tree  Tree[K]
-	runs  []*deltaRun[K]
-	total int // len(keys) + Σ len(run.keys)
+	ins   run[K]
+	tomb  run[K]
+	dir   []int32 // position directory over both runs (buildDir); nil without a delta
+	total int     // len(keys) + len(ins.keys) − len(tomb.keys)
 }
 
 // shardState is one range shard: the current snapshot plus the pending
@@ -111,11 +117,10 @@ type Index[K cmp.Ordered] struct {
 	// Views that carry the pool), so steady-state batches allocate nothing.
 	scratch sync.Pool
 
-	// delta tunes the mutable delta layer (delta.go); the tiering counters
-	// feed DeltaStats.
+	// delta tunes the mutable delta layer (delta.go); the counters feed
+	// DeltaStats.
 	delta        DeltaPolicy
 	deltaAppends atomic.Uint64
-	runMerges    atomic.Uint64
 	folds        atomic.Uint64
 
 	wake      chan struct{}
@@ -178,6 +183,12 @@ func (x *Index[K]) Close() {
 	x.closeOnce.Do(func() {
 		close(x.done)
 		x.wg.Wait()
+		// Nothing will fold a closed index: its delta leaves the lag gauges.
+		for _, s := range x.shards {
+			sn := s.cur.Load()
+			gaugeDeltaKeys.Add(-int64(sn.deltaKeys()))
+			gaugeTombstones.Add(-int64(len(sn.tomb.keys)))
+		}
 	})
 }
 
@@ -265,28 +276,29 @@ func (x *Index[K]) Insert(keys ...K) { x.enqueue(keys, true) }
 // key removes at most one occurrence; absent keys are ignored.
 func (x *Index[K]) Delete(keys ...K) { x.enqueue(keys, false) }
 
+// enqueue routes the keys to their shards' pending batches in one pass,
+// holding a shard's lock across each stretch of consecutive keys that route
+// to it, so a write allocates nothing beyond the pending slices' own growth.
 func (x *Index[K]) enqueue(keys []K, ins bool) {
 	if len(keys) == 0 {
 		return
 	}
-	buckets := make([][]K, len(x.shards))
+	var cur *shardState[K]
 	for _, k := range keys {
-		s := x.shardFor(k)
-		buckets[s] = append(buckets[s], k)
-	}
-	for i, b := range buckets {
-		if len(b) == 0 {
-			continue
+		if s := x.shards[x.shardFor(k)]; s != cur {
+			if cur != nil {
+				cur.mu.Unlock()
+			}
+			s.mu.Lock()
+			cur = s
 		}
-		s := x.shards[i]
-		s.mu.Lock()
 		if ins {
-			s.insPend = append(s.insPend, b...)
+			cur.insPend = append(cur.insPend, k)
 		} else {
-			s.delPend = append(s.delPend, b...)
+			cur.delPend = append(cur.delPend, k)
 		}
-		s.mu.Unlock()
 	}
+	cur.mu.Unlock()
 	select {
 	case x.wake <- struct{}{}:
 	default:
@@ -327,10 +339,29 @@ func (x *Index[K]) loop() {
 	}
 }
 
+// publish swaps in shard s's next snapshot and accounts for it in one place:
+// the lifetime counters behind DeltaStats, the swap's telemetry by outcome,
+// and the lag gauges, moved by the change in the shard's outstanding delta.
+func (x *Index[K]) publish(s *shardState[K], next *snapshot[K], folded bool, start time.Time) {
+	old := s.cur.Swap(next)
+	gaugeDeltaKeys.Add(int64(next.deltaKeys() - old.deltaKeys()))
+	gaugeTombstones.Add(int64(len(next.tomb.keys) - len(old.tomb.keys)))
+	if folded {
+		x.folds.Add(1)
+		ctrFolds.Inc()
+		histFoldNs.Since(start)
+	} else {
+		x.deltaAppends.Add(1)
+		ctrAbsorbs.Inc()
+		histAbsorbNs.Since(start)
+	}
+}
+
 // drain repeatedly sweeps the shards, absorbing and publishing any pending
-// batches, until a full sweep finds nothing to do.  Insert-only batches go
-// through the delta layer's tiering (absorb, delta.go); delete batches and
-// disabled deltas fold the full §2.3 way.
+// batches, until a full sweep finds nothing to do.  Every batch goes through
+// absorb (delta.go); the shard then folds — the full §2.3 rebuild — only if
+// its delta has reached the policy's threshold.  A batch that changes
+// nothing on a shard with no delta (deletes of absent keys) publishes nothing.
 func (x *Index[K]) drain() {
 	for {
 		dirty := false
@@ -343,56 +374,20 @@ func (x *Index[K]) drain() {
 				continue
 			}
 			dirty = true
-			old := s.cur.Load()
 			start := telemetry.Now()
-			if len(del) == 0 && !x.delta.Disabled && len(ins) > 0 {
-				s.cur.Store(x.absorb(old, ins))
-				ctrAbsorbs.Inc()
-			} else {
-				s.cur.Store(x.fold(old, ins, del))
-				ctrFolds.Inc()
+			old := s.cur.Load()
+			next := absorb(old, ins, del)
+			if old.deltaKeys() == 0 && next.deltaKeys() == 0 {
+				continue // deletes of absent keys only: nothing changed, nothing to publish
 			}
-			histSwapNs.Since(start)
+			fold := next.deltaKeys() > 0 && x.delta.shouldFold(next.deltaKeys(), len(next.keys))
+			if fold {
+				next = x.fold(next, next.epoch)
+			}
+			x.publish(s, next, fold, start)
 		}
 		if !dirty {
 			return
 		}
 	}
-}
-
-// applyBatch merges the insert batch into the sorted base and removes one
-// occurrence per delete key, returning a fresh sorted array.  base is only
-// read; ins and del are consumed (sorted in place).
-func applyBatch[K cmp.Ordered](base, ins, del []K) []K {
-	slices.Sort(ins)
-	slices.Sort(del)
-	merged := make([]K, 0, len(base)+len(ins))
-	i, j := 0, 0
-	for i < len(base) && j < len(ins) {
-		if base[i] <= ins[j] {
-			merged = append(merged, base[i])
-			i++
-		} else {
-			merged = append(merged, ins[j])
-			j++
-		}
-	}
-	merged = append(merged, base[i:]...)
-	merged = append(merged, ins[j:]...)
-	if len(del) == 0 {
-		return merged
-	}
-	out := merged[:0]
-	d := 0
-	for _, k := range merged {
-		for d < len(del) && del[d] < k {
-			d++ // delete of an absent key: ignored
-		}
-		if d < len(del) && del[d] == k {
-			d++ // remove this one occurrence
-			continue
-		}
-		out = append(out, k)
-	}
-	return out
 }

@@ -4,9 +4,11 @@ package shard
 // position (clamped: shards past shardLabelMax pool into one overflow
 // series) so a scrape shows the probe distribution across the range
 // partition — the signal WeightedBoundaries acts on.  Epoch-swaps record
-// both the event kind (absorb vs fold) and the rebuild duration.  All
-// series live in telemetry.Default; while collection is off every hook
-// costs one atomic load.
+// the event kind (absorb vs fold) and, per kind, what the swap cost; two
+// gauges carry the delta's lag — the insert-run keys and tombstones awaiting
+// a fold, summed over every index in the process.  All series live in
+// telemetry.Default; while collection is off every counter and histogram
+// hook costs one atomic load.
 
 import (
 	"strconv"
@@ -33,7 +35,11 @@ var (
 	ctrBatchProbes = telemetry.C("shard_batch_probes_total")
 	ctrAbsorbs     = telemetry.C("shard_absorbs_total")
 	ctrFolds       = telemetry.C("shard_folds_total")
-	histSwapNs     = telemetry.H("shard_epoch_swap_ns")
+	histAbsorbNs   = telemetry.H(`shard_epoch_swap_ns{outcome="absorb"}`)
+	histFoldNs     = telemetry.H(`shard_epoch_swap_ns{outcome="fold"}`)
+
+	gaugeDeltaKeys  = telemetry.G("shard_delta_keys")
+	gaugeTombstones = telemetry.G("shard_tombstones")
 )
 
 // noteProbe counts one single-key probe against shard sid.

@@ -1,10 +1,11 @@
 package simidx_test
 
 // Differential legs for the sharded delta layer: an index absorbing insert
-// batches as delta runs must answer every surface — scalar, batch, ordered
-// iteration — bit-identically to a fully rebuilt twin and to the sorted
-// slice oracle, across interleaved appends, run merges, manual compactions
-// and size-triggered folds.
+// and delete batches into its delta (an insert run and a tombstone run per
+// shard) must answer every surface — scalar, batch, ordered iteration —
+// bit-identically to a fully rebuilt twin and to the sorted slice oracle,
+// across interleaved appends, absorbed deletes, manual compactions and
+// size-triggered folds.
 
 import (
 	"math"
@@ -68,9 +69,10 @@ func checkShardedState(t *testing.T, tag string, x *cssidx.ShardedIndex[uint32],
 }
 
 // TestDifferentialDeltaVsFolded grows a delta-absorbing index and an
-// always-fold twin through the same interleaved batch sequence — absorbs
-// past the run-merge tier, deletes (which fold), a manual Compact, and a
-// size-triggered fold — comparing both to the oracle after every step.
+// always-fold twin through the same interleaved batch sequence — absorbed
+// inserts, absorbed deletes (of run keys, base keys, more occurrences than
+// exist, absent keys), a manual Compact, and a size-triggered fold —
+// comparing both to the oracle after every step.
 func TestDifferentialDeltaVsFolded(t *testing.T) {
 	g := workload.New(91)
 	keys := g.SortedWithDuplicates(5000, 3)
@@ -110,22 +112,35 @@ func TestDifferentialDeltaVsFolded(t *testing.T) {
 		checkShardedState(t, tag+"/folded", folded, o, probes)
 	}
 
-	// Six insert-only rounds: enough runs per shard to cross the merge tier.
+	// Six insert-only rounds grow each shard's insert run.
+	var inserted []uint32
 	for round := 0; round < 6; round++ {
-		apply(append(g.Misses(ok, 70), g.Lookups(ok, 30)...), nil)
+		ins := append(g.Misses(ok, 70), g.Lookups(ok, 30)...)
+		inserted = append(inserted, ins[:10]...)
+		apply(ins, nil)
 		check("absorb")
 	}
 	st := live.DeltaStats()
 	if st.Appends == 0 || st.DeltaKeys == 0 {
 		t.Fatalf("delta layer never engaged: %+v", st)
 	}
-	if st.RunMerges == 0 {
-		t.Fatalf("run-merge tier never crossed: %+v", st)
-	}
 
-	// A delete batch folds the affected shards on both twins.
-	apply(g.Misses(ok, 50), g.Lookups(ok, 80))
-	check("delete-fold")
+	// The delete leg: the live index absorbs what the twin folds.  Run keys
+	// cancel out of the insert run; base keys leave tombstones — one key
+	// deleted more often than it occurs, so some deletes must be ignored —
+	// and absent keys change nothing.
+	del := append(slices.Clone(inserted), g.Lookups(keys, 80)...)
+	del = append(del, keys[0], keys[0], keys[0], keys[0], keys[0])
+	del = append(del, g.Misses(ok, 20)...)
+	folds := st.Folds
+	apply(g.Misses(ok, 50), del)
+	check("delete-absorb")
+	st = live.DeltaStats()
+	if st.Folds != folds || st.Tombstones == 0 {
+		t.Fatalf("deletes were not absorbed as tombstones: %+v", st)
+	}
+	apply(nil, g.Lookups(ok, 60))
+	check("delete-only")
 
 	// More absorbs, then a manual compaction: all runs fold, reads hold.
 	apply(g.Misses(ok, 120), nil)
@@ -143,7 +158,7 @@ func TestDifferentialDeltaVsFolded(t *testing.T) {
 	def := cssidx.NewSharded(smallBase, cssidx.ShardedOptions[uint32]{Shards: 2})
 	defer def.Close()
 	okd := slices.Clone(smallBase)
-	big := g.Misses(okd, 2000) // ≥ MinFoldKeys and ≥ base/8 per shard
+	big := g.Misses(okd, 2000) // ≥ MinFoldKeys and ≥ base/512 per shard
 	def.Insert(big...)
 	def.Sync()
 	okd = append(okd, big...)

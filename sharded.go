@@ -5,8 +5,10 @@
 // range-partitioned across N shards (equal-count by default, or skew-aware
 // from a probe sample), each shard's CSS-tree sits behind an atomic
 // pointer, and reads are lock-free while a background goroutine absorbs
-// batched inserts/deletes per shard and publishes freshly rebuilt trees
-// with epoch-swaps.  See internal/shard for the machinery.
+// batched inserts/deletes per shard — small batches into a per-shard delta
+// (an insert run and a tombstone run beside the unchanged tree), a delta
+// grown past the fold threshold into a freshly rebuilt tree — and publishes
+// each step with an epoch-swap.  See internal/shard for the machinery.
 package cssidx
 
 import (
@@ -100,20 +102,24 @@ type ShardedOptions[K cmp.Ordered] struct {
 	// default engine — GOMAXPROCS workers, sequential below ~4k probes;
 	// set Workers to 1 to keep batches on the calling goroutine.
 	Parallel ParallelOptions
-	// Delta tunes the mutable delta layer that absorbs small insert
-	// batches as sorted runs instead of folding them into a full shard
-	// rebuild.  The zero value enables it with the default tiering
-	// (4 runs, fold at 1/8 of the base); Delta.Disabled restores the pure
-	// rebuild-per-batch cycle.
+	// Delta tunes the mutable delta layer that absorbs small batches —
+	// inserts into one sorted insert run per shard, deletes by cancelling
+	// an insert-run key or tombstoning a base key — instead of folding
+	// each into a full shard rebuild.  The zero value enables it with the
+	// default schedule (a shard folds once its insert run plus tombstones
+	// reach 1/512 of its base, and at least 512 keys); Delta.Disabled
+	// restores the pure rebuild-per-batch cycle.
 	Delta DeltaPolicy
 }
 
-// DeltaPolicy tunes the delta layer's tiering; see the field docs on the
-// internal policy (internal/shard.DeltaPolicy) for the exact thresholds.
+// DeltaPolicy tunes the delta layer's fold schedule (Disabled,
+// FoldDenominator, MinFoldKeys); see the field docs on the internal policy
+// (internal/shard.DeltaPolicy) for the exact thresholds.
 type DeltaPolicy = shard.DeltaPolicy
 
 // DeltaStats snapshots the delta layer across shards: base vs delta key
-// counts, outstanding runs, and lifetime absorb/merge/fold counters.
+// counts, the tombstone share, outstanding runs, and lifetime absorb/fold
+// counters.
 type DeltaStats = shard.DeltaStats
 
 // ShardedIndex is a concurrently servable index over a multiset of keys of
@@ -249,12 +255,13 @@ func (x *ShardedIndex[K]) Delete(keys ...K) { x.ix.Delete(keys...) }
 func (x *ShardedIndex[K]) Sync() { x.ix.Sync() }
 
 // DeltaStats snapshots the delta layer: how many keys sit in immutable
-// base arrays vs outstanding delta runs, and the lifetime tiering counters.
+// base arrays vs the outstanding delta (insert-run keys and tombstones),
+// and the lifetime absorb and fold counters.
 func (x *ShardedIndex[K]) DeltaStats() DeltaStats { return x.ix.DeltaStats() }
 
 // Compact absorbs any pending updates, folds every shard's outstanding
-// delta runs into fresh base arrays and trees, and blocks until the folds
-// are published — the manual counterpart of the size-tiered fold.
+// delta into fresh base arrays and trees, and blocks until the folds are
+// published — the manual counterpart of the size-triggered fold.
 func (x *ShardedIndex[K]) Compact() { x.ix.Compact() }
 
 // Close flushes pending updates and stops the background rebuilder.
