@@ -170,7 +170,7 @@ func Experiments() []Experiment {
 		{"parallel", "Extension: parallel batch engine (batch size × workers × skew, branch-free nodes)", runParallel},
 		{"nodesearch", "Extension: node-search kernel ablation (scalar/simd × node size × skew)", runNodeSearch},
 		{"reuse", "Extension: epoch-aware result cache (hit rate × skew × append rate)", runReuse},
-		{"ingest", "Extension: append cliff — delta-layer absorbs vs rebuild-per-batch (appends/s, read tax)", runIngest},
+		{"ingest", "Extension: append cliff — delta-layer absorbs vs fold-per-batch (appends/s, read tax)", runIngest},
 		{"durability", "Extension: WAL overhead per fsync policy (appends/s off/group/always, recovery vs log size)", runDurability},
 		{"telemetry", "Extension: metrics collection overhead, enabled vs disabled (parallel + sharded batch legs)", runTelemetry},
 		{"latency", "Extension: per-surface query latency p50/p90/p99 from the mmdb_query_ns histograms", runLatency},

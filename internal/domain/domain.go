@@ -12,6 +12,7 @@
 package domain
 
 import (
+	"slices"
 	"sort"
 
 	"cssidx/internal/csstree"
@@ -28,37 +29,92 @@ type IntDomain struct {
 // BuildInt constructs the domain of column and returns it together with the
 // column re-encoded as domain IDs (ids[i] is the rank of column[i]).
 func BuildInt(column []uint32) (*IntDomain, []uint32) {
-	values := append([]uint32(nil), column...)
+	values := make([]uint32, len(column))
+	copy(values, column)
 	sortu32.Sort(values)
-	// Dedupe in place.
-	distinct := values[:0]
-	for i, v := range values {
-		if i == 0 || v != values[i-1] {
-			distinct = append(distinct, v)
-		}
+	distinct := slices.Compact(values)
+	// The domain lives as long as the column: do not let 64 distinct values
+	// pin the n-element array they were deduped in.
+	if len(distinct) < len(values) {
+		distinct = append(make([]uint32, 0, len(distinct)), distinct...)
 	}
 	d := &IntDomain{
 		values: distinct,
 		idx:    csstree.BuildLevel(distinct, 16),
 	}
-	// Encode the column through the lockstep batched translation, a chunk
-	// at a time so the position scratch stays cache-resident.
 	ids := make([]uint32, len(column))
+	d.Encode(column, ids)
+	return d, ids
+}
+
+// Encode stores the domain ID of values[i] into ids[i] (len(ids) must equal
+// len(values)) through the lockstep batched translation, a chunk at a time
+// so the position scratch stays cache-resident.  Every value must be in the
+// domain.
+func (d *IntDomain) Encode(values, ids []uint32) {
 	var pos [encodeChunk]int32
-	for base := 0; base < len(column); base += encodeChunk {
-		chunk := column[base:min(base+encodeChunk, len(column))]
+	for base := 0; base < len(values); base += encodeChunk {
+		chunk := values[base:min(base+encodeChunk, len(values))]
 		d.IDsBatch(chunk, pos[:len(chunk)])
 		for i, p := range pos[:len(chunk)] {
 			if p < 0 {
-				panic("domain: value vanished during build")
+				panic("domain: encoding a value the domain does not hold")
 			}
 			ids[base+i] = uint32(p)
 		}
 	}
-	return d, ids
 }
 
-// encodeChunk is how many column values BuildInt translates per batched
+// Extend returns the domain grown by added — ascending values, duplicates
+// allowed, not retained — and the table that carries old IDs over:
+// remap[oldID] is the ID the same value has in the grown domain.  IDs are
+// ranks, so a new distinct value only shifts the IDs above it: remap is
+// monotone, and re-encoding a column is one gather instead of a search per
+// row.  When added brings no new value (every batch of a low-cardinality
+// column) the result is d itself and a nil remap.  d is never modified:
+// readers holding it keep a valid domain.
+func (d *IntDomain) Extend(added []uint32) (*IntDomain, []uint32) {
+	old := d.values
+	// Count the values the domain lacks first, so the grown array is
+	// allocated exactly (and nothing at all when there are none).
+	fresh, i := 0, 0
+	for j, v := range added {
+		if j > 0 && v == added[j-1] {
+			continue
+		}
+		for i < len(old) && old[i] < v {
+			i++
+		}
+		if i == len(old) || old[i] != v {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		return d, nil
+	}
+	values := make([]uint32, 0, len(old)+fresh)
+	remap := make([]uint32, len(old))
+	i = 0
+	for j, v := range added {
+		if j > 0 && v == added[j-1] {
+			continue
+		}
+		for ; i < len(old) && old[i] < v; i++ {
+			remap[i] = uint32(len(values))
+			values = append(values, old[i])
+		}
+		if i == len(old) || old[i] != v {
+			values = append(values, v)
+		}
+	}
+	for ; i < len(old); i++ {
+		remap[i] = uint32(len(values))
+		values = append(values, old[i])
+	}
+	return &IntDomain{values: values, idx: csstree.BuildLevel(values, 16)}, remap
+}
+
+// encodeChunk is how many column values Encode translates per batched
 // descent of the domain tree.
 const encodeChunk = 1024
 

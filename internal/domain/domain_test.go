@@ -1,6 +1,8 @@
 package domain
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -149,5 +151,119 @@ func TestEmptyDomains(t *testing.T) {
 	sd, sids := BuildString(nil)
 	if sd.Len() != 0 || len(sids) != 0 {
 		t.Error("empty string domain mishandled")
+	}
+}
+
+// TestBuildIntRightSized pins that a domain holds its distinct values and
+// nothing more: deduping in place used to leave the whole sorted column
+// behind a 64-value dictionary.
+func TestBuildIntRightSized(t *testing.T) {
+	col := make([]uint32, 10000)
+	for i := range col {
+		col[i] = uint32(i*7919) % 64
+	}
+	d, _ := BuildInt(col)
+	if cap(d.Values()) != d.Len() {
+		t.Errorf("cap(values)=%d for %d distinct values", cap(d.Values()), d.Len())
+	}
+	d, _ = BuildInt(workload.New(7).SortedDistinct(1000))
+	if cap(d.Values()) != d.Len() {
+		t.Errorf("all-distinct column: cap(values)=%d, len %d", cap(d.Values()), d.Len())
+	}
+}
+
+// checkExtend extends the domain of old by added and requires the result to
+// equal BuildInt over the union: same values (exactly sized), same tree
+// answers, the old column's IDs carried over by the remap, the added values
+// encodable — and the old domain left as it was.
+func checkExtend(t *testing.T, old, added []uint32) {
+	t.Helper()
+	d, oldIDs := BuildInt(old)
+	before := slices.Clone(d.Values())
+	sorted := slices.Clone(added)
+	slices.Sort(sorted)
+	ext, remap := d.Extend(sorted)
+	want, wantIDs := BuildInt(slices.Concat(old, added))
+
+	if !slices.Equal(d.Values(), before) {
+		t.Fatal("Extend modified the domain it grew from")
+	}
+	if !slices.Equal(ext.Values(), want.Values()) {
+		t.Fatalf("values differ: got %d, want %d", ext.Len(), want.Len())
+	}
+	if cap(ext.Values()) != ext.Len() {
+		t.Errorf("cap(values)=%d for %d values", cap(ext.Values()), ext.Len())
+	}
+	if (remap == nil) != (ext == d) || (remap == nil) != (want.Len() == d.Len()) {
+		t.Fatalf("remap nil=%v, same domain=%v, grew %d→%d", remap == nil, ext == d, d.Len(), want.Len())
+	}
+	ids := make([]uint32, len(old)+len(added))
+	for i, id := range oldIDs {
+		ids[i] = id
+		if remap != nil {
+			ids[i] = remap[id]
+		}
+	}
+	ext.Encode(added, ids[len(old):])
+	if !slices.Equal(ids, wantIDs) {
+		t.Fatal("remap-encoded column differs from BuildInt of the union")
+	}
+	for i := 1; i < len(remap); i++ {
+		if remap[i] <= remap[i-1] {
+			t.Fatalf("remap not strictly increasing at %d", i)
+		}
+	}
+	// The grown tree answers like a freshly built one, on and off its keys.
+	probes := append([]uint32{0, 1, ^uint32(0), ^uint32(0) - 1}, want.Values()...)
+	for _, v := range want.Values() {
+		probes = append(probes, v+1)
+	}
+	for _, p := range probes {
+		gotID, gotOK := ext.ID(p)
+		wantID, wantOK := want.ID(p)
+		if gotID != wantID || gotOK != wantOK {
+			t.Fatalf("ID(%d)=(%d,%v), want (%d,%v)", p, gotID, gotOK, wantID, wantOK)
+		}
+		gl, gh := ext.IDRange(p, p+p/2)
+		wl, wh := want.IDRange(p, p+p/2)
+		if gl != wl || gh != wh {
+			t.Fatalf("IDRange(%d,…)=[%d,%d), want [%d,%d)", p, gl, gh, wl, wh)
+		}
+	}
+}
+
+func TestExtendMatchesBuildInt(t *testing.T) {
+	max := ^uint32(0)
+	for _, c := range []struct {
+		name       string
+		old, added []uint32
+	}{
+		{"empty-old", nil, []uint32{5, 3, 5, 9}},
+		{"empty-added", []uint32{4, 2, 4}, nil},
+		{"both-empty", nil, nil},
+		{"all-present", []uint32{10, 20, 30, 20}, []uint32{30, 10, 10}},
+		{"below-smallest", []uint32{10, 20}, []uint32{0, 3, 3}},
+		{"above-largest", []uint32{10, 20}, []uint32{max, 21, max}},
+		{"zero-and-max-old", []uint32{0, max}, []uint32{1, max - 1, 0, max}},
+		{"interleaved", []uint32{2, 4, 6, 8}, []uint32{1, 3, 5, 7, 9, 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkExtend(t, c.old, c.added) })
+	}
+	g := rand.New(rand.NewSource(24))
+	for round := 0; round < 60; round++ {
+		// Low cardinality (the added values mostly present), high (mostly
+		// new), and sizes that cross the tree's node and level boundaries.
+		span := []int{8, 300, 1 << 30}[round%3]
+		gen := func(n int) []uint32 {
+			out := make([]uint32, n)
+			for i := range out {
+				out[i] = uint32(g.Intn(span))
+				if g.Intn(50) == 0 {
+					out[i] = []uint32{0, max}[g.Intn(2)]
+				}
+			}
+			return out
+		}
+		checkExtend(t, gen(g.Intn(2000)), gen(g.Intn(400)))
 	}
 }

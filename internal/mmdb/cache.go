@@ -77,7 +77,7 @@ func (t *Table) Cache() *qcache.Cache { return t.cache.Load() }
 func (t *Table) CacheStats() qcache.Stats { return t.cache.Load().StatsSnapshot() }
 
 // Generation returns the table's current generation: 1 after creation,
-// +1 per fold (a full rebuild of encodings and indexes).  Absorbed append
+// +1 per fold (new encodings and index base arrays).  Absorbed append
 // batches only grow the row count — see StateVersion for the counter that
 // moves on every append.
 func (t *Table) Generation() uint64 { return t.gen.Load() }

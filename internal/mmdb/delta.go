@@ -8,11 +8,16 @@ package mmdb
 // as a sorted (value, RID) run per index, with min/max fences and a bloom
 // filter so probes skip runs that cannot match, and every read surface
 // serves base ∪ delta merged by (value, RID).  Because appended RIDs all
-// exceed resident RIDs and the rebuild's radix sort is stable, that merged
+// exceed resident RIDs and the build's radix sort is stable, that merged
 // order is bit-identical to what a full rebuild would produce — the delta
 // layer is invisible to results, only to build cost.  Once the delta has
-// grown to a fixed fraction of the base (AppendPolicy), the batch *folds*:
-// the old full rebuild, amortised to O(log n) rebuilds per doubling.
+// grown to a fixed fraction of the base (AppendPolicy), the batch *folds*,
+// and the fold is a merge too (Table.foldRows): each domain grows by the
+// tail's new values, which shifts the old IDs monotonically (IDs are ranks),
+// so the ID column is carried over by one gather and each index merges its
+// remapped, still-sorted base with the tail's sorted pairs, base first on
+// ties — O(n + tail·log) where a rebuild re-sorts every column and every
+// index, and byte-identical to one for the same two reasons.
 //
 // Frozen encodings are the crux: domains and ID columns stay fixed at the
 // last fold (delta values may be absent from the dictionary), so absorbed
@@ -26,15 +31,14 @@ import (
 )
 
 // AppendPolicy tunes how AppendRows lands a batch: absorbed into the delta
-// layer or folded into a full rebuild of domains, encodings and indexes.
+// layer, or folded into the domains, encodings and index base arrays.
 type AppendPolicy struct {
-	// Disabled forces every batch down the full-rebuild path — the
-	// pre-delta behavior.
+	// Disabled folds every batch: no delta layer, an O(n) merge per batch.
 	Disabled bool
 	// FoldDenominator is the delta:base ratio that triggers a fold: a
 	// batch folds when deltaRows*FoldDenominator ≥ baseRows (0 = 8).  The
 	// default folds an append onto an empty or tiny base immediately,
-	// which is exactly the rebuild-per-batch small tables want.
+	// which is exactly the fold-per-batch small tables want.
 	FoldDenominator int
 	// MinFoldRows floors the trigger: a fold needs at least this many
 	// delta rows.  Raise it to keep a mid-sized table absorbing longer.
@@ -86,15 +90,22 @@ type idxRun struct {
 	filter bloom.Filter[uint32]
 }
 
-// newIdxRun sorts one appended batch into a run; row i has RID startRID+i.
-// The stable pair sort keeps equal values in ascending-RID order.
-func newIdxRun(vals []uint32, startRID uint32) idxRun {
-	v := append([]uint32(nil), vals...)
-	r := make([]uint32, len(v))
+// sortedPairsOf returns a copy of vals in sorted order with the parallel RID
+// list; row i has RID startRID+i.  The stable pair sort keeps equal values in
+// ascending-RID order.
+func sortedPairsOf(vals []uint32, startRID uint32) (v, r []uint32) {
+	v = append([]uint32(nil), vals...)
+	r = make([]uint32, len(v))
 	for i := range r {
 		r[i] = startRID + uint32(i)
 	}
 	sortu32.SortPairs(v, r)
+	return v, r
+}
+
+// newIdxRun sorts one appended batch into a run.
+func newIdxRun(vals []uint32, startRID uint32) idxRun {
+	v, r := sortedPairsOf(vals, startRID)
 	return idxRun{vals: v, rids: r, min: v[0], max: v[len(v)-1], filter: bloom.Build(v)}
 }
 

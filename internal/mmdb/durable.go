@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"path/filepath"
@@ -249,11 +250,12 @@ func (d *DurableTable) Checkpoint() error {
 	return d.log.Checkpoint()
 }
 
-// Close syncs and closes the log.  No implicit checkpoint: recovery
-// replays the log.
+// Close syncs and closes the log and drops the table (Table.Close).  No
+// implicit checkpoint: recovery replays the log.
 func (d *DurableTable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.Table.Close()
 	return d.log.Close()
 }
 
@@ -339,13 +341,20 @@ func decodeBatch(payload []byte) (names []string, cols map[string][]uint32, err 
 // --- snapshot codec ----------------------------------------------------------
 
 const (
-	snapMagic   = 0x43534454 // "CSDT"
-	snapVersion = 1
+	snapMagic = 0x43534454 // "CSDT"
+	// snapVersion is the version written.  Version 1 — the same layout
+	// under a u64 FNV-1a trailer over each column's name and values — still
+	// loads.
+	snapVersion = 2
 	// snapChunk bounds a single read/allocation when decoding column
 	// values, so a corrupt length prefix cannot force a huge allocation:
 	// memory grows only as fast as bytes actually read.
 	snapChunk = 1 << 16
 )
+
+// snapCRC is the write-ahead log's checksum (CRC-32C): hardware-assisted,
+// and taken over the byte buffers the codec moves anyway.
+var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // writeTableAtomic commits a snapshot of t (covering log sequences up to
 // seq) to path with all-or-nothing visibility, mirroring the root
@@ -381,19 +390,20 @@ func writeTableAtomic(fsys failfs.FS, path string, t *Table, seq uint64) error {
 }
 
 // Snapshot layout: magic u32, version u32, walSeq u64, ncols u32, then
-// per column u32 nameLen, name, u32 n, n values; finally a u64 FNV-1a
-// checksum over everything the columns contributed, so a torn or
-// bit-flipped snapshot is rejected rather than served.
+// per column u32 nameLen, name, u32 n, n values; finally a u32 CRC-32C of
+// every byte before it, so a torn or bit-flipped snapshot is rejected
+// rather than served.
 func saveTableSnapshot(w io.Writer, t *Table, seq uint64) error {
 	var u [8]byte
-	wr := func(b []byte) error { _, err := w.Write(b); return err }
+	var crc uint32
+	wr := func(b []byte) error {
+		crc = crc32.Update(crc, snapCRC, b)
+		_, err := w.Write(b)
+		return err
+	}
 	pu32 := func(v uint32) error {
 		binary.LittleEndian.PutUint32(u[:4], v)
 		return wr(u[:4])
-	}
-	pu64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(u[:], v)
-		return wr(u[:])
 	}
 	if err := pu32(snapMagic); err != nil {
 		return err
@@ -401,13 +411,13 @@ func saveTableSnapshot(w io.Writer, t *Table, seq uint64) error {
 	if err := pu32(snapVersion); err != nil {
 		return err
 	}
-	if err := pu64(seq); err != nil {
+	binary.LittleEndian.PutUint64(u[:], seq)
+	if err := wr(u[:]); err != nil {
 		return err
 	}
 	if err := pu32(uint32(len(t.order))); err != nil {
 		return err
 	}
-	sum := uint64(qcache.HashSeed)
 	for _, name := range t.order {
 		c := t.cols[name]
 		if err := pu32(uint32(len(name))); err != nil {
@@ -419,22 +429,19 @@ func saveTableSnapshot(w io.Writer, t *Table, seq uint64) error {
 		if err := pu32(uint32(len(c.raw))); err != nil {
 			return err
 		}
-		sum = qcache.HashString(sum, name)
-		sum = qcache.HashU32s(sum, c.raw)
 		buf := make([]byte, 0, 4*min(len(c.raw), snapChunk))
 		for off := 0; off < len(c.raw); off += snapChunk {
 			end := min(off+snapChunk, len(c.raw))
 			buf = buf[:0]
 			for _, v := range c.raw[off:end] {
-				binary.LittleEndian.PutUint32(u[:4], v)
-				buf = append(buf, u[:4]...)
+				buf = binary.LittleEndian.AppendUint32(buf, v)
 			}
 			if err := wr(buf); err != nil {
 				return err
 			}
 		}
 	}
-	return pu64(sum)
+	return pu32(crc)
 }
 
 func loadTableSnapshot(fsys failfs.FS, path, name string) (*Table, uint64, error) {
@@ -457,11 +464,15 @@ func decodeTableSnapshot(r io.Reader, name string) (*Table, uint64, error) {
 		return nil, 0, fmt.Errorf("mmdb: corrupt snapshot (%s)", what)
 	}
 	var u [8]byte
+	var crc uint32
+	read := func(b []byte) error {
+		_, err := io.ReadFull(r, b)
+		crc = crc32.Update(crc, snapCRC, b)
+		return err
+	}
 	ru32 := func() (uint32, error) {
-		if _, err := io.ReadFull(r, u[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(u[:4]), nil
+		err := read(u[:4])
+		return binary.LittleEndian.Uint32(u[:4]), err
 	}
 	magic, err := ru32()
 	if err != nil {
@@ -471,10 +482,10 @@ func decodeTableSnapshot(r io.Reader, name string) (*Table, uint64, error) {
 		return bad("bad magic")
 	}
 	version, err := ru32()
-	if err != nil || version != snapVersion {
+	if err != nil || version < 1 || version > snapVersion {
 		return bad("version")
 	}
-	if _, err := io.ReadFull(r, u[:]); err != nil {
+	if err := read(u[:]); err != nil {
 		return bad("short header")
 	}
 	seq := binary.LittleEndian.Uint64(u[:])
@@ -486,7 +497,7 @@ func decodeTableSnapshot(r io.Reader, name string) (*Table, uint64, error) {
 		return bad("column count")
 	}
 	t := NewTable(name)
-	sum := uint64(qcache.HashSeed)
+	fnv := uint64(qcache.HashSeed) // the version-1 checksum
 	for i := uint32(0); i < ncols; i++ {
 		nameLen, err := ru32()
 		if err != nil {
@@ -496,7 +507,7 @@ func decodeTableSnapshot(r io.Reader, name string) (*Table, uint64, error) {
 			return bad("column name length")
 		}
 		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, nameBuf); err != nil {
+		if err := read(nameBuf); err != nil {
 			return bad("column name")
 		}
 		n, err := ru32()
@@ -509,7 +520,7 @@ func decodeTableSnapshot(r io.Reader, name string) (*Table, uint64, error) {
 		raw := make([]byte, 4*min(int(n), snapChunk))
 		for got := 0; got < int(n); {
 			step := min(int(n)-got, snapChunk)
-			if _, err := io.ReadFull(r, raw[:4*step]); err != nil {
+			if err := read(raw[:4*step]); err != nil {
 				return bad("column values")
 			}
 			for j := 0; j < step; j++ {
@@ -518,16 +529,23 @@ func decodeTableSnapshot(r io.Reader, name string) (*Table, uint64, error) {
 			got += step
 		}
 		colName := string(nameBuf)
-		sum = qcache.HashString(sum, colName)
-		sum = qcache.HashU32s(sum, vals)
+		if version == 1 {
+			fnv = qcache.HashU32s(qcache.HashString(fnv, colName), vals)
+		}
 		if err := t.AddColumn(colName, vals); err != nil {
 			return nil, 0, err
 		}
 	}
-	if _, err := io.ReadFull(r, u[:]); err != nil {
+	// The trailer is the one read the checksum does not cover.
+	want, trailer := uint64(crc), u[:4]
+	if version == 1 {
+		want, trailer = fnv, u[:]
+	}
+	clear(u[:])
+	if _, err := io.ReadFull(r, trailer); err != nil {
 		return bad("missing checksum")
 	}
-	if binary.LittleEndian.Uint64(u[:]) != sum {
+	if binary.LittleEndian.Uint64(u[:]) != want {
 		return bad("checksum mismatch")
 	}
 	return t, seq, nil

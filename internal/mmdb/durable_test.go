@@ -2,9 +2,11 @@ package mmdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"cssidx/internal/failfs"
+	"cssidx/internal/qcache"
 	"cssidx/internal/wal"
 )
 
@@ -159,6 +161,92 @@ func TestDurableTableSnapshotChecksum(t *testing.T) {
 	}
 	if _, err := OpenDurable(fsys, "db", "t", wal.Always()); err == nil {
 		t.Fatal("corrupt snapshot accepted")
+	}
+}
+
+// snapshotV1 encodes t the way version 1 did: the same layout under a u64
+// FNV-1a trailer over each column's name and values.  The writer only writes
+// version 2; files like this one must keep loading.
+func snapshotV1(t *Table, seq uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, snapMagic)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.order)))
+	sum := uint64(qcache.HashSeed)
+	for _, name := range t.order {
+		raw := t.cols[name].raw
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(name)))
+		b = append(b, name...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(raw)))
+		for _, v := range raw {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		sum = qcache.HashU32s(qcache.HashString(sum, name), raw)
+	}
+	return binary.LittleEndian.AppendUint64(b, sum)
+}
+
+// TestSnapshotCodecVersions: both snapshot versions load to the same table,
+// and neither a bit flip, a truncation nor an unknown version gets past the
+// decoder — it returns an error, never a panic and never a table.
+func TestSnapshotCodecVersions(t *testing.T) {
+	src := NewTable("t")
+	for _, c := range []struct {
+		name string
+		vals []uint32
+	}{{"k", []uint32{7, 0, 7, 1 << 31, 3}}, {"longer_name", []uint32{5, 4, 3, 2, 1}}} {
+		if err := src.AddColumn(c.name, c.vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var v2 bytes.Buffer
+	if err := saveTableSnapshot(&v2, src, 42); err != nil {
+		t.Fatal(err)
+	}
+	// headerEnd is where the per-column section starts; version 1's checksum
+	// never covered the header (a flipped walSeq got through).
+	const headerEnd = 20
+	for version, file := range map[uint32][]byte{1: snapshotV1(src, 42), 2: v2.Bytes()} {
+		if got := binary.LittleEndian.Uint32(file[4:]); got != version {
+			t.Fatalf("version field %d, want %d", got, version)
+		}
+		tb, seq, err := decodeTableSnapshot(bytes.NewReader(file), "t")
+		if err != nil || seq != 42 {
+			t.Fatalf("v%d: clean decode: seq %d, err %v", version, seq, err)
+		}
+		for _, name := range src.order {
+			if !equalU32(colVals(t, tb, name), src.cols[name].raw) || len(tb.order) != len(src.order) {
+				t.Fatalf("v%d: column %s did not round-trip", version, name)
+			}
+		}
+		for cut := 0; cut < len(file); cut++ {
+			if _, _, err := decodeTableSnapshot(bytes.NewReader(file[:cut]), "t"); err == nil {
+				t.Fatalf("v%d: truncation to %d of %d bytes accepted", version, cut, len(file))
+			}
+		}
+		for i := range file {
+			for bit := 0; bit < 8; bit++ {
+				bad := bytes.Clone(file)
+				bad[i] ^= 1 << bit
+				_, _, err := decodeTableSnapshot(bytes.NewReader(bad), "t")
+				if err == nil && (version == 2 || i >= headerEnd) {
+					t.Fatalf("v%d: bit %d of byte %d flipped, snapshot accepted", version, bit, i)
+				}
+			}
+		}
+		for _, wrong := range []uint32{0, 3, 99, 1 << 31} {
+			bad := bytes.Clone(file)
+			binary.LittleEndian.PutUint32(bad[4:], wrong)
+			if _, _, err := decodeTableSnapshot(bytes.NewReader(bad), "t"); err == nil {
+				t.Fatalf("v%d file relabelled version %d accepted", version, wrong)
+			}
+		}
+		// Relabelled as the other known version, the trailer cannot check out.
+		bad := bytes.Clone(file)
+		binary.LittleEndian.PutUint32(bad[4:], 3-version)
+		if _, _, err := decodeTableSnapshot(bytes.NewReader(bad), "t"); err == nil {
+			t.Fatalf("v%d file relabelled version %d accepted", version, 3-version)
+		}
 	}
 }
 

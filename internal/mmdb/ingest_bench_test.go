@@ -2,9 +2,11 @@ package mmdb
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"cssidx"
 	"cssidx/internal/workload"
@@ -277,4 +279,76 @@ func BenchmarkRangeWeave(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFold prices one fold at the end-to-end benchmark's shape: 800K
+// base rows × 3 columns — "k" nearly all distinct and indexed, "c" 1,024
+// categories and indexed, "v" ≈ half distinct and unindexed — with a 100K-row
+// tail outstanding as delta runs.  ns/op is the whole fold (a forced
+// AppendRows); domain-ms/op is the share spent growing the domains and
+// re-encoding the ID columns (Column.fold), index-ms/op the rest: merging and
+// building the two indexes.  Each iteration folds a shallow copy of the
+// prepared table — a fold writes nothing it did not allocate.
+func BenchmarkFold(b *testing.B) {
+	const baseRows, tailRows = 800_000, 100_000
+	rng := rand.New(rand.NewSource(24))
+	gen := func(n int) map[string][]uint32 {
+		cols := map[string][]uint32{"k": make([]uint32, n), "c": make([]uint32, n), "v": make([]uint32, n)}
+		for i := 0; i < n; i++ {
+			cols["k"][i], cols["c"][i], cols["v"][i] = rng.Uint32(), uint32(rng.Intn(1024)), uint32(rng.Intn(1<<20))
+		}
+		return cols
+	}
+	tmpl := NewTable("fold")
+	tmpl.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 30})
+	base := gen(baseRows)
+	for _, name := range []string{"k", "c", "v"} {
+		if err := tmpl.AddColumn(name, base[name]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, name := range []string{"k", "c"} {
+		if _, err := tmpl.BuildIndex(name, cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for done := 0; done < tailRows; done += 1000 {
+		if err := tmpl.AppendRows(gen(1000)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	clone := func() *Table {
+		t := NewTable(tmpl.name)
+		t.rows, t.baseRows, t.order = tmpl.rows, tmpl.baseRows, tmpl.order
+		for name, c := range tmpl.cols {
+			cc := *c
+			t.cols[name] = &cc
+		}
+		for name, ix := range tmpl.indexes {
+			cix := *ix
+			cix.col, cix.seg.tbl = t.cols[name], t
+			t.indexes[name] = &cix
+		}
+		return t
+	}
+	empty := map[string][]uint32{"k": nil, "c": nil, "v": nil}
+	var domain time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t := clone(); t.AppendRows(empty) != nil || t.DeltaRows() != 0 {
+			b.Fatal("the forced fold left rows outstanding")
+		}
+		b.StopTimer()
+		t := clone()
+		start := time.Now()
+		for _, name := range t.order {
+			t.cols[name].fold(t.baseRows, t.indexes[name] != nil)
+		}
+		domain += time.Since(start)
+		b.StartTimer()
+	}
+	perOp := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
+	b.ReportMetric(perOp(domain), "domain-ms/op")
+	b.ReportMetric(perOp(b.Elapsed()-domain), "index-ms/op")
 }

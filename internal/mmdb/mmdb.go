@@ -2,8 +2,8 @@
 // decision-support context the paper's indexes live in: domain-encoded
 // columns, record-identifier lists sorted by an attribute, selections and
 // range queries through a pluggable index, indexed nested-loop joins, and
-// the OLAP batch-update cycle where indexes are rebuilt from scratch rather
-// than maintained incrementally (§2.3).
+// the OLAP batch-update cycle where indexes are replaced wholesale after a
+// batch of updates rather than maintained incrementally (§2.3).
 //
 // A Table stores columns of uint32 values.  Each column is domain-encoded
 // (internal/domain): the column holds rank IDs, the domain holds each
@@ -48,9 +48,12 @@ type Table struct {
 	// (delta.go) until the next fold.
 	baseRows  int
 	appendPol AppendPolicy
+	// lag is the table's share of the mmdb_delta_rows gauge: the rows
+	// absorbed since the last fold (or Close).
+	lag int64
 
-	// gen is the table generation: 1 after creation, +1 per *fold* (a
-	// full rebuild of encodings and indexes).  Together with rows it forms
+	// gen is the table generation: 1 after creation, +1 per *fold* (new
+	// encodings and index base arrays over every row).  Together with rows it forms
 	// the validity token of every cached result computed against the
 	// table's in-place state (cache.go).
 	gen atomic.Uint64
@@ -161,7 +164,7 @@ func (t *Table) BuildIndex(colName string, kind cssidx.Kind, opts cssidx.Options
 	}
 	ix := &SortedIndex{col: col, kind: kind, opts: opts}
 	ix.seg = segment{tbl: t, col: colName, layer: qcache.LayerTable}
-	ix.rebuild()
+	ix.install(col.sortedPairs())
 	// The base structure covers the frozen encoding (baseRows); rows
 	// appended since the last fold live only in raw form, so hand them to
 	// the delta layer as one run — exactly the state absorbRows would
@@ -184,7 +187,8 @@ func (t *Table) Index(colName string) (*SortedIndex, bool) {
 }
 
 // sortedPairs returns the column's domain IDs in sorted order with the
-// parallel RID list — what both index kinds build their base arrays from.
+// parallel RID list — what both index kinds build their base arrays from
+// when there is no sorted base to merge into (BuildIndex, BuildShardedIndex).
 // The pair sort is a stable radix sort (internal/sortu32), the
 // cache-conscious choice for the 4-byte keys of Table 1.
 func (c *Column) sortedPairs() (keys, rids []uint32) {
@@ -197,12 +201,14 @@ func (c *Column) sortedPairs() (keys, rids []uint32) {
 	return keys, rids
 }
 
-// rebuild re-sorts the RID list and reconstructs the search structure over
-// the column's current encoding, clearing the delta runs.
-func (ix *SortedIndex) rebuild() {
+// install makes (keys, rids) — the column's domain IDs in sorted order with
+// the parallel RID list, covering every row of the column's current encoding
+// — the index's base: the search structure is constructed over them and the
+// delta runs they absorbed are cleared.
+func (ix *SortedIndex) install(keys, rids []uint32) {
 	s := &ix.seg
 	s.dom, s.runs = ix.col.dom, nil
-	s.keys, s.rids = ix.col.sortedPairs()
+	s.keys, s.rids = keys, rids
 	ix.idx = cssidx.New(ix.kind, s.keys, ix.opts)
 	s.eq, s.ord = cssidx.AsBatch(ix.idx), nil
 	if ord, ok := ix.idx.(cssidx.OrderedIndex); ok {
@@ -322,7 +328,7 @@ type JoinIndex interface {
 }
 
 // joinFreeze: a SortedIndex has no concurrent rebuilds to freeze against
-// (Table.AppendRows rebuilds it in place, which was never safe to race);
+// (Table.AppendRows replaces its state in place, which was never safe to race);
 // its segment is the frozen state, versioned by the table state version
 // (AppendRows moves it whether the batch folds or is absorbed).
 func (ix *SortedIndex) joinFreeze() (*segment, uint64) {
@@ -546,14 +552,14 @@ func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOp
 // AppendRows appends a batch of rows: newCols must supply every column with
 // equal-length slices.  Small batches are *absorbed* into the delta layer —
 // sorted per-index runs over the appended rows, served merged with the base
-// by every read surface (delta.go) — so an append stream stops paying a
-// full O(n) rebuild per batch.  Once the delta reaches the AppendPolicy
-// threshold (or the policy disables absorption), the batch *folds*: domains
-// and ID encodings are rebuilt (domain IDs are ranks, so inserting new
-// distinct values renumbers them) and every registered index is rebuilt
-// from scratch — the paper's OLAP position: "in a main-memory system, it
-// may be relatively cheap to rebuild an index from scratch after a batch
-// of updates."
+// by every read surface (delta.go) — so an append stream stops paying O(n)
+// per batch.  Once the delta reaches the AppendPolicy threshold (or the
+// policy disables absorption), the batch *folds*: the frozen encodings move
+// forward over every row.  The paper's OLAP position is that "in a
+// main-memory system, it may be relatively cheap to rebuild an index from
+// scratch after a batch of updates" (§2.3); a fold is cheaper still, because
+// everything it starts from is already sorted — it merges (foldRows), and
+// publishes exactly the arrays the rebuild would.
 func (t *Table) AppendRows(newCols map[string][]uint32) error {
 	return t.appendRows(nil, newCols)
 }
@@ -580,12 +586,32 @@ func (t *Table) appendRows(ctl *governor.Ctl, newCols map[string][]uint32) error
 	if err := ctl.Err(); err != nil {
 		return err
 	}
+	start := telemetry.Now()
 	if batch == 0 || t.appendPol.shouldFold(t.rows-t.baseRows+batch, t.baseRows) {
 		t.foldRows(newCols, batch)
+		histFoldNs.Since(start)
 	} else {
 		t.absorbRows(newCols, batch)
+		histAbsorbNs.Since(start)
 	}
 	return nil
+}
+
+// Close drops the table from the process-wide accounts: its sharded indexes'
+// background rebuilders are released and the rows it has awaiting a fold
+// leave the mmdb_delta_rows gauge.  Reads stay valid.
+func (t *Table) Close() {
+	for _, six := range t.sharded {
+		six.Close()
+	}
+	t.releaseLag()
+}
+
+// releaseLag takes the table's rows out of the mmdb_delta_rows gauge: they
+// were folded, or the table is going away.
+func (t *Table) releaseLag() {
+	gaugeDeltaRows.Add(-t.lag)
+	t.lag = 0
 }
 
 // validateBatch checks an AppendRows batch supplies every column with
@@ -609,23 +635,30 @@ func (t *Table) validateBatch(newCols map[string][]uint32) (int, error) {
 	return batch, nil
 }
 
-// foldRows is the full-rebuild path: encodings, indexes and sharded epochs
-// are reconstructed over all rows (clearing any outstanding delta runs),
-// the generation moves, and the table's cached entries are swept.
+// foldRows brings the frozen encodings forward over every row — the unfolded
+// tail plus this batch — by merging, not rebuilding: per column the domain
+// grows by the tail's new values, the ID column is carried over by the
+// resulting remap, and each index merges its remapped base with the tail's
+// sorted pairs (Column.fold, mergeFold).  Everything published is a fresh
+// array; readers pinned to the previous state keep reading theirs.  Then the
+// generation moves and the table's cached entries are swept.
 func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 	for _, name := range t.order {
 		c := t.cols[name]
 		c.raw = append(c.raw, newCols[name]...)
-		c.dom, c.ids = domain.BuildInt(c.raw)
+		ix, six := t.indexes[name], t.sharded[name]
+		remap, tailKeys, tailRids := c.fold(t.baseRows, ix != nil || six != nil)
+		if ix != nil {
+			ix.install(mergeFold(ix.seg.keys, ix.seg.rids, remap, tailKeys, tailRids))
+		}
+		if six != nil {
+			old := six.cur.Load()
+			six.install(mergeFold(old.keys, old.rids, remap, tailKeys, tailRids))
+		}
 	}
 	t.rows += batch
 	t.baseRows = t.rows
-	for _, ix := range t.indexes {
-		ix.rebuild()
-	}
-	for _, ix := range t.sharded {
-		ix.rebuild()
-	}
+	t.releaseLag()
 	// Generation invalidation: move the token, then sweep this table's
 	// entries.  Readers never block — a concurrent sharded reader still
 	// holding the previous epoch simply stops matching, and any entry it
@@ -634,6 +667,79 @@ func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 	t.gen.Add(1)
 	t.stateVer.Add(1)
 	t.Cache().DropTable(t.name)
+}
+
+// fold re-encodes the column over all of raw, of which rows [0, base) are
+// covered by dom and ids and the tail raw[base:] is not.  The domain is
+// extended by the tail's values; the new ID column is a fresh array — base
+// rows by one gather through the remap (a copy when the tail brought no new
+// value), tail rows by tree probes against the grown domain.  It returns the
+// remap for the column's indexes (nil = IDs unchanged) and, when wantPairs,
+// the tail's (new ID, RID) pairs in (value, RID) order: what the delta runs
+// plus the folding batch hold, sorted once for every index on the column.
+func (c *Column) fold(base int, wantPairs bool) (remap, tailKeys, tailRids []uint32) {
+	tail := c.raw[base:]
+	var sorted []uint32
+	if wantPairs {
+		sorted, tailRids = sortedPairsOf(tail, uint32(base))
+	} else {
+		sorted = append(sorted, tail...)
+		sortu32.Sort(sorted)
+	}
+	dom, remap := c.dom.Extend(sorted)
+	ids := make([]uint32, len(c.raw))
+	if remap == nil {
+		copy(ids, c.ids)
+	} else {
+		for i, id := range c.ids {
+			ids[i] = remap[id]
+		}
+	}
+	dom.Encode(tail, ids[base:])
+	if wantPairs {
+		// The tail's IDs are already in ids: gather them instead of
+		// probing the tree a second time (sorted is done with).
+		tailKeys = sorted
+		for i, rid := range tailRids {
+			tailKeys[i] = ids[rid]
+		}
+	}
+	c.dom, c.ids = dom, ids
+	return remap, tailKeys, tailRids
+}
+
+// mergeFold returns an index's base pairs after a fold: the old base, its
+// keys carried into the grown domain by remap (nil = unchanged; the keys are
+// sorted, so this reads the table sequentially), merged with the tail's
+// pairs, the base winning ties.  remap is monotone, so the remapped base is
+// still sorted; every tail RID exceeds every base RID, so base-first on equal
+// keys is (key, RID) order — the arrays are byte-identical to a stable sort
+// of the whole re-encoded column (sortedPairs).
+func mergeFold(keys, rids, remap, tailKeys, tailRids []uint32) (outKeys, outRids []uint32) {
+	n := len(keys) + len(tailKeys)
+	outKeys, outRids = make([]uint32, n), make([]uint32, n)
+	carry := func(i int) uint32 {
+		if remap == nil {
+			return keys[i]
+		}
+		return remap[keys[i]]
+	}
+	i, o := 0, 0
+	for j, tk := range tailKeys {
+		for ; i < len(keys); i, o = i+1, o+1 {
+			k := carry(i)
+			if k > tk {
+				break
+			}
+			outKeys[o], outRids[o] = k, rids[i]
+		}
+		outKeys[o], outRids[o] = tk, tailRids[j]
+		o++
+	}
+	for ; i < len(keys); i, o = i+1, o+1 {
+		outKeys[o], outRids[o] = carry(i), rids[i]
+	}
+	return outKeys, outRids
 }
 
 // absorbRows is the delta path: raw columns grow, the frozen encodings do
@@ -654,4 +760,6 @@ func (t *Table) absorbRows(newCols map[string][]uint32, batch int) {
 		six.absorb(newCols[col], startRID)
 	}
 	t.stateVer.Add(1)
+	gaugeDeltaRows.Add(int64(batch))
+	t.lag += int64(batch)
 }

@@ -43,14 +43,14 @@ type ShardedIndex struct {
 }
 
 // shardedEpoch is one published state of the index — a segment stamped with
-// the epoch-layer cache identity: a full rebuild (fold), or an absorbed
+// the epoch-layer cache identity: a fresh base (build or fold), or an absorbed
 // append batch sharing the previous epoch's base arrays and search structure
 // with one more delta run stacked on top.
 type shardedEpoch struct {
 	segment
 	epoch uint64
 	uid   uint64       // globally-unique epoch id: the version a join's pair set is stamped with
-	tok   qcache.Token // cache token: Gen the uid of the last rebuild, Epoch the rows covered
+	tok   qcache.Token // cache token: Gen the uid of the last build or fold, Epoch the rows covered
 }
 
 // reader is the epoch's cache reader: entries are brought current from its
@@ -68,14 +68,15 @@ var epochUID atomic.Uint64
 
 // BuildShardedIndex builds a sharded index on the column and registers it;
 // shards ≤ 0 picks the cssidx default (GOMAXPROCS, capped at 16).
-// AppendRows rebuilds the index and publishes the new state atomically.
+// AppendRows publishes each new state — an absorbed run, or a fold's merged
+// base — atomically.
 func (t *Table) BuildShardedIndex(colName string, shards int) (*ShardedIndex, error) {
 	col, ok := t.cols[colName]
 	if !ok {
 		return nil, fmt.Errorf("mmdb: no column %s in table %s", colName, t.name)
 	}
 	ix := &ShardedIndex{col: col, tbl: t, colName: colName, shards: shards}
-	ix.rebuild()
+	ix.install(col.sortedPairs())
 	// Rows appended since the last fold are not in the frozen encoding
 	// the rebuild indexed; absorb them as a delta run so a late-built
 	// index still covers every row.
@@ -96,11 +97,12 @@ func (t *Table) ShardedIndex(colName string) (*ShardedIndex, bool) {
 	return ix, ok
 }
 
-// rebuild constructs the next epoch from the column's current encoding and
-// publishes it with a single pointer swap.  The previous epoch's background
-// rebuilder is released; readers still holding it keep valid results.
-func (ix *ShardedIndex) rebuild() {
-	keys, rids := ix.col.sortedPairs()
+// install constructs the next epoch over (keys, rids) — the column's current
+// encoding in sorted order, fresh arrays from the build's sort or a fold's
+// merge — and publishes it with a single pointer swap.  The previous epoch's
+// background rebuilder is released; readers still holding it keep valid
+// results.
+func (ix *ShardedIndex) install(keys, rids []uint32) {
 	idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: ix.shards})
 	next := &shardedEpoch{
 		segment: segment{
@@ -121,7 +123,7 @@ func (ix *ShardedIndex) rebuild() {
 
 // absorb publishes the next epoch with one more delta run, sharing the
 // previous epoch's domain, base arrays and search structure (which is why
-// only rebuild — never absorb — closes the underlying index).
+// only install — never absorb — closes the underlying index).
 func (ix *ShardedIndex) absorb(vals []uint32, startRID uint32) {
 	next := *ix.cur.Load()
 	next.epoch++
@@ -132,7 +134,7 @@ func (ix *ShardedIndex) absorb(vals []uint32, startRID uint32) {
 }
 
 // Epoch returns the current table-level epoch (1 = initial build, +1 per
-// published AppendRows state — a full rebuild or an absorbed batch).
+// published AppendRows state — a fold or an absorbed batch).
 func (ix *ShardedIndex) Epoch() uint64 { return ix.cur.Load().epoch }
 
 // ShardCount returns the shard count of the current epoch's index.

@@ -1,9 +1,13 @@
 package mmdb
 
 // Telemetry for the query layer: one latency histogram per query surface
-// (bracketing the public Select*/GroupAggregate/JoinWith entry points) and
-// counters for the planner's access-path decisions.  All series live in
-// telemetry.Default and cost a single atomic load while collection is off.
+// (bracketing the public Select*/GroupAggregate/JoinWith entry points),
+// counters for the planner's access-path decisions, and for the write path
+// what an AppendRows batch costs by outcome (absorb vs fold — microseconds
+// against milliseconds) with the lag it leaves: the rows awaiting a fold,
+// summed over every table in the process.  All series live in
+// telemetry.Default; counters and histograms cost a single atomic load while
+// collection is off, the gauge is always live.
 
 import (
 	"sort"
@@ -20,6 +24,10 @@ var (
 
 	ctrPlanIndex = telemetry.C(`mmdb_plan_total{path="index"}`)
 	ctrPlanScan  = telemetry.C(`mmdb_plan_total{path="scan"}`)
+
+	histAbsorbNs   = telemetry.H(`mmdb_append_ns{outcome="absorb"}`)
+	histFoldNs     = telemetry.H(`mmdb_append_ns{outcome="fold"}`)
+	gaugeDeltaRows = telemetry.G("mmdb_delta_rows")
 )
 
 // notePlan counts the access path an executing query committed to (plans
