@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"cssidx"
@@ -765,9 +766,12 @@ type RangePred struct {
 }
 
 // SelectWhere evaluates a conjunction of range predicates.  Each conjunct
-// picks its own access path (the PlanRange model), most selective first,
-// and the RID sets are merge-intersected — the standard multi-index AND.
-// The returned RIDs are ascending.
+// picks its own access path (the PlanRange model) and yields a RID set; the
+// sets are ANDed on a row bitmap (bitmapIntersect): the smallest is marked
+// one bit per row, every other is filtered through the marks, and only the
+// few survivors are sorted.  The returned RIDs are ascending.  A conjunct
+// the plan shows empty (Lo > Hi, or an empty ID range with no appended
+// tail) answers the whole conjunction without computing the others.
 //
 // The boundary probes are batched: all predicate bounds are translated to
 // domain IDs with one LowerBoundBatch lockstep descent per distinct column
@@ -809,15 +813,30 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	plans := make([]Plan, len(preds))
 	indexed := 0
 	estBytes := int64(0)
+	empty := -1
 	for i, p := range preds {
 		plans[i] = t.planRangeIDs(p.Col, t.cols[p.Col], loIDs[i], hiIDs[i])
 		if plans[i].UseIndex {
 			indexed++
 		}
 		estBytes += 4 * int64(plans[i].EstRows)
+		// A conjunct with delta rows to consider is never provably empty on
+		// an empty frozen ID range — the appended tail may hold matching
+		// values the dictionary has never seen.
+		if empty < 0 && (p.Lo > p.Hi || (loIDs[i] >= hiIDs[i] && t.rows == t.baseRows)) {
+			empty = i
+		}
 	}
 	ps.AttrInt("index_conjuncts", indexed).AttrInt("scan_conjuncts", len(preds)-indexed)
 	ps.End()
+	if empty >= 0 {
+		// The intersection is empty whatever the other conjuncts hold: no
+		// cache, no admission, no probes.
+		p := preds[empty]
+		e.sp.Child("conjunct").Attr("col", p.Col).AttrInt("lo", int(p.Lo)).AttrInt("hi", int(p.Hi)).
+			Attr("path", "empty").End()
+		return nil, plans, nil
+	}
 	qc, rd := t.Cache(), t.reader(nil)
 	var wkey qcache.Key
 	admit := false
@@ -842,12 +861,10 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	// Resolve each conjunct's RID set: cached runs first, scans and
 	// sharded probes inline, and the sorted-index conjuncts deferred so
 	// each index answers all its boundary probes in one lockstep batch.
-	// A conjunct with delta rows to consider never short-circuits on an
-	// empty frozen ID range — the appended tail may hold matching values
-	// the dictionary has never seen.  Per-conjunct results that complete
-	// before an abort are valid data and stay cached; the conjunction
-	// entry itself is only inserted on full completion.  Each conjunct's
-	// range is a question of its own, with its own admission verdict.
+	// Per-conjunct results that complete before an abort are valid data and
+	// stay cached; the conjunction entry itself is only inserted on full
+	// completion.  Each conjunct's range is a question of its own, with its
+	// own admission verdict.
 	sets := make([][]uint32, len(preds))
 	admits := make([]bool, len(preds))
 	byIndex := map[*segment][]int{}
@@ -862,10 +879,6 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		conjSpans[i] = cj
 		if err := e.ctl.Err(); err != nil {
 			return abortConj(cj, err)
-		}
-		if p.Lo > p.Hi || (loIDs[i] >= hiIDs[i] && t.rows == t.baseRows) {
-			cj.Attr("path", "empty").End()
-			continue // empty conjunct: the intersection is empty
 		}
 		ix, sorted := t.indexes[p.Col]
 		if plans[i].UseIndex && !sorted {
@@ -943,33 +956,10 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		}
 	}
 
-	// Order conjuncts by estimated selectivity so the cheapest set drives
-	// the intersection.
-	order := make([]int, len(preds))
-	for i := range order {
-		order[i] = i
-	}
-	for a := 1; a < len(order); a++ {
-		for b := a; b > 0 && plans[order[b]].EstRows < plans[order[b-1]].EstRows; b-- {
-			order[b], order[b-1] = order[b-1], order[b]
-		}
-	}
 	is := st.ex.Child("intersect")
-	var acc []uint32
-	for step, oi := range order {
-		if err := e.ctl.Err(); err != nil {
-			return abortConj(is, err)
-		}
-		rids := sets[oi]
-		sortu32.Sort(rids)
-		if step == 0 {
-			acc = rids
-			continue
-		}
-		acc = intersectSorted(acc, rids)
-		if len(acc) == 0 {
-			break
-		}
+	acc, err := t.intersect(sets, e.ctl.Err)
+	if err != nil {
+		return abortConj(is, err)
 	}
 	is.AttrInt("rows", len(acc))
 	is.End()
@@ -1036,21 +1026,74 @@ func (t *Table) resolveBounds(preds []RangePred) (loIDs, hiIDs []uint32, err err
 	return loIDs, hiIDs, nil
 }
 
-// intersectSorted merge-intersects two ascending RID slices.
-func intersectSorted(a, b []uint32) []uint32 {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+// ridMaps pools the one-bit-per-row maps conjunctions are ANDed on, so each
+// concurrently running SelectWhere holds one map of rows/8 bytes.  A map
+// always goes back all-zero: bitmapIntersect clears exactly the words it
+// set, never the whole map.
+var ridMaps = sync.Pool{New: func() any { return new([]uint64) }}
+
+// intersect ANDs a conjunction's RID sets on a pooled row bitmap, grown to
+// cover every row — unfolded tail rows included — when short.
+func (t *Table) intersect(sets [][]uint32, check func() error) ([]uint32, error) {
+	bm := ridMaps.Get().(*[]uint64)
+	if w := (t.rows + 63) / 64; len(*bm) < w {
+		*bm = make([]uint64, w)
+	}
+	out, err := bitmapIntersect(*bm, sets, check)
+	ridMaps.Put(bm)
+	return out, err
+}
+
+// bitmapIntersect returns the ascending intersection of sets, each
+// duplicate-free with every RID below 64·len(bm); bm must be all-zero and
+// is all-zero again on return, on every path.  The smallest set's RIDs are
+// marked and every other set is filtered through the marks in place,
+// branch-free, the survivors becoming the marked set for the next — so the
+// work is linear in the input and only the (small) result is sorted.
+// check runs before each filter; its error abandons the intersection.  The
+// sets' slices are overwritten.
+func bitmapIntersect(bm []uint64, sets [][]uint32, check func() error) ([]uint32, error) {
+	small := 0
+	for i, s := range sets {
+		if len(s) < len(sets[small]) {
+			small = i
 		}
 	}
-	return out
+	sets[0], sets[small] = sets[small], sets[0]
+	acc := sets[0]
+	if len(acc) > 0 && len(sets) > 1 {
+		mark(bm, acc)
+		for i, s := range sets[1:] {
+			if err := check(); err != nil {
+				unmark(bm, acc)
+				return nil, err
+			}
+			n := 0
+			for _, r := range s {
+				s[n] = r
+				n += int(bm[r>>6] >> (r & 63) & 1)
+			}
+			unmark(bm, acc)
+			acc = s[:n]
+			if n == 0 || i == len(sets)-2 {
+				break
+			}
+			mark(bm, acc)
+		}
+	}
+	sortu32.Sort(acc)
+	return acc, nil
+}
+
+func mark(bm []uint64, rids []uint32) {
+	for _, r := range rids {
+		bm[r>>6] |= 1 << (r & 63)
+	}
+}
+
+// unmark zeroes the words holding rids — the only words set.
+func unmark(bm []uint64, rids []uint32) {
+	for _, r := range rids {
+		bm[r>>6] = 0
+	}
 }

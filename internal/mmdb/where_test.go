@@ -1,0 +1,417 @@
+package mmdb
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"cssidx"
+	"cssidx/internal/governor"
+)
+
+// whereCols are the columns of a whereTable, one per access path a
+// conjunct can take: k under a level CSS-tree, h hashed (so it scans), s
+// sharded only, u unindexed.
+var whereCols = []string{"k", "h", "s", "u"}
+
+// whereTable is a table plus a plain copy of its raw columns, the oracle a
+// conjunction is checked against by brute-force scan.
+type whereTable struct {
+	tab  *Table
+	raw  map[string][]uint32
+	card map[string]int // base values of a column are the even numbers below 2·card
+}
+
+// newWhereTable builds base rows whose values are even, then absorbs tail
+// rows (left unfolded) whose values may be odd or beyond the base domain —
+// values the frozen dictionaries have never seen.
+func newWhereTable(t testing.TB, rng *rand.Rand, base, tail int) *whereTable {
+	t.Helper()
+	w := &whereTable{tab: NewTable("w"), raw: map[string][]uint32{},
+		card: map[string]int{"k": base/2 + 1, "h": 16, "s": base/8 + 1, "u": 64}}
+	w.tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 30})
+	for _, c := range whereCols {
+		vals := make([]uint32, base)
+		for i := range vals {
+			vals[i] = 2 * uint32(rng.Intn(w.card[c]))
+		}
+		w.raw[c] = vals
+		if err := w.tab.AddColumn(c, slices.Clone(vals)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.tab.BuildIndex("h", cssidx.KindHash, cssidx.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.tab.BuildShardedIndex("s", 4); err != nil {
+		t.Fatal(err)
+	}
+	for done := 0; done < tail; {
+		n := min(1+rng.Intn(32), tail-done)
+		batch := map[string][]uint32{}
+		for _, c := range whereCols {
+			vals := make([]uint32, n)
+			for i := range vals {
+				vals[i] = uint32(rng.Intn(2*w.card[c] + 8))
+			}
+			batch[c] = vals
+			w.raw[c] = append(w.raw[c], vals...)
+		}
+		if err := w.tab.AppendRows(batch); err != nil {
+			t.Fatal(err)
+		}
+		done += n
+	}
+	if got := w.tab.DeltaRows(); got != tail {
+		t.Fatalf("tail of %d rows left %d delta rows: the tail must stay unfolded", tail, got)
+	}
+	return w
+}
+
+// pred draws one conjunct: usually a range between two values, sometimes
+// open-ended (Hi = MaxUint32), inverted (Lo > Hi), or strictly between two
+// even base values (an empty frozen ID range).
+func (w *whereTable) pred(rng *rand.Rand) RangePred {
+	return w.predOn(rng, whereCols[rng.Intn(len(whereCols))])
+}
+
+func (w *whereTable) predOn(rng *rand.Rand, c string) RangePred {
+	top := 2*w.card[c] + 8
+	lo := uint32(rng.Intn(top))
+	switch rng.Intn(8) {
+	case 0:
+		return RangePred{Col: c, Lo: lo, Hi: math.MaxUint32}
+	case 1:
+		return RangePred{Col: c, Lo: lo + 1, Hi: lo}
+	case 2:
+		return RangePred{Col: c, Lo: lo | 1, Hi: lo | 1}
+	}
+	// Narrow ranges on k and s keep their plans on the index.
+	width := 1 + rng.Intn(max(1, top/16))
+	if rng.Intn(3) == 0 {
+		width = rng.Intn(top)
+	}
+	return RangePred{Col: c, Lo: lo, Hi: lo + uint32(width)}
+}
+
+// scan is the oracle: every row satisfying every conjunct, ascending.
+func (w *whereTable) scan(preds []RangePred) []uint32 {
+	var out []uint32
+	for row := range w.raw["k"] {
+		ok := true
+		for _, p := range preds {
+			if v := w.raw[p.Col][row]; v < p.Lo || v > p.Hi {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			out = append(out, uint32(row))
+		}
+	}
+	return out
+}
+
+func (w *whereTable) check(t *testing.T, tag string, preds []RangePred) {
+	t.Helper()
+	got, _, err := w.tab.SelectWhere(preds)
+	if err != nil {
+		t.Fatalf("%s %v: %v", tag, preds, err)
+	}
+	want := w.scan(preds)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s %v:\n got %v\nwant %v", tag, preds, got, want)
+	}
+}
+
+// mustPoolZero takes a map from the pool, requires it all-zero and puts it
+// back.
+func mustPoolZero(t *testing.T, tag string) {
+	t.Helper()
+	bm := ridMaps.Get().(*[]uint64)
+	defer ridMaps.Put(bm)
+	for i, word := range *bm {
+		if word != 0 {
+			t.Fatalf("%s: pooled row map word %d = %#x, want all-zero", tag, i, word)
+		}
+	}
+}
+
+// TestSelectWhereMatchesScan is the conjunction's differential: random
+// tables with and without an absorbed tail, 1–4 conjuncts over every access
+// path, each answer equal to a brute-force scan of the raw columns — under
+// caching off, admit-all and default admission, asked three times so the
+// cached paths answer too.
+func TestSelectWhereMatchesScan(t *testing.T) {
+	caches := []struct {
+		name string
+		on   bool
+		opts CacheOptions
+	}{{"off", false, CacheOptions{}}, {"admit-all", true, CacheOptions{MinCostNs: -1}}, {"default", true, CacheOptions{}}}
+	rng := rand.New(rand.NewSource(27))
+	for round := 0; round < 6; round++ {
+		base := 200 + rng.Intn(2000)
+		tail := 0
+		if round%3 != 0 {
+			tail = 64 + rng.Intn(base/4) // past a word of the row map
+		}
+		for _, cm := range caches {
+			w := newWhereTable(t, rng, base, tail)
+			if cm.on {
+				w.tab.EnableCache(cm.opts)
+			}
+			tag := fmt.Sprintf("round %d (%d+%d rows, cache %s)", round, base, tail, cm.name)
+			for q := 0; q < 60; q++ {
+				preds := make([]RangePred, 1+rng.Intn(4))
+				for i := range preds {
+					preds[i] = w.pred(rng)
+				}
+				if len(preds) > 1 && rng.Intn(3) == 0 { // two predicates on one column
+					preds[1] = w.predOn(rng, preds[0].Col)
+				}
+				for ask := 0; ask < 3; ask++ {
+					w.check(t, tag, preds)
+				}
+			}
+			// The tail's last row, matched through every access path at
+			// once: the row map must cover unfolded tail RIDs.
+			if tail > 0 {
+				runtime.GC() // empty the pool, so no larger map left by
+				runtime.GC() // an earlier table can hide a short one
+				var preds []RangePred
+				for _, c := range whereCols {
+					v := w.raw[c][base+tail-1]
+					preds = append(preds, RangePred{Col: c, Lo: v, Hi: v})
+				}
+				w.check(t, tag+" last tail row", preds)
+			}
+			mustPoolZero(t, tag)
+		}
+	}
+}
+
+// TestSelectWhereEmptyConjunctShortCircuits: a conjunct the plan proves
+// empty answers the conjunction alone — the other conjuncts are neither
+// probed nor offered to the cache.
+func TestSelectWhereEmptyConjunctShortCircuits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	w := newWhereTable(t, rng, 1000, 0)
+	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
+	for _, empty := range []RangePred{{Col: "k", Lo: 9, Hi: 3}, {Col: "s", Lo: 7, Hi: 7}} {
+		before := qc.StatsSnapshot()
+		got, plans, err := w.tab.SelectWhere([]RangePred{{Col: "u", Lo: 0, Hi: 40}, empty})
+		if err != nil || len(got) != 0 || len(plans) != 2 {
+			t.Fatalf("%v: got %v, %d plans, %v", empty, got, len(plans), err)
+		}
+		if after := qc.StatsSnapshot(); after.Hits+after.Misses != before.Hits+before.Misses {
+			t.Fatalf("%v: an empty conjunction reached the cache: %+v → %+v", empty, before, after)
+		}
+	}
+	// With an unfolded tail, an empty frozen ID range is not empty: the
+	// tail may hold the value.
+	w = newWhereTable(t, rng, 1000, 200)
+	odd := slices.IndexFunc(w.raw["k"], func(v uint32) bool { return v%2 == 1 })
+	if odd < 0 {
+		t.Fatal("the tail holds no value outside the dictionary")
+	}
+	v := w.raw["k"][odd]
+	w.check(t, "tail", []RangePred{{Col: "u", Lo: 0, Hi: math.MaxUint32}, {Col: "k", Lo: v, Hi: v}})
+}
+
+// TestBitmapIntersect drives the intersection kernel directly: sets in row
+// order and shuffled, empty sets, RIDs 0 and rows-1 — the map all-zero
+// after every call, aborted ones included, and the first filter run
+// against the smallest set's marks.
+func TestBitmapIntersect(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 400; trial++ {
+		rows := 1 + rng.Intn(700)
+		bm := make([]uint64, (rows+63)/64+rng.Intn(3))
+		k := 1 + rng.Intn(4)
+		sets := make([][]uint32, k)
+		in := make([][]bool, k)
+		for i := range sets {
+			in[i] = make([]bool, rows)
+			density := rng.Float64()
+			if rng.Intn(6) == 0 {
+				density = 0 // the empty set
+			}
+			for r := 0; r < rows; r++ {
+				edge := (r == 0 || r == rows-1) && trial%2 == 0
+				if edge || rng.Float64() < density {
+					in[i][r] = true
+					sets[i] = append(sets[i], uint32(r))
+				}
+			}
+			if rng.Intn(2) == 0 {
+				rng.Shuffle(len(sets[i]), func(a, b int) { sets[i][a], sets[i][b] = sets[i][b], sets[i][a] })
+			}
+		}
+		var want []uint32
+		for r := 0; r < rows; r++ {
+			all := true
+			for i := range in {
+				all = all && in[i][r]
+			}
+			if all {
+				want = append(want, uint32(r))
+			}
+		}
+		smallest := len(sets[0])
+		for _, s := range sets {
+			smallest = min(smallest, len(s))
+		}
+		firstCheck := true
+		check := func() error {
+			if firstCheck {
+				firstCheck = false
+				if n := popcount(bm); n != smallest {
+					t.Fatalf("trial %d: first filter runs against %d marks, want the smallest set's %d", trial, n, smallest)
+				}
+			}
+			return nil
+		}
+		abort := trial%5 == 4
+		if abort {
+			check = func() error { return context.Canceled }
+		}
+		got, err := bitmapIntersect(bm, sets, check)
+		if n := popcount(bm); n != 0 {
+			t.Fatalf("trial %d (abort=%v): %d bits left set", trial, abort, n)
+		}
+		if abort && k > 1 && smallest > 0 {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("trial %d: abort returned %v", trial, err)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d rows, %d sets): got %v, %v\nwant %v", trial, rows, k, got, err, want)
+		}
+	}
+}
+
+func popcount(bm []uint64) int {
+	n := 0
+	for _, w := range bm {
+		for ; w != 0; w &= w - 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestSelectWhereAbortLeavesPoolZero: a conjunction stopped by its byte
+// budget or a cancelled context returns the row map clean.
+func TestSelectWhereAbortLeavesPoolZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	w := newWhereTable(t, rng, 4000, 100)
+	preds := []RangePred{{Col: "u", Lo: 0, Hi: 60}, {Col: "h", Lo: 0, Hi: 20}, {Col: "k", Lo: 0, Hi: 1000}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, ctx := range map[string]context.Context{"budget": governor.WithBudget(context.Background(), 256), "cancelled": ctx} {
+		if _, _, err := w.tab.SelectWhereCtx(ctx, preds, nil); err == nil {
+			t.Fatalf("%s: conjunction not aborted", name)
+		}
+		mustPoolZero(t, name)
+	}
+	w.check(t, "after aborts", preds)
+	mustPoolZero(t, "after aborts")
+}
+
+// TestConcurrentSelectWhere runs oracle-checked conjunctions from four
+// goroutines on one cached table, all sharing the row-map pool.
+func TestConcurrentSelectWhere(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	w := newWhereTable(t, rng, 3000, 300)
+	w.tab.EnableCache(CacheOptions{})
+	questions := make([][]RangePred, 40)
+	want := make([][]uint32, len(questions))
+	for i := range questions {
+		questions[i] = []RangePred{w.pred(rng), w.pred(rng)}
+		if i%3 == 0 {
+			questions[i] = append(questions[i], w.pred(rng))
+		}
+		want[i] = w.scan(questions[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 150; n++ {
+				i := (g*17 + n*7) % len(questions)
+				got, _, err := w.tab.SelectWhere(questions[i])
+				if err == nil && !slices.Equal(got, want[i]) {
+					err = fmt.Errorf("%v: got %d rows, want %d", questions[i], len(got), len(want[i]))
+				}
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d: %w", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	mustPoolZero(t, "after concurrent readers")
+}
+
+// BenchmarkSelectWhere prices one uncached conjunction in the shape of the
+// end-to-end dss_adhoc WHERE: 2M rows, k uniform over uint32 under a level
+// CSS-tree with a range covering 0.02–0.2% of its domain, d over 4,096
+// values under an 8-way sharded index with a range spanning 1–4 values —
+// two RID sets of hundreds to a few thousand rows whose intersection is a
+// handful.
+func BenchmarkSelectWhere(b *testing.B) {
+	const rows, dValues = 2_000_000, 4096
+	rng := rand.New(rand.NewSource(27))
+	k, d := make([]uint32, rows), make([]uint32, rows)
+	for i := range k {
+		k[i], d[i] = rng.Uint32(), uint32(rng.Intn(dValues))
+	}
+	tab := NewTable("fact")
+	if err := tab.AddColumn("k", k); err != nil {
+		b.Fatal(err)
+	}
+	if err := tab.AddColumn("d", d); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	six, err := tab.BuildShardedIndex("d", 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer six.Close()
+	queries := make([][]RangePred, 256)
+	for i := range queries {
+		share := 0.0002 + 0.0018*rng.Float64()
+		width := uint32(share * math.MaxUint32)
+		lo := uint32(rng.Int63n(int64(math.MaxUint32 - width)))
+		span := 1 + rng.Intn(4)
+		dlo := uint32(rng.Intn(dValues - span + 1))
+		queries[i] = []RangePred{{Col: "k", Lo: lo, Hi: lo + width}, {Col: "d", Lo: dlo, Hi: dlo + uint32(span) - 1}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := tab.SelectWhere(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
