@@ -11,9 +11,11 @@ import (
 // cached surface: the plain call routes through the one entry with a
 // background context, and nothing on that route — the env value, the entry
 // bracket, the cached-path helpers, the admission verdict — may cost an
-// allocation of its own.  (What does allocate on a hit is planning: the Plan.Why strings,
-// SelectIn's dedupe map, distinct list and plan IDs, SelectWhere's bound
-// resolution and plan slice, the aggregate's fingerprint.)  The race
+// allocation of its own.  What does allocate on a hit is the result copy and
+// planning: the Plan.Why string, SelectIn's distinct list,
+// SelectWhere's bound resolution and plan slice.  SelectIn's seen-set lives on
+// the stack up to 64 values and its plan's domain IDs in a stack array, so a
+// 64-value list costs what a 6-value one does.  The race
 // detector's instrumentation moves a count, hence the build tag.
 func TestWarmHitAllocs(t *testing.T) {
 	cached, _, g := cachePair(t, 3000, 91)
@@ -24,8 +26,10 @@ func TestWarmHitAllocs(t *testing.T) {
 	}
 	outer.EnableCache(CacheOptions{MinCostNs: -1})
 	aIx, _ := cached.Index("a")
+	aVals, _ := cached.Column("a")
 	cVals, _ := cached.Column("c")
 	list := g.Lookups(cVals.Domain().Values(), 6)
+	list64 := g.Lookups(aVals.Domain().Values(), 64)
 	preds := []RangePred{{Col: "a", Lo: 0, Hi: 1 << 30}, {Col: "b", Lo: 1 << 27, Hi: 1 << 31}}
 	if _, err := JoinWith(outer, "fk", aIx, JoinOptions{}, func(o, i uint32) {}); err != nil {
 		t.Fatal(err) // an emitting join fills the pair cache the count-only join reads
@@ -37,7 +41,8 @@ func TestWarmHitAllocs(t *testing.T) {
 	}{
 		{"SelectRange", 2, func() { cached.SelectRange("a", 1<<28, 1<<28+1<<26) }},
 		{"SelectRange sharded-only", 2, func() { cached.SelectRange("b", 1<<28, 1<<28+1<<24) }},
-		{"SelectIn", 4, func() { cached.SelectIn("c", list) }},
+		{"SelectIn", 3, func() { cached.SelectIn("c", list) }},
+		{"SelectIn 64 values", 3, func() { cached.SelectIn("a", list64) }},
 		{"SelectWhere", 14, func() { cached.SelectWhere(preds) }},
 		{"GroupAggregate", 1, func() { GroupAggregate(cached, "c", "a", nil) }},
 		{"JoinWith count-only", 0, func() { JoinWith(outer, "fk", aIx, JoinOptions{}, nil) }},

@@ -150,11 +150,12 @@ func rangeFP(table, col string, layer qcache.Layer, lo, hi uint32) qcache.Key {
 
 // inFP fingerprints col IN (values) over the deduplicated list in
 // first-occurrence order — order-sensitive because the result's RID
-// grouping follows list order.
+// grouping follows list order.  Lists hash a word at a time (qcache.HashWords):
+// this runs before every IN lookup, hit or miss.
 func inFP(table, col string, layer qcache.Layer, distinct []uint32) qcache.Key {
 	return qcache.Key{
 		Table: table, Col: col, Kind: qcache.KindIn, Layer: layer,
-		Hash: qcache.HashU32s(qcache.HashSeed, distinct), N: uint32(len(distinct)),
+		Hash: qcache.HashWords(qcache.HashSeed, distinct), N: uint32(len(distinct)),
 	}
 }
 
@@ -173,14 +174,15 @@ func whereFP(table string, preds []RangePred) qcache.Key {
 // aggFP fingerprints a GroupAggregate: the group column is the key's
 // column, and the hash folds the measure column plus the source-RID set —
 // a marker separates the nil all-rows source from an explicit (possibly
-// empty) RID list, because only the former grows with appended rows.
+// empty) RID list, because only the former grows with appended rows.  The
+// source RIDs — often thousands — hash a word at a time (qcache.HashWords).
 func aggFP(table, groupCol, measureCol string, rids []uint32) qcache.Key {
 	h := qcache.HashString(qcache.HashSeed, measureCol)
 	if rids == nil {
 		h = qcache.HashU32(h, 1)
 	} else {
 		h = qcache.HashU32(h, 2)
-		h = qcache.HashU32s(h, rids)
+		h = qcache.HashWords(h, rids)
 	}
 	return qcache.Key{
 		Table: table, Col: groupCol, Kind: qcache.KindAgg, Layer: qcache.LayerTable,

@@ -17,6 +17,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -278,18 +280,44 @@ func (ix *SortedIndex) SelectInCtx(ctx context.Context, values []uint32) (out []
 	return out, q.leave(err)
 }
 
-// dedupeValues keeps the first occurrence of each value, preserving order.
+// dedupeValues keeps the first occurrence of each value, preserving order —
+// the IN fingerprint and the result's RID grouping both follow it.  Every
+// IN-list passes through here before its cache lookup, so the seen-set is one
+// open-addressed table of value+1 (0 = empty slot; MaxUint32, whose +1 wraps
+// to 0, is tracked apart) at most half full, living in a stack array for
+// lists of up to dedupeStack/2 values and allocated above that.
 func dedupeValues(values []uint32) []uint32 {
-	seen := make(map[uint32]struct{}, len(values))
 	out := make([]uint32, 0, len(values))
+	var stack [dedupeStack]uint32
+	slots := stack[:]
+	if size := 2 * len(values); size > dedupeStack {
+		slots = make([]uint32, 1<<bits.Len(uint(size-1)))
+	}
+	mask := uint32(len(slots) - 1)
+	shift := 32 - bits.Len32(mask)
+	sawMax := false
 	for _, v := range values {
-		if _, dup := seen[v]; !dup {
-			seen[v] = struct{}{}
+		if v == math.MaxUint32 {
+			if !sawMax {
+				sawMax = true
+				out = append(out, v)
+			}
+			continue
+		}
+		i := v * 0x9e3779b1 >> shift // Fibonacci hashing: the top bits
+		for slots[i] != 0 && slots[i] != v+1 {
+			i = (i + 1) & mask
+		}
+		if slots[i] == 0 {
+			slots[i] = v + 1
 			out = append(out, v)
 		}
 	}
 	return out
 }
+
+// dedupeStack is dedupeValues' stack table size: lists of up to 64 values.
+const dedupeStack = 128
 
 // SelectRange returns the RIDs of rows with lo ≤ column ≤ hi, in (value,
 // RID) order — base and delta rows interleaved exactly as a fully rebuilt

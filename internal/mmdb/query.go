@@ -30,6 +30,7 @@ package mmdb
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -408,23 +409,46 @@ func (t *Table) planRangeIDs(col string, c *Column, loID, hiID uint32) Plan {
 	case !ordered:
 		return Plan{UseIndex: false, EstRows: est, Why: "hash index has no ordered access"}
 	case frac > scanBreakEven:
-		return Plan{UseIndex: false, EstRows: est, Why: whyPct("selectivity ", frac, 0, " above scan break-even")}
+		return Plan{UseIndex: false, EstRows: est, Why: whyPct("selectivity ", frac, false, " above scan break-even")}
 	case !indexed:
-		return Plan{UseIndex: true, EstRows: est, Why: whyPct("sharded index, selectivity ", frac, 1, " below scan break-even")}
+		return Plan{UseIndex: true, EstRows: est, Why: whyPct("sharded index, selectivity ", frac, true, " below scan break-even")}
 	default:
-		return Plan{UseIndex: true, EstRows: est, Why: whyPct("selectivity ", frac, 1, " below scan break-even")}
+		return Plan{UseIndex: true, EstRows: est, Why: whyPct("selectivity ", frac, true, " below scan break-even")}
 	}
 }
 
-// whyPct spells a plan's reason around a selectivity — pre, 100·frac to prec
-// decimals, a percent sign, post: the text fmt's %.*f%% gives — without fmt,
-// because every planned query pays for its Why, traced or not.
-func whyPct(pre string, frac float64, prec int, post string) string {
+// whyPct spells a plan's reason around a selectivity — pre, 100·frac to 0
+// decimals (or 1 when oneDecimal), a percent sign, post: byte for byte the
+// text fmt's %.0f%% or %.1f%% gives — without fmt and, almost always, without
+// strconv, because every planned query pays for its Why, traced or not.
+// strconv formats a fixed precision through its big-decimal path; here x or
+// 10x is rounded in float64 instead, which is exact unless it sits within
+// 1e-6 of a half (float64's error below 1e7 is ~1e-9, and strconv rounds an
+// exact half to even), so those, and x outside [0, 1e6), go to strconv.
+func whyPct(pre string, frac float64, oneDecimal bool, post string) string {
 	var buf [80]byte
 	b := append(buf[:0], pre...)
-	b = strconv.AppendFloat(b, 100*frac, 'f', prec, 64)
+	b = appendPct(b, 100*frac, oneDecimal)
 	b = append(b, '%')
 	return string(append(b, post...))
+}
+
+// appendPct appends x with 0 decimals (1 when oneDecimal) as
+// strconv.AppendFloat(b, x, 'f', prec, 64) does; see whyPct.
+func appendPct(b []byte, x float64, oneDecimal bool) []byte {
+	s, prec := x, 0
+	if oneDecimal {
+		s, prec = 10*x, 1
+	}
+	r := math.Floor(s + 0.5)
+	if !(x >= 0 && x < 1e6) || math.Signbit(x) || math.Abs(s-r) > 0.5-1e-6 {
+		return strconv.AppendFloat(b, x, 'f', prec, 64)
+	}
+	n := uint64(r)
+	if !oneDecimal {
+		return strconv.AppendUint(b, n, 10)
+	}
+	return append(strconv.AppendUint(b, n/10, 10), '.', byte('0'+n%10))
 }
 
 // SelectRange returns the RIDs of rows with lo ≤ col ≤ hi, choosing the
@@ -592,10 +616,13 @@ func (t *Table) planIn(col string, distinct []uint32) (Plan, error) {
 		return Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
 	present := 0
-	if len(distinct) > 0 {
-		ids := make([]int32, len(distinct))
-		c.dom.IDsBatch(distinct, ids)
-		for _, id := range ids {
+	// Translated through a stack array a chunk at a time: the domain tree
+	// descends 64 probes in lockstep anyway, so nothing is allocated here.
+	var ids [64]int32
+	for i := 0; i < len(distinct); i += len(ids) {
+		chunk := distinct[i:min(i+len(ids), len(distinct))]
+		c.dom.IDsBatch(chunk, ids[:len(chunk)])
+		for _, id := range ids[:len(chunk)] {
 			if id >= 0 {
 				present++
 			}
@@ -612,9 +639,9 @@ func (t *Table) planIn(col string, distinct []uint32) (Plan, error) {
 	case !indexed && !shardedOK:
 		return Plan{UseIndex: false, EstRows: est, Why: "no index on column"}, nil
 	case frac > batchScanBreakEven:
-		return Plan{UseIndex: false, EstRows: est, Why: whyPct("selectivity ", frac, 0, " above batched scan break-even")}, nil
+		return Plan{UseIndex: false, EstRows: est, Why: whyPct("selectivity ", frac, false, " above batched scan break-even")}, nil
 	default:
-		return Plan{UseIndex: true, EstRows: est, Why: whyPct("batched IN probe, selectivity ", frac, 1, " below batched break-even")}, nil
+		return Plan{UseIndex: true, EstRows: est, Why: whyPct("batched IN probe, selectivity ", frac, true, " below batched break-even")}, nil
 	}
 }
 

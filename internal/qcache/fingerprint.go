@@ -81,7 +81,8 @@ type Key struct {
 	N uint32
 }
 
-// FNV-1a, the same fingerprint primitive the snapshot checksums use.
+// FNV-1a, the same fingerprint primitive the snapshot checksums use; long
+// value lists hash through HashWords instead.
 const (
 	HashSeed    = 14695981039346656037 // FNV-1a offset basis
 	hashPrime64 = 1099511628211
@@ -105,12 +106,44 @@ func HashU32(h uint64, v uint32) uint64 {
 	return h
 }
 
-// HashU32s folds a uint32 slice into a running FNV-1a hash.
+// HashU32s folds a uint32 slice into a running FNV-1a hash, one byte per
+// multiply.  Frozen: persisted checksums use it (shard files, version-1
+// durable snapshots), so its output must never change.  In-memory
+// fingerprints of long lists use HashWords.
 func HashU32s(h uint64, vs []uint32) uint64 {
 	for _, v := range vs {
 		h = HashU32(h, v)
 	}
 	return h
+}
+
+// HashWords folds a uint32 slice into a running hash two values per 64-bit
+// word (wordStep).  The length is folded in first, so a zero-padded tail
+// ([1,2,0] against [1,2,0,0]) still differs.  Every step is a bijection of
+// the running state for a fixed input word, so two lists of one length
+// differing in a single value never collide.  Only in-memory cache
+// fingerprints use it; nothing persists its output.
+func HashWords(h uint64, vs []uint32) uint64 {
+	h = wordStep(h, uint64(len(vs)))
+	for ; len(vs) >= 2; vs = vs[2:] {
+		h = wordStep(h, uint64(vs[0])|uint64(vs[1])<<32)
+	}
+	if len(vs) == 1 {
+		h = wordStep(h, uint64(vs[0]))
+	}
+	return h ^ h>>32
+}
+
+// wordStep absorbs one 64-bit word: xor, multiply, xorshift, multiply.  Two
+// multiplies, because a multiply carries only upward: a difference in the top
+// bit alone passes through one multiply, and any linear mixing around it,
+// unchanged, whatever the state — and the next word can then cancel it.  The
+// xorshift between the two moves that difference to bit 31, where the second
+// multiply's carries make what comes out depend on the state.
+func wordStep(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	h ^= h >> 32
+	return h * 0xbf58476d1ce4e5b9
 }
 
 // colKey addresses the per-column containment candidate list inside a

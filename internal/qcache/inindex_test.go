@@ -228,7 +228,7 @@ func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, g
 	t, c, limit := d.t, d.c, uint32(tok.Epoch)
 	rd := Reader{Tok: tok, Runs: inTail{dom, col, tok}}
 	key := Key{Table: dom.table, Col: col, Kind: KindIn, Layer: dom.layer,
-		Hash: HashU32s(HashSeed, distinct), N: uint32(len(distinct))}
+		Hash: HashWords(HashSeed, distinct), N: uint32(len(distinct))}
 	var want, goff []uint32
 	for _, v := range distinct {
 		goff = append(goff, uint32(len(want)))
