@@ -12,8 +12,10 @@ package binsearch
 //	simd    AVX2 assembly (amd64): unsigned compares answer 8 slots per
 //	        instruction against the broadcast key, VPMOVMSKB extracts the
 //	        compare mask, POPCNT counts it — a 16-slot node is answered in
-//	        ~3 vector instructions.  arm64 NEON is a follow-on; without a
-//	        vector unit the dispatch is the scalar ladder.
+//	        ~3 vector instructions.  Where AVX-512 is enabled the batch
+//	        level pass compares a whole 16-slot node at once instead.
+//	        arm64 NEON is a follow-on; without a vector unit the dispatch
+//	        is the scalar ladder.
 //
 // The tier is selected once at package init from CPU feature detection
 // (hand-rolled CPUID, no external deps) and can be overridden with
@@ -69,6 +71,11 @@ var (
 	defaultKernel = detectKernel()
 	activeKernel  = defaultKernel
 )
+
+// levelPass512 picks the AVX-512 body of the simd tier's level pass (see
+// DescendLevel).  It is not a tier: it is fixed at init by CPU detection,
+// and only the package's tests flip it, to run both bodies.
+var levelPass512 = avx512Available
 
 // kernelEnvValue returns the raw CSSIDX_NODESEARCH value (for tests).
 func kernelEnvValue() string { return os.Getenv(EnvKernel) }
@@ -193,7 +200,9 @@ func NodeLowerBound16(a []uint32, m int, probes []uint32, out []int32) {
 // For the cache-line node (m = 16; 15 routing keys under fan 16, 16 under
 // fan 17) the SIMD tier runs the whole pass as one assembly loop that also
 // prefetches each child's line, so the group's next level is in flight
-// before the next pass reads it.  Every other tier, node size and
+// before the next pass reads it.  The loop has two bodies, picked once at
+// init: one AVX-512 compare of the whole node where the CPU and OS allow
+// it, two AVX2 compares otherwise.  Every other tier, node size and
 // architecture loops NodeLowerBound; the children are identical.
 //
 // Memory safety does not depend on the directory's contents: the sizes are
@@ -209,15 +218,19 @@ func DescendLevel(dir []uint32, m, fan, lNode int, probes []uint32, nodes []int3
 	if lNode < 0 || len(probes) == 0 {
 		return
 	}
-	if activeKernel == KernelSIMD && m == 16 {
-		switch fan {
-		case 16:
-			simdDescend15(&dir[0], int64(lNode), &probes[0], &nodes[0], int64(len(probes)))
-			return
-		case 17:
-			simdDescend16(&dir[0], int64(lNode), &probes[0], &nodes[0], int64(len(probes)))
-			return
+	if activeKernel == KernelSIMD && m == 16 && (fan == 16 || fan == 17) {
+		d, l, p, nd, n := &dir[0], int64(lNode), &probes[0], &nodes[0], int64(len(probes))
+		switch {
+		case fan == 16 && levelPass512:
+			avx512Descend15(d, l, p, nd, n)
+		case fan == 16:
+			simdDescend15(d, l, p, nd, n)
+		case levelPass512:
+			avx512Descend16(d, l, p, nd, n)
+		default:
+			simdDescend16(d, l, p, nd, n)
 		}
+		return
 	}
 	routing := fan - 1
 	for j, p := range probes {
@@ -227,5 +240,37 @@ func DescendLevel(dir []uint32, m, fan, lNode int, probes []uint32, nodes []int3
 		}
 		base := d * m
 		nodes[j] = int32(d*fan + 1 + NodeLowerBound(dir[base:base+routing], routing, p))
+	}
+}
+
+// --- leaf-pass kernel --------------------------------------------------------
+
+// LeafLowerBounds finishes a lockstep group on its leaves: for every j it
+// stores los[j] plus the count of keys[los[j]:his[j]] below probes[j] — the
+// probe's lower bound — into out[j].  A window not inside keys[:len(keys)]
+// panics.  One call replaces len(probes) NodeLowerBound
+// calls.
+//
+// The SIMD tier answers every whole 16-key leaf in one assembly loop that
+// reads exactly keys[lo:lo+16], then searches the other windows — partial
+// and dangling leaves, other node sizes — with NodeLowerBound; every other
+// tier and architecture loops NodeLowerBound over all of them.  The answers
+// are identical.
+func LeafLowerBounds(keys []uint32, los, his []int32, probes []uint32, out []int32) {
+	n := len(probes)
+	if len(los) != n || len(his) != n || len(out) != n {
+		panic("binsearch: LeafLowerBounds: group size mismatch")
+	}
+	keys = keys[:len(keys):len(keys)] // a window past len panics, even within cap
+	vector := activeKernel == KernelSIMD && n > 0 && len(keys) >= 16
+	if vector {
+		simdLeafLowerBounds(&keys[0], int64(len(keys)), &los[0], &his[0], &probes[0], &out[0], int64(n))
+	}
+	for j, p := range probes {
+		lo, hi := int(los[j]), int(his[j])
+		if vector && hi-lo == 16 && lo >= 0 && lo <= len(keys)-16 {
+			continue // the kernel's window
+		}
+		out[j] = int32(lo + NodeLowerBound(keys[lo:hi], hi-lo, p))
 	}
 }

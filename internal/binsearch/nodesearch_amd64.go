@@ -8,12 +8,28 @@ package binsearch
 // golang.org/x/sys/cpu performs; inlined here so the package stays
 // dependency-free.
 
-// simdAvailable reports whether the AVX2 tier can run on this CPU.
-var simdAvailable = detectAVX2()
+var (
+	// simdAvailable reports whether the AVX2 tier can run on this CPU.
+	simdAvailable = detectAVX2()
+	// avx512Available reports whether the simd tier's level pass can use
+	// its AVX-512 body.
+	avx512Available = simdAvailable && detectAVX512()
+)
 
 // cpuidAsm and xgetbv0 are implemented in cpu_amd64.s.
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
+
+// detectAVX512 reports AVX512F (CPUID leaf 7 EBX bit 16) with the opmask,
+// ZMM_Hi256 and Hi16_ZMM state (XCR0 bits 5–7) enabled by the OS.  It is
+// consulted only after detectAVX2, which has checked OSXSAVE.
+func detectAVX512() bool {
+	if xcr0, _ := xgetbv0(); xcr0&0xE0 != 0xE0 {
+		return false
+	}
+	_, ebx7, _, _ := cpuidAsm(7, 0)
+	return ebx7&(1<<16) != 0
+}
 
 func detectAVX2() bool {
 	maxID, _, _, _ := cpuidAsm(0, 0)
@@ -80,6 +96,22 @@ func simdDescend15(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int
 
 //go:noescape
 func simdDescend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
+
+// The same two passes with the AVX-512 body: one compare of the whole
+// 64-byte node per probe.
+
+//go:noescape
+func avx512Descend15(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
+
+//go:noescape
+func avx512Descend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
+
+// simdLeafLowerBounds is the leaf pass behind LeafLowerBounds: it answers
+// the whole 16-key windows inside keys and skips the rest, which
+// LeafLowerBounds searches itself; nkeys is len(keys) and at least 16.
+//
+//go:noescape
+func simdLeafLowerBounds(keys *uint32, nkeys int64, los, his *int32, probes *uint32, out *int32, n int64)
 
 //go:noescape
 func prefetchAt(base *uint32, idx *int32, n int64)

@@ -1,6 +1,7 @@
-// AVX2 node-search kernels.  A node is a short sorted window of uint32
-// keys; the leftmost slot ≥ the probe equals the COUNT of slots < the
-// probe, so each kernel compares the whole window against the broadcast
+// AVX2 node-search kernels, plus the AVX-512 body of the level pass
+// (LEVELPASS512).  A node is a short sorted window of uint32 keys; the
+// leftmost slot ≥ the probe equals the COUNT of slots < the probe, so
+// each kernel compares the whole window against the broadcast
 // key (8 slots per compare), extracts the compare mask (VPMOVMSKB, 4 mask
 // bits per slot) and popcounts it — a 16-slot node is answered by two
 // compares, two mask extracts and one POPCNT.
@@ -15,11 +16,11 @@
 // loaded OVERLAPPED with the previous one (always inside the window) and
 // the one double-counted lane is subtracted back off via its mask bit.
 //
-// Two hygiene rules keep the kernels fast on every core: only VEX-encoded
-// instructions touch vector registers (a legacy-SSE write with dirty YMM
-// uppers stalls for hundreds of cycles on state merges), and every kernel
-// ends with VZEROUPPER so the Go code after the return pays no AVX/SSE
-// transition penalty.
+// Two hygiene rules keep the kernels fast on every core: only VEX- or
+// EVEX-encoded instructions touch vector registers (a legacy-SSE write
+// with dirty YMM uppers stalls for hundreds of cycles on state merges),
+// and every kernel ends with VZEROUPPER so the Go code after the return
+// pays no AVX/SSE transition penalty.
 
 #include "textflag.h"
 
@@ -373,6 +374,115 @@ TEXT ·simdDescend16(SB), NOSPLIT, $0-40
 	MOVQ nodes+24(FP), DX
 	MOVQ n+32(FP), CX
 	LEVELPASS(32, -1, 17)
+	VZEROUPPER
+	RET
+
+// LEVELPASS512 is LEVELPASS with the AVX-512 node search: the probe is
+// broadcast into Z0 and ONE unsigned compare (VPCMPUD predicate 2, probe ≤
+// slot) tests all sixteen slots of the 64-byte node into K1.  KMASK keeps
+// the routing slots — 0x7FFF drops a level node's spare sixteenth slot,
+// 0xFFFF keeps all of a full node's — and POPCNTL counts the slots ≥ the
+// probe.  The node number check, the child arithmetic and the prefetch are
+// LEVELPASS's; the load reads exactly the node's 64 bytes.
+#define LEVELPASS512(KMASK, FAN) \
+	XORQ R9, R9; \
+	JMP test; \
+loop: \
+	MOVL (DX)(R9*4), R10; \
+	CMPQ R10, R8; \
+	JHI next; \
+	MOVQ R10, R11; \
+	SHLQ $6, R11; \
+	VPBROADCASTD (BX)(R9*4), Z0; \
+	VPCMPUD $2, (AX)(R11*1), Z0, K1; \
+	KMOVW K1, SI; \
+	ANDL $KMASK, SI; \
+	POPCNTL SI, SI; \
+	IMUL3Q $FAN, R10, R12; \
+	ADDQ $FAN, R12; \
+	SUBQ SI, R12; \
+	MOVL R12, (DX)(R9*4); \
+	CMPQ R12, R8; \
+	CMOVQHI R10, R12; \
+	SHLQ $6, R12; \
+	PREFETCHT0 (AX)(R12*1); \
+next: \
+	INCQ R9; \
+test: \
+	CMPQ R9, CX; \
+	JLT loop
+
+// func avx512Descend15(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
+TEXT ·avx512Descend15(SB), NOSPLIT, $0-40
+	MOVQ dir+0(FP), AX
+	MOVQ lNode+8(FP), R8
+	MOVQ probes+16(FP), BX
+	MOVQ nodes+24(FP), DX
+	MOVQ n+32(FP), CX
+	LEVELPASS512(0x7FFF, 16)
+	VZEROUPPER
+	RET
+
+// func avx512Descend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
+TEXT ·avx512Descend16(SB), NOSPLIT, $0-40
+	MOVQ dir+0(FP), AX
+	MOVQ lNode+8(FP), R8
+	MOVQ probes+16(FP), BX
+	MOVQ nodes+24(FP), DX
+	MOVQ n+32(FP), CX
+	LEVELPASS512(0xFFFF, 17)
+	VZEROUPPER
+	RET
+
+// func simdLeafLowerBounds(keys *uint32, nkeys int64, los, his *int32, probes *uint32, out *int32, n int64)
+// The leaf pass of a lockstep group: for each j whose window [los[j],
+// his[j]) is a whole 16-key leaf inside keys, out[j] = los[j] + the count of
+// its keys < probes[j], counted exactly as simdLB16 does.  Any other j —
+// a partial or dangling leaf, or a window not inside keys (lo compared
+// unsigned, so a negative one fails too) — is skipped and its out[j] left
+// as it was; the loads read exactly keys[lo:lo+16].
+//
+// AX keys  R8 nkeys−16  R13 los  R12 his  BX probes  DX out  CX n  R9 j
+// R10 lo  R11 hi−lo, then &keys[lo]  SI/DI masks → count  DI answer
+TEXT ·simdLeafLowerBounds(SB), NOSPLIT, $0-56
+	MOVQ keys+0(FP), AX
+	MOVQ nkeys+8(FP), R8
+	SUBQ $16, R8
+	MOVQ los+16(FP), R13
+	MOVQ his+24(FP), R12
+	MOVQ probes+32(FP), BX
+	MOVQ out+40(FP), DX
+	MOVQ n+48(FP), CX
+	XORQ R9, R9
+	JMP leaftest
+leafloop:
+	MOVLQSX (R13)(R9*4), R10
+	CMPQ R10, R8
+	JHI leafnext
+	MOVLQSX (R12)(R9*4), R11
+	SUBQ R10, R11
+	CMPQ R11, $16
+	JNE leafnext
+	LEAQ (AX)(R10*4), R11
+	VPBROADCASTD (BX)(R9*4), Y0
+	VPMAXUD (R11), Y0, Y2
+	VPCMPEQD (R11), Y2, Y2
+	VPMOVMSKB Y2, SI
+	VPMAXUD 32(R11), Y0, Y3
+	VPCMPEQD 32(R11), Y3, Y3
+	VPMOVMSKB Y3, DI
+	SHLQ $32, DI
+	ORQ DI, SI
+	POPCNTQ SI, SI
+	SHRQ $2, SI
+	LEAQ 16(R10), DI
+	SUBQ SI, DI
+	MOVL DI, (DX)(R9*4)
+leafnext:
+	INCQ R9
+leaftest:
+	CMPQ R9, CX
+	JLT leafloop
 	VZEROUPPER
 	RET
 

@@ -6,7 +6,10 @@ package binsearch
 // follow-on): the SIMD tier is unavailable and the dispatch defaults to
 // the scalar branch-free ladder.
 
-const simdAvailable = false
+const (
+	simdAvailable   = false
+	avx512Available = false
+)
 
 // nodeLowerBoundSIMD is never reachable when simdAvailable is false; it
 // exists so the dispatch switch compiles on every architecture.
@@ -35,6 +38,20 @@ func simdDescend15(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int
 }
 
 func simdDescend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64) {
+	panic("binsearch: simd kernel on non-amd64 build")
+}
+
+func avx512Descend15(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64) {
+	panic("binsearch: simd kernel on non-amd64 build")
+}
+
+func avx512Descend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64) {
+	panic("binsearch: simd kernel on non-amd64 build")
+}
+
+// The leaf-pass kernel is unreachable too: LeafLowerBounds loops
+// NodeLowerBound over every window on this architecture.
+func simdLeafLowerBounds(keys *uint32, nkeys int64, los, his *int32, probes *uint32, out *int32, n int64) {
 	panic("binsearch: simd kernel on non-amd64 build")
 }
 

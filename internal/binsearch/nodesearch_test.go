@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cssidx/internal/mem"
 	"cssidx/internal/workload"
 )
 
@@ -134,49 +135,186 @@ func TestNodeLowerBound16AllTiers(t *testing.T) {
 	})
 }
 
+// withLevelBodies runs fn under each body of the simd level pass — AVX2,
+// then AVX-512 where this host has it — restoring the detected body.
+func withLevelBodies(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	prev := levelPass512
+	defer func() { levelPass512 = prev }()
+	for _, avx512 := range []bool{false, true} {
+		name := "avx2"
+		if avx512 {
+			name = "avx512"
+		}
+		t.Run(name, func(t *testing.T) {
+			if avx512 && !avx512Available {
+				t.Skip("no AVX-512 on this host: only the AVX2 body can run")
+			}
+			levelPass512 = avx512
+			fn(t)
+		})
+	}
+}
+
 // TestDescendLevelAllTiers checks the level-pass kernel against the branchy
-// oracle for both cache-line shapes (the assembly bodies under simd) and a
-// spread of other node sizes (the portable loop): a directory whose nodes
-// are the adversarial windows, every distinguishing probe on every node,
-// group lengths from one probe up, and node numbers past lNode mixed in —
-// those must come back untouched.
+// oracle for both cache-line shapes (the assembly bodies under simd, each
+// under both its AVX2 and AVX-512 body) and a spread of other node sizes
+// (the portable loop): a directory whose nodes are the adversarial windows,
+// every distinguishing probe on every node, group lengths from one probe
+// up, and node numbers past lNode mixed in — those must come back untouched.
 func TestDescendLevelAllTiers(t *testing.T) {
 	withKernel(t, func(t *testing.T, k Kernel) {
-		g := workload.New(12)
-		for _, shape := range []struct{ m, fan int }{{16, 16}, {16, 17}, {8, 8}, {8, 9}, {4, 5}, {32, 32}, {64, 65}} {
-			m, fan, routing := shape.m, shape.fan, shape.fan-1
-			windows := windowsFor(routing, g)
-			lNode := len(windows) - 1
-			dir := make([]uint32, len(windows)*m)
-			var probes []uint32
-			var nodes []int32
-			for d, w := range windows {
-				copy(dir[d*m:], w)
-				if routing < m {
-					dir[d*m+routing] = 0 // a level node's spare slot never routes
-				}
-				for _, p := range probesFor(w) {
-					probes = append(probes, p, p)
-					nodes = append(nodes, int32(d), int32(lNode+1+d))
-				}
+		if k != KernelSIMD {
+			checkDescendLevel(t, k)
+			return
+		}
+		withLevelBodies(t, func(t *testing.T) { checkDescendLevel(t, k) })
+	})
+}
+
+func checkDescendLevel(t *testing.T, k Kernel) {
+	g := workload.New(12)
+	for _, shape := range []struct{ m, fan int }{{16, 16}, {16, 17}, {8, 8}, {8, 9}, {4, 5}, {32, 32}, {64, 65}} {
+		m, fan, routing := shape.m, shape.fan, shape.fan-1
+		windows := windowsFor(routing, g)
+		lNode := len(windows) - 1
+		dir := make([]uint32, len(windows)*m)
+		var probes []uint32
+		var nodes []int32
+		for d, w := range windows {
+			copy(dir[d*m:], w)
+			if routing < m {
+				dir[d*m+routing] = 0 // a level node's spare slot never routes
 			}
-			for _, width := range []int{1, 3, 64, len(probes)} {
-				for lo := 0; lo < len(probes); lo += width {
-					hi := min(lo+width, len(probes))
-					got := append([]int32(nil), nodes[lo:hi]...)
-					DescendLevel(dir, m, fan, lNode, probes[lo:hi], got)
-					for j, d := range nodes[lo:hi] {
-						want := d
-						if int(d) <= lNode {
-							base := int(d) * m
-							want = d*int32(fan) + 1 + int32(NodeLowerBoundScalar(dir[base:base+routing], routing, probes[lo+j]))
-						}
-						if got[j] != want {
-							t.Fatalf("%v m=%d fan=%d width=%d: node %d probe %d → %d, want %d", k, m, fan, width, d, probes[lo+j], got[j], want)
-						}
+			for _, p := range probesFor(w) {
+				probes = append(probes, p, p)
+				nodes = append(nodes, int32(d), int32(lNode+1+d))
+			}
+		}
+		for _, width := range []int{1, 3, 64, len(probes)} {
+			for lo := 0; lo < len(probes); lo += width {
+				hi := min(lo+width, len(probes))
+				got := append([]int32(nil), nodes[lo:hi]...)
+				DescendLevel(dir, m, fan, lNode, probes[lo:hi], got)
+				for j, d := range nodes[lo:hi] {
+					want := d
+					if int(d) <= lNode {
+						base := int(d) * m
+						want = d*int32(fan) + 1 + int32(NodeLowerBoundScalar(dir[base:base+routing], routing, probes[lo+j]))
+					}
+					if got[j] != want {
+						t.Fatalf("%v m=%d fan=%d width=%d: node %d probe %d → %d, want %d", k, m, fan, width, d, probes[lo+j], got[j], want)
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestLeafLowerBoundsMatchNodeLowerBound checks the leaf pass under every
+// tier: on sorted arrays with duplicate runs, every window keys[lo:lo+width]
+// of 0 to 16 keys must answer lo + the oracle's lower bound for 0,
+// MaxUint32, every key and every key ±1.  The last cases are a mixed group
+// in which each probe has its own window, and key arrays shorter than a
+// leaf.
+func TestLeafLowerBoundsMatchNodeLowerBound(t *testing.T) {
+	withKernel(t, func(t *testing.T, k Kernel) {
+		g := workload.New(13)
+		for _, n := range []int{0, 5, 15, 16, 17, 40, 200} {
+			for dist, keys := range map[string][]uint32{
+				"dups":      g.SortedWithDuplicates(n, 4),
+				"saturated": g.SortedWithDuplicates(n, max(n, 1)),
+			} {
+				probes := probesFor(keys)
+				los := make([]int32, len(probes))
+				his := make([]int32, len(probes))
+				out := make([]int32, len(probes))
+				for lo := 0; lo <= n; lo++ {
+					for width := 0; width <= 16 && lo+width <= n; width++ {
+						for j := range probes {
+							los[j], his[j] = int32(lo), int32(lo+width)
+						}
+						LeafLowerBounds(keys, los, his, probes, out)
+						for j, p := range probes {
+							if want := int32(lo + NodeLowerBoundScalar(keys[lo:lo+width], width, p)); out[j] != want {
+								t.Fatalf("%v %s n=%d window [%d,%d) probe %d: out %d, want %d", k, dist, n, lo, lo+width, p, out[j], want)
+							}
+						}
+					}
+				}
+				if n < 16 {
+					continue
+				}
+				// One group, a window per probe: whole, partial and empty.
+				windows := [][2]int{{0, 16}, {n - 16, n}, {(n - 15) / 2, (n-15)/2 + 15}, {3, 3}, {n, n}, {1, 16}, {n - 15, n}}
+				for j := range probes {
+					w := windows[j%len(windows)]
+					los[j], his[j] = int32(w[0]), int32(w[1])
+				}
+				LeafLowerBounds(keys, los, his, probes, out)
+				for j, p := range probes {
+					lo, hi := int(los[j]), int(his[j])
+					if want := int32(lo + NodeLowerBoundScalar(keys[lo:hi], hi-lo, p)); out[j] != want {
+						t.Fatalf("%v %s n=%d mixed group: window [%d,%d) probe %d: out %d, want %d", k, dist, n, lo, hi, p, out[j], want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestLeafKernelAnswersOnlyWholeLeaves pins the assembly leaf pass's own
+// rule, which LeafLowerBounds's follow-up search would otherwise hide: it
+// writes out[j] for a window of exactly 16 keys inside keys and for no
+// other — partial, negative, straddling the end or far past it.
+func TestLeafKernelAnswersOnlyWholeLeaves(t *testing.T) {
+	if !simdAvailable {
+		t.Skip("no SIMD tier on this CPU")
+	}
+	const untouched = -7
+	keys := workload.New(17).SortedWithDuplicates(40, 4)
+	n := len(keys)
+	probes := probesFor(keys)
+	windows := [][2]int{{0, 16}, {n - 16, n}, {n / 2, n/2 + 15}, {3, 3}, {1, 16}, {-16, 0}, {-5, 11}, {n - 15, n + 1}, {n, n + 16}, {1 << 30, 1<<30 + 16}}
+	los := make([]int32, len(probes))
+	his := make([]int32, len(probes))
+	out := make([]int32, len(probes))
+	for j := range probes {
+		w := windows[j%len(windows)]
+		los[j], his[j], out[j] = int32(w[0]), int32(w[1]), untouched
+	}
+	simdLeafLowerBounds(&keys[0], int64(n), &los[0], &his[0], &probes[0], &out[0], int64(len(probes)))
+	for j, p := range probes {
+		lo, hi := int(los[j]), int(his[j])
+		want := int32(untouched)
+		if hi-lo == 16 && lo >= 0 && hi <= n {
+			want = int32(lo + NodeLowerBoundScalar(keys[lo:hi], 16, p))
+		}
+		if out[j] != want {
+			t.Fatalf("window [%d,%d) probe %d: out %d, want %d", lo, hi, p, out[j], want)
+		}
+	}
+}
+
+// TestLeafLowerBoundsChecksSizes pins the panics: a group whose slices
+// disagree in length, and a window not inside keys.
+func TestLeafLowerBoundsChecksSizes(t *testing.T) {
+	keys := make([]uint32, 32)
+	withKernel(t, func(t *testing.T, k Kernel) {
+		for name, call := range map[string]func(){
+			"group size":        func() { LeafLowerBounds(keys, make([]int32, 2), make([]int32, 2), make([]uint32, 2), make([]int32, 3)) },
+			"negative window":   func() { LeafLowerBounds(keys, []int32{-16}, []int32{0}, []uint32{1}, make([]int32, 1)) },
+			"window past end":   func() { LeafLowerBounds(keys, []int32{20}, []int32{36}, []uint32{1}, make([]int32, 1)) },
+			"window over short": func() { LeafLowerBounds(keys[:15], []int32{0}, []int32{16}, []uint32{1}, make([]int32, 1)) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v %s: expected a panic", k, name)
+					}
+				}()
+				call()
+			}()
 		}
 	})
 }
@@ -289,6 +427,50 @@ func BenchmarkNodeSearchKernels(b *testing.B) {
 	for _, m := range []int{7, 8, 15, 16, 31, 32, 63, 64} {
 		for _, k := range []Kernel{KernelScalar, KernelSIMD} {
 			b.Run(fmt.Sprintf("m=%d/%s", m, k), func(b *testing.B) { benchKernel(b, k, m) })
+		}
+	}
+}
+
+// BenchmarkDescendLevel prices one level pass of the batch descent on
+// resident lines: 64-probe groups, every probe on its own node of a
+// 4,096-node directory (256 KB), for both cache-line shapes under the
+// scalar tier and each simd body.  ns/visit is one probe's node search
+// plus its child arithmetic and prefetch.
+func BenchmarkDescendLevel(b *testing.B) {
+	const nodes, width = 4096, 64
+	g := workload.New(3)
+	starts := make([]int32, nodes)
+	for i := range starts {
+		starts[i] = int32(i * 97 % nodes) // 64 groups of 64 distinct nodes
+	}
+	probes := g.Misses(nil, nodes)
+	prevKernel, prevBody := ActiveKernel(), levelPass512
+	defer func() { SetKernel(prevKernel); levelPass512 = prevBody }()
+	for _, fan := range []int{16, 17} {
+		dir := mem.AlignedU32(nodes*16, mem.CacheLine)
+		for d := 0; d < nodes; d++ {
+			copy(dir[d*16:], g.SortedDistinct(fan-1))
+		}
+		for _, leg := range []struct {
+			name   string
+			kernel Kernel
+			avx512 bool
+		}{{"scalar", KernelScalar, false}, {"avx2", KernelSIMD, false}, {"avx512", KernelSIMD, true}} {
+			b.Run(fmt.Sprintf("fan=%d/%s", fan, leg.name), func(b *testing.B) {
+				if !SetKernel(leg.kernel) || (leg.avx512 && !avx512Available) {
+					b.Skipf("%s unavailable on this host", leg.name)
+				}
+				levelPass512 = leg.avx512
+				var group [width]int32
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					lo := i * width % nodes
+					copy(group[:], starts[lo:lo+width])
+					DescendLevel(dir, 16, fan, nodes-1, probes[lo:lo+width], group[:])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/visit")
+				sinkNS += int(group[0])
+			})
 		}
 	}
 }

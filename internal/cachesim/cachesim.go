@@ -88,6 +88,25 @@ func ModernServer() *Machine {
 	}
 }
 
+// STLB returns a machine whose one level is a second-level TLB over pages
+// of pageBytes: 2,048 entries, 16-way, as on current x86 server cores.  A
+// TLB is a cache of translations, so it is modelled as a cache whose line
+// is a page: a miss is a page walk.  Replaying a lookup trace through it
+// counts the walks per lookup that a cache hierarchy's misses leave out.
+// The walk penalty assumes the page-table entries hit in the data caches.
+// On 32-bit hosts Capacity overflows for pages of 1 MiB and more.
+func STLB(pageBytes int) *Machine {
+	return &Machine{
+		Name:    fmt.Sprintf("STLB (2048 entries, 16-way, %d KiB pages)", pageBytes>>10),
+		ClockHz: 2.1e9,
+		Levels: []Level{
+			{Name: "STLB", Capacity: 2048 * pageBytes, Line: pageBytes, Assoc: 16, MissPenalty: 30},
+		},
+		CmpCycles:  1,
+		MoveCycles: 1,
+	}
+}
+
 // Hierarchy is a running instance of a machine's caches.
 type Hierarchy struct {
 	levels []levelState

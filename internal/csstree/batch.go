@@ -8,10 +8,11 @@ package csstree
 // which searches every probe's node, stores its child and prefetches the
 // child's line, so by the time the next pass reads a node its miss has been
 // in flight for a whole group's worth of work.  After Depth passes every
-// probe is on a leaf: the leaf lines are prefetched the same way, and the
-// leaf search finishes each answer — Search's match test, EqualRange's
-// duplicate scan — on the line it has just read, rather than in a second
-// walk over the key array after the lines have gone cold.
+// probe is on a leaf: the leaf lines are prefetched the same way, one
+// leaf-pass call (binsearch.LeafLowerBounds) finds every probe's lower
+// bound in its leaf, and a loop finishes each answer — Search's match test,
+// EqualRange's duplicate scan — on the line just read, rather than in a
+// second walk over the key array after the lines have gone cold.
 //
 // DescendBatch is the only copy of that descent.  Full, Level and the root
 // package's Generic[uint32] all call it; a batch tail, or a batch shorter
@@ -51,7 +52,7 @@ func DescendBatch(g *Geometry, dir, keys []uint32, op BatchOp, probes []uint32, 
 	if len(first) != len(probes) || (op == BatchEqualRange && len(last) != len(probes)) {
 		panic("csstree: probes/out length mismatch")
 	}
-	var nodes, los, his [groupWidth]int32
+	var nodes, los, his, lbs [groupWidth]int32
 	for i := 0; i < len(probes); i += groupWidth {
 		group := probes[i:min(i+groupWidth, len(probes))]
 		n := len(group)
@@ -68,9 +69,9 @@ func DescendBatch(g *Geometry, dir, keys []uint32, op BatchOp, probes []uint32, 
 			los[j], his[j] = int32(lo), int32(hi)
 		}
 		binsearch.PrefetchAt(keys, los[:n])
+		binsearch.LeafLowerBounds(keys, los[:n], his[:n], group, lbs[:n])
 		for j, p := range group {
-			lo, hi := int(los[j]), int(his[j])
-			pos := lo + binsearch.NodeLowerBound(keys[lo:hi], hi-lo, p)
+			pos := int(lbs[j])
 			switch op {
 			case BatchSearch:
 				if pos >= len(keys) || keys[pos] != p {

@@ -1,11 +1,13 @@
 package csstree
 
 import (
+	"fmt"
 	"syscall"
 	"testing"
 	"unsafe"
 
 	"cssidx/internal/binsearch"
+	"cssidx/internal/workload"
 )
 
 // guardedU32 returns a slice of exactly slots words whose last byte is the
@@ -38,6 +40,30 @@ func TestBatchCorruptDirectoryAgainstGuardPage(t *testing.T) {
 	forEachKernel(t, func(kern binsearch.Kernel) {
 		for _, m := range []int{8, 16} {
 			checkCorruptDirectories(t, kern, m, func(slots int) []uint32 { return guardedU32(t, slots) })
+		}
+	})
+}
+
+// TestBatchKeysAgainstGuardPage puts the key array against the guard page:
+// trees over it, probed at its last keys, must answer as the scalar methods
+// do under every tier.  With n a multiple of 16 the last leaf is a whole
+// cache line, so the leaf pass's vector loads end at the array's last byte;
+// otherwise it is partial and the per-probe search must stop at n.
+func TestBatchKeysAgainstGuardPage(t *testing.T) {
+	g := workload.New(187)
+	forEachKernel(t, func(kern binsearch.Kernel) {
+		for _, n := range []int{16, 4096, 70000, 70001, 70015} {
+			keys := guardedU32(t, n)
+			copy(keys, g.SortedWithDuplicates(n, 3))
+			probes := batchProbePool(g, keys, 3*groupWidth+5)
+			for _, k := range keys[max(n-20, 0):] {
+				probes = append(probes, k-1, k, k+1)
+			}
+			for _, m := range []int{8, 16} {
+				for kind, tr := range map[string]batchTree{"full": BuildFull(keys, m), "level": BuildLevel(keys, m)} {
+					checkBatchesMatchScalar(t, fmt.Sprintf("%v %s m=%d n=%d guarded keys", kern, kind, m, n), tr, probes)
+				}
+			}
 		}
 	})
 }

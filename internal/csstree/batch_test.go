@@ -185,6 +185,27 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 
 var sinkBatch int
 
+// BenchmarkDescendBatch prices the whole lockstep descent out of cache: a
+// level tree over 4M uniform keys (16 MB, beyond L2), 16,384-probe
+// SearchBatch calls cycling through eight batches.  ns/probe covers the
+// level passes, the leaf pass and the match test; it allocates nothing.
+func BenchmarkDescendBatch(b *testing.B) {
+	const batch = 16_384
+	g := workload.New(188)
+	keys := g.SortedUniform(4 << 20)
+	tr := BuildLevel(keys, 16)
+	probes := g.Lookups(keys, 8*batch)
+	out := make([]int32, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i % 8 * batch
+		tr.SearchBatch(probes[lo:lo+batch], out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/probe")
+	sinkBatch += int(out[0])
+}
+
 // TestBatchAllKernelTiers is the differential battery of the lockstep
 // descent: the three batch methods against the scalar ones (which run under
 // the same tier) for both tree variants, every node size the trees are
@@ -252,12 +273,13 @@ func forEachKernel(t *testing.T, body func(binsearch.Kernel)) {
 // checkCorruptDirectories swaps the directory of a full and a level tree of
 // node size m for arrays from alloc (which returns exactly the slots asked
 // for) filled with random words, all-ones and zeroes, and requires every
-// batch answer to stay in range.
+// batch answer to stay in range.  The key array comes from alloc too.
 func checkCorruptDirectories(t *testing.T, kern binsearch.Kernel, m int, alloc func(slots int) []uint32) {
 	t.Helper()
 	g := workload.New(185)
 	rng := rand.New(rand.NewSource(185))
-	keys := g.SortedWithDuplicates(70001, 3)
+	keys := alloc(70001)
+	copy(keys, g.SortedWithDuplicates(len(keys), 3))
 	probes := batchProbePool(g, keys, 3*groupWidth+5)
 	n := int32(len(keys))
 	first := make([]int32, len(probes))

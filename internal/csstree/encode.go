@@ -99,6 +99,7 @@ func readSnapshot(r io.Reader, keys []uint32) (variant, m int, dir []uint32, err
 	if err := binary.Read(r, binary.LittleEndian, dir); err != nil {
 		return 0, 0, nil, fmt.Errorf("csstree: reading directory: %w", err)
 	}
+	mem.Huge(dir)
 	return int(hd.Variant), int(hd.M), dir, nil
 }
 

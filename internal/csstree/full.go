@@ -27,7 +27,8 @@ type Full struct {
 // copied: the tree is a directory over the caller's array, exactly as in the
 // paper ("the array is given to us without assumptions that it can be
 // restructured").  m must be ≥ 2; node size m·4 bytes is typically the cache
-// line (m=16 for 64-byte lines, §5.1).
+// line (m=16 for 64-byte lines, §5.1).  keys and the directory are hinted
+// onto huge pages (mem.Huge), which changes no byte of either.
 func BuildFull(keys []uint32, m int) *Full {
 	g := FullGeometry(len(keys), m)
 	t := &Full{keys: keys, g: g}
@@ -47,6 +48,8 @@ func BuildFull(keys []uint32, m int) *Full {
 		}
 		t.dir[i] = keys[g.LeafMaxIndex(c)]
 	}
+	mem.Huge(keys)
+	mem.Huge(t.dir)
 	return t
 }
 

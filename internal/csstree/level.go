@@ -22,7 +22,8 @@ type Level struct {
 
 // BuildLevel constructs a level CSS-tree over the sorted slice keys with m
 // slots per node.  m must be a power of two ≥ 2.  keys is retained, not
-// copied.
+// copied; it and the directory are hinted onto huge pages (mem.Huge), which
+// changes no byte of either.
 func BuildLevel(keys []uint32, m int) *Level {
 	if !mem.IsPow2(m) {
 		panic(fmt.Sprintf("csstree: level tree node size m=%d is not a power of two", m))
@@ -45,6 +46,8 @@ func BuildLevel(keys []uint32, m int) *Level {
 			t.dir[base+j] = t.subtreeMax(d*m + 1 + j)
 		}
 	}
+	mem.Huge(keys)
+	mem.Huge(t.dir)
 	return t
 }
 

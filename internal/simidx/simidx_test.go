@@ -115,6 +115,33 @@ func TestCSSTreeFewerMissesThanBinarySearch(t *testing.T) {
 	}
 }
 
+// TestSTLBWalksPerProbe reconciles the page walk with the model: 100K
+// uniform probes of a 16M-key level tree — probe_uniform's shape, a 64 MB
+// key array under a 4 MB directory — replayed through a 2,048-entry STLB.
+// On 4 KiB pages the tree spans 17K pages and nearly every probe walks at
+// least once; on 2 MiB pages it spans about 35, and only first touches walk.
+func TestSTLBWalksPerProbe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 16M-key tree (68 MB)")
+	}
+	keys := make([]uint32, 16_000_000)
+	for i := range keys {
+		keys[i] = uint32(i) << 8
+	}
+	probes := workload.New(87).Lookups(keys, 100_000)
+	sim := NewLevelCSS(keys, 16, cachesim.NewAddrAlloc())
+	for _, c := range []struct {
+		page   int
+		lo, hi float64
+	}{{4 << 10, 0.8, 1e9}, {2 << 20, 0, 0.05}} {
+		walks := Run(sim, cachesim.STLB(c.page), probes).MissesPerLookup(0)
+		t.Logf("%d KiB pages: %.4f walks per probe", c.page>>10, walks)
+		if walks < c.lo || walks >= c.hi {
+			t.Errorf("%d KiB pages: %.4f walks per probe, want in [%g, %g)", c.page>>10, walks, c.lo, c.hi)
+		}
+	}
+}
+
 func TestTTreeTracksBinarySearchMisses(t *testing.T) {
 	// §3.3: "T-Trees do not provide any better cache behavior than binary
 	// search" — per-lookup misses within ~35% of each other.
