@@ -1,19 +1,30 @@
 package mmdb
 
 // Result caching: the execution engine's reuse stage.  Every query surface
-// (Table.SelectRange/SelectIn/SelectWhere, JoinWith, and the epoch-swapped
-// ShardedIndex selections) consults an attached qcache.Cache before
-// planning and fills it after computing, so repeated decision-support
-// traffic — the same dashboard ranges, IN-lists and join sub-results over
-// and over — is answered by a fingerprint lookup and one slice copy
-// instead of a recomputation.
+// (Table.SelectRange/SelectIn/SelectWhere, GroupAggregate, JoinWith, and the
+// epoch-swapped ShardedIndex selections) consults an attached qcache.Cache
+// before computing and fills it after, so repeated decision-support traffic —
+// the same dashboard ranges, IN-lists and join sub-results over and over — is
+// answered by a fingerprint lookup and one slice copy instead of a
+// recomputation.
 //
-// Nothing is cached at first sight.  Every lookup that misses returns the
-// cache's admission verdict (qcache/door.go: has this question missed
-// before?), and every miss path takes it before executing: a first-time
-// question runs exactly as it would with caching off — no key run, no group
-// offsets, no staged join pairs, no Insert — and only a question seen before
-// pays to stage the payload the cache wants.  A recurring question is
+// The lookup comes before planning wherever the fingerprint does not depend
+// on the plan: every SelectWhere conjunction, and SelectRange and SelectIn on
+// a column with a SortedIndex or no index, whose scan and index paths share
+// one table-layer key.  Within a generation the plan is a function of the
+// question alone, so the entry a miss inserts stores that miss's plan
+// (qcache.Plan: path, selectivity, reason) and an exact hit replays it
+// without touching the domain tree; a subset replay reads the IN-list's
+// domain presence off its groups, and a containment hit still plans.  A
+// sharded-only column plans first: its plan picks the layer its answer is
+// cached in (the epoch's, or the table's for a scan).
+//
+// Nothing is cached at first sight.  Every miss is settled with the cache's
+// admission verdict (qcache/door.go: has this question missed before?), and
+// every miss path takes it before executing: a first-time question runs
+// exactly as it would with caching off — no key run, no group offsets, no
+// staged join pairs, no Insert — and only a question seen before pays to
+// stage the payload the cache wants.  A recurring question is
 // therefore computed twice before it is served from the cache; an ad-hoc
 // stream costs the cache one tag per query.
 //
@@ -135,6 +146,21 @@ func missed(cs *telemetry.Span, admit bool) bool {
 	}
 	cs.End()
 	return admit
+}
+
+// miss settles a Find that found nothing, for a query about to compute: the
+// cache counts the miss and says whether to admit the result, and the cache
+// span records it.  With caching off there is neither.
+func (e env) miss(qc *qcache.Cache, k qcache.Key) bool {
+	if !qc.Enabled() {
+		return false
+	}
+	return missed(e.sp.Child("cache"), qc.Miss(k))
+}
+
+// hit records the cache span of a query Find answered.
+func (e env) hit(a qcache.Answer) {
+	tailRows(e.sp.Child("cache").Attr("outcome", a.Kind.String()).AttrInt("rows", len(a.RIDs)), a.Tail).End()
 }
 
 // --- fingerprints -----------------------------------------------------------

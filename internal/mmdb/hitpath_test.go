@@ -114,13 +114,14 @@ func FuzzDedupeValues(f *testing.F) {
 	})
 }
 
-// BenchmarkWarmHit prices the exact-hit path of the cached surfaces in the
-// shape of the end-to-end dss_repeat mix: 2M rows, k uniform over uint32
-// under a level CSS-tree, g over 64 groups, m a measure.  Each leg asks one
-// question whose answer is resident, so what it measures is the front end —
-// planning, the IN dedupe, the fingerprint — plus the lookup and the copy:
-// a ≈1,270-row SelectRange, a 32-value SelectIn, and a GroupAggregate over
-// that range's RIDs.
+// BenchmarkWarmHit prices the hit path of the cached surfaces in the shape
+// of the end-to-end dss_repeat mix: 2M rows, k uniform over uint32 under a
+// level CSS-tree, g over 64 groups, m a measure.  Each leg asks one question
+// whose answer is resident, so what it measures is the front end — the IN
+// dedupe, the fingerprint, the replayed plan — plus the lookup and the copy:
+// exact hits of a ≈1,270-row SelectRange, a 32-value SelectIn, a SelectWhere
+// of that range and a range of g, and a GroupAggregate over the range's RIDs,
+// and the subset replay of the IN-list's first 16 values.
 func BenchmarkWarmHit(b *testing.B) {
 	const rows = 2_000_000
 	rng := rand.New(rand.NewSource(28))
@@ -151,15 +152,24 @@ func BenchmarkWarmHit(b *testing.B) {
 	for i := range list {
 		list[i] = k[rng.Intn(rows)]
 	}
+	preds := []RangePred{{Col: "k", Lo: lo, Hi: lo + width}, {Col: "g", Lo: 0, Hi: 15}}
 	for _, leg := range []struct {
-		name string
-		run  func() error
+		name   string
+		subset bool // answered by subset replay, not an exact hit
+		run    func() error
 	}{
-		{"SelectRange", func() error { _, _, err := tab.SelectRange("k", lo, lo+width); return err }},
-		{"SelectIn32", func() error { _, _, err := tab.SelectIn("k", list); return err }},
-		{"GroupAggregate", func() error { _, err := GroupAggregate(tab, "g", "m", src); return err }},
+		{"SelectRange", false, func() error { _, _, err := tab.SelectRange("k", lo, lo+width); return err }},
+		{"SelectIn32", false, func() error { _, _, err := tab.SelectIn("k", list); return err }},
+		{"SelectInSubset16", true, func() error { _, _, err := tab.SelectIn("k", list[:16]); return err }},
+		{"SelectWhere", false, func() error { _, _, err := tab.SelectWhere(preds); return err }},
+		{"GroupAggregate", false, func() error { _, err := GroupAggregate(tab, "g", "m", src); return err }},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
+			if leg.subset { // the replay's source
+				if _, _, err := tab.SelectIn("k", list); err != nil {
+					b.Fatal(err)
+				}
+			}
 			if err := leg.run(); err != nil { // warm
 				b.Fatal(err)
 			}
@@ -172,8 +182,12 @@ func BenchmarkWarmHit(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			if s := tab.CacheStats(); s.Misses != before.Misses || s.ContainedHits != before.ContainedHits || s.SubsetHits != before.SubsetHits {
-				b.Fatalf("%s: not every call was an exact hit: %+v", leg.name, s)
+			subsets := int64(0)
+			if leg.subset {
+				subsets = int64(b.N)
+			}
+			if s := tab.CacheStats(); s.Misses != before.Misses || s.ContainedHits != before.ContainedHits || s.SubsetHits != before.SubsetHits+subsets {
+				b.Fatalf("%s: not every call was a hit of its kind: %+v", leg.name, s)
 			}
 		})
 	}

@@ -5,16 +5,18 @@ package mmdb
 //  1. A segment (segment.go) is the frozen read view every index probe runs
 //     against: a SortedIndex's, or one published epoch of a ShardedIndex.
 //  2. A cached path answers one query shape over a segment and a cache
-//     reader: selectRange and selectIn below are each written once — the table
-//     layer passes its (generation, rows) reader, the sharded index its frozen
-//     epoch's — and follow one protocol: a lookup that returns a complete
-//     answer from one entry (exact, containment, IN subset replay; the entry
-//     picked is first brought current from the rows appended since), then on
-//     a miss — which arrives with the cache's verdict on the question: seen
+//     reader — the table layer's (generation, rows) reader, or the sharded
+//     index's frozen epoch's — and follows one protocol: a lookup that returns
+//     a complete answer from one entry (exact, containment, IN subset replay;
+//     the entry picked is first brought current from the rows appended
+//     since), then on a miss the cache's verdict on the question — seen
 //     before, or first sight — admission, execute, charge, and only for a
-//     question seen before the staging the cache wants and the insert.  Scans,
-//     WHERE conjunctions, aggregates and joins run the same stages through the
-//     same helpers (missed, compute, stage.abort, env.fresh).
+//     question seen before the staging the cache wants and the insert.  The
+//     table layer looks up before it plans and replays the plan an exact hit's
+//     entry stored (cache.go); the index computes, missRange and missIn, are
+//     written once for both layers.  Scans, WHERE conjunctions, aggregates and
+//     joins run the same stages through the same helpers (env.miss, compute,
+//     stage.abort, env.fresh).
 //  3. One entry: every public surface is its *Ctx form, and the plain form is
 //     the *Ctx form with a background context and no trace.  enter builds the
 //     env — the governance handle and the trace span, both nil on the plain
@@ -383,18 +385,38 @@ func (t *Table) PlanRange(col string, lo, hi uint32) (Plan, error) {
 		return Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
 	loID, hiID := c.dom.IDRange(lo, hi)
-	return t.planRangeIDs(col, c, loID, hiID), nil
+	return t.replay(t.planRangeIDs(col, c, loID, hiID)), nil
+}
+
+// replay is the Plan a reader of the table's current rows gets from plan
+// ingredients: planned just now, or stored with the cache entry a hit
+// answered from.  Within one generation the domain is frozen, so the
+// selectivity is too, and only the row estimate follows the absorbed rows.
+func (t *Table) replay(p qcache.Plan) Plan {
+	return Plan{UseIndex: p.UseIndex, EstRows: int(p.Frac * float64(t.rows)), Why: p.Why}
+}
+
+// paths returns the index a selection on col may be planned onto: its
+// SortedIndex's segment, or for a sharded-only column the sharded index —
+// which plans before its lookup, because its plan picks the layer (the
+// epoch's, or the table's for a scan) its answer is cached in.  Both are nil
+// on an unindexed column.
+func (t *Table) paths(col string) (*segment, *ShardedIndex) {
+	if ix, ok := t.indexes[col]; ok {
+		return &ix.seg, nil
+	}
+	return nil, t.sharded[col]
 }
 
 // planRangeIDs prices the access paths for a range predicate already
 // normalized to the half-open domain-ID range [loID, hiID) — the shared
-// core behind PlanRange and SelectWhere's batched bound resolution.
-func (t *Table) planRangeIDs(col string, c *Column, loID, hiID uint32) Plan {
+// core behind PlanRange, SelectRange and SelectWhere's batched bound
+// resolution.
+func (t *Table) planRangeIDs(col string, c *Column, loID, hiID uint32) qcache.Plan {
 	frac := 0.0
 	if c.dom.Len() > 0 {
 		frac = float64(hiID-loID) / float64(c.dom.Len())
 	}
-	est := int(frac * float64(t.rows))
 	// Ordered access comes from a non-hash SortedIndex or, failing that, a
 	// sharded index (note that Table-level planning reads mutable table
 	// state, so PlanRange/SelectRange themselves must not race AppendRows;
@@ -405,15 +427,15 @@ func (t *Table) planRangeIDs(col string, c *Column, loID, hiID uint32) Plan {
 	ordered := (indexed && ix.Kind() != cssidx.KindHash) || (!indexed && shardedOK)
 	switch {
 	case !indexed && !shardedOK:
-		return Plan{UseIndex: false, EstRows: est, Why: "no index on column"}
+		return qcache.Plan{UseIndex: false, Frac: frac, Why: "no index on column"}
 	case !ordered:
-		return Plan{UseIndex: false, EstRows: est, Why: "hash index has no ordered access"}
+		return qcache.Plan{UseIndex: false, Frac: frac, Why: "hash index has no ordered access"}
 	case frac > scanBreakEven:
-		return Plan{UseIndex: false, EstRows: est, Why: whyPct("selectivity ", frac, false, " above scan break-even")}
+		return qcache.Plan{UseIndex: false, Frac: frac, Why: whyPct("selectivity ", frac, false, " above scan break-even")}
 	case !indexed:
-		return Plan{UseIndex: true, EstRows: est, Why: whyPct("sharded index, selectivity ", frac, true, " below scan break-even")}
+		return qcache.Plan{UseIndex: true, Frac: frac, Why: whyPct("sharded index, selectivity ", frac, true, " below scan break-even")}
 	default:
-		return Plan{UseIndex: true, EstRows: est, Why: whyPct("selectivity ", frac, true, " below scan break-even")}
+		return qcache.Plan{UseIndex: true, Frac: frac, Why: whyPct("selectivity ", frac, true, " below scan break-even")}
 	}
 }
 
@@ -457,11 +479,12 @@ func appendPct(b []byte, x float64, oneDecimal bool) []byte {
 // sort (the set is identical either way — but note a cached result keeps
 // the order of the path that first computed it).
 //
-// With a cache attached, the normalized predicate is looked up first —
-// including by containment, when a cached wider range on the column can be
-// sliced — and the computed result is admitted after, stamped with the
-// table generation, once the question has missed before: a first-time range
-// runs as it would with caching off (cache.go).
+// With a cache attached, the predicate is looked up first — including by
+// containment, when a cached wider range on the column can be sliced — and
+// an exact hit replays the plan its miss stored instead of planning again.
+// The computed result is admitted after, stamped with the table generation,
+// once the question has missed before: a first-time range runs as it would
+// with caching off (cache.go).
 func (t *Table) SelectRange(col string, lo, hi uint32) ([]uint32, Plan, error) {
 	return t.SelectRangeCtx(context.Background(), col, lo, hi, nil)
 }
@@ -491,32 +514,42 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	if lo > hi {
 		return nil, Plan{}, nil
 	}
-	loID, hiID := c.dom.IDRange(lo, hi)
-	plan := t.planRangeIDs(col, c, loID, hiID)
+	// Lookup first; only what it cannot replay is planned.
+	seg, six := t.paths(col)
+	qc, rd := t.Cache(), t.reader(seg)
+	key := rangeFP(t.name, col, qcache.LayerTable, lo, hi)
+	var a qcache.Answer
+	if six == nil {
+		a = qc.Find(key, rd, nil)
+	}
+	p, empty := a.Plan, false
+	if a.Kind != qcache.HitExact {
+		loID, hiID := c.dom.IDRange(lo, hi)
+		p = t.planRangeIDs(col, c, loID, hiID)
+		// No live value in [lo, hi]: answered without the cache, except
+		// through a sorted index, whose path caches the empty run too.
+		empty = loID >= hiID && t.rows == t.baseRows && !(seg != nil && p.UseIndex)
+	}
+	plan := t.replay(p)
 	e.explainPlan(plan)
-	if plan.UseIndex {
-		if ix, ok := t.indexes[col]; ok {
-			rids, err := selectRange(&ix.seg, t.reader(&ix.seg), e, lo, hi, plan.EstRows)
+	if six != nil && !empty {
+		if p.UseIndex {
+			rids, err := six.selectRange(e, lo, hi, plan.EstRows) // cached per frozen epoch
 			return rids, plan, err
 		}
-		rids, err := t.sharded[col].selectRange(e, lo, hi) // cached per frozen epoch
+		a = qc.Find(key, rd, nil)
+	}
+	switch {
+	case a.Kind != qcache.HitMiss:
+		e.hit(a)
+		return a.RIDs, plan, nil
+	case empty:
+		return nil, plan, nil
+	case p.UseIndex:
+		rids, err := seg.missRange(e, rd, key, plan.EstRows, p)
 		return rids, plan, err
 	}
-	if loID >= hiID && t.rows == t.baseRows {
-		return nil, plan, nil // no live value in [lo, hi]
-	}
-	qc, rd := t.Cache(), t.reader(nil)
-	key := rangeFP(t.name, col, qcache.LayerTable, lo, hi)
-	admit := false
-	if qc.Enabled() {
-		cs := e.sp.Child("cache")
-		rids, kind, tail, adm := qc.LookupRange(key, rd)
-		if kind != qcache.HitMiss {
-			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
-			return rids, plan, nil
-		}
-		admit = missed(cs, adm)
-	}
+	admit := e.miss(qc, key)
 	st, err := t.compute(e, governor.ClassSelect, 4*int64(plan.EstRows))
 	if err != nil {
 		return nil, plan, err
@@ -531,31 +564,43 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	// exact-only entries (no key run, no containment slicing).
 	if admit {
 		ad := e.sp.Child("admit")
-		qc.InsertRange(key, rd.Tok, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
+		qc.InsertRange(key, rd.Tok, nil, out, recomputeCost(time.Since(st.start), plan, t.rows), p)
 		ad.End()
 	}
 	return out, plan, nil
 }
 
-// selectRange is the one cached index-range path: a raw closed range over a
-// segment — base span woven with the delta runs — consulting and filling
-// the cache as rd.  The table layer passes its (generation, rows) reader and
-// the planner's row estimate; a sharded index passes the frozen epoch's, so
-// lookups, refreshes and the insert all see that one epoch whatever the index
-// pointer has moved on to.
+// selectRange is the sharded index's cached range path: a raw closed range
+// over the frozen epoch seg, consulting and filling the cache as the epoch's
+// reader rd, so lookups, refreshes and the insert all see that one epoch
+// whatever the index pointer has moved on to.  est is the table layer's row
+// estimate; negative, the lookup comes first and only a miss resolves the
+// bounds — answering a range no live value can fall in without the cache.
 func selectRange(seg *segment, rd qcache.Reader, e env, lo, hi uint32, est int) ([]uint32, error) {
-	qc := seg.tbl.Cache()
 	key := rangeFP(seg.tbl.name, seg.col, seg.layer, lo, hi)
-	admit := false
-	if qc.Enabled() {
-		cs := e.sp.Child("cache")
-		rids, kind, tail, adm := qc.LookupRange(key, rd)
-		if kind != qcache.HitMiss {
-			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
-			return rids, nil
-		}
-		admit = missed(cs, adm)
+	if a := seg.tbl.Cache().Find(key, rd, nil); a.Kind != qcache.HitMiss {
+		e.hit(a)
+		return a.RIDs, nil
 	}
+	if est < 0 {
+		loID, hiID := seg.dom.IDRange(lo, hi)
+		if loID >= hiID && len(seg.runs) == 0 {
+			return nil, nil
+		}
+		est = 0
+		if n := seg.dom.Len(); n > 0 {
+			est = int(float64(hiID-loID) / float64(n) * float64(len(seg.rids)))
+		}
+	}
+	return seg.missRange(e, rd, key, est, qcache.Plan{})
+}
+
+// missRange is the one index-range compute: the miss settled, the base span
+// woven with the delta runs, and for a question seen before the insert, with
+// the plan p that chose the path.  est is the admission estimate in rows.
+func (seg *segment) missRange(e env, rd qcache.Reader, key qcache.Key, est int, p qcache.Plan) ([]uint32, error) {
+	qc := seg.tbl.Cache()
+	admit := e.miss(qc, key)
 	st, err := seg.tbl.compute(e, governor.ClassSelect, 4*int64(est))
 	if err != nil {
 		return nil, err
@@ -563,19 +608,19 @@ func selectRange(seg *segment, rd qcache.Reader, e env, lo, hi uint32, est int) 
 	defer st.release()
 	// When the result will be admitted the merged raw key run rides along,
 	// so any subrange of it can be answered by slicing it (containment reuse).
-	out, keys, err := seg.rangeMerged(lo, hi, admit)
+	out, keys, err := seg.rangeMerged(key.Lo, key.Hi, admit)
 	if err == nil {
 		err = e.ctl.Charge(4 * int64(len(out)))
 	}
 	if err != nil {
 		return nil, st.abort(err)
 	}
-	seg.explainRange(st.ex, lo, hi, len(out))
+	seg.explainRange(st.ex, key.Lo, key.Hi, len(out))
 	st.ex.End()
 	if admit {
 		ad := e.sp.Child("admit")
 		qc.InsertRange(key, rd.Tok, keys, out,
-			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
+			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0), p)
 		ad.End()
 	}
 	return out, nil
@@ -605,43 +650,61 @@ func scanRange(c *Column, lo, hi uint32, cp *governor.Checkpoint) ([]uint32, err
 // index competitive to higher selectivity than a scalar probe.  Hash indexes
 // qualify — an IN-list needs only equality probes, not ordered access.
 func (t *Table) PlanIn(col string, values []uint32) (Plan, error) {
-	return t.planIn(col, dedupeValues(values))
-}
-
-// planIn is PlanIn over an already deduplicated list, so selectIn dedupes
-// once for the plan, the fingerprint and the probes.
-func (t *Table) planIn(col string, distinct []uint32) (Plan, error) {
 	c, ok := t.cols[col]
 	if !ok {
 		return Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
-	present := 0
-	// Translated through a stack array a chunk at a time: the domain tree
-	// descends 64 probes in lockstep anyway, so nothing is allocated here.
+	return t.replay(t.planIn(col, c, c.present(dedupeValues(values)))), nil
+}
+
+// present counts the values of a deduplicated list the frozen domain holds.
+// They are translated through a stack array a chunk at a time: the domain
+// tree descends 64 probes in lockstep anyway, so nothing is allocated here.
+func (c *Column) present(distinct []uint32) int {
+	n := 0
 	var ids [64]int32
 	for i := 0; i < len(distinct); i += len(ids) {
 		chunk := distinct[i:min(i+len(ids), len(distinct))]
 		c.dom.IDsBatch(chunk, ids[:len(chunk)])
 		for _, id := range ids[:len(chunk)] {
 			if id >= 0 {
-				present++
+				n++
 			}
 		}
 	}
+	return n
+}
+
+// replayedPresent is present for the list a subset replay answered, read off
+// its groups instead of the domain tree: on an append-only table the frozen
+// domain holds exactly the values of the rows below baseRows, and a group
+// lists its base rows first.
+func (t *Table) replayedPresent(a qcache.Answer) int {
+	n := 0
+	for i := 0; i+1 < len(a.GOff); i++ {
+		if g := a.GOff[i]; g < a.GOff[i+1] && int(a.RIDs[g]) < t.baseRows {
+			n++
+		}
+	}
+	return n
+}
+
+// planIn prices the access paths for an IN-list of which present values are
+// in the frozen domain.
+func (t *Table) planIn(col string, c *Column, present int) qcache.Plan {
 	frac := 0.0
 	if c.dom.Len() > 0 {
 		frac = float64(present) / float64(c.dom.Len())
 	}
-	est := int(frac * float64(t.rows))
 	_, indexed := t.indexes[col]
 	_, shardedOK := t.sharded[col]
 	switch {
 	case !indexed && !shardedOK:
-		return Plan{UseIndex: false, EstRows: est, Why: "no index on column"}, nil
+		return qcache.Plan{UseIndex: false, Frac: frac, Why: "no index on column"}
 	case frac > batchScanBreakEven:
-		return Plan{UseIndex: false, EstRows: est, Why: whyPct("selectivity ", frac, false, " above batched scan break-even")}, nil
+		return qcache.Plan{UseIndex: false, Frac: frac, Why: whyPct("selectivity ", frac, false, " above batched scan break-even")}
 	default:
-		return Plan{UseIndex: true, EstRows: est, Why: whyPct("batched IN probe, selectivity ", frac, true, " below batched break-even")}, nil
+		return qcache.Plan{UseIndex: true, Frac: frac, Why: whyPct("batched IN probe, selectivity ", frac, true, " below batched break-even")}
 	}
 }
 
@@ -653,10 +716,11 @@ func (t *Table) planIn(col string, distinct []uint32) (Plan, error) {
 //
 // With a cache attached, the deduplicated list is fingerprinted (in
 // first-occurrence order, so a hit replays the exact RID grouping) and
-// results are stamped with the table generation; sharded-only columns
-// cache per frozen epoch instead.  Index-path misses then try the grouped
-// entries of the same column: a list whose every value a cached list names
-// replays by concatenating cached groups.
+// looked up before planning, and results are stamped with the table
+// generation; sharded-only columns plan first and cache per frozen epoch
+// instead.  An indexed column's lookup also tries the grouped entries of the
+// column: a list whose every value a cached list names replays by
+// concatenating cached groups.
 func (t *Table) SelectIn(col string, values []uint32) ([]uint32, Plan, error) {
 	return t.SelectInCtx(context.Background(), col, values, nil)
 }
@@ -672,36 +736,60 @@ func (t *Table) SelectInCtx(ctx context.Context, col string, values []uint32, tr
 }
 
 func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, error) {
-	distinct := dedupeValues(values)
-	plan, err := t.planIn(col, distinct)
-	if err != nil {
-		return nil, Plan{}, err
+	c, ok := t.cols[col]
+	if !ok {
+		return nil, Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
+	distinct := dedupeValues(values)
 	e.sp.Attr("table", t.name).Attr("col", col).AttrInt("values", len(values))
+	// Lookup first, as for SelectRange.  Only an indexed column's lookup
+	// tries subset replay: its grouped entries are index-planned lists, and
+	// a list naming no value outside one holds no more domain values, so it
+	// is index-planned too.  A scan-planned list must not inherit a replay's
+	// probe order, and it never gets one.
+	seg, six := t.paths(col)
+	var subset []uint32
+	if seg != nil {
+		subset = distinct
+	}
+	qc, rd := t.Cache(), t.reader(seg)
+	key := inFP(t.name, col, qcache.LayerTable, distinct)
+	var a qcache.Answer
+	if six == nil {
+		a = qc.Find(key, rd, subset)
+	}
+	var p qcache.Plan
+	switch {
+	case a.Kind == qcache.HitExact:
+		p = a.Plan
+	case a.Kind == qcache.HitSubset:
+		p = t.planIn(col, c, t.replayedPresent(a))
+	default:
+		p = t.planIn(col, c, c.present(distinct))
+	}
+	plan := t.replay(p)
 	e.explainPlan(plan)
-	if plan.UseIndex {
-		if ix, ok := t.indexes[col]; ok {
-			rids, err := selectIn(&ix.seg, t.reader(&ix.seg), e, distinct, plan.EstRows)
+	if six != nil {
+		if p.UseIndex {
+			rids, err := six.selectIn(e, distinct) // cached per frozen epoch
 			return rids, plan, err
 		}
-		rids, err := t.sharded[col].selectIn(e, distinct) // cached per frozen epoch
+		a = qc.Find(key, rd, nil)
+	}
+	switch {
+	case a.Kind == qcache.HitSubset:
+		e.hit(a)
+		rids, err := e.fresh(a.RIDs, nil) // a replay is a freshly materialised answer
+		return rids, plan, err
+	case a.Kind != qcache.HitMiss:
+		e.hit(a)
+		return a.RIDs, plan, nil
+	case p.UseIndex:
+		rids, err := seg.missIn(e, rd, key, distinct, plan.EstRows, p)
 		return rids, plan, err
 	}
-	// The scan path caches by exact fingerprint only: grouped reuse replays
-	// in probe order, which a scan-planned query must not inherit.
-	qc, rd := t.Cache(), t.reader(nil)
-	var key qcache.Key
-	admit := false
-	if qc.Enabled() {
-		cs := e.sp.Child("cache")
-		key = inFP(t.name, col, qcache.LayerTable, distinct)
-		rids, kind, tail, adm := qc.LookupIn(key, rd, nil)
-		if kind != qcache.HitMiss {
-			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
-			return rids, plan, nil
-		}
-		admit = missed(cs, adm)
-	}
+	// The scan path caches by exact fingerprint only: no group offsets.
+	admit := e.miss(qc, key)
 	st, err := t.compute(e, governor.ClassSelect, 4*int64(plan.EstRows))
 	if err != nil {
 		return nil, plan, err
@@ -714,7 +802,7 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	}
 	var out []uint32
 	cp := e.ctl.Checkpoint()
-	for row, v := range t.cols[col].raw {
+	for row, v := range c.raw {
 		if err := cp.Tick(); err != nil {
 			return nil, plan, st.abort(err)
 		}
@@ -729,37 +817,39 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	st.ex.AttrInt("rows", len(out)).End()
 	if admit {
 		ad := e.sp.Child("admit")
-		qc.InsertIn(key, rd.Tok, distinct, nil, out, recomputeCost(time.Since(st.start), plan, t.rows))
+		qc.InsertIn(key, rd.Tok, distinct, nil, out, recomputeCost(time.Since(st.start), plan, t.rows), p)
 		ad.End()
 	}
 	return out, plan, nil
 }
 
-// selectIn is the one cached IN path over an index segment: one lookup —
-// exact, then the grouped entries of the same column that serve rd: a subset
-// list replays by concatenating cached groups — then on a miss the batched
-// driver, and for a list seen before admission with the value list and (for
-// lists that stay on one worker) the group offsets replay and refresh
-// splicing need; a first-time list collects no offsets.  est is the
-// admission estimate in rows: the planner's on the table layer, the list
-// length on the epoch layer.
+// selectIn is the sharded index's cached IN path over the frozen epoch seg:
+// one lookup as the epoch's reader rd — exact, then the grouped entries of
+// the same column that serve rd: a subset list replays by concatenating
+// cached groups — then on a miss missIn, with the list length as the
+// admission estimate est.
 func selectIn(seg *segment, rd qcache.Reader, e env, distinct []uint32, est int) ([]uint32, error) {
-	qc := seg.tbl.Cache()
-	var key qcache.Key
-	admit := false
-	if qc.Enabled() {
-		cs := e.sp.Child("cache")
-		key = inFP(seg.tbl.name, seg.col, seg.layer, distinct)
-		rids, kind, tail, adm := qc.LookupIn(key, rd, distinct)
-		if kind != qcache.HitMiss {
-			tailRows(cs.Attr("outcome", kind.String()).AttrInt("rows", len(rids)), tail).End()
-			if kind == qcache.HitSubset {
-				return e.fresh(rids, nil) // a replay is a freshly materialised answer
-			}
-			return rids, nil
-		}
-		admit = missed(cs, adm)
+	key := inFP(seg.tbl.name, seg.col, seg.layer, distinct)
+	a := seg.tbl.Cache().Find(key, rd, distinct)
+	switch a.Kind {
+	case qcache.HitMiss:
+		return seg.missIn(e, rd, key, distinct, est, qcache.Plan{})
+	case qcache.HitSubset:
+		e.hit(a)
+		return e.fresh(a.RIDs, nil) // a replay is a freshly materialised answer
 	}
+	e.hit(a)
+	return a.RIDs, nil
+}
+
+// missIn is the one index IN compute: the miss settled, then the batched
+// driver, and for a list seen before admission with the value list, the
+// plan p that chose the path and (for lists that stay on one worker) the
+// group offsets replay and refresh splicing need; a first-time list
+// collects no offsets.  est is the admission estimate in rows.
+func (seg *segment) missIn(e env, rd qcache.Reader, key qcache.Key, distinct []uint32, est int, p qcache.Plan) ([]uint32, error) {
+	qc := seg.tbl.Cache()
+	admit := e.miss(qc, key)
 	st, err := seg.tbl.compute(e, governor.ClassSelect, 4*int64(est))
 	if err != nil {
 		return nil, err
@@ -780,7 +870,7 @@ func selectIn(seg *segment, rd qcache.Reader, e env, distinct []uint32, est int)
 	if admit {
 		ad := e.sp.Child("admit")
 		qc.InsertIn(key, rd.Tok, distinct, goff, out,
-			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0))
+			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0), p)
 		ad.End()
 	}
 	return out, nil
@@ -806,8 +896,10 @@ type RangePred struct {
 // positions with one LowerBoundBatch per index — 2×N scalar descents
 // collapse into a handful of lockstep groups whose cache misses overlap.
 //
-// With a cache attached, the whole conjunction is fingerprinted (hit =
-// one lookup, zero probes) and each conjunct's RID run is cached
+// With a cache attached, the whole conjunction is fingerprinted and looked
+// up first (hit = one lookup, zero probes, the conjunct plans its miss
+// stored; an absorbed append is merged in by qualifying the appended rows
+// against every conjunct), and each conjunct's RID run is cached
 // individually, so two dashboards sharing a predicate share its work even
 // when their conjunctions differ — including by containment when one
 // dashboard's range covers the other's.
@@ -832,17 +924,33 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		return nil, nil, fmt.Errorf("mmdb: SelectWhere needs at least one predicate")
 	}
 	e.sp.Attr("table", t.name).AttrInt("conjuncts", len(preds))
+	// The conjunction's key is its raw bounds whatever the plans, so the
+	// lookup comes first: a hit replays the conjunct plans its miss stored,
+	// and only a miss resolves the bounds and plans.
+	qc, rd := t.Cache(), t.reader(nil)
+	wkey := whereFP(t.name, preds)
+	a := qc.Find(wkey, rd, nil)
+	hit := a.Kind == qcache.HitExact
 	ps := e.sp.Child("plan")
-	loIDs, hiIDs, err := t.resolveBounds(preds)
-	if err != nil {
-		return nil, nil, err
+	bounds := a.Preds
+	var loIDs, hiIDs []uint32
+	if !hit {
+		var err error
+		if loIDs, hiIDs, err = t.resolveBounds(preds); err != nil {
+			return nil, nil, err
+		}
+		bounds = make([]qcache.PredBound, len(preds))
+		for i, p := range preds {
+			bounds[i] = qcache.PredBound{Col: p.Col, Lo: p.Lo, Hi: p.Hi,
+				Plan: t.planRangeIDs(p.Col, t.cols[p.Col], loIDs[i], hiIDs[i])}
+		}
 	}
 	plans := make([]Plan, len(preds))
 	indexed := 0
 	estBytes := int64(0)
 	empty := -1
-	for i, p := range preds {
-		plans[i] = t.planRangeIDs(p.Col, t.cols[p.Col], loIDs[i], hiIDs[i])
+	for i, b := range bounds {
+		plans[i] = t.replay(b.Plan)
 		if plans[i].UseIndex {
 			indexed++
 		}
@@ -850,12 +958,16 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		// A conjunct with delta rows to consider is never provably empty on
 		// an empty frozen ID range — the appended tail may hold matching
 		// values the dictionary has never seen.
-		if empty < 0 && (p.Lo > p.Hi || (loIDs[i] >= hiIDs[i] && t.rows == t.baseRows)) {
+		if !hit && empty < 0 && (b.Lo > b.Hi || (loIDs[i] >= hiIDs[i] && t.rows == t.baseRows)) {
 			empty = i
 		}
 	}
 	ps.AttrInt("index_conjuncts", indexed).AttrInt("scan_conjuncts", len(preds)-indexed)
 	ps.End()
+	if hit {
+		e.hit(a)
+		return a.RIDs, plans, nil
+	}
 	if empty >= 0 {
 		// The intersection is empty whatever the other conjuncts hold: no
 		// cache, no admission, no probes.
@@ -864,19 +976,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			Attr("path", "empty").End()
 		return nil, plans, nil
 	}
-	qc, rd := t.Cache(), t.reader(nil)
-	var wkey qcache.Key
-	admit := false
-	if qc.Enabled() {
-		cs := e.sp.Child("cache")
-		wkey = whereFP(t.name, preds)
-		rids, tail, ok, adm := qc.Lookup(wkey, rd)
-		if ok {
-			tailRows(cs.Attr("outcome", "hit").AttrInt("rows", len(rids)), tail).End()
-			return rids, plans, nil
-		}
-		admit = missed(cs, adm)
-	}
+	admit := e.miss(qc, wkey)
 	// One grant covers the whole conjunction: conjuncts probing sharded
 	// indexes below find the query already admitted and pass for free.
 	st, err := t.compute(e, governor.ClassSelect, estBytes)
@@ -911,7 +1011,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		if plans[i].UseIndex && !sorted {
 			// A sharded-only column answers through its index's own cached
 			// path, per frozen epoch; no table-layer entry can exist for it.
-			rids, err := t.sharded[p.Col].selectRange(env{e.ctl, cj}, p.Lo, p.Hi)
+			rids, err := t.sharded[p.Col].selectRange(env{e.ctl, cj}, p.Lo, p.Hi, plans[i].EstRows)
 			if err != nil {
 				return abortConj(cj, err)
 			}
@@ -927,20 +1027,20 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		if plans[i].UseIndex {
 			crd = t.reader(&ix.seg)
 		}
-		rids, kind, tail, adm := qc.LookupRange(ckey, crd)
-		admits[i] = adm
-		if kind != qcache.HitMiss {
-			sets[i] = rids
+		if ca := qc.Find(ckey, crd, nil); ca.Kind != qcache.HitMiss {
+			sets[i] = ca.RIDs
 			if cj != nil { // attr args must not run on the untraced path
-				tailRows(cj.Attr("path", "cache-"+kind.String()).AttrInt("rows", len(rids)), tail).End()
+				tailRows(cj.Attr("path", "cache-"+ca.Kind.String()).AttrInt("rows", len(ca.RIDs)), ca.Tail).End()
 			}
 			continue
 		}
+		adm := qc.Miss(ckey)
+		admits[i] = adm
 		if plans[i].UseIndex && len(ix.seg.runs) == 0 {
 			byIndex[&ix.seg] = append(byIndex[&ix.seg], i)
 			continue // span ends after the batched resolution below
 		}
-		var keys []uint32
+		var rids, keys []uint32
 		if !plans[i].UseIndex {
 			rids, err = scanRange(t.cols[p.Col], p.Lo, p.Hi, e.ctl.Checkpoint())
 		} else if rids, keys, err = ix.seg.rangeMerged(p.Lo, p.Hi, adm); err == nil {
@@ -957,7 +1057,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		}
 		cj.AttrInt("rows", len(rids)).End()
 		if adm {
-			qc.InsertRange(ckey, rd.Tok, keys, rids, estRecomputeNs(plans[i], t.rows))
+			qc.InsertRange(ckey, rd.Tok, keys, rids, estRecomputeNs(plans[i], t.rows), bounds[i].Plan)
 		}
 	}
 	for seg, list := range byIndex {
@@ -978,7 +1078,8 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			conjSpans[i].Attr("path", "sorted-index-batched").AttrInt("rows", len(rids)).End()
 			if admits[i] {
 				ckey := rangeFP(t.name, preds[i].Col, qcache.LayerTable, preds[i].Lo, preds[i].Hi)
-				qc.InsertRange(ckey, rd.Tok, idsToRaw(seg.dom, seg.keys[first:last]), rids, estRecomputeNs(plans[i], t.rows))
+				qc.InsertRange(ckey, rd.Tok, idsToRaw(seg.dom, seg.keys[first:last]), rids,
+					estRecomputeNs(plans[i], t.rows), bounds[i].Plan)
 			}
 		}
 	}
@@ -1002,7 +1103,9 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		if est > cost {
 			cost = est
 		}
-		qc.Insert(wkey, rd.Tok, acc, cost)
+		// The conjunct bounds ride along: a refresh qualifies appended rows
+		// against them, and a hit replays their plans.
+		qc.InsertWhere(wkey, rd.Tok, bounds, acc, cost)
 		ad.End()
 	}
 	return acc, plans, nil

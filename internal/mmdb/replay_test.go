@@ -1,0 +1,199 @@
+package mmdb
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"cssidx/internal/qcache"
+)
+
+// absorb appends n rows in small batches, left unfolded: values drawn like
+// newWhereTable's tail, so some are odd or past the base domain.
+func (w *whereTable) absorb(t *testing.T, rng *rand.Rand, n int) {
+	t.Helper()
+	for done := 0; done < n; {
+		m := min(1+rng.Intn(32), n-done)
+		batch := map[string][]uint32{}
+		for _, c := range whereCols {
+			vals := make([]uint32, m)
+			for i := range vals {
+				vals[i] = uint32(rng.Intn(2*w.card[c] + 8))
+			}
+			batch[c] = vals
+			w.raw[c] = append(w.raw[c], vals...)
+		}
+		if err := w.tab.AppendRows(batch); err != nil {
+			t.Fatal(err)
+		}
+		done += m
+	}
+}
+
+// TestHitReplaysPlan: a hit returns the plan the planner gives the question
+// afresh, field for field, Why byte for byte — whatever answered it: an
+// exact range hit through a sorted index, scan-planned on that column, on a
+// hashed, an unindexed and a sharded-only column; a containment hit; an
+// exact IN hit, index- or scan-planned, and a subset replay, whose domain
+// presence is read off its groups; an exact conjunction hit.  Each is asked
+// at rows == baseRows, after absorbed appends (the entries are brought
+// current and only the row estimate moves) and after a fold.  Then the
+// questions a plan proves empty must leave no trace in the counters.
+func TestHitReplaysPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	w := newWhereTable(t, rng, 2000, 0)
+	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
+	top := uint32(2 * w.card["k"])
+
+	// The IN parent on k lists base values, values only the appended tail
+	// will hold (odd) and values nothing holds; its subsets replay from it.
+	parent := []uint32{top + 3, 1, 3, 5}
+	for len(parent) < 40 {
+		parent = append(parent, w.raw["k"][rng.Intn(2000)])
+	}
+	type question struct {
+		name string
+		kind qcache.HitKind // how a repeat is answered
+		ask  func() (got, want []Plan, err error)
+	}
+	rangeQ := func(col string, lo, hi uint32, kind qcache.HitKind) question {
+		return question{fmt.Sprintf("range %s [%d,%d]", col, lo, hi), kind, func() ([]Plan, []Plan, error) {
+			_, got, err := w.tab.SelectRange(col, lo, hi)
+			want, _ := w.tab.PlanRange(col, lo, hi)
+			return []Plan{got}, []Plan{want}, err
+		}}
+	}
+	inQ := func(col string, list []uint32, kind qcache.HitKind) question {
+		return question{fmt.Sprintf("in %s %v", col, list), kind, func() ([]Plan, []Plan, error) {
+			_, got, err := w.tab.SelectIn(col, list)
+			want, _ := w.tab.PlanIn(col, list)
+			return []Plan{got}, []Plan{want}, err
+		}}
+	}
+	whereQ := func(preds ...RangePred) question {
+		return question{fmt.Sprintf("where %v", preds), qcache.HitExact, func() ([]Plan, []Plan, error) {
+			_, got, err := w.tab.SelectWhere(preds)
+			want := make([]Plan, len(preds))
+			for i, p := range preds {
+				want[i], _ = w.tab.PlanRange(p.Col, p.Lo, p.Hi)
+			}
+			return got, want, err
+		}}
+	}
+	questions := []question{
+		rangeQ("k", 100, 180, qcache.HitExact),
+		rangeQ("k", 120, 150, qcache.HitContained),
+		rangeQ("k", 0, top/2, qcache.HitExact), // scan-planned through a sorted index
+		rangeQ("h", 4, 20, qcache.HitExact),
+		rangeQ("u", 10, 70, qcache.HitExact),
+		rangeQ("s", 40, 90, qcache.HitExact), // sharded-only: plans first, hits the epoch
+		inQ("k", parent, qcache.HitExact),
+		inQ("k", parent[:12], qcache.HitSubset),
+		inQ("k", parent[20:], qcache.HitSubset),
+		inQ("h", []uint32{0, 2, 4, 6, 8, 10, 12, 14, 16}, qcache.HitExact), // scan-planned
+		inQ("u", []uint32{2, 4, 9}, qcache.HitExact),
+		whereQ(RangePred{"k", 100, 400}, RangePred{"s", 0, 300}, RangePred{"u", 0, 90}),
+		whereQ(RangePred{"k", 0, top / 2}, RangePred{"h", 0, 20}),
+	}
+	ask := func(state string, q question) qcache.Stats {
+		before := qc.StatsSnapshot()
+		got, want, err := q.ask()
+		if err != nil {
+			t.Fatalf("%s, %s: %v", state, q.name, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s, %s: plans %+v, the planner says %+v", state, q.name, got, want)
+		}
+		return before
+	}
+	for _, state := range []string{"rows == baseRows", "after absorbed appends", "after a fold"} {
+		switch state {
+		case "after absorbed appends":
+			w.absorb(t, rng, 300)
+		case "after a fold":
+			if err := w.tab.AppendRows(map[string][]uint32{"k": nil, "h": nil, "s": nil, "u": nil}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			for _, q := range questions {
+				before := ask(state, q)
+				if round == 0 {
+					continue // the state's first ask may compute
+				}
+				s := qc.StatsSnapshot()
+				kinds := [...]int64{qcache.HitContained: s.ContainedHits - before.ContainedHits,
+					qcache.HitSubset: s.SubsetHits - before.SubsetHits}
+				if s.Misses != before.Misses || s.Hits != before.Hits+1 || (q.kind != qcache.HitExact && kinds[q.kind] != 1) {
+					t.Fatalf("%s, %s: not a %v hit: %+v → %+v", state, q.name, q.kind, before, s)
+				}
+			}
+		}
+	}
+
+	// On an append-only table a value is in the frozen domain exactly when a
+	// row below baseRows holds it: what the subset replay reads its groups by.
+	w.absorb(t, rng, 200)
+	col, _ := w.tab.Column("k")
+	for _, v := range append(slices.Clone(parent), w.raw["k"][w.tab.Rows()-50:]...) {
+		_, inDomain := col.Domain().ID(v)
+		if held := slices.Contains(w.raw["k"][:w.tab.Rows()-w.tab.DeltaRows()], v); inDomain != held {
+			t.Fatalf("value %d: in the domain %v, held by a base row %v", v, inDomain, held)
+		}
+	}
+
+	// Questions the plan proves empty — bounds past every value the table
+	// ever held, or inverted — are answered without counting a miss,
+	// noting a first sight or inserting, at default admission.
+	if err := w.tab.AppendRows(map[string][]uint32{"k": nil, "h": nil, "s": nil, "u": nil}); err != nil {
+		t.Fatal(err)
+	}
+	qc = w.tab.EnableCache(CacheOptions{})
+	for _, q := range []func() error{
+		func() error { _, _, err := w.tab.SelectRange("u", 1<<30, 1<<30+9); return err },
+		func() error { _, _, err := w.tab.SelectRange("h", 1<<30, 1<<31); return err },
+		func() error { _, _, err := w.tab.SelectRange("s", 1<<30, 1<<30); return err },
+		func() error { _, _, err := w.tab.SelectRange("k", 9, 3); return err },
+		func() error { _, _, err := w.tab.SelectWhere([]RangePred{{"u", 0, 40}, {"k", 9, 3}}); return err },
+		func() error {
+			_, _, err := w.tab.SelectWhere([]RangePred{{"k", 0, 400}, {"s", 1 << 30, 1 << 31}})
+			return err
+		},
+	} {
+		for ask := 0; ask < 2; ask++ {
+			before := qc.StatsSnapshot()
+			if err := q(); err != nil {
+				t.Fatal(err)
+			}
+			if s := qc.StatsSnapshot(); s.Misses != before.Misses || s.Deferred != before.Deferred || s.Inserts != before.Inserts {
+				t.Fatalf("a provably empty question reached the cache: %+v → %+v", before, s)
+			}
+		}
+	}
+}
+
+// TestWhereHitAfterAbsorb: a cached conjunction survives absorbed appends.
+// Its hit after each batch equals the scan oracle, and the entry was
+// brought current by qualifying the appended rows against its conjuncts
+// (Patches) rather than dropped (Invalidations).
+func TestWhereHitAfterAbsorb(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	w := newWhereTable(t, rng, 2000, 0)
+	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
+	for _, preds := range [][]RangePred{
+		{{"k", 100, 900}, {"u", 0, 70}},
+		{{"s", 0, 200}, {"h", 2, 20}, {"u", 10, 127}},
+	} {
+		w.check(t, "cold", preds)
+		for round := 0; round < 4; round++ {
+			w.absorb(t, rng, 40)
+			before := qc.StatsSnapshot()
+			w.check(t, fmt.Sprintf("after %d absorbs", round+1), preds)
+			s := qc.StatsSnapshot()
+			if s.Hits != before.Hits+1 || s.Misses != before.Misses || s.Patches != before.Patches+1 || s.Invalidations != before.Invalidations {
+				t.Fatalf("%v after %d absorbs: not a hit brought current: %+v → %+v", preds, round+1, before, s)
+			}
+		}
+	}
+}

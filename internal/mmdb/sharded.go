@@ -217,28 +217,21 @@ func (ix *ShardedIndex) SelectRange(lo, hi uint32) ([]uint32, error) {
 func (ix *ShardedIndex) SelectRangeCtx(ctx context.Context, lo, hi uint32) (out []uint32, err error) {
 	var q entry
 	if q.enter(ctx, nil, nil) {
-		out, err = ix.selectRange(q.env, lo, hi)
+		out, err = ix.selectRange(q.env, lo, hi, -1)
 	}
 	return out, q.leave(err)
 }
 
 // selectRange runs the cached range path (query.go) against the epoch
-// current at entry, as that epoch's reader, with the planner's
-// uniform-within-domain row estimate.  A range no live value can fall in is
-// answered without touching the cache.
-func (ix *ShardedIndex) selectRange(e env, lo, hi uint32) ([]uint32, error) {
+// current at entry, as that epoch's reader.  est is the row estimate of the
+// table layer, which has resolved the bounds already and answered a range no
+// live value can fall in; a direct call passes -1, and the path resolves
+// them only on a miss.
+func (ix *ShardedIndex) selectRange(e env, lo, hi uint32, est int) ([]uint32, error) {
 	if lo > hi {
 		return nil, nil
 	}
 	s := ix.cur.Load()
-	loID, hiID := s.dom.IDRange(lo, hi)
-	if loID >= hiID && len(s.runs) == 0 {
-		return nil, nil
-	}
-	est := 0
-	if s.dom.Len() > 0 {
-		est = int(float64(hiID-loID) / float64(s.dom.Len()) * float64(len(s.rids)))
-	}
 	return selectRange(&s.segment, s.reader(), e, lo, hi, est)
 }
 

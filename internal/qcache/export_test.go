@@ -2,6 +2,39 @@ package qcache
 
 import "testing"
 
+// The lookups this directory's tests ask in one call: Find, with the miss
+// settled (Miss) as a surface about to compute would.
+
+// Lookup returns a copy of the RIDs cached under exactly this fingerprint,
+// brought current for the reader, and the tail rows that merged.
+func (c *Cache) Lookup(k Key, rd Reader) (rids []uint32, tail int, ok, admit bool) {
+	rids, _, tail, ok, admit = c.get(k, rd)
+	return append([]uint32(nil), rids...), tail, ok, admit
+}
+
+// LookupRange answers a range fingerprint by exact match or containment.
+func (c *Cache) LookupRange(k Key, rd Reader) (rids []uint32, kind HitKind, tail int, admit bool) {
+	return c.settle(k, c.Find(k, rd, nil))
+}
+
+// LookupIn answers an IN fingerprint by exact match or, given distinct,
+// subset replay.
+func (c *Cache) LookupIn(k Key, rd Reader, distinct []uint32) (rids []uint32, kind HitKind, tail int, admit bool) {
+	return c.settle(k, c.Find(k, rd, distinct))
+}
+
+// Insert caches a bare RID result: exact reuse only.
+func (c *Cache) Insert(k Key, tok Token, rids []uint32, costNs int64) {
+	c.insert(&entry{key: k, tok: tok, rids: rids, cost: costNs})
+}
+
+func (c *Cache) settle(k Key, a Answer) ([]uint32, HitKind, int, bool) {
+	if a.Kind == HitMiss {
+		return nil, HitMiss, a.Tail, c.Miss(k)
+	}
+	return a.RIDs, a.Kind, a.Tail, false
+}
+
 // Resident is one resident entry as the invariant checkers in this
 // directory's external tests see it; its slices alias cache memory.
 type Resident struct {

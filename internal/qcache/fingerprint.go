@@ -25,7 +25,7 @@ const (
 	// value list in first-occurrence order (result order depends on it).
 	KindIn
 	// KindWhere is a conjunction of range predicates; Hash fingerprints
-	// the (column, loID, hiID) triples in predicate order.
+	// the (column, lo, hi) raw closed bounds in predicate order.
 	KindWhere
 	// KindJoin is an indexed nested-loop join result; Hash fingerprints
 	// the inner index identity.

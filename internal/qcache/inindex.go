@@ -1,7 +1,7 @@
 package qcache
 
 // The IN-reuse candidate index.  Every grouped IN entry of one (table,
-// column, layer) is filed under each value it lists, so LookupIn finds
+// column, layer) is filed under each value it lists, so a subset lookup finds
 // the entries that share values with a query by one posting lookup per
 // query value.  The cost of a lookup follows the query, not the cache: a
 // miss ends at the first query value nothing resident lists — one map probe

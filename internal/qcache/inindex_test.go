@@ -298,12 +298,12 @@ func (d *inDriver) query(dom *inDom, col string, distinct []uint32, tok Token, g
 		delete(d.row, key)
 		if d.rng.Intn(2) == 0 {
 			d.row[key] = true
-			c.InsertIn(key, tok, distinct, nil, inRowOrder(want), 10)
+			c.InsertIn(key, tok, distinct, nil, inRowOrder(want), 10, Plan{})
 			return
 		}
 	}
 	delete(d.row, key)
-	c.InsertIn(key, tok, distinct, goff, want, 10)
+	c.InsertIn(key, tok, distinct, goff, want, 10, Plan{})
 }
 
 // step performs one random operation.
@@ -417,7 +417,7 @@ func TestInReusePatchEvictDifferential(t *testing.T) {
 func TestPatchGroupedInOutgrowsBudget(t *testing.T) {
 	c := New(admitAll(Options{MaxBytes: 1 << 10, Stripes: 1}))
 	k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1, N: 2}
-	c.InsertIn(k, Token{Epoch: 100}, []uint32{5, 9}, []uint32{0, 1, 2}, []uint32{1, 2}, 10)
+	c.InsertIn(k, Token{Epoch: 100}, []uint32{5, 9}, []uint32{0, 1, 2}, []uint32{1, 2}, 10, Plan{})
 	batch := make([]uint32, 300)
 	for i := range batch {
 		batch[i] = 5
@@ -441,9 +441,9 @@ func TestPatchGroupedInOutgrowsBudget(t *testing.T) {
 func fillResident(c *Cache, tok Token, n int) {
 	for i := 0; i < n; i++ {
 		vals := seq(1000+uint32(i)*36, 36)
-		c.InsertIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: uint64(i), N: 36}, tok, vals, seq(0, 37), vals, 10)
+		c.InsertIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: uint64(i), N: 36}, tok, vals, seq(0, 37), vals, 10, Plan{})
 	}
-	c.InsertIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1 << 40, N: 45}, tok, seq(0, 45), seq(0, 46), seq(0, 45), 10)
+	c.InsertIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1 << 40, N: 45}, tok, seq(0, 45), seq(0, 46), seq(0, 45), 10, Plan{})
 }
 
 // TestLookupInReuseMissCostFollowsQuery is the scaling guard: a lookup whose

@@ -36,14 +36,17 @@ package qcache
 // Entries are immutable after insert (readers copy payloads outside the
 // stripe lock), so the successor REPLACES the entry rather than editing it;
 // the old entry becomes a dead ring husk exactly as invalidation leaves one.
+// The successor keeps the plans the entry was stored with: an absorb leaves
+// the frozen domain, and so every selectivity, as it was.
 
 import "cssidx/internal/sortu32"
 
 // PredBound is one conjunct of a cached KindWhere entry: the raw closed
-// bounds its rows satisfy on one column.
+// bounds its rows satisfy on one column, and the conjunct's plan.
 type PredBound struct {
 	Col    string
 	Lo, Hi uint32
+	Plan   Plan
 }
 
 // Reader is the state a lookup is asked against: its token, and the views of

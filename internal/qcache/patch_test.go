@@ -66,7 +66,7 @@ var mark500 = Token{Gen: 1, Epoch: 500}
 
 func TestPatchRetokensNonIntersectingRange(t *testing.T) {
 	c := New(admitAll(Options{}))
-	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, seq(10, 10), seq(100, 10), 10)
+	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, seq(10, 10), seq(100, 10), 10, Plan{})
 
 	// Appended values all miss [10, 19]: the entry survives untouched, and
 	// nothing happens to it until it is asked for.
@@ -95,7 +95,7 @@ func TestPatchRetokensNonIntersectingRange(t *testing.T) {
 func TestPatchMergesIntersectingRange(t *testing.T) {
 	c := New(admitAll(Options{}))
 	// keys 10,12,14,16 at rids 100..103.
-	c.InsertRange(rangeKey("t", "a", 10, 16), mark500, []uint32{10, 12, 14, 16}, seq(100, 4), 10)
+	c.InsertRange(rangeKey("t", "a", 10, 16), mark500, []uint32{10, 12, 14, 16}, seq(100, 4), 10, Plan{})
 
 	// Appended rows (rid 500: a=13) (501: a=99) (502: a=10) (503: a=11):
 	// three qualify, one misses.
@@ -120,8 +120,8 @@ func TestPatchMergesIntersectingRange(t *testing.T) {
 // hit is refreshed before it is sliced, and only that run.
 func TestContainmentBringsItsSourceCurrent(t *testing.T) {
 	c := New(admitAll(Options{}))
-	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, []uint32{10, 15}, []uint32{1, 2}, 10)
-	c.InsertRange(rangeKey("t", "a", 20, 29), mark500, []uint32{25}, []uint32{3}, 10)
+	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, []uint32{10, 15}, []uint32{1, 2}, 10, Plan{})
+	c.InsertRange(rangeKey("t", "a", 20, 29), mark500, []uint32{25}, []uint32{3}, 10, Plan{})
 	rd := appended(map[string][]uint32{"a": {12, 27, 40}}).reader(1)
 	got, kind, tail, _ := c.LookupRange(rangeKey("t", "a", 11, 16), rd)
 	if kind != HitContained || tail != 1 || fmt.Sprint(got) != fmt.Sprint([]uint32{500, 2}) {
@@ -140,7 +140,7 @@ func TestContainmentBringsItsSourceCurrent(t *testing.T) {
 func TestPatchAppendsToRowOrderRange(t *testing.T) {
 	c := New(admitAll(Options{}))
 	// Scan-path entry: row-order rids, no key run.
-	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, nil, []uint32{4, 7, 9}, 10)
+	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, nil, []uint32{4, 7, 9}, 10, Plan{})
 	rd := appended(map[string][]uint32{"a": {15, 3, 12}}).reader(1)
 	got, tail, ok, _ := c.Lookup(rangeKey("t", "a", 10, 19), rd)
 	if !ok || tail != 2 || fmt.Sprint(got) != fmt.Sprint([]uint32{4, 7, 9, 500, 502}) {
@@ -151,7 +151,7 @@ func TestPatchAppendsToRowOrderRange(t *testing.T) {
 func TestPatchInList(t *testing.T) {
 	c := New(admitAll(Options{}))
 	k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 7, N: 3}
-	c.InsertIn(k, mark500, []uint32{5, 17, 40}, nil, []uint32{1, 2, 3}, 10)
+	c.InsertIn(k, mark500, []uint32{5, 17, 40}, nil, []uint32{1, 2, 3}, 10, Plan{})
 
 	// Appended values miss the list: carried over, through either view.
 	tl := appended(map[string][]uint32{"a": {6, 39}})
@@ -175,7 +175,7 @@ func TestPatchGroupedInSplice(t *testing.T) {
 	c := New(admitAll(Options{}))
 	k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 9, N: 3}
 	// First-occurrence order 17, 5, 40: groups {1, 2}, {3}, {} (40 empty).
-	c.InsertIn(k, mark500, []uint32{17, 5, 40}, []uint32{0, 2, 3, 3}, []uint32{1, 2, 3}, 10)
+	c.InsertIn(k, mark500, []uint32{17, 5, 40}, []uint32{0, 2, 3, 3}, []uint32{1, 2, 3}, 10, Plan{})
 
 	// Appended rows (500: a=5) (501: a=40) (502: a=7): two hit the list and
 	// splice into their groups instead of dropping the entry.
@@ -265,9 +265,9 @@ func TestPatchDropsJoinsAndStragglers(t *testing.T) {
 	// An entry of the previous generation, and one fresher than the reader
 	// from a racing insert that must be left alone.
 	sk := rangeKey("t", "a", 0, 9)
-	c.InsertRange(sk, Token{Gen: 0, Epoch: 400}, seq(0, 10), seq(0, 10), 10)
+	c.InsertRange(sk, Token{Gen: 0, Epoch: 400}, seq(0, 10), seq(0, 10), 10, Plan{})
 	fk := rangeKey("t", "b", 0, 9)
-	c.InsertRange(fk, Token{Gen: 1, Epoch: 900}, seq(0, 10), seq(0, 10), 10)
+	c.InsertRange(fk, Token{Gen: 1, Epoch: 900}, seq(0, 10), seq(0, 10), 10, Plan{})
 
 	rd := appended(map[string][]uint32{"a": {100}, "b": {100}, "k": {100}}).reader(1)
 	if _, _, ok, _ := c.LookupPair(jk, rd.Tok); ok {
@@ -297,7 +297,7 @@ func TestPatchScopesByColumnAndTable(t *testing.T) {
 	kb := rangeKey("t", "b", 0, 9)
 	ko := rangeKey("other", "a", 0, 9)
 	for _, k := range []Key{ka, ka2, kb, ko} {
-		c.InsertRange(k, mark500, seq(k.Lo, 10), seq(0, 10), 10)
+		c.InsertRange(k, mark500, seq(k.Lo, 10), seq(0, 10), 10, Plan{})
 	}
 	if _, _, ok, _ := c.Lookup(ka, appended(map[string][]uint32{"a": {100}}).reader(1)); !ok {
 		t.Fatal("asked-for entry not brought current")
@@ -314,7 +314,7 @@ func TestPatchScopesByColumnAndTable(t *testing.T) {
 
 func TestPatchByteAccounting(t *testing.T) {
 	c := New(admitAll(Options{Stripes: 1}))
-	c.InsertRange(rangeKey("t", "a", 0, 99), mark500, seq(0, 50), seq(100, 50), 10)
+	c.InsertRange(rangeKey("t", "a", 0, 99), mark500, seq(0, 50), seq(100, 50), 10, Plan{})
 	before := c.Stats()
 	c.Lookup(rangeKey("t", "a", 0, 99), appended(map[string][]uint32{"a": {5, 7}}).reader(1))
 	after := c.Stats()
@@ -346,11 +346,11 @@ func TestPatchConcurrentWithLookups(t *testing.T) {
 	}
 	k := rangeKey("t", "a", 0, 1000)
 	first := Token{Epoch: base}
-	c.InsertRange(k, first, seq(0, base), seq(0, base), 10)
+	c.InsertRange(k, first, seq(0, base), seq(0, base), 10, Plan{})
 	// Grouped-IN and aggregate entries ride along so the reuse lookups below
 	// race real refresh targets ("a" doubles as the measure column).
 	c.InsertIn(Key{Table: "t", Col: "a", Kind: KindIn, Hash: 97, N: 2},
-		first, []uint32{5, 31}, []uint32{0, 1, 2}, []uint32{11, 12}, 10)
+		first, []uint32{5, 31}, []uint32{0, 1, 2}, []uint32{11, 12}, 10, Plan{})
 	c.InsertAgg(Key{Table: "t", Col: "a", Kind: KindAgg, Hash: 98},
 		first, "a", true, []AggRow{{Value: 5, Count: 1, Sum: 2, Min: 2, Max: 2}}, 10)
 	var wg sync.WaitGroup

@@ -39,7 +39,7 @@
 // recycler) with one contract: a lookup returns a complete answer from one
 // entry, or a miss.  The reuse classes that meet it:
 //
-//   - Containment for ranges (LookupRange).  A cached closed [lo, hi] run
+//   - Containment for ranges (Find).  A cached closed [lo, hi] run
 //     stores its sorted raw key values next to the RIDs, so any subrange a
 //     reader it serves asks for is answered by two binary searches and a
 //     slice copy.  The per-column interval map (range entries sorted by lo)
@@ -144,6 +144,9 @@ type entry struct {
 	aggs       []AggRow
 	aggMeasure string
 	aggAll     bool
+	// plan is the plan a range or IN entry's miss computed (a where entry's
+	// are in preds), handed back by an exact hit.
+	plan Plan
 
 	cost  int64 // estimated recompute cost, ns
 	bytes int64
@@ -159,8 +162,8 @@ type stripe struct {
 	// ordered by (lo, hi): the interval map containment lookups walk.
 	ranges map[colKey][]*entry
 	// inIdx holds, per column, the inverted index over the grouped IN
-	// entries (value → the entries listing it): LookupIn finds its
-	// subset candidates with one posting lookup per query value instead of
+	// entries (value → the entries listing it): a lookup finds its subset
+	// replay candidates with one posting lookup per query value instead of
 	// visiting every resident entry.  A column's index exists
 	// only while it has entries.
 	inIdx map[colKey]*inIndex
@@ -218,15 +221,6 @@ func New(opts Options) *Cache {
 // Enabled reports whether operations can have any effect.
 func (c *Cache) Enabled() bool { return c != nil && !c.opts.Disabled }
 
-// MinCostNs returns the admission floor (0 for a disabled cache), so
-// callers can skip cost bookkeeping that could never be admitted.
-func (c *Cache) MinCostNs() int64 {
-	if !c.Enabled() {
-		return 0
-	}
-	return c.opts.MinCostNs
-}
-
 // MaxEntryBytes returns the largest payload admission can accept (half a
 // stripe's budget share; 0 for a disabled cache), so callers producing
 // large results can skip staging work that would only be rejected.
@@ -237,20 +231,10 @@ func (c *Cache) MaxEntryBytes() int64 {
 	return c.budget / 2
 }
 
-// Every lookup that can miss returns the admission verdict with the miss
-// (door.go): admit says whether the caller should stage and insert the
-// result it is about to compute.  It is false on a hit, on a first-sight
-// miss, and always on a disabled cache — so a caller that stages only on
-// admit needs no other test.
-
-// Lookup returns a copy of the RIDs cached under exactly this fingerprint,
-// brought current for the reader, and the tail rows that merged (Current when
-// none were missing).  An entry of an older generation, or one that cannot be
-// carried, is invalidated in place.
-func (c *Cache) Lookup(k Key, rd Reader) (rids []uint32, tail int, ok, admit bool) {
-	rids, _, tail, ok, admit = c.get(k, rd)
-	return append([]uint32(nil), rids...), tail, ok, admit
-}
+// Every miss comes with the admission verdict (door.go): admit says whether
+// the caller should stage and insert the result it is about to compute.  It
+// is false on a hit, on a first-sight miss, and always on a disabled cache —
+// so a caller that stages only on admit needs no other test.
 
 // LookupPair returns copies of a cached join-pair result (outer RIDs,
 // inner RIDs).
@@ -315,8 +299,7 @@ func (c *Cache) get(k Key, rd Reader) (rids, inner []uint32, tail int, ok, admit
 	return rids, inner, tail, ok, admit
 }
 
-// HitKind classifies how LookupRange or LookupIn answered, for tracing and
-// EXPLAIN-style output.
+// HitKind classifies how Find answered, for tracing and EXPLAIN-style output.
 type HitKind uint8
 
 const (
@@ -340,52 +323,112 @@ func (h HitKind) String() string {
 	}
 }
 
-// LookupRange answers a range fingerprint (k.Kind must be KindRange),
-// first by exact match, then by containment: any cached run on the same
-// column that serves the reader and whose closed value bounds cover
-// [k.Lo, k.Hi] yields the answer — once brought current — by two binary
-// searches and a slice copy.  It reports how the answer was found, and the
+// Plan is the plan a range, IN or conjunction question's miss computed,
+// stored with the entry it inserted (a conjunction's per conjunct, in its
+// PredBounds) and handed back by an exact hit, so the caller replays it
+// instead of planning again.  Frac is the estimated selectivity, a share of
+// the generation's frozen domain: one value serves every reader the entry
+// serves, each scaling it by its own rows.
+type Plan struct {
+	UseIndex bool
+	Frac     float64
+	Why      string
+}
+
+// Answer is what Find found: a copy of the RIDs, how they were found, and the
 // tail rows merged bringing the answering entry current (Current when none
-// were missing).
-func (c *Cache) LookupRange(k Key, rd Reader) (rids []uint32, kind HitKind, tail int, admit bool) {
+// were missing).  An exact hit carries the entry's Plan, and a conjunction's
+// bounds with their plans in Preds (read-only); a subset replay carries its
+// group offsets: the rows of distinct[i] are RIDs[GOff[i]:GOff[i+1]].
+type Answer struct {
+	RIDs  []uint32
+	Kind  HitKind
+	Tail  int
+	Plan  Plan
+	Preds []PredBound
+	GOff  []uint32
+}
+
+// Find answers a range, IN or conjunction fingerprint under one lock
+// acquisition: by exact match; for a range (KindRange), else by containment —
+// any cached run on the same column that serves the reader and whose closed
+// value bounds cover [k.Lo, k.Hi] answers, once brought current, by two
+// binary searches and a slice copy; for an IN-list (KindIn) with distinct
+// given, else by subset replay (reuse.go).  distinct is the deduplicated
+// query values in first-occurrence order; nil asks an IN key for the exact
+// match only, since a scan-planned query must not inherit a replay's probe
+// order.
+//
+// A hit is counted here, a miss is not: the caller settles it with Miss once
+// it knows it will compute, so a question its plan shows empty leaves no
+// trace in the counters or the door.
+func (c *Cache) Find(k Key, rd Reader, distinct []uint32) Answer {
+	a := Answer{Tail: Current}
 	if !c.Enabled() {
-		return nil, HitMiss, Current, false
+		return a
 	}
-	// One lock acquisition answers exact match, containment, and the
-	// accounting: exactly one of hit / contained-hit / miss is counted,
-	// under the same lock a StatsSnapshot sums this stripe with.
+	var rids, vals, s2g, goff []uint32
 	st := c.stripeFor(k)
 	st.mu.Lock()
 	e, tail := st.lookupLocked(k, rd, c)
-	if e != nil {
-		kind, rids = HitExact, e.rids
-	} else if k.Lo <= k.Hi {
+	switch {
+	case e != nil:
+		a.Kind, rids, a.Plan, a.Preds = HitExact, e.rids, e.plan, e.preds
+	case k.Kind == KindRange && k.Lo <= k.Hi:
 		// (An inverted key is an empty range; refusing containment keeps the
 		// slice arithmetic below in bounds.)
-		for _, e = range st.ranges[k.column()] {
-			if e.lo > k.Lo {
-				break // interval map is ordered by lo: nothing further can cover
-			}
-			if !e.tok.serves(rd.Tok) || e.hi < k.Hi {
-				continue
-			}
-			// Past this point the walk is over: bringing e current relinks
-			// the list it runs on.
-			if e, tail = st.current(e, rd, c); e != nil {
-				first, last := e.span(k.Lo, k.Hi)
-				kind, rids = HitContained, e.rids[first:last]
-				st.stats.ContainedHits++
-			}
-			break
+		if e, tail = st.contain(k, rd, c); e != nil {
+			first, last := e.span(k.Lo, k.Hi)
+			a.Kind, rids = HitContained, e.rids[first:last]
+			st.stats.ContainedHits++
+		}
+	case k.Kind == KindIn && len(distinct) > 0:
+		if e, tail = st.subset(k, rd, distinct, c); e != nil {
+			a.Kind, rids, vals, s2g, goff = HitSubset, e.rids, e.vals, e.s2g, e.goff
+			st.stats.SubsetHits++
 		}
 	}
-	if kind != HitMiss {
+	if a.Kind != HitMiss {
+		a.Tail = tail
 		st.stats.Hits++
-	} else {
-		admit = st.miss(k, c)
 	}
 	st.mu.Unlock()
-	return append([]uint32(nil), rids...), kind, tail, admit
+	if a.Kind == HitSubset {
+		a.RIDs, a.GOff = replay(distinct, vals, s2g, goff, rids)
+	} else {
+		a.RIDs = append([]uint32(nil), rids...)
+	}
+	return a
+}
+
+// Miss settles a Find that found nothing for a question the caller is about
+// to compute: it counts the miss and returns the admission verdict.
+func (c *Cache) Miss(k Key) (admit bool) {
+	if !c.Enabled() {
+		return false
+	}
+	st := c.stripeFor(k)
+	st.mu.Lock()
+	admit = st.miss(k, c)
+	st.mu.Unlock()
+	return admit
+}
+
+// contain returns the range entry that answers k by containment, brought
+// current for the reader, and the tail rows that took; nil when none does.
+// Caller holds the stripe lock.
+func (st *stripe) contain(k Key, rd Reader, c *Cache) (*entry, int) {
+	for _, e := range st.ranges[k.column()] {
+		if e.lo > k.Lo {
+			break // interval map is ordered by lo: nothing further can cover
+		}
+		if e.tok.serves(rd.Tok) && e.hi >= k.Hi {
+			// The walk is over either way: bringing e current relinks the
+			// list it runs on.
+			return st.current(e, rd, c)
+		}
+	}
+	return nil, Current
 }
 
 // span returns the half-open positions of a key run's pairs with
@@ -397,40 +440,36 @@ func (e *entry) span(lo, hi uint32) (first, last int) {
 }
 
 // The Insert family is the second half of a miss whose lookup said admit;
-// callers skip it (and the staging it needs) otherwise.
-//
-// Insert caches a result under the fingerprint and token.  The slice is
-// copied; admission may reject (cost floor, oversized, or unevictable
+// callers skip it (and the staging it needs) otherwise.  Every payload slice
+// is copied; admission may reject (cost floor, oversized, or unevictable
 // pressure).
-func (c *Cache) Insert(k Key, tok Token, rids []uint32, costNs int64) {
-	c.insert(&entry{key: k, tok: tok, rids: rids, cost: costNs})
-}
-
+//
 // InsertRange caches a range result together with its sorted raw key run
 // (keys[i] is the raw column value at rids[i]; nil disables containment
-// reuse for this entry, e.g. scan-path results in row order).  k.Lo/k.Hi
-// must be the closed raw value bounds the run covers.
-func (c *Cache) InsertRange(k Key, tok Token, keys, rids []uint32, costNs int64) {
-	c.insert(&entry{key: k, tok: tok, lo: k.Lo, hi: k.Hi, keys: keys, rids: rids, cost: costNs})
+// reuse for this entry, e.g. scan-path results in row order) and the plan
+// that computed it.  k.Lo/k.Hi must be the closed raw value bounds the run
+// covers.
+func (c *Cache) InsertRange(k Key, tok Token, keys, rids []uint32, costNs int64, plan Plan) {
+	c.insert(&entry{key: k, tok: tok, lo: k.Lo, hi: k.Hi, keys: keys, rids: rids, cost: costNs, plan: plan})
 }
 
-// InsertIn caches an IN-list result.  distinct is the deduplicated value
-// list in first-occurrence order (the order the result groups follow); the
-// cache keeps a sorted copy so a refresh can qualify the rows past the
-// entry's mark against it.  A non-nil goff records the group offsets of an
-// index-path result (distinct[i]'s rows are rids[goff[i]:goff[i+1]]),
-// enabling subset replay and per-group splicing; nil goff degrades
-// to exact reuse with carry-or-drop refreshes (scan-path results are in row
-// order and cannot be partitioned per value).
-func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs int64) {
+// InsertIn caches an IN-list result and the plan that computed it.  distinct
+// is the deduplicated value list in first-occurrence order (the order the
+// result groups follow); the cache keeps a sorted copy so a refresh can
+// qualify the rows past the entry's mark against it.  A non-nil goff records
+// the group offsets of an index-path result (distinct[i]'s rows are
+// rids[goff[i]:goff[i+1]]), enabling subset replay and per-group splicing;
+// nil goff degrades to exact reuse with carry-or-drop refreshes (scan-path
+// results are in row order and cannot be partitioned per value).
+func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs int64, plan Plan) {
 	if !c.Enabled() {
 		return
 	}
+	e := &entry{key: k, tok: tok, rids: rids, cost: costNs, plan: plan}
 	if len(distinct) == 0 {
-		c.insert(&entry{key: k, tok: tok, rids: rids, cost: costNs})
+		c.insert(e)
 		return
 	}
-	e := &entry{key: k, tok: tok, rids: rids, cost: costNs}
 	e.vals = append([]uint32(nil), distinct...)
 	if goff == nil {
 		slices.Sort(e.vals)
@@ -468,9 +507,9 @@ func (c *Cache) InsertAgg(k Key, tok Token, measureCol string, allRows bool, row
 }
 
 // InsertWhere caches a conjunction result together with its conjunct
-// bounds (raw closed bounds per column), which lets a refresh qualify
-// appended rows against the whole predicate and extend the entry.  A nil
-// preds degrades to Insert: exact reuse only.
+// bounds (raw closed bounds per column, each with its plan), which lets a
+// refresh qualify appended rows against the whole predicate and extend the
+// entry.  A nil preds leaves exact reuse only.
 func (c *Cache) InsertWhere(k Key, tok Token, preds []PredBound, rids []uint32, costNs int64) {
 	c.insert(&entry{key: k, tok: tok, preds: preds, rids: rids, cost: costNs})
 }
@@ -496,9 +535,9 @@ func payloadBytes(e *entry) int64 {
 	if e.goff != nil {
 		b += 16 * int64(len(e.vals)) // ~one inIndex posting (map slot or chain node) per listed value
 	}
-	b += 32*int64(len(e.aggs)) + int64(len(e.aggMeasure))
+	b += 32*int64(len(e.aggs)) + int64(len(e.aggMeasure)) + int64(len(e.plan.Why))
 	for _, p := range e.preds {
-		b += 24 + int64(len(p.Col))
+		b += 48 + int64(len(p.Col)+len(p.Plan.Why))
 	}
 	return b
 }
@@ -695,6 +734,7 @@ func (st *stripe) remove(e *entry, c *Cache) {
 	// but it pins nothing: whoever is still reading the payload took the
 	// slices under this lock.
 	e.keys, e.rids, e.inner, e.vals, e.s2g, e.goff, e.aggs, e.preds = nil, nil, nil, nil, nil, nil, nil, nil
+	e.plan = Plan{}
 	st.bytes -= e.bytes
 	st.live--
 	st.stats.Entries--

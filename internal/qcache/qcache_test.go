@@ -99,7 +99,7 @@ func TestContainmentReuse(t *testing.T) {
 	// Cached run covers closed values [10, 19]: keys 10..19, rids 100..109.
 	keys := seq(10, 10)
 	rids := seq(100, 10)
-	c.InsertRange(rangeKey("t", "a", 10, 19), tok, keys, rids, 10)
+	c.InsertRange(rangeKey("t", "a", 10, 19), tok, keys, rids, 10, Plan{})
 
 	got, kind, _, _ := c.LookupRange(rangeKey("t", "a", 13, 16), at(tok))
 	if kind != HitContained {
@@ -131,7 +131,7 @@ func TestExactOnlyEntriesSkipContainment(t *testing.T) {
 	c := New(admitAll(Options{}))
 	tok := Token{Gen: 1}
 	// nil key run = scan-path result; exact reuse only.
-	c.InsertRange(rangeKey("t", "a", 10, 20), tok, nil, seq(0, 5), 10)
+	c.InsertRange(rangeKey("t", "a", 10, 20), tok, nil, seq(0, 5), 10, Plan{})
 	if _, _, ok, _ := c.Lookup(rangeKey("t", "a", 10, 20), at(tok)); !ok {
 		t.Fatal("exact lookup must still hit")
 	}
@@ -290,7 +290,7 @@ func TestConcurrentChurn(t *testing.T) {
 				k := rangeKey("t", "a", lo, lo+10)
 				switch (i + w) % 4 {
 				case 0:
-					c.InsertRange(k, tok, seq(lo, 10), seq(lo*10, 10), 10)
+					c.InsertRange(k, tok, seq(lo, 10), seq(lo*10, 10), 10, Plan{})
 				case 1:
 					c.Lookup(k, at(tok))
 				case 2:

@@ -4,61 +4,51 @@ package qcache
 // stored under the query's own fingerprint.  A lookup returns a complete
 // answer from one entry, or a miss — nothing here hands back a partial
 // answer for the caller to finish with index probes.  Containment (a range
-// sliced from one covering run) lives with LookupRange in qcache.go; this
-// file holds the IN lookup with its subset replay and the aggregate lookup.
+// sliced from one covering run) lives with Find in qcache.go; this file
+// holds the IN subset replay and the aggregate lookup.
 //
 // Payload slices taken under the stripe lock alias immutable cache memory
 // (entries are never edited after insert — a refresh replaces them), so they
 // are copied out after the lock is released.
 
-import "slices"
-
-// LookupIn answers an IN fingerprint (k.Kind must be KindIn) under one lock
-// acquisition: by exact match, else by subset replay — a grouped IN entry of
-// the same column that serves the reader and lists every query value yields
-// the answer, once brought current, as the concatenation of its groups in the
-// query's order — else it is a miss.  distinct must be the deduplicated query
-// values in first-occurrence order; nil asks for the exact match only (a
-// scan-planned query must not inherit a replay's probe order).  A replay is
-// not re-admitted: the source entry answers any repeat of the subset at the
-// same price.
-//
-// Candidates come from the column's inverted index (inindex.go): the common
-// ad-hoc miss — no resident entry lists the first query value — costs one
-// map probe, not a visit to every resident entry.
-func (c *Cache) LookupIn(k Key, rd Reader, distinct []uint32) (rids []uint32, kind HitKind, tail int, admit bool) {
-	if !c.Enabled() {
-		return nil, HitMiss, Current, false
-	}
-	var groups [][]uint32
-	st := c.stripeFor(k)
-	st.mu.Lock()
-	e, tail := st.lookupLocked(k, rd, c)
-	if e != nil {
-		kind, rids = HitExact, e.rids
-	} else if ix := st.inIdx[k.column()]; ix != nil && len(distinct) > 0 {
+// subset returns a grouped IN entry of k's column that serves the reader and
+// lists every query value, brought current, and the tail rows that took; nil
+// when none does.  Its groups, concatenated in the query's order (replay), are
+// the answer.  A replay is not re-admitted: the source entry answers any
+// repeat of the subset at the same price.  Candidates come from the column's
+// inverted index (inindex.go): the common ad-hoc miss — no resident entry
+// lists the first query value — costs one map probe, not a visit to every
+// resident entry.  Caller holds the stripe lock.
+func (st *stripe) subset(k Key, rd Reader, distinct []uint32, c *Cache) (*entry, int) {
+	if ix := st.inIdx[k.column()]; ix != nil {
 		if src := ix.cover(rd.Tok, distinct); src != nil {
-			if src, tail = st.current(src, rd, c); src != nil {
-				kind, groups = HitSubset, make([][]uint32, len(distinct))
-				for i, v := range distinct {
-					p, _ := findSorted(src.vals, v)
-					g := src.s2g[p]
-					groups[i] = src.rids[src.goff[g]:src.goff[g+1]]
-				}
-				st.stats.SubsetHits++
-			}
+			return st.current(src, rd, c)
 		}
 	}
-	if kind != HitMiss {
-		st.stats.Hits++
-	} else {
-		admit = st.miss(k, c)
+	return nil, Current
+}
+
+// replay concatenates the groups of a subset source — its sorted values, the
+// group of each, the group offsets and the RIDs, all taken under the lock —
+// in the query's order, and returns the query's own group offsets.
+func replay(distinct, vals, s2g, goff, rids []uint32) (out, qoff []uint32) {
+	qoff = make([]uint32, len(distinct)+1)
+	n := 0
+	for i, v := range distinct {
+		p, _ := findSorted(vals, v)
+		g := s2g[p]
+		qoff[i] = g // the group, until the second pass turns it into an offset
+		n += int(goff[g+1] - goff[g])
 	}
-	st.mu.Unlock()
-	if kind == HitSubset {
-		return slices.Concat(groups...), kind, tail, false
+	if n > 0 {
+		out = make([]uint32, 0, n)
 	}
-	return append([]uint32(nil), rids...), kind, tail, admit
+	for i, g := range qoff[:len(distinct)] {
+		qoff[i] = uint32(len(out))
+		out = append(out, rids[goff[g]:goff[g+1]]...)
+	}
+	qoff[len(distinct)] = uint32(n)
+	return out, qoff
 }
 
 // AggRow is one group of a cached grouped-aggregation result: the group's

@@ -8,7 +8,7 @@ import (
 // ident inserts a range run over the identity table (value v lives at RID v)
 // so assembled results are trivially checkable.
 func ident(c *Cache, tok Token, lo, hi uint32) {
-	c.InsertRange(rangeKey("t", "a", lo, hi), tok, seq(lo, hi-lo+1), seq(lo, hi-lo+1), 10)
+	c.InsertRange(rangeKey("t", "a", lo, hi), tok, seq(lo, hi-lo+1), seq(lo, hi-lo+1), 10, Plan{})
 }
 
 // TestAdmissionSupersedes locks in link's supersede rule: a run covering
@@ -20,7 +20,7 @@ func TestAdmissionSupersedes(t *testing.T) {
 	ident(c, tok, 10, 19)
 	ident(c, tok, 30, 39)
 	// A run of a different token is out of supersede's reach.
-	c.InsertRange(rangeKey("t", "a", 12, 15), Token{Gen: 2}, seq(12, 4), seq(12, 4), 10)
+	c.InsertRange(rangeKey("t", "a", 12, 15), Token{Gen: 2}, seq(12, 4), seq(12, 4), 10, Plan{})
 	if s := c.Stats(); s.Entries != 3 {
 		t.Fatalf("precondition: %d entries", s.Entries)
 	}
@@ -39,7 +39,7 @@ func TestLookupInReuseSubsetOnly(t *testing.T) {
 	tok := Token{Gen: 1}
 	k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1, N: 3}
 	// Values in first-occurrence order 17, 5, 40; 40 matches no rows.
-	c.InsertIn(k, tok, []uint32{17, 5, 40}, []uint32{0, 2, 3, 3}, []uint32{8, 9, 3}, 10)
+	c.InsertIn(k, tok, []uint32{17, 5, 40}, []uint32{0, 2, 3, 3}, []uint32{8, 9, 3}, 10, Plan{})
 
 	// Subset replay in a different order: groups concatenate in query order,
 	// and the lookup settles one subset hit and no miss.
@@ -78,7 +78,7 @@ func TestLookupInReuseSubsetOnly(t *testing.T) {
 	}
 	// Ungrouped entries (nil goff) are not reuse candidates.
 	c2 := New(admitAll(Options{}))
-	c2.InsertIn(k, tok, []uint32{17, 5}, nil, []uint32{8, 9}, 10)
+	c2.InsertIn(k, tok, []uint32{17, 5}, nil, []uint32{8, 9}, 10, Plan{})
 	if _, kind, _, _ := c2.LookupIn(qk, at(tok), []uint32{5}); kind != HitMiss {
 		t.Fatal("reuse from an ungrouped entry")
 	}
@@ -88,14 +88,14 @@ func TestInsertInRejectsMalformedGroups(t *testing.T) {
 	c := New(admitAll(Options{}))
 	tok := Token{Gen: 1}
 	k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 3, N: 2}
-	c.InsertIn(k, tok, []uint32{5, 17}, []uint32{0, 1}, []uint32{8, 9}, 10) // len(goff) != len(distinct)+1
+	c.InsertIn(k, tok, []uint32{5, 17}, []uint32{0, 1}, []uint32{8, 9}, 10, Plan{}) // len(goff) != len(distinct)+1
 	if _, _, ok, _ := c.Lookup(k, at(tok)); ok {
 		t.Fatal("malformed grouped entry admitted")
 	}
 	if s := c.Stats(); s.Rejects != 1 {
 		t.Fatalf("reject not counted: %+v", s)
 	}
-	c.InsertIn(k, tok, []uint32{5, 17, 5}, []uint32{0, 1, 2, 3}, []uint32{8, 9, 8}, 10) // 5 listed twice
+	c.InsertIn(k, tok, []uint32{5, 17, 5}, []uint32{0, 1, 2, 3}, []uint32{8, 9, 8}, 10, Plan{}) // 5 listed twice
 	if _, _, ok, _ := c.Lookup(k, at(tok)); ok {
 		t.Fatal("grouped entry with a repeated value admitted")
 	}

@@ -22,7 +22,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		col := string(rune('a' + w))
-		c.InsertIn(Key{Table: "t", Col: col, Kind: KindIn, Hash: 1, N: 3}, tok, []uint32{5, 9, 17}, []uint32{0, 1, 2, 3}, []uint32{1, 2, 3}, 10)
+		c.InsertIn(Key{Table: "t", Col: col, Kind: KindIn, Hash: 1, N: 3}, tok, []uint32{5, 9, 17}, []uint32{0, 1, 2, 3}, []uint32{1, 2, 3}, 10, Plan{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -53,7 +53,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 func TestContainedHitCountsOnce(t *testing.T) {
 	c := New(admitAll(Options{}))
 	tok := Token{Gen: 1}
-	c.InsertRange(rangeKey("t", "a", 0, 99), tok, seq(0, 100), seq(0, 100), 10)
+	c.InsertRange(rangeKey("t", "a", 0, 99), tok, seq(0, 100), seq(0, 100), 10, Plan{})
 	if _, kind, _, _ := c.LookupRange(rangeKey("t", "a", 10, 19), at(tok)); kind == HitMiss {
 		t.Fatal("containment miss")
 	}
