@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"cssidx/internal/bench"
-	"cssidx/internal/telemetry"
 )
 
 func main() {
@@ -99,9 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(tableOut)
 	}
 	if cfg.Recorder != nil {
-		// Whatever the experiments left in the global registry rides along
-		// as run context — counter totals and histogram summaries.
-		cfg.Recorder.SetContext("telemetry", telemetry.Default.Summary())
 		if *jsonPath == "-" {
 			if err := cfg.Recorder.WriteJSON(stdout); err != nil {
 				fmt.Fprintf(stderr, "cssbench: writing json: %v\n", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,10 +15,16 @@ func TestListShowsAllExperiments(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit=%d stderr=%s", code, errb.String())
 	}
-	for _, id := range []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "skew", "shard"} {
-		if !strings.Contains(out.String(), id) {
-			t.Errorf("list missing %s", id)
+	// The list is the paper suite, nothing more.
+	var ids []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); strings.HasPrefix(line, "  ") && len(f) > 0 {
+			ids = append(ids, f[0])
 		}
+	}
+	want := []string{"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "skew"}
+	if !slices.Equal(ids, want) {
+		t.Errorf("list shows %v, want %v", ids, want)
 	}
 }
 
@@ -86,9 +93,15 @@ type benchDoc struct {
 	} `json:"records"`
 }
 
+// fig10Methods are the eight indexes Figure 10 times, by record name.
+var fig10Methods = []string{
+	"array binary search", "tree binary search", "interpolation search", "T-tree",
+	"B+-tree", "full CSS-tree", "level CSS-tree", "hash",
+}
+
 func TestJSONToStdoutSuppressesTables(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-run", "parallel", "-quick", "-lookups", "2000", "-repeats", "1", "-json", "-"}, &out, &errb)
+	code := run([]string{"-run", "fig10", "-quick", "-lookups", "2000", "-repeats", "1", "-json", "-"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit=%d stderr=%s", code, errb.String())
 	}
@@ -102,18 +115,22 @@ func TestJSONToStdoutSuppressesTables(t *testing.T) {
 	if len(doc.Records) == 0 {
 		t.Fatal("no records emitted")
 	}
-	surfaces := map[string]bool{}
+	// Figure 10 times every method twice: simulated on the Ultra Sparc II
+	// caches and on this host's clock.
+	seen := map[string]bool{}
 	for _, r := range doc.Records {
-		if r.Experiment != "parallel" || r.Metric != "throughput" || r.Value <= 0 {
+		if r.Experiment != "fig10" || r.Metric != "lookup_time" || r.Value <= 0 {
 			t.Fatalf("bad record: %+v", r)
 		}
-		if s, ok := r.Params["surface"].(string); ok {
-			surfaces[s] = true
-		}
+		mode, _ := r.Params["mode"].(string)
+		method, _ := r.Params["method"].(string)
+		seen[mode+"/"+method] = true
 	}
-	for _, want := range []string{"LowerBoundBatch", "sharded", "node-search-scalar", "node-search-branch-free"} {
-		if !surfaces[want] {
-			t.Errorf("no records for surface %q", want)
+	for _, mode := range []string{"simulated", "host"} {
+		for _, m := range fig10Methods {
+			if !seen[mode+"/"+m] {
+				t.Errorf("no %s record for method %q", mode, m)
+			}
 		}
 	}
 }
@@ -121,11 +138,11 @@ func TestJSONToStdoutSuppressesTables(t *testing.T) {
 func TestJSONToFileKeepsTables(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var out, errb bytes.Buffer
-	code := run([]string{"-run", "parallel", "-quick", "-lookups", "2000", "-repeats", "1", "-json", path}, &out, &errb)
+	code := run([]string{"-run", "fig10", "-quick", "-lookups", "2000", "-repeats", "1", "-json", path}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit=%d stderr=%s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "parallel batch engine") {
+	if !strings.Contains(out.String(), "host wall-clock") {
 		t.Error("table output suppressed with -json FILE")
 	}
 	data, err := os.ReadFile(path)
@@ -136,7 +153,15 @@ func TestJSONToFileKeepsTables(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("file is not JSON: %v", err)
 	}
-	if len(doc.Records) == 0 {
-		t.Error("file holds no records")
+	methods := map[string]bool{}
+	for _, r := range doc.Records {
+		if m, ok := r.Params["method"].(string); ok {
+			methods[m] = true
+		}
+	}
+	for _, m := range fig10Methods {
+		if !methods[m] {
+			t.Errorf("file holds no record for method %q", m)
+		}
 	}
 }

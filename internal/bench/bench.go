@@ -1,7 +1,10 @@
-// Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (§6, §7).  Each experiment is registered
-// under the paper's artifact id (table1, fig5 … fig14) and prints the same
-// rows/series the paper reports.
+// Package bench is the paper suite: the experiment harness that regenerates
+// every table and figure of the paper's evaluation (§6, §7).  Each experiment
+// is registered under the paper's artifact id (table1, fig5 … fig14, plus the
+// skew study of its §3.5/§5.1 claims) and prints the same rows/series the
+// paper reports.  The extension layers are measured elsewhere: end to end by
+// the gated benchmark/ module, layer by layer by Go benchmarks in the
+// package each one lives in.
 //
 // Two measurement modes back the lookup-time experiments:
 //
@@ -28,7 +31,7 @@ import (
 	"time"
 )
 
-// Config controls an experiment run.
+// Config controls a run of the paper suite.
 type Config struct {
 	Seed    int64  // workload seed (default 1)
 	Lookups int    // lookups per measurement (default 100000, the paper's count)
@@ -56,7 +59,6 @@ type Record struct {
 type Recorder struct {
 	mu      sync.Mutex
 	records []Record
-	context map[string]any
 }
 
 // Add appends one record.
@@ -64,30 +66,6 @@ func (r *Recorder) Add(rec Record) {
 	r.mu.Lock()
 	r.records = append(r.records, rec)
 	r.mu.Unlock()
-}
-
-// SetContext attaches one environment fact to the emitted JSON document
-// (alongside the built-in go version / GOMAXPROCS): experiments use it for
-// run-wide measurements that are not a cell — the node-search kernel the
-// dispatch selected, the calibrated MinBatchPerWorker.
-func (r *Recorder) SetContext(key string, v any) {
-	r.mu.Lock()
-	if r.context == nil {
-		r.context = map[string]any{}
-	}
-	r.context[key] = v
-	r.mu.Unlock()
-}
-
-// Context returns a copy of the attached context.
-func (r *Recorder) Context() map[string]any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.context))
-	for k, v := range r.context {
-		out[k] = v
-	}
-	return out
 }
 
 // Records returns the accumulated records in insertion order.
@@ -109,16 +87,14 @@ func (c Config) record(rec Record) {
 // machines and commits.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	doc := struct {
-		GoVersion  string         `json:"go_version"`
-		GOMAXPROCS int            `json:"gomaxprocs"`
-		NumCPU     int            `json:"num_cpu"`
-		Context    map[string]any `json:"context,omitempty"`
-		Records    []Record       `json:"records"`
+		GoVersion  string   `json:"go_version"`
+		GOMAXPROCS int      `json:"gomaxprocs"`
+		NumCPU     int      `json:"num_cpu"`
+		Records    []Record `json:"records"`
 	}{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Context:    r.Context(),
 		Records:    r.Records(),
 	}
 	enc := json.NewEncoder(w)
@@ -165,16 +141,6 @@ func Experiments() []Experiment {
 		{"fig13", "Figure 13: search time varying node size (Pentium II)", runFig13},
 		{"fig14", "Figure 2/14: space/time trade-offs and the stepped frontier", runFig14},
 		{"skew", "Extension: skew sensitivity (interpolation, hash chains, Zipf warm cache)", runSkew},
-		{"shard", "Extension: sharded serving throughput under concurrent epoch-swap rebuilds", runShard},
-		{"batch", "Extension: batched lockstep probing vs scalar (batch size, skew, join)", runBatch},
-		{"parallel", "Extension: parallel batch engine (batch size × workers × skew, branch-free nodes)", runParallel},
-		{"nodesearch", "Extension: node-search kernel ablation (scalar/simd × node size × skew)", runNodeSearch},
-		{"reuse", "Extension: epoch-aware result cache (hit rate × skew × append rate)", runReuse},
-		{"ingest", "Extension: append cliff — delta-layer absorbs vs fold-per-batch (appends/s, read tax)", runIngest},
-		{"durability", "Extension: WAL overhead per fsync policy (appends/s off/group/always, recovery vs log size)", runDurability},
-		{"telemetry", "Extension: metrics collection overhead, enabled vs disabled (parallel + sharded batch legs)", runTelemetry},
-		{"latency", "Extension: per-surface query latency p50/p90/p99 from the mmdb_query_ns histograms", runLatency},
-		{"governor", "Extension: query-governance overhead — legacy vs background-ctx vs fully governed legs", runGovernor},
 	}
 }
 

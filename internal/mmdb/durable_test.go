@@ -3,11 +3,14 @@ package mmdb
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"testing"
+	"time"
 
 	"cssidx/internal/failfs"
 	"cssidx/internal/qcache"
 	"cssidx/internal/wal"
+	"cssidx/internal/workload"
 )
 
 func mustAppend(t *testing.T, d *DurableTable, cols map[string][]uint32) {
@@ -293,4 +296,82 @@ func equalU32(a, b []uint32) bool {
 		}
 	}
 	return true
+}
+
+// BenchmarkDurableAppend prices the write-ahead log against the bare
+// in-memory append, per fsync policy.  Every leg appends the same 256-row
+// batches of two columns — the end-to-end benchmark's durable append — to a
+// table that starts empty and is replaced, untimed, every 64 batches, so
+// table size and fold points repeat identically across legs and b.N.  off is
+// a plain Table (nothing survives a crash); none, group and always are
+// DurableTables on the real filesystem under wal.None, wal.GroupCommit(2ms)
+// and wal.Always.  Compare each leg's appends/s with off's.
+func BenchmarkDurableAppend(b *testing.B) {
+	const stream = 64 // batches per table: 16,384 rows
+	g := workload.New(6)
+	dict := g.SortedUniform(4096)
+	batches := make([]map[string][]uint32, stream)
+	for i := range batches {
+		batches[i] = map[string][]uint32{"k": g.Lookups(dict, scaleBatch), "v": g.Lookups(dict, scaleBatch)}
+	}
+	for _, leg := range []struct {
+		name    string
+		durable bool
+		pol     wal.Policy
+	}{
+		{"off", false, wal.Policy{}},
+		{"none", true, wal.None()},
+		{"group", true, wal.GroupCommit(2 * time.Millisecond)},
+		{"always", true, wal.Always()},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			dir := b.TempDir()
+			var (
+				appendRows func(map[string][]uint32) error
+				closeTable func() error
+			)
+			// open starts a table on the stream's first batch, which defines
+			// the schema on either kind of table.
+			open := func() {
+				if leg.durable {
+					if err := os.RemoveAll(dir); err != nil {
+						b.Fatal(err)
+					}
+					d, err := OpenDurable(failfs.OS, dir, "t", leg.pol)
+					if err != nil {
+						b.Fatal(err)
+					}
+					appendRows, closeTable = d.AppendRows, d.Close
+				} else {
+					tab := NewTable("t")
+					appendRows = func(cols map[string][]uint32) error { return applyBatch(tab, []string{"k", "v"}, cols) }
+					closeTable = func() error { tab.Close(); return nil }
+				}
+				if err := appendRows(batches[0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			open()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := 1 + i%(stream-1)
+				if j == 1 && i > 0 {
+					b.StopTimer()
+					if err := closeTable(); err != nil {
+						b.Fatal(err)
+					}
+					open()
+					b.StartTimer()
+				}
+				if err := appendRows(batches[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N*scaleBatch)/b.Elapsed().Seconds(), "appends/s")
+			if err := closeTable(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

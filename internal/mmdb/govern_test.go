@@ -12,6 +12,7 @@ import (
 	"cssidx/internal/failfs"
 	"cssidx/internal/governor"
 	"cssidx/internal/wal"
+	"cssidx/internal/workload"
 )
 
 // governedCtx returns a cancellable context that engages the governor
@@ -521,4 +522,81 @@ func TestReusePathsChargeBudget(t *testing.T) {
 		t.Fatalf("exact hit under an 8-byte budget: %v", err)
 	}
 	mustEqualU32(t, "exact hit under budget", got, want)
+}
+
+// BenchmarkGovernedQuery prices query governance on the range, IN and
+// aggregate surfaces over 2M rows, with the result cache off so every leg
+// times execution.  background is the *Ctx form under context.Background():
+// the governor handle resolves to nil and every checkpoint is a pointer test.
+// That is also the path of every plain call, which is that form with a
+// background context and no trace, so there is no third leg to time.
+// governed runs the same queries under a deadline and byte budget far too
+// generous to trip, with the admission controller attached.  Ranges are
+// narrow (≈1/8192 of the key space) and IN-lists hold 8 values, so the legs
+// time per-query plumbing rather than RID materialisation, which both legs
+// share.
+func BenchmarkGovernedQuery(b *testing.B) {
+	const rows = 2_000_000
+	g := workload.New(1)
+	keys := g.SortedWithDuplicates(rows, 2)
+	groups := make([]uint32, len(keys))
+	for i, k := range keys {
+		groups[i] = k % 64
+	}
+	tab := NewTable("govern")
+	if err := tab.AddColumn("k", keys); err != nil {
+		b.Fatal(err)
+	}
+	if err := tab.AddColumn("g", groups); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	// Ungoverned queries pass admission for free, so attaching the
+	// controller up front leaves the background leg untouched.
+	tab.EnableGovernor(governor.Options{MaxConcurrent: 8, MaxQueue: 8, MaxBytesInFlight: 1 << 30})
+	points := g.Lookups(keys, 4096)
+	width := keys[len(keys)-1] / 8192
+	for _, s := range []struct {
+		name string
+		run  func(ctx context.Context, i int) error
+	}{
+		{"range", func(ctx context.Context, i int) error {
+			p := points[i%len(points)]
+			_, _, err := tab.SelectRangeCtx(ctx, "k", p, p+width, nil)
+			return err
+		}},
+		{"in", func(ctx context.Context, i int) error {
+			j := 8 * (i % (len(points) / 8))
+			_, _, err := tab.SelectInCtx(ctx, "k", points[j:j+8], nil)
+			return err
+		}},
+		{"agg", func(ctx context.Context, i int) error {
+			_, err := GroupAggregateCtx(ctx, tab, "g", "k", nil, nil)
+			return err
+		}},
+	} {
+		for _, governed := range []bool{false, true} {
+			leg := "background"
+			if governed {
+				leg = "governed"
+			}
+			b.Run(s.name+"/"+leg, func(b *testing.B) {
+				ctx := context.Background()
+				if governed {
+					dctx, cancel := context.WithTimeout(ctx, time.Hour)
+					defer cancel()
+					ctx = governor.WithBudget(dctx, 1<<40)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.run(ctx, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

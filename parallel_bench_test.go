@@ -4,8 +4,8 @@ package cssidx_test
 // SearchBatch on a ≥64k-probe batch beating the single-threaded lockstep
 // kernel once GOMAXPROCS ≥ 4 (each worker keeps its own complement of
 // independent cache misses in flight), and the engine at one worker matching
-// the bare kernel.  `cssbench -run parallel -json` records the same sweep
-// machine-readably (BENCH_parallel.json).
+// the bare kernel.  End to end, the benchmark module's probe_uniform workload
+// reports the same engine's parallel.speedup and parallel.dispatch_us.
 
 import (
 	"fmt"
