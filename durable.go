@@ -2,12 +2,8 @@ package cssidx
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"path/filepath"
-	"sync"
 
 	"cssidx/internal/failfs"
 	"cssidx/internal/wal"
@@ -21,19 +17,13 @@ import (
 // protocol and the per-policy guarantee.
 //
 // Reads go straight to the embedded ShardedIndex with zero overhead;
-// Insert/Delete/Checkpoint/Close are intercepted.  Mutations are safe
-// for concurrent use (serialized through the log); reads are lock-free
-// as always.
+// Insert/Delete/Close are intercepted, and SyncWAL, SyncedSeq, LastSeq,
+// LogSize and Checkpoint come from the embedded wal.Store.  Mutations are
+// safe for concurrent use (serialized through the log); reads are
+// lock-free as always.
 type DurableSharded struct {
 	*ShardedIndex[uint32]
-
-	fsys     failfs.FS
-	snapPath string
-	opts     ShardedOptions[uint32]
-
-	mu      sync.Mutex
-	log     *wal.Log
-	lastSeq uint64 // last sequence absorbed by the in-memory index
+	*wal.Store[*ShardedIndex[uint32]]
 }
 
 // Sharded WAL record: op byte, key count, keys.
@@ -73,8 +63,9 @@ func decodeShardOp(payload []byte) (op byte, keys []uint32, err error) {
 
 // OpenWAL opens — or recovers — a durable uint32 sharded index rooted at
 // dir: the snapshot lives in dir/name.snap, the write-ahead log in
-// dir/name.wal.  On open, the snapshot (if any) is loaded and every log
-// record after the snapshot's covered sequence is replayed into the
+// dir/name.wal.  On open, temp files an interrupted Checkpoint left
+// beside either are removed, the snapshot (if any) is loaded and every
+// log record after the snapshot's covered sequence is replayed into the
 // index, with a torn log tail detected by checksum and truncated; the
 // result is exactly the state the durability policy promised at the
 // crash instant.
@@ -91,75 +82,13 @@ func decodeShardOp(payload []byte) (op byte, keys []uint32, err error) {
 //
 // fsys nil means the real filesystem.
 func OpenWAL(fsys failfs.FS, dir, name string, opts ShardedOptions[uint32], pol wal.Policy) (*DurableSharded, error) {
-	if fsys == nil {
-		fsys = failfs.OS
-	}
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("cssidx: creating %s: %w", dir, err)
-	}
-	snapPath := filepath.Join(dir, name+".snap")
-	walPath := filepath.Join(dir, name+".wal")
-
-	// Load the snapshot when one exists; its trailer names the last wal
-	// sequence it absorbed.
-	var (
-		x       *ShardedIndex[uint32]
-		snapSeq uint64
-	)
-	ix, seq, err := loadShardedSnapshot(fsys, snapPath, opts)
-	switch {
-	case err == nil:
-		x, snapSeq = ix, seq
-	case isNotExist(err):
-		x = NewSharded[uint32](nil, opts)
-	default:
-		return nil, err
-	}
-
-	log, recs, err := wal.Open(fsys, walPath, pol)
+	st, x, err := wal.OpenStore(fsys, dir, name, pol, shardCodec{opts})
 	if err != nil {
-		x.Close()
 		return nil, err
-	}
-	if err := log.Advance(snapSeq); err != nil {
-		log.Close()
-		x.Close()
-		return nil, err
-	}
-	lastSeq := snapSeq
-	for _, rec := range recs {
-		if rec.Seq <= snapSeq {
-			continue // already folded into the snapshot
-		}
-		op, keys, derr := decodeShardOp(rec.Payload)
-		if derr != nil {
-			// A checksummed record that does not decode is a logic
-			// error, not corruption; refuse rather than guess.
-			log.Close()
-			x.Close()
-			return nil, derr
-		}
-		if op == shardOpInsert {
-			x.Insert(keys...)
-		} else {
-			x.Delete(keys...)
-		}
-		lastSeq = rec.Seq
 	}
 	x.Sync() // replayed mutations become visible before the first read
-	return &DurableSharded{
-		ShardedIndex: x,
-		fsys:         fsys,
-		snapPath:     snapPath,
-		opts:         opts,
-		log:          log,
-		lastSeq:      lastSeq,
-	}, nil
+	return &DurableSharded{ShardedIndex: x, Store: st}, nil
 }
-
-// isNotExist reports whether err means "no snapshot yet" (fs.ErrNotExist
-// from any FS implementation).
-func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
 
 // Insert logs the keys, then enqueues them for insertion; when it
 // returns nil the batch is on the log per the policy (see OpenWAL) and
@@ -178,108 +107,55 @@ func (d *DurableSharded) logOp(op byte, keys []uint32) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seq, err := d.log.Append(encodeShardOp(op, keys))
-	if err != nil {
-		return err
-	}
+	return wal.Append(d.Store,
+		func() ([]byte, error) { return encodeShardOp(op, keys), nil },
+		func() error { applyShardOp(d.ShardedIndex, op, keys); return nil })
+}
+
+func applyShardOp(x *ShardedIndex[uint32], op byte, keys []uint32) {
 	if op == shardOpInsert {
-		d.ShardedIndex.Insert(keys...)
+		x.Insert(keys...)
 	} else {
-		d.ShardedIndex.Delete(keys...)
+		x.Delete(keys...)
 	}
-	d.lastSeq = seq
-	return nil
-}
-
-// SyncWAL forces every acknowledged mutation durable now, regardless of
-// policy.  (Sync, unqualified, remains the ShardedIndex visibility wait.)
-func (d *DurableSharded) SyncWAL() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.log.Sync()
-}
-
-// SyncedSeq reports the last log sequence known durable.
-func (d *DurableSharded) SyncedSeq() uint64 { return d.log.SyncedSeq() }
-
-// LastSeq reports the last log sequence absorbed by the index.
-func (d *DurableSharded) LastSeq() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lastSeq
-}
-
-// LogSize reports the write-ahead log's current size in bytes: the
-// recovery debt a Checkpoint would clear.
-func (d *DurableSharded) LogSize() int64 { return d.log.Size() }
-
-// Checkpoint captures the index in a fresh snapshot (atomically: temp +
-// fsync + rename + directory fsync) and truncates the log.  The snapshot
-// records the log sequence it absorbed, so a crash anywhere inside
-// Checkpoint recovers correctly: an old snapshot with a full log, or the
-// new snapshot with (equivalently) the old log or the truncated one —
-// replay skips records the snapshot already owns.
-func (d *DurableSharded) Checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Every logged mutation must be visible in the view the snapshot
-	// captures; Sync waits for the background rebuilder.
-	d.ShardedIndex.Sync()
-	seq := d.lastSeq
-	if err := writeFileAtomic(d.fsys, d.snapPath, func(w io.Writer) error {
-		return saveShardedSnapshot(w, d.ShardedIndex, seq)
-	}); err != nil {
-		return err
-	}
-	return d.log.Checkpoint()
 }
 
 // Close syncs and closes the log, then stops the index's background
-// rebuilder.  No implicit checkpoint: recovery replays the log.
-func (d *DurableSharded) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	err := d.log.Close()
-	d.ShardedIndex.Close()
-	return err
+// rebuilder.  No implicit checkpoint: recovery replays the log.  (Sync,
+// unqualified, remains the ShardedIndex visibility wait; SyncWAL is the
+// log's.)
+func (d *DurableSharded) Close() error { return d.Store.Close() }
+
+// shardCodec is the wal.Store codec of a DurableSharded: the snapshot is
+// the log sequence (u64) followed by the ordinary SaveSharded image, a
+// record one encodeShardOp batch.
+type shardCodec struct{ opts ShardedOptions[uint32] }
+
+func (c shardCodec) Empty() *ShardedIndex[uint32] { return NewSharded[uint32](nil, c.opts) }
+
+func (c shardCodec) Load(r io.Reader) (*ShardedIndex[uint32], uint64, error) {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, 0, fmt.Errorf("cssidx: reading snapshot sequence: %w", err)
+	}
+	x, err := LoadSharded(r, c.opts)
+	return x, binary.LittleEndian.Uint64(hdr[:]), err
 }
 
-// --- snapshot + sequence trailer ---------------------------------------------
-
-// saveShardedSnapshot writes the wal sequence header, then the ordinary
-// SaveSharded image.
-func saveShardedSnapshot(w io.Writer, x *ShardedIndex[uint32], seq uint64) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], seq)
-	if _, err := w.Write(hdr[:]); err != nil {
+// Save waits for every logged mutation to become visible — the snapshot
+// captures the view — then writes it.
+func (shardCodec) Save(w io.Writer, x *ShardedIndex[uint32], seq uint64) error {
+	x.Sync()
+	if _, err := w.Write(binary.LittleEndian.AppendUint64(nil, seq)); err != nil {
 		return err
 	}
 	return SaveSharded(w, x)
 }
 
-// loadShardedSnapshot reads a snapshot written by saveShardedSnapshot.
-func loadShardedSnapshot(fsys failfs.FS, path string, opts ShardedOptions[uint32]) (*ShardedIndex[uint32], uint64, error) {
-	gcStaleTemps(fsys, path)
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, 0, err
+func (shardCodec) Apply(x *ShardedIndex[uint32], payload []byte) error {
+	op, keys, err := decodeShardOp(payload)
+	if err == nil {
+		applyShardOp(x, op, keys)
 	}
-	var seq uint64
-	var hdr [8]byte
-	x, err := func() (*ShardedIndex[uint32], error) {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return nil, fmt.Errorf("cssidx: reading snapshot sequence: %w", err)
-		}
-		seq = binary.LittleEndian.Uint64(hdr[:])
-		return LoadSharded(f, opts)
-	}()
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return x, seq, nil
+	return err
 }

@@ -1,6 +1,10 @@
 package cssidx
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"cssidx/internal/failfs"
@@ -169,5 +173,97 @@ func TestDurableShardedFreshDirectory(t *testing.T) {
 	// Close syncs the log even under wal.None.
 	if y.Search(42) < 0 {
 		t.Fatal("key lost across clean close under wal.None")
+	}
+}
+
+// copyFiles copies each named file from src to dst.
+func copyFiles(t *testing.T, src, dst string, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDurableShardedGoldenFiles pins the on-disk formats: testdata/durable
+// holds a snapshot + log pair written by an earlier build (Insert, Delete,
+// Checkpoint, Insert, Delete), and idx.checkpoint.snap the snapshot a
+// Checkpoint of the recovered index wrote.  Both must keep opening to the
+// same keys and the checkpoint must keep writing the same bytes.
+func TestDurableShardedGoldenFiles(t *testing.T) {
+	dir := t.TempDir()
+	copyFiles(t, "testdata/durable", dir, "idx.snap", "idx.wal")
+	x, err := OpenWAL(nil, dir, "idx", durableOpts(), wal.Always())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint32{3, 5, 7, 7, 12, 33, 40, 100}
+	if got := collectKeys(t, x); !slices.Equal(got, want) {
+		t.Fatalf("recovered keys %v, want %v", got, want)
+	}
+	if x.LastSeq() != 4 {
+		t.Fatalf("LastSeq = %d, want 4", x.LastSeq())
+	}
+	if err := x.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "idx.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/durable/idx.checkpoint.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("checkpoint wrote %x, golden %x", got, golden)
+	}
+}
+
+// TestDurableShardedSweepsStaleTemps: an interrupted Checkpoint can leave
+// a snapshot temp (idx.snap.tmp*) and a log temp (idx.wal.tmp*) behind on
+// a real filesystem; the next open removes both.
+func TestDurableShardedSweepsStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	x, err := OpenWAL(nil, dir, "idx", durableOpts(), wal.Always())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Insert(1, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, litter := range []string{"idx.snap.tmp000001", "idx.wal.tmp000002"} {
+		if err := os.WriteFile(filepath.Join(dir, litter), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	y, err := OpenWAL(nil, dir, "idx", durableOpts(), wal.Always())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer y.Close()
+	if y.Len() != 3 {
+		t.Fatalf("recovered %d keys, want 3", y.Len())
+	}
+	names, err := failfs.OS.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"idx.snap", "idx.wal"}; !slices.Equal(names, want) {
+		t.Fatalf("directory holds %v after reopen, want %v", names, want)
 	}
 }

@@ -1,6 +1,6 @@
 // Package failfs is the filesystem seam under every durable code path:
-// snapshot saves (persist.go, internal/shard), the write-ahead log
-// (internal/wal), and the durable table (internal/mmdb).  Production code
+// snapshot saves (persist.go, and the durable store in internal/wal, via
+// WriteFileAtomic) and the write-ahead log itself.  Production code
 // runs against OS, a thin veneer over the os package; tests run against
 // Mem, an in-memory filesystem that models crash durability exactly —
 // written bytes are volatile until Sync, namespace changes (create,
@@ -18,6 +18,8 @@ package failfs
 import (
 	"errors"
 	"io"
+	"path/filepath"
+	"strings"
 )
 
 // ErrCrashed is returned by every operation of a Mem filesystem once its
@@ -92,4 +94,69 @@ func ReadAll(fsys FS, name string) ([]byte, error) {
 		return nil, err
 	}
 	return data, nil
+}
+
+// WriteFileAtomic commits the bytes write produces to path with
+// all-or-nothing visibility: the data lands in a temporary file in the same
+// directory, is fsynced, and only then renamed over path, with the
+// directory fsynced so the rename itself survives a crash.  A reader (or a
+// restart) therefore sees either the complete old file or the complete new
+// one — never a torn prefix, which a plain truncate-and-rewrite save can
+// leave behind.
+//
+// Every error path — including a failed Close or directory sync — is
+// propagated, and the temporary file is unlinked on any failure so an
+// aborted save leaves no litter (a crash still can; see RemoveStaleTemps).
+func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	fail := func(err error) error {
+		f.Close()
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := write(f); err != nil {
+		return fail(err)
+	}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := f.Close(); err != nil {
+		// Close may surface a deferred write-back error: the file is
+		// suspect, so abandon it.
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	// If this fails the rename happened but its durability is unknown;
+	// the temp name is gone either way.
+	return fsys.SyncDir(dir)
+}
+
+// RemoveStaleTemps removes leftover temporary files of interrupted atomic
+// replacements of path: any sibling named like path's base plus ".tmp",
+// the pattern WriteFileAtomic (and the write-ahead log's checkpoint) write
+// through.  A crash mid-save, which the atomic protocol makes harmless but
+// cannot clean up, therefore does not accumulate litter.  Best effort: a
+// listing failure is left for the caller's own open to surface.  Callers
+// must not race it against a concurrent save of the same path.
+func RemoveStaleTemps(fsys FS, path string) {
+	dir := filepath.Dir(path)
+	prefix := filepath.Base(path) + ".tmp"
+	names, err := fsys.List(dir)
+	if err != nil {
+		return
+	}
+	for _, name := range names {
+		if strings.HasPrefix(name, prefix) {
+			fsys.Remove(filepath.Join(dir, name))
+		}
+	}
 }

@@ -1,6 +1,6 @@
 package mmdb
 
-// Tests for the batched probe paths: JoinBatch vs a nested-loop reference at
+// Tests for the batched probe paths: JoinWith vs a nested-loop reference at
 // several chunk sizes and index methods, SelectIn (sorted and sharded) vs
 // first principles, and IN-list access-path selection.
 
@@ -58,7 +58,7 @@ func TestJoinBatchMatchesReference(t *testing.T) {
 		}
 		for _, batch := range []int{0, 1, 7, 64, 100000} {
 			var got [][2]uint32
-			count, err := JoinBatch(outer, "k", ix, batch, func(o, i uint32) {
+			count, err := JoinWith(outer, "k", ix, JoinOptions{BatchSize: batch}, func(o, i uint32) {
 				got = append(got, [2]uint32{o, i})
 			})
 			if err != nil {
@@ -104,14 +104,14 @@ func TestJoinBatchSizesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scalar [][2]uint32
-	if _, err := JoinBatch(outer, "k", ix, 1, func(o, i uint32) {
+	if _, err := JoinWith(outer, "k", ix, JoinOptions{BatchSize: 1}, func(o, i uint32) {
 		scalar = append(scalar, [2]uint32{o, i})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{8, 64, 512} {
 		var got [][2]uint32
-		if _, err := JoinBatch(outer, "k", ix, batch, func(o, i uint32) {
+		if _, err := JoinWith(outer, "k", ix, JoinOptions{BatchSize: batch}, func(o, i uint32) {
 			got = append(got, [2]uint32{o, i})
 		}); err != nil {
 			t.Fatal(err)

@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
-	"path/filepath"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
 
 	"cssidx/internal/failfs"
 	"cssidx/internal/governor"
@@ -23,23 +21,19 @@ import (
 // appended to a checksummed log — fsynced per the configured wal.Policy
 // — so a crash between Checkpoint snapshots loses nothing the policy
 // promised to keep.  Reads (Column, SelectEqual, Join, …) go straight
-// to the embedded Table; AppendRows, Checkpoint and Close are
-// intercepted.  AppendRows calls are serialized through the log and
-// safe for concurrent use; reads follow the Table's own rules.
+// to the embedded Table; AppendRows and Close are intercepted, and
+// SyncWAL, SyncedSeq, LastSeq, LogSize and Checkpoint come from the
+// embedded wal.Store.  AppendRows calls are serialized through the log
+// and safe for concurrent use; reads follow the Table's own rules.
 type DurableTable struct {
 	*Table
-
-	fsys     failfs.FS
-	snapPath string
-
-	mu      sync.Mutex
-	log     *wal.Log
-	lastSeq uint64 // last sequence absorbed by the in-memory table
+	*wal.Store[*Table]
 }
 
 // OpenDurable opens — or recovers — a durable table rooted at dir: the
 // snapshot lives in dir/name.snap, the write-ahead log in dir/name.wal.
-// On open, the snapshot (if any) is loaded and every log record after
+// On open, temp files an interrupted Checkpoint left beside either are
+// removed, the snapshot (if any) is loaded and every log record after
 // the snapshot's covered sequence is replayed as an AppendRows batch,
 // with a torn log tail detected by checksum and truncated.  The first
 // batch ever logged on an empty table defines the schema, so a table
@@ -54,67 +48,20 @@ type DurableTable struct {
 //
 // fsys nil means the real filesystem.
 func OpenDurable(fsys failfs.FS, dir, name string, pol wal.Policy) (*DurableTable, error) {
-	if fsys == nil {
-		fsys = failfs.OS
-	}
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("mmdb: creating %s: %w", dir, err)
-	}
-	snapPath := filepath.Join(dir, name+".snap")
-	walPath := filepath.Join(dir, name+".wal")
-
-	var (
-		t       *Table
-		snapSeq uint64
-	)
-	tb, seq, err := loadTableSnapshot(fsys, snapPath, name)
-	switch {
-	case err == nil:
-		t, snapSeq = tb, seq
-	case errors.Is(err, fs.ErrNotExist):
-		t = NewTable(name)
-	default:
-		return nil, err
-	}
-
-	log, recs, err := wal.Open(fsys, walPath, pol)
+	st, t, err := wal.OpenStore(fsys, dir, name, pol, tableCodec(name))
 	if err != nil {
 		return nil, err
 	}
-	if err := log.Advance(snapSeq); err != nil {
-		log.Close()
-		return nil, err
-	}
-	lastSeq := snapSeq
-	for _, rec := range recs {
-		if rec.Seq <= snapSeq {
-			continue // already folded into the snapshot
-		}
-		names, cols, derr := decodeBatch(rec.Payload)
-		if derr != nil {
-			log.Close()
-			return nil, derr
-		}
-		if err := applyBatch(t, names, cols); err != nil {
-			log.Close()
-			return nil, fmt.Errorf("mmdb: replaying wal record %d: %w", rec.Seq, err)
-		}
-		lastSeq = rec.Seq
-	}
-	return &DurableTable{
-		Table:    t,
-		fsys:     fsys,
-		snapPath: snapPath,
-		log:      log,
-		lastSeq:  lastSeq,
-	}, nil
+	return &DurableTable{Table: t, Store: st}, nil
 }
 
 // AppendRows validates the batch, logs it, then applies it to the
 // table.  When it returns nil the batch is on the log per the policy
 // (see OpenDurable); a non-nil error means the batch was neither logged
 // nor applied.  On an empty table the batch defines the schema (columns
-// in sorted-name order), standing in for AddColumn.
+// in sorted-name order), standing in for AddColumn.  Unlike
+// Table.AppendRows, where an empty batch forces a fold, an empty batch is
+// an error.
 func (d *DurableTable) AppendRows(newCols map[string][]uint32) error {
 	return d.appendRows(nil, newCols)
 }
@@ -135,128 +82,76 @@ func (d *DurableTable) AppendRowsCtx(ctx context.Context, newCols map[string][]u
 }
 
 func (d *DurableTable) appendRows(ctl *governor.Ctl, newCols map[string][]uint32) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names, err := d.validateBatch(newCols)
-	if err != nil {
-		return err
-	}
-	// Last cancellation point: past here the record is on the log and
-	// the apply must follow.
-	if err := ctl.Err(); err != nil {
-		return err
-	}
-	seq, err := d.log.Append(encodeBatch(names, newCols))
-	if err != nil {
-		return err
-	}
-	if err := applyBatch(d.Table, names, newCols); err != nil {
-		// Cannot happen after validation; if it somehow does, the log
-		// and table have diverged and continuing would corrupt both.
-		panic(fmt.Sprintf("mmdb: logged batch failed to apply: %v", err))
-	}
-	d.lastSeq = seq
-	return nil
+	t := d.Table
+	var (
+		names []string
+		batch int
+	)
+	return wal.Append(d.Store, func() ([]byte, error) {
+		// Map iteration order is not deterministic, and replay must
+		// reproduce the exact schema: the defining batch logs its
+		// columns in sorted-name order.
+		names = t.order
+		if len(t.cols) == 0 {
+			names = slices.Sorted(maps.Keys(newCols))
+		}
+		var err error
+		if batch, err = validateBatch(names, newCols); err != nil {
+			return nil, err
+		}
+		if batch == 0 {
+			return nil, errors.New("mmdb: empty batch")
+		}
+		// Last cancellation point: past here the record is on the log
+		// and the apply must follow.
+		if err := ctl.Err(); err != nil {
+			return nil, err
+		}
+		return encodeBatch(names, newCols), nil
+	}, func() error { return applyBatch(t, names, newCols, batch) })
 }
 
-// validateBatch performs Table.AppendRows's checks up front — before
-// the batch hits the log — and returns the column order to encode:
-// definition order for an existing schema, sorted-name order for the
-// schema-defining first batch (map iteration order is not
-// deterministic, and replay must reproduce the exact schema).
-func (d *DurableTable) validateBatch(newCols map[string][]uint32) ([]string, error) {
-	if len(newCols) == 0 {
-		return nil, errors.New("mmdb: empty batch")
-	}
-	var names []string
-	if len(d.Table.cols) == 0 {
-		names = make([]string, 0, len(newCols))
-		for name := range newCols {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-	} else {
-		if len(newCols) != len(d.Table.order) {
-			return nil, fmt.Errorf("mmdb: batch has %d columns, table %s has %d", len(newCols), d.Table.name, len(d.Table.order))
-		}
-		names = d.Table.order
-	}
-	batch := -1
-	for _, name := range names {
-		vals, ok := newCols[name]
-		if !ok {
-			return nil, fmt.Errorf("mmdb: batch missing column %s", name)
-		}
-		if batch == -1 {
-			batch = len(vals)
-		} else if len(vals) != batch {
-			return nil, fmt.Errorf("mmdb: batch column %s has %d rows, want %d", name, len(vals), batch)
-		}
-	}
-	if batch == 0 {
-		return nil, errors.New("mmdb: empty batch")
-	}
-	return names, nil
-}
-
-// applyBatch applies a decoded batch: AddColumn per column when the
-// table is empty (schema-defining), AppendRows otherwise.
-func applyBatch(t *Table, names []string, cols map[string][]uint32) error {
-	if len(t.cols) == 0 {
-		for _, name := range names {
-			if err := t.AddColumn(name, cols[name]); err != nil {
-				return err
-			}
-		}
+// applyBatch applies a validated batch of batch rows: AddColumn per column,
+// in names order, when it defines the schema of an empty table, the
+// table's append path otherwise.
+func applyBatch(t *Table, names []string, cols map[string][]uint32, batch int) error {
+	if len(t.cols) != 0 {
+		t.applyRows(cols, batch)
 		return nil
 	}
-	return t.AppendRows(cols)
-}
-
-// SyncWAL forces every acknowledged batch durable now, regardless of
-// policy.
-func (d *DurableTable) SyncWAL() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.log.Sync()
-}
-
-// SyncedSeq reports the last log sequence known durable.
-func (d *DurableTable) SyncedSeq() uint64 { return d.log.SyncedSeq() }
-
-// LastSeq reports the last log sequence absorbed by the table.
-func (d *DurableTable) LastSeq() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lastSeq
-}
-
-// LogSize reports the write-ahead log's current size in bytes: the
-// recovery debt a Checkpoint would clear.
-func (d *DurableTable) LogSize() int64 { return d.log.Size() }
-
-// Checkpoint captures the table in a fresh snapshot (atomically: temp +
-// fsync + rename + directory fsync) and truncates the log.  The
-// snapshot records the log sequence it absorbed, so a crash anywhere
-// inside Checkpoint recovers correctly — replay skips records the
-// snapshot already owns.
-func (d *DurableTable) Checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seq := d.lastSeq
-	if err := writeTableAtomic(d.fsys, d.snapPath, d.Table, seq); err != nil {
-		return err
+	for _, name := range names {
+		if err := t.AddColumn(name, cols[name]); err != nil {
+			return err
+		}
 	}
-	return d.log.Checkpoint()
+	return nil
 }
 
 // Close syncs and closes the log and drops the table (Table.Close).  No
 // implicit checkpoint: recovery replays the log.
-func (d *DurableTable) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.Table.Close()
-	return d.log.Close()
+func (d *DurableTable) Close() error { return d.Store.Close() }
+
+// tableCodec is the wal.Store codec of a DurableTable named by its value:
+// snapshots as below, records one encodeBatch batch.
+type tableCodec string
+
+func (c tableCodec) Empty() *Table { return NewTable(string(c)) }
+
+// Apply replays a logged batch under the live path's validation.
+func (tableCodec) Apply(t *Table, payload []byte) error {
+	names, cols, err := decodeBatch(payload)
+	if err != nil {
+		return err
+	}
+	order := t.order
+	if len(t.cols) == 0 {
+		order = names
+	}
+	batch, err := validateBatch(order, cols)
+	if err != nil {
+		return err
+	}
+	return applyBatch(t, names, cols, batch)
 }
 
 // --- batch codec -------------------------------------------------------------
@@ -356,44 +251,11 @@ const (
 // and taken over the byte buffers the codec moves anyway.
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// writeTableAtomic commits a snapshot of t (covering log sequences up to
-// seq) to path with all-or-nothing visibility, mirroring the root
-// package's writeFileAtomic: temp + fsync + rename + directory fsync,
-// every error propagated, the temp unlinked on failure.
-func writeTableAtomic(fsys failfs.FS, path string, t *Table, seq uint64) error {
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := saveTableSnapshot(f, t, seq); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(dir)
-}
-
 // Snapshot layout: magic u32, version u32, walSeq u64, ncols u32, then
 // per column u32 nameLen, name, u32 n, n values; finally a u32 CRC-32C of
 // every byte before it, so a torn or bit-flipped snapshot is rejected
 // rather than served.
-func saveTableSnapshot(w io.Writer, t *Table, seq uint64) error {
+func (tableCodec) Save(w io.Writer, t *Table, seq uint64) error {
 	var u [8]byte
 	var crc uint32
 	wr := func(b []byte) error {
@@ -444,22 +306,8 @@ func saveTableSnapshot(w io.Writer, t *Table, seq uint64) error {
 	return pu32(crc)
 }
 
-func loadTableSnapshot(fsys failfs.FS, path, name string) (*Table, uint64, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	t, seq, err := decodeTableSnapshot(f, name)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, seq, nil
-}
-
-func decodeTableSnapshot(r io.Reader, name string) (*Table, uint64, error) {
+// Load decodes a snapshot of either version.
+func (c tableCodec) Load(r io.Reader) (*Table, uint64, error) {
 	bad := func(what string) (*Table, uint64, error) {
 		return nil, 0, fmt.Errorf("mmdb: corrupt snapshot (%s)", what)
 	}
@@ -496,7 +344,7 @@ func decodeTableSnapshot(r io.Reader, name string) (*Table, uint64, error) {
 	if ncols > 1<<20 {
 		return bad("column count")
 	}
-	t := NewTable(name)
+	t := c.Empty()
 	fnv := uint64(qcache.HashSeed) // the version-1 checksum
 	for i := uint32(0); i < ncols; i++ {
 		nameLen, err := ru32()

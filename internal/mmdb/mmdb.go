@@ -381,11 +381,6 @@ func Join(outer *Table, outerCol string, inner JoinIndex, emit func(outerRID, in
 	return JoinWith(outer, outerCol, inner, JoinOptions{}, emit)
 }
 
-// JoinBatch is JoinWith with only the chunk size configured.
-func JoinBatch(outer *Table, outerCol string, inner JoinIndex, batchSize int, emit func(outerRID, innerRID uint32)) (int, error) {
-	return JoinWith(outer, outerCol, inner, JoinOptions{BatchSize: batchSize}, emit)
-}
-
 // JoinWith performs the indexed nested-loop join of §2.2, driving the inner
 // index through the batched probe surface: outer rows are processed in
 // chunks of BatchSize, each chunk is translated through the inner domain and
@@ -577,11 +572,11 @@ func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOp
 
 // --- batch updates -------------------------------------------------------------
 
-// AppendRows appends a batch of rows: newCols must supply every column with
-// equal-length slices.  Small batches are *absorbed* into the delta layer —
-// sorted per-index runs over the appended rows, served merged with the base
-// by every read surface (delta.go) — so an append stream stops paying O(n)
-// per batch.  Once the delta reaches the AppendPolicy threshold (or the
+// AppendRows appends a batch of rows: newCols must hold exactly the table's
+// columns, in equal-length slices.  Small batches are *absorbed* into the
+// delta layer — sorted per-index runs over the appended rows, served merged
+// with the base by every read surface (delta.go) — so an append stream stops
+// paying O(n) per batch.  Once the delta reaches the AppendPolicy threshold (or the
 // policy disables absorption), the batch *folds*: the frozen encodings move
 // forward over every row.  The paper's OLAP position is that "in a
 // main-memory system, it may be relatively cheap to rebuild an index from
@@ -606,7 +601,10 @@ func (t *Table) AppendRowsCtx(ctx context.Context, newCols map[string][]uint32) 
 }
 
 func (t *Table) appendRows(ctl *governor.Ctl, newCols map[string][]uint32) error {
-	batch, err := t.validateBatch(newCols)
+	if len(t.cols) == 0 {
+		return errors.New("mmdb: table has no columns")
+	}
+	batch, err := validateBatch(t.order, newCols)
 	if err != nil {
 		return err
 	}
@@ -614,6 +612,13 @@ func (t *Table) appendRows(ctl *governor.Ctl, newCols map[string][]uint32) error
 	if err := ctl.Err(); err != nil {
 		return err
 	}
+	t.applyRows(newCols, batch)
+	return nil
+}
+
+// applyRows lands a validated batch of batch rows: absorbed into the delta,
+// or folded.
+func (t *Table) applyRows(newCols map[string][]uint32, batch int) {
 	start := telemetry.Now()
 	if batch == 0 || t.appendPol.shouldFold(t.rows-t.baseRows+batch, t.baseRows) {
 		t.foldRows(newCols, batch)
@@ -622,7 +627,6 @@ func (t *Table) appendRows(ctl *governor.Ctl, newCols map[string][]uint32) error
 		t.absorbRows(newCols, batch)
 		histAbsorbNs.Since(start)
 	}
-	return nil
 }
 
 // Close drops the table from the process-wide accounts: its sharded indexes'
@@ -642,14 +646,15 @@ func (t *Table) releaseLag() {
 	t.lag = 0
 }
 
-// validateBatch checks an AppendRows batch supplies every column with
-// equal-length slices and returns the batch row count.
-func (t *Table) validateBatch(newCols map[string][]uint32) (int, error) {
-	if len(t.cols) == 0 {
-		return 0, errors.New("mmdb: table has no columns")
+// validateBatch checks that a batch holds exactly the columns names — none
+// missing, none unknown — with equal-length slices, and returns the batch
+// row count.
+func validateBatch(names []string, newCols map[string][]uint32) (int, error) {
+	if len(newCols) != len(names) {
+		return 0, fmt.Errorf("mmdb: batch has %d columns, want %d (%v)", len(newCols), len(names), names)
 	}
 	var batch int
-	for i, name := range t.order {
+	for i, name := range names {
 		vals, ok := newCols[name]
 		if !ok {
 			return 0, fmt.Errorf("mmdb: batch missing column %s", name)

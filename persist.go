@@ -3,8 +3,6 @@ package cssidx
 import (
 	"fmt"
 	"io"
-	"path/filepath"
-	"strings"
 
 	"cssidx/internal/csstree"
 	"cssidx/internal/failfs"
@@ -87,79 +85,11 @@ func LoadSharded(r io.Reader, opts ShardedOptions[uint32]) (*ShardedIndex[uint32
 	return newShardedFrom(keys, bounds, opts), nil
 }
 
-// --- atomic file commits ------------------------------------------------------
-
-// writeFileAtomic commits the bytes write produces to path with
-// all-or-nothing visibility: the data lands in a temporary file in the same
-// directory, is fsynced, and only then renamed over path, with the
-// directory fsynced so the rename itself survives a crash.  A reader (or a
-// restart) therefore sees either the complete old snapshot or the complete
-// new one — never a torn prefix, which the snapshot checksums would reject
-// and which a plain truncate-and-rewrite save can leave behind.
-//
-// Every error path — including a failed Close or directory sync — is
-// propagated, and the temporary file is unlinked on any failure so an
-// aborted save leaves no litter.
-func writeFileAtomic(fsys failfs.FS, path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := write(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		// Close may surface a deferred write-back error: the snapshot
-		// is suspect, so abandon it.
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		// The rename happened but its durability is unknown; the old
-		// temp name is gone either way.  Report it.
-		return err
-	}
-	return nil
-}
-
-// gcStaleTemps removes leftover temporary files from aborted atomic saves
-// of path: any sibling named like path's base plus a ".tmp" suffix.  Loads
-// call it so a crash mid-save (which the atomic protocol makes harmless
-// but cannot clean up) does not accumulate litter.  Callers must not race
-// it against a concurrent save of the same path.
-func gcStaleTemps(fsys failfs.FS, path string) {
-	dir := filepath.Dir(path)
-	prefix := filepath.Base(path) + ".tmp"
-	names, err := fsys.List(dir)
-	if err != nil {
-		return // best effort: the load itself will surface real trouble
-	}
-	for _, name := range names {
-		if strings.HasPrefix(name, prefix) {
-			fsys.Remove(filepath.Join(dir, name))
-		}
-	}
-}
-
 // loadFile opens path on fsys, GCs stale temp litter beside it, and hands
 // the open file to load.
 func loadFile[T any](fsys failfs.FS, path string, load func(io.Reader) (T, error)) (T, error) {
 	var zero T
-	gcStaleTemps(fsys, path)
+	failfs.RemoveStaleTemps(fsys, path)
 	f, err := fsys.Open(path)
 	if err != nil {
 		return zero, err
@@ -181,7 +111,7 @@ func loadFile[T any](fsys failfs.FS, path string, load func(io.Reader) (T, error
 // previous snapshot or the complete new one.  A crash mid-save can leave
 // a stale temp file beside it, which the next LoadIndexFile removes.
 func SaveIndexFile(path string, idx Index) error {
-	return writeFileAtomic(failfs.OS, path, func(w io.Writer) error { return SaveIndex(w, idx) })
+	return failfs.WriteFileAtomic(failfs.OS, path, func(w io.Writer) error { return SaveIndex(w, idx) })
 }
 
 // LoadIndexFile restores a snapshot written by SaveIndexFile over keys,
@@ -196,7 +126,7 @@ func LoadIndexFile(path string, keys []Key) (OrderedIndex, error) {
 // file + fsync + rename + directory fsync); see SaveIndexFile for the
 // crash guarantee.
 func SaveShardedFile(path string, x *ShardedIndex[uint32]) error {
-	return writeFileAtomic(failfs.OS, path, func(w io.Writer) error { return SaveSharded(w, x) })
+	return failfs.WriteFileAtomic(failfs.OS, path, func(w io.Writer) error { return SaveSharded(w, x) })
 }
 
 // LoadShardedFile restores a snapshot written by SaveShardedFile, first
