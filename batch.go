@@ -21,6 +21,7 @@ package cssidx
 
 import (
 	"cssidx/internal/csstree"
+	"cssidx/internal/parallel"
 	"cssidx/internal/sortu32"
 )
 
@@ -131,13 +132,8 @@ func checkBatchLen(probes, out int) {
 type SortedBatch struct {
 	b BatchOrderedIndex
 
-	sorted []Key
-	perm   []uint32
-	runIdx []int32
-	res    []int32
-	resL   []int32
-	tmpK   []uint32
-	tmpV   []uint32
+	u         sortu32.Unique
+	res, resL []int32
 }
 
 // NewSortedBatch wraps idx (made batchable with AsBatchOrdered if needed)
@@ -161,55 +157,33 @@ func (s *SortedBatch) LowerBound(key Key) int { return s.b.LowerBound(key) }
 // EqualRange is the scalar passthrough.
 func (s *SortedBatch) EqualRange(key Key) (first, last int) { return s.b.EqualRange(key) }
 
-// plan sorts and dedups a batch: after it, sorted[:uq] holds the distinct
-// probes ascending, and probe i's answer is at unique slot runIdx[j] where
-// perm[j] == i.
-func (s *SortedBatch) plan(probes []Key) (uq int) {
-	n := len(probes)
-	if cap(s.sorted) < n {
-		s.sorted = make([]Key, n)
-		s.perm = make([]uint32, n)
-		s.runIdx = make([]int32, n)
-		s.res = make([]int32, n)
-		s.resL = make([]int32, n)
-		s.tmpK = make([]uint32, n)
-		s.tmpV = make([]uint32, n)
+// plan sorts and dedups a batch: the distinct probes ascending, and probe
+// perm[j]'s answer at distinct slot expand[j].
+func (s *SortedBatch) plan(probes []Key) (distinct, perm []uint32, expand []int32) {
+	distinct, perm, expand = s.u.Sort(probes, parallel.Options{Workers: 1})
+	if cap(s.res) < len(distinct) {
+		s.res, s.resL = make([]int32, len(distinct)), make([]int32, len(distinct))
 	}
-	s.sorted = s.sorted[:n]
-	copy(s.sorted, probes)
-	for i := range s.perm[:n] {
-		s.perm[i] = uint32(i)
-	}
-	sortu32.SortPairsScratch(s.sorted, s.perm[:n], s.tmpK, s.tmpV)
-	for j := 0; j < n; j++ {
-		if uq > 0 && s.sorted[j] == s.sorted[uq-1] {
-			s.runIdx[j] = int32(uq - 1)
-			continue
-		}
-		s.sorted[uq] = s.sorted[j]
-		s.runIdx[j] = int32(uq)
-		uq++
-	}
-	return uq
+	return distinct, perm, expand
 }
 
 // SearchBatch answers the batch with the sorted schedule.
 func (s *SortedBatch) SearchBatch(probes []Key, out []int32) {
 	checkBatchLen(len(probes), len(out))
-	uq := s.plan(probes)
-	s.b.SearchBatch(s.sorted[:uq], s.res[:uq])
-	for j := range probes {
-		out[s.perm[j]] = s.res[s.runIdx[j]]
+	distinct, perm, expand := s.plan(probes)
+	s.b.SearchBatch(distinct, s.res[:len(distinct)])
+	for j, e := range expand {
+		out[perm[j]] = s.res[e]
 	}
 }
 
 // LowerBoundBatch answers the batch with the sorted schedule.
 func (s *SortedBatch) LowerBoundBatch(probes []Key, out []int32) {
 	checkBatchLen(len(probes), len(out))
-	uq := s.plan(probes)
-	s.b.LowerBoundBatch(s.sorted[:uq], s.res[:uq])
-	for j := range probes {
-		out[s.perm[j]] = s.res[s.runIdx[j]]
+	distinct, perm, expand := s.plan(probes)
+	s.b.LowerBoundBatch(distinct, s.res[:len(distinct)])
+	for j, e := range expand {
+		out[perm[j]] = s.res[e]
 	}
 }
 
@@ -217,11 +191,10 @@ func (s *SortedBatch) LowerBoundBatch(probes []Key, out []int32) {
 func (s *SortedBatch) EqualRangeBatch(probes []Key, first, last []int32) {
 	checkBatchLen(len(probes), len(first))
 	checkBatchLen(len(probes), len(last))
-	uq := s.plan(probes)
-	s.b.EqualRangeBatch(s.sorted[:uq], s.res[:uq], s.resL[:uq])
-	for j := range probes {
-		first[s.perm[j]] = s.res[s.runIdx[j]]
-		last[s.perm[j]] = s.resL[s.runIdx[j]]
+	distinct, perm, expand := s.plan(probes)
+	s.b.EqualRangeBatch(distinct, s.res[:len(distinct)], s.resL[:len(distinct)])
+	for j, e := range expand {
+		first[perm[j]], last[perm[j]] = s.res[e], s.resL[e]
 	}
 }
 

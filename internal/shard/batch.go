@@ -18,18 +18,18 @@ package shard
 // across the directory.  ScheduleAuto picks input-order or key-ordered per
 // batch from a sampled duplicate-density estimate — skew is a property of
 // the probe stream, not of the index, so the batch itself is the right thing
-// to inspect.  uint32 batches sort with the PARALLEL MSB-radix partition of
-// internal/sortu32 (per-worker histogram + stable scatter + independent
-// bucket sorts across the same pool the descent uses), so large skewed
-// batches no longer pay a serial sort before the fan-out; other key types
-// fall back to a comparison sort.
+// to inspect.  A uint32 batch is planned by one call, sortu32.Unique.Sort,
+// which returns the distinct probes with the perm and expand maps the
+// scatter needs (batches of 32K probes or more sort across the worker
+// pool); other key types take a comparison sort and sortu32.Dedupe.
 //
 // Parallelism.  The per-shard probe runs are independent — disjoint probe
 // spans, disjoint result spans, immutable snapshots — so they execute across
 // the worker pool of internal/parallel, with large runs split into sub-spans
 // so a single hot shard cannot serialise the batch.  All batch buffers come
-// from a per-index sync.Pool (batchScratch), so steady-state batches
-// allocate nothing but the worker goroutines.
+// from a per-index sync.Pool (batchScratch); a batch granted one worker
+// runs on the calling goroutine and allocates nothing through a View, while
+// a fanned-out batch also allocates its worker closures and goroutines.
 
 import (
 	"cmp"
@@ -143,9 +143,9 @@ type batchRun struct {
 }
 
 // batchScratch holds every buffer one batch execution needs; instances are
-// pooled per Index so steady-state batches allocate nothing.
+// pooled per Index so steady-state batches reuse them.
 type batchScratch[K cmp.Ordered] struct {
-	perm     []int32
+	perm     []uint32
 	gathered []K
 	expand   []int32
 	res      []int32
@@ -153,10 +153,7 @@ type batchScratch[K cmp.Ordered] struct {
 	sids     []int32
 	counts   []int32
 	next     []int32
-	tmpK     []uint32 // radix pair-sort scratch (uint32 keys only)
-	tmpV     []uint32
-	pu       []uint32 // radix pair-sort payload (uint32 keys only)
-	hist     []int32  // parallel-partition histogram scratch (uint32 keys only)
+	u        sortu32.Unique // the key-ordered plan of uint32 batches
 	runs     []batchRun
 	tasks    []batchRun
 }
@@ -164,7 +161,7 @@ type batchScratch[K cmp.Ordered] struct {
 // grow sizes the scratch for a batch of n probes over nshards shards.
 func (s *batchScratch[K]) grow(n, nshards int) {
 	if cap(s.perm) < n {
-		s.perm = make([]int32, n)
+		s.perm = make([]uint32, n)
 		s.gathered = make([]K, n)
 		s.expand = make([]int32, n)
 		s.res = make([]int32, n)
@@ -209,26 +206,32 @@ func (v *View[K]) release(s *batchScratch[K]) {
 // original probe perm[j] (expand == nil), or — in the key-ordered schedule,
 // where gathered is sorted and deduplicated — original probe perm[j] takes
 // gathered's answer at expand[j].  All returned slices alias s.
-func (v *View[K]) batchPlan(probes []K, keyOrdered bool, s *batchScratch[K]) (perm []int32, gathered []K, runs []batchRun, expand []int32) {
+func (v *View[K]) batchPlan(probes []K, keyOrdered bool, s *batchScratch[K]) (perm []uint32, gathered []K, runs []batchRun, expand []int32) {
 	n := len(probes)
 	switch {
 	case keyOrdered:
-		perm, gathered = v.sortByKey(probes, s)
-		// Dedup in place: repeated probes descend once, expand[j] maps each
-		// sorted position to its unique slot.
-		expand = s.expand[:n]
-		uq := 0
-		for j := 0; j < n; j++ {
-			if uq > 0 && gathered[j] == gathered[uq-1] {
-				expand[j] = int32(uq - 1)
-				continue
+		if pu, ok := any(probes).([]uint32); ok {
+			// The tuner is stripped as in scatter: a sort item costs nothing
+			// like a probe, so the partition must not inherit the
+			// probe-derived span (nor calibrate the tuner).
+			var distinct []uint32
+			distinct, perm, expand = s.u.Sort(pu, v.par.WithoutTuner())
+			gathered, _ = any(distinct).([]K)
+		} else {
+			perm = s.perm[:n]
+			for i := range perm {
+				perm[i] = uint32(i)
 			}
-			gathered[uq] = gathered[j]
-			expand[j] = int32(uq)
-			uq++
+			slices.SortFunc(perm, func(a, b uint32) int { return cmp.Compare(probes[a], probes[b]) })
+			gathered = s.gathered[:n]
+			for j, pi := range perm {
+				gathered[j] = probes[pi]
+			}
+			expand = s.expand[:n]
+			gathered = gathered[:sortu32.Dedupe(gathered, expand)]
 		}
-		gathered = gathered[:uq]
 		// gathered is sorted, so shard runs end at each boundary's lower bound.
+		uq := len(gathered)
 		for lo := 0; lo < uq; {
 			sid := v.shardFor(gathered[lo])
 			hi := uq
@@ -257,7 +260,7 @@ func (v *View[K]) batchPlan(probes []K, keyOrdered bool, s *batchScratch[K]) (pe
 		copy(next, counts)
 		for i := range probes {
 			sh := sids[i]
-			perm[next[sh]] = int32(i)
+			perm[next[sh]] = uint32(i)
 			next[sh]++
 		}
 		gathered = s.gathered[:n]
@@ -273,7 +276,7 @@ func (v *View[K]) batchPlan(probes []K, keyOrdered bool, s *batchScratch[K]) (pe
 		// One shard: the batch is one run in input order.
 		perm = s.perm[:n]
 		for i := range perm {
-			perm[i] = int32(i)
+			perm[i] = uint32(i)
 		}
 		gathered = probes
 		if n > 0 {
@@ -281,52 +284,6 @@ func (v *View[K]) batchPlan(probes []K, keyOrdered bool, s *batchScratch[K]) (pe
 		}
 	}
 	return perm, gathered, s.runs, expand
-}
-
-// sortByKey fills s.gathered with the key-sorted probes and s.perm with the
-// permutation mapping sorted position j to its original index.  uint32 keys
-// take the parallel MSB-radix partition of internal/sortu32 — the sort used
-// to run whole on the calling goroutine, the key-ordered schedule's last
-// serial fraction on skewed 1M+ batches; now it histogram/scatter/buckets
-// across the view's worker pool.  Other key types fall back to a
-// comparison sort.
-func (v *View[K]) sortByKey(probes []K, s *batchScratch[K]) (perm []int32, gathered []K) {
-	n := len(probes)
-	perm = s.perm[:n]
-	gathered = s.gathered[:n]
-	if gu, ok := any(gathered).([]uint32); ok {
-		u, _ := any(probes).([]uint32)
-		copy(gu, u)
-		if cap(s.tmpK) < n {
-			s.tmpK = make([]uint32, n)
-			s.tmpV = make([]uint32, n)
-			s.pu = make([]uint32, n)
-		}
-		// The tuner is stripped for the same reason scatter strips it: a
-		// sort item costs nothing like a probe, so the partition must not
-		// inherit the probe-derived span (nor calibrate the tuner).
-		sortOpts := v.par.WithoutTuner()
-		if need := sortu32.HistLen(n, sortOpts); cap(s.hist) < need {
-			s.hist = make([]int32, need)
-		}
-		pu := s.pu[:n]
-		for i := range pu {
-			pu[i] = uint32(i)
-		}
-		sortu32.SortPairsParallel(gu, pu, s.tmpK[:n], s.tmpV[:n], s.hist, sortOpts)
-		for i, p := range pu {
-			perm[i] = int32(p)
-		}
-		return perm, gathered
-	}
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(probes[a], probes[b]) })
-	for j, pi := range perm {
-		gathered[j] = probes[pi]
-	}
-	return perm, gathered
 }
 
 // treeLowerBoundBatch descends one shard's probe group: lockstep when the
@@ -363,9 +320,62 @@ func (v *View[K]) observeTuner() {
 	}
 }
 
-// forRuns executes body over every run, splitting runs larger than span into
+// batchOp names the answer a batch computes.
+type batchOp uint8
+
+const (
+	opLowerBound batchOp = iota
+	opSearch
+	opEqualRange
+)
+
+// descend answers run r of gathered into res (and resL for opEqualRange):
+// the shard tree's descent, then the op's resolution against the shard's
+// delta, shifted to global positions by the shard's offset.
+func (v *View[K]) descend(op batchOp, r batchRun, gathered []K, res, resL []int32) {
+	snap, g, out := v.snaps[r.sid], gathered[r.lo:r.hi], res[r.lo:r.hi]
+	off := int32(v.offs[r.sid])
+	treeLowerBoundBatch(snap.tree, g, out)
+	switch op {
+	case opLowerBound:
+		addRunLowerBounds(snap, g, out)
+		for j := range out {
+			out[j] += off
+		}
+	case opSearch:
+		searchResolve(snap, g, out, off)
+	default:
+		equalRangeResolve(snap, g, out, resL[r.lo:r.hi], off)
+	}
+}
+
+// batch answers probes into out (and last, for opEqualRange): the view's
+// schedule picks the probe order (Schedule semantics above); results are
+// identical under every schedule and worker count.
+func (v *View[K]) batch(op batchOp, probes []K, out, last []int32) {
+	v.observeTuner()
+	keyOrdered := chooseKeyOrder(v.sched, probes)
+	if len(v.snaps) == 1 && !keyOrdered {
+		// Single shard, input order: descend straight into out (offset 0),
+		// splitting the batch across workers.
+		noteBatchSingle(len(probes))
+		parallel.Run(len(probes), v.par, func(lo, hi int) {
+			v.descend(op, batchRun{lo: lo, hi: hi}, probes, out, last)
+		})
+		return
+	}
+	s := v.scratchFor(len(probes))
+	defer v.release(s)
+	perm, gathered, runs, expand := v.batchPlan(probes, keyOrdered, s)
+	noteBatchRuns(runs)
+	res, resL := s.res[:len(gathered)], s.resL[:len(gathered)]
+	v.forRuns(op, runs, len(gathered), gathered, res, resL, s)
+	v.scatter(perm, expand, out, res, last, resL) // last is nil but for opEqualRange
+}
+
+// forRuns descends every run, splitting runs larger than span into
 // sub-runs so one hot shard cannot serialise the batch, and distributing the
-// resulting tasks across the worker pool.  body instances touch disjoint
+// resulting tasks across the worker pool.  Tasks touch disjoint
 // gathered/result spans, so they run concurrently without synchronisation.
 //
 // When the index's span tuner has not calibrated yet (a multi-shard index
@@ -373,7 +383,7 @@ func (v *View[K]) observeTuner() {
 // first large enough run executes on the calling goroutine, timed, and
 // seeds the tuner — real work, not a rehearsal; the rest of the batch fans
 // out under the derived MinBatchPerWorker.
-func (v *View[K]) forRuns(runs []batchRun, total int, s *batchScratch[K], body func(r batchRun)) {
+func (v *View[K]) forRuns(op batchOp, runs []batchRun, total int, gathered []K, res, resL []int32, s *batchScratch[K]) {
 	opts := v.par
 	if o, calibrate := opts.Resolved(); !calibrate {
 		opts = o
@@ -382,12 +392,9 @@ func (v *View[K]) forRuns(runs []batchRun, total int, s *batchScratch[K], body f
 		// skewed batch can put most of a 1M-probe batch in one shard, and
 		// the calibration must not serialise it.
 		r := runs[0]
-		end := r.lo + calibMaxRun
-		if end > r.hi {
-			end = r.hi
-		}
+		end := min(r.lo+calibMaxRun, r.hi)
 		start := time.Now()
-		body(batchRun{sid: r.sid, lo: r.lo, hi: end})
+		v.descend(op, batchRun{sid: r.sid, lo: r.lo, hi: end}, gathered, res, resL)
 		opts.Tuner.Note(end-r.lo, time.Since(start))
 		opts, _ = opts.Resolved()
 		if end == r.hi {
@@ -400,28 +407,21 @@ func (v *View[K]) forRuns(runs []batchRun, total int, s *batchScratch[K], body f
 	w := opts.WorkersFor(total)
 	if w == 1 {
 		for _, r := range runs {
-			body(r)
+			v.descend(op, r, gathered, res, resL)
 		}
 		return
 	}
 	// Sub-span size: enough tasks for balance (~2 per worker) but never so
 	// small that the lockstep kernel loses its group.
-	span := (total + 2*w - 1) / (2 * w)
-	if span < 256 {
-		span = 256
-	}
+	span := max((total+2*w-1)/(2*w), 256)
 	tasks := s.tasks[:0]
 	for _, r := range runs {
 		for lo := r.lo; lo < r.hi; lo += span {
-			hi := lo + span
-			if hi > r.hi {
-				hi = r.hi
-			}
-			tasks = append(tasks, batchRun{sid: r.sid, lo: lo, hi: hi})
+			tasks = append(tasks, batchRun{sid: r.sid, lo: lo, hi: min(lo+span, r.hi)})
 		}
 	}
 	s.tasks = tasks
-	parallel.Do(len(tasks), total, opts, func(t int) { body(tasks[t]) })
+	parallel.Do(len(tasks), total, opts, func(t int) { v.descend(op, tasks[t], gathered, res, resL) })
 }
 
 // calibMinRun is the smallest per-shard run worth timing for calibration
@@ -433,82 +433,46 @@ const (
 	calibMaxRun = 4096
 )
 
-// scatter writes the per-gathered-position results back to input order,
-// across workers for large batches (every write lands at a distinct
-// out[perm[j]], so spans of j are race-free).  The tuner is stripped: a
+// scatter writes the per-gathered-position results back to input order:
+// probe perm[j] takes res[expand[j]] — res[j] when expand is nil — and
+// outL takes resL likewise when given.  Every write lands at a distinct
+// perm[j], so large batches split spans of j across workers; a one-worker
+// batch runs here, with no closure to allocate.  The tuner is stripped: a
 // scatter item costs nothing like a probe, so it must neither calibrate
 // the tuner nor inherit the probe-derived span.
-func (v *View[K]) scatter(out, res, perm, expand []int32) {
-	parallel.Run(len(perm), v.par.WithoutTuner(), func(lo, hi int) {
-		if expand == nil {
-			for j := lo; j < hi; j++ {
-				out[perm[j]] = res[j]
-			}
-			return
-		}
-		for j := lo; j < hi; j++ {
-			out[perm[j]] = res[expand[j]]
-		}
+func (v *View[K]) scatter(perm []uint32, expand []int32, out, res, outL, resL []int32) {
+	opts := v.par.WithoutTuner()
+	if opts.WorkersFor(len(perm)) == 1 {
+		scatterSpan(0, len(perm), perm, expand, out, res, outL, resL)
+		return
+	}
+	parallel.Run(len(perm), opts, func(lo, hi int) {
+		scatterSpan(lo, hi, perm, expand, out, res, outL, resL)
 	})
 }
 
-// scatter2 is scatter for a result pair: one pass over perm/expand, one wave
-// of workers, both outputs written together (the EqualRangeBatch case).
-func (v *View[K]) scatter2(outA, resA, outB, resB, perm, expand []int32) {
-	parallel.Run(len(perm), v.par.WithoutTuner(), func(lo, hi int) {
-		if expand == nil {
-			for j := lo; j < hi; j++ {
-				pi := perm[j]
-				outA[pi] = resA[j]
-				outB[pi] = resB[j]
-			}
-			return
+// scatterSpan is scatter's loop over positions [lo, hi) of perm.
+func scatterSpan(lo, hi int, perm []uint32, expand []int32, out, res, outL, resL []int32) {
+	for j := lo; j < hi; j++ {
+		e := int32(j)
+		if expand != nil {
+			e = expand[j]
 		}
-		for j := lo; j < hi; j++ {
-			pi, e := perm[j], expand[j]
-			outA[pi] = resA[e]
-			outB[pi] = resB[e]
+		out[perm[j]] = res[e]
+		if outL != nil {
+			outL[perm[j]] = resL[e]
 		}
-	})
+	}
 }
 
 // LowerBoundBatch stores the global LowerBound of every probe into out
-// (len(out) must equal len(probes)).  The view's schedule picks the probe
-// order (Schedule semantics above); results are identical under every
-// schedule and worker count, and bit-identical to the scalar LowerBound
-// against this view.
+// (len(out) must equal len(probes)), bit-identical to the scalar
+// LowerBound against this view.
 func (v *View[K]) LowerBoundBatch(probes []K, out []int32) {
 	if len(out) != len(probes) {
 		panic("shard: probes/out length mismatch")
 	}
-	v.observeTuner()
-	keyOrdered := chooseKeyOrder(v.sched, probes)
-	if len(v.snaps) == 1 && !keyOrdered {
-		// Single shard, input order: descend straight into out (offset 0),
-		// splitting the batch across workers.
-		noteBatchSingle(len(probes))
-		snap := v.snaps[0]
-		parallel.Run(len(probes), v.par, func(lo, hi int) {
-			treeLowerBoundBatch(snap.tree, probes[lo:hi], out[lo:hi])
-			addRunLowerBounds(snap, probes[lo:hi], out[lo:hi])
-		})
-		return
-	}
-	s := v.scratchFor(len(probes))
-	defer v.release(s)
-	perm, gathered, runs, expand := v.batchPlan(probes, keyOrdered, s)
-	noteBatchRuns(runs)
-	res := s.res[:len(gathered)]
-	v.forRuns(runs, len(gathered), s, func(r batchRun) {
-		snap := v.snaps[r.sid]
-		treeLowerBoundBatch(snap.tree, gathered[r.lo:r.hi], res[r.lo:r.hi])
-		addRunLowerBounds(snap, gathered[r.lo:r.hi], res[r.lo:r.hi])
-		off := int32(v.offs[r.sid])
-		for j := r.lo; j < r.hi; j++ {
-			res[j] += off
-		}
-	})
-	v.scatter(out, res, perm, expand)
+	v.batch(opLowerBound, probes, out, nil)
 }
 
 // SearchBatch stores the global Search of every probe into out: the position
@@ -517,28 +481,7 @@ func (v *View[K]) SearchBatch(probes []K, out []int32) {
 	if len(out) != len(probes) {
 		panic("shard: probes/out length mismatch")
 	}
-	v.observeTuner()
-	keyOrdered := chooseKeyOrder(v.sched, probes)
-	if len(v.snaps) == 1 && !keyOrdered {
-		noteBatchSingle(len(probes))
-		snap := v.snaps[0]
-		parallel.Run(len(probes), v.par, func(lo, hi int) {
-			treeLowerBoundBatch(snap.tree, probes[lo:hi], out[lo:hi])
-			searchResolve(snap, probes[lo:hi], out[lo:hi], 0)
-		})
-		return
-	}
-	s := v.scratchFor(len(probes))
-	defer v.release(s)
-	perm, gathered, runs, expand := v.batchPlan(probes, keyOrdered, s)
-	noteBatchRuns(runs)
-	res := s.res[:len(gathered)]
-	v.forRuns(runs, len(gathered), s, func(r batchRun) {
-		snap := v.snaps[r.sid]
-		treeLowerBoundBatch(snap.tree, gathered[r.lo:r.hi], res[r.lo:r.hi])
-		searchResolve(snap, gathered[r.lo:r.hi], res[r.lo:r.hi], int32(v.offs[r.sid]))
-	})
-	v.scatter(out, res, perm, expand)
+	v.batch(opSearch, probes, out, nil)
 }
 
 // searchResolve turns the tree lower bounds in res into global Search
@@ -582,29 +525,7 @@ func (v *View[K]) EqualRangeBatch(probes []K, first, last []int32) {
 	if len(first) != len(probes) || len(last) != len(probes) {
 		panic("shard: probes/first/last length mismatch")
 	}
-	v.observeTuner()
-	keyOrdered := chooseKeyOrder(v.sched, probes)
-	if len(v.snaps) == 1 && !keyOrdered {
-		noteBatchSingle(len(probes))
-		snap := v.snaps[0]
-		parallel.Run(len(probes), v.par, func(lo, hi int) {
-			treeLowerBoundBatch(snap.tree, probes[lo:hi], first[lo:hi])
-			equalRangeResolve(snap, probes[lo:hi], first[lo:hi], last[lo:hi], 0)
-		})
-		return
-	}
-	s := v.scratchFor(len(probes))
-	defer v.release(s)
-	perm, gathered, runs, expand := v.batchPlan(probes, keyOrdered, s)
-	noteBatchRuns(runs)
-	resF := s.res[:len(gathered)]
-	resL := s.resL[:len(gathered)]
-	v.forRuns(runs, len(gathered), s, func(r batchRun) {
-		snap := v.snaps[r.sid]
-		treeLowerBoundBatch(snap.tree, gathered[r.lo:r.hi], resF[r.lo:r.hi])
-		equalRangeResolve(snap, gathered[r.lo:r.hi], resF[r.lo:r.hi], resL[r.lo:r.hi], int32(v.offs[r.sid]))
-	})
-	v.scatter2(first, resF, last, resL, perm, expand)
+	v.batch(opEqualRange, probes, first, last)
 }
 
 // equalRangeResolve extends the tree lower bounds in resF across each

@@ -15,7 +15,8 @@ package sortu32
 //  3. bucket sorts — the 256 bucket regions are independent, so workers
 //     drain them through an atomic task counter (skew-proof: a worker that
 //     finished a small bucket immediately draws the next), each bucket
-//     LSD-radix-sorted over only the bytes BELOW the partition byte.
+//     sorted by the package's LSD core, which skips the bytes the bucket's
+//     keys share.
 //
 // The partition byte is the highest byte in which the batch varies at all
 // (found by an OR-fold pre-pass, also parallel), so narrow-range batches —
@@ -155,57 +156,32 @@ func SortPairsParallel(keys, vals, tmpK, tmpV []uint32, hist []int32, opts paral
 		}
 	})
 
-	// Independent bucket sorts over the remaining low bytes, drained by the
-	// atomic task counter so skewed bucket sizes balance themselves; each
-	// sort lands its bucket back into keys/vals.
+	// Independent bucket sorts, drained by the atomic task counter so skewed
+	// bucket sizes balance themselves; each sort lands its bucket back into
+	// keys/vals.
 	parallel.Do(256, n, opts, func(b int) {
 		lo, hi := int(start[b]), int(start[b+1])
 		if lo == hi {
 			return
 		}
-		sortBucketInto(tmpK[lo:hi], tmpV[lo:hi], keys[lo:hi], vals[lo:hi], shift)
+		sortBucketInto(tmpK[lo:hi], tmpV[lo:hi], keys[lo:hi], vals[lo:hi])
 	})
 }
 
-// sortBucketInto stable-sorts the pairs (bk, bv) — whose keys all agree on
-// every bit at or above topShift — by the bytes below topShift, leaving
-// the result in (dk, dv).  The last LSD pass may straddle topShift; the
-// bits it re-reads above topShift are equal across the bucket, so the pass
-// stays a no-op there.  bk/bv are scratch after the call.
-func sortBucketInto(bk, bv, dk, dv []uint32, topShift uint) {
-	n := len(bk)
-	if n < insertionThreshold {
+// sortBucketInto stable-sorts the bucket (bk, bv) into (dk, dv); bk and bv
+// are scratch after the call.  The keys of a bucket agree on every bit at
+// or above the partition bits, so lsd skips the digits up there.
+func sortBucketInto(bk, bv, dk, dv []uint32) {
+	if len(bk) < insertionThreshold {
 		copy(dk, bk)
 		copy(dv, bv)
 		insertionPairs(dk, dv)
 		return
 	}
-	srcK, srcV, dstK, dstV := bk, bv, dk, dv
-	for shift := uint(0); shift < topShift; shift += radixBits {
-		if sortedBy(srcK, shift) {
-			continue
-		}
-		var counts [radixSize]int
-		for _, k := range srcK {
-			counts[(k>>shift)&(radixSize-1)]++
-		}
-		pos := 0
-		for d := 0; d < radixSize; d++ {
-			c := counts[d]
-			counts[d] = pos
-			pos += c
-		}
-		for i, k := range srcK {
-			d := (k >> shift) & (radixSize - 1)
-			dstK[counts[d]] = k
-			dstV[counts[d]] = srcV[i]
-			counts[d]++
-		}
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
-	}
-	if &srcK[0] != &dk[0] {
-		copy(dk, srcK)
-		copy(dv, srcV)
+	var h digitHist
+	h.count(bk)
+	if rk, rv := lsd(bk, bv, dk, dv, &h, 0); &rk[0] != &dk[0] {
+		copy(dk, rk)
+		copy(dv, rv)
 	}
 }

@@ -1,77 +1,123 @@
 // Package sortu32 provides the sorting substrate the paper's pipeline
 // assumes: every index in this repository is built from a sorted key array,
-// and the OLAP maintenance cycle (§2.3) re-sorts after batch updates.
+// the OLAP maintenance cycle (§2.3) re-sorts after batch updates, and the
+// key-ordered probe schedule sorts every skewed probe batch.
 //
-// The central routine is an LSD radix sort on 4-byte keys — a
-// cache-conscious sort in the spirit of the paper's cited work (LaMarca &
-// Ladner; AlphaSort): it streams the array sequentially instead of the
-// random probing of comparison sorts, making it several times faster than
-// sort.Slice for the 4-byte keys of Table 1.  SortPairs co-sorts a RID
-// array, which is exactly how mmdb builds record-identifier lists sorted by
-// an attribute (§2.2).  Merge combines sorted runs for the batch-update
-// path.
+// Every sort runs on one LSD radix core (lsd) over 4-byte keys: a single
+// read of the input builds all four 8-bit digit histograms, a digit on which
+// every key agrees costs nothing, and each other digit costs one stable
+// scatter — a cache-conscious sort in the spirit of the paper's cited work
+// (LaMarca & Ladner; AlphaSort) that streams the array instead of probing
+// it.  Sort orders keys; SortPairs co-sorts a payload, which is how mmdb
+// builds RID lists sorted by an attribute (§2.2); SortPairsParallel
+// partitions large batches across a worker pool and finishes each bucket
+// with the same core; Unique turns a probe batch into its distinct keys and
+// the maps that scatter their answers back.  Merge and MergePairs combine
+// sorted runs for the batch-update path.
 package sortu32
-
-// radixBits is the digit width: 4 passes of 8 bits over uint32.
-const radixBits = 8
-
-// radixSize is the counting-bucket count per pass.
-const radixSize = 1 << radixBits
 
 // insertionThreshold is the size below which insertion sort wins.
 const insertionThreshold = 64
 
-// Sort sorts keys ascending in place.  The ping-pong buffer is allocated at
-// the first pass that runs, so an already-ascending slice allocates nothing.
+// word is an element lsd sorts: a bare uint32 key, or a uint64 carrying
+// its key in the high half above a payload (Unique's input index).
+type word interface{ uint32 | uint64 }
+
+// digitHist holds the four 8-bit digit histograms of a key array; lsd turns
+// them into scatter cursors.
+type digitHist [4][256]int32
+
+// count adds keys to the four histograms in one read of the input.
+func (h *digitHist) count(keys []uint32) {
+	for _, k := range keys {
+		h[0][byte(k)]++
+		h[1][byte(k>>8)]++
+		h[2][byte(k>>16)]++
+		h[3][byte(k>>24)]++
+	}
+}
+
+// cursors turns each histogram into its exclusive prefix sums, the
+// digits' scatter cursors; the four sums interleave so none waits on another.
+func (h *digitHist) cursors() {
+	var p0, p1, p2, p3 int32
+	for b := range 256 {
+		c0, c1, c2, c3 := h[0][b], h[1][b], h[2][b], h[3][b]
+		h[0][b], h[1][b], h[2][b], h[3][b] = p0, p1, p2, p3
+		p0, p1, p2, p3 = p0+c0, p1+c1, p2+c2, p3+c3
+	}
+}
+
+// lsd is the package's one counting-sort core.  It stable-sorts (k, v) by
+// the key of each element — its 32 bits at base — one 8-bit digit at a
+// time, skipping every digit whose histogram in h has one bucket holding
+// all the keys.  It ping-pongs between (k, v) and (tk, tv) and returns the
+// pair holding the result.  v and tv are nil when the elements carry no
+// separate payload; k is not empty, and tk and tv have at least its
+// capacity.
+func lsd[T word](k []T, v []uint32, tk []T, tv []uint32, h *digitHist, base uint) ([]T, []uint32) {
+	n := len(k)
+	first := uint32(uint64(k[0]) >> (base & 63))
+	var split [4]bool
+	for d := range h {
+		split[d] = h[d][byte(first>>(8*d))] != int32(n)
+	}
+	h.cursors()
+	for d := range h {
+		if !split[d] {
+			continue
+		}
+		if shift := base + uint(8*d); v == nil {
+			scatter(k, tk[:n], &h[d], shift)
+		} else {
+			scatterPairs(k, v, tk[:n], tv[:n], &h[d], shift)
+		}
+		k, tk = tk[:n], k
+		v, tv = tv, v
+	}
+	return k, v
+}
+
+// scatter moves each element to its digit's cursor in o (one stable pass).
+// It stays out of line so its loop keeps every operand in a register.
+//
+//go:noinline
+func scatter[T word](src, dst []T, o *[256]int32, shift uint) {
+	for _, x := range src {
+		b := byte(uint64(x) >> (shift & 63))
+		p := o[b]
+		dst[p] = x
+		o[b] = p + 1
+	}
+}
+
+// scatterPairs is scatter carrying each element's payload along.
+//
+//go:noinline
+func scatterPairs[T word](srcK []T, srcV []uint32, dstK []T, dstV []uint32, o *[256]int32, shift uint) {
+	srcV = srcV[:len(srcK)]
+	for i, x := range srcK {
+		b := byte(uint64(x) >> (shift & 63))
+		p := o[b]
+		dstK[p], dstV[p] = x, srcV[i]
+		o[b] = p + 1
+	}
+}
+
+// Sort sorts keys ascending in place.  Ascending input returns after one
+// read and allocates nothing; otherwise one ping-pong buffer is allocated.
 func Sort(keys []uint32) {
 	if len(keys) < insertionThreshold {
 		insertion(keys)
 		return
 	}
-	src, dst := keys, []uint32(nil)
-	for shift := uint(0); shift < 32; shift += radixBits {
-		if sortedBy(src, shift) {
-			continue
-		}
-		if dst == nil {
-			dst = make([]uint32, len(keys))
-		}
-		countingPass(src, dst, shift)
-		src, dst = dst, src
+	if IsSorted(keys) {
+		return
 	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-}
-
-// sortedBy reports whether a pass at this shift can be skipped because the
-// whole slice is already ordered on the remaining high bits — a common case
-// for nearly-sorted batch merges.
-func sortedBy(a []uint32, shift uint) bool {
-	for i := 1; i < len(a); i++ {
-		if a[i]>>shift < a[i-1]>>shift {
-			return false
-		}
-	}
-	return true
-}
-
-// countingPass distributes src into dst by the byte at shift (stable).
-func countingPass(src, dst []uint32, shift uint) {
-	var counts [radixSize]int
-	for _, k := range src {
-		counts[(k>>shift)&(radixSize-1)]++
-	}
-	pos := 0
-	for d := 0; d < radixSize; d++ {
-		c := counts[d]
-		counts[d] = pos
-		pos += c
-	}
-	for _, k := range src {
-		d := (k >> shift) & (radixSize - 1)
-		dst[counts[d]] = k
-		counts[d]++
+	var h digitHist
+	h.count(keys)
+	if r, _ := lsd(keys, nil, make([]uint32, len(keys)), nil, &h, 0); &r[0] != &keys[0] {
+		copy(keys, r)
 	}
 }
 
@@ -94,11 +140,10 @@ func SortPairs(keys, vals []uint32) {
 	SortPairsScratch(keys, vals, nil, nil)
 }
 
-// SortPairsScratch is SortPairs with caller-provided scratch space, for hot
-// paths that sort many small batches (the sort-probes-first probe schedule):
-// tmpK and tmpV are used as the radix ping-pong buffers when they have
-// capacity ≥ len(keys), and allocated otherwise — at the first pass that
-// runs, so already-ascending keys allocate nothing.
+// SortPairsScratch is SortPairs with caller-provided scratch space for hot
+// paths that sort many batches: tmpK and tmpV are the ping-pong buffers when
+// they have capacity ≥ len(keys), and are allocated otherwise — unless the
+// keys are already ascending, which returns after one read.
 func SortPairsScratch(keys, vals, tmpK, tmpV []uint32) {
 	if len(keys) != len(vals) {
 		panic("sortu32: keys and vals length mismatch")
@@ -108,40 +153,17 @@ func SortPairsScratch(keys, vals, tmpK, tmpV []uint32) {
 		insertionPairs(keys, vals)
 		return
 	}
-	srcK, srcV := keys, vals
-	var dstK, dstV []uint32
-	for shift := uint(0); shift < 32; shift += radixBits {
-		if sortedBy(srcK, shift) {
-			continue
-		}
-		if dstK == nil {
-			if cap(tmpK) < n || cap(tmpV) < n {
-				tmpK, tmpV = make([]uint32, n), make([]uint32, n)
-			}
-			dstK, dstV = tmpK[:n], tmpV[:n]
-		}
-		var counts [radixSize]int
-		for _, k := range srcK {
-			counts[(k>>shift)&(radixSize-1)]++
-		}
-		pos := 0
-		for d := 0; d < radixSize; d++ {
-			c := counts[d]
-			counts[d] = pos
-			pos += c
-		}
-		for i, k := range srcK {
-			d := (k >> shift) & (radixSize - 1)
-			dstK[counts[d]] = k
-			dstV[counts[d]] = srcV[i]
-			counts[d]++
-		}
-		srcK, dstK = dstK, srcK
-		srcV, dstV = dstV, srcV
+	if IsSorted(keys) {
+		return
 	}
-	if &srcK[0] != &keys[0] {
-		copy(keys, srcK)
-		copy(vals, srcV)
+	if cap(tmpK) < n || cap(tmpV) < n {
+		tmpK, tmpV = make([]uint32, n), make([]uint32, n)
+	}
+	var h digitHist
+	h.count(keys)
+	if rk, rv := lsd(keys, vals, tmpK, tmpV, &h, 0); &rk[0] != &keys[0] {
+		copy(keys, rk)
+		copy(vals, rv)
 	}
 }
 

@@ -1,0 +1,143 @@
+package sortu32
+
+import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"cssidx/internal/parallel"
+)
+
+// uniqueDist generates the key shapes Unique.Sort must get right: random
+// and skewed batches, the degenerate orders, the extreme values, and keys
+// varying in one byte only (so every digit is alone in splitting them).
+func uniqueDist(name string, n int, rng *rand.Rand) []uint32 {
+	keys := make([]uint32, n)
+	switch name {
+	case "uniform":
+		for i := range keys {
+			keys[i] = rng.Uint32()
+		}
+	case "zipf":
+		if n > 0 {
+			keys = zipfBatches(1, n)[0]
+		}
+	case "all-equal":
+		for i := range keys {
+			keys[i] = 0xdeadbeef
+		}
+	case "ascending":
+		for i := range keys {
+			keys[i] = uint32(i) * 7
+		}
+	case "descending":
+		for i := range keys {
+			keys[i] = uint32(n-i) * 7
+		}
+	case "extremes":
+		for i := range keys {
+			keys[i] = uint32(rng.Intn(2)) * math.MaxUint32
+		}
+	default: // "byte<d>": only byte d varies
+		var d int
+		fmt.Sscanf(name, "byte%d", &d)
+		for i := range keys {
+			keys[i] = 0x5a5a5a5a&^(0xff<<(8*d)) | uint32(rng.Intn(256))<<(8*d)
+		}
+	}
+	return keys
+}
+
+// checkUnique holds one Unique.Sort to its definition: a stable sort of the
+// (key, index) pairs followed by an adjacent-equal dedupe.
+func checkUnique(t testing.TB, u *Unique, probes []uint32, opts parallel.Options) {
+	t.Helper()
+	in := slices.Clone(probes)
+	distinct, perm, expand := u.Sort(probes, opts)
+	if !slices.Equal(probes, in) {
+		t.Fatal("Sort modified its input")
+	}
+	type pair struct{ k, i uint32 }
+	ref := make([]pair, len(probes))
+	for i, k := range probes {
+		ref[i] = pair{k, uint32(i)}
+	}
+	slices.SortStableFunc(ref, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
+	var want []uint32
+	for j, p := range ref {
+		if j == 0 || p.k != ref[j-1].k {
+			want = append(want, p.k)
+		}
+	}
+	if !slices.Equal(distinct, want) {
+		t.Fatalf("n=%d: %d distinct keys, want %d", len(probes), len(distinct), len(want))
+	}
+	if len(perm) != len(probes) || len(expand) != len(probes) {
+		t.Fatalf("n=%d: len(perm)=%d len(expand)=%d", len(probes), len(perm), len(expand))
+	}
+	slot := int32(-1)
+	for j, p := range ref {
+		if j == 0 || p.k != ref[j-1].k {
+			slot++
+		}
+		if perm[j] != p.i || expand[j] != slot {
+			t.Fatalf("n=%d: [%d] perm %d expand %d, want %d %d", len(probes), j, perm[j], expand[j], p.i, slot)
+		}
+	}
+}
+
+func TestUniqueSortMatchesStableSort(t *testing.T) {
+	raiseGOMAXPROCS(t)
+	rng := rand.New(rand.NewSource(34))
+	dists := []string{"uniform", "zipf", "all-equal", "ascending", "descending", "extremes", "byte0", "byte1", "byte2", "byte3"}
+	for _, workers := range []int{1, 4} {
+		opts := parallel.Options{Workers: workers, MinBatchPerWorker: 1024}
+		var u Unique // reused across sizes, as a pooled scratch is
+		for _, n := range []int{0, 1, 63, 64, 65, 512, 32_767, 32_768, 100_000} {
+			for _, dist := range dists {
+				t.Run(fmt.Sprintf("workers=%d/n=%d/%s", workers, n, dist), func(t *testing.T) {
+					checkUnique(t, &u, uniqueDist(dist, n, rng), opts)
+				})
+			}
+		}
+	}
+}
+
+// FuzzSortUnique feeds arbitrary keys through Unique.Sort; wide inputs are
+// tiled past parallelSortMin and sorted through the four-worker partition.
+func FuzzSortUnique(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, false)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0}, true)
+	f.Fuzz(func(t *testing.T, data []byte, wide bool) {
+		keys := make([]uint32, len(data)/4)
+		for i := range keys {
+			keys[i] = binary.LittleEndian.Uint32(data[4*i:])
+		}
+		opts := parallel.Options{Workers: 1}
+		if wide && len(keys) > 0 {
+			for len(keys) < parallelSortMin {
+				keys = append(keys, keys[:min(len(keys), parallelSortMin-len(keys))]...)
+			}
+			opts = parallel.Options{Workers: 4, MinBatchPerWorker: 1024}
+		}
+		var u Unique
+		checkUnique(t, &u, keys, opts)
+	})
+}
+
+func TestDedupeGeneric(t *testing.T) {
+	keys := []string{"a", "a", "b", "c", "c", "c"}
+	expand := make([]int32, len(keys))
+	if uq := Dedupe(keys, expand); uq != 3 || !slices.Equal(keys[:uq], []string{"a", "b", "c"}) ||
+		!slices.Equal(expand, []int32{0, 0, 1, 2, 2, 2}) {
+		t.Fatalf("Dedupe: %d %v %v", uq, keys, expand)
+	}
+	if Dedupe([]string{}, nil) != 0 {
+		t.Fatal("Dedupe of nothing")
+	}
+}

@@ -8,6 +8,7 @@ package cssidx_test
 // GOMAXPROCS=8 leg real concurrency).
 
 import (
+	"fmt"
 	"testing"
 
 	"cssidx"
@@ -198,6 +199,38 @@ func TestShardedParallelSchedulesMatchScalar(t *testing.T) {
 				}
 				idx.Close()
 			}
+		}
+	}
+}
+
+// TestShardedStringKeysSortedSchedule drives the key-ordered plan of a
+// non-uint32 key type (comparison sort, then sortu32.Dedupe) against the
+// scalar methods: duplicated probes, misses and keys beyond both ends.
+func TestShardedStringKeysSortedSchedule(t *testing.T) {
+	var keys []string
+	for i := 0; i < 3000; i++ {
+		keys = append(keys, fmt.Sprintf("k%05d", i/2*3))
+	}
+	var probes []string
+	for i := 0; i < 2000; i++ {
+		probes = append(probes, fmt.Sprintf("k%05d", (i*i)%1000*5))
+	}
+	probes = append(probes, "", "a", "z", "k")
+	idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[string]{Shards: 3, Schedule: cssidx.ScheduleSorted})
+	defer idx.Close()
+	v := idx.Snapshot()
+	out := make([]int32, len(probes))
+	first := make([]int32, len(probes))
+	last := make([]int32, len(probes))
+	lb := make([]int32, len(probes))
+	v.SearchBatch(probes, out)
+	v.LowerBoundBatch(probes, lb)
+	v.EqualRangeBatch(probes, first, last)
+	for i, p := range probes {
+		wf, wl := v.EqualRange(p)
+		if out[i] != int32(v.Search(p)) || lb[i] != int32(v.LowerBound(p)) || first[i] != int32(wf) || last[i] != int32(wl) {
+			t.Fatalf("probe %q: batch (%d, %d, [%d,%d)) scalar (%d, %d, [%d,%d))",
+				p, out[i], lb[i], first[i], last[i], v.Search(p), v.LowerBound(p), wf, wl)
 		}
 	}
 }
