@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"cssidx/internal/failfs"
+	"cssidx/internal/shard"
 	"cssidx/internal/wal"
 )
 
@@ -127,29 +128,25 @@ func applyShardOp(x *ShardedIndex[uint32], op byte, keys []uint32) {
 func (d *DurableSharded) Close() error { return d.Store.Close() }
 
 // shardCodec is the wal.Store codec of a DurableSharded: the snapshot is
-// the log sequence (u64) followed by the ordinary SaveSharded image, a
-// record one encodeShardOp batch.
+// a SaveSharded frame carrying the log sequence it covers, a record one
+// encodeShardOp batch.
 type shardCodec struct{ opts ShardedOptions[uint32] }
 
 func (c shardCodec) Empty() *ShardedIndex[uint32] { return NewSharded[uint32](nil, c.opts) }
 
 func (c shardCodec) Load(r io.Reader) (*ShardedIndex[uint32], uint64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("cssidx: reading snapshot sequence: %w", err)
+	keys, bounds, seq, err := shard.LoadU32(r)
+	if err != nil {
+		return nil, 0, err
 	}
-	x, err := LoadSharded(r, c.opts)
-	return x, binary.LittleEndian.Uint64(hdr[:]), err
+	return newShardedFrom(keys, bounds, c.opts), seq, nil
 }
 
 // Save waits for every logged mutation to become visible — the snapshot
 // captures the view — then writes it.
 func (shardCodec) Save(w io.Writer, x *ShardedIndex[uint32], seq uint64) error {
 	x.Sync()
-	if _, err := w.Write(binary.LittleEndian.AppendUint64(nil, seq)); err != nil {
-		return err
-	}
-	return SaveSharded(w, x)
+	return shard.SaveU32(w, x.ix.View(), seq)
 }
 
 func (shardCodec) Apply(x *ShardedIndex[uint32], payload []byte) error {

@@ -2,6 +2,7 @@ package cssidx
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -192,23 +193,39 @@ func copyFiles(t *testing.T, src, dst string, names ...string) {
 
 // TestDurableShardedGoldenFiles pins the on-disk formats: testdata/durable
 // holds a snapshot + log pair written by an earlier build (Insert, Delete,
-// Checkpoint, Insert, Delete), and idx.checkpoint.snap the snapshot a
-// Checkpoint of the recovered index wrote.  Both must keep opening to the
-// same keys and the checkpoint must keep writing the same bytes.
+// Checkpoint, Insert, Delete), idx.checkpoint.snap the version-1 snapshot a
+// Checkpoint of the recovered index wrote then, and idx.checkpoint.v2.snap
+// the version-2 one it writes now.  Each snapshot must keep opening to the
+// same keys and sequence, and the checkpoint must keep writing the same bytes.
 func TestDurableShardedGoldenFiles(t *testing.T) {
-	dir := t.TempDir()
-	copyFiles(t, "testdata/durable", dir, "idx.snap", "idx.wal")
-	x, err := OpenWAL(nil, dir, "idx", durableOpts(), wal.Always())
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []uint32{3, 5, 7, 7, 12, 33, 40, 100}
-	if got := collectKeys(t, x); !slices.Equal(got, want) {
-		t.Fatalf("recovered keys %v, want %v", got, want)
+	open := func(snap, log string) (*DurableSharded, string) {
+		t.Helper()
+		dir := t.TempDir()
+		copyFiles(t, "testdata/durable", dir, snap)
+		if err := os.Rename(filepath.Join(dir, snap), filepath.Join(dir, "idx.snap")); err != nil {
+			t.Fatal(err)
+		}
+		if log != "" {
+			copyFiles(t, "testdata/durable", dir, log)
+		}
+		x, err := OpenWAL(nil, dir, "idx", durableOpts(), wal.Always())
+		if err != nil {
+			t.Fatalf("%s: %v", snap, err)
+		}
+		if got := collectKeys(t, x); !slices.Equal(got, want) {
+			t.Fatalf("%s: recovered keys %v, want %v", snap, got, want)
+		}
+		if x.LastSeq() != 4 {
+			t.Fatalf("%s: LastSeq = %d, want 4", snap, x.LastSeq())
+		}
+		return x, dir
 	}
-	if x.LastSeq() != 4 {
-		t.Fatalf("LastSeq = %d, want 4", x.LastSeq())
+	for _, snap := range []string{"idx.checkpoint.snap", "idx.checkpoint.v2.snap"} {
+		x, _ := open(snap, "")
+		x.Close()
 	}
+	x, dir := open("idx.snap", "idx.wal")
 	if err := x.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +236,63 @@ func TestDurableShardedGoldenFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := os.ReadFile("testdata/durable/idx.checkpoint.snap")
+	golden, err := os.ReadFile("testdata/durable/idx.checkpoint.v2.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, golden) {
 		t.Fatalf("checkpoint wrote %x, golden %x", got, golden)
+	}
+}
+
+// TestDurableShardedSeqBitFlips: the log sequence a checkpoint records is
+// checked like every other snapshot byte, so no single-bit flip of it opens
+// (a flipped sequence would skip or replay the wrong log records).
+func TestDurableShardedSeqBitFlips(t *testing.T) {
+	fsys := failfs.NewMem(5)
+	x, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.None())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 300 two-key batches: the sequence, 300, is the only 8-byte run of
+	// its value in the snapshot (600 keys, all above a million).
+	for i := range uint32(300) {
+		if err := x.Insert(1e6+2*i, 1e6+2*i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := x.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	seq := binary.LittleEndian.AppendUint64(nil, x.LastSeq())
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := failfs.ReadAll(fsys, "db/idx.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(snap, seq)
+	if at < 0 || bytes.Count(snap, seq) != 1 {
+		t.Fatalf("sequence %x found %d times in the snapshot", seq, bytes.Count(snap, seq))
+	}
+	for bit := range 64 {
+		bad := bytes.Clone(snap)
+		bad[at+bit/8] ^= 1 << (bit % 8)
+		writeMemFile(t, fsys, "db/idx.snap", bad)
+		if y, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.None()); err == nil {
+			y.Close()
+			t.Fatalf("sequence bit %d flipped, snapshot opened", bit)
+		}
+	}
+	writeMemFile(t, fsys, "db/idx.snap", snap)
+	y, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.None())
+	if err != nil {
+		t.Fatalf("unflipped snapshot: %v", err)
+	}
+	defer y.Close()
+	if y.LastSeq() != 300 || y.Len() != 600 {
+		t.Fatalf("unflipped snapshot: LastSeq %d, %d keys", y.LastSeq(), y.Len())
 	}
 }
 

@@ -3,6 +3,7 @@ package cssidx
 import (
 	"bytes"
 	"os"
+	"slices"
 	"testing"
 
 	"cssidx/internal/failfs"
@@ -38,11 +39,19 @@ func FuzzLoadIndex(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A snapshot that loads must serve queries sanely.
-		for _, k := range []Key{0, 3, 500, 2997, 5000} {
-			pos := idx.Search(k)
-			if pos >= len(keys) || (pos >= 0 && keys[pos] != k) {
-				t.Fatalf("restored index: Search(%d) = %d", k, pos)
+		// A snapshot that loads must answer every probe — each key, and
+		// each miss between and around them — exactly as binary search
+		// over the keys does.
+		for k := range Key(3*len(keys) + 2) {
+			want, found := slices.BinarySearch(keys, k)
+			if got := idx.LowerBound(k); got != want {
+				t.Fatalf("restored index: LowerBound(%d) = %d, want %d", k, got, want)
+			}
+			if !found {
+				want = -1
+			}
+			if got := idx.Search(k); got != want {
+				t.Fatalf("restored index: Search(%d) = %d, want %d", k, got, want)
 			}
 		}
 	})

@@ -1,106 +1,47 @@
 package csstree
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 
 	"cssidx/internal/mem"
+	"cssidx/internal/snapio"
 )
 
 // Serialization lets a built directory be snapshotted and re-attached to
 // the same sorted array after a restart, skipping the (cheap but nonzero)
 // rebuild.  Only the directory and geometry are stored — the sorted array
-// is the caller's, exactly as in memory — plus a checksum of the keys so a
-// stale snapshot cannot silently attach to a different array.
+// is the caller's, exactly as in memory — plus an FNV-1a fingerprint of the
+// keys so a stale snapshot cannot silently attach to a different array.
+//
+// The snapshot is one snapio frame: magic, version, variant u32, node size
+// M u32, key count u64, keys fingerprint u64, directory length u64, the
+// directory, and (version 2) the CRC-32C trailer over every byte before it.
+// Version 1 — the same layout without the trailer — still loads.
 
 // Encoding constants.
 const (
 	encMagic   = 0x43535354 // "CSST"
-	encVersion = 1
+	encVersion = 2
 
 	variantFull  = 1
 	variantLevel = 2
 )
 
-// header is the fixed-size snapshot prefix.
-type header struct {
-	Magic    uint32
-	Version  uint32
-	Variant  uint32
-	M        uint32
-	N        uint64
-	KeysHash uint64
-	DirLen   uint64
-}
-
-// keysHash fingerprints the indexed array (FNV-1a over the raw keys).
-func keysHash(keys []uint32) uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint32(buf[:], k)
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
-// writeSnapshot emits header + directory.
+// writeSnapshot emits one frame of header + directory.
 func writeSnapshot(w io.Writer, variant, m int, keys, dir []uint32) (int64, error) {
-	hd := header{
-		Magic:    encMagic,
-		Version:  encVersion,
-		Variant:  uint32(variant),
-		M:        uint32(m),
-		N:        uint64(len(keys)),
-		KeysHash: keysHash(keys),
-		DirLen:   uint64(len(dir)),
+	sw := snapio.NewWriter(w, encMagic, encVersion)
+	sw.U32(uint32(variant))
+	sw.U32(uint32(m))
+	sw.U64(uint64(len(keys)))
+	sw.U64(snapio.FNVU32s(snapio.FNVSeed, keys))
+	sw.U64(uint64(len(dir)))
+	sw.U32s(dir)
+	n, err := sw.Close()
+	if err != nil {
+		return n, fmt.Errorf("csstree: writing snapshot: %w", err)
 	}
-	if err := binary.Write(w, binary.LittleEndian, hd); err != nil {
-		return 0, fmt.Errorf("csstree: writing snapshot header: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, dir); err != nil {
-		return 0, fmt.Errorf("csstree: writing directory: %w", err)
-	}
-	return int64(binary.Size(hd)) + int64(4*len(dir)), nil
-}
-
-// readSnapshot parses and validates a snapshot against the caller's keys.
-func readSnapshot(r io.Reader, keys []uint32) (variant, m int, dir []uint32, err error) {
-	var hd header
-	if err := binary.Read(r, binary.LittleEndian, &hd); err != nil {
-		return 0, 0, nil, fmt.Errorf("csstree: reading snapshot header: %w", err)
-	}
-	if hd.Magic != encMagic {
-		return 0, 0, nil, fmt.Errorf("csstree: bad snapshot magic %#x", hd.Magic)
-	}
-	if hd.Version != encVersion {
-		return 0, 0, nil, fmt.Errorf("csstree: unsupported snapshot version %d", hd.Version)
-	}
-	if hd.Variant != variantFull && hd.Variant != variantLevel {
-		return 0, 0, nil, fmt.Errorf("csstree: unknown variant %d", hd.Variant)
-	}
-	if hd.N != uint64(len(keys)) {
-		return 0, 0, nil, fmt.Errorf("csstree: snapshot indexes %d keys, caller supplied %d", hd.N, len(keys))
-	}
-	if hd.KeysHash != keysHash(keys) {
-		return 0, 0, nil, fmt.Errorf("csstree: snapshot does not match the supplied key array")
-	}
-	// M bounds the directory-size plausibility check below, so validate
-	// it first: an attacker-chosen M must not license a giant allocation.
-	if hd.M < 2 || hd.M > 1<<20 {
-		return 0, 0, nil, fmt.Errorf("csstree: implausible node size %d", hd.M)
-	}
-	if hd.DirLen > uint64(len(keys))+uint64(hd.M) {
-		return 0, 0, nil, fmt.Errorf("csstree: implausible directory size %d", hd.DirLen)
-	}
-	dir = mem.AlignedU32(int(hd.DirLen), mem.CacheLine)
-	if err := binary.Read(r, binary.LittleEndian, dir); err != nil {
-		return 0, 0, nil, fmt.Errorf("csstree: reading directory: %w", err)
-	}
-	mem.Huge(dir)
-	return int(hd.Variant), int(hd.M), dir, nil
+	return n, nil
 }
 
 // Tree is the read interface shared by both variants, satisfied by *Full
@@ -127,26 +68,52 @@ func (t *Level) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Restore reads a snapshot of either variant over keys, which must be the
-// identical array the snapshot was taken from (verified by checksum).
-func Restore(r io.Reader, keys []uint32) (Tree, error) {
-	variant, m, dir, err := readSnapshot(r, keys)
+// identical array the snapshot was taken from (verified by fingerprint).
+func Restore(rd io.Reader, keys []uint32) (Tree, error) {
+	r := snapio.NewReader(rd)
+	magic, version, variant, m := r.U32(), r.U32(), r.U32(), r.U32()
+	n, keysHash, dirLen := r.U64(), r.U64(), r.U64()
+	var err error
+	switch {
+	case r.Err() != nil:
+		err = fmt.Errorf("csstree: reading snapshot header: %w", r.Err())
+	case magic != encMagic:
+		err = fmt.Errorf("csstree: bad snapshot magic %#x", magic)
+	case version < 1 || version > encVersion:
+		err = fmt.Errorf("csstree: unsupported snapshot version %d", version)
+	case variant != variantFull && variant != variantLevel:
+		err = fmt.Errorf("csstree: unknown variant %d", variant)
+	case n != uint64(len(keys)):
+		err = fmt.Errorf("csstree: snapshot indexes %d keys, caller supplied %d", n, len(keys))
+	case keysHash != snapio.FNVU32s(snapio.FNVSeed, keys):
+		err = fmt.Errorf("csstree: snapshot does not match the supplied key array")
+	case m < 2 || m > 1<<20:
+		err = fmt.Errorf("csstree: implausible node size %d", m)
+	}
 	if err != nil {
 		return nil, err
 	}
-	switch variant {
-	case variantFull:
-		g := FullGeometry(len(keys), m)
-		if g.DirectoryKeys() != len(dir) {
-			return nil, fmt.Errorf("csstree: directory size %d does not match geometry %d", len(dir), g.DirectoryKeys())
-		}
-		return &Full{keys: keys, dir: dir, g: g}, nil
-	default:
-		g := LevelGeometry(len(keys), m)
-		if g.DirectoryKeys() != len(dir) {
-			return nil, fmt.Errorf("csstree: directory size %d does not match geometry %d", len(dir), g.DirectoryKeys())
-		}
-		return &Level{keys: keys, dir: dir, g: g}, nil
+	// The geometry fixes the directory size before anything is allocated.
+	g := LevelGeometry(len(keys), int(m))
+	if variant == variantFull {
+		g = FullGeometry(len(keys), int(m))
 	}
+	if dirLen != uint64(g.DirectoryKeys()) {
+		return nil, fmt.Errorf("csstree: directory size %d does not match geometry %d", dirLen, g.DirectoryKeys())
+	}
+	// The aligned directory has room for every value: it is filled in place.
+	dir := r.AppendU32s(mem.AlignedU32(int(dirLen), mem.CacheLine)[:0], dirLen)
+	if version >= 2 {
+		r.Trailer()
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("csstree: reading directory: %w", err)
+	}
+	mem.Huge(dir)
+	if variant == variantFull {
+		return &Full{keys: keys, dir: dir, g: g}, nil
+	}
+	return &Level{keys: keys, dir: dir, g: g}, nil
 }
 
 // ReadFull restores a full CSS-tree snapshot over keys.

@@ -2,6 +2,7 @@ package csstree
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"cssidx/internal/workload"
@@ -124,6 +125,39 @@ func TestSnapshotTruncated(t *testing.T) {
 	for _, cut := range []int{1, 10, len(whole) / 2, len(whole) - 1} {
 		if _, err := ReadFull(bytes.NewReader(whole[:cut]), keys); err == nil {
 			t.Errorf("accepted snapshot truncated to %d bytes", cut)
+		}
+	}
+}
+
+// TestSnapshotBitFlips flips every bit of a small full and a small level
+// snapshot in turn: each flipped snapshot must fail Restore, or restore a
+// tree that answers every probe exactly as the original does.
+func TestSnapshotBitFlips(t *testing.T) {
+	keys := make([]uint32, 400)
+	for i := range keys {
+		keys[i] = uint32(3*i + i%2)
+	}
+	for _, orig := range []Tree{BuildFull(keys, 8), BuildLevel(keys, 8)} {
+		var buf bytes.Buffer
+		if _, err := orig.(io.WriterTo).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap := buf.Bytes()
+		for i := range 8 * len(snap) {
+			bad := bytes.Clone(snap)
+			bad[i/8] ^= 1 << (i % 8)
+			tr, err := Restore(bytes.NewReader(bad), keys)
+			if err != nil {
+				continue
+			}
+			for k := range uint32(3*len(keys) + 2) {
+				if a, b := orig.Search(k), tr.Search(k); a != b {
+					t.Fatalf("%T: bit %d of byte %d flipped: Search(%d) = %d, want %d", orig, i%8, i/8, k, b, a)
+				}
+				if a, b := orig.LowerBound(k), tr.LowerBound(k); a != b {
+					t.Fatalf("%T: bit %d of byte %d flipped: LowerBound(%d) = %d, want %d", orig, i%8, i/8, k, b, a)
+				}
+			}
 		}
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"maps"
 	"slices"
 
 	"cssidx/internal/failfs"
 	"cssidx/internal/governor"
-	"cssidx/internal/qcache"
+	"cssidx/internal/snapio"
 	"cssidx/internal/wal"
 )
 
@@ -241,160 +240,65 @@ const (
 	// under a u64 FNV-1a trailer over each column's name and values — still
 	// loads.
 	snapVersion = 2
-	// snapChunk bounds a single read/allocation when decoding column
-	// values, so a corrupt length prefix cannot force a huge allocation:
-	// memory grows only as fast as bytes actually read.
-	snapChunk = 1 << 16
 )
 
-// snapCRC is the write-ahead log's checksum (CRC-32C): hardware-assisted,
-// and taken over the byte buffers the codec moves anyway.
-var snapCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// Snapshot layout: magic u32, version u32, walSeq u64, ncols u32, then
-// per column u32 nameLen, name, u32 n, n values; finally a u32 CRC-32C of
-// every byte before it, so a torn or bit-flipped snapshot is rejected
-// rather than served.
+// Snapshot layout, one snapio frame: magic u32, version u32, walSeq u64,
+// ncols u32, then per column u32 nameLen, name, u32 n, n values; finally
+// the CRC-32C trailer over every byte before it, so a torn or bit-flipped
+// snapshot is rejected rather than served.
 func (tableCodec) Save(w io.Writer, t *Table, seq uint64) error {
-	var u [8]byte
-	var crc uint32
-	wr := func(b []byte) error {
-		crc = crc32.Update(crc, snapCRC, b)
-		_, err := w.Write(b)
-		return err
-	}
-	pu32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(u[:4], v)
-		return wr(u[:4])
-	}
-	if err := pu32(snapMagic); err != nil {
-		return err
-	}
-	if err := pu32(snapVersion); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(u[:], seq)
-	if err := wr(u[:]); err != nil {
-		return err
-	}
-	if err := pu32(uint32(len(t.order))); err != nil {
-		return err
-	}
+	sw := snapio.NewWriter(w, snapMagic, snapVersion)
+	sw.U64(seq)
+	sw.U32(uint32(len(t.order)))
 	for _, name := range t.order {
-		c := t.cols[name]
-		if err := pu32(uint32(len(name))); err != nil {
-			return err
-		}
-		if err := wr([]byte(name)); err != nil {
-			return err
-		}
-		if err := pu32(uint32(len(c.raw))); err != nil {
-			return err
-		}
-		buf := make([]byte, 0, 4*min(len(c.raw), snapChunk))
-		for off := 0; off < len(c.raw); off += snapChunk {
-			end := min(off+snapChunk, len(c.raw))
-			buf = buf[:0]
-			for _, v := range c.raw[off:end] {
-				buf = binary.LittleEndian.AppendUint32(buf, v)
-			}
-			if err := wr(buf); err != nil {
-				return err
-			}
-		}
+		raw := t.cols[name].raw
+		sw.U32(uint32(len(name)))
+		sw.String(name)
+		sw.U32(uint32(len(raw)))
+		sw.U32s(raw)
 	}
-	return pu32(crc)
+	_, err := sw.Close()
+	return err
 }
 
 // Load decodes a snapshot of either version.
-func (c tableCodec) Load(r io.Reader) (*Table, uint64, error) {
-	bad := func(what string) (*Table, uint64, error) {
-		return nil, 0, fmt.Errorf("mmdb: corrupt snapshot (%s)", what)
-	}
-	var u [8]byte
-	var crc uint32
-	read := func(b []byte) error {
-		_, err := io.ReadFull(r, b)
-		crc = crc32.Update(crc, snapCRC, b)
-		return err
-	}
-	ru32 := func() (uint32, error) {
-		err := read(u[:4])
-		return binary.LittleEndian.Uint32(u[:4]), err
-	}
-	magic, err := ru32()
-	if err != nil {
-		return bad("short header")
-	}
-	if magic != snapMagic {
-		return bad("bad magic")
-	}
-	version, err := ru32()
-	if err != nil || version < 1 || version > snapVersion {
-		return bad("version")
-	}
-	if err := read(u[:]); err != nil {
-		return bad("short header")
-	}
-	seq := binary.LittleEndian.Uint64(u[:])
-	ncols, err := ru32()
-	if err != nil {
-		return bad("short header")
-	}
-	if ncols > 1<<20 {
-		return bad("column count")
+func (c tableCodec) Load(rd io.Reader) (*Table, uint64, error) {
+	r := snapio.NewReader(rd)
+	magic, version, seq, ncols := r.U32(), r.U32(), r.U64(), r.U32()
+	switch {
+	case r.Err() != nil:
+		return nil, 0, fmt.Errorf("mmdb: corrupt snapshot header: %w", r.Err())
+	case magic != snapMagic || version < 1 || version > snapVersion || ncols > 1<<20:
+		return nil, 0, fmt.Errorf("mmdb: corrupt snapshot (magic %#x, version %d, %d columns)", magic, version, ncols)
 	}
 	t := c.Empty()
-	fnv := uint64(qcache.HashSeed) // the version-1 checksum
-	for i := uint32(0); i < ncols; i++ {
-		nameLen, err := ru32()
-		if err != nil {
-			return bad("column name length")
-		}
+	fnv := snapio.FNVSeed // the version-1 checksum
+	for i := uint32(0); i < ncols && r.Err() == nil; i++ {
+		nameLen := r.U32()
 		if nameLen > 1<<20 {
-			return bad("column name length")
+			return nil, 0, fmt.Errorf("mmdb: corrupt snapshot (column name length)")
 		}
-		nameBuf := make([]byte, nameLen)
-		if err := read(nameBuf); err != nil {
-			return bad("column name")
+		name := r.String(uint64(nameLen))
+		vals := r.AppendU32s(nil, uint64(r.U32()))
+		if r.Err() != nil {
+			break
 		}
-		n, err := ru32()
-		if err != nil {
-			return bad("row count")
-		}
-		// Chunked decode: allocation tracks bytes actually present, so
-		// a corrupt count fails at EOF instead of ballooning memory.
-		vals := make([]uint32, 0, min(int(n), snapChunk))
-		raw := make([]byte, 4*min(int(n), snapChunk))
-		for got := 0; got < int(n); {
-			step := min(int(n)-got, snapChunk)
-			if err := read(raw[:4*step]); err != nil {
-				return bad("column values")
-			}
-			for j := 0; j < step; j++ {
-				vals = append(vals, binary.LittleEndian.Uint32(raw[4*j:]))
-			}
-			got += step
-		}
-		colName := string(nameBuf)
 		if version == 1 {
-			fnv = qcache.HashU32s(qcache.HashString(fnv, colName), vals)
+			fnv = snapio.FNVU32s(snapio.FNVString(fnv, name), vals)
 		}
-		if err := t.AddColumn(colName, vals); err != nil {
+		if err := t.AddColumn(name, vals); err != nil {
 			return nil, 0, err
 		}
 	}
-	// The trailer is the one read the checksum does not cover.
-	want, trailer := uint64(crc), u[:4]
 	if version == 1 {
-		want, trailer = fnv, u[:]
+		if sum := r.U64(); r.Err() == nil && sum != fnv {
+			return nil, 0, fmt.Errorf("mmdb: corrupt snapshot: %w", snapio.ErrChecksum)
+		}
+	} else {
+		r.Trailer()
 	}
-	clear(u[:])
-	if _, err := io.ReadFull(r, trailer); err != nil {
-		return bad("missing checksum")
-	}
-	if binary.LittleEndian.Uint64(u[:]) != want {
-		return bad("checksum mismatch")
+	if err := r.Err(); err != nil {
+		return nil, 0, fmt.Errorf("mmdb: corrupt snapshot: %w", err)
 	}
 	return t, seq, nil
 }

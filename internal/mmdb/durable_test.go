@@ -346,10 +346,11 @@ func snapshotV1(t *Table, seq uint64) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(name)))
 		b = append(b, name...)
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(raw)))
+		sum = qcache.HashString(sum, name)
 		for _, v := range raw {
 			b = binary.LittleEndian.AppendUint32(b, v)
+			sum = qcache.HashU32(sum, v)
 		}
-		sum = qcache.HashU32s(qcache.HashString(sum, name), raw)
 	}
 	return binary.LittleEndian.AppendUint64(b, sum)
 }

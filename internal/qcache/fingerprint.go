@@ -106,17 +106,6 @@ func HashU32(h uint64, v uint32) uint64 {
 	return h
 }
 
-// HashU32s folds a uint32 slice into a running FNV-1a hash, one byte per
-// multiply.  Frozen: persisted checksums use it (shard files, version-1
-// durable snapshots), so its output must never change.  In-memory
-// fingerprints of long lists use HashWords.
-func HashU32s(h uint64, vs []uint32) uint64 {
-	for _, v := range vs {
-		h = HashU32(h, v)
-	}
-	return h
-}
-
 // HashWords folds a uint32 slice into a running hash two values per 64-bit
 // word (wordStep).  The length is folded in first, so a zero-padded tail
 // ([1,2,0] against [1,2,0,0]) still differs.  Every step is a bijection of

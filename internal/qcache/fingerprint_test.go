@@ -7,21 +7,12 @@ import (
 	"testing"
 )
 
-// TestFingerprintHash pins the frozen checksum hash and checks the in-memory
-// list hash: HashU32s must hash exactly as it always has (shard files and
-// durable snapshots store its output), while HashWords must separate
-// permutations, single-value changes, zero-padded tails and the top-bit
-// patterns that cancel across two words, and produce no collision over a
-// million distinct lists.
+// TestFingerprintHash checks the in-memory list hash: HashWords must
+// separate permutations, single-value changes, zero-padded tails and the
+// top-bit patterns that cancel across two words, and produce no collision
+// over a million distinct lists.  (The frozen checksum fold persisted
+// snapshots use lives in internal/snapio and is pinned there.)
 func TestFingerprintHash(t *testing.T) {
-	// Golden values: a change here breaks every persisted checksum.
-	if got := HashU32s(HashSeed, []uint32{0, 1, 2, 255, 256, 0xdeadbeef, math.MaxUint32}); got != 0x129c1a788fd7a87c {
-		t.Fatalf("HashU32s drifted: %#x", got)
-	}
-	if got := HashU32s(HashString(HashSeed, "k"), []uint32{7, 7, 1 << 31}); got != 0x1e56dff33a0714af {
-		t.Fatalf("HashU32s after HashString drifted: %#x", got)
-	}
-
 	h := func(vs ...uint32) uint64 { return HashWords(HashSeed, vs) }
 	for _, c := range [][2][]uint32{
 		{{}, {0}},

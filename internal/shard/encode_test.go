@@ -39,7 +39,7 @@ func TestSaveLoadWithTombstones(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := shard.SaveU32(&buf, x.View()); err != nil {
+	if err := shard.SaveU32(&buf, x.View(), 0); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := cssidx.LoadSharded(&buf, cssidx.ShardedOptions[uint32]{})

@@ -49,13 +49,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"cssidx/internal/failfs"
+	"cssidx/internal/snapio"
 	"cssidx/internal/telemetry"
 )
 
@@ -72,8 +72,6 @@ const (
 	// enough, and Append refuses to write them.
 	maxRecord = 1 << 30
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
@@ -205,33 +203,27 @@ func (l *Log) replay() ([]Record, error) {
 		return nil, fmt.Errorf("wal: sizing %s: %w", l.path, err)
 	}
 
-	var hdr [headerSize]byte
-	fresh := false
-	if size < headerSize {
-		fresh = true
-	} else {
-		if _, err := io.ReadFull(l.f, hdr[:]); err != nil {
+	fresh := size < headerSize
+	var baseSeq uint64
+	if !fresh {
+		r := snapio.NewReader(l.f)
+		magic, version := r.U32(), r.U32()
+		baseSeq = r.U64()
+		r.Trailer()
+		switch err := r.Err(); {
+		case err != nil && !errors.Is(err, snapio.ErrChecksum):
 			return nil, fmt.Errorf("wal: reading header: %w", err)
-		}
-		crc := crc32.Checksum(hdr[:16], crcTable)
-		magicOK := binary.LittleEndian.Uint32(hdr[0:4]) == logMagic
-		switch {
-		case crc == binary.LittleEndian.Uint32(hdr[16:20]):
-			if !magicOK {
-				return nil, fmt.Errorf("wal: %s is not a write-ahead log (magic %#x)", l.path, binary.LittleEndian.Uint32(hdr[0:4]))
-			}
-			if v := binary.LittleEndian.Uint32(hdr[4:8]); v != logVersion {
-				return nil, fmt.Errorf("wal: unsupported log version %d", v)
-			}
-		case magicOK:
+		case magic != logMagic:
+			return nil, fmt.Errorf("wal: %s is not a write-ahead log (magic %#x)", l.path, magic)
+		case err != nil:
 			// Right magic, bad checksum: a torn header.  It can only
 			// mean the header never became durable — records are
 			// written after it and synced with or after it — so
 			// nothing durable is lost by starting over.  (The caller
 			// re-bases the sequence past its snapshot via Advance.)
 			fresh = true
-		default:
-			return nil, fmt.Errorf("wal: %s is not a write-ahead log (magic %#x)", l.path, binary.LittleEndian.Uint32(hdr[0:4]))
+		case version != logVersion:
+			return nil, fmt.Errorf("wal: unsupported log version %d", version)
 		}
 	}
 	if fresh {
@@ -241,7 +233,6 @@ func (l *Log) replay() ([]Record, error) {
 		return nil, nil
 	}
 
-	baseSeq := binary.LittleEndian.Uint64(hdr[8:16])
 	if baseSeq == 0 {
 		baseSeq = 1
 	}
@@ -268,9 +259,7 @@ func (l *Log) replay() ([]Record, error) {
 		if _, err := io.ReadFull(l.f, payload); err != nil {
 			break
 		}
-		sum := crc32.Checksum(rh[8:16], crcTable)
-		sum = crc32.Update(sum, crcTable, payload)
-		if sum != crc {
+		if snapio.CRC(snapio.CRC(0, rh[8:16]), payload) != crc {
 			break // checksum mismatch: torn or corrupt
 		}
 		if seq != l.nextSeq {
@@ -293,18 +282,22 @@ func (l *Log) replay() ([]Record, error) {
 	return recs, nil
 }
 
+// writeHeader writes the log header, one snapio frame: magic, version and
+// the base sequence under their CRC-32C, in a single write.
+func writeHeader(w io.Writer, baseSeq uint64) error {
+	sw := snapio.NewWriter(w, logMagic, logVersion)
+	sw.U64(baseSeq)
+	_, err := sw.Close()
+	return err
+}
+
 // reset truncates the file and writes a fresh durable header carrying
 // baseSeq; l.mu is held (or the log is not yet shared).
 func (l *Log) reset(baseSeq uint64) error {
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: resetting log: %w", err)
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], logMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], logVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], baseSeq)
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(hdr[:16], crcTable))
-	if _, err := l.f.Write(hdr[:]); err != nil {
+	if err := writeHeader(l.f, baseSeq); err != nil {
 		return fmt.Errorf("wal: writing header: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
@@ -345,9 +338,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(buf[8:16], seq)
 	copy(buf[recHdrSize:], payload)
-	sum := crc32.Checksum(buf[8:16], crcTable)
-	sum = crc32.Update(sum, crcTable, payload)
-	binary.LittleEndian.PutUint32(buf[4:8], sum)
+	binary.LittleEndian.PutUint32(buf[4:8], snapio.CRC(snapio.CRC(0, buf[8:16]), payload))
 
 	if _, err := l.f.Write(buf); err != nil {
 		// The write may have partially landed; roll the file back so
@@ -496,17 +487,12 @@ func (l *Log) Checkpoint() error {
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint temp: %w", err)
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], logMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], logVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], l.nextSeq)
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(hdr[:16], crcTable))
 	cleanup := func(err error) error {
 		tmp.Close()
 		l.fsys.Remove(tmp.Name())
 		return err
 	}
-	if _, err := tmp.Write(hdr[:]); err != nil {
+	if err := writeHeader(tmp, l.nextSeq); err != nil {
 		return cleanup(fmt.Errorf("wal: checkpoint header: %w", err))
 	}
 	if err := tmp.Sync(); err != nil {

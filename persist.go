@@ -10,10 +10,11 @@ import (
 )
 
 // SaveIndex writes a restartable snapshot of a CSS-tree index (either
-// variant) to w.  The snapshot holds the directory and a checksum of the
-// indexed keys; the sorted array itself is not stored — on restart it is
-// re-attached with LoadIndex, which verifies the checksum so a stale
-// snapshot cannot silently index the wrong data.
+// variant) to w.  The snapshot holds the directory and an FNV-1a
+// fingerprint of the indexed keys, under a CRC-32C of every byte; the sorted
+// array itself is not stored — on restart it is re-attached with LoadIndex,
+// which verifies the fingerprint so a stale snapshot cannot silently index
+// the wrong data.
 //
 // Durability is the caller's: SaveIndex only writes to w.  Use
 // SaveIndexFile for the atomic temp+fsync+rename commit whose crash
@@ -37,9 +38,11 @@ func SaveIndex(w io.Writer, idx Index) error {
 }
 
 // LoadIndex restores a snapshot written by SaveIndex over keys, which must
-// be the identical sorted array the snapshot was built from.  Corrupt or
-// truncated input returns an error — never a panic — and allocations are
-// capped by the validated header, so hostile bytes cannot balloon memory.
+// be the identical sorted array the snapshot was built from.  A SaveIndex
+// snapshot with any bit flipped or cut short returns an error — never a
+// panic — and the directory's size is fixed by the keys' geometry before it
+// is allocated, so hostile bytes cannot balloon memory.  Snapshots written
+// before the CRC-32C trailer (version 1) still load.
 func LoadIndex(r io.Reader, keys []Key) (OrderedIndex, error) {
 	tr, err := csstree.Restore(r, keys)
 	if err != nil {
@@ -57,7 +60,7 @@ func LoadIndex(r io.Reader, keys []Key) (OrderedIndex, error) {
 
 // SaveSharded writes a restartable snapshot of a uint32 sharded index: the
 // shard boundaries and every shard's sorted key array, captured from one
-// frozen cross-shard view (checksummed).  Pending updates not yet absorbed
+// frozen cross-shard view, under a CRC-32C of every byte.  Pending updates not yet absorbed
 // by the background rebuilder are not captured; call Sync first when they
 // must be.  Unlike SaveIndex, the snapshot is self-contained — shards own
 // their arrays after epoch-swaps, so the keys travel with the boundaries.
@@ -66,7 +69,7 @@ func LoadIndex(r io.Reader, keys []Key) (OrderedIndex, error) {
 // SaveShardedFile for the atomic crash-safe commit, and OpenWAL for
 // continuous durability of Insert/Delete batches between snapshots.
 func SaveSharded(w io.Writer, x *ShardedIndex[uint32]) error {
-	return shard.SaveU32(w, x.ix.View())
+	return shard.SaveU32(w, x.ix.View(), 0)
 }
 
 // LoadSharded restores a snapshot written by SaveSharded, rebuilding each
@@ -74,11 +77,13 @@ func SaveSharded(w io.Writer, x *ShardedIndex[uint32]) error {
 // paper's rebuild-don't-maintain cycle).  opts supplies the serving knobs
 // — NodeSlots, Schedule, Parallel — while Shards and
 // SkewSample are ignored: the partition comes from the snapshot.
-// Corrupt or truncated input returns an error — never a panic — and
-// reads are chunked so absurd length prefixes cannot force huge
-// allocations.
+// A SaveSharded snapshot with any bit flipped or cut short returns an
+// error — never a panic — and arrays are read in steps that grow only with the bytes
+// present, so absurd length prefixes cannot force huge allocations.  It
+// also loads a DurableSharded snapshot, ignoring the log sequence it
+// records, and snapshots written before the CRC-32C trailer (version 1).
 func LoadSharded(r io.Reader, opts ShardedOptions[uint32]) (*ShardedIndex[uint32], error) {
-	keys, bounds, err := shard.LoadU32(r)
+	keys, bounds, _, err := shard.LoadU32(r)
 	if err != nil {
 		return nil, err
 	}

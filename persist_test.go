@@ -255,3 +255,105 @@ func TestSaveFileAtomicSurvivesTornWrite(t *testing.T) {
 	}
 	restored.Close()
 }
+
+// goldenSharded is the sharded index testdata/snapshot/sharded.*.snap hold:
+// 300 keys, each value twice, in 3 shards.
+func goldenSharded() *cssidx.ShardedIndex[uint32] {
+	keys := make([]uint32, 300)
+	for i := range keys {
+		keys[i] = uint32(5 * (i / 2))
+	}
+	return cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 3})
+}
+
+// sameSharded fails t unless got holds exactly want's keys in want's shards.
+func sameSharded(t *testing.T, got, want *cssidx.ShardedIndex[uint32]) {
+	t.Helper()
+	if got.Len() != want.Len() || got.ShardCount() != want.ShardCount() {
+		t.Fatalf("%d keys in %d shards, want %d in %d", got.Len(), got.ShardCount(), want.Len(), want.ShardCount())
+	}
+	g, w := got.Snapshot(), want.Snapshot()
+	for pos := range want.Len() {
+		if g.Key(pos) != w.Key(pos) {
+			t.Fatalf("Key(%d) = %d, want %d", pos, g.Key(pos), w.Key(pos))
+		}
+	}
+}
+
+// TestSnapshotGoldenFiles pins both snapshot versions of SaveIndex and
+// SaveSharded.  testdata/snapshot holds, per kind, a version-1 file written
+// before snapshots ended in a CRC-32C trailer and a version-2 file written
+// by the current encoder: both must load and answer like a fresh index, and
+// a save must still write the version-2 bytes.
+func TestSnapshotGoldenFiles(t *testing.T) {
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata/snapshot", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	keys := make([]cssidx.Key, 300)
+	for i := range keys {
+		keys[i] = cssidx.Key(3*i + 1)
+	}
+	for name, kind := range map[string]cssidx.Kind{"full": cssidx.KindFullCSS, "level": cssidx.KindLevelCSS} {
+		idx := cssidx.New(kind, keys, cssidx.Options{})
+		for _, version := range []string{"v1", "v2"} {
+			loaded, err := cssidx.LoadIndex(bytes.NewReader(read(name+"."+version+".snap")), keys)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, version, err)
+			}
+			for k := range cssidx.Key(3*len(keys) + 2) {
+				if a, b := idx.Search(k), loaded.Search(k); a != b {
+					t.Fatalf("%s %s: Search(%d) = %d, want %d", name, version, k, b, a)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := cssidx.SaveIndex(&buf, idx); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), read(name+".v2.snap")) {
+			t.Fatalf("%s: SaveIndex wrote %x", name, buf.Bytes())
+		}
+	}
+
+	x := goldenSharded()
+	defer x.Close()
+	for _, version := range []string{"v1", "v2"} {
+		loaded, err := cssidx.LoadSharded(bytes.NewReader(read("sharded."+version+".snap")), cssidx.ShardedOptions[uint32]{})
+		if err != nil {
+			t.Fatalf("sharded %s: %v", version, err)
+		}
+		sameSharded(t, loaded, x)
+		loaded.Close()
+	}
+	var buf bytes.Buffer
+	if err := cssidx.SaveSharded(&buf, x); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), read("sharded.v2.snap")) {
+		t.Fatalf("SaveSharded wrote %x", buf.Bytes())
+	}
+}
+
+// TestSaveShardedBitFlips: every single-bit flip of a sharded snapshot —
+// header, boundaries, lengths, keys or trailer — fails to load.
+func TestSaveShardedBitFlips(t *testing.T) {
+	x := goldenSharded()
+	defer x.Close()
+	var buf bytes.Buffer
+	if err := cssidx.SaveSharded(&buf, x); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	for i := range 8 * len(snap) {
+		bad := bytes.Clone(snap)
+		bad[i/8] ^= 1 << (i % 8)
+		if y, err := cssidx.LoadSharded(bytes.NewReader(bad), cssidx.ShardedOptions[uint32]{}); err == nil {
+			y.Close()
+			t.Fatalf("bit %d of byte %d flipped, snapshot loaded", i%8, i/8)
+		}
+	}
+}
