@@ -10,8 +10,9 @@
 // memory-access schedule changes.
 //
 // BatchIndex and BatchOrderedIndex are the batch counterparts of Index and
-// OrderedIndex.  The CSS-trees (uint32 and generic) implement them natively
-// with the lockstep kernel of internal/csstree; AsBatch/AsBatchOrdered adapt
+// OrderedIndex.  The uint32 CSS-trees implement them natively with the
+// lockstep kernel of internal/csstree (Generic[K] has a lockstep comparison
+// descent of its own for every key type); AsBatch/AsBatchOrdered adapt
 // any other method through a scalar loop, so every Kind can be driven through
 // the same batched call sites.  Positions are int32 (the paper's 4-byte RID,
 // Table 1), which keeps result buffers at half the size of []int and lets one
@@ -20,7 +21,6 @@
 package cssidx
 
 import (
-	"cssidx/internal/csstree"
 	"cssidx/internal/parallel"
 	"cssidx/internal/sortu32"
 )
@@ -200,15 +200,9 @@ func (s *SortedBatch) EqualRangeBatch(probes []Key, first, last []int32) {
 
 // --- native batch methods of the uint32 CSS-trees ---------------------------
 
-func (x fullCSS) SearchBatch(probes []Key, out []int32)     { x.t.SearchBatch(probes, out) }
-func (x fullCSS) LowerBoundBatch(probes []Key, out []int32) { x.t.LowerBoundBatch(probes, out) }
-func (x fullCSS) EqualRangeBatch(probes []Key, first, last []int32) {
-	x.t.EqualRangeBatch(probes, first, last)
-}
-
-func (x levelCSS) SearchBatch(probes []Key, out []int32)     { x.t.SearchBatch(probes, out) }
-func (x levelCSS) LowerBoundBatch(probes []Key, out []int32) { x.t.LowerBoundBatch(probes, out) }
-func (x levelCSS) EqualRangeBatch(probes []Key, first, last []int32) {
+func (x cssTree) SearchBatch(probes []Key, out []int32)     { x.t.SearchBatch(probes, out) }
+func (x cssTree) LowerBoundBatch(probes []Key, out []int32) { x.t.LowerBoundBatch(probes, out) }
+func (x cssTree) EqualRangeBatch(probes []Key, first, last []int32) {
 	x.t.EqualRangeBatch(probes, first, last)
 }
 
@@ -219,28 +213,10 @@ func (x levelCSS) EqualRangeBatch(probes []Key, first, last []int32) {
 // from the out-of-order window, which sixteen independent node reads fill.
 const genericBatchWidth = 16
 
-// batchU32 answers the batch through csstree.DescendBatch — the one
-// lockstep descent of the uint32 trees, with its level-pass kernel and
-// fused leaf step — when K is uint32, and reports whether it did.
-func (t *Generic[K]) batchU32(op csstree.BatchOp, probes []K, first, last []int32) bool {
-	if t.keysU32 == nil {
-		return false
-	}
-	pu, ok := any(probes).([]uint32)
-	if ok {
-		csstree.DescendBatch(&t.g, t.dirU32, t.keysU32, op, pu, first, last)
-	}
-	return ok
-}
-
 // LowerBoundBatch computes LowerBound for every probe into out
 // (len(out) must equal len(probes)), descending the group in lockstep.
-// uint32 keys take the kernel descent of internal/csstree.
 func (t *Generic[K]) LowerBoundBatch(probes []K, out []int32) {
 	checkBatchLen(len(probes), len(out))
-	if t.batchU32(csstree.BatchLowerBound, probes, out, nil) {
-		return
-	}
 	g := &t.g
 	if g.Internal == 0 {
 		for i, p := range probes {
@@ -248,7 +224,7 @@ func (t *Generic[K]) LowerBoundBatch(probes []K, out []int32) {
 		}
 		return
 	}
-	m, fan, lNode, routing := g.M, g.Fanout, g.LNode, t.routing
+	m, fan, lNode, routing := g.M, g.Fanout, g.LNode, g.Routing()
 	var nodes [genericBatchWidth]int32
 	i := 0
 	for ; i+genericBatchWidth <= len(probes); i += genericBatchWidth {
@@ -288,9 +264,6 @@ func (t *Generic[K]) LowerBoundBatch(probes []K, out []int32) {
 // SearchBatch computes Search for every probe into out: the position of the
 // leftmost occurrence, or -1 if absent.
 func (t *Generic[K]) SearchBatch(probes []K, out []int32) {
-	if t.batchU32(csstree.BatchSearch, probes, out, nil) {
-		return
-	}
 	t.LowerBoundBatch(probes, out)
 	n := int32(len(t.keys))
 	for i, p := range probes {
@@ -303,9 +276,6 @@ func (t *Generic[K]) SearchBatch(probes []K, out []int32) {
 // EqualRangeBatch computes EqualRange for every probe into (first, last).
 func (t *Generic[K]) EqualRangeBatch(probes []K, first, last []int32) {
 	checkBatchLen(len(probes), len(last))
-	if t.batchU32(csstree.BatchEqualRange, probes, first, last) {
-		return
-	}
 	t.LowerBoundBatch(probes, first)
 	n := int32(len(t.keys))
 	for i, p := range probes {

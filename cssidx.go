@@ -110,36 +110,30 @@ type OrderedIndex interface {
 
 // --- CSS-trees -------------------------------------------------------------
 
-type fullCSS struct{ t *csstree.Full }
+// cssTree serves both CSS-tree variants: the tree's geometry fixes its
+// fan-out and its Name.
+type cssTree struct{ t *csstree.Tree }
 
 // NewFullCSS builds a full CSS-tree (§4.1) over the sorted keys with the
 // given node size in bytes (use DefaultNodeBytes to match the cache line).
 // keys is retained, not copied.
 func NewFullCSS(keys []Key, nodeBytes int) OrderedIndex {
-	return fullCSS{csstree.BuildFull(keys, slotsFor(nodeBytes))}
+	return cssTree{csstree.BuildFull(keys, slotsFor(nodeBytes))}
 }
-
-func (x fullCSS) Name() string                  { return "full CSS-tree" }
-func (x fullCSS) Search(key Key) int            { return x.t.Search(key) }
-func (x fullCSS) LowerBound(key Key) int        { return x.t.LowerBound(key) }
-func (x fullCSS) EqualRange(key Key) (int, int) { return x.t.EqualRange(key) }
-func (x fullCSS) SpaceBytes() int               { return x.t.SpaceBytes() }
-
-type levelCSS struct{ t *csstree.Level }
 
 // NewLevelCSS builds a level CSS-tree (§4.2) over the sorted keys with the
 // given node size in bytes; the node size must be a power of two ≥ 8.
 // Level CSS-trees trade a slightly larger directory for fewer comparisons —
 // across the paper's tests they were up to 8% faster than full CSS-trees.
 func NewLevelCSS(keys []Key, nodeBytes int) OrderedIndex {
-	return levelCSS{csstree.BuildLevel(keys, slotsFor(nodeBytes))}
+	return cssTree{csstree.BuildLevel(keys, slotsFor(nodeBytes))}
 }
 
-func (x levelCSS) Name() string                  { return "level CSS-tree" }
-func (x levelCSS) Search(key Key) int            { return x.t.Search(key) }
-func (x levelCSS) LowerBound(key Key) int        { return x.t.LowerBound(key) }
-func (x levelCSS) EqualRange(key Key) (int, int) { return x.t.EqualRange(key) }
-func (x levelCSS) SpaceBytes() int               { return x.t.SpaceBytes() }
+func (x cssTree) Name() string                  { return x.t.Name() }
+func (x cssTree) Search(key Key) int            { return x.t.Search(key) }
+func (x cssTree) LowerBound(key Key) int        { return x.t.LowerBound(key) }
+func (x cssTree) EqualRange(key Key) (int, int) { return x.t.EqualRange(key) }
+func (x cssTree) SpaceBytes() int               { return x.t.SpaceBytes() }
 
 // --- B+-tree ----------------------------------------------------------------
 

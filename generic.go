@@ -11,14 +11,17 @@
 //     through a key extractor, so a table clustered by an attribute can be
 //     indexed in place without materialising a key array.
 //
-// The uint32 fast path (NewFullCSS/NewLevelCSS) remains the tuned,
-// paper-exact implementation; these generic forms trade the hard-coded node
-// search for type generality.
+// Both lay out their directories with csstree's Geometry and fill them with
+// csstree.Fill, the one fill routine of each variant, so a Generic[uint32]
+// or RecordTree[uint32] directory equals BuildFull's or BuildLevel's slot
+// for slot.  The uint32 index (NewFullCSS/NewLevelCSS) remains the tuned,
+// paper-exact path, with the dispatched node-search kernels and the
+// prefetching batch descent; these generic forms trade them for type
+// generality.
 package cssidx
 
 import (
 	"cmp"
-	"fmt"
 
 	"cssidx/internal/csstree"
 )
@@ -26,70 +29,32 @@ import (
 // Generic is a CSS-tree (full or level variant) over a sorted slice of any
 // ordered key type.  Build with NewGenericFull or NewGenericLevel.
 type Generic[K cmp.Ordered] struct {
-	keys    []K
-	dir     []K
-	g       csstree.Geometry
-	routing int // routing keys per node: m (full) or m−1 (level)
-
-	// When K's width permits — K is uint32 — the same slices re-typed,
-	// cached once at build time: the batch descents then run through the
-	// dispatched node-search kernels of internal/binsearch (SIMD/scalar)
-	// instead of the generic comparison loop, without paying an interface
-	// conversion per call.
-	keysU32 []uint32
-	dirU32  []uint32
+	keys []K
+	dir  []K
+	g    csstree.Geometry
 }
 
 // NewGenericFull builds a full CSS-tree over the sorted keys with m keys
 // per node.  Choose m so that m·sizeof(K) matches the cache line (e.g. m=8
 // for 8-byte keys on 64-byte lines).  keys is retained, not copied.
 func NewGenericFull[K cmp.Ordered](keys []K, m int) *Generic[K] {
-	g := csstree.FullGeometry(len(keys), m)
-	return buildGeneric(keys, g, m)
+	return newGeneric(keys, csstree.FullGeometry(len(keys), m))
 }
 
 // NewGenericLevel builds a level CSS-tree over the sorted keys with m slots
 // per node (m−1 routing keys); m must be a power of two ≥ 2.
 func NewGenericLevel[K cmp.Ordered](keys []K, m int) *Generic[K] {
-	if m&(m-1) != 0 || m < 2 {
-		panic(fmt.Sprintf("cssidx: level tree node size m=%d is not a power of two", m))
+	if err := csstree.CheckLevelSlots(m); err != nil {
+		panic("cssidx: " + err.Error())
 	}
-	g := csstree.LevelGeometry(len(keys), m)
-	return buildGeneric(keys, g, m-1)
+	return newGeneric(keys, csstree.LevelGeometry(len(keys), m))
 }
 
-// buildGeneric populates the directory by chasing rightmost children to the
-// virtual leaves, exactly like Algorithm 4.1 (aux-slot shortcuts are a
-// uint32-path optimisation only).
-func buildGeneric[K cmp.Ordered](keys []K, g csstree.Geometry, routing int) *Generic[K] {
-	t := &Generic[K]{keys: keys, g: g, routing: routing}
-	if g.Internal == 0 {
-		t.cacheU32()
-		return t
-	}
-	t.dir = make([]K, g.DirectoryKeys())
-	m, fan := g.M, g.Fanout
-	for d := 0; d <= g.LNode; d++ {
-		base := d * m
-		for j := 0; j < routing; j++ {
-			c := d*fan + 1 + j
-			for c <= g.LNode {
-				c = c*fan + fan
-			}
-			t.dir[base+j] = keys[g.LeafMaxIndex(c)]
-		}
-	}
-	t.cacheU32()
+// newGeneric lays a directory of g's shape over keys and fills it.
+func newGeneric[K cmp.Ordered](keys []K, g csstree.Geometry) *Generic[K] {
+	t := &Generic[K]{keys: keys, g: g, dir: make([]K, g.DirectoryKeys())}
+	csstree.Fill(g, t.dir, func(i int) K { return keys[i] })
 	return t
-}
-
-// cacheU32 records the uint32 views of the key and directory arrays when K
-// is uint32, unlocking the dispatched node-search kernels for batches.
-func (t *Generic[K]) cacheU32() {
-	if ku, ok := any(t.keys).([]uint32); ok {
-		t.keysU32 = ku
-		t.dirU32, _ = any(t.dir).([]uint32)
-	}
 }
 
 // Search returns the index of the leftmost occurrence of key, or -1.
@@ -107,11 +72,11 @@ func (t *Generic[K]) LowerBound(key K) int {
 	if g.Internal == 0 {
 		return lowerBoundG(t.keys, key)
 	}
-	m := g.M
+	m, r := g.M, g.Routing()
 	d := 0
 	for d <= g.LNode {
 		base := d * m
-		j := lowerBoundG(t.dir[base:base+t.routing], key)
+		j := lowerBoundG(t.dir[base:base+r], key)
 		d = d*g.Fanout + 1 + j
 	}
 	lo, hi := g.LeafRange(d)
@@ -169,20 +134,8 @@ type RecordTree[K cmp.Ordered] struct {
 // directory node size in keys.
 func NewRecordTree[K cmp.Ordered](n int, keyAt func(int) K, m int) *RecordTree[K] {
 	g := csstree.FullGeometry(n, m)
-	t := &RecordTree[K]{keyAt: keyAt, n: n, g: g}
-	if g.Internal == 0 {
-		return t
-	}
-	t.dir = make([]K, g.DirectoryKeys())
-	fan := g.Fanout
-	for i := range t.dir {
-		d, j := i/m, i%m
-		c := d*fan + 1 + j
-		for c <= g.LNode {
-			c = c*fan + fan
-		}
-		t.dir[i] = keyAt(g.LeafMaxIndex(c))
-	}
+	t := &RecordTree[K]{keyAt: keyAt, n: n, g: g, dir: make([]K, g.DirectoryKeys())}
+	csstree.Fill(g, t.dir, keyAt)
 	return t
 }
 

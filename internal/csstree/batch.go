@@ -14,9 +14,10 @@ package csstree
 // EqualRange's duplicate scan — on the line just read, rather than in a
 // second walk over the key array after the lines have gone cold.
 //
-// DescendBatch is the only copy of that descent.  Full, Level and the root
-// package's Generic[uint32] all call it; a batch tail, or a batch shorter
-// than a group, is simply a shorter group.
+// Tree.descend is the only copy of that descent: the three batch methods
+// call it, with the fan-out read from the geometry whichever build made the
+// tree.  A batch tail, or a batch shorter than a group, is simply a shorter
+// group.
 //
 // The answers are bit-identical to the scalar Search/LowerBound/EqualRange;
 // only the schedule of memory accesses changes.
@@ -31,25 +32,25 @@ import "cssidx/internal/binsearch"
 // 16, 32 and 128 measured no better.
 const groupWidth = 64
 
-// BatchOp selects what DescendBatch stores for each probe.
-type BatchOp uint8
+// batchOp selects what descend stores for each probe.
+type batchOp uint8
 
 const (
-	// BatchLowerBound stores LowerBound(probe) into first.
-	BatchLowerBound BatchOp = iota
-	// BatchSearch stores Search(probe) into first: the leftmost position,
+	// batchLowerBound stores LowerBound(probe) into first.
+	batchLowerBound batchOp = iota
+	// batchSearch stores Search(probe) into first: the leftmost position,
 	// or -1 if the probe is absent.
-	BatchSearch
-	// BatchEqualRange stores EqualRange(probe) into (first, last).
-	BatchEqualRange
+	batchSearch
+	// batchEqualRange stores EqualRange(probe) into (first, last).
+	batchEqualRange
 )
 
-// DescendBatch answers every probe against the CSS-tree whose directory dir
-// is laid out by g over the sorted array keys.  first (and, for
-// BatchEqualRange, last) must be as long as probes; last is otherwise
+// descend answers every probe against the tree.  first (and, for
+// batchEqualRange, last) must be as long as probes; last is otherwise
 // unused.  It allocates nothing.
-func DescendBatch(g *Geometry, dir, keys []uint32, op BatchOp, probes []uint32, first, last []int32) {
-	if len(first) != len(probes) || (op == BatchEqualRange && len(last) != len(probes)) {
+func (t *Tree) descend(op batchOp, probes []uint32, first, last []int32) {
+	g, dir, keys := &t.g, t.dir, t.keys
+	if len(first) != len(probes) || (op == batchEqualRange && len(last) != len(probes)) {
 		panic("csstree: probes/out length mismatch")
 	}
 	var nodes, los, his, lbs [groupWidth]int32
@@ -73,11 +74,11 @@ func DescendBatch(g *Geometry, dir, keys []uint32, op BatchOp, probes []uint32, 
 		for j, p := range group {
 			pos := int(lbs[j])
 			switch op {
-			case BatchSearch:
+			case batchSearch:
 				if pos >= len(keys) || keys[pos] != p {
 					pos = -1
 				}
-			case BatchEqualRange:
+			case batchEqualRange:
 				end := pos
 				for end < len(keys) && keys[end] == p {
 					end++
@@ -91,38 +92,19 @@ func DescendBatch(g *Geometry, dir, keys []uint32, op BatchOp, probes []uint32, 
 
 // LowerBoundBatch computes LowerBound for every probe into out
 // (len(out) must equal len(probes)).
-func (t *Full) LowerBoundBatch(probes []uint32, out []int32) {
-	DescendBatch(&t.g, t.dir, t.keys, BatchLowerBound, probes, out, nil)
+func (t *Tree) LowerBoundBatch(probes []uint32, out []int32) {
+	t.descend(batchLowerBound, probes, out, nil)
 }
 
 // SearchBatch computes Search for every probe into out (len(out) must equal
 // len(probes)): the position of the leftmost occurrence, or -1 if absent.
-func (t *Full) SearchBatch(probes []uint32, out []int32) {
-	DescendBatch(&t.g, t.dir, t.keys, BatchSearch, probes, out, nil)
+func (t *Tree) SearchBatch(probes []uint32, out []int32) {
+	t.descend(batchSearch, probes, out, nil)
 }
 
 // EqualRangeBatch computes EqualRange for every probe: first and last receive
 // the half-open position range of each probe's occurrences (all three slices
 // must have equal length).
-func (t *Full) EqualRangeBatch(probes []uint32, first, last []int32) {
-	DescendBatch(&t.g, t.dir, t.keys, BatchEqualRange, probes, first, last)
-}
-
-// LowerBoundBatch computes LowerBound for every probe into out
-// (len(out) must equal len(probes)).
-func (t *Level) LowerBoundBatch(probes []uint32, out []int32) {
-	DescendBatch(&t.g, t.dir, t.keys, BatchLowerBound, probes, out, nil)
-}
-
-// SearchBatch computes Search for every probe into out (len(out) must equal
-// len(probes)): the position of the leftmost occurrence, or -1 if absent.
-func (t *Level) SearchBatch(probes []uint32, out []int32) {
-	DescendBatch(&t.g, t.dir, t.keys, BatchSearch, probes, out, nil)
-}
-
-// EqualRangeBatch computes EqualRange for every probe: first and last receive
-// the half-open position range of each probe's occurrences (all three slices
-// must have equal length).
-func (t *Level) EqualRangeBatch(probes []uint32, first, last []int32) {
-	DescendBatch(&t.g, t.dir, t.keys, BatchEqualRange, probes, first, last)
+func (t *Tree) EqualRangeBatch(probes []uint32, first, last []int32) {
+	t.descend(batchEqualRange, probes, first, last)
 }

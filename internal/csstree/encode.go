@@ -28,15 +28,20 @@ const (
 	variantLevel = 2
 )
 
-// writeSnapshot emits one frame of header + directory.
-func writeSnapshot(w io.Writer, variant, m int, keys, dir []uint32) (int64, error) {
+// WriteTo snapshots the directory; restore with Restore over the same
+// sorted array.  The variant byte comes from the geometry.
+func (t *Tree) WriteTo(w io.Writer) (int64, error) {
+	variant := variantLevel
+	if t.g.IsFull() {
+		variant = variantFull
+	}
 	sw := snapio.NewWriter(w, encMagic, encVersion)
 	sw.U32(uint32(variant))
-	sw.U32(uint32(m))
-	sw.U64(uint64(len(keys)))
-	sw.U64(snapio.FNVU32s(snapio.FNVSeed, keys))
-	sw.U64(uint64(len(dir)))
-	sw.U32s(dir)
+	sw.U32(uint32(t.g.M))
+	sw.U64(uint64(len(t.keys)))
+	sw.U64(snapio.FNVU32s(snapio.FNVSeed, t.keys))
+	sw.U64(uint64(len(t.dir)))
+	sw.U32s(t.dir)
 	n, err := sw.Close()
 	if err != nil {
 		return n, fmt.Errorf("csstree: writing snapshot: %w", err)
@@ -44,32 +49,10 @@ func writeSnapshot(w io.Writer, variant, m int, keys, dir []uint32) (int64, erro
 	return n, nil
 }
 
-// Tree is the read interface shared by both variants, satisfied by *Full
-// and *Level; Restore returns it when the snapshot variant is not known in
-// advance.
-type Tree interface {
-	Search(key uint32) int
-	LowerBound(key uint32) int
-	EqualRange(key uint32) (first, last int)
-	SpaceBytes() int
-	Levels() int
-}
-
-// WriteTo snapshots the directory; restore with ReadFull (or Restore) over
-// the same sorted array.
-func (t *Full) WriteTo(w io.Writer) (int64, error) {
-	return writeSnapshot(w, variantFull, t.g.M, t.keys, t.dir)
-}
-
-// WriteTo snapshots the directory; restore with ReadLevel (or Restore) over
-// the same sorted array.
-func (t *Level) WriteTo(w io.Writer) (int64, error) {
-	return writeSnapshot(w, variantLevel, t.g.M, t.keys, t.dir)
-}
-
 // Restore reads a snapshot of either variant over keys, which must be the
-// identical array the snapshot was taken from (verified by fingerprint).
-func Restore(rd io.Reader, keys []uint32) (Tree, error) {
+// identical array the snapshot was taken from (verified by fingerprint).  A
+// level snapshot whose node size BuildLevel would refuse is an error.
+func Restore(rd io.Reader, keys []uint32) (*Tree, error) {
 	r := snapio.NewReader(rd)
 	magic, version, variant, m := r.U32(), r.U32(), r.U32(), r.U32()
 	n, keysHash, dirLen := r.U64(), r.U64(), r.U64()
@@ -94,9 +77,12 @@ func Restore(rd io.Reader, keys []uint32) (Tree, error) {
 		return nil, err
 	}
 	// The geometry fixes the directory size before anything is allocated.
-	g := LevelGeometry(len(keys), int(m))
-	if variant == variantFull {
-		g = FullGeometry(len(keys), int(m))
+	g := FullGeometry(len(keys), int(m))
+	if variant == variantLevel {
+		if err := CheckLevelSlots(int(m)); err != nil {
+			return nil, fmt.Errorf("csstree: snapshot: %w", err)
+		}
+		g = LevelGeometry(len(keys), int(m))
 	}
 	if dirLen != uint64(g.DirectoryKeys()) {
 		return nil, fmt.Errorf("csstree: directory size %d does not match geometry %d", dirLen, g.DirectoryKeys())
@@ -110,34 +96,5 @@ func Restore(rd io.Reader, keys []uint32) (Tree, error) {
 		return nil, fmt.Errorf("csstree: reading directory: %w", err)
 	}
 	mem.Huge(dir)
-	if variant == variantFull {
-		return &Full{keys: keys, dir: dir, g: g}, nil
-	}
-	return &Level{keys: keys, dir: dir, g: g}, nil
-}
-
-// ReadFull restores a full CSS-tree snapshot over keys.
-func ReadFull(r io.Reader, keys []uint32) (*Full, error) {
-	tr, err := Restore(r, keys)
-	if err != nil {
-		return nil, err
-	}
-	full, ok := tr.(*Full)
-	if !ok {
-		return nil, fmt.Errorf("csstree: snapshot holds a level tree, not a full tree")
-	}
-	return full, nil
-}
-
-// ReadLevel restores a level CSS-tree snapshot over keys.
-func ReadLevel(r io.Reader, keys []uint32) (*Level, error) {
-	tr, err := Restore(r, keys)
-	if err != nil {
-		return nil, err
-	}
-	level, ok := tr.(*Level)
-	if !ok {
-		return nil, fmt.Errorf("csstree: snapshot holds a full tree, not a level tree")
-	}
-	return level, nil
+	return &Tree{keys: keys, dir: dir, g: g}, nil
 }

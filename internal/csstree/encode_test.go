@@ -2,7 +2,6 @@ package csstree
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"cssidx/internal/workload"
@@ -16,9 +15,12 @@ func TestSnapshotRoundTripFull(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadFull(&buf, keys)
+	restored, err := Restore(&buf, keys)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if restored.Geometry() != orig.Geometry() {
+		t.Fatalf("restored geometry %+v, want %+v", restored.Geometry(), orig.Geometry())
 	}
 	probes := append(g.Lookups(keys, 2000), g.Misses(keys, 2000)...)
 	for _, k := range probes {
@@ -36,9 +38,12 @@ func TestSnapshotRoundTripLevel(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadLevel(&buf, keys)
+	restored, err := Restore(&buf, keys)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if restored.Geometry() != orig.Geometry() {
+		t.Fatalf("restored geometry %+v, want %+v", restored.Geometry(), orig.Geometry())
 	}
 	for _, k := range g.Lookups(keys, 2000) {
 		if a, b := orig.Search(k), restored.Search(k); a != b {
@@ -57,7 +62,7 @@ func TestSnapshotTinyTrees(t *testing.T) {
 		if _, err := BuildFull(keys, 16).WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := ReadFull(&buf, keys)
+		restored, err := Restore(&buf, keys)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -79,24 +84,12 @@ func TestSnapshotRejectsWrongArray(t *testing.T) {
 	// Same length, one key changed.
 	tampered := append([]uint32(nil), keys...)
 	tampered[5000]++
-	if _, err := ReadFull(bytes.NewReader(buf.Bytes()), tampered); err == nil {
+	if _, err := Restore(bytes.NewReader(buf.Bytes()), tampered); err == nil {
 		t.Error("snapshot attached to a different array")
 	}
 	// Different length.
-	if _, err := ReadFull(bytes.NewReader(buf.Bytes()), keys[:9999]); err == nil {
+	if _, err := Restore(bytes.NewReader(buf.Bytes()), keys[:9999]); err == nil {
 		t.Error("snapshot attached to a shorter array")
-	}
-}
-
-func TestSnapshotRejectsWrongVariant(t *testing.T) {
-	g := workload.New(143)
-	keys := g.SortedDistinct(1000)
-	var buf bytes.Buffer
-	if _, err := BuildFull(keys, 16).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadLevel(&buf, keys); err == nil {
-		t.Error("level reader accepted a full-tree snapshot")
 	}
 }
 
@@ -108,7 +101,7 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		bytes.Repeat([]byte{0xff}, 64),
 	}
 	for _, c := range cases {
-		if _, err := ReadFull(bytes.NewReader(c), keys); err == nil {
+		if _, err := Restore(bytes.NewReader(c), keys); err == nil {
 			t.Errorf("accepted garbage %v", c)
 		}
 	}
@@ -123,7 +116,7 @@ func TestSnapshotTruncated(t *testing.T) {
 	}
 	whole := buf.Bytes()
 	for _, cut := range []int{1, 10, len(whole) / 2, len(whole) - 1} {
-		if _, err := ReadFull(bytes.NewReader(whole[:cut]), keys); err == nil {
+		if _, err := Restore(bytes.NewReader(whole[:cut]), keys); err == nil {
 			t.Errorf("accepted snapshot truncated to %d bytes", cut)
 		}
 	}
@@ -137,9 +130,9 @@ func TestSnapshotBitFlips(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint32(3*i + i%2)
 	}
-	for _, orig := range []Tree{BuildFull(keys, 8), BuildLevel(keys, 8)} {
+	for _, orig := range []*Tree{BuildFull(keys, 8), BuildLevel(keys, 8)} {
 		var buf bytes.Buffer
-		if _, err := orig.(io.WriterTo).WriteTo(&buf); err != nil {
+		if _, err := orig.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		snap := buf.Bytes()
@@ -152,12 +145,33 @@ func TestSnapshotBitFlips(t *testing.T) {
 			}
 			for k := range uint32(3*len(keys) + 2) {
 				if a, b := orig.Search(k), tr.Search(k); a != b {
-					t.Fatalf("%T: bit %d of byte %d flipped: Search(%d) = %d, want %d", orig, i%8, i/8, k, b, a)
+					t.Fatalf("%s: bit %d of byte %d flipped: Search(%d) = %d, want %d", orig.Name(), i%8, i/8, k, b, a)
 				}
 				if a, b := orig.LowerBound(k), tr.LowerBound(k); a != b {
-					t.Fatalf("%T: bit %d of byte %d flipped: LowerBound(%d) = %d, want %d", orig, i%8, i/8, k, b, a)
+					t.Fatalf("%s: bit %d of byte %d flipped: LowerBound(%d) = %d, want %d", orig.Name(), i%8, i/8, k, b, a)
 				}
 			}
+		}
+	}
+}
+
+// TestRestoreRejectsNonPow2Level writes a CRC-valid level snapshot with a
+// node size BuildLevel refuses (m = 3, zeroed directory): Restore must
+// return an error, not a tree that routes on two keys of a three-slot node.
+func TestRestoreRejectsNonPow2Level(t *testing.T) {
+	keys := make([]uint32, 500)
+	for i := range keys {
+		keys[i] = uint32(3 * i)
+	}
+	for _, m := range []int{3, 5, 6, 24} {
+		g := LevelGeometry(len(keys), m)
+		bad := &Tree{keys: keys, dir: make([]uint32, g.DirectoryKeys()), g: g}
+		var buf bytes.Buffer
+		if _, err := bad.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if tr, err := Restore(&buf, keys); err == nil {
+			t.Errorf("m=%d: level snapshot restored (LowerBound(300) = %d, want 100)", m, tr.LowerBound(300))
 		}
 	}
 }

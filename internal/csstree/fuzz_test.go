@@ -82,29 +82,40 @@ func FuzzBatch(f *testing.F) {
 	})
 }
 
-// FuzzSnapshot round-trips snapshots of fuzzed arrays and checks that any
-// mutation of the snapshot bytes is either rejected or yields a tree that
-// still answers within bounds (no panics, no out-of-range indexes).
+// FuzzSnapshot round-trips snapshots of both builds of fuzzed arrays at
+// fuzzed node sizes (any m ≥ 2 for a full tree, a power of two for a level
+// tree) through Restore: the restored tree must keep the variant and the
+// geometry, and its LowerBound must agree with sort.Search.  Mutated
+// snapshot bytes are TestSnapshotBitFlips' and FuzzLoadIndex's concern.
 func FuzzSnapshot(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 9, 0, 0, 0}, uint32(9))
-	f.Fuzz(func(t *testing.T, raw []byte, probe uint32) {
+	f.Add([]byte{1, 0, 0, 0, 9, 0, 0, 0}, uint32(9), uint8(6), false)
+	f.Add(bytes.Repeat([]byte{7, 1, 0, 0, 3, 0, 0, 0}, 200), uint32(260), uint8(2), true)
+	f.Add(bytes.Repeat([]byte{5, 0, 0, 0}, 90), uint32(5), uint8(1), false)
+	f.Fuzz(func(t *testing.T, raw []byte, probe uint32, mSel uint8, level bool) {
 		keys := make([]uint32, len(raw)/4)
 		for i := range keys {
 			keys[i] = binary.LittleEndian.Uint32(raw[4*i:])
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		orig := BuildFull(keys, 2+int(mSel)%63)
+		if level {
+			orig = BuildLevel(keys, 2<<(mSel%6))
+		}
 		var buf bytes.Buffer
-		if _, err := BuildFull(keys, 8).WriteTo(&buf); err != nil {
+		if _, err := orig.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		restored, err := ReadFull(&buf, keys)
+		restored, err := Restore(&buf, keys)
 		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
+			t.Fatalf("%s round trip rejected: %v", orig, err)
+		}
+		if restored.Geometry() != orig.Geometry() || restored.Name() != orig.Name() {
+			t.Fatalf("restored %s, want %s", restored, orig)
 		}
 		got := restored.LowerBound(probe)
 		want := sort.Search(len(keys), func(i int) bool { return keys[i] >= probe })
 		if got != want {
-			t.Fatalf("restored LowerBound(%d)=%d, want %d", probe, got, want)
+			t.Fatalf("%s: restored LowerBound(%d)=%d, want %d", orig, probe, got, want)
 		}
 	})
 }

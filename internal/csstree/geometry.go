@@ -2,24 +2,28 @@
 // of Rao & Ross (CUCS-019-98 / VLDB'99): a pointerless search directory laid
 // over a sorted array, with node size chosen to match the cache-line size.
 //
-// Two variants are provided, exactly as in the paper:
+// There is one tree type, Tree, with the paper's two builds:
 //
-//   - Full CSS-trees (§4.1): every node holds m keys and has m+1 children.
+//   - BuildFull (§4.1): every node holds m keys and has m+1 children.
 //     Child node numbers are computed by arithmetic (children of node b are
 //     b(m+1)+1 … b(m+1)+(m+1)), so no child pointers are stored and every
 //     byte of a cache line holds a key.
 //
-//   - Level CSS-trees (§4.2): nodes have m = 2ᵗ slots but use only m−1 keys,
+//   - BuildLevel (§4.2): nodes have m = 2ᵗ slots but use only m−1 keys,
 //     giving a branching factor of m.  Within a node the m−1 keys form a
 //     perfect binary search tree, so every probe costs exactly t comparisons;
 //     the spare slot caches the subtree maximum, which makes building cheaper.
+//
+// The two differ only in their Geometry's fan-out and in how Fill populates
+// the directory; search, batches and snapshots read the fan-out from the
+// geometry and never branch on the variant.
 //
 // The leaves of a CSS-tree are the sorted array itself.  Because the deepest
 // leaf level holds the *front* of the array while the shallower leaf level
 // holds the *back* (the region I/II switch of Figure 3), search maps a
 // computed leaf offset through the "mark" as described in §4.1.
 //
-// Both trees tolerate n not being a multiple of m: the array is virtually
+// Both builds tolerate n not being a multiple of m: the array is virtually
 // padded to B·m elements; padded positions replicate the last real key at
 // build time (the paper's "fill in those dangling keys with the last element
 // in the first half of array a") and leaf search clamps to real bounds.
@@ -27,6 +31,8 @@ package csstree
 
 import (
 	"fmt"
+
+	"cssidx/internal/mem"
 )
 
 // Geometry captures the node-numbering arithmetic of Lemma 4.1 (full trees)
@@ -113,6 +119,25 @@ func geometry(n, m, fanout, gain int) Geometry {
 	g.BottomEnd = be
 	return g
 }
+
+// CheckLevelSlots reports whether m is a valid level-tree node size: the m−1
+// routing keys of a level node form a perfect binary search tree only when m
+// is a power of two ≥ 2.  BuildLevel, the root package's generic level trees
+// and Restore all apply this one rule.
+func CheckLevelSlots(m int) error {
+	if m < 2 || !mem.IsPow2(m) {
+		return fmt.Errorf("level tree node size m=%d is not a power of two ≥ 2", m)
+	}
+	return nil
+}
+
+// IsFull reports whether g lays out a full CSS-tree (fan-out m+1) rather
+// than a level CSS-tree (fan-out m): the variant is this one fact.
+func (g Geometry) IsFull() bool { return g.Fanout == g.M+1 }
+
+// Routing returns the number of routing keys a node search reads, Fanout−1:
+// m in a full tree, m−1 in a level tree (whose last slot is the aux slot).
+func (g Geometry) Routing() int { return g.Fanout - 1 }
 
 // DirectoryKeys returns the number of uint32 slots the directory array needs.
 func (g Geometry) DirectoryKeys() int { return g.Internal * g.M }

@@ -23,7 +23,7 @@ import (
 // rank-assigned IDs.
 type IntDomain struct {
 	values []uint32
-	idx    *csstree.Level
+	idx    *csstree.Tree
 }
 
 // BuildInt constructs the domain of column and returns it together with the

@@ -9,79 +9,58 @@ import (
 // CSSTree models full and level CSS-tree lookups: one region for the
 // directory, one for the sorted array; a node visit binary-searches slots
 // within one (or s) cache line(s) and moves by arithmetic, never touching
-// pointers.
+// pointers.  The wrapped tree's geometry gives the fan-out, the routing
+// width and the name.
 type CSSTree struct {
-	name    string
-	dir     []uint32
-	keys    []uint32
-	g       csstree.Geometry
-	routing int // routing keys per node: m (full) or m-1 (level)
-	space   int
+	t       *csstree.Tree
 	dirBase uint64
 	arrBase uint64
-
-	// the real tree, kept so equivalence tests can compare answers cheaply
-	lower func(uint32) int
 }
 
 // NewFullCSS builds a full CSS-tree and assigns simulated addresses.
 func NewFullCSS(keys []uint32, m int, alloc *cachesim.AddrAlloc) *CSSTree {
-	t := csstree.BuildFull(keys, m)
-	return &CSSTree{
-		name:    "full CSS-tree",
-		dir:     t.Dir(),
-		keys:    keys,
-		g:       t.Geometry(),
-		routing: m,
-		space:   t.SpaceBytes(),
-		dirBase: alloc.Alloc(t.SpaceBytes(), mem.CacheLine),
-		arrBase: alloc.Alloc(4*len(keys), mem.CacheLine),
-		lower:   t.LowerBound,
-	}
+	return newCSS(csstree.BuildFull(keys, m), alloc)
 }
 
 // NewLevelCSS builds a level CSS-tree and assigns simulated addresses.
 func NewLevelCSS(keys []uint32, m int, alloc *cachesim.AddrAlloc) *CSSTree {
-	t := csstree.BuildLevel(keys, m)
+	return newCSS(csstree.BuildLevel(keys, m), alloc)
+}
+
+// newCSS assigns simulated addresses to t's directory and sorted array.
+func newCSS(t *csstree.Tree, alloc *cachesim.AddrAlloc) *CSSTree {
 	return &CSSTree{
-		name:    "level CSS-tree",
-		dir:     t.Dir(),
-		keys:    keys,
-		g:       t.Geometry(),
-		routing: m - 1,
-		space:   t.SpaceBytes(),
+		t:       t,
 		dirBase: alloc.Alloc(t.SpaceBytes(), mem.CacheLine),
-		arrBase: alloc.Alloc(4*len(keys), mem.CacheLine),
-		lower:   t.LowerBound,
+		arrBase: alloc.Alloc(4*len(t.Keys()), mem.CacheLine),
 	}
 }
 
 // Name implements Sim.
-func (s *CSSTree) Name() string { return s.name }
+func (s *CSSTree) Name() string { return s.t.Name() }
 
 // SpaceBytes implements Sim.
-func (s *CSSTree) SpaceBytes() int { return s.space }
+func (s *CSSTree) SpaceBytes() int { return s.t.SpaceBytes() }
 
 // Probe replays Algorithm 4.2: descend the directory by offset arithmetic,
 // then search the mapped leaf range of the sorted array.
 func (s *CSSTree) Probe(h *cachesim.Hierarchy, key uint32) ProbeResult {
 	var pr ProbeResult
-	g := &s.g
+	g, dir, keys := s.t.Geometry(), s.t.Dir(), s.t.Keys()
 	if g.Internal == 0 {
-		i := s.searchRange(h, s.arrBase, s.keys, 0, len(s.keys), key, &pr)
-		pr.Index = i
+		pr.Index = s.searchRange(h, s.arrBase, keys, 0, len(keys), key, &pr)
 		return pr
 	}
-	m := g.M
+	m, r := g.M, g.Routing()
 	d := 0
 	for d <= g.LNode {
 		base := d * m
-		j := s.searchRange(h, s.dirBase, s.dir, base, base+s.routing, key, &pr)
+		j := s.searchRange(h, s.dirBase, dir, base, base+r, key, &pr)
 		d = d*g.Fanout + 1 + (j - base)
 		pr.Moves++
 	}
 	lo, hi := g.LeafRange(d)
-	pr.Index = s.searchRange(h, s.arrBase, s.keys, lo, hi, key, &pr)
+	pr.Index = s.searchRange(h, s.arrBase, keys, lo, hi, key, &pr)
 	return pr
 }
 
@@ -111,4 +90,4 @@ func (s *CSSTree) searchRange(h *cachesim.Hierarchy, base uint64, slice []uint32
 }
 
 // RealLowerBound exposes the wrapped tree's answer for equivalence tests.
-func (s *CSSTree) RealLowerBound(key uint32) int { return s.lower(key) }
+func (s *CSSTree) RealLowerBound(key uint32) int { return s.t.LowerBound(key) }

@@ -25,16 +25,12 @@ import (
 // structure (array searches) or rebuild quickly enough that persisting them
 // has no benefit over their bulk load.
 func SaveIndex(w io.Writer, idx Index) error {
-	switch x := idx.(type) {
-	case fullCSS:
-		_, err := x.t.WriteTo(w)
-		return err
-	case levelCSS:
-		_, err := x.t.WriteTo(w)
-		return err
-	default:
+	x, ok := idx.(cssTree)
+	if !ok {
 		return fmt.Errorf("cssidx: %s does not support snapshots", idx.Name())
 	}
+	_, err := x.t.WriteTo(w)
+	return err
 }
 
 // LoadIndex restores a snapshot written by SaveIndex over keys, which must
@@ -44,18 +40,11 @@ func SaveIndex(w io.Writer, idx Index) error {
 // is allocated, so hostile bytes cannot balloon memory.  Snapshots written
 // before the CRC-32C trailer (version 1) still load.
 func LoadIndex(r io.Reader, keys []Key) (OrderedIndex, error) {
-	tr, err := csstree.Restore(r, keys)
+	t, err := csstree.Restore(r, keys)
 	if err != nil {
 		return nil, err
 	}
-	switch t := tr.(type) {
-	case *csstree.Full:
-		return fullCSS{t}, nil
-	case *csstree.Level:
-		return levelCSS{t}, nil
-	default:
-		return nil, fmt.Errorf("cssidx: unknown snapshot variant %T", tr)
-	}
+	return cssTree{t}, nil
 }
 
 // SaveSharded writes a restartable snapshot of a uint32 sharded index: the
