@@ -71,6 +71,7 @@ import (
 	"cssidx/internal/governor"
 	"cssidx/internal/mem"
 	"cssidx/internal/mmdb"
+	"cssidx/internal/shard"
 	"cssidx/internal/simidx"
 	"cssidx/internal/telemetry"
 	"cssidx/internal/wal"
@@ -272,21 +273,24 @@ func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string
 		fmt.Fprintf(stderr, "cssx: batch size %d must be ≥ 1\n", batchSize)
 		return 2
 	}
-	var requested cssidx.BatchSchedule
+	// keyOrder resolves the requested schedule against one batch: auto asks
+	// the sharded engine's sampler, the others answer the same every batch.
+	var keyOrder func([]uint32) bool
+	requested := scheduleName
 	switch scheduleName {
 	case "auto":
-		requested = cssidx.ScheduleAuto
+		keyOrder = shard.ChooseKeyOrder[uint32]
 	case "", "input":
-		requested = cssidx.ScheduleInputOrder
+		requested, keyOrder = "input-order", func([]uint32) bool { return false }
 	case "sorted":
-		requested = cssidx.ScheduleSorted
+		keyOrder = func([]uint32) bool { return true }
 	default:
 		fmt.Fprintf(stderr, "cssx: unknown schedule %q (auto, input, sorted)\n", scheduleName)
 		return 2
 	}
 	idx := cssidx.New(kinds[kindName], keys, cssidx.Options{NodeBytes: nodeBytes, HashDirSize: hashDir})
 	parallel := workers != 1
-	needSorted := requested != cssidx.ScheduleInputOrder
+	needSorted := requested != "input-order"
 	var plain cssidx.BatchIndex
 	var sorted *cssidx.SortedBatch
 	switch {
@@ -309,21 +313,20 @@ func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string
 		plain = cssidx.AsBatch(idx)
 	}
 
-	sched := requested.String()
 	switch {
 	case workers == 0:
-		sched += ", GOMAXPROCS workers"
+		requested += ", GOMAXPROCS workers"
 	case parallel:
-		sched += fmt.Sprintf(", %d workers", workers)
+		requested += fmt.Sprintf(", %d workers", workers)
 	}
 	fmt.Fprintf(stdout, "%s over n=%d keys: %d probes in batches of %d (%s schedule requested)\n\n",
-		idx.Name(), len(keys), len(probes), batchSize, sched)
+		idx.Name(), len(keys), len(probes), batchSize, requested)
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "batch\tkeys\tschedule\thits\tµs\tMkeys/s")
 	out := make([]int32, batchSize)
 	hits, total := 0, 0.0
 	minB, maxB := 0.0, 0.0
-	schedCounts := map[cssidx.BatchSchedule]int{}
+	nSorted := 0
 	for b, base := 0, 0; base < len(probes); b, base = b+1, base+batchSize {
 		if err := ctx.Err(); err != nil {
 			tw.Flush()
@@ -336,10 +339,13 @@ func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string
 			end = len(probes)
 		}
 		chunk := probes[base:end]
-		resolved := requested.Resolve(chunk)
-		schedCounts[resolved]++
+		resolved := "input-order"
+		if keyOrder(chunk) {
+			resolved = "sorted"
+			nSorted++
+		}
 		start := time.Now()
-		if resolved == cssidx.ScheduleSorted {
+		if resolved == "sorted" {
 			sorted.SearchBatch(chunk, out[:len(chunk)])
 		} else {
 			plain.SearchBatch(chunk, out[:len(chunk)])
@@ -365,8 +371,7 @@ func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string
 	nBatches := (len(probes) + batchSize - 1) / batchSize
 	fmt.Fprintf(stdout, "\ntotal: %d probes, %d hits, %.1fµs (%.2f Mkeys/s); per-batch min %.1fµs max %.1fµs over %d batches\n",
 		len(probes), hits, total*1e6, float64(len(probes))/total/1e6, minB*1e6, maxB*1e6, nBatches)
-	fmt.Fprintf(stdout, "resolved schedules: %d input-order, %d sorted\n",
-		schedCounts[cssidx.ScheduleInputOrder], schedCounts[cssidx.ScheduleSorted])
+	fmt.Fprintf(stdout, "resolved schedules: %d input-order, %d sorted\n", nBatches-nSorted, nSorted)
 	return 0
 }
 

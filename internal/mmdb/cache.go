@@ -54,8 +54,6 @@ type CacheOptions struct {
 	// MinCostNs is the admission floor on estimated recompute cost
 	// (0 = qcache.DefaultMinCostNs; negative admits everything).
 	MinCostNs int64
-	// Stripes is the lock-stripe count (0 = 16).
-	Stripes int
 	// Disabled turns the cache off entirely (every surface computes).
 	Disabled bool
 }
@@ -65,7 +63,7 @@ func (o CacheOptions) build() *qcache.Cache {
 	if o.Disabled {
 		return nil
 	}
-	return qcache.New(qcache.Options{MaxBytes: o.MaxBytes, MinCostNs: o.MinCostNs, Stripes: o.Stripes})
+	return qcache.New(qcache.Options{MaxBytes: o.MaxBytes, MinCostNs: o.MinCostNs})
 }
 
 // EnableCache attaches a fresh result cache to the table and returns it
@@ -279,7 +277,6 @@ func joinRecomputeCost(elapsed time.Duration, outerRows, pairs int) int64 {
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
-	order  []string
 	cache  *qcache.Cache
 	gov    *governor.Admission
 }
@@ -302,7 +299,6 @@ func (db *DB) CreateTable(name string) (*Table, error) {
 	t.AttachCache(db.cache)
 	t.AttachGovernor(db.gov)
 	db.tables[name] = t
-	db.order = append(db.order, name)
 	return t, nil
 }
 
@@ -312,13 +308,6 @@ func (db *DB) Table(name string) (*Table, bool) {
 	defer db.mu.RUnlock()
 	t, ok := db.tables[name]
 	return t, ok
-}
-
-// Tables returns the table names in creation order.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return append([]string(nil), db.order...)
 }
 
 // Cache returns the shared result cache (nil when disabled).

@@ -49,9 +49,6 @@ func (t *Table) EnableGovernor(opts governor.Options) *governor.Admission {
 	return a
 }
 
-// Governor returns the attached admission controller, or nil.
-func (t *Table) Governor() *governor.Admission { return t.gov.Load() }
-
 // admit gates one governed query's compute stage through the attached
 // admission controller.  Ungoverned queries (nil ctl), tables without a
 // controller, and nested surfaces of an already-admitted query pass for
@@ -87,11 +84,4 @@ func (db *DB) AttachGovernor(a *governor.Admission) {
 	for _, t := range db.tables {
 		t.AttachGovernor(a)
 	}
-}
-
-// Governor returns the DB-wide admission controller, or nil.
-func (db *DB) Governor() *governor.Admission {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.gov
 }

@@ -88,9 +88,6 @@ type Options struct {
 	// Stripes is the lock-stripe count, rounded up to a power of two.
 	// 0 means 16.
 	Stripes int
-	// Disabled makes every operation a no-op (the cache still answers
-	// Stats with zeros), so callers can keep one code path.
-	Disabled bool
 }
 
 // Default budget and admission floor.
@@ -218,8 +215,9 @@ func New(opts Options) *Cache {
 	return c
 }
 
-// Enabled reports whether operations can have any effect.
-func (c *Cache) Enabled() bool { return c != nil && !c.opts.Disabled }
+// Enabled reports whether operations can have any effect: false only for
+// the nil cache, the one "off" state.
+func (c *Cache) Enabled() bool { return c != nil }
 
 // MaxEntryBytes returns the largest payload admission can accept (half a
 // stripe's budget share; 0 for a disabled cache), so callers producing

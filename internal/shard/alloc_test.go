@@ -16,10 +16,18 @@ import (
 // View capture itself (the View and its two per-shard slices) through
 // Index.SearchBatch.
 func TestSearchBatchAllocs(t *testing.T) {
-	x, _, reads := benchIndex()
+	x, _, zipf := benchIndex()
 	defer x.Close()
-	x.SetBatchSchedule(ScheduleKeyOrdered)
 	x.SetParallel(parallel.Options{Workers: 1})
+	var reads [][]uint32
+	for _, r := range zipf {
+		if ChooseKeyOrder(r) {
+			reads = append(reads, r)
+		}
+	}
+	if len(reads) < len(zipf)/2 {
+		t.Fatalf("only %d of %d Zipf batches run key-ordered", len(reads), len(zipf))
+	}
 	out := make([]int32, len(reads[0]))
 	v := x.View()
 	v.SearchBatch(reads[0], out) // fill the scratch pool

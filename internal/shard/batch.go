@@ -9,19 +9,20 @@ package shard
 //
 // Two execution dimensions sit on top of the partitioning:
 //
-// Schedule.  The key-ordered schedule sorts the batch by probe key before
-// the descent (results still scatter back to input order) and deduplicates
-// it: repeated probes descend once and fan their result out.  Because shards
-// are key ranges, sorting also groups probes by shard for free, and inside a
-// shard consecutive probes then walk neighbouring root-to-leaf paths: a
-// skewed batch touches each directory node once instead of bouncing randomly
-// across the directory.  ScheduleAuto picks input-order or key-ordered per
-// batch from a sampled duplicate-density estimate — skew is a property of
-// the probe stream, not of the index, so the batch itself is the right thing
-// to inspect.  A uint32 batch is planned by one call, sortu32.Unique.Sort,
-// which returns the distinct probes with the perm and expand maps the
-// scatter needs (batches of 32K probes or more sort across the worker
-// pool); other key types take a comparison sort and sortu32.Dedupe.
+// Probe order.  Each batch descends in input order or in key order, and the
+// engine picks per batch from a sampled duplicate count (ChooseKeyOrder):
+// skew is a property of the probe stream, not of the index, so the batch
+// itself is the right thing to inspect.  The key-ordered plan sorts the
+// batch by probe key before the descent (results still scatter back to
+// input order) and deduplicates it: repeated probes descend once and fan
+// their result out.  Because shards are key ranges, sorting also groups
+// probes by shard for free, and inside a shard consecutive probes then walk
+// neighbouring root-to-leaf paths: a skewed batch touches each directory
+// node once instead of bouncing randomly across the directory.  A uint32
+// batch is planned by one call, sortu32.Unique.Sort, which returns the
+// distinct probes with the perm and expand maps the scatter needs (batches
+// of 32K probes or more sort across the worker pool); other key types take
+// a comparison sort and sortu32.Dedupe.
 //
 // Parallelism.  The per-shard probe runs are independent — disjoint probe
 // spans, disjoint result spans, immutable snapshots — so they execute across
@@ -41,53 +42,21 @@ import (
 	"cssidx/internal/sortu32"
 )
 
-// Schedule selects how a probe batch is ordered before the descent.
-type Schedule uint8
-
-const (
-	// ScheduleAuto estimates each batch's duplicate density from a small
-	// sample and picks ScheduleInput or ScheduleKeyOrdered per batch.
-	ScheduleAuto Schedule = iota
-	// ScheduleInput descends probes in input order (best for uniform,
-	// low-duplicate streams: no sort cost, misses already overlap).
-	ScheduleInput
-	// ScheduleKeyOrdered radix-sorts and deduplicates each batch first
-	// (best for skewed streams: hot keys descend once).
-	ScheduleKeyOrdered
-)
-
-// String names the schedule for diagnostics and bench output.
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleAuto:
-		return "auto"
-	case ScheduleInput:
-		return "input-order"
-	case ScheduleKeyOrdered:
-		return "key-ordered"
-	default:
-		return "Schedule(?)"
-	}
-}
-
-// Adaptive-schedule sampling parameters: sampleSize probes are inspected per
-// batch (strided across it); the key-ordered schedule is chosen when the
-// sample holds at least dupThreshold duplicated values.  Batches below
-// adaptiveMinBatch always run input-order — the sort cannot amortise.
+// Sampling parameters: sampleSize probes are inspected per batch (strided
+// across it); the key-ordered plan is chosen when the sample holds at least
+// dupThreshold duplicated values.  Batches below adaptiveMinBatch always run
+// input-order — the sort cannot amortise.
 const (
 	adaptiveMinBatch = 128
 	sampleSize       = 64
 	dupThreshold     = 4 // ≥4/64 ≈ 6% sampled duplicates → sort pays
 )
 
-// chooseKeyOrder resolves a Schedule against a concrete batch.
-func chooseKeyOrder[K cmp.Ordered](sched Schedule, probes []K) bool {
-	switch sched {
-	case ScheduleInput:
-		return false
-	case ScheduleKeyOrdered:
-		return true
-	}
+// ChooseKeyOrder reports whether a batch of these probes descends in key
+// order (sorted and deduplicated) rather than input order: exactly the
+// decision the batch methods make, exported so callers that report timings
+// can tag each batch with the order that ran.
+func ChooseKeyOrder[K cmp.Ordered](probes []K) bool {
 	n := len(probes)
 	if n < adaptiveMinBatch {
 		return false
@@ -112,19 +81,6 @@ func chooseKeyOrder[K cmp.Ordered](sched Schedule, probes []K) bool {
 		}
 	}
 	return dups >= dupThreshold
-}
-
-// ResolveSchedule reports the concrete schedule a batch of these probes
-// descends under: ScheduleAuto resolves per batch through the sampled
-// duplicate-density estimate (exactly the decision the batch methods make),
-// the manual schedules resolve to themselves.  Callers use it to surface
-// the schedule that actually ran — timings tagged with the REQUESTED
-// schedule mislead as soon as auto picks differently per batch.
-func ResolveSchedule[K cmp.Ordered](s Schedule, probes []K) Schedule {
-	if chooseKeyOrder(s, probes) {
-		return ScheduleKeyOrdered
-	}
-	return ScheduleInput
 }
 
 // BatchTree is the optional batch extension of Tree: shard trees that
@@ -203,7 +159,7 @@ func (v *View[K]) release(s *batchScratch[K]) {
 
 // batchPlan partitions a probe batch by shard: the descent probes
 // gathered[r.lo:r.hi] per run r, and position j of gathered answers the
-// original probe perm[j] (expand == nil), or — in the key-ordered schedule,
+// original probe perm[j] (expand == nil), or — in the key-ordered plan,
 // where gathered is sorted and deduplicated — original probe perm[j] takes
 // gathered's answer at expand[j].  All returned slices alias s.
 func (v *View[K]) batchPlan(probes []K, keyOrdered bool, s *batchScratch[K]) (perm []uint32, gathered []K, runs []batchRun, expand []int32) {
@@ -349,12 +305,12 @@ func (v *View[K]) descend(op batchOp, r batchRun, gathered []K, res, resL []int3
 	}
 }
 
-// batch answers probes into out (and last, for opEqualRange): the view's
-// schedule picks the probe order (Schedule semantics above); results are
-// identical under every schedule and worker count.
+// batch answers probes into out (and last, for opEqualRange) in the probe
+// order ChooseKeyOrder picks; results are identical in either order and
+// under every worker count.
 func (v *View[K]) batch(op batchOp, probes []K, out, last []int32) {
 	v.observeTuner()
-	keyOrdered := chooseKeyOrder(v.sched, probes)
+	keyOrdered := ChooseKeyOrder(probes)
 	if len(v.snaps) == 1 && !keyOrdered {
 		// Single shard, input order: descend straight into out (offset 0),
 		// splitting the batch across workers.
@@ -545,15 +501,6 @@ func equalRangeResolve[K cmp.Ordered](sn *snapshot[K], probes []K, resF, resL []
 		resL[j] = off + first + n
 	}
 }
-
-// SetBatchSchedule selects the probe schedule the Index-level and captured
-// View batch methods use (default ScheduleAuto).  Set before serving; it is
-// not synchronised with concurrent readers.
-func (x *Index[K]) SetBatchSchedule(s Schedule) { x.sched = s }
-
-// Schedule returns the configured batch schedule (ResolveSchedule maps it
-// to the concrete schedule a given batch runs under).
-func (x *Index[K]) Schedule() Schedule { return x.sched }
 
 // SetParallel configures the worker pool for batch execution (zero value:
 // GOMAXPROCS workers with adaptive per-worker spans — see parOpts).  Set

@@ -56,8 +56,8 @@ func checkBatchAgainstOracle(t *testing.T, x *shard.Index[uint32], o batchOracle
 	}
 }
 
-// TestBatchMatchesOracle drives both schedules over several shard counts and
-// key shapes.
+// TestBatchMatchesOracle drives both probe orders over several shard counts
+// and key shapes.
 func TestBatchMatchesOracle(t *testing.T) {
 	g := workload.New(91)
 	for _, n := range []int{0, 1, 100, 5000} {
@@ -67,15 +67,14 @@ func TestBatchMatchesOracle(t *testing.T) {
 		if n == 0 {
 			probes = []uint32{0, 5, ^uint32(0)}
 		}
+		input, keyOrdered := shard.PathBatches(t, probes)
 		for _, nshards := range []int{1, 3, 8} {
-			for _, sched := range []shard.Schedule{shard.ScheduleAuto, shard.ScheduleInput, shard.ScheduleKeyOrdered} {
-				for _, workers := range []int{1, 4} {
-					x := shard.NewEqual(keys, nshards, shard.LevelCSSBuilder(16))
-					x.SetBatchSchedule(sched)
-					x.SetParallel(parallel.Options{Workers: workers, MinBatchPerWorker: 64})
-					checkBatchAgainstOracle(t, x, batchOracle(keys), probes)
-					x.Close()
-				}
+			for _, workers := range []int{1, 4} {
+				x := shard.NewEqual(keys, nshards, shard.LevelCSSBuilder(16))
+				x.SetParallel(parallel.Options{Workers: workers, MinBatchPerWorker: 64})
+				checkBatchAgainstOracle(t, x, batchOracle(keys), input)
+				checkBatchAgainstOracle(t, x, batchOracle(keys), keyOrdered)
+				x.Close()
 			}
 		}
 	}
@@ -90,12 +89,12 @@ func TestViewBatchSingleEpoch(t *testing.T) {
 	x := shard.NewEqual(keys, 4, shard.LevelCSSBuilder(16))
 	defer x.Close()
 	v := x.View()
-	probes := append(g.Lookups(keys, 500), g.Misses(keys, 200)...)
+	input, keyOrdered := shard.PathBatches(t, append(g.Lookups(keys, 500), g.Misses(keys, 200)...))
 	x.Insert(g.Misses(keys, 300)...)
 	x.Sync() // the live index moved on; v must not notice
-	for _, sched := range []shard.Schedule{shard.ScheduleInput, shard.ScheduleKeyOrdered} {
+	for _, probes := range [][]uint32{input, keyOrdered} {
 		out := make([]int32, len(probes))
-		v.WithSchedule(sched).LowerBoundBatch(probes, out)
+		v.LowerBoundBatch(probes, out)
 		for i, p := range probes {
 			if int(out[i]) != v.LowerBound(p) {
 				t.Fatalf("view batch[%d]=%d, view scalar=%d (key %d)", i, out[i], v.LowerBound(p), p)

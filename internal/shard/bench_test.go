@@ -17,7 +17,7 @@ func benchIndex() (*Index[uint32], []uint32, [][]uint32) {
 	g := workload.New(1)
 	keys := g.SortedUniform(n)
 	x := NewEqual(keys, 8, LevelCSSBuilder(16))
-	x.SetDeltaPolicy(DeltaPolicy{MinFoldKeys: 1 << 30})
+	x.delta = neverFold
 	rng := rand.New(rand.NewSource(1))
 	z := rand.NewZipf(rng, 1.1, 1, uint64(n-1))
 	reads := make([][]uint32, 1024)

@@ -17,7 +17,7 @@ package shard
 // merge into ins; each delete cancels an ins key if there is one, else
 // tombstones a still-live base occurrence, else is ignored (multiset
 // semantics, inserts before deletes within one drained batch).  Only when
-// len(ins)+len(tomb) reaches 1/FoldDenominator of the base does the shard
+// len(ins)+len(tomb) reaches 1/foldDenominator of the base does the shard
 // fold — the original rebuild, now a span copy (mergedKeys) and a tree build.
 //
 // What a delta costs a read.  Positions are global ranks, so ANY outstanding
@@ -61,44 +61,37 @@ import (
 	"cssidx/internal/telemetry"
 )
 
-// DeltaPolicy tunes the delta layer's fold schedule.  The zero value means
-// the defaults (enabled, fold at 1/512 of the base).
-type DeltaPolicy struct {
-	// Disabled restores the pre-delta behaviour: every batch folds into a
-	// fresh base array and tree (the pure §2.3 cycle).  It still makes
-	// sense for an index whose updates arrive as rare bulk loads and whose
-	// reads must never pay the rank adjustment.
-	Disabled bool
-	// FoldDenominator folds the delta into the base once
-	// (len(ins)+len(tomb))*FoldDenominator ≥ len(base).  0 means 512.
-	FoldDenominator int
-	// MinFoldKeys keeps tiny shards from folding on every batch: the delta
-	// must also hold at least this many keys before a size-triggered fold.
-	// 0 means 512.
-	MinFoldKeys int
-}
+// The fold thresholds: a shard folds once its insert run plus tombstones
+// reach 1/foldDenominator of its base (the sweep above) and hold at least
+// minFoldKeys keys, so a tiny shard does not fold on every batch.  A caller
+// that wants a fold sooner calls Compact.
+const (
+	foldDenominator = 512
+	minFoldKeys     = 512
+)
 
-func (p DeltaPolicy) foldDenom() int {
-	if p.FoldDenominator <= 0 {
-		return 512
-	}
-	return p.FoldDenominator
-}
-
-func (p DeltaPolicy) minFold() int {
-	if p.MinFoldKeys <= 0 {
-		return 512
-	}
-	return p.MinFoldKeys
+// deltaPolicy is the fold schedule.  The zero value is the engine's; only
+// tests set another, to fold every batch, never, or at a small size.
+type deltaPolicy struct {
+	disabled  bool // fold every batch: the pure §2.3 cycle
+	foldDenom int  // 0 means foldDenominator
+	minFold   int  // 0 means minFoldKeys
 }
 
 // shouldFold reports whether a delta of deltaKeys over a base of baseKeys
 // has reached the fold threshold.
-func (p DeltaPolicy) shouldFold(deltaKeys, baseKeys int) bool {
-	if p.Disabled {
+func (p deltaPolicy) shouldFold(deltaKeys, baseKeys int) bool {
+	if p.disabled {
 		return true
 	}
-	return deltaKeys >= p.minFold() && deltaKeys*p.foldDenom() >= baseKeys
+	denom, least := p.foldDenom, p.minFold
+	if denom <= 0 {
+		denom = foldDenominator
+	}
+	if least <= 0 {
+		least = minFoldKeys
+	}
+	return deltaKeys >= least && deltaKeys*denom >= baseKeys
 }
 
 // DeltaStats snapshots the delta layer across all shards.
@@ -441,14 +434,6 @@ func (x *Index[K]) fold(sn *snapshot[K], epoch uint64) *snapshot[K] {
 	keys := sn.mergedKeys()
 	return &snapshot[K]{epoch: epoch, keys: keys, tree: x.build(keys), total: len(keys)}
 }
-
-// SetDeltaPolicy configures the delta layer (default: enabled with the
-// DeltaPolicy zero-value thresholds).  Set before serving; it is read by
-// the background rebuilder without synchronisation.
-func (x *Index[K]) SetDeltaPolicy(p DeltaPolicy) { x.delta = p }
-
-// DeltaPolicyConfigured returns the configured policy.
-func (x *Index[K]) DeltaPolicyConfigured() DeltaPolicy { return x.delta }
 
 // DeltaStats snapshots the delta layer across shards plus the lifetime
 // absorb and fold counters.

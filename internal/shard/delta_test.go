@@ -23,14 +23,14 @@ import (
 )
 
 // foldEveryBatch is the pre-delta behaviour: no delta ever.
-var foldEveryBatch = DeltaPolicy{Disabled: true}
+var foldEveryBatch = deltaPolicy{disabled: true}
 
 // smallBatchPolicy keeps batches in the delta long enough to exercise run
 // growth, cancellation and tombstones, and folds every few rounds in small
 // tests; neverFold only folds on Compact.
 var (
-	smallBatchPolicy = DeltaPolicy{FoldDenominator: 4, MinFoldKeys: 64}
-	neverFold        = DeltaPolicy{MinFoldKeys: 1 << 30}
+	smallBatchPolicy = deltaPolicy{foldDenom: 4, minFold: 64}
+	neverFold        = deltaPolicy{minFold: 1 << 30}
 )
 
 // checkDelta verifies the structural invariants of one snapshot's delta —
@@ -124,7 +124,7 @@ func enqueueTogether(x *Index[uint32], ins, del []uint32) {
 
 // checkDeltaDifferential compares a delta-carrying index against a
 // fold-every-batch twin on every surface: scalar reads, positional access,
-// iterators, and the three batch kernels under both schedules.
+// iterators, and the three batch kernels in both probe orders.
 func checkDeltaDifferential(t *testing.T, x, rebuilt *Index[uint32], probes []uint32) {
 	t.Helper()
 	if got, want := x.Len(), rebuilt.Len(); got != want {
@@ -168,27 +168,27 @@ func checkDeltaDifferential(t *testing.T, x, rebuilt *Index[uint32], probes []ui
 	for _, sn := range v.snaps {
 		batchProbes = append(batchProbes, sn.tomb.keys...) // deleted keys, live or not
 	}
-	n := len(batchProbes)
-	for _, sched := range []Schedule{ScheduleInput, ScheduleKeyOrdered} {
-		v, rv := v.WithSchedule(sched), rv.WithSchedule(sched)
+	input, keyOrdered := pathBatches(t, batchProbes)
+	for _, probes := range [][]uint32{input, keyOrdered} {
+		n := len(probes)
 		gotLB, wantLB := make([]int32, n), make([]int32, n)
-		v.LowerBoundBatch(batchProbes, gotLB)
-		rv.LowerBoundBatch(batchProbes, wantLB)
+		v.LowerBoundBatch(probes, gotLB)
+		rv.LowerBoundBatch(probes, wantLB)
 		if !slices.Equal(gotLB, wantLB) {
-			t.Fatalf("LowerBoundBatch (%v) diverges from rebuilt twin", sched)
+			t.Fatalf("LowerBoundBatch (key order %v) diverges from rebuilt twin", ChooseKeyOrder(probes))
 		}
 		gotS, wantS := make([]int32, n), make([]int32, n)
-		v.SearchBatch(batchProbes, gotS)
-		rv.SearchBatch(batchProbes, wantS)
+		v.SearchBatch(probes, gotS)
+		rv.SearchBatch(probes, wantS)
 		if !slices.Equal(gotS, wantS) {
-			t.Fatalf("SearchBatch (%v) diverges from rebuilt twin", sched)
+			t.Fatalf("SearchBatch (key order %v) diverges from rebuilt twin", ChooseKeyOrder(probes))
 		}
 		gotF, gotL := make([]int32, n), make([]int32, n)
 		wantF, wantL := make([]int32, n), make([]int32, n)
-		v.EqualRangeBatch(batchProbes, gotF, gotL)
-		rv.EqualRangeBatch(batchProbes, wantF, wantL)
+		v.EqualRangeBatch(probes, gotF, gotL)
+		rv.EqualRangeBatch(probes, wantF, wantL)
 		if !slices.Equal(gotF, wantF) || !slices.Equal(gotL, wantL) {
-			t.Fatalf("EqualRangeBatch (%v) diverges from rebuilt twin", sched)
+			t.Fatalf("EqualRangeBatch (key order %v) diverges from rebuilt twin", ChooseKeyOrder(probes))
 		}
 	}
 }
@@ -220,11 +220,11 @@ func TestDeltaDifferentialVsRebuilt(t *testing.T) {
 	g := workload.New(7)
 	rng := rand.New(rand.NewSource(7))
 	keys := g.SortedWithDuplicates(4000, 3)
-	for _, pol := range []DeltaPolicy{{}, smallBatchPolicy, neverFold} {
+	for _, pol := range []deltaPolicy{{}, smallBatchPolicy, neverFold} {
 		x := NewEqual(keys, 4, LevelCSSBuilder(16))
-		x.SetDeltaPolicy(pol)
+		x.delta = pol
 		rebuilt := NewEqual(keys, 4, LevelCSSBuilder(16))
-		rebuilt.SetDeltaPolicy(foldEveryBatch)
+		rebuilt.delta = foldEveryBatch
 		o := &oracle{keys: slices.Clone(keys)}
 		for round := 0; round < 24; round++ {
 			switch {
@@ -258,7 +258,7 @@ func TestDeltaDifferentialVsRebuilt(t *testing.T) {
 			checkDeltaDifferential(t, x, rebuilt, probes)
 			checkAgainstOracle(t, x, o, probes)
 		}
-		if x.DeltaStats().Appends == 0 && !pol.Disabled {
+		if x.DeltaStats().Appends == 0 && !pol.disabled {
 			t.Fatal("differential run never exercised the delta path")
 		}
 		x.Close()
@@ -274,14 +274,14 @@ func TestDeltaDifferentialVsRebuilt(t *testing.T) {
 // every Sync the delta's invariants hold and every surface matches the twin
 // and the sorted-slice oracle.
 func TestDeleteAbsorbDifferential(t *testing.T) {
-	for _, pol := range []DeltaPolicy{{}, smallBatchPolicy, neverFold} {
+	for _, pol := range []deltaPolicy{{}, smallBatchPolicy, neverFold} {
 		g := workload.New(23)
 		rng := rand.New(rand.NewSource(23))
 		keys := g.SortedWithDuplicates(4000, 3)
 		x := NewEqual(keys, 4, LevelCSSBuilder(16))
-		x.SetDeltaPolicy(pol)
+		x.delta = pol
 		rebuilt := NewEqual(keys, 4, LevelCSSBuilder(16))
-		rebuilt.SetDeltaPolicy(foldEveryBatch)
+		rebuilt.delta = foldEveryBatch
 		o := &oracle{keys: slices.Clone(keys)}
 		fresh := func() uint32 { return uint32(rng.Int63n(math.MaxUint32)) }
 		resident := func() uint32 { return o.keys[rng.Intn(len(o.keys))] }
@@ -354,7 +354,7 @@ func TestDeltaFoldThreshold(t *testing.T) {
 	g := workload.New(11)
 	keys := g.SortedUniform(1000)
 	x := NewEqual(keys, 1, LevelCSSBuilder(16))
-	x.SetDeltaPolicy(DeltaPolicy{FoldDenominator: 4, MinFoldKeys: 64})
+	x.delta = deltaPolicy{foldDenom: 4, minFold: 64}
 	defer x.Close()
 	// 100 keys: below base/4 = 250, absorbed into the insert run.
 	x.Insert(g.SortedUniform(100)...)
@@ -404,7 +404,7 @@ func TestDeltaFoldThreshold(t *testing.T) {
 func TestDeltaDisabledNeverAbsorbs(t *testing.T) {
 	g := workload.New(13)
 	x := NewEqual(g.SortedUniform(500), 2, LevelCSSBuilder(16))
-	x.SetDeltaPolicy(foldEveryBatch)
+	x.delta = foldEveryBatch
 	defer x.Close()
 	for i := 0; i < 5; i++ {
 		x.Insert(g.SortedUniform(10)...)
@@ -444,7 +444,7 @@ func TestConcurrentReadersDuringDeltaAbsorbs(t *testing.T) {
 	g := workload.New(17)
 	keys := g.SortedWithDuplicates(6000, 2)
 	x := NewEqual(keys, 4, LevelCSSBuilder(16))
-	x.SetDeltaPolicy(DeltaPolicy{FoldDenominator: 8, MinFoldKeys: 256})
+	x.delta = deltaPolicy{foldDenom: 8, minFold: 256}
 	defer x.Close()
 
 	var stop atomic.Bool
@@ -544,7 +544,7 @@ func TestConcurrentReadersDuringDeleteAbsorbs(t *testing.T) {
 	g := workload.New(19)
 	keys := g.SortedWithDuplicates(6000, 2)
 	x := NewEqual(keys, 4, LevelCSSBuilder(16))
-	x.SetDeltaPolicy(DeltaPolicy{FoldDenominator: 8, MinFoldKeys: 256})
+	x.delta = deltaPolicy{foldDenom: 8, minFold: 256}
 	defer x.Close()
 
 	var stop atomic.Bool
@@ -672,7 +672,7 @@ func TestRegisteredSeries(t *testing.T) {
 	keys := workload.New(29).SortedUniform(2000)
 	x := NewEqual(keys, 2, LevelCSSBuilder(16))
 	defer x.Close()
-	x.SetDeltaPolicy(neverFold)
+	x.delta = neverFold
 	delta0, tomb0 := gaugeDeltaKeys.Value(), gaugeTombstones.Value()
 	x.Insert(1, 2, 3)
 	x.Delete(keys[10], keys[20])
@@ -703,14 +703,14 @@ func FuzzDeltaOps(f *testing.F) {
 		if len(data) < 2 || len(data) > 96 {
 			t.Skip()
 		}
-		pol := []DeltaPolicy{{}, {FoldDenominator: 8, MinFoldKeys: 16}, neverFold}[int(data[0])%3]
+		pol := []deltaPolicy{{}, {foldDenom: 8, minFold: 16}, neverFold}[int(data[0])%3]
 		// The base holds every multiple of 3 below 768, twice.
 		var keys []uint32
 		for k := uint32(0); k < 768; k += 3 {
 			keys = append(keys, k, k)
 		}
 		x := NewEqual(keys, 3, LevelCSSBuilder(4))
-		x.SetDeltaPolicy(pol)
+		x.delta = pol
 		defer x.Close()
 		o := &oracle{keys: slices.Clone(keys)}
 		check := func() {

@@ -18,7 +18,7 @@ func TestSaveLoadWithTombstones(t *testing.T) {
 	g := workload.New(31)
 	keys := g.SortedWithDuplicates(9000, 3)
 	x := shard.NewEqual(keys, 4, shard.LevelCSSBuilder(16))
-	x.SetDeltaPolicy(shard.DeltaPolicy{MinFoldKeys: 1 << 30})
+	shard.NeverFold(x)
 	defer x.Close()
 	ins := append(g.Misses(keys, 300), g.Lookups(keys, 100)...)
 	del := append(g.Lookups(keys, 200), keys[0], keys[0], keys[0], keys[len(keys)-1])

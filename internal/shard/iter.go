@@ -17,16 +17,14 @@ import (
 // View is a frozen capture of all shards.  Each shard's snapshot is
 // internally consistent; the set reflects each shard's latest epoch at
 // capture time.  Views are cheap (no copying) and safe for concurrent use.
-// A View inherits the Index's batch schedule and worker-pool options at
-// capture; WithSchedule/WithParallel override them per View.
+// A View inherits the Index's worker-pool options at capture.
 type View[K cmp.Ordered] struct {
 	bounds []K
 	snaps  []*snapshot[K]
 	offs   []int // offs[i] = global start of shard i; offs[len(snaps)] = Len
 
-	sched Schedule
-	par   parallel.Options
-	pool  *sync.Pool // batchScratch pool shared with the owning Index
+	par  parallel.Options
+	pool *sync.Pool // batchScratch pool shared with the owning Index
 }
 
 // View captures the current snapshot of every shard.
@@ -35,7 +33,6 @@ func (x *Index[K]) View() *View[K] {
 		bounds: x.bounds,
 		snaps:  make([]*snapshot[K], len(x.shards)),
 		offs:   make([]int, len(x.shards)+1),
-		sched:  x.sched,
 		par:    x.parOpts(),
 		pool:   &x.scratch,
 	}
@@ -44,20 +41,6 @@ func (x *Index[K]) View() *View[K] {
 		v.offs[i+1] = v.offs[i] + v.snaps[i].len()
 	}
 	return v
-}
-
-// WithSchedule returns a copy of the view using the given batch schedule.
-func (v *View[K]) WithSchedule(s Schedule) *View[K] {
-	w := *v
-	w.sched = s
-	return &w
-}
-
-// WithParallel returns a copy of the view using the given worker options.
-func (v *View[K]) WithParallel(o parallel.Options) *View[K] {
-	w := *v
-	w.par = o
-	return &w
 }
 
 // Len returns the total number of keys in the view.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -13,11 +14,12 @@ import (
 
 // TestParallelBatchesDuringEpochSwaps is the race stress test for the
 // parallel batch engine: reader goroutines drive batched probes — each batch
-// itself fanned across the engine's worker pool, at every schedule — while
-// the background rebuilder publishes epoch-swaps.  Run with -race.  Each
-// batch is verified bit-identical to the scalar methods of the same frozen
-// View, which is exactly the engine's correctness contract: one snapshot
-// epoch per batch, regardless of workers, schedule, or concurrent rebuilds.
+// itself fanned across the engine's worker pool, alternating a distinct
+// batch (input order) and a hot-key batch (key order) — while the background
+// rebuilder publishes epoch-swaps.  Run with -race.  Each batch is verified
+// bit-identical to the scalar methods of the same frozen View, which is
+// exactly the engine's correctness contract: one snapshot epoch per batch,
+// regardless of workers, probe order, or concurrent rebuilds.
 func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 	const (
 		readers   = 4
@@ -44,8 +46,6 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 		default:
 		}
 	}
-	scheds := []Schedule{ScheduleAuto, ScheduleInput, ScheduleKeyOrdered}
-
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -55,23 +55,28 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 			out := make([]int32, probeSize)
 			first := make([]int32, probeSize)
 			last := make([]int32, probeSize)
-			for {
+			for n := seed; ; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				// Mix of likely-hits and misses, with duplicate runs so the
-				// Auto schedule flips between its branches across batches.
-				hot := uint32(rng.Int63n(workload.MaxKey))
+				// Uniform probes, and on every other batch a hot key in a
+				// third of the slots: the sampler must send the first down
+				// the input-order path and the second down the key-ordered.
+				hot, skewed := uint32(rng.Int63n(workload.MaxKey)), n%2 == 1
 				for i := range probes {
-					if rng.Intn(3) == 0 {
+					if skewed && rng.Intn(3) == 0 {
 						probes[i] = hot
 					} else {
 						probes[i] = uint32(rng.Int63n(workload.MaxKey))
 					}
 				}
-				v := x.View().WithSchedule(scheds[rng.Intn(len(scheds))])
+				if ChooseKeyOrder(probes) != skewed {
+					fail("the sampler picked the wrong probe order")
+					return
+				}
+				v := x.View()
 				v.SearchBatch(probes, out)
 				v.EqualRangeBatch(probes, first, last)
 				// Spot-check against the same frozen view's scalar answers.
@@ -93,13 +98,14 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 		}(int64(r + 1))
 	}
 
-	// Keep publishing swaps until the readers have verified real work —
-	// delta absorbs make a round far cheaper than a reader batch, so a
-	// fixed round count alone can finish before any batch completes.
+	// Keep publishing swaps until the readers have verified real work (or
+	// one has failed) — delta absorbs make a round far cheaper than a
+	// reader batch, so a fixed round count alone can finish before any
+	// batch completes.
 	// Overtime rounds sleep so a spinning writer cannot starve the readers
 	// on a small GOMAXPROCS.
 	rng := rand.New(rand.NewSource(77))
-	for round := 0; round < rounds || batches.Load() < int64(readers); round++ {
+	for round := 0; round < rounds || batches.Load() < int64(readers) && len(errc) == 0; round++ {
 		if round >= rounds {
 			time.Sleep(time.Millisecond)
 		}
@@ -143,25 +149,46 @@ func TestAdaptiveScheduleChoice(t *testing.T) {
 	copy(shuffled, uniform)
 	rng := rand.New(rand.NewSource(5))
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	if chooseKeyOrder(ScheduleAuto, shuffled) {
-		t.Error("uniform distinct batch chose the sorted schedule")
+	if ChooseKeyOrder(shuffled) {
+		t.Error("uniform distinct batch chose the key-ordered plan")
 	}
 	skewed := make([]uint32, 8192)
 	for i := range skewed {
 		skewed[i] = uint32(i % 7) // 7 hot values
 	}
-	if !chooseKeyOrder(ScheduleAuto, skewed) {
-		t.Error("hot-key batch did not choose the sorted schedule")
+	if !ChooseKeyOrder(skewed) {
+		t.Error("hot-key batch did not choose the key-ordered plan")
 	}
 	tiny := skewed[:adaptiveMinBatch-1]
-	if chooseKeyOrder(ScheduleAuto, tiny) {
-		t.Error("sub-threshold batch chose the sorted schedule")
+	if ChooseKeyOrder(tiny) {
+		t.Error("sub-threshold batch chose the key-ordered plan")
 	}
-	// Manual overrides ignore the estimate entirely.
-	if chooseKeyOrder(ScheduleInput, skewed) {
-		t.Error("ScheduleInput sorted anyway")
+}
+
+// pathBatches derives one batch per probe order from probes and asserts the
+// sampler's choice for each: input drops repeated probes, so no sampled
+// value repeats and it runs input-order at any length; keyOrdered
+// interleaves probes with probes[0] up to at least adaptiveMinBatch probes,
+// so half the sample or more repeats one key and it runs key-ordered.
+func pathBatches[K cmp.Ordered](t testing.TB, probes []K) (input, keyOrdered []K) {
+	t.Helper()
+	seen := make(map[K]bool, len(probes))
+	for _, p := range probes {
+		if !seen[p] {
+			seen[p] = true
+			input = append(input, p)
+		}
 	}
-	if !chooseKeyOrder(ScheduleKeyOrdered, shuffled) {
-		t.Error("ScheduleKeyOrdered did not sort")
+	keyOrdered = make([]K, max(2*len(probes), adaptiveMinBatch))
+	for i := range keyOrdered {
+		keyOrdered[i] = probes[0]
+		if i%2 == 1 {
+			keyOrdered[i] = probes[i/2%len(probes)]
+		}
 	}
+	if ChooseKeyOrder(input) || !ChooseKeyOrder(keyOrdered) {
+		t.Fatalf("sampler: distinct batch key-ordered %v, hot-key batch key-ordered %v",
+			ChooseKeyOrder(input), ChooseKeyOrder(keyOrdered))
+	}
+	return input, keyOrdered
 }

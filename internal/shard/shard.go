@@ -25,6 +25,11 @@
 // position.  Boundaries and WeightedBoundaries choose the split points:
 // equal-count by default, or skew-aware from a sample of the probe
 // distribution so hot ranges get more (smaller) shards.
+//
+// The engine makes its own serving decisions: each batch's probe order comes
+// from a sample of the batch (ChooseKeyOrder, batch.go), and a shard folds
+// at fixed thresholds (delta.go) or on Compact.  The worker pool
+// (SetParallel) is the one setting a caller brings.
 package shard
 
 import (
@@ -103,10 +108,9 @@ type Index[K cmp.Ordered] struct {
 	bounds []K // strictly ascending; shard i serves keys < bounds[i], last serves the rest
 	shards []*shardState[K]
 
-	// sched picks the batch probe schedule (SetBatchSchedule) and par the
-	// worker pool for batch execution (SetParallel); set before serving.
-	sched Schedule
-	par   parallel.Options
+	// par is the worker pool for batch execution (SetParallel); set before
+	// serving.
+	par parallel.Options
 
 	// tuner caches the one-shot measured per-probe cost behind the
 	// adaptive MinBatchPerWorker (attached to every View's options unless
@@ -117,9 +121,9 @@ type Index[K cmp.Ordered] struct {
 	// Views that carry the pool), so steady-state batches allocate nothing.
 	scratch sync.Pool
 
-	// delta tunes the mutable delta layer (delta.go); the counters feed
-	// DeltaStats.
-	delta        DeltaPolicy
+	// delta is the fold policy of the mutable delta layer (delta.go); the
+	// counters feed DeltaStats.
+	delta        deltaPolicy
 	deltaAppends atomic.Uint64
 	folds        atomic.Uint64
 

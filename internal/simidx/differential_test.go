@@ -19,6 +19,7 @@ import (
 	"cssidx/internal/binsearch"
 	"cssidx/internal/cachesim"
 	"cssidx/internal/mem"
+	"cssidx/internal/shard"
 	"cssidx/internal/simidx"
 	"cssidx/internal/workload"
 )
@@ -198,7 +199,7 @@ func checkSim(t *testing.T, s simidx.Sim, o sliceOracle, probes []uint32) {
 }
 
 // checkSharded verifies the concurrent sharded index against the oracle,
-// scalar and batched under both batch schedules.
+// scalar and batched in both probe orders.
 func checkSharded(t *testing.T, keys []uint32, o sliceOracle, probes []uint32, shards int) {
 	t.Helper()
 	x := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: shards})
@@ -216,16 +217,16 @@ func checkSharded(t *testing.T, keys []uint32, o sliceOracle, probes []uint32, s
 			t.Fatalf("sharded(%d): EqualRange(%d)=[%d,%d) want [%d,%d)", shards, p, gf, gl, wf, wl)
 		}
 	}
-	checkShardedBatches(t, x, o, probes, shards, false)
-	sorted := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: shards, Schedule: cssidx.ScheduleSorted})
-	defer sorted.Close()
-	checkShardedBatches(t, sorted, o, probes, shards, true)
 	par := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{
 		Shards:   shards,
 		Parallel: cssidx.ParallelOptions{Workers: 4, MinBatchPerWorker: 16},
 	})
 	defer par.Close()
-	checkShardedBatches(t, par, o, probes, shards, false)
+	input, keyOrdered := probeOrders(probes)
+	for _, ix := range []*cssidx.ShardedIndex[uint32]{x, par} {
+		checkShardedBatches(t, ix, o, input, shards, false)
+		checkShardedBatches(t, ix, o, keyOrdered, shards, true)
+	}
 	// Ascend over the full range must replay the oracle slice exactly.
 	i := 0
 	x.Ascend(0, math.MaxUint32, func(pos int, key uint32) bool {
@@ -242,10 +243,37 @@ func checkSharded(t *testing.T, keys []uint32, o sliceOracle, probes []uint32, s
 	}
 }
 
+// probeOrders derives one batch per probe order from probes: input drops
+// repeated probes, so the engine's sampler sees no repeat and descends it in
+// input order at any length; keyOrdered interleaves probes with probes[0]
+// up to at least 128 probes, so half the sample repeats one key and it
+// descends sorted and deduplicated.
+func probeOrders(probes []uint32) (input, keyOrdered []uint32) {
+	seen := make(map[uint32]bool, len(probes))
+	for _, p := range probes {
+		if !seen[p] {
+			seen[p] = true
+			input = append(input, p)
+		}
+	}
+	keyOrdered = make([]uint32, max(2*len(probes), 128))
+	for i := range keyOrdered {
+		keyOrdered[i] = probes[0]
+		if i%2 == 1 {
+			keyOrdered[i] = probes[i/2%len(probes)]
+		}
+	}
+	return input, keyOrdered
+}
+
 // checkShardedBatches verifies the sharded batch surface (and the Snapshot's)
-// against the oracle under one batch schedule.
+// against the oracle on one batch, first asserting the probe order the
+// engine's sampler picks for it (sorted = key-ordered).
 func checkShardedBatches(t *testing.T, x *cssidx.ShardedIndex[uint32], o sliceOracle, probes []uint32, shards int, sorted bool) {
 	t.Helper()
+	if got := shard.ChooseKeyOrder(probes); got != sorted {
+		t.Fatalf("sharded(%d): batch of %d probes key-ordered %v, want %v", shards, len(probes), got, sorted)
+	}
 	out := make([]int32, len(probes))
 	first := make([]int32, len(probes))
 	last := make([]int32, len(probes))

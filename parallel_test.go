@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"cssidx"
+	"cssidx/internal/shard"
 	"cssidx/internal/workload"
 )
 
@@ -160,45 +161,44 @@ func TestGenericParallelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestShardedParallelSchedulesMatchScalar drives every schedule × worker
-// configuration of the sharded batch surface against the scalar methods.
+// TestShardedParallelSchedulesMatchScalar drives both probe orders × every
+// worker configuration of the sharded batch surface against the scalar
+// methods: the sampler sends the uniform stream down the input-order path
+// and the skewed one down the key-ordered path.
 func TestShardedParallelSchedulesMatchScalar(t *testing.T) {
 	g := workload.New(35)
 	keys := g.SortedWithDuplicates(30000, 4)
-	// Uniform and heavily duplicated probe streams: the Auto schedule must
-	// give identical results whichever branch it picks.
 	streams := map[string][]uint32{
 		"uniform": append(g.Lookups(keys, 4000), g.Misses(keys, 1000)...),
 		"skewed":  g.ZipfLookups(keys, 5000, 1.3),
 	}
 	for name, probes := range streams {
-		for _, sched := range []cssidx.BatchSchedule{cssidx.ScheduleAuto, cssidx.ScheduleInputOrder, cssidx.ScheduleSorted} {
-			for _, par := range []cssidx.ParallelOptions{{Workers: 1}, {Workers: 4, MinBatchPerWorker: 128}} {
-				idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{
-					Shards: 5, Schedule: sched, Parallel: par,
-				})
-				v := idx.Snapshot()
-				out := make([]int32, len(probes))
-				first := make([]int32, len(probes))
-				last := make([]int32, len(probes))
-				v.SearchBatch(probes, out)
-				v.EqualRangeBatch(probes, first, last)
-				lb := make([]int32, len(probes))
-				v.LowerBoundBatch(probes, lb)
-				for i, p := range probes {
-					if want := int32(v.Search(p)); out[i] != want {
-						t.Fatalf("%s sched=%v par=%+v SearchBatch[%d]=%d want %d", name, sched, par, i, out[i], want)
-					}
-					if want := int32(v.LowerBound(p)); lb[i] != want {
-						t.Fatalf("%s sched=%v par=%+v LowerBoundBatch[%d]=%d want %d", name, sched, par, i, lb[i], want)
-					}
-					wf, wl := v.EqualRange(p)
-					if first[i] != int32(wf) || last[i] != int32(wl) {
-						t.Fatalf("%s sched=%v par=%+v EqualRangeBatch[%d] mismatch", name, sched, par, i)
-					}
+		if got, want := shard.ChooseKeyOrder(probes), name == "skewed"; got != want {
+			t.Fatalf("%s stream: key-ordered %v, want %v", name, got, want)
+		}
+		for _, par := range []cssidx.ParallelOptions{{Workers: 1}, {Workers: 4, MinBatchPerWorker: 128}} {
+			idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 5, Parallel: par})
+			v := idx.Snapshot()
+			out := make([]int32, len(probes))
+			first := make([]int32, len(probes))
+			last := make([]int32, len(probes))
+			v.SearchBatch(probes, out)
+			v.EqualRangeBatch(probes, first, last)
+			lb := make([]int32, len(probes))
+			v.LowerBoundBatch(probes, lb)
+			for i, p := range probes {
+				if want := int32(v.Search(p)); out[i] != want {
+					t.Fatalf("%s par=%+v SearchBatch[%d]=%d want %d", name, par, i, out[i], want)
 				}
-				idx.Close()
+				if want := int32(v.LowerBound(p)); lb[i] != want {
+					t.Fatalf("%s par=%+v LowerBoundBatch[%d]=%d want %d", name, par, i, lb[i], want)
+				}
+				wf, wl := v.EqualRange(p)
+				if first[i] != int32(wf) || last[i] != int32(wl) {
+					t.Fatalf("%s par=%+v EqualRangeBatch[%d] mismatch", name, par, i)
+				}
 			}
+			idx.Close()
 		}
 	}
 }
@@ -216,7 +216,10 @@ func TestShardedStringKeysSortedSchedule(t *testing.T) {
 		probes = append(probes, fmt.Sprintf("k%05d", (i*i)%1000*5))
 	}
 	probes = append(probes, "", "a", "z", "k")
-	idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[string]{Shards: 3, Schedule: cssidx.ScheduleSorted})
+	if !shard.ChooseKeyOrder(probes) {
+		t.Fatal("the repeating probe batch does not run key-ordered")
+	}
+	idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[string]{Shards: 3})
 	defer idx.Close()
 	v := idx.Snapshot()
 	out := make([]int32, len(probes))

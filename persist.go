@@ -63,9 +63,8 @@ func SaveSharded(w io.Writer, x *ShardedIndex[uint32]) error {
 
 // LoadSharded restores a snapshot written by SaveSharded, rebuilding each
 // shard's CSS-tree from its key array (building is the cheap half of the
-// paper's rebuild-don't-maintain cycle).  opts supplies the serving knobs
-// — NodeSlots, Schedule, Parallel — while Shards and
-// SkewSample are ignored: the partition comes from the snapshot.
+// paper's rebuild-don't-maintain cycle).  opts supplies Parallel only;
+// Shards and SkewSample are ignored: the partition comes from the snapshot.
 // A SaveSharded snapshot with any bit flipped or cut short returns an
 // error — never a panic — and arrays are read in steps that grow only with the bytes
 // present, so absurd length prefixes cannot force huge allocations.  It

@@ -19,103 +19,24 @@ import (
 	"cssidx/internal/shard"
 )
 
-// BatchSchedule selects how ShardedIndex orders a probe batch before the
-// lockstep descent.  Results are identical under every schedule; only the
-// memory-access order changes.
-type BatchSchedule int
-
-const (
-	// ScheduleAuto (the default) estimates each batch's duplicate density
-	// from a small strided sample and picks input-order or sorted per
-	// batch: uniform streams skip the sort, skewed streams get the dedup.
-	ScheduleAuto BatchSchedule = iota
-	// ScheduleInputOrder always descends probes in input order.
-	ScheduleInputOrder
-	// ScheduleSorted always radix-sorts and deduplicates the batch first:
-	// key-ordered probes walk neighbouring root-to-leaf paths, so a skewed
-	// batch touches each directory node once, and repeated probes descend
-	// once.
-	ScheduleSorted
-)
-
-// String names the schedule for diagnostics and bench output.
-func (s BatchSchedule) String() string {
-	switch s {
-	case ScheduleAuto:
-		return "auto"
-	case ScheduleInputOrder:
-		return "input-order"
-	case ScheduleSorted:
-		return "sorted"
-	default:
-		return "BatchSchedule(?)"
-	}
-}
-
-// toShard maps the public schedule to the internal engine's — the single
-// conversion site (newShardedFrom and both Resolve surfaces route through
-// it, so the mapping cannot drift).
-func (s BatchSchedule) toShard() shard.Schedule {
-	switch s {
-	case ScheduleInputOrder:
-		return shard.ScheduleInput
-	case ScheduleSorted:
-		return shard.ScheduleKeyOrdered
-	default:
-		return shard.ScheduleAuto
-	}
-}
-
-// fromShardResolved maps a RESOLVED internal schedule back (resolution
-// never returns auto).
-func fromShardResolved(s shard.Schedule) BatchSchedule {
-	if s == shard.ScheduleKeyOrdered {
-		return ScheduleSorted
-	}
-	return ScheduleInputOrder
-}
-
-// Resolve reports the concrete schedule this setting runs a batch of these
-// probes under: ScheduleAuto resolves per batch (the sampled
-// duplicate-density estimate the batch methods use), the manual settings
-// resolve to themselves.  Surface THIS, not the requested setting, when
-// tagging timings — auto legitimately flips between batches.
-func (s BatchSchedule) Resolve(probes []Key) BatchSchedule {
-	return fromShardResolved(shard.ResolveSchedule(s.toShard(), probes))
-}
-
-// ShardedOptions configures NewSharded.
+// ShardedOptions configures NewSharded.  What the engine decides itself is
+// not an option: each shard's CSS-tree has one-cache-line nodes (16 slots,
+// as DefaultNodeBytes gives), each batch descends in input or key order as
+// its sampled duplicate count says, and a shard's delta folds at 1/512 of
+// its base (and at least 512 keys) — call Compact for a fold sooner.
 type ShardedOptions[K cmp.Ordered] struct {
 	// Shards is the number of range shards; 0 picks GOMAXPROCS (capped at 16).
 	Shards int
-	// NodeSlots is the CSS-tree node size in key slots (a power of two ≥ 2);
-	// 0 means 16, one 64-byte cache line of 4-byte keys.
-	NodeSlots int
 	// SkewSample, when non-empty, is a sample of the expected lookup
 	// distribution (e.g. workload.Gen.ZipfLookups); shard boundaries are
 	// then placed at its quantiles so each shard receives roughly equal
 	// traffic instead of roughly equal keys.
 	SkewSample []K
-	// Schedule picks the batch probe schedule (default ScheduleAuto).
-	Schedule BatchSchedule
 	// Parallel tunes the batch worker pool.  The zero value is the
 	// default engine — GOMAXPROCS workers, sequential below ~4k probes;
 	// set Workers to 1 to keep batches on the calling goroutine.
 	Parallel ParallelOptions
-	// Delta tunes the mutable delta layer that absorbs small batches —
-	// inserts into one sorted insert run per shard, deletes by cancelling
-	// an insert-run key or tombstoning a base key — instead of folding
-	// each into a full shard rebuild.  The zero value enables it with the
-	// default schedule (a shard folds once its insert run plus tombstones
-	// reach 1/512 of its base, and at least 512 keys); Delta.Disabled
-	// restores the pure rebuild-per-batch cycle.
-	Delta DeltaPolicy
 }
-
-// DeltaPolicy tunes the delta layer's fold schedule (Disabled,
-// FoldDenominator, MinFoldKeys); see the field docs on the internal policy
-// (internal/shard.DeltaPolicy) for the exact thresholds.
-type DeltaPolicy = shard.DeltaPolicy
 
 // DeltaStats snapshots the delta layer across shards: base vs delta key
 // counts, the tombstone share, outstanding runs, and lifetime absorb/fold
@@ -154,17 +75,11 @@ func NewSharded[K cmp.Ordered](keys []K, opts ShardedOptions[K]) *ShardedIndex[K
 }
 
 // newShardedFrom wires a sharded index over an explicit partition with the
-// serving options — the shared construction tail of NewSharded and
+// worker-pool options — the shared construction tail of NewSharded and
 // LoadSharded, so a restored index can never diverge from a fresh build.
 func newShardedFrom[K cmp.Ordered](keys []K, bounds []K, opts ShardedOptions[K]) *ShardedIndex[K] {
-	m := opts.NodeSlots
-	if m == 0 {
-		m = 16
-	}
-	ix := shard.New(keys, bounds, shardedBuilder[K](m))
-	ix.SetBatchSchedule(opts.Schedule.toShard())
+	ix := shard.New(keys, bounds, shardedBuilder[K](slotsFor(DefaultNodeBytes)))
 	ix.SetParallel(opts.Parallel.engine())
-	ix.SetDeltaPolicy(opts.Delta)
 	return &ShardedIndex[K]{ix: ix}
 }
 
@@ -199,8 +114,8 @@ func (x *ShardedIndex[K]) EqualRange(key K) (first, last int) { return x.ix.Equa
 // batches fan the per-shard runs across the worker pool
 // (ShardedOptions.Parallel) — all against one frozen snapshot, so a batch
 // never mixes epochs even while rebuilds publish concurrently.  Results are
-// bit-identical to the scalar calls against that snapshot, under every
-// schedule and worker count.
+// bit-identical to the scalar calls against that snapshot, in either probe
+// order and under every worker count.
 func (x *ShardedIndex[K]) SearchBatch(probes []K, out []int32) { x.ix.SearchBatch(probes, out) }
 
 // LowerBoundBatch stores LowerBound(probes[i]) into out[i] for every probe;
@@ -234,13 +149,6 @@ func (x *ShardedIndex[K]) Epochs() []uint64 { return x.ix.Epochs() }
 // ok is false before any batch was large enough to calibrate.
 func (x *ShardedIndex[K]) BatchCalibration() (minPerWorker int, perProbeNs float64, ok bool) {
 	return x.ix.BatchCalibration()
-}
-
-// ResolveSchedule reports the concrete schedule the index would descend
-// this batch under, resolving a configured ScheduleAuto through the same
-// per-batch estimate the batch methods use.
-func (x *ShardedIndex[K]) ResolveSchedule(probes []K) BatchSchedule {
-	return fromShardResolved(shard.ResolveSchedule(x.ix.Schedule(), probes))
 }
 
 // Insert enqueues keys for insertion; they become visible at the affected
@@ -283,8 +191,7 @@ func (x *ShardedIndex[K]) Snapshot() *ShardedView[K] {
 }
 
 // ShardedView is a frozen capture of every shard at one point; see
-// ShardedIndex.Snapshot.  The view inherits the index's batch schedule and
-// worker-pool options.
+// ShardedIndex.Snapshot.  The view inherits the index's worker-pool options.
 type ShardedView[K cmp.Ordered] struct {
 	v *shard.View[K]
 }
