@@ -58,7 +58,7 @@ func TestJoinBatchMatchesReference(t *testing.T) {
 		}
 		for _, batch := range []int{0, 1, 7, 64, 100000} {
 			var got [][2]uint32
-			count, err := JoinWith(outer, "k", ix, JoinOptions{BatchSize: batch}, func(o, i uint32) {
+			count, err := JoinWith(outer, "k", ix, JoinOptions{batch: batch}, func(o, i uint32) {
 				got = append(got, [2]uint32{o, i})
 			})
 			if err != nil {
@@ -104,14 +104,14 @@ func TestJoinBatchSizesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var scalar [][2]uint32
-	if _, err := JoinWith(outer, "k", ix, JoinOptions{BatchSize: 1}, func(o, i uint32) {
+	if _, err := JoinWith(outer, "k", ix, JoinOptions{batch: 1}, func(o, i uint32) {
 		scalar = append(scalar, [2]uint32{o, i})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{8, 64, 512} {
 		var got [][2]uint32
-		if _, err := JoinWith(outer, "k", ix, JoinOptions{BatchSize: batch}, func(o, i uint32) {
+		if _, err := JoinWith(outer, "k", ix, JoinOptions{batch: batch}, func(o, i uint32) {
 			got = append(got, [2]uint32{o, i})
 		}); err != nil {
 			t.Fatal(err)

@@ -46,31 +46,16 @@ import (
 	"cssidx/internal/telemetry"
 )
 
-// CacheOptions configures the result cache attached to a Table or DB.
-type CacheOptions struct {
-	// MaxBytes is the budget for cached result payloads
-	// (0 = qcache.DefaultMaxBytes).
-	MaxBytes int64
-	// MinCostNs is the admission floor on estimated recompute cost
-	// (0 = qcache.DefaultMinCostNs; negative admits everything).
-	MinCostNs int64
-	// Disabled turns the cache off entirely (every surface computes).
-	Disabled bool
-}
+// CacheOptions configures the result cache attached to a Table or DB: its
+// byte budget and admission floor.  A table without a cache (none attached,
+// or AttachCache(nil)) computes every surface.
+type CacheOptions = qcache.Options
 
-// build constructs the cache, or nil when disabled.
-func (o CacheOptions) build() *qcache.Cache {
-	if o.Disabled {
-		return nil
-	}
-	return qcache.New(qcache.Options{MaxBytes: o.MaxBytes, MinCostNs: o.MinCostNs})
-}
-
-// EnableCache attaches a fresh result cache to the table and returns it
-// (nil when opts.Disabled).  Attachment is not synchronized with queries:
-// enable the cache before the table starts serving.
+// EnableCache attaches a fresh result cache to the table and returns it.
+// Attachment is not synchronized with queries: enable the cache before the
+// table starts serving.
 func (t *Table) EnableCache(opts CacheOptions) *qcache.Cache {
-	c := opts.build()
+	c := qcache.New(opts)
 	t.cache.Store(c)
 	return c
 }
@@ -92,7 +77,8 @@ func (t *Table) CacheStats() qcache.Stats { return t.cache.Load().StatsSnapshot(
 func (t *Table) Generation() uint64 { return t.gen.Load() }
 
 // StateVersion returns the single counter that moves on every AppendRows
-// batch, folded or absorbed: 1 after creation, +1 per batch.
+// batch, folded or absorbed, and on every Compact: 1 after creation, +1 per
+// batch or Compact.
 func (t *Table) StateVersion() uint64 { return t.stateVer.Load() }
 
 // token stamps results computed against the table's in-place state: the
@@ -282,9 +268,9 @@ type DB struct {
 }
 
 // NewDB creates a database whose tables share one result cache built from
-// opts (no cache when opts.Disabled).
+// opts.
 func NewDB(opts CacheOptions) *DB {
-	return &DB{tables: map[string]*Table{}, cache: opts.build()}
+	return &DB{tables: map[string]*Table{}, cache: qcache.New(opts)}
 }
 
 // CreateTable creates an empty table registered in the DB with the shared

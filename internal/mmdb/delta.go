@@ -11,7 +11,7 @@ package mmdb
 // exceed resident RIDs and the build's radix sort is stable, that merged
 // order is bit-identical to what a full rebuild would produce — the delta
 // layer is invisible to results, only to build cost.  Once the delta has
-// grown to a fixed fraction of the base (AppendPolicy), the batch *folds*,
+// grown to a fixed fraction of the base (foldDenominator), the batch *folds*,
 // and the fold is a merge too (Table.foldRows): each domain grows by the
 // tail's new values, which shifts the old IDs monotonically (IDs are ranks),
 // so the ID column is carried over by one gather and each index merges its
@@ -25,48 +25,39 @@ package mmdb
 // closed bounds for the same reason (qcache).
 
 import (
+	"cssidx/internal/binsearch"
 	"cssidx/internal/bloom"
 	"cssidx/internal/domain"
 	"cssidx/internal/sortu32"
 )
 
-// AppendPolicy tunes how AppendRows lands a batch: absorbed into the delta
-// layer, or folded into the domains, encodings and index base arrays.
-type AppendPolicy struct {
-	// Disabled folds every batch: no delta layer, an O(n) merge per batch.
-	Disabled bool
-	// FoldDenominator is the delta:base ratio that triggers a fold: a
-	// batch folds when deltaRows*FoldDenominator ≥ baseRows (0 = 8).  The
-	// default folds an append onto an empty or tiny base immediately,
-	// which is exactly the fold-per-batch small tables want.
-	FoldDenominator int
-	// MinFoldRows floors the trigger: a fold needs at least this many
-	// delta rows.  Raise it to keep a mid-sized table absorbing longer.
-	MinFoldRows int
-}
+// The fold trigger: a batch folds once the delta it brings reaches
+// 1/foldDenominator of the base, deltaRows*foldDenominator ≥ baseRows.  An
+// append onto an empty or tiny base therefore folds at once, which is the
+// fold-per-batch small tables want.  A caller that wants a fold sooner calls
+// Compact.
+const foldDenominator = 8
 
-func (p AppendPolicy) foldDenom() int {
-	if p.FoldDenominator <= 0 {
-		return 8
-	}
-	return p.FoldDenominator
+// foldPolicy is the fold schedule.  The zero value is the engine's; only
+// tests set another, to fold every batch, never, or at another size.
+type foldPolicy struct {
+	always  bool // fold every batch: the pure §2.3 cycle
+	denom   int  // 0 means foldDenominator
+	minRows int  // the delta rows a fold needs at least
 }
 
 // shouldFold reports whether a batch bringing the delta to deltaRows over
 // a base of baseRows crosses the fold threshold.
-func (p AppendPolicy) shouldFold(deltaRows, baseRows int) bool {
-	if p.Disabled {
+func (p foldPolicy) shouldFold(deltaRows, baseRows int) bool {
+	if p.always {
 		return true
 	}
-	return deltaRows >= p.MinFoldRows && deltaRows*p.foldDenom() >= baseRows
+	denom := p.denom
+	if denom <= 0 {
+		denom = foldDenominator
+	}
+	return deltaRows >= p.minRows && deltaRows*denom >= baseRows
 }
-
-// SetAppendPolicy configures the delta layer.  Not synchronized with
-// AppendRows: set it before the table starts appending.
-func (t *Table) SetAppendPolicy(p AppendPolicy) { t.appendPol = p }
-
-// AppendPolicy returns the configured policy.
-func (t *Table) AppendPolicy() AppendPolicy { return t.appendPol }
 
 // BaseRows returns the rows covered by the frozen encodings — everything
 // up to the last fold.
@@ -135,48 +126,13 @@ func mergeIdxRuns(a, b idxRun) idxRun {
 	return idxRun{vals: vals, rids: rids, min: vals[0], max: vals[len(vals)-1], filter: bloom.Build(vals)}
 }
 
-// lowerBound returns the first position with value ≥ v.  Hand-rolled: the
-// bounds run on every merged read, and sort.Search's closure indirection
-// is measurable there.
-func (r *idxRun) lowerBound(v uint32) int {
-	lo, hi := 0, len(r.vals)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if r.vals[m] >= v {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
-}
-
-// upperBound returns the first position with value > v.
-func (r *idxRun) upperBound(v uint32) int {
-	lo, hi := 0, len(r.vals)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if r.vals[m] > v {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
-}
-
 // equalRange returns the half-open positions of value v, empty when the
 // fences or the bloom filter rule it out without searching.
 func (r *idxRun) equalRange(v uint32) (int, int) {
 	if v < r.min || v > r.max || !r.filter.May(v) {
 		return 0, 0
 	}
-	f := r.lowerBound(v)
-	l := f
-	for l < len(r.vals) && r.vals[l] == v {
-		l++
-	}
-	return f, l
+	return binsearch.EqualRange(r.vals, v)
 }
 
 func (r *idxRun) spaceBytes() int {
@@ -206,7 +162,7 @@ func deltaCountRange(runs []idxRun, lo, hi uint32) int {
 		if r.min > hi || r.max < lo {
 			continue
 		}
-		n += r.upperBound(hi) - r.lowerBound(lo)
+		n += binsearch.UpperBound(r.vals, hi) - binsearch.LowerBound(r.vals, lo)
 	}
 	return n
 }
@@ -250,7 +206,7 @@ func mergeRangeDelta(dom *domain.IntDomain, keys, rids []uint32, first, last int
 		if r.min > hi || r.max < lo {
 			continue
 		}
-		if f, l := r.lowerBound(lo), r.upperBound(hi); f < l {
+		if f, l := binsearch.LowerBound(r.vals, lo), binsearch.UpperBound(r.vals, hi); f < l {
 			spans = append(spans, span{r.vals[f:l], r.rids[f:l]})
 			total += l - f
 		}

@@ -17,6 +17,12 @@ import (
 	"cssidx/internal/workload"
 )
 
+// The fold schedules tests set through Table.fold besides the engine's.
+var (
+	foldEveryBatch = foldPolicy{always: true}
+	neverFold      = foldPolicy{minRows: 1 << 30}
+)
+
 // twin is one half of a differential pair: a table with a sorted index on
 // "k", a sharded index on "s", and a plain measure column "v".
 type twin struct {
@@ -25,10 +31,10 @@ type twin struct {
 	sIx *ShardedIndex
 }
 
-func newTwin(t *testing.T, name string, pol AppendPolicy, cols map[string][]uint32, cache bool) *twin {
+func newTwin(t *testing.T, name string, pol foldPolicy, cols map[string][]uint32, cache bool) *twin {
 	t.Helper()
 	tab := NewTable(name)
-	tab.SetAppendPolicy(pol)
+	tab.fold = pol
 	for _, c := range []string{"k", "s", "v"} {
 		if err := tab.AddColumn(c, cols[c]); err != nil {
 			t.Fatal(err)
@@ -264,24 +270,24 @@ func TestDeltaDifferentialAllSurfaces(t *testing.T) {
 			g := workload.New(71)
 			base := g.SortedUniform(500)
 			initial := genCols(g, base, 3000)
-			// MinFoldRows keeps the live table absorbing through enough
+			// minRows keeps the live table absorbing through enough
 			// batches to stack and merge several runs before its first fold.
-			live := newTwin(t, "t", AppendPolicy{MinFoldRows: 600}, initial, cached)
+			live := newTwin(t, "t", foldPolicy{minRows: 600}, initial, cached)
 			defer live.close()
-			oracle := newTwin(t, "t", AppendPolicy{Disabled: true}, initial, false)
+			oracle := newTwin(t, "t", foldEveryBatch, initial, false)
 			defer oracle.close()
 
 			innerCols := genCols(g, base, 800)
-			liveInner := newTwin(t, "d", AppendPolicy{MinFoldRows: 200}, innerCols, false)
+			liveInner := newTwin(t, "d", foldPolicy{minRows: 200}, innerCols, false)
 			defer liveInner.close()
-			oracleInner := newTwin(t, "d", AppendPolicy{Disabled: true}, innerCols, false)
+			oracleInner := newTwin(t, "d", foldEveryBatch, innerCols, false)
 			defer oracleInner.close()
 
 			// 8 batches against the geometric tier (a run merges into its
 			// predecessor while that holds fewer than twice its pairs):
 			// batches 1..4 stack four runs (320, 100, 30, 12), batch 5
 			// cascades 12+12 → 24, 30+24 → 54, 100+54 → 154 and stops at
-			// 320 ≥ 2·154, batch 6 brings the delta to 874 ≥ MinFoldRows
+			// 320 ≥ 2·154, batch 6 brings the delta to 874 ≥ minRows
 			// with 874·8 ≥ base and folds, then two more absorbs leave two
 			// runs at rest on the new base.
 			sizes := []int{320, 100, 30, 12, 12, 400, 50, 20}
@@ -348,13 +354,13 @@ func TestDeltaManyRunsAgainstRebuild(t *testing.T) {
 				dict := g.SortedUniform(300)
 				hot := g.Lookups(dict, 4)
 				all := genCols(g, dict, 6000)
-				live := newTwin(t, "t", AppendPolicy{MinFoldRows: 1 << 30}, all, cached)
+				live := newTwin(t, "t", neverFold, all, cached)
 				defer live.close()
 				// A small fixed outer keeps the join's pair stream short; the
 				// index under test is the inner.
 				outerCols := genCols(g, dict, 400)
 				copy(outerCols["k"], hot)
-				outer := newTwin(t, "o", AppendPolicy{}, outerCols, false)
+				outer := newTwin(t, "o", foldPolicy{}, outerCols, false)
 				defer outer.close()
 
 				// Eight shrinking batches, each under half its predecessor,
@@ -400,7 +406,7 @@ func TestDeltaManyRunsAgainstRebuild(t *testing.T) {
 							}
 						}
 					}
-					rebuilt := newTwin(t, "t", AppendPolicy{Disabled: true}, all, false)
+					rebuilt := newTwin(t, "t", foldEveryBatch, all, false)
 					checkSurfaces(t, tag, g, dict, live, rebuilt, hot...)
 					checkJoin(t, tag, outer, outer, live, rebuilt)
 					if cached {
@@ -460,22 +466,22 @@ func TestDeltaFoldPolicy(t *testing.T) {
 		t.Fatalf("fold left delta %d, base %d", tab.DeltaRows(), tab.BaseRows())
 	}
 
-	// Disabled policy folds every batch.
-	tab.SetAppendPolicy(AppendPolicy{Disabled: true})
+	// foldEveryBatch folds every batch.
+	tab.fold = foldEveryBatch
 	if err := tab.AppendRows(map[string][]uint32{"k": g.Lookups(base, 10)}); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Generation() != gen0+2 || tab.DeltaRows() != 0 {
-		t.Fatalf("disabled policy absorbed: gen %d, delta %d", tab.Generation(), tab.DeltaRows())
+		t.Fatalf("foldEveryBatch absorbed: gen %d, delta %d", tab.Generation(), tab.DeltaRows())
 	}
 
-	// MinFoldRows floors the trigger even when the ratio is crossed.
-	tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 20})
+	// minRows floors the trigger even when the ratio is crossed.
+	tab.fold = neverFold
 	if err := tab.AppendRows(map[string][]uint32{"k": g.Lookups(base, 3000)}); err != nil {
 		t.Fatal(err)
 	}
 	if tab.DeltaRows() != 3000 {
-		t.Fatalf("MinFoldRows ignored: delta %d", tab.DeltaRows())
+		t.Fatalf("minRows ignored: delta %d", tab.DeltaRows())
 	}
 }
 
@@ -485,7 +491,7 @@ func TestDeltaAddColumnGuard(t *testing.T) {
 	g := workload.New(73)
 	base := g.SortedUniform(100)
 	tab := NewTable("g")
-	tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 20})
+	tab.fold = neverFold
 	if err := tab.AddColumn("a", g.Lookups(base, 1000)); err != nil {
 		t.Fatal(err)
 	}
@@ -494,5 +500,129 @@ func TestDeltaAddColumnGuard(t *testing.T) {
 	}
 	if err := tab.AddColumn("b", g.Lookups(base, 1010)); err == nil {
 		t.Fatal("AddColumn allowed over a live delta")
+	}
+}
+
+// TestFoldTriggerContract is the spec of the engine's fold trigger: over a
+// base of B rows, fixed-size batches are absorbed while delta·8 < B, and the
+// batch that brings delta·8 to B or past it folds everything into the base.
+// The cases put delta·8 exactly on B at the crossing, and one short of B
+// the batch before it.
+func TestFoldTriggerContract(t *testing.T) {
+	g := workload.New(74)
+	dict := g.SortedUniform(300)
+	for _, c := range []struct{ base, batch int }{
+		{4000, 100}, // 5·100·8 = 4000: the fifth batch folds on equality
+		{4001, 100}, // 4000 < 4001: the sixth folds
+		{801, 100},  // 800 < 801: the first absorbs, the second folds
+		{800, 100},  // 800 = 800: the first folds
+		{10000, 37}, // 34·37·8 = 10064: the 34th folds
+	} {
+		t.Run(fmt.Sprintf("base=%d/batch=%d", c.base, c.batch), func(t *testing.T) {
+			tab := NewTable("trigger")
+			if err := tab.AddColumn("k", g.Lookups(dict, c.base)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			gen0 := tab.Generation()
+			for k := 1; ; k++ {
+				if err := tab.AppendRows(map[string][]uint32{"k": g.Lookups(dict, c.batch)}); err != nil {
+					t.Fatal(err)
+				}
+				delta := k * c.batch
+				if delta*8 < c.base {
+					if tab.DeltaRows() != delta || tab.BaseRows() != c.base || tab.Generation() != gen0 {
+						t.Fatalf("batch %d (delta·8 = %d < %d) not absorbed: base %d, delta %d, gen %d",
+							k, delta*8, c.base, tab.BaseRows(), tab.DeltaRows(), tab.Generation()-gen0)
+					}
+					continue
+				}
+				if tab.DeltaRows() != 0 || tab.BaseRows() != c.base+delta || tab.Generation() != gen0+1 {
+					t.Fatalf("batch %d (delta·8 = %d ≥ %d) did not fold: base %d, delta %d, gen %d",
+						k, delta*8, c.base, tab.BaseRows(), tab.DeltaRows(), tab.Generation()-gen0)
+				}
+				return
+			}
+		})
+	}
+}
+
+// TestEmptyAppendIsNotAFold: an empty batch is validated and changes
+// nothing — no fold, no version, the runs and the sharded epoch as they
+// were, every cached entry still there.  Compact is the one manual fold: it
+// folds at once, runs outstanding or not, moving the generation and state
+// version, dropping every run and sweeping the table's cached entries.
+func TestEmptyAppendIsNotAFold(t *testing.T) {
+	g := workload.New(75)
+	dict := g.SortedUniform(400)
+	tab := NewTable("absorbed")
+	defer tab.Close()
+	for _, c := range []string{"k", "s"} {
+		if err := tab.AddColumn(c, g.Lookups(dict, 4000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	six, err := tab.BuildShardedIndex("s", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.EnableCache(CacheOptions{MinCostNs: -1})
+	for i := 0; i < 3; i++ {
+		if err := tab.AppendRows(map[string][]uint32{"k": g.Lookups(dict, 100), "s": g.Lookups(dict, 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := tab.SelectRange("k", dict[10], dict[200]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := six.SelectRange(dict[10], dict[200]); err != nil {
+		t.Fatal(err)
+	}
+	if tab.DeltaRows() != 300 || len(ix.seg.runs) == 0 || len(six.cur.Load().runs) == 0 || tab.CacheStats().Entries != 2 {
+		t.Fatalf("setup: delta %d rows, %d sorted runs, %d sharded runs, %d cached entries",
+			tab.DeltaRows(), len(ix.seg.runs), len(six.cur.Load().runs), tab.CacheStats().Entries)
+	}
+
+	gen, sv := tab.Generation(), tab.StateVersion()
+	runs, epoch, st := ix.seg.runs, six.cur.Load(), tab.CacheStats()
+	if err := tab.AppendRows(map[string][]uint32{"k": {}, "s": nil}); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Generation() != gen || tab.StateVersion() != sv || tab.BaseRows() != 4000 || tab.DeltaRows() != 300 {
+		t.Fatalf("empty append moved the table: gen %d → %d, state %d → %d, base %d, delta %d",
+			gen, tab.Generation(), sv, tab.StateVersion(), tab.BaseRows(), tab.DeltaRows())
+	}
+	if len(ix.seg.runs) != len(runs) || &ix.seg.runs[0] != &runs[0] {
+		t.Fatal("empty append replaced the sorted index's runs")
+	}
+	if six.cur.Load() != epoch {
+		t.Fatal("empty append published a sharded epoch")
+	}
+	if got := tab.CacheStats(); got.Entries != st.Entries || got.Invalidations != st.Invalidations {
+		t.Fatalf("empty append dropped cached entries: %+v → %+v", st, got)
+	}
+	if err := tab.AppendRows(map[string][]uint32{"k": {}}); err == nil {
+		t.Fatal("an empty batch missing a column was accepted")
+	}
+
+	for _, what := range []string{"runs outstanding", "nothing outstanding"} {
+		gen, sv := tab.Generation(), tab.StateVersion()
+		tab.Compact()
+		if tab.Generation() != gen+1 || tab.StateVersion() != sv+1 {
+			t.Fatalf("Compact, %s: gen %d → %d, state %d → %d", what, gen, tab.Generation(), sv, tab.StateVersion())
+		}
+		if tab.DeltaRows() != 0 || tab.BaseRows() != 4300 || len(ix.seg.runs) != 0 || len(six.cur.Load().runs) != 0 {
+			t.Fatalf("Compact, %s: delta %d, base %d, %d sorted runs, %d sharded runs left",
+				what, tab.DeltaRows(), tab.BaseRows(), len(ix.seg.runs), len(six.cur.Load().runs))
+		}
+		if n := tab.CacheStats().Entries; n != 0 {
+			t.Fatalf("Compact, %s: %d cached entries survived the fold", what, n)
+		}
 	}
 }

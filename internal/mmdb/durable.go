@@ -59,8 +59,8 @@ func OpenDurable(fsys failfs.FS, dir, name string, pol wal.Policy) (*DurableTabl
 // (see OpenDurable); a non-nil error means the batch was neither logged
 // nor applied.  On an empty table the batch defines the schema (columns
 // in sorted-name order), standing in for AddColumn.  Unlike
-// Table.AppendRows, where an empty batch forces a fold, an empty batch is
-// an error.
+// Table.AppendRows, which accepts an empty batch and changes nothing, an
+// empty batch is an error.
 func (d *DurableTable) AppendRows(newCols map[string][]uint32) error {
 	return d.appendRows(nil, newCols)
 }

@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cssidx"
@@ -126,17 +128,17 @@ func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) 
 
 // runFoldOps decodes one operation stream and checks every fold it causes.
 // The first bytes pick the policy, the column count and each column's
-// cardinality and indexes; then each operation is an append (empty = a forced
-// fold, whether or not runs are outstanding), or an index build — which,
+// cardinality and indexes; then each operation is an append (empty = a
+// Compact, whether or not runs are outstanding), or an index build — which,
 // landing on an unfolded tail, must hand the tail to the new index as one
 // run for the next fold to merge.
 func runFoldOps(t *testing.T, data []byte) (folds int) {
 	s := &byteStream{data: data}
-	pol := []AppendPolicy{{}, {FoldDenominator: 2, MinFoldRows: 48}, {Disabled: true}}[s.next()%3]
+	pol := []foldPolicy{{}, {denom: 2, minRows: 48}, foldEveryBatch}[s.next()%3]
 	cols := make([]foldCol, 1+s.next()%3)
 	sels := make([]byte, len(cols))
 	live := NewTable("live")
-	live.SetAppendPolicy(pol)
+	live.fold = pol
 	defer live.Close()
 	baseRows := int(s.next()) % 5 * 40 // 0 = every column starts empty
 	for i := range cols {
@@ -190,7 +192,9 @@ func runFoldOps(t *testing.T, data []byte) (folds int) {
 			batch[c.name] = vals
 		}
 		base0, gen0 := live.BaseRows(), live.Generation()
-		if err := live.AppendRows(batch); err != nil {
+		if n == 0 {
+			live.Compact()
+		} else if err := live.AppendRows(batch); err != nil {
 			t.Fatal(err)
 		}
 		if live.Generation() == gen0 {
@@ -250,11 +254,11 @@ func TestFoldPinnedCases(t *testing.T) {
 		t.Helper()
 		checkAgainstScratch(t, tag, live, cols)
 	}
-	appendAll() // nothing to fold, nothing to merge
+	live.Compact() // nothing to fold, nothing to merge
 	appendAll(500, 100, 300, 100, 900)
 	folded("fold onto an empty table")
 
-	live.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 20})
+	live.fold = neverFold
 	appendAll(300, 100)
 	appendAll(900)
 	dom := live.cols["v"].dom
@@ -264,23 +268,23 @@ func TestFoldPinnedCases(t *testing.T) {
 	if runs := live.sharded["s"].cur.Load().runs; len(runs) != 1 || len(runs[0].rids) != 3 {
 		t.Fatalf("late index: runs %v, want the 3-row tail as one run", runs)
 	}
-	appendAll() // forced, runs outstanding, every value already resident
+	live.Compact() // runs outstanding, every value already resident
 	folded("forced fold over resident values")
 	if live.cols["v"].dom != dom {
 		t.Error("a tail of resident values rebuilt the domain")
 	}
-	appendAll() // forced, nothing outstanding
+	live.Compact() // nothing outstanding
 	folded("forced fold of nothing")
 
 	appendAll(0, 99, 0)
 	appendAll(math.MaxUint32, 901, math.MaxUint32, 0)
-	appendAll()
+	live.Compact()
 	folded("values below the smallest and above the largest")
 	if vals := live.cols["k"].dom.Values(); vals[0] != 0 || vals[len(vals)-1] != math.MaxUint32 {
 		t.Errorf("domain edges %d..%d", vals[0], vals[len(vals)-1])
 	}
 
-	live.SetAppendPolicy(AppendPolicy{Disabled: true})
+	live.fold = foldEveryBatch
 	for i := uint32(0); i < 20; i++ {
 		appendAll(i*37%400, 1000+i, i*37%400)
 		folded("merge per batch")
@@ -314,7 +318,7 @@ func TestShardedReadersDuringFolds(t *testing.T) {
 		all[i] = uint32(rng.Intn(40 + i)) // the value range widens: every fold brings new values
 	}
 	inner := NewTable("inner")
-	inner.SetAppendPolicy(AppendPolicy{FoldDenominator: 20}) // absorb a batch or two, then fold
+	inner.fold = foldPolicy{denom: 20} // absorb a batch or two, then fold
 	defer inner.Close()
 	if err := inner.AddColumn("k", all[:baseRows]); err != nil {
 		t.Fatal(err)
@@ -392,13 +396,20 @@ func TestShardedReadersDuringFolds(t *testing.T) {
 		return false
 	}
 
+	const readers = 6
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var served [3]int64
 	var mu sync.Mutex
-	reader := func(seed int64, kind int) {
+	// answers[w] counts reader w's checked answers; the writer waits for
+	// every reader to answer once between appends, so every kind is served
+	// while the folds land.
+	var answers [readers]atomic.Int64
+	reader := func(w int) {
 		defer wg.Done()
-		r := rand.New(rand.NewSource(seed))
+		defer answers[w].Add(1 << 40) // a reader that gave up must not stall the writer
+		r := rand.New(rand.NewSource(int64(100 + w)))
+		kind := w % 3
 		n := int64(0)
 		for {
 			select {
@@ -436,14 +447,22 @@ func TestShardedReadersDuringFolds(t *testing.T) {
 				return
 			}
 			n++
+			answers[w].Add(1)
 		}
 	}
-	for w := 0; w < 6; w++ {
+	for w := 0; w < readers; w++ {
 		wg.Add(1)
-		go reader(int64(100+w), w%3)
+		go reader(w)
 	}
 	gen0 := inner.Generation()
+	var marks [readers]int64
 	for b := 0; b < batches; b++ {
+		for w := range answers {
+			for answers[w].Load() <= marks[w] {
+				runtime.Gosched()
+			}
+			marks[w] = answers[w].Load()
+		}
 		lo := baseRows + b*batchRows
 		if err := inner.AppendRows(map[string][]uint32{"k": all[lo : lo+batchRows]}); err != nil {
 			t.Fatal(err)
@@ -460,20 +479,8 @@ func TestShardedReadersDuringFolds(t *testing.T) {
 			t.Errorf("reader kind %d served nothing during the folds", kind)
 		}
 	}
-	checkAgainstScratch(t, "after the race", foldAll(t, inner), []foldCol{{name: "k"}})
-}
-
-// foldAll forces the outstanding tail in.
-func foldAll(t *testing.T, tab *Table) *Table {
-	t.Helper()
-	empty := map[string][]uint32{}
-	for _, name := range tab.order {
-		empty[name] = nil
-	}
-	if err := tab.AppendRows(empty); err != nil {
-		t.Fatal(err)
-	}
-	return tab
+	inner.Compact()
+	checkAgainstScratch(t, "after the race", inner, []foldCol{{name: "k"}})
 }
 
 // TestRegisteredSeries pins the mmdb layer's metric catalogue: the query
@@ -504,7 +511,7 @@ func TestRegisteredSeries(t *testing.T) {
 	defer telemetry.Disable()
 	absorbs0, folds0, lag0 := histAbsorbNs.Count(), histFoldNs.Count(), gaugeDeltaRows.Value()
 	tab := NewTable("lag")
-	tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 10})
+	tab.fold = foldPolicy{minRows: 10}
 	if err := tab.AddColumn("k", make([]uint32, 40)); err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +526,7 @@ func TestRegisteredSeries(t *testing.T) {
 	}
 	step(3, 3)
 	step(4, 7)
-	step(5, 0) // 12 rows ≥ MinFoldRows and ≥ 40/8: folded
+	step(5, 0) // 12 rows ≥ minRows and ≥ 40/8: folded
 	step(2, 2)
 	tab.Close()
 	tab.Close()

@@ -29,11 +29,11 @@ type scaleTable struct {
 	dict []uint32
 }
 
-func newScaleTable(tb testing.TB, baseRows int, pol AppendPolicy) *scaleTable {
+func newScaleTable(tb testing.TB, baseRows int, pol foldPolicy) *scaleTable {
 	tb.Helper()
 	g := workload.New(int64(baseRows))
 	s := &scaleTable{tab: NewTable("b"), g: g, dict: g.SortedUniform(baseRows / 8)}
-	s.tab.SetAppendPolicy(pol)
+	s.tab.fold = pol
 	for _, c := range []string{"k", "v"} {
 		if err := s.tab.AddColumn(c, g.Lookups(s.dict, baseRows)); err != nil {
 			tb.Fatal(err)
@@ -100,7 +100,7 @@ func TestAbsorbThenReadCostFollowsBatch(t *testing.T) {
 	}
 	var lo, hi uint64
 	for _, base := range bases {
-		s := newScaleTable(t, base, AppendPolicy{})
+		s := newScaleTable(t, base, foldPolicy{})
 		// Room for the appended rows up front: append's amortised doubling
 		// of the raw columns is the table's cost, not the delta layer's,
 		// and where it lands depends on the base size.  Four warm absorbs
@@ -141,14 +141,14 @@ func TestAbsorbThenReadCostFollowsBatch(t *testing.T) {
 func BenchmarkAbsorbThenRead(b *testing.B) {
 	for _, base := range []int{50_000, 200_000, 800_000} {
 		b.Run(fmt.Sprintf("base=%dK", base/1000), func(b *testing.B) {
-			s := newScaleTable(b, base, AppendPolicy{})
+			s := newScaleTable(b, base, foldPolicy{})
 			s.append(b, scaleBatch)
 			in := s.g.Lookups(s.dict, 16)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if s.tab.AppendPolicy().shouldFold(s.tab.DeltaRows()+2*scaleBatch, s.tab.BaseRows()) {
+				if s.tab.fold.shouldFold(s.tab.DeltaRows()+2*scaleBatch, s.tab.BaseRows()) {
 					s.append(b, 2*scaleBatch)
 				}
 				batch := s.batch(scaleBatch)
@@ -183,7 +183,7 @@ func (s *scaleTable) fillResident(tb testing.TB, n int) {
 func TestAbsorbCostIndependentOfResidentEntries(t *testing.T) {
 	var lo, hi uint64
 	for _, resident := range []int{0, 500, 5000} {
-		s := newScaleTable(t, 200_000, AppendPolicy{})
+		s := newScaleTable(t, 200_000, foldPolicy{})
 		s.tab.EnableCache(CacheOptions{MinCostNs: -1})
 		s.fillResident(t, resident)
 		// As in TestAbsorbThenReadCostFollowsBatch: room for the rows up
@@ -224,14 +224,14 @@ func TestAbsorbCostIndependentOfResidentEntries(t *testing.T) {
 func BenchmarkAbsorbResident(b *testing.B) {
 	for _, resident := range []int{0, 500, 5000} {
 		b.Run(fmt.Sprint(resident), func(b *testing.B) {
-			s := newScaleTable(b, 200_000, AppendPolicy{})
+			s := newScaleTable(b, 200_000, foldPolicy{})
 			s.tab.EnableCache(CacheOptions{MinCostNs: -1})
 			s.fillResident(b, resident)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if s.tab.AppendPolicy().shouldFold(s.tab.DeltaRows()+2*scaleBatch, s.tab.BaseRows()) {
+				if s.tab.fold.shouldFold(s.tab.DeltaRows()+2*scaleBatch, s.tab.BaseRows()) {
 					s.append(b, 2*scaleBatch)
 					s.fillResident(b, resident)
 				}
@@ -252,19 +252,19 @@ func BenchmarkRangeWeave(b *testing.B) {
 	const base = 200_000
 	for _, c := range []struct {
 		name    string
-		pol     AppendPolicy
+		pol     foldPolicy
 		batches []int
 	}{
-		{"folded", AppendPolicy{Disabled: true}, []int{16128}},
-		{"runs=1", AppendPolicy{MinFoldRows: 1 << 30}, []int{16128}},
-		{"runs=6", AppendPolicy{MinFoldRows: 1 << 30}, []int{8192, 4096, 2048, 1024, 512, 256}},
+		{"folded", foldEveryBatch, []int{16128}},
+		{"runs=1", neverFold, []int{16128}},
+		{"runs=6", neverFold, []int{8192, 4096, 2048, 1024, 512, 256}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s := newScaleTable(b, base, c.pol)
 			for _, n := range c.batches {
 				s.append(b, n)
 			}
-			if want := len(c.batches); !c.pol.Disabled && len(s.ix.seg.runs) != want {
+			if want := len(c.batches); !c.pol.always && len(s.ix.seg.runs) != want {
 				b.Fatalf("%d live runs, want %d", len(s.ix.seg.runs), want)
 			}
 			b.ReportAllocs()
@@ -284,8 +284,7 @@ func BenchmarkRangeWeave(b *testing.B) {
 // BenchmarkFold prices one fold at the end-to-end benchmark's shape: 800K
 // base rows × 3 columns — "k" nearly all distinct and indexed, "c" 1,024
 // categories and indexed, "v" ≈ half distinct and unindexed — with a 100K-row
-// tail outstanding as delta runs.  ns/op is the whole fold (a forced
-// AppendRows); domain-ms/op is the share spent growing the domains and
+// tail outstanding as delta runs.  ns/op is the whole fold (a Compact); domain-ms/op is the share spent growing the domains and
 // re-encoding the ID columns (Column.fold), index-ms/op the rest: merging and
 // building the two indexes.  Each iteration folds a shallow copy of the
 // prepared table — a fold writes nothing it did not allocate.
@@ -300,7 +299,7 @@ func BenchmarkFold(b *testing.B) {
 		return cols
 	}
 	tmpl := NewTable("fold")
-	tmpl.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 30})
+	tmpl.fold = neverFold
 	base := gen(baseRows)
 	for _, name := range []string{"k", "c", "v"} {
 		if err := tmpl.AddColumn(name, base[name]); err != nil {
@@ -331,13 +330,13 @@ func BenchmarkFold(b *testing.B) {
 		}
 		return t
 	}
-	empty := map[string][]uint32{"k": nil, "c": nil, "v": nil}
 	var domain time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if t := clone(); t.AppendRows(empty) != nil || t.DeltaRows() != 0 {
-			b.Fatal("the forced fold left rows outstanding")
+		folded := clone()
+		if folded.Compact(); folded.DeltaRows() != 0 {
+			b.Fatal("Compact left rows outstanding")
 		}
 		b.StopTimer()
 		t := clone()

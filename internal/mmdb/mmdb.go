@@ -48,8 +48,10 @@ type Table struct {
 	// domains, ID columns and index base arrays are built over rows
 	// [0, baseRows) at the last fold; rows beyond live in the delta layer
 	// (delta.go) until the next fold.
-	baseRows  int
-	appendPol AppendPolicy
+	baseRows int
+	// fold is the fold schedule: the zero value (foldDenominator) outside
+	// this package's tests.
+	fold foldPolicy
 	// lag is the table's share of the mmdb_delta_rows gauge: the rows
 	// absorbed since the last fold (or Close).
 	lag int64
@@ -365,28 +367,28 @@ func (ix *SortedIndex) joinFreeze() (*segment, uint64) {
 
 // JoinOptions configures JoinWith.
 type JoinOptions struct {
-	// BatchSize is the probe chunk size: 0 = cssidx.DefaultBatchSize,
-	// 1 = the scalar schedule.
-	BatchSize int
 	// Parallel tunes the worker pool fanning outer-row spans across cores.
 	// The zero value is the default engine (GOMAXPROCS workers, sequential
 	// below ~4k outer rows); Workers 1 forces the streaming sequential
 	// path.
 	Parallel cssidx.ParallelOptions
+	// batch is the probe chunk size, 0 = cssidx.DefaultBatchSize; only
+	// tests set another (1 = the scalar schedule).
+	batch int
 }
 
-// Join performs the indexed nested-loop join of §2.2 with the default probe
-// batch size; see JoinWith.
+// Join performs the indexed nested-loop join of §2.2 with the default
+// options; see JoinWith.
 func Join(outer *Table, outerCol string, inner JoinIndex, emit func(outerRID, innerRID uint32)) (int, error) {
 	return JoinWith(outer, outerCol, inner, JoinOptions{}, emit)
 }
 
 // JoinWith performs the indexed nested-loop join of §2.2, driving the inner
 // index through the batched probe surface: outer rows are processed in
-// chunks of BatchSize, each chunk is translated through the inner domain and
-// probed with one lockstep descent, and emit is called for each matching
-// (outerRID, innerRID) pair, in the same order as scalar probing.  It
-// returns the number of result pairs.
+// chunks of cssidx.DefaultBatchSize, each chunk is translated through the
+// inner domain and probed with one lockstep descent, and emit is called for
+// each matching (outerRID, innerRID) pair, in the same order as scalar
+// probing.  It returns the number of result pairs.
 //
 // Outer spans large enough for the worker options run concurrently, each
 // with its own pooled scratch, multiplying the lockstep kernel's
@@ -435,7 +437,7 @@ func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOp
 		return 0, fmt.Errorf("mmdb: no column %s in table %s", outerCol, outer.name)
 	}
 	e.sp.Attr("outer", outer.name).Attr("outer_col", outerCol)
-	batchSize := opts.BatchSize
+	batchSize := opts.batch
 	if batchSize <= 0 {
 		batchSize = cssidx.DefaultBatchSize
 	}
@@ -576,13 +578,14 @@ func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOp
 // columns, in equal-length slices.  Small batches are *absorbed* into the
 // delta layer — sorted per-index runs over the appended rows, served merged
 // with the base by every read surface (delta.go) — so an append stream stops
-// paying O(n) per batch.  Once the delta reaches the AppendPolicy threshold (or the
-// policy disables absorption), the batch *folds*: the frozen encodings move
-// forward over every row.  The paper's OLAP position is that "in a
-// main-memory system, it may be relatively cheap to rebuild an index from
-// scratch after a batch of updates" (§2.3); a fold is cheaper still, because
-// everything it starts from is already sorted — it merges (foldRows), and
-// publishes exactly the arrays the rebuild would.
+// paying O(n) per batch.  Once the delta reaches 1/8 of the base
+// (foldDenominator), the batch *folds*: the frozen encodings move forward
+// over every row; Compact folds on demand.  An empty batch changes nothing.
+// The paper's OLAP position is that "in a main-memory system, it may be
+// relatively cheap to rebuild an index from scratch after a batch of
+// updates" (§2.3); a fold is cheaper still, because everything it starts
+// from is already sorted — it merges (foldRows), and publishes exactly the
+// arrays the rebuild would.
 func (t *Table) AppendRows(newCols map[string][]uint32) error {
 	return t.appendRows(nil, newCols)
 }
@@ -617,16 +620,30 @@ func (t *Table) appendRows(ctl *governor.Ctl, newCols map[string][]uint32) error
 }
 
 // applyRows lands a validated batch of batch rows: absorbed into the delta,
-// or folded.
+// or folded.  An empty batch is not applied at all.
 func (t *Table) applyRows(newCols map[string][]uint32, batch int) {
+	if batch == 0 {
+		return
+	}
 	start := telemetry.Now()
-	if batch == 0 || t.appendPol.shouldFold(t.rows-t.baseRows+batch, t.baseRows) {
+	if t.fold.shouldFold(t.rows-t.baseRows+batch, t.baseRows) {
 		t.foldRows(newCols, batch)
 		histFoldNs.Since(start)
 	} else {
 		t.absorbRows(newCols, batch)
 		histAbsorbNs.Since(start)
 	}
+}
+
+// Compact folds now, with or without absorbed rows outstanding: the frozen
+// encodings and index base arrays move forward over every row, the
+// generation moves and the table's cached entries are swept — what a batch
+// that crosses the fold threshold does.  Like AppendRows it is not
+// synchronized with other mutations (on a DurableTable, with its AppendRows).
+func (t *Table) Compact() {
+	start := telemetry.Now()
+	t.foldRows(nil, 0)
+	histFoldNs.Since(start)
 }
 
 // Close drops the table from the process-wide accounts: its sharded indexes'

@@ -65,8 +65,8 @@ func TestJoinShardedMatchesSortedIndex(t *testing.T) {
 	}
 	defer sh.Close()
 	for _, bs := range []int{0, 1, 64, 700} {
-		nSorted, pSorted := collectJoin(t, outer, "k", ix, JoinOptions{BatchSize: bs})
-		nSharded, pSharded := collectJoin(t, outer, "k", sh, JoinOptions{BatchSize: bs})
+		nSorted, pSorted := collectJoin(t, outer, "k", ix, JoinOptions{batch: bs})
+		nSharded, pSharded := collectJoin(t, outer, "k", sh, JoinOptions{batch: bs})
 		if nSorted != nSharded {
 			t.Fatalf("bs=%d: sorted %d pairs, sharded %d", bs, nSorted, nSharded)
 		}
@@ -98,7 +98,7 @@ func TestJoinParallelMatchesSequential(t *testing.T) {
 			{Workers: 4, MinBatchPerWorker: 256},
 			{Workers: 3, MinBatchPerWorker: 1},
 		} {
-			_, got := collectJoin(t, outer, "k", in, JoinOptions{BatchSize: 128, Parallel: par})
+			_, got := collectJoin(t, outer, "k", in, JoinOptions{batch: 128, Parallel: par})
 			if len(got.outer) != len(want.outer) {
 				t.Fatalf("par=%+v: %d pairs, want %d", par, len(got.outer), len(want.outer))
 			}
@@ -158,8 +158,8 @@ func TestJoinShardedDuringAppendRows(t *testing.T) {
 			t.Fatal("sharded index vanished")
 		}
 		n, err := JoinWith(outer, "k", sh2, JoinOptions{
-			BatchSize: 64,
-			Parallel:  cssidx.ParallelOptions{Workers: 4, MinBatchPerWorker: 64},
+			batch:    64,
+			Parallel: cssidx.ParallelOptions{Workers: 4, MinBatchPerWorker: 64},
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestInDriverMatchesRebuiltOracle(t *testing.T) {
 	base := g.SortedWithDuplicates(6000, 3)
 	vals := g.Shuffled(base)
 	tbl := NewTable("t")
-	tbl.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 20})
+	tbl.fold = neverFold
 	for _, c := range []string{"o", "h", "s"} {
 		if err := tbl.AddColumn(c, vals); err != nil {
 			t.Fatal(err)

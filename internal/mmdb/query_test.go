@@ -377,7 +377,7 @@ func newEntryForms(t *testing.T, seed int64) *entryForms {
 	fk := append(f.g.Lookups(f.base, 600), f.g.Misses(f.base, 200)...)
 	for i := range f.tabs {
 		tab := NewTable("t")
-		tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 300})
+		tab.fold = foldPolicy{minRows: 300}
 		for _, c := range []string{"k", "s", "m"} {
 			if err := tab.AddColumn(c, cols[c]); err != nil {
 				t.Fatal(err)

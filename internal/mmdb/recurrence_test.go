@@ -170,11 +170,11 @@ func runRecurrence(t *testing.T, cached, plain *recurSide, surfaces []recurSurfa
 		t.Helper()
 		b := batch()
 		both(func(s *recurSide) error {
-			if fold {
-				s.t.SetAppendPolicy(AppendPolicy{Disabled: true})
-				defer s.t.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 30})
+			if err := s.t.AppendRows(b); err != nil || !fold {
+				return err
 			}
-			return s.t.AppendRows(b)
+			s.t.Compact()
+			return nil
 		})
 	}
 	rejected := make([]bool, len(surfaces)) // the cost floor refused something of the surface's second ask
@@ -238,7 +238,7 @@ func TestRecurrenceAdmissionDifferential(t *testing.T) {
 	t.Run("battery", func(t *testing.T) {
 		cached, plain, g := cachePair(t, 4000, 11)
 		for _, tab := range []*Table{cached, plain} {
-			tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 30})
+			tab.fold = neverFold
 			ix, _ := tab.ShardedIndex("b")
 			defer ix.Close()
 		}
@@ -273,7 +273,7 @@ func TestRecurrenceAdmissionDifferential(t *testing.T) {
 		}
 		build := func(cache bool) *recurSide {
 			s := &recurSide{t: NewTable("t"), o: NewTable("o")}
-			s.t.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 30})
+			s.t.fold = neverFold
 			for _, c := range cols {
 				if err := s.t.AddColumn(c, rows[c]); err != nil {
 					t.Fatal(err)
@@ -306,7 +306,8 @@ func TestRecurrenceAdmissionDifferential(t *testing.T) {
 // against epoch swaps: four readers, each pinned to whatever epoch was
 // current when its round began, ask a Zipf-skewed pool of ranges and IN-lists
 // plus one-off ranges at default admission while 30 absorbed appends and a
-// fold land.  Every answer must be its pinned epoch's own recompute; a
+// Compact land, each reader finishing a round pinned to every epoch before
+// the next append.  Every answer must be its pinned epoch's own recompute; a
 // concurrent StatsSnapshot must never see Deferred (or any miss settlement)
 // move backwards; and at rest every miss is accounted for — deferred at first
 // sight, or inserted or rejected at admission.
@@ -314,7 +315,7 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 	g := workload.New(97)
 	base := g.SortedUniform(1500)
 	tab := NewTable("t")
-	tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 30})
+	tab.fold = neverFold
 	if err := tab.AddColumn("x", g.Lookups(base, 4000)); err != nil {
 		t.Fatal(err)
 	}
@@ -325,25 +326,27 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 	defer func() { six.Close() }()
 	tab.EnableCache(CacheOptions{})
 
-	const appends, pool = 30, 24
+	const appends, pool, readers = 30, 24, 4
 	batches := make([]map[string][]uint32, appends)
 	for i := range batches {
 		batches[i] = map[string][]uint32{"x": g.Lookups(base, 60)}
 	}
 	lists := g.Lookups(base, pool+12)
 	var stop atomic.Bool
-	var rounds atomic.Int64
+	// rounds[r] counts reader r's finished rounds; the writer waits for
+	// every reader to finish two rounds after an append — the second began
+	// after it — so every reader reads every epoch.
+	var rounds [readers]atomic.Int64
 	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
+	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			defer rounds.Add(1 << 20) // a reader that gave up must not stall the writer
+			defer rounds[r].Add(1 << 40) // a reader that gave up must not stall the writer
 			rng := rand.New(rand.NewSource(int64(300 + r)))
 			zipf := rand.NewZipf(rng, 1.2, 1, pool-1)
 			oneOff := uint32(r) << 28
-			for !stop.Load() {
-				rounds.Add(1)
+			for ; !stop.Load(); rounds[r].Add(1) {
 				s := six.cur.Load() // held across the round: it goes stale under it
 				for q := 0; q < 8; q++ {
 					lo, hi := uint32(0), uint32(0)
@@ -388,18 +391,23 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 			runtime.Gosched()
 		}
 	}()
+	var marks [readers]int64
 	for i, b := range batches {
-		for rounds.Load() < int64(2*i) { // every append lands between reader rounds
-			runtime.Gosched()
-		}
-		if i == appends/2 {
-			tab.SetAppendPolicy(AppendPolicy{Disabled: true}) // this one folds
+		for r := range rounds {
+			for rounds[r].Load() < marks[r]+2 {
+				runtime.Gosched()
+			}
 		}
 		if err := tab.AppendRows(b); err != nil {
 			t.Error(err)
 			break
 		}
-		tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 30})
+		if i == appends/2 {
+			tab.Compact()
+		}
+		for r := range rounds {
+			marks[r] = rounds[r].Load()
+		}
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -410,7 +418,12 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 	if s.Misses != s.Deferred+s.Inserts+s.Rejects {
 		t.Fatalf("misses do not reconcile with admission: %d misses, %d deferred + %d inserted + %d rejected", s.Misses, s.Deferred, s.Inserts, s.Rejects)
 	}
-	if s.Hits == 0 || s.Deferred == 0 || s.Inserts == 0 || s.Patches == 0 {
-		t.Fatalf("race exercised nothing: %+v", s)
+	for _, c := range []struct {
+		name string
+		n    int64
+	}{{"Hits", s.Hits}, {"Deferred", s.Deferred}, {"Inserts", s.Inserts}, {"Patches", s.Patches}} {
+		if c.n == 0 {
+			t.Errorf("race left %s at 0: %+v", c.name, s)
+		}
 	}
 }

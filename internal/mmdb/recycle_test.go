@@ -35,7 +35,7 @@ func recyclePair(t *testing.T, kind cssidx.Kind, n int, seed int64) (cached, pla
 	}
 	build := func() *Table {
 		tab := NewTable("t")
-		tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 20})
+		tab.fold = neverFold
 		for _, c := range []string{"a", "b", "v"} {
 			if err := tab.AddColumn(c, cols[c]); err != nil {
 				t.Fatal(err)
@@ -282,8 +282,8 @@ func TestGroupAggregateCachedDifferential(t *testing.T) {
 	}
 
 	// Fold: entries drop, recompute must refill and match.
-	cached.SetAppendPolicy(AppendPolicy{})
-	plain.SetAppendPolicy(AppendPolicy{})
+	cached.fold = foldPolicy{}
+	plain.fold = foldPolicy{}
 	batch := map[string][]uint32{
 		"a": g.Lookups(base, 3000), "b": g.Lookups(base, 3000), "v": g.Lookups(base, 3000),
 	}
@@ -311,7 +311,7 @@ func TestRecycleRaceSharded(t *testing.T) {
 	}
 	build := func(init map[string][]uint32) *Table {
 		tab := NewTable("t")
-		tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 20})
+		tab.fold = neverFold
 		if err := tab.AddColumn("x", init["x"]); err != nil {
 			t.Fatal(err)
 		}

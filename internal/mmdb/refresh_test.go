@@ -93,7 +93,7 @@ func TestRefreshRaceShardedStragglers(t *testing.T) {
 	base := g.SortedUniform(1500)
 	build := func() (*Table, *ShardedIndex) {
 		tab := NewTable("t")
-		tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 20})
+		tab.fold = neverFold
 		if err := tab.AddColumn("x", g.Lookups(base, 4000)); err != nil {
 			t.Fatal(err)
 		}

@@ -112,9 +112,7 @@ func TestHitReplaysPlan(t *testing.T) {
 		case "after absorbed appends":
 			w.absorb(t, rng, 300)
 		case "after a fold":
-			if err := w.tab.AppendRows(map[string][]uint32{"k": nil, "h": nil, "s": nil, "u": nil}); err != nil {
-				t.Fatal(err)
-			}
+			w.tab.Compact()
 		}
 		for round := 0; round < 2; round++ {
 			for _, q := range questions {
@@ -146,9 +144,7 @@ func TestHitReplaysPlan(t *testing.T) {
 	// Questions the plan proves empty — bounds past every value the table
 	// ever held, or inverted — are answered without counting a miss,
 	// noting a first sight or inserting, at default admission.
-	if err := w.tab.AppendRows(map[string][]uint32{"k": nil, "h": nil, "s": nil, "u": nil}); err != nil {
-		t.Fatal(err)
-	}
+	w.tab.Compact()
 	qc = w.tab.EnableCache(CacheOptions{})
 	for _, q := range []func() error{
 		func() error { _, _, err := w.tab.SelectRange("u", 1<<30, 1<<30+9); return err },

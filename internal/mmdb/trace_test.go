@@ -320,7 +320,7 @@ func TestExplainSurfacesGolden(t *testing.T) {
 		cols["m"][i] = uint32(i % 100)
 	}
 	tab := NewTable("t")
-	tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 20})
+	tab.fold = neverFold
 	for _, c := range []string{"k", "s", "g", "m"} {
 		if err := tab.AddColumn(c, cols[c]); err != nil {
 			t.Fatal(err)

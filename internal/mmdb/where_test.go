@@ -35,7 +35,7 @@ func newWhereTable(t testing.TB, rng *rand.Rand, base, tail int) *whereTable {
 	t.Helper()
 	w := &whereTable{tab: NewTable("w"), raw: map[string][]uint32{},
 		card: map[string]int{"k": base/2 + 1, "h": 16, "s": base/8 + 1, "u": 64}}
-	w.tab.SetAppendPolicy(AppendPolicy{MinFoldRows: 1 << 30})
+	w.tab.fold = neverFold
 	for _, c := range whereCols {
 		vals := make([]uint32, base)
 		for i := range vals {

@@ -38,7 +38,7 @@ func (a asker) ask(k Key, tok Token) (hit, admit bool) {
 // evict each other for ever; and a tag outlives its entry — DropTable, a fold
 // and an eviction each cost the question one miss, not two.
 func TestDoorkeeperNoLivelock(t *testing.T) {
-	c := New(Options{Stripes: 1})
+	c := New(Options{stripes: 1})
 	a := asker{c, 8}
 	tok := Token{Gen: 1}
 	keys := doorSetKeys(10, 0)
@@ -89,7 +89,7 @@ func TestDoorkeeperNoLivelock(t *testing.T) {
 		t.Fatalf("DropTable and a fold deferred a known question: %+v, before %+v", s, before)
 	}
 
-	small := New(Options{Stripes: 1, MaxBytes: 16 << 10})
+	small := New(Options{stripes: 1, MaxBytes: 16 << 10})
 	a = asker{small, 500} // ~2 KiB an entry: the stripe holds eight
 	for i := uint32(0); small.Stats().Evictions == 0; i++ {
 		if i == 64 {
@@ -108,7 +108,7 @@ func TestDoorkeeperNoLivelock(t *testing.T) {
 // door's capacity — 4,096 distinct misses per stripe: a question that recurs
 // well inside it is admitted, one that recurs far outside it starts again.
 func TestDoorkeeperScanResistance(t *testing.T) {
-	c := New(Options{Stripes: 1})
+	c := New(Options{stripes: 1})
 	a := asker{c, 100}
 	tok := Token{Gen: 1}
 	next := uint32(0)

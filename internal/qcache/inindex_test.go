@@ -356,7 +356,7 @@ func TestInReusePatchEvictDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, concurrent := range []bool{false, true} {
 			t.Run(fmt.Sprintf("seed=%d/concurrent=%v", seed, concurrent), func(t *testing.T) {
-				c := New(admitAll(Options{MaxBytes: 24 << 10, Stripes: 4}))
+				c := New(admitAll(Options{MaxBytes: 24 << 10, stripes: 4}))
 				d := &inDriver{t: t, c: c, rng: rand.New(rand.NewSource(seed)), nextRID: inBaseRIDs, row: map[Key]bool{}, racing: concurrent}
 				for _, table := range []string{"t", "u"} {
 					for _, layer := range []Layer{LayerTable, LayerEpoch} {
@@ -415,7 +415,7 @@ func TestInReusePatchEvictDifferential(t *testing.T) {
 // entry that its successor no longer fits the stripe: the entry must drop
 // and take the postings its successor had inherited with it.
 func TestPatchGroupedInOutgrowsBudget(t *testing.T) {
-	c := New(admitAll(Options{MaxBytes: 1 << 10, Stripes: 1}))
+	c := New(admitAll(Options{MaxBytes: 1 << 10, stripes: 1}))
 	k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1, N: 2}
 	c.InsertIn(k, Token{Epoch: 100}, []uint32{5, 9}, []uint32{0, 1, 2}, []uint32{1, 2}, 10, Plan{})
 	batch := make([]uint32, 300)
@@ -452,7 +452,7 @@ func fillResident(c *Cache, tok Token, n int) {
 // near-superset stops at its first unlisted value.
 func TestLookupInReuseMissCostFollowsQuery(t *testing.T) {
 	for _, resident := range []int{10, 1000, 10000} {
-		c := New(admitAll(Options{MaxBytes: 1 << 30, Stripes: 1}))
+		c := New(admitAll(Options{MaxBytes: 1 << 30, stripes: 1}))
 		tok := Token{Gen: 1}
 		fillResident(c, tok, resident)
 		if got := c.Stats().Entries; got != int64(resident)+1 {
@@ -490,7 +490,7 @@ func TestLookupInReuseMissCostFollowsQuery(t *testing.T) {
 // anything cached, and a subset replay found among the residents.
 func BenchmarkLookupInReuseMiss(b *testing.B) {
 	for _, resident := range []int{100, 1000, 10000} {
-		c := New(admitAll(Options{MaxBytes: 1 << 30, Stripes: 1}))
+		c := New(admitAll(Options{MaxBytes: 1 << 30, stripes: 1}))
 		tok := Token{Gen: 1}
 		fillResident(c, tok, resident)
 		k := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 1 << 41, N: 36}

@@ -313,7 +313,7 @@ func TestPatchScopesByColumnAndTable(t *testing.T) {
 }
 
 func TestPatchByteAccounting(t *testing.T) {
-	c := New(admitAll(Options{Stripes: 1}))
+	c := New(admitAll(Options{stripes: 1}))
 	c.InsertRange(rangeKey("t", "a", 0, 99), mark500, seq(0, 50), seq(100, 50), 10, Plan{})
 	before := c.Stats()
 	c.Lookup(rangeKey("t", "a", 0, 99), appended(map[string][]uint32{"a": {5, 7}}).reader(1))
@@ -332,7 +332,7 @@ func TestPatchByteAccounting(t *testing.T) {
 // -race.  A reader must only ever see a payload that is whole and stops at
 // its own rows.
 func TestPatchConcurrentWithLookups(t *testing.T) {
-	c := New(admitAll(Options{Stripes: 4}))
+	c := New(admitAll(Options{stripes: 4}))
 	const base, batches = 100, 64
 	// Row r ≥ base holds a = (r-base)*31 % 2000; the tail is immutable, and a
 	// reader at mark m sees rows [0, m).

@@ -73,6 +73,7 @@ import (
 	"sort"
 	"sync"
 
+	"cssidx/internal/binsearch"
 	"cssidx/internal/sortu32"
 )
 
@@ -85,15 +86,16 @@ type Options struct {
 	// cost is below it are not worth a cache slot.  0 means
 	// DefaultMinCostNs; negative admits everything, at first sight.
 	MinCostNs int64
-	// Stripes is the lock-stripe count, rounded up to a power of two.
-	// 0 means 16.
-	Stripes int
+	// stripes is the lock-stripe count, a power of two; 0 means
+	// numStripes.  Only tests set another, to pin eviction order.
+	stripes int
 }
 
-// Default budget and admission floor.
+// Default budget and admission floor, and the lock-stripe count.
 const (
 	DefaultMaxBytes  = 64 << 20 // 64 MiB of cached results
 	DefaultMinCostNs = 1000     // don't cache queries cheaper than ~1µs
+	numStripes       = 16
 )
 
 // entry is one cached result.  Entries are immutable after insertion
@@ -193,19 +195,15 @@ func New(opts Options) *Cache {
 	if opts.MinCostNs == 0 {
 		opts.MinCostNs = DefaultMinCostNs
 	}
-	n := opts.Stripes
-	if n <= 0 {
-		n = 16
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
+	n := opts.stripes
+	if n == 0 {
+		n = numStripes
 	}
 	c := &Cache{
 		opts:       opts,
-		stripeMask: uint64(pow - 1),
-		budget:     opts.MaxBytes / int64(pow),
-		stripes:    make([]stripe, pow),
+		stripeMask: uint64(n - 1),
+		budget:     opts.MaxBytes / int64(n),
+		stripes:    make([]stripe, n),
 	}
 	for i := range c.stripes {
 		c.stripes[i].m = make(map[Key]*entry)
@@ -432,9 +430,7 @@ func (st *stripe) contain(k Key, rd Reader, c *Cache) (*entry, int) {
 // span returns the half-open positions of a key run's pairs with
 // lo ≤ key ≤ hi.
 func (e *entry) span(lo, hi uint32) (first, last int) {
-	first = sort.Search(len(e.keys), func(i int) bool { return e.keys[i] >= lo })
-	last = sort.Search(len(e.keys), func(i int) bool { return e.keys[i] > hi })
-	return first, last
+	return binsearch.LowerBound(e.keys, lo), binsearch.UpperBound(e.keys, hi)
 }
 
 // The Insert family is the second half of a miss whose lookup said admit;

@@ -183,7 +183,7 @@ func TestAdmissionCostFloor(t *testing.T) {
 
 func TestEvictionUnderBudget(t *testing.T) {
 	// One stripe so the budget applies to every insert.
-	c := New(admitAll(Options{MaxBytes: 64 << 10, Stripes: 1}))
+	c := New(admitAll(Options{MaxBytes: 64 << 10, stripes: 1}))
 	tok := Token{Gen: 1}
 	for i := 0; i < 100; i++ {
 		// ~4KiB each: the stripe holds well under 16.
@@ -202,7 +202,7 @@ func TestEvictionUnderBudget(t *testing.T) {
 }
 
 func TestOversizedResultRejected(t *testing.T) {
-	c := New(admitAll(Options{MaxBytes: 16 << 10, Stripes: 1}))
+	c := New(admitAll(Options{MaxBytes: 16 << 10, stripes: 1}))
 	c.Insert(rangeKey("t", "a", 0, 1), Token{Gen: 1}, seq(0, 10000), 10) // 40KB > budget/2
 	if s := c.Stats(); s.Entries != 0 || s.Rejects != 1 {
 		t.Fatalf("stats %+v", s)
@@ -210,7 +210,7 @@ func TestOversizedResultRejected(t *testing.T) {
 }
 
 func TestScanResistance(t *testing.T) {
-	c := New(admitAll(Options{MaxBytes: 32 << 10, Stripes: 1}))
+	c := New(admitAll(Options{MaxBytes: 32 << 10, stripes: 1}))
 	tok := Token{Gen: 1}
 	hot := Key{Table: "t", Col: "a", Kind: KindIn, Hash: 0xbeef}
 	c.Insert(hot, tok, seq(0, 500), 10)
@@ -257,8 +257,8 @@ func TestPairRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNilAndDisabled checks the nil cache, the one "off" state (what
-// mmdb.CacheOptions{Disabled: true} builds), answers every call as a miss.
+// TestNilAndDisabled checks the nil cache, the one "off" state (what an
+// mmdb table with no cache attached holds), answers every call as a miss.
 func TestNilAndDisabled(t *testing.T) {
 	var nilCache *Cache
 	nilCache.Insert(rangeKey("t", "a", 0, 1), Token{}, seq(0, 4), 10)
@@ -275,7 +275,7 @@ func TestNilAndDisabled(t *testing.T) {
 // drops from many goroutines; run under -race this is the cache's own
 // data-race gate (the mmdb stress test covers the end-to-end story).
 func TestConcurrentChurn(t *testing.T) {
-	c := New(admitAll(Options{MaxBytes: 1 << 20, Stripes: 4}))
+	c := New(admitAll(Options{MaxBytes: 1 << 20, stripes: 4}))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -1,7 +1,7 @@
 package qcache_test
 
 // The refresh-on-touch differential: a cached mmdb table against an uncached
-// twin through a seeded sequence of absorbed appends, folds and a late index
+// twin through a seeded sequence of absorbed appends, two Compact folds and a late index
 // build, with every cached surface re-asked after 0, 1, 7 and 64 intervening
 // batches — so an entry's mark falls now on a delta run's boundary, now deep
 // inside runs the geometric tier has merged since.  Answers must agree row
@@ -34,7 +34,6 @@ var factCols = []string{"k", "s", "u", "g", "m"}
 func newSide(tb testing.TB, cols map[string][]uint32, fk []uint32, cache bool) *side {
 	tb.Helper()
 	s := &side{t: mmdb.NewTable("t"), o: mmdb.NewTable("o")}
-	s.t.SetAppendPolicy(mmdb.AppendPolicy{MinFoldRows: 1 << 30})
 	for _, c := range factCols {
 		if err := s.t.AddColumn(c, cols[c]); err != nil {
 			tb.Fatal(err)
@@ -261,7 +260,7 @@ func checkCacheMarks(t *testing.T, step string, s *side, rows map[string][]uint3
 }
 
 func TestRefreshOnTouchDifferential(t *testing.T) {
-	const base, batches, domain = 6000, 150, 1000
+	const base, batches, domain = 12000, 150, 1000
 	rng := rand.New(rand.NewSource(18))
 	rows := genRows(rng, base, domain)
 	fk := make([]uint32, 400)
@@ -313,18 +312,24 @@ func TestRefreshOnTouchDifferential(t *testing.T) {
 				_, err := s.t.BuildIndex("u", cssidx.KindLevelCSS, cssidx.Options{})
 				return err
 			})
-		case 45, 120: // a fold
-			both(step, func(s *side) error { s.t.SetAppendPolicy(mmdb.AppendPolicy{Disabled: true}); return nil })
 		}
-		// Absorbs of 1…512 rows, mostly small so runs stack and merge, with
-		// values past the frozen domain among them.
+		// Absorbs of 1…64 rows, mostly small so runs stack and merge, with
+		// values past the frozen domain among them.  The base is sized so the
+		// delta stays under an eighth of it between the two folds (at most
+		// 1,202 rows over 12,649 here), so every append is absorbed.
 		n := 1 + rng.Intn(24)
 		if b%8 == 3 {
-			n = 1 + rng.Intn(512)
+			n = 1 + rng.Intn(64)
 		}
 		batch := genRows(rng, n, domain+100)
+		baseRows := cached.t.BaseRows()
 		both(step+": append", func(s *side) error { return s.t.AppendRows(batch) })
-		both(step, func(s *side) error { s.t.SetAppendPolicy(mmdb.AppendPolicy{MinFoldRows: 1 << 30}); return nil })
+		if got := cached.t.BaseRows(); got != baseRows {
+			t.Fatalf("%s: the append folded (base %d → %d rows, delta %d): the base is too small for the sequence", step, baseRows, got, cached.t.DeltaRows())
+		}
+		if b == 45 || b == 120 { // a fold, the batch included
+			both(step+": compact", func(s *side) error { s.t.Compact(); return nil })
+		}
 		for _, c := range factCols {
 			rows[c] = append(rows[c], batch[c]...)
 		}
