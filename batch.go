@@ -10,10 +10,9 @@
 // memory-access schedule changes.
 //
 // BatchIndex and BatchOrderedIndex are the batch counterparts of Index and
-// OrderedIndex.  The uint32 CSS-trees implement them natively with the
-// lockstep kernel of internal/csstree (Generic[K] has a lockstep comparison
-// descent of its own for every key type); AsBatch/AsBatchOrdered adapt
-// any other method through a scalar loop, so every Kind can be driven through
+// OrderedIndex.  The CSS-trees implement them natively with the lockstep
+// kernel of internal/csstree; AsBatch/AsBatchOrdered adapt any other
+// method through a scalar loop, so every Kind can be driven through
 // the same batched call sites.  Positions are int32 (the paper's 4-byte RID,
 // Table 1), which keeps result buffers at half the size of []int and lets one
 // buffer be reused across batches.
@@ -204,85 +203,4 @@ func (x cssTree) SearchBatch(probes []Key, out []int32)     { x.t.SearchBatch(pr
 func (x cssTree) LowerBoundBatch(probes []Key, out []int32) { x.t.LowerBoundBatch(probes, out) }
 func (x cssTree) EqualRangeBatch(probes []Key, first, last []int32) {
 	x.t.EqualRangeBatch(probes, first, last)
-}
-
-// --- generic CSS-tree batch descent -----------------------------------------
-
-// genericBatchWidth is the lockstep width of the comparison descent below:
-// with one lowerBoundG call per visit and no prefetch, the overlap comes
-// from the out-of-order window, which sixteen independent node reads fill.
-const genericBatchWidth = 16
-
-// LowerBoundBatch computes LowerBound for every probe into out
-// (len(out) must equal len(probes)), descending the group in lockstep.
-func (t *Generic[K]) LowerBoundBatch(probes []K, out []int32) {
-	checkBatchLen(len(probes), len(out))
-	g := &t.g
-	if g.Internal == 0 {
-		for i, p := range probes {
-			out[i] = int32(t.LowerBound(p))
-		}
-		return
-	}
-	m, fan, lNode, routing := g.M, g.Fanout, g.LNode, g.Routing()
-	var nodes [genericBatchWidth]int32
-	i := 0
-	for ; i+genericBatchWidth <= len(probes); i += genericBatchWidth {
-		group := probes[i : i+genericBatchWidth]
-		for j := range nodes {
-			nodes[j] = 0
-		}
-		// Leaves exist only on the two deepest levels, so the first Depth-1
-		// passes are internal for every probe — no depth checks needed.
-		for pass := 0; pass < g.Depth-1; pass++ {
-			for j := 0; j < genericBatchWidth; j++ {
-				d := int(nodes[j])
-				base := d * m
-				k := lowerBoundG(t.dir[base:base+routing], group[j])
-				nodes[j] = int32(d*fan + 1 + k)
-			}
-		}
-		for j := 0; j < genericBatchWidth; j++ {
-			d := int(nodes[j])
-			if d > lNode {
-				continue
-			}
-			base := d * m
-			k := lowerBoundG(t.dir[base:base+routing], group[j])
-			nodes[j] = int32(d*fan + 1 + k)
-		}
-		for j := 0; j < genericBatchWidth; j++ {
-			lo, hi := g.LeafRange(int(nodes[j]))
-			out[i+j] = int32(lo + lowerBoundG(t.keys[lo:hi], group[j]))
-		}
-	}
-	for ; i < len(probes); i++ {
-		out[i] = int32(t.LowerBound(probes[i]))
-	}
-}
-
-// SearchBatch computes Search for every probe into out: the position of the
-// leftmost occurrence, or -1 if absent.
-func (t *Generic[K]) SearchBatch(probes []K, out []int32) {
-	t.LowerBoundBatch(probes, out)
-	n := int32(len(t.keys))
-	for i, p := range probes {
-		if lb := out[i]; lb >= n || t.keys[lb] != p {
-			out[i] = -1
-		}
-	}
-}
-
-// EqualRangeBatch computes EqualRange for every probe into (first, last).
-func (t *Generic[K]) EqualRangeBatch(probes []K, first, last []int32) {
-	checkBatchLen(len(probes), len(last))
-	t.LowerBoundBatch(probes, first)
-	n := int32(len(t.keys))
-	for i, p := range probes {
-		end := first[i]
-		for end < n && t.keys[end] == p {
-			end++
-		}
-		last[i] = end
-	}
 }

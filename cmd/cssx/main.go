@@ -279,7 +279,7 @@ func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string
 	requested := scheduleName
 	switch scheduleName {
 	case "auto":
-		keyOrder = shard.ChooseKeyOrder[uint32]
+		keyOrder = shard.ChooseKeyOrder
 	case "", "input":
 		requested, keyOrder = "input-order", func([]uint32) bool { return false }
 	case "sorted":

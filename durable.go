@@ -132,10 +132,10 @@ func (d *DurableSharded) Close() error { return d.Store.Close() }
 // encodeShardOp batch.
 type shardCodec struct{ opts ShardedOptions[uint32] }
 
-func (c shardCodec) Empty() *ShardedIndex[uint32] { return NewSharded[uint32](nil, c.opts) }
+func (c shardCodec) Empty() *ShardedIndex[uint32] { return NewSharded(nil, c.opts) }
 
 func (c shardCodec) Load(r io.Reader) (*ShardedIndex[uint32], uint64, error) {
-	keys, bounds, seq, err := shard.LoadU32(r)
+	keys, bounds, seq, err := shard.Load(r)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -146,7 +146,7 @@ func (c shardCodec) Load(r io.Reader) (*ShardedIndex[uint32], uint64, error) {
 // captures the view — then writes it.
 func (shardCodec) Save(w io.Writer, x *ShardedIndex[uint32], seq uint64) error {
 	x.Sync()
-	return shard.SaveU32(w, x.ix.View(), seq)
+	return shard.Save(w, x.ix.View(), seq)
 }
 
 func (shardCodec) Apply(x *ShardedIndex[uint32], payload []byte) error {

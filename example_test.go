@@ -62,30 +62,6 @@ func ExampleAsBatchOrdered() {
 	// [4 2 5 5 5 7]
 }
 
-// Generic CSS-trees index any ordered key type.
-func ExampleNewGenericFull() {
-	words := []string{"ant", "bee", "cat", "dog"}
-	tr := cssidx.NewGenericFull(words, 2)
-	fmt.Println(tr.Search("cat"))
-	fmt.Println(tr.LowerBound("bat"))
-	// Output:
-	// 2
-	// 1
-}
-
-// RecordTree indexes records in place through a key extractor.
-func ExampleNewRecordTree() {
-	type row struct {
-		ID   uint32
-		Name string
-	}
-	rows := []row{{10, "x"}, {20, "y"}, {30, "z"}}
-	tr := cssidx.NewRecordTree(len(rows), func(i int) uint32 { return rows[i].ID }, 16)
-	i := tr.Search(20)
-	fmt.Println(i, rows[i].Name)
-	// Output: 1 y
-}
-
 // ShardedIndex serves lock-free concurrent lookups while batched updates
 // are absorbed by background epoch-swap rebuilds.
 func ExampleNewSharded() {

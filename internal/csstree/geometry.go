@@ -14,7 +14,7 @@
 //     perfect binary search tree, so every probe costs exactly t comparisons;
 //     the spare slot caches the subtree maximum, which makes building cheaper.
 //
-// The two differ only in their Geometry's fan-out and in how Fill populates
+// The two differ only in their Geometry's fan-out and in how fill populates
 // the directory; search, batches and snapshots read the fan-out from the
 // geometry and never branch on the variant.
 //
@@ -122,8 +122,7 @@ func geometry(n, m, fanout, gain int) Geometry {
 
 // CheckLevelSlots reports whether m is a valid level-tree node size: the m−1
 // routing keys of a level node form a perfect binary search tree only when m
-// is a power of two ≥ 2.  BuildLevel, the root package's generic level trees
-// and Restore all apply this one rule.
+// is a power of two ≥ 2.  BuildLevel and Restore both apply this one rule.
 func CheckLevelSlots(m int) error {
 	if m < 2 || !mem.IsPow2(m) {
 		return fmt.Errorf("level tree node size m=%d is not a power of two ≥ 2", m)

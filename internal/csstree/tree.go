@@ -24,7 +24,7 @@ type Tree struct {
 type Level = Tree
 
 // BuildFull constructs a full CSS-tree over the sorted slice keys with m keys
-// per node (m+1 children), filled by Algorithm 4.1 (see Fill).
+// per node (m+1 children), filled by Algorithm 4.1 (see fill).
 //
 // keys must be sorted ascending (duplicates allowed) and is retained, not
 // copied: the tree is a directory over the caller's array, exactly as in the
@@ -58,16 +58,15 @@ func build(keys []uint32, g Geometry) *Tree {
 		return t
 	}
 	t.dir = mem.AlignedU32(g.DirectoryKeys(), mem.CacheLine)
-	Fill(g, t.dir, func(i int) uint32 { return keys[i] })
+	fill(g, t.dir, keys)
 	mem.Huge(keys)
 	mem.Huge(t.dir)
 	return t
 }
 
-// Fill writes the directory of the tree laid out by g into dir
-// (g.DirectoryKeys() slots), reading the sorted keys by index through keyAt.
-// It holds the one copy of each variant's fill, for every key type and
-// record layout:
+// fill writes the directory of the tree laid out by g over the sorted keys
+// into dir (g.DirectoryKeys() slots).  It holds the one copy of each
+// variant's fill:
 //
 //   - full trees (Algorithm 4.1): every entry, from the last slot of the
 //     last internal node down to slot 0, gets the largest key of its
@@ -77,7 +76,7 @@ func build(keys []uint32, g Geometry) *Tree {
 //     the root, the aux slot first.  Children have higher node numbers than
 //     their parent, so a routing key reads its child's cached maximum
 //     instead of chasing.
-func Fill[K any](g Geometry, dir []K, keyAt func(int) K) {
+func fill(g Geometry, dir, keys []uint32) {
 	m, fan := g.M, g.Fanout
 	if g.IsFull() {
 		for i := g.DirectoryKeys() - 1; i >= 0; i-- {
@@ -87,15 +86,15 @@ func Fill[K any](g Geometry, dir []K, keyAt func(int) K) {
 			for c <= g.LNode {
 				c = c*fan + fan
 			}
-			dir[i] = keyAt(g.LeafMaxIndex(c))
+			dir[i] = keys[g.LeafMaxIndex(c)]
 		}
 		return
 	}
-	subtreeMax := func(c int) K {
+	subtreeMax := func(c int) uint32 {
 		if c <= g.LNode {
 			return dir[c*m+m-1]
 		}
-		return keyAt(g.LeafMaxIndex(c))
+		return keys[g.LeafMaxIndex(c)]
 	}
 	for d := g.LNode; d >= 0; d-- {
 		base := d * m

@@ -9,34 +9,57 @@ import (
 	"testing"
 
 	"cssidx/internal/parallel"
+	"cssidx/internal/workload"
 )
 
-// TestSearchBatchAllocs pins what a steady-state key-ordered batch
-// allocates on one worker: nothing through a captured View, and only the
-// View capture itself (the View and its two per-shard slices) through
-// Index.SearchBatch.
+// TestSearchBatchAllocs pins what a steady-state 512-probe batch allocates
+// on one worker, in either probe order and through each batch method:
+// nothing through a captured View, and only the View capture itself (the
+// View and its two per-shard slices) through the Index method.
 func TestSearchBatchAllocs(t *testing.T) {
-	x, _, zipf := benchIndex()
+	x, keys, zipf := benchIndex()
 	defer x.Close()
 	x.SetParallel(parallel.Options{Workers: 1})
-	var reads [][]uint32
+	var keyOrdered [][]uint32
 	for _, r := range zipf {
 		if ChooseKeyOrder(r) {
-			reads = append(reads, r)
+			keyOrdered = append(keyOrdered, r)
 		}
 	}
-	if len(reads) < len(zipf)/2 {
-		t.Fatalf("only %d of %d Zipf batches run key-ordered", len(reads), len(zipf))
+	if len(keyOrdered) < len(zipf)/2 {
+		t.Fatalf("only %d of %d Zipf batches run key-ordered", len(keyOrdered), len(zipf))
 	}
-	out := make([]int32, len(reads[0]))
+	g := workload.New(2)
+	input := make([][]uint32, 64)
+	for i := range input {
+		if input[i] = g.Lookups(keys, 512); ChooseKeyOrder(input[i]) {
+			t.Fatalf("uniform batch %d runs key-ordered", i)
+		}
+	}
+	first, last := make([]int32, 512), make([]int32, 512)
 	v := x.View()
-	v.SearchBatch(reads[0], out) // fill the scratch pool
-	i := 0
-	next := func() []uint32 { i++; return reads[i%len(reads)] }
-	if got := testing.AllocsPerRun(200, func() { v.SearchBatch(next(), out) }); got != 0 {
-		t.Errorf("View.SearchBatch allocates %v objects per batch, want 0", got)
+	methods := []struct {
+		name        string
+		view, index func(probes []uint32)
+	}{
+		{"SearchBatch", func(p []uint32) { v.SearchBatch(p, first) }, func(p []uint32) { x.SearchBatch(p, first) }},
+		{"LowerBoundBatch", func(p []uint32) { v.LowerBoundBatch(p, first) }, func(p []uint32) { x.LowerBoundBatch(p, first) }},
+		{"EqualRangeBatch", func(p []uint32) { v.EqualRangeBatch(p, first, last) }, func(p []uint32) { x.EqualRangeBatch(p, first, last) }},
 	}
-	if got := testing.AllocsPerRun(200, func() { x.SearchBatch(next(), out) }); got != 3 {
-		t.Errorf("Index.SearchBatch allocates %v objects per batch, want 3 (the View capture)", got)
+	for _, order := range []struct {
+		name    string
+		batches [][]uint32
+	}{{"input", input}, {"key", keyOrdered}} {
+		i := 0
+		next := func() []uint32 { i++; return order.batches[i%len(order.batches)] }
+		for _, m := range methods {
+			m.view(next()) // fill the scratch pool
+			if got := testing.AllocsPerRun(200, func() { m.view(next()) }); got != 0 {
+				t.Errorf("%s-order View.%s allocates %v objects per batch, want 0", order.name, m.name, got)
+			}
+			if got := testing.AllocsPerRun(200, func() { m.index(next()) }); got != 3 {
+				t.Errorf("%s-order Index.%s allocates %v objects per batch, want 3 (the View capture)", order.name, m.name, got)
+			}
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package shard
 
 // Batched probing across shards.  A probe batch is partitioned by the shard
-// boundaries, each shard's group descends its tree with the lockstep batch
-// kernel (when the tree provides one), and results scatter back to input
-// order with the shard's global offset applied.  The whole batch runs against
+// boundaries, each shard's group descends its CSS-tree with the lockstep
+// batch kernel, and results scatter back to input order with the shard's
+// global offset applied.  The whole batch runs against
 // ONE frozen View — a single snapshot epoch per shard — so a batch never
 // mixes answers from different epochs even while rebuilds are publishing.
 //
@@ -18,11 +18,10 @@ package shard
 // their result out.  Because shards are key ranges, sorting also groups
 // probes by shard for free, and inside a shard consecutive probes then walk
 // neighbouring root-to-leaf paths: a skewed batch touches each directory
-// node once instead of bouncing randomly across the directory.  A uint32
-// batch is planned by one call, sortu32.Unique.Sort, which returns the
-// distinct probes with the perm and expand maps the scatter needs (batches
-// of 32K probes or more sort across the worker pool); other key types take
-// a comparison sort and sortu32.Dedupe.
+// node once instead of bouncing randomly across the directory.  The plan is
+// one call, sortu32.Unique.Sort, which returns the distinct probes with the
+// perm and expand maps the scatter needs (batches of 32K probes or more
+// sort across the worker pool).
 //
 // Parallelism.  The per-shard probe runs are independent — disjoint probe
 // spans, disjoint result spans, immutable snapshots — so they execute across
@@ -33,8 +32,6 @@ package shard
 // a fanned-out batch also allocates its worker closures and goroutines.
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 	"time"
 
@@ -56,14 +53,14 @@ const (
 // order (sorted and deduplicated) rather than input order: exactly the
 // decision the batch methods make, exported so callers that report timings
 // can tag each batch with the order that ran.
-func ChooseKeyOrder[K cmp.Ordered](probes []K) bool {
+func ChooseKeyOrder(probes []uint32) bool {
 	n := len(probes)
 	if n < adaptiveMinBatch {
 		return false
 	}
 	// Strided sample, insertion-sorted in a fixed buffer: no allocation,
 	// ~sampleSize² ⁄ 4 comparisons — trivial next to n tree descents.
-	var buf [sampleSize]K
+	var buf [sampleSize]uint32
 	stride := n / sampleSize
 	for i := 0; i < sampleSize; i++ {
 		v := probes[i*stride]
@@ -83,14 +80,6 @@ func ChooseKeyOrder[K cmp.Ordered](probes []K) bool {
 	return dups >= dupThreshold
 }
 
-// BatchTree is the optional batch extension of Tree: shard trees that
-// implement it (the uint32 CSS-trees, the generic CSS-tree) answer a whole
-// probe group with one lockstep descent.
-type BatchTree[K cmp.Ordered] interface {
-	Tree[K]
-	LowerBoundBatch(probes []K, out []int32)
-}
-
 // batchRun is a maximal run of grouped probes landing in one shard:
 // gathered[lo:hi] all route to shard sid.
 type batchRun struct {
@@ -100,26 +89,24 @@ type batchRun struct {
 
 // batchScratch holds every buffer one batch execution needs; instances are
 // pooled per Index so steady-state batches reuse them.
-type batchScratch[K cmp.Ordered] struct {
+type batchScratch struct {
 	perm     []uint32
-	gathered []K
-	expand   []int32
+	gathered []uint32
 	res      []int32
 	resL     []int32
 	sids     []int32
 	counts   []int32
 	next     []int32
-	u        sortu32.Unique // the key-ordered plan of uint32 batches
+	u        sortu32.Unique // the key-ordered plan
 	runs     []batchRun
 	tasks    []batchRun
 }
 
 // grow sizes the scratch for a batch of n probes over nshards shards.
-func (s *batchScratch[K]) grow(n, nshards int) {
+func (s *batchScratch) grow(n, nshards int) {
 	if cap(s.perm) < n {
 		s.perm = make([]uint32, n)
-		s.gathered = make([]K, n)
-		s.expand = make([]int32, n)
+		s.gathered = make([]uint32, n)
 		s.res = make([]int32, n)
 		s.resL = make([]int32, n)
 		s.sids = make([]int32, n)
@@ -139,19 +126,19 @@ func (s *batchScratch[K]) grow(n, nshards int) {
 
 // scratchFor draws a scratch from the view's pool (allocating the first
 // time) and sizes it; release returns it.
-func (v *View[K]) scratchFor(n int) *batchScratch[K] {
-	var s *batchScratch[K]
+func (v *View) scratchFor(n int) *batchScratch {
+	var s *batchScratch
 	if v.pool != nil {
-		s, _ = v.pool.Get().(*batchScratch[K])
+		s, _ = v.pool.Get().(*batchScratch)
 	}
 	if s == nil {
-		s = &batchScratch[K]{}
+		s = &batchScratch{}
 	}
 	s.grow(n, len(v.snaps))
 	return s
 }
 
-func (v *View[K]) release(s *batchScratch[K]) {
+func (v *View) release(s *batchScratch) {
 	if v.pool != nil {
 		v.pool.Put(s)
 	}
@@ -162,30 +149,14 @@ func (v *View[K]) release(s *batchScratch[K]) {
 // original probe perm[j] (expand == nil), or — in the key-ordered plan,
 // where gathered is sorted and deduplicated — original probe perm[j] takes
 // gathered's answer at expand[j].  All returned slices alias s.
-func (v *View[K]) batchPlan(probes []K, keyOrdered bool, s *batchScratch[K]) (perm []uint32, gathered []K, runs []batchRun, expand []int32) {
+func (v *View) batchPlan(probes []uint32, keyOrdered bool, s *batchScratch) (perm, gathered []uint32, runs []batchRun, expand []int32) {
 	n := len(probes)
 	switch {
 	case keyOrdered:
-		if pu, ok := any(probes).([]uint32); ok {
-			// The tuner is stripped as in scatter: a sort item costs nothing
-			// like a probe, so the partition must not inherit the
-			// probe-derived span (nor calibrate the tuner).
-			var distinct []uint32
-			distinct, perm, expand = s.u.Sort(pu, v.par.WithoutTuner())
-			gathered, _ = any(distinct).([]K)
-		} else {
-			perm = s.perm[:n]
-			for i := range perm {
-				perm[i] = uint32(i)
-			}
-			slices.SortFunc(perm, func(a, b uint32) int { return cmp.Compare(probes[a], probes[b]) })
-			gathered = s.gathered[:n]
-			for j, pi := range perm {
-				gathered[j] = probes[pi]
-			}
-			expand = s.expand[:n]
-			gathered = gathered[:sortu32.Dedupe(gathered, expand)]
-		}
+		// The tuner is stripped as in scatter: a sort item costs nothing like
+		// a probe, so the partition must not inherit the probe-derived span
+		// (nor calibrate the tuner).
+		gathered, perm, expand = s.u.Sort(probes, v.par.WithoutTuner())
 		// gathered is sorted, so shard runs end at each boundary's lower bound.
 		uq := len(gathered)
 		for lo := 0; lo < uq; {
@@ -242,23 +213,11 @@ func (v *View[K]) batchPlan(probes []K, keyOrdered bool, s *batchScratch[K]) (pe
 	return perm, gathered, s.runs, expand
 }
 
-// treeLowerBoundBatch descends one shard's probe group: lockstep when the
-// tree has the batch kernel, scalar per probe otherwise.
-func treeLowerBoundBatch[K cmp.Ordered](t Tree[K], probes []K, out []int32) {
-	if bt, ok := t.(BatchTree[K]); ok {
-		bt.LowerBoundBatch(probes, out)
-		return
-	}
-	for i, p := range probes {
-		out[i] = int32(t.LowerBound(p))
-	}
-}
-
 // addRunLowerBounds turns the tree lower bounds in res into live ranks:
 // plus the insert-run keys below each probe, minus the tombstones below it.
 // A no-op without a delta; with one, each probe costs one cache line of
 // directory and a scan of the (usually empty) bucket it bounds.
-func addRunLowerBounds[K cmp.Ordered](sn *snapshot[K], probes []K, res []int32) {
+func addRunLowerBounds(sn *snapshot, probes []uint32, res []int32) {
 	if sn.deltaKeys() == 0 {
 		return
 	}
@@ -270,7 +229,7 @@ func addRunLowerBounds[K cmp.Ordered](sn *snapshot[K], probes []K, res []int32) 
 
 // observeTuner notes one batch against the view's tuner so a calibration
 // that predates significant index growth is re-measured (parallel.Observe).
-func (v *View[K]) observeTuner() {
+func (v *View) observeTuner() {
 	if t := v.par.Tuner; t != nil {
 		t.Observe(v.Len())
 	}
@@ -288,10 +247,10 @@ const (
 // descend answers run r of gathered into res (and resL for opEqualRange):
 // the shard tree's descent, then the op's resolution against the shard's
 // delta, shifted to global positions by the shard's offset.
-func (v *View[K]) descend(op batchOp, r batchRun, gathered []K, res, resL []int32) {
+func (v *View) descend(op batchOp, r batchRun, gathered []uint32, res, resL []int32) {
 	snap, g, out := v.snaps[r.sid], gathered[r.lo:r.hi], res[r.lo:r.hi]
 	off := int32(v.offs[r.sid])
-	treeLowerBoundBatch(snap.tree, g, out)
+	snap.tree.LowerBoundBatch(g, out)
 	switch op {
 	case opLowerBound:
 		addRunLowerBounds(snap, g, out)
@@ -308,7 +267,7 @@ func (v *View[K]) descend(op batchOp, r batchRun, gathered []K, res, resL []int3
 // batch answers probes into out (and last, for opEqualRange) in the probe
 // order ChooseKeyOrder picks; results are identical in either order and
 // under every worker count.
-func (v *View[K]) batch(op batchOp, probes []K, out, last []int32) {
+func (v *View) batch(op batchOp, probes []uint32, out, last []int32) {
 	v.observeTuner()
 	keyOrdered := ChooseKeyOrder(probes)
 	if len(v.snaps) == 1 && !keyOrdered {
@@ -339,7 +298,7 @@ func (v *View[K]) batch(op batchOp, probes []K, out, last []int32) {
 // first large enough run executes on the calling goroutine, timed, and
 // seeds the tuner — real work, not a rehearsal; the rest of the batch fans
 // out under the derived MinBatchPerWorker.
-func (v *View[K]) forRuns(op batchOp, runs []batchRun, total int, gathered []K, res, resL []int32, s *batchScratch[K]) {
+func (v *View) forRuns(op batchOp, runs []batchRun, total int, gathered []uint32, res, resL []int32, s *batchScratch) {
 	opts := v.par
 	if o, calibrate := opts.Resolved(); !calibrate {
 		opts = o
@@ -396,7 +355,7 @@ const (
 // batch runs here, with no closure to allocate.  The tuner is stripped: a
 // scatter item costs nothing like a probe, so it must neither calibrate
 // the tuner nor inherit the probe-derived span.
-func (v *View[K]) scatter(perm []uint32, expand []int32, out, res, outL, resL []int32) {
+func (v *View) scatter(perm []uint32, expand []int32, out, res, outL, resL []int32) {
 	opts := v.par.WithoutTuner()
 	if opts.WorkersFor(len(perm)) == 1 {
 		scatterSpan(0, len(perm), perm, expand, out, res, outL, resL)
@@ -424,7 +383,7 @@ func scatterSpan(lo, hi int, perm []uint32, expand []int32, out, res, outL, resL
 // LowerBoundBatch stores the global LowerBound of every probe into out
 // (len(out) must equal len(probes)), bit-identical to the scalar
 // LowerBound against this view.
-func (v *View[K]) LowerBoundBatch(probes []K, out []int32) {
+func (v *View) LowerBoundBatch(probes []uint32, out []int32) {
 	if len(out) != len(probes) {
 		panic("shard: probes/out length mismatch")
 	}
@@ -433,7 +392,7 @@ func (v *View[K]) LowerBoundBatch(probes []K, out []int32) {
 
 // SearchBatch stores the global Search of every probe into out: the position
 // of the leftmost occurrence, or -1 if absent.
-func (v *View[K]) SearchBatch(probes []K, out []int32) {
+func (v *View) SearchBatch(probes []uint32, out []int32) {
 	if len(out) != len(probes) {
 		panic("shard: probes/out length mismatch")
 	}
@@ -443,7 +402,7 @@ func (v *View[K]) SearchBatch(probes []K, out []int32) {
 // searchResolve turns the tree lower bounds in res into global Search
 // results: live leftmost rank plus the shard offset when the key is live —
 // inserted, or a base occurrence its tombstones do not cover — -1 otherwise.
-func searchResolve[K cmp.Ordered](sn *snapshot[K], probes []K, res []int32, off int32) {
+func searchResolve(sn *snapshot, probes []uint32, res []int32, off int32) {
 	n := int32(len(sn.keys))
 	if sn.deltaKeys() == 0 {
 		for j, p := range probes {
@@ -477,7 +436,7 @@ func searchResolve[K cmp.Ordered](sn *snapshot[K], probes []K, res []int32, off 
 // EqualRangeBatch stores the global EqualRange of every probe into
 // (first[i], last[i]); all three slices must have equal length.  Duplicates
 // of a key never straddle shards, so each range is exact.
-func (v *View[K]) EqualRangeBatch(probes []K, first, last []int32) {
+func (v *View) EqualRangeBatch(probes []uint32, first, last []int32) {
 	if len(first) != len(probes) || len(last) != len(probes) {
 		panic("shard: probes/first/last length mismatch")
 	}
@@ -487,7 +446,7 @@ func (v *View[K]) EqualRangeBatch(probes []K, first, last []int32) {
 // equalRangeResolve extends the tree lower bounds in resF across each
 // probe's duplicate run and applies the delta (inserted occurrences added,
 // tombstoned ones removed), producing global live [first, last) ranges.
-func equalRangeResolve[K cmp.Ordered](sn *snapshot[K], probes []K, resF, resL []int32, off int32) {
+func equalRangeResolve(sn *snapshot, probes []uint32, resF, resL []int32, off int32) {
 	delta := sn.deltaKeys() > 0
 	for j, p := range probes {
 		lb := resF[j]
@@ -505,14 +464,14 @@ func equalRangeResolve[K cmp.Ordered](sn *snapshot[K], probes []K, resF, resL []
 // SetParallel configures the worker pool for batch execution (zero value:
 // GOMAXPROCS workers with adaptive per-worker spans — see parOpts).  Set
 // before serving; it is not synchronised with concurrent readers.
-func (x *Index[K]) SetParallel(o parallel.Options) { x.par = o }
+func (x *Index) SetParallel(o parallel.Options) { x.par = o }
 
 // parOpts returns the worker-pool options a View serves batches under: the
 // configured options with the index's span tuner attached, so the first
 // large single-shard batch calibrates MinBatchPerWorker from this index's
 // measured per-probe cost and every later batch (and View) reuses it.  An
 // explicit MinBatchPerWorker or Tuner from SetParallel wins.
-func (x *Index[K]) parOpts() parallel.Options {
+func (x *Index) parOpts() parallel.Options {
 	o := x.par
 	if o.Tuner == nil {
 		o.Tuner = &x.tuner
@@ -523,22 +482,22 @@ func (x *Index[K]) parOpts() parallel.Options {
 // BatchCalibration reports the adaptive span the index measured: the
 // derived MinBatchPerWorker and the per-probe cost behind it; ok is false
 // before any batch was large enough to calibrate.
-func (x *Index[K]) BatchCalibration() (minPerWorker int, perProbeNs float64, ok bool) {
+func (x *Index) BatchCalibration() (minPerWorker int, perProbeNs float64, ok bool) {
 	return x.tuner.Calibration()
 }
 
 // LowerBoundBatch answers the whole batch against one frozen View, so every
 // result reflects a single snapshot epoch per shard.
-func (x *Index[K]) LowerBoundBatch(probes []K, out []int32) {
+func (x *Index) LowerBoundBatch(probes []uint32, out []int32) {
 	x.View().LowerBoundBatch(probes, out)
 }
 
 // SearchBatch answers the whole batch against one frozen View.
-func (x *Index[K]) SearchBatch(probes []K, out []int32) {
+func (x *Index) SearchBatch(probes []uint32, out []int32) {
 	x.View().SearchBatch(probes, out)
 }
 
 // EqualRangeBatch answers the whole batch against one frozen View.
-func (x *Index[K]) EqualRangeBatch(probes []K, first, last []int32) {
+func (x *Index) EqualRangeBatch(probes []uint32, first, last []int32) {
 	x.View().EqualRangeBatch(probes, first, last)
 }

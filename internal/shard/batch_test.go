@@ -30,7 +30,7 @@ func (o batchOracle) equalRange(k uint32) (int, int) {
 	return f, l
 }
 
-func checkBatchAgainstOracle(t *testing.T, x *shard.Index[uint32], o batchOracle, probes []uint32) {
+func checkBatchAgainstOracle(t *testing.T, x *shard.Index, o batchOracle, probes []uint32) {
 	t.Helper()
 	out := make([]int32, len(probes))
 	first := make([]int32, len(probes))
@@ -70,7 +70,7 @@ func TestBatchMatchesOracle(t *testing.T) {
 		input, keyOrdered := shard.PathBatches(t, probes)
 		for _, nshards := range []int{1, 3, 8} {
 			for _, workers := range []int{1, 4} {
-				x := shard.NewEqual(keys, nshards, shard.LevelCSSBuilder(16))
+				x := shard.NewEqual(keys, nshards, 16)
 				x.SetParallel(parallel.Options{Workers: workers, MinBatchPerWorker: 64})
 				checkBatchAgainstOracle(t, x, batchOracle(keys), input)
 				checkBatchAgainstOracle(t, x, batchOracle(keys), keyOrdered)
@@ -86,7 +86,7 @@ func TestBatchMatchesOracle(t *testing.T) {
 func TestViewBatchSingleEpoch(t *testing.T) {
 	g := workload.New(92)
 	keys := g.SortedDistinct(4000)
-	x := shard.NewEqual(keys, 4, shard.LevelCSSBuilder(16))
+	x := shard.NewEqual(keys, 4, 16)
 	defer x.Close()
 	v := x.View()
 	input, keyOrdered := shard.PathBatches(t, append(g.Lookups(keys, 500), g.Misses(keys, 200)...))

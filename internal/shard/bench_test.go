@@ -9,14 +9,14 @@ import (
 
 // benchIndex builds serve_sharded's shape — eight shards under Zipf read
 // batches of resident keys — at a tenth of its size under -short.
-func benchIndex() (*Index[uint32], []uint32, [][]uint32) {
+func benchIndex() (*Index, []uint32, [][]uint32) {
 	n := 4_000_000
 	if testing.Short() {
 		n = 400_000
 	}
 	g := workload.New(1)
 	keys := g.SortedUniform(n)
-	x := NewEqual(keys, 8, LevelCSSBuilder(16))
+	x := NewEqual(keys, 8, 16)
 	x.delta = neverFold
 	rng := rand.New(rand.NewSource(1))
 	z := rand.NewZipf(rng, 1.1, 1, uint64(n-1))
@@ -69,7 +69,7 @@ func BenchmarkAbsorbAndFold(b *testing.B) {
 	}
 	g := workload.New(3)
 	keys := g.SortedUniform(n)
-	x := NewEqual(keys, 1, LevelCSSBuilder(16))
+	x := NewEqual(keys, 1, 16)
 	defer x.Close()
 	base := x.shards[0].cur.Load()
 	loaded := absorb(base, g.Misses(keys, n/512*9/10), g.Lookups(keys, n/512/10))

@@ -54,10 +54,10 @@ package shard
 // a shard — and every absorb copies the run.
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 
+	"cssidx/internal/csstree"
 	"cssidx/internal/telemetry"
 )
 
@@ -122,8 +122,8 @@ const bucketScanMax = 32
 // exact base occurrence it deletes (base[pos] == key, strictly ascending;
 // a key's tombstones delete its FIRST occurrences).  The zero value is the
 // empty run.
-type run[K cmp.Ordered] struct {
-	keys []K
+type run struct {
+	keys []uint32
 	pos  []int32
 }
 
@@ -159,10 +159,10 @@ func buildDir(ins, tomb []int32, nbase int) []int32 {
 // equal keys resolve some fixed way per surface — unobservable through keys.
 
 // len returns the live key count.
-func (sn *snapshot[K]) len() int { return sn.total }
+func (sn *snapshot) len() int { return sn.total }
 
 // deltaKeys returns the number of run keys awaiting a fold.
-func (sn *snapshot[K]) deltaKeys() int { return len(sn.ins.keys) + len(sn.tomb.keys) }
+func (sn *snapshot) deltaKeys() int { return len(sn.ins.keys) + len(sn.tomb.keys) }
 
 // rank is the one rank helper every read surface shares: given lb, key's
 // lower bound in the base, it returns how many insert-run keys and how many
@@ -172,7 +172,7 @@ func (sn *snapshot[K]) deltaKeys() int { return len(sn.ins.keys) + len(sn.tomb.k
 // itself (a key's first tombstone deletes its first occurrence), so a
 // bucket empty in both runs answers from four adjacent directory entries
 // without touching a run.  Call it only on a snapshot that carries a delta.
-func (sn *snapshot[K]) rank(key K, lb int32) (insLess, insEq, tombLess, tombEq int32) {
+func (sn *snapshot) rank(key uint32, lb int32) (insLess, insEq, tombLess, tombEq int32) {
 	d := sn.dir[2*(lb>>dirShift):][:4]
 	insLess, tombLess = d[0], d[1]
 	if insLess != d[2] {
@@ -187,7 +187,7 @@ func (sn *snapshot[K]) rank(key K, lb int32) (insLess, insEq, tombLess, tombEq i
 // emptyBucket is rank's usual case, small enough to inline into the hottest
 // batch loop: when lb's bucket holds no key of either run (ok), no run key
 // equals the probe and its live rank is lb + adj.
-func (sn *snapshot[K]) emptyBucket(lb int32) (adj int32, ok bool) {
+func (sn *snapshot) emptyBucket(lb int32) (adj int32, ok bool) {
 	d := sn.dir[2*(lb>>dirShift):][:4]
 	return d[0] - d[1], d[0] == d[2] && d[1] == d[3]
 }
@@ -196,7 +196,7 @@ func (sn *snapshot[K]) emptyBucket(lb int32) (adj int32, ok bool) {
 // bucket usually holds one or two keys, so it is counted without a
 // data-dependent branch (the counts compile to conditional moves): what made
 // a per-run binary search expensive was its mispredictions, not its loads.
-func rankIn[K cmp.Ordered](keys []K, key K, i, end int) (less, equal int32) {
+func rankIn(keys []uint32, key uint32, i, end int) (less, equal int32) {
 	if end-i > bucketScanMax {
 		i += sort.Search(end-i, func(j int) bool { return keys[i+j] >= key })
 		j := i
@@ -225,13 +225,13 @@ func rankIn[K cmp.Ordered](keys []K, key K, i, end int) (less, equal int32) {
 
 // present reports whether key is live: inserted, or a base occurrence
 // outlives the key's tombstones (which delete its first tombEq occurrences).
-func (sn *snapshot[K]) present(key K, lb, insEq, tombEq int32) bool {
+func (sn *snapshot) present(key uint32, lb, insEq, tombEq int32) bool {
 	q := int(lb + tombEq)
 	return insEq > 0 || (q < len(sn.keys) && sn.keys[q] == key)
 }
 
 // baseEqual counts the base occurrences of key from its lower bound lb.
-func (sn *snapshot[K]) baseEqual(key K, lb int32) int32 {
+func (sn *snapshot) baseEqual(key uint32, lb int32) int32 {
 	end := int(lb)
 	for end < len(sn.keys) && sn.keys[end] == key {
 		end++
@@ -240,7 +240,7 @@ func (sn *snapshot[K]) baseEqual(key K, lb int32) int32 {
 }
 
 // lowerBound returns the live rank of the smallest key ≥ key.
-func (sn *snapshot[K]) lowerBound(key K) int {
+func (sn *snapshot) lowerBound(key uint32) int {
 	lb := sn.tree.LowerBound(key)
 	if sn.deltaKeys() == 0 {
 		return lb
@@ -250,7 +250,7 @@ func (sn *snapshot[K]) lowerBound(key K) int {
 }
 
 // search returns the live rank of the leftmost occurrence of key, or -1.
-func (sn *snapshot[K]) search(key K) int {
+func (sn *snapshot) search(key uint32) int {
 	if sn.deltaKeys() == 0 {
 		return sn.tree.Search(key)
 	}
@@ -263,7 +263,7 @@ func (sn *snapshot[K]) search(key K) int {
 }
 
 // equalRange returns the live half-open rank range of key.
-func (sn *snapshot[K]) equalRange(key K) (first, last int) {
+func (sn *snapshot) equalRange(key uint32) (first, last int) {
 	if sn.deltaKeys() == 0 {
 		return sn.tree.EqualRange(key)
 	}
@@ -279,7 +279,7 @@ func (sn *snapshot[K]) equalRange(key K) (first, last int) {
 // pos[i]), strictly ascending in i; if no insert sits at k, the answer is a
 // live base key, whose base index is its live index plus the tombstones
 // that precede it.
-func (sn *snapshot[K]) selectKth(k int) K {
+func (sn *snapshot) selectKth(k int) uint32 {
 	ins, tomb := &sn.ins, &sn.tomb
 	tombsBelow := func(p int32) int {
 		return sort.Search(len(tomb.pos), func(t int) bool { return tomb.pos[t] >= p })
@@ -298,12 +298,12 @@ func (sn *snapshot[K]) selectKth(k int) K {
 // snapshot serialization): the base spans between consecutive insert and
 // tombstone positions are copied whole into an exactly-sized array.  With
 // no delta it returns the base array itself.
-func (sn *snapshot[K]) mergedKeys() []K {
+func (sn *snapshot) mergedKeys() []uint32 {
 	if sn.deltaKeys() == 0 {
 		return sn.keys
 	}
 	ins, tomb := &sn.ins, &sn.tomb
-	out := make([]K, sn.total)
+	out := make([]uint32, sn.total)
 	w, src := 0, 0
 	for i, j := 0, 0; i < len(ins.keys) || j < len(tomb.keys); {
 		if j == len(tomb.keys) || (i < len(ins.keys) && ins.pos[i] <= tomb.pos[j]) {
@@ -325,10 +325,10 @@ func (sn *snapshot[K]) mergedKeys() []K {
 // batch merges into the insert run, then each delete cancels an insert-run
 // key if there is one, else tombstones a still-live base occurrence, else
 // is ignored.  ins and del are consumed (sorted and compacted in place).
-func absorb[K cmp.Ordered](old *snapshot[K], ins, del []K) *snapshot[K] {
+func absorb(old *snapshot, ins, del []uint32) *snapshot {
 	slices.Sort(ins)
 	slices.Sort(del)
-	next := &snapshot[K]{epoch: old.epoch + 1, keys: old.keys, tree: old.tree, ins: old.ins, tomb: old.tomb}
+	next := &snapshot{epoch: old.epoch + 1, keys: old.keys, tree: old.tree, ins: old.ins, tomb: old.tomb}
 	if len(ins) > 0 || (len(del) > 0 && len(old.ins.keys) > 0) {
 		next.ins, del = old.mergeInserts(ins, del)
 	}
@@ -347,15 +347,15 @@ func absorb[K cmp.Ordered](old *snapshot[K], ins, del []K) *snapshot[K] {
 // into del's storage).  The batch is small next to the run, so the merge
 // walks the batch, not the run: each insert or delete finds its place in
 // the old run by binary search and the stretch before it moves as one copy.
-func (sn *snapshot[K]) mergeInserts(ins, del []K) (run[K], []K) {
+func (sn *snapshot) mergeInserts(ins, del []uint32) (run, []uint32) {
 	old := &sn.ins
 	pos := make([]int32, len(ins))
-	treeLowerBoundBatch(sn.tree, ins, pos)
-	keys := make([]K, 0, len(old.keys)+len(ins))
+	sn.tree.LowerBoundBatch(ins, pos)
+	keys := make([]uint32, 0, len(old.keys)+len(ins))
 	kpos := make([]int32, 0, len(old.keys)+len(ins))
 	rest := del[:0]
 	i := 0 // old keys below i are merged
-	copyOldBelow := func(k K) {
+	copyOldBelow := func(k uint32) {
 		hi := i + sort.Search(len(old.keys)-i, func(j int) bool { return old.keys[i+j] >= k })
 		keys = append(keys, old.keys[i:hi]...)
 		kpos = append(kpos, old.pos[i:hi]...)
@@ -389,18 +389,18 @@ func (sn *snapshot[K]) mergeInserts(ins, del []K) (run[K], []K) {
 	}
 	keys = append(keys, old.keys[i:]...)
 	kpos = append(kpos, old.pos[i:]...)
-	return run[K]{keys: keys, pos: kpos}, rest
+	return run{keys: keys, pos: kpos}, rest
 }
 
 // addTombstones merges the sorted deletes into the tombstone run: each
 // tombstones the first occurrence of its key in the base that no earlier
 // tombstone covers, and deletes of keys with no live base occurrence are
 // dropped.
-func (sn *snapshot[K]) addTombstones(del []K) run[K] {
+func (sn *snapshot) addTombstones(del []uint32) run {
 	old := &sn.tomb
 	pos := make([]int32, len(del))
-	treeLowerBoundBatch(sn.tree, del, pos)
-	keys := make([]K, 0, len(old.keys)+len(del))
+	sn.tree.LowerBoundBatch(del, pos)
+	keys := make([]uint32, 0, len(old.keys)+len(del))
 	kpos := make([]int32, 0, len(old.keys)+len(del))
 	t := 0
 	for i := 0; i < len(del); {
@@ -425,19 +425,19 @@ func (sn *snapshot[K]) addTombstones(del []K) run[K] {
 	}
 	keys = append(keys, old.keys[t:]...)
 	kpos = append(kpos, old.pos[t:]...)
-	return run[K]{keys: keys, pos: kpos}
+	return run{keys: keys, pos: kpos}
 }
 
 // fold builds the next snapshot the §2.3 way: the live keys in one fresh
 // sorted array and a fresh tree over it.
-func (x *Index[K]) fold(sn *snapshot[K], epoch uint64) *snapshot[K] {
+func (x *Index) fold(sn *snapshot, epoch uint64) *snapshot {
 	keys := sn.mergedKeys()
-	return &snapshot[K]{epoch: epoch, keys: keys, tree: x.build(keys), total: len(keys)}
+	return &snapshot{epoch: epoch, keys: keys, tree: csstree.BuildLevel(keys, x.m), total: len(keys)}
 }
 
 // DeltaStats snapshots the delta layer across shards plus the lifetime
 // absorb and fold counters.
-func (x *Index[K]) DeltaStats() DeltaStats {
+func (x *Index) DeltaStats() DeltaStats {
 	st := DeltaStats{
 		Appends: x.deltaAppends.Load(),
 		Folds:   x.folds.Load(),
@@ -461,7 +461,7 @@ func (x *Index[K]) DeltaStats() DeltaStats {
 // trees, after absorbing any pending batches, and blocks until the folds
 // are published — the manual counterpart of the size-triggered fold.  After
 // Close, Compact returns immediately.
-func (x *Index[K]) Compact() {
+func (x *Index) Compact() {
 	ack := make(chan struct{})
 	select {
 	case x.compacts <- ack:
@@ -471,7 +471,7 @@ func (x *Index[K]) Compact() {
 }
 
 // compactAll folds every shard that holds a delta (background goroutine).
-func (x *Index[K]) compactAll() {
+func (x *Index) compactAll() {
 	for _, s := range x.shards {
 		if old := s.cur.Load(); old.deltaKeys() > 0 {
 			start := telemetry.Now()

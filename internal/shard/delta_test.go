@@ -38,13 +38,13 @@ var (
 // positioned where they claim, tombstones a sub-multiset of the base covering
 // each key's FIRST occurrences, each directory the exact cumulative count by
 // base position, and total reconciled.
-func checkDelta(t *testing.T, sn *snapshot[uint32]) {
+func checkDelta(t *testing.T, sn *snapshot) {
 	t.Helper()
 	n := len(sn.keys)
 	lowerBound := func(k uint32) int {
 		return sort.Search(n, func(i int) bool { return sn.keys[i] >= k })
 	}
-	for name, r := range map[string]*run[uint32]{"ins": &sn.ins, "tomb": &sn.tomb} {
+	for name, r := range map[string]*run{"ins": &sn.ins, "tomb": &sn.tomb} {
 		if len(r.pos) != len(r.keys) {
 			t.Fatalf("%s: %d keys, %d positions", name, len(r.keys), len(r.pos))
 		}
@@ -61,7 +61,7 @@ func checkDelta(t *testing.T, sn *snapshot[uint32]) {
 			t.Fatalf("directory has %d entries over a %d-key base", len(sn.dir), n)
 		}
 		for b := 0; 2*b < len(sn.dir); b++ {
-			for side, r := range []*run[uint32]{&sn.ins, &sn.tomb} {
+			for side, r := range []*run{&sn.ins, &sn.tomb} {
 				want := sort.Search(len(r.pos), func(i int) bool { return int(r.pos[i]) >= b<<dirShift })
 				if got := int(sn.dir[2*b+side]); got != want {
 					t.Fatalf("dir[%d] side %d = %d, %d run keys sit below base position %d", b, side, got, want, b<<dirShift)
@@ -93,7 +93,7 @@ func checkDelta(t *testing.T, sn *snapshot[uint32]) {
 }
 
 // checkDeltaAll runs checkDelta over every shard's current snapshot.
-func checkDeltaAll(t *testing.T, x *Index[uint32]) {
+func checkDeltaAll(t *testing.T, x *Index) {
 	t.Helper()
 	for _, s := range x.shards {
 		checkDelta(t, s.cur.Load())
@@ -104,7 +104,7 @@ func checkDeltaAll(t *testing.T, x *Index[uint32]) {
 // every shard lock held the rebuilder cannot drain between the two, so the
 // "inserts before deletes within one batch" rule is exercised for certain
 // (Insert followed by Delete may be drained apart).
-func enqueueTogether(x *Index[uint32], ins, del []uint32) {
+func enqueueTogether(x *Index, ins, del []uint32) {
 	for _, s := range x.shards {
 		s.mu.Lock()
 	}
@@ -125,7 +125,7 @@ func enqueueTogether(x *Index[uint32], ins, del []uint32) {
 // checkDeltaDifferential compares a delta-carrying index against a
 // fold-every-batch twin on every surface: scalar reads, positional access,
 // iterators, and the three batch kernels in both probe orders.
-func checkDeltaDifferential(t *testing.T, x, rebuilt *Index[uint32], probes []uint32) {
+func checkDeltaDifferential(t *testing.T, x, rebuilt *Index, probes []uint32) {
 	t.Helper()
 	if got, want := x.Len(), rebuilt.Len(); got != want {
 		t.Fatalf("Len=%d rebuilt=%d", got, want)
@@ -193,7 +193,7 @@ func checkDeltaDifferential(t *testing.T, x, rebuilt *Index[uint32], probes []ui
 	}
 }
 
-func checkIterEqual(t *testing.T, got, want *RangeIter[uint32]) {
+func checkIterEqual(t *testing.T, got, want *RangeIter) {
 	t.Helper()
 	for {
 		gk, gp, gok := got.Next()
@@ -208,8 +208,8 @@ func checkIterEqual(t *testing.T, got, want *RangeIter[uint32]) {
 }
 
 // snapKeys flattens the view's content for probe generation in tests.
-func (v *View[K]) snapKeys() []K {
-	var out []K
+func (v *View) snapKeys() []uint32 {
+	var out []uint32
 	for _, sn := range v.snaps {
 		out = append(out, sn.mergedKeys()...)
 	}
@@ -221,9 +221,9 @@ func TestDeltaDifferentialVsRebuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	keys := g.SortedWithDuplicates(4000, 3)
 	for _, pol := range []deltaPolicy{{}, smallBatchPolicy, neverFold} {
-		x := NewEqual(keys, 4, LevelCSSBuilder(16))
+		x := NewEqual(keys, 4, 16)
 		x.delta = pol
-		rebuilt := NewEqual(keys, 4, LevelCSSBuilder(16))
+		rebuilt := NewEqual(keys, 4, 16)
 		rebuilt.delta = foldEveryBatch
 		o := &oracle{keys: slices.Clone(keys)}
 		for round := 0; round < 24; round++ {
@@ -278,9 +278,9 @@ func TestDeleteAbsorbDifferential(t *testing.T) {
 		g := workload.New(23)
 		rng := rand.New(rand.NewSource(23))
 		keys := g.SortedWithDuplicates(4000, 3)
-		x := NewEqual(keys, 4, LevelCSSBuilder(16))
+		x := NewEqual(keys, 4, 16)
 		x.delta = pol
-		rebuilt := NewEqual(keys, 4, LevelCSSBuilder(16))
+		rebuilt := NewEqual(keys, 4, 16)
 		rebuilt.delta = foldEveryBatch
 		o := &oracle{keys: slices.Clone(keys)}
 		fresh := func() uint32 { return uint32(rng.Int63n(math.MaxUint32)) }
@@ -353,7 +353,7 @@ func TestDeleteAbsorbDifferential(t *testing.T) {
 func TestDeltaFoldThreshold(t *testing.T) {
 	g := workload.New(11)
 	keys := g.SortedUniform(1000)
-	x := NewEqual(keys, 1, LevelCSSBuilder(16))
+	x := NewEqual(keys, 1, 16)
 	x.delta = deltaPolicy{foldDenom: 4, minFold: 64}
 	defer x.Close()
 	// 100 keys: below base/4 = 250, absorbed into the insert run.
@@ -403,7 +403,7 @@ func TestDeltaFoldThreshold(t *testing.T) {
 
 func TestDeltaDisabledNeverAbsorbs(t *testing.T) {
 	g := workload.New(13)
-	x := NewEqual(g.SortedUniform(500), 2, LevelCSSBuilder(16))
+	x := NewEqual(g.SortedUniform(500), 2, 16)
 	x.delta = foldEveryBatch
 	defer x.Close()
 	for i := 0; i < 5; i++ {
@@ -443,7 +443,7 @@ func TestDeltaDisabledNeverAbsorbs(t *testing.T) {
 func TestConcurrentReadersDuringDeltaAbsorbs(t *testing.T) {
 	g := workload.New(17)
 	keys := g.SortedWithDuplicates(6000, 2)
-	x := NewEqual(keys, 4, LevelCSSBuilder(16))
+	x := NewEqual(keys, 4, 16)
 	x.delta = deltaPolicy{foldDenom: 8, minFold: 256}
 	defer x.Close()
 
@@ -543,7 +543,7 @@ func TestConcurrentReadersDuringDeltaAbsorbs(t *testing.T) {
 func TestConcurrentReadersDuringDeleteAbsorbs(t *testing.T) {
 	g := workload.New(19)
 	keys := g.SortedWithDuplicates(6000, 2)
-	x := NewEqual(keys, 4, LevelCSSBuilder(16))
+	x := NewEqual(keys, 4, 16)
 	x.delta = deltaPolicy{foldDenom: 8, minFold: 256}
 	defer x.Close()
 
@@ -670,7 +670,7 @@ func TestRegisteredSeries(t *testing.T) {
 	}
 
 	keys := workload.New(29).SortedUniform(2000)
-	x := NewEqual(keys, 2, LevelCSSBuilder(16))
+	x := NewEqual(keys, 2, 16)
 	defer x.Close()
 	x.delta = neverFold
 	delta0, tomb0 := gaugeDeltaKeys.Value(), gaugeTombstones.Value()
@@ -709,7 +709,7 @@ func FuzzDeltaOps(f *testing.F) {
 		for k := uint32(0); k < 768; k += 3 {
 			keys = append(keys, k, k)
 		}
-		x := NewEqual(keys, 3, LevelCSSBuilder(4))
+		x := NewEqual(keys, 3, 4)
 		x.delta = pol
 		defer x.Close()
 		o := &oracle{keys: slices.Clone(keys)}

@@ -3,7 +3,7 @@ package shard
 // Serialization of a sharded index: the split boundaries plus each shard's
 // sorted key array, captured from one frozen View.  Trees are NOT stored —
 // the paper's position is that CSS directories rebuild cheaply from the
-// sorted arrays (§5.2), so a restore re-runs the builder per shard and
+// sorted arrays (§5.2), so a restore rebuilds each shard's CSS-tree and
 // only the data that cannot be recomputed (boundaries, keys) travels.
 //
 // The snapshot is one snapio frame: magic, version, shard count u32, a
@@ -12,10 +12,7 @@ package shard
 // concatenated keys, and the CRC-32C trailer over every byte before it.
 // Version 1 kept an FNV-1a hash of the keys where the sequence now is and
 // had no trailer; a DurableSharded wrote its sequence bare in front of it.
-// Both still load.
-//
-// Only uint32 key spaces are encodable: the on-disk format needs a fixed
-// key width, and uint32 is the tuned fast path everywhere else too.
+// Both still load.  Keys and boundaries are 4-byte little-endian words.
 
 import (
 	"fmt"
@@ -31,11 +28,11 @@ const (
 	shardEncVersion = 2
 )
 
-// SaveU32 writes a restartable snapshot of the view's shard partition,
+// Save writes a restartable snapshot of the view's shard partition,
 // recording seq as the log sequence it covers.  Capture the View first
 // (Index.View) so the snapshot is one consistent cross-shard epoch set even
 // while rebuilds keep publishing.
-func SaveU32(w io.Writer, v *View[uint32], seq uint64) error {
+func Save(w io.Writer, v *View, seq uint64) error {
 	sw := snapio.NewWriter(w, shardEncMagic, shardEncVersion)
 	sw.U32(uint32(len(v.snaps)))
 	sw.U32(0)
@@ -59,11 +56,11 @@ func SaveU32(w io.Writer, v *View[uint32], seq uint64) error {
 	return nil
 }
 
-// LoadU32 reads a snapshot written by SaveU32, returning the concatenated
+// Load reads a snapshot written by Save, returning the concatenated
 // sorted keys, the split boundaries and the log sequence, validated (magic,
 // version, checksum, boundary partition).  Rebuild the index with New(keys,
-// bounds, builder) — each shard's tree is reconstructed from its array.
-func LoadU32(rd io.Reader) (keys, bounds []uint32, seq uint64, err error) {
+// bounds, m) — each shard's tree is reconstructed from its array.
+func Load(rd io.Reader) (keys, bounds []uint32, seq uint64, err error) {
 	r := snapio.NewReader(rd)
 	magic, version, shards, reserved := r.U32(), r.U32(), r.U32(), r.U32()
 	if shards == shardEncMagic && reserved == 1 {

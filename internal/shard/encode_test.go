@@ -17,7 +17,7 @@ import (
 func TestSaveLoadWithTombstones(t *testing.T) {
 	g := workload.New(31)
 	keys := g.SortedWithDuplicates(9000, 3)
-	x := shard.NewEqual(keys, 4, shard.LevelCSSBuilder(16))
+	x := shard.NewEqual(keys, 4, 16)
 	shard.NeverFold(x)
 	defer x.Close()
 	ins := append(g.Misses(keys, 300), g.Lookups(keys, 100)...)
@@ -39,7 +39,7 @@ func TestSaveLoadWithTombstones(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := shard.SaveU32(&buf, x.View(), 0); err != nil {
+	if err := shard.Save(&buf, x.View(), 0); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := cssidx.LoadSharded(&buf, cssidx.ShardedOptions[uint32]{})

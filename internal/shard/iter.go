@@ -7,7 +7,6 @@ package shard
 // serving layer's equivalent of a read transaction.
 
 import (
-	"cmp"
 	"sort"
 	"sync"
 
@@ -18,9 +17,9 @@ import (
 // internally consistent; the set reflects each shard's latest epoch at
 // capture time.  Views are cheap (no copying) and safe for concurrent use.
 // A View inherits the Index's worker-pool options at capture.
-type View[K cmp.Ordered] struct {
-	bounds []K
-	snaps  []*snapshot[K]
+type View struct {
+	bounds []uint32
+	snaps  []*snapshot
 	offs   []int // offs[i] = global start of shard i; offs[len(snaps)] = Len
 
 	par  parallel.Options
@@ -28,10 +27,10 @@ type View[K cmp.Ordered] struct {
 }
 
 // View captures the current snapshot of every shard.
-func (x *Index[K]) View() *View[K] {
-	v := &View[K]{
+func (x *Index) View() *View {
+	v := &View{
 		bounds: x.bounds,
-		snaps:  make([]*snapshot[K], len(x.shards)),
+		snaps:  make([]*snapshot, len(x.shards)),
 		offs:   make([]int, len(x.shards)+1),
 		par:    x.parOpts(),
 		pool:   &x.scratch,
@@ -44,10 +43,10 @@ func (x *Index[K]) View() *View[K] {
 }
 
 // Len returns the total number of keys in the view.
-func (v *View[K]) Len() int { return v.offs[len(v.snaps)] }
+func (v *View) Len() int { return v.offs[len(v.snaps)] }
 
 // Epochs returns the epoch of each captured shard snapshot.
-func (v *View[K]) Epochs() []uint64 {
+func (v *View) Epochs() []uint64 {
 	out := make([]uint64, len(v.snaps))
 	for i, s := range v.snaps {
 		out[i] = s.epoch
@@ -58,7 +57,7 @@ func (v *View[K]) Epochs() []uint64 {
 // Key returns the key at a global position: a direct array access when the
 // shard carries no delta, a rank-select across base − tomb + ins when it
 // does.
-func (v *View[K]) Key(pos int) K {
+func (v *View) Key(pos int) uint32 {
 	s := sort.Search(len(v.snaps), func(i int) bool { return v.offs[i+1] > pos })
 	sn := v.snaps[s]
 	if sn.deltaKeys() == 0 {
@@ -67,12 +66,12 @@ func (v *View[K]) Key(pos int) K {
 	return sn.selectKth(pos - v.offs[s])
 }
 
-func (v *View[K]) shardFor(key K) int {
+func (v *View) shardFor(key uint32) int {
 	return sort.Search(len(v.bounds), func(i int) bool { return key < v.bounds[i] })
 }
 
 // Search returns the global position of the leftmost occurrence of key, or -1.
-func (v *View[K]) Search(key K) int {
+func (v *View) Search(key uint32) int {
 	s := v.shardFor(key)
 	i := v.snaps[s].search(key)
 	if i < 0 {
@@ -82,13 +81,13 @@ func (v *View[K]) Search(key K) int {
 }
 
 // LowerBound returns the smallest global position with key ≥ key, or Len().
-func (v *View[K]) LowerBound(key K) int {
+func (v *View) LowerBound(key uint32) int {
 	s := v.shardFor(key)
 	return v.offs[s] + v.snaps[s].lowerBound(key)
 }
 
 // EqualRange returns the half-open global position range equal to key.
-func (v *View[K]) EqualRange(key K) (first, last int) {
+func (v *View) EqualRange(key uint32) (first, last int) {
 	s := v.shardFor(key)
 	lo, hi := v.snaps[s].equalRange(key)
 	return v.offs[s] + lo, v.offs[s] + hi
@@ -96,7 +95,7 @@ func (v *View[K]) EqualRange(key K) (first, last int) {
 
 // Range returns an iterator over the keys in the half-open value range
 // [lo, hi), in ascending order with their global positions.
-func (v *View[K]) Range(lo, hi K) *RangeIter[K] {
+func (v *View) Range(lo, hi uint32) *RangeIter {
 	start := v.LowerBound(lo)
 	end := start
 	if lo < hi {
@@ -108,10 +107,10 @@ func (v *View[K]) Range(lo, hi K) *RangeIter[K] {
 }
 
 // RangeAll returns an iterator over every key in the view.
-func (v *View[K]) RangeAll() *RangeIter[K] { return v.rangeAt(0, v.Len()) }
+func (v *View) RangeAll() *RangeIter { return v.rangeAt(0, v.Len()) }
 
-func (v *View[K]) rangeAt(start, end int) *RangeIter[K] {
-	it := &RangeIter[K]{v: v, pos: start, end: end}
+func (v *View) rangeAt(start, end int) *RangeIter {
+	it := &RangeIter{v: v, pos: start, end: end}
 	it.shard = sort.Search(len(v.snaps), func(i int) bool { return v.offs[i+1] > start })
 	return it
 }
@@ -122,8 +121,8 @@ func (v *View[K]) rangeAt(start, end int) *RangeIter[K] {
 // DO interleave and the tombstone run consumes base occurrences, so the
 // iterator keeps three cursors — with no delta outstanding, Next
 // degenerates to the plain array walk it was before the delta layer.
-type RangeIter[K cmp.Ordered] struct {
-	v     *View[K]
+type RangeIter struct {
+	v     *View
 	shard int
 	pos   int // global position of the next key
 	end   int // global position to stop before
@@ -131,17 +130,17 @@ type RangeIter[K cmp.Ordered] struct {
 	// Cursors into the current shard's base, insert run and tombstone run.
 	// Repositioned on every shard hop.
 	base, ins, tomb int
-	inShard         int  // shard the cursors belong to
-	started         bool // cursors initialised at least once
-	startKey        K    // value the iteration started at (set by Range):
-	haveStart       bool // positions the cursors mid-shard on the first shard
+	inShard         int    // shard the cursors belong to
+	started         bool   // cursors initialised at least once
+	startKey        uint32 // value the iteration started at (set by Range):
+	haveStart       bool   // positions the cursors mid-shard on the first shard
 }
 
 // Remaining returns the number of keys left to yield.
-func (it *RangeIter[K]) Remaining() int { return it.end - it.pos }
+func (it *RangeIter) Remaining() int { return it.end - it.pos }
 
 // Next yields the next key and its global position, or ok=false at the end.
-func (it *RangeIter[K]) Next() (key K, pos int, ok bool) {
+func (it *RangeIter) Next() (key uint32, pos int, ok bool) {
 	if it.pos >= it.end {
 		return key, 0, false
 	}
@@ -178,7 +177,7 @@ func (it *RangeIter[K]) Next() (key K, pos int, ok bool) {
 // at: 0 at a shard boundary, or — only on the iterator's first shard — the
 // rank of startKey's lower bound, which the base realises as its own lower
 // bound of startKey and each run as its rank below it.
-func (it *RangeIter[K]) initShard(sn *snapshot[K], local int) {
+func (it *RangeIter) initShard(sn *snapshot, local int) {
 	it.base, it.ins, it.tomb = 0, 0, 0
 	if local != 0 {
 		if !it.haveStart {

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"cmp"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -30,7 +29,7 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 	)
 	g := workload.New(601)
 	keys := g.SortedUniform(30000)
-	x := NewEqual(keys, 4, LevelCSSBuilder(16))
+	x := NewEqual(keys, 4, 16)
 	defer x.Close()
 	// Force the pool on: more workers than cores, spans small enough that
 	// every batch really fans out.
@@ -170,16 +169,16 @@ func TestAdaptiveScheduleChoice(t *testing.T) {
 // value repeats and it runs input-order at any length; keyOrdered
 // interleaves probes with probes[0] up to at least adaptiveMinBatch probes,
 // so half the sample or more repeats one key and it runs key-ordered.
-func pathBatches[K cmp.Ordered](t testing.TB, probes []K) (input, keyOrdered []K) {
+func pathBatches(t testing.TB, probes []uint32) (input, keyOrdered []uint32) {
 	t.Helper()
-	seen := make(map[K]bool, len(probes))
+	seen := make(map[uint32]bool, len(probes))
 	for _, p := range probes {
 		if !seen[p] {
 			seen[p] = true
 			input = append(input, p)
 		}
 	}
-	keyOrdered = make([]K, max(2*len(probes), adaptiveMinBatch))
+	keyOrdered = make([]uint32, max(2*len(probes), adaptiveMinBatch))
 	for i := range keyOrdered {
 		keyOrdered[i] = probes[0]
 		if i%2 == 1 {

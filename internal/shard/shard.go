@@ -1,6 +1,6 @@
 // Package shard is the concurrent serving layer over the paper's read-only
-// indexes: it partitions the key space across N range shards, holds each
-// shard's search tree behind an atomic pointer, and makes the §2.3 OLAP
+// indexes: it partitions the uint32 key space across N range shards, holds
+// each shard's CSS-tree behind an atomic pointer, and makes the §2.3 OLAP
 // maintenance cycle — "absorb a batch of updates, then rebuild from scratch"
 // — concurrent.
 //
@@ -33,7 +33,6 @@
 package shard
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -46,52 +45,29 @@ import (
 	"cssidx/internal/telemetry"
 )
 
-// Tree is the read-only search structure a shard publishes: the ordered
-// subset of cssidx's OrderedIndex the serving layer needs.  Positions are
-// local to the shard's sorted key slice.
-type Tree[K cmp.Ordered] interface {
-	Search(key K) int
-	LowerBound(key K) int
-	EqualRange(key K) (first, last int)
-}
-
-// Builder constructs a shard's tree over its sorted keys.  It is called on
-// the background goroutine at every epoch-swap, so it must not retain or
-// mutate shared state.
-type Builder[K cmp.Ordered] func(sorted []K) Tree[K]
-
-// LevelCSSBuilder returns a Builder producing the tuned uint32 level
-// CSS-tree (§4.2) with m slots per node — the recommended tree for uint32
-// shards.  m must be a power of two ≥ 2.
-func LevelCSSBuilder(m int) Builder[uint32] {
-	return func(sorted []uint32) Tree[uint32] {
-		return csstree.BuildLevel(sorted, m)
-	}
-}
-
 // snapshot is one published epoch of a shard: an immutable sorted base
-// array with the tree over it, plus the delta not yet folded in (delta.go):
-// the keys inserted since and the base occurrences deleted since.  The
-// logical content is the multiset base − tomb + ins; positions are ranks in
+// array with the level CSS-tree over it, plus the delta not yet folded in
+// (delta.go): the keys inserted since and the base occurrences deleted
+// since.  The logical content is the multiset base − tomb + ins; positions are ranks in
 // it.  Snapshots are never mutated after publication.
-type snapshot[K cmp.Ordered] struct {
+type snapshot struct {
 	epoch uint64
-	keys  []K
-	tree  Tree[K]
-	ins   run[K]
-	tomb  run[K]
+	keys  []uint32
+	tree  *csstree.Tree
+	ins   run
+	tomb  run
 	dir   []int32 // position directory over both runs (buildDir); nil without a delta
 	total int     // len(keys) + len(ins.keys) − len(tomb.keys)
 }
 
 // shardState is one range shard: the current snapshot plus the pending
 // update batch the background goroutine has not yet absorbed.
-type shardState[K cmp.Ordered] struct {
-	cur atomic.Pointer[snapshot[K]]
+type shardState struct {
+	cur atomic.Pointer[snapshot]
 
 	mu      sync.Mutex // guards the pending batches only
-	insPend []K
-	delPend []K
+	insPend []uint32
+	delPend []uint32
 }
 
 // Index is a sharded, concurrently servable index over a multiset of keys.
@@ -103,10 +79,10 @@ type shardState[K cmp.Ordered] struct {
 // with independent atomic loads, so during concurrent rebuilds of *other*
 // shards a global position reflects each shard's own latest epoch rather
 // than one instant in time.  Use View for a frozen cross-shard snapshot.
-type Index[K cmp.Ordered] struct {
-	build  Builder[K]
-	bounds []K // strictly ascending; shard i serves keys < bounds[i], last serves the rest
-	shards []*shardState[K]
+type Index struct {
+	m      int      // slots per CSS-tree node of every shard's tree
+	bounds []uint32 // strictly ascending; shard i serves keys < bounds[i], last serves the rest
+	shards []*shardState
 
 	// par is the worker pool for batch execution (SetParallel); set before
 	// serving.
@@ -140,17 +116,19 @@ type Index[K cmp.Ordered] struct {
 // keys k with bounds[i-1] ≤ k < bounds[i]; duplicates of a boundary key all
 // land in the shard to its right, so EqualRange never straddles shards.
 // keys must be sorted ascending (duplicates allowed) and is not copied at
-// build; after the first epoch-swap a shard owns a fresh array.
-func New[K cmp.Ordered](keys []K, bounds []K, build Builder[K]) *Index[K] {
+// build; after the first epoch-swap a shard owns a fresh array.  Every
+// shard's tree is a level CSS-tree (§4.2) with m slots per node; m must be
+// a power of two ≥ 2.
+func New(keys []uint32, bounds []uint32, m int) *Index {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic(fmt.Sprintf("shard: boundaries not strictly ascending at %d", i))
 		}
 	}
-	x := &Index[K]{
-		build:    build,
+	x := &Index{
+		m:        m,
 		bounds:   slices.Clone(bounds),
-		shards:   make([]*shardState[K], len(bounds)+1),
+		shards:   make([]*shardState, len(bounds)+1),
 		wake:     make(chan struct{}, 1),
 		syncs:    make(chan chan struct{}),
 		compacts: make(chan chan struct{}),
@@ -164,8 +142,8 @@ func New[K cmp.Ordered](keys []K, bounds []K, build Builder[K]) *Index[K] {
 			hi = lo + sort.Search(len(keys)-lo, func(j int) bool { return keys[lo+j] >= b })
 		}
 		part := keys[lo:hi]
-		s := &shardState[K]{}
-		s.cur.Store(&snapshot[K]{epoch: 1, keys: part, tree: build(part), total: len(part)})
+		s := &shardState{}
+		s.cur.Store(&snapshot{epoch: 1, keys: part, tree: csstree.BuildLevel(part, m), total: len(part)})
 		x.shards[i] = s
 		lo = hi
 	}
@@ -175,15 +153,15 @@ func New[K cmp.Ordered](keys []K, bounds []K, build Builder[K]) *Index[K] {
 }
 
 // NewEqual builds a sharded index with equal-count boundaries (Boundaries).
-func NewEqual[K cmp.Ordered](keys []K, nshards int, build Builder[K]) *Index[K] {
-	return New(keys, Boundaries(keys, nshards), build)
+func NewEqual(keys []uint32, nshards int, m int) *Index {
+	return New(keys, Boundaries(keys, nshards), m)
 }
 
 // Close flushes any pending batches, publishes their epoch-swaps, and stops
 // the background rebuilder.  Close is idempotent; reads remain valid after
 // Close, writes after Close are absorbed only by a later manual Sync (none
 // runs), so finish writing first.
-func (x *Index[K]) Close() {
+func (x *Index) Close() {
 	x.closeOnce.Do(func() {
 		close(x.done)
 		x.wg.Wait()
@@ -197,15 +175,15 @@ func (x *Index[K]) Close() {
 }
 
 // ShardCount returns the number of shards.
-func (x *Index[K]) ShardCount() int { return len(x.shards) }
+func (x *Index) ShardCount() int { return len(x.shards) }
 
 // Bounds returns the split boundaries (len = ShardCount()-1).
-func (x *Index[K]) Bounds() []K { return slices.Clone(x.bounds) }
+func (x *Index) Bounds() []uint32 { return slices.Clone(x.bounds) }
 
 // Epochs returns each shard's current epoch.  A shard's epoch starts at 1
 // and increments by exactly 1 per published rebuild, so Epochs-1 summed is
 // the total number of epoch-swaps served.
-func (x *Index[K]) Epochs() []uint64 {
+func (x *Index) Epochs() []uint64 {
 	out := make([]uint64, len(x.shards))
 	for i, s := range x.shards {
 		out[i] = s.cur.Load().epoch
@@ -215,7 +193,7 @@ func (x *Index[K]) Epochs() []uint64 {
 
 // Len returns the total number of keys across shards (see the type comment
 // for consistency during concurrent rebuilds).
-func (x *Index[K]) Len() int {
+func (x *Index) Len() int {
 	n := 0
 	for _, s := range x.shards {
 		n += s.cur.Load().len()
@@ -224,12 +202,12 @@ func (x *Index[K]) Len() int {
 }
 
 // shardFor routes a key to its shard.
-func (x *Index[K]) shardFor(key K) int {
+func (x *Index) shardFor(key uint32) int {
 	return sort.Search(len(x.bounds), func(i int) bool { return key < x.bounds[i] })
 }
 
 // offsetTo sums the lengths of shards before s (one atomic load each).
-func (x *Index[K]) offsetTo(s int) int {
+func (x *Index) offsetTo(s int) int {
 	off := 0
 	for i := 0; i < s; i++ {
 		off += x.shards[i].cur.Load().len()
@@ -239,7 +217,7 @@ func (x *Index[K]) offsetTo(s int) int {
 
 // Search returns the global position of the leftmost occurrence of key,
 // or -1 if absent.
-func (x *Index[K]) Search(key K) int {
+func (x *Index) Search(key uint32) int {
 	s := x.shardFor(key)
 	noteProbe(s)
 	snap := x.shards[s].cur.Load()
@@ -252,7 +230,7 @@ func (x *Index[K]) Search(key K) int {
 
 // LowerBound returns the smallest global position whose key is ≥ key, or
 // Len() if none is.
-func (x *Index[K]) LowerBound(key K) int {
+func (x *Index) LowerBound(key uint32) int {
 	s := x.shardFor(key)
 	noteProbe(s)
 	snap := x.shards[s].cur.Load()
@@ -262,7 +240,7 @@ func (x *Index[K]) LowerBound(key K) int {
 // EqualRange returns the half-open global position range [first,last) of
 // occurrences of key.  Routing sends every duplicate of a key to one shard,
 // so the range never spans shards.
-func (x *Index[K]) EqualRange(key K) (first, last int) {
+func (x *Index) EqualRange(key uint32) (first, last int) {
 	s := x.shardFor(key)
 	noteProbe(s)
 	snap := x.shards[s].cur.Load()
@@ -274,20 +252,20 @@ func (x *Index[K]) EqualRange(key K) (first, last int) {
 // Insert enqueues keys for insertion.  The keys become visible after the
 // background rebuilder publishes the affected shards' next epochs; call
 // Sync to wait for that.
-func (x *Index[K]) Insert(keys ...K) { x.enqueue(keys, true) }
+func (x *Index) Insert(keys ...uint32) { x.enqueue(keys, true) }
 
 // Delete enqueues keys for deletion with multiset semantics: each requested
 // key removes at most one occurrence; absent keys are ignored.
-func (x *Index[K]) Delete(keys ...K) { x.enqueue(keys, false) }
+func (x *Index) Delete(keys ...uint32) { x.enqueue(keys, false) }
 
 // enqueue routes the keys to their shards' pending batches in one pass,
 // holding a shard's lock across each stretch of consecutive keys that route
 // to it, so a write allocates nothing beyond the pending slices' own growth.
-func (x *Index[K]) enqueue(keys []K, ins bool) {
+func (x *Index) enqueue(keys []uint32, ins bool) {
 	if len(keys) == 0 {
 		return
 	}
-	var cur *shardState[K]
+	var cur *shardState
 	for _, k := range keys {
 		if s := x.shards[x.shardFor(k)]; s != cur {
 			if cur != nil {
@@ -312,7 +290,7 @@ func (x *Index[K]) enqueue(keys []K, ins bool) {
 // Sync blocks until every update enqueued before the call has been absorbed
 // and its epoch-swap published.  After Close, Sync returns immediately
 // (Close already flushed).
-func (x *Index[K]) Sync() {
+func (x *Index) Sync() {
 	ack := make(chan struct{})
 	select {
 	case x.syncs <- ack:
@@ -323,7 +301,7 @@ func (x *Index[K]) Sync() {
 
 // loop is the background rebuilder: it drains dirty shards on every wake or
 // sync request and once more on Close.
-func (x *Index[K]) loop() {
+func (x *Index) loop() {
 	defer x.wg.Done()
 	for {
 		select {
@@ -346,7 +324,7 @@ func (x *Index[K]) loop() {
 // publish swaps in shard s's next snapshot and accounts for it in one place:
 // the lifetime counters behind DeltaStats, the swap's telemetry by outcome,
 // and the lag gauges, moved by the change in the shard's outstanding delta.
-func (x *Index[K]) publish(s *shardState[K], next *snapshot[K], folded bool, start time.Time) {
+func (x *Index) publish(s *shardState, next *snapshot, folded bool, start time.Time) {
 	old := s.cur.Swap(next)
 	gaugeDeltaKeys.Add(int64(next.deltaKeys() - old.deltaKeys()))
 	gaugeTombstones.Add(int64(len(next.tomb.keys) - len(old.tomb.keys)))
@@ -366,7 +344,7 @@ func (x *Index[K]) publish(s *shardState[K], next *snapshot[K], folded bool, sta
 // absorb (delta.go); the shard then folds — the full §2.3 rebuild — only if
 // its delta has reached the policy's threshold.  A batch that changes
 // nothing on a shard with no delta (deletes of absent keys) publishes nothing.
-func (x *Index[K]) drain() {
+func (x *Index) drain() {
 	for {
 		dirty := false
 		for _, s := range x.shards {

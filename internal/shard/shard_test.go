@@ -44,7 +44,7 @@ func (o *oracle) delete(ks ...uint32) {
 }
 
 // checkAgainstOracle compares every read method on a set of probes.
-func checkAgainstOracle(t *testing.T, x *Index[uint32], o *oracle, probes []uint32) {
+func checkAgainstOracle(t *testing.T, x *Index, o *oracle, probes []uint32) {
 	t.Helper()
 	if got := x.Len(); got != len(o.keys) {
 		t.Fatalf("Len=%d want %d", got, len(o.keys))
@@ -91,7 +91,7 @@ func TestReadsMatchOracleAcrossShardCounts(t *testing.T) {
 	keys := g.SortedWithDuplicates(5000, 3)
 	probes := probesFor(keys, g)
 	for _, ns := range []int{1, 2, 4, 7, 16} {
-		x := NewEqual(keys, ns, LevelCSSBuilder(16))
+		x := NewEqual(keys, ns, 16)
 		checkAgainstOracle(t, x, &oracle{keys: slices.Clone(keys)}, probes)
 		x.Close()
 	}
@@ -99,7 +99,7 @@ func TestReadsMatchOracleAcrossShardCounts(t *testing.T) {
 
 func TestEmptyAndTiny(t *testing.T) {
 	for _, keys := range [][]uint32{nil, {7}, {7, 7, 7}, {0, math.MaxUint32}} {
-		x := NewEqual(keys, 4, LevelCSSBuilder(8))
+		x := NewEqual(keys, 4, 8)
 		o := &oracle{keys: slices.Clone(keys)}
 		checkAgainstOracle(t, x, o, []uint32{0, 6, 7, 8, math.MaxUint32})
 		x.Close()
@@ -110,7 +110,7 @@ func TestInsertDeleteMatchesOracle(t *testing.T) {
 	g := workload.New(2)
 	rng := rand.New(rand.NewSource(2))
 	keys := g.SortedUniform(3000)
-	x := NewEqual(keys, 4, LevelCSSBuilder(16))
+	x := NewEqual(keys, 4, 16)
 	defer x.Close()
 	o := &oracle{keys: slices.Clone(keys)}
 	for round := 0; round < 20; round++ {
@@ -154,7 +154,7 @@ func TestDuplicateBoundaryNeverStraddles(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		keys = append(keys, uint32(1000+i))
 	}
-	x := NewEqual(keys, 4, LevelCSSBuilder(16))
+	x := NewEqual(keys, 4, 16)
 	defer x.Close()
 	first, last := x.EqualRange(500)
 	if first != 300 || last != 700 {
@@ -169,7 +169,7 @@ func TestBoundariesEqualCount(t *testing.T) {
 	if len(b) != 7 {
 		t.Fatalf("got %d boundaries, want 7", len(b))
 	}
-	x := New(keys, b, LevelCSSBuilder(16))
+	x := New(keys, b, 16)
 	defer x.Close()
 	v := x.View()
 	for i := 0; i < x.ShardCount(); i++ {
@@ -190,7 +190,7 @@ func TestWeightedBoundariesFollowSkew(t *testing.T) {
 	if len(b) == 0 {
 		t.Fatal("no weighted boundaries")
 	}
-	x := New(keys, b, LevelCSSBuilder(16))
+	x := New(keys, b, 16)
 	defer x.Close()
 	v := x.View()
 	// The hot (first) shard must be smaller in keys than the cold (last):
@@ -223,7 +223,7 @@ func TestWeightedBoundariesEmptySampleFallsBack(t *testing.T) {
 func TestViewIsFrozen(t *testing.T) {
 	g := workload.New(6)
 	keys := g.SortedUniform(2000)
-	x := NewEqual(keys, 4, LevelCSSBuilder(16))
+	x := NewEqual(keys, 4, 16)
 	defer x.Close()
 	v := x.View()
 	before := v.Len()
@@ -240,7 +240,7 @@ func TestViewIsFrozen(t *testing.T) {
 func TestCloseFlushesPending(t *testing.T) {
 	g := workload.New(7)
 	keys := g.SortedUniform(1000)
-	x := NewEqual(keys, 4, LevelCSSBuilder(16))
+	x := NewEqual(keys, 4, 16)
 	extra := g.Misses(keys, 100)
 	x.Insert(extra...)
 	x.Close()
@@ -258,7 +258,7 @@ func TestCloseFlushesPending(t *testing.T) {
 
 func TestRangeIterSubrange(t *testing.T) {
 	keys := []uint32{10, 20, 20, 30, 40, 50, 60, 70}
-	x := NewEqual(keys, 3, LevelCSSBuilder(8))
+	x := NewEqual(keys, 3, 8)
 	defer x.Close()
 	v := x.View()
 	var got []uint32

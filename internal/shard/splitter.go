@@ -9,7 +9,6 @@ package shard
 // wide shards.
 
 import (
-	"cmp"
 	"slices"
 )
 
@@ -18,11 +17,11 @@ import (
 // never straddle a cut: a boundary value's whole run lands in the shard to
 // the boundary's right.  Fewer boundaries (hence fewer shards) are returned
 // when the data has too few distinct values to support nshards.
-func Boundaries[K cmp.Ordered](sorted []K, nshards int) []K {
+func Boundaries(sorted []uint32, nshards int) []uint32 {
 	if nshards < 2 || len(sorted) == 0 {
 		return nil
 	}
-	var bounds []K
+	var bounds []uint32
 	for i := 1; i < nshards; i++ {
 		cut := i * len(sorted) / nshards
 		if cut <= 0 || cut >= len(sorted) {
@@ -40,7 +39,7 @@ func Boundaries[K cmp.Ordered](sorted []K, nshards int) []K {
 // placed at quantiles of the probe sample, so each shard receives roughly
 // equal lookup traffic.  An empty sample falls back to equal-count
 // Boundaries over the data.
-func WeightedBoundaries[K cmp.Ordered](sorted []K, sample []K, nshards int) []K {
+func WeightedBoundaries(sorted []uint32, sample []uint32, nshards int) []uint32 {
 	if nshards < 2 || len(sorted) == 0 {
 		return nil
 	}
@@ -49,7 +48,7 @@ func WeightedBoundaries[K cmp.Ordered](sorted []K, sample []K, nshards int) []K 
 	}
 	ws := slices.Clone(sample)
 	slices.Sort(ws)
-	var bounds []K
+	var bounds []uint32
 	for i := 1; i < nshards; i++ {
 		b := ws[i*len(ws)/nshards]
 		if b <= sorted[0] {

@@ -29,7 +29,7 @@ func TestConcurrentReadersDuringEpochSwaps(t *testing.T) {
 	)
 	g := workload.New(600)
 	keys := g.SortedUniform(20000)
-	x := NewEqual(keys, 4, LevelCSSBuilder(16))
+	x := NewEqual(keys, 4, 16)
 	defer x.Close()
 
 	stop := make(chan struct{})

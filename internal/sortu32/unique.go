@@ -65,9 +65,8 @@ func (u *Unique) Sort(probes []uint32, opts parallel.Options) (distinct, perm []
 
 // Dedupe compacts the ascending keys to their distinct values in place,
 // sets expand[j] to the slot keys[j]'s value lands in, and returns the
-// distinct count: the end of Unique.Sort's partition path, and of shard's
-// key-ordered plan for key types other than uint32.
-func Dedupe[K comparable](keys []K, expand []int32) int {
+// distinct count: the end of Unique.Sort's partition path.
+func Dedupe(keys []uint32, expand []int32) int {
 	if len(keys) == 0 {
 		return 0
 	}

@@ -17,11 +17,7 @@
 
 package cssidx
 
-import (
-	"cmp"
-
-	"cssidx/internal/parallel"
-)
+import "cssidx/internal/parallel"
 
 // ParallelOptions tunes the parallel batch engine.  The zero value is the
 // recommended default: GOMAXPROCS workers with ADAPTIVE span sizing — the
@@ -44,7 +40,7 @@ type ParallelOptions struct {
 }
 
 // BatchTuning is implemented by the engines whose worker spans are sized
-// adaptively (NewParallel, NewGenericParallel, ShardedIndex).
+// adaptively (NewParallel, ShardedIndex).
 type BatchTuning interface {
 	// BatchCalibration returns the calibrated MinBatchPerWorker and the
 	// measured per-probe cost; ok is false before the first large batch
@@ -121,50 +117,5 @@ func (p *parallelBatch) EqualRangeBatch(probes []Key, first, last []int32) {
 	checkBatchLen(len(probes), len(last))
 	parallel.Run(len(probes), p.opts, func(lo, hi int) {
 		p.b.EqualRangeBatch(probes[lo:hi], first[lo:hi], last[lo:hi])
-	})
-}
-
-// GenericParallel is the parallel batch engine over a Generic CSS-tree: the
-// typed counterpart of NewParallel for key types other than uint32.
-type GenericParallel[K cmp.Ordered] struct {
-	t     *Generic[K]
-	opts  parallel.Options
-	tuner parallel.Tuner
-}
-
-// NewGenericParallel wraps a Generic tree with the parallel batch engine.
-func NewGenericParallel[K cmp.Ordered](t *Generic[K], opts ParallelOptions) *GenericParallel[K] {
-	p := &GenericParallel[K]{t: t, opts: opts.engine()}
-	p.opts.Tuner = &p.tuner
-	return p
-}
-
-// BatchCalibration reports the adaptive span the engine measured.
-func (p *GenericParallel[K]) BatchCalibration() (int, float64, bool) {
-	return p.tuner.Calibration()
-}
-
-// SearchBatch answers the batch across workers (see NewParallel).
-func (p *GenericParallel[K]) SearchBatch(probes []K, out []int32) {
-	checkBatchLen(len(probes), len(out))
-	parallel.Run(len(probes), p.opts, func(lo, hi int) {
-		p.t.SearchBatch(probes[lo:hi], out[lo:hi])
-	})
-}
-
-// LowerBoundBatch answers the batch across workers.
-func (p *GenericParallel[K]) LowerBoundBatch(probes []K, out []int32) {
-	checkBatchLen(len(probes), len(out))
-	parallel.Run(len(probes), p.opts, func(lo, hi int) {
-		p.t.LowerBoundBatch(probes[lo:hi], out[lo:hi])
-	})
-}
-
-// EqualRangeBatch answers the batch across workers.
-func (p *GenericParallel[K]) EqualRangeBatch(probes []K, first, last []int32) {
-	checkBatchLen(len(probes), len(first))
-	checkBatchLen(len(probes), len(last))
-	parallel.Run(len(probes), p.opts, func(lo, hi int) {
-		p.t.EqualRangeBatch(probes[lo:hi], first[lo:hi], last[lo:hi])
 	})
 }

@@ -8,7 +8,6 @@ package cssidx_test
 // GOMAXPROCS=8 leg real concurrency).
 
 import (
-	"fmt"
 	"testing"
 
 	"cssidx"
@@ -122,45 +121,6 @@ func TestSortedOverParallelComposition(t *testing.T) {
 	}
 }
 
-func TestGenericParallelMatchesScalar(t *testing.T) {
-	g := workload.New(34)
-	u := g.SortedWithDuplicates(8000, 2)
-	keys := make([]uint64, len(u))
-	for i, v := range u {
-		keys[i] = uint64(v) << 3
-	}
-	tr := cssidx.NewGenericLevel(keys, 8)
-	probes := make([]uint64, 0, 4000)
-	for _, p := range g.Lookups(u, 2000) {
-		probes = append(probes, uint64(p)<<3)
-	}
-	for _, p := range g.Misses(u, 2000) {
-		probes = append(probes, uint64(p)<<3|1)
-	}
-	for _, opts := range []cssidx.ParallelOptions{{}, {Workers: 4, MinBatchPerWorker: 32}} {
-		par := cssidx.NewGenericParallel(tr, opts)
-		out := make([]int32, len(probes))
-		first := make([]int32, len(probes))
-		last := make([]int32, len(probes))
-		par.SearchBatch(probes, out)
-		par.EqualRangeBatch(probes, first, last)
-		lb := make([]int32, len(probes))
-		par.LowerBoundBatch(probes, lb)
-		for i, p := range probes {
-			if want := int32(tr.Search(p)); out[i] != want {
-				t.Fatalf("GenericParallel SearchBatch[%d]=%d want %d", i, out[i], want)
-			}
-			if want := int32(tr.LowerBound(p)); lb[i] != want {
-				t.Fatalf("GenericParallel LowerBoundBatch[%d]=%d want %d", i, lb[i], want)
-			}
-			wf, wl := tr.EqualRange(p)
-			if first[i] != int32(wf) || last[i] != int32(wl) {
-				t.Fatalf("GenericParallel EqualRangeBatch[%d]=[%d,%d) want [%d,%d)", i, first[i], last[i], wf, wl)
-			}
-		}
-	}
-}
-
 // TestShardedParallelSchedulesMatchScalar drives both probe orders × every
 // worker configuration of the sharded batch surface against the scalar
 // methods: the sampler sends the uniform stream down the input-order path
@@ -199,41 +159,6 @@ func TestShardedParallelSchedulesMatchScalar(t *testing.T) {
 				}
 			}
 			idx.Close()
-		}
-	}
-}
-
-// TestShardedStringKeysSortedSchedule drives the key-ordered plan of a
-// non-uint32 key type (comparison sort, then sortu32.Dedupe) against the
-// scalar methods: duplicated probes, misses and keys beyond both ends.
-func TestShardedStringKeysSortedSchedule(t *testing.T) {
-	var keys []string
-	for i := 0; i < 3000; i++ {
-		keys = append(keys, fmt.Sprintf("k%05d", i/2*3))
-	}
-	var probes []string
-	for i := 0; i < 2000; i++ {
-		probes = append(probes, fmt.Sprintf("k%05d", (i*i)%1000*5))
-	}
-	probes = append(probes, "", "a", "z", "k")
-	if !shard.ChooseKeyOrder(probes) {
-		t.Fatal("the repeating probe batch does not run key-ordered")
-	}
-	idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[string]{Shards: 3})
-	defer idx.Close()
-	v := idx.Snapshot()
-	out := make([]int32, len(probes))
-	first := make([]int32, len(probes))
-	last := make([]int32, len(probes))
-	lb := make([]int32, len(probes))
-	v.SearchBatch(probes, out)
-	v.LowerBoundBatch(probes, lb)
-	v.EqualRangeBatch(probes, first, last)
-	for i, p := range probes {
-		wf, wl := v.EqualRange(p)
-		if out[i] != int32(v.Search(p)) || lb[i] != int32(v.LowerBound(p)) || first[i] != int32(wf) || last[i] != int32(wl) {
-			t.Fatalf("probe %q: batch (%d, %d, [%d,%d)) scalar (%d, %d, [%d,%d))",
-				p, out[i], lb[i], first[i], last[i], v.Search(p), v.LowerBound(p), wf, wl)
 		}
 	}
 }

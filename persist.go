@@ -47,7 +47,7 @@ func LoadIndex(r io.Reader, keys []Key) (OrderedIndex, error) {
 	return cssTree{t}, nil
 }
 
-// SaveSharded writes a restartable snapshot of a uint32 sharded index: the
+// SaveSharded writes a restartable snapshot of a sharded index: the
 // shard boundaries and every shard's sorted key array, captured from one
 // frozen cross-shard view, under a CRC-32C of every byte.  Pending updates not yet absorbed
 // by the background rebuilder are not captured; call Sync first when they
@@ -58,7 +58,7 @@ func LoadIndex(r io.Reader, keys []Key) (OrderedIndex, error) {
 // SaveShardedFile for the atomic crash-safe commit, and OpenWAL for
 // continuous durability of Insert/Delete batches between snapshots.
 func SaveSharded(w io.Writer, x *ShardedIndex[uint32]) error {
-	return shard.SaveU32(w, x.ix.View(), 0)
+	return shard.Save(w, x.ix.View(), 0)
 }
 
 // LoadSharded restores a snapshot written by SaveSharded, rebuilding each
@@ -71,7 +71,7 @@ func SaveSharded(w io.Writer, x *ShardedIndex[uint32]) error {
 // also loads a DurableSharded snapshot, ignoring the log sequence it
 // records, and snapshots written before the CRC-32C trailer (version 1).
 func LoadSharded(r io.Reader, opts ShardedOptions[uint32]) (*ShardedIndex[uint32], error) {
-	keys, bounds, _, err := shard.LoadU32(r)
+	keys, bounds, _, err := shard.Load(r)
 	if err != nil {
 		return nil, err
 	}
