@@ -8,16 +8,9 @@
 // synchronisation.
 package bloom
 
-import "hash/maphash"
-
-// seed is shared by every filter over non-integer keys: filters are rebuilt
-// per run and never compared across processes, so one process-wide random
-// seed suffices and keeps Filter values trivially copyable.
-var seed = maphash.MakeSeed()
-
-// Filter is a split-probe bloom filter over comparable keys.  The zero
-// value is a filter over nothing: May reports false for every key.
-type Filter[K comparable] struct {
+// Filter is a split-probe bloom filter over uint32 keys.  The zero value is
+// a filter over nothing: May reports false for every key.
+type Filter struct {
 	bits []uint64
 	mask uint32 // len(bits)*64 - 1; bit count is a power of two
 }
@@ -28,15 +21,15 @@ type Filter[K comparable] struct {
 const bitsPerKey = 10
 
 // Build constructs a filter over the keys.
-func Build[K comparable](keys []K) Filter[K] {
+func Build(keys []uint32) Filter {
 	if len(keys) == 0 {
-		return Filter[K]{}
+		return Filter{}
 	}
 	nbits := 64
 	for nbits < len(keys)*bitsPerKey {
 		nbits <<= 1
 	}
-	f := Filter[K]{bits: make([]uint64, nbits/64), mask: uint32(nbits - 1)}
+	f := Filter{bits: make([]uint64, nbits/64), mask: uint32(nbits - 1)}
 	for _, k := range keys {
 		h1, h2 := f.probes(k)
 		f.bits[h1>>6] |= 1 << (h1 & 63)
@@ -45,21 +38,11 @@ func Build[K comparable](keys []K) Filter[K] {
 	return f
 }
 
-// probes derives both bit positions from one 64-bit hash.  The delta
-// layer's keys are uint32 (mmdb) and uint32/uint64 (shard), and with
-// several runs per index a point probe hashes once per run, so integer
-// keys take an inlined multiply-xorshift finaliser; every other key type
-// keeps maphash.
-func (f Filter[K]) probes(k K) (uint32, uint32) {
-	var h uint64
-	switch v := any(k).(type) {
-	case uint32:
-		h = mix64(uint64(v))
-	case uint64:
-		h = mix64(v)
-	default:
-		h = maphash.Comparable(seed, k)
-	}
+// probes derives both bit positions from one 64-bit hash.  With several
+// runs per index a point probe hashes once per run, so the hash is an
+// inlined multiply-xorshift finaliser.
+func (f Filter) probes(k uint32) (uint32, uint32) {
+	h := mix64(uint64(k))
 	return uint32(h) & f.mask, uint32(h>>32) & f.mask
 }
 
@@ -76,7 +59,7 @@ func mix64(x uint64) uint64 {
 }
 
 // May reports whether the key may be in the set (false = definitely not).
-func (f Filter[K]) May(k K) bool {
+func (f Filter) May(k uint32) bool {
 	if f.bits == nil {
 		return false
 	}
@@ -85,4 +68,4 @@ func (f Filter[K]) May(k K) bool {
 }
 
 // Bytes returns the filter's memory footprint.
-func (f Filter[K]) Bytes() int { return 8 * len(f.bits) }
+func (f Filter) Bytes() int { return 8 * len(f.bits) }

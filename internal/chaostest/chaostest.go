@@ -143,12 +143,13 @@ type soak struct {
 	tab    *mmdb.Table // governed: cache + admission + storm traffic
 	oracle *mmdb.Table // ungoverned twin fed only acknowledged batches
 
-	// tlock models the engine's concurrency contract: a ShardedIndex
-	// serves lock-free from any goroutine concurrently with AppendRows
-	// (epoch swaps), but every other surface follows the single-writer
-	// model — so the appender takes the write side and the raw-reading
-	// query surfaces the read side, while sharded queries deliberately
-	// run outside the lock to hammer epoch publication under fire.
+	// tlock models the engine's concurrency contract: an index's own
+	// methods serve lock-free from any goroutine concurrently with
+	// AppendRows (epoch swaps), but every other surface follows the
+	// single-writer model — so the appender takes the write side and the
+	// table-level query surfaces the read side, while index queries
+	// deliberately run outside the lock to hammer epoch publication under
+	// fire.
 	tlock sync.RWMutex
 
 	mu     sync.Mutex
@@ -271,10 +272,9 @@ func (s *soak) queryWorker(id int) {
 			s.tlock.RUnlock()
 			s.note("GroupAggregateCtx", err)
 		case 4:
+			// Lock-free on purpose: epoch swaps under fire.
 			if ix != nil {
-				s.tlock.RLock()
 				_, err := ix.SelectEqualCtx(ctx, lo)
-				s.tlock.RUnlock()
 				s.note("SelectEqualCtx", err)
 			}
 		case 5:

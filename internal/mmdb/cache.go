@@ -1,23 +1,23 @@
 package mmdb
 
 // Result caching: the execution engine's reuse stage.  Every query surface
-// (Table.SelectRange/SelectIn/SelectWhere, GroupAggregate, JoinWith, and the
-// epoch-swapped ShardedIndex selections) consults an attached qcache.Cache
+// (Table.SelectRange/SelectIn/SelectWhere, GroupAggregate, JoinWith, and an
+// index's own SelectRange/SelectIn over its epoch) consults an attached qcache.Cache
 // before computing and fills it after, so repeated decision-support traffic —
 // the same dashboard ranges, IN-lists and join sub-results over and over — is
 // answered by a fingerprint lookup and one slice copy instead of a
 // recomputation.
 //
-// The lookup comes before planning wherever the fingerprint does not depend
-// on the plan: every SelectWhere conjunction, and SelectRange and SelectIn on
-// a column with a SortedIndex or no index, whose scan and index paths share
-// one table-layer key.  Within a generation the plan is a function of the
-// question alone, so the entry a miss inserts stores that miss's plan
-// (qcache.Plan: path, selectivity, reason) and an exact hit replays it
-// without touching the domain tree; a subset replay reads the IN-list's
-// domain presence off its groups, and a containment hit still plans.  A
-// sharded-only column plans first: its plan picks the layer its answer is
-// cached in (the epoch's, or the table's for a scan).
+// The table layer looks up before it plans: a fingerprint never depends on
+// the plan — a SelectRange or SelectIn's scan and index paths share one
+// table-layer key, whatever search structure the column's index has, and so
+// does every SelectWhere conjunction.  Within a generation the plan is a
+// function of the question alone, so the entry a miss inserts stores that
+// miss's plan (qcache.Plan: path, selectivity, reason) and an exact hit
+// replays it without touching the domain tree; a subset replay reads the
+// IN-list's domain presence off its groups, and a containment hit still
+// plans.  An index's own methods are never planned; they cache at the epoch
+// layer, stamped with the epoch they read.
 //
 // Nothing is cached at first sight.  Every miss is settled with the cache's
 // admission verdict (qcache/door.go: has this question missed before?), and

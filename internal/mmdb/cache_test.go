@@ -221,7 +221,7 @@ func TestJoinCacheReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		outer.EnableCache(CacheOptions{MinCostNs: -1})
-		var innerIx JoinIndex
+		var innerIx *SortedIndex
 		if sharded {
 			ix, err := inner.BuildShardedIndex("k", 4)
 			if err != nil {

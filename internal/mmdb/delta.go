@@ -78,7 +78,7 @@ type idxRun struct {
 	rids   []uint32
 	min    uint32
 	max    uint32
-	filter bloom.Filter[uint32]
+	filter bloom.Filter
 }
 
 // sortedPairsOf returns a copy of vals in sorted order with the parallel RID

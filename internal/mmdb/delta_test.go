@@ -28,7 +28,7 @@ var (
 type twin struct {
 	tab *Table
 	kIx *SortedIndex
-	sIx *ShardedIndex
+	sIx *SortedIndex
 }
 
 func newTwin(t *testing.T, name string, pol foldPolicy, cols map[string][]uint32, cache bool) *twin {
@@ -105,7 +105,7 @@ func checkRuns(runs []idxRun) error {
 // checkTwinRuns applies checkRuns to both of a twin's indexes.
 func checkTwinRuns(t *testing.T, tag string, w *twin) {
 	t.Helper()
-	if err := checkRuns(w.kIx.seg.runs); err != nil {
+	if err := checkRuns(w.kIx.cur.Load().runs); err != nil {
 		t.Fatalf("%s sorted index: %v", tag, err)
 	}
 	if err := checkRuns(w.sIx.cur.Load().runs); err != nil {
@@ -182,11 +182,11 @@ func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, liv
 	// The index's own IN driver, whatever path the table's planner and
 	// cache pick below: plain, and grouped with its value offsets.
 	mustEqualU32(t, tag+" SortedIndex.SelectIn(k)", live.kIx.SelectIn(inList), oracle.kIx.SelectIn(inList))
-	lr, lgo, err := live.kIx.seg.selectIn(nil, dedupeValues(inList), true, parallel.Options{})
+	lr, lgo, err := live.kIx.cur.Load().selectIn(nil, dedupeValues(inList), true, parallel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	or, ogo, err := oracle.kIx.seg.selectIn(nil, dedupeValues(inList), true, parallel.Options{})
+	or, ogo, err := oracle.kIx.cur.Load().selectIn(nil, dedupeValues(inList), true, parallel.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, liv
 // for both inner index flavors.
 func checkJoin(t *testing.T, tag string, live, oracle *twin, liveInner, oracleInner *twin) {
 	t.Helper()
-	collect := func(outer *Table, inner JoinIndex) (a, b []uint32) {
+	collect := func(outer *Table, inner *SortedIndex) (a, b []uint32) {
 		if _, err := Join(outer, "k", inner, func(o, i uint32) {
 			a = append(a, o)
 			b = append(b, i)
@@ -308,7 +308,7 @@ func TestDeltaDifferentialAllSurfaces(t *testing.T) {
 					t.Fatal(err)
 				}
 				tag := fmt.Sprintf("batch %d", bi)
-				if got := len(live.kIx.seg.runs); got != wantRuns[bi] {
+				if got := len(live.kIx.cur.Load().runs); got != wantRuns[bi] {
 					t.Fatalf("%s: %d live runs, want %d", tag, got, wantRuns[bi])
 				}
 				checkTwinRuns(t, tag, live)
@@ -388,20 +388,20 @@ func TestDeltaManyRunsAgainstRebuild(t *testing.T) {
 						all[c] = append(all[c], vals...)
 					}
 					tag := fmt.Sprintf("step %d (+%d rows)", step, n)
-					if step < 8 && len(live.kIx.seg.runs) != step+1 {
-						t.Fatalf("%s: %d live runs, want %d", tag, len(live.kIx.seg.runs), step+1)
+					if step < 8 && len(live.kIx.cur.Load().runs) != step+1 {
+						t.Fatalf("%s: %d live runs, want %d", tag, len(live.kIx.cur.Load().runs), step+1)
 					}
-					maxRuns = max(maxRuns, len(live.kIx.seg.runs))
+					maxRuns = max(maxRuns, len(live.kIx.cur.Load().runs))
 					checkTwinRuns(t, tag, live)
 					if step >= 2 {
 						for _, h := range hot {
 							in := 0
-							for i := range live.kIx.seg.runs {
-								if f, l := live.kIx.seg.runs[i].equalRange(h); f < l {
+							for i := range live.kIx.cur.Load().runs {
+								if f, l := live.kIx.cur.Load().runs[i].equalRange(h); f < l {
 									in++
 								}
 							}
-							if in < min(3, len(live.kIx.seg.runs)) {
+							if in < min(3, len(live.kIx.cur.Load().runs)) {
 								t.Fatalf("%s: hot value %d sits in %d runs", tag, h, in)
 							}
 						}
@@ -414,8 +414,8 @@ func TestDeltaManyRunsAgainstRebuild(t *testing.T) {
 					}
 					rebuilt.close()
 				}
-				if maxRuns != 8 || len(live.kIx.seg.runs) != 1 {
-					t.Fatalf("tier peaked at %d runs and ended with %d, want 8 and 1", maxRuns, len(live.kIx.seg.runs))
+				if maxRuns != 8 || len(live.kIx.cur.Load().runs) != 1 {
+					t.Fatalf("tier peaked at %d runs and ended with %d, want 8 and 1", maxRuns, len(live.kIx.cur.Load().runs))
 				}
 				if live.tab.Generation() != 1 {
 					t.Fatalf("live table folded: generation %d", live.tab.Generation())
@@ -584,13 +584,13 @@ func TestEmptyAppendIsNotAFold(t *testing.T) {
 	if _, err := six.SelectRange(dict[10], dict[200]); err != nil {
 		t.Fatal(err)
 	}
-	if tab.DeltaRows() != 300 || len(ix.seg.runs) == 0 || len(six.cur.Load().runs) == 0 || tab.CacheStats().Entries != 2 {
+	if tab.DeltaRows() != 300 || len(ix.cur.Load().runs) == 0 || len(six.cur.Load().runs) == 0 || tab.CacheStats().Entries != 2 {
 		t.Fatalf("setup: delta %d rows, %d sorted runs, %d sharded runs, %d cached entries",
-			tab.DeltaRows(), len(ix.seg.runs), len(six.cur.Load().runs), tab.CacheStats().Entries)
+			tab.DeltaRows(), len(ix.cur.Load().runs), len(six.cur.Load().runs), tab.CacheStats().Entries)
 	}
 
 	gen, sv := tab.Generation(), tab.StateVersion()
-	runs, epoch, st := ix.seg.runs, six.cur.Load(), tab.CacheStats()
+	runs, epoch, st := ix.cur.Load().runs, six.cur.Load(), tab.CacheStats()
 	if err := tab.AppendRows(map[string][]uint32{"k": {}, "s": nil}); err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +598,7 @@ func TestEmptyAppendIsNotAFold(t *testing.T) {
 		t.Fatalf("empty append moved the table: gen %d → %d, state %d → %d, base %d, delta %d",
 			gen, tab.Generation(), sv, tab.StateVersion(), tab.BaseRows(), tab.DeltaRows())
 	}
-	if len(ix.seg.runs) != len(runs) || &ix.seg.runs[0] != &runs[0] {
+	if len(ix.cur.Load().runs) != len(runs) || &ix.cur.Load().runs[0] != &runs[0] {
 		t.Fatal("empty append replaced the sorted index's runs")
 	}
 	if six.cur.Load() != epoch {
@@ -617,9 +617,9 @@ func TestEmptyAppendIsNotAFold(t *testing.T) {
 		if tab.Generation() != gen+1 || tab.StateVersion() != sv+1 {
 			t.Fatalf("Compact, %s: gen %d → %d, state %d → %d", what, gen, tab.Generation(), sv, tab.StateVersion())
 		}
-		if tab.DeltaRows() != 0 || tab.BaseRows() != 4300 || len(ix.seg.runs) != 0 || len(six.cur.Load().runs) != 0 {
+		if tab.DeltaRows() != 0 || tab.BaseRows() != 4300 || len(ix.cur.Load().runs) != 0 || len(six.cur.Load().runs) != 0 {
 			t.Fatalf("Compact, %s: delta %d, base %d, %d sorted runs, %d sharded runs left",
-				what, tab.DeltaRows(), tab.BaseRows(), len(ix.seg.runs), len(six.cur.Load().runs))
+				what, tab.DeltaRows(), tab.BaseRows(), len(ix.cur.Load().runs), len(six.cur.Load().runs))
 		}
 		if n := tab.CacheStats().Entries; n != 0 {
 			t.Fatalf("Compact, %s: %d cached entries survived the fold", what, n)

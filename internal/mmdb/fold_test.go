@@ -91,36 +91,25 @@ func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) 
 			lo, hi = hi, lo
 		}
 		if ix, ok := live.indexes[c.name]; ok {
-			ref, err := scratch.BuildIndex(c.name, ix.kind, ix.opts)
+			ref, err := scratch.buildIndex(c.name, ix.kind, ix.structure)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(ix.seg.keys, ref.seg.keys) || !slices.Equal(ix.seg.rids, ref.seg.rids) {
+			s, r := ix.cur.Load(), ref.cur.Load()
+			if !slices.Equal(s.keys, r.keys) || !slices.Equal(s.rids, r.rids) {
 				t.Fatalf("%s: index on %s: base arrays differ from a from-scratch build", tag, c.name)
 			}
-			if len(ix.seg.runs) != 0 || ix.seg.dom != got.dom {
-				t.Fatalf("%s: index on %s: %d runs left, domain current=%v", tag, c.name, len(ix.seg.runs), ix.seg.dom == got.dom)
+			if len(s.runs) != 0 || s.dom != got.dom || s.tok.Epoch != uint64(live.rows) {
+				t.Fatalf("%s: index on %s: %d runs left, domain current=%v, rows covered %d of %d",
+					tag, c.name, len(s.runs), s.dom == got.dom, s.tok.Epoch, live.rows)
 			}
 			if !slices.Equal(ix.SelectEqual(hi), ref.SelectEqual(hi)) {
 				t.Fatalf("%s: index on %s: SelectEqual(%d) differs", tag, c.name, hi)
 			}
-		}
-		if six, ok := live.sharded[c.name]; ok {
-			ref, err := scratch.BuildShardedIndex(c.name, six.shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, r := six.cur.Load(), ref.cur.Load()
-			if !slices.Equal(s.keys, r.keys) || !slices.Equal(s.rids, r.rids) {
-				t.Fatalf("%s: sharded index on %s: base arrays differ from a from-scratch build", tag, c.name)
-			}
-			if len(s.runs) != 0 || s.dom != got.dom || s.tok.Epoch != uint64(live.rows) {
-				t.Fatalf("%s: sharded index on %s: %d runs left, rows covered %d of %d", tag, c.name, len(s.runs), s.tok.Epoch, live.rows)
-			}
-			a, err1 := six.SelectRange(lo, hi)
+			a, err1 := ix.SelectRange(lo, hi)
 			b, err2 := ref.SelectRange(lo, hi)
-			if err1 != nil || err2 != nil || !slices.Equal(a, b) {
-				t.Fatalf("%s: sharded index on %s: SelectRange(%d,%d) differs (%v, %v)", tag, c.name, lo, hi, err1, err2)
+			if err1 != err2 || !slices.Equal(a, b) {
+				t.Fatalf("%s: index on %s: SelectRange(%d,%d) differs (%v, %v)", tag, c.name, lo, hi, err1, err2)
 			}
 		}
 	}
@@ -152,8 +141,10 @@ func runFoldOps(t *testing.T, data []byte) (folds int) {
 			t.Fatal(err)
 		}
 	}
-	// sel's bits: 4 = a sorted index (16 = by hashing, which has no ordered
-	// access; its base arrays fold alike), 8 = a sharded index.
+	// sel's bits: 4 = an index searched by a level CSS-tree (16 = by
+	// hashing, which has no ordered access; its base arrays fold alike), 8 =
+	// a sharded index.  A column holds one index, so 4|8 means build, then
+	// replace: the sharded build closes and supersedes the other.
 	build := func(c foldCol, sel byte) {
 		if sel&4 != 0 {
 			kind := cssidx.KindLevelCSS
@@ -265,7 +256,7 @@ func TestFoldPinnedCases(t *testing.T) {
 	if _, err := live.BuildShardedIndex("s", 2); err != nil { // the tail is its one run
 		t.Fatal(err)
 	}
-	if runs := live.sharded["s"].cur.Load().runs; len(runs) != 1 || len(runs[0].rids) != 3 {
+	if runs := live.indexes["s"].cur.Load().runs; len(runs) != 1 || len(runs[0].rids) != 3 {
 		t.Fatalf("late index: runs %v, want the 3-row tail as one run", runs)
 	}
 	live.Compact() // runs outstanding, every value already resident

@@ -460,9 +460,9 @@ func TestJoinWithCtxGoverned(t *testing.T) {
 // caller a freshly allocated slice of any size, so under a
 // governor.WithBudget smaller than that slice it must fail with
 // ErrBudgetExceeded and nil rows on both cache layers — the table layer
-// ("a", SortedIndex) and the epoch layer ("b", sharded-only, through the
-// table and through the index's own surface) — exactly as a computed result
-// would.  Exact hits stay uncharged: qcache copies them out
+// (through the table, on "a" searched by a level CSS-tree and on the sharded
+// "b") and the epoch layer (through the index's own surface) — exactly as a
+// computed result would.  Exact hits stay uncharged: qcache copies them out
 // before this layer sees them, and cached answers are what a constrained
 // query is still served.
 func TestReusePathsChargeBudget(t *testing.T) {
@@ -484,14 +484,14 @@ func TestReusePathsChargeBudget(t *testing.T) {
 				r, _, err := cached.SelectInCtx(ctx, "a", pool[2:14], nil)
 				return r, err
 			}},
-		{"epoch subset replay via table",
+		{"table subset replay, sharded column",
 			func() error { _, _, err := cached.SelectIn("b", pool); return err },
 			func(ctx context.Context) ([]uint32, error) {
 				r, _, err := cached.SelectInCtx(ctx, "b", pool[2:14], nil)
 				return r, err
 			}},
 		{"epoch subset replay via index",
-			func() error { return nil },
+			func() error { sh.SelectIn(pool); return nil },
 			func(ctx context.Context) ([]uint32, error) { return sh.SelectInCtx(ctx, pool[5:11]) }},
 	} {
 		if err := c.seed(); err != nil {

@@ -117,8 +117,8 @@ func TestAbsorbThenReadCostFollowsBatch(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		s.absorbThenRead(t, batch, 1, in)
 		runtime.ReadMemStats(&after)
-		if s.tab.DeltaRows() != 5*scaleBatch || len(s.ix.seg.runs) != 2 {
-			t.Fatalf("base=%d: delta %d rows in %d runs, want %d in 2", base, s.tab.DeltaRows(), len(s.ix.seg.runs), 5*scaleBatch)
+		if s.tab.DeltaRows() != 5*scaleBatch || len(s.ix.cur.Load().runs) != 2 {
+			t.Fatalf("base=%d: delta %d rows in %d runs, want %d in 2", base, s.tab.DeltaRows(), len(s.ix.cur.Load().runs), 5*scaleBatch)
 		}
 		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("base=%d: absorb + first range + first IN allocate %d B", base, got)
@@ -264,8 +264,8 @@ func BenchmarkRangeWeave(b *testing.B) {
 			for _, n := range c.batches {
 				s.append(b, n)
 			}
-			if want := len(c.batches); !c.pol.always && len(s.ix.seg.runs) != want {
-				b.Fatalf("%d live runs, want %d", len(s.ix.seg.runs), want)
+			if want := len(c.batches); !c.pol.always && len(s.ix.cur.Load().runs) != want {
+				b.Fatalf("%d live runs, want %d", len(s.ix.cur.Load().runs), want)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -324,9 +324,11 @@ func BenchmarkFold(b *testing.B) {
 			t.cols[name] = &cc
 		}
 		for name, ix := range tmpl.indexes {
-			cix := *ix
-			cix.col, cix.seg.tbl = t.cols[name], t
-			t.indexes[name] = &cix
+			cix := &SortedIndex{tbl: t, col: t.cols[name], kind: ix.kind, structure: ix.structure}
+			s := *ix.cur.Load()
+			s.tbl = t
+			cix.cur.Store(&s)
+			t.indexes[name] = cix
 		}
 		return t
 	}

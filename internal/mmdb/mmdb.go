@@ -7,10 +7,16 @@
 //
 // A Table stores columns of uint32 values.  Each column is domain-encoded
 // (internal/domain): the column holds rank IDs, the domain holds each
-// distinct value once in sorted order.  An index on a column is a RID list
-// sorted by the column ("a list of record identifiers sorted by some columns
-// provides ordered access to the base relation", §2.2) plus a companion
-// sorted key array searched by any cssidx method.
+// distinct value once in sorted order.  A column holds at most one index, a
+// SortedIndex: a RID list sorted by the column ("a list of record identifiers
+// sorted by some columns provides ordered access to the base relation",
+// §2.2) plus a companion sorted key array searched by a search structure —
+// any cssidx method (BuildIndex) or a sharded index (BuildShardedIndex).  The
+// structure is the method; there is one index type, one read path and one
+// publication: every index serves frozen epochs, so its own methods run
+// while AppendRows absorbs and folds, and a table query takes the same path
+// — cache lookup first, then plan, then the index or a scan — whatever
+// structure backs the column.  Only EXPLAIN and SpaceBytes read which.
 package mmdb
 
 import (
@@ -41,8 +47,7 @@ type Table struct {
 	rows    int
 	cols    map[string]*Column
 	order   []string
-	indexes map[string]*SortedIndex
-	sharded map[string]*ShardedIndex
+	indexes map[string]*SortedIndex // one index per column
 
 	// baseRows is the prefix of rows covered by the frozen encodings:
 	// domains, ID columns and index base arrays are built over rows
@@ -66,7 +71,7 @@ type Table struct {
 	// with.
 	stateVer atomic.Uint64
 	// cache is the attached result cache (nil = caching off); behind an
-	// atomic pointer so concurrent sharded readers see attachment safely.
+	// atomic pointer so concurrent index readers see attachment safely.
 	cache atomic.Pointer[qcache.Cache]
 	// gov is the attached admission controller (nil = admission off);
 	// same atomic-pointer discipline as cache (govern.go).
@@ -87,7 +92,6 @@ func NewTable(name string) *Table {
 		name:    name,
 		cols:    map[string]*Column{},
 		indexes: map[string]*SortedIndex{},
-		sharded: map[string]*ShardedIndex{},
 	}
 	t.gen.Store(1)
 	t.stateVer.Store(1)
@@ -146,28 +150,78 @@ func (c *Column) Len() int { return len(c.raw) }
 // --- sorted RID lists with a search index ----------------------------------
 
 // SortedIndex is a RID list sorted by one column, with a companion sorted
-// key array (of domain IDs) searched by the chosen cssidx method.  Queries
-// arrive as raw values and are translated through the domain first — the
-// §2.2 flow: "transforming domain values to domain IDs requires searching on
-// the domain".  The read state is one segment (segment.go), stamped with the
-// table-layer cache identity.
+// key array (of domain IDs) searched by a search structure: one cssidx
+// method (BuildIndex) or a sharded index (BuildShardedIndex) — the structure
+// is the method, the index type is one.  Queries arrive as raw values and are
+// translated through the domain first — the §2.2 flow: "transforming domain
+// values to domain IDs requires searching on the domain".
+//
+// Its read state is one frozen epoch behind an atomic pointer: a segment
+// (segment.go) plus its epoch numbers.  A build or fold publishes an epoch
+// over fresh base arrays, an absorbed append one that shares the previous
+// epoch's base and structure with one more delta run, and nothing reachable
+// from a published epoch is written again — so the index's own methods may
+// run from any goroutine, concurrently with AppendRows and Compact.  Each
+// method loads the current epoch once and answers from it; with a result
+// cache attached it caches per epoch, every entry stamped with the build or
+// fold and the rows it was computed over, so a query racing AppendRows either
+// hits an entry no newer than its own epoch — brought current from its own
+// frozen runs — or computes against its own epoch.
 type SortedIndex struct {
-	seg  segment
+	tbl  *Table
 	col  *Column
 	kind cssidx.Kind
-	opts cssidx.Options
-	idx  cssidx.Index
+	// structure builds the search structure over a new base's keys into
+	// its segment (ord or eq, bytes, and shards for a sharded index): the
+	// one thing the two constructors choose.
+	structure func(s *segment)
+	cur       atomic.Pointer[epoch]
 }
 
-// BuildIndex builds (or rebuilds) an index on the column using the given
-// method, and registers it on the table.
+// epoch is one published state of an index: a fresh base (build or fold), or
+// an absorbed append batch sharing the previous epoch's base arrays and search
+// structure with one more delta run stacked on top.
+type epoch struct {
+	segment
+	seq uint64       // 1 = the build, +1 per published state
+	uid uint64       // globally-unique epoch id: the version a join's pair set is stamped with
+	tok qcache.Token // cache token: Gen the uid of the last build or fold, Epoch the rows covered
+}
+
+// reader is the epoch's cache reader: entries are brought current from its
+// own frozen runs, never from the live table.
+func (s *epoch) reader() qcache.Reader {
+	return qcache.Reader{Tok: s.tok, Runs: &s.segment}
+}
+
+// epochUID issues globally-unique ids for published epochs.  Epoch() counts
+// per index and restarts at 1 when a build replaces an index, so the *cache*
+// generation must come from here: a straggler reader's late insert stamped
+// with a replaced index's epoch can then never collide with a fresh index's
+// tokens.
+var epochUID atomic.Uint64
+
+// BuildIndex builds an index on the column searched by the given method, and
+// registers it, replacing (and closing) the column's earlier index.
 func (t *Table) BuildIndex(colName string, kind cssidx.Kind, opts cssidx.Options) (*SortedIndex, error) {
+	return t.buildIndex(colName, kind, func(s *segment) {
+		idx := cssidx.New(kind, s.keys, opts)
+		s.eq, s.bytes = cssidx.AsBatch(idx), idx.SpaceBytes()
+		if ord, ok := idx.(cssidx.OrderedIndex); ok {
+			s.ord = cssidx.AsBatchOrdered(ord)
+		}
+	})
+}
+
+// buildIndex builds an index on the column over the search structure
+// structure constructs, registers it in place of the column's earlier index
+// (whose background work is released) and drops the table's cached entries.
+func (t *Table) buildIndex(colName string, kind cssidx.Kind, structure func(*segment)) (*SortedIndex, error) {
 	col, ok := t.cols[colName]
 	if !ok {
 		return nil, fmt.Errorf("mmdb: no column %s in table %s", colName, t.name)
 	}
-	ix := &SortedIndex{col: col, kind: kind, opts: opts}
-	ix.seg = segment{tbl: t, col: colName, layer: qcache.LayerTable}
+	ix := &SortedIndex{tbl: t, col: col, kind: kind, structure: structure}
 	ix.install(col.sortedPairs())
 	// The base structure covers the frozen encoding (baseRows); rows
 	// appended since the last fold live only in raw form, so hand them to
@@ -175,6 +229,9 @@ func (t *Table) BuildIndex(colName string, kind cssidx.Kind, opts cssidx.Options
 	// have left had the index existed when they arrived.
 	if t.rows > t.baseRows {
 		ix.absorb(col.raw[t.baseRows:], uint32(t.baseRows))
+	}
+	if old, ok := t.indexes[colName]; ok {
+		old.Close()
 	}
 	t.indexes[colName] = ix
 	// Scan- and index-path results share fingerprints but not row order:
@@ -190,11 +247,20 @@ func (t *Table) Index(colName string) (*SortedIndex, bool) {
 	return ix, ok
 }
 
+// seg returns the segment a table-level query on col reads — its index's
+// current epoch — or nil on an unindexed column.
+func (t *Table) seg(col string) *segment {
+	if ix, ok := t.indexes[col]; ok {
+		return &ix.cur.Load().segment
+	}
+	return nil
+}
+
 // sortedPairs returns the column's domain IDs in sorted order with the
-// parallel RID list — what both index kinds build their base arrays from
-// when there is no sorted base to merge into (BuildIndex, BuildShardedIndex).
-// The pair sort is a stable radix sort (internal/sortu32), the
-// cache-conscious choice for the 4-byte keys of Table 1.
+// parallel RID list — what an index builds its base arrays from when there
+// is no sorted base to merge into.  The pair sort is a stable radix sort
+// (internal/sortu32), the cache-conscious choice for the 4-byte keys of
+// Table 1.
 func (c *Column) sortedPairs() (keys, rids []uint32) {
 	keys = append([]uint32(nil), c.ids...)
 	rids = make([]uint32, len(keys))
@@ -205,79 +271,106 @@ func (c *Column) sortedPairs() (keys, rids []uint32) {
 	return keys, rids
 }
 
-// install makes (keys, rids) — the column's domain IDs in sorted order with
-// the parallel RID list, covering every row of the column's current encoding
-// — the index's base: the search structure is constructed over them and the
-// delta runs they absorbed are cleared.
+// install publishes the next epoch over (keys, rids) — the column's current
+// encoding in sorted order, fresh arrays from the build's sort or a fold's
+// merge — with the search structure constructed over them and no delta runs.
+// The previous epoch's structure is closed; readers still holding it keep
+// valid results.
 func (ix *SortedIndex) install(keys, rids []uint32) {
-	s := &ix.seg
-	s.dom, s.runs = ix.col.dom, nil
-	s.keys, s.rids = keys, rids
-	ix.idx = cssidx.New(ix.kind, s.keys, ix.opts)
-	s.eq, s.ord = cssidx.AsBatch(ix.idx), nil
-	if ord, ok := ix.idx.(cssidx.OrderedIndex); ok {
-		s.ord = cssidx.AsBatchOrdered(ord)
+	next := &epoch{
+		segment: segment{dom: ix.col.dom, keys: keys, rids: rids, tbl: ix.tbl, col: ix.col.name},
+		seq:     1,
+		uid:     epochUID.Add(1),
 	}
+	ix.structure(&next.segment)
+	next.tok = qcache.Token{Gen: next.uid, Epoch: uint64(len(rids))}
+	if old := ix.cur.Load(); old != nil {
+		next.seq = old.seq + 1
+		// Absorb epochs share one structure; the fold closes it exactly once.
+		old.close()
+	}
+	ix.cur.Store(next)
 }
 
-// absorb lands one appended batch in the delta layer: a sorted run over
-// the batch's (value, RID) pairs pushed onto the geometric tier (pushRun).
-// The base arrays and search structure are untouched.
+// absorb publishes the next epoch with one appended batch landed in the
+// delta layer — a sorted run over the batch's (value, RID) pairs pushed onto
+// the geometric tier (pushRun, which returns a fresh slice) — sharing the
+// previous epoch's domain, base arrays and search structure (which is why
+// only install ever closes a structure).
 func (ix *SortedIndex) absorb(vals []uint32, startRID uint32) {
-	ix.seg.runs = pushRun(ix.seg.runs, newIdxRun(vals, startRID))
+	next := *ix.cur.Load()
+	next.seq++
+	next.uid = epochUID.Add(1)
+	next.tok.Epoch += uint64(len(vals))
+	next.runs = pushRun(next.runs, newIdxRun(vals, startRID))
+	ix.cur.Store(&next)
 }
 
-// Kind returns the index method.
+// Kind returns the index method (a sharded index's shards are level
+// CSS-trees).
 func (ix *SortedIndex) Kind() cssidx.Kind { return ix.kind }
 
-// SpaceBytes returns the index footprint: RID list, key array, structure
-// and outstanding delta runs.
-func (ix *SortedIndex) SpaceBytes() int { return ix.seg.spaceBytes() + ix.idx.SpaceBytes() }
+// Epoch returns the current epoch: 1 = the build, +1 per published state —
+// a fold or an absorbed batch.
+func (ix *SortedIndex) Epoch() uint64 { return ix.cur.Load().seq }
 
-// RIDs returns the RID list in column-value order (ordered access, §2.2).
-func (ix *SortedIndex) RIDs() []uint32 { return ix.seg.rids }
+// SpaceBytes returns the current epoch's footprint: RID list, key array,
+// search structure (a sharded index counts one extra key copy across its
+// shards) and outstanding delta runs.
+func (ix *SortedIndex) SpaceBytes() int {
+	s := ix.cur.Load()
+	return s.spaceBytes() + s.bytes
+}
+
+// RIDs returns the current epoch's RID list in column-value order (ordered
+// access, §2.2); rows absorbed since the last fold are in its delta runs.
+func (ix *SortedIndex) RIDs() []uint32 { return ix.cur.Load().rids }
+
+// Close releases the current epoch's background work: a sharded index's
+// rebuilder (a single structure has none).  Queries remain valid; call when
+// the table is done serving.
+func (ix *SortedIndex) Close() { ix.cur.Load().close() }
 
 // SelectEqual returns the RIDs of rows whose column equals value, in RID
 // order of the sorted list (stable: insertion order within duplicates).
 // Delta rows follow base rows — still ascending-RID, since appended RIDs
 // exceed all resident ones.
-func (ix *SortedIndex) SelectEqual(value uint32) []uint32 { return ix.seg.selectEqual(value) }
+func (ix *SortedIndex) SelectEqual(value uint32) []uint32 { return ix.cur.Load().selectEqual(value) }
 
 // SelectEqualCtx is SelectEqual under governance: the context's
 // cancellation/deadline/budget are observed, and on an attached admission
 // controller the probe enters as ClassPoint — the class served last by the
 // shed policy, with extra queue headroom under overload.
-func (ix *SortedIndex) SelectEqualCtx(ctx context.Context, value uint32) ([]uint32, error) {
-	return selectEqualCtx(ctx, &ix.seg, value)
-}
-
-// selectEqualCtx is the governed point probe of either index kind.
-func selectEqualCtx(ctx context.Context, seg *segment, value uint32) (out []uint32, err error) {
+func (ix *SortedIndex) SelectEqualCtx(ctx context.Context, value uint32) (out []uint32, err error) {
 	var q entry
-	if q.enterProbe(ctx, seg.tbl, governor.ClassPoint, 0) {
-		out, err = q.fresh(seg.selectEqual(value), nil)
+	if q.enter(ctx, nil, nil) {
+		q.release, q.dead = ix.tbl.admit(q.ctl, governor.ClassPoint, 0)
+		if q.dead == nil {
+			out, err = q.fresh(ix.cur.Load().selectEqual(value), nil)
+		}
 	}
 	return out, q.leave(err)
 }
 
 // SelectIn returns the RIDs of rows whose column equals any value in the
-// IN-list, driving the index through the batched probe surface (one lockstep
-// domain translation + one batched equal-range probe per chunk of
-// cssidx.DefaultBatchSize values), with large lists fanned across the
-// parallel worker pool.  Duplicate list values contribute their rows once;
-// RIDs come back grouped by list order, ascending within a value.
+// IN-list, against one epoch: the list is translated through the domain with
+// one lockstep descent per chunk of cssidx.DefaultBatchSize values and probed
+// with one batched equal-range, with large lists fanned across the parallel
+// worker pool.  Duplicate list values contribute their rows once; RIDs come
+// back grouped by list order, ascending within a value.  Results are cached
+// per epoch.
 func (ix *SortedIndex) SelectIn(values []uint32) []uint32 {
 	out, _ := ix.SelectInCtx(context.Background(), values)
 	return out
 }
 
-// SelectInCtx is SelectIn under governance; see SelectEqualCtx.  The list
-// probes under ClassSelect with cancellation observed and the budget charged
-// at chunk boundaries.
+// SelectInCtx is SelectIn under governance; see SelectEqualCtx.  A
+// cache-missing list enters the admission controller as ClassSelect, with
+// cancellation observed and the budget charged at chunk boundaries.
 func (ix *SortedIndex) SelectInCtx(ctx context.Context, values []uint32) (out []uint32, err error) {
 	var q entry
-	if q.enterProbe(ctx, ix.seg.tbl, governor.ClassSelect, 4*int64(len(values))) {
-		out, _, err = ix.seg.selectIn(q.ctl, dedupeValues(values), false, parallel.Options{})
+	if q.enter(ctx, nil, nil) {
+		out, err = ix.cur.Load().inQuery(q.env, dedupeValues(values))
 	}
 	return out, q.leave(err)
 }
@@ -324,46 +417,30 @@ const dedupeStack = 128
 // SelectRange returns the RIDs of rows with lo ≤ column ≤ hi, in (value,
 // RID) order — base and delta rows interleaved exactly as a fully rebuilt
 // index would order them.  Methods without ordered access return
-// ErrNoOrderedAccess.
+// ErrNoOrderedAccess.  Results are cached per epoch under the raw closed
+// bounds, with containment reuse: a cached wider range on this column (no
+// newer than the epoch) answers the query by slicing its sorted run.
 func (ix *SortedIndex) SelectRange(lo, hi uint32) ([]uint32, error) {
-	rids, _, err := ix.seg.rangeMerged(lo, hi, false)
-	return rids, err
+	return ix.SelectRangeCtx(context.Background(), lo, hi)
 }
 
-// SelectRangeCtx is SelectRange under governance; the merged result is
-// charged against the context's budget after materialisation.
+// SelectRangeCtx is SelectRange under governance: a cache-missing range
+// enters the admission controller as ClassSelect and the merged result is
+// charged against the context's byte budget.
 func (ix *SortedIndex) SelectRangeCtx(ctx context.Context, lo, hi uint32) (out []uint32, err error) {
 	var q entry
-	if q.enterProbe(ctx, ix.seg.tbl, governor.ClassSelect, 0) {
-		out, err = q.fresh(ix.SelectRange(lo, hi))
+	if q.enter(ctx, nil, nil) {
+		out, err = ix.cur.Load().rangeQuery(q.env, lo, hi)
 	}
 	return out, q.leave(err)
 }
 
 // CountRange is SelectRange without materialising RIDs.
-func (ix *SortedIndex) CountRange(lo, hi uint32) (int, error) { return ix.seg.countRange(lo, hi) }
+func (ix *SortedIndex) CountRange(lo, hi uint32) (int, error) {
+	return ix.cur.Load().countRange(lo, hi)
+}
 
 // --- joins -------------------------------------------------------------------
-
-// JoinIndex is an inner-index surface the nested-loop join can probe: a
-// *SortedIndex, or a *ShardedIndex whose whole state (domain, RID list,
-// shard snapshots) is frozen once per join so the join keeps serving —
-// against one consistent epoch — while concurrent AppendRows publish new
-// ones.
-type JoinIndex interface {
-	// joinFreeze captures the segment the whole join probes, and the
-	// single-counter version (table state version or frozen epoch uid) the
-	// join's cached pair set is stamped with.
-	joinFreeze() (seg *segment, version uint64)
-}
-
-// joinFreeze: a SortedIndex has no concurrent rebuilds to freeze against
-// (Table.AppendRows replaces its state in place, which was never safe to race);
-// its segment is the frozen state, versioned by the table state version
-// (AppendRows moves it whether the batch folds or is absorbed).
-func (ix *SortedIndex) joinFreeze() (*segment, uint64) {
-	return &ix.seg, ix.seg.tbl.stateVer.Load()
-}
 
 // JoinOptions configures JoinWith.
 type JoinOptions struct {
@@ -379,7 +456,7 @@ type JoinOptions struct {
 
 // Join performs the indexed nested-loop join of §2.2 with the default
 // options; see JoinWith.
-func Join(outer *Table, outerCol string, inner JoinIndex, emit func(outerRID, innerRID uint32)) (int, error) {
+func Join(outer *Table, outerCol string, inner *SortedIndex, emit func(outerRID, innerRID uint32)) (int, error) {
 	return JoinWith(outer, outerCol, inner, JoinOptions{}, emit)
 }
 
@@ -399,9 +476,9 @@ func Join(outer *Table, outerCol string, inner JoinIndex, emit func(outerRID, in
 // finish, so the emission order is identical — at the price of buffering the
 // result pairs; pass Workers 1 when streaming matters more than cores.
 //
-// A *ShardedIndex inner is frozen once for the whole join (one table-level
-// epoch, one snapshot per shard), so joins running concurrently with
-// AppendRows see one consistent index state throughout.
+// The inner index is frozen once for the whole join (one epoch), so joins
+// running concurrently with AppendRows see one consistent index state
+// throughout.
 //
 // When the outer table has a result cache attached, the whole pair set is
 // fingerprinted by (outer table+column, inner index identity) and stamped
@@ -412,7 +489,7 @@ func Join(outer *Table, outerCol string, inner JoinIndex, emit func(outerRID, in
 // first time it is asked (nothing is cached at first sight); asked again it
 // fills the cache, which buffers the pairs even on the otherwise-streaming
 // sequential path — disable the cache when a recurring join must stream.
-func JoinWith(outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32)) (int, error) {
+func JoinWith(outer *Table, outerCol string, inner *SortedIndex, opts JoinOptions, emit func(outerRID, innerRID uint32)) (int, error) {
 	return JoinWithCtx(context.Background(), outer, outerCol, inner, opts, emit, nil)
 }
 
@@ -423,7 +500,7 @@ func JoinWith(outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, 
 // against the context's budget, and on an attached admission controller
 // the join enters as ClassSelect after a cache miss.  A cancelled join
 // never fills the pair cache.
-func JoinWithCtx(ctx context.Context, outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32), tr *telemetry.Trace) (n int, err error) {
+func JoinWithCtx(ctx context.Context, outer *Table, outerCol string, inner *SortedIndex, opts JoinOptions, emit func(outerRID, innerRID uint32), tr *telemetry.Trace) (n int, err error) {
 	var q entry
 	if q.enter(ctx, tr, histJoinNs) {
 		n, err = joinWith(q.env, outer, outerCol, inner, opts, emit)
@@ -431,7 +508,7 @@ func JoinWithCtx(ctx context.Context, outer *Table, outerCol string, inner JoinI
 	return n, q.leave(err)
 }
 
-func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOptions, emit func(outerRID, innerRID uint32)) (int, error) {
+func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts JoinOptions, emit func(outerRID, innerRID uint32)) (int, error) {
 	col, ok := outer.cols[outerCol]
 	if !ok {
 		return 0, fmt.Errorf("mmdb: no column %s in table %s", outerCol, outer.name)
@@ -444,10 +521,11 @@ func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOp
 	if batchSize > len(col.raw) && len(col.raw) > 0 {
 		batchSize = len(col.raw)
 	}
-	seg, version := inner.joinFreeze()
+	ep := inner.cur.Load()
+	seg := &ep.segment
 
 	// The pair set is fingerprinted by (outer table+column, inner segment
-	// identity) and stamped with (outer state version, inner version).
+	// identity) and stamped with (outer state version, inner epoch uid).
 	qc := outer.Cache()
 	var jkey qcache.Key
 	var jtok qcache.Token
@@ -457,7 +535,7 @@ func joinWith(e env, outer *Table, outerCol string, inner JoinIndex, opts JoinOp
 	if qc.Enabled() {
 		cs := e.sp.Child("cache")
 		jkey = qcache.Key{Table: outer.name, Col: outerCol, Kind: qcache.KindJoin, Hash: seg.innerTag()}
-		jtok = qcache.Token{Gen: outer.stateVer.Load(), Epoch: version}
+		jtok = qcache.Token{Gen: outer.stateVer.Load(), Epoch: ep.uid}
 		if emit == nil {
 			if n, ok := qc.LookupPairCount(jkey, jtok); ok {
 				cs.Attr("outcome", "hit").AttrInt("pairs", n).End()
@@ -646,12 +724,12 @@ func (t *Table) Compact() {
 	histFoldNs.Since(start)
 }
 
-// Close drops the table from the process-wide accounts: its sharded indexes'
-// background rebuilders are released and the rows it has awaiting a fold
-// leave the mmdb_delta_rows gauge.  Reads stay valid.
+// Close drops the table from the process-wide accounts: its indexes'
+// background work is released and the rows it has awaiting a fold leave the
+// mmdb_delta_rows gauge.  Reads stay valid.
 func (t *Table) Close() {
-	for _, six := range t.sharded {
-		six.Close()
+	for _, ix := range t.indexes {
+		ix.Close()
 	}
 	t.releaseLag()
 }
@@ -696,21 +774,18 @@ func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 	for _, name := range t.order {
 		c := t.cols[name]
 		c.raw = append(c.raw, newCols[name]...)
-		ix, six := t.indexes[name], t.sharded[name]
-		remap, tailKeys, tailRids := c.fold(t.baseRows, ix != nil || six != nil)
+		ix := t.indexes[name]
+		remap, tailKeys, tailRids := c.fold(t.baseRows, ix != nil)
 		if ix != nil {
-			ix.install(mergeFold(ix.seg.keys, ix.seg.rids, remap, tailKeys, tailRids))
-		}
-		if six != nil {
-			old := six.cur.Load()
-			six.install(mergeFold(old.keys, old.rids, remap, tailKeys, tailRids))
+			old := ix.cur.Load()
+			ix.install(mergeFold(old.keys, old.rids, remap, tailKeys, tailRids))
 		}
 	}
 	t.rows += batch
 	t.baseRows = t.rows
 	t.releaseLag()
 	// Generation invalidation: move the token, then sweep this table's
-	// entries.  Readers never block — a concurrent sharded reader still
+	// entries.  Readers never block — a concurrent index reader still
 	// holding the previous epoch simply stops matching, and any entry it
 	// inserts late is stamped with the old epoch and reaped at its next
 	// access.
@@ -793,8 +868,8 @@ func mergeFold(keys, rids, remap, tailKeys, tailRids []uint32) (outKeys, outRids
 }
 
 // absorbRows is the delta path: raw columns grow, the frozen encodings do
-// not, and each index absorbs the batch as one sorted run (sharded indexes
-// publish a new epoch sharing the base arrays).  The result cache is not
+// not, and each index absorbs the batch as one sorted run (publishing a new
+// epoch that shares the base arrays).  The result cache is not
 // touched: an entry that is asked for again is brought current then.
 func (t *Table) absorbRows(newCols map[string][]uint32, batch int) {
 	startRID := uint32(t.rows)
@@ -805,9 +880,6 @@ func (t *Table) absorbRows(newCols map[string][]uint32, batch int) {
 	t.rows += batch
 	for col, ix := range t.indexes {
 		ix.absorb(newCols[col], startRID)
-	}
-	for col, six := range t.sharded {
-		six.absorb(newCols[col], startRID)
 	}
 	t.stateVer.Add(1)
 	gaugeDeltaRows.Add(int64(batch))

@@ -18,7 +18,7 @@ func parallelForce(w int) parallel.Options {
 // joinPairs collects a join's emission stream.
 type joinPairs struct{ outer, inner []uint32 }
 
-func collectJoin(t *testing.T, outer *Table, col string, inner JoinIndex, opts JoinOptions) (int, joinPairs) {
+func collectJoin(t *testing.T, outer *Table, col string, inner *SortedIndex, opts JoinOptions) (int, joinPairs) {
 	t.Helper()
 	var p joinPairs
 	n, err := JoinWith(outer, col, inner, opts, func(o, i uint32) {
@@ -92,7 +92,7 @@ func TestJoinParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	for _, in := range []JoinIndex{JoinIndex(ix), JoinIndex(sh)} {
+	for _, in := range []*SortedIndex{ix, sh} {
 		_, want := collectJoin(t, outer, "k", in, JoinOptions{Parallel: cssidx.ParallelOptions{Workers: 1}})
 		for _, par := range []cssidx.ParallelOptions{
 			{Workers: 4, MinBatchPerWorker: 256},
@@ -266,7 +266,7 @@ func TestInDriverMatchesRebuiltOracle(t *testing.T) {
 			want = append(want, rowsOf[v]...)
 		}
 		wantOff = append(wantOff, uint32(len(want)))
-		segs := map[string]*segment{"ordered": &ord.seg, "hash": &hash.seg, "sharded": &sh.cur.Load().segment}
+		segs := map[string]*segment{"ordered": &ord.cur.Load().segment, "hash": &hash.cur.Load().segment, "sharded": &sh.cur.Load().segment}
 		for name, seg := range segs {
 			for _, w := range []int{1, 4} {
 				for _, groups := range []bool{false, true} {
@@ -294,8 +294,8 @@ func TestInDriverMatchesRebuiltOracle(t *testing.T) {
 		}
 		list = dedupeValues(append(list, batch[:40]...)) // values only the runs hold
 	}
-	if len(ord.seg.runs) == 0 || tbl.DeltaRows() != 600 {
-		t.Fatalf("appends did not absorb: %d runs, %d delta rows", len(ord.seg.runs), tbl.DeltaRows())
+	if len(ord.cur.Load().runs) == 0 || tbl.DeltaRows() != 600 {
+		t.Fatalf("appends did not absorb: %d runs, %d delta rows", len(ord.cur.Load().runs), tbl.DeltaRows())
 	}
 	check("runs")
 }

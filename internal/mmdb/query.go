@@ -3,20 +3,21 @@ package mmdb
 // The query layer, in three steps.
 //
 //  1. A segment (segment.go) is the frozen read view every index probe runs
-//     against: a SortedIndex's, or one published epoch of a ShardedIndex.
+//     against: one published epoch of a SortedIndex, whatever its search
+//     structure.
 //  2. A cached path answers one query shape over a segment and a cache
-//     reader — the table layer's (generation, rows) reader, or the sharded
-//     index's frozen epoch's — and follows one protocol: a lookup that returns
-//     a complete answer from one entry (exact, containment, IN subset replay;
-//     the entry picked is first brought current from the rows appended
-//     since), then on a miss the cache's verdict on the question — seen
-//     before, or first sight — admission, execute, charge, and only for a
-//     question seen before the staging the cache wants and the insert.  The
-//     table layer looks up before it plans and replays the plan an exact hit's
-//     entry stored (cache.go); the index computes, missRange and missIn, are
-//     written once for both layers.  Scans, WHERE conjunctions, aggregates and
-//     joins run the same stages through the same helpers (env.miss, compute,
-//     stage.abort, env.fresh).
+//     reader — the table layer's (generation, rows) reader, or the index
+//     epoch's own for the index's methods — and follows one protocol: a
+//     lookup that returns a complete answer from one entry (exact,
+//     containment, IN subset replay; the entry picked is first brought
+//     current from the rows appended since), then on a miss the cache's
+//     verdict on the question — seen before, or first sight — admission,
+//     execute, charge, and only for a question seen before the staging the
+//     cache wants and the insert.  The table layer looks up before it plans
+//     and replays the plan an exact hit's entry stored (cache.go); the index
+//     computes, missRange and missIn, are written once for both layers.
+//     Scans, WHERE conjunctions, aggregates and joins run the same stages
+//     through the same helpers (env.miss, compute, stage.abort, env.fresh).
 //  3. One entry: every public surface is its *Ctx form, and the plain form is
 //     the *Ctx form with a background context and no trace.  enter builds the
 //     env — the governance handle and the trace span, both nil on the plain
@@ -38,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"cssidx"
 	"cssidx/internal/governor"
 	"cssidx/internal/parallel"
 	"cssidx/internal/qcache"
@@ -62,7 +62,7 @@ type entry struct {
 	hist    *telemetry.Histogram
 	start   time.Time
 	dead    error  // the entry check's verdict: the query must not run
-	release func() // admission grant taken at entry (enterProbe), or nil
+	release func() // admission grant taken at entry (SelectEqualCtx), or nil
 }
 
 // enter opens a public query surface (govern.go rule 1): the handle is built
@@ -77,16 +77,6 @@ func (q *entry) enter(ctx context.Context, tr *telemetry.Trace, hist *telemetry.
 	q.tr, q.hist, q.start = tr, hist, telemetry.Now()
 	if q.ctl != nil {
 		q.dead = q.ctl.Err()
-	}
-	return q.dead == nil
-}
-
-// enterProbe opens a governed probe on an index's own uncached surface,
-// which has no cache stage to miss first: enter, then admission, held until
-// leave.
-func (q *entry) enterProbe(ctx context.Context, t *Table, class governor.Class, estBytes int64) bool {
-	if q.enter(ctx, nil, nil) {
-		q.release, q.dead = t.admit(q.ctl, class, estBytes)
 	}
 	return q.dead == nil
 }
@@ -114,7 +104,7 @@ func (q *entry) leave(err error) error {
 }
 
 // fresh passes on a result materialised in one piece in this package — a
-// replayed IN subset, an uncached index probe: a new slice of any size,
+// replayed IN subset, an uncached point probe: a new slice of any size,
 // charged against the caller's byte budget exactly once, exactly like a
 // computed one.  Exact and containment hits are not charged: qcache copies
 // them out under its own stripe lock before this layer sees them, and serving
@@ -385,7 +375,7 @@ func (t *Table) PlanRange(col string, lo, hi uint32) (Plan, error) {
 		return Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
 	loID, hiID := c.dom.IDRange(lo, hi)
-	return t.replay(t.planRangeIDs(col, c, loID, hiID)), nil
+	return t.replay(planRange(c, t.seg(col), loID, hiID)), nil
 }
 
 // replay is the Plan a reader of the table's current rows gets from plan
@@ -396,44 +386,25 @@ func (t *Table) replay(p qcache.Plan) Plan {
 	return Plan{UseIndex: p.UseIndex, EstRows: int(p.Frac * float64(t.rows)), Why: p.Why}
 }
 
-// paths returns the index a selection on col may be planned onto: its
-// SortedIndex's segment, or for a sharded-only column the sharded index —
-// which plans before its lookup, because its plan picks the layer (the
-// epoch's, or the table's for a scan) its answer is cached in.  Both are nil
-// on an unindexed column.
-func (t *Table) paths(col string) (*segment, *ShardedIndex) {
-	if ix, ok := t.indexes[col]; ok {
-		return &ix.seg, nil
-	}
-	return nil, t.sharded[col]
-}
-
-// planRangeIDs prices the access paths for a range predicate already
-// normalized to the half-open domain-ID range [loID, hiID) — the shared
-// core behind PlanRange, SelectRange and SelectWhere's batched bound
-// resolution.
-func (t *Table) planRangeIDs(col string, c *Column, loID, hiID uint32) qcache.Plan {
+// planRange prices the access paths for a range predicate on c, whose index
+// segment is seg (nil = unindexed), already normalized to the half-open
+// domain-ID range [loID, hiID) — the shared core behind PlanRange,
+// SelectRange and SelectWhere's batched bound resolution.  Table-level
+// planning reads mutable table state, so PlanRange and the table's queries
+// must not race AppendRows; queries concurrent with appends go through the
+// index's own methods.
+func planRange(c *Column, seg *segment, loID, hiID uint32) qcache.Plan {
 	frac := 0.0
 	if c.dom.Len() > 0 {
 		frac = float64(hiID-loID) / float64(c.dom.Len())
 	}
-	// Ordered access comes from a non-hash SortedIndex or, failing that, a
-	// sharded index (note that Table-level planning reads mutable table
-	// state, so PlanRange/SelectRange themselves must not race AppendRows;
-	// for queries concurrent with batch rebuilds go through the
-	// ShardedIndex methods directly).
-	ix, indexed := t.indexes[col]
-	_, shardedOK := t.sharded[col]
-	ordered := (indexed && ix.Kind() != cssidx.KindHash) || (!indexed && shardedOK)
 	switch {
-	case !indexed && !shardedOK:
+	case seg == nil:
 		return qcache.Plan{UseIndex: false, Frac: frac, Why: "no index on column"}
-	case !ordered:
+	case seg.ord == nil:
 		return qcache.Plan{UseIndex: false, Frac: frac, Why: "hash index has no ordered access"}
 	case frac > scanBreakEven:
 		return qcache.Plan{UseIndex: false, Frac: frac, Why: whyPct("selectivity ", frac, false, " above scan break-even")}
-	case !indexed:
-		return qcache.Plan{UseIndex: true, Frac: frac, Why: whyPct("sharded index, selectivity ", frac, true, " below scan break-even")}
 	default:
 		return qcache.Plan{UseIndex: true, Frac: frac, Why: whyPct("selectivity ", frac, true, " below scan break-even")}
 	}
@@ -515,30 +486,20 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 		return nil, Plan{}, nil
 	}
 	// Lookup first; only what it cannot replay is planned.
-	seg, six := t.paths(col)
+	seg := t.seg(col)
 	qc, rd := t.Cache(), t.reader(seg)
 	key := rangeFP(t.name, col, qcache.LayerTable, lo, hi)
-	var a qcache.Answer
-	if six == nil {
-		a = qc.Find(key, rd, nil)
-	}
+	a := qc.Find(key, rd, nil)
 	p, empty := a.Plan, false
 	if a.Kind != qcache.HitExact {
 		loID, hiID := c.dom.IDRange(lo, hi)
-		p = t.planRangeIDs(col, c, loID, hiID)
+		p = planRange(c, seg, loID, hiID)
 		// No live value in [lo, hi]: answered without the cache, except
-		// through a sorted index, whose path caches the empty run too.
-		empty = loID >= hiID && t.rows == t.baseRows && !(seg != nil && p.UseIndex)
+		// through an index, whose path caches the empty run too.
+		empty = loID >= hiID && t.rows == t.baseRows && !p.UseIndex
 	}
 	plan := t.replay(p)
 	e.explainPlan(plan)
-	if six != nil && !empty {
-		if p.UseIndex {
-			rids, err := six.selectRange(e, lo, hi, plan.EstRows) // cached per frozen epoch
-			return rids, plan, err
-		}
-		a = qc.Find(key, rd, nil)
-	}
 	switch {
 	case a.Kind != qcache.HitMiss:
 		e.hit(a)
@@ -570,29 +531,33 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	return out, plan, nil
 }
 
-// selectRange is the sharded index's cached range path: a raw closed range
-// over the frozen epoch seg, consulting and filling the cache as the epoch's
-// reader rd, so lookups, refreshes and the insert all see that one epoch
-// whatever the index pointer has moved on to.  est is the table layer's row
-// estimate; negative, the lookup comes first and only a miss resolves the
-// bounds — answering a range no live value can fall in without the cache.
-func selectRange(seg *segment, rd qcache.Reader, e env, lo, hi uint32, est int) ([]uint32, error) {
-	key := rangeFP(seg.tbl.name, seg.col, seg.layer, lo, hi)
-	if a := seg.tbl.Cache().Find(key, rd, nil); a.Kind != qcache.HitMiss {
+// rangeQuery is an index's own cached range path: a raw closed range over
+// the frozen epoch s, consulting and filling the cache as the epoch's reader,
+// so lookups, refreshes and the insert all see that one epoch whatever the
+// index pointer has moved on to.  The lookup comes first and only a miss
+// resolves the bounds — answering a range no live value can fall in without
+// the cache.
+func (s *epoch) rangeQuery(e env, lo, hi uint32) ([]uint32, error) {
+	if s.ord == nil {
+		return nil, ErrNoOrderedAccess
+	}
+	if lo > hi {
+		return nil, nil
+	}
+	key, rd := rangeFP(s.tbl.name, s.col, qcache.LayerEpoch, lo, hi), s.reader()
+	if a := s.tbl.Cache().Find(key, rd, nil); a.Kind != qcache.HitMiss {
 		e.hit(a)
 		return a.RIDs, nil
 	}
-	if est < 0 {
-		loID, hiID := seg.dom.IDRange(lo, hi)
-		if loID >= hiID && len(seg.runs) == 0 {
-			return nil, nil
-		}
-		est = 0
-		if n := seg.dom.Len(); n > 0 {
-			est = int(float64(hiID-loID) / float64(n) * float64(len(seg.rids)))
-		}
+	loID, hiID := s.dom.IDRange(lo, hi)
+	if loID >= hiID && len(s.runs) == 0 {
+		return nil, nil
 	}
-	return seg.missRange(e, rd, key, est, qcache.Plan{})
+	est := 0
+	if n := s.dom.Len(); n > 0 {
+		est = int(float64(hiID-loID) / float64(n) * float64(len(s.rids)))
+	}
+	return s.missRange(e, rd, key, est, qcache.Plan{})
 }
 
 // missRange is the one index-range compute: the miss settled, the base span
@@ -615,15 +580,26 @@ func (seg *segment) missRange(e env, rd qcache.Reader, key qcache.Key, est int, 
 	if err != nil {
 		return nil, st.abort(err)
 	}
-	seg.explainRange(st.ex, key.Lo, key.Hi, len(out))
+	seg.explainRange(st.ex, key.Lo, key.Hi, len(out), false)
 	st.ex.End()
 	if admit {
 		ad := e.sp.Child("admit")
 		qc.InsertRange(key, rd.Tok, keys, out,
-			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0), p)
+			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: planRows(key, est, len(out))}, 0), p)
 		ad.End()
 	}
 	return out, nil
+}
+
+// planRows is the row count the recompute-cost model prices a computed index
+// entry by: the planner's estimate on the table layer; an index's own
+// surface (the epoch layer) is never planned, so it is priced by what it
+// materialised.
+func planRows(key qcache.Key, est, rows int) int {
+	if key.Layer == qcache.LayerEpoch {
+		return rows
+	}
+	return est
 }
 
 // scanRange is the sequential-scan access path: stream the raw column and
@@ -654,7 +630,7 @@ func (t *Table) PlanIn(col string, values []uint32) (Plan, error) {
 	if !ok {
 		return Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
-	return t.replay(t.planIn(col, c, c.present(dedupeValues(values)))), nil
+	return t.replay(planIn(c, t.seg(col), c.present(dedupeValues(values)))), nil
 }
 
 // present counts the values of a deduplicated list the frozen domain holds.
@@ -689,17 +665,16 @@ func (t *Table) replayedPresent(a qcache.Answer) int {
 	return n
 }
 
-// planIn prices the access paths for an IN-list of which present values are
-// in the frozen domain.
-func (t *Table) planIn(col string, c *Column, present int) qcache.Plan {
+// planIn prices the access paths for an IN-list on c, whose index segment
+// is seg (nil = unindexed), of which present values are in the frozen
+// domain.
+func planIn(c *Column, seg *segment, present int) qcache.Plan {
 	frac := 0.0
 	if c.dom.Len() > 0 {
 		frac = float64(present) / float64(c.dom.Len())
 	}
-	_, indexed := t.indexes[col]
-	_, shardedOK := t.sharded[col]
 	switch {
-	case !indexed && !shardedOK:
+	case seg == nil:
 		return qcache.Plan{UseIndex: false, Frac: frac, Why: "no index on column"}
 	case frac > batchScanBreakEven:
 		return qcache.Plan{UseIndex: false, Frac: frac, Why: whyPct("selectivity ", frac, false, " above batched scan break-even")}
@@ -717,9 +692,8 @@ func (t *Table) planIn(col string, c *Column, present int) qcache.Plan {
 // With a cache attached, the deduplicated list is fingerprinted (in
 // first-occurrence order, so a hit replays the exact RID grouping) and
 // looked up before planning, and results are stamped with the table
-// generation; sharded-only columns plan first and cache per frozen epoch
-// instead.  An indexed column's lookup also tries the grouped entries of the
-// column: a list whose every value a cached list names replays by
+// generation.  An indexed column's lookup also tries the grouped entries of
+// the column: a list whose every value a cached list names replays by
 // concatenating cached groups.
 func (t *Table) SelectIn(col string, values []uint32) ([]uint32, Plan, error) {
 	return t.SelectInCtx(context.Background(), col, values, nil)
@@ -747,35 +721,25 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	// a list naming no value outside one holds no more domain values, so it
 	// is index-planned too.  A scan-planned list must not inherit a replay's
 	// probe order, and it never gets one.
-	seg, six := t.paths(col)
+	seg := t.seg(col)
 	var subset []uint32
 	if seg != nil {
 		subset = distinct
 	}
 	qc, rd := t.Cache(), t.reader(seg)
 	key := inFP(t.name, col, qcache.LayerTable, distinct)
-	var a qcache.Answer
-	if six == nil {
-		a = qc.Find(key, rd, subset)
-	}
+	a := qc.Find(key, rd, subset)
 	var p qcache.Plan
 	switch {
 	case a.Kind == qcache.HitExact:
 		p = a.Plan
 	case a.Kind == qcache.HitSubset:
-		p = t.planIn(col, c, t.replayedPresent(a))
+		p = planIn(c, seg, t.replayedPresent(a))
 	default:
-		p = t.planIn(col, c, c.present(distinct))
+		p = planIn(c, seg, c.present(distinct))
 	}
 	plan := t.replay(p)
 	e.explainPlan(plan)
-	if six != nil {
-		if p.UseIndex {
-			rids, err := six.selectIn(e, distinct) // cached per frozen epoch
-			return rids, plan, err
-		}
-		a = qc.Find(key, rd, nil)
-	}
 	switch {
 	case a.Kind == qcache.HitSubset:
 		e.hit(a)
@@ -823,17 +787,16 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	return out, plan, nil
 }
 
-// selectIn is the sharded index's cached IN path over the frozen epoch seg:
-// one lookup as the epoch's reader rd — exact, then the grouped entries of
-// the same column that serve rd: a subset list replays by concatenating
-// cached groups — then on a miss missIn, with the list length as the
-// admission estimate est.
-func selectIn(seg *segment, rd qcache.Reader, e env, distinct []uint32, est int) ([]uint32, error) {
-	key := inFP(seg.tbl.name, seg.col, seg.layer, distinct)
-	a := seg.tbl.Cache().Find(key, rd, distinct)
+// inQuery is an index's own cached IN path over the frozen epoch s: one
+// lookup as the epoch's reader — exact, then the grouped entries of the same
+// column that serve it: a subset list replays by concatenating cached groups
+// — then on a miss missIn, with the list length as the admission estimate.
+func (s *epoch) inQuery(e env, distinct []uint32) ([]uint32, error) {
+	key, rd := inFP(s.tbl.name, s.col, qcache.LayerEpoch, distinct), s.reader()
+	a := s.tbl.Cache().Find(key, rd, distinct)
 	switch a.Kind {
 	case qcache.HitMiss:
-		return seg.missIn(e, rd, key, distinct, est, qcache.Plan{})
+		return s.missIn(e, rd, key, distinct, len(distinct), qcache.Plan{})
 	case qcache.HitSubset:
 		e.hit(a)
 		return e.fresh(a.RIDs, nil) // a replay is a freshly materialised answer
@@ -870,7 +833,7 @@ func (seg *segment) missIn(e env, rd qcache.Reader, key qcache.Key, distinct []u
 	if admit {
 		ad := e.sp.Child("admit")
 		qc.InsertIn(key, rd.Tok, distinct, goff, out,
-			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: seg.planRows(est, len(out))}, 0), p)
+			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: planRows(key, est, len(out))}, 0), p)
 		ad.End()
 	}
 	return out, nil
@@ -909,8 +872,7 @@ func (t *Table) SelectWhere(preds []RangePred) ([]uint32, []Plan, error) {
 
 // SelectWhereCtx is SelectWhere under governance and tracing, with one child
 // span per conjunct; see SelectRangeCtx for the contract.  Admission is
-// acquired once for the whole conjunction — conjuncts probing sharded
-// indexes ride the same grant.  tr may be nil.
+// acquired once for the whole conjunction.  tr may be nil.
 func (t *Table) SelectWhereCtx(ctx context.Context, preds []RangePred, tr *telemetry.Trace) (rids []uint32, plans []Plan, err error) {
 	var q entry
 	if q.enter(ctx, tr, histWhereNs) {
@@ -942,7 +904,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		bounds = make([]qcache.PredBound, len(preds))
 		for i, p := range preds {
 			bounds[i] = qcache.PredBound{Col: p.Col, Lo: p.Lo, Hi: p.Hi,
-				Plan: t.planRangeIDs(p.Col, t.cols[p.Col], loIDs[i], hiIDs[i])}
+				Plan: planRange(t.cols[p.Col], t.seg(p.Col), loIDs[i], hiIDs[i])}
 		}
 	}
 	plans := make([]Plan, len(preds))
@@ -977,8 +939,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		return nil, plans, nil
 	}
 	admit := e.miss(qc, wkey)
-	// One grant covers the whole conjunction: conjuncts probing sharded
-	// indexes below find the query already admitted and pass for free.
+	// One grant covers the whole conjunction.
 	st, err := t.compute(e, governor.ClassSelect, estBytes)
 	if err != nil {
 		return nil, nil, err
@@ -986,8 +947,9 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	defer st.release()
 
 	// Resolve each conjunct's RID set: cached runs first, scans and
-	// sharded probes inline, and the sorted-index conjuncts deferred so
-	// each index answers all its boundary probes in one lockstep batch.
+	// index conjuncts with delta runs inline, and the other index conjuncts
+	// deferred so each index answers all its boundary probes in one lockstep
+	// batch.
 	// Per-conjunct results that complete before an abort are valid data and
 	// stay cached; the conjunction entry itself is only inserted on full
 	// completion.  Each conjunct's range is a question of its own, with its
@@ -995,6 +957,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	sets := make([][]uint32, len(preds))
 	admits := make([]bool, len(preds))
 	byIndex := map[*segment][]int{}
+	var segs []*segment // byIndex's keys in conjunct order, the order they resolve in
 	conjSpans := make([]*telemetry.Span, len(preds))
 	abortConj := func(cj *telemetry.Span, err error) ([]uint32, []Plan, error) {
 		cj.Attr("aborted", err.Error()).End()
@@ -1007,25 +970,14 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		if err := e.ctl.Err(); err != nil {
 			return abortConj(cj, err)
 		}
-		ix, sorted := t.indexes[p.Col]
-		if plans[i].UseIndex && !sorted {
-			// A sharded-only column answers through its index's own cached
-			// path, per frozen epoch; no table-layer entry can exist for it.
-			rids, err := t.sharded[p.Col].selectRange(env{e.ctl, cj}, p.Lo, p.Hi, plans[i].EstRows)
-			if err != nil {
-				return abortConj(cj, err)
-			}
-			sets[i] = rids
-			cj.AttrInt("rows", len(rids)).End()
-			continue
-		}
-		// Any other conjunct walks the range protocol on its own span: no
+		// Each conjunct walks the range protocol on its own span: no
 		// admission (the conjunction holds the grant), no stage spans, and
 		// entries priced by the model alone.
+		seg := t.seg(p.Col)
 		ckey := rangeFP(t.name, p.Col, qcache.LayerTable, p.Lo, p.Hi)
 		crd := rd
 		if plans[i].UseIndex {
-			crd = t.reader(&ix.seg)
+			crd = t.reader(seg)
 		}
 		if ca := qc.Find(ckey, crd, nil); ca.Kind != qcache.HitMiss {
 			sets[i] = ca.RIDs
@@ -1036,14 +988,17 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		}
 		adm := qc.Miss(ckey)
 		admits[i] = adm
-		if plans[i].UseIndex && len(ix.seg.runs) == 0 {
-			byIndex[&ix.seg] = append(byIndex[&ix.seg], i)
+		if plans[i].UseIndex && len(seg.runs) == 0 {
+			if byIndex[seg] == nil {
+				segs = append(segs, seg)
+			}
+			byIndex[seg] = append(byIndex[seg], i)
 			continue // span ends after the batched resolution below
 		}
 		var rids, keys []uint32
 		if !plans[i].UseIndex {
 			rids, err = scanRange(t.cols[p.Col], p.Lo, p.Hi, e.ctl.Checkpoint())
-		} else if rids, keys, err = ix.seg.rangeMerged(p.Lo, p.Hi, adm); err == nil {
+		} else if rids, keys, err = seg.rangeMerged(p.Lo, p.Hi, adm); err == nil {
 			err = e.ctl.Charge(4 * int64(len(rids)))
 		}
 		if err != nil {
@@ -1051,16 +1006,17 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		}
 		sets[i] = rids
 		if plans[i].UseIndex {
-			cj.Attr("path", "sorted-index").AttrInt("delta_runs", len(ix.seg.runs))
+			seg.explainRange(cj, p.Lo, p.Hi, len(rids), false)
 		} else {
-			cj.Attr("path", "scan")
+			cj.Attr("path", "scan").AttrInt("rows", len(rids))
 		}
-		cj.AttrInt("rows", len(rids)).End()
+		cj.End()
 		if adm {
 			qc.InsertRange(ckey, rd.Tok, keys, rids, estRecomputeNs(plans[i], t.rows), bounds[i].Plan)
 		}
 	}
-	for seg, list := range byIndex {
+	for _, seg := range segs {
+		list := byIndex[seg]
 		probes := make([]uint32, 0, 2*len(list))
 		for _, i := range list {
 			probes = append(probes, loIDs[i], hiIDs[i])
@@ -1075,7 +1031,8 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			rids := make([]uint32, last-first)
 			copy(rids, seg.rids[first:last])
 			sets[i] = rids
-			conjSpans[i].Attr("path", "sorted-index-batched").AttrInt("rows", len(rids)).End()
+			seg.explainRange(conjSpans[i], preds[i].Lo, preds[i].Hi, len(rids), true)
+			conjSpans[i].End()
 			if admits[i] {
 				ckey := rangeFP(t.name, preds[i].Col, qcache.LayerTable, preds[i].Lo, preds[i].Hi)
 				qc.InsertRange(ckey, rd.Tok, idsToRaw(seg.dom, seg.keys[first:last]), rids,

@@ -322,7 +322,7 @@ func TestPlanWhyText(t *testing.T) {
 		{"hashed", 0, 10, "hash index has no ordered access"},
 		{"sorted", 0, 334, fmt.Sprintf("selectivity %.0f%% above scan break-even", 33.5)},
 		{"sorted", 0, 995, fmt.Sprintf("selectivity %.0f%% above scan break-even", 99.6)},
-		{"sharded", 10, 21, fmt.Sprintf("sharded index, selectivity %.1f%% below scan break-even", 1.2)},
+		{"sharded", 10, 21, fmt.Sprintf("selectivity %.1f%% below scan break-even", 1.2)},
 		{"sorted", 10, 21, fmt.Sprintf("selectivity %.1f%% below scan break-even", 1.2)},
 		{"sorted", 7, 7, fmt.Sprintf("selectivity %.1f%% below scan break-even", 0.1)},
 		{"sorted", 5000, 6000, fmt.Sprintf("selectivity %.1f%% below scan break-even", 0.0)},
@@ -474,7 +474,7 @@ func (f *entryForms) check(t *testing.T, tag string) {
 	for _, inner := range []string{"k", "s"} {
 		var pairs [3][]uint32
 		for i := range f.tabs {
-			var ix JoinIndex
+			var ix *SortedIndex
 			if six, ok := f.tabs[i].ShardedIndex(inner); ok {
 				ix = six
 			} else {

@@ -51,7 +51,7 @@ func recurWhere(preds ...RangePred) func(*recurSide, int) (any, error) {
 
 func recurJoin(innerCol string, sharded bool) func(*recurSide, int) (any, error) {
 	return func(s *recurSide, _ int) (any, error) {
-		var inner JoinIndex
+		var inner *SortedIndex
 		if ix, ok := s.t.ShardedIndex(innerCol); sharded && ok {
 			inner = ix
 		} else if ix, ok := s.t.Index(innerCol); ok {
@@ -99,13 +99,13 @@ func refreshSurfaces() []recurSurface {
 			recurSurface{col + " ungrouped IN", true, recurIn(col, fixedList(wide...))},
 		)
 	}
-	sharded := func(q func(*ShardedIndex) (any, error)) func(*recurSide, int) (any, error) {
+	sharded := func(q func(*SortedIndex) (any, error)) func(*recurSide, int) (any, error) {
 		return func(s *recurSide, _ int) (any, error) { ix, _ := s.t.ShardedIndex("s"); return q(ix) }
 	}
 	return append(out,
-		recurSurface{"s sharded range", true, sharded(func(ix *ShardedIndex) (any, error) { return ix.SelectRange(300, 420) })},
-		recurSurface{"s sharded contained", false, sharded(func(ix *ShardedIndex) (any, error) { return ix.SelectRange(310, 400) })},
-		recurSurface{"s sharded IN", false, sharded(func(ix *ShardedIndex) (any, error) { return ix.SelectIn(list), nil })},
+		recurSurface{"s sharded range", true, sharded(func(ix *SortedIndex) (any, error) { return ix.SelectRange(300, 420) })},
+		recurSurface{"s sharded contained", false, sharded(func(ix *SortedIndex) (any, error) { return ix.SelectRange(310, 400) })},
+		recurSurface{"s sharded IN", false, sharded(func(ix *SortedIndex) (any, error) { return ix.SelectIn(list), nil })},
 		recurSurface{"u scan range", true, recurRange("u", 200, 260)},
 		recurSurface{"u scan IN", true, recurIn("u", fixedList(list...))},
 		recurSurface{"where k and g", true, recurWhere(RangePred{Col: "k", Lo: 200, Hi: 380}, RangePred{Col: "g", Lo: 2, Hi: 9})},
@@ -358,7 +358,7 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 						lo, hi = base[p*40], base[p*40+120]
 					default:
 						list := dedupeValues(lists[p : p+3+p%9])
-						got, err := selectIn(&s.segment, s.reader(), env{}, list, len(list))
+						got, err := s.inQuery(env{}, list)
 						want, _, _ := s.selectIn(nil, list, false, parallel.Options{})
 						if err != nil || !slices.Equal(got, want) {
 							t.Errorf("reader pinned at %+v: IN %v = %v (%v), its epoch's recompute %v", s.tok, list, got, err, want)
@@ -366,7 +366,7 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 						}
 						continue
 					}
-					got, err := selectRange(&s.segment, s.reader(), env{}, lo, hi, 0)
+					got, err := s.rangeQuery(env{}, lo, hi)
 					want, _, _ := s.rangeMerged(lo, hi, false)
 					if err != nil || !slices.Equal(got, want) {
 						t.Errorf("reader pinned at %+v: range [%d,%d] has %d rows (%v), its epoch's recompute %d", s.tok, lo, hi, len(got), err, len(want))

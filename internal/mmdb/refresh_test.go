@@ -91,7 +91,7 @@ func TestLateIndexBuildDropsScanOrderEntries(t *testing.T) {
 func TestRefreshRaceShardedStragglers(t *testing.T) {
 	g := workload.New(83)
 	base := g.SortedUniform(1500)
-	build := func() (*Table, *ShardedIndex) {
+	build := func() (*Table, *SortedIndex) {
 		tab := NewTable("t")
 		tab.fold = neverFold
 		if err := tab.AddColumn("x", g.Lookups(base, 4000)); err != nil {
@@ -109,8 +109,8 @@ func TestRefreshRaceShardedStragglers(t *testing.T) {
 	batch := func(n int) map[string][]uint32 { return map[string][]uint32{"x": g.Lookups(base, n)} }
 	// pinned answers the range as a reader holding epoch s, and checks it
 	// against s's own frozen recompute.
-	pinned := func(s *shardedEpoch, lo, hi uint32) ([]uint32, error) {
-		got, err := selectRange(&s.segment, s.reader(), env{}, lo, hi, 0)
+	pinned := func(s *epoch, lo, hi uint32) ([]uint32, error) {
+		got, err := s.rangeQuery(env{}, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +182,7 @@ func TestRefreshRaceShardedStragglers(t *testing.T) {
 						return
 					}
 					list := pool[:3+(i+q)%9]
-					got, err := selectIn(&s.segment, s.reader(), env{}, dedupeValues(list), len(list))
+					got, err := s.inQuery(env{}, dedupeValues(list))
 					want, _, _ := s.selectIn(nil, dedupeValues(list), false, parallel.Options{})
 					if err != nil || !slices.Equal(got, want) {
 						t.Errorf("reader pinned at %+v: IN %v = %v (%v), its epoch's recompute %v", s.tok, list, got, err, want)

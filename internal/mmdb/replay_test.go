@@ -33,10 +33,11 @@ func (w *whereTable) absorb(t *testing.T, rng *rand.Rand, n int) {
 
 // TestHitReplaysPlan: a hit returns the plan the planner gives the question
 // afresh, field for field, Why byte for byte — whatever answered it: an
-// exact range hit through a sorted index, scan-planned on that column, on a
-// hashed, an unindexed and a sharded-only column; a containment hit; an
-// exact IN hit, index- or scan-planned, and a subset replay, whose domain
-// presence is read off its groups; an exact conjunction hit.  Each is asked
+// exact range hit through a level CSS-tree index, scan-planned on that
+// column, on a hashed, an unindexed and a sharded column; a containment hit;
+// an exact IN hit, index- or scan-planned, and a subset replay, whose domain
+// presence is read off its groups, on the level CSS-tree and the sharded
+// column; an exact conjunction hit.  Each is asked
 // at rows == baseRows, after absorbed appends (the entries are brought
 // current and only the row estimate moves) and after a fold.  Then the
 // questions a plan proves empty must leave no trace in the counters.
@@ -87,12 +88,14 @@ func TestHitReplaysPlan(t *testing.T) {
 		rangeQ("k", 0, top/2, qcache.HitExact), // scan-planned through a sorted index
 		rangeQ("h", 4, 20, qcache.HitExact),
 		rangeQ("u", 10, 70, qcache.HitExact),
-		rangeQ("s", 40, 90, qcache.HitExact), // sharded-only: plans first, hits the epoch
+		rangeQ("s", 40, 90, qcache.HitExact), // sharded: looked up first, like k
 		inQ("k", parent, qcache.HitExact),
 		inQ("k", parent[:12], qcache.HitSubset),
 		inQ("k", parent[20:], qcache.HitSubset),
 		inQ("h", []uint32{0, 2, 4, 6, 8, 10, 12, 14, 16}, qcache.HitExact), // scan-planned
 		inQ("u", []uint32{2, 4, 9}, qcache.HitExact),
+		inQ("s", []uint32{2, 40, 41, 90, 96, top + 1}, qcache.HitExact),
+		inQ("s", []uint32{40, 96}, qcache.HitSubset),
 		whereQ(RangePred{"k", 100, 400}, RangePred{"s", 0, 300}, RangePred{"u", 0, 90}),
 		whereQ(RangePred{"k", 0, top / 2}, RangePred{"h", 0, 20}),
 	}
@@ -142,14 +145,15 @@ func TestHitReplaysPlan(t *testing.T) {
 	}
 
 	// Questions the plan proves empty — bounds past every value the table
-	// ever held, or inverted — are answered without counting a miss,
-	// noting a first sight or inserting, at default admission.
+	// ever held on a column with no ordered index, or inverted — are
+	// answered without counting a miss, noting a first sight or inserting,
+	// at default admission.  (An index-planned range caches its empty run,
+	// on k and s alike.)
 	w.tab.Compact()
 	qc = w.tab.EnableCache(CacheOptions{})
 	for _, q := range []func() error{
 		func() error { _, _, err := w.tab.SelectRange("u", 1<<30, 1<<30+9); return err },
 		func() error { _, _, err := w.tab.SelectRange("h", 1<<30, 1<<31); return err },
-		func() error { _, _, err := w.tab.SelectRange("s", 1<<30, 1<<30); return err },
 		func() error { _, _, err := w.tab.SelectRange("k", 9, 3); return err },
 		func() error { _, _, err := w.tab.SelectWhere([]RangePred{{"u", 0, 40}, {"k", 9, 3}}); return err },
 		func() error {
@@ -165,6 +169,58 @@ func TestHitReplaysPlan(t *testing.T) {
 			if s := qc.StatsSnapshot(); s.Misses != before.Misses || s.Deferred != before.Deferred || s.Inserts != before.Inserts {
 				t.Fatalf("a provably empty question reached the cache: %+v → %+v", before, s)
 			}
+		}
+	}
+}
+
+// TestHitRunsNoPlanning: an exact SelectRange or SelectIn hit answers with
+// the plan its entry stored and runs no planning, on the column searched by a
+// level CSS-tree ("k") and on the sharded column ("s") alike.  Each question's
+// entry is planted with a plan the planner never gives, so a path that plans
+// before its lookup — or that looks up in another layer — returns the
+// planner's plan instead, or misses.
+func TestHitRunsNoPlanning(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	w := newWhereTable(t, rng, 2000, 0)
+	w.absorb(t, rng, 100)
+	stored := qcache.Plan{UseIndex: true, Frac: 0.5, Why: "stored with the entry"}
+	want := Plan{UseIndex: true, EstRows: w.tab.Rows() / 2, Why: stored.Why}
+	list := []uint32{2, 40, 41, 90, 96}
+	type question struct {
+		name string
+		ask  func() ([]uint32, Plan, error)
+	}
+	var questions []question
+	var answers [][]uint32
+	for _, col := range []string{"k", "s"} {
+		questions = append(questions,
+			question{"range " + col, func() ([]uint32, Plan, error) { return w.tab.SelectRange(col, 40, 90) }},
+			question{"in " + col, func() ([]uint32, Plan, error) { return w.tab.SelectIn(col, list) }})
+	}
+	for _, q := range questions { // computed with no cache attached
+		rids, _, err := q.ask()
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers = append(answers, rids)
+	}
+	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
+	for i, col := range []string{"k", "s"} {
+		qc.InsertRange(rangeFP(w.tab.name, col, qcache.LayerTable, 40, 90), w.tab.token(), nil, answers[2*i], 1<<20, stored)
+		qc.InsertIn(inFP(w.tab.name, col, qcache.LayerTable, list), w.tab.token(), list, nil, answers[2*i+1], 1<<20, stored)
+	}
+	for i, q := range questions {
+		before := qc.StatsSnapshot()
+		rids, plan, err := q.ask()
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		if plan != want {
+			t.Errorf("%s: plan %+v, want the stored %+v", q.name, plan, want)
+		}
+		mustEqualU32(t, q.name, rids, answers[i])
+		if s := qc.StatsSnapshot(); s.Hits != before.Hits+1 || s.Misses != before.Misses {
+			t.Errorf("%s: not an exact hit: %+v → %+v", q.name, before, s)
 		}
 	}
 }

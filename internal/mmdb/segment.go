@@ -3,12 +3,13 @@ package mmdb
 // The segment is the §2.2 query engine in one place: a RID list sorted by a
 // column's domain IDs, probed through a search structure, plus the sorted
 // delta runs absorbed since the last fold (Asadi & Lin's split — one
-// immutable compact base, small sorted runs, one read path over both).  A
-// SortedIndex holds one, a published shardedEpoch is one, and a join probes
-// one, so every read primitive below exists once: the range weave, the range
-// count, the point probe, the join's chunk probe and the chunked IN driver.
-// The cached query paths (query.go) are written against a segment and a
-// cache token and never ask which kind of index is underneath.
+// immutable compact base, small sorted runs, one read path over both).  Every
+// published epoch of a SortedIndex is one, and the table layer, the index's
+// own methods and a join all read one, so every read primitive below exists
+// once: the range weave, the range count, the point probe, the join's chunk
+// probe and the chunked IN driver.  The cached query paths (query.go) are
+// written against a segment and a cache reader and never ask which search
+// structure is underneath; only EXPLAIN does.
 
 import (
 	"sync"
@@ -23,8 +24,7 @@ import (
 
 // orderedProbe is what a segment asks of a search structure with ordered
 // access over the sorted domain-ID array: cssidx.BatchOrderedIndex for the
-// single-tree methods, *cssidx.ShardedIndex (or a frozen ShardedView of it)
-// for an epoch.
+// single-structure methods, a frozen *cssidx.ShardedView for a sharded index.
 type orderedProbe interface {
 	LowerBound(id uint32) int
 	LowerBoundBatch(ids []uint32, out []int32)
@@ -33,8 +33,7 @@ type orderedProbe interface {
 }
 
 // segment is one frozen read view of an index.  Nothing reachable from it is
-// written after it is built, except that a SortedIndex — which was never
-// safe to read while AppendRows runs — replaces runs in place on an absorb.
+// written after it is published.
 type segment struct {
 	dom  *domain.IntDomain // the domain the keys were encoded against
 	keys []uint32          // domain IDs in sorted order
@@ -43,13 +42,22 @@ type segment struct {
 
 	ord    orderedProbe                 // nil when the method has no ordered access (hashing, §3.5)
 	eq     cssidx.BatchIndex            // equality probes when ord is nil
-	shards *cssidx.ShardedIndex[uint32] // the structure's shard layout, for EXPLAIN; nil under a SortedIndex
+	bytes  int                          // the search structure's footprint
+	shards *cssidx.ShardedIndex[uint32] // a sharded structure, for EXPLAIN and Close; nil otherwise
 
-	// Identity for the result cache: entries are fingerprinted by table,
-	// column and layer, and looked up in the owning table's cache.
-	tbl   *Table
-	col   string
-	layer qcache.Layer
+	// Identity for the result cache: entries are fingerprinted by table and
+	// column (and by the layer of the surface asking), and looked up in the
+	// owning table's cache.
+	tbl *Table
+	col string
+}
+
+// close releases the search structure's background work: a sharded index's
+// rebuilder.
+func (s *segment) close() {
+	if s.shards != nil {
+		s.shards.Close()
+	}
 }
 
 // equalRange returns the half-open base positions holding domain ID id.
@@ -326,35 +334,29 @@ func (s *segment) selectInSpan(values []uint32, wantGroups bool, cp *governor.Ch
 
 // --- identity and EXPLAIN -----------------------------------------------------
 
-// innerTag fingerprints the segment as a join's inner side: table, column
-// and cache layer.  The version it pairs with — the table state version, or
-// the frozen epoch's uid — is the freezer's to supply (joinFreeze).
+// innerTag fingerprints the segment as a join's inner side: table and
+// column.  The version it pairs with is the epoch's uid (joinWith).
 func (s *segment) innerTag() uint64 {
-	h := qcache.HashString(qcache.HashString(qcache.HashSeed, s.tbl.name), s.col)
-	return qcache.HashU32(h, uint32(s.layer))
+	return qcache.HashString(qcache.HashString(qcache.HashSeed, s.tbl.name), s.col)
 }
 
-// planRows is the row count the recompute-cost model prices a computed entry
-// by: the planner's estimate on the table layer; an epoch-layer query is
-// never planned, so it is priced by what it materialised.
-func (s *segment) planRows(est, rows int) int {
-	if s.layer == qcache.LayerEpoch {
-		return rows
-	}
-	return est
-}
-
-// explainRange annotates the execute span of a computed range.
-func (s *segment) explainRange(ex *telemetry.Span, lo, hi uint32, rows int) {
+// explainRange annotates the span of a computed range — a range's execute
+// span, or a WHERE conjunct's; batched, the conjunct was resolved in its
+// index's one bound batch (it had no delta runs to weave).
+func (s *segment) explainRange(sp *telemetry.Span, lo, hi uint32, rows int, batched bool) {
 	switch {
-	case ex == nil: // attr args must not run on the untraced path
-	case s.shards == nil:
-		ex.Attr("path", "sorted-index").AttrInt("delta_runs", len(s.runs)).AttrInt("rows", rows)
-	default:
+	case sp == nil: // attr args must not run on the untraced path
+		return
+	case s.shards != nil:
 		loID, hiID := s.dom.IDRange(lo, hi)
-		ex.Attr("path", "sharded").AttrInt("shards_touched", shardsTouched(s.shards.Bounds(), loID, hiID)).
-			AttrInt("delta_runs", len(s.runs)).AttrInt("rows", rows)
+		sp.Attr("path", "sharded").AttrInt("shards_touched", shardsTouched(s.shards.Bounds(), loID, hiID)).
+			AttrInt("delta_runs", len(s.runs))
+	case batched:
+		sp.Attr("path", "sorted-index-batched")
+	default:
+		sp.Attr("path", "sorted-index").AttrInt("delta_runs", len(s.runs))
 	}
+	sp.AttrInt("rows", rows)
 }
 
 // explainIn names the IN driver's shape on the execute span before it runs,

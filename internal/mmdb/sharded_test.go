@@ -1,12 +1,18 @@
 package mmdb
 
 import (
+	"context"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cssidx"
+	"cssidx/internal/telemetry"
 )
 
 func shardedFixture(t *testing.T, rows int, seed int64) (*Table, []uint32) {
@@ -215,4 +221,91 @@ func TestPlannerUsesShardedIndex(t *testing.T) {
 	if plan3.UseIndex {
 		t.Fatalf("unselective predicate should scan: %+v", plan3)
 	}
+}
+
+// TestOneIndexPerColumn: a column holds one index.  BuildShardedIndex over a
+// column that has an index, and BuildIndex over a sharded one, each replace
+// it: the replaced structure's background rebuilder is closed (the count of
+// rebuilder goroutines comes back), the table's cached entries are dropped,
+// and table queries answer from the new structure.
+func TestOneIndexPerColumn(t *testing.T) {
+	tbl, vals := shardedFixture(t, 4000, 47)
+	tbl.EnableCache(CacheOptions{MinCostNs: -1})
+	rebuilders := func() int {
+		buf := make([]byte, 1<<16)
+		for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+			buf = make([]byte, 2*len(buf))
+		}
+		return strings.Count(string(buf), "shard.(*Index).loop(")
+	}
+	goroutines := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); rebuilders() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d sharded rebuilders running, want %d", rebuilders(), want)
+			}
+		}
+	}
+	var want []uint32 // the range's answer, in (value, RID) order
+	for v := uint32(100); v <= 140; v++ {
+		for rid, x := range vals {
+			if x == v {
+				want = append(want, uint32(rid))
+			}
+		}
+	}
+	// ask runs the range through the table and returns its execute path,
+	// leaving its answer cached.
+	ask := func(tag string) string {
+		t.Helper()
+		tr := telemetry.NewTrace("SelectRange")
+		got, _, err := tbl.SelectRangeCtx(context.Background(), "qty", 100, 140, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if path := tr.Root().Find("execute").AttrValue("path"); path == "scan" {
+			slices.Sort(got)
+			mustEqualU32(t, tag, got, slices.Sorted(slices.Values(want)))
+		} else {
+			mustEqualU32(t, tag, got, want)
+		}
+		if tbl.CacheStats().Entries == 0 {
+			t.Fatalf("%s: the answer was not cached", tag)
+		}
+		return tr.Root().Find("execute").AttrValue("path")
+	}
+	replace := func(tag string, build func() (*SortedIndex, error), path string, sharded bool) {
+		t.Helper()
+		ix, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := tbl.Index("qty"); got != ix {
+			t.Fatalf("%s: Index returns the replaced index", tag)
+		}
+		if _, ok := tbl.ShardedIndex("qty"); ok != sharded {
+			t.Fatalf("%s: ShardedIndex ok = %v", tag, ok)
+		}
+		if n := tbl.CacheStats().Entries; n != 0 {
+			t.Fatalf("%s: %d cached entries survived the replacement", tag, n)
+		}
+		if got := ask(tag); got != path {
+			t.Fatalf("%s: table query ran path=%s, want %s", tag, got, path)
+		}
+	}
+	level := func() (*SortedIndex, error) { return tbl.BuildIndex("qty", cssidx.KindLevelCSS, cssidx.Options{}) }
+	sharded := func() (*SortedIndex, error) { return tbl.BuildShardedIndex("qty", 3) }
+	hash := func() (*SortedIndex, error) { return tbl.BuildIndex("qty", cssidx.KindHash, cssidx.Options{}) }
+
+	g0 := rebuilders()
+	replace("level over none", level, "sorted-index", false)
+	replace("sharded over level", sharded, "sharded", true)
+	goroutines(g0 + 1)
+	replace("sharded over sharded", sharded, "sharded", true)
+	goroutines(g0 + 1)
+	replace("hash over sharded", hash, "scan", false)
+	goroutines(g0)
+	replace("sharded over hash", sharded, "sharded", true)
+	replace("level over sharded", level, "sorted-index", false)
+	goroutines(g0)
 }

@@ -378,7 +378,7 @@ func TestExplainSurfacesGolden(t *testing.T) {
 			return err
 		}
 	}
-	joinLeg := func(inner JoinIndex, emit func(o, i uint32)) func(context.Context, *telemetry.Trace) error {
+	joinLeg := func(inner *SortedIndex, emit func(o, i uint32)) func(context.Context, *telemetry.Trace) error {
 		return func(ctx context.Context, tr *telemetry.Trace) error {
 			_, err := JoinWithCtx(ctx, outer, "fk", inner, JoinOptions{}, emit, tr)
 			return err
@@ -387,7 +387,7 @@ func TestExplainSurfacesGolden(t *testing.T) {
 	drop := func(o, i uint32) {}
 	inners := []struct {
 		name string
-		ix   JoinIndex
+		ix   *SortedIndex
 	}{{"k", kIx}, {"s", sIx}}
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()

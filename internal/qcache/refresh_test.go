@@ -26,7 +26,7 @@ import (
 type side struct {
 	t, o *mmdb.Table
 	kIx  *mmdb.SortedIndex
-	sIx  *mmdb.ShardedIndex
+	sIx  *mmdb.SortedIndex
 }
 
 var factCols = []string{"k", "s", "u", "g", "m"}
@@ -98,7 +98,7 @@ func span(lo, n, step uint32) []uint32 {
 	return out
 }
 
-func joinOn(inner func(*side) mmdb.JoinIndex) func(*side, int) (any, error) {
+func joinOn(inner func(*side) *mmdb.SortedIndex) func(*side, int) (any, error) {
 	return func(s *side, _ int) (any, error) {
 		var pairs [][2]uint32
 		_, err := mmdb.JoinWith(s.o, "fk", inner(s), mmdb.JoinOptions{}, func(o, i uint32) { pairs = append(pairs, [2]uint32{o, i}) })
@@ -150,8 +150,8 @@ func surfaces() []surface {
 		}},
 		surface{"aggregate all rows", func(s *side, _ int) (any, error) { return mmdb.GroupAggregate(s.t, "g", "m", nil) }},
 		surface{"aggregate RID list", func(s *side, _ int) (any, error) { return mmdb.GroupAggregate(s.t, "g", "m", span(5, 300, 11)) }},
-		surface{"join sorted inner", joinOn(func(s *side) mmdb.JoinIndex { return s.kIx })},
-		surface{"join sharded inner", joinOn(func(s *side) mmdb.JoinIndex { return s.sIx })},
+		surface{"join sorted inner", joinOn(func(s *side) *mmdb.SortedIndex { return s.kIx })},
+		surface{"join sharded inner", joinOn(func(s *side) *mmdb.SortedIndex { return s.sIx })},
 	)
 }
 
