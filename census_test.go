@@ -1,0 +1,98 @@
+package cssidx_test
+
+import (
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"cssidx"
+	"cssidx/internal/mmdb"
+)
+
+// settable lists the option values a caller can set on a struct type: one
+// name per exported leaf field, the fields of a nested struct spelled
+// prefix.Outer.Inner.
+func settable(t reflect.Type, prefix string) []string {
+	var out []string
+	for i := range t.NumField() {
+		f := t.Field(i)
+		switch {
+		case !f.IsExported():
+		case f.Type.Kind() == reflect.Struct:
+			out = append(out, settable(f.Type, prefix+f.Name+".")...)
+		default:
+			out = append(out, prefix+f.Name)
+		}
+	}
+	return out
+}
+
+// setters lists the exported Set* methods of a type: a setter is a
+// settable value too, whatever struct its parameter is.
+func setters(t reflect.Type, name string) []string {
+	var out []string
+	for i := range t.NumMethod() {
+		if m := t.Method(i); strings.HasPrefix(m.Name, "Set") {
+			out = append(out, name+"."+m.Name)
+		}
+	}
+	return out
+}
+
+type named struct {
+	name string
+	v    any
+}
+
+// TestSettableCensus pins every value a caller can set on the public
+// options of cssidx and mmdb, and every Set* method on their public types.
+// What the engine decides itself — node size of a shard, probe order,
+// per-worker spans, fold thresholds, join chunking, cache stripes — is no
+// option, and a new field or setter fails this test until the census below
+// is updated on purpose.
+//
+// The one setter, SetParallel on a sharded index (promoted into
+// DurableSharded), takes the internal parallel.Options: only code inside
+// the module — tests and the benchmark harness — can call it.
+func TestSettableCensus(t *testing.T) {
+	census := []struct {
+		pkg   string
+		types []named
+		want  []string
+	}{
+		{"cssidx", []named{{"Options", cssidx.Options{}}, {"ParallelOptions", cssidx.ParallelOptions{}}, {"ShardedOptions", cssidx.ShardedOptions[uint32]{}}}, []string{
+			"Options.NodeBytes", "Options.HashDirSize", "ParallelOptions.Workers", "ShardedOptions.Shards",
+		}},
+		{"mmdb", []named{{"CacheOptions", mmdb.CacheOptions{}}, {"JoinOptions", mmdb.JoinOptions{}}}, []string{
+			"CacheOptions.MaxBytes", "CacheOptions.MinCostNs",
+		}},
+	}
+	for _, c := range census {
+		var got []string
+		for _, n := range c.types {
+			got = append(got, settable(reflect.TypeOf(n.v), n.name+".")...)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s settable values = %v (%d), want %v (%d)", c.pkg, got, len(got), c.want, len(c.want))
+		}
+	}
+
+	var got []string
+	for _, n := range []named{
+		{"ShardedIndex", (*cssidx.ShardedIndex[uint32])(nil)},
+		{"ShardedView", (*cssidx.ShardedView)(nil)},
+		{"DurableSharded", (*cssidx.DurableSharded)(nil)},
+		{"SortedBatch", (*cssidx.SortedBatch)(nil)},
+		{"DB", (*mmdb.DB)(nil)},
+		{"Table", (*mmdb.Table)(nil)},
+		{"DurableTable", (*mmdb.DurableTable)(nil)},
+		{"Column", (*mmdb.Column)(nil)},
+		{"SortedIndex", (*mmdb.SortedIndex)(nil)},
+	} {
+		got = append(got, setters(reflect.TypeOf(n.v), n.name)...)
+	}
+	if want := []string{"ShardedIndex.SetParallel", "DurableSharded.SetParallel"}; !slices.Equal(got, want) {
+		t.Errorf("setters = %v, want %v", got, want)
+	}
+}

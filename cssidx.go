@@ -45,11 +45,11 @@
 // # Concurrent serving: ShardedIndex
 //
 // ShardedIndex turns the §2.3 rebuild cycle into a concurrent serving
-// layer: the key space is range-partitioned across N shards (equal-count,
-// or skew-aware from a probe sample), each shard's CSS-tree sits behind an
-// atomic pointer, and Search/LowerBound/EqualRange/range scans are
-// lock-free while a background goroutine absorbs batched Insert/Delete
-// traffic per shard and publishes freshly rebuilt trees with epoch-swaps.
+// layer: the key space is range-partitioned across N shards of equal key
+// count, each shard's CSS-tree sits behind an atomic pointer, and
+// Search/LowerBound/EqualRange/range scans are lock-free while a background
+// goroutine absorbs batched Insert/Delete traffic per shard and publishes
+// freshly rebuilt trees with epoch-swaps.
 //
 //	idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[cssidx.Key]{Shards: 8})
 //	defer idx.Close()

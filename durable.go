@@ -81,9 +81,12 @@ func decodeShardOp(payload []byte) (op byte, keys []uint32, err error) {
 // Checkpoint folds the log into a fresh snapshot and truncates it;
 // recovery cost is proportional to the log since the last Checkpoint.
 //
+// The shard partition comes from the snapshot, and Checkpoint keeps it: a
+// store created empty is one shard for good.
+//
 // fsys nil means the real filesystem.
-func OpenWAL(fsys failfs.FS, dir, name string, opts ShardedOptions[uint32], pol wal.Policy) (*DurableSharded, error) {
-	st, x, err := wal.OpenStore(fsys, dir, name, pol, shardCodec{opts})
+func OpenWAL(fsys failfs.FS, dir, name string, pol wal.Policy) (*DurableSharded, error) {
+	st, x, err := wal.OpenStore(fsys, dir, name, pol, shardCodec{})
 	if err != nil {
 		return nil, err
 	}
@@ -127,26 +130,26 @@ func applyShardOp(x *ShardedIndex[uint32], op byte, keys []uint32) {
 // log's.)
 func (d *DurableSharded) Close() error { return d.Store.Close() }
 
-// shardCodec is the wal.Store codec of a DurableSharded: the snapshot is
-// a SaveSharded frame carrying the log sequence it covers, a record one
-// encodeShardOp batch.
-type shardCodec struct{ opts ShardedOptions[uint32] }
+// shardCodec is the wal.Store codec of a DurableSharded — and LoadSharded's
+// decoder: the snapshot is a SaveSharded frame carrying the log sequence it
+// covers, a record one encodeShardOp batch.
+type shardCodec struct{}
 
-func (c shardCodec) Empty() *ShardedIndex[uint32] { return NewSharded(nil, c.opts) }
+func (shardCodec) Empty() *ShardedIndex[uint32] { return NewSharded(nil, ShardedOptions[uint32]{}) }
 
-func (c shardCodec) Load(r io.Reader) (*ShardedIndex[uint32], uint64, error) {
+func (shardCodec) Load(r io.Reader) (*ShardedIndex[uint32], uint64, error) {
 	keys, bounds, seq, err := shard.Load(r)
 	if err != nil {
 		return nil, 0, err
 	}
-	return newShardedFrom(keys, bounds, c.opts), seq, nil
+	return shard.New(keys, bounds, shard.Slots), seq, nil
 }
 
 // Save waits for every logged mutation to become visible — the snapshot
 // captures the view — then writes it.
 func (shardCodec) Save(w io.Writer, x *ShardedIndex[uint32], seq uint64) error {
 	x.Sync()
-	return shard.Save(w, x.ix.View(), seq)
+	return shard.Save(w, x.Snapshot(), seq)
 }
 
 func (shardCodec) Apply(x *ShardedIndex[uint32], payload []byte) error {

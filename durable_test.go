@@ -12,10 +12,6 @@ import (
 	"cssidx/internal/wal"
 )
 
-func durableOpts() ShardedOptions[uint32] {
-	return ShardedOptions[uint32]{Shards: 4}
-}
-
 func collectKeys(t *testing.T, x *DurableSharded) []uint32 {
 	t.Helper()
 	x.ShardedIndex.Sync()
@@ -29,7 +25,7 @@ func collectKeys(t *testing.T, x *DurableSharded) []uint32 {
 
 func TestDurableShardedRoundTrip(t *testing.T) {
 	fsys := failfs.NewMem(1)
-	x, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.Always())
+	x, err := OpenWAL(fsys, "db", "idx", wal.Always())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +49,7 @@ func TestDurableShardedRoundTrip(t *testing.T) {
 
 	// Reopen: everything was acknowledged under Always, so everything
 	// must come back.
-	y, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.Always())
+	y, err := OpenWAL(fsys, "db", "idx", wal.Always())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +67,7 @@ func TestDurableShardedRoundTrip(t *testing.T) {
 
 func TestDurableShardedCheckpointTruncatesLog(t *testing.T) {
 	fsys := failfs.NewMem(2)
-	x, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.Always())
+	x, err := OpenWAL(fsys, "db", "idx", wal.Always())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +91,7 @@ func TestDurableShardedCheckpointTruncatesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	y, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.Always())
+	y, err := OpenWAL(fsys, "db", "idx", wal.Always())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +111,7 @@ func TestDurableShardedCrashLosesOnlyUnsynced(t *testing.T) {
 	fsys := failfs.NewMem(3)
 	// Timerless group commit with a huge byte bound: nothing is synced
 	// until we say so.
-	x, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.GroupBytes(1<<30))
+	x, err := OpenWAL(fsys, "db", "idx", wal.GroupBytes(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +128,7 @@ func TestDurableShardedCrashLosesOnlyUnsynced(t *testing.T) {
 	fsys.SetCrashAt(fsys.OpCount()) // crash now
 	fsys.Crash()
 
-	y, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.GroupBytes(1<<30))
+	y, err := OpenWAL(fsys, "db", "idx", wal.GroupBytes(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +152,7 @@ func TestDurableShardedCrashLosesOnlyUnsynced(t *testing.T) {
 
 func TestDurableShardedFreshDirectory(t *testing.T) {
 	fsys := failfs.NewMem(4)
-	x, err := OpenWAL(fsys, "a/b/c", "idx", durableOpts(), wal.None())
+	x, err := OpenWAL(fsys, "a/b/c", "idx", wal.None())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +162,7 @@ func TestDurableShardedFreshDirectory(t *testing.T) {
 	if err := x.Close(); err != nil {
 		t.Fatal(err)
 	}
-	y, err := OpenWAL(fsys, "a/b/c", "idx", durableOpts(), wal.None())
+	y, err := OpenWAL(fsys, "a/b/c", "idx", wal.None())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +205,7 @@ func TestDurableShardedGoldenFiles(t *testing.T) {
 		if log != "" {
 			copyFiles(t, "testdata/durable", dir, log)
 		}
-		x, err := OpenWAL(nil, dir, "idx", durableOpts(), wal.Always())
+		x, err := OpenWAL(nil, dir, "idx", wal.Always())
 		if err != nil {
 			t.Fatalf("%s: %v", snap, err)
 		}
@@ -250,7 +246,7 @@ func TestDurableShardedGoldenFiles(t *testing.T) {
 // (a flipped sequence would skip or replay the wrong log records).
 func TestDurableShardedSeqBitFlips(t *testing.T) {
 	fsys := failfs.NewMem(5)
-	x, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.None())
+	x, err := OpenWAL(fsys, "db", "idx", wal.None())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,13 +276,13 @@ func TestDurableShardedSeqBitFlips(t *testing.T) {
 		bad := bytes.Clone(snap)
 		bad[at+bit/8] ^= 1 << (bit % 8)
 		writeMemFile(t, fsys, "db/idx.snap", bad)
-		if y, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.None()); err == nil {
+		if y, err := OpenWAL(fsys, "db", "idx", wal.None()); err == nil {
 			y.Close()
 			t.Fatalf("sequence bit %d flipped, snapshot opened", bit)
 		}
 	}
 	writeMemFile(t, fsys, "db/idx.snap", snap)
-	y, err := OpenWAL(fsys, "db", "idx", durableOpts(), wal.None())
+	y, err := OpenWAL(fsys, "db", "idx", wal.None())
 	if err != nil {
 		t.Fatalf("unflipped snapshot: %v", err)
 	}
@@ -301,7 +297,7 @@ func TestDurableShardedSeqBitFlips(t *testing.T) {
 // a real filesystem; the next open removes both.
 func TestDurableShardedSweepsStaleTemps(t *testing.T) {
 	dir := t.TempDir()
-	x, err := OpenWAL(nil, dir, "idx", durableOpts(), wal.Always())
+	x, err := OpenWAL(nil, dir, "idx", wal.Always())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +315,7 @@ func TestDurableShardedSweepsStaleTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	y, err := OpenWAL(nil, dir, "idx", durableOpts(), wal.Always())
+	y, err := OpenWAL(nil, dir, "idx", wal.Always())
 	if err != nil {
 		t.Fatal(err)
 	}

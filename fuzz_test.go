@@ -62,12 +62,11 @@ func FuzzLoadIndex(f *testing.F) {
 // per-exec timeout); the saved corpus under testdata/fuzz runs clean as
 // regular subtests, which is what `go test` and CI execute.
 func FuzzLoadSharded(f *testing.F) {
-	opts := ShardedOptions[uint32]{Shards: 4}
 	keys := make([]uint32, 500)
 	for i := range keys {
 		keys[i] = uint32(7 * i)
 	}
-	x := NewSharded(keys, opts)
+	x := NewSharded(keys, ShardedOptions[uint32]{Shards: 4})
 	var buf bytes.Buffer
 	if err := SaveSharded(&buf, x); err != nil {
 		f.Fatal(err)
@@ -76,7 +75,7 @@ func FuzzLoadSharded(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		y, err := LoadSharded(bytes.NewReader(data), opts)
+		y, err := LoadSharded(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
@@ -128,7 +127,7 @@ func FuzzOpenWAL(f *testing.F) {
 		fsys := failfs.NewMem(1)
 		writeMemFile(t, fsys, "db/idx.snap", snap)
 		writeMemFile(t, fsys, "db/idx.wal", log)
-		x, err := OpenWAL(fsys, "db", "idx", ShardedOptions[uint32]{Shards: 4}, wal.None())
+		x, err := OpenWAL(fsys, "db", "idx", wal.None())
 		if err != nil {
 			return
 		}

@@ -44,13 +44,9 @@ func newShardScript() *shardScript {
 	}}
 }
 
-func shardOpts() cssidx.ShardedOptions[uint32] {
-	return cssidx.ShardedOptions[uint32]{Shards: 2}
-}
-
 func (s *shardScript) play(fsys *failfs.Mem, pol wal.Policy) (outcome, error) {
 	var out outcome
-	x, err := cssidx.OpenWAL(fsys, "db", "idx", shardOpts(), pol)
+	x, err := cssidx.OpenWAL(fsys, "db", "idx", pol)
 	if err != nil {
 		return out, err
 	}
@@ -123,7 +119,7 @@ func (s *shardScript) oracleKeys(k uint64) []uint32 {
 }
 
 func (s *shardScript) verify(fsys *failfs.Mem, pol wal.Policy, out outcome) error {
-	x, err := cssidx.OpenWAL(fsys, "db", "idx", shardOpts(), pol)
+	x, err := cssidx.OpenWAL(fsys, "db", "idx", pol)
 	if err != nil {
 		return fmt.Errorf("reopen: %w", err)
 	}
@@ -134,7 +130,7 @@ func (s *shardScript) verify(fsys *failfs.Mem, pol wal.Policy, out outcome) erro
 	}
 
 	want := s.oracleKeys(k)
-	oracle := cssidx.NewSharded(want, shardOpts())
+	oracle := cssidx.NewSharded(want, cssidx.ShardedOptions[uint32]{Shards: 2})
 	defer oracle.Close()
 
 	if x.Len() != len(want) {

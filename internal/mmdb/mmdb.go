@@ -202,7 +202,7 @@ func (s *epoch) reader() qcache.Reader {
 var epochUID atomic.Uint64
 
 // BuildIndex builds an index on the column searched by the given method, and
-// registers it, replacing (and closing) the column's earlier index.
+// registers it, replacing the column's earlier index.
 func (t *Table) BuildIndex(colName string, kind cssidx.Kind, opts cssidx.Options) (*SortedIndex, error) {
 	return t.buildIndex(colName, kind, func(s *segment) {
 		idx := cssidx.New(kind, s.keys, opts)
@@ -215,7 +215,7 @@ func (t *Table) BuildIndex(colName string, kind cssidx.Kind, opts cssidx.Options
 
 // buildIndex builds an index on the column over the search structure
 // structure constructs, registers it in place of the column's earlier index
-// (whose background work is released) and drops the table's cached entries.
+// and drops the table's cached entries.
 func (t *Table) buildIndex(colName string, kind cssidx.Kind, structure func(*segment)) (*SortedIndex, error) {
 	col, ok := t.cols[colName]
 	if !ok {
@@ -229,9 +229,6 @@ func (t *Table) buildIndex(colName string, kind cssidx.Kind, structure func(*seg
 	// have left had the index existed when they arrived.
 	if t.rows > t.baseRows {
 		ix.absorb(col.raw[t.baseRows:], uint32(t.baseRows))
-	}
-	if old, ok := t.indexes[colName]; ok {
-		old.Close()
 	}
 	t.indexes[colName] = ix
 	// Scan- and index-path results share fingerprints but not row order:
@@ -274,8 +271,7 @@ func (c *Column) sortedPairs() (keys, rids []uint32) {
 // install publishes the next epoch over (keys, rids) — the column's current
 // encoding in sorted order, fresh arrays from the build's sort or a fold's
 // merge — with the search structure constructed over them and no delta runs.
-// The previous epoch's structure is closed; readers still holding it keep
-// valid results.
+// Readers still holding the previous epoch keep valid results.
 func (ix *SortedIndex) install(keys, rids []uint32) {
 	next := &epoch{
 		segment: segment{dom: ix.col.dom, keys: keys, rids: rids, tbl: ix.tbl, col: ix.col.name},
@@ -286,8 +282,6 @@ func (ix *SortedIndex) install(keys, rids []uint32) {
 	next.tok = qcache.Token{Gen: next.uid, Epoch: uint64(len(rids))}
 	if old := ix.cur.Load(); old != nil {
 		next.seq = old.seq + 1
-		// Absorb epochs share one structure; the fold closes it exactly once.
-		old.close()
 	}
 	ix.cur.Store(next)
 }
@@ -295,8 +289,7 @@ func (ix *SortedIndex) install(keys, rids []uint32) {
 // absorb publishes the next epoch with one appended batch landed in the
 // delta layer — a sorted run over the batch's (value, RID) pairs pushed onto
 // the geometric tier (pushRun, which returns a fresh slice) — sharing the
-// previous epoch's domain, base arrays and search structure (which is why
-// only install ever closes a structure).
+// previous epoch's domain, base arrays and search structure.
 func (ix *SortedIndex) absorb(vals []uint32, startRID uint32) {
 	next := *ix.cur.Load()
 	next.seq++
@@ -326,10 +319,9 @@ func (ix *SortedIndex) SpaceBytes() int {
 // access, §2.2); rows absorbed since the last fold are in its delta runs.
 func (ix *SortedIndex) RIDs() []uint32 { return ix.cur.Load().rids }
 
-// Close releases the current epoch's background work: a sharded index's
-// rebuilder (a single structure has none).  Queries remain valid; call when
-// the table is done serving.
-func (ix *SortedIndex) Close() { ix.cur.Load().close() }
+// Close has nothing to release: every search structure, sharded ones
+// included, is frozen and runs no background work.  Queries remain valid.
+func (ix *SortedIndex) Close() {}
 
 // SelectEqual returns the RIDs of rows whose column equals value, in RID
 // order of the sorted list (stable: insertion order within duplicates).
@@ -442,13 +434,13 @@ func (ix *SortedIndex) CountRange(lo, hi uint32) (int, error) {
 
 // --- joins -------------------------------------------------------------------
 
-// JoinOptions configures JoinWith.
+// JoinOptions configures JoinWith.  It has no settable field: the engine
+// fans outer-row spans across GOMAXPROCS workers, sequential below ~4k
+// outer rows, and probes in cssidx.DefaultBatchSize chunks.
 type JoinOptions struct {
-	// Parallel tunes the worker pool fanning outer-row spans across cores.
-	// The zero value is the default engine (GOMAXPROCS workers, sequential
-	// below ~4k outer rows); Workers 1 forces the streaming sequential
-	// path.
-	Parallel cssidx.ParallelOptions
+	// par is the worker pool; only tests set another (Workers 1 = the
+	// streaming sequential path).
+	par parallel.Options
 	// batch is the probe chunk size, 0 = cssidx.DefaultBatchSize; only
 	// tests set another (1 = the scalar schedule).
 	batch int
@@ -467,14 +459,13 @@ func Join(outer *Table, outerCol string, inner *SortedIndex, emit func(outerRID,
 // each matching (outerRID, innerRID) pair, in the same order as scalar
 // probing.  It returns the number of result pairs.
 //
-// Outer spans large enough for the worker options run concurrently, each
+// Outer spans large enough for the worker pool run concurrently, each
 // with its own pooled scratch, multiplying the lockstep kernel's
 // memory-level parallelism by the core count.  On the sequential path (small
-// outers, or Parallel.Workers 1) the join streams: emit runs as pairs are
-// found and nothing is materialised.  On the parallel path each worker
-// stages its span's pairs and emit runs span by span once all workers
-// finish, so the emission order is identical — at the price of buffering the
-// result pairs; pass Workers 1 when streaming matters more than cores.
+// outers) the join streams: emit runs as pairs are found and nothing is
+// materialised.  On the parallel path each worker stages its span's pairs
+// and emit runs span by span once all workers finish, so the emission order
+// is identical — at the price of buffering the result pairs.
 //
 // The inner index is frozen once for the whole join (one epoch), so joins
 // running concurrently with AppendRows see one consistent index state
@@ -488,7 +479,8 @@ func Join(outer *Table, outerCol string, inner *SortedIndex, emit func(outerRID,
 // never fill it, so they stay unbuffered.  An emitting join streams the
 // first time it is asked (nothing is cached at first sight); asked again it
 // fills the cache, which buffers the pairs even on the otherwise-streaming
-// sequential path — disable the cache when a recurring join must stream.
+// sequential path — run a recurring join that must stream on a table with
+// no cache attached.
 func JoinWith(outer *Table, outerCol string, inner *SortedIndex, opts JoinOptions, emit func(outerRID, innerRID uint32)) (int, error) {
 	return JoinWithCtx(context.Background(), outer, outerCol, inner, opts, emit, nil)
 }
@@ -560,8 +552,7 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 	}
 	defer st.release()
 	nRows := len(col.raw)
-	par := parallel.Options{Workers: opts.Parallel.Workers, MinBatchPerWorker: opts.Parallel.MinBatchPerWorker}
-	w := par.WorkersFor(nRows)
+	w := opts.par.WorkersFor(nRows)
 	st.ex.Attr("path", "indexed-nested-loop").AttrInt("outer_rows", nRows).AttrInt("batch", batchSize).AttrInt("workers", w)
 
 	// joinSpan probes rows [lo, hi) in chunks, emitting through spanEmit;
@@ -607,7 +598,7 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 		count, err = joinSpan(0, nRows, sink(0))
 	} else {
 		counts := make([]int, w)
-		err = fanOut(e.ctl, w, nRows, par, func(t int) (err error) {
+		err = fanOut(e.ctl, w, nRows, opts.par, func(t int) (err error) {
 			lo, hi := parallel.Span(nRows, w, t)
 			counts[t], err = joinSpan(lo, hi, sink(t))
 			return err
@@ -724,15 +715,9 @@ func (t *Table) Compact() {
 	histFoldNs.Since(start)
 }
 
-// Close drops the table from the process-wide accounts: its indexes'
-// background work is released and the rows it has awaiting a fold leave the
-// mmdb_delta_rows gauge.  Reads stay valid.
-func (t *Table) Close() {
-	for _, ix := range t.indexes {
-		ix.Close()
-	}
-	t.releaseLag()
-}
+// Close drops the table from the process-wide accounts: the rows it has
+// awaiting a fold leave the mmdb_delta_rows gauge.  Reads stay valid.
+func (t *Table) Close() { t.releaseLag() }
 
 // releaseLag takes the table's rows out of the mmdb_delta_rows gauge: they
 // were folded, or the table is going away.

@@ -93,12 +93,12 @@ func TestJoinParallelMatchesSequential(t *testing.T) {
 	}
 	defer sh.Close()
 	for _, in := range []*SortedIndex{ix, sh} {
-		_, want := collectJoin(t, outer, "k", in, JoinOptions{Parallel: cssidx.ParallelOptions{Workers: 1}})
-		for _, par := range []cssidx.ParallelOptions{
+		_, want := collectJoin(t, outer, "k", in, JoinOptions{par: parallel.Options{Workers: 1}})
+		for _, par := range []parallel.Options{
 			{Workers: 4, MinBatchPerWorker: 256},
 			{Workers: 3, MinBatchPerWorker: 1},
 		} {
-			_, got := collectJoin(t, outer, "k", in, JoinOptions{batch: 128, Parallel: par})
+			_, got := collectJoin(t, outer, "k", in, JoinOptions{batch: 128, par: par})
 			if len(got.outer) != len(want.outer) {
 				t.Fatalf("par=%+v: %d pairs, want %d", par, len(got.outer), len(want.outer))
 			}
@@ -158,8 +158,8 @@ func TestJoinShardedDuringAppendRows(t *testing.T) {
 			t.Fatal("sharded index vanished")
 		}
 		n, err := JoinWith(outer, "k", sh2, JoinOptions{
-			batch:    64,
-			Parallel: cssidx.ParallelOptions{Workers: 4, MinBatchPerWorker: 64},
+			batch: 64,
+			par:   parallel.Options{Workers: 4, MinBatchPerWorker: 64},
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -298,4 +298,40 @@ func TestInDriverMatchesRebuiltOracle(t *testing.T) {
 		t.Fatalf("appends did not absorb: %d runs, %d delta rows", len(ord.cur.Load().runs), tbl.DeltaRows())
 	}
 	check("runs")
+}
+
+// BenchmarkParallelJoin drives the §2.2 join through the worker pool at one,
+// four and GOMAXPROCS workers.
+func BenchmarkParallelJoin(b *testing.B) {
+	g := workload.New(3)
+	innerN, outerN := 1_000_000, 1<<17
+	if testing.Short() {
+		innerN, outerN = 100_000, 1<<15
+	}
+	innerKeys := g.SortedUniform(innerN)
+	inner, outer := NewTable("inner"), NewTable("outer")
+	if err := inner.AddColumn("k", innerKeys); err != nil {
+		b.Fatal(err)
+	}
+	if err := outer.AddColumn("k", g.Lookups(innerKeys, outerN)); err != nil {
+		b.Fatal(err)
+	}
+	ix, err := inner.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []int{1, 4, 0} {
+		name := fmt.Sprintf("workers=%d", w)
+		if w == 0 {
+			name = "workers=GOMAXPROCS"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := JoinWith(outer, "k", ix, JoinOptions{par: parallel.Options{Workers: w}}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(outerN)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mprobes/s")
+		})
+	}
 }

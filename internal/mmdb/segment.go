@@ -19,12 +19,13 @@ import (
 	"cssidx/internal/governor"
 	"cssidx/internal/parallel"
 	"cssidx/internal/qcache"
+	"cssidx/internal/shard"
 	"cssidx/internal/telemetry"
 )
 
 // orderedProbe is what a segment asks of a search structure with ordered
 // access over the sorted domain-ID array: cssidx.BatchOrderedIndex for the
-// single-structure methods, a frozen *cssidx.ShardedView for a sharded index.
+// single-structure methods, a frozen *shard.View for a sharded index.
 type orderedProbe interface {
 	LowerBound(id uint32) int
 	LowerBoundBatch(ids []uint32, out []int32)
@@ -40,24 +41,16 @@ type segment struct {
 	rids []uint32          // RIDs ordered by column value
 	runs []idxRun          // absorbed delta runs since the last fold, geometrically tiered (delta.go)
 
-	ord    orderedProbe                 // nil when the method has no ordered access (hashing, §3.5)
-	eq     cssidx.BatchIndex            // equality probes when ord is nil
-	bytes  int                          // the search structure's footprint
-	shards *cssidx.ShardedIndex[uint32] // a sharded structure, for EXPLAIN and Close; nil otherwise
+	ord    orderedProbe      // nil when the method has no ordered access (hashing, §3.5)
+	eq     cssidx.BatchIndex // equality probes when ord is nil
+	bytes  int               // the search structure's footprint
+	shards *shard.View       // a sharded structure (also ord), for EXPLAIN; nil otherwise
 
 	// Identity for the result cache: entries are fingerprinted by table and
 	// column (and by the layer of the surface asking), and looked up in the
 	// owning table's cache.
 	tbl *Table
 	col string
-}
-
-// close releases the search structure's background work: a sharded index's
-// rebuilder.
-func (s *segment) close() {
-	if s.shards != nil {
-		s.shards.Close()
-	}
 }
 
 // equalRange returns the half-open base positions holding domain ID id.

@@ -1,25 +1,29 @@
 package mmdb
 
 // The sharded search structure: BuildShardedIndex builds a SortedIndex whose
-// sorted domain-ID keys are searched by a cssidx.ShardedIndex — range
+// sorted domain-ID keys are searched by a frozen shard.View — range
 // partitions of level CSS-trees answering probe batches across cores —
 // instead of one cssidx method.  It is a structure choice and nothing more:
 // the index publishes frozen epochs, caches and folds like any other, the
 // planner treats it as one more ordered method, and only EXPLAIN (the shards
-// a range touched) and SpaceBytes read which structure is underneath.
+// a range touched) and SpaceBytes read which structure is underneath.  A
+// column absorbs appends in its own delta runs and folds by rebuilding, so
+// nothing ever inserts into the shards: they are built frozen, with no
+// background rebuilder.
 
-import "cssidx"
+import (
+	"cssidx"
+	"cssidx/internal/shard"
+)
 
 // BuildShardedIndex builds an index on the column whose keys are searched by
-// a sharded index, and registers it, replacing (and closing) the column's
-// earlier index; shards ≤ 0 picks the cssidx default (GOMAXPROCS, capped at
-// 16).  Close releases the sharded index's background rebuilder.
+// a sharded structure, and registers it, replacing the column's earlier
+// index; shards ≤ 0 picks the default count (GOMAXPROCS, capped at 16).
+// Each shard is a level CSS-tree with one-cache-line nodes.
 func (t *Table) BuildShardedIndex(colName string, shards int) (*SortedIndex, error) {
 	return t.buildIndex(colName, cssidx.KindLevelCSS, func(s *segment) {
-		idx := cssidx.NewSharded(s.keys, cssidx.ShardedOptions[uint32]{Shards: shards})
-		// Nothing inserts into idx after its build, so one frozen view of
-		// every shard serves the epoch's reads with no per-call capture.
-		s.ord, s.shards, s.bytes = idx.Snapshot(), idx, 4*idx.Len()
+		v := shard.Freeze(s.keys, shard.Boundaries(s.keys, shards), shard.Slots)
+		s.ord, s.shards, s.bytes = v, v, 4*v.Len()
 	})
 }
 

@@ -94,7 +94,9 @@ func TestShardedIndexMatchesSortedIndex(t *testing.T) {
 
 // TestShardedIndexServesDuringAppendRows runs concurrent range queries
 // against the sharded index while AppendRows repeatedly rebuilds it; every
-// answer must be internally consistent with some published epoch.
+// answer must be internally consistent with some published epoch.  The
+// appends start once a reader has answered: a fold starts no goroutine and
+// waits on none, so nothing else makes the writer yield to the readers.
 func TestShardedIndexServesDuringAppendRows(t *testing.T) {
 	tbl, _ := shardedFixture(t, 4000, 42)
 	sh, err := tbl.BuildShardedIndex("qty", 4)
@@ -103,8 +105,9 @@ func TestShardedIndexServesDuringAppendRows(t *testing.T) {
 	}
 	defer sh.Close()
 
-	stop := make(chan struct{})
+	stop, serving := make(chan struct{}), make(chan struct{})
 	var queries atomic.Int64
+	var first sync.Once
 	var wg sync.WaitGroup
 	bad := make(chan string, 8)
 	for w := 0; w < 8; w++ {
@@ -139,8 +142,14 @@ func TestShardedIndexServesDuringAppendRows(t *testing.T) {
 					return
 				}
 				queries.Add(1)
+				first.Do(func() { close(serving) })
 			}
 		}(int64(w))
+	}
+	select {
+	case <-serving:
+	case msg := <-bad:
+		t.Fatal(msg)
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -225,9 +234,11 @@ func TestPlannerUsesShardedIndex(t *testing.T) {
 
 // TestOneIndexPerColumn: a column holds one index.  BuildShardedIndex over a
 // column that has an index, and BuildIndex over a sharded one, each replace
-// it: the replaced structure's background rebuilder is closed (the count of
-// rebuilder goroutines comes back), the table's cached entries are dropped,
-// and table queries answer from the new structure.
+// it: the table's cached entries are dropped and table queries answer from
+// the new structure.  No step starts a background rebuilder: a sharded
+// column is a frozen structure, so the count of shard.(*Index).loop
+// goroutines never rises — not at a build, a fold (Compact, or appends past
+// the fold trigger) or a replacement.
 func TestOneIndexPerColumn(t *testing.T) {
 	tbl, vals := shardedFixture(t, 4000, 47)
 	tbl.EnableCache(CacheOptions{MinCostNs: -1})
@@ -238,11 +249,14 @@ func TestOneIndexPerColumn(t *testing.T) {
 		}
 		return strings.Count(string(buf), "shard.(*Index).loop(")
 	}
-	goroutines := func(want int) {
+	g0 := rebuilders()
+	// noRise samples the count for a while: a goroutine just started may not
+	// show in the first stack dump, but a rebuilder never exits on its own.
+	noRise := func(tag string) {
 		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); rebuilders() != want; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d sharded rebuilders running, want %d", rebuilders(), want)
+		for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if n := rebuilders(); n > g0 {
+				t.Fatalf("%s: %d sharded rebuilders running, %d before the test", tag, n, g0)
 			}
 		}
 	}
@@ -297,15 +311,39 @@ func TestOneIndexPerColumn(t *testing.T) {
 	sharded := func() (*SortedIndex, error) { return tbl.BuildShardedIndex("qty", 3) }
 	hash := func() (*SortedIndex, error) { return tbl.BuildIndex("qty", cssidx.KindHash, cssidx.Options{}) }
 
-	g0 := rebuilders()
+	// fold appends n rows valued outside the queried range — past the fold
+	// trigger, or followed by Compact — and checks the column folded into a
+	// fresh sharded base.
+	fold := func(tag string, n int, compact bool) {
+		t.Helper()
+		add := make([]uint32, n)
+		for i := range add {
+			add[i] = 5000 + uint32(i)
+		}
+		if err := tbl.AppendRows(map[string][]uint32{"qty": add}); err != nil {
+			t.Fatal(err)
+		}
+		if compact {
+			tbl.Compact()
+		}
+		if tbl.DeltaRows() != 0 {
+			t.Fatalf("%s: %d rows still in the delta", tag, tbl.DeltaRows())
+		}
+		if _, ok := tbl.ShardedIndex("qty"); !ok {
+			t.Fatalf("%s: the fold left no sharded index", tag)
+		}
+		noRise(tag)
+	}
 	replace("level over none", level, "sorted-index", false)
 	replace("sharded over level", sharded, "sharded", true)
-	goroutines(g0 + 1)
+	noRise("sharded over level")
+	fold("Compact", 10, true)
+	fold("appends past the trigger", tbl.BaseRows()/foldDenominator+1, false)
 	replace("sharded over sharded", sharded, "sharded", true)
-	goroutines(g0 + 1)
+	noRise("sharded over sharded")
 	replace("hash over sharded", hash, "scan", false)
-	goroutines(g0)
 	replace("sharded over hash", sharded, "sharded", true)
+	noRise("sharded over hash")
 	replace("level over sharded", level, "sorted-index", false)
-	goroutines(g0)
+	noRise("level over sharded")
 }

@@ -14,8 +14,9 @@ import (
 
 // TestSearchBatchAllocs pins what a steady-state 512-probe batch allocates
 // on one worker, in either probe order and through each batch method:
-// nothing through a captured View, and only the View capture itself (the
-// View and its two per-shard slices) through the Index method.
+// nothing through a captured View or a Freeze view at its default options,
+// and only the View capture itself (the View and its two per-shard slices)
+// through the Index method.
 func TestSearchBatchAllocs(t *testing.T) {
 	x, keys, zipf := benchIndex()
 	defer x.Close()
@@ -37,14 +38,15 @@ func TestSearchBatchAllocs(t *testing.T) {
 		}
 	}
 	first, last := make([]int32, 512), make([]int32, 512)
-	v := x.View()
+	v, fz := x.Snapshot(), Freeze(keys, x.bounds, x.m)
 	methods := []struct {
-		name        string
-		view, index func(probes []uint32)
+		name  string
+		index func(probes []uint32)
+		views func(v *View, probes []uint32)
 	}{
-		{"SearchBatch", func(p []uint32) { v.SearchBatch(p, first) }, func(p []uint32) { x.SearchBatch(p, first) }},
-		{"LowerBoundBatch", func(p []uint32) { v.LowerBoundBatch(p, first) }, func(p []uint32) { x.LowerBoundBatch(p, first) }},
-		{"EqualRangeBatch", func(p []uint32) { v.EqualRangeBatch(p, first, last) }, func(p []uint32) { x.EqualRangeBatch(p, first, last) }},
+		{"SearchBatch", func(p []uint32) { x.SearchBatch(p, first) }, func(v *View, p []uint32) { v.SearchBatch(p, first) }},
+		{"LowerBoundBatch", func(p []uint32) { x.LowerBoundBatch(p, first) }, func(v *View, p []uint32) { v.LowerBoundBatch(p, first) }},
+		{"EqualRangeBatch", func(p []uint32) { x.EqualRangeBatch(p, first, last) }, func(v *View, p []uint32) { v.EqualRangeBatch(p, first, last) }},
 	}
 	for _, order := range []struct {
 		name    string
@@ -53,9 +55,14 @@ func TestSearchBatchAllocs(t *testing.T) {
 		i := 0
 		next := func() []uint32 { i++; return order.batches[i%len(order.batches)] }
 		for _, m := range methods {
-			m.view(next()) // fill the scratch pool
-			if got := testing.AllocsPerRun(200, func() { m.view(next()) }); got != 0 {
-				t.Errorf("%s-order View.%s allocates %v objects per batch, want 0", order.name, m.name, got)
+			for _, view := range []struct {
+				name string
+				v    *View
+			}{{"View", v}, {"Freeze view", fz}} {
+				m.views(view.v, next()) // fill the scratch pool
+				if got := testing.AllocsPerRun(200, func() { m.views(view.v, next()) }); got != 0 {
+					t.Errorf("%s-order %s.%s allocates %v objects per batch, want 0", order.name, view.name, m.name, got)
+				}
 			}
 			if got := testing.AllocsPerRun(200, func() { m.index(next()) }); got != 3 {
 				t.Errorf("%s-order Index.%s allocates %v objects per batch, want 3 (the View capture)", order.name, m.name, got)

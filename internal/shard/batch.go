@@ -382,7 +382,7 @@ func scatterSpan(lo, hi int, perm []uint32, expand []int32, out, res, outL, resL
 
 // LowerBoundBatch stores the global LowerBound of every probe into out
 // (len(out) must equal len(probes)), bit-identical to the scalar
-// LowerBound against this view.
+// LowerBound against this view; see SearchBatch for the execution model.
 func (v *View) LowerBoundBatch(probes []uint32, out []int32) {
 	if len(out) != len(probes) {
 		panic("shard: probes/out length mismatch")
@@ -390,8 +390,13 @@ func (v *View) LowerBoundBatch(probes []uint32, out []int32) {
 	v.batch(opLowerBound, probes, out, nil)
 }
 
-// SearchBatch stores the global Search of every probe into out: the position
-// of the leftmost occurrence, or -1 if absent.
+// SearchBatch stores the global Search of every probe into out (len(out)
+// must equal len(probes)): the position of the leftmost occurrence, or -1
+// if absent.  The probes are partitioned by shard boundaries, each shard's
+// group descends its tree in lockstep, and large batches fan the per-shard
+// runs across the worker pool.  Results are bit-identical to the scalar
+// calls against this view, in either probe order and under every worker
+// count.
 func (v *View) SearchBatch(probes []uint32, out []int32) {
 	if len(out) != len(probes) {
 		panic("shard: probes/out length mismatch")
@@ -462,8 +467,10 @@ func equalRangeResolve(sn *snapshot, probes []uint32, resF, resL []int32, off in
 }
 
 // SetParallel configures the worker pool for batch execution (zero value:
-// GOMAXPROCS workers with adaptive per-worker spans — see parOpts).  Set
-// before serving; it is not synchronised with concurrent readers.
+// GOMAXPROCS workers with adaptive per-worker spans — see parOpts; Workers
+// 1 keeps batches on the calling goroutine).  Set before serving; it is not
+// synchronised with concurrent readers.  It is for tests and in-module
+// harnesses: the public surface sets no worker options on a sharded index.
 func (x *Index) SetParallel(o parallel.Options) { x.par = o }
 
 // parOpts returns the worker-pool options a View serves batches under: the
@@ -480,24 +487,27 @@ func (x *Index) parOpts() parallel.Options {
 }
 
 // BatchCalibration reports the adaptive span the index measured: the
-// derived MinBatchPerWorker and the per-probe cost behind it; ok is false
-// before any batch was large enough to calibrate.
+// derived minimum probes per worker and the per-probe cost behind it; ok is
+// false before any batch was large enough to calibrate.
 func (x *Index) BatchCalibration() (minPerWorker int, perProbeNs float64, ok bool) {
 	return x.tuner.Calibration()
 }
 
-// LowerBoundBatch answers the whole batch against one frozen View, so every
-// result reflects a single snapshot epoch per shard.
+// LowerBoundBatch answers the whole batch against one Snapshot, so every
+// result reflects a single epoch per shard even while rebuilds publish
+// concurrently; see View.SearchBatch.
 func (x *Index) LowerBoundBatch(probes []uint32, out []int32) {
-	x.View().LowerBoundBatch(probes, out)
+	x.Snapshot().LowerBoundBatch(probes, out)
 }
 
-// SearchBatch answers the whole batch against one frozen View.
+// SearchBatch answers the whole batch against one Snapshot; see
+// LowerBoundBatch.
 func (x *Index) SearchBatch(probes []uint32, out []int32) {
-	x.View().SearchBatch(probes, out)
+	x.Snapshot().SearchBatch(probes, out)
 }
 
-// EqualRangeBatch answers the whole batch against one frozen View.
+// EqualRangeBatch answers the whole batch against one Snapshot; see
+// LowerBoundBatch.
 func (x *Index) EqualRangeBatch(probes []uint32, first, last []int32) {
-	x.View().EqualRangeBatch(probes, first, last)
+	x.Snapshot().EqualRangeBatch(probes, first, last)
 }

@@ -88,7 +88,7 @@ func TestViewBatchSingleEpoch(t *testing.T) {
 	keys := g.SortedDistinct(4000)
 	x := shard.NewEqual(keys, 4, 16)
 	defer x.Close()
-	v := x.View()
+	v := x.Snapshot()
 	input, keyOrdered := shard.PathBatches(t, append(g.Lookups(keys, 500), g.Misses(keys, 200)...))
 	x.Insert(g.Misses(keys, 300)...)
 	x.Sync() // the live index moved on; v must not notice

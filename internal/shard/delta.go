@@ -435,8 +435,9 @@ func (x *Index) fold(sn *snapshot, epoch uint64) *snapshot {
 	return &snapshot{epoch: epoch, keys: keys, tree: csstree.BuildLevel(keys, x.m), total: len(keys)}
 }
 
-// DeltaStats snapshots the delta layer across shards plus the lifetime
-// absorb and fold counters.
+// DeltaStats snapshots the delta layer across shards: how many keys sit in
+// immutable base arrays vs the outstanding delta (insert-run keys and
+// tombstones), plus the lifetime absorb and fold counters.
 func (x *Index) DeltaStats() DeltaStats {
 	st := DeltaStats{
 		Appends: x.deltaAppends.Load(),

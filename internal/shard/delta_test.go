@@ -143,7 +143,7 @@ func checkDeltaDifferential(t *testing.T, x, rebuilt *Index, probes []uint32) {
 			t.Fatalf("EqualRange(%d)=[%d,%d) rebuilt=[%d,%d)", p, gf, gl, wf, wl)
 		}
 	}
-	v, rv := x.View(), rebuilt.View()
+	v, rv := x.Snapshot(), rebuilt.Snapshot()
 	// Positional access via rank-select.
 	for pos := 0; pos < v.Len(); pos++ {
 		if got, want := v.Key(pos), rv.Key(pos); got != want {
@@ -483,7 +483,7 @@ func TestConcurrentReadersDuringDeltaAbsorbs(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
-				v := x.View()
+				v := x.Snapshot()
 				n := v.Len()
 				if n == 0 {
 					continue
@@ -588,7 +588,7 @@ func TestConcurrentReadersDuringDeleteAbsorbs(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			rg := workload.New(seed)
 			for !stop.Load() {
-				v := x.View()
+				v := x.Snapshot()
 				// A whole-view walk every so often: the count must be Len.
 				lo, hi, whole := uint32(rng.Int63n(math.MaxUint32)), uint32(0), rng.Intn(8) == 0
 				it := v.RangeAll()
@@ -721,7 +721,7 @@ func FuzzDeltaOps(f *testing.F) {
 				probes = append(probes, 3*uint32(b), 3*uint32(b)+1)
 			}
 			checkAgainstOracle(t, x, o, probes)
-			v := x.View()
+			v := x.Snapshot()
 			got := make([]int32, len(probes))
 			v.SearchBatch(probes, got)
 			for i, p := range probes {

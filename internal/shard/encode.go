@@ -30,7 +30,7 @@ const (
 
 // Save writes a restartable snapshot of the view's shard partition,
 // recording seq as the log sequence it covers.  Capture the View first
-// (Index.View) so the snapshot is one consistent cross-shard epoch set even
+// (Index.Snapshot) so the snapshot is one consistent cross-shard epoch set even
 // while rebuilds keep publishing.
 func Save(w io.Writer, v *View, seq uint64) error {
 	sw := snapio.NewWriter(w, shardEncMagic, shardEncVersion)

@@ -39,10 +39,10 @@ func TestSaveLoadWithTombstones(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := shard.Save(&buf, x.View(), 0); err != nil {
+	if err := shard.Save(&buf, x.Snapshot(), 0); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := cssidx.LoadSharded(&buf, cssidx.ShardedOptions[uint32]{})
+	loaded, err := cssidx.LoadSharded(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,40 +4,56 @@ package shard
 // every shard's current snapshot with one atomic load each; the captured
 // snapshots are immutable, so a View gives repeatable reads with stable
 // global positions no matter how many epoch-swaps happen behind it — the
-// serving layer's equivalent of a read transaction.
+// serving layer's equivalent of a read transaction.  Freeze builds a View
+// with no Index behind it at all.
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"cssidx/internal/parallel"
 )
 
-// View is a frozen capture of all shards.  Each shard's snapshot is
-// internally consistent; the set reflects each shard's latest epoch at
-// capture time.  Views are cheap (no copying) and safe for concurrent use.
-// A View inherits the Index's worker-pool options at capture.
+// View is a frozen capture of all shards: repeatable reads with stable
+// global positions, unaffected by concurrent epoch-swaps.  Each shard's
+// snapshot is internally consistent; the set reflects each shard's latest
+// epoch at capture time.  Views are cheap (no copying) and safe for
+// concurrent use.  A captured View inherits the Index's worker-pool options;
+// a Freeze view has the default pool and its own span tuner.
 type View struct {
 	bounds []uint32
 	snaps  []*snapshot
 	offs   []int // offs[i] = global start of shard i; offs[len(snaps)] = Len
 
 	par  parallel.Options
-	pool *sync.Pool // batchScratch pool shared with the owning Index
+	pool *sync.Pool // batchScratch pool, shared with the owning Index if any
 }
 
-// View captures the current snapshot of every shard.
-func (x *Index) View() *View {
-	v := &View{
-		bounds: x.bounds,
-		snaps:  make([]*snapshot, len(x.shards)),
-		offs:   make([]int, len(x.shards)+1),
-		par:    x.parOpts(),
-		pool:   &x.scratch,
-	}
+// Snapshot captures a frozen cross-shard view (one atomic load per shard,
+// no copying).
+func (x *Index) Snapshot() *View {
+	snaps := make([]*snapshot, len(x.shards))
 	for i, s := range x.shards {
-		v.snaps[i] = s.cur.Load()
-		v.offs[i+1] = v.offs[i] + v.snaps[i].len()
+		snaps[i] = s.cur.Load()
+	}
+	return newView(x.bounds, snaps, x.parOpts(), &x.scratch)
+}
+
+// Freeze builds a frozen view over the sorted keys split at bounds — the
+// same shards and trees New builds (see New for the arguments), with no
+// index and no background rebuilder behind them: the structure for keys
+// that are never updated in place.
+func Freeze(keys []uint32, bounds []uint32, m int) *View {
+	snaps := partition(keys, bounds, m)
+	return newView(slices.Clone(bounds), snaps, parallel.Options{Tuner: new(parallel.Tuner)}, new(sync.Pool))
+}
+
+// newView assembles a view over captured snapshots, summing their offsets.
+func newView(bounds []uint32, snaps []*snapshot, par parallel.Options, pool *sync.Pool) *View {
+	v := &View{bounds: bounds, snaps: snaps, offs: make([]int, len(snaps)+1), par: par, pool: pool}
+	for i, sn := range snaps {
+		v.offs[i+1] = v.offs[i] + sn.len()
 	}
 	return v
 }
@@ -45,7 +61,15 @@ func (x *Index) View() *View {
 // Len returns the total number of keys in the view.
 func (v *View) Len() int { return v.offs[len(v.snaps)] }
 
-// Epochs returns the epoch of each captured shard snapshot.
+// ShardCount returns the number of shards.
+func (v *View) ShardCount() int { return len(v.snaps) }
+
+// Bounds returns the split boundaries (see Index.Bounds).
+func (v *View) Bounds() []uint32 { return slices.Clone(v.bounds) }
+
+// Epochs returns the epoch of each captured shard snapshot — the
+// invalidation token consumers (result caches, snapshot save/restore)
+// identify this frozen state by.
 func (v *View) Epochs() []uint64 {
 	out := make([]uint64, len(v.snaps))
 	for i, s := range v.snaps {
@@ -104,6 +128,23 @@ func (v *View) Range(lo, hi uint32) *RangeIter {
 	it := v.rangeAt(start, end)
 	it.startKey, it.haveStart = lo, true
 	return it
+}
+
+// Ascend calls fn for every key in the half-open value range [lo, hi) in
+// ascending order, with its global position; fn returning false stops the
+// scan.
+func (v *View) Ascend(lo, hi uint32, fn func(pos int, key uint32) bool) {
+	for it := v.Range(lo, hi); ; {
+		k, pos, ok := it.Next()
+		if !ok || !fn(pos, k) {
+			return
+		}
+	}
+}
+
+// Ascend is View.Ascend over a fresh Snapshot.
+func (x *Index) Ascend(lo, hi uint32, fn func(pos int, key uint32) bool) {
+	x.Snapshot().Ascend(lo, hi, fn)
 }
 
 // RangeAll returns an iterator over every key in the view.

@@ -75,7 +75,7 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 					fail("the sampler picked the wrong probe order")
 					return
 				}
-				v := x.View()
+				v := x.Snapshot()
 				v.SearchBatch(probes, out)
 				v.EqualRangeBatch(probes, first, last)
 				// Spot-check against the same frozen view's scalar answers.

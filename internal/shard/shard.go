@@ -22,14 +22,19 @@
 // rebuilt, each over 1/N of the data — and lets rebuilds of different shards
 // proceed while readers keep serving, which is what the ROADMAP's
 // heavy-traffic target needs from the paper's rebuild-don't-maintain
-// position.  Boundaries and WeightedBoundaries choose the split points:
-// equal-count by default, or skew-aware from a sample of the probe
-// distribution so hot ranges get more (smaller) shards.
+// position.  Boundaries chooses the split points: equal key counts.  There
+// is no skew-aware split from a sample of the probe distribution — skew is a
+// property of the probe stream, which each batch inspects for itself.
 //
 // The engine makes its own serving decisions: each batch's probe order comes
 // from a sample of the batch (ChooseKeyOrder, batch.go), and a shard folds
 // at fixed thresholds (delta.go) or on Compact.  The worker pool
-// (SetParallel) is the one setting a caller brings.
+// (SetParallel) is the one setting, and only tests and in-module harnesses
+// bring it.
+//
+// A column that is never updated needs none of the update machinery: Freeze
+// builds the same shards straight into a frozen View, with no rebuilder
+// behind it (iter.go).
 package shard
 
 import (
@@ -41,6 +46,7 @@ import (
 	"time"
 
 	"cssidx/internal/csstree"
+	"cssidx/internal/mem"
 	"cssidx/internal/parallel"
 	"cssidx/internal/telemetry"
 )
@@ -70,15 +76,18 @@ type shardState struct {
 	delPend []uint32
 }
 
-// Index is a sharded, concurrently servable index over a multiset of keys.
-// Construct with New or NewEqual; Close releases the background rebuilder.
+// Index is a concurrently servable index over a multiset of keys:
+// lock-free Search/LowerBound/EqualRange/range scans, batched Insert/Delete
+// absorbed by background epoch-swap rebuilds.  Construct with New; Close
+// releases the background rebuilder when the index is done serving.
 //
-// Search, LowerBound and EqualRange return positions in the conceptual
-// concatenation of all shard arrays in boundary order.  Each lookup reads a
-// single shard's snapshot atomically; the per-shard offsets are gathered
-// with independent atomic loads, so during concurrent rebuilds of *other*
-// shards a global position reflects each shard's own latest epoch rather
-// than one instant in time.  Use View for a frozen cross-shard snapshot.
+// Positions follow the convention of every index in this module — offsets
+// into the (conceptual) sorted key array, here the concatenation of all
+// shard arrays in boundary order.  Each lookup reads a single shard's
+// snapshot atomically; the per-shard offsets are gathered with independent
+// atomic loads, so during concurrent rebuilds of *other* shards a global
+// position reflects each shard's own latest epoch rather than one instant in
+// time.  Use Snapshot for a frozen cross-shard view with stable positions.
 type Index struct {
 	m      int      // slots per CSS-tree node of every shard's tree
 	bounds []uint32 // strictly ascending; shard i serves keys < bounds[i], last serves the rest
@@ -89,7 +98,7 @@ type Index struct {
 	par parallel.Options
 
 	// tuner caches the one-shot measured per-probe cost behind the
-	// adaptive MinBatchPerWorker (attached to every View's options unless
+	// adaptive per-worker span (attached to every View's options unless
 	// SetParallel pinned an explicit span or tuner).
 	tuner parallel.Tuner
 
@@ -111,56 +120,64 @@ type Index struct {
 	wg        sync.WaitGroup
 }
 
+// Slots is the node size, in 4-byte slots, of the shard trees the module
+// builds: one cache line.  New and Freeze take m so tests can vary it.
+const Slots = mem.CacheLine / 4
+
 // New builds a sharded index over the sorted keys with the given split
-// boundaries (strictly ascending; len(bounds)+1 shards).  Shard i holds the
-// keys k with bounds[i-1] ≤ k < bounds[i]; duplicates of a boundary key all
-// land in the shard to its right, so EqualRange never straddles shards.
-// keys must be sorted ascending (duplicates allowed) and is not copied at
-// build; after the first epoch-swap a shard owns a fresh array.  Every
-// shard's tree is a level CSS-tree (§4.2) with m slots per node; m must be
-// a power of two ≥ 2.
+// boundaries (strictly ascending; len(bounds)+1 shards) and starts its
+// background rebuilder.  Shard i holds the keys k with bounds[i-1] ≤ k <
+// bounds[i]; duplicates of a boundary key all land in the shard to its
+// right, so EqualRange never straddles shards.  keys must be sorted
+// ascending (duplicates allowed) and is not copied at build; after the first
+// epoch-swap a shard owns a fresh array.  Every shard's tree is a level
+// CSS-tree (§4.2) with m slots per node; m must be a power of two ≥ 2.
 func New(keys []uint32, bounds []uint32, m int) *Index {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("shard: boundaries not strictly ascending at %d", i))
-		}
-	}
+	snaps := partition(keys, bounds, m)
 	x := &Index{
 		m:        m,
 		bounds:   slices.Clone(bounds),
-		shards:   make([]*shardState, len(bounds)+1),
+		shards:   make([]*shardState, len(snaps)),
 		wake:     make(chan struct{}, 1),
 		syncs:    make(chan chan struct{}),
 		compacts: make(chan chan struct{}),
 		done:     make(chan struct{}),
 	}
-	lo := 0
-	for i := range x.shards {
-		hi := len(keys)
-		if i < len(bounds) {
-			b := bounds[i]
-			hi = lo + sort.Search(len(keys)-lo, func(j int) bool { return keys[lo+j] >= b })
-		}
-		part := keys[lo:hi]
-		s := &shardState{}
-		s.cur.Store(&snapshot{epoch: 1, keys: part, tree: csstree.BuildLevel(part, m), total: len(part)})
-		x.shards[i] = s
-		lo = hi
+	for i, sn := range snaps {
+		x.shards[i] = &shardState{}
+		x.shards[i].cur.Store(sn)
 	}
 	x.wg.Add(1)
 	go x.loop()
 	return x
 }
 
-// NewEqual builds a sharded index with equal-count boundaries (Boundaries).
-func NewEqual(keys []uint32, nshards int, m int) *Index {
-	return New(keys, Boundaries(keys, nshards), m)
+// partition splits the sorted keys at bounds and builds each shard's first
+// epoch: the construction New and Freeze share.
+func partition(keys []uint32, bounds []uint32, m int) []*snapshot {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
+			panic(fmt.Sprintf("shard: boundaries not strictly ascending at %d", i))
+		}
+	}
+	snaps := make([]*snapshot, len(bounds)+1)
+	lo := 0
+	for i := range snaps {
+		hi := len(keys)
+		if i < len(bounds) {
+			b := bounds[i]
+			hi = lo + sort.Search(len(keys)-lo, func(j int) bool { return keys[lo+j] >= b })
+		}
+		part := keys[lo:hi]
+		snaps[i] = &snapshot{epoch: 1, keys: part, tree: csstree.BuildLevel(part, m), total: len(part)}
+		lo = hi
+	}
+	return snaps
 }
 
 // Close flushes any pending batches, publishes their epoch-swaps, and stops
 // the background rebuilder.  Close is idempotent; reads remain valid after
-// Close, writes after Close are absorbed only by a later manual Sync (none
-// runs), so finish writing first.
+// Close, writes after Close are never absorbed, so finish writing first.
 func (x *Index) Close() {
 	x.closeOnce.Do(func() {
 		close(x.done)
@@ -177,12 +194,13 @@ func (x *Index) Close() {
 // ShardCount returns the number of shards.
 func (x *Index) ShardCount() int { return len(x.shards) }
 
-// Bounds returns the split boundaries (len = ShardCount()-1).
+// Bounds returns the split boundaries (len = ShardCount()-1, strictly
+// ascending): shard i serves keys < Bounds()[i], the last shard the rest.
 func (x *Index) Bounds() []uint32 { return slices.Clone(x.bounds) }
 
 // Epochs returns each shard's current epoch.  A shard's epoch starts at 1
-// and increments by exactly 1 per published rebuild, so Epochs-1 summed is
-// the total number of epoch-swaps served.
+// and increments by exactly 1 per published epoch-swap, so Epochs-1 summed
+// is the total number of epoch-swaps served.
 func (x *Index) Epochs() []uint64 {
 	out := make([]uint64, len(x.shards))
 	for i, s := range x.shards {
@@ -239,7 +257,7 @@ func (x *Index) LowerBound(key uint32) int {
 
 // EqualRange returns the half-open global position range [first,last) of
 // occurrences of key.  Routing sends every duplicate of a key to one shard,
-// so the range never spans shards.
+// so the range is exact.
 func (x *Index) EqualRange(key uint32) (first, last int) {
 	s := x.shardFor(key)
 	noteProbe(s)
@@ -249,9 +267,8 @@ func (x *Index) EqualRange(key uint32) (first, last int) {
 	return off + lo, off + hi
 }
 
-// Insert enqueues keys for insertion.  The keys become visible after the
-// background rebuilder publishes the affected shards' next epochs; call
-// Sync to wait for that.
+// Insert enqueues keys for insertion.  The keys become visible at the
+// affected shards' next epoch-swaps; Sync waits for that.
 func (x *Index) Insert(keys ...uint32) { x.enqueue(keys, true) }
 
 // Delete enqueues keys for deletion with multiset semantics: each requested

@@ -3,6 +3,7 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -63,7 +64,7 @@ func checkAgainstOracle(t *testing.T, x *Index, o *oracle, probes []uint32) {
 		}
 	}
 	// Full content via the merging iterator.
-	v := x.View()
+	v := x.Snapshot()
 	it := v.RangeAll()
 	for i, want := range o.keys {
 		k, pos, ok := it.Next()
@@ -171,7 +172,7 @@ func TestBoundariesEqualCount(t *testing.T) {
 	}
 	x := New(keys, b, 16)
 	defer x.Close()
-	v := x.View()
+	v := x.Snapshot()
 	for i := 0; i < x.ShardCount(); i++ {
 		n := v.offs[i+1] - v.offs[i]
 		if n < 10000/8-2 || n > 10000/8+2 {
@@ -180,43 +181,16 @@ func TestBoundariesEqualCount(t *testing.T) {
 	}
 }
 
-func TestWeightedBoundariesFollowSkew(t *testing.T) {
-	g := workload.New(4)
-	keys := g.SortedUniform(20000)
-	// Zipf sample: most probes hit the low ranks (small key values here,
-	// since ZipfLookups ranks by position).
-	sample := g.ZipfLookups(keys, 50000, 1.2)
-	b := WeightedBoundaries(keys, sample, 8)
-	if len(b) == 0 {
-		t.Fatal("no weighted boundaries")
+// TestBoundariesDefaultCount: nshards ≤ 0 is GOMAXPROCS capped at 16, the
+// count NewSharded and mmdb's sharded columns build with.
+func TestBoundariesDefaultCount(t *testing.T) {
+	keys := workload.New(5).SortedUniform(1000)
+	want := min(runtime.GOMAXPROCS(0), 16)
+	if got := Boundaries(keys, 0); !slices.Equal(got, Boundaries(keys, want)) {
+		t.Fatalf("Boundaries(keys, 0) = %v, want the %d-shard split", got, want)
 	}
-	x := New(keys, b, 16)
-	defer x.Close()
-	v := x.View()
-	// The hot (first) shard must be smaller in keys than the cold (last):
-	// equal probe mass concentrates cuts where traffic is.
-	firstN := v.offs[1] - v.offs[0]
-	lastN := v.offs[len(v.snaps)] - v.offs[len(v.snaps)-1]
-	if firstN >= lastN {
-		t.Fatalf("skew-aware split: hot shard %d keys, cold shard %d keys; want hot < cold", firstN, lastN)
-	}
-	// And the probe mass per shard should be far more even than the key mass.
-	counts := make([]int, x.ShardCount())
-	for _, p := range sample {
-		counts[x.shardFor(p)]++
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Fatalf("shard %d receives no traffic", i)
-		}
-	}
-}
-
-func TestWeightedBoundariesEmptySampleFallsBack(t *testing.T) {
-	g := workload.New(5)
-	keys := g.SortedUniform(1000)
-	if got, want := WeightedBoundaries(keys, nil, 4), Boundaries(keys, 4); !slices.Equal(got, want) {
-		t.Fatalf("empty-sample fallback: got %v want %v", got, want)
+	if got := Boundaries(nil, 4); got != nil {
+		t.Fatalf("Boundaries(nil, 4) = %v, want none", got)
 	}
 }
 
@@ -225,7 +199,7 @@ func TestViewIsFrozen(t *testing.T) {
 	keys := g.SortedUniform(2000)
 	x := NewEqual(keys, 4, 16)
 	defer x.Close()
-	v := x.View()
+	v := x.Snapshot()
 	before := v.Len()
 	x.Insert(g.Misses(keys, 500)...)
 	x.Sync()
@@ -234,6 +208,44 @@ func TestViewIsFrozen(t *testing.T) {
 	}
 	if x.Len() != before+500 {
 		t.Fatalf("index length %d, want %d", x.Len(), before+500)
+	}
+}
+
+// TestFreezeMatchesSnapshot: Freeze builds exactly the shards New does —
+// same partition, epochs and answers, scalar, batched and scanned — with no
+// index behind them.
+func TestFreezeMatchesSnapshot(t *testing.T) {
+	g := workload.New(8)
+	keys := g.SortedWithDuplicates(5000, 3)
+	b := Boundaries(keys, 4)
+	x := New(keys, b, 16)
+	defer x.Close()
+	v, fz := x.Snapshot(), Freeze(keys, b, 16)
+	if !slices.Equal(fz.Bounds(), v.Bounds()) || !slices.Equal(fz.Epochs(), v.Epochs()) || fz.ShardCount() != 4 {
+		t.Fatalf("Freeze: bounds %v epochs %v, want %v %v", fz.Bounds(), fz.Epochs(), v.Bounds(), v.Epochs())
+	}
+	probes := append(g.Lookups(keys, 2000), g.Misses(keys, 500)...)
+	got, want := make([]int32, len(probes)), make([]int32, len(probes))
+	fz.SearchBatch(probes, got)
+	v.SearchBatch(probes, want)
+	if !slices.Equal(got, want) {
+		t.Fatal("Freeze SearchBatch differs from the Snapshot's")
+	}
+	for _, p := range probes {
+		if fz.LowerBound(p) != v.LowerBound(p) {
+			t.Fatalf("LowerBound(%d): Freeze %d, Snapshot %d", p, fz.LowerBound(p), v.LowerBound(p))
+		}
+	}
+	var scanned []uint32
+	fz.Ascend(0, math.MaxUint32, func(pos int, key uint32) bool {
+		if pos != len(scanned) {
+			t.Fatalf("Ascend: position %d at step %d", pos, len(scanned))
+		}
+		scanned = append(scanned, key)
+		return true
+	})
+	if want := keys[:v.LowerBound(math.MaxUint32)]; !slices.Equal(scanned, want) {
+		t.Fatalf("Ascend scanned %d keys, want the %d below MaxUint32 in order", len(scanned), len(want))
 	}
 }
 
@@ -260,7 +272,7 @@ func TestRangeIterSubrange(t *testing.T) {
 	keys := []uint32{10, 20, 20, 30, 40, 50, 60, 70}
 	x := NewEqual(keys, 3, 8)
 	defer x.Close()
-	v := x.View()
+	v := x.Snapshot()
 	var got []uint32
 	for it := v.Range(20, 60); ; {
 		k, pos, ok := it.Next()

@@ -56,7 +56,7 @@ func TestConcurrentReadersDuringEpochSwaps(t *testing.T) {
 					return
 				default:
 				}
-				v := x.View()
+				v := x.Snapshot()
 				for s, e := range v.Epochs() {
 					if e < lastEpoch[s] {
 						fail("epoch went backwards")

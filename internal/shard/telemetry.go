@@ -3,7 +3,7 @@ package shard
 // Telemetry for the serving layer.  Probe counters are labelled by shard
 // position (clamped: shards past shardLabelMax pool into one overflow
 // series) so a scrape shows the probe distribution across the range
-// partition — the signal WeightedBoundaries acts on.  Epoch-swaps record
+// partition.  Epoch-swaps record
 // the event kind (absorb vs fold) and, per kind, what the swap cost; two
 // gauges carry the delta's lag — the insert-run keys and tombstones awaiting
 // a fold, summed over every index in the process.  All series live in

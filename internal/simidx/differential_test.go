@@ -19,6 +19,7 @@ import (
 	"cssidx/internal/binsearch"
 	"cssidx/internal/cachesim"
 	"cssidx/internal/mem"
+	"cssidx/internal/parallel"
 	"cssidx/internal/shard"
 	"cssidx/internal/simidx"
 	"cssidx/internal/workload"
@@ -117,9 +118,11 @@ func checkIndex(t *testing.T, name string, idx cssidx.Index, o sliceOracle, prob
 	checkBatcher(t, name+"/batch", batchSurface{b: cssidx.AsBatch(idx)}, ordered, o, probes)
 	if ordered {
 		checkBatcher(t, name+"/sorted-batch", batchSurface{b: cssidx.NewSortedBatch(ord)}, true, o, probes)
-		// The parallel engine, forced on at tiny spans so the fan-out is
-		// real even on one core, must stay bit-identical too.
-		par := cssidx.NewParallel(ord, cssidx.ParallelOptions{Workers: 4, MinBatchPerWorker: 16})
+		// The parallel engine at its calibrated span must stay
+		// bit-identical too; the root package's
+		// TestNewParallelMatchesScalarEveryKind forces its fan-out at
+		// pinned tiny spans over these same adversarial key sets.
+		par := cssidx.NewParallel(ord, cssidx.ParallelOptions{Workers: 4})
 		checkBatcher(t, name+"/parallel-batch", batchSurface{b: par}, true, o, probes)
 	}
 }
@@ -217,10 +220,9 @@ func checkSharded(t *testing.T, keys []uint32, o sliceOracle, probes []uint32, s
 			t.Fatalf("sharded(%d): EqualRange(%d)=[%d,%d) want [%d,%d)", shards, p, gf, gl, wf, wl)
 		}
 	}
-	par := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{
-		Shards:   shards,
-		Parallel: cssidx.ParallelOptions{Workers: 4, MinBatchPerWorker: 16},
-	})
+	// par forces the fan-out at tiny spans, so it is real even on one core.
+	par := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: shards})
+	par.SetParallel(parallel.Options{Workers: 4, MinBatchPerWorker: 16})
 	defer par.Close()
 	input, keyOrdered := probeOrders(probes)
 	for _, ix := range []*cssidx.ShardedIndex[uint32]{x, par} {

@@ -11,46 +11,34 @@
 // trees are immutable directories over immutable arrays: workers share
 // read-only state and nothing else.
 //
-// Sequential fallback: batches smaller than ~2×MinBatchPerWorker run on the
-// calling goroutine through the exact same kernel, so small batches pay no
-// scheduling cost and results are bit-identical at every size.
+// Sequential fallback: batches smaller than two calibrated worker spans run
+// on the calling goroutine through the exact same kernel, so small batches
+// pay no scheduling cost and results are bit-identical at every size.
 
 package cssidx
 
 import "cssidx/internal/parallel"
 
-// ParallelOptions tunes the parallel batch engine.  The zero value is the
-// recommended default: GOMAXPROCS workers with ADAPTIVE span sizing — the
-// engine times a 4096-probe prefix of the first large batch on the calling
-// goroutine, derives the smallest per-worker span whose work still dwarfs
-// the goroutine handoff from the measured per-probe cost, and caches the
-// value for the index's lifetime.  Hot-cache indexes (fast probes) get
-// bigger spans than DRAM-missing ones, exactly as the cost asymmetry
-// demands; results are bit-identical either way.  BatchCalibration reports
-// the chosen value.
+// ParallelOptions tunes the parallel batch engine.  The worker count is the
+// one setting; the span each worker gets is ADAPTIVE — the engine times a
+// 4096-probe prefix of the first large batch on the calling goroutine,
+// derives the smallest per-worker span whose work still dwarfs the goroutine
+// handoff from the measured per-probe cost, and caches the value for the
+// index's lifetime.  Hot-cache indexes (fast probes) get bigger spans than
+// DRAM-missing ones, exactly as the cost asymmetry demands; results are
+// bit-identical either way.  BatchCalibration reports the chosen value.
 type ParallelOptions struct {
 	// Workers is the maximum number of concurrent workers; 0 picks
 	// GOMAXPROCS, 1 forces the sequential path.
 	Workers int
-	// MinBatchPerWorker is the minimum number of probes that justifies an
-	// extra worker; batches smaller than 2× this run sequentially.
-	// 0 means adaptive: derived from the measured per-probe cost of the
-	// first large batch (see BatchTuning).
-	MinBatchPerWorker int
 }
 
 // BatchTuning is implemented by the engines whose worker spans are sized
 // adaptively (NewParallel, ShardedIndex).
 type BatchTuning interface {
-	// BatchCalibration returns the calibrated MinBatchPerWorker and the
-	// measured per-probe cost; ok is false before the first large batch
-	// (or when MinBatchPerWorker was pinned explicitly).
+	// BatchCalibration returns the calibrated minimum probes per worker and
+	// the measured per-probe cost; ok is false before the first large batch.
 	BatchCalibration() (minPerWorker int, perProbeNs float64, ok bool)
-}
-
-// engine converts to the internal scheduler's options.
-func (o ParallelOptions) engine() parallel.Options {
-	return parallel.Options{Workers: o.Workers, MinBatchPerWorker: o.MinBatchPerWorker}
 }
 
 // NewParallel wraps idx with the parallel batch engine: the returned index
@@ -69,7 +57,7 @@ func NewParallel(idx OrderedIndex, opts ParallelOptions) BatchOrderedIndex {
 	if _, ok := idx.(*SortedBatch); ok {
 		panic("cssidx: NewParallel over a SortedBatch races on its scratch; use NewSortedBatch(NewParallel(idx, opts)) instead")
 	}
-	p := &parallelBatch{b: AsBatchOrdered(idx), opts: opts.engine()}
+	p := &parallelBatch{b: AsBatchOrdered(idx), opts: parallel.Options{Workers: opts.Workers}}
 	p.opts.Tuner = &p.tuner
 	return p
 }

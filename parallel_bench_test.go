@@ -12,26 +12,9 @@ import (
 	"testing"
 
 	"cssidx"
-	"cssidx/internal/mmdb"
+	"cssidx/internal/parallel"
 	"cssidx/internal/workload"
 )
-
-// mmdbTable builds a one-column table.
-func mmdbTable(b *testing.B, name string, vals []uint32) *mmdb.Table {
-	b.Helper()
-	t := mmdb.NewTable(name)
-	if err := t.AddColumn("k", vals); err != nil {
-		b.Fatal(err)
-	}
-	return t
-}
-
-// mmdbJoin counts the join result at one worker setting.
-func mmdbJoin(outer *mmdb.Table, ix *mmdb.SortedIndex, workers int) (int, error) {
-	return mmdb.JoinWith(outer, "k", ix, mmdb.JoinOptions{
-		Parallel: cssidx.ParallelOptions{Workers: workers},
-	}, nil)
-}
 
 // batchBenchSetup builds the tree and one large probe batch.
 func batchBenchSetup(b *testing.B, n, batch int) (cssidx.OrderedIndex, []uint32, []int32) {
@@ -92,10 +75,8 @@ func BenchmarkParallelShardedBatch64k(b *testing.B) {
 		if w == 0 {
 			name = "workers=GOMAXPROCS"
 		}
-		idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{
-			Shards:   4,
-			Parallel: cssidx.ParallelOptions{Workers: w},
-		})
+		idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 4})
+		idx.SetParallel(parallel.Options{Workers: w})
 		b.Run(name, func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -104,44 +85,5 @@ func BenchmarkParallelShardedBatch64k(b *testing.B) {
 			b.ReportMetric(float64(len(probes))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mprobes/s")
 		})
 		idx.Close()
-	}
-}
-
-// BenchmarkParallelJoin drives the §2.2 join through the engine.
-func BenchmarkParallelJoin(b *testing.B) {
-	benchJoinWorkers(b, []int{1, 4, 0})
-}
-
-func benchJoinWorkers(b *testing.B, workerCounts []int) {
-	b.Helper()
-	g := workload.New(3)
-	innerN, outerN := 1_000_000, 1<<17
-	if testing.Short() {
-		innerN, outerN = 100_000, 1<<15
-	}
-	innerKeys := g.SortedUniform(innerN)
-	outerVals := g.Lookups(innerKeys, outerN)
-	innerT := mmdbTable(b, "inner", innerKeys)
-	outerT := mmdbTable(b, "outer", outerVals)
-	ix, err := innerT.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range workerCounts {
-		name := fmt.Sprintf("workers=%d", w)
-		if w == 0 {
-			name = "workers=GOMAXPROCS"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n, err := mmdbJoin(outerT, ix, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink += n
-			}
-			b.ReportMetric(float64(outerN)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mprobes/s")
-		})
 	}
 }

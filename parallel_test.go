@@ -8,15 +8,20 @@ package cssidx_test
 // GOMAXPROCS=8 leg real concurrency).
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"cssidx"
+	"cssidx/internal/parallel"
 	"cssidx/internal/shard"
 	"cssidx/internal/workload"
 )
 
-// parallelOptsUnderTest force the engine on at small sizes.
-var parallelOptsUnderTest = []cssidx.ParallelOptions{
+// parallelOptsUnderTest force the engine on at small sizes: a worker count
+// and a pinned span (0 = calibrated, as NewParallel always is).
+var parallelOptsUnderTest = []parallel.Options{
 	{},                                      // default: engine decides
 	{Workers: 1},                            // forced sequential
 	{Workers: 4, MinBatchPerWorker: 64},     // forced parallel, fine spans
@@ -25,41 +30,86 @@ var parallelOptsUnderTest = []cssidx.ParallelOptions{
 	{Workers: 2, MinBatchPerWorker: 100000}, // fallback via min-batch
 }
 
+// parallelKeySets are the key sets every kind's parallel engine is held to:
+// one large set with duplicates, and the sets that historically break index
+// edge cases — empty, single key, all duplicates, keys at the uint32
+// extremes, and runs straddling node boundaries.
+func parallelKeySets(g *workload.Gen) map[string][]uint32 {
+	allDup := make([]uint32, 100)
+	for i := range allDup {
+		allDup[i] = 42
+	}
+	var runs []uint32
+	for v := uint32(1); v <= 6; v++ {
+		for range 16 { // run length = node size
+			runs = append(runs, v*1000)
+		}
+	}
+	return map[string][]uint32{
+		"dups-20000": g.SortedWithDuplicates(20000, 3),
+		"empty":      {},
+		"single":     {7},
+		"single-max": {^uint32(0)},
+		"all-dup":    allDup,
+		"extremes":   {0, 0, 1, 2, ^uint32(0) - 1, ^uint32(0), ^uint32(0)},
+		"node-runs":  runs,
+	}
+}
+
+// parallelProbes covers hits, misses and the boundary values of keys, and
+// repeats them to at least 4096 probes so every pinned span below fans out.
+func parallelProbes(g *workload.Gen, keys []uint32) []uint32 {
+	probes := []uint32{0, 1, 41, 42, 43, ^uint32(0) - 1, ^uint32(0)}
+	if len(keys) > 0 {
+		probes = append(probes, g.Lookups(keys, 3000)...)
+		probes = append(probes, g.Misses(keys, 1500)...)
+	}
+	for _, k := range keys[:min(len(keys), 200)] {
+		probes = append(probes, k-1, k, k+1) // wraps at the extremes on purpose
+	}
+	for len(probes) < 4096 {
+		probes = append(probes, probes...)
+	}
+	return probes
+}
+
 func TestNewParallelMatchesScalarEveryKind(t *testing.T) {
 	g := workload.New(31)
-	keys := g.SortedWithDuplicates(20000, 3)
-	probes := append(g.Lookups(keys, 3000), g.Misses(keys, 1500)...)
-	probes = append(probes, 0, ^uint32(0))
-
-	for _, kind := range cssidx.Kinds() {
-		idx := cssidx.New(kind, keys, cssidx.Options{})
-		ord, ok := idx.(cssidx.OrderedIndex)
-		if !ok {
-			continue // hash: no ordered surface; covered via AsBatch elsewhere
-		}
-		for oi, opts := range parallelOptsUnderTest {
-			par := cssidx.NewParallel(ord, opts)
-			out := make([]int32, len(probes))
-			first := make([]int32, len(probes))
-			last := make([]int32, len(probes))
-
-			par.SearchBatch(probes, out)
-			for i, p := range probes {
-				if want := int32(ord.Search(p)); out[i] != want {
-					t.Fatalf("%s opts#%d SearchBatch[%d]=%d want %d (key %d)", idx.Name(), oi, i, out[i], want, p)
-				}
+	sets := parallelKeySets(g)
+	for _, set := range slices.Sorted(maps.Keys(sets)) {
+		keys := sets[set]
+		probes := parallelProbes(g, keys)
+		for _, kind := range cssidx.Kinds() {
+			idx := cssidx.New(kind, keys, cssidx.Options{})
+			ord, ok := idx.(cssidx.OrderedIndex)
+			if !ok {
+				continue // hash: no ordered surface; covered via AsBatch elsewhere
 			}
-			par.LowerBoundBatch(probes, out)
-			for i, p := range probes {
-				if want := int32(ord.LowerBound(p)); out[i] != want {
-					t.Fatalf("%s opts#%d LowerBoundBatch[%d]=%d want %d (key %d)", idx.Name(), oi, i, out[i], want, p)
+			for oi, opts := range parallelOptsUnderTest {
+				name := fmt.Sprintf("%s/%s opts#%d", set, idx.Name(), oi)
+				par := cssidx.NewParallelSpan(ord, opts.Workers, opts.MinBatchPerWorker)
+				out := make([]int32, len(probes))
+				first := make([]int32, len(probes))
+				last := make([]int32, len(probes))
+
+				par.SearchBatch(probes, out)
+				for i, p := range probes {
+					if want := int32(ord.Search(p)); out[i] != want {
+						t.Fatalf("%s SearchBatch[%d]=%d want %d (key %d)", name, i, out[i], want, p)
+					}
 				}
-			}
-			par.EqualRangeBatch(probes, first, last)
-			for i, p := range probes {
-				wf, wl := ord.EqualRange(p)
-				if first[i] != int32(wf) || last[i] != int32(wl) {
-					t.Fatalf("%s opts#%d EqualRangeBatch[%d]=[%d,%d) want [%d,%d)", idx.Name(), oi, i, first[i], last[i], wf, wl)
+				par.LowerBoundBatch(probes, out)
+				for i, p := range probes {
+					if want := int32(ord.LowerBound(p)); out[i] != want {
+						t.Fatalf("%s LowerBoundBatch[%d]=%d want %d (key %d)", name, i, out[i], want, p)
+					}
+				}
+				par.EqualRangeBatch(probes, first, last)
+				for i, p := range probes {
+					wf, wl := ord.EqualRange(p)
+					if first[i] != int32(wf) || last[i] != int32(wl) {
+						t.Fatalf("%s EqualRangeBatch[%d]=[%d,%d) want [%d,%d)", name, i, first[i], last[i], wf, wl)
+					}
 				}
 			}
 		}
@@ -70,7 +120,7 @@ func TestNewParallelEmptyAndTinyBatches(t *testing.T) {
 	g := workload.New(32)
 	keys := g.SortedDistinct(1000)
 	idx := cssidx.NewLevelCSS(keys, cssidx.DefaultNodeBytes)
-	par := cssidx.NewParallel(idx, cssidx.ParallelOptions{Workers: 4, MinBatchPerWorker: 1})
+	par := cssidx.NewParallelSpan(idx, 4, 1)
 	par.SearchBatch(nil, nil)
 	out := make([]int32, 1)
 	par.SearchBatch([]uint32{keys[7]}, out)
@@ -110,7 +160,7 @@ func TestSortedOverParallelComposition(t *testing.T) {
 	g := workload.New(38)
 	keys := g.SortedWithDuplicates(10000, 3)
 	idx := cssidx.NewLevelCSS(keys, 64)
-	sb := cssidx.NewSortedBatch(cssidx.NewParallel(idx, cssidx.ParallelOptions{Workers: 4, MinBatchPerWorker: 32}))
+	sb := cssidx.NewSortedBatch(cssidx.NewParallelSpan(idx, 4, 32))
 	probes := g.ZipfLookups(keys, 3000, 1.2)
 	out := make([]int32, len(probes))
 	sb.SearchBatch(probes, out)
@@ -136,8 +186,9 @@ func TestShardedParallelSchedulesMatchScalar(t *testing.T) {
 		if got, want := shard.ChooseKeyOrder(probes), name == "skewed"; got != want {
 			t.Fatalf("%s stream: key-ordered %v, want %v", name, got, want)
 		}
-		for _, par := range []cssidx.ParallelOptions{{Workers: 1}, {Workers: 4, MinBatchPerWorker: 128}} {
-			idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 5, Parallel: par})
+		for _, par := range []parallel.Options{{Workers: 1}, {Workers: 4, MinBatchPerWorker: 128}} {
+			idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 5})
+			idx.SetParallel(par)
 			v := idx.Snapshot()
 			out := make([]int32, len(probes))
 			first := make([]int32, len(probes))

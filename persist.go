@@ -58,24 +58,21 @@ func LoadIndex(r io.Reader, keys []Key) (OrderedIndex, error) {
 // SaveShardedFile for the atomic crash-safe commit, and OpenWAL for
 // continuous durability of Insert/Delete batches between snapshots.
 func SaveSharded(w io.Writer, x *ShardedIndex[uint32]) error {
-	return shard.Save(w, x.ix.View(), 0)
+	return shard.Save(w, x.Snapshot(), 0)
 }
 
 // LoadSharded restores a snapshot written by SaveSharded, rebuilding each
 // shard's CSS-tree from its key array (building is the cheap half of the
-// paper's rebuild-don't-maintain cycle).  opts supplies Parallel only;
-// Shards and SkewSample are ignored: the partition comes from the snapshot.
-// A SaveSharded snapshot with any bit flipped or cut short returns an
-// error — never a panic — and arrays are read in steps that grow only with the bytes
-// present, so absurd length prefixes cannot force huge allocations.  It
-// also loads a DurableSharded snapshot, ignoring the log sequence it
-// records, and snapshots written before the CRC-32C trailer (version 1).
-func LoadSharded(r io.Reader, opts ShardedOptions[uint32]) (*ShardedIndex[uint32], error) {
-	keys, bounds, _, err := shard.Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return newShardedFrom(keys, bounds, opts), nil
+// paper's rebuild-don't-maintain cycle); the partition comes from the
+// snapshot.  A SaveSharded snapshot with any bit flipped or cut short
+// returns an error — never a panic — and arrays are read in steps that grow
+// only with the bytes present, so absurd length prefixes cannot force huge
+// allocations.  It also loads a DurableSharded snapshot, ignoring the log
+// sequence it records, and snapshots written before the CRC-32C trailer
+// (version 1).
+func LoadSharded(r io.Reader) (*ShardedIndex[uint32], error) {
+	x, _, err := shardCodec{}.Load(r)
+	return x, err
 }
 
 // loadFile opens path on fsys, GCs stale temp litter beside it, and hands
@@ -124,8 +121,6 @@ func SaveShardedFile(path string, x *ShardedIndex[uint32]) error {
 
 // LoadShardedFile restores a snapshot written by SaveShardedFile, first
 // sweeping any stale temp files an interrupted save left beside it.
-func LoadShardedFile(path string, opts ShardedOptions[uint32]) (*ShardedIndex[uint32], error) {
-	return loadFile(failfs.OS, path, func(r io.Reader) (*ShardedIndex[uint32], error) {
-		return LoadSharded(r, opts)
-	})
+func LoadShardedFile(path string) (*ShardedIndex[uint32], error) {
+	return loadFile(failfs.OS, path, LoadSharded)
 }

@@ -83,7 +83,7 @@ func TestSaveLoadShardedRoundTrip(t *testing.T) {
 	if err := cssidx.SaveSharded(&buf, idx); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := cssidx.LoadSharded(&buf, cssidx.ShardedOptions[uint32]{})
+	loaded, err := cssidx.LoadSharded(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,29 +131,29 @@ func TestLoadShardedRejectsCorruption(t *testing.T) {
 	// Flip one key byte deep in the payload: the checksum must catch it.
 	corrupt := append([]byte(nil), pristine...)
 	corrupt[len(corrupt)-5] ^= 0x40
-	if _, err := cssidx.LoadSharded(bytes.NewReader(corrupt), cssidx.ShardedOptions[uint32]{}); err == nil {
+	if _, err := cssidx.LoadSharded(bytes.NewReader(corrupt)); err == nil {
 		t.Error("corrupt snapshot restored")
 	}
 	// Truncation must be refused too.
-	if _, err := cssidx.LoadSharded(bytes.NewReader(pristine[:len(pristine)/2]), cssidx.ShardedOptions[uint32]{}); err == nil {
+	if _, err := cssidx.LoadSharded(bytes.NewReader(pristine[:len(pristine)/2])); err == nil {
 		t.Error("truncated snapshot restored")
 	}
 	// And a wrong magic number.
 	bad := append([]byte(nil), pristine...)
 	bad[0] ^= 0xff
-	if _, err := cssidx.LoadSharded(bytes.NewReader(bad), cssidx.ShardedOptions[uint32]{}); err == nil {
+	if _, err := cssidx.LoadSharded(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic restored")
 	}
 	// Corrupt header counts must error out, not drive huge allocations:
 	// the shard count lives at header offset 8, the key count at 16.
 	hugeShards := append([]byte(nil), pristine...)
 	hugeShards[10] = 0xff // Shards |= 0xff0000 → ~16M shards
-	if _, err := cssidx.LoadSharded(bytes.NewReader(hugeShards), cssidx.ShardedOptions[uint32]{}); err == nil {
+	if _, err := cssidx.LoadSharded(bytes.NewReader(hugeShards)); err == nil {
 		t.Error("implausible shard count restored")
 	}
 	hugeN := append([]byte(nil), pristine...)
 	hugeN[22] = 0xff // N |= 0xff << 48
-	if _, err := cssidx.LoadSharded(bytes.NewReader(hugeN), cssidx.ShardedOptions[uint32]{}); err == nil {
+	if _, err := cssidx.LoadSharded(bytes.NewReader(hugeN)); err == nil {
 		t.Error("implausible key count restored")
 	}
 }
@@ -184,7 +184,7 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 	if err := cssidx.SaveShardedFile(spath, sh); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := cssidx.LoadShardedFile(spath, cssidx.ShardedOptions[uint32]{})
+	restored, err := cssidx.LoadShardedFile(spath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSaveFileAtomicSurvivesTornWrite(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "sharded.snap.tmp1234"), torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cssidx.LoadShardedFile(path, cssidx.ShardedOptions[uint32]{}); err != nil {
+	if _, err := cssidx.LoadShardedFile(path); err != nil {
 		t.Fatalf("committed snapshot unreadable after torn temp write: %v", err)
 	}
 
@@ -241,7 +241,7 @@ func TestSaveFileAtomicSurvivesTornWrite(t *testing.T) {
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cssidx.LoadShardedFile(path, cssidx.ShardedOptions[uint32]{}); err == nil {
+	if _, err := cssidx.LoadShardedFile(path); err == nil {
 		t.Fatal("torn snapshot prefix restored")
 	}
 
@@ -249,7 +249,7 @@ func TestSaveFileAtomicSurvivesTornWrite(t *testing.T) {
 	if err := cssidx.SaveShardedFile(path, sh); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := cssidx.LoadShardedFile(path, cssidx.ShardedOptions[uint32]{})
+	restored, err := cssidx.LoadShardedFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestSnapshotGoldenFiles(t *testing.T) {
 	x := goldenSharded()
 	defer x.Close()
 	for _, version := range []string{"v1", "v2"} {
-		loaded, err := cssidx.LoadSharded(bytes.NewReader(read("sharded."+version+".snap")), cssidx.ShardedOptions[uint32]{})
+		loaded, err := cssidx.LoadSharded(bytes.NewReader(read("sharded." + version + ".snap")))
 		if err != nil {
 			t.Fatalf("sharded %s: %v", version, err)
 		}
@@ -351,7 +351,7 @@ func TestSaveShardedBitFlips(t *testing.T) {
 	for i := range 8 * len(snap) {
 		bad := bytes.Clone(snap)
 		bad[i/8] ^= 1 << (i % 8)
-		if y, err := cssidx.LoadSharded(bytes.NewReader(bad), cssidx.ShardedOptions[uint32]{}); err == nil {
+		if y, err := cssidx.LoadSharded(bytes.NewReader(bad)); err == nil {
 			y.Close()
 			t.Fatalf("bit %d of byte %d flipped, snapshot loaded", i%8, i/8)
 		}
