@@ -64,10 +64,13 @@ func decodeShardOp(payload []byte) (op byte, keys []uint32, err error) {
 
 // OpenWAL opens — or recovers — a durable uint32 sharded index rooted at
 // dir: the snapshot lives in dir/name.snap, the write-ahead log in
-// dir/name.wal.  On open, temp files an interrupted Checkpoint left
-// beside either are removed, the snapshot (if any) is loaded and every
-// log record after the snapshot's covered sequence is replayed into the
-// index, with a torn log tail detected by checksum and truncated; the
+// dir/name.wal, and from the second Checkpoint on dir/name.snap.prev holds
+// the snapshot before last as the spare the next Checkpoint overwrites
+// (recovery never reads it).  On open, temp files an interrupted
+// Checkpoint of an earlier build left beside the snapshot or the log are
+// removed, the snapshot (if any) is loaded and every log record after the
+// snapshot's covered sequence is replayed into the index, with a torn or
+// stale log tail detected by checksum and sequence and truncated; the
 // result is exactly the state the durability policy promised at the
 // crash instant.
 //
@@ -78,8 +81,10 @@ func decodeShardOp(payload []byte) (op byte, keys []uint32, err error) {
 // yields a clean prefix of acknowledged mutations — a batch is either
 // fully recovered or (beyond the promised watermark) fully absent.
 //
-// Checkpoint folds the log into a fresh snapshot and truncates it;
-// recovery cost is proportional to the log since the last Checkpoint.
+// Checkpoint folds the log into a fresh snapshot and empties the log,
+// freeing no disk blocks (see wal.Store): the price is disk space, two
+// snapshots and a log file that stays at its largest size.  Recovery cost
+// is proportional to the log since the last Checkpoint.
 //
 // The shard partition comes from the snapshot, and Checkpoint keeps it: a
 // store created empty is one shard for good.

@@ -24,9 +24,14 @@ type shardOp struct {
 }
 
 // shardScript drives a DurableSharded: interleaved insert and delete
-// batches with a mid-stream checkpoint, so crash points land inside
-// appends, syncs, the snapshot save, the log truncation, and the
-// directory commits around them.
+// batches with three checkpoints, so crash points land inside appends,
+// syncs, the snapshot save into the spare, the exchange, the log's header
+// rewrite, and the directory commits around them.  A record is 21+4n
+// bytes for n keys, and each checkpoint's records overwrite the previous
+// epoch's from the front: the first record after the first checkpoint
+// covers a stale one exactly, the next covers one partly.  The last epoch
+// is one-key records, as long as verify's post-recovery insert, so a
+// recovery that kept a record past a hole would see it come back.
 type shardScript struct {
 	ops []shardOp
 }
@@ -38,9 +43,16 @@ func newShardScript() *shardScript {
 		{opDelete, []uint32{30, 99}}, // 99 absent: multiset no-op
 		{opInsert, []uint32{30, 30}}, // duplicate keys
 		{opCheckpoint, nil},
-		{opInsert, []uint32{5, 45}},
-		{opDelete, []uint32{10}},
+		{opInsert, []uint32{5, 45, 55, 65, 75}}, // exactly over the first record
+		{opDelete, []uint32{10}},                // partly over the second
+		{opCheckpoint, nil},
 		{opInsert, []uint32{60}},
+		{opDelete, []uint32{45}},
+		{opCheckpoint, nil},
+		{opInsert, []uint32{61}},
+		{opDelete, []uint32{5}},
+		{opInsert, []uint32{62}},
+		{opInsert, []uint32{63}},
 	}}
 }
 
@@ -176,7 +188,9 @@ func (s *shardScript) verify(fsys *failfs.Mem, pol wal.Policy, out outcome) erro
 		}
 	}
 
-	// The recovered store must still accept writes.
+	// The recovered store must still accept writes, and a reopen must
+	// find exactly the recovered state plus that write: nothing cut at
+	// recovery may come back behind it.
 	if err := x.Insert(777); err != nil {
 		return fmt.Errorf("post-recovery insert: %w", err)
 	}
@@ -184,15 +198,31 @@ func (s *shardScript) verify(fsys *failfs.Mem, pol wal.Policy, out outcome) erro
 	if x.Search(777) < 0 {
 		return fmt.Errorf("post-recovery insert not visible")
 	}
+	if err := x.Close(); err != nil {
+		return err
+	}
+	y, err := cssidx.OpenWAL(fsys, "db", "idx", pol)
+	if err != nil {
+		return fmt.Errorf("second reopen: %w", err)
+	}
+	defer y.Close()
+	if y.LastSeq() != k+1 || y.Len() != len(want)+1 || y.Search(777) < 0 {
+		return fmt.Errorf("second reopen: seq %d, %d keys; want seq %d, %d keys with 777",
+			y.LastSeq(), y.Len(), k+1, len(want)+1)
+	}
 	return nil
 }
 
 // --- mmdb table workload -----------------------------------------------------
 
 // tableScript drives a DurableTable: a schema-defining first batch, more
-// appends (sized to cross the delta/fold thresholds both ways), a
-// mid-stream checkpoint, then verification across every read surface —
-// column values, point/range/IN selects, an aggregate count and a join.
+// appends (sized to cross the delta/fold thresholds both ways), three
+// checkpoints, then verification across every read surface — column
+// values, point/range/IN selects, an aggregate count and a join.  A
+// record is 38+8n bytes for n rows; as in shardScript, the first record
+// after the first checkpoint overwrites a stale one exactly and the next
+// partly, and the last epoch is one-row records, as long as verify's
+// post-recovery append.
 type tableScript struct {
 	batches []map[string][]uint32 // nil entry = checkpoint
 }
@@ -202,8 +232,17 @@ func newTableScript() *tableScript {
 		{"k": {3, 1, 4, 1, 5}, "v": {10, 20, 30, 40, 50}},
 		{"k": {9, 2, 6}, "v": {60, 70, 80}},
 		nil, // checkpoint
-		{"k": {5, 3}, "v": {90, 100}},
-		{"k": {8}, "v": {110}},
+		{"k": {7, 0, 2, 8, 4}, "v": {90, 100, 110, 120, 130}}, // exactly over the first record
+		{"k": {5}, "v": {140}},                                // partly over the second
+		nil,
+		{"k": {5, 3}, "v": {150, 160}},
+		{"k": {8}, "v": {170}},
+		nil,
+		{"k": {7}, "v": {180}},
+		{"k": {2}, "v": {190}},
+		{"k": {6}, "v": {200}},
+		{"k": {10}, "v": {210}},
+		{"k": {1}, "v": {220}},
 	}}
 }
 
@@ -274,10 +313,7 @@ func (s *tableScript) verify(fsys *failfs.Mem, pol wal.Policy, out outcome) erro
 	}
 	if k == 0 {
 		// Nothing recovered; the store must still accept a schema batch.
-		if err := d.AppendRows(map[string][]uint32{"k": {1}, "v": {2}}); err != nil {
-			return fmt.Errorf("post-recovery schema append: %w", err)
-		}
-		return nil
+		return appendAndReopen(d, fsys, pol, k)
 	}
 	for col, want := range map[string][]uint32{"k": wantK, "v": wantV} {
 		c, ok := d.Column(col)
@@ -356,14 +392,46 @@ func (s *tableScript) verify(fsys *failfs.Mem, pol wal.Policy, out outcome) erro
 		return fmt.Errorf("join pair count %d, oracle %d", gj, wj)
 	}
 
-	// The recovered table must still accept writes.
-	next := map[string][]uint32{"k": {123}, "v": {456}}
-	if err := d.AppendRows(next); err != nil {
+	return appendAndReopen(d, fsys, pol, k)
+}
+
+// appendAndReopen appends one row to the recovered table d (through seq k),
+// closes it and reopens: the store must hold exactly d's rows plus that
+// one, so nothing recovery cut can come back behind it.
+func appendAndReopen(d *mmdb.DurableTable, fsys *failfs.Mem, pol wal.Policy, k uint64) error {
+	rows := d.Rows()
+	if err := d.AppendRows(map[string][]uint32{"k": {123}, "v": {456}}); err != nil {
 		return fmt.Errorf("post-recovery append: %w", err)
 	}
-	c, _ := d.Column("k")
-	if c.Value(d.Rows()-1) != 123 {
-		return fmt.Errorf("post-recovery append not visible")
+	if err := lastRow(d, rows+1); err != nil {
+		return fmt.Errorf("post-recovery append: %w", err)
+	}
+	if err := d.Close(); err != nil {
+		return err
+	}
+	r, err := mmdb.OpenDurable(fsys, "db", "t", pol)
+	if err != nil {
+		return fmt.Errorf("second reopen: %w", err)
+	}
+	defer r.Close()
+	if r.LastSeq() != k+1 {
+		return fmt.Errorf("second reopen: seq %d, want %d", r.LastSeq(), k+1)
+	}
+	if err := lastRow(r, rows+1); err != nil {
+		return fmt.Errorf("second reopen: %w", err)
+	}
+	return nil
+}
+
+// lastRow checks d has rows rows, the last of them verify's (123, 456).
+func lastRow(d *mmdb.DurableTable, rows int) error {
+	if d.Rows() != rows {
+		return fmt.Errorf("%d rows, want %d", d.Rows(), rows)
+	}
+	k, _ := d.Column("k")
+	v, _ := d.Column("v")
+	if k.Value(rows-1) != 123 || v.Value(rows-1) != 456 {
+		return fmt.Errorf("last row (%d, %d), want (123, 456)", k.Value(rows-1), v.Value(rows-1))
 	}
 	return nil
 }

@@ -1,18 +1,19 @@
 // Package failfs is the filesystem seam under every durable code path:
-// snapshot saves (persist.go, and the durable store in internal/wal, via
-// WriteFileAtomic) and the write-ahead log itself.  Production code
-// runs against OS, a thin veneer over the os package; tests run against
-// Mem, an in-memory filesystem that models crash durability exactly —
-// written bytes are volatile until Sync, namespace changes (create,
-// rename, remove) are volatile until SyncDir — and injects faults
+// snapshot saves (persist.go via WriteFileAtomic, and the durable store in
+// internal/wal, which overwrites a recycled spare and exchanges it with the
+// snapshot) and the write-ahead log itself.  Production code runs against
+// OS, a thin veneer over the os package; tests run against Mem, an
+// in-memory filesystem that models crash durability exactly — written
+// bytes are volatile until Sync, namespace changes (create, rename,
+// exchange, remove) are volatile until SyncDir — and injects faults
 // (errors, short writes, whole-process crashes) at deterministic,
 // numbered operation points.
 //
 // The model is deliberately conservative: nothing is durable unless the
-// code explicitly synced it, and the unsynced tail of a file may survive
-// a crash partially or corruptly (a torn write).  Code that recovers
-// correctly under this model recovers on any real filesystem that honors
-// fsync.
+// code explicitly synced it, and each write since the last sync may
+// survive a crash whole, torn or not at all, independently of the writes
+// before and after it.  Code that recovers correctly under this model
+// recovers on any real filesystem that honors fsync.
 package failfs
 
 import (
@@ -44,13 +45,21 @@ type FS interface {
 	CreateTemp(dir, pattern string) (File, error)
 	// Open opens name read-only.
 	Open(name string) (File, error)
-	// OpenAppend opens name for reading and appending, creating it if
-	// missing: the write-ahead-log open mode (replay reads from the
-	// start, appends land at the end).
+	// OpenAppend opens name for reading and writing, creating it if
+	// missing and never truncating it: the open mode of files rewritten
+	// in place (the write-ahead log, a recycled snapshot spare).  Reads
+	// start at offset 0; writes start at the end of the file, and
+	// SeekWrite moves them.
 	OpenAppend(name string) (File, error)
 	// Rename atomically replaces newname with oldname's file.  The
 	// rename is volatile until SyncDir on the containing directory.
 	Rename(oldname, newname string) error
+	// Exchange atomically swaps the files named a and b; both must exist
+	// (an error wrapping fs.ErrNotExist otherwise).  Like a rename it is
+	// volatile until SyncDir, and unlike a rename over an existing name
+	// it frees no file.  Where the platform or filesystem cannot
+	// exchange, it returns an error wrapping errors.ErrUnsupported.
+	Exchange(a, b string) error
 	// Remove unlinks name (volatile until SyncDir).
 	Remove(name string) error
 	// List returns the names (not full paths) of the files in dir.
@@ -58,21 +67,25 @@ type FS interface {
 	// MkdirAll ensures dir (and its parents) exist.
 	MkdirAll(dir string) error
 	// SyncDir makes dir's current entries durable: the fsync-the-
-	// directory step that commits a Create, Rename or Remove.
+	// directory step that commits a Create, Rename, Exchange or Remove.
 	SyncDir(dir string) error
 }
 
-// File is one open file.  Reads consume a private cursor from the start;
-// writes always append (every durable-path writer in this repo is
-// sequential).
+// File is one open file.  Reads consume a private cursor from the start.
+// Writes are positional: each lands at the write offset and advances it,
+// overwriting what is there and extending the file past its end.  The
+// write offset starts at the end of the file (0 for a new one), and
+// SeekWrite moves it.
 type File interface {
 	io.Reader
 	io.Writer
 	io.Closer
+	// SeekWrite sets the write offset: the next Write lands at off.
+	SeekWrite(off int64)
 	// Sync flushes the file's written bytes to stable storage.
 	Sync() error
 	// Truncate cuts the file to size bytes (used to drop a torn
-	// write-ahead-log tail).
+	// write-ahead-log tail and to shorten a recycled file).
 	Truncate(size int64) error
 	// Size reports the file's current length in bytes.
 	Size() (int64, error)
@@ -142,8 +155,8 @@ func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) error {
 
 // RemoveStaleTemps removes leftover temporary files of interrupted atomic
 // replacements of path: any sibling named like path's base plus ".tmp",
-// the pattern WriteFileAtomic (and the write-ahead log's checkpoint) write
-// through.  A crash mid-save, which the atomic protocol makes harmless but
+// the pattern WriteFileAtomic writes through (and the durable store wrote
+// through before it recycled its files).  A crash mid-save, which the atomic protocol makes harmless but
 // cannot clean up, therefore does not accumulate litter.  Best effort: a
 // listing failure is left for the caller's own open to surface.  Callers
 // must not race it against a concurrent save of the same path.

@@ -3,6 +3,7 @@ package failfs
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -244,5 +245,194 @@ func TestOSRoundTrip(t *testing.T) {
 	}
 	if st, err := os.Stat(name); err != nil || st.Size() != 5 {
 		t.Fatalf("truncate: %v, %v", st, err)
+	}
+}
+
+// overwrite opens name (synced as old), writes p at off without syncing,
+// crashes, and returns what survived.
+func overwrite(t *testing.T, seed int64, old string, off int64, p string) string {
+	t.Helper()
+	m := NewMem(seed)
+	write(t, m, "db/f", []byte(old), true)
+	f, err := m.OpenAppend("db/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SeekWrite(off)
+	if _, err := f.Write([]byte(p)); err != nil {
+		t.Fatal(err)
+	}
+	m.Crash()
+	got, err := ReadAll(m, "db/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(got)
+}
+
+func TestMemPositionalWriteSurvivesWholeTornOrNot(t *testing.T) {
+	const old, off, p = "AAAAAAAAAA", 2, "BBBB"
+	fates := map[string]int{}
+	for seed := int64(0); seed < 60; seed++ {
+		got := overwrite(t, seed, old, off, p)
+		if len(got) != len(old) || got[:off] != old[:off] {
+			t.Fatalf("seed %d: %q: bytes outside the write changed", seed, got)
+		}
+		// The written span holds a prefix of p (its last byte possibly
+		// garbage), then the old bytes.
+		k := 0
+		for k < len(p) && got[off+k] == p[k] {
+			k++
+		}
+		switch {
+		case got == old:
+			fates["lost"]++
+		case k == len(p) && got[off+len(p):] == old[off+len(p):]:
+			fates["whole"]++
+		case got[off+k+1:] == old[off+k+1:]:
+			fates["torn"]++
+		default:
+			t.Fatalf("seed %d: %q is no prefix of %q over %q", seed, got, p, old)
+		}
+	}
+	for _, fate := range []string{"lost", "whole", "torn"} {
+		if fates[fate] == 0 {
+			t.Fatalf("no seed left the write %s: %v", fate, fates)
+		}
+	}
+}
+
+func TestMemLaterWriteOutlivesEarlierOne(t *testing.T) {
+	// Two unsynced appends decide their fates independently: some seed
+	// keeps the second whole and loses the first, leaving zeros under it.
+	for seed := int64(0); seed < 200; seed++ {
+		m := NewMem(seed)
+		write(t, m, "db/f", []byte("S"), true)
+		f, err := m.OpenAppend("db/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write([]byte("one"))
+		f.Write([]byte("two"))
+		m.Crash()
+		got, _ := ReadAll(m, "db/f")
+		if string(got) == "S\x00\x00\x00two" {
+			return
+		}
+	}
+	t.Fatal("no seed kept a later write over a lost earlier one")
+}
+
+func TestMemSyncAndTruncateSettlePendingWrites(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		m := NewMem(seed)
+		write(t, m, "db/f", []byte("0123456789"), true)
+		f, _ := m.OpenAppend("db/f")
+		f.SeekWrite(4)
+		f.Write([]byte("abcdefgh")) // extends the file to 12 bytes
+		if err := f.Truncate(6); err != nil {
+			t.Fatal(err)
+		}
+		m.Crash()
+		got, _ := ReadAll(m, "db/f")
+		if len(got) > 6 || string(got[:4]) != "0123" {
+			t.Fatalf("seed %d: %q survived a truncate to 6", seed, got)
+		}
+	}
+	m := NewMem(1)
+	write(t, m, "db/f", []byte("0123"), true)
+	f, _ := m.OpenAppend("db/f")
+	f.SeekWrite(0)
+	f.Write([]byte("ab"))
+	f.Sync()
+	m.Crash()
+	if got, _ := ReadAll(m, "db/f"); string(got) != "ab23" {
+		t.Fatalf("synced overwrite: %q", got)
+	}
+}
+
+func TestMemShortPositionalWrite(t *testing.T) {
+	m := NewMem(7)
+	write(t, m, "db/f", []byte("0123456789"), true)
+	f, _ := m.OpenAppend("db/f")
+	f.SeekWrite(2)
+	m.ShortWriteAt(m.OpCount())
+	n, err := f.Write([]byte("abcdef"))
+	if !errors.Is(err, ErrInjected) || n >= 6 {
+		t.Fatalf("short write applied %d bytes, err %v", n, err)
+	}
+	f.Close()
+	got, _ := ReadAll(m, "db/f")
+	if want := "01" + "abcdef"[:n] + "0123456789"[2+n:]; string(got) != want {
+		t.Fatalf("short positional write left %q, want %q", got, want)
+	}
+}
+
+func TestMemExchangeDurability(t *testing.T) {
+	for _, commit := range []bool{false, true} {
+		m := NewMem(1)
+		write(t, m, "db/a", []byte("A"), true)
+		write(t, m, "db/b", []byte("B"), true)
+		if err := m.Exchange("db/a", "db/b"); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := ReadAll(m, "db/a"); string(got) != "B" {
+			t.Fatalf("exchange not visible: a = %q", got)
+		}
+		if commit {
+			if err := m.SyncDir("db"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Crash()
+		a, _ := ReadAll(m, "db/a")
+		b, _ := ReadAll(m, "db/b")
+		if want := map[bool]string{false: "AB", true: "BA"}[commit]; string(a)+string(b) != want {
+			t.Fatalf("dir synced %v: a, b = %q, %q", commit, a, b)
+		}
+	}
+	m := NewMem(1)
+	write(t, m, "db/a", []byte("A"), true)
+	if err := m.Exchange("db/a", "db/missing"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("exchange with a missing name: %v", err)
+	}
+}
+
+func TestOSExchangeAndPositionalWrite(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+	for name, data := range map[string]string{a: "AAAA", b: "B"} {
+		if err := os.WriteFile(name, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := OS.OpenAppend(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("+")); err != nil { // at the end
+		t.Fatal(err)
+	}
+	f.SeekWrite(1)
+	if _, err := f.Write([]byte("xy")); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := io.ReadAll(f); err != nil || string(data) != "AxyA+" {
+		t.Fatalf("read after positional writes: %q, %v", data, err)
+	}
+	f.Close()
+	if err := OS.Exchange(a, filepath.Join(dir, "missing")); !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, errors.ErrUnsupported) {
+		t.Fatalf("exchange with a missing name: %v", err)
+	}
+	switch err := OS.Exchange(a, b); {
+	case errors.Is(err, errors.ErrUnsupported):
+		t.Skipf("no exchange here: %v", err)
+	case err != nil:
+		t.Fatal(err)
+	}
+	ga, _ := os.ReadFile(a)
+	gb, _ := os.ReadFile(b)
+	if string(ga) != "B" || string(gb) != "AxyA+" {
+		t.Fatalf("after exchange a, b = %q, %q", ga, gb)
 	}
 }

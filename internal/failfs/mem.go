@@ -1,7 +1,6 @@
 package failfs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"io/fs"
@@ -16,7 +15,7 @@ import (
 // images of the world:
 //
 //   - the volatile image: what the running process observes — every
-//     write, create, rename, remove is visible immediately;
+//     write, create, rename, exchange, remove is visible immediately;
 //   - the durable image: what survives a crash — file bytes become
 //     durable at Sync, namespace entries (which names exist and which
 //     node they point to) become durable at SyncDir on their directory.
@@ -24,11 +23,10 @@ import (
 // Every operation is a numbered failpoint.  SetCrashAt(n) makes the nth
 // operation — and every operation after it — return ErrCrashed, freezing
 // both images at the crash instant; Crash() then applies the durability
-// model (volatile bytes are lost, except that the unsynced tail of a
-// surviving file may persist partially and corruptly — a torn write,
-// chosen by the seeded RNG) and revives the filesystem so recovery code
-// can reopen it.  FailAt and ShortWriteAt inject non-fatal faults at a
-// numbered operation instead.
+// model (each write since a file's last Sync survives whole, torn or not
+// at all, chosen per write by the seeded RNG) and revives the filesystem
+// so recovery code can reopen it.  FailAt and ShortWriteAt inject
+// non-fatal faults at a numbered operation instead.
 //
 // All methods are safe for concurrent use; the operation numbering is a
 // single global sequence.
@@ -53,12 +51,29 @@ type Mem struct {
 }
 
 // memNode is one file's contents.  data is the volatile image; synced is
-// the durable image (the content as of the last Sync).  Node identity
-// travels through renames, so a synced file keeps its bytes under its
-// new name.
+// the durable image (the content as of the last Sync); pending holds the
+// writes since then, in order, each of which a crash may keep or drop.
+// Node identity travels through renames and exchanges, so a synced file
+// keeps its bytes under its new name.
 type memNode struct {
-	data   []byte
-	synced []byte
+	data    []byte
+	synced  []byte
+	pending []memWrite
+}
+
+// memWrite is one unsynced write: p landed at offset off.
+type memWrite struct {
+	off int
+	p   []byte
+}
+
+// put copies p into data at off, zero-filling any gap past its end.
+func put(data []byte, off int, p []byte) []byte {
+	if end := off + len(p); end > len(data) {
+		data = append(data, make([]byte, end-len(data))...)
+	}
+	copy(data[off:], p)
+	return data
 }
 
 // NewMem creates an empty Mem filesystem; seed drives every
@@ -153,10 +168,11 @@ func (m *Mem) step(name string) error {
 // Crash applies the durability model and revives the filesystem:
 //
 //   - the namespace reverts to the last SyncDir-committed entries;
-//   - each surviving file reverts to its synced bytes, except that when
-//     the volatile image had appended past them, a seeded-random prefix
-//     of the unsynced tail survives, its final byte possibly corrupted
-//     (a torn write);
+//   - each surviving file reverts to its synced bytes, then replays its
+//     unsynced writes in order, each one independently surviving whole,
+//     torn (a seeded-random prefix, its final byte possibly corrupted) or
+//     not at all — so a later write can survive an earlier lost one, and
+//     a gap it leaves past the old end reads as zeros;
 //   - every File handle opened before the crash goes stale (ErrCrashed).
 //
 // The crash schedule is cleared; recovery code may now reopen files.
@@ -167,14 +183,28 @@ func (m *Mem) Crash() {
 	m.down = false
 	m.crash = -1
 	m.live = map[string]*memNode{}
-	for name, n := range m.durable {
+	names := make([]string, 0, len(m.durable))
+	for name := range m.durable {
+		names = append(names, name)
+	}
+	sort.Strings(names) // the RNG's draws follow a fixed order
+	for _, name := range names {
+		n := m.durable[name]
 		kept := append([]byte(nil), n.synced...)
-		if len(n.data) > len(n.synced) && bytes.HasPrefix(n.data, n.synced) {
-			tail := n.data[len(n.synced):]
-			keep := m.rng.Intn(len(tail) + 1)
-			kept = append(kept, tail[:keep]...)
-			if keep > 0 && m.rng.Intn(2) == 0 {
-				kept[len(kept)-1] ^= 0x5A // torn write: trailing garbage
+		for _, w := range n.pending {
+			switch m.rng.Intn(3) {
+			case 0: // lost
+			case 1:
+				kept = put(kept, w.off, w.p)
+			default: // torn
+				if len(w.p) == 0 {
+					continue
+				}
+				part := append([]byte(nil), w.p[:1+m.rng.Intn(len(w.p))]...)
+				if m.rng.Intn(2) == 0 {
+					part[len(part)-1] ^= 0x5A // trailing garbage
+				}
+				kept = put(kept, w.off, part)
 			}
 		}
 		node := &memNode{data: kept, synced: append([]byte(nil), kept...)}
@@ -251,7 +281,7 @@ func (m *Mem) OpenAppend(name string) (File, error) {
 		n = &memNode{}
 		m.live[name] = n
 	}
-	return &memFile{fs: m, node: n, name: name, gen: m.gen}, nil
+	return &memFile{fs: m, node: n, name: name, gen: m.gen, woff: len(n.data)}, nil
 }
 
 func (m *Mem) Rename(oldname, newname string) error {
@@ -266,6 +296,26 @@ func (m *Mem) Rename(oldname, newname string) error {
 	}
 	delete(m.live, oldname)
 	m.live[newname] = n
+	return nil
+}
+
+// Exchange swaps the nodes a and b name in the volatile namespace; like a
+// rename it is durable at SyncDir.
+func (m *Mem) Exchange(a, b string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.step("exchange:" + a + "<->" + b); err != nil {
+		return err
+	}
+	na, ok := m.live[a]
+	if !ok {
+		return &fs.PathError{Op: "exchange", Path: a, Err: fs.ErrNotExist}
+	}
+	nb, ok := m.live[b]
+	if !ok {
+		return &fs.PathError{Op: "exchange", Path: b, Err: fs.ErrNotExist}
+	}
+	m.live[a], m.live[b] = nb, na
 	return nil
 }
 
@@ -335,7 +385,8 @@ type memFile struct {
 	node   *memNode
 	name   string
 	gen    int
-	off    int
+	off    int // read cursor
+	woff   int // write offset
 	closed bool
 	rdonly bool
 }
@@ -384,11 +435,26 @@ func (f *memFile) Write(p []byte) (int, error) {
 		if len(p) > 0 {
 			k = f.fs.rng.Intn(len(p))
 		}
-		f.node.data = append(f.node.data, p[:k]...)
+		f.apply(p[:k])
 		return k, fmt.Errorf("write:%s: %w (short write, %d of %d bytes)", f.name, ErrInjected, k, len(p))
 	}
-	f.node.data = append(f.node.data, p...)
+	f.apply(p)
 	return len(p), nil
+}
+
+// apply lands p at the write offset and records it as unsynced; fs.mu held.
+func (f *memFile) apply(p []byte) {
+	f.node.data = put(f.node.data, f.woff, p)
+	f.node.pending = append(f.node.pending, memWrite{off: f.woff, p: append([]byte(nil), p...)})
+	f.woff += len(p)
+}
+
+// SeekWrite moves the write offset; like Name it is not a numbered
+// operation (it makes no system call on a real filesystem).
+func (f *memFile) SeekWrite(off int64) {
+	f.fs.mu.Lock()
+	f.woff = int(off)
+	f.fs.mu.Unlock()
 }
 
 func (f *memFile) Sync() error {
@@ -398,6 +464,7 @@ func (f *memFile) Sync() error {
 		return err
 	}
 	f.node.synced = append(f.node.synced[:0], f.node.data...)
+	f.node.pending = nil
 	return nil
 }
 
@@ -414,6 +481,15 @@ func (f *memFile) Truncate(size int64) error {
 	if int64(len(f.node.synced)) > size {
 		f.node.synced = f.node.synced[:size]
 	}
+	// Unsynced writes keep only their bytes below the cut.
+	kept := f.node.pending[:0]
+	for _, w := range f.node.pending {
+		if int64(w.off) < size {
+			w.p = w.p[:min(int64(len(w.p)), size-int64(w.off))]
+			kept = append(kept, w)
+		}
+	}
+	f.node.pending = kept
 	if f.off > int(size) {
 		f.off = int(size)
 	}

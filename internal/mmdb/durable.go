@@ -30,11 +30,16 @@ type DurableTable struct {
 }
 
 // OpenDurable opens — or recovers — a durable table rooted at dir: the
-// snapshot lives in dir/name.snap, the write-ahead log in dir/name.wal.
-// On open, temp files an interrupted Checkpoint left beside either are
-// removed, the snapshot (if any) is loaded and every log record after
-// the snapshot's covered sequence is replayed as an AppendRows batch,
-// with a torn log tail detected by checksum and truncated.  The first
+// snapshot lives in dir/name.snap, the write-ahead log in dir/name.wal,
+// and from the second Checkpoint on dir/name.snap.prev holds the snapshot
+// before last as the spare the next Checkpoint overwrites (recovery never
+// reads it).  A Checkpoint frees no disk blocks (see wal.Store); the price
+// is disk space, two snapshots and a log file that stays at its largest
+// size.  On open, temp files an interrupted Checkpoint of an earlier
+// build left beside the snapshot or the log are removed, the snapshot (if
+// any) is loaded and every log record after the snapshot's covered
+// sequence is replayed as an AppendRows batch, with a torn or stale log
+// tail detected by checksum and sequence and truncated.  The first
 // batch ever logged on an empty table defines the schema, so a table
 // born and crashed before its first Checkpoint still recovers whole.
 //

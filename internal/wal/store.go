@@ -27,28 +27,37 @@ type Codec[S interface{ Close() }] interface {
 	Apply(state S, payload []byte) error
 }
 
-// Store is the durable half of a log → absorb → checkpoint → truncate
-// cycle over an in-memory state: a snapshot at dir/name.snap that names
-// the last log sequence it absorbed, and a write-ahead log at
-// dir/name.wal holding every mutation since.  Mutations (see Append) are
-// logged before the state absorbs them, so a crash between checkpoints
-// loses nothing the Policy promised to keep; recovery is the snapshot plus
-// a replay of the log records after its sequence.  All methods are safe
-// for concurrent use.
+// Store is the durable half of a log → absorb → checkpoint cycle over an
+// in-memory state: a snapshot at dir/name.snap that names the last log
+// sequence it absorbed, and a write-ahead log at dir/name.wal holding
+// every mutation since.  Mutations (see Append) are logged before the
+// state absorbs them, so a crash between checkpoints loses nothing the
+// Policy promised to keep; recovery is the snapshot plus a replay of the
+// log records after its sequence.  All methods are safe for concurrent
+// use.
+//
+// A Checkpoint reuses its files rather than replacing them, so it frees
+// no disk blocks, which is slow on a filesystem that discards them.  The
+// price is disk space: two snapshots (name.snap and the spare
+// name.snap.prev, which recovery never reads), and a log that stays at
+// its largest size.
 type Store[S interface{ Close() }] struct {
-	fsys     failfs.FS
-	snapPath string
-	codec    Codec[S]
-	state    S
+	fsys      failfs.FS
+	snapPath  string
+	sparePath string
+	codec     Codec[S]
+	state     S
 
-	mu      sync.Mutex
-	log     *Log
-	lastSeq uint64 // last sequence absorbed by state
+	mu       sync.Mutex
+	log      *Log
+	lastSeq  uint64 // last sequence absorbed by state
+	dirDirty bool   // an exchange or rename may not be durable yet
 }
 
 // OpenStore opens — or recovers — the store rooted at dir and returns it
-// with its state.  It first removes temp files an interrupted Checkpoint
-// left beside the snapshot or the log, then loads the snapshot (if any),
+// with its state.  It first removes the temp files an interrupted
+// Checkpoint of earlier builds, which wrote through temps, could leave
+// beside the snapshot or the log, then loads the snapshot (if any),
 // opens the log — truncating a torn tail — and replays every record after
 // the snapshot's sequence through codec.Apply.  The result is exactly the
 // state the policy promised at the crash instant: a clean prefix of
@@ -76,7 +85,7 @@ func OpenStore[S interface{ Close() }](fsys failfs.FS, dir, name string, pol Pol
 		state.Close()
 		return nil, zero, err
 	}
-	s := &Store[S]{fsys: fsys, snapPath: snapPath, codec: codec, state: state, log: log, lastSeq: snapSeq}
+	s := &Store[S]{fsys: fsys, snapPath: snapPath, sparePath: snapPath + ".prev", codec: codec, state: state, log: log, lastSeq: snapSeq}
 	if err := s.replay(recs); err != nil {
 		s.Close()
 		return nil, zero, err
@@ -160,26 +169,93 @@ func (s *Store[S]) LastSeq() uint64 {
 	return s.lastSeq
 }
 
-// LogSize reports the write-ahead log's current size in bytes: the
-// recovery debt a Checkpoint would clear.
+// LogSize reports the bytes of the write-ahead log's live records (and
+// header): the recovery debt a Checkpoint would clear.  The file itself
+// keeps its largest size.
 func (s *Store[S]) LogSize() int64 { return s.log.Size() }
 
-// Checkpoint captures the state in a fresh snapshot (atomically: temp +
-// fsync + rename + directory fsync) and truncates the log.  The snapshot
-// records the log sequence it absorbed, so a crash anywhere inside
-// Checkpoint recovers correctly: the old snapshot with the full log, or
-// the new snapshot with the old log or the truncated one — replay skips
-// records the snapshot already owns.
+// Checkpoint captures the state in a fresh snapshot and empties the log.
+// The snapshot overwrites the spare name.snap.prev from offset 0, is cut
+// to length (a no-op while the state grows) and fsynced, and then trades
+// names with name.snap in one atomic exchange, committed by a directory
+// fsync; the first checkpoint, with no name.snap yet, renames instead, as
+// does a platform or filesystem that cannot exchange.  The file named
+// name.snap is never written while it has that name, so a crash anywhere
+// leaves the old snapshot or the new one.  Each records the log sequence
+// it absorbed, and replay skips the records it already owns, so either
+// recovers correctly beside the old log or the emptied one.
 func (s *Store[S]) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq := s.lastSeq
-	if err := failfs.WriteFileAtomic(s.fsys, s.snapPath, func(w io.Writer) error {
-		return s.codec.Save(w, s.state, seq)
-	}); err != nil {
+	if err := s.saveSnapshot(); err != nil {
 		return err
 	}
 	return s.log.Checkpoint()
+}
+
+// saveSnapshot writes the state into the spare and swaps it in; s.mu held.
+func (s *Store[S]) saveSnapshot() error {
+	dir := filepath.Dir(s.snapPath)
+	if s.dirDirty {
+		// The last swap's directory sync failed, so the spare may still
+		// be name.snap on disk: commit the swap before writing over it.
+		if err := s.fsys.SyncDir(dir); err != nil {
+			return err
+		}
+		s.dirDirty = false
+	}
+	f, err := s.fsys.OpenAppend(s.sparePath)
+	if err != nil {
+		return err
+	}
+	f.SeekWrite(0)
+	w := &countingWriter{w: f}
+	err = s.codec.Save(w, s.state, s.lastSeq)
+	if err == nil {
+		err = cutTo(f, w.n)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	err = s.fsys.Exchange(s.sparePath, s.snapPath)
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, errors.ErrUnsupported) {
+		err = s.fsys.Rename(s.sparePath, s.snapPath)
+	}
+	if err != nil {
+		return err
+	}
+	if err := s.fsys.SyncDir(dir); err != nil {
+		s.dirDirty = true
+		return err
+	}
+	return nil
+}
+
+// cutTo truncates f to n bytes when a longer file was overwritten.
+func cutTo(f failfs.File, n int64) error {
+	size, err := f.Size()
+	if err != nil || size == n {
+		return err
+	}
+	return f.Truncate(n)
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Close syncs and closes the log, then closes the state.  No implicit

@@ -7,7 +7,7 @@
 //
 // # File format
 //
-// A log is one append-only file:
+// A log is one file that is reused, never replaced:
 //
 //	header:  magic u32 | version u32 | baseSeq u64 | crc u32     (20 bytes)
 //	record:  len u32 | crc u32 | seq u64 | payload (len bytes)
@@ -15,21 +15,35 @@
 // Every integer is little-endian.  A record's crc (CRC-32C) covers seq
 // and payload; the header crc covers the fields before it.  Sequence
 // numbers are assigned by the log, start at baseSeq, and increase by one
-// per record; they never restart, even across checkpoint truncations
-// (the fresh header carries the next seq as its baseSeq), so a snapshot
-// can name the exact prefix of the log it absorbed and recovery replays
-// only records after it.
+// per record; they never restart.  A checkpoint rewrites the header in
+// place with the next seq as its baseSeq, and the records after it
+// overwrite the previous epoch's from offset 20.  The file therefore
+// stays at its largest size, and past the live records it holds stale
+// ones, every one with a seq below baseSeq, so the sequence rule below
+// cuts them: no checkpoint frees a disk block.  A snapshot names the
+// exact prefix of the log it absorbed, and recovery replays only records
+// after it.
 //
 // # Recovery
 //
 // Open replays the log front to back.  The first record that fails its
 // checksum, runs past the end of the file, or breaks the sequence marks
-// the torn tail: everything before it is returned, the tail is truncated
-// off (and the truncation synced) so the log is clean for new appends.
-// This is exactly the write-ahead discipline of ARIES-style logging
-// specialised to redo-only, append-only batches: no undo is ever needed
-// because nothing is acknowledged out of order and replay is cut at the
-// first hole.
+// the end: everything before it is returned, and what follows is
+// truncated off (and the truncation synced) so the log is clean for new
+// appends.  The cut matters after a crash: writes can persist out of
+// order, so an intact record of the current epoch can sit past a torn
+// one, and a new record of the same length written over the torn one
+// would bring it back.  A torn header (only a checkpoint rewrites one,
+// and only over synced records) takes its baseSeq from the first record
+// after it.  This is the write-ahead discipline of ARIES-style logging
+// specialised to redo-only batches: no undo is ever needed because
+// nothing is acknowledged out of order and replay is cut at the first
+// hole.
+//
+// The format carries no per-epoch salt, so a stale record is told from a
+// live one only by its seq and checksum: a payload crafted to hold a
+// whole record frame, landing where a later epoch's live records end,
+// could be read as the next record.
 //
 // # Durability policies
 //
@@ -150,7 +164,7 @@ type Log struct {
 
 	mu           sync.Mutex
 	f            failfs.File
-	size         int64  // current on-disk size (valid bytes)
+	size         int64  // live end: header plus live records, where the next Append writes
 	nextSeq      uint64 // seq the next Append takes
 	synced       uint64 // last seq known durable (0 = none)
 	unsynced     int    // record bytes written since the last sync
@@ -163,16 +177,17 @@ type Log struct {
 }
 
 // Open opens (creating if missing) the log at path and replays it,
-// returning every intact record after the header's base sequence.  A
-// torn tail — short record, checksum mismatch, sequence break — is
-// truncated off and the truncation synced, so the returned records are
+// returning every intact record from the header's base sequence on.  A
+// torn or stale tail — short record, checksum mismatch, sequence break —
+// is truncated off and the truncation synced, so the returned records are
 // exactly the durable, contiguous acknowledged prefix and the log is
 // clean for new appends.
 //
 // A missing, empty, or torn-before-first-sync file (its header never
-// became durable, so no record can have been) is initialised fresh.  A
-// file whose header is intact but names a different magic or version is
-// refused — it is some other file, not a torn log.
+// became durable, so no record can have been) is initialised fresh; a
+// torn header followed by an intact record takes its base from that
+// record.  A file whose header is intact but names a different magic or
+// version is refused — it is some other file, not a torn log.
 func Open(fsys failfs.FS, path string, pol Policy) (*Log, []Record, error) {
 	if fsys == nil {
 		fsys = failfs.OS
@@ -203,36 +218,26 @@ func (l *Log) replay() ([]Record, error) {
 		return nil, fmt.Errorf("wal: sizing %s: %w", l.path, err)
 	}
 
-	fresh := size < headerSize
-	var baseSeq uint64
-	if !fresh {
-		r := snapio.NewReader(l.f)
-		magic, version := r.U32(), r.U32()
-		baseSeq = r.U64()
-		r.Trailer()
-		switch err := r.Err(); {
-		case err != nil && !errors.Is(err, snapio.ErrChecksum):
-			return nil, fmt.Errorf("wal: reading header: %w", err)
-		case magic != logMagic:
-			return nil, fmt.Errorf("wal: %s is not a write-ahead log (magic %#x)", l.path, magic)
-		case err != nil:
-			// Right magic, bad checksum: a torn header.  It can only
-			// mean the header never became durable — records are
-			// written after it and synced with or after it — so
-			// nothing durable is lost by starting over.  (The caller
-			// re-bases the sequence past its snapshot via Advance.)
-			fresh = true
-		case version != logVersion:
-			return nil, fmt.Errorf("wal: unsupported log version %d", version)
-		}
+	if size < headerSize {
+		return nil, l.reset(1)
 	}
-	if fresh {
-		if err := l.reset(1); err != nil {
-			return nil, err
-		}
-		return nil, nil
+	r := snapio.NewReader(l.f)
+	magic, version := r.U32(), r.U32()
+	baseSeq := r.U64()
+	r.Trailer()
+	// torn: the header fails its checksum, so the base comes from the
+	// first intact record, if there is one.
+	torn := false
+	switch err := r.Err(); {
+	case errors.Is(err, snapio.ErrChecksum):
+		torn = true
+	case err != nil:
+		return nil, fmt.Errorf("wal: reading header: %w", err)
+	case magic != logMagic:
+		return nil, fmt.Errorf("wal: %s is not a write-ahead log (magic %#x)", l.path, magic)
+	case version != logVersion:
+		return nil, fmt.Errorf("wal: unsupported log version %d", version)
 	}
-
 	if baseSeq == 0 {
 		baseSeq = 1
 	}
@@ -262,12 +267,25 @@ func (l *Log) replay() ([]Record, error) {
 		if snapio.CRC(snapio.CRC(0, rh[8:16]), payload) != crc {
 			break // checksum mismatch: torn or corrupt
 		}
+		if torn && len(recs) == 0 {
+			l.nextSeq = seq
+		}
 		if seq != l.nextSeq {
-			break // sequence break: treat like a torn tail
+			break // sequence break: a stale record or a hole
 		}
 		recs = append(recs, Record{Seq: seq, Payload: payload})
 		l.nextSeq = seq + 1
 		off += recHdrSize + n
+	}
+	if torn && len(recs) == 0 {
+		if magic != logMagic {
+			return nil, fmt.Errorf("wal: %s is not a write-ahead log (magic %#x)", l.path, magic)
+		}
+		// A torn header over no intact record never became durable:
+		// records are synced before any header is rewritten, so
+		// nothing durable is lost by starting over.  (The caller
+		// re-bases the sequence past its snapshot via Advance.)
+		return nil, l.reset(1)
 	}
 	if off < size {
 		if err := l.f.Truncate(off); err != nil {
@@ -277,6 +295,7 @@ func (l *Log) replay() ([]Record, error) {
 			return nil, fmt.Errorf("wal: syncing truncation: %w", err)
 		}
 	}
+	l.f.SeekWrite(off)
 	l.size = off
 	l.synced = l.nextSeq - 1 // everything replayed (or checkpointed) is on disk
 	return recs, nil
@@ -292,11 +311,13 @@ func writeHeader(w io.Writer, baseSeq uint64) error {
 }
 
 // reset truncates the file and writes a fresh durable header carrying
-// baseSeq; l.mu is held (or the log is not yet shared).
+// baseSeq: a recovery step, never a checkpoint's.  l.mu is held (or the
+// log is not yet shared).
 func (l *Log) reset(baseSeq uint64) error {
 	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: resetting log: %w", err)
 	}
+	l.f.SeekWrite(0)
 	if err := writeHeader(l.f, baseSeq); err != nil {
 		return fmt.Errorf("wal: writing header: %w", err)
 	}
@@ -341,12 +362,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	binary.LittleEndian.PutUint32(buf[4:8], snapio.CRC(snapio.CRC(0, buf[8:16]), payload))
 
 	if _, err := l.f.Write(buf); err != nil {
-		// The write may have partially landed; roll the file back so
-		// the log stays contiguous.  If even that fails, poison.
-		if terr := l.f.Truncate(l.size); terr != nil {
-			l.err = fmt.Errorf("wal: append failed (%v) and rollback failed: %w", err, terr)
-			return 0, l.err
-		}
+		// The write may have partially landed past the live end, where
+		// replay stops anyway; the next record overwrites it.
+		l.f.SeekWrite(l.size)
 		return 0, fmt.Errorf("wal: appending record: %w", err)
 	}
 	l.size += int64(len(buf))
@@ -423,8 +441,8 @@ func (l *Log) SyncedSeq() uint64 {
 // A log already past seq is untouched — any records at or below seq it
 // still holds are redundant with the snapshot and harmlessly skipped.
 // A log at or behind seq holds only records the snapshot owns (a crash
-// between the snapshot commit and the log truncation of a Checkpoint
-// leaves exactly this: the old log, possibly with its unsynced tail
+// between the snapshot commit and the header rewrite of a Checkpoint
+// leaves exactly this: the old epoch, possibly with its unsynced tail
 // torn away); it is discarded and re-based to seq+1.
 func (l *Log) Advance(seq uint64) error {
 	l.mu.Lock()
@@ -448,26 +466,30 @@ func (l *Log) NextSeq() uint64 {
 	return l.nextSeq
 }
 
-// Size reports the log's current on-disk size in bytes.
+// Size reports the bytes of the log's header and live records; the file
+// may be longer, holding stale records of earlier epochs.
 func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.size
 }
 
-// Checkpoint truncates the log after the caller has captured its state
-// in a snapshot: a fresh log (carrying the next sequence number as its
-// base, so numbering never restarts) is written to a temp file, synced,
-// and renamed over the old one, with the directory synced — a crash at
-// any point leaves either the full old log or the clean new one, both
-// consistent with the snapshot-then-truncate protocol as long as the
-// snapshot records the sequence it absorbed (recovery replays only
-// records after it, so a surviving old log is merely redundant, never
-// replayed twice).
+// Checkpoint empties the log after the caller has captured its state in
+// a snapshot, freeing nothing: it syncs every record, then rewrites the
+// header in place with the next sequence number as its base and syncs it.
+// Appends then overwrite the old records from the front, and replay cuts
+// the ones left past them by the sequence rule.  No temp file, rename,
+// directory sync or reopen.  A crash at any point leaves the old header
+// (the full old log), the new one (an empty log) or a torn one, which
+// recovery reads as the old — all consistent with the snapshot-then-
+// checkpoint protocol, as long as the snapshot records the sequence it
+// absorbed (recovery replays only records after it, so a surviving old
+// epoch is merely redundant, never replayed twice).  A log with no
+// records since its header was written is left alone.
 //
-// An error before the rename leaves the old log untouched and usable; a
-// failure at or after the rename poisons the log (its on-disk identity
-// is ambiguous) and the caller must re-open.
+// A failed sync before the rewrite leaves the log poisoned like any failed
+// sync; a failed rewrite poisons it too (the header on disk is old, new or
+// torn), and the caller must re-open.
 func (l *Log) Checkpoint() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -477,49 +499,25 @@ func (l *Log) Checkpoint() error {
 	if l.err != nil {
 		return l.err
 	}
-	// Everything logged so far must be durable before the old log is
-	// discarded: the caller's snapshot claims it.
+	// Everything logged so far must be durable before its header is
+	// replaced: the caller's snapshot claims it.
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	dir := filepath.Dir(l.path)
-	tmp, err := l.fsys.CreateTemp(dir, filepath.Base(l.path)+".tmp*")
+	if l.size == headerSize {
+		return nil // the header already carries nextSeq
+	}
+	l.f.SeekWrite(0)
+	err := writeHeader(l.f, l.nextSeq)
+	if err == nil {
+		err = l.f.Sync()
+	}
 	if err != nil {
-		return fmt.Errorf("wal: checkpoint temp: %w", err)
-	}
-	cleanup := func(err error) error {
-		tmp.Close()
-		l.fsys.Remove(tmp.Name())
-		return err
-	}
-	if err := writeHeader(tmp, l.nextSeq); err != nil {
-		return cleanup(fmt.Errorf("wal: checkpoint header: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(fmt.Errorf("wal: checkpoint sync: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return cleanup(fmt.Errorf("wal: checkpoint close: %w", err))
-	}
-	if err := l.fsys.Rename(tmp.Name(), l.path); err != nil {
-		return cleanup(fmt.Errorf("wal: checkpoint rename: %w", err))
-	}
-	// Point of no return: the volatile namespace now names the new log.
-	if err := l.fsys.SyncDir(dir); err != nil {
-		l.err = fmt.Errorf("wal: checkpoint dir sync: %w", err)
+		l.err = fmt.Errorf("wal: checkpoint header: %w", err)
 		return l.err
 	}
-	old := l.f
-	f, err := l.fsys.OpenAppend(l.path)
-	if err != nil {
-		l.err = fmt.Errorf("wal: reopening checkpointed log: %w", err)
-		return l.err
-	}
-	old.Close()
-	l.f = f
+	l.f.SeekWrite(headerSize)
 	l.size = headerSize
-	l.unsynced = 0
-	l.unsyncedRecs = 0
 	l.synced = l.nextSeq - 1 // the snapshot owns everything before here
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cssidx/internal/failfs"
+	"cssidx/internal/snapio"
 )
 
 func mustOpen(t *testing.T, fsys failfs.FS, pol Policy) (*Log, []Record) {
@@ -329,5 +330,115 @@ func FuzzReplay(f *testing.F) {
 			t.Fatalf("recovered log rejects appends: %v", err)
 		}
 		l.Close()
+	})
+}
+
+// headerBase parses data's log header, reporting its base sequence when the
+// header is intact.
+func headerBase(data []byte) (uint64, bool) {
+	r := snapio.NewReader(bytes.NewReader(data))
+	magic, version, base := r.U32(), r.U32(), r.U64()
+	r.Trailer()
+	if r.Err() != nil || magic != logMagic || version != logVersion {
+		return 0, false
+	}
+	return max(base, 1), true
+}
+
+// FuzzLogOpen opens arbitrary log bytes.  Open must never panic; the
+// records it returns must run contiguously from the header's base; and an
+// Append after the open must come back as the last record of the next
+// open, after exactly the records the first open returned — whatever stale
+// or torn bytes lay past the live end.  Seeded with logs whose checkpoints
+// left earlier epochs' records past the live ones.
+func FuzzLogOpen(f *testing.F) {
+	epochs := func(sizes ...[]int) []byte {
+		m := failfs.NewMem(1)
+		l, _, err := Open(m, "db/wal", None())
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, epoch := range sizes {
+			if i > 0 {
+				if err := l.Checkpoint(); err != nil {
+					f.Fatal(err)
+				}
+			}
+			for _, n := range epoch {
+				if _, err := l.Append(bytes.Repeat([]byte{byte(n)}, n)); err != nil {
+					f.Fatal(err)
+				}
+			}
+		}
+		l.Close()
+		data, _ := failfs.ReadAll(m, "db/wal")
+		return data
+	}
+	for _, data := range [][]byte{
+		epochs([]int{8, 8, 8, 8}, []int{8}),             // one stale record, exactly covered
+		epochs([]int{30, 5, 12}, []int{7, 7}),           // stale records, partly covered
+		epochs([]int{9, 9, 9}, []int{9, 9}, []int{3}),   // two stale epochs
+		epochs([]int{16, 16}, []int{}, []int{16, 1, 2}), // an empty epoch
+	} {
+		f.Add(data)
+		torn := bytes.Clone(data)
+		torn[12] ^= 0x5A // a torn base: the first record supplies it
+		f.Add(torn)
+		f.Add(data[:len(data)-3])
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fsys := failfs.NewMem(1)
+		writeLog := func() error {
+			w, err := fsys.Create("db/wal")
+			if err != nil {
+				return err
+			}
+			w.Write(data)
+			w.Sync()
+			w.Close()
+			return fsys.SyncDir("db")
+		}
+		if writeLog() != nil {
+			t.Skip()
+		}
+		l, recs, err := Open(fsys, "db/wal", None())
+		if err != nil {
+			return // a foreign or unsupported file
+		}
+		if base, ok := headerBase(data); ok && len(recs) > 0 && recs[0].Seq != base {
+			t.Fatalf("first record %d, header base %d", recs[0].Seq, base)
+		}
+		for i := 1; i < len(recs); i++ {
+			if recs[i].Seq != recs[i-1].Seq+1 {
+				t.Fatalf("non-contiguous replay: %d then %d", recs[i-1].Seq, recs[i].Seq)
+			}
+		}
+		seq, err := l.Append([]byte("after"))
+		if err != nil {
+			t.Fatalf("recovered log rejects appends: %v", err)
+		}
+		if len(recs) > 0 && seq != recs[len(recs)-1].Seq+1 {
+			t.Fatalf("append took seq %d after record %d", seq, recs[len(recs)-1].Seq)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, again, err := Open(fsys, "db/wal", None())
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer l2.Close()
+		want := append(recs, Record{Seq: seq, Payload: []byte("after")})
+		if len(again) != len(want) {
+			t.Fatalf("reopen replayed %d records, want %d", len(again), len(want))
+		}
+		for i := range want {
+			if again[i].Seq != want[i].Seq || !bytes.Equal(again[i].Payload, want[i].Payload) {
+				t.Fatalf("reopen record %d: seq %d %q, want seq %d %q",
+					i, again[i].Seq, again[i].Payload, want[i].Seq, want[i].Payload)
+			}
+		}
 	})
 }
