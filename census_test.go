@@ -1,6 +1,10 @@
 package cssidx_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -94,5 +98,42 @@ func TestSettableCensus(t *testing.T) {
 	}
 	if want := []string{"ShardedIndex.SetParallel", "DurableSharded.SetParallel"}; !slices.Equal(got, want) {
 		t.Errorf("setters = %v, want %v", got, want)
+	}
+}
+
+// TestExportedFuncCensus pins the exported top-level functions of package
+// cssidx, read from its non-test source files: a new constructor, loader or
+// helper fails this test until the list below is updated on purpose.
+func TestExportedFuncCensus(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var got []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+				got = append(got, fd.Name.Name)
+			}
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"AsBatch", "AsBatchOrdered", "DefaultHashDirSize", "Kinds",
+		"LoadSharded", "LoadShardedFile", "New", "NewBPlusTree", "NewBST",
+		"NewBinarySearch", "NewFullCSS", "NewHash", "NewInterpolation",
+		"NewLevelCSS", "NewParallel", "NewSharded", "NewSortedBatch",
+		"NewTTree", "OpenWAL", "SaveSharded", "SaveShardedFile",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("exported functions = %v (%d), want %v (%d)", got, len(got), want, len(want))
 	}
 }

@@ -135,9 +135,10 @@ func applyShardOp(x *ShardedIndex[uint32], op byte, keys []uint32) {
 // log's.)
 func (d *DurableSharded) Close() error { return d.Store.Close() }
 
-// shardCodec is the wal.Store codec of a DurableSharded — and LoadSharded's
-// decoder: the snapshot is a SaveSharded frame carrying the log sequence it
-// covers, a record one encodeShardOp batch.
+// shardCodec is the wal.Store codec of a DurableSharded, and SaveSharded and
+// LoadSharded are its Save and Load: the snapshot is one frame of keys and
+// shard boundaries carrying the log sequence it covers (0 from SaveSharded),
+// a record one encodeShardOp batch.
 type shardCodec struct{}
 
 func (shardCodec) Empty() *ShardedIndex[uint32] { return NewSharded(nil, ShardedOptions[uint32]{}) }
@@ -150,8 +151,8 @@ func (shardCodec) Load(r io.Reader) (*ShardedIndex[uint32], uint64, error) {
 	return shard.New(keys, bounds, shard.Slots), seq, nil
 }
 
-// Save waits for every logged mutation to become visible — the snapshot
-// captures the view — then writes it.
+// Save waits for every Insert/Delete that returned to become visible — the
+// snapshot captures the view — then writes it.
 func (shardCodec) Save(w io.Writer, x *ShardedIndex[uint32], seq uint64) error {
 	x.Sync()
 	return shard.Save(w, x.Snapshot(), seq)

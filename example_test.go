@@ -85,22 +85,26 @@ func ExampleNewSharded() {
 	// 5 15
 }
 
-// Snapshots persist a built directory and re-attach it to the same array.
-func ExampleSaveIndex() {
+// A sharded snapshot holds the keys and the shard boundaries; loading it
+// rebuilds every shard's CSS-tree from its keys.
+func ExampleSaveSharded() {
 	keys := []cssidx.Key{1, 2, 3, 5, 8, 13}
-	idx := cssidx.NewLevelCSS(keys, cssidx.DefaultNodeBytes)
+	idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[cssidx.Key]{Shards: 2})
+	defer idx.Close()
+	idx.Insert(21)
 	var buf bytes.Buffer
-	if err := cssidx.SaveIndex(&buf, idx); err != nil {
+	if err := cssidx.SaveSharded(&buf, idx); err != nil {
 		fmt.Println("save:", err)
 		return
 	}
-	restored, err := cssidx.LoadIndex(&buf, keys)
+	restored, err := cssidx.LoadSharded(&buf)
 	if err != nil {
 		fmt.Println("load:", err)
 		return
 	}
-	fmt.Println(restored.Search(8))
-	// Output: 4
+	defer restored.Close()
+	fmt.Println(restored.Len(), restored.ShardCount(), restored.Search(8), restored.Search(21))
+	// Output: 7 2 4 6
 }
 
 // The parallel engine fans one large batch across workers; results are

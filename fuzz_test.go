@@ -3,59 +3,11 @@ package cssidx
 import (
 	"bytes"
 	"os"
-	"slices"
 	"testing"
 
 	"cssidx/internal/failfs"
 	"cssidx/internal/wal"
 )
-
-// fuzzKeys is the fixed sorted array the fuzzed index snapshots attach
-// to: corrupt snapshot bytes must produce an error, never a panic or an
-// allocation beyond the input's own size class.
-func fuzzKeys() []Key {
-	keys := make([]Key, 1000)
-	for i := range keys {
-		keys[i] = Key(3 * i)
-	}
-	return keys
-}
-
-func FuzzLoadIndex(f *testing.F) {
-	keys := fuzzKeys()
-	// Seed with both valid variants so the fuzzer mutates real
-	// snapshots, not just noise.
-	for _, kind := range []Kind{KindFullCSS, KindLevelCSS} {
-		idx := New(kind, keys, Options{})
-		var buf bytes.Buffer
-		if err := SaveIndex(&buf, idx); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := LoadIndex(bytes.NewReader(data), keys)
-		if err != nil {
-			return
-		}
-		// A snapshot that loads must answer every probe — each key, and
-		// each miss between and around them — exactly as binary search
-		// over the keys does.
-		for k := range Key(3*len(keys) + 2) {
-			want, found := slices.BinarySearch(keys, k)
-			if got := idx.LowerBound(k); got != want {
-				t.Fatalf("restored index: LowerBound(%d) = %d, want %d", k, got, want)
-			}
-			if !found {
-				want = -1
-			}
-			if got := idx.Search(k); got != want {
-				t.Fatalf("restored index: Search(%d) = %d, want %d", k, got, want)
-			}
-		}
-	})
-}
 
 // Note: sustained `go test -fuzz=FuzzLoadSharded` sessions on single-CPU
 // machines can stall inside the fuzz engine's minimizer (the engine has no

@@ -8,14 +8,17 @@ import (
 )
 
 // FuzzLowerBound drives arbitrary key arrays, probe keys and node sizes
-// through both tree variants against the sort.Search reference.
+// through both tree variants — any m in 2..64 for a full tree, a power of
+// two in 2..64 for a level tree — against the sort.Search reference: each
+// build must carry its variant's name and the geometry of its shape.
 func FuzzLowerBound(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, uint32(2), uint8(2))
 	f.Add([]byte{}, uint32(0), uint8(0))
 	f.Add([]byte{255, 255, 255, 255}, uint32(1), uint8(7))
+	f.Add([]byte{1, 0, 0, 0, 9, 0, 0, 0}, uint32(9), uint8(6))
+	f.Add(bytes.Repeat([]byte{7, 1, 0, 0, 3, 0, 0, 0}, 200), uint32(260), uint8(2))
+	f.Add(bytes.Repeat([]byte{5, 0, 0, 0}, 90), uint32(5), uint8(1))
 	f.Fuzz(func(t *testing.T, raw []byte, probe uint32, mSel uint8) {
-		ms := []int{2, 3, 4, 5, 8, 16, 17}
-		m := ms[int(mSel)%len(ms)]
 		keys := make([]uint32, len(raw)/4)
 		for i := range keys {
 			keys[i] = binary.LittleEndian.Uint32(raw[4*i:])
@@ -23,14 +26,20 @@ func FuzzLowerBound(f *testing.F) {
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		want := sort.Search(len(keys), func(i int) bool { return keys[i] >= probe })
 
-		full := BuildFull(keys, m)
-		if got := full.LowerBound(probe); got != want {
-			t.Fatalf("full m=%d n=%d: LowerBound(%d)=%d, want %d", m, len(keys), probe, got, want)
-		}
-		if m&(m-1) == 0 {
-			level := BuildLevel(keys, m)
-			if got := level.LowerBound(probe); got != want {
-				t.Fatalf("level m=%d n=%d: LowerBound(%d)=%d, want %d", m, len(keys), probe, got, want)
+		fullM, levelM := 2+int(mSel)%63, 2<<(mSel%6)
+		for _, c := range []struct {
+			tr   *Tree
+			g    Geometry
+			name string
+		}{
+			{BuildFull(keys, fullM), FullGeometry(len(keys), fullM), "full CSS-tree"},
+			{BuildLevel(keys, levelM), LevelGeometry(len(keys), levelM), "level CSS-tree"},
+		} {
+			if c.tr.Geometry() != c.g || c.tr.Name() != c.name {
+				t.Fatalf("%s: geometry %+v, want %s with %+v", c.tr, c.tr.Geometry(), c.name, c.g)
+			}
+			if got := c.tr.LowerBound(probe); got != want {
+				t.Fatalf("%s: LowerBound(%d)=%d, want %d", c.tr, probe, got, want)
 			}
 		}
 	})
@@ -78,44 +87,6 @@ func FuzzBatch(f *testing.F) {
 				t.Fatalf("m=%d level=%v n=%d probe %d: LowerBound %d, Search %d, EqualRange [%d,%d); want %d, %d, [%d,%d)",
 					m, level, len(keys), p, lb[i], sr[i], first[i], last[i], lo, found, lo, hi)
 			}
-		}
-	})
-}
-
-// FuzzSnapshot round-trips snapshots of both builds of fuzzed arrays at
-// fuzzed node sizes (any m ≥ 2 for a full tree, a power of two for a level
-// tree) through Restore: the restored tree must keep the variant and the
-// geometry, and its LowerBound must agree with sort.Search.  Mutated
-// snapshot bytes are TestSnapshotBitFlips' and FuzzLoadIndex's concern.
-func FuzzSnapshot(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 9, 0, 0, 0}, uint32(9), uint8(6), false)
-	f.Add(bytes.Repeat([]byte{7, 1, 0, 0, 3, 0, 0, 0}, 200), uint32(260), uint8(2), true)
-	f.Add(bytes.Repeat([]byte{5, 0, 0, 0}, 90), uint32(5), uint8(1), false)
-	f.Fuzz(func(t *testing.T, raw []byte, probe uint32, mSel uint8, level bool) {
-		keys := make([]uint32, len(raw)/4)
-		for i := range keys {
-			keys[i] = binary.LittleEndian.Uint32(raw[4*i:])
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		orig := BuildFull(keys, 2+int(mSel)%63)
-		if level {
-			orig = BuildLevel(keys, 2<<(mSel%6))
-		}
-		var buf bytes.Buffer
-		if _, err := orig.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		restored, err := Restore(&buf, keys)
-		if err != nil {
-			t.Fatalf("%s round trip rejected: %v", orig, err)
-		}
-		if restored.Geometry() != orig.Geometry() || restored.Name() != orig.Name() {
-			t.Fatalf("restored %s, want %s", restored, orig)
-		}
-		got := restored.LowerBound(probe)
-		want := sort.Search(len(keys), func(i int) bool { return keys[i] >= probe })
-		if got != want {
-			t.Fatalf("%s: restored LowerBound(%d)=%d, want %d", orig, probe, got, want)
 		}
 	})
 }

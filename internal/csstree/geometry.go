@@ -15,8 +15,8 @@
 //     the spare slot caches the subtree maximum, which makes building cheaper.
 //
 // The two differ only in their Geometry's fan-out and in how fill populates
-// the directory; search, batches and snapshots read the fan-out from the
-// geometry and never branch on the variant.
+// the directory; search and batches read the fan-out from the geometry and
+// never branch on the variant.
 //
 // The leaves of a CSS-tree are the sorted array itself.  Because the deepest
 // leaf level holds the *front* of the array while the shallower leaf level
@@ -29,11 +29,7 @@
 // in the first half of array a") and leaf search clamps to real bounds.
 package csstree
 
-import (
-	"fmt"
-
-	"cssidx/internal/mem"
-)
+import "fmt"
 
 // Geometry captures the node-numbering arithmetic of Lemma 4.1 (full trees)
 // and its level-tree analogue.  All quantities are in *nodes* unless suffixed
@@ -118,16 +114,6 @@ func geometry(n, m, fanout, gain int) Geometry {
 	}
 	g.BottomEnd = be
 	return g
-}
-
-// CheckLevelSlots reports whether m is a valid level-tree node size: the m−1
-// routing keys of a level node form a perfect binary search tree only when m
-// is a power of two ≥ 2.  BuildLevel and Restore both apply this one rule.
-func CheckLevelSlots(m int) error {
-	if m < 2 || !mem.IsPow2(m) {
-		return fmt.Errorf("level tree node size m=%d is not a power of two ≥ 2", m)
-	}
-	return nil
 }
 
 // IsFull reports whether g lays out a full CSS-tree (fan-out m+1) rather

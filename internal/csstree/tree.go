@@ -12,7 +12,8 @@ import (
 // it is a full (§4.1) or a level (§4.2) tree is a property of its Geometry
 // alone: a node routes on Fanout−1 of its slots, and nothing else in the
 // read path depends on the variant.  Zero value is not usable; build with
-// BuildFull or BuildLevel, or re-attach a snapshot with Restore.
+// BuildFull or BuildLevel.  The directory is derived state: nothing persists
+// it, and a restart rebuilds it from the keys.
 type Tree struct {
 	keys []uint32 // the sorted array a (not owned; never modified)
 	dir  []uint32 // internal-node directory, g.Internal nodes of m slots
@@ -43,10 +44,11 @@ func BuildFull(keys []uint32, m int) *Tree {
 // the largest key of its last branch, which lets the fill avoid chasing
 // rightmost children down whole subtrees — the reason the paper's Figure 9
 // shows level trees building faster than full trees.  m must be a power of
-// two ≥ 2 (CheckLevelSlots); keys is retained and hinted as for BuildFull.
+// two ≥ 2, the only sizes whose m−1 routing keys form a perfect binary
+// search tree; keys is retained and hinted as for BuildFull.
 func BuildLevel(keys []uint32, m int) *Tree {
-	if err := CheckLevelSlots(m); err != nil {
-		panic("csstree: " + err.Error())
+	if m < 2 || !mem.IsPow2(m) {
+		panic(fmt.Sprintf("csstree: level tree node size m=%d is not a power of two ≥ 2", m))
 	}
 	return build(keys, LevelGeometry(len(keys), m))
 }

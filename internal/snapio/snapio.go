@@ -206,7 +206,8 @@ const FNVSeed uint64 = 14695981039346656037
 const fnvPrime = 1099511628211
 
 // FNVU32s folds vs into a running FNV-1a 64 hash, one little-endian byte
-// per multiply.  CSS-tree snapshots fingerprint their key array with it.
+// per multiply: the version-1 checksum of sharded and durable-table
+// snapshots.
 func FNVU32s(h uint64, vs []uint32) uint64 {
 	for _, v := range vs {
 		for range 4 {

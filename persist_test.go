@@ -10,64 +10,6 @@ import (
 	"cssidx/internal/workload"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	g := workload.New(150)
-	keys := g.SortedDistinct(30000)
-	for _, kind := range []cssidx.Kind{cssidx.KindFullCSS, cssidx.KindLevelCSS} {
-		idx := cssidx.New(kind, keys, cssidx.Options{})
-		var buf bytes.Buffer
-		if err := cssidx.SaveIndex(&buf, idx); err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		loaded, err := cssidx.LoadIndex(&buf, keys)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if loaded.Name() != idx.Name() {
-			t.Errorf("%v: restored as %q", kind, loaded.Name())
-		}
-		probes := append(g.Lookups(keys, 2000), g.Misses(keys, 2000)...)
-		for _, k := range probes {
-			if a, b := idx.Search(k), loaded.Search(k); a != b {
-				t.Fatalf("%v: snapshot diverges at key %d: %d vs %d", kind, k, a, b)
-			}
-		}
-		if loaded.SpaceBytes() != idx.SpaceBytes() {
-			t.Errorf("%v: space changed: %d vs %d", kind, loaded.SpaceBytes(), idx.SpaceBytes())
-		}
-	}
-}
-
-func TestSaveUnsupportedKinds(t *testing.T) {
-	g := workload.New(151)
-	keys := g.SortedDistinct(100)
-	for _, kind := range []cssidx.Kind{
-		cssidx.KindBinarySearch, cssidx.KindBST, cssidx.KindTTree,
-		cssidx.KindBPlusTree, cssidx.KindHash,
-	} {
-		idx := cssidx.New(kind, keys, cssidx.Options{})
-		if err := cssidx.SaveIndex(&bytes.Buffer{}, idx); err == nil {
-			t.Errorf("%v: expected unsupported error", kind)
-		}
-	}
-}
-
-func TestLoadRejectsChangedKeys(t *testing.T) {
-	g := workload.New(152)
-	keys := g.SortedDistinct(5000)
-	idx := cssidx.NewLevelCSS(keys, cssidx.DefaultNodeBytes)
-	var buf bytes.Buffer
-	if err := cssidx.SaveIndex(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	// OLAP batch arrived: the array changed; the snapshot must be refused.
-	changed := append([]uint32(nil), keys...)
-	changed[0] = changed[0] + 1
-	if _, err := cssidx.LoadIndex(&buf, changed); err == nil {
-		t.Error("stale snapshot attached to updated array")
-	}
-}
-
 func TestSaveLoadShardedRoundTrip(t *testing.T) {
 	g := workload.New(153)
 	keys := g.SortedWithDuplicates(40000, 4)
@@ -117,6 +59,47 @@ func TestSaveLoadShardedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveShardedCapturesUnsyncedBatches: a save right after Insert and
+// Delete returned, with no Sync, holds both batches — the background
+// rebuilder may not have absorbed them yet.
+func TestSaveShardedCapturesUnsyncedBatches(t *testing.T) {
+	keys := make([]uint32, 20000)
+	for i := range keys {
+		keys[i] = uint32(2 * i)
+	}
+	x := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 4})
+	defer x.Close()
+	inserted := make([]uint32, 5000)
+	for i := range inserted {
+		inserted[i] = uint32(8*i + 1)
+	}
+	x.Insert(inserted...)
+	x.Delete(0, 2, 4)
+
+	var buf bytes.Buffer
+	if err := cssidx.SaveSharded(&buf, x); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := cssidx.LoadSharded(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	if want := len(keys) + len(inserted) - 3; loaded.Len() != want {
+		t.Fatalf("loaded %d keys, want %d", loaded.Len(), want)
+	}
+	for _, k := range inserted {
+		if loaded.Search(k) < 0 {
+			t.Fatalf("inserted key %d missing from the snapshot", k)
+		}
+	}
+	for _, k := range []uint32{0, 2, 4} {
+		if loaded.Search(k) >= 0 {
+			t.Fatalf("deleted key %d still in the snapshot", k)
+		}
+	}
+}
+
 func TestLoadShardedRejectsCorruption(t *testing.T) {
 	g := workload.New(154)
 	keys := g.SortedWithDuplicates(10000, 3)
@@ -163,21 +146,6 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 	keys := g.SortedDistinct(20000)
 	dir := t.TempDir()
 
-	ipath := filepath.Join(dir, "tree.snap")
-	idx := cssidx.NewLevelCSS(keys, cssidx.DefaultNodeBytes)
-	if err := cssidx.SaveIndexFile(ipath, idx); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := cssidx.LoadIndexFile(ipath, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range append(g.Lookups(keys, 1000), g.Misses(keys, 1000)...) {
-		if a, b := idx.Search(k), loaded.Search(k); a != b {
-			t.Fatalf("Search(%d): %d vs %d", k, a, b)
-		}
-	}
-
 	spath := filepath.Join(dir, "sharded.snap")
 	sh := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 4})
 	defer sh.Close()
@@ -189,20 +157,18 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	if restored.Len() != sh.Len() {
-		t.Fatalf("restored %d keys, want %d", restored.Len(), sh.Len())
-	}
+	sameSharded(t, restored, sh)
 	// The save must leave no temp litter behind.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
+	if len(entries) != 1 {
 		names := make([]string, len(entries))
 		for i, e := range entries {
 			names[i] = e.Name()
 		}
-		t.Fatalf("directory not clean after atomic saves: %v", names)
+		t.Fatalf("directory not clean after an atomic save: %v", names)
 	}
 }
 
@@ -280,11 +246,11 @@ func sameSharded(t *testing.T, got, want *cssidx.ShardedIndex[uint32]) {
 	}
 }
 
-// TestSnapshotGoldenFiles pins both snapshot versions of SaveIndex and
-// SaveSharded.  testdata/snapshot holds, per kind, a version-1 file written
-// before snapshots ended in a CRC-32C trailer and a version-2 file written
-// by the current encoder: both must load and answer like a fresh index, and
-// a save must still write the version-2 bytes.
+// TestSnapshotGoldenFiles pins both versions of the SaveSharded snapshot.
+// testdata/snapshot holds a version-1 file written before snapshots ended in
+// a CRC-32C trailer and a version-2 file written by the current encoder:
+// both must load into the index they were saved from, and a save must still
+// write the version-2 bytes.
 func TestSnapshotGoldenFiles(t *testing.T) {
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join("testdata/snapshot", name))
@@ -293,32 +259,6 @@ func TestSnapshotGoldenFiles(t *testing.T) {
 		}
 		return b
 	}
-	keys := make([]cssidx.Key, 300)
-	for i := range keys {
-		keys[i] = cssidx.Key(3*i + 1)
-	}
-	for name, kind := range map[string]cssidx.Kind{"full": cssidx.KindFullCSS, "level": cssidx.KindLevelCSS} {
-		idx := cssidx.New(kind, keys, cssidx.Options{})
-		for _, version := range []string{"v1", "v2"} {
-			loaded, err := cssidx.LoadIndex(bytes.NewReader(read(name+"."+version+".snap")), keys)
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, version, err)
-			}
-			for k := range cssidx.Key(3*len(keys) + 2) {
-				if a, b := idx.Search(k), loaded.Search(k); a != b {
-					t.Fatalf("%s %s: Search(%d) = %d, want %d", name, version, k, b, a)
-				}
-			}
-		}
-		var buf bytes.Buffer
-		if err := cssidx.SaveIndex(&buf, idx); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), read(name+".v2.snap")) {
-			t.Fatalf("%s: SaveIndex wrote %x", name, buf.Bytes())
-		}
-	}
-
 	x := goldenSharded()
 	defer x.Close()
 	for _, version := range []string{"v1", "v2"} {
