@@ -6,6 +6,7 @@
 package shard
 
 import (
+	"slices"
 	"testing"
 
 	"cssidx/internal/parallel"
@@ -14,9 +15,8 @@ import (
 
 // TestSearchBatchAllocs pins what a steady-state 512-probe batch allocates
 // on one worker, in either probe order and through each batch method:
-// nothing through a captured View or a Freeze view at its default options,
-// and only the View capture itself (the View and its two per-shard slices)
-// through the Index method.
+// nothing through a captured View, a Freeze view at its default options or
+// the Index method, whose View capture comes from the index's pool.
 func TestSearchBatchAllocs(t *testing.T) {
 	x, keys, zipf := benchIndex()
 	defer x.Close()
@@ -64,9 +64,13 @@ func TestSearchBatchAllocs(t *testing.T) {
 					t.Errorf("%s-order %s.%s allocates %v objects per batch, want 0", order.name, view.name, m.name, got)
 				}
 			}
-			if got := testing.AllocsPerRun(200, func() { m.index(next()) }); got != 3 {
-				t.Errorf("%s-order Index.%s allocates %v objects per batch, want 3 (the View capture)", order.name, m.name, got)
+			if got := testing.AllocsPerRun(200, func() { m.index(next()) }); got != 0 {
+				t.Errorf("%s-order Index.%s allocates %v objects per batch, want 0", order.name, m.name, got)
 			}
 		}
+	}
+	// A pooled View holds no snapshot: retired bases are not pinned.
+	if pv, ok := x.views.Get().(*View); !ok || slices.ContainsFunc(pv.snaps, func(sn *snapshot) bool { return sn != nil }) {
+		t.Errorf("the Index's pooled View (found %v) still points at captured snapshots", ok)
 	}
 }

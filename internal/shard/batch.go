@@ -27,12 +27,14 @@ package shard
 // spans, disjoint result spans, immutable snapshots — so they execute across
 // the worker pool of internal/parallel, with large runs split into sub-spans
 // so a single hot shard cannot serialise the batch.  All batch buffers come
-// from a per-index sync.Pool (batchScratch); a batch granted one worker
-// runs on the calling goroutine and allocates nothing through a View, while
-// a fanned-out batch also allocates its worker closures and goroutines.
+// from a per-index sync.Pool (batchScratch), and the Index's own batch
+// methods draw their View from another; a batch granted one worker runs on
+// the calling goroutine and allocates nothing, while a fanned-out batch also
+// allocates its worker closures and goroutines.
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"cssidx/internal/parallel"
@@ -124,24 +126,42 @@ func (s *batchScratch) grow(n, nshards int) {
 	s.tasks = s.tasks[:0]
 }
 
-// scratchFor draws a scratch from the view's pool (allocating the first
-// time) and sizes it; release returns it.
-func (v *View) scratchFor(n int) *batchScratch {
-	var s *batchScratch
-	if v.pool != nil {
-		s, _ = v.pool.Get().(*batchScratch)
-	}
+// scratchFrom draws a scratch from pool (allocating the first time) and
+// sizes it for n keys over nshards shards; the caller puts it back.
+func scratchFrom(pool *sync.Pool, n, nshards int) *batchScratch {
+	s, _ := pool.Get().(*batchScratch)
 	if s == nil {
 		s = &batchScratch{}
 	}
-	s.grow(n, len(v.snaps))
+	s.grow(n, nshards)
 	return s
 }
 
-func (v *View) release(s *batchScratch) {
-	if v.pool != nil {
-		v.pool.Put(s)
+// groupByShard counting-sorts keys by the shard each routes to under
+// bounds: gathered[counts[sh]:counts[sh+1]] are shard sh's keys in input
+// order, and gathered[j] is keys[perm[j]].  Both slices alias s.
+func (s *batchScratch) groupByShard(keys, bounds []uint32) (perm, gathered []uint32) {
+	n := len(keys)
+	perm, sids, counts := s.perm[:n], s.sids[:n], s.counts
+	for i, k := range keys {
+		sh := int32(route(bounds, k))
+		sids[i] = sh
+		counts[sh+1]++
 	}
+	for sh := 1; sh < len(counts); sh++ {
+		counts[sh] += counts[sh-1]
+	}
+	next := s.next
+	copy(next, counts)
+	for i, sh := range sids {
+		perm[next[sh]] = uint32(i)
+		next[sh]++
+	}
+	gathered = s.gathered[:n]
+	for j, i := range perm {
+		gathered[j] = keys[i]
+	}
+	return perm, gathered
 }
 
 // batchPlan partitions a probe batch by shard: the descent probes
@@ -172,31 +192,10 @@ func (v *View) batchPlan(probes []uint32, keyOrdered bool, s *batchScratch) (per
 	case len(v.snaps) > 1:
 		// Counting sort by shard keeps the within-shard probe order stable;
 		// the prefix sums are the run boundaries.
-		perm = s.perm[:n]
-		sids := s.sids[:n]
-		counts := s.counts
-		for i, p := range probes {
-			sh := int32(v.shardFor(p))
-			sids[i] = sh
-			counts[sh+1]++
-		}
-		for sh := 1; sh < len(counts); sh++ {
-			counts[sh] += counts[sh-1]
-		}
-		next := s.next
-		copy(next, counts)
-		for i := range probes {
-			sh := sids[i]
-			perm[next[sh]] = uint32(i)
-			next[sh]++
-		}
-		gathered = s.gathered[:n]
-		for j, pi := range perm {
-			gathered[j] = probes[pi]
-		}
+		perm, gathered = s.groupByShard(probes, v.bounds)
 		for sh := 0; sh < len(v.snaps); sh++ {
-			if counts[sh] < counts[sh+1] {
-				s.runs = append(s.runs, batchRun{sid: sh, lo: int(counts[sh]), hi: int(counts[sh+1])})
+			if s.counts[sh] < s.counts[sh+1] {
+				s.runs = append(s.runs, batchRun{sid: sh, lo: int(s.counts[sh]), hi: int(s.counts[sh+1])})
 			}
 		}
 	default:
@@ -279,8 +278,8 @@ func (v *View) batch(op batchOp, probes []uint32, out, last []int32) {
 		})
 		return
 	}
-	s := v.scratchFor(len(probes))
-	defer v.release(s)
+	s := scratchFrom(v.pool, len(probes), len(v.snaps))
+	defer v.pool.Put(s)
 	perm, gathered, runs, expand := v.batchPlan(probes, keyOrdered, s)
 	noteBatchRuns(runs)
 	res, resL := s.res[:len(gathered)], s.resL[:len(gathered)]
@@ -493,21 +492,28 @@ func (x *Index) BatchCalibration() (minPerWorker int, perProbeNs float64, ok boo
 	return x.tuner.Calibration()
 }
 
-// LowerBoundBatch answers the whole batch against one Snapshot, so every
-// result reflects a single epoch per shard even while rebuilds publish
-// concurrently; see View.SearchBatch.
+// LowerBoundBatch answers the whole batch against one captured View, so
+// every result reflects a single epoch per shard even while rebuilds publish
+// concurrently; see View.SearchBatch.  The View comes from the index's pool,
+// so a steady-state batch allocates nothing more than one through a View.
 func (x *Index) LowerBoundBatch(probes []uint32, out []int32) {
-	x.Snapshot().LowerBoundBatch(probes, out)
+	v := x.batchView()
+	v.LowerBoundBatch(probes, out)
+	x.releaseView(v)
 }
 
-// SearchBatch answers the whole batch against one Snapshot; see
+// SearchBatch answers the whole batch against one captured View; see
 // LowerBoundBatch.
 func (x *Index) SearchBatch(probes []uint32, out []int32) {
-	x.Snapshot().SearchBatch(probes, out)
+	v := x.batchView()
+	v.SearchBatch(probes, out)
+	x.releaseView(v)
 }
 
-// EqualRangeBatch answers the whole batch against one Snapshot; see
+// EqualRangeBatch answers the whole batch against one captured View; see
 // LowerBoundBatch.
 func (x *Index) EqualRangeBatch(probes []uint32, first, last []int32) {
-	x.Snapshot().EqualRangeBatch(probes, first, last)
+	v := x.batchView()
+	v.EqualRangeBatch(probes, first, last)
+	x.releaseView(v)
 }

@@ -31,23 +31,35 @@ func benchIndex() (*Index, []uint32, [][]uint32) {
 	return x, keys, reads
 }
 
+// deltaLoads are the deltas the benchmarks price, as fractions of the
+// largest one the default policy lets a shard hold before it folds
+// (base/foldDenominator): none, half full and full.
+var deltaLoads = []struct {
+	name     string
+	num, den int
+}{{"none", 0, 1}, {"half", 1, 2}, {"full", 1, 1}}
+
+// deltaBatch draws a delta of num/den of base/foldDenominator over the
+// sorted keys, a tenth of it deletes of resident keys and the rest inserts
+// of fresh ones.
+func deltaBatch(g *workload.Gen, keys []uint32, num, den int) (ins, del []uint32) {
+	d := len(keys) / foldDenominator * num / den
+	return g.Misses(keys, d-d/10), g.Lookups(keys, d/10)
+}
+
 // BenchmarkSearchBatchDelta prices what an outstanding delta costs the read
 // path: the same 512-probe Zipf batches against an index with no delta and
-// against one carrying the delta the default policy lets a shard reach just
-// before it folds (1/512 of the base, a tenth of it tombstones).
+// against ones carrying half and all of the delta the default policy lets
+// a shard reach before it folds.
 func BenchmarkSearchBatchDelta(b *testing.B) {
-	for _, withDelta := range []bool{false, true} {
-		name := "delta=none"
-		if withDelta {
-			name = "delta=base/512"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, load := range deltaLoads {
+		b.Run("delta="+load.name, func(b *testing.B) {
 			x, keys, reads := benchIndex()
 			defer x.Close()
-			if withDelta {
-				g := workload.New(2)
-				x.Insert(g.Misses(keys, len(keys)/512*9/10)...)
-				x.Delete(g.Lookups(keys, len(keys)/512/10)...)
+			if load.num > 0 {
+				ins, del := deltaBatch(workload.New(2), keys, load.num, load.den)
+				x.Insert(ins...)
+				x.Delete(del...)
 				x.Sync()
 			}
 			out := make([]int32, 512)
@@ -60,8 +72,8 @@ func BenchmarkSearchBatchDelta(b *testing.B) {
 }
 
 // BenchmarkAbsorbAndFold prices the write side on one 500K-key shard: a
-// 32-insert + 16-delete batch absorbed into a delta near its fold size, and
-// the fold of that delta (span copy + tree build).
+// 32-insert + 16-delete batch absorbed into a half and a full delta at the
+// default policy, and the fold of each (span copy + tree build).
 func BenchmarkAbsorbAndFold(b *testing.B) {
 	n := 500_000
 	if testing.Short() {
@@ -72,23 +84,26 @@ func BenchmarkAbsorbAndFold(b *testing.B) {
 	x := NewEqual(keys, 1, 16)
 	defer x.Close()
 	base := x.shards[0].cur.Load()
-	loaded := absorb(base, g.Misses(keys, n/512*9/10), g.Lookups(keys, n/512/10))
 	ins, del := g.Misses(keys, 32), g.Lookups(keys, 16)
 	bufI, bufD := make([]uint32, len(ins)), make([]uint32, len(del))
-	b.Run("absorb", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(bufI, ins)
-			copy(bufD, del)
-			absorb(loaded, bufI, bufD)
-		}
-	})
-	b.Run("fold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			x.fold(loaded, loaded.epoch+1)
-		}
-	})
+	for _, load := range deltaLoads[1:] {
+		dIns, dDel := deltaBatch(g, keys, load.num, load.den)
+		loaded := absorb(base, dIns, dDel)
+		b.Run("absorb/delta="+load.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(bufI, ins)
+				copy(bufD, del)
+				absorb(loaded, bufI, bufD)
+			}
+		})
+		b.Run("fold/delta="+load.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				x.fold(loaded, loaded.epoch+1)
+			}
+		})
+	}
 }
 
 // BenchmarkEnqueue prices Insert's routing of one 256-key write.

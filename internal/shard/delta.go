@@ -22,38 +22,44 @@ package shard
 //
 // What a delta costs a read.  Positions are global ranks, so ANY outstanding
 // delta taxes EVERY probe with rank = base rank + rank in ins − rank in tomb.
-// Measured in one process on serve_sharded's shape (512-probe Zipf batches
-// over 8 × 500K keys, 23.9 µs a batch with no delta; half-full and full
-// deltas at the default threshold): a binary search per run costs 46–54 µs,
-// twice the read, at either size — a dozen mispredicted branches per probe,
-// not cache misses; a CSS-tree over each run 33–35 µs (+40 %).  What removes
-// the search is that the base descent has already produced the probe's base
-// lower bound lb, and every run key carries ITS base position: a cumulative
-// count directory indexed by base position (dir[lb>>dirShift]) bounds the
-// rank to the run keys positioned inside one 256-slot stretch of the base —
-// usually none — so the delta costs one cache line of directory and no
-// search (25–28 µs): the paper's "compute the offset, don't store or chase
-// it", applied to the delta.
+// In sizing, a binary search per run cost twice the read — a dozen
+// mispredicted branches per probe, not cache misses — and a CSS-tree over
+// each run +40 %.  What removes the search is that the base descent has
+// already produced the probe's base lower bound lb, and every run key
+// carries ITS base position: the position directory (posDir) tells from lb
+// alone how many run keys sit below lb's 64-slot bucket of the base and
+// whether any sit inside it — usually none — so the delta costs one bit
+// word, a popcount and one count pair, and no search: the paper's "compute
+// the offset, don't store or chase it", applied to the delta.  The
+// directory is sized by the delta, not by the base: a dense count pair per
+// 256 base slots cost 15.6 KB on every absorb into a 500K-key shard, however
+// few keys the absorb brought.
 //
 // The fold threshold is the whole trade: a larger delta folds less often
-// (fewer O(shard) rebuilds, less allocation) but fills the directory buckets,
-// and a probe whose bucket is not empty has to look at run keys.  The sweep
-// behind the default (serve_sharded, 2-vCPU box, four trees alternating over
-// ten seeds, medians as ratios to the fold-on-every-delete parent; every run
-// is in BENCH_ablation.json under pr23_delete_absorb):
+// (fewer O(shard) rebuilds, less allocation) but marks more buckets, and a
+// probe whose bucket is marked has to look at run keys; every absorb also
+// copies the insert run.  The sweep behind the default (2-vCPU box; every
+// run is in BENCH_ablation.json under pr47_compact_directory): the read tax
+// is BenchmarkSearchBatchDelta's — 512-probe Zipf batches over 8 × 500K
+// keys, a half and a full delta against none, medians of 20 alternating
+// rounds — and the serve_sharded columns are median per-seed ratios to the
+// dense directory at base/512 over seeds 1–7:
 //
-//	fold at    read_p50_us   ops_per_s   alloc B/op   folds (one traced run)
-//	base/128   1.21×         1.14×       0.35×        256
-//	base/256   1.16×         1.19×       0.38×        520
-//	base/512   1.09×         1.24×       0.52×        1,049   (parent: 2,202)
+//	fold at                 tax half   tax full   read_p50_us   cpu_us/op   alloc B/op
+//	base/512, dense (was)   —          +35 %      1             1           1
+//	base/512                +9 %       +19 %      —             —           —
+//	base/256                +13 %      +23 %      0.97×         0.97×       0.60×
+//	base/128                +19 %      +29 %      1.10×         1.10×       0.65×
 //
-// Reads are 32 of that stream's 33 ops, so the read tax decides throughput
-// too: the smallest delta wins on both, and only base/512 keeps read_p50_us
-// within 1.10× of the parent (the rule fixed before measuring).  The old
-// threshold, base/8, would let an insert run reach tens of thousands of keys
-// a shard — and every absorb copies the run.
+// The rule fixed before measuring takes the largest delta whose full tax
+// does not exceed the dense directory's at base/512.  base/128 passes it by
+// the median but inside the spread (quartiles 21–41 % against 22–45 %), and
+// end to end it reads 1.10× slower, spends 1.10× the CPU and allocates more
+// than base/256, since every absorb copies an insert run twice as long.
+// base/256 folds half as often as the old default and is no worse anywhere.
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -66,7 +72,7 @@ import (
 // minFoldKeys keys, so a tiny shard does not fold on every batch.  A caller
 // that wants a fold sooner calls Compact.
 const (
-	foldDenominator = 512
+	foldDenominator = 256
 	minFoldKeys     = 512
 )
 
@@ -105,13 +111,15 @@ type DeltaStats struct {
 	Folds      uint64
 }
 
-// dirShift sizes the position directory: one entry pair per 2^dirShift base
-// positions, so at the default fold threshold a bucket holds half a run key
-// on average and the directory is 1/32 the size of the base.
-const dirShift = 8
+// dirShift sizes the position directory's buckets: 2^dirShift base slots
+// each.  Only buckets that hold a run key cost a count pair, so a bucket
+// can be small — a probe whose bucket is empty pays no run scan — while
+// the directory stays sized by the delta: at a full delta of base/256,
+// about one bucket in five is marked.
+const dirShift = 6
 
 // bucketScanMax is the bucket size up to which rank scans linearly.  Past
-// it — many run keys positioned in one 256-slot stretch of the base, which
+// it — many run keys positioned in one 64-slot stretch of the base, which
 // takes a skewed insert stream such as monotone appends — the bucket is
 // binary searched instead, so a probe never scans a whole run.
 const bucketScanMax = 32
@@ -127,30 +135,85 @@ type run struct {
 	pos  []int32
 }
 
-// buildDir builds a snapshot's position directory: dir[2b] and dir[2b+1]
-// count the insert-run keys and the tombstones positioned below base
-// position b<<dirShift; the last pair is (len(ins), len(tomb)).  The two
-// counts a probe needs sit side by side, and so do the next bucket's, so
-// the usual rank reads one cache line.
-func buildDir(ins, tomb []int32, nbase int) []int32 {
+// posDir is a snapshot's position directory over both runs, sized by the
+// delta, not by the base.  The base is cut into buckets of 2^dirShift
+// positions; only buckets that hold a run key (marked) carry counts:
+//
+//	bits  — one bit per bucket, set when any insert or tombstone is
+//	        positioned in it
+//	below — below[w] is the number of set bits in bits[:w]
+//	cum   — one (ins, tomb) pair per marked bucket, in bucket order: the
+//	        run keys positioned below that bucket; then the totals
+//
+// A bucket's rank among the marked ones is below[w] plus a popcount of its
+// word under its bit, so locating lb's counts takes one word, one popcount
+// and one pair — no search.  Over a shard of half a million keys the bits and
+// word counts take 1.5 KB, and each marked bucket 8 bytes more.  The zero
+// value is the empty directory.
+type posDir struct {
+	bits  []uint64
+	below []int32
+	cum   []int32
+}
+
+// buildDir builds the directory over the runs' positions into a base of
+// nbase keys.
+func buildDir(ins, tomb []int32, nbase int) posDir {
 	if len(ins)+len(tomb) == 0 {
-		return nil
+		return posDir{}
 	}
-	dir := make([]int32, 2*(nbase>>dirShift+2))
-	// A key positioned at p counts into every bucket after p's own:
-	// histogram it there, then prefix-sum both columns.
+	// lb ranges over [0, nbase], so bucket nbase>>dirShift must have a bit.
+	nw := nbase>>(dirShift+6) + 1
+	d := posDir{bits: make([]uint64, nw)}
 	for _, p := range ins {
-		dir[2*(p>>dirShift+1)]++
+		d.mark(p)
 	}
 	for _, p := range tomb {
-		dir[2*(p>>dirShift+1)+1]++
+		d.mark(p)
+	}
+	marked := 0
+	for _, w := range d.bits {
+		marked += bits.OnesCount64(w)
+	}
+	counts := make([]int32, nw+2*(marked+1))
+	d.below, d.cum = counts[:nw:nw], counts[nw:]
+	var r int32
+	for w, word := range d.bits {
+		d.below[w] = r
+		r += int32(bits.OnesCount64(word))
+	}
+	// A key counts into every pair after its bucket's own: histogram it
+	// into the next pair, then prefix-sum both columns.
+	for _, p := range ins {
+		i, _ := d.at(p)
+		d.cum[i+2]++
+	}
+	for _, p := range tomb {
+		i, _ := d.at(p)
+		d.cum[i+3]++
 	}
 	var ni, nt int32
-	for j := 0; j < len(dir); j += 2 {
-		ni, nt = ni+dir[j], nt+dir[j+1]
-		dir[j], dir[j+1] = ni, nt
+	for j := 0; j < len(d.cum); j += 2 {
+		ni, nt = ni+d.cum[j], nt+d.cum[j+1]
+		d.cum[j], d.cum[j+1] = ni, nt
 	}
-	return dir
+	return d
+}
+
+// mark sets the bit of position p's bucket.
+func (d *posDir) mark(p int32) {
+	b := uint(p) >> dirShift
+	d.bits[b>>6] |= 1 << (b & 63)
+}
+
+// at locates base position lb's bucket: cum[i], cum[i+1] count the insert-run
+// keys and tombstones positioned below it, and hit reports whether the
+// bucket holds any run key itself — its keys then end at cum[i+2], cum[i+3].
+func (d *posDir) at(lb int32) (i int, hit bool) {
+	b := uint(lb) >> dirShift
+	w := d.bits[b>>6]
+	bit := uint64(1) << (b & 63)
+	return 2 * (int(d.below[b>>6]) + bits.OnesCount64(w&(bit-1))), w&bit != 0
 }
 
 // --- merged-snapshot read helpers -------------------------------------------
@@ -169,12 +232,17 @@ func (sn *snapshot) deltaKeys() int { return len(sn.ins.keys) + len(sn.tomb.keys
 // tombstones are < key and == key — no search, because lb has already
 // located the key.  Run keys positioned below lb's bucket are all < key,
 // those above it all ≥ key, and a run key equal to key is positioned at lb
-// itself (a key's first tombstone deletes its first occurrence), so a
-// bucket empty in both runs answers from four adjacent directory entries
-// without touching a run.  Call it only on a snapshot that carries a delta.
+// itself (a key's first tombstone deletes its first occurrence), so an
+// unmarked bucket answers from one directory pair without touching a run.
+// Call it only on a snapshot that carries a delta.
 func (sn *snapshot) rank(key uint32, lb int32) (insLess, insEq, tombLess, tombEq int32) {
-	d := sn.dir[2*(lb>>dirShift):][:4]
+	i, hit := sn.dir.at(lb)
+	d := sn.dir.cum[i:]
 	insLess, tombLess = d[0], d[1]
+	if !hit {
+		return
+	}
+	d = d[:4]
 	if insLess != d[2] {
 		insLess, insEq = rankIn(sn.ins.keys, key, int(insLess), int(d[2]))
 	}
@@ -188,8 +256,8 @@ func (sn *snapshot) rank(key uint32, lb int32) (insLess, insEq, tombLess, tombEq
 // batch loop: when lb's bucket holds no key of either run (ok), no run key
 // equals the probe and its live rank is lb + adj.
 func (sn *snapshot) emptyBucket(lb int32) (adj int32, ok bool) {
-	d := sn.dir[2*(lb>>dirShift):][:4]
-	return d[0] - d[1], d[0] == d[2] && d[1] == d[3]
+	i, hit := sn.dir.at(lb)
+	return sn.dir.cum[i] - sn.dir.cum[i+1], !hit
 }
 
 // rankIn finishes rank inside one run's non-empty bucket keys[i:end].  A

@@ -10,6 +10,7 @@ package shard
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -18,6 +19,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cssidx/internal/parallel"
 	"cssidx/internal/telemetry"
 	"cssidx/internal/workload"
 )
@@ -36,8 +38,8 @@ var (
 // checkDelta verifies the structural invariants of one snapshot's delta —
 // the shard-side counterpart of mmdb's checkRuns: both runs sorted and
 // positioned where they claim, tombstones a sub-multiset of the base covering
-// each key's FIRST occurrences, each directory the exact cumulative count by
-// base position, and total reconciled.
+// each key's FIRST occurrences, the directory exact at every base position
+// (checkDir), and total reconciled.
 func checkDelta(t *testing.T, sn *snapshot) {
 	t.Helper()
 	n := len(sn.keys)
@@ -52,26 +54,7 @@ func checkDelta(t *testing.T, sn *snapshot) {
 			t.Fatalf("%s: keys not sorted", name)
 		}
 	}
-	if sn.deltaKeys() == 0 {
-		if sn.dir != nil {
-			t.Fatal("empty delta carries a directory")
-		}
-	} else {
-		if len(sn.dir) != 2*(n>>dirShift+2) {
-			t.Fatalf("directory has %d entries over a %d-key base", len(sn.dir), n)
-		}
-		for b := 0; 2*b < len(sn.dir); b++ {
-			for side, r := range []*run{&sn.ins, &sn.tomb} {
-				want := sort.Search(len(r.pos), func(i int) bool { return int(r.pos[i]) >= b<<dirShift })
-				if got := int(sn.dir[2*b+side]); got != want {
-					t.Fatalf("dir[%d] side %d = %d, %d run keys sit below base position %d", b, side, got, want, b<<dirShift)
-				}
-			}
-		}
-		if i, tb := sn.dir[len(sn.dir)-2], sn.dir[len(sn.dir)-1]; int(i) != len(sn.ins.keys) || int(tb) != len(sn.tomb.keys) {
-			t.Fatalf("last directory pair (%d,%d), runs hold (%d,%d)", i, tb, len(sn.ins.keys), len(sn.tomb.keys))
-		}
-	}
+	checkDir(t, sn)
 	for i, k := range sn.ins.keys {
 		if got, want := int(sn.ins.pos[i]), lowerBound(k); got != want {
 			t.Fatalf("ins[%d]=%d positioned at %d, base lower bound is %d", i, k, got, want)
@@ -89,6 +72,59 @@ func checkDelta(t *testing.T, sn *snapshot) {
 	}
 	if want := n + len(sn.ins.keys) - len(sn.tomb.keys); sn.total != want {
 		t.Fatalf("total=%d, base %d + ins %d - tomb %d = %d", sn.total, n, len(sn.ins.keys), len(sn.tomb.keys), want)
+	}
+}
+
+// checkDir verifies the position directory at every base position lb in
+// [0, n] against sort.Search over both runs: the pair at(lb) names holds
+// the counts of run keys positioned below lb's bucket, the bucket is marked
+// exactly when a run key is positioned inside it, and a marked bucket's
+// next pair counts the keys below its end.  The directory must also hold
+// exactly one pair per marked bucket plus the closing totals pair, and
+// nothing at all without a delta.
+func checkDir(t *testing.T, sn *snapshot) {
+	t.Helper()
+	d := &sn.dir
+	if sn.deltaKeys() == 0 {
+		if d.bits != nil || d.below != nil || d.cum != nil {
+			t.Fatal("empty delta carries a directory")
+		}
+		return
+	}
+	n := len(sn.keys)
+	if len(d.bits) != n>>(dirShift+6)+1 || len(d.below) != len(d.bits) {
+		t.Fatalf("directory has %d bit words and %d word counts over a %d-key base", len(d.bits), len(d.below), n)
+	}
+	marked := 0
+	for _, w := range d.bits {
+		marked += bits.OnesCount64(w)
+	}
+	if len(d.cum) != 2*(marked+1) {
+		t.Fatalf("directory holds %d counts for %d marked buckets, want one pair each and a closing pair", len(d.cum), marked)
+	}
+	if i, tb := d.cum[len(d.cum)-2], d.cum[len(d.cum)-1]; int(i) != len(sn.ins.keys) || int(tb) != len(sn.tomb.keys) {
+		t.Fatalf("closing directory pair (%d,%d), runs hold (%d,%d)", i, tb, len(sn.ins.keys), len(sn.tomb.keys))
+	}
+	below := func(r *run, p int) int32 {
+		return int32(sort.Search(len(r.pos), func(i int) bool { return int(r.pos[i]) >= p }))
+	}
+	for lb := 0; lb <= n; lb++ {
+		lo, hi := lb>>dirShift<<dirShift, (lb>>dirShift+1)<<dirShift
+		insLo, tombLo := below(&sn.ins, lo), below(&sn.tomb, lo)
+		insHi, tombHi := below(&sn.ins, hi), below(&sn.tomb, hi)
+		i, hit := d.at(int32(lb))
+		if i < 0 || i+2 > len(d.cum) {
+			t.Fatalf("at(%d) names pair %d of %d", lb, i/2, len(d.cum)/2)
+		}
+		if d.cum[i] != insLo || d.cum[i+1] != tombLo {
+			t.Fatalf("at(%d): pair (%d,%d), runs hold (%d,%d) below base position %d", lb, d.cum[i], d.cum[i+1], insLo, tombLo, lo)
+		}
+		if want := insHi+tombHi > insLo+tombLo; hit != want {
+			t.Fatalf("at(%d): bucket [%d,%d) marked %v, holds %d run keys", lb, lo, hi, hit, insHi+tombHi-insLo-tombLo)
+		}
+		if hit && (d.cum[i+2] != insHi || d.cum[i+3] != tombHi) {
+			t.Fatalf("at(%d): next pair (%d,%d), runs hold (%d,%d) below base position %d", lb, d.cum[i+2], d.cum[i+3], insHi, tombHi, hi)
+		}
 	}
 }
 
@@ -398,6 +434,84 @@ func TestDeltaFoldThreshold(t *testing.T) {
 	}
 	if st := x.DeltaStats(); st.RunMerges != 0 {
 		t.Fatalf("RunMerges=%d, nothing tiers any more", st.RunMerges)
+	}
+}
+
+// TestDirectoryEdges positions run keys where the directory's arithmetic
+// can slip — position 0 and the end of the base, both sides of a bucket
+// edge and of a bit-word edge (64 buckets), forty inserts in one bucket (the
+// binary-searched bucket) — over bases of 0 to 10,000 keys, and checks the
+// directory at every position (checkDelta) and every read, scalar and
+// batched, against the sorted-slice oracle.
+func TestDirectoryEdges(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 4095, 4096, 4097, 10_000} {
+		base := make([]uint32, n)
+		for i := range base {
+			base[i] = 2*uint32(i) + 2 // key 2p+1 is absent and sorts at position p
+		}
+		var ins, del []uint32
+		for _, p := range []int{0, 1, 63, 64, 65, 4095, 4096, 4097, n - 1, n} {
+			if p < 0 || p > n {
+				continue
+			}
+			ins = append(ins, 2*uint32(p)+1)
+			if p < n {
+				del = append(del, base[p])
+			}
+		}
+		for i := 0; i < 40; i++ {
+			ins = append(ins, uint32(n)|1) // one bucket, past bucketScanMax
+		}
+		o := &oracle{keys: slices.Clone(base)}
+		o.insert(ins...)
+		o.delete(del...)
+		sn := absorb(partition(base, nil, 16)[0], slices.Clone(ins), slices.Clone(del))
+		checkDelta(t, sn)
+		probes := make([]uint32, 2*n+8)
+		for i := range probes {
+			probes[i] = uint32(i)
+		}
+		for _, p := range probes {
+			f, l := sn.equalRange(p)
+			wf, wl := o.equalRange(p)
+			if sn.lowerBound(p) != o.lowerBound(p) || sn.search(p) != o.search(p) || f != wf || l != wl {
+				t.Fatalf("n=%d probe %d: lowerBound %d search %d range [%d,%d), oracle %d %d [%d,%d)",
+					n, p, sn.lowerBound(p), sn.search(p), f, l, o.lowerBound(p), o.search(p), wf, wl)
+			}
+		}
+		v := newView(nil, []*snapshot{sn}, parallel.Options{Workers: 1}, new(sync.Pool))
+		lb, first, last := make([]int32, len(probes)), make([]int32, len(probes)), make([]int32, len(probes))
+		v.LowerBoundBatch(probes, lb)
+		v.SearchBatch(probes, first)
+		for i, p := range probes {
+			if int(lb[i]) != o.lowerBound(p) || int(first[i]) != o.search(p) {
+				t.Fatalf("n=%d probe %d: batch lowerBound %d search %d, oracle %d %d", n, p, lb[i], first[i], o.lowerBound(p), o.search(p))
+			}
+		}
+		v.EqualRangeBatch(probes, first, last)
+		for i, p := range probes {
+			if wf, wl := o.equalRange(p); int(first[i]) != wf || int(last[i]) != wl {
+				t.Fatalf("n=%d probe %d: batch range [%d,%d), oracle [%d,%d)", n, p, first[i], last[i], wf, wl)
+			}
+		}
+	}
+}
+
+// TestDirectoryScalesWithDelta pins that an absorb builds a directory sized
+// by its delta: over one 4M-key shard, at most a bit and a word count per
+// 4,096 base slots (under n/256 bytes) plus one count pair per marked
+// bucket — never a count pair per stretch of the base, which would be
+// 125 KB for a 32-key delta.
+func TestDirectoryScalesWithDelta(t *testing.T) {
+	g := workload.New(37)
+	keys := g.SortedUniform(4 << 20)
+	base := partition(keys, nil, 16)[0]
+	for _, d := range []int{32, 1024, 8192} {
+		sn := absorb(base, g.Misses(keys, d-d/8), g.Lookups(keys, d/8))
+		bound := len(keys)/256 + 8*(sn.deltaKeys()+1)
+		if got := 8*len(sn.dir.bits) + 4*(len(sn.dir.below)+len(sn.dir.cum)); got > bound {
+			t.Errorf("a %d-key absorb into a %d-key shard builds a %d-byte directory, want at most %d", sn.deltaKeys(), len(keys), got, bound)
+		}
 	}
 }
 

@@ -33,11 +33,36 @@ type View struct {
 // Snapshot captures a frozen cross-shard view (one atomic load per shard,
 // no copying).
 func (x *Index) Snapshot() *View {
-	snaps := make([]*snapshot, len(x.shards))
+	v := &View{bounds: x.bounds, snaps: make([]*snapshot, len(x.shards)), offs: make([]int, len(x.shards)+1), pool: &x.scratch}
+	x.capture(v)
+	return v
+}
+
+// capture loads every shard's current snapshot into v, whose slices are
+// sized for the index, and sums their offsets.
+func (x *Index) capture(v *View) {
+	v.par = x.parOpts()
 	for i, s := range x.shards {
-		snaps[i] = s.cur.Load()
+		v.snaps[i] = s.cur.Load()
 	}
-	return newView(x.bounds, snaps, x.parOpts(), &x.scratch)
+	v.sumOffsets()
+}
+
+// batchView is Snapshot for the Index's own batch methods: the View comes
+// from the index's pool, and releaseView returns it with its snapshot
+// pointers cleared, so a pooled View pins no retired base.
+func (x *Index) batchView() *View {
+	v, _ := x.views.Get().(*View)
+	if v == nil {
+		return x.Snapshot()
+	}
+	x.capture(v)
+	return v
+}
+
+func (x *Index) releaseView(v *View) {
+	clear(v.snaps)
+	x.views.Put(v)
 }
 
 // Freeze builds a frozen view over the sorted keys split at bounds — the
@@ -52,10 +77,15 @@ func Freeze(keys []uint32, bounds []uint32, m int) *View {
 // newView assembles a view over captured snapshots, summing their offsets.
 func newView(bounds []uint32, snaps []*snapshot, par parallel.Options, pool *sync.Pool) *View {
 	v := &View{bounds: bounds, snaps: snaps, offs: make([]int, len(snaps)+1), par: par, pool: pool}
-	for i, sn := range snaps {
+	v.sumOffsets()
+	return v
+}
+
+// sumOffsets sets offs from the captured snapshots' lengths.
+func (v *View) sumOffsets() {
+	for i, sn := range v.snaps {
 		v.offs[i+1] = v.offs[i] + sn.len()
 	}
-	return v
 }
 
 // Len returns the total number of keys in the view.
@@ -90,9 +120,7 @@ func (v *View) Key(pos int) uint32 {
 	return sn.selectKth(pos - v.offs[s])
 }
 
-func (v *View) shardFor(key uint32) int {
-	return sort.Search(len(v.bounds), func(i int) bool { return key < v.bounds[i] })
-}
+func (v *View) shardFor(key uint32) int { return route(v.bounds, key) }
 
 // Search returns the global position of the leftmost occurrence of key, or -1.
 func (v *View) Search(key uint32) int {

@@ -62,8 +62,8 @@ type snapshot struct {
 	tree  *csstree.Tree
 	ins   run
 	tomb  run
-	dir   []int32 // position directory over both runs (buildDir); nil without a delta
-	total int     // len(keys) + len(ins.keys) − len(tomb.keys)
+	dir   posDir // position directory over both runs (buildDir); empty without a delta
+	total int    // len(keys) + len(ins.keys) − len(tomb.keys)
 }
 
 // shardState is one range shard: the current snapshot plus the pending
@@ -103,8 +103,11 @@ type Index struct {
 	tuner parallel.Tuner
 
 	// scratch pools batchScratch buffers across batch calls (and across the
-	// Views that carry the pool), so steady-state batches allocate nothing.
+	// Views that carry the pool) and writes, so steady-state batches and
+	// writes allocate nothing; views pools the Views the Index's own batch
+	// methods capture.
 	scratch sync.Pool
+	views   sync.Pool
 
 	// delta is the fold policy of the mutable delta layer (delta.go); the
 	// counters feed DeltaStats.
@@ -219,10 +222,13 @@ func (x *Index) Len() int {
 	return n
 }
 
-// shardFor routes a key to its shard.
-func (x *Index) shardFor(key uint32) int {
-	return sort.Search(len(x.bounds), func(i int) bool { return key < x.bounds[i] })
+// route returns the shard that serves key under the split boundaries.
+func route(bounds []uint32, key uint32) int {
+	return sort.Search(len(bounds), func(i int) bool { return key < bounds[i] })
 }
+
+// shardFor routes a key to its shard.
+func (x *Index) shardFor(key uint32) int { return route(x.bounds, key) }
 
 // offsetTo sums the lengths of shards before s (one atomic load each).
 func (x *Index) offsetTo(s int) int {
@@ -275,29 +281,30 @@ func (x *Index) Insert(keys ...uint32) { x.enqueue(keys, true) }
 // key removes at most one occurrence; absent keys are ignored.
 func (x *Index) Delete(keys ...uint32) { x.enqueue(keys, false) }
 
-// enqueue routes the keys to their shards' pending batches in one pass,
-// holding a shard's lock across each stretch of consecutive keys that route
-// to it, so a write allocates nothing beyond the pending slices' own growth.
+// enqueue routes the keys to their shards' pending batches: it groups them
+// by shard first, in pooled scratch, then appends each shard's group under
+// one hold of that shard's lock, so a write takes each lock it needs once and
+// allocates nothing beyond the pending slices' own growth.
 func (x *Index) enqueue(keys []uint32, ins bool) {
 	if len(keys) == 0 {
 		return
 	}
-	var cur *shardState
-	for _, k := range keys {
-		if s := x.shards[x.shardFor(k)]; s != cur {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			s.mu.Lock()
-			cur = s
+	s := scratchFrom(&x.scratch, len(keys), len(x.shards))
+	_, gathered := s.groupByShard(keys, x.bounds)
+	for sh, st := range x.shards {
+		group := gathered[s.counts[sh]:s.counts[sh+1]]
+		if len(group) == 0 {
+			continue
 		}
+		st.mu.Lock()
 		if ins {
-			cur.insPend = append(cur.insPend, k)
+			st.insPend = append(st.insPend, group...)
 		} else {
-			cur.delPend = append(cur.delPend, k)
+			st.delPend = append(st.delPend, group...)
 		}
+		st.mu.Unlock()
 	}
-	cur.mu.Unlock()
+	x.scratch.Put(s)
 	select {
 	case x.wake <- struct{}{}:
 	default:

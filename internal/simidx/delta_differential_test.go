@@ -178,7 +178,7 @@ func TestDifferentialDeltaVsFolded(t *testing.T) {
 	def := cssidx.NewSharded(smallBase, cssidx.ShardedOptions[uint32]{Shards: 2})
 	defer def.Close()
 	okd := slices.Clone(smallBase)
-	big := g.Misses(okd, 2000) // ≥ MinFoldKeys and ≥ base/512 per shard
+	big := g.Misses(okd, 2000) // ≥ minFoldKeys and ≥ base/256 per shard
 	def.Insert(big...)
 	def.Sync()
 	okd = append(okd, big...)

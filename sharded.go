@@ -23,7 +23,7 @@ import "cssidx/internal/shard"
 // one-cache-line nodes (shard.Slots, as DefaultNodeBytes gives), the split
 // gives every shard the same key count, each batch descends in input or key
 // order as its sampled duplicate count says, its worker spans follow the
-// calibrated per-probe cost, and a shard's delta folds at 1/512 of its base
+// calibrated per-probe cost, and a shard's delta folds at 1/256 of its base
 // (and at least 512 keys) — call Compact for a fold sooner.
 type ShardedOptions[K Key] = struct {
 	// Shards is the number of range shards; 0 picks GOMAXPROCS (capped at 16).
