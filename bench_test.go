@@ -205,7 +205,7 @@ func BenchmarkJoin(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n, err := mmdb.Join(outer, "k", ix, nil)
+				n, err := mmdb.JoinWith(outer, "k", ix, mmdb.JoinOptions{}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -137,3 +137,65 @@ func TestExportedFuncCensus(t *testing.T) {
 		t.Errorf("exported functions = %v (%d), want %v (%d)", got, len(got), want, len(want))
 	}
 }
+
+// TestMMDBSurfaceCensus pins the exported functions and methods of
+// internal/mmdb, read from its non-test source files, methods spelled
+// Type.Method (exported receiver types only).  Each question the engine
+// answers has one entry point — the table surface, its *Ctx form, and an
+// index's own SelectEqual and SelectRange — so a second way to ask one
+// (a query twin, a paired setter, another stats reader) fails this test
+// until the list below is updated on purpose.
+func TestMMDBSurfaceCensus(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("internal", "mmdb", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var got []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			if fd.Recv == nil {
+				got = append(got, fd.Name.Name)
+				continue
+			}
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+				got = append(got, id.Name+"."+fd.Name.Name)
+			}
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"Column.Domain", "Column.Len", "Column.Value",
+		"DB.Cache", "DB.CreateTable", "DB.Table",
+		"DurableTable.AppendRows", "DurableTable.AppendRowsCtx", "DurableTable.Close",
+		"GroupAggregate", "GroupAggregateCtx", "JoinWith", "JoinWithCtx",
+		"NewDB", "NewTable", "OpenDurable",
+		"SortedIndex.Close", "SortedIndex.Epoch", "SortedIndex.Kind", "SortedIndex.RIDs",
+		"SortedIndex.SelectEqual", "SortedIndex.SelectRange", "SortedIndex.SpaceBytes",
+		"Table.AddColumn", "Table.AppendRows", "Table.AppendRowsCtx", "Table.AttachGovernor",
+		"Table.BaseRows", "Table.BuildIndex", "Table.BuildShardedIndex", "Table.Cache",
+		"Table.Close", "Table.Column", "Table.Columns", "Table.Compact", "Table.DeltaRows",
+		"Table.EnableCache", "Table.Generation", "Table.Index", "Table.Name",
+		"Table.PlanIn", "Table.PlanRange", "Table.Rows",
+		"Table.SelectIn", "Table.SelectInCtx", "Table.SelectRange", "Table.SelectRangeCtx",
+		"Table.SelectWhere", "Table.SelectWhereCtx", "Table.ShardedIndex",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("mmdb exported functions and methods = %v (%d), want %v (%d)", got, len(got), want, len(want))
+	}
+}

@@ -59,16 +59,16 @@ func main() {
 
 	// Q2 — range selection: sales with 15 ≤ amount ≤ 18 (ordered access via
 	// the sorted RID list; hashing could not answer this, §3.5).
-	q2, err := amountIx.CountRange(15, 18)
+	q2, err := amountIx.SelectRange(15, 18)
 	must(err)
-	fmt.Printf("Q2: sales with amount in [15,18]: %d rows\n", q2)
+	fmt.Printf("Q2: sales with amount in [15,18]: %d rows\n", len(q2))
 
 	// Q3 — indexed nested-loop join: total revenue = Σ amount × price over
 	// sales ⋈ products.  Each fact row probes the dimension index once.
 	amountCol, _ := sales.Column("amount")
 	priceCol, _ := products.Column("price")
 	var revenue uint64
-	pairs, err := mmdb.Join(sales, "product", idIx, func(saleRID, productRID uint32) {
+	pairs, err := mmdb.JoinWith(sales, "product", idIx, mmdb.JoinOptions{}, func(saleRID, productRID uint32) {
 		revenue += uint64(amountCol.Value(int(saleRID))) * uint64(priceCol.Value(int(productRID)))
 	})
 	must(err)

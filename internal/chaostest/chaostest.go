@@ -272,22 +272,23 @@ func (s *soak) queryWorker(id int) {
 			s.tlock.RUnlock()
 			s.note("GroupAggregateCtx", err)
 		case 4:
-			// Lock-free on purpose: epoch swaps under fire.
+			// Lock-free on purpose: epoch swaps under fire.  An index's
+			// own methods take no context, so they never abort.
 			if ix != nil {
-				_, err := ix.SelectEqualCtx(ctx, lo)
-				s.note("SelectEqualCtx", err)
+				ix.SelectEqual(lo)
+				s.note("SelectEqual", nil)
 			}
 		case 5:
 			// Lock-free on purpose: epoch swaps under fire.
 			if sh != nil {
-				_, err := sh.SelectRangeCtx(ctx, lo, hi)
-				s.note("sharded SelectRangeCtx", err)
+				_, err := sh.SelectRange(lo, hi)
+				s.note("sharded SelectRange", err)
 			}
 		case 6:
 			// Lock-free on purpose: epoch swaps under fire.
 			if sh != nil {
-				_, err := sh.SelectInCtx(ctx, s.inList)
-				s.note("sharded SelectInCtx", err)
+				sh.SelectEqual(lo)
+				s.note("sharded SelectEqual", nil)
 			}
 		case 7:
 			s.tlock.RLock()
@@ -343,7 +344,7 @@ func (s *soak) appender() {
 // panicWorker drives the parallel pool with bodies that panic at seeded
 // points: each panic must surface exactly once as *parallel.WorkerPanic
 // (never kill the process, never deadlock the batch), with sibling
-// workers stopped by the shared cancel flag.
+// workers stopped by the shared panic flag.
 func (s *soak) panicWorker() {
 	rng := rand.New(rand.NewSource(s.cfg.Seed + 1299709))
 	opts := parallel.Options{Workers: 4, MinBatchPerWorker: 1, CheckpointStride: 8}
@@ -360,13 +361,14 @@ func (s *soak) panicWorker() {
 					err = wp
 				}
 			}()
-			return parallel.RunCtx(context.Background(), 64, opts, func(lo, hi int) {
+			parallel.Run(64, opts, func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					if j == bad {
 						panic(fmt.Sprintf("chaos worker panic %d", i))
 					}
 				}
 			})
+			return nil
 		}()
 		var wp *parallel.WorkerPanic
 		if !errors.As(err, &wp) {
@@ -572,7 +574,8 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	tab.EnableCache(mmdb.CacheOptions{MinCostNs: -1})
-	gov := tab.EnableGovernor(cfg.Admission)
+	gov := governor.NewAdmission(cfg.Admission)
+	tab.AttachGovernor(gov)
 	og := workload.New(cfg.Seed)
 	oracle, err := buildTable("storm", og, cfg.BaseRows)
 	if err != nil {

@@ -101,9 +101,8 @@ func TestShortDeadlineSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab.EnableCache(mmdb.CacheOptions{MinCostNs: -1})
-	tab.EnableGovernor(governor.Options{MaxConcurrent: 4, MaxQueue: 8})
+	tab.AttachGovernor(governor.NewAdmission(governor.Options{MaxConcurrent: 4, MaxQueue: 8}))
 	ix, _ := tab.Index("a")
-	sh, _ := tab.ShardedIndex("b")
 	cVals, _ := tab.Column("c")
 	list := cVals.Domain().Values()
 
@@ -125,12 +124,8 @@ func TestShortDeadlineSmoke(t *testing.T) {
 			_, err := mmdb.GroupAggregateCtx(ctx, tab, "c", "a", nil, nil)
 			return err
 		},
-		"SelectEqualCtx": func(ctx context.Context) error {
-			_, err := ix.SelectEqualCtx(ctx, 42)
-			return err
-		},
 		"sharded SelectRangeCtx": func(ctx context.Context) error {
-			_, err := sh.SelectRangeCtx(ctx, 0, math.MaxUint32)
+			_, _, err := tab.SelectRangeCtx(ctx, "b", 0, math.MaxUint32, nil)
 			return err
 		},
 		"JoinWithCtx": func(ctx context.Context) error {

@@ -2,6 +2,7 @@ package crashtest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cssidx"
@@ -362,29 +363,29 @@ func (s *tableScript) verify(fsys *failfs.Mem, pol wal.Policy, out outcome) erro
 		if err := equalRIDs(fmt.Sprintf("SelectRange(%d,%d)", r[0], r[1]), g, w); err != nil {
 			return err
 		}
-		gc, err := gix.CountRange(r[0], r[1]) // aggregate
-		if err != nil {
-			return err
-		}
-		wc, err := wix.CountRange(r[0], r[1])
-		if err != nil {
-			return err
-		}
-		if gc != wc {
-			return fmt.Errorf("CountRange(%d,%d) = %d, oracle %d", r[0], r[1], gc, wc)
-		}
 	}
-	in := []uint32{1, 3, 5, 9, 42} // IN
-	if err := equalRIDs("SelectIn", gix.SelectIn(in), wix.SelectIn(in)); err != nil {
+	// IN, through the table: the recovered table may hold unfolded rows the
+	// oracle has folded, so the planners may pick different paths (probe
+	// order vs row order) — compare the RID sets.
+	in := []uint32{1, 3, 5, 9, 42}
+	g, _, err := d.SelectIn("k", in)
+	if err != nil {
+		return err
+	}
+	w, _, err := oracle.SelectIn("k", in)
+	if err != nil {
+		return err
+	}
+	if err := equalRIDs("SelectIn", slices.Sorted(slices.Values(g)), slices.Sorted(slices.Values(w))); err != nil {
 		return err
 	}
 	// Join the recovered table against the oracle's index and vice
 	// versa: pair counts must agree with the oracle⋈oracle join.
-	gj, err := mmdb.Join(d.Table, "k", wix, nil)
+	gj, err := mmdb.JoinWith(d.Table, "k", wix, mmdb.JoinOptions{}, nil)
 	if err != nil {
 		return err
 	}
-	wj, err := mmdb.Join(oracle, "k", gix, nil)
+	wj, err := mmdb.JoinWith(oracle, "k", gix, mmdb.JoinOptions{}, nil)
 	if err != nil {
 		return err
 	}

@@ -9,26 +9,20 @@ import (
 // Class ranks work for the admission controller's shed policy.  Under
 // overload the controller degrades gracefully rather than uniformly:
 // cache-miss aggregates (the most expensive, most recomputable work) are
-// shed first and never queued; general selects queue up to the
-// configured depth; point and cached lookups (the cheapest work, the
-// interactive tail) queue with extra headroom and are woken first, so
-// they are the last thing an overloaded engine stops serving.
+// shed at once and never queued, while selects queue up to the configured
+// depth.  Cache hits never reach the controller, so they are the last
+// thing an overloaded engine stops serving.
 type Class uint8
 
 const (
-	// ClassPoint is a point or cached lookup: highest priority, shed last.
-	ClassPoint Class = iota
 	// ClassSelect is a range/IN/WHERE/join compute.
-	ClassSelect
+	ClassSelect Class = iota
 	// ClassAggregate is a cache-miss aggregate: shed first under overload.
 	ClassAggregate
-	numClasses
 )
 
 func (c Class) String() string {
 	switch c {
-	case ClassPoint:
-		return "point"
 	case ClassSelect:
 		return "select"
 	case ClassAggregate:
@@ -37,43 +31,44 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// Options configures an admission controller.  Zero or negative values
-// disable the corresponding limit.
+// Options configures an admission controller.  MaxConcurrent and
+// MaxBytesInFlight are limits that zero or a negative value disables;
+// MaxQueue is a depth, and zero means no queue at all.
 type Options struct {
-	// MaxConcurrent caps queries executing at once (the concurrency gate).
+	// MaxConcurrent caps queries executing at once (the concurrency gate);
+	// 0 or less = no cap.
 	MaxConcurrent int
-	// MaxQueue caps waiters of ClassSelect; ClassPoint gets twice this
-	// headroom, ClassAggregate none.  Beyond the cap, work is shed.
+	// MaxQueue caps the ClassSelect queries waiting for capacity; beyond
+	// it, work is shed.  0 or less queues nothing: under overload every
+	// select is shed at once.  ClassAggregate never queues.
 	MaxQueue int
 	// MaxBytesInFlight is the watermark on the sum of admitted queries'
-	// estimated bytes.  A query that would cross it waits (or is shed)
-	// unless the engine is idle, in which case it is always admitted so
-	// one huge query can never deadlock the gate.
+	// estimated bytes; 0 or less = no watermark.  A query that would cross
+	// it waits (or is shed) unless the engine is idle, in which case it is
+	// always admitted so one huge query can never deadlock the gate.
 	MaxBytesInFlight int64
 }
 
 // Admission is the engine-level admission controller: a concurrency
-// gate plus a bytes-in-flight watermark with class-prioritized FIFO
-// queues.  A nil *Admission admits everything for free.  Acquire blocks
-// until admitted, the context ends, or the work is shed; every admit
-// must be paired with Grant.Release.
+// gate plus a bytes-in-flight watermark with one FIFO queue of selects.
+// A nil *Admission admits everything for free.  Acquire blocks until
+// admitted, the context ends, or the work is shed; every admit must be
+// paired with Grant.Release.
 type Admission struct {
-	opts   Options
-	mu     sync.Mutex
-	run    int
-	bytes  int64
-	queued int
-	queues [numClasses][]*waiter
+	opts  Options
+	mu    sync.Mutex
+	run   int
+	bytes int64
+	queue []*waiter
 }
 
 type waiter struct {
-	class Class
 	bytes int64
 	ready chan *Grant
 }
 
 // Grant is an admitted query's reservation; Release returns its
-// capacity and wakes queued waiters in class-priority order.  Release
+// capacity and wakes queued waiters in arrival order.  Release
 // is idempotent and nil-safe.
 type Grant struct {
 	a        *Admission
@@ -96,7 +91,7 @@ func (a *Admission) admitLocked(est int64) bool {
 }
 
 func (a *Admission) gaugesLocked() {
-	gaugeQueueDepth.Set(int64(a.queued))
+	gaugeQueueDepth.Set(int64(len(a.queue)))
 	gaugeBytesInFlight.Set(a.bytes)
 	gaugeRunning.Set(int64(a.run))
 }
@@ -123,19 +118,14 @@ func (a *Admission) Acquire(ctx context.Context, class Class, estBytes int64) (*
 		return &Grant{a: a, bytes: estBytes}, nil
 	}
 	// Overloaded: shed or queue per class.
-	limit := a.opts.MaxQueue
-	if class == ClassPoint {
-		limit *= 2
-	}
-	if class == ClassAggregate || a.queued >= limit {
+	if class == ClassAggregate || len(a.queue) >= a.opts.MaxQueue {
 		a.gaugesLocked()
 		a.mu.Unlock()
 		ctrSheds.Inc()
 		return nil, fmt.Errorf("%w (%s)", ErrShed, class)
 	}
-	w := &waiter{class: class, bytes: estBytes, ready: make(chan *Grant, 1)}
-	a.queues[class] = append(a.queues[class], w)
-	a.queued++
+	w := &waiter{bytes: estBytes, ready: make(chan *Grant, 1)}
+	a.queue = append(a.queue, w)
 	a.gaugesLocked()
 	a.mu.Unlock()
 	ctrQueuedTotal.Inc()
@@ -159,21 +149,20 @@ func (a *Admission) Acquire(ctx context.Context, class Class, estBytes int64) (*
 			g.Release()
 			return nil, ctx.Err()
 		}
-		a.queued--
 		a.gaugesLocked()
 		a.mu.Unlock()
 		return nil, ctx.Err()
 	}
 }
 
-// removeLocked unlinks w from its class queue; false if already handed off.
+// removeLocked unlinks w from the queue; false if already handed off.
 func (a *Admission) removeLocked(w *waiter) bool {
-	q := a.queues[w.class]
+	q := a.queue
 	for i, cand := range q {
 		if cand == w {
 			copy(q[i:], q[i+1:])
 			q[len(q)-1] = nil
-			a.queues[w.class] = q[:len(q)-1]
+			a.queue = q[:len(q)-1]
 			return true
 		}
 	}
@@ -181,7 +170,7 @@ func (a *Admission) removeLocked(w *waiter) bool {
 }
 
 // Release returns the grant's capacity and hands freed slots to queued
-// waiters, points first.
+// waiters in arrival order.
 func (g *Grant) Release() {
 	if g == nil {
 		return
@@ -197,16 +186,13 @@ func (g *Grant) Release() {
 	a.mu.Lock()
 	a.run--
 	a.bytes -= g.bytes
-	for class := ClassPoint; class < numClasses; class++ {
-		for len(a.queues[class]) > 0 && a.admitLocked(a.queues[class][0].bytes) {
-			w := a.queues[class][0]
-			a.queues[class][0] = nil
-			a.queues[class] = a.queues[class][1:]
-			a.queued--
-			a.run++
-			a.bytes += w.bytes
-			w.ready <- &Grant{a: a, bytes: w.bytes}
-		}
+	for len(a.queue) > 0 && a.admitLocked(a.queue[0].bytes) {
+		w := a.queue[0]
+		a.queue[0] = nil
+		a.queue = a.queue[1:]
+		a.run++
+		a.bytes += w.bytes
+		w.ready <- &Grant{a: a, bytes: w.bytes}
 	}
 	a.gaugesLocked()
 	a.mu.Unlock()
@@ -226,5 +212,5 @@ func (a *Admission) Stats() Stats {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return Stats{Running: a.run, Queued: a.queued, BytesInFlight: a.bytes}
+	return Stats{Running: a.run, Queued: len(a.queue), BytesInFlight: a.bytes}
 }

@@ -91,37 +91,32 @@ func TestQueueCapSheds(t *testing.T) {
 	for a.Stats().Queued == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	// Queue is full for selects: the next select sheds...
+	// The queue is full: the next select sheds.
 	if _, err := a.Acquire(context.Background(), ClassSelect, 0); !errors.Is(err, ErrShed) {
 		t.Fatalf("select past queue cap: got %v, want ErrShed", err)
-	}
-	// ...but a point lookup still has headroom (2x cap), so it queues;
-	// cancel it to avoid waiting for capacity.
-	pctx, pcancel := context.WithCancel(context.Background())
-	pcancel()
-	if _, err := a.Acquire(pctx, ClassPoint, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("queued point with cancelled ctx: got %v, want Canceled", err)
 	}
 	cancel()
 	wg.Wait()
 }
 
-func TestPointWokenBeforeSelect(t *testing.T) {
+// TestQueueWakesInArrivalOrder: freed capacity goes to the select that
+// queued first.
+func TestQueueWakesInArrivalOrder(t *testing.T) {
 	a := NewAdmission(Options{MaxConcurrent: 1, MaxQueue: 8})
 	g := mustAcquire(t, a, ClassSelect, 0)
 
-	order := make(chan Class, 2)
+	order := make(chan int, 2)
 	var wg sync.WaitGroup
-	enqueue := func(class Class) {
+	enqueue := func(id int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gq, err := a.Acquire(context.Background(), class, 0)
+			gq, err := a.Acquire(context.Background(), ClassSelect, 0)
 			if err != nil {
-				t.Errorf("Acquire(%s): %v", class, err)
+				t.Errorf("Acquire(%d): %v", id, err)
 				return
 			}
-			order <- class
+			order <- id
 			gq.Release()
 		}()
 		deadline := time.Now().Add(time.Second)
@@ -130,12 +125,12 @@ func TestPointWokenBeforeSelect(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	enqueue(ClassSelect) // queued first...
-	enqueue(ClassPoint)  // ...but the point must be woken first
+	enqueue(1)
+	enqueue(2)
 	g.Release()
 	wg.Wait()
-	if first := <-order; first != ClassPoint {
-		t.Fatalf("first woken = %s, want point", first)
+	if first := <-order; first != 1 {
+		t.Fatalf("first woken = select %d, want 1", first)
 	}
 }
 
@@ -160,7 +155,7 @@ func TestBytesWatermark(t *testing.T) {
 
 func TestGrantReleaseIdempotent(t *testing.T) {
 	a := NewAdmission(Options{MaxConcurrent: 1})
-	g := mustAcquire(t, a, ClassPoint, 10)
+	g := mustAcquire(t, a, ClassSelect, 10)
 	g.Release()
 	g.Release()
 	if s := a.Stats(); s.Running != 0 || s.BytesInFlight != 0 {
@@ -194,7 +189,7 @@ func TestAcquireReleaseStorm(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			class := Class(i % int(numClasses))
+			class := Class(i % 2) // ClassSelect or ClassAggregate
 			for j := 0; j < 50; j++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 				g, err := a.Acquire(ctx, class, int64(i*100))

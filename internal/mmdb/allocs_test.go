@@ -77,7 +77,7 @@ func TestFirstSightStagesNothing(t *testing.T) {
 			if err := out[i].AddColumn("fk", g.Lookups(dom, 600)); err != nil {
 				t.Fatal(err)
 			}
-			out[i].AttachCache(tab.Cache())
+			out[i].cache.Store(tab.Cache())
 		}
 		return out
 	}
@@ -102,9 +102,9 @@ func TestFirstSightStagesNothing(t *testing.T) {
 			outer, i := outers(tab), 0
 			return testing.AllocsPerRun(runs, func() { c.run(tab, outer, i); i++ })
 		}
-		before := cached.CacheStats()
+		before := cached.Cache().Stats()
 		on, off := measure(cached), measure(plain)
-		if s := cached.CacheStats(); s.Deferred == before.Deferred || s.Inserts != before.Inserts {
+		if s := cached.Cache().Stats(); s.Deferred == before.Deferred || s.Inserts != before.Inserts {
 			t.Errorf("%s: the measured calls were not first sights: %+v", c.name, s)
 		}
 		if on > off {

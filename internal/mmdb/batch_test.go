@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cssidx"
+	"cssidx/internal/parallel"
 	"cssidx/internal/workload"
 )
 
@@ -127,6 +128,15 @@ func TestJoinBatchSizesAgree(t *testing.T) {
 	}
 }
 
+// indexIn runs segment.selectIn, the batched IN probe, over ix's current
+// epoch, uncached and ungoverned: the rows of each distinct value in list
+// order, ascending within a value.  An index has no IN method of its own;
+// tests that race folds or compare structures probe through here.
+func indexIn(ix *SortedIndex, list []uint32) []uint32 {
+	out, _, _ := ix.cur.Load().selectIn(nil, dedupeValues(list), false, parallel.Options{})
+	return out
+}
+
 // TestSelectIn checks the batched IN-list against SelectEqual composition on
 // both the sorted and the sharded index.
 func TestSelectIn(t *testing.T) {
@@ -158,8 +168,8 @@ func TestSelectIn(t *testing.T) {
 			want = append(want, ix.SelectEqual(v)...)
 		}
 		for name, got := range map[string][]uint32{
-			"sorted":  ix.SelectIn(list),
-			"sharded": sh.SelectIn(list),
+			"sorted":  indexIn(ix, list),
+			"sharded": indexIn(sh, list),
 		} {
 			if len(got) != len(want) {
 				t.Fatalf("%s SelectIn(%v)=%v, want %v", name, list, got, want)

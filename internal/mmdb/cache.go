@@ -2,7 +2,7 @@ package mmdb
 
 // Result caching: the execution engine's reuse stage.  Every query surface
 // (Table.SelectRange/SelectIn/SelectWhere, GroupAggregate, JoinWith, and an
-// index's own SelectRange/SelectIn over its epoch) consults an attached qcache.Cache
+// index's own SelectRange over its epoch) consults an attached qcache.Cache
 // before computing and fills it after, so repeated decision-support traffic —
 // the same dashboard ranges, IN-lists and join sub-results over and over — is
 // answered by a fingerprint lookup and one slice copy instead of a
@@ -16,8 +16,8 @@ package mmdb
 // miss's plan (qcache.Plan: path, selectivity, reason) and an exact hit
 // replays it without touching the domain tree; a subset replay reads the
 // IN-list's domain presence off its groups, and a containment hit still
-// plans.  An index's own methods are never planned; they cache at the epoch
-// layer, stamped with the epoch they read.
+// plans.  An index's own SelectRange is never planned; it caches at the epoch
+// layer, stamped with the epoch it read.
 //
 // Nothing is cached at first sight.  Every miss is settled with the cache's
 // admission verdict (qcache/door.go: has this question missed before?), and
@@ -41,14 +41,13 @@ import (
 	"sync"
 	"time"
 
-	"cssidx/internal/governor"
 	"cssidx/internal/qcache"
 	"cssidx/internal/telemetry"
 )
 
-// CacheOptions configures the result cache attached to a Table or DB: its
-// byte budget and admission floor.  A table without a cache (none attached,
-// or AttachCache(nil)) computes every surface.
+// CacheOptions configures the result cache of a Table (EnableCache) or of a
+// DB's tables (NewDB): its byte budget and admission floor.  A table with no
+// cache computes every surface.
 type CacheOptions = qcache.Options
 
 // EnableCache attaches a fresh result cache to the table and returns it.
@@ -60,26 +59,13 @@ func (t *Table) EnableCache(opts CacheOptions) *qcache.Cache {
 	return c
 }
 
-// AttachCache shares an existing cache (e.g. a DB-wide one) with the
-// table; nil detaches.
-func (t *Table) AttachCache(c *qcache.Cache) { t.cache.Store(c) }
-
 // Cache returns the attached result cache, or nil when caching is off.
 func (t *Table) Cache() *qcache.Cache { return t.cache.Load() }
 
-// CacheStats snapshots the attached cache's counters (zeros when off).
-func (t *Table) CacheStats() qcache.Stats { return t.cache.Load().StatsSnapshot() }
-
 // Generation returns the table's current generation: 1 after creation,
 // +1 per fold (new encodings and index base arrays).  Absorbed append
-// batches only grow the row count — see StateVersion for the counter that
-// moves on every append.
+// batches only grow the row count.
 func (t *Table) Generation() uint64 { return t.gen.Load() }
-
-// StateVersion returns the single counter that moves on every AppendRows
-// batch, folded or absorbed, and on every Compact: 1 after creation, +1 per
-// batch or Compact.
-func (t *Table) StateVersion() uint64 { return t.stateVer.Load() }
 
 // token stamps results computed against the table's in-place state: the
 // answer over rows [0, rows) of one generation.  A fold moves Gen and drops
@@ -161,10 +147,11 @@ func rangeFP(table, col string, layer qcache.Layer, lo, hi uint32) qcache.Key {
 // inFP fingerprints col IN (values) over the deduplicated list in
 // first-occurrence order — order-sensitive because the result's RID
 // grouping follows list order.  Lists hash a word at a time (qcache.HashWords):
-// this runs before every IN lookup, hit or miss.
-func inFP(table, col string, layer qcache.Layer, distinct []uint32) qcache.Key {
+// this runs before every IN lookup, hit or miss.  Only the table layer
+// caches IN-lists.
+func inFP(table, col string, distinct []uint32) qcache.Key {
 	return qcache.Key{
-		Table: table, Col: col, Kind: qcache.KindIn, Layer: layer,
+		Table: table, Col: col, Kind: qcache.KindIn, Layer: qcache.LayerTable,
 		Hash: qcache.HashWords(qcache.HashSeed, distinct), N: uint32(len(distinct)),
 	}
 }
@@ -264,7 +251,6 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	cache  *qcache.Cache
-	gov    *governor.Admission
 }
 
 // NewDB creates a database whose tables share one result cache built from
@@ -282,8 +268,7 @@ func (db *DB) CreateTable(name string) (*Table, error) {
 		return nil, fmt.Errorf("mmdb: db already has table %s", name)
 	}
 	t := NewTable(name)
-	t.AttachCache(db.cache)
-	t.AttachGovernor(db.gov)
+	t.cache.Store(db.cache)
 	db.tables[name] = t
 	return t, nil
 }
@@ -298,6 +283,3 @@ func (db *DB) Table(name string) (*Table, bool) {
 
 // Cache returns the shared result cache (nil when disabled).
 func (db *DB) Cache() *qcache.Cache { return db.cache }
-
-// CacheStats snapshots the shared cache's counters.
-func (db *DB) CacheStats() qcache.Stats { return db.cache.StatsSnapshot() }

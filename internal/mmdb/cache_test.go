@@ -156,7 +156,7 @@ func queryBattery(t *testing.T, cached, plain *Table, g *workload.Gen, tag strin
 func TestCacheDifferentialAllSurfaces(t *testing.T) {
 	cached, plain, g := cachePair(t, 4000, 11)
 	queryBattery(t, cached, plain, g, "gen1")
-	if s := cached.CacheStats(); s.Hits == 0 || s.Inserts == 0 {
+	if s := cached.Cache().Stats(); s.Hits == 0 || s.Inserts == 0 {
 		t.Fatalf("cache never engaged: %+v", s)
 	}
 	// Batch update: both tables append the same rows; the cached table's
@@ -176,7 +176,7 @@ func TestCacheDifferentialAllSurfaces(t *testing.T) {
 		t.Fatalf("generation %d, want 2", got)
 	}
 	queryBattery(t, cached, plain, g, "gen2")
-	if s := cached.CacheStats(); s.Invalidations == 0 {
+	if s := cached.Cache().Stats(); s.Invalidations == 0 {
 		t.Fatalf("append invalidated nothing: %+v", s)
 	}
 }
@@ -191,12 +191,12 @@ func TestCacheContainmentAcrossQueries(t *testing.T) {
 	if _, _, err := cached.SelectRange("a", wideLo, wideHi); err != nil {
 		t.Fatal(err)
 	}
-	before := cached.CacheStats()
+	before := cached.Cache().Stats()
 	got, _, err := cached.SelectRange("a", subLo, subHi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := cached.CacheStats()
+	after := cached.Cache().Stats()
 	if after.ContainedHits != before.ContainedHits+1 {
 		t.Fatalf("subrange not answered by containment: %+v -> %+v", before, after)
 	}
@@ -238,7 +238,7 @@ func TestJoinCacheReplay(t *testing.T) {
 		}
 		collect := func() []uint32 {
 			var pairs []uint32
-			if _, err := Join(outer, "k", innerIx, func(o, i uint32) { pairs = append(pairs, o, i) }); err != nil {
+			if _, err := JoinWith(outer, "k", innerIx, JoinOptions{}, func(o, i uint32) { pairs = append(pairs, o, i) }); err != nil {
 				t.Fatal(err)
 			}
 			return pairs
@@ -246,7 +246,7 @@ func TestJoinCacheReplay(t *testing.T) {
 		first := collect()
 		second := collect()
 		mustEqualU32(t, fmt.Sprintf("join replay sharded=%v", sharded), second, first)
-		if s := outer.CacheStats(); s.Hits == 0 {
+		if s := outer.Cache().Stats(); s.Hits == 0 {
 			t.Fatalf("sharded=%v: second join missed the cache: %+v", sharded, s)
 		}
 		// Moving the inner state must move the token and force recompute.
@@ -284,18 +284,18 @@ func TestDBSharedCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := db.CacheStats(); s.Inserts < 2 {
+	if s := db.Cache().Stats(); s.Inserts < 2 {
 		t.Fatalf("shared cache not filled: %+v", s)
 	}
 	// Appending to t1 must not invalidate t2's entries.
 	if err := t1.AppendRows(map[string][]uint32{"x": {3}}); err != nil {
 		t.Fatal(err)
 	}
-	before := db.CacheStats()
+	before := db.Cache().Stats()
 	if _, _, err := t2.SelectRange("x", 1, 7); err != nil {
 		t.Fatal(err)
 	}
-	after := db.CacheStats()
+	after := db.Cache().Stats()
 	if after.Hits != before.Hits+1 {
 		t.Fatalf("t2 entry lost to t1's append: %+v -> %+v", before, after)
 	}
@@ -327,12 +327,12 @@ func TestRebuiltShardedIndexDoesNotReuseTokens(t *testing.T) {
 	if sh1.Epoch() != sh2.Epoch() {
 		t.Fatalf("precondition lost: instance epochs diverge (%d vs %d), token reuse untestable", sh1.Epoch(), sh2.Epoch())
 	}
-	before := tab.CacheStats()
+	before := tab.Cache().Stats()
 	got, err := sh2.SelectRange(1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := tab.CacheStats()
+	after := tab.Cache().Stats()
 	if after.Hits != before.Hits {
 		t.Fatalf("new index instance hit the old instance's entry: %+v -> %+v", before, after)
 	}
@@ -342,7 +342,7 @@ func TestRebuiltShardedIndexDoesNotReuseTokens(t *testing.T) {
 
 // TestCacheRaceAppendRows is the -race gate for cache hits and
 // invalidations racing epoch swaps: readers hammer the epoch-cached
-// sharded surfaces while a writer pushes AppendRows batches through, then
+// sharded SelectRange while a writer pushes AppendRows batches through, then
 // the final state is checked bit-identical against an uncached replica.
 func TestCacheRaceAppendRows(t *testing.T) {
 	g := workload.New(31)
@@ -390,7 +390,6 @@ func TestCacheRaceAppendRows(t *testing.T) {
 						panic(fmt.Sprintf("rid %d out of range %d", rid, maxRows))
 					}
 				}
-				shC.SelectIn(lg.Lookups(base, 8))
 			}
 		}(r)
 	}
@@ -425,9 +424,17 @@ func TestCacheRaceAppendRows(t *testing.T) {
 		}
 		mustEqualU32(t, fmt.Sprintf("post-race SelectRange pass %d", pass), got, want)
 		list := g.Lookups(base, 16)
-		mustEqualU32(t, fmt.Sprintf("post-race SelectIn pass %d", pass), shC.SelectIn(list), shP.SelectIn(list))
+		gotIn, _, err := cached.SelectIn("x", list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantIn, _, err := plain.SelectIn("x", list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualU32(t, fmt.Sprintf("post-race SelectIn pass %d", pass), gotIn, wantIn)
 	}
-	if s := cached.CacheStats(); s.Hits == 0 || s.Invalidations == 0 || s.Patches == 0 {
+	if s := cached.Cache().Stats(); s.Hits == 0 || s.Invalidations == 0 || s.Patches == 0 {
 		t.Fatalf("race exercised nothing: %+v", s)
 	}
 }

@@ -151,22 +151,6 @@ func deltaEqualAppend(runs []idxRun, v uint32, out []uint32) []uint32 {
 	return out
 }
 
-// deltaCountRange counts the delta rows with lo ≤ value ≤ hi.
-func deltaCountRange(runs []idxRun, lo, hi uint32) int {
-	if lo > hi {
-		return 0
-	}
-	n := 0
-	for i := range runs {
-		r := &runs[i]
-		if r.min > hi || r.max < lo {
-			continue
-		}
-		n += binsearch.UpperBound(r.vals, hi) - binsearch.LowerBound(r.vals, lo)
-	}
-	return n
-}
-
 // deltaRunsBytes sums the runs' footprint.
 func deltaRunsBytes(runs []idxRun) int {
 	n := 0

@@ -155,17 +155,16 @@ func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, liv
 		}
 		mustEqualU32(t, fmt.Sprintf("%s ShardedRange([%d,%d])", tag, lo, hi), ls, os)
 
-		ln, err := live.kIx.CountRange(lo, hi)
+		lk, err := live.kIx.SelectRange(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := oracle.kIx.CountRange(lo, hi)
+		ok, err := oracle.kIx.SelectRange(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ln != on {
-			t.Fatalf("%s CountRange(k,[%d,%d]) = %d, want %d", tag, lo, hi, ln, on)
-		}
+		mustEqualU32(t, fmt.Sprintf("%s IndexRange(k,[%d,%d])", tag, lo, hi), lk, ok)
+
 		lv, _, err := live.tab.SelectRange("v", lo, hi) // scan path
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +180,7 @@ func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, liv
 	inList = append(inList, hot...)
 	// The index's own IN driver, whatever path the table's planner and
 	// cache pick below: plain, and grouped with its value offsets.
-	mustEqualU32(t, tag+" SortedIndex.SelectIn(k)", live.kIx.SelectIn(inList), oracle.kIx.SelectIn(inList))
+	mustEqualU32(t, tag+" index IN (k)", indexIn(live.kIx, inList), indexIn(oracle.kIx, inList))
 	lr, lgo, err := live.kIx.cur.Load().selectIn(nil, dedupeValues(inList), true, parallel.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +200,7 @@ func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, liv
 		t.Fatal(err)
 	}
 	mustEqualU32(t, tag+" SelectIn(k)", li, oi)
-	mustEqualU32(t, tag+" ShardedIn(s)", live.sIx.SelectIn(inList), oracle.sIx.SelectIn(inList))
+	mustEqualU32(t, tag+" ShardedIn(s)", indexIn(live.sIx, inList), indexIn(oracle.sIx, inList))
 
 	preds := []RangePred{
 		{Col: "k", Lo: probes[0], Hi: probes[0] + 1e9},
@@ -240,7 +239,7 @@ func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, liv
 func checkJoin(t *testing.T, tag string, live, oracle *twin, liveInner, oracleInner *twin) {
 	t.Helper()
 	collect := func(outer *Table, inner *SortedIndex) (a, b []uint32) {
-		if _, err := Join(outer, "k", inner, func(o, i uint32) {
+		if _, err := JoinWith(outer, "k", inner, JoinOptions{}, func(o, i uint32) {
 			a = append(a, o)
 			b = append(b, i)
 		}); err != nil {
@@ -329,7 +328,7 @@ func TestDeltaDifferentialAllSurfaces(t *testing.T) {
 				t.Fatal("sequence ended with an empty delta; absorbs untested at rest")
 			}
 			if cached {
-				s := live.tab.CacheStats()
+				s := live.tab.Cache().Stats()
 				if s.Hits == 0 || s.Patches == 0 {
 					t.Fatalf("cache never exercised across absorbs: %+v", s)
 				}
@@ -426,7 +425,7 @@ func TestDeltaManyRunsAgainstRebuild(t *testing.T) {
 }
 
 // TestDeltaFoldPolicy pins the absorb/fold decision and the bookkeeping it
-// moves: absorbed batches grow DeltaRows and StateVersion but not
+// moves: absorbed batches grow DeltaRows and the state version but not
 // Generation; crossing the size threshold folds everything into the base.
 func TestDeltaFoldPolicy(t *testing.T) {
 	g := workload.New(72)
@@ -435,7 +434,7 @@ func TestDeltaFoldPolicy(t *testing.T) {
 	if err := tab.AddColumn("k", g.Lookups(base, 4000)); err != nil {
 		t.Fatal(err)
 	}
-	gen0, sv0 := tab.Generation(), tab.StateVersion()
+	gen0, sv0 := tab.Generation(), tab.stateVer.Load()
 
 	// 4000/8 = 500: batches of 100 absorb until the delta reaches 500.
 	for i := 1; i <= 4; i++ {
@@ -448,8 +447,8 @@ func TestDeltaFoldPolicy(t *testing.T) {
 		if tab.Generation() != gen0 {
 			t.Fatalf("absorb %d folded: gen %d", i, tab.Generation())
 		}
-		if got, want := tab.StateVersion(), sv0+uint64(i); got != want {
-			t.Fatalf("after absorb %d: StateVersion = %d, want %d", i, got, want)
+		if got, want := tab.stateVer.Load(), sv0+uint64(i); got != want {
+			t.Fatalf("after absorb %d: state version = %d, want %d", i, got, want)
 		}
 		if tab.BaseRows() != 4000 {
 			t.Fatalf("absorb %d moved the base: %d", i, tab.BaseRows())
@@ -584,19 +583,19 @@ func TestEmptyAppendIsNotAFold(t *testing.T) {
 	if _, err := six.SelectRange(dict[10], dict[200]); err != nil {
 		t.Fatal(err)
 	}
-	if tab.DeltaRows() != 300 || len(ix.cur.Load().runs) == 0 || len(six.cur.Load().runs) == 0 || tab.CacheStats().Entries != 2 {
+	if tab.DeltaRows() != 300 || len(ix.cur.Load().runs) == 0 || len(six.cur.Load().runs) == 0 || tab.Cache().Stats().Entries != 2 {
 		t.Fatalf("setup: delta %d rows, %d sorted runs, %d sharded runs, %d cached entries",
-			tab.DeltaRows(), len(ix.cur.Load().runs), len(six.cur.Load().runs), tab.CacheStats().Entries)
+			tab.DeltaRows(), len(ix.cur.Load().runs), len(six.cur.Load().runs), tab.Cache().Stats().Entries)
 	}
 
-	gen, sv := tab.Generation(), tab.StateVersion()
-	runs, epoch, st := ix.cur.Load().runs, six.cur.Load(), tab.CacheStats()
+	gen, sv := tab.Generation(), tab.stateVer.Load()
+	runs, epoch, st := ix.cur.Load().runs, six.cur.Load(), tab.Cache().Stats()
 	if err := tab.AppendRows(map[string][]uint32{"k": {}, "s": nil}); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Generation() != gen || tab.StateVersion() != sv || tab.BaseRows() != 4000 || tab.DeltaRows() != 300 {
+	if tab.Generation() != gen || tab.stateVer.Load() != sv || tab.BaseRows() != 4000 || tab.DeltaRows() != 300 {
 		t.Fatalf("empty append moved the table: gen %d → %d, state %d → %d, base %d, delta %d",
-			gen, tab.Generation(), sv, tab.StateVersion(), tab.BaseRows(), tab.DeltaRows())
+			gen, tab.Generation(), sv, tab.stateVer.Load(), tab.BaseRows(), tab.DeltaRows())
 	}
 	if len(ix.cur.Load().runs) != len(runs) || &ix.cur.Load().runs[0] != &runs[0] {
 		t.Fatal("empty append replaced the sorted index's runs")
@@ -604,7 +603,7 @@ func TestEmptyAppendIsNotAFold(t *testing.T) {
 	if six.cur.Load() != epoch {
 		t.Fatal("empty append published a sharded epoch")
 	}
-	if got := tab.CacheStats(); got.Entries != st.Entries || got.Invalidations != st.Invalidations {
+	if got := tab.Cache().Stats(); got.Entries != st.Entries || got.Invalidations != st.Invalidations {
 		t.Fatalf("empty append dropped cached entries: %+v → %+v", st, got)
 	}
 	if err := tab.AppendRows(map[string][]uint32{"k": {}}); err == nil {
@@ -612,16 +611,16 @@ func TestEmptyAppendIsNotAFold(t *testing.T) {
 	}
 
 	for _, what := range []string{"runs outstanding", "nothing outstanding"} {
-		gen, sv := tab.Generation(), tab.StateVersion()
+		gen, sv := tab.Generation(), tab.stateVer.Load()
 		tab.Compact()
-		if tab.Generation() != gen+1 || tab.StateVersion() != sv+1 {
-			t.Fatalf("Compact, %s: gen %d → %d, state %d → %d", what, gen, tab.Generation(), sv, tab.StateVersion())
+		if tab.Generation() != gen+1 || tab.stateVer.Load() != sv+1 {
+			t.Fatalf("Compact, %s: gen %d → %d, state %d → %d", what, gen, tab.Generation(), sv, tab.stateVer.Load())
 		}
 		if tab.DeltaRows() != 0 || tab.BaseRows() != 4300 || len(ix.cur.Load().runs) != 0 || len(six.cur.Load().runs) != 0 {
 			t.Fatalf("Compact, %s: delta %d, base %d, %d sorted runs, %d sharded runs left",
 				what, tab.DeltaRows(), tab.BaseRows(), len(ix.cur.Load().runs), len(six.cur.Load().runs))
 		}
-		if n := tab.CacheStats().Entries; n != 0 {
+		if n := tab.Cache().Stats().Entries; n != 0 {
 			t.Fatalf("Compact, %s: %d cached entries survived the fold", what, n)
 		}
 	}

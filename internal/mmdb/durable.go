@@ -19,8 +19,8 @@ import (
 // logged before the in-memory table absorbs them: every batch is
 // appended to a checksummed log — fsynced per the configured wal.Policy
 // — so a crash between Checkpoint snapshots loses nothing the policy
-// promised to keep.  Reads (Column, SelectEqual, Join, …) go straight
-// to the embedded Table; AppendRows and Close are intercepted, and
+// promised to keep.  Reads (Column, SelectRange, SelectIn, Index, …) go
+// straight to the embedded Table; AppendRows and Close are intercepted, and
 // SyncWAL, SyncedSeq, LastSeq, LogSize and Checkpoint come from the
 // embedded wal.Store.  AppendRows calls are serialized through the log
 // and safe for concurrent use; reads follow the Table's own rules.

@@ -424,7 +424,7 @@ func TestShardedReadersDuringFolds(t *testing.T) {
 				if q.values == nil {
 					rids, err = six.SelectRange(q.lo, q.hi)
 				} else {
-					rids = six.SelectIn(q.values)
+					rids = indexIn(six, q.values)
 				}
 				got = widen(nil, rids)
 			}

@@ -1,11 +1,13 @@
 package mmdb
 
-// Query governance: every public query surface is its *Ctx form — the plain
-// form is the same call with a background context — which threads a
-// context.Context (cancellation, deadline, per-query byte budget via
-// governor.WithBudget) through planning and execution, and a Table can
-// attach a governor.Admission controller that gates cache-miss compute work
-// under overload.
+// Query governance: every table query surface (Table.SelectRange, SelectIn,
+// SelectWhere, GroupAggregate, JoinWith) is its *Ctx form — the plain form is
+// the same call with a background context — which threads a context.Context
+// (cancellation, deadline, per-query byte budget via governor.WithBudget)
+// through planning and execution, and a Table can attach a
+// governor.Admission controller that gates cache-miss compute work under
+// overload.  An index's own SelectEqual and SelectRange take no context: a
+// governed question is asked through the table.
 //
 // The plumbing rules, each implemented once (query.go) so a new surface
 // follows them by calling the helper:
@@ -37,17 +39,11 @@ import (
 	"cssidx/internal/governor"
 )
 
-// AttachGovernor attaches an admission controller to the table; nil
-// detaches.  Like AttachCache, attachment is not synchronized with
-// in-flight queries — attach before the table starts serving.
+// AttachGovernor attaches an admission controller to the table (build one
+// with governor.NewAdmission; attach the same one to several tables to share
+// one gate); nil detaches.  Attachment is not synchronized with in-flight
+// queries: attach before the table starts serving.
 func (t *Table) AttachGovernor(a *governor.Admission) { t.gov.Store(a) }
-
-// EnableGovernor builds and attaches an admission controller.
-func (t *Table) EnableGovernor(opts governor.Options) *governor.Admission {
-	a := governor.NewAdmission(opts)
-	t.gov.Store(a)
-	return a
-}
 
 // admit gates one governed query's compute stage through the attached
 // admission controller.  Ungoverned queries (nil ctl), tables without a
@@ -71,17 +67,4 @@ func (t *Table) admit(ctl *governor.Ctl, class governor.Class, estBytes int64) (
 		g.Release()
 		ctl.ExitAdmission()
 	}, nil
-}
-
-// AttachGovernor attaches one admission controller to every table in the
-// DB — current and future — so the whole database shares one concurrency
-// gate and bytes-in-flight watermark, the way CreateTable shares the
-// result cache.
-func (db *DB) AttachGovernor(a *governor.Admission) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.gov = a
-	for _, t := range db.tables {
-		t.AttachGovernor(a)
-	}
 }

@@ -84,13 +84,11 @@ func TestCtxSurfacesMatchLegacy(t *testing.T) {
 		}
 	}
 
-	shC, _ := cached.ShardedIndex("b")
-	shP, _ := plain.ShardedIndex("b")
-	wantSh, err := shP.SelectRange(1<<27, 1<<31)
+	wantSh, _, err := plain.SelectRange("b", 1<<27, 1<<31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSh, err := shC.SelectRangeCtx(ctx, 1<<27, 1<<31)
+	gotSh, _, err := cached.SelectRangeCtx(ctx, "b", 1<<27, 1<<31, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +99,7 @@ func TestCtxSurfacesMatchLegacy(t *testing.T) {
 // surface with the precise typed error before touching the cache.
 func TestPreCancelledTypedErrors(t *testing.T) {
 	cached, _, _ := cachePair(t, 1000, 72)
-	before := cached.CacheStats()
+	before := cached.Cache().Stats()
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -130,12 +128,11 @@ func TestPreCancelledTypedErrors(t *testing.T) {
 		if err := cached.AppendRowsCtx(ctx, map[string][]uint32{"a": {1}, "b": {1}, "c": {1}}); !errors.Is(err, wantErr) {
 			t.Fatalf("%s AppendRowsCtx: err = %v, want %v", name, err, wantErr)
 		}
-		sh, _ := cached.ShardedIndex("b")
-		if _, err := sh.SelectRangeCtx(ctx, 0, 9); !errors.Is(err, wantErr) {
+		if _, _, err := cached.SelectRangeCtx(ctx, "b", 0, 9, nil); !errors.Is(err, wantErr) {
 			t.Fatalf("%s sharded SelectRangeCtx: err = %v, want %v", name, err, wantErr)
 		}
 	}
-	if after := cached.CacheStats(); after.Inserts != before.Inserts {
+	if after := cached.Cache().Stats(); after.Inserts != before.Inserts {
 		t.Fatalf("pre-cancelled queries inserted cache entries: %+v -> %+v", before, after)
 	}
 	if rows := cached.Rows(); rows != 1000 {
@@ -318,7 +315,8 @@ func TestCancelMidFillCacheRace(t *testing.T) {
 // is still served (cache hits never enter admission).
 func TestAdmissionShedAndCacheHitUnderOverload(t *testing.T) {
 	cached, _, _ := cachePair(t, 2000, 75)
-	gov := cached.EnableGovernor(governor.Options{MaxConcurrent: 1, MaxQueue: 0})
+	gov := governor.NewAdmission(governor.Options{MaxConcurrent: 1, MaxQueue: 0})
+	cached.AttachGovernor(gov)
 
 	// Warm the range entry ungoverned.
 	want, _, err := cached.SelectRange("a", 0, 1<<30)
@@ -459,16 +457,12 @@ func TestJoinWithCtxGoverned(t *testing.T) {
 // that materialises its answer in this package: a subset replay hands the
 // caller a freshly allocated slice of any size, so under a
 // governor.WithBudget smaller than that slice it must fail with
-// ErrBudgetExceeded and nil rows on both cache layers — the table layer
-// (through the table, on "a" searched by a level CSS-tree and on the sharded
-// "b") and the epoch layer (through the index's own surface) — exactly as a
-// computed result would.  Exact hits stay uncharged: qcache copies them out
-// before this layer sees them, and cached answers are what a constrained
-// query is still served.
+// ErrBudgetExceeded and nil rows — on "a" searched by a level CSS-tree and
+// on the sharded "b" — exactly as a computed result would.  Exact hits stay
+// uncharged: qcache copies them out before this layer sees them, and cached
+// answers are what a constrained query is still served.
 func TestReusePathsChargeBudget(t *testing.T) {
 	cached, _, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 53)
-	sh, _ := cached.ShardedIndex("b")
-	t.Cleanup(sh.Close)
 	pool := g.Lookups(base, 20)
 	tiny := func() context.Context { return governor.WithBudget(context.Background(), 8) }
 	rng := func(i int) (lo, hi uint32) { return base[i], base[i+260] }
@@ -490,19 +484,16 @@ func TestReusePathsChargeBudget(t *testing.T) {
 				r, _, err := cached.SelectInCtx(ctx, "b", pool[2:14], nil)
 				return r, err
 			}},
-		{"epoch subset replay via index",
-			func() error { sh.SelectIn(pool); return nil },
-			func(ctx context.Context) ([]uint32, error) { return sh.SelectInCtx(ctx, pool[5:11]) }},
 	} {
 		if err := c.seed(); err != nil {
 			t.Fatalf("%s seed: %v", c.name, err)
 		}
-		before := cached.CacheStats().SubsetHits
+		before := cached.Cache().Stats().SubsetHits
 		rows, err := c.reuse(tiny())
 		if !errors.Is(err, governor.ErrBudgetExceeded) || rows != nil {
 			t.Errorf("%s under an 8-byte budget: %d rows, err = %v; want nil rows and ErrBudgetExceeded", c.name, len(rows), err)
 		}
-		if after := cached.CacheStats().SubsetHits; after != before+1 {
+		if after := cached.Cache().Stats().SubsetHits; after != before+1 {
 			t.Errorf("%s: the reuse path did not answer (SubsetHits %d -> %d)", c.name, before, after)
 		}
 		// The same query ungoverned is served in full.
@@ -555,7 +546,7 @@ func BenchmarkGovernedQuery(b *testing.B) {
 	}
 	// Ungoverned queries pass admission for free, so attaching the
 	// controller up front leaves the background leg untouched.
-	tab.EnableGovernor(governor.Options{MaxConcurrent: 8, MaxQueue: 8, MaxBytesInFlight: 1 << 30})
+	tab.AttachGovernor(governor.NewAdmission(governor.Options{MaxConcurrent: 8, MaxQueue: 8, MaxBytesInFlight: 1 << 30}))
 	points := g.Lookups(keys, 4096)
 	width := keys[len(keys)-1] / 8192
 	for _, s := range []struct {

@@ -173,7 +173,7 @@ func BenchmarkWarmHit(b *testing.B) {
 			if err := leg.run(); err != nil { // warm
 				b.Fatal(err)
 			}
-			before := tab.CacheStats()
+			before := tab.Cache().Stats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -186,7 +186,7 @@ func BenchmarkWarmHit(b *testing.B) {
 			if leg.subset {
 				subsets = int64(b.N)
 			}
-			if s := tab.CacheStats(); s.Misses != before.Misses || s.ContainedHits != before.ContainedHits || s.SubsetHits != before.SubsetHits+subsets {
+			if s := tab.Cache().Stats(); s.Misses != before.Misses || s.ContainedHits != before.ContainedHits || s.SubsetHits != before.SubsetHits+subsets {
 				b.Fatalf("%s: not every call was a hit of its kind: %+v", leg.name, s)
 			}
 		})

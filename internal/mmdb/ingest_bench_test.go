@@ -169,7 +169,7 @@ func (s *scaleTable) fillResident(tb testing.TB, n int) {
 			tb.Fatal(err)
 		}
 	}
-	if got := s.tab.CacheStats().Entries; got != int64(n) {
+	if got := s.tab.Cache().Stats().Entries; got != int64(n) {
 		tb.Fatalf("%d resident entries, want %d", got, n)
 	}
 }
@@ -204,7 +204,7 @@ func TestAbsorbCostIndependentOfResidentEntries(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		got := after.TotalAlloc - before.TotalAlloc
 		t.Logf("resident=%d: one absorb allocates %d B", resident, got)
-		if st := s.tab.CacheStats(); st.Entries != int64(resident) || st.Patches != 0 || st.Invalidations != 0 {
+		if st := s.tab.Cache().Stats(); st.Entries != int64(resident) || st.Patches != 0 || st.Invalidations != 0 {
 			t.Fatalf("resident=%d: absorbs touched the cache: %+v", resident, st)
 		}
 		if lo == 0 || got < lo {

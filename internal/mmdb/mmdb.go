@@ -13,10 +13,20 @@
 // §2.2) plus a companion sorted key array searched by a search structure —
 // any cssidx method (BuildIndex) or a sharded index (BuildShardedIndex).  The
 // structure is the method; there is one index type, one read path and one
-// publication: every index serves frozen epochs, so its own methods run
-// while AppendRows absorbs and folds, and a table query takes the same path
-// — cache lookup first, then plan, then the index or a scan — whatever
-// structure backs the column.  Only EXPLAIN and SpaceBytes read which.
+// publication: every index serves frozen epochs, so its own SelectEqual and
+// SelectRange run while AppendRows absorbs and folds, and a table query takes
+// the same path — cache lookup first, then plan, then the index or a scan —
+// whatever structure backs the column.  Only EXPLAIN and SpaceBytes read
+// which.
+//
+// Each question has one entry point.  The table is the query surface:
+// Table.SelectRange, SelectIn and SelectWhere, GroupAggregate and JoinWith,
+// each with a *Ctx form that takes a context (governance) and a trace
+// (EXPLAIN ANALYZE).  An index answers only its own point and range probes,
+// ungoverned.  A result cache comes from Table.EnableCache, or from NewDB
+// for tables sharing one; an admission controller from
+// Table.AttachGovernor(governor.NewAdmission(…)); counters from
+// Cache().Stats().
 package mmdb
 
 import (
@@ -329,44 +339,6 @@ func (ix *SortedIndex) Close() {}
 // exceed all resident ones.
 func (ix *SortedIndex) SelectEqual(value uint32) []uint32 { return ix.cur.Load().selectEqual(value) }
 
-// SelectEqualCtx is SelectEqual under governance: the context's
-// cancellation/deadline/budget are observed, and on an attached admission
-// controller the probe enters as ClassPoint — the class served last by the
-// shed policy, with extra queue headroom under overload.
-func (ix *SortedIndex) SelectEqualCtx(ctx context.Context, value uint32) (out []uint32, err error) {
-	var q entry
-	if q.enter(ctx, nil, nil) {
-		q.release, q.dead = ix.tbl.admit(q.ctl, governor.ClassPoint, 0)
-		if q.dead == nil {
-			out, err = q.fresh(ix.cur.Load().selectEqual(value), nil)
-		}
-	}
-	return out, q.leave(err)
-}
-
-// SelectIn returns the RIDs of rows whose column equals any value in the
-// IN-list, against one epoch: the list is translated through the domain with
-// one lockstep descent per chunk of cssidx.DefaultBatchSize values and probed
-// with one batched equal-range, with large lists fanned across the parallel
-// worker pool.  Duplicate list values contribute their rows once; RIDs come
-// back grouped by list order, ascending within a value.  Results are cached
-// per epoch.
-func (ix *SortedIndex) SelectIn(values []uint32) []uint32 {
-	out, _ := ix.SelectInCtx(context.Background(), values)
-	return out
-}
-
-// SelectInCtx is SelectIn under governance; see SelectEqualCtx.  A
-// cache-missing list enters the admission controller as ClassSelect, with
-// cancellation observed and the budget charged at chunk boundaries.
-func (ix *SortedIndex) SelectInCtx(ctx context.Context, values []uint32) (out []uint32, err error) {
-	var q entry
-	if q.enter(ctx, nil, nil) {
-		out, err = ix.cur.Load().inQuery(q.env, dedupeValues(values))
-	}
-	return out, q.leave(err)
-}
-
 // dedupeValues keeps the first occurrence of each value, preserving order —
 // the IN fingerprint and the result's RID grouping both follow it.  Every
 // IN-list passes through here before its cache lookup, so the seen-set is one
@@ -413,23 +385,7 @@ const dedupeStack = 128
 // bounds, with containment reuse: a cached wider range on this column (no
 // newer than the epoch) answers the query by slicing its sorted run.
 func (ix *SortedIndex) SelectRange(lo, hi uint32) ([]uint32, error) {
-	return ix.SelectRangeCtx(context.Background(), lo, hi)
-}
-
-// SelectRangeCtx is SelectRange under governance: a cache-missing range
-// enters the admission controller as ClassSelect and the merged result is
-// charged against the context's byte budget.
-func (ix *SortedIndex) SelectRangeCtx(ctx context.Context, lo, hi uint32) (out []uint32, err error) {
-	var q entry
-	if q.enter(ctx, nil, nil) {
-		out, err = ix.cur.Load().rangeQuery(q.env, lo, hi)
-	}
-	return out, q.leave(err)
-}
-
-// CountRange is SelectRange without materialising RIDs.
-func (ix *SortedIndex) CountRange(lo, hi uint32) (int, error) {
-	return ix.cur.Load().countRange(lo, hi)
+	return ix.cur.Load().rangeQuery(env{}, lo, hi)
 }
 
 // --- joins -------------------------------------------------------------------
@@ -444,12 +400,6 @@ type JoinOptions struct {
 	// batch is the probe chunk size, 0 = cssidx.DefaultBatchSize; only
 	// tests set another (1 = the scalar schedule).
 	batch int
-}
-
-// Join performs the indexed nested-loop join of §2.2 with the default
-// options; see JoinWith.
-func Join(outer *Table, outerCol string, inner *SortedIndex, emit func(outerRID, innerRID uint32)) (int, error) {
-	return JoinWith(outer, outerCol, inner, JoinOptions{}, emit)
 }
 
 // JoinWith performs the indexed nested-loop join of §2.2, driving the inner

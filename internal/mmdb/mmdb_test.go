@@ -85,10 +85,6 @@ func TestSelectRangeOrderedKinds(t *testing.T) {
 		if len(rids) != 5 {
 			t.Errorf("%v: SelectRange(10,30)=%v, want 5 rids", kind, rids)
 		}
-		n, err := ix.CountRange(10, 30)
-		if err != nil || n != 5 {
-			t.Errorf("%v: CountRange=(%d,%v)", kind, n, err)
-		}
 	}
 }
 
@@ -104,11 +100,11 @@ func TestRangeBoundsBetweenValues(t *testing.T) {
 	if len(rids) != 4 {
 		t.Errorf("SelectRange(11,98)=%v, want 4 rids", rids)
 	}
-	if n, _ := ix.CountRange(100, 200); n != 0 {
-		t.Errorf("empty range counted %d", n)
+	if rids, _ := ix.SelectRange(100, 200); len(rids) != 0 {
+		t.Errorf("empty range selected %v", rids)
 	}
-	if n, _ := ix.CountRange(0, 9); n != 0 {
-		t.Errorf("below-min range counted %d", n)
+	if rids, _ := ix.SelectRange(0, 9); len(rids) != 0 {
+		t.Errorf("below-min range selected %v", rids)
 	}
 }
 
@@ -140,7 +136,7 @@ func TestIndexedNestedLoopJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pairs [][2]uint32
-	n, err := Join(orders, "customer", idIx, func(o, i uint32) {
+	n, err := JoinWith(orders, "customer", idIx, JoinOptions{}, func(o, i uint32) {
 		pairs = append(pairs, [2]uint32{o, i})
 	})
 	if err != nil {
@@ -169,7 +165,7 @@ func TestJoinWithDuplicateInnerKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, _ := inner.BuildIndex("k", cssidx.KindBPlusTree, cssidx.Options{})
-	n, err := Join(outer, "k", ix, nil)
+	n, err := JoinWith(outer, "k", ix, JoinOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +184,7 @@ func TestJoinMissingColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, _ := inner.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
-	if _, err := Join(outer, "nope", ix, nil); err == nil {
+	if _, err := JoinWith(outer, "nope", ix, JoinOptions{}, nil); err == nil {
 		t.Error("missing column accepted")
 	}
 }
@@ -196,9 +192,8 @@ func TestJoinMissingColumn(t *testing.T) {
 func TestBatchUpdateRebuildsIndexes(t *testing.T) {
 	tab := fixture(t)
 	ix, _ := tab.BuildIndex("amount", cssidx.KindLevelCSS, cssidx.Options{})
-	before, _ := ix.CountRange(0, 1000)
-	if before != 7 {
-		t.Fatalf("precondition: count=%d", before)
+	if before, _ := ix.SelectRange(0, 1000); len(before) != 7 {
+		t.Fatalf("precondition: %d rows", len(before))
 	}
 	err := tab.AppendRows(map[string][]uint32{
 		"amount":   {20, 75},
@@ -212,9 +207,8 @@ func TestBatchUpdateRebuildsIndexes(t *testing.T) {
 	}
 	// The registered index must reflect the new rows without being rebuilt
 	// by hand.
-	after, _ := ix.CountRange(0, 1000)
-	if after != 9 {
-		t.Errorf("after batch: count=%d, want 9", after)
+	if after, _ := ix.SelectRange(0, 1000); len(after) != 9 {
+		t.Errorf("after batch: %d rows, want 9", len(after))
 	}
 	rids := ix.SelectEqual(20)
 	if len(rids) != 1 || rids[0] != 7 {

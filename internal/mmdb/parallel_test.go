@@ -209,8 +209,8 @@ func TestSelectInParallelMatchesSequential(t *testing.T) {
 	values := append(g.Lookups(keys, 6000), g.Misses(keys, 2000)...)
 
 	// The sequential oracle: per-value equal ranges in list order.
-	want := ix.SelectIn(values)
-	got := sh.SelectIn(values)
+	want := indexIn(ix, values)
+	got := indexIn(sh, values)
 	if len(got) != len(want) {
 		t.Fatalf("sharded SelectIn %d rids, sorted %d", len(got), len(want))
 	}

@@ -7,7 +7,7 @@ package mmdb
 //     structure.
 //  2. A cached path answers one query shape over a segment and a cache
 //     reader — the table layer's (generation, rows) reader, or the index
-//     epoch's own for the index's methods — and follows one protocol: a
+//     epoch's own for the index's SelectRange — and follows one protocol: a
 //     lookup that returns a complete answer from one entry (exact,
 //     containment, IN subset replay; the entry picked is first brought
 //     current from the rows appended since), then on a miss the cache's
@@ -15,14 +15,15 @@ package mmdb
 //     execute, charge, and only for a question seen before the staging the
 //     cache wants and the insert.  The table layer looks up before it plans
 //     and replays the plan an exact hit's entry stored (cache.go); the index
-//     computes, missRange and missIn, are written once for both layers.
-//     Scans, WHERE conjunctions, aggregates and joins run the same stages
+//     range compute, missRange, is written once for both layers.  Scans, IN
+//     lists, WHERE conjunctions, aggregates and joins run the same stages
 //     through the same helpers (env.miss, compute, stage.abort, env.fresh).
-//  3. One entry: every public surface is its *Ctx form, and the plain form is
-//     the *Ctx form with a background context and no trace.  enter builds the
-//     env — the governance handle and the trace span, both nil on the plain
-//     path — and leave settles the histogram, the trace and the abort
-//     counters.
+//  3. One entry: every public table surface is its *Ctx form, and the plain
+//     form is the *Ctx form with a background context and no trace.  enter
+//     builds the env — the governance handle and the trace span, both nil on
+//     the plain path — and leave settles the histogram, the trace and the
+//     abort counters.  An index's own SelectEqual and SelectRange read one
+//     epoch with no entry: they are neither governed nor traced.
 //
 // On top of the storage this adds grouped aggregation over domain IDs (the
 // classic dictionary-encoded OLAP aggregate) and access-path selection
@@ -58,11 +59,10 @@ type env struct {
 // entry brackets one public query: the env, plus what leave settles.
 type entry struct {
 	env
-	tr      *telemetry.Trace
-	hist    *telemetry.Histogram
-	start   time.Time
-	dead    error  // the entry check's verdict: the query must not run
-	release func() // admission grant taken at entry (SelectEqualCtx), or nil
+	tr    *telemetry.Trace
+	hist  *telemetry.Histogram
+	start time.Time
+	dead  error // the entry check's verdict: the query must not run
 }
 
 // enter opens a public query surface (govern.go rule 1): the handle is built
@@ -93,9 +93,6 @@ func (q *entry) leave(err error) error {
 	} else if q.hist != nil {
 		q.hist.Since(q.start)
 	}
-	if q.release != nil {
-		q.release()
-	}
 	q.tr.Finish()
 	if err != nil {
 		governor.NoteAbort(err)
@@ -104,17 +101,14 @@ func (q *entry) leave(err error) error {
 }
 
 // fresh passes on a result materialised in one piece in this package — a
-// replayed IN subset, an uncached point probe: a new slice of any size,
-// charged against the caller's byte budget exactly once, exactly like a
-// computed one.  Exact and containment hits are not charged: qcache copies
-// them out under its own stripe lock before this layer sees them, and serving
-// cached answers to a constrained query is the degradation order governance
-// promises (govern.go rule 2).
-func (e env) fresh(rids []uint32, err error) ([]uint32, error) {
-	if err == nil {
-		err = e.ctl.Charge(4 * int64(len(rids)))
-	}
-	if err != nil {
+// replayed IN subset: a new slice of any size, charged against the caller's
+// byte budget exactly once, exactly like a computed one.  Exact and
+// containment hits are not charged: qcache copies them out under its own
+// stripe lock before this layer sees them, and serving cached answers to a
+// constrained query is the degradation order governance promises (govern.go
+// rule 2).
+func (e env) fresh(rids []uint32) ([]uint32, error) {
+	if err := e.ctl.Charge(4 * int64(len(rids))); err != nil {
 		return nil, err
 	}
 	return rids, nil
@@ -727,7 +721,7 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 		subset = distinct
 	}
 	qc, rd := t.Cache(), t.reader(seg)
-	key := inFP(t.name, col, qcache.LayerTable, distinct)
+	key := inFP(t.name, col, distinct)
 	a := qc.Find(key, rd, subset)
 	var p qcache.Plan
 	switch {
@@ -743,7 +737,7 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	switch {
 	case a.Kind == qcache.HitSubset:
 		e.hit(a)
-		rids, err := e.fresh(a.RIDs, nil) // a replay is a freshly materialised answer
+		rids, err := e.fresh(a.RIDs) // a replay is a freshly materialised answer
 		return rids, plan, err
 	case a.Kind != qcache.HitMiss:
 		e.hit(a)
@@ -787,29 +781,11 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	return out, plan, nil
 }
 
-// inQuery is an index's own cached IN path over the frozen epoch s: one
-// lookup as the epoch's reader — exact, then the grouped entries of the same
-// column that serve it: a subset list replays by concatenating cached groups
-// — then on a miss missIn, with the list length as the admission estimate.
-func (s *epoch) inQuery(e env, distinct []uint32) ([]uint32, error) {
-	key, rd := inFP(s.tbl.name, s.col, qcache.LayerEpoch, distinct), s.reader()
-	a := s.tbl.Cache().Find(key, rd, distinct)
-	switch a.Kind {
-	case qcache.HitMiss:
-		return s.missIn(e, rd, key, distinct, len(distinct), qcache.Plan{})
-	case qcache.HitSubset:
-		e.hit(a)
-		return e.fresh(a.RIDs, nil) // a replay is a freshly materialised answer
-	}
-	e.hit(a)
-	return a.RIDs, nil
-}
-
-// missIn is the one index IN compute: the miss settled, then the batched
-// driver, and for a list seen before admission with the value list, the
-// plan p that chose the path and (for lists that stay on one worker) the
-// group offsets replay and refresh splicing need; a first-time list
-// collects no offsets.  est is the admission estimate in rows.
+// missIn is the index path of a table IN-list: the miss settled, then the
+// batched probe (selectIn), and for a list seen before admission with the
+// value list, the plan p that chose the path and (for lists that stay on one
+// worker) the group offsets replay and refresh splicing need; a first-time
+// list collects no offsets.  est is the admission estimate in rows.
 func (seg *segment) missIn(e env, rd qcache.Reader, key qcache.Key, distinct []uint32, est int, p qcache.Plan) ([]uint32, error) {
 	qc := seg.tbl.Cache()
 	admit := e.miss(qc, key)
@@ -833,7 +809,7 @@ func (seg *segment) missIn(e env, rd qcache.Reader, key qcache.Key, distinct []u
 	if admit {
 		ad := e.sp.Child("admit")
 		qc.InsertIn(key, rd.Tok, distinct, goff, out,
-			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: planRows(key, est, len(out))}, 0), p)
+			recomputeCost(time.Since(st.start), Plan{UseIndex: true, EstRows: est}, 0), p)
 		ad.End()
 	}
 	return out, nil

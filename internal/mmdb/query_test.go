@@ -493,33 +493,6 @@ func (f *entryForms) check(t *testing.T, tag string) {
 		}
 		same(inner+" JoinWith", pairs[0], pairs[1], pairs[2])
 	}
-
-	// The index-level trios have no traced form: plain vs *Ctx.
-	kIx, _ := f.tabs[0].Index("k")
-	sIx, _ := f.tabs[0].ShardedIndex("s")
-	v := list[0]
-	ke, err := kIx.SelectEqualCtx(bg, v)
-	must(err)
-	mustEqualU32(t, tag+" SortedIndex.SelectEqualCtx", ke, kIx.SelectEqual(v))
-	ki, err := kIx.SelectInCtx(bg, list)
-	must(err)
-	mustEqualU32(t, tag+" SortedIndex.SelectInCtx", ki, kIx.SelectIn(list))
-	kr, err := kIx.SelectRangeCtx(bg, lo, hi)
-	must(err)
-	krp, err := kIx.SelectRange(lo, hi)
-	must(err)
-	mustEqualU32(t, tag+" SortedIndex.SelectRangeCtx", kr, krp)
-	se, err := sIx.SelectEqualCtx(bg, v)
-	must(err)
-	mustEqualU32(t, tag+" ShardedIndex.SelectEqualCtx", se, sIx.SelectEqual(v))
-	si, err := sIx.SelectInCtx(bg, list)
-	must(err)
-	mustEqualU32(t, tag+" ShardedIndex.SelectInCtx", si, sIx.SelectIn(list))
-	sr, err := sIx.SelectRangeCtx(bg, lo, hi)
-	must(err)
-	srp, err := sIx.SelectRange(lo, hi)
-	must(err)
-	mustEqualU32(t, tag+" ShardedIndex.SelectRangeCtx", sr, srp)
 }
 
 // TestEntryFormsAgree: the plain surface IS the *Ctx surface with a

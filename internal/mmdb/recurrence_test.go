@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"cssidx"
-	"cssidx/internal/parallel"
 	"cssidx/internal/qcache"
 	"cssidx/internal/workload"
 )
@@ -105,7 +104,6 @@ func refreshSurfaces() []recurSurface {
 	return append(out,
 		recurSurface{"s sharded range", true, sharded(func(ix *SortedIndex) (any, error) { return ix.SelectRange(300, 420) })},
 		recurSurface{"s sharded contained", false, sharded(func(ix *SortedIndex) (any, error) { return ix.SelectRange(310, 400) })},
-		recurSurface{"s sharded IN", false, sharded(func(ix *SortedIndex) (any, error) { return ix.SelectIn(list), nil })},
 		recurSurface{"u scan range", true, recurRange("u", 200, 260)},
 		recurSurface{"u scan IN", true, recurIn("u", fixedList(list...))},
 		recurSurface{"where k and g", true, recurWhere(RangePred{Col: "k", Lo: 200, Hi: 380}, RangePred{Col: "g", Lo: 2, Hi: 9})},
@@ -181,12 +179,12 @@ func runRecurrence(t *testing.T, cached, plain *recurSide, surfaces []recurSurfa
 	for ask := 0; ask < 6; ask++ {
 		for qi, q := range surfaces {
 			step := fmt.Sprintf("%s, ask %d", q.name, ask+1)
-			before := qc.StatsSnapshot()
+			before := qc.Stats()
 			got, err := q.ask(cached, ask)
 			if err != nil {
 				t.Fatalf("%s: %v", step, err)
 			}
-			d := qc.StatsSnapshot()
+			d := qc.Stats()
 			want, err := q.ask(plain, ask)
 			if err != nil {
 				t.Fatalf("%s (uncached): %v", step, err)
@@ -228,7 +226,7 @@ func runRecurrence(t *testing.T, cached, plain *recurSide, surfaces []recurSurfa
 			appendBatch(true)
 		}
 	}
-	s := qc.StatsSnapshot()
+	s := qc.Stats()
 	if s.Deferred == 0 || s.Inserts == 0 || s.Hits == 0 || s.Patches == 0 || s.Invalidations == 0 {
 		t.Fatalf("sequence left a path unexercised: %+v", s)
 	}
@@ -273,6 +271,11 @@ func TestRecurrenceAdmissionDifferential(t *testing.T) {
 		}
 		build := func(cache bool) *recurSide {
 			s := &recurSide{t: NewTable("t"), o: NewTable("o")}
+			if cache {
+				db := NewDB(CacheOptions{})
+				s.t, _ = db.CreateTable("t")
+				s.o, _ = db.CreateTable("o")
+			}
 			s.t.fold = neverFold
 			for _, c := range cols {
 				if err := s.t.AddColumn(c, rows[c]); err != nil {
@@ -288,9 +291,6 @@ func TestRecurrenceAdmissionDifferential(t *testing.T) {
 			if _, err := s.t.BuildShardedIndex("s", 4); err != nil {
 				t.Fatal(err)
 			}
-			if cache {
-				s.o.AttachCache(s.t.EnableCache(CacheOptions{}))
-			}
 			return s
 		}
 		cached, plain := build(true), build(false)
@@ -304,11 +304,11 @@ func TestRecurrenceAdmissionDifferential(t *testing.T) {
 
 // TestRecurrenceRaceSharded is the -race gate for admission by recurrence
 // against epoch swaps: four readers, each pinned to whatever epoch was
-// current when its round began, ask a Zipf-skewed pool of ranges and IN-lists
-// plus one-off ranges at default admission while 30 absorbed appends and a
+// current when its round began, ask a Zipf-skewed pool of ranges plus
+// one-off ranges at default admission while 30 absorbed appends and a
 // Compact land, each reader finishing a round pinned to every epoch before
 // the next append.  Every answer must be its pinned epoch's own recompute; a
-// concurrent StatsSnapshot must never see Deferred (or any miss settlement)
+// concurrent Stats snapshot must never see Deferred (or any miss settlement)
 // move backwards; and at rest every miss is accounted for — deferred at first
 // sight, or inserted or rejected at admission.
 func TestRecurrenceRaceSharded(t *testing.T) {
@@ -331,7 +331,6 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 	for i := range batches {
 		batches[i] = map[string][]uint32{"x": g.Lookups(base, 60)}
 	}
-	lists := g.Lookups(base, pool+12)
 	var stop atomic.Bool
 	// rounds[r] counts reader r's finished rounds; the writer waits for
 	// every reader to finish two rounds after an append — the second began
@@ -350,21 +349,11 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 				s := six.cur.Load() // held across the round: it goes stale under it
 				for q := 0; q < 8; q++ {
 					lo, hi := uint32(0), uint32(0)
-					switch p := int(zipf.Uint64()); {
-					case q%4 == 3: // a range nobody asks for again
+					if p := int(zipf.Uint64()); q%4 == 3 { // a range nobody asks for again
 						oneOff++
 						lo, hi = oneOff, oneOff+1<<22
-					case p%2 == 0:
+					} else {
 						lo, hi = base[p*40], base[p*40+120]
-					default:
-						list := dedupeValues(lists[p : p+3+p%9])
-						got, err := s.inQuery(env{}, list)
-						want, _, _ := s.selectIn(nil, list, false, parallel.Options{})
-						if err != nil || !slices.Equal(got, want) {
-							t.Errorf("reader pinned at %+v: IN %v = %v (%v), its epoch's recompute %v", s.tok, list, got, err, want)
-							return
-						}
-						continue
 					}
 					got, err := s.rangeQuery(env{}, lo, hi)
 					want, _, _ := s.rangeMerged(lo, hi, false)
@@ -382,7 +371,7 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 		defer wg.Done()
 		var last qcache.Stats
 		for !stop.Load() {
-			s := tab.CacheStats()
+			s := tab.Cache().Stats()
 			if s.Deferred < last.Deferred || s.Misses < last.Misses || s.Inserts < last.Inserts || s.Rejects < last.Rejects || s.Hits < last.Hits {
 				t.Errorf("a counter moved backwards: %+v after %+v", s, last)
 				return
@@ -414,7 +403,7 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 	if g := tab.Generation(); g != 2 {
 		t.Fatalf("generation %d: the fold did not land", g)
 	}
-	s := tab.CacheStats()
+	s := tab.Cache().Stats()
 	if s.Misses != s.Deferred+s.Inserts+s.Rejects {
 		t.Fatalf("misses do not reconcile with admission: %d misses, %d deferred + %d inserted + %d rejected", s.Misses, s.Deferred, s.Inserts, s.Rejects)
 	}

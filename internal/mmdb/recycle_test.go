@@ -101,7 +101,7 @@ func TestOverlappingRangesDifferential(t *testing.T) {
 					}
 				}
 			}
-			s := cached.CacheStats()
+			s := cached.Cache().Stats()
 			if s.StitchedHits != 0 || s.GapProbes != 0 || s.Hits != 0 {
 				t.Fatalf("%v: an overlapping window was answered from the cache: %+v", kind, s)
 			}
@@ -115,7 +115,7 @@ func TestOverlappingRangesDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustEqualU32(t, fmt.Sprintf("%v repeated window", kind), got, want)
-			if s := cached.CacheStats(); s.Hits != 1 || s.ContainedHits != 0 {
+			if s := cached.Cache().Stats(); s.Hits != 1 || s.ContainedHits != 0 {
 				t.Fatalf("%v: the repeat of a window was not an exact hit: %+v", kind, s)
 			}
 			if cached.Generation() != 1 {
@@ -140,13 +140,13 @@ func TestOverlappingWhereConjunct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := cached.CacheStats()
+	before := cached.Cache().Stats()
 	got, _, err := cached.SelectWhere(preds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustEqualU32(t, "overlapping where", got, want)
-	s := cached.CacheStats()
+	s := cached.Cache().Stats()
 	if s.StitchedHits != 0 || s.GapProbes != 0 || s.Hits != before.Hits {
 		t.Fatalf("an overlapping conjunct was answered from the cache: %+v -> %+v", before, s)
 	}
@@ -162,51 +162,48 @@ func TestOverlappingWhereConjunct(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualU32(t, "overlapping where, conjunct repeated", got, want)
-	if r := cached.CacheStats(); r.Hits != s.Hits+1 || r.ContainedHits != s.ContainedHits {
+	if r := cached.Cache().Stats(); r.Hits != s.Hits+1 || r.ContainedHits != s.ContainedHits {
 		t.Fatalf("the repeated conjunct was not an exact hit: %+v -> %+v", s, r)
 	}
 }
 
 // TestInSubsetNearSupersetDifferential replays subset IN-lists from a cached
-// grouped entry and recomputes near-supersets, on both the table surface and
-// the sharded epoch surface, across absorbed appends.
+// grouped entry and recomputes near-supersets, on a column under a sorted
+// index and on one under a sharded index, across absorbed appends.
 func TestInSubsetNearSupersetDifferential(t *testing.T) {
 	cached, plain, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 47)
 	pool := g.Lookups(base, 24)
-	shC, _ := cached.ShardedIndex("b")
-	shP, _ := plain.ShardedIndex("b")
-	defer shC.Close()
-	defer shP.Close()
 
 	check := func(tag string, list []uint32) {
 		t.Helper()
-		want, _, err := plain.SelectIn("a", list)
-		if err != nil {
-			t.Fatal(err)
+		for _, col := range []string{"a", "b"} {
+			want, _, err := plain.SelectIn(col, list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := cached.SelectIn(col, list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualU32(t, tag+" "+col, got, want)
 		}
-		got, _, err := cached.SelectIn("a", list)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualU32(t, tag+" table", got, want)
-		mustEqualU32(t, tag+" sharded", shC.SelectIn(list), shP.SelectIn(list))
 	}
 
 	check("fill", pool) // seeds the grouped entries
 	check("subset", pool[3:15])
 	check("subset-reordered", []uint32{pool[9], pool[2], pool[5]})
 	near := append(append([]uint32(nil), pool...), base[7]+1) // one unseen value
-	s := cached.CacheStats()
+	s := cached.Cache().Stats()
 	check("near-superset", near)
-	if r := cached.CacheStats(); r.Hits != s.Hits || r.Misses != s.Misses+2 || r.Inserts != s.Inserts+2 {
+	if r := cached.Cache().Stats(); r.Hits != s.Hits || r.Misses != s.Misses+2 || r.Inserts != s.Inserts+2 {
 		t.Fatalf("a near-superset was not a miss that admits, once per layer: %+v -> %+v", s, r)
 	}
-	s = cached.CacheStats()
+	s = cached.Cache().Stats()
 	check("near-superset repeated", near)
-	if r := cached.CacheStats(); r.Hits != s.Hits+2 || r.SubsetHits != s.SubsetHits || r.Misses != s.Misses {
+	if r := cached.Cache().Stats(); r.Hits != s.Hits+2 || r.SubsetHits != s.SubsetHits || r.Misses != s.Misses {
 		t.Fatalf("the repeat of a near-superset was not an exact hit: %+v -> %+v", s, r)
 	}
-	if s = cached.CacheStats(); s.SubsetHits == 0 || s.SupersetHits != 0 || s.MissingKeyProbes != 0 {
+	if s = cached.Cache().Stats(); s.SubsetHits == 0 || s.SupersetHits != 0 || s.MissingKeyProbes != 0 {
 		t.Fatalf("IN reuse: subset replay never engaged, or a retired counter moved: %+v", s)
 	}
 
@@ -222,7 +219,7 @@ func TestInSubsetNearSupersetDifferential(t *testing.T) {
 	}
 	check("post-absorb fill", pool)
 	check("post-absorb subset", pool[1:9])
-	if s := cached.CacheStats(); s.Patches == 0 {
+	if s := cached.Cache().Stats(); s.Patches == 0 {
 		t.Fatalf("no entry was brought current after an absorb: %+v", s)
 	}
 }
@@ -262,7 +259,7 @@ func TestGroupAggregateCachedDifferential(t *testing.T) {
 	}
 	checkAgg("explicit-rids", sub)
 	checkAgg("empty-rids", []uint32{}) // distinct fingerprint from nil
-	if s := cached.CacheStats(); s.AggregateHits == 0 {
+	if s := cached.Cache().Stats(); s.AggregateHits == 0 {
 		t.Fatalf("aggregate cache never hit: %+v", s)
 	}
 
@@ -301,8 +298,9 @@ func TestGroupAggregateCachedDifferential(t *testing.T) {
 
 // TestRecycleRaceSharded is the -race gate for the reuse paths against
 // epoch swaps: readers stream overlapping sharded ranges (containment and
-// refresh targets) and IN subsets while a writer absorbs batches; the
-// quiesced state must match an uncached replica bit for bit.
+// refresh targets) while a writer absorbs batches; the quiesced state —
+// ranges, IN-lists and IN subsets — must match an uncached replica bit for
+// bit.
 func TestRecycleRaceSharded(t *testing.T) {
 	g := workload.New(59)
 	base := g.SortedUniform(2000)
@@ -340,9 +338,8 @@ func TestRecycleRaceSharded(t *testing.T) {
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			lg := workload.New(int64(200 + r))
 			for i := 0; !stop.Load(); i++ {
 				// Overlapping windows: lo walks, width fixed — each lands on
 				// whatever epoch is current and finds its neighbours' runs.
@@ -356,10 +353,8 @@ func TestRecycleRaceSharded(t *testing.T) {
 						panic(fmt.Sprintf("rid %d out of range %d", rid, maxRows))
 					}
 				}
-				shC.SelectIn(pool[:4+i%12])
-				_ = lg
 			}
-		}(r)
+		}()
 	}
 	for i := 0; i < appends; i++ {
 		if err := cached.AppendRows(batches[i]); err != nil {
@@ -386,10 +381,19 @@ func TestRecycleRaceSharded(t *testing.T) {
 			}
 			mustEqualU32(t, fmt.Sprintf("post-race range %d pass %d", j, pass), got, want)
 		}
-		mustEqualU32(t, fmt.Sprintf("post-race in pass %d", pass), shC.SelectIn(pool), shP.SelectIn(pool))
-		mustEqualU32(t, fmt.Sprintf("post-race in-subset pass %d", pass), shC.SelectIn(pool[2:9]), shP.SelectIn(pool[2:9]))
+		for _, list := range [][]uint32{pool, pool[2:9]} {
+			got, _, err := cached.SelectIn("x", list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := plain.SelectIn("x", list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqualU32(t, fmt.Sprintf("post-race in %d pass %d", len(list), pass), got, want)
+		}
 	}
-	if s := cached.CacheStats(); s.Hits == 0 || s.StitchedHits != 0 || s.SupersetHits != 0 {
+	if s := cached.Cache().Stats(); s.Hits == 0 || s.StitchedHits != 0 || s.SupersetHits != 0 {
 		t.Fatalf("race exercised nothing, or a retired counter moved: %+v", s)
 	}
 }
@@ -398,7 +402,7 @@ func TestRecycleRaceSharded(t *testing.T) {
 // with absorbed appends under EXPLAIN and tallies the outcome every cache
 // stage printed.  The counters must agree with the tally kind by kind — a hit
 // is exact, contained, a subset replay or an aggregate, and nothing else: the
-// four retired counters stay zero — and a concurrent StatsSnapshot must never
+// four retired counters stay zero — and a concurrent Stats snapshot must never
 // see half a settlement: lookups settled (Hits + Misses) and exact hits (Hits
 // less the three reuse kinds) only grow.
 func TestHitKindsSumToHits(t *testing.T) {
@@ -411,7 +415,7 @@ func TestHitKindsSumToHits(t *testing.T) {
 		defer wg.Done()
 		var settled, exact int64
 		for !stop.Load() {
-			s := cached.CacheStats()
+			s := cached.Cache().Stats()
 			e := s.Hits - s.ContainedHits - s.SubsetHits - s.AggregateHits
 			if s.Hits+s.Misses < settled || e < exact {
 				t.Errorf("torn snapshot: settled %d -> %d, exact %d -> %d: %+v", settled, s.Hits+s.Misses, exact, e, s)
@@ -490,7 +494,7 @@ func TestHitKindsSumToHits(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	s := cached.CacheStats()
+	s := cached.Cache().Stats()
 	if s.ContainedHits != contained || s.SubsetHits != subset || s.AggregateHits != agg {
 		t.Fatalf("counters disagree with EXPLAIN (contained %d, subset %d, agg %d): %+v", contained, subset, agg, s)
 	}

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"cssidx"
-	"cssidx/internal/parallel"
 	"cssidx/internal/workload"
 )
 
@@ -137,24 +136,24 @@ func TestRefreshRaceShardedStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := must(six.SelectRange(lo, hi)) // the current epoch's entry
-	s0 := tab.CacheStats()
+	s0 := tab.Cache().Stats()
 	stale := must(pinned(old, lo, hi))
 	if len(stale) >= len(fresh) {
 		t.Fatalf("precondition: the batch added no row to [%d,%d]", lo, hi)
 	}
-	s1 := tab.CacheStats()
+	s1 := tab.Cache().Stats()
 	if s1.Hits != s0.Hits || s1.Misses != s0.Misses+1 || s1.Rejects != s0.Rejects+1 || s1.Invalidations != s0.Invalidations || s1.Entries != s0.Entries {
 		t.Fatalf("a straggler must miss the fresher entry and have its insert refused: %+v -> %+v", s0, s1)
 	}
 	mustEqualU32(t, "fresher entry after the straggler", must(six.SelectRange(lo, hi)), fresh)
-	if s2 := tab.CacheStats(); s2.Hits != s1.Hits+1 || s2.Patches != s1.Patches {
+	if s2 := tab.Cache().Stats(); s2.Hits != s1.Hits+1 || s2.Patches != s1.Patches {
 		t.Fatalf("the fresher entry must keep serving untouched: %+v -> %+v", s1, s2)
 	}
 	lo2, hi2 := base[700], base[1000]
 	must(pinned(old, lo2, hi2)) // admitted at the straggler's mark: nobody fresher holds it
-	s3 := tab.CacheStats()
+	s3 := tab.Cache().Stats()
 	must(pinned(six.cur.Load(), lo2, hi2))
-	if s4 := tab.CacheStats(); s4.Hits != s3.Hits+1 || s4.Patches != s3.Patches+1 || s4.Invalidations != s3.Invalidations {
+	if s4 := tab.Cache().Stats(); s4.Hits != s3.Hits+1 || s4.Patches != s3.Patches+1 || s4.Invalidations != s3.Invalidations {
 		t.Fatalf("the straggler's entry must be brought current by the next reader: %+v -> %+v", s3, s4)
 	}
 
@@ -163,7 +162,6 @@ func TestRefreshRaceShardedStragglers(t *testing.T) {
 	for i := range batches {
 		batches[i] = batch(60)
 	}
-	pool := g.Lookups(base, 12)
 	var stop atomic.Bool
 	var rounds atomic.Int64
 	var wg sync.WaitGroup
@@ -179,13 +177,6 @@ func TestRefreshRaceShardedStragglers(t *testing.T) {
 					j := (i*31 + q*97 + r*13) % (len(base) - 320)
 					if _, err := pinned(s, base[j], base[j+100+q*40]); err != nil {
 						t.Error(err)
-						return
-					}
-					list := pool[:3+(i+q)%9]
-					got, err := s.inQuery(env{}, dedupeValues(list))
-					want, _, _ := s.selectIn(nil, dedupeValues(list), false, parallel.Options{})
-					if err != nil || !slices.Equal(got, want) {
-						t.Errorf("reader pinned at %+v: IN %v = %v (%v), its epoch's recompute %v", s.tok, list, got, err, want)
 						return
 					}
 					runtime.Gosched()
@@ -205,7 +196,7 @@ func TestRefreshRaceShardedStragglers(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if s := tab.CacheStats(); s.Hits == 0 || s.Patches == 0 || s.Rejects == 0 {
+	if s := tab.Cache().Stats(); s.Hits == 0 || s.Patches == 0 || s.Rejects == 0 {
 		t.Fatalf("race exercised nothing: %+v", s)
 	}
 }

@@ -100,7 +100,7 @@ func TestHitReplaysPlan(t *testing.T) {
 		whereQ(RangePred{"k", 0, top / 2}, RangePred{"h", 0, 20}),
 	}
 	ask := func(state string, q question) qcache.Stats {
-		before := qc.StatsSnapshot()
+		before := qc.Stats()
 		got, want, err := q.ask()
 		if err != nil {
 			t.Fatalf("%s, %s: %v", state, q.name, err)
@@ -123,7 +123,7 @@ func TestHitReplaysPlan(t *testing.T) {
 				if round == 0 {
 					continue // the state's first ask may compute
 				}
-				s := qc.StatsSnapshot()
+				s := qc.Stats()
 				kinds := [...]int64{qcache.HitContained: s.ContainedHits - before.ContainedHits,
 					qcache.HitSubset: s.SubsetHits - before.SubsetHits}
 				if s.Misses != before.Misses || s.Hits != before.Hits+1 || (q.kind != qcache.HitExact && kinds[q.kind] != 1) {
@@ -162,11 +162,11 @@ func TestHitReplaysPlan(t *testing.T) {
 		},
 	} {
 		for ask := 0; ask < 2; ask++ {
-			before := qc.StatsSnapshot()
+			before := qc.Stats()
 			if err := q(); err != nil {
 				t.Fatal(err)
 			}
-			if s := qc.StatsSnapshot(); s.Misses != before.Misses || s.Deferred != before.Deferred || s.Inserts != before.Inserts {
+			if s := qc.Stats(); s.Misses != before.Misses || s.Deferred != before.Deferred || s.Inserts != before.Inserts {
 				t.Fatalf("a provably empty question reached the cache: %+v → %+v", before, s)
 			}
 		}
@@ -207,10 +207,10 @@ func TestHitRunsNoPlanning(t *testing.T) {
 	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
 	for i, col := range []string{"k", "s"} {
 		qc.InsertRange(rangeFP(w.tab.name, col, qcache.LayerTable, 40, 90), w.tab.token(), nil, answers[2*i], 1<<20, stored)
-		qc.InsertIn(inFP(w.tab.name, col, qcache.LayerTable, list), w.tab.token(), list, nil, answers[2*i+1], 1<<20, stored)
+		qc.InsertIn(inFP(w.tab.name, col, list), w.tab.token(), list, nil, answers[2*i+1], 1<<20, stored)
 	}
 	for i, q := range questions {
-		before := qc.StatsSnapshot()
+		before := qc.Stats()
 		rids, plan, err := q.ask()
 		if err != nil {
 			t.Fatalf("%s: %v", q.name, err)
@@ -219,7 +219,7 @@ func TestHitRunsNoPlanning(t *testing.T) {
 			t.Errorf("%s: plan %+v, want the stored %+v", q.name, plan, want)
 		}
 		mustEqualU32(t, q.name, rids, answers[i])
-		if s := qc.StatsSnapshot(); s.Hits != before.Hits+1 || s.Misses != before.Misses {
+		if s := qc.Stats(); s.Hits != before.Hits+1 || s.Misses != before.Misses {
 			t.Errorf("%s: not an exact hit: %+v → %+v", q.name, before, s)
 		}
 	}
@@ -240,9 +240,9 @@ func TestWhereHitAfterAbsorb(t *testing.T) {
 		w.check(t, "cold", preds)
 		for round := 0; round < 4; round++ {
 			w.absorb(t, rng, 40)
-			before := qc.StatsSnapshot()
+			before := qc.Stats()
 			w.check(t, fmt.Sprintf("after %d absorbs", round+1), preds)
-			s := qc.StatsSnapshot()
+			s := qc.Stats()
 			if s.Hits != before.Hits+1 || s.Misses != before.Misses || s.Patches != before.Patches+1 || s.Invalidations != before.Invalidations {
 				t.Fatalf("%v after %d absorbs: not a hit brought current: %+v → %+v", preds, round+1, before, s)
 			}

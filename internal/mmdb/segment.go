@@ -125,21 +125,6 @@ func (s *segment) rangeMerged(lo, hi uint32, wantKeys bool) (rids, rawKeys []uin
 	return rids, rawKeys, nil
 }
 
-// countRange is rangeMerged without materialising RIDs.
-func (s *segment) countRange(lo, hi uint32) (int, error) {
-	if s.ord == nil {
-		return 0, ErrNoOrderedAccess
-	}
-	if lo > hi {
-		return 0, nil
-	}
-	n := deltaCountRange(s.runs, lo, hi)
-	if loID, hiID := s.dom.IDRange(lo, hi); loID < hiID {
-		n += s.ord.LowerBound(hiID) - s.ord.LowerBound(loID)
-	}
-	return n, nil
-}
-
 // spaceBytes is the footprint of the arrays a segment serves from.
 func (s *segment) spaceBytes() int {
 	return 4*len(s.rids) + 4*len(s.keys) + deltaRunsBytes(s.runs)

@@ -469,7 +469,7 @@ func TestExplainSurfacesGolden(t *testing.T) {
 	// aggregate and join shapes, over the folded base.
 	uncached := func(tag string) {
 		qc := tab.Cache()
-		tab.AttachCache(nil)
+		tab.cache.Store(nil)
 		for _, col := range []string{"k", "s"} {
 			s.leg(col+" range uncached"+tag, "SelectRange", rangeLeg(col, 100, 199))
 			s.leg(col+" in uncached"+tag, "SelectIn", inLeg(col, seq(10, 100, 10)))
@@ -477,7 +477,7 @@ func TestExplainSurfacesGolden(t *testing.T) {
 		}
 		s.leg("where uncached"+tag, "SelectWhere", whereLeg(kPred(600, 699), sPred(400, 520), gPred))
 		s.leg("agg uncached"+tag, "GroupAggregate", aggLeg(nil))
-		tab.AttachCache(qc)
+		tab.cache.Store(qc)
 	}
 	uncached("")
 
@@ -506,7 +506,8 @@ func TestExplainSurfacesGolden(t *testing.T) {
 
 	// Admission shed: the gate is saturated, so cache-missing work is
 	// refused while a cached answer is still served.
-	gov := tab.EnableGovernor(governor.Options{MaxConcurrent: 1, MaxQueue: 0})
+	gov := governor.NewAdmission(governor.Options{MaxConcurrent: 1, MaxQueue: 0})
+	tab.AttachGovernor(gov)
 	outer.AttachGovernor(gov)
 	grant, err := gov.Acquire(context.Background(), governor.ClassSelect, 0)
 	if err != nil {

@@ -207,12 +207,12 @@ func TestSelectWhereEmptyConjunctShortCircuits(t *testing.T) {
 	w := newWhereTable(t, rng, 1000, 0)
 	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
 	for _, empty := range []RangePred{{Col: "k", Lo: 9, Hi: 3}, {Col: "s", Lo: 7, Hi: 7}} {
-		before := qc.StatsSnapshot()
+		before := qc.Stats()
 		got, plans, err := w.tab.SelectWhere([]RangePred{{Col: "u", Lo: 0, Hi: 40}, empty})
 		if err != nil || len(got) != 0 || len(plans) != 2 {
 			t.Fatalf("%v: got %v, %d plans, %v", empty, got, len(plans), err)
 		}
-		if after := qc.StatsSnapshot(); after.Hits+after.Misses != before.Hits+before.Misses {
+		if after := qc.Stats(); after.Hits+after.Misses != before.Hits+before.Misses {
 			t.Fatalf("%v: an empty conjunction reached the cache: %+v → %+v", empty, before, after)
 		}
 	}

@@ -11,84 +11,9 @@ import (
 	"cssidx/internal/telemetry"
 )
 
-func TestRunCtxCompletesWithLiveContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var sum atomic.Int64
-	if err := RunCtx(ctx, 100_000, Options{Workers: 4, MinBatchPerWorker: 1}, func(lo, hi int) {
-		sum.Add(int64(hi - lo))
-	}); err != nil {
-		t.Fatalf("RunCtx: %v", err)
-	}
-	if sum.Load() != 100_000 {
-		t.Fatalf("covered %d rows, want 100000", sum.Load())
-	}
-}
-
-func TestRunCtxPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	err := RunCtx(ctx, 1000, Options{}, func(lo, hi int) { ran = true })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	if ran {
-		t.Fatal("body ran under a pre-cancelled context")
-	}
-}
-
-// TestRunCtxStopsMidSpan cancels from inside the body and verifies workers
-// stop at the next checkpoint instead of finishing their partitions.
-func TestRunCtxStopsMidSpan(t *testing.T) {
-	const n = 1 << 20
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var rows atomic.Int64
-	err := RunCtx(ctx, n, Options{Workers: 4, MinBatchPerWorker: 1, CheckpointStride: 1024}, func(lo, hi int) {
-		rows.Add(int64(hi - lo))
-		cancel()
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	// Each of the 4 workers runs its first chunk (1024 rows) before it can
-	// observe the flag; everything beyond a couple of chunks per worker
-	// means checkpoints are not being honored.
-	if got := rows.Load(); got > 4*2*1024 {
-		t.Fatalf("processed %d rows after cancel, want <= %d", got, 4*2*1024)
-	}
-}
-
-func TestRunCtxSequentialHonorsCancel(t *testing.T) {
-	const n = 1 << 20
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var rows int64
-	err := RunCtx(ctx, n, Options{Workers: 1, CheckpointStride: 4096}, func(lo, hi int) {
-		rows += int64(hi - lo)
-		cancel()
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	if rows != 4096 {
-		t.Fatalf("sequential path processed %d rows, want one 4096 chunk", rows)
-	}
-}
-
-func TestRunCtxDeadline(t *testing.T) {
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
-	defer cancel()
-	err := RunCtx(ctx, 1000, Options{}, func(lo, hi int) {})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
-// TestRunCtxPanicCancelsSiblings verifies governance-aware panic isolation:
-// one worker's panic trips the shared flag, so siblings stop at their next
-// checkpoint instead of running their partitions to completion.
+// TestRunPanicCancelsSiblings verifies panic isolation: one worker's panic
+// trips the shared flag, so siblings stop at their next checkpoint instead
+// of running their partitions to completion.
 //
 // The order of events is forced, not timed.  Every sibling parks inside its
 // first chunk on a channel the panicking worker closes immediately before
@@ -101,7 +26,7 @@ func TestRunCtxDeadline(t *testing.T) {
 // sibling parked, that worker can only be the panicking one, and the flag is
 // set before its run time is.  From there the bound is exact — each sibling
 // finishes the chunk it is in and stops at the checkpoint after it.
-func TestRunCtxPanicCancelsSiblings(t *testing.T) {
+func TestRunPanicCancelsSiblings(t *testing.T) {
 	const (
 		n       = 1 << 22
 		workers = 4
@@ -130,7 +55,7 @@ func TestRunCtxPanicCancelsSiblings(t *testing.T) {
 			t.Fatalf("siblings processed %d rows after the panic was trapped, want at most %d (one in-flight chunk each)", got, (workers-1)*stride)
 		}
 	}()
-	RunCtx(context.Background(), n, Options{Workers: workers, MinBatchPerWorker: 1, CheckpointStride: stride}, func(lo, hi int) {
+	Run(n, Options{Workers: workers, MinBatchPerWorker: 1, CheckpointStride: stride}, func(lo, hi int) {
 		if panicked.CompareAndSwap(false, true) {
 			close(raised)
 			panic("boom")
@@ -144,11 +69,11 @@ func TestRunCtxPanicCancelsSiblings(t *testing.T) {
 		}
 		rows.Add(int64(hi - lo))
 	})
-	t.Fatal("RunCtx returned instead of re-panicking")
+	t.Fatal("Run returned instead of re-panicking")
 }
 
-// TestRunPanicStillDrains pins the legacy contract: without a context,
-// panic isolation still re-panics a single WorkerPanic after join.
+// TestRunPanicStillDrains: with every worker panicking, Run still joins
+// them all and re-panics a single WorkerPanic.
 func TestRunPanicStillDrains(t *testing.T) {
 	defer func() {
 		if _, ok := recover().(*WorkerPanic); !ok {

@@ -90,10 +90,10 @@ func (p *panicTrap) rethrow() {
 // batches run on the calling goroutine.
 const DefaultMinPerWorker = 2048
 
-// DefaultCheckpointStride is the number of work items a worker processes
-// between looks at the batch's shared cancel flag.  One atomic load per
-// this many rows is invisible in the profile, yet bounds how far a worker
-// can run past a cancellation, a sibling's panic, or an expired deadline.
+// DefaultCheckpointStride is the number of work items a Run worker
+// processes between looks at the batch's shared panic flag.  One atomic
+// load per this many rows is invisible in the profile, yet bounds how far
+// a worker can run past a sibling's panic.
 const DefaultCheckpointStride = 65536
 
 // Options tunes the engine.  The zero value is the recommended default:
@@ -114,9 +114,10 @@ type Options struct {
 	// per-probe cost is a property of the structure being probed (hot-cache
 	// probes need bigger spans than DRAM-missing ones).
 	Tuner *Tuner
-	// CheckpointStride is the number of rows a Run/RunCtx worker processes
-	// between looks at the shared cancel flag (sibling panic, context
-	// done); 0 means DefaultCheckpointStride.
+	// CheckpointStride is the number of rows a Run worker processes
+	// between looks at the shared panic flag, so a sibling's panic stops
+	// the other workers within one stride; 0 means
+	// DefaultCheckpointStride.
 	CheckpointStride int
 }
 
@@ -299,40 +300,6 @@ func Span(n, w, t int) (lo, hi int) {
 // on the caller with a *WorkerPanic holding the first panic's value and
 // original stack.
 func Run(n int, opts Options, body func(lo, hi int)) {
-	runCtx(nil, nil, n, opts, body)
-}
-
-// RunCtx is Run bound to a context: workers consult a shared cancel flag
-// (context done, or a sibling's panic) at their partition boundary and
-// every CheckpointStride rows within it, so a cancelled or expired batch
-// stops within one stride per worker instead of running the partition to
-// completion.  The spans already processed are complete and in order;
-// spans past the cancellation point may be untouched — callers treat a
-// non-nil return (context.Canceled or context.DeadlineExceeded) as an
-// abort and discard partial output.  A worker panic still wins over
-// cancellation and re-panics as *WorkerPanic.
-func RunCtx(ctx context.Context, n int, opts Options, body func(lo, hi int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return runCtx(ctx, ctx.Done(), n, opts, body)
-}
-
-func runCtx(ctx context.Context, done <-chan struct{}, n int, opts Options, body func(lo, hi int)) error {
-	ctxErr := func() error {
-		if done == nil {
-			return nil
-		}
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-			return nil
-		}
-	}
-	if err := ctxErr(); err != nil {
-		return err
-	}
 	opts, calibrate := opts.Resolved()
 	lo := 0
 	if calibrate && n >= 2*calibSpan {
@@ -343,49 +310,31 @@ func runCtx(ctx context.Context, done <-chan struct{}, n int, opts Options, body
 	}
 	total := n - lo
 	w := opts.WorkersFor(total)
+	if w == 1 {
+		if total > 0 {
+			// Sequential path: body runs on the calling goroutine and a
+			// panic propagates unwrapped, stack intact.
+			body(lo, n)
+		}
+		return
+	}
 	stride := opts.CheckpointStride
 	if stride <= 0 {
 		stride = DefaultCheckpointStride
 	}
 	var trap panicTrap
-	// halted is the shared cancel flag every worker consults at chunk
-	// boundaries: a sibling's panic or the context ending stops the batch.
-	halted := func() bool {
-		if trap.tripped.Load() {
-			return true
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-		}
-		return false
-	}
 	// runSpan walks one worker's span in checkpoint-stride chunks.  The
 	// first chunk always runs (an admitted worker makes progress), later
-	// chunks are skipped once the batch is halted.
+	// chunks are skipped once a sibling has panicked.
 	runSpan := func(slo, shi int) {
 		for c := slo; c < shi; {
-			if c > slo && halted() {
+			if c > slo && trap.tripped.Load() {
 				return
 			}
-			e := c + stride
-			if e > shi {
-				e = shi
-			}
+			e := min(c+stride, shi)
 			body(c, e)
 			c = e
 		}
-	}
-	if w == 1 {
-		if total > 0 {
-			// Sequential path: body runs on the calling goroutine and a
-			// panic propagates unwrapped, stack intact, as before.
-			runSpan(lo, n)
-		}
-		return ctxErr()
 	}
 	var wg sync.WaitGroup
 	wg.Add(w - 1)
@@ -405,7 +354,6 @@ func runCtx(ctx context.Context, done <-chan struct{}, n int, opts Options, body
 	histRunNs.Since(wstart)
 	wg.Wait()
 	trap.rethrow()
-	return ctxErr()
 }
 
 // Do executes body(task) for every task in [0, tasks), distributing tasks to
@@ -425,7 +373,7 @@ func Do(tasks int, total int, opts Options, body func(task int)) {
 
 // DoCtx is Do bound to a context: workers stop drawing tasks once the
 // context is done (the task boundary is the checkpoint — tasks are the
-// irregular-work analogue of RunCtx's strides; a long task should bound
+// irregular-work analogue of Run's strides; a long task should bound
 // itself with a governor.Checkpoint).  Tasks already drawn finish; tasks
 // never drawn are skipped, and DoCtx returns context.Canceled or
 // context.DeadlineExceeded so the caller discards partial output.  A

@@ -39,7 +39,7 @@ const (
 // Layer tags which invalidation domain an entry lives in: LayerTable
 // entries (a table's query surfaces) are stamped with the owning table's
 // generation (bumped by every fold), LayerEpoch entries (an index's own
-// methods) with the frozen index epoch they read.  The two layers answer the
+// SelectRange) with the frozen index epoch they read.  The two layers answer the
 // same questions against different snapshots of the data, so they must
 // never share entries.
 type Layer uint8

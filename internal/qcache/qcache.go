@@ -14,7 +14,7 @@
 // Concurrency: the cache is lock-striped.  A fingerprint's identity fields
 // route it to one of a power-of-two number of stripes, each an independent
 // (map, CLOCK ring, byte budget, counter cells) quad behind its own mutex;
-// StatsSnapshot sums the stripe-local counters one stripe at a time, so a
+// Stats sums the stripe-local counters one stripe at a time, so a
 // snapshot never observes half an update.  All result slices are copied on
 // insert and on hit, so callers may mutate what they pass in and what they
 // get back.
@@ -174,7 +174,7 @@ type stripe struct {
 	// until the stripe's first miss, and for good under admit-all.
 	door *door
 	// stats are this stripe's counter cells: plain int64s touched only
-	// under mu, summed once per stripe by StatsSnapshot.
+	// under mu, summed once per stripe by Stats.
 	stats Stats
 }
 

@@ -7,7 +7,7 @@ import "cssidx/internal/telemetry"
 // The counters live stripe-local: each stripe accumulates plain int64
 // cells that are only ever touched under that stripe's mutex, so the hot
 // path never bounces a shared counter cache line between stripes, and a
-// snapshot that locks each stripe once (StatsSnapshot) can never observe
+// snapshot that locks each stripe once (Cache.Stats) can never observe
 // a torn update: every lookup settles its hit, hit kind, miss and deferral
 // under one lock acquisition, and no event counter ever moves backwards.
 type Stats struct {
@@ -74,11 +74,10 @@ func (s *Stats) accumulate(o Stats) {
 	s.Bytes += o.Bytes
 }
 
-// StatsSnapshot returns a consistent snapshot of the counters: each
-// stripe's cells are summed exactly once under that stripe's lock, so
-// no in-flight update can be half-observed.  A nil or disabled cache
-// reports zeros.
-func (c *Cache) StatsSnapshot() Stats {
+// Stats returns a consistent snapshot of the counters: each stripe's
+// cells are summed exactly once under that stripe's lock, so no in-flight
+// update can be half-observed.  A nil or disabled cache reports zeros.
+func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
@@ -92,9 +91,6 @@ func (c *Cache) StatsSnapshot() Stats {
 	return s
 }
 
-// Stats is StatsSnapshot under its historical name.
-func (c *Cache) Stats() Stats { return c.StatsSnapshot() }
-
 // HitRate returns Hits/(Hits+Misses), or 0 before any lookup.
 func (s Stats) HitRate() float64 {
 	total := s.Hits + s.Misses
@@ -106,7 +102,7 @@ func (s Stats) HitRate() float64 {
 
 // RegisterMetrics surfaces the cache's counters in a telemetry registry
 // (nil means telemetry.Default) as read-on-scrape series: each scrape
-// takes one consistent StatsSnapshot per metric, so no hot-path
+// takes one consistent Stats snapshot per metric, so no hot-path
 // double-bookkeeping is added.  Call once per cache; re-registering
 // replaces the previous cache's series.
 func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
@@ -114,7 +110,7 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 		r = telemetry.Default
 	}
 	reg := func(name string, field func(Stats) int64) {
-		r.RegisterFunc(name, func() float64 { return float64(field(c.StatsSnapshot())) })
+		r.RegisterFunc(name, func() float64 { return float64(field(c.Stats())) })
 	}
 	reg("qcache_hits_total", func(s Stats) int64 { return s.Hits })
 	reg("qcache_misses_total", func(s Stats) int64 { return s.Misses })
@@ -129,7 +125,7 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 	reg("qcache_patches_total", func(s Stats) int64 { return s.Patches })
 	reg("qcache_entries", func(s Stats) int64 { return s.Entries })
 	reg("qcache_bytes", func(s Stats) int64 { return s.Bytes })
-	r.RegisterFunc("qcache_hit_rate", func() float64 { return c.StatsSnapshot().HitRate() })
+	r.RegisterFunc("qcache_hit_rate", func() float64 { return c.Stats().HitRate() })
 	r.RegisterFunc("qcache_budget_bytes", func() float64 {
 		if !c.Enabled() {
 			return 0
@@ -140,6 +136,6 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 		if !c.Enabled() || c.opts.MaxBytes == 0 {
 			return 0
 		}
-		return float64(c.StatsSnapshot().Bytes) / float64(c.opts.MaxBytes)
+		return float64(c.Stats().Bytes) / float64(c.opts.MaxBytes)
 	})
 }

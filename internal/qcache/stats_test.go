@@ -36,7 +36,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 2000; i++ {
-		s := c.StatsSnapshot()
+		s := c.Stats()
 		if s.Hits != s.SubsetHits {
 			t.Fatalf("torn settlement: Hits=%d SubsetHits=%d", s.Hits, s.SubsetHits)
 		}
@@ -57,7 +57,7 @@ func TestContainedHitCountsOnce(t *testing.T) {
 	if _, kind, _, _ := c.LookupRange(rangeKey("t", "a", 10, 19), at(tok)); kind == HitMiss {
 		t.Fatal("containment miss")
 	}
-	s := c.StatsSnapshot()
+	s := c.Stats()
 	if s.Hits != 1 || s.ContainedHits != 1 || s.Misses != 0 {
 		t.Fatalf("stats %+v", s)
 	}

@@ -124,7 +124,7 @@ func TestQCacheDifferentialAdversarial(t *testing.T) {
 				t.Fatal(err)
 			}
 			cacheBattery(t, cached, plain, probes, "gen2")
-			if s := cached.CacheStats(); s.Hits == 0 {
+			if s := cached.Cache().Stats(); s.Hits == 0 {
 				t.Fatalf("%s: cache never hit: %+v", name, s)
 			}
 		})

@@ -139,7 +139,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // GaugeFunc is a read-on-scrape metric: fn is evaluated at export time,
 // so layers with their own internally consistent counters (e.g. the
-// result cache's StatsSnapshot) surface them without double bookkeeping.
+// result cache's Stats) surface them without double bookkeeping.
 type GaugeFunc struct {
 	name string
 	fn   func() float64
