@@ -4,6 +4,7 @@ package mmdb
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -16,24 +17,25 @@ import (
 // SelectWhere's plan slice — on a sharded column as on any other: no range
 // plans before its lookup, so none pays for a Plan.Why string.  SelectIn's seen-set
 // lives on the stack up to 64 values, so a 64-value list costs what a
-// 6-value one does.  The race detector's instrumentation moves a count,
-// hence the build tag.
+// 6-value one does.  An emitting join's hit emits from the cached pairs
+// themselves and allocates nothing, like the count-only one.  The race
+// detector's instrumentation moves a count, hence the build tag.
 func TestWarmHitAllocs(t *testing.T) {
 	cached, _, g := cachePair(t, 3000, 91)
 	outer := NewTable("o")
-	bVals, _ := cached.Column("b")
-	if err := outer.AddColumn("fk", g.Lookups(bVals.Domain().Values(), 500)); err != nil {
+	aVals, _ := cached.Column("a")
+	if err := outer.AddColumn("fk", g.Lookups(aVals.Domain().Values(), 500)); err != nil {
 		t.Fatal(err)
 	}
 	outer.EnableCache(CacheOptions{MinCostNs: -1})
 	aIx, _ := cached.Index("a")
-	aVals, _ := cached.Column("a")
 	cVals, _ := cached.Column("c")
 	list := g.Lookups(cVals.Domain().Values(), 6)
 	list64 := g.Lookups(aVals.Domain().Values(), 64)
 	preds := []RangePred{{Col: "a", Lo: 0, Hi: 1 << 30}, {Col: "b", Lo: 1 << 27, Hi: 1 << 31}}
-	if _, err := JoinWith(outer, "fk", aIx, JoinOptions{}, func(o, i uint32) {}); err != nil {
-		t.Fatal(err) // an emitting join fills the pair cache the count-only join reads
+	// An emitting join fills the pair cache both join rows read.
+	if n, err := JoinWith(outer, "fk", aIx, JoinOptions{}, func(o, i uint32) {}); err != nil || n < 500 {
+		t.Fatalf("join: %d pairs, %v; every outer row must find its value", n, err)
 	}
 	for _, c := range []struct {
 		name string
@@ -47,6 +49,7 @@ func TestWarmHitAllocs(t *testing.T) {
 		{"SelectWhere", 2, func() { cached.SelectWhere(preds) }},
 		{"GroupAggregate", 1, func() { GroupAggregate(cached, "c", "a", nil) }},
 		{"JoinWith count-only", 0, func() { JoinWith(outer, "fk", aIx, JoinOptions{}, nil) }},
+		{"JoinWith emitting", 0, func() { JoinWith(outer, "fk", aIx, JoinOptions{}, func(o, i uint32) {}) }},
 	} {
 		c.run() // warm: the measured calls are all exact hits
 		if got := testing.AllocsPerRun(200, c.run); got != c.want {
@@ -110,5 +113,48 @@ func TestFirstSightStagesNothing(t *testing.T) {
 		if on > off {
 			t.Errorf("%s at first sight: %v allocs/op, %v with caching off", c.name, on, off)
 		}
+	}
+}
+
+// TestWhereAllocatesOnlyResult: an uncached conjunction of two index
+// conjuncts reads both RID spans where the index published them and
+// allocates only its result, plus a constant for the plans, the bound
+// resolution and the bookkeeping — however large the spans are.  Bytes, not
+// allocation counts: a copied span is one allocation, but thousands of
+// RIDs.  The smallest of a few calls is taken, since a collection between
+// two can empty the row-map pool.
+func TestWhereAllocatesOnlyResult(t *testing.T) {
+	_, plain, _ := cachePair(t, 40000, 95)
+	aVals, _ := plain.Column("a")
+	bVals, _ := plain.Column("b")
+	ad, bd := aVals.Domain().Values(), bVals.Domain().Values()
+	// Each conjunct spans a tenth of its domain, about 4,000 rows: indexed,
+	// and an intersection of about 400.
+	preds := []RangePred{{Col: "a", Lo: ad[len(ad)/4], Hi: ad[len(ad)/4+len(ad)/10]},
+		{Col: "b", Lo: bd[len(bd)/2], Hi: bd[len(bd)/2+len(bd)/10]}}
+	const slack = 1024
+	var ms runtime.MemStats
+	best := ^uint64(0)
+	var got []uint32
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		rids, plans, err := plain.SelectWhere(preds)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plans[0].UseIndex || !plans[1].UseIndex {
+			t.Fatalf("plans %+v: both conjuncts must take their index", plans)
+		}
+		best, got = min(best, ms.TotalAlloc-before), rids
+	}
+	if len(got) == 0 {
+		t.Fatal("empty intersection: the pin would measure nothing")
+	}
+	t.Logf("%d result RIDs, %d bytes allocated", len(got), best)
+	if limit := 4*uint64(len(got)) + slack; best > limit {
+		t.Errorf("SelectWhere allocated %d bytes for a %d-RID result, over 4·len(result)+%d = %d",
+			best, len(got), slack, limit)
 	}
 }

@@ -6,7 +6,8 @@ package mmdb
 // before computing and fills it after, so repeated decision-support traffic —
 // the same dashboard ranges, IN-lists and join sub-results over and over — is
 // answered by a fingerprint lookup and one slice copy instead of a
-// recomputation.
+// recomputation.  The copy is the caller's: inside the engine a cached
+// payload is read where it lies (a WHERE conjunct, a join's pairs).
 //
 // The table layer looks up before it plans: a fingerprint never depends on
 // the plan — a SelectRange or SelectIn's scan and index paths share one
@@ -128,9 +129,16 @@ func (e env) miss(qc *qcache.Cache, k qcache.Key) bool {
 	return missed(e.sp.Child("cache"), qc.Miss(k))
 }
 
-// hit records the cache span of a query Find answered.
-func (e env) hit(a qcache.Answer) {
+// hit records the cache span of a query Find answered and returns the
+// caller's copy of the answer: an exact or containment hit's RIDs are the
+// cache's own payload, so they are copied once, here; a subset replay's are
+// already fresh.
+func (e env) hit(a qcache.Answer) []uint32 {
 	tailRows(e.sp.Child("cache").Attr("outcome", a.Kind.String()).AttrInt("rows", len(a.RIDs)), a.Tail).End()
+	if a.Kind == qcache.HitSubset {
+		return a.RIDs
+	}
+	return append([]uint32(nil), a.RIDs...)
 }
 
 // --- fingerprints -----------------------------------------------------------

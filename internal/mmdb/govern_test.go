@@ -459,7 +459,7 @@ func TestJoinWithCtxGoverned(t *testing.T) {
 // governor.WithBudget smaller than that slice it must fail with
 // ErrBudgetExceeded and nil rows — on "a" searched by a level CSS-tree and
 // on the sharded "b" — exactly as a computed result would.  Exact hits stay
-// uncharged: qcache copies them out before this layer sees them, and cached
+// uncharged: their copy is of an answer already paid for, and cached
 // answers are what a constrained query is still served.
 func TestReusePathsChargeBudget(t *testing.T) {
 	cached, _, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 53)

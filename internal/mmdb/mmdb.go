@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -327,6 +328,7 @@ func (ix *SortedIndex) SpaceBytes() int {
 
 // RIDs returns the current epoch's RID list in column-value order (ordered
 // access, §2.2); rows absorbed since the last fold are in its delta runs.
+// The list is the published array itself, shared and read-only.
 func (ix *SortedIndex) RIDs() []uint32 { return ix.cur.Load().rids }
 
 // Close has nothing to release: every search structure, sharded ones
@@ -478,21 +480,20 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 		cs := e.sp.Child("cache")
 		jkey = qcache.Key{Table: outer.name, Col: outerCol, Kind: qcache.KindJoin, Hash: seg.innerTag()}
 		jtok = qcache.Token{Gen: outer.stateVer.Load(), Epoch: ep.uid}
-		if emit == nil {
-			if n, ok := qc.LookupPairCount(jkey, jtok); ok {
-				cs.Attr("outcome", "hit").AttrInt("pairs", n).End()
-				return n, nil
-			}
-			cs.Attr("outcome", "miss").End()
-		} else {
-			a, b, ok, adm := qc.LookupPair(jkey, jtok)
-			if ok {
+		// A hit emits straight from the cached payload.
+		a, b, ok, adm := qc.LookupPair(jkey, jtok)
+		switch {
+		case ok:
+			if emit != nil {
 				for i := range a {
 					emit(a[i], b[i])
 				}
-				cs.Attr("outcome", "hit").AttrInt("pairs", len(a)).End()
-				return len(a), nil
 			}
+			cs.Attr("outcome", "hit").AttrInt("pairs", len(a)).End()
+			return len(a), nil
+		case emit == nil:
+			cs.Attr("outcome", "miss").End()
+		default:
 			cacheable = missed(cs, adm)
 		}
 	}
@@ -530,18 +531,31 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 	}
 
 	// The sequential uncached join streams: emit runs as pairs are found.
-	// Every other shape stages each span's pairs and replays them in span
-	// order, so the emission order is identical at every worker count.
-	type pair struct{ outer, inner uint32 }
-	var bufs [][]pair
+	// Every other shape stages each span's pairs, in pooled buffers, and
+	// replays them in span order, so the emission order is identical at
+	// every worker count.
+	var bufs [][]joinPair
 	if emit != nil && (w > 1 || cacheable) {
-		bufs = make([][]pair, w)
+		stage := pairStages.Get().(*[][]joinPair)
+		for len(*stage) < w {
+			*stage = append(*stage, nil)
+		}
+		bufs = (*stage)[:w]
+		defer func() {
+			for t, buf := range bufs {
+				if cap(buf) > maxPooledPairs {
+					buf = nil
+				}
+				bufs[t] = buf[:0]
+			}
+			pairStages.Put(stage)
+		}()
 	}
 	sink := func(t int) func(outerRID, innerRID uint32) {
 		if bufs == nil {
 			return emit // streaming (w == 1), or count-only (nil)
 		}
-		return func(o, i uint32) { bufs[t] = append(bufs[t], pair{o, i}) }
+		return func(o, i uint32) { bufs[t] = append(bufs[t], joinPair{o, i}) }
 	}
 	count := 0
 	if w <= 1 {
@@ -590,6 +604,17 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 	}
 	return count, nil
 }
+
+// joinPair is one staged result pair of a join.
+type joinPair struct{ outer, inner uint32 }
+
+// pairStages recycles the per-worker pair buffers of the joins that stage
+// their pairs (parallel, or filling the cache), so a stream of joins stops
+// growing a fresh buffer per worker per query.  A buffer past maxPooledPairs
+// is dropped rather than kept: one huge join must not pin its staging.
+var pairStages = sync.Pool{New: func() any { return new([][]joinPair) }}
+
+const maxPooledPairs = 1 << 16
 
 // --- batch updates -------------------------------------------------------------
 

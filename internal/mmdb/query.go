@@ -100,13 +100,12 @@ func (q *entry) leave(err error) error {
 	return err
 }
 
-// fresh passes on a result materialised in one piece in this package — a
+// fresh passes on a result materialised in one piece in the cache — a
 // replayed IN subset: a new slice of any size, charged against the caller's
 // byte budget exactly once, exactly like a computed one.  Exact and
-// containment hits are not charged: qcache copies them out under its own
-// stripe lock before this layer sees them, and serving cached answers to a
-// constrained query is the degradation order governance promises (govern.go
-// rule 2).
+// containment hits are not charged: their copy (env.hit) is of an answer
+// already paid for, and serving cached answers to a constrained query is the
+// degradation order governance promises (govern.go rule 2).
 func (e env) fresh(rids []uint32) ([]uint32, error) {
 	if err := e.ctl.Charge(4 * int64(len(rids))); err != nil {
 		return nil, err
@@ -496,8 +495,7 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	e.explainPlan(plan)
 	switch {
 	case a.Kind != qcache.HitMiss:
-		e.hit(a)
-		return a.RIDs, plan, nil
+		return e.hit(a), plan, nil
 	case empty:
 		return nil, plan, nil
 	case p.UseIndex:
@@ -540,8 +538,7 @@ func (s *epoch) rangeQuery(e env, lo, hi uint32) ([]uint32, error) {
 	}
 	key, rd := rangeFP(s.tbl.name, s.col, qcache.LayerEpoch, lo, hi), s.reader()
 	if a := s.tbl.Cache().Find(key, rd, nil); a.Kind != qcache.HitMiss {
-		e.hit(a)
-		return a.RIDs, nil
+		return e.hit(a), nil
 	}
 	loID, hiID := s.dom.IDRange(lo, hi)
 	if loID >= hiID && len(s.runs) == 0 {
@@ -736,12 +733,10 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	e.explainPlan(plan)
 	switch {
 	case a.Kind == qcache.HitSubset:
-		e.hit(a)
-		rids, err := e.fresh(a.RIDs) // a replay is a freshly materialised answer
+		rids, err := e.fresh(e.hit(a)) // a replay is a freshly materialised answer
 		return rids, plan, err
 	case a.Kind != qcache.HitMiss:
-		e.hit(a)
-		return a.RIDs, plan, nil
+		return e.hit(a), plan, nil
 	case p.UseIndex:
 		rids, err := seg.missIn(e, rd, key, distinct, plan.EstRows, p)
 		return rids, plan, err
@@ -822,10 +817,11 @@ type RangePred struct {
 }
 
 // SelectWhere evaluates a conjunction of range predicates.  Each conjunct
-// picks its own access path (the PlanRange model) and yields a RID set; the
-// sets are ANDed on a row bitmap (bitmapIntersect): the smallest is marked
-// one bit per row, every other is filtered through the marks, and only the
-// few survivors are sorted.  The returned RIDs are ascending.  A conjunct
+// picks its own access path (the PlanRange model) and yields a RID set —
+// an index span or a cached run read in place, or a scan's rows; the sets
+// are ANDed on a row bitmap (bitmapIntersect): the smallest is marked one bit
+// per row, every other clears the marks it holds, and only the few survivors
+// are sorted.  The returned RIDs are ascending and the caller's own.  A conjunct
 // the plan shows empty (Lo > Hi, or an empty ID range with no appended
 // tail) answers the whole conjunction without computing the others.
 //
@@ -903,8 +899,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	ps.AttrInt("index_conjuncts", indexed).AttrInt("scan_conjuncts", len(preds)-indexed)
 	ps.End()
 	if hit {
-		e.hit(a)
-		return a.RIDs, plans, nil
+		return e.hit(a), plans, nil
 	}
 	if empty >= 0 {
 		// The intersection is empty whatever the other conjuncts hold: no
@@ -929,8 +924,9 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	// Per-conjunct results that complete before an abort are valid data and
 	// stay cached; the conjunction entry itself is only inserted on full
 	// completion.  Each conjunct's range is a question of its own, with its
-	// own admission verdict.
-	sets := make([][]uint32, len(preds))
+	// own admission verdict.  A cached run and a batched index span are read
+	// where they lie, borrowed; only scans and delta weaves are materialised.
+	sets := make([]ridSet, len(preds))
 	admits := make([]bool, len(preds))
 	byIndex := map[*segment][]int{}
 	var segs []*segment // byIndex's keys in conjunct order, the order they resolve in
@@ -956,7 +952,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			crd = t.reader(seg)
 		}
 		if ca := qc.Find(ckey, crd, nil); ca.Kind != qcache.HitMiss {
-			sets[i] = ca.RIDs
+			sets[i] = ridSet{rids: ca.RIDs}
 			if cj != nil { // attr args must not run on the untraced path
 				tailRows(cj.Attr("path", "cache-"+ca.Kind.String()).AttrInt("rows", len(ca.RIDs)), ca.Tail).End()
 			}
@@ -980,7 +976,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		if err != nil {
 			return abortConj(cj, err)
 		}
-		sets[i] = rids
+		sets[i] = ridSet{rids: rids, own: true}
 		if plans[i].UseIndex {
 			seg.explainRange(cj, p.Lo, p.Hi, len(rids), false)
 		} else {
@@ -1001,12 +997,13 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 		seg.ord.LowerBoundBatch(probes, out)
 		for j, i := range list {
 			first, last := out[2*j], out[2*j+1]
+			// The span is borrowed, not copied, but charged as the rows it
+			// feeds the intersection, as a scanned conjunct's are.
 			if err := e.ctl.Charge(4 * int64(last-first)); err != nil {
 				return abortConj(conjSpans[i], err)
 			}
-			rids := make([]uint32, last-first)
-			copy(rids, seg.rids[first:last])
-			sets[i] = rids
+			rids := seg.rids[first:last]
+			sets[i] = ridSet{rids: rids}
 			seg.explainRange(conjSpans[i], preds[i].Lo, preds[i].Hi, len(rids), true)
 			conjSpans[i].End()
 			if admits[i] {
@@ -1091,13 +1088,22 @@ func (t *Table) resolveBounds(preds []RangePred) (loIDs, hiIDs []uint32, err err
 
 // ridMaps pools the one-bit-per-row maps conjunctions are ANDed on, so each
 // concurrently running SelectWhere holds one map of rows/8 bytes.  A map
-// always goes back all-zero: bitmapIntersect clears exactly the words it
-// set, never the whole map.
+// always goes back all-zero: bitmapIntersect clears exactly the bits it set,
+// never the whole map.
 var ridMaps = sync.Pool{New: func() any { return new([]uint64) }}
+
+// ridSet is one conjunct's RIDs and whether the conjunction owns them: a
+// scan or a delta weave made for it, as opposed to a span of an index's
+// published array or of a resident cache payload, which are shared and
+// read-only.
+type ridSet struct {
+	rids []uint32
+	own  bool
+}
 
 // intersect ANDs a conjunction's RID sets on a pooled row bitmap, grown to
 // cover every row — unfolded tail rows included — when short.
-func (t *Table) intersect(sets [][]uint32, check func() error) ([]uint32, error) {
+func (t *Table) intersect(sets []ridSet, check func() error) ([]uint32, error) {
 	bm := ridMaps.Get().(*[]uint64)
 	if w := (t.rows + 63) / 64; len(*bm) < w {
 		*bm = make([]uint64, w)
@@ -1109,43 +1115,68 @@ func (t *Table) intersect(sets [][]uint32, check func() error) ([]uint32, error)
 
 // bitmapIntersect returns the ascending intersection of sets, each
 // duplicate-free with every RID below 64·len(bm); bm must be all-zero and
-// is all-zero again on return, on every path.  The smallest set's RIDs are
-// marked and every other set is filtered through the marks in place,
-// branch-free, the survivors becoming the marked set for the next — so the
-// work is linear in the input and only the (small) result is sorted.
-// check runs before each filter; its error abandons the intersection.  The
-// sets' slices are overwritten.
-func bitmapIntersect(bm []uint64, sets [][]uint32, check func() error) ([]uint32, error) {
+// is all-zero again on return, on every path.  The smallest set is the
+// running result: its RIDs are marked, the next set clears the marks it
+// holds, and the RIDs whose marks were cleared survive — so the work is
+// linear in the input and only the (small) result is sorted.  Survivors are
+// written over the running result when the conjunction owns it and into a
+// fresh slice of exactly their count otherwise: no set is written but an
+// owned running result, and a result is copied only when it would be
+// borrowed.  check runs before each filter; its error abandons the
+// intersection.
+func bitmapIntersect(bm []uint64, sets []ridSet, check func() error) ([]uint32, error) {
 	small := 0
 	for i, s := range sets {
-		if len(s) < len(sets[small]) {
+		if len(s.rids) < len(sets[small].rids) {
 			small = i
 		}
 	}
 	sets[0], sets[small] = sets[small], sets[0]
 	acc := sets[0]
-	if len(acc) > 0 && len(sets) > 1 {
-		mark(bm, acc)
-		for i, s := range sets[1:] {
-			if err := check(); err != nil {
-				unmark(bm, acc)
-				return nil, err
-			}
-			n := 0
-			for _, r := range s {
-				s[n] = r
-				n += int(bm[r>>6] >> (r & 63) & 1)
-			}
-			unmark(bm, acc)
-			acc = s[:n]
-			if n == 0 || i == len(sets)-2 {
-				break
-			}
-			mark(bm, acc)
+	for _, s := range sets[1:] {
+		if len(acc.rids) == 0 {
+			break
+		}
+		mark(bm, acc.rids)
+		if err := check(); err != nil {
+			unmark(bm, acc.rids)
+			return nil, err
+		}
+		acc = filter(bm, acc, s.rids)
+	}
+	if !acc.own {
+		acc.rids = append([]uint32(nil), acc.rids...)
+	}
+	sortu32.Sort(acc.rids)
+	return acc.rids, nil
+}
+
+// filter keeps the RIDs of acc, all marked in bm, that s also holds, and
+// leaves bm all-zero.  The pass over s clears the marks it finds and counts
+// them; the pass over acc keeps the RIDs whose mark is gone and clears the
+// rest.  The clear is a branch, not a branch-free store: survivors are few,
+// and a store per RID of s would dirty every map line s touches (14 against
+// 18 µs on BenchmarkSelectWhere).
+func filter(bm []uint64, acc ridSet, s []uint32) ridSet {
+	n := 0
+	for _, r := range s {
+		if bm[r>>6]>>(r&63)&1 != 0 {
+			bm[r>>6] &^= 1 << (r & 63)
+			n++
 		}
 	}
-	sortu32.Sort(acc)
-	return acc, nil
+	out := acc.rids[:0]
+	if !acc.own {
+		out = make([]uint32, 0, n)
+	}
+	for _, r := range acc.rids {
+		if bm[r>>6]>>(r&63)&1 == 0 {
+			out = append(out, r)
+		} else {
+			bm[r>>6] &^= 1 << (r & 63)
+		}
+	}
+	return ridSet{rids: out, own: true}
 }
 
 func mark(bm []uint64, rids []uint32) {

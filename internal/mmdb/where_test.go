@@ -228,18 +228,20 @@ func TestSelectWhereEmptyConjunctShortCircuits(t *testing.T) {
 }
 
 // TestBitmapIntersect drives the intersection kernel directly: sets in row
-// order and shuffled, empty sets, RIDs 0 and rows-1 — the map all-zero
-// after every call, aborted ones included, and the first filter run
-// against the smallest set's marks.
+// order and shuffled, empty sets, RIDs 0 and rows-1, owned and borrowed —
+// the map all-zero after every call, aborted ones included, the first filter
+// run against the smallest set's marks, every borrowed set unwritten, and
+// the result never a borrowed set's memory.
 func TestBitmapIntersect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 400; trial++ {
 		rows := 1 + rng.Intn(700)
 		bm := make([]uint64, (rows+63)/64+rng.Intn(3))
 		k := 1 + rng.Intn(4)
-		sets := make([][]uint32, k)
+		sets := make([]ridSet, k)
 		in := make([][]bool, k)
 		for i := range sets {
+			sets[i].own = rng.Intn(2) == 0
 			in[i] = make([]bool, rows)
 			density := rng.Float64()
 			if rng.Intn(6) == 0 {
@@ -249,11 +251,17 @@ func TestBitmapIntersect(t *testing.T) {
 				edge := (r == 0 || r == rows-1) && trial%2 == 0
 				if edge || rng.Float64() < density {
 					in[i][r] = true
-					sets[i] = append(sets[i], uint32(r))
+					sets[i].rids = append(sets[i].rids, uint32(r))
 				}
 			}
-			if rng.Intn(2) == 0 {
-				rng.Shuffle(len(sets[i]), func(a, b int) { sets[i][a], sets[i][b] = sets[i][b], sets[i][a] })
+			if rs := sets[i].rids; rng.Intn(2) == 0 {
+				rng.Shuffle(len(rs), func(a, b int) { rs[a], rs[b] = rs[b], rs[a] })
+			}
+		}
+		var borrowed, before [][]uint32
+		for _, s := range sets {
+			if !s.own {
+				borrowed, before = append(borrowed, s.rids), append(before, slices.Clone(s.rids))
 			}
 		}
 		var want []uint32
@@ -266,9 +274,9 @@ func TestBitmapIntersect(t *testing.T) {
 				want = append(want, uint32(r))
 			}
 		}
-		smallest := len(sets[0])
+		smallest := len(sets[0].rids)
 		for _, s := range sets {
-			smallest = min(smallest, len(s))
+			smallest = min(smallest, len(s.rids))
 		}
 		firstCheck := true
 		check := func() error {
@@ -287,6 +295,14 @@ func TestBitmapIntersect(t *testing.T) {
 		got, err := bitmapIntersect(bm, sets, check)
 		if n := popcount(bm); n != 0 {
 			t.Fatalf("trial %d (abort=%v): %d bits left set", trial, abort, n)
+		}
+		for i, b := range borrowed {
+			if !slices.Equal(b, before[i]) {
+				t.Fatalf("trial %d: a borrowed set was written: %v, was %v", trial, b, before[i])
+			}
+			if len(got) > 0 && len(b) > 0 && &got[0] == &b[0] {
+				t.Fatalf("trial %d: the result is a borrowed set's memory", trial)
+			}
 		}
 		if abort && k > 1 && smallest > 0 {
 			if !errors.Is(err, context.Canceled) {

@@ -12,7 +12,8 @@ func (c *Cache) Lookup(k Key, rd Reader) (rids []uint32, tail int, ok, admit boo
 	return append([]uint32(nil), rids...), tail, ok, admit
 }
 
-// LookupRange answers a range fingerprint by exact match or containment.
+// LookupRange answers a range fingerprint by exact match or containment,
+// with a copy of the RIDs (Find shares the payload).
 func (c *Cache) LookupRange(k Key, rd Reader) (rids []uint32, kind HitKind, tail int, admit bool) {
 	return c.settle(k, c.Find(k, rd, nil))
 }
@@ -32,7 +33,7 @@ func (c *Cache) settle(k Key, a Answer) ([]uint32, HitKind, int, bool) {
 	if a.Kind == HitMiss {
 		return nil, HitMiss, a.Tail, c.Miss(k)
 	}
-	return a.RIDs, a.Kind, a.Tail, false
+	return append([]uint32(nil), a.RIDs...), a.Kind, a.Tail, false
 }
 
 // Resident is one resident entry as the invariant checkers in this

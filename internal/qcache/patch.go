@@ -33,7 +33,7 @@ package qcache
 //   - KindJoin, and any kind whose reader lacks the view or column it needs:
 //     dropped.
 //
-// Entries are immutable after insert (readers copy payloads outside the
+// Entries are immutable after insert (readers read payloads outside the
 // stripe lock), so the successor REPLACES the entry rather than editing it;
 // the old entry becomes a dead ring husk exactly as invalidation leaves one.
 // The successor keeps the plans the entry was stored with: an absorb leaves

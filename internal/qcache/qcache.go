@@ -15,9 +15,11 @@
 // route it to one of a power-of-two number of stripes, each an independent
 // (map, CLOCK ring, byte budget, counter cells) quad behind its own mutex;
 // Stats sums the stripe-local counters one stripe at a time, so a
-// snapshot never observes half an update.  All result slices are copied on
-// insert and on hit, so callers may mutate what they pass in and what they
-// get back.
+// snapshot never observes half an update.  Payloads are copied on insert, so
+// callers may mutate what they pass in, and never written after: an exact or
+// containment hit and a join-pair hit hand out the resident slices
+// themselves, shared and read-only, and a caller that returns them to its own
+// caller copies them first.  A subset replay and an aggregate hit are fresh.
 //
 // Admission and eviction.  Recurrence comes first: nothing is cached at
 // first sight.  Every miss notes its question in the stripe's door (door.go)
@@ -41,8 +43,8 @@
 //
 //   - Containment for ranges (Find).  A cached closed [lo, hi] run
 //     stores its sorted raw key values next to the RIDs, so any subrange a
-//     reader it serves asks for is answered by two binary searches and a
-//     slice copy.  The per-column interval map (range entries sorted by lo)
+//     reader it serves asks for is answered by two binary searches: a span
+//     of the run.  The per-column interval map (range entries sorted by lo)
 //     is what the containment walk reads; admission drops the entries a new
 //     run fully covers and is at least as current as.
 //   - IN-list subset replay (reuse.go).  Index-path IN entries record
@@ -232,19 +234,12 @@ func (c *Cache) MaxEntryBytes() int64 {
 // is false on a hit, on a first-sight miss, and always on a disabled cache —
 // so a caller that stages only on admit needs no other test.
 
-// LookupPair returns copies of a cached join-pair result (outer RIDs,
-// inner RIDs).
+// LookupPair returns a cached join-pair result (outer RIDs, inner RIDs):
+// the entry's own payload, shared and read-only, so a count-only join's hit
+// is O(1) and an emitting join's copies nothing.
 func (c *Cache) LookupPair(k Key, tok Token) (outer, inner []uint32, ok, admit bool) {
 	outer, inner, _, ok, admit = c.get(k, Reader{Tok: tok})
-	return append([]uint32(nil), outer...), append([]uint32(nil), inner...), ok, admit
-}
-
-// LookupPairCount returns the size of a cached join-pair result without
-// copying the pairs — the count-only join's O(1) hit path.  A count-only
-// join never inserts, so its miss carries no verdict.
-func (c *Cache) LookupPairCount(k Key, tok Token) (int, bool) {
-	outer, _, _, ok, _ := c.get(k, Reader{Tok: tok})
-	return len(outer), ok
+	return outer, inner, ok, admit
 }
 
 // olderOrEqual reports whether token a is not newer than b.  Both token
@@ -262,7 +257,7 @@ func olderOrEqual(a, b Token) bool { return a.Gen <= b.Gen && a.Epoch <= b.Epoch
 // they serve.  The caller holds the stripe lock and settles the hit/miss
 // accounting for the outcome it commits to, and takes the payload slices it
 // wants before unlocking: their contents are immutable after insert, so they
-// may be copied out after, but a removed entry lets go of them.
+// may be read after, but a removed entry lets go of them.
 func (st *stripe) lookupLocked(k Key, rd Reader, c *Cache) (*entry, int) {
 	e, ok := st.m[k]
 	if ok && e.tok.serves(rd.Tok) {
@@ -331,11 +326,13 @@ type Plan struct {
 	Why      string
 }
 
-// Answer is what Find found: a copy of the RIDs, how they were found, and the
-// tail rows merged bringing the answering entry current (Current when none
-// were missing).  An exact hit carries the entry's Plan, and a conjunction's
-// bounds with their plans in Preds (read-only); a subset replay carries its
-// group offsets: the rows of distinct[i] are RIDs[GOff[i]:GOff[i+1]].
+// Answer is what Find found: the RIDs, how they were found, and the tail
+// rows merged bringing the answering entry current (Current when none were
+// missing).  An exact or containment hit's RIDs are the resident payload (or
+// a span of it), shared and read-only; a subset replay's are fresh.  An exact
+// hit carries the entry's Plan, and a conjunction's bounds with their plans
+// in Preds (read-only); a subset replay carries its group offsets: the rows
+// of distinct[i] are RIDs[GOff[i]:GOff[i+1]].
 type Answer struct {
 	RIDs  []uint32
 	Kind  HitKind
@@ -348,8 +345,8 @@ type Answer struct {
 // Find answers a range, IN or conjunction fingerprint under one lock
 // acquisition: by exact match; for a range (KindRange), else by containment —
 // any cached run on the same column that serves the reader and whose closed
-// value bounds cover [k.Lo, k.Hi] answers, once brought current, by two
-// binary searches and a slice copy; for an IN-list (KindIn) with distinct
+// value bounds cover [k.Lo, k.Hi] answers, once brought current, with the
+// span two binary searches find; for an IN-list (KindIn) with distinct
 // given, else by subset replay (reuse.go).  distinct is the deduplicated
 // query values in first-occurrence order; nil asks an IN key for the exact
 // match only, since a scan-planned query must not inherit a replay's probe
@@ -369,13 +366,13 @@ func (c *Cache) Find(k Key, rd Reader, distinct []uint32) Answer {
 	e, tail := st.lookupLocked(k, rd, c)
 	switch {
 	case e != nil:
-		a.Kind, rids, a.Plan, a.Preds = HitExact, e.rids, e.plan, e.preds
+		a.Kind, a.RIDs, a.Plan, a.Preds = HitExact, e.rids, e.plan, e.preds
 	case k.Kind == KindRange && k.Lo <= k.Hi:
 		// (An inverted key is an empty range; refusing containment keeps the
 		// slice arithmetic below in bounds.)
 		if e, tail = st.contain(k, rd, c); e != nil {
 			first, last := e.span(k.Lo, k.Hi)
-			a.Kind, rids = HitContained, e.rids[first:last]
+			a.Kind, a.RIDs = HitContained, e.rids[first:last]
 			st.stats.ContainedHits++
 		}
 	case k.Kind == KindIn && len(distinct) > 0:
@@ -391,8 +388,6 @@ func (c *Cache) Find(k Key, rd Reader, distinct []uint32) Answer {
 	st.mu.Unlock()
 	if a.Kind == HitSubset {
 		a.RIDs, a.GOff = replay(distinct, vals, s2g, goff, rids)
-	} else {
-		a.RIDs = append([]uint32(nil), rids...)
 	}
 	return a
 }

@@ -9,7 +9,8 @@ package qcache
 //
 // Payload slices taken under the stripe lock alias immutable cache memory
 // (entries are never edited after insert — a refresh replaces them), so they
-// are copied out after the lock is released.
+// are read after the lock is released: a replay concatenates groups into a
+// fresh slice, an aggregate hit is copied out.
 
 // subset returns a grouped IN entry of k's column that serves the reader and
 // lists every query value, brought current, and the tail rows that took; nil

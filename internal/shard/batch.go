@@ -33,6 +33,7 @@ package shard
 // allocates its worker closures and goroutines.
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -60,24 +61,33 @@ func ChooseKeyOrder(probes []uint32) bool {
 	if n < adaptiveMinBatch {
 		return false
 	}
-	// Strided sample, insertion-sorted in a fixed buffer: no allocation,
-	// ~sampleSize² ⁄ 4 comparisons — trivial next to n tree descents.
-	var buf [sampleSize]uint32
+	// The strided sample's duplicates are sampleSize minus its distinct
+	// values, counted in an open-addressed set of twice the sample's size
+	// holding value+1 (0 = empty slot; MaxUint32, whose +1 wraps to 0, is
+	// tracked apart): no allocation, about one probe per sampled value.
+	const setBits = 7 // 1<<setBits = 2·sampleSize slots
+	const mask = 1<<setBits - 1
+	var slots [1 << setBits]uint32
 	stride := n / sampleSize
+	dups, sawMax := 0, false
 	for i := 0; i < sampleSize; i++ {
 		v := probes[i*stride]
-		j := i
-		for j > 0 && buf[j-1] > v {
-			buf[j] = buf[j-1]
-			j--
+		if v == math.MaxUint32 {
+			if sawMax {
+				dups++
+			}
+			sawMax = true
+			continue
 		}
-		buf[j] = v
-	}
-	dups := 0
-	for i := 1; i < sampleSize; i++ {
-		if buf[i] == buf[i-1] {
-			dups++
+		h := v * 0x9e3779b1 >> (32 - setBits) // Fibonacci hashing: the top bits
+		for slots[h] != 0 && slots[h] != v+1 {
+			h = (h + 1) & mask
 		}
+		if slots[h] != 0 {
+			dups++ // v is already in the set
+			continue
+		}
+		slots[h] = v + 1
 	}
 	return dups >= dupThreshold
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -161,6 +162,86 @@ func TestAdaptiveScheduleChoice(t *testing.T) {
 	tiny := skewed[:adaptiveMinBatch-1]
 	if ChooseKeyOrder(tiny) {
 		t.Error("sub-threshold batch chose the key-ordered plan")
+	}
+}
+
+// sortedSampleKeyOrder is ChooseKeyOrder as it was first written, kept as
+// the oracle: the strided sample insertion-sorted in a fixed buffer, and its
+// duplicates counted as equal neighbours.
+func sortedSampleKeyOrder(probes []uint32) bool {
+	n := len(probes)
+	if n < adaptiveMinBatch {
+		return false
+	}
+	var buf [sampleSize]uint32
+	stride := n / sampleSize
+	for i := 0; i < sampleSize; i++ {
+		v := probes[i*stride]
+		j := i
+		for j > 0 && buf[j-1] > v {
+			buf[j] = buf[j-1]
+			j--
+		}
+		buf[j] = v
+	}
+	dups := 0
+	for i := 1; i < sampleSize; i++ {
+		if buf[i] == buf[i-1] {
+			dups++
+		}
+	}
+	return dups >= dupThreshold
+}
+
+// TestChooseKeyOrderMatchesSortedSample holds the hashed duplicate count to
+// the sorted-sample oracle on uniform batches over the whole key space and
+// over ranges sized to put the sample's duplicates around the threshold,
+// Zipf-1.1 batches, all-equal batches (0 and MaxUint32 too, the values a
+// hash set's empty marker would collide with), at n = 128, just above it,
+// and at serving and bulk sizes; both decisions must occur.
+func TestChooseKeyOrderMatchesSortedSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	keys := make([]uint32, 1<<14)
+	for i := range keys {
+		keys[i] = rng.Uint32()
+	}
+	g := workload.New(49)
+	seen := map[bool]int{}
+	for trial := 0; trial < 3000; trial++ {
+		n := []int{adaptiveMinBatch, adaptiveMinBatch + 1, 200, 512, 4096}[trial%5]
+		batch := make([]uint32, n)
+		kind := trial / 5 % 5
+		switch kind {
+		case 0: // uniform over the key space
+			for i := range batch {
+				batch[i] = rng.Uint32()
+			}
+		case 1: // uniform over a few hundred values: about threshold duplicates
+			span := uint32(100 + rng.Intn(900))
+			base := rng.Uint32()
+			for i := range batch {
+				batch[i] = base + uint32(rng.Intn(int(span)))
+			}
+		case 2:
+			batch = g.ZipfLookups(keys[:64+rng.Intn(len(keys)-64)], n, 1.1)
+		case 3: // all equal
+			v := []uint32{0, math.MaxUint32, rng.Uint32()}[trial%3]
+			for i := range batch {
+				batch[i] = v
+			}
+		case 4: // 0 and MaxUint32 among distinct values
+			for i := range batch {
+				batch[i] = []uint32{0, math.MaxUint32, rng.Uint32(), rng.Uint32()}[rng.Intn(4)]
+			}
+		}
+		got, want := ChooseKeyOrder(batch), sortedSampleKeyOrder(batch)
+		if got != want {
+			t.Fatalf("trial %d (kind %d, n %d): ChooseKeyOrder = %v, the sorted sample says %v", trial, kind, n, got, want)
+		}
+		seen[got]++
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("decisions %v: the batches must exercise both orders", seen)
 	}
 }
 

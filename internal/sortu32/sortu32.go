@@ -105,7 +105,9 @@ func scatterPairs[T word](srcK []T, srcV []uint32, dstK []T, dstV []uint32, o *[
 }
 
 // Sort sorts keys ascending in place.  Ascending input returns after one
-// read and allocates nothing; otherwise one ping-pong buffer is allocated.
+// read and allocates nothing; otherwise one ping-pong buffer is needed, on
+// the stack up to stackSortKeys keys (a query's small result sorts without
+// touching the heap) and allocated above.
 func Sort(keys []uint32) {
 	if len(keys) < insertionThreshold {
 		insertion(keys)
@@ -116,10 +118,19 @@ func Sort(keys []uint32) {
 	}
 	var h digitHist
 	h.count(keys)
-	if r, _ := lsd(keys, nil, make([]uint32, len(keys)), nil, &h, 0); &r[0] != &keys[0] {
+	var buf [stackSortKeys]uint32
+	tmp := buf[:]
+	if len(keys) > len(buf) {
+		tmp = make([]uint32, len(keys))
+	}
+	if r, _ := lsd(keys, nil, tmp, nil, &h, 0); &r[0] != &keys[0] {
 		copy(keys, r)
 	}
 }
+
+// stackSortKeys is the largest Sort whose ping-pong buffer (4 KiB) lives on
+// the stack.
+const stackSortKeys = 1024
 
 // insertion sorts a small slice in place.
 func insertion(a []uint32) {
