@@ -1,7 +1,10 @@
 // Package domain implements the ordered-domain storage scheme of §2.1: when
 // data is loaded into the main-memory database, distinct column values are
 // stored once, in sorted order, in an external structure (the domain), and
-// columns hold small integer domain IDs in place of values.
+// a value's ID is its rank there.  Columns may hold the small integer IDs in
+// place of values (BuildInt, Encode); a store that keeps its values derives
+// IDs where it needs them — by tree search (Encode, IDsBatch), or for sorted
+// values by one walk over the domain (EncodeSorted).
 //
 // Going beyond [AHK85] exactly as the paper does, domains are kept *sorted*
 // and IDs are ranks, so both equality and inequality predicates evaluate
@@ -26,9 +29,9 @@ type IntDomain struct {
 	idx    *csstree.Tree
 }
 
-// BuildInt constructs the domain of column and returns it together with the
-// column re-encoded as domain IDs (ids[i] is the rank of column[i]).
-func BuildInt(column []uint32) (*IntDomain, []uint32) {
+// NewInt constructs the domain of column: its distinct values, sorted, and
+// the CSS-tree that searches them.  column is not retained.
+func NewInt(column []uint32) *IntDomain {
 	values := make([]uint32, len(column))
 	copy(values, column)
 	sortu32.Sort(values)
@@ -38,10 +41,16 @@ func BuildInt(column []uint32) (*IntDomain, []uint32) {
 	if len(distinct) < len(values) {
 		distinct = append(make([]uint32, 0, len(distinct)), distinct...)
 	}
-	d := &IntDomain{
+	return &IntDomain{
 		values: distinct,
 		idx:    csstree.BuildLevel(distinct, 16),
 	}
+}
+
+// BuildInt constructs the domain of column and returns it together with the
+// column re-encoded as domain IDs (ids[i] is the rank of column[i]).
+func BuildInt(column []uint32) (*IntDomain, []uint32) {
+	d := NewInt(column)
 	ids := make([]uint32, len(column))
 	d.Encode(column, ids)
 	return d, ids
@@ -62,6 +71,23 @@ func (d *IntDomain) Encode(values, ids []uint32) {
 			}
 			ids[base+i] = uint32(p)
 		}
+	}
+}
+
+// EncodeSorted stores the domain ID of sorted[i] into ids[i] (len(ids) must
+// equal len(sorted); ids may be sorted itself).  The values must ascend, so
+// their IDs do too: the translation is one forward walk over the domain's
+// values, no tree search.  Every value must be in the domain.
+func (d *IntDomain) EncodeSorted(sorted, ids []uint32) {
+	id := 0
+	for i, v := range sorted {
+		for id < len(d.values) && d.values[id] < v {
+			id++
+		}
+		if id == len(d.values) || d.values[id] != v {
+			panic("domain: encoding a value the domain does not hold")
+		}
+		ids[i] = uint32(id)
 	}
 }
 

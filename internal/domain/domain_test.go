@@ -267,3 +267,66 @@ func TestExtendMatchesBuildInt(t *testing.T) {
 		checkExtend(t, gen(g.Intn(2000)), gen(g.Intn(400)))
 	}
 }
+
+// TestEncodeSortedMatchesEncode holds the sequential walk to the batched
+// tree translation on sorted inputs: duplicates, a one-value domain, the
+// domain's first and last values (0 and MaxUint32 among them), and random
+// columns whose sorted rows are encoded in place.
+func TestEncodeSortedMatchesEncode(t *testing.T) {
+	max := ^uint32(0)
+	check := func(name string, column, sorted []uint32) {
+		t.Helper()
+		d := NewInt(column)
+		want := make([]uint32, len(sorted))
+		d.Encode(sorted, want)
+		got := make([]uint32, len(sorted))
+		d.EncodeSorted(sorted, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: EncodeSorted %v, Encode %v", name, got, want)
+		}
+		inPlace := slices.Clone(sorted)
+		d.EncodeSorted(inPlace, inPlace)
+		if !slices.Equal(inPlace, want) {
+			t.Fatalf("%s: EncodeSorted in place %v, Encode %v", name, inPlace, want)
+		}
+	}
+	check("empty", []uint32{4, 2}, nil)
+	check("single value", []uint32{7}, []uint32{7})
+	check("single value repeated", []uint32{7, 7, 7}, []uint32{7, 7, 7, 7})
+	check("duplicates", []uint32{5, 1, 9, 5, 1}, []uint32{1, 1, 5, 5, 5, 9, 9})
+	check("both ends", []uint32{0, 10, 20, max}, []uint32{0, 0, max, max})
+	check("first only", []uint32{0, 10, 20, max}, []uint32{0})
+	check("last only", []uint32{0, 10, 20, max}, []uint32{max})
+	g := rand.New(rand.NewSource(25))
+	for round := 0; round < 40; round++ {
+		span := []int{4, 300, 1 << 30}[round%3]
+		column := make([]uint32, 1+g.Intn(3000))
+		for i := range column {
+			column[i] = uint32(g.Intn(span))
+		}
+		// A sorted sample of the column, duplicates and gaps included.
+		sorted := make([]uint32, g.Intn(len(column)+1))
+		for i := range sorted {
+			sorted[i] = column[g.Intn(len(column))]
+		}
+		slices.Sort(sorted)
+		check("random", column, sorted)
+	}
+}
+
+// TestEncodeSortedRejectsAbsentValue: a value the domain lacks — or a
+// descending step, which the forward walk reads as one — panics as Encode
+// does, instead of returning a wrong ID.
+func TestEncodeSortedRejectsAbsentValue(t *testing.T) {
+	d := NewInt([]uint32{10, 20, 30})
+	for _, sorted := range [][]uint32{{15}, {10, 40}, {20, 10}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EncodeSorted(%v) did not panic", sorted)
+				}
+			}()
+			d.EncodeSorted(sorted, make([]uint32, len(sorted)))
+		}()
+	}
+}

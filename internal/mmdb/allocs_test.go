@@ -4,6 +4,7 @@ package mmdb
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -156,5 +157,49 @@ func TestWhereAllocatesOnlyResult(t *testing.T) {
 	if limit := 4*uint64(len(got)) + slack; best > limit {
 		t.Errorf("SelectWhere allocated %d bytes for a %d-RID result, over 4·len(result)+%d = %d",
 			best, len(got), slack, limit)
+	}
+}
+
+// TestJoinAdmitCopiesPairsOnce: an emitting join that fills the pair cache
+// stages its pairs in the pooled per-worker buffers, then copies them once,
+// into the two columns the cache entry keeps — 8 bytes per admitted pair —
+// plus a constant for the entry and the join's bookkeeping.  A cache that
+// copied the columns again on insert would allocate 16.  Each measured join
+// is a fresh question (its own outer table on the shared cache), and the
+// smallest of a few is taken, since a collection can empty the pool.
+func TestJoinAdmitCopiesPairsOnce(t *testing.T) {
+	cached, _, g := cachePair(t, 3000, 97)
+	aIx, _ := cached.Index("a")
+	aVals, _ := cached.Column("a")
+	const runs, slack = 6, 4096
+	outers := make([]*Table, runs)
+	for i := range outers {
+		outers[i] = NewTable(fmt.Sprintf("o%d", i))
+		if err := outers[i].AddColumn("fk", g.Lookups(aVals.Domain().Values(), 3000)); err != nil {
+			t.Fatal(err)
+		}
+		outers[i].cache.Store(cached.Cache())
+	}
+	var ms runtime.MemStats
+	best, pairs := int64(math.MaxInt64), 0 // best: the fewest bytes past 8 per pair
+	for i, outer := range outers {
+		inserts := cached.Cache().Stats().Inserts
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		n, err := JoinWith(outer, "fk", aIx, JoinOptions{}, func(o, i uint32) {})
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached.Cache().Stats().Inserts != inserts+1 {
+			t.Fatalf("join %d was not admitted", i)
+		}
+		if over := int64(ms.TotalAlloc-before) - 8*int64(n); i > 0 && over < best { // the first warms the staging pool
+			best, pairs = over, n
+		}
+	}
+	t.Logf("%d admitted pairs, 8·pairs + %d bytes allocated", pairs, best)
+	if best > slack {
+		t.Errorf("an admitting join allocated 8·pairs + %d bytes for %d pairs, over 8·pairs + %d", best, pairs, slack)
 	}
 }

@@ -14,15 +14,15 @@ package mmdb
 // grown to a fixed fraction of the base (foldDenominator), the batch *folds*,
 // and the fold is a merge too (Table.foldRows): each domain grows by the
 // tail's new values, which shifts the old IDs monotonically (IDs are ranks),
-// so the ID column is carried over by one gather and each index merges its
-// remapped, still-sorted base with the tail's sorted pairs, base first on
-// ties — O(n + tail·log) where a rebuild re-sorts every column and every
-// index, and byte-identical to one for the same two reasons.
+// so each index merges its remapped, still-sorted base with the tail's
+// sorted pairs, base first on ties — O(n + tail) where a rebuild re-sorts
+// every index, and byte-identical to one for the same two reasons.  Columns
+// keep values, not IDs; a grouped column's memoized IDs follow the remap.
 //
-// Frozen encodings are the crux: domains and ID columns stay fixed at the
-// last fold (delta values may be absent from the dictionary), so absorbed
-// state is served on raw values, and the result cache keys ranges by raw
-// closed bounds for the same reason (qcache).
+// Frozen encodings are the crux: domains, memoized IDs and index base
+// arrays stay fixed at the last fold (delta values may be absent from the
+// dictionary), so absorbed state is served on raw values, and the result
+// cache keys ranges by raw closed bounds for the same reason (qcache).
 
 import (
 	"cssidx/internal/binsearch"

@@ -83,8 +83,12 @@ func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) 
 		if cap(got.dom.Values()) != got.dom.Len() {
 			t.Fatalf("%s: column %s: domain holds cap %d for %d values", tag, c.name, cap(got.dom.Values()), got.dom.Len())
 		}
-		if !slices.Equal(got.ids, want.ids) {
-			t.Fatalf("%s: column %s: ID column differs", tag, c.name)
+		if memo := got.ids.Load(); memo != nil {
+			ids := make([]uint32, len(got.raw))
+			want.dom.Encode(got.raw, ids)
+			if !slices.Equal(*memo, ids) {
+				t.Fatalf("%s: column %s: memoized IDs differ from an encoding of the values", tag, c.name)
+			}
 		}
 		lo, hi := got.raw[0], got.raw[len(got.raw)/2]
 		if lo > hi {
@@ -118,9 +122,11 @@ func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) 
 // runFoldOps decodes one operation stream and checks every fold it causes.
 // The first bytes pick the policy, the column count and each column's
 // cardinality and indexes; then each operation is an append (empty = a
-// Compact, whether or not runs are outstanding), or an index build — which,
+// Compact, whether or not runs are outstanding), an index build — which,
 // landing on an unfolded tail, must hand the tail to the new index as one
-// run for the next fold to merge.
+// run for the next fold to merge — or a group-by, which memoizes the
+// column's IDs for every later fold to keep current.  The first column is
+// grouped by before any append.
 func runFoldOps(t *testing.T, data []byte) (folds int) {
 	s := &byteStream{data: data}
 	pol := []foldPolicy{{}, {denom: 2, minRows: 48}, foldEveryBatch}[s.next()%3]
@@ -161,13 +167,23 @@ func runFoldOps(t *testing.T, data []byte) (folds int) {
 			}
 		}
 	}
+	groupBy := func(c foldCol) {
+		if _, err := GroupAggregate(live, c.name, c.name, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i, c := range cols {
 		build(c, sels[i])
 	}
+	groupBy(cols[0])
 	for op := 0; !s.done(); op++ {
 		b := s.next()
 		if b >= 240 { // an index arrives late, maybe over an unfolded tail
 			build(cols[int(b)%len(cols)], s.next())
+			continue
+		}
+		if b >= 232 { // a group-by, maybe over an unfolded tail
+			groupBy(cols[int(b)%len(cols)])
 			continue
 		}
 		n := 0
@@ -196,6 +212,9 @@ func runFoldOps(t *testing.T, data []byte) (folds int) {
 			continue
 		}
 		checkAgainstScratch(t, fmt.Sprintf("op %d (fold of rows %d..%d)", op, base0, live.rows), live, cols)
+		if live.cols[cols[0].name].ids.Load() == nil {
+			t.Fatalf("op %d: a fold dropped the memoized IDs of a grouped column", op)
+		}
 	}
 	return folds
 }
@@ -248,6 +267,10 @@ func TestFoldPinnedCases(t *testing.T) {
 	live.Compact() // nothing to fold, nothing to merge
 	appendAll(500, 100, 300, 100, 900)
 	folded("fold onto an empty table")
+	// An unindexed column grouped by keeps its IDs through the folds below.
+	if _, err := GroupAggregate(live, "v", "k", nil); err != nil {
+		t.Fatal(err)
+	}
 
 	live.fold = neverFold
 	appendAll(300, 100)

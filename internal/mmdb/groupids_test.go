@@ -1,0 +1,221 @@
+package mmdb
+
+// A column stores its values once: the domain IDs an index build or a fold
+// needs are derived from sorted values, and only a group-by keeps per-row
+// IDs, memoized on the column's first GroupAggregate.
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"cssidx"
+	"cssidx/internal/workload"
+)
+
+// TestColumnStoresNoIDs: AddColumn grows the live heap by the column's
+// values plus its domain, nothing per row beyond that, and no build, read,
+// join or fold gives a column an ID array — only a group-by does, and then
+// exactly the encoding of its base rows.  A column that also kept a per-row
+// ID copy grows the heap by 4 bytes a row more and fails the pin.
+func TestColumnStoresNoIDs(t *testing.T) {
+	const n, slack = 200_000, 64 << 10
+	g := workload.New(51)
+	vals := g.Lookups(g.SortedUniform(4096), n)
+	tab := NewTable("t")
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	if err := tab.AddColumn("k", vals); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	c := tab.cols["k"]
+	want := uint64(4*n + c.dom.SpaceBytes())
+	grew := ms.HeapAlloc - before
+	t.Logf("AddColumn of %d rows grew the heap by %d B; values + domain = %d B", n, grew, want)
+	if grew > want+slack {
+		t.Errorf("AddColumn grew the heap by %d B, over values + domain + %d = %d", grew, slack, want+slack)
+	}
+
+	noIDs := func(when string) {
+		t.Helper()
+		if c.ids.Load() != nil {
+			t.Fatalf("%s: the column holds an ID array", when)
+		}
+	}
+	noIDs("after AddColumn")
+	if err := tab.AddColumn("m", g.Lookups(g.SortedUniform(64), n)); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noIDs("after BuildIndex")
+	dom := c.dom.Values()
+	if _, _, err := tab.SelectRange("k", dom[10], dom[200]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tab.SelectWhere([]RangePred{{Col: "k", Lo: dom[10], Hi: dom[900]}, {Col: "m", Lo: 0, Hi: 1 << 31}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := JoinWith(tab, "m", ix, JoinOptions{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GroupAggregate(tab, "m", "k", nil); err != nil {
+		t.Fatal(err)
+	}
+	noIDs("after selections, a join and a group-by on another column")
+	if err := tab.AppendRows(map[string][]uint32{"k": vals[:n/4], "m": vals[:n/4]}); err != nil {
+		t.Fatal(err)
+	}
+	tab.Compact()
+	noIDs("after a fold")
+
+	if _, err := GroupAggregate(tab, "k", "m", nil); err != nil {
+		t.Fatal(err)
+	}
+	memo := c.ids.Load()
+	if memo == nil {
+		t.Fatal("GroupAggregate left the group column without memoized IDs")
+	}
+	ids := make([]uint32, tab.BaseRows())
+	c.dom.Encode(c.raw[:tab.BaseRows()], ids)
+	if !slices.Equal(*memo, ids) {
+		t.Fatal("memoized IDs differ from an encoding of the base rows")
+	}
+	runtime.KeepAlive(tab)
+}
+
+// TestGroupIDsFirstCallsRace races the first group-bys of fresh columns —
+// over all rows, over a RID list, with appended rows outstanding — from
+// several goroutines (run under -race): every call must return the answer a
+// sequential call does, and the column must end up with one memoized array,
+// the encoding of its base rows.
+func TestGroupIDsFirstCallsRace(t *testing.T) {
+	const n, callers = 20_000, 6
+	g := workload.New(52)
+	gDict, mDict := g.SortedUniform(300), g.SortedUniform(5000)
+	gVals, mVals := g.Lookups(gDict, n), g.Lookups(mDict, n)
+	build := func() *Table {
+		tab := NewTable("t")
+		tab.fold = neverFold
+		if err := tab.AddColumn("g", gVals); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.AddColumn("m", mVals); err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	// The delta brings group values the frozen domain lacks as well.
+	batch := map[string][]uint32{"g": g.Lookups(g.SortedUniform(600), 500), "m": g.Lookups(mDict, 500)}
+	rids := make([]uint32, 0, n/7)
+	for r := 0; r < n; r += 7 {
+		rids = append(rids, uint32(r))
+	}
+	for _, leg := range []struct {
+		name   string
+		rids   []uint32
+		absorb bool
+	}{{"all rows", nil, false}, {"rid list", rids, false}, {"all rows with a delta", nil, true}} {
+		t.Run(leg.name, func(t *testing.T) {
+			tab, oracle := build(), build()
+			if leg.absorb {
+				for _, x := range []*Table{tab, oracle} {
+					if err := x.AppendRows(batch); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			want, err := GroupAggregate(oracle, "g", "m", leg.rids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([][]GroupRow, callers)
+			errs := make([]error, callers)
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for i := range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					got[i], errs[i] = GroupAggregate(tab, "g", "m", leg.rids)
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for i := range callers {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if !slices.Equal(got[i], want) {
+					t.Fatalf("caller %d: %d groups, want %d, or a group differs", i, len(got[i]), len(want))
+				}
+			}
+			c := tab.cols["g"]
+			ids := make([]uint32, tab.BaseRows())
+			c.dom.Encode(c.raw[:tab.BaseRows()], ids)
+			if memo := c.ids.Load(); memo == nil || !slices.Equal(*memo, ids) {
+				t.Fatal("the memoized IDs are missing or differ from an encoding of the base rows")
+			}
+		})
+	}
+}
+
+// BenchmarkGroupAggregate prices an uncached group-by at the end-to-end
+// benchmark's fact-table size (2M rows) with 64 and 4,096 groups, over a
+// selection's 1,270 RIDs and over all rows.  The first call on each group
+// column — which encodes and memoizes the column's IDs — runs outside the
+// timer and is reported as first-call-ms.
+func BenchmarkGroupAggregate(b *testing.B) {
+	const n, selected = 2_000_000, 1_270
+	g := workload.New(53)
+	tab := NewTable("fact")
+	for _, c := range []struct {
+		name     string
+		distinct int
+	}{{"g64", 64}, {"g4096", 4096}, {"m", 1 << 16}} {
+		if err := tab.AddColumn(c.name, g.Lookups(g.SortedUniform(c.distinct), n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(53))
+	rids := make([]uint32, selected)
+	for i := range rids {
+		rids[i] = uint32(rng.Intn(n))
+	}
+	first := map[string]time.Duration{}
+	for _, col := range []string{"g64", "g4096"} {
+		start := time.Now()
+		if _, err := GroupAggregate(tab, col, "m", rids); err != nil {
+			b.Fatal(err)
+		}
+		first[col] = time.Since(start)
+	}
+	for _, col := range []string{"g64", "g4096"} {
+		for _, leg := range []struct {
+			name string
+			rids []uint32
+		}{{"rids=1270", rids}, {"all-rows", nil}} {
+			b.Run(col[1:]+"-groups/"+leg.name, func(b *testing.B) {
+				b.ReportMetric(float64(first[col].Microseconds())/1e3, "first-call-ms")
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rows, err := GroupAggregate(tab, col, "m", leg.rids)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkInt += len(rows)
+				}
+			})
+		}
+	}
+}

@@ -218,22 +218,28 @@ func TestAbsorbCostIndependentOfResidentEntries(t *testing.T) {
 }
 
 // BenchmarkAbsorbResident times one 256-row absorb on a 200K-row table with
-// 0, 500 and 5,000 cache entries resident.  A fold empties the cache, so when
-// the next batch would fold, an untimed append folds first and the entries
-// are admitted again.
+// 0, 500 and 5,000 cache entries resident.  When the next batch would fold,
+// the table is built afresh, untimed, and the entries admitted again: a fold
+// would empty the cache and grow the base, and a base that grew with b.N
+// would spread the same entries over ever more rows, until the cache evicts
+// some of them.
 func BenchmarkAbsorbResident(b *testing.B) {
 	for _, resident := range []int{0, 500, 5000} {
 		b.Run(fmt.Sprint(resident), func(b *testing.B) {
-			s := newScaleTable(b, 200_000, foldPolicy{})
-			s.tab.EnableCache(CacheOptions{MinCostNs: -1})
-			s.fillResident(b, resident)
+			fresh := func() *scaleTable {
+				s := newScaleTable(b, 200_000, foldPolicy{})
+				s.tab.EnableCache(CacheOptions{MinCostNs: -1})
+				s.fillResident(b, resident)
+				return s
+			}
+			s := fresh()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if s.tab.fold.shouldFold(s.tab.DeltaRows()+2*scaleBatch, s.tab.BaseRows()) {
-					s.append(b, 2*scaleBatch)
-					s.fillResident(b, resident)
+				if s.tab.fold.shouldFold(s.tab.DeltaRows()+scaleBatch, s.tab.BaseRows()) {
+					s.tab.Close()
+					s = fresh()
 				}
 				batch := s.batch(scaleBatch)
 				b.StartTimer()
@@ -284,8 +290,9 @@ func BenchmarkRangeWeave(b *testing.B) {
 // BenchmarkFold prices one fold at the end-to-end benchmark's shape: 800K
 // base rows × 3 columns — "k" nearly all distinct and indexed, "c" 1,024
 // categories and indexed, "v" ≈ half distinct and unindexed — with a 100K-row
-// tail outstanding as delta runs.  ns/op is the whole fold (a Compact); domain-ms/op is the share spent growing the domains and
-// re-encoding the ID columns (Column.fold), index-ms/op the rest: merging and
+// tail outstanding as delta runs.  ns/op is the whole fold (a Compact);
+// domain-ms/op is the share spent sorting the tails, growing the domains and
+// encoding the tails' IDs (Column.fold), index-ms/op the rest: merging and
 // building the two indexes.  Each iteration folds a shallow copy of the
 // prepared table — a fold writes nothing it did not allocate.
 func BenchmarkFold(b *testing.B) {
@@ -320,8 +327,9 @@ func BenchmarkFold(b *testing.B) {
 		t := NewTable(tmpl.name)
 		t.rows, t.baseRows, t.order = tmpl.rows, tmpl.baseRows, tmpl.order
 		for name, c := range tmpl.cols {
-			cc := *c
-			t.cols[name] = &cc
+			cc := &Column{name: c.name, raw: c.raw, dom: c.dom}
+			cc.ids.Store(c.ids.Load())
+			t.cols[name] = cc
 		}
 		for name, ix := range tmpl.indexes {
 			cix := &SortedIndex{tbl: t, col: t.cols[name], kind: ix.kind, structure: ix.structure}

@@ -6,18 +6,21 @@
 // batch of updates rather than maintained incrementally (§2.3).
 //
 // A Table stores columns of uint32 values.  Each column is domain-encoded
-// (internal/domain): the column holds rank IDs, the domain holds each
-// distinct value once in sorted order.  A column holds at most one index, a
-// SortedIndex: a RID list sorted by the column ("a list of record identifiers
-// sorted by some columns provides ordered access to the base relation",
-// §2.2) plus a companion sorted key array searched by a search structure —
-// any cssidx method (BuildIndex) or a sharded index (BuildShardedIndex).  The
-// structure is the method; there is one index type, one read path and one
-// publication: every index serves frozen epochs, so its own SelectEqual and
-// SelectRange run while AppendRows absorbs and folds, and a table query takes
-// the same path — cache lookup first, then plan, then the index or a scan —
-// whatever structure backs the column.  Only EXPLAIN and SpaceBytes read
-// which.
+// (internal/domain): the column keeps its values in row order and the
+// domain holds each distinct value once in sorted order, its rank being the
+// value's ID.  No column stores a per-row ID copy: an index build or fold
+// derives its sorted IDs in one walk over the domain, and a column that is
+// grouped by memoizes its IDs on the first GroupAggregate.  A column holds
+// at most one index, a SortedIndex: a RID list sorted by the column ("a
+// list of record identifiers sorted by some columns provides ordered access
+// to the base relation", §2.2) plus a companion sorted key array searched
+// by a search structure — any cssidx method (BuildIndex) or a sharded index
+// (BuildShardedIndex).  The structure is the method; there is one index
+// type, one read path and one publication: every index serves frozen
+// epochs, so its own SelectEqual and SelectRange run while AppendRows
+// absorbs and folds, and a table query takes the same path — cache lookup
+// first, then plan, then the index or a scan — whatever structure backs the
+// column.  Only EXPLAIN and SpaceBytes read which.
 //
 // Each question has one entry point.  The table is the query surface:
 // Table.SelectRange, SelectIn and SelectWhere, GroupAggregate and JoinWith,
@@ -61,7 +64,7 @@ type Table struct {
 	indexes map[string]*SortedIndex // one index per column
 
 	// baseRows is the prefix of rows covered by the frozen encodings:
-	// domains, ID columns and index base arrays are built over rows
+	// domains, memoized IDs and index base arrays are built over rows
 	// [0, baseRows) at the last fold; rows beyond live in the delta layer
 	// (delta.go) until the next fold.
 	baseRows int
@@ -89,12 +92,18 @@ type Table struct {
 	gov atomic.Pointer[governor.Admission]
 }
 
-// Column is one domain-encoded attribute.
+// Column is one domain-encoded attribute: its values in row order and their
+// domain.  The per-row domain IDs are derived, not stored — except for a
+// column that has been grouped by, which keeps them for the next group-by.
 type Column struct {
 	name string
 	raw  []uint32 // source values, row order
 	dom  *domain.IntDomain
-	ids  []uint32 // domain IDs, row order
+	// ids memoizes the domain IDs of the base rows [0, baseRows), in row
+	// order: nil until the column's first GroupAggregate, which publishes
+	// them by compare-and-swap (concurrent first calls encode once each and
+	// agree on one array); kept current by every fold from then on.
+	ids atomic.Pointer[[]uint32]
 }
 
 // NewTable creates an empty table.
@@ -121,12 +130,10 @@ func (t *Table) AddColumn(name string, values []uint32) error {
 	if t.rows != t.baseRows {
 		return fmt.Errorf("mmdb: table %s has unfolded appended rows; add columns before appending", t.name)
 	}
-	dom, ids := domain.BuildInt(values)
 	t.cols[name] = &Column{
 		name: name,
 		raw:  append([]uint32(nil), values...),
-		dom:  dom,
-		ids:  ids,
+		dom:  domain.NewInt(values),
 	}
 	t.order = append(t.order, name)
 	t.rows = len(values)
@@ -157,6 +164,21 @@ func (c *Column) Domain() *domain.IntDomain { return c.dom }
 
 // Len returns the number of rows in the column.
 func (c *Column) Len() int { return len(c.raw) }
+
+// baseIDs returns the domain IDs of the base rows [0, base) in row order,
+// encoding and memoizing them on first use.  Concurrent first calls each
+// encode, and the first to publish wins for all of them.
+func (c *Column) baseIDs(base int) []uint32 {
+	if p := c.ids.Load(); p != nil {
+		return *p
+	}
+	ids := make([]uint32, base)
+	c.dom.Encode(c.raw[:base], ids)
+	if !c.ids.CompareAndSwap(nil, &ids) {
+		return *c.ids.Load()
+	}
+	return ids
+}
 
 // --- sorted RID lists with a search index ----------------------------------
 
@@ -233,7 +255,7 @@ func (t *Table) buildIndex(colName string, kind cssidx.Kind, structure func(*seg
 		return nil, fmt.Errorf("mmdb: no column %s in table %s", colName, t.name)
 	}
 	ix := &SortedIndex{tbl: t, col: col, kind: kind, structure: structure}
-	ix.install(col.sortedPairs())
+	ix.install(col.sortedPairs(t.baseRows))
 	// The base structure covers the frozen encoding (baseRows); rows
 	// appended since the last fold live only in raw form, so hand them to
 	// the delta layer as one run — exactly the state absorbRows would
@@ -264,18 +286,16 @@ func (t *Table) seg(col string) *segment {
 	return nil
 }
 
-// sortedPairs returns the column's domain IDs in sorted order with the
-// parallel RID list — what an index builds its base arrays from when there
-// is no sorted base to merge into.  The pair sort is a stable radix sort
-// (internal/sortu32), the cache-conscious choice for the 4-byte keys of
-// Table 1.
-func (c *Column) sortedPairs() (keys, rids []uint32) {
-	keys = append([]uint32(nil), c.ids...)
-	rids = make([]uint32, len(keys))
-	for i := range rids {
-		rids[i] = uint32(i)
-	}
-	sortu32.SortPairs(keys, rids)
+// sortedPairs returns the domain IDs of the base rows [0, base) in sorted
+// order with the parallel RID list — what an index builds its base arrays
+// from when there is no sorted base to merge into.  The pairs are sorted by
+// value with a stable radix sort (internal/sortu32), the cache-conscious
+// choice for the 4-byte keys of Table 1, and the sorted values become IDs
+// in one walk over the domain: IDs are ranks, so the arrays are those of a
+// stable sort by ID.
+func (c *Column) sortedPairs(base int) (keys, rids []uint32) {
+	keys, rids = sortedPairsOf(c.raw[:base], 0)
+	c.dom.EncodeSorted(keys, keys)
 	return keys, rids
 }
 
@@ -581,6 +601,8 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 	if cacheable && qcache.EntryBytesForPairs(count) > qc.MaxEntryBytes() {
 		cacheable = false
 	}
+	// The cache takes the two columns as they are (InsertPair owns them):
+	// an admitted pair is copied once out of the staging, into its entry.
 	var cacheOuter, cacheInner []uint32
 	if cacheable {
 		cacheOuter = make([]uint32, 0, count)
@@ -725,11 +747,11 @@ func validateBatch(names []string, newCols map[string][]uint32) (int, error) {
 
 // foldRows brings the frozen encodings forward over every row — the unfolded
 // tail plus this batch — by merging, not rebuilding: per column the domain
-// grows by the tail's new values, the ID column is carried over by the
-// resulting remap, and each index merges its remapped base with the tail's
-// sorted pairs (Column.fold, mergeFold).  Everything published is a fresh
-// array; readers pinned to the previous state keep reading theirs.  Then the
-// generation moves and the table's cached entries are swept.
+// grows by the tail's new values, and each index merges its base, carried
+// over by the resulting remap, with the tail's sorted pairs (Column.fold,
+// mergeFold).  Everything published is a fresh array; readers pinned to the
+// previous state keep reading theirs.  Then the generation moves and the
+// table's cached entries are swept.
 func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 	for _, name := range t.order {
 		c := t.cols[name]
@@ -754,42 +776,50 @@ func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 	t.Cache().DropTable(t.name)
 }
 
-// fold re-encodes the column over all of raw, of which rows [0, base) are
-// covered by dom and ids and the tail raw[base:] is not.  The domain is
-// extended by the tail's values; the new ID column is a fresh array — base
-// rows by one gather through the remap (a copy when the tail brought no new
-// value), tail rows by tree probes against the grown domain.  It returns the
-// remap for the column's indexes (nil = IDs unchanged) and, when wantPairs,
-// the tail's (new ID, RID) pairs in (value, RID) order: what the delta runs
-// plus the folding batch hold, sorted once for every index on the column.
+// fold moves the column's encoding forward over all of raw, of which rows
+// [0, base) are covered by dom and the tail raw[base:] is not.  The domain
+// is extended by the tail's sorted values, and the tail's IDs come from one
+// walk over the grown domain (EncodeSorted) — no tree probe per row.  It
+// returns the remap for the column's indexes (nil = IDs unchanged) and, when
+// wantPairs (or the column's IDs are memoized), the tail's (new ID, RID)
+// pairs in (value, RID) order: what the delta runs plus the folding batch
+// hold, sorted once for every index on the column.  A column whose IDs are
+// memoized gets them as a fresh array: base rows by one gather through the
+// remap (a copy when the tail brought no new value), tail rows scattered
+// from the pairs.
 func (c *Column) fold(base int, wantPairs bool) (remap, tailKeys, tailRids []uint32) {
 	tail := c.raw[base:]
+	memo := c.ids.Load()
+	pairs := wantPairs || memo != nil
 	var sorted []uint32
-	if wantPairs {
+	if pairs {
 		sorted, tailRids = sortedPairsOf(tail, uint32(base))
 	} else {
 		sorted = append(sorted, tail...)
 		sortu32.Sort(sorted)
 	}
 	dom, remap := c.dom.Extend(sorted)
-	ids := make([]uint32, len(c.raw))
-	if remap == nil {
-		copy(ids, c.ids)
-	} else {
-		for i, id := range c.ids {
-			ids[i] = remap[id]
-		}
+	c.dom = dom
+	if !pairs {
+		return remap, nil, nil
 	}
-	dom.Encode(tail, ids[base:])
-	if wantPairs {
-		// The tail's IDs are already in ids: gather them instead of
-		// probing the tree a second time (sorted is done with).
-		tailKeys = sorted
+	// sorted is done with once the domain has grown: its IDs replace it.
+	tailKeys = sorted
+	dom.EncodeSorted(sorted, tailKeys)
+	if memo != nil {
+		ids := make([]uint32, len(c.raw))
+		if remap == nil {
+			copy(ids, *memo)
+		} else {
+			for i, id := range *memo {
+				ids[i] = remap[id]
+			}
+		}
 		for i, rid := range tailRids {
-			tailKeys[i] = ids[rid]
+			ids[rid] = tailKeys[i]
 		}
+		c.ids.Store(&ids)
 	}
-	c.dom, c.ids = dom, ids
 	return remap, tailKeys, tailRids
 }
 
@@ -799,7 +829,7 @@ func (c *Column) fold(base int, wantPairs bool) (remap, tailKeys, tailRids []uin
 // pairs, the base winning ties.  remap is monotone, so the remapped base is
 // still sorted; every tail RID exceeds every base RID, so base-first on equal
 // keys is (key, RID) order — the arrays are byte-identical to a stable sort
-// of the whole re-encoded column (sortedPairs).
+// of the whole column by ID (sortedPairs).
 func mergeFold(keys, rids, remap, tailKeys, tailRids []uint32) (outKeys, outRids []uint32) {
 	n := len(keys) + len(tailKeys)
 	outKeys, outRids = make([]uint32, n), make([]uint32, n)

@@ -159,10 +159,11 @@ type GroupRow = qcache.AggRow
 // GroupAggregate computes COUNT/SUM/MIN/MAX of measureCol grouped by
 // groupCol over the given rows (nil rids = all rows).  Grouping runs on
 // domain IDs: one array slot per distinct value, no hashing — the payoff of
-// §2.1's ordered domain encoding.  Rows beyond the frozen encoding (the
-// delta layer's appended tail) have no IDs yet and accumulate through a
-// small map on raw values instead, merged in at the end.  Groups come back
-// in value order.
+// §2.1's ordered domain encoding.  The group column's IDs are encoded on its
+// first group-by and kept, current through folds, for the next one.  Rows
+// beyond the frozen encoding (the delta layer's appended tail) have no IDs
+// yet and accumulate through a small map on raw values instead, merged in at
+// the end.  Groups come back in value order.
 //
 // With a cache attached, the (groupCol, measureCol, source-RID) fingerprint
 // is looked up first and the computed result admitted after — from the
@@ -230,6 +231,7 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 	if err := e.ctl.Charge(24 * int64(nGroups)); err != nil {
 		return nil, st.abort(err)
 	}
+	ids := gc.baseIDs(t.baseRows)
 	counts := make([]int64, nGroups)
 	sums := make([]uint64, nGroups)
 	mins := make([]uint32, nGroups)
@@ -259,7 +261,7 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 			g.Sum += uint64(v)
 			return
 		}
-		id := gc.ids[row]
+		id := ids[row]
 		if counts[id] == 0 {
 			mins[id] = v
 			maxs[id] = v

@@ -26,7 +26,7 @@ func (c *Cache) LookupIn(k Key, rd Reader, distinct []uint32) (rids []uint32, ki
 
 // Insert caches a bare RID result: exact reuse only.
 func (c *Cache) Insert(k Key, tok Token, rids []uint32, costNs int64) {
-	c.insert(&entry{key: k, tok: tok, rids: rids, cost: costNs})
+	c.insert(&entry{key: k, tok: tok, rids: rids, cost: costNs}, false)
 }
 
 func (c *Cache) settle(k Key, a Answer) ([]uint32, HitKind, int, bool) {

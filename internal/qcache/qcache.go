@@ -430,8 +430,8 @@ func (e *entry) span(lo, hi uint32) (first, last int) {
 
 // The Insert family is the second half of a miss whose lookup said admit;
 // callers skip it (and the staging it needs) otherwise.  Every payload slice
-// is copied; admission may reject (cost floor, oversized, or unevictable
-// pressure).
+// is copied, except InsertPair's; admission may reject (cost floor,
+// oversized, or unevictable pressure).
 //
 // InsertRange caches a range result together with its sorted raw key run
 // (keys[i] is the raw column value at rids[i]; nil disables containment
@@ -439,7 +439,7 @@ func (e *entry) span(lo, hi uint32) (first, last int) {
 // that computed it.  k.Lo/k.Hi must be the closed raw value bounds the run
 // covers.
 func (c *Cache) InsertRange(k Key, tok Token, keys, rids []uint32, costNs int64, plan Plan) {
-	c.insert(&entry{key: k, tok: tok, lo: k.Lo, hi: k.Hi, keys: keys, rids: rids, cost: costNs, plan: plan})
+	c.insert(&entry{key: k, tok: tok, lo: k.Lo, hi: k.Hi, keys: keys, rids: rids, cost: costNs, plan: plan}, false)
 }
 
 // InsertIn caches an IN-list result and the plan that computed it.  distinct
@@ -456,13 +456,13 @@ func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs
 	}
 	e := &entry{key: k, tok: tok, rids: rids, cost: costNs, plan: plan}
 	if len(distinct) == 0 {
-		c.insert(e)
+		c.insert(e, false)
 		return
 	}
 	e.vals = append([]uint32(nil), distinct...)
 	if goff == nil {
 		slices.Sort(e.vals)
-		c.insert(e)
+		c.insert(e, false)
 		return
 	}
 	if len(goff) != len(distinct)+1 {
@@ -483,7 +483,7 @@ func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs
 			return // not deduplicated: the index would file the entry twice under one value
 		}
 	}
-	c.insert(e)
+	c.insert(e, false)
 }
 
 // InsertAgg caches a grouped-aggregation result (rows sorted by group
@@ -492,7 +492,7 @@ func (c *Cache) InsertIn(k Key, tok Token, distinct, goff, rids []uint32, costNs
 // can extend with appended rows; explicit-RID sources are re-stamped
 // unchanged (appends never mutate existing rows).
 func (c *Cache) InsertAgg(k Key, tok Token, measureCol string, allRows bool, rows []AggRow, costNs int64) {
-	c.insert(&entry{key: k, tok: tok, aggs: rows, aggMeasure: measureCol, aggAll: allRows, cost: costNs})
+	c.insert(&entry{key: k, tok: tok, aggs: rows, aggMeasure: measureCol, aggAll: allRows, cost: costNs}, false)
 }
 
 // InsertWhere caches a conjunction result together with its conjunct
@@ -500,12 +500,14 @@ func (c *Cache) InsertAgg(k Key, tok Token, measureCol string, allRows bool, row
 // refresh qualify appended rows against the whole predicate and extend the
 // entry.  A nil preds leaves exact reuse only.
 func (c *Cache) InsertWhere(k Key, tok Token, preds []PredBound, rids []uint32, costNs int64) {
-	c.insert(&entry{key: k, tok: tok, preds: preds, rids: rids, cost: costNs})
+	c.insert(&entry{key: k, tok: tok, preds: preds, rids: rids, cost: costNs}, false)
 }
 
-// InsertPair caches a join-pair result (outer[i] joined inner[i]).
+// InsertPair caches a join-pair result (outer[i] joined inner[i]).  It takes
+// ownership of outer and inner: an admitted entry holds them as they are, so
+// the caller stages the pairs once and must not write the slices again.
 func (c *Cache) InsertPair(k Key, tok Token, outer, inner []uint32, costNs int64) {
-	c.insert(&entry{key: k, tok: tok, rids: outer, inner: inner, cost: costNs})
+	c.insert(&entry{key: k, tok: tok, rids: outer, inner: inner, cost: costNs}, true)
 }
 
 // entryOverheadBytes charges each entry for its struct, map slot and ring
@@ -531,7 +533,9 @@ func payloadBytes(e *entry) int64 {
 	return b
 }
 
-func (c *Cache) insert(e *entry) {
+// insert admits e.  owned says the payload slices are the cache's already
+// (InsertPair's); otherwise they are the caller's and are copied.
+func (c *Cache) insert(e *entry, owned bool) {
 	if !c.Enabled() {
 		return
 	}
@@ -545,14 +549,16 @@ func (c *Cache) insert(e *entry) {
 		c.countReject(e.key)
 		return
 	}
-	// Copy the payload before taking the lock; callers own their slices.
-	// vals and s2g are not the caller's: InsertIn built them for this entry.
-	e.rids = append([]uint32(nil), e.rids...)
-	e.keys = append([]uint32(nil), e.keys...)
-	e.inner = append([]uint32(nil), e.inner...)
-	e.preds = append([]PredBound(nil), e.preds...)
-	e.goff = append([]uint32(nil), e.goff...)
-	e.aggs = append([]AggRow(nil), e.aggs...)
+	// Copy the payload before taking the lock.  vals and s2g are not the
+	// caller's: InsertIn built them for this entry.
+	if !owned {
+		e.rids = append([]uint32(nil), e.rids...)
+		e.keys = append([]uint32(nil), e.keys...)
+		e.inner = append([]uint32(nil), e.inner...)
+		e.preds = append([]PredBound(nil), e.preds...)
+		e.goff = append([]uint32(nil), e.goff...)
+		e.aggs = append([]AggRow(nil), e.aggs...)
+	}
 	// Expensive results get one extra CLOCK life up front: benefit-based
 	// admission's counterpart on the eviction side.
 	if c.opts.MinCostNs > 0 && e.cost >= 8*c.opts.MinCostNs {
