@@ -180,7 +180,7 @@ func TestMMDBSurfaceCensus(t *testing.T) {
 	}
 	slices.Sort(got)
 	want := []string{
-		"Column.Domain", "Column.Len", "Column.Value",
+		"Column.Len", "Column.Value",
 		"DB.Cache", "DB.CreateTable", "DB.Table",
 		"DurableTable.AppendRows", "DurableTable.AppendRowsCtx", "DurableTable.Close",
 		"GroupAggregate", "GroupAggregateCtx", "JoinWith", "JoinWithCtx",

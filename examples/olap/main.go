@@ -1,11 +1,11 @@
 // OLAP: decision-support queries over a small star schema in the mmdb
 // column store — the workload that motivates the paper (§1, §2).
 //
-// A sales fact table references a products dimension.  Columns are
-// domain-encoded (distinct values stored once, sorted, §2.1); selections and
-// range predicates run through a CSS-tree-indexed sorted RID list; the join
-// is the indexed nested-loop join the paper highlights as the main-memory
-// join of choice (§2.2).
+// A sales fact table references a products dimension.  Selections and range
+// predicates run through a CSS-tree-indexed sorted RID list; the join is the
+// indexed nested-loop join the paper highlights as the main-memory join of
+// choice (§2.2); a group-by accumulates into the slots of the grouped
+// column's domain (distinct values stored once, sorted, §2.1).
 //
 // Run: go run ./examples/olap
 package main
@@ -77,12 +77,20 @@ func main() {
 		log.Fatalf("every sale references exactly one product; got %d pairs", pairs)
 	}
 
-	// Q4 — the same range predicate through the domain: the paper's point
-	// that inequality tests act directly on domain IDs.
-	amountDom := amountCol.Domain()
-	loID, hiID := amountDom.IDRange(15, 18)
-	fmt.Printf("Q4: predicate 15 ≤ amount ≤ 18 becomes ID range [%d,%d) over a %d-value domain\n",
-		loID, hiID, amountDom.Len())
+	// Q4 — grouped aggregation: units sold per product.  The first group-by
+	// on a column builds its domain (each distinct value once, sorted, its
+	// rank the ID), and every row adds into its product's array slot — no
+	// hashing.
+	byProduct, err := mmdb.GroupAggregate(sales, "product", "amount", nil)
+	must(err)
+	top := byProduct[0]
+	for _, g := range byProduct {
+		if g.Sum > top.Sum {
+			top = g
+		}
+	}
+	fmt.Printf("Q4: units by product over a %d-value group-by domain; best seller %d: %d units in %d sales\n",
+		len(byProduct), top.Value, top.Sum, top.Count)
 
 	fmt.Printf("\nindex footprints: amount %d bytes, product id %d bytes (%d fact rows)\n",
 		amountIx.SpaceBytes(), idIx.SpaceBytes(), sales.Rows())

@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -194,6 +195,16 @@ func (s *soak) note(what string, err error) {
 		s.addAbortLocked(o)
 	}
 	s.mu.Unlock()
+}
+
+// distinctValues returns the column's distinct values in ascending order.
+func distinctValues(c *mmdb.Column) []uint32 {
+	vals := make([]uint32, c.Len())
+	for i := range vals {
+		vals[i] = c.Value(i)
+	}
+	slices.Sort(vals)
+	return slices.Compact(vals)
 }
 
 func buildTable(name string, g *workload.Gen, rows int) (*mmdb.Table, error) {
@@ -584,7 +595,7 @@ func Run(cfg Config) (*Report, error) {
 
 	s := &soak{cfg: cfg, tab: tab, oracle: oracle, domHi: math.MaxUint32 - 1}
 	cVals, _ := tab.Column("c")
-	s.inList = cVals.Domain().Values()
+	s.inList = distinctValues(cVals)
 
 	before := snapCounters()
 

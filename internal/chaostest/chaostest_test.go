@@ -104,7 +104,7 @@ func TestShortDeadlineSmoke(t *testing.T) {
 	tab.AttachGovernor(governor.NewAdmission(governor.Options{MaxConcurrent: 4, MaxQueue: 8}))
 	ix, _ := tab.Index("a")
 	cVals, _ := tab.Column("c")
-	list := cVals.Domain().Values()
+	list := distinctValues(cVals)
 
 	surfaces := map[string]func(ctx context.Context) error{
 		"SelectRangeCtx": func(ctx context.Context) error {

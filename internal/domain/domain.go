@@ -1,22 +1,19 @@
-// Package domain implements the ordered-domain storage scheme of §2.1: when
-// data is loaded into the main-memory database, distinct column values are
-// stored once, in sorted order, in an external structure (the domain), and
-// a value's ID is its rank there.  Columns may hold the small integer IDs in
-// place of values (BuildInt, Encode); a store that keeps its values derives
-// IDs where it needs them — by tree search (Encode, IDsBatch), or for sorted
-// values by one walk over the domain (EncodeSorted).
+// Package domain implements the ordered-domain storage scheme of §2.1:
+// distinct column values are stored once, in sorted order, in an external
+// structure (the domain), and a value's ID is its rank there.  A column may
+// be re-encoded as the small integer IDs (BuildInt, Encode); for sorted
+// values the IDs come from one walk over the domain (EncodeSorted), and a
+// domain grows by a monotone ID remap (Extend).
 //
 // Going beyond [AHK85] exactly as the paper does, domains are kept *sorted*
-// and IDs are ranks, so both equality and inequality predicates evaluate
-// directly on IDs — a range predicate on values becomes an integer range
-// test on IDs.  "Transforming domain values to domain IDs requires searching
-// on the domain" (§2.2): that search is a level CSS-tree over the domain
-// array, the very workload the paper optimises.
+// and IDs are ranks, so ID order is value order.  "Transforming domain
+// values to domain IDs requires searching on the domain" (§2.2): that search
+// is a level CSS-tree over the domain array, the very workload the paper
+// optimises.
 package domain
 
 import (
 	"slices"
-	"sort"
 
 	"cssidx/internal/csstree"
 	"cssidx/internal/sortu32"
@@ -64,7 +61,8 @@ func (d *IntDomain) Encode(values, ids []uint32) {
 	var pos [encodeChunk]int32
 	for base := 0; base < len(values); base += encodeChunk {
 		chunk := values[base:min(base+encodeChunk, len(values))]
-		d.IDsBatch(chunk, pos[:len(chunk)])
+		// IDs are ranks, so Search's leftmost position is the ID.
+		d.idx.SearchBatch(chunk, pos[:len(chunk)])
 		for i, p := range pos[:len(chunk)] {
 			if p < 0 {
 				panic("domain: encoding a value the domain does not hold")
@@ -144,110 +142,8 @@ func (d *IntDomain) Extend(added []uint32) (*IntDomain, []uint32) {
 // descent of the domain tree.
 const encodeChunk = 1024
 
-// ID returns the domain ID (rank) of value, and whether it is present.
-func (d *IntDomain) ID(value uint32) (uint32, bool) {
-	i := d.idx.Search(value)
-	if i < 0 {
-		return 0, false
-	}
-	return uint32(i), true
-}
-
-// IDsBatch translates a batch of values to domain IDs in one lockstep
-// descent of the domain's CSS-tree: ids[i] receives the rank of values[i], or
-// -1 when the value is not in the domain (len(ids) must equal len(values)).
-// Since IDs are ranks, Search's leftmost position IS the ID.
-func (d *IntDomain) IDsBatch(values []uint32, ids []int32) {
-	d.idx.SearchBatch(values, ids)
-}
-
-// LowerBoundBatch stores into out[i] the number of distinct domain values
-// < probes[i] (the rank lower bound) for a whole probe batch, answered by
-// one lockstep descent of the domain's CSS-tree — the batched counterpart
-// of the translation inside IDRange, for callers resolving many predicate
-// bounds at once (len(out) must equal len(probes)).
-func (d *IntDomain) LowerBoundBatch(probes []uint32, out []int32) {
-	d.idx.LowerBoundBatch(probes, out)
-}
-
 // Value returns the value for a domain ID.
 func (d *IntDomain) Value(id uint32) uint32 { return d.values[int(id)] }
 
-// IDRange translates a closed value range [lo,hi] into a half-open ID range
-// [loID,hiID): the §2.1 point that inequality predicates act on IDs
-// directly.  An empty range yields loID == hiID.
-func (d *IntDomain) IDRange(lo, hi uint32) (loID, hiID uint32) {
-	l := d.idx.LowerBound(lo)
-	var h int
-	if hi == ^uint32(0) {
-		h = len(d.values)
-	} else {
-		h = d.idx.LowerBound(hi + 1)
-	}
-	if h < l {
-		h = l
-	}
-	return uint32(l), uint32(h)
-}
-
 // Len returns the number of distinct values.
 func (d *IntDomain) Len() int { return len(d.values) }
-
-// Values returns the sorted distinct values (read-only).
-func (d *IntDomain) Values() []uint32 { return d.values }
-
-// SpaceBytes returns the domain footprint: values plus the CSS directory.
-func (d *IntDomain) SpaceBytes() int { return 4*len(d.values) + d.idx.SpaceBytes() }
-
-// StringDomain is a sorted dictionary of distinct strings — the paper's
-// "simplified handling of variable-length fields": columns store fixed-size
-// IDs while the variable-length values live here once.
-type StringDomain struct {
-	values []string
-}
-
-// BuildString constructs the domain of a string column and the re-encoded
-// ID column.
-func BuildString(column []string) (*StringDomain, []uint32) {
-	values := append([]string(nil), column...)
-	sort.Strings(values)
-	distinct := values[:0]
-	for i, v := range values {
-		if i == 0 || v != values[i-1] {
-			distinct = append(distinct, v)
-		}
-	}
-	d := &StringDomain{values: distinct}
-	ids := make([]uint32, len(column))
-	for i, v := range column {
-		id, _ := d.ID(v)
-		ids[i] = id
-	}
-	return d, ids
-}
-
-// ID returns the domain ID (rank) of value, and whether it is present.
-func (d *StringDomain) ID(value string) (uint32, bool) {
-	i := sort.SearchStrings(d.values, value)
-	if i < len(d.values) && d.values[i] == value {
-		return uint32(i), true
-	}
-	return 0, false
-}
-
-// Value returns the string for a domain ID.
-func (d *StringDomain) Value(id uint32) string { return d.values[int(id)] }
-
-// IDRange translates a closed string range [lo,hi] into a half-open ID
-// range.
-func (d *StringDomain) IDRange(lo, hi string) (loID, hiID uint32) {
-	l := sort.SearchStrings(d.values, lo)
-	h := sort.Search(len(d.values), func(i int) bool { return d.values[i] > hi })
-	if h < l {
-		h = l
-	}
-	return uint32(l), uint32(h)
-}
-
-// Len returns the number of distinct values.
-func (d *StringDomain) Len() int { return len(d.values) }

@@ -34,49 +34,31 @@ func TestIntIDOrderPreservesValueOrder(t *testing.T) {
 	col := g.Shuffled(g.SortedDistinct(5000))
 	d, _ := BuildInt(col)
 	f := func(a, b uint32) bool {
-		ia, oka := d.ID(d.Value(a % uint32(d.Len())))
-		ib, okb := d.ID(d.Value(b % uint32(d.Len())))
-		if !oka || !okb {
-			return false
-		}
-		va, vb := d.Value(ia), d.Value(ib)
-		return (va < vb) == (ia < ib) || va == vb
+		va, vb := d.Value(a%uint32(d.Len())), d.Value(b%uint32(d.Len()))
+		ids := make([]uint32, 2)
+		d.Encode([]uint32{va, vb}, ids)
+		return d.Value(ids[0]) == va && d.Value(ids[1]) == vb && (va < vb) == (ids[0] < ids[1])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestIntIDAbsent: encoding a value the domain lacks panics instead of
+// returning a wrong ID; a present value gets its rank.
 func TestIntIDAbsent(t *testing.T) {
 	d, _ := BuildInt([]uint32{2, 4, 6})
-	if _, ok := d.ID(3); ok {
-		t.Error("found absent value")
+	ids := make([]uint32, 1)
+	d.Encode([]uint32{4}, ids)
+	if ids[0] != 1 {
+		t.Errorf("Encode(4)=%d, want 1", ids[0])
 	}
-	if id, ok := d.ID(4); !ok || id != 1 {
-		t.Errorf("ID(4)=(%d,%v)", id, ok)
-	}
-}
-
-func TestIntIDRange(t *testing.T) {
-	d, _ := BuildInt([]uint32{10, 20, 30, 40, 50})
-	cases := []struct {
-		lo, hi       uint32
-		wantL, wantH uint32
-	}{
-		{20, 40, 1, 4},        // values 20,30,40
-		{15, 45, 1, 4},        // same: predicate bounds between values
-		{0, 5, 0, 0},          // empty below
-		{60, 99, 5, 5},        // empty above
-		{10, 50, 0, 5},        // everything
-		{30, 30, 2, 3},        // point
-		{0, ^uint32(0), 0, 5}, // full key space
-	}
-	for _, c := range cases {
-		l, h := d.IDRange(c.lo, c.hi)
-		if l != c.wantL || h != c.wantH {
-			t.Errorf("IDRange(%d,%d)=(%d,%d), want (%d,%d)", c.lo, c.hi, l, h, c.wantL, c.wantH)
+	defer func() {
+		if recover() == nil {
+			t.Error("Encode of an absent value did not panic")
 		}
-	}
+	}()
+	d.Encode([]uint32{3}, ids)
 }
 
 func TestIntLargeDomain(t *testing.T) {
@@ -93,64 +75,10 @@ func TestIntLargeDomain(t *testing.T) {
 	}
 }
 
-func TestIntSpaceAccounting(t *testing.T) {
-	d, _ := BuildInt([]uint32{1, 2, 3, 4, 5})
-	if d.SpaceBytes() < 20 {
-		t.Errorf("space=%d below raw values", d.SpaceBytes())
-	}
-}
-
-func TestStringRoundTrip(t *testing.T) {
-	col := []string{"pear", "apple", "mango", "apple"}
-	d, ids := BuildString(col)
-	if d.Len() != 3 {
-		t.Fatalf("distinct=%d", d.Len())
-	}
-	for i, v := range col {
-		if d.Value(ids[i]) != v {
-			t.Errorf("row %d decode mismatch", i)
-		}
-	}
-	// Sorted: apple=0, mango=1, pear=2 — equality on IDs == equality on values.
-	if ids[1] != ids[3] {
-		t.Error("equal strings got different IDs")
-	}
-	if !(ids[1] < ids[2] && ids[2] < ids[0]) {
-		t.Errorf("ID order should follow string order: %v", ids)
-	}
-}
-
-func TestStringIDRange(t *testing.T) {
-	d, _ := BuildString([]string{"ant", "bee", "cat", "dog"})
-	l, h := d.IDRange("bee", "cat")
-	if l != 1 || h != 3 {
-		t.Errorf("IDRange(bee,cat)=(%d,%d), want (1,3)", l, h)
-	}
-	l, h = d.IDRange("ba", "bz")
-	if l != 1 || h != 2 {
-		t.Errorf("IDRange(ba,bz)=(%d,%d), want (1,2)", l, h)
-	}
-	l, h = d.IDRange("x", "z")
-	if l != h {
-		t.Errorf("empty range got (%d,%d)", l, h)
-	}
-}
-
-func TestStringAbsent(t *testing.T) {
-	d, _ := BuildString([]string{"a", "c"})
-	if _, ok := d.ID("b"); ok {
-		t.Error("found absent string")
-	}
-}
-
 func TestEmptyDomains(t *testing.T) {
 	d, ids := BuildInt(nil)
 	if d.Len() != 0 || len(ids) != 0 {
 		t.Error("empty int domain mishandled")
-	}
-	sd, sids := BuildString(nil)
-	if sd.Len() != 0 || len(sids) != 0 {
-		t.Error("empty string domain mishandled")
 	}
 }
 
@@ -163,12 +91,12 @@ func TestBuildIntRightSized(t *testing.T) {
 		col[i] = uint32(i*7919) % 64
 	}
 	d, _ := BuildInt(col)
-	if cap(d.Values()) != d.Len() {
-		t.Errorf("cap(values)=%d for %d distinct values", cap(d.Values()), d.Len())
+	if cap(d.values) != d.Len() {
+		t.Errorf("cap(values)=%d for %d distinct values", cap(d.values), d.Len())
 	}
 	d, _ = BuildInt(workload.New(7).SortedDistinct(1000))
-	if cap(d.Values()) != d.Len() {
-		t.Errorf("all-distinct column: cap(values)=%d, len %d", cap(d.Values()), d.Len())
+	if cap(d.values) != d.Len() {
+		t.Errorf("all-distinct column: cap(values)=%d, len %d", cap(d.values), d.Len())
 	}
 }
 
@@ -179,20 +107,20 @@ func TestBuildIntRightSized(t *testing.T) {
 func checkExtend(t *testing.T, old, added []uint32) {
 	t.Helper()
 	d, oldIDs := BuildInt(old)
-	before := slices.Clone(d.Values())
+	before := slices.Clone(d.values)
 	sorted := slices.Clone(added)
 	slices.Sort(sorted)
 	ext, remap := d.Extend(sorted)
 	want, wantIDs := BuildInt(slices.Concat(old, added))
 
-	if !slices.Equal(d.Values(), before) {
+	if !slices.Equal(d.values, before) {
 		t.Fatal("Extend modified the domain it grew from")
 	}
-	if !slices.Equal(ext.Values(), want.Values()) {
+	if !slices.Equal(ext.values, want.values) {
 		t.Fatalf("values differ: got %d, want %d", ext.Len(), want.Len())
 	}
-	if cap(ext.Values()) != ext.Len() {
-		t.Errorf("cap(values)=%d for %d values", cap(ext.Values()), ext.Len())
+	if cap(ext.values) != ext.Len() {
+		t.Errorf("cap(values)=%d for %d values", cap(ext.values), ext.Len())
 	}
 	if (remap == nil) != (ext == d) || (remap == nil) != (want.Len() == d.Len()) {
 		t.Fatalf("remap nil=%v, same domain=%v, grew %d→%d", remap == nil, ext == d, d.Len(), want.Len())
@@ -214,20 +142,16 @@ func checkExtend(t *testing.T, old, added []uint32) {
 		}
 	}
 	// The grown tree answers like a freshly built one, on and off its keys.
-	probes := append([]uint32{0, 1, ^uint32(0), ^uint32(0) - 1}, want.Values()...)
-	for _, v := range want.Values() {
+	probes := append([]uint32{0, 1, ^uint32(0), ^uint32(0) - 1}, want.values...)
+	for _, v := range want.values {
 		probes = append(probes, v+1)
 	}
 	for _, p := range probes {
-		gotID, gotOK := ext.ID(p)
-		wantID, wantOK := want.ID(p)
-		if gotID != wantID || gotOK != wantOK {
-			t.Fatalf("ID(%d)=(%d,%v), want (%d,%v)", p, gotID, gotOK, wantID, wantOK)
+		if got, w := ext.idx.Search(p), want.idx.Search(p); got != w {
+			t.Fatalf("Search(%d)=%d, want %d", p, got, w)
 		}
-		gl, gh := ext.IDRange(p, p+p/2)
-		wl, wh := want.IDRange(p, p+p/2)
-		if gl != wl || gh != wh {
-			t.Fatalf("IDRange(%d,…)=[%d,%d), want [%d,%d)", p, gl, gh, wl, wh)
+		if got, w := ext.idx.LowerBound(p), want.idx.LowerBound(p); got != w {
+			t.Fatalf("LowerBound(%d)=%d, want %d", p, got, w)
 		}
 	}
 }

@@ -25,14 +25,14 @@ func TestWarmHitAllocs(t *testing.T) {
 	cached, _, g := cachePair(t, 3000, 91)
 	outer := NewTable("o")
 	aVals, _ := cached.Column("a")
-	if err := outer.AddColumn("fk", g.Lookups(aVals.Domain().Values(), 500)); err != nil {
+	if err := outer.AddColumn("fk", g.Lookups(distinctValues(aVals), 500)); err != nil {
 		t.Fatal(err)
 	}
 	outer.EnableCache(CacheOptions{MinCostNs: -1})
 	aIx, _ := cached.Index("a")
 	cVals, _ := cached.Column("c")
-	list := g.Lookups(cVals.Domain().Values(), 6)
-	list64 := g.Lookups(aVals.Domain().Values(), 64)
+	list := g.Lookups(distinctValues(cVals), 6)
+	list64 := g.Lookups(distinctValues(aVals), 64)
 	preds := []RangePred{{Col: "a", Lo: 0, Hi: 1 << 30}, {Col: "b", Lo: 1 << 27, Hi: 1 << 31}}
 	// An emitting join fills the pair cache both join rows read.
 	if n, err := JoinWith(outer, "fk", aIx, JoinOptions{}, func(o, i uint32) {}); err != nil || n < 500 {
@@ -70,7 +70,7 @@ func TestFirstSightStagesNothing(t *testing.T) {
 	cached, plain, g := cachePair(t, 20000, 93)
 	cached.EnableCache(CacheOptions{}) // cachePair's admits at first sight
 	aVals, _ := plain.Column("a")
-	dom := aVals.Domain().Values()
+	dom := distinctValues(aVals)
 	// Each surface draws its i-th question from the column's domain, so the
 	// cached and the cache-off call of one step do identical index work.
 	const runs = 20
@@ -128,7 +128,7 @@ func TestWhereAllocatesOnlyResult(t *testing.T) {
 	_, plain, _ := cachePair(t, 40000, 95)
 	aVals, _ := plain.Column("a")
 	bVals, _ := plain.Column("b")
-	ad, bd := aVals.Domain().Values(), bVals.Domain().Values()
+	ad, bd := distinctValues(aVals), distinctValues(bVals)
 	// Each conjunct spans a tenth of its domain, about 4,000 rows: indexed,
 	// and an intersection of about 400.
 	preds := []RangePred{{Col: "a", Lo: ad[len(ad)/4], Hi: ad[len(ad)/4+len(ad)/10]},
@@ -175,7 +175,7 @@ func TestJoinAdmitCopiesPairsOnce(t *testing.T) {
 	outers := make([]*Table, runs)
 	for i := range outers {
 		outers[i] = NewTable(fmt.Sprintf("o%d", i))
-		if err := outers[i].AddColumn("fk", g.Lookups(aVals.Domain().Values(), 3000)); err != nil {
+		if err := outers[i].AddColumn("fk", g.Lookups(distinctValues(aVals), 3000)); err != nil {
 			t.Fatal(err)
 		}
 		outers[i].cache.Store(cached.Cache())

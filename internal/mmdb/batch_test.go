@@ -235,27 +235,3 @@ func TestPlanInBreakEven(t *testing.T) {
 		}
 	}
 }
-
-// TestDomainIDsBatch checks the lockstep domain translation against ID.
-func TestDomainIDsBatch(t *testing.T) {
-	g := workload.New(54)
-	keys := g.SortedWithDuplicates(3000, 3)
-	tab := NewTable("t")
-	if err := tab.AddColumn("v", keys); err != nil {
-		t.Fatal(err)
-	}
-	dom := tab.cols["v"].dom
-	probes := append(g.Lookups(keys, 500), g.Misses(keys, 300)...)
-	ids := make([]int32, len(probes))
-	dom.IDsBatch(probes, ids)
-	for i, p := range probes {
-		id, ok := dom.ID(p)
-		want := int32(-1)
-		if ok {
-			want = int32(id)
-		}
-		if ids[i] != want {
-			t.Fatalf("IDsBatch[%d]=%d, want %d (value %d)", i, ids[i], want, p)
-		}
-	}
-}

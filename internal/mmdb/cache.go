@@ -15,9 +15,8 @@ package mmdb
 // does every SelectWhere conjunction.  Within a generation the plan is a
 // function of the question alone, so the entry a miss inserts stores that
 // miss's plan (qcache.Plan: path, selectivity, reason) and an exact hit
-// replays it without touching the domain tree; a subset replay reads the
-// IN-list's domain presence off its groups, and a containment hit still
-// plans.  An index's own SelectRange is never planned; it caches at the epoch
+// replays it without probing the index; a subset replay counts the IN-list's
+// base rows off its RIDs, and a containment hit still plans.  An index's own SelectRange is never planned; it caches at the epoch
 // layer, stamped with the epoch it read.
 //
 // Nothing is cached at first sight.  Every miss is settled with the cache's
@@ -64,7 +63,7 @@ func (t *Table) EnableCache(opts CacheOptions) *qcache.Cache {
 func (t *Table) Cache() *qcache.Cache { return t.cache.Load() }
 
 // Generation returns the table's current generation: 1 after creation,
-// +1 per fold (new encodings and index base arrays).  Absorbed append
+// +1 per fold (new index base arrays).  Absorbed append
 // batches only grow the row count.
 func (t *Table) Generation() uint64 { return t.gen.Load() }
 
@@ -143,11 +142,9 @@ func (e env) hit(a qcache.Answer) []uint32 {
 
 // --- fingerprints -----------------------------------------------------------
 
-// rangeFP fingerprints lo ≤ col ≤ hi by its raw closed bounds.  Raw, not
-// domain IDs: with a delta layer the frozen dictionary no longer ranks
-// every live value, so IDs are not canonical across an absorbed append
-// while the raw bounds are — and a refresh can qualify appended rows
-// against them directly.
+// rangeFP fingerprints lo ≤ col ≤ hi by its raw closed bounds: the key space
+// every index, delta run and cached run shares, canonical across absorbed
+// appends — and a refresh can qualify appended rows against them directly.
 func rangeFP(table, col string, layer qcache.Layer, lo, hi uint32) qcache.Key {
 	return qcache.Key{Table: table, Col: col, Kind: qcache.KindRange, Layer: layer, Lo: lo, Hi: hi}
 }

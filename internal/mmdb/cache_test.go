@@ -68,7 +68,7 @@ func queryBattery(t *testing.T, cached, plain *Table, g *workload.Gen, tag strin
 		{0, 1 << 30},
 		{5, 4}, // empty
 	}
-	if vals := aCol.Domain().Values(); len(vals) > 10 {
+	if vals := distinctValues(aCol); len(vals) > 10 {
 		ranges = append(ranges, [2]uint32{vals[2], vals[len(vals)/3]})
 	}
 	for _, r := range ranges {
@@ -90,9 +90,9 @@ func queryBattery(t *testing.T, cached, plain *Table, g *workload.Gen, tag strin
 
 	cVals, _ := plain.Column("c")
 	inLists := [][]uint32{
-		g.Lookups(cVals.Domain().Values(), 5),
-		g.Lookups(cVals.Domain().Values(), 40), // forces dups in the list
-		{1, 2, 3},                              // mostly absent
+		g.Lookups(distinctValues(cVals), 5),
+		g.Lookups(distinctValues(cVals), 40), // forces dups in the list
+		{1, 2, 3},                            // mostly absent
 	}
 	for li, list := range inLists {
 		for _, col := range []string{"c", "b"} {
@@ -184,7 +184,7 @@ func TestCacheDifferentialAllSurfaces(t *testing.T) {
 func TestCacheContainmentAcrossQueries(t *testing.T) {
 	cached, plain, _ := cachePair(t, 4000, 17)
 	aCol, _ := plain.Column("a")
-	vals := aCol.Domain().Values()
+	vals := distinctValues(aCol)
 	wideLo, wideHi := vals[0], vals[len(vals)/6] // selective: index path
 	subLo, subHi := vals[2], vals[len(vals)/8]
 

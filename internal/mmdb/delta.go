@@ -12,22 +12,21 @@ package mmdb
 // order is bit-identical to what a full rebuild would produce — the delta
 // layer is invisible to results, only to build cost.  Once the delta has
 // grown to a fixed fraction of the base (foldDenominator), the batch *folds*,
-// and the fold is a merge too (Table.foldRows): each domain grows by the
-// tail's new values, which shifts the old IDs monotonically (IDs are ranks),
-// so each index merges its remapped, still-sorted base with the tail's
-// sorted pairs, base first on ties — O(n + tail) where a rebuild re-sorts
-// every index, and byte-identical to one for the same two reasons.  Columns
-// keep values, not IDs; a grouped column's memoized IDs follow the remap.
+// and the fold is a merge too (Table.foldRows): each index merges its sorted
+// base with the tail's sorted pairs, base first on ties — O(n + tail) where a
+// rebuild re-sorts every index, and byte-identical to one for the same two
+// reasons.  A grouped column's domain grows by the tail's new values, which
+// shifts its old IDs monotonically (IDs are ranks), so its memoized IDs
+// follow by one remap.
 //
-// Frozen encodings are the crux: domains, memoized IDs and index base
-// arrays stay fixed at the last fold (delta values may be absent from the
-// dictionary), so absorbed state is served on raw values, and the result
-// cache keys ranges by raw closed bounds for the same reason (qcache).
+// One key space is the crux: the index base arrays, the delta runs and the
+// result cache's runs all hold raw values, so a run weaves into the base by
+// plain comparison, a fold merges without translating, and the cache keys
+// ranges by raw closed bounds (qcache).
 
 import (
 	"cssidx/internal/binsearch"
 	"cssidx/internal/bloom"
-	"cssidx/internal/domain"
 	"cssidx/internal/sortu32"
 )
 
@@ -59,8 +58,8 @@ func (p foldPolicy) shouldFold(deltaRows, baseRows int) bool {
 	return deltaRows >= p.minRows && deltaRows*denom >= baseRows
 }
 
-// BaseRows returns the rows covered by the frozen encodings — everything
-// up to the last fold.
+// BaseRows returns the rows covered by the frozen base — everything up to
+// the last fold.
 func (t *Table) BaseRows() int { return t.baseRows }
 
 // DeltaRows returns the rows absorbed since the last fold.
@@ -71,8 +70,7 @@ func (t *Table) DeltaRows() int { return t.rows - t.baseRows }
 // idxRun is one sorted delta run: the (value, RID) pairs of absorbed
 // append batches ordered by (value, RID), fenced by min/max and guarded by
 // a bloom filter over the values so point probes skip runs that cannot
-// match.  Values are raw, not domain IDs — the frozen dictionary may not
-// contain them.
+// match.
 type idxRun struct {
 	vals   []uint32
 	rids   []uint32
@@ -162,13 +160,12 @@ func deltaRunsBytes(runs []idxRun) int {
 
 // --- merged reads -------------------------------------------------------------
 
-// mergeRangeDelta weaves the base segment keys[first:last) (domain IDs
+// mergeRangeDelta weaves the base segment keys[first:last) (sorted values
 // with parallel RIDs) and every run's lo ≤ value ≤ hi span into one
 // (value, RID)-ordered RID list — exactly the output a fully rebuilt index
 // would produce, because every delta RID exceeds every base RID and the
-// rebuild's radix sort is stable.  When wantKeys is set the merged raw
-// values ride along for the cache's containment runs.  An empty result is
-// nil.
+// rebuild's radix sort is stable.  When wantKeys is set the merged values
+// ride along for the cache's containment runs.  An empty result is nil.
 //
 // The weave is asymmetric by design: the delta is tiny next to the base.
 // Each run is clipped to [lo, hi] by two binary searches; the clipped
@@ -180,7 +177,7 @@ func deltaRunsBytes(runs []idxRun) int {
 // bulk copies and the common no-delta-overlap case degenerates to one copy.
 // There is no memoised merged image to rebuild after an absorb: a read costs
 // O(result + delta in range) whatever the table size.
-func mergeRangeDelta(dom *domain.IntDomain, keys, rids []uint32, first, last int, runs []idxRun, lo, hi uint32, wantKeys bool) (outRids, outVals []uint32) {
+func mergeRangeDelta(keys, rids []uint32, first, last int, runs []idxRun, lo, hi uint32, wantKeys bool) (outRids, outVals []uint32) {
 	type span struct{ vals, rids []uint32 }
 	var buf [8]span // the geometric tier rarely holds more; append spills to the heap if it does
 	spans := buf[:0]
@@ -202,14 +199,11 @@ func mergeRangeDelta(dom *domain.IntDomain, keys, rids []uint32, first, last int
 	if wantKeys {
 		outVals = make([]uint32, total)
 	}
-	values := dom.Values()
 	// moveBase copies base positions [from, to) to output position n.
 	moveBase := func(n, from, to int) int {
 		copy(outRids[n:], rids[from:to])
 		if wantKeys {
-			for i, id := range keys[from:to] {
-				outVals[n+i] = values[id]
-			}
+			copy(outVals[n:], keys[from:to])
 		}
 		return n + to - from
 	}
@@ -228,7 +222,7 @@ func mergeRangeDelta(dom *domain.IntDomain, keys, rids []uint32, first, last int
 		v := sp.vals[0]
 		// Base elements with value ≤ v precede the delta element (base RIDs
 		// are smaller, so ties resolve base-first); move them in one copy.
-		if s := splitPast(values, keys, bi, last, v); s > bi {
+		if s := splitPast(keys, bi, last, v); s > bi {
 			n = moveBase(n, bi, s)
 			bi = s
 		}
@@ -263,7 +257,7 @@ func (s *segment) Pairs(lo, hi, mark uint32) (vals, rids []uint32) {
 	for ; i < len(s.runs) && start+uint32(len(s.runs[i].rids)) <= mark; i++ {
 		start += uint32(len(s.runs[i].rids))
 	}
-	rids, vals = mergeRangeDelta(s.dom, nil, nil, 0, 0, s.runs[i:], lo, hi, true)
+	rids, vals = mergeRangeDelta(nil, nil, 0, 0, s.runs[i:], lo, hi, true)
 	if start < mark {
 		n := 0
 		for j, r := range rids {
@@ -294,23 +288,23 @@ func (s *segment) Equal(v, mark uint32, out []uint32) []uint32 {
 	return out
 }
 
-// splitPast returns the first position in keys[from:to) whose domain value
-// exceeds v (to when none does).  Successive delta elements land close
+// splitPast returns the first position in keys[from:to) whose value exceeds
+// v (to when none does).  Successive delta elements land close
 // together in the base, so the search starts at the previous split: a short
 // linear scan (predictable, and the common case — near the 1/8 fold trigger
 // a delta element arrives every dozen base rows or sooner; it measures a
 // quarter faster there than galloping from step one), then doubling steps
 // that bracket a distant split for a binary search to close, at a cost that
 // follows the distance moved, not the segment.
-func splitPast(values, keys []uint32, from, to int, v uint32) int {
+func splitPast(keys []uint32, from, to int, v uint32) int {
 	const scan = 16
 	for lim := min(from+scan, to); from < lim; from++ {
-		if values[keys[from]] > v {
+		if keys[from] > v {
 			return from
 		}
 	}
 	s, step := from, scan
-	for s < to && values[keys[s]] <= v {
+	for s < to && keys[s] <= v {
 		from = s + 1
 		s += step
 		step <<= 1
@@ -320,20 +314,11 @@ func splitPast(values, keys []uint32, from, to int, v uint32) int {
 	}
 	for from < to {
 		m := int(uint(from+to) >> 1)
-		if values[keys[m]] > v {
+		if keys[m] > v {
 			to = m
 		} else {
 			from = m + 1
 		}
 	}
 	return from
-}
-
-// idsToRaw maps a slice of domain IDs to their raw values.
-func idsToRaw(dom *domain.IntDomain, ids []uint32) []uint32 {
-	out := make([]uint32, len(ids))
-	for i, id := range ids {
-		out[i] = dom.Value(id)
-	}
-	return out
 }

@@ -10,6 +10,7 @@ package mmdb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cssidx"
@@ -135,15 +136,15 @@ func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, liv
 	}
 	for _, r := range ranges {
 		lo, hi := r[0], r[1]
-		lr, _, err := live.tab.SelectRange("k", lo, hi)
+		lr, lp, err := live.tab.SelectRange("k", lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		or, _, err := oracle.tab.SelectRange("k", lo, hi)
+		or, op, err := oracle.tab.SelectRange("k", lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustEqualU32(t, fmt.Sprintf("%s SelectRange(k,[%d,%d])", tag, lo, hi), lr, or)
+		mustEqualPlanned(t, fmt.Sprintf("%s SelectRange(k,[%d,%d])", tag, lo, hi), lr, or, lp, op)
 
 		ls, err := live.sIx.SelectRange(lo, hi)
 		if err != nil {
@@ -256,6 +257,19 @@ func checkJoin(t *testing.T, tag string, live, oracle *twin, liveInner, oracleIn
 	oo, oi = collect(oracle.tab, oracleInner.sIx)
 	mustEqualU32(t, tag+" join(sharded) outer RIDs", lo, oo)
 	mustEqualU32(t, tag+" join(sharded) inner RIDs", li, oi)
+}
+
+// mustEqualPlanned compares two table-level answers, whose order follows the
+// access path (value order through an index, row order from a scan): in
+// order when both tables took one path, as sets otherwise.  A table with
+// unfolded rows prices a range by the rows of its own base, which are not
+// its folded twin's, so near the break-even the two may choose differently.
+func mustEqualPlanned(t *testing.T, what string, got, want []uint32, gotPlan, wantPlan Plan) {
+	t.Helper()
+	if gotPlan.UseIndex != wantPlan.UseIndex {
+		got, want = slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))
+	}
+	mustEqualU32(t, what, got, want)
 }
 
 // TestDeltaDifferentialAllSurfaces drives a live table through absorbs, run

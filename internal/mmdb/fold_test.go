@@ -1,7 +1,7 @@
 package mmdb
 
-// Differential tests for the fold: it merges — the domain grows by a remap,
-// each index merges its remapped base with the tail's pairs — and must
+// Differential tests for the fold: it merges — each index merges its base
+// with the tail's pairs, a grouped column's domain grows by a remap — and must
 // publish arrays byte-identical to a table built from scratch over the same
 // rows (NewTable + AddColumn + BuildIndex / BuildShardedIndex), which shares
 // no code with the merge beyond the structure build.  One byte-driven
@@ -62,7 +62,8 @@ func (s *byteStream) value(c foldCol) uint32 {
 }
 
 // checkAgainstScratch compares the live table's folded state byte for byte
-// with a table built from scratch over the same raw columns.
+// with a table built from scratch over the same raw columns: bounds, index
+// arrays and answers, and — where a group-by built them — the domain and IDs.
 func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) {
 	t.Helper()
 	if live.DeltaRows() != 0 {
@@ -77,17 +78,24 @@ func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) 
 	defer scratch.Close()
 	for _, c := range cols {
 		got, want := live.cols[c.name], scratch.cols[c.name]
-		if !slices.Equal(got.dom.Values(), want.dom.Values()) {
-			t.Fatalf("%s: column %s: domain values differ (%d vs %d)", tag, c.name, got.dom.Len(), want.dom.Len())
+		if got.min != want.min || got.max != want.max {
+			t.Fatalf("%s: column %s: bounds [%d,%d], a fresh column's [%d,%d]", tag, c.name, got.min, got.max, want.min, want.max)
 		}
-		if cap(got.dom.Values()) != got.dom.Len() {
-			t.Fatalf("%s: column %s: domain holds cap %d for %d values", tag, c.name, cap(got.dom.Values()), got.dom.Len())
-		}
-		if memo := got.ids.Load(); memo != nil {
-			ids := make([]uint32, len(got.raw))
-			want.dom.Encode(got.raw, ids)
-			if !slices.Equal(*memo, ids) {
-				t.Fatalf("%s: column %s: memoized IDs differ from an encoding of the values", tag, c.name)
+		if memo := got.grp.Load(); memo != nil {
+			ref, _, err := want.groupsOf(len(want.raw), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if memo.dom.Len() != ref.dom.Len() {
+				t.Fatalf("%s: column %s: domain of %d values, a fresh build's %d", tag, c.name, memo.dom.Len(), ref.dom.Len())
+			}
+			for id := range ref.dom.Len() {
+				if memo.dom.Value(uint32(id)) != ref.dom.Value(uint32(id)) {
+					t.Fatalf("%s: column %s: domain value %d differs from a fresh build's", tag, c.name, id)
+				}
+			}
+			if !slices.Equal(memo.ids, ref.ids) {
+				t.Fatalf("%s: column %s: memoized IDs differ from a fresh build's", tag, c.name)
 			}
 		}
 		lo, hi := got.raw[0], got.raw[len(got.raw)/2]
@@ -103,9 +111,9 @@ func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) 
 			if !slices.Equal(s.keys, r.keys) || !slices.Equal(s.rids, r.rids) {
 				t.Fatalf("%s: index on %s: base arrays differ from a from-scratch build", tag, c.name)
 			}
-			if len(s.runs) != 0 || s.dom != got.dom || s.tok.Epoch != uint64(live.rows) {
-				t.Fatalf("%s: index on %s: %d runs left, domain current=%v, rows covered %d of %d",
-					tag, c.name, len(s.runs), s.dom == got.dom, s.tok.Epoch, live.rows)
+			if len(s.runs) != 0 || s.tok.Epoch != uint64(live.rows) {
+				t.Fatalf("%s: index on %s: %d runs left, rows covered %d of %d",
+					tag, c.name, len(s.runs), s.tok.Epoch, live.rows)
 			}
 			if !slices.Equal(ix.SelectEqual(hi), ref.SelectEqual(hi)) {
 				t.Fatalf("%s: index on %s: SelectEqual(%d) differs", tag, c.name, hi)
@@ -124,8 +132,8 @@ func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) 
 // cardinality and indexes; then each operation is an append (empty = a
 // Compact, whether or not runs are outstanding), an index build — which,
 // landing on an unfolded tail, must hand the tail to the new index as one
-// run for the next fold to merge — or a group-by, which memoizes the
-// column's IDs for every later fold to keep current.  The first column is
+// run for the next fold to merge — or a group-by, which builds the column's
+// domain and IDs for every later fold to keep current.  The first column is
 // grouped by before any append.
 func runFoldOps(t *testing.T, data []byte) (folds int) {
 	s := &byteStream{data: data}
@@ -212,8 +220,8 @@ func runFoldOps(t *testing.T, data []byte) (folds int) {
 			continue
 		}
 		checkAgainstScratch(t, fmt.Sprintf("op %d (fold of rows %d..%d)", op, base0, live.rows), live, cols)
-		if live.cols[cols[0].name].ids.Load() == nil {
-			t.Fatalf("op %d: a fold dropped the memoized IDs of a grouped column", op)
+		if live.cols[cols[0].name].grp.Load() == nil {
+			t.Fatalf("op %d: a fold dropped the domain and IDs of a grouped column", op)
 		}
 	}
 	return folds
@@ -275,7 +283,7 @@ func TestFoldPinnedCases(t *testing.T) {
 	live.fold = neverFold
 	appendAll(300, 100)
 	appendAll(900)
-	dom := live.cols["v"].dom
+	dom := live.cols["v"].grp.Load().dom
 	if _, err := live.BuildShardedIndex("s", 2); err != nil { // the tail is its one run
 		t.Fatal(err)
 	}
@@ -284,7 +292,7 @@ func TestFoldPinnedCases(t *testing.T) {
 	}
 	live.Compact() // runs outstanding, every value already resident
 	folded("forced fold over resident values")
-	if live.cols["v"].dom != dom {
+	if live.cols["v"].grp.Load().dom != dom {
 		t.Error("a tail of resident values rebuilt the domain")
 	}
 	live.Compact() // nothing outstanding
@@ -294,8 +302,11 @@ func TestFoldPinnedCases(t *testing.T) {
 	appendAll(math.MaxUint32, 901, math.MaxUint32, 0)
 	live.Compact()
 	folded("values below the smallest and above the largest")
-	if vals := live.cols["k"].dom.Values(); vals[0] != 0 || vals[len(vals)-1] != math.MaxUint32 {
-		t.Errorf("domain edges %d..%d", vals[0], vals[len(vals)-1])
+	if keys := live.indexes["k"].cur.Load().keys; keys[0] != 0 || keys[len(keys)-1] != math.MaxUint32 {
+		t.Errorf("index key edges %d..%d", keys[0], keys[len(keys)-1])
+	}
+	if k := live.cols["k"]; k.min != 0 || k.max != math.MaxUint32 {
+		t.Errorf("column bounds %d..%d", k.min, k.max)
 	}
 
 	live.fold = foldEveryBatch

@@ -45,7 +45,7 @@ func TestCtxSurfacesMatchLegacy(t *testing.T) {
 	mustEqualU32(t, "SelectRangeCtx", got, want)
 
 	cVals, _ := plain.Column("c")
-	list := cVals.Domain().Values()
+	list := distinctValues(cVals)
 	wantIn, _, err := plain.SelectIn("c", list)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestBudgetAbortThenCleanRefill(t *testing.T) {
 		return nil
 	}
 	cVals, _ := plain.Column("c")
-	list := cVals.Domain().Values()
+	list := distinctValues(cVals)
 	verIn := func() error {
 		want, _, _ := plain.SelectIn("c", list)
 		got, _, err := cached.SelectIn("c", list)
@@ -241,7 +241,7 @@ func TestCancelMidFillCacheRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	cVals, _ := plain.Column("c")
-	list := cVals.Domain().Values()
+	list := distinctValues(cVals)
 	wantIn, _, err := plain.SelectIn("c", list)
 	if err != nil {
 		t.Fatal(err)

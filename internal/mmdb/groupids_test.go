@@ -1,10 +1,12 @@
 package mmdb
 
-// A column stores its values once: the domain IDs an index build or a fold
-// needs are derived from sorted values, and only a group-by keeps per-row
-// IDs, memoized on the column's first GroupAggregate.
+// A column stores its values once: an index is built over the values
+// themselves, and only a group-by builds a domain and per-row IDs, on the
+// column's first GroupAggregate, inside that query's governance.
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -13,18 +15,30 @@ import (
 	"time"
 
 	"cssidx"
+	"cssidx/internal/domain"
+	"cssidx/internal/governor"
 	"cssidx/internal/workload"
 )
 
+// freshIDs returns the IDs a domain built from scratch gives the column's
+// base rows [0, base).
+func freshIDs(c *Column, base int) []uint32 {
+	_, ids := domain.BuildInt(c.raw[:base])
+	return ids
+}
+
 // TestColumnStoresNoIDs: AddColumn grows the live heap by the column's
-// values plus its domain, nothing per row beyond that, and no build, read,
-// join or fold gives a column an ID array — only a group-by does, and then
-// exactly the encoding of its base rows.  A column that also kept a per-row
-// ID copy grows the heap by 4 bytes a row more and fails the pin.
+// values and nothing per row beyond them — no domain, no ID array — and no
+// build, read, join or fold gives a column a domain or IDs: only a group-by
+// does, and then exactly the encoding of its base rows.  A column that also
+// kept a domain or a per-row ID copy grows the heap by up to 4 bytes a row
+// more and fails the pin.
 func TestColumnStoresNoIDs(t *testing.T) {
 	const n, slack = 200_000, 64 << 10
 	g := workload.New(51)
-	vals := g.Lookups(g.SortedUniform(4096), n)
+	// 65,536 distinct values: a domain of them (256 KiB of values alone)
+	// would not fit in the slack.
+	vals := g.Lookups(g.SortedUniform(1<<16), n)
 	tab := NewTable("t")
 	var ms runtime.MemStats
 	runtime.GC()
@@ -36,17 +50,17 @@ func TestColumnStoresNoIDs(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	c := tab.cols["k"]
-	want := uint64(4*n + c.dom.SpaceBytes())
-	grew := ms.HeapAlloc - before
-	t.Logf("AddColumn of %d rows grew the heap by %d B; values + domain = %d B", n, grew, want)
+	want := int64(4 * n)
+	grew := int64(ms.HeapAlloc) - int64(before) // signed: garbage freed by the second GC can shrink it
+	t.Logf("AddColumn of %d rows grew the heap by %d B; values = %d B", n, grew, want)
 	if grew > want+slack {
-		t.Errorf("AddColumn grew the heap by %d B, over values + domain + %d = %d", grew, slack, want+slack)
+		t.Errorf("AddColumn grew the heap by %d B, over values + %d = %d", grew, slack, want+slack)
 	}
 
 	noIDs := func(when string) {
 		t.Helper()
-		if c.ids.Load() != nil {
-			t.Fatalf("%s: the column holds an ID array", when)
+		if c.grp.Load() != nil {
+			t.Fatalf("%s: the column holds a domain and IDs", when)
 		}
 	}
 	noIDs("after AddColumn")
@@ -58,11 +72,14 @@ func TestColumnStoresNoIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	noIDs("after BuildIndex")
-	dom := c.dom.Values()
+	dom := distinctValues(c)
 	if _, _, err := tab.SelectRange("k", dom[10], dom[200]); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := tab.SelectWhere([]RangePred{{Col: "k", Lo: dom[10], Hi: dom[900]}, {Col: "m", Lo: 0, Hi: 1 << 31}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tab.SelectIn("k", dom[:40]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := JoinWith(tab, "m", ix, JoinOptions{}, nil); err != nil {
@@ -81,23 +98,71 @@ func TestColumnStoresNoIDs(t *testing.T) {
 	if _, err := GroupAggregate(tab, "k", "m", nil); err != nil {
 		t.Fatal(err)
 	}
-	memo := c.ids.Load()
+	memo := c.grp.Load()
 	if memo == nil {
-		t.Fatal("GroupAggregate left the group column without memoized IDs")
+		t.Fatal("GroupAggregate left the group column without a domain and IDs")
 	}
-	ids := make([]uint32, tab.BaseRows())
-	c.dom.Encode(c.raw[:tab.BaseRows()], ids)
-	if !slices.Equal(*memo, ids) {
+	if !slices.Equal(memo.ids, freshIDs(c, tab.BaseRows())) {
 		t.Fatal("memoized IDs differ from an encoding of the base rows")
 	}
 	runtime.KeepAlive(tab)
 }
 
+// TestFirstGroupByIsBudgeted: a column's first GroupAggregate builds its
+// domain and IDs inside the query, charged to the query's byte budget.  On a
+// fresh 2M-row column, under a budget smaller than the ID array, it returns
+// the budget error, publishes no domain and admits nothing to the cache;
+// retried without the budget it succeeds, with the scan's answer.
+func TestFirstGroupByIsBudgeted(t *testing.T) {
+	const n = 2_000_000
+	g := workload.New(55)
+	tab := NewTable("t")
+	gVals, mVals := g.Lookups(g.SortedUniform(64), n), g.Lookups(g.SortedUniform(1<<16), n)
+	if err := tab.AddColumn("g", gVals); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.AddColumn("m", mVals); err != nil {
+		t.Fatal(err)
+	}
+	qc := tab.EnableCache(CacheOptions{MinCostNs: -1}) // admit at first sight
+	for ask := range 2 {
+		ctx := governor.WithBudget(context.Background(), 4*n-1)
+		if _, err := GroupAggregateCtx(ctx, tab, "g", "m", nil, nil); !errors.Is(err, governor.ErrBudgetExceeded) {
+			t.Fatalf("ask %d under a %d B budget: err = %v, want the budget error", ask, 4*n-1, err)
+		}
+		if tab.cols["g"].grp.Load() != nil {
+			t.Fatalf("ask %d: an over-budget group-by published a domain", ask)
+		}
+		if s := qc.Stats(); s.Inserts != 0 || s.Entries != 0 {
+			t.Fatalf("ask %d: an over-budget group-by reached the cache: %+v", ask, s)
+		}
+	}
+	got, err := GroupAggregateCtx(context.Background(), tab, "g", "m", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := map[uint32]uint64{}
+	for i, v := range gVals {
+		sums[v] += uint64(mVals[i])
+	}
+	if len(got) != len(sums) {
+		t.Fatalf("%d groups, the scan has %d", len(got), len(sums))
+	}
+	for _, r := range got {
+		if r.Sum != sums[r.Value] {
+			t.Fatalf("group %d: sum %d, the scan's %d", r.Value, r.Sum, sums[r.Value])
+		}
+	}
+	if tab.cols["g"].grp.Load() == nil || qc.Stats().Inserts != 1 {
+		t.Fatalf("the unbudgeted retry left no domain or no entry: %+v", qc.Stats())
+	}
+}
+
 // TestGroupIDsFirstCallsRace races the first group-bys of fresh columns —
 // over all rows, over a RID list, with appended rows outstanding — from
 // several goroutines (run under -race): every call must return the answer a
-// sequential call does, and the column must end up with one memoized array,
-// the encoding of its base rows.
+// sequential call does, and the column must end up with one memo, the
+// encoding of its base rows.
 func TestGroupIDsFirstCallsRace(t *testing.T) {
 	const n, callers = 20_000, 6
 	g := workload.New(52)
@@ -161,9 +226,7 @@ func TestGroupIDsFirstCallsRace(t *testing.T) {
 				}
 			}
 			c := tab.cols["g"]
-			ids := make([]uint32, tab.BaseRows())
-			c.dom.Encode(c.raw[:tab.BaseRows()], ids)
-			if memo := c.ids.Load(); memo == nil || !slices.Equal(*memo, ids) {
+			if memo := c.grp.Load(); memo == nil || !slices.Equal(memo.ids, freshIDs(c, tab.BaseRows())) {
 				t.Fatal("the memoized IDs are missing or differ from an encoding of the base rows")
 			}
 		})
@@ -173,7 +236,7 @@ func TestGroupIDsFirstCallsRace(t *testing.T) {
 // BenchmarkGroupAggregate prices an uncached group-by at the end-to-end
 // benchmark's fact-table size (2M rows) with 64 and 4,096 groups, over a
 // selection's 1,270 RIDs and over all rows.  The first call on each group
-// column — which encodes and memoizes the column's IDs — runs outside the
+// column — which builds the column's domain and IDs — runs outside the
 // timer and is reported as first-call-ms.
 func BenchmarkGroupAggregate(b *testing.B) {
 	const n, selected = 2_000_000, 1_270

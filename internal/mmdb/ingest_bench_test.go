@@ -291,9 +291,9 @@ func BenchmarkRangeWeave(b *testing.B) {
 // base rows × 3 columns — "k" nearly all distinct and indexed, "c" 1,024
 // categories and indexed, "v" ≈ half distinct and unindexed — with a 100K-row
 // tail outstanding as delta runs.  ns/op is the whole fold (a Compact);
-// domain-ms/op is the share spent sorting the tails, growing the domains and
-// encoding the tails' IDs (Column.fold), index-ms/op the rest: merging and
-// building the two indexes.  Each iteration folds a shallow copy of the
+// domain-ms/op is the share spent in Column.fold — widening the bounds and
+// sorting the indexed columns' tails (no column is grouped, so no domain
+// grows) — and index-ms/op the rest: merging and building the two indexes.  Each iteration folds a shallow copy of the
 // prepared table — a fold writes nothing it did not allocate.
 func BenchmarkFold(b *testing.B) {
 	const baseRows, tailRows = 800_000, 100_000
@@ -327,8 +327,8 @@ func BenchmarkFold(b *testing.B) {
 		t := NewTable(tmpl.name)
 		t.rows, t.baseRows, t.order = tmpl.rows, tmpl.baseRows, tmpl.order
 		for name, c := range tmpl.cols {
-			cc := &Column{name: c.name, raw: c.raw, dom: c.dom}
-			cc.ids.Store(c.ids.Load())
+			cc := &Column{name: c.name, raw: c.raw, min: c.min, max: c.max}
+			cc.grp.Store(c.grp.Load())
 			t.cols[name] = cc
 		}
 		for name, ix := range tmpl.indexes {

@@ -1,20 +1,22 @@
 // Package mmdb is a miniature main-memory column store providing the §2
-// decision-support context the paper's indexes live in: domain-encoded
-// columns, record-identifier lists sorted by an attribute, selections and
+// decision-support context the paper's indexes live in: columns of raw
+// values, record-identifier lists sorted by an attribute, selections and
 // range queries through a pluggable index, indexed nested-loop joins, and
 // the OLAP batch-update cycle where indexes are replaced wholesale after a
 // batch of updates rather than maintained incrementally (§2.3).
 //
-// A Table stores columns of uint32 values.  Each column is domain-encoded
-// (internal/domain): the column keeps its values in row order and the
-// domain holds each distinct value once in sorted order, its rank being the
-// value's ID.  No column stores a per-row ID copy: an index build or fold
-// derives its sorted IDs in one walk over the domain, and a column that is
-// grouped by memoizes its IDs on the first GroupAggregate.  A column holds
-// at most one index, a SortedIndex: a RID list sorted by the column ("a
-// list of record identifiers sorted by some columns provides ordered access
-// to the base relation", §2.2) plus a companion sorted key array searched
-// by a search structure — any cssidx method (BuildIndex) or a sharded index
+// A Table stores columns of uint32 values in row order.  §2.1 stores each
+// distinct value once in a sorted domain and §2.2 searches it to turn values
+// into IDs; that pays when values are wider than their IDs, and here both are
+// four bytes, so an index is built over the values themselves and a probe
+// descends one tree, not a domain and then the index.  The domain survives
+// where it earns its keep: a column that is grouped by builds it (with its
+// base rows' IDs) on its first GroupAggregate, so grouping accumulates into
+// one array slot per distinct value.  A column holds at most one index, a
+// SortedIndex: a RID list sorted by the column ("a list of record
+// identifiers sorted by some columns provides ordered access to the base
+// relation", §2.2) plus the companion sorted value array, searched by a
+// search structure — any cssidx method (BuildIndex) or a sharded index
 // (BuildShardedIndex).  The structure is the method; there is one index
 // type, one read path and one publication: every index serves frozen
 // epochs, so its own SelectEqual and SelectRange run while AppendRows
@@ -47,7 +49,6 @@ import (
 	"cssidx/internal/governor"
 	"cssidx/internal/parallel"
 	"cssidx/internal/qcache"
-	"cssidx/internal/sortu32"
 	"cssidx/internal/telemetry"
 )
 
@@ -63,8 +64,8 @@ type Table struct {
 	order   []string
 	indexes map[string]*SortedIndex // one index per column
 
-	// baseRows is the prefix of rows covered by the frozen encodings:
-	// domains, memoized IDs and index base arrays are built over rows
+	// baseRows is the prefix of rows covered by the frozen state: index
+	// base arrays, column bounds and group-by domains are built over rows
 	// [0, baseRows) at the last fold; rows beyond live in the delta layer
 	// (delta.go) until the next fold.
 	baseRows int
@@ -76,7 +77,7 @@ type Table struct {
 	lag int64
 
 	// gen is the table generation: 1 after creation, +1 per *fold* (new
-	// encodings and index base arrays over every row).  Together with rows it forms
+	// index base arrays over every row).  Together with rows it forms
 	// the validity token of every cached result computed against the
 	// table's in-place state (cache.go).
 	gen atomic.Uint64
@@ -92,18 +93,27 @@ type Table struct {
 	gov atomic.Pointer[governor.Admission]
 }
 
-// Column is one domain-encoded attribute: its values in row order and their
-// domain.  The per-row domain IDs are derived, not stored — except for a
-// column that has been grouped by, which keeps them for the next group-by.
+// Column is one attribute: its values in row order, the bounds of its base
+// rows' values, and — once it has been grouped by — its group-by domain.
 type Column struct {
 	name string
 	raw  []uint32 // source values, row order
-	dom  *domain.IntDomain
-	// ids memoizes the domain IDs of the base rows [0, baseRows), in row
-	// order: nil until the column's first GroupAggregate, which publishes
-	// them by compare-and-swap (concurrent first calls encode once each and
-	// agree on one array); kept current by every fold from then on.
-	ids atomic.Pointer[[]uint32]
+	// min and max bound the values of the base rows [0, baseRows) — what
+	// the planner prices a column no ordered index serves by — and are kept
+	// at AddColumn and at every fold.  An empty column has min > max.
+	min, max uint32
+	// grp is nil until the column's first GroupAggregate, which builds it
+	// and publishes it by compare-and-swap (concurrent first calls build once
+	// each and agree on one memo); kept current by every fold from then on.
+	grp atomic.Pointer[groups]
+}
+
+// groups is a grouped column's memo: the domain of its base rows (§2.1: each
+// distinct value once, sorted, its rank the ID) and the base rows' IDs in row
+// order — the accumulator slot each row adds into.
+type groups struct {
+	dom *domain.IntDomain
+	ids []uint32
 }
 
 // NewTable creates an empty table.
@@ -130,11 +140,9 @@ func (t *Table) AddColumn(name string, values []uint32) error {
 	if t.rows != t.baseRows {
 		return fmt.Errorf("mmdb: table %s has unfolded appended rows; add columns before appending", t.name)
 	}
-	t.cols[name] = &Column{
-		name: name,
-		raw:  append([]uint32(nil), values...),
-		dom:  domain.NewInt(values),
-	}
+	c := &Column{name: name, raw: append([]uint32(nil), values...), min: math.MaxUint32}
+	c.widen(values)
+	t.cols[name] = c
 	t.order = append(t.order, name)
 	t.rows = len(values)
 	t.baseRows = t.rows
@@ -159,35 +167,70 @@ func (t *Table) Column(name string) (*Column, bool) {
 // Value returns the raw value at (row, column).
 func (c *Column) Value(row int) uint32 { return c.raw[row] }
 
-// Domain returns the column's ordered domain.
-func (c *Column) Domain() *domain.IntDomain { return c.dom }
-
 // Len returns the number of rows in the column.
 func (c *Column) Len() int { return len(c.raw) }
 
-// baseIDs returns the domain IDs of the base rows [0, base) in row order,
-// encoding and memoizing them on first use.  Concurrent first calls each
-// encode, and the first to publish wins for all of them.
-func (c *Column) baseIDs(base int) []uint32 {
-	if p := c.ids.Load(); p != nil {
-		return *p
+// widen grows the column's bounds over vals.
+func (c *Column) widen(vals []uint32) {
+	for _, v := range vals {
+		c.min, c.max = min(c.min, v), max(c.max, v)
 	}
-	ids := make([]uint32, base)
-	c.dom.Encode(c.raw[:base], ids)
-	if !c.ids.CompareAndSwap(nil, &ids) {
-		return *c.ids.Load()
-	}
-	return ids
 }
+
+// spread estimates the share of the base rows holding a value in [lo, hi]
+// from the column's bounds alone: the share of [min, max] the range covers,
+// uniform within it and zero outside — O(1), and no sorted structure needed.
+func (c *Column) spread(lo, hi uint32) float64 {
+	lo, hi = max(lo, c.min), min(hi, c.max)
+	if lo > hi {
+		return 0
+	}
+	return (float64(hi-lo) + 1) / (float64(c.max-c.min) + 1)
+}
+
+// groupsOf returns the column's group-by memo over the base rows [0, base),
+// building it on first use: the domain, then the IDs a chunk at a time, each
+// chunk a tick of cp, so a first group-by observes its deadline and
+// cancellation while it builds.  The build is charged to ctl's budget before
+// it allocates: the ID array and the sorted copy the domain is deduplicated
+// from, four bytes a row each.  Concurrent first calls each build, and the
+// first to publish wins for all of them; an aborted build publishes nothing.
+func (c *Column) groupsOf(base int, ctl *governor.Ctl, cp *governor.Checkpoint) (g *groups, built bool, err error) {
+	if g = c.grp.Load(); g != nil {
+		return g, false, nil
+	}
+	if err := ctl.Charge(8 * int64(base)); err != nil {
+		return nil, false, err
+	}
+	g = &groups{dom: domain.NewInt(c.raw[:base]), ids: make([]uint32, base)}
+	for lo := 0; lo < base; lo += encodeChunk {
+		hi := min(lo+encodeChunk, base)
+		g.dom.Encode(c.raw[lo:hi], g.ids[lo:hi])
+		if err := cp.TickN(hi - lo); err != nil {
+			return nil, false, err
+		}
+	}
+	if !c.grp.CompareAndSwap(nil, g) {
+		g = c.grp.Load()
+	}
+	return g, true, nil
+}
+
+// encodeChunk is how many rows a group-by domain encodes between two ticks
+// of its checkpoint.
+const encodeChunk = 4096
 
 // --- sorted RID lists with a search index ----------------------------------
 
 // SortedIndex is a RID list sorted by one column, with a companion sorted
-// key array (of domain IDs) searched by a search structure: one cssidx
-// method (BuildIndex) or a sharded index (BuildShardedIndex) — the structure
-// is the method, the index type is one.  Queries arrive as raw values and are
-// translated through the domain first — the §2.2 flow: "transforming domain
-// values to domain IDs requires searching on the domain".
+// key array of the column's values searched by a search structure: one
+// cssidx method (BuildIndex) or a sharded index (BuildShardedIndex) — the
+// structure is the method, the index type is one.  Queries arrive as raw
+// values and probe the keys directly.  §2.2 translates values to domain IDs
+// first ("transforming domain values to domain IDs requires searching on the
+// domain"), which pays when values are wider than IDs; a uint32 value is as
+// narrow as its ID, so that search would be a second tree descent per probe
+// buying nothing.
 //
 // Its read state is one frozen epoch behind an atomic pointer: a segment
 // (segment.go) plus its epoch numbers.  A build or fold publishes an epoch
@@ -255,9 +298,12 @@ func (t *Table) buildIndex(colName string, kind cssidx.Kind, structure func(*seg
 		return nil, fmt.Errorf("mmdb: no column %s in table %s", colName, t.name)
 	}
 	ix := &SortedIndex{tbl: t, col: col, kind: kind, structure: structure}
-	ix.install(col.sortedPairs(t.baseRows))
-	// The base structure covers the frozen encoding (baseRows); rows
-	// appended since the last fold live only in raw form, so hand them to
+	// The pairs are sorted by value with a stable radix sort
+	// (internal/sortu32), the cache-conscious choice for the 4-byte keys of
+	// Table 1.
+	ix.install(sortedPairsOf(col.raw[:t.baseRows], 0))
+	// The base structure covers the rows up to the last fold (baseRows);
+	// rows appended since live only in the columns, so hand them to
 	// the delta layer as one run — exactly the state absorbRows would
 	// have left had the index existed when they arrived.
 	if t.rows > t.baseRows {
@@ -286,26 +332,14 @@ func (t *Table) seg(col string) *segment {
 	return nil
 }
 
-// sortedPairs returns the domain IDs of the base rows [0, base) in sorted
-// order with the parallel RID list — what an index builds its base arrays
-// from when there is no sorted base to merge into.  The pairs are sorted by
-// value with a stable radix sort (internal/sortu32), the cache-conscious
-// choice for the 4-byte keys of Table 1, and the sorted values become IDs
-// in one walk over the domain: IDs are ranks, so the arrays are those of a
-// stable sort by ID.
-func (c *Column) sortedPairs(base int) (keys, rids []uint32) {
-	keys, rids = sortedPairsOf(c.raw[:base], 0)
-	c.dom.EncodeSorted(keys, keys)
-	return keys, rids
-}
-
-// install publishes the next epoch over (keys, rids) — the column's current
-// encoding in sorted order, fresh arrays from the build's sort or a fold's
-// merge — with the search structure constructed over them and no delta runs.
+// install publishes the next epoch over (keys, rids) — the column's base
+// values in sorted order with their RIDs, fresh arrays from the build's sort
+// or a fold's merge — with the search structure constructed over them and no
+// delta runs.
 // Readers still holding the previous epoch keep valid results.
 func (ix *SortedIndex) install(keys, rids []uint32) {
 	next := &epoch{
-		segment: segment{dom: ix.col.dom, keys: keys, rids: rids, tbl: ix.tbl, col: ix.col.name},
+		segment: segment{keys: keys, rids: rids, tbl: ix.tbl, col: ix.col.name},
 		seq:     1,
 		uid:     epochUID.Add(1),
 	}
@@ -320,7 +354,7 @@ func (ix *SortedIndex) install(keys, rids []uint32) {
 // absorb publishes the next epoch with one appended batch landed in the
 // delta layer — a sorted run over the batch's (value, RID) pairs pushed onto
 // the geometric tier (pushRun, which returns a fresh slice) — sharing the
-// previous epoch's domain, base arrays and search structure.
+// previous epoch's base arrays and search structure.
 func (ix *SortedIndex) absorb(vals []uint32, startRID uint32) {
 	next := *ix.cur.Load()
 	next.seq++
@@ -426,8 +460,8 @@ type JoinOptions struct {
 
 // JoinWith performs the indexed nested-loop join of §2.2, driving the inner
 // index through the batched probe surface: outer rows are processed in
-// chunks of cssidx.DefaultBatchSize, each chunk is translated through the
-// inner domain and probed with one lockstep descent, and emit is called for
+// chunks of cssidx.DefaultBatchSize, each chunk's raw values are probed with
+// one lockstep descent of the inner index, and emit is called for
 // each matching (outerRID, innerRID) pair, in the same order as scalar
 // probing.  It returns the number of result pairs.
 //
@@ -645,8 +679,8 @@ const maxPooledPairs = 1 << 16
 // delta layer — sorted per-index runs over the appended rows, served merged
 // with the base by every read surface (delta.go) — so an append stream stops
 // paying O(n) per batch.  Once the delta reaches 1/8 of the base
-// (foldDenominator), the batch *folds*: the frozen encodings move forward
-// over every row; Compact folds on demand.  An empty batch changes nothing.
+// (foldDenominator), the batch *folds*: the frozen base moves forward over
+// every row; Compact folds on demand.  An empty batch changes nothing.
 // The paper's OLAP position is that "in a main-memory system, it may be
 // relatively cheap to rebuild an index from scratch after a batch of
 // updates" (§2.3); a fold is cheaper still, because everything it starts
@@ -701,8 +735,8 @@ func (t *Table) applyRows(newCols map[string][]uint32, batch int) {
 	}
 }
 
-// Compact folds now, with or without absorbed rows outstanding: the frozen
-// encodings and index base arrays move forward over every row, the
+// Compact folds now, with or without absorbed rows outstanding: the index
+// base arrays (and group-by domains) move forward over every row, the
 // generation moves and the table's cached entries are swept — what a batch
 // that crosses the fold threshold does.  Like AppendRows it is not
 // synchronized with other mutations (on a DurableTable, with its AppendRows).
@@ -745,22 +779,21 @@ func validateBatch(names []string, newCols map[string][]uint32) (int, error) {
 	return batch, nil
 }
 
-// foldRows brings the frozen encodings forward over every row — the unfolded
-// tail plus this batch — by merging, not rebuilding: per column the domain
-// grows by the tail's new values, and each index merges its base, carried
-// over by the resulting remap, with the tail's sorted pairs (Column.fold,
-// mergeFold).  Everything published is a fresh array; readers pinned to the
-// previous state keep reading theirs.  Then the generation moves and the
-// table's cached entries are swept.
+// foldRows brings the frozen base forward over every row — the unfolded
+// tail plus this batch — by merging, not rebuilding: per column the tail is
+// sorted once into (value, RID) pairs, and each index merges its base with
+// them (Column.fold, mergeFold).  Everything published is a fresh array;
+// readers pinned to the previous state keep reading theirs.  Then the
+// generation moves and the table's cached entries are swept.
 func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 	for _, name := range t.order {
 		c := t.cols[name]
 		c.raw = append(c.raw, newCols[name]...)
 		ix := t.indexes[name]
-		remap, tailKeys, tailRids := c.fold(t.baseRows, ix != nil)
+		tailKeys, tailRids := c.fold(t.baseRows, ix != nil)
 		if ix != nil {
 			old := ix.cur.Load()
-			ix.install(mergeFold(old.keys, old.rids, remap, tailKeys, tailRids))
+			ix.install(mergeFold(old.keys, old.rids, tailKeys, tailRids))
 		}
 	}
 	t.rows += batch
@@ -776,88 +809,65 @@ func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 	t.Cache().DropTable(t.name)
 }
 
-// fold moves the column's encoding forward over all of raw, of which rows
-// [0, base) are covered by dom and the tail raw[base:] is not.  The domain
-// is extended by the tail's sorted values, and the tail's IDs come from one
-// walk over the grown domain (EncodeSorted) — no tree probe per row.  It
-// returns the remap for the column's indexes (nil = IDs unchanged) and, when
-// wantPairs (or the column's IDs are memoized), the tail's (new ID, RID)
-// pairs in (value, RID) order: what the delta runs plus the folding batch
-// hold, sorted once for every index on the column.  A column whose IDs are
-// memoized gets them as a fresh array: base rows by one gather through the
-// remap (a copy when the tail brought no new value), tail rows scattered
-// from the pairs.
-func (c *Column) fold(base int, wantPairs bool) (remap, tailKeys, tailRids []uint32) {
+// fold moves the column's base forward over all of raw, of which rows
+// [0, base) are the old base and raw[base:] the tail.  The bounds widen by
+// the tail.  When wantPairs (or the column is grouped), the tail is sorted
+// into (value, RID) pairs — what the delta runs plus the folding batch hold,
+// sorted once for every index on the column — and returned.  A grouped
+// column's memo grows with them: the domain is extended by the tail's sorted
+// values, the base IDs are carried over by one gather through the remap (a
+// copy when the tail brought no new value), and the tail's IDs come from one
+// walk over the grown domain (EncodeSorted) — no tree probe per row.
+func (c *Column) fold(base int, wantPairs bool) (tailKeys, tailRids []uint32) {
 	tail := c.raw[base:]
-	memo := c.ids.Load()
-	pairs := wantPairs || memo != nil
-	var sorted []uint32
-	if pairs {
-		sorted, tailRids = sortedPairsOf(tail, uint32(base))
-	} else {
-		sorted = append(sorted, tail...)
-		sortu32.Sort(sorted)
+	c.widen(tail)
+	memo := c.grp.Load()
+	if !wantPairs && memo == nil {
+		return nil, nil
 	}
-	dom, remap := c.dom.Extend(sorted)
-	c.dom = dom
-	if !pairs {
-		return remap, nil, nil
-	}
-	// sorted is done with once the domain has grown: its IDs replace it.
-	tailKeys = sorted
-	dom.EncodeSorted(sorted, tailKeys)
+	tailKeys, tailRids = sortedPairsOf(tail, uint32(base))
 	if memo != nil {
+		dom, remap := memo.dom.Extend(tailKeys)
 		ids := make([]uint32, len(c.raw))
 		if remap == nil {
-			copy(ids, *memo)
+			copy(ids, memo.ids)
 		} else {
-			for i, id := range *memo {
+			for i, id := range memo.ids {
 				ids[i] = remap[id]
 			}
 		}
+		tailIDs := make([]uint32, len(tailKeys))
+		dom.EncodeSorted(tailKeys, tailIDs)
 		for i, rid := range tailRids {
-			ids[rid] = tailKeys[i]
+			ids[rid] = tailIDs[i]
 		}
-		c.ids.Store(&ids)
+		c.grp.Store(&groups{dom: dom, ids: ids})
 	}
-	return remap, tailKeys, tailRids
+	return tailKeys, tailRids
 }
 
-// mergeFold returns an index's base pairs after a fold: the old base, its
-// keys carried into the grown domain by remap (nil = unchanged; the keys are
-// sorted, so this reads the table sequentially), merged with the tail's
-// pairs, the base winning ties.  remap is monotone, so the remapped base is
-// still sorted; every tail RID exceeds every base RID, so base-first on equal
-// keys is (key, RID) order — the arrays are byte-identical to a stable sort
-// of the whole column by ID (sortedPairs).
-func mergeFold(keys, rids, remap, tailKeys, tailRids []uint32) (outKeys, outRids []uint32) {
+// mergeFold returns an index's base pairs after a fold: the old base merged
+// with the tail's pairs, the base winning ties.  Every tail RID exceeds every
+// base RID, so base-first on equal keys is (value, RID) order — the arrays
+// are byte-identical to a stable sort of the whole column (what BuildIndex
+// sorts).
+func mergeFold(keys, rids, tailKeys, tailRids []uint32) (outKeys, outRids []uint32) {
 	n := len(keys) + len(tailKeys)
 	outKeys, outRids = make([]uint32, n), make([]uint32, n)
-	carry := func(i int) uint32 {
-		if remap == nil {
-			return keys[i]
-		}
-		return remap[keys[i]]
-	}
 	i, o := 0, 0
 	for j, tk := range tailKeys {
-		for ; i < len(keys); i, o = i+1, o+1 {
-			k := carry(i)
-			if k > tk {
-				break
-			}
-			outKeys[o], outRids[o] = k, rids[i]
+		for ; i < len(keys) && keys[i] <= tk; i, o = i+1, o+1 {
+			outKeys[o], outRids[o] = keys[i], rids[i]
 		}
 		outKeys[o], outRids[o] = tk, tailRids[j]
 		o++
 	}
-	for ; i < len(keys); i, o = i+1, o+1 {
-		outKeys[o], outRids[o] = carry(i), rids[i]
-	}
+	copy(outKeys[o:], keys[i:])
+	copy(outRids[o:], rids[i:])
 	return outKeys, outRids
 }
 
-// absorbRows is the delta path: raw columns grow, the frozen encodings do
+// absorbRows is the delta path: raw columns grow, the frozen base does
 // not, and each index absorbs the batch as one sorted run (publishing a new
 // epoch that shares the base arrays).  The result cache is not
 // touched: an entry that is asked for again is brought current then.

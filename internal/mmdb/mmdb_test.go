@@ -2,6 +2,7 @@ package mmdb
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,6 +21,12 @@ func fixture(t *testing.T) *Table {
 		t.Fatal(err)
 	}
 	return tab
+}
+
+// distinctValues returns the column's distinct values, ascending: what tests
+// draw probes and IN-lists from.
+func distinctValues(c *Column) []uint32 {
+	return slices.Compact(slices.Sorted(slices.Values(c.raw)))
 }
 
 func TestAddColumnValidation(t *testing.T) {

@@ -159,11 +159,13 @@ type GroupRow = qcache.AggRow
 // GroupAggregate computes COUNT/SUM/MIN/MAX of measureCol grouped by
 // groupCol over the given rows (nil rids = all rows).  Grouping runs on
 // domain IDs: one array slot per distinct value, no hashing — the payoff of
-// §2.1's ordered domain encoding.  The group column's IDs are encoded on its
-// first group-by and kept, current through folds, for the next one.  Rows
-// beyond the frozen encoding (the delta layer's appended tail) have no IDs
-// yet and accumulate through a small map on raw values instead, merged in at
-// the end.  Groups come back in value order.
+// §2.1's ordered domain encoding.  The group column's domain and its base
+// rows' IDs are built on its first group-by — inside the query, so its
+// deadline, cancellation and byte budget cover the build — and kept, current
+// through folds, for the next one.  Rows beyond the last fold (the delta
+// layer's appended tail) have no IDs yet and accumulate through a small map
+// on raw values instead, merged in at the end.  Groups come back in value
+// order.
 //
 // With a cache attached, the (groupCol, measureCol, source-RID) fingerprint
 // is looked up first and the computed result admitted after — from the
@@ -216,28 +218,41 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 		}
 		admit = missed(cs, adm)
 	}
-	nGroups := gc.dom.Len()
+	// The admission estimate is the accumulator arrays — or, before the
+	// column's first group-by, the build of its IDs.
+	est := 8 * int64(t.baseRows)
+	if g := gc.grp.Load(); g != nil {
+		est = 24 * int64(g.dom.Len())
+	}
 	// Aggregates shed first: a cache-missing aggregate is the most
 	// expensive work class, so under overload admission refuses it
 	// outright rather than queueing it.
-	st, err := t.compute(e, governor.ClassAggregate, 24*int64(nGroups))
+	st, err := t.compute(e, governor.ClassAggregate, est)
 	if err != nil {
 		return nil, err
 	}
 	defer st.release()
+	cp := e.ctl.Checkpoint()
+	grp, built, err := gc.groupsOf(t.baseRows, e.ctl, cp)
+	if err != nil {
+		return nil, st.abort(err)
+	}
+	if built {
+		st.ex.AttrInt("built_ids", len(grp.ids))
+	}
 	// The accumulator arrays are the aggregate's dominant allocation:
 	// charge them up front so an over-budget aggregate dies before the
 	// scan, not after it.
+	nGroups := grp.dom.Len()
 	if err := e.ctl.Charge(24 * int64(nGroups)); err != nil {
 		return nil, st.abort(err)
 	}
-	ids := gc.baseIDs(t.baseRows)
+	ids := grp.ids
 	counts := make([]int64, nGroups)
 	sums := make([]uint64, nGroups)
 	mins := make([]uint32, nGroups)
 	maxs := make([]uint32, nGroups)
 	var delta map[uint32]*GroupRow
-	cp := e.ctl.Checkpoint()
 
 	accumulate := func(row int) {
 		v := mc.raw[row]
@@ -302,7 +317,7 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 			continue
 		}
 		out = append(out, GroupRow{
-			Value: gc.dom.Value(uint32(id)),
+			Value: grp.dom.Value(uint32(id)),
 			Count: counts[id],
 			Sum:   sums[id],
 			Min:   mins[id],
@@ -346,8 +361,13 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 // Plan describes the access path chosen for a range predicate.
 type Plan struct {
 	UseIndex bool
-	EstRows  int    // estimated qualifying rows (uniform-within-domain assumption)
-	Why      string // one-line explanation for EXPLAIN-style output
+	// EstRows estimates the qualifying rows: the share of the base rows
+	// that qualify — counted through the index's sorted keys, or where no
+	// index can count them (a range without ordered access, any predicate
+	// on an unindexed column) assumed uniform between the column's smallest
+	// and largest base value — times the rows.
+	EstRows int
+	Why     string // one-line explanation for EXPLAIN-style output
 }
 
 // scanBreakEven is the estimated selectivity above which a sequential scan
@@ -369,30 +389,48 @@ func (t *Table) PlanRange(col string, lo, hi uint32) (Plan, error) {
 	if !ok {
 		return Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
-	loID, hiID := c.dom.IDRange(lo, hi)
-	return t.replay(planRange(c, t.seg(col), loID, hiID)), nil
+	p, _, _ := planRange(c, t.seg(col), lo, hi)
+	return t.replay(p), nil
 }
 
 // replay is the Plan a reader of the table's current rows gets from plan
 // ingredients: planned just now, or stored with the cache entry a hit
-// answered from.  Within one generation the domain is frozen, so the
+// answered from.  Within one generation the base is frozen, so the
 // selectivity is too, and only the row estimate follows the absorbed rows.
 func (t *Table) replay(p qcache.Plan) Plan {
 	return Plan{UseIndex: p.UseIndex, EstRows: int(p.Frac * float64(t.rows)), Why: p.Why}
 }
 
-// planRange prices the access paths for a range predicate on c, whose index
-// segment is seg (nil = unindexed), already normalized to the half-open
-// domain-ID range [loID, hiID) — the shared core behind PlanRange,
-// SelectRange and SelectWhere's batched bound resolution.  Table-level
-// planning reads mutable table state, so PlanRange and the table's queries
-// must not race AppendRows; queries concurrent with appends go through the
-// index's own methods.
-func planRange(c *Column, seg *segment, loID, hiID uint32) qcache.Plan {
-	frac := 0.0
-	if c.dom.Len() > 0 {
-		frac = float64(hiID-loID) / float64(c.dom.Len())
+// planRange prices the access paths for lo ≤ c ≤ hi (empty when lo > hi),
+// where seg is c's index segment (nil = unindexed).  An ordered index resolves the
+// range's base span [first, last) — which the range path then reads, so
+// each bound is one descent — and the selectivity is the base rows it holds
+// over all base rows: row-weighted, so it stays right under skew.  Any other
+// column is scanned for a range, and priced by its bounds (Column.spread).
+// Table-level planning reads mutable table state, so PlanRange and the
+// table's queries must not race AppendRows; queries concurrent with appends
+// go through the index's own methods.
+func planRange(c *Column, seg *segment, lo, hi uint32) (p qcache.Plan, first, last int) {
+	switch {
+	case seg == nil || seg.ord == nil:
+		return rangePath(seg, c.spread(lo, hi)), 0, 0
+	case lo <= hi:
+		first, last = seg.bounds(lo, hi)
 	}
+	return rangePath(seg, seg.share(last-first)), first, last
+}
+
+// share is the fraction of the segment's base rows that n rows are.
+func (s *segment) share(n int) float64 {
+	if len(s.keys) == 0 {
+		return 0
+	}
+	return float64(n) / float64(len(s.keys))
+}
+
+// rangePath picks the path for a range of selectivity frac on a column
+// whose index segment is seg (nil = unindexed).
+func rangePath(seg *segment, frac float64) qcache.Plan {
 	switch {
 	case seg == nil:
 		return qcache.Plan{UseIndex: false, Frac: frac, Why: "no index on column"}
@@ -485,24 +523,22 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	qc, rd := t.Cache(), t.reader(seg)
 	key := rangeFP(t.name, col, qcache.LayerTable, lo, hi)
 	a := qc.Find(key, rd, nil)
-	p, empty := a.Plan, false
+	p, first, last := a.Plan, 0, 0
 	if a.Kind != qcache.HitExact {
-		loID, hiID := c.dom.IDRange(lo, hi)
-		p = planRange(c, seg, loID, hiID)
-		// No live value in [lo, hi]: answered without the cache, except
-		// through an index, whose path caches the empty run too.
-		empty = loID >= hiID && t.rows == t.baseRows && !p.UseIndex
+		p, first, last = planRange(c, seg, lo, hi)
 	}
 	plan := t.replay(p)
 	e.explainPlan(plan)
 	switch {
 	case a.Kind != qcache.HitMiss:
 		return e.hit(a), plan, nil
-	case empty:
-		return nil, plan, nil
 	case p.UseIndex:
-		rids, err := seg.missRange(e, rd, key, plan.EstRows, p)
+		rids, err := seg.missRange(e, rd, key, plan.EstRows, p, first, last)
 		return rids, plan, err
+	case t.none(p):
+		// Answered without the cache: an index-planned range caches its
+		// empty run instead.
+		return nil, plan, nil
 	}
 	admit := e.miss(qc, key)
 	st, err := t.compute(e, governor.ClassSelect, 4*int64(plan.EstRows))
@@ -529,7 +565,7 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 // the frozen epoch s, consulting and filling the cache as the epoch's reader,
 // so lookups, refreshes and the insert all see that one epoch whatever the
 // index pointer has moved on to.  The lookup comes first and only a miss
-// resolves the bounds — answering a range no live value can fall in without
+// resolves the bounds — answering a range no row of the epoch holds without
 // the cache.
 func (s *epoch) rangeQuery(e env, lo, hi uint32) ([]uint32, error) {
 	if s.ord == nil {
@@ -542,21 +578,18 @@ func (s *epoch) rangeQuery(e env, lo, hi uint32) ([]uint32, error) {
 	if a := s.tbl.Cache().Find(key, rd, nil); a.Kind != qcache.HitMiss {
 		return e.hit(a), nil
 	}
-	loID, hiID := s.dom.IDRange(lo, hi)
-	if loID >= hiID && len(s.runs) == 0 {
+	first, last := s.bounds(lo, hi)
+	if first == last && len(s.runs) == 0 {
 		return nil, nil
 	}
-	est := 0
-	if n := s.dom.Len(); n > 0 {
-		est = int(float64(hiID-loID) / float64(n) * float64(len(s.rids)))
-	}
-	return s.missRange(e, rd, key, est, qcache.Plan{})
+	return s.missRange(e, rd, key, last-first, qcache.Plan{}, first, last)
 }
 
 // missRange is the one index-range compute: the miss settled, the base span
-// woven with the delta runs, and for a question seen before the insert, with
-// the plan p that chose the path.  est is the admission estimate in rows.
-func (seg *segment) missRange(e env, rd qcache.Reader, key qcache.Key, est int, p qcache.Plan) ([]uint32, error) {
+// [first, last) of the key's range woven with the delta runs, and for a
+// question seen before the insert, with the plan p that chose the path.  est
+// is the admission estimate in rows.
+func (seg *segment) missRange(e env, rd qcache.Reader, key qcache.Key, est int, p qcache.Plan, first, last int) ([]uint32, error) {
 	qc := seg.tbl.Cache()
 	admit := e.miss(qc, key)
 	st, err := seg.tbl.compute(e, governor.ClassSelect, 4*int64(est))
@@ -566,14 +599,11 @@ func (seg *segment) missRange(e env, rd qcache.Reader, key qcache.Key, est int, 
 	defer st.release()
 	// When the result will be admitted the merged raw key run rides along,
 	// so any subrange of it can be answered by slicing it (containment reuse).
-	out, keys, err := seg.rangeMerged(key.Lo, key.Hi, admit)
-	if err == nil {
-		err = e.ctl.Charge(4 * int64(len(out)))
-	}
-	if err != nil {
+	out, keys := seg.rangeMerged(key.Lo, key.Hi, first, last, admit)
+	if err := e.ctl.Charge(4 * int64(len(out))); err != nil {
 		return nil, st.abort(err)
 	}
-	seg.explainRange(st.ex, key.Lo, key.Hi, len(out), false)
+	seg.explainRange(st.ex, first, last, len(out), false)
 	st.ex.End()
 	if admit {
 		ad := e.sp.Child("admit")
@@ -623,49 +653,44 @@ func (t *Table) PlanIn(col string, values []uint32) (Plan, error) {
 	if !ok {
 		return Plan{}, fmt.Errorf("mmdb: no column %s in table %s", col, t.name)
 	}
-	return t.replay(planIn(c, t.seg(col), c.present(dedupeValues(values)))), nil
+	return t.replay(planIn(c, t.seg(col), dedupeValues(values))), nil
 }
 
-// present counts the values of a deduplicated list the frozen domain holds.
-// They are translated through a stack array a chunk at a time: the domain
-// tree descends 64 probes in lockstep anyway, so nothing is allocated here.
-func (c *Column) present(distinct []uint32) int {
+// planIn prices the access paths for an IN-list of distinct values on c,
+// whose index segment is seg (nil = unindexed).  An index counts the base
+// rows holding the values with one batched equal-range probe per chunk
+// (seg.baseRowsIn); an unindexed column is priced by its bounds.
+func planIn(c *Column, seg *segment, distinct []uint32) qcache.Plan {
+	if seg == nil {
+		frac := 0.0
+		for _, v := range distinct {
+			frac += c.spread(v, v)
+		}
+		return inPath(nil, min(frac, 1))
+	}
+	return inPath(seg, seg.share(seg.baseRowsIn(distinct)))
+}
+
+// baseRowsIn counts the base rows holding any of the distinct values, probed
+// through a stack scratch a chunk at a time: nothing is allocated here.
+func (s *segment) baseRowsIn(distinct []uint32) int {
 	n := 0
-	var ids [64]int32
-	for i := 0; i < len(distinct); i += len(ids) {
-		chunk := distinct[i:min(i+len(ids), len(distinct))]
-		c.dom.IDsBatch(chunk, ids[:len(chunk)])
-		for _, id := range ids[:len(chunk)] {
-			if id >= 0 {
-				n++
+	var first, last [64]int32
+	for i := 0; i < len(distinct); i += len(first) {
+		chunk := distinct[i:min(i+len(first), len(distinct))]
+		s.equalRangeBatch(chunk, first[:len(chunk)], last[:len(chunk)])
+		for j, f := range first[:len(chunk)] {
+			if f >= 0 {
+				n += int(last[j] - f)
 			}
 		}
 	}
 	return n
 }
 
-// replayedPresent is present for the list a subset replay answered, read off
-// its groups instead of the domain tree: on an append-only table the frozen
-// domain holds exactly the values of the rows below baseRows, and a group
-// lists its base rows first.
-func (t *Table) replayedPresent(a qcache.Answer) int {
-	n := 0
-	for i := 0; i+1 < len(a.GOff); i++ {
-		if g := a.GOff[i]; g < a.GOff[i+1] && int(a.RIDs[g]) < t.baseRows {
-			n++
-		}
-	}
-	return n
-}
-
-// planIn prices the access paths for an IN-list on c, whose index segment
-// is seg (nil = unindexed), of which present values are in the frozen
-// domain.
-func planIn(c *Column, seg *segment, present int) qcache.Plan {
-	frac := 0.0
-	if c.dom.Len() > 0 {
-		frac = float64(present) / float64(c.dom.Len())
-	}
+// inPath picks the path for an IN-list of selectivity frac on a column whose
+// index segment is seg (nil = unindexed).
+func inPath(seg *segment, frac float64) qcache.Plan {
 	switch {
 	case seg == nil:
 		return qcache.Plan{UseIndex: false, Frac: frac, Why: "no index on column"}
@@ -711,8 +736,8 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	e.sp.Attr("table", t.name).Attr("col", col).AttrInt("values", len(values))
 	// Lookup first, as for SelectRange.  Only an indexed column's lookup
 	// tries subset replay: its grouped entries are index-planned lists, and
-	// a list naming no value outside one holds no more domain values, so it
-	// is index-planned too.  A scan-planned list must not inherit a replay's
+	// a list naming no value outside one holds no more base rows, so it is
+	// index-planned too.  A scan-planned list must not inherit a replay's
 	// probe order, and it never gets one.
 	seg := t.seg(col)
 	var subset []uint32
@@ -727,9 +752,17 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	case a.Kind == qcache.HitExact:
 		p = a.Plan
 	case a.Kind == qcache.HitSubset:
-		p = planIn(c, seg, t.replayedPresent(a))
+		// A replay holds every row of its values, so its rows below the
+		// last fold are the base rows an index probe would count.
+		n := 0
+		for _, r := range a.RIDs {
+			if int(r) < t.baseRows {
+				n++
+			}
+		}
+		p = inPath(seg, seg.share(n))
 	default:
-		p = planIn(c, seg, c.present(distinct))
+		p = planIn(c, seg, distinct)
 	}
 	plan := t.replay(p)
 	e.explainPlan(plan)
@@ -824,14 +857,14 @@ type RangePred struct {
 // are ANDed on a row bitmap (bitmapIntersect): the smallest is marked one bit
 // per row, every other clears the marks it holds, and only the few survivors
 // are sorted.  The returned RIDs are ascending and the caller's own.  A conjunct
-// the plan shows empty (Lo > Hi, or an empty ID range with no appended
+// the plan shows empty (Lo > Hi, or no base row in range and no appended
 // tail) answers the whole conjunction without computing the others.
 //
-// The boundary probes are batched: all predicate bounds are translated to
-// domain IDs with one LowerBoundBatch lockstep descent per distinct column
-// (resolveBounds), and the index-path conjuncts resolve their sorted-array
-// positions with one LowerBoundBatch per index — 2×N scalar descents
-// collapse into a handful of lockstep groups whose cache misses overlap.
+// The boundary probes are batched: the bounds of the conjuncts an ordered
+// index serves are resolved to base positions with one LowerBoundBatch
+// lockstep descent per index (planWhere) — 2×N scalar descents collapse
+// into a handful of lockstep groups whose cache misses overlap — and the
+// same positions price the conjunct and delimit the span it reads.
 //
 // With a cache attached, the whole conjunction is fingerprinted and looked
 // up first (hit = one lookup, zero probes, the conjunct plans its miss
@@ -869,16 +902,11 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	hit := a.Kind == qcache.HitExact
 	ps := e.sp.Child("plan")
 	bounds := a.Preds
-	var loIDs, hiIDs []uint32
+	var first, last []int32
 	if !hit {
 		var err error
-		if loIDs, hiIDs, err = t.resolveBounds(preds); err != nil {
+		if bounds, first, last, err = t.planWhere(preds); err != nil {
 			return nil, nil, err
-		}
-		bounds = make([]qcache.PredBound, len(preds))
-		for i, p := range preds {
-			bounds[i] = qcache.PredBound{Col: p.Col, Lo: p.Lo, Hi: p.Hi,
-				Plan: planRange(t.cols[p.Col], t.seg(p.Col), loIDs[i], hiIDs[i])}
 		}
 	}
 	plans := make([]Plan, len(preds))
@@ -891,10 +919,7 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			indexed++
 		}
 		estBytes += 4 * int64(plans[i].EstRows)
-		// A conjunct with delta rows to consider is never provably empty on
-		// an empty frozen ID range — the appended tail may hold matching
-		// values the dictionary has never seen.
-		if !hit && empty < 0 && (b.Lo > b.Hi || (loIDs[i] >= hiIDs[i] && t.rows == t.baseRows)) {
+		if !hit && empty < 0 && (b.Lo > b.Hi || t.none(b.Plan)) {
 			empty = i
 		}
 	}
@@ -919,30 +944,20 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	}
 	defer st.release()
 
-	// Resolve each conjunct's RID set: cached runs first, scans and
-	// index conjuncts with delta runs inline, and the other index conjuncts
-	// deferred so each index answers all its boundary probes in one lockstep
-	// batch.
-	// Per-conjunct results that complete before an abort are valid data and
-	// stay cached; the conjunction entry itself is only inserted on full
-	// completion.  Each conjunct's range is a question of its own, with its
-	// own admission verdict.  A cached run and a batched index span are read
-	// where they lie, borrowed; only scans and delta weaves are materialised.
+	// Resolve each conjunct's RID set: a cached run, an index span, a delta
+	// weave or a scan.  Per-conjunct results that complete before an abort
+	// are valid data and stay cached; the conjunction entry itself is only
+	// inserted on full completion.  Each conjunct's range is a question of
+	// its own, with its own admission verdict.  A cached run and an index
+	// span with no delta runs to weave are read where they lie, borrowed;
+	// only scans and delta weaves are materialised.
 	sets := make([]ridSet, len(preds))
-	admits := make([]bool, len(preds))
-	byIndex := map[*segment][]int{}
-	var segs []*segment // byIndex's keys in conjunct order, the order they resolve in
-	conjSpans := make([]*telemetry.Span, len(preds))
-	abortConj := func(cj *telemetry.Span, err error) ([]uint32, []Plan, error) {
-		cj.Attr("aborted", err.Error()).End()
-		return nil, nil, st.abort(err)
-	}
 	for i, p := range preds {
 		cj := st.ex.Child("conjunct")
 		cj.Attr("col", p.Col).AttrInt("lo", int(p.Lo)).AttrInt("hi", int(p.Hi))
-		conjSpans[i] = cj
 		if err := e.ctl.Err(); err != nil {
-			return abortConj(cj, err)
+			cj.Attr("aborted", err.Error()).End()
+			return nil, nil, st.abort(err)
 		}
 		// Each conjunct walks the range protocol on its own span: no
 		// admission (the conjunction holds the grant), no stage spans, and
@@ -961,26 +976,29 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			continue
 		}
 		adm := qc.Miss(ckey)
-		admits[i] = adm
-		if plans[i].UseIndex && len(seg.runs) == 0 {
-			if byIndex[seg] == nil {
-				segs = append(segs, seg)
-			}
-			byIndex[seg] = append(byIndex[seg], i)
-			continue // span ends after the batched resolution below
-		}
+		// An index span with no delta runs to weave is borrowed, not copied,
+		// but charged as the rows it feeds the intersection, as a scanned
+		// conjunct's are.
 		var rids, keys []uint32
-		if !plans[i].UseIndex {
+		f, l := int(first[i]), int(last[i])
+		borrowed := plans[i].UseIndex && len(seg.runs) == 0
+		switch {
+		case !plans[i].UseIndex:
 			rids, err = scanRange(t.cols[p.Col], p.Lo, p.Hi, e.ctl.Checkpoint())
-		} else if rids, keys, err = seg.rangeMerged(p.Lo, p.Hi, adm); err == nil {
+		case borrowed:
+			rids, keys = seg.rids[f:l], seg.keys[f:l]
+			err = e.ctl.Charge(4 * int64(len(rids)))
+		default:
+			rids, keys = seg.rangeMerged(p.Lo, p.Hi, f, l, adm)
 			err = e.ctl.Charge(4 * int64(len(rids)))
 		}
 		if err != nil {
-			return abortConj(cj, err)
+			cj.Attr("aborted", err.Error()).End()
+			return nil, nil, st.abort(err)
 		}
-		sets[i] = ridSet{rids: rids, own: true}
+		sets[i] = ridSet{rids: rids, own: !borrowed}
 		if plans[i].UseIndex {
-			seg.explainRange(cj, p.Lo, p.Hi, len(rids), false)
+			seg.explainRange(cj, f, l, len(rids), borrowed)
 		} else {
 			cj.Attr("path", "scan").AttrInt("rows", len(rids))
 		}
@@ -989,37 +1007,12 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			qc.InsertRange(ckey, rd.Tok, keys, rids, estRecomputeNs(plans[i], t.rows), bounds[i].Plan)
 		}
 	}
-	for _, seg := range segs {
-		list := byIndex[seg]
-		probes := make([]uint32, 0, 2*len(list))
-		for _, i := range list {
-			probes = append(probes, loIDs[i], hiIDs[i])
-		}
-		out := make([]int32, len(probes))
-		seg.ord.LowerBoundBatch(probes, out)
-		for j, i := range list {
-			first, last := out[2*j], out[2*j+1]
-			// The span is borrowed, not copied, but charged as the rows it
-			// feeds the intersection, as a scanned conjunct's are.
-			if err := e.ctl.Charge(4 * int64(last-first)); err != nil {
-				return abortConj(conjSpans[i], err)
-			}
-			rids := seg.rids[first:last]
-			sets[i] = ridSet{rids: rids}
-			seg.explainRange(conjSpans[i], preds[i].Lo, preds[i].Hi, len(rids), true)
-			conjSpans[i].End()
-			if admits[i] {
-				ckey := rangeFP(t.name, preds[i].Col, qcache.LayerTable, preds[i].Lo, preds[i].Hi)
-				qc.InsertRange(ckey, rd.Tok, idsToRaw(seg.dom, seg.keys[first:last]), rids,
-					estRecomputeNs(plans[i], t.rows), bounds[i].Plan)
-			}
-		}
-	}
 
 	is := st.ex.Child("intersect")
 	acc, err := t.intersect(sets, e.ctl.Err)
 	if err != nil {
-		return abortConj(is, err)
+		is.Attr("aborted", err.Error()).End()
+		return nil, nil, st.abort(err)
 	}
 	is.AttrInt("rows", len(acc))
 	is.End()
@@ -1043,50 +1036,59 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 	return acc, plans, nil
 }
 
-// resolveBounds translates every predicate's closed value bounds to
-// normalized half-open domain-ID ranges, grouping the probes by column so
-// each domain tree answers all its bounds in ONE LowerBoundBatch lockstep
-// descent instead of 2×N scalar descents (the batched range-scan item).
-func (t *Table) resolveBounds(preds []RangePred) (loIDs, hiIDs []uint32, err error) {
-	loIDs = make([]uint32, len(preds))
-	hiIDs = make([]uint32, len(preds))
-	groups := map[string][]int{}
-	var cols []string // deterministic resolution order
+// planWhere plans every conjunct of a conjunction, returning with each plan
+// the base span [first[i], last[i]) of the conjuncts an ordered index
+// serves.  Their bounds are grouped by index, so each index answers all of
+// its conjuncts' bounds in ONE LowerBoundBatch lockstep descent instead of
+// 2×N scalar descents (the batched range-scan item).
+func (t *Table) planWhere(preds []RangePred) (bounds []qcache.PredBound, first, last []int32, err error) {
+	bounds = make([]qcache.PredBound, len(preds))
+	first, last = make([]int32, len(preds)), make([]int32, len(preds))
+	byIndex := map[*segment][]int{}
+	var segs []*segment // byIndex's keys in conjunct order: a deterministic resolution order
 	for i, p := range preds {
-		if _, ok := t.cols[p.Col]; !ok {
-			return nil, nil, fmt.Errorf("mmdb: no column %s in table %s", p.Col, t.name)
+		c, ok := t.cols[p.Col]
+		if !ok {
+			return nil, nil, nil, fmt.Errorf("mmdb: no column %s in table %s", p.Col, t.name)
 		}
-		if _, seen := groups[p.Col]; !seen {
-			cols = append(cols, p.Col)
+		bounds[i] = qcache.PredBound{Col: p.Col, Lo: p.Lo, Hi: p.Hi}
+		seg := t.seg(p.Col)
+		if seg == nil || seg.ord == nil || p.Lo > p.Hi {
+			bounds[i].Plan, _, _ = planRange(c, seg, p.Lo, p.Hi)
+			continue
 		}
-		groups[p.Col] = append(groups[p.Col], i)
+		if byIndex[seg] == nil {
+			segs = append(segs, seg)
+		}
+		byIndex[seg] = append(byIndex[seg], i)
 	}
-	for _, col := range cols {
-		list := groups[col]
-		c := t.cols[col]
+	for _, seg := range segs {
+		list := byIndex[seg]
 		probes := make([]uint32, 0, 2*len(list))
 		for _, i := range list {
-			// The closed upper bound becomes an exclusive lower-bound
-			// probe at Hi+1; Hi = MaxUint32 cannot (it would wrap) and is
-			// fixed up to the domain size below, mirroring IDRange.
+			// The closed upper bound becomes an exclusive lower-bound probe
+			// at Hi+1; Hi = MaxUint32 cannot (it would wrap) and is fixed up
+			// to the end of the keys below, as in segment.bounds.
 			probes = append(probes, preds[i].Lo, preds[i].Hi+1)
 		}
 		out := make([]int32, len(probes))
-		c.dom.LowerBoundBatch(probes, out)
+		seg.ord.LowerBoundBatch(probes, out)
 		for j, i := range list {
-			loID := uint32(out[2*j])
-			hiID := uint32(out[2*j+1])
-			if preds[i].Hi == ^uint32(0) {
-				hiID = uint32(c.dom.Len())
+			first[i], last[i] = out[2*j], out[2*j+1]
+			if preds[i].Hi == math.MaxUint32 {
+				last[i] = int32(len(seg.keys))
 			}
-			if hiID < loID {
-				hiID = loID
-			}
-			loIDs[i], hiIDs[i] = loID, hiID
+			bounds[i].Plan = rangePath(seg, seg.share(int(last[i]-first[i])))
 		}
 	}
-	return loIDs, hiIDs, nil
+	return bounds, first, last, nil
 }
+
+// none reports whether a plan proves that no live row qualifies: its
+// selectivity is exactly zero — an index counted no base row in range, or
+// the range misses the column's bounds — and no row was appended since the
+// last fold.
+func (t *Table) none(p qcache.Plan) bool { return p.Frac == 0 && t.rows == t.baseRows }
 
 // ridMaps pools the one-bit-per-row maps conjunctions are ANDed on, so each
 // concurrently running SelectWhere holds one map of rows/8 bytes.  A map

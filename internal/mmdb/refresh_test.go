@@ -19,6 +19,14 @@ import (
 	"cssidx/internal/workload"
 )
 
+// rangeRIDs recomputes lo ≤ col ≤ hi over the frozen segment s, bounds and
+// weave both resolved afresh: what a reader pinned to s must be answered.
+func (s *segment) rangeRIDs(lo, hi uint32) []uint32 {
+	first, last := s.bounds(lo, hi)
+	rids, _ := s.rangeMerged(lo, hi, first, last, false)
+	return rids
+}
+
 // TestLateIndexBuildDropsScanOrderEntries: scan-path and index-path results
 // share a fingerprint, so a row-order entry cached while the column had no
 // index must not answer the index-planned query asked after BuildIndex or
@@ -113,7 +121,7 @@ func TestRefreshRaceShardedStragglers(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		want, _, _ := s.rangeMerged(lo, hi, false)
+		want := s.rangeRIDs(lo, hi)
 		if !slices.Equal(got, want) {
 			return nil, fmt.Errorf("reader pinned at %+v: range [%d,%d] has %d rows, its epoch's recompute %d", s.tok, lo, hi, len(got), len(want))
 		}

@@ -1,7 +1,7 @@
 package mmdb
 
 // The segment is the §2.2 query engine in one place: a RID list sorted by a
-// column's domain IDs, probed through a search structure, plus the sorted
+// column's values, probed through a search structure, plus the sorted
 // delta runs absorbed since the last fold (Asadi & Lin's split — one
 // immutable compact base, small sorted runs, one read path over both).  Every
 // published epoch of a SortedIndex is one, and the table layer, the index's
@@ -12,10 +12,10 @@ package mmdb
 // structure is underneath; only EXPLAIN does.
 
 import (
+	"math"
 	"sync"
 
 	"cssidx"
-	"cssidx/internal/domain"
 	"cssidx/internal/governor"
 	"cssidx/internal/parallel"
 	"cssidx/internal/qcache"
@@ -24,22 +24,22 @@ import (
 )
 
 // orderedProbe is what a segment asks of a search structure with ordered
-// access over the sorted domain-ID array: cssidx.BatchOrderedIndex for the
-// single-structure methods, a frozen *shard.View for a sharded index.
+// access over the sorted value array — raw values in, base positions out:
+// cssidx.BatchOrderedIndex for the single-structure methods, a frozen
+// *shard.View for a sharded index.
 type orderedProbe interface {
-	LowerBound(id uint32) int
-	LowerBoundBatch(ids []uint32, out []int32)
-	EqualRange(id uint32) (first, last int)
-	EqualRangeBatch(ids []uint32, first, last []int32)
+	LowerBound(v uint32) int
+	LowerBoundBatch(vals []uint32, out []int32)
+	EqualRange(v uint32) (first, last int)
+	EqualRangeBatch(vals []uint32, first, last []int32)
 }
 
 // segment is one frozen read view of an index.  Nothing reachable from it is
 // written after it is published.
 type segment struct {
-	dom  *domain.IntDomain // the domain the keys were encoded against
-	keys []uint32          // domain IDs in sorted order
-	rids []uint32          // RIDs ordered by column value
-	runs []idxRun          // absorbed delta runs since the last fold, geometrically tiered (delta.go)
+	keys []uint32 // the base rows' values in sorted order
+	rids []uint32 // RIDs ordered by column value
+	runs []idxRun // absorbed delta runs since the last fold, geometrically tiered (delta.go)
 
 	ord    orderedProbe      // nil when the method has no ordered access (hashing, §3.5)
 	eq     cssidx.BatchIndex // equality probes when ord is nil
@@ -53,37 +53,37 @@ type segment struct {
 	col string
 }
 
-// equalRange returns the half-open base positions holding domain ID id.
-func (s *segment) equalRange(id uint32) (first, last int) {
+// equalRange returns the half-open base positions holding value v.
+func (s *segment) equalRange(v uint32) (first, last int) {
 	if s.ord != nil {
-		return s.ord.EqualRange(id)
+		return s.ord.EqualRange(v)
 	}
-	first = s.eq.Search(id)
+	first = s.eq.Search(v)
 	if first < 0 {
 		return 0, 0
 	}
-	for last = first + 1; last < len(s.keys) && s.keys[last] == id; last++ {
+	for last = first + 1; last < len(s.keys) && s.keys[last] == v; last++ {
 	}
 	return first, last
 }
 
-// equalRangeBatch answers the equal range of every domain-ID probe: batched
+// equalRangeBatch answers the equal range of every value probe: batched
 // through the ordered surface when the method has one, or — for hash —
 // batched leftmost-hit searches extended across each hit's duplicate run in
 // the sorted key array (§3.6).  An absent probe of the hash form comes back
 // with a negative first.
-func (s *segment) equalRangeBatch(ids []uint32, first, last []int32) {
+func (s *segment) equalRangeBatch(vals []uint32, first, last []int32) {
 	if s.ord != nil {
-		s.ord.EqualRangeBatch(ids, first, last)
+		s.ord.EqualRangeBatch(vals, first, last)
 		return
 	}
-	s.eq.SearchBatch(ids, first)
+	s.eq.SearchBatch(vals, first)
 	n := int32(len(s.keys))
 	for j, f := range first {
 		e := f
 		if f >= 0 {
 			e++
-			for e < n && s.keys[e] == ids[j] {
+			for e < n && s.keys[e] == vals[j] {
 				e++
 			}
 		}
@@ -95,34 +95,33 @@ func (s *segment) equalRangeBatch(ids []uint32, first, last []int32) {
 // delta runs' — ascending RID, since appended RIDs exceed all resident ones.
 func (s *segment) selectEqual(value uint32) []uint32 {
 	var out []uint32
-	if id, ok := s.dom.ID(value); ok {
-		if first, last := s.equalRange(id); first < last {
-			out = append(out, s.rids[first:last]...)
-		}
+	if first, last := s.equalRange(value); first < last {
+		out = append(out, s.rids[first:last]...)
 	}
 	return deltaEqualAppend(s.runs, value, out)
 }
 
-// rangeMerged is the one range path: the base span resolved through the
-// ordered surface, woven with the delta runs' clipped spans at read time
+// bounds returns the base positions [first, last) of the values in the
+// closed range [lo, hi], lo ≤ hi, through the ordered surface: two lower
+// bounds, the upper one probed at hi+1 — or, for hi = MaxUint32, where hi+1
+// would wrap, the end of the keys.  The planner prices a range by this span
+// and the range path reads it, so each bound is one descent.
+func (s *segment) bounds(lo, hi uint32) (first, last int) {
+	first, last = s.ord.LowerBound(lo), len(s.keys)
+	if hi != math.MaxUint32 {
+		last = s.ord.LowerBound(hi + 1)
+	}
+	return first, last
+}
+
+// rangeMerged is the one range path: the base span [first, last) of
+// [lo, hi] (bounds), woven with the delta runs' clipped spans at read time
 // (mergeRangeDelta) — O(result + delta-in-range), whatever the table size
 // and however recent the last absorb.  wantKeys additionally returns the
-// merged raw values: the cache's containment runs want them, a bare
-// SelectRange does not pay for them.
-func (s *segment) rangeMerged(lo, hi uint32, wantKeys bool) (rids, rawKeys []uint32, err error) {
-	if s.ord == nil {
-		return nil, nil, ErrNoOrderedAccess
-	}
-	if lo > hi {
-		return nil, nil, nil
-	}
-	loID, hiID := s.dom.IDRange(lo, hi)
-	var first, last int
-	if loID < hiID {
-		first, last = s.ord.LowerBound(loID), s.ord.LowerBound(hiID)
-	}
-	rids, rawKeys = mergeRangeDelta(s.dom, s.keys, s.rids, first, last, s.runs, lo, hi, wantKeys)
-	return rids, rawKeys, nil
+// merged values: the cache's containment runs want them, a bare SelectRange
+// does not pay for them.
+func (s *segment) rangeMerged(lo, hi uint32, first, last int, wantKeys bool) (rids, keys []uint32) {
+	return mergeRangeDelta(s.keys, s.rids, first, last, s.runs, lo, hi, wantKeys)
 }
 
 // spaceBytes is the footprint of the arrays a segment serves from.
@@ -136,10 +135,8 @@ func (s *segment) spaceBytes() int {
 // from scratchPool per worker and grown to the chunk size, so concurrent
 // spans reuse buffers without sharing them.
 type probeScratch struct {
-	ids    []int32  // domain IDs per raw value (-1 = absent from the domain)
-	probes []uint32 // compacted present IDs
-	first  []int32
-	last   []int32
+	first []int32
+	last  []int32
 }
 
 // scratchPool recycles probeScratch across batched operations and workers.
@@ -148,35 +145,21 @@ var scratchPool = sync.Pool{New: func() any { return &probeScratch{} }}
 // newProbeScratch draws a scratch sized for chunks of up to n values.
 func newProbeScratch(n int) *probeScratch {
 	sc := scratchPool.Get().(*probeScratch)
-	if cap(sc.ids) < n {
-		sc.ids = make([]int32, n)
-		sc.probes = make([]uint32, 0, n)
+	if cap(sc.first) < n {
 		sc.first = make([]int32, n)
 		sc.last = make([]int32, n)
 	}
 	return sc
 }
 
-// equalRanges resolves one chunk of raw values (at most the scratch's size):
-// the chunk is translated to domain IDs in one lockstep descent of the domain
-// tree, absent values are compacted away, and the present IDs are answered
-// by one batched equal-range probe.  ids[i] is value i's domain ID or -1;
-// first/last hold the base position ranges of the present values, in chunk
-// order.  Values absent from the frozen domain may still live in the runs.
-func (s *segment) equalRanges(values []uint32, sc *probeScratch) (ids, first, last []int32) {
-	ids = sc.ids[:len(values)]
-	s.dom.IDsBatch(values, ids)
-	sc.probes = sc.probes[:0]
-	for _, id := range ids {
-		if id >= 0 {
-			sc.probes = append(sc.probes, uint32(id))
-		}
-	}
-	first, last = sc.first[:len(sc.probes)], sc.last[:len(sc.probes)]
-	if len(sc.probes) > 0 {
-		s.equalRangeBatch(sc.probes, first, last)
-	}
-	return ids, first, last
+// equalRanges resolves one chunk of raw values (at most the scratch's size)
+// with one batched equal-range probe: first[i]/last[i] are the base
+// positions holding value i, empty (or, for hash, a negative first) when no
+// base row does.  Values absent from the base may still live in the runs.
+func (s *segment) equalRanges(values []uint32, sc *probeScratch) (first, last []int32) {
+	first, last = sc.first[:len(values)], sc.last[:len(values)]
+	s.equalRangeBatch(values, first, last)
+	return first, last
 }
 
 // probeEqual answers one join chunk: emit runs per matching occurrence with
@@ -184,22 +167,16 @@ func (s *segment) equalRanges(values []uint32, sc *probeScratch) (ids, first, la
 // order then ascending RID (base rows before delta rows); it returns the
 // number of occurrences.  Safe for concurrent calls with distinct scratches.
 func (s *segment) probeEqual(values []uint32, sc *probeScratch, emit func(ordinal int, rid uint32)) int {
-	ids, first, last := s.equalRanges(values, sc)
-	if len(first) == 0 && len(s.runs) == 0 {
-		return 0
-	}
-	count, j := 0, 0
+	first, last := s.equalRanges(values, sc)
+	count := 0
 	for i, v := range values {
-		if ids[i] >= 0 {
-			if f, l := first[j], last[j]; f >= 0 {
-				count += int(l - f)
-				if emit != nil {
-					for pos := f; pos < l; pos++ {
-						emit(i, s.rids[pos])
-					}
+		if f, l := first[i], last[i]; f >= 0 {
+			count += int(l - f)
+			if emit != nil {
+				for pos := f; pos < l; pos++ {
+					emit(i, s.rids[pos])
 				}
 			}
-			j++
 		}
 		for ri := range s.runs {
 			f, l := s.runs[ri].equalRange(v)
@@ -285,17 +262,14 @@ func (s *segment) selectInSpan(values []uint32, wantGroups bool, cp *governor.Ch
 	defer scratchPool.Put(sc)
 	for base := 0; base < len(values); base += cssidx.DefaultBatchSize {
 		chunk := values[base:min(base+cssidx.DefaultBatchSize, len(values))]
-		ids, first, last := s.equalRanges(chunk, sc)
-		before, j := len(out), 0
+		first, last := s.equalRanges(chunk, sc)
+		before := len(out)
 		for i, v := range chunk {
 			if wantGroups {
 				goff = append(goff, uint32(len(out)))
 			}
-			if ids[i] >= 0 {
-				if f, l := first[j], last[j]; 0 <= f && f < l {
-					out = append(out, s.rids[f:l]...)
-				}
-				j++
+			if f, l := first[i], last[i]; 0 <= f && f < l {
+				out = append(out, s.rids[f:l]...)
 			}
 			out = deltaEqualAppend(s.runs, v, out)
 		}
@@ -318,16 +292,16 @@ func (s *segment) innerTag() uint64 {
 	return qcache.HashString(qcache.HashString(qcache.HashSeed, s.tbl.name), s.col)
 }
 
-// explainRange annotates the span of a computed range — a range's execute
-// span, or a WHERE conjunct's; batched, the conjunct was resolved in its
-// index's one bound batch (it had no delta runs to weave).
-func (s *segment) explainRange(sp *telemetry.Span, lo, hi uint32, rows int, batched bool) {
+// explainRange annotates the span of a computed range over the base
+// positions [first, last) — a range's execute span, or a WHERE conjunct's;
+// batched, the conjunct was read off its index's one bound batch (it had no
+// delta runs to weave).
+func (s *segment) explainRange(sp *telemetry.Span, first, last, rows int, batched bool) {
 	switch {
 	case sp == nil: // attr args must not run on the untraced path
 		return
 	case s.shards != nil:
-		loID, hiID := s.dom.IDRange(lo, hi)
-		sp.Attr("path", "sharded").AttrInt("shards_touched", shardsTouched(s.shards.Bounds(), loID, hiID)).
+		sp.Attr("path", "sharded").AttrInt("shards_touched", shardsTouched(s.shards.Bounds(), s.keys[first:last])).
 			AttrInt("delta_runs", len(s.runs))
 	case batched:
 		sp.Attr("path", "sorted-index-batched")

@@ -1,8 +1,8 @@
 package mmdb
 
 // The sharded search structure: BuildShardedIndex builds a SortedIndex whose
-// sorted domain-ID keys are searched by a frozen shard.View — range
-// partitions of level CSS-trees answering probe batches across cores —
+// sorted keys — the column's values — are searched by a frozen shard.View —
+// range partitions of level CSS-trees answering probe batches across cores —
 // instead of one cssidx method.  It is a structure choice and nothing more:
 // the index publishes frozen epochs, caches and folds like any other, the
 // planner treats it as one more ordered method, and only EXPLAIN (the shards

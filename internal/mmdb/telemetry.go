@@ -40,15 +40,15 @@ func notePlan(p Plan) {
 	}
 }
 
-// shardsTouched counts the shards whose key range intersects the
-// normalized half-open domain-ID range [loID, hiID), given the index's
-// split boundaries (len = shards-1, strictly ascending; shard i serves
-// IDs < bounds[i], the last shard the rest).
-func shardsTouched(bounds []uint32, loID, hiID uint32) int {
-	if loID >= hiID {
+// shardsTouched counts the shards holding span, a range's base span of
+// sorted keys, given the index's split boundaries (len = shards-1, strictly
+// ascending; shard i holds keys < bounds[i], the last shard the rest).
+func shardsTouched(bounds, span []uint32) int {
+	if len(span) == 0 {
 		return 0
 	}
-	first := sort.Search(len(bounds), func(i int) bool { return loID < bounds[i] })
-	last := sort.Search(len(bounds), func(i int) bool { return hiID-1 < bounds[i] })
+	lo, hi := span[0], span[len(span)-1]
+	first := sort.Search(len(bounds), func(i int) bool { return lo < bounds[i] })
+	last := sort.Search(len(bounds), func(i int) bool { return hi < bounds[i] })
 	return last - first + 1
 }

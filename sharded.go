@@ -16,8 +16,7 @@ import "cssidx/internal/shard"
 // ShardedOptions configures NewSharded.  Its type parameter admits only
 // Key, so the spelling ShardedOptions[uint32] names the one options type:
 // keys of other value types reach a sharded index through an
-// order-preserving dictionary to uint32 (internal/domain.IntDomain), as
-// internal/mmdb's columns do.
+// order-preserving dictionary to uint32 (internal/domain.IntDomain).
 //
 // What the engine decides itself is not an option: each shard's CSS-tree has
 // one-cache-line nodes (shard.Slots, as DefaultNodeBytes gives), the split
