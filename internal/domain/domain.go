@@ -1,75 +1,47 @@
 // Package domain implements the ordered-domain storage scheme of §2.1:
 // distinct column values are stored once, in sorted order, in an external
-// structure (the domain), and a value's ID is its rank there.  A column may
-// be re-encoded as the small integer IDs (BuildInt, Encode); for sorted
-// values the IDs come from one walk over the domain (EncodeSorted), and a
-// domain grows by a monotone ID remap (Extend).
-//
-// Going beyond [AHK85] exactly as the paper does, domains are kept *sorted*
-// and IDs are ranks, so ID order is value order.  "Transforming domain
-// values to domain IDs requires searching on the domain" (§2.2): that search
-// is a level CSS-tree over the domain array, the very workload the paper
-// optimises.
+// structure (the domain), and a value's ID is its rank there.  Going beyond
+// [AHK85] exactly as the paper does, domains are kept *sorted* and IDs are
+// ranks, so ID order is value order.  "Transforming domain values to domain
+// IDs requires searching on the domain" (§2.2) — unless the values arrive
+// sorted: then their IDs come from one walk over the domain (EncodeSorted),
+// and a domain grows by a monotone ID remap (Extend).  Every ID the engine
+// assigns arrives that way, so a domain needs no search structure.
 package domain
 
-import (
-	"slices"
-
-	"cssidx/internal/csstree"
-	"cssidx/internal/sortu32"
-)
+import "cssidx/internal/sortu32"
 
 // IntDomain is a sorted dictionary of distinct uint32 values with
 // rank-assigned IDs.
 type IntDomain struct {
 	values []uint32
-	idx    *csstree.Tree
 }
 
-// NewInt constructs the domain of column: its distinct values, sorted, and
-// the CSS-tree that searches them.  column is not retained.
-func NewInt(column []uint32) *IntDomain {
-	values := make([]uint32, len(column))
-	copy(values, column)
-	sortu32.Sort(values)
-	distinct := slices.Compact(values)
-	// The domain lives as long as the column: do not let 64 distinct values
-	// pin the n-element array they were deduped in.
-	if len(distinct) < len(values) {
-		distinct = append(make([]uint32, 0, len(distinct)), distinct...)
-	}
-	return &IntDomain{
-		values: distinct,
-		idx:    csstree.BuildLevel(distinct, 16),
-	}
+// NewInt constructs the domain of the ascending values sorted (duplicates
+// allowed, not retained): its distinct values in an exactly sized array.
+func NewInt(sorted []uint32) *IntDomain {
+	d, _ := new(IntDomain).Extend(sorted)
+	return d
 }
 
 // BuildInt constructs the domain of column and returns it together with the
-// column re-encoded as domain IDs (ids[i] is the rank of column[i]).
+// column re-encoded as domain IDs (ids[i] is the rank of column[i]): one
+// (value, row) pair sort, then one walk down it that counts the distinct
+// values so far — each row's rank — and scatters it to the row.
 func BuildInt(column []uint32) (*IntDomain, []uint32) {
-	d := NewInt(column)
-	ids := make([]uint32, len(column))
-	d.Encode(column, ids)
-	return d, ids
-}
-
-// Encode stores the domain ID of values[i] into ids[i] (len(ids) must equal
-// len(values)) through the lockstep batched translation, a chunk at a time
-// so the position scratch stays cache-resident.  Every value must be in the
-// domain.
-func (d *IntDomain) Encode(values, ids []uint32) {
-	var pos [encodeChunk]int32
-	for base := 0; base < len(values); base += encodeChunk {
-		chunk := values[base:min(base+encodeChunk, len(values))]
-		// IDs are ranks, so Search's leftmost position is the ID.
-		d.idx.SearchBatch(chunk, pos[:len(chunk)])
-		for i, p := range pos[:len(chunk)] {
-			if p < 0 {
-				panic("domain: encoding a value the domain does not hold")
-			}
-			ids[base+i] = uint32(p)
-		}
+	keys, rows := append([]uint32(nil), column...), make([]uint32, len(column))
+	for i := range rows {
+		rows[i] = uint32(i)
 	}
+	sortu32.SortPairs(keys, rows)
+	ids, id := make([]uint32, len(column)), uint32(0)
+	for i, row := range rows {
+		if i > 0 && keys[i] != keys[i-1] {
+			id++
+		}
+		ids[row] = id
+	}
+	return NewInt(keys), ids
 }
 
 // EncodeSorted stores the domain ID of sorted[i] into ids[i] (len(ids) must
@@ -135,12 +107,8 @@ func (d *IntDomain) Extend(added []uint32) (*IntDomain, []uint32) {
 		remap[i] = uint32(len(values))
 		values = append(values, old[i])
 	}
-	return &IntDomain{values: values, idx: csstree.BuildLevel(values, 16)}, remap
+	return &IntDomain{values: values}, remap
 }
-
-// encodeChunk is how many column values Encode translates per batched
-// descent of the domain tree.
-const encodeChunk = 1024
 
 // Value returns the value for a domain ID.
 func (d *IntDomain) Value(id uint32) uint32 { return d.values[int(id)] }

@@ -5,8 +5,13 @@ package mmdb
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
+
+	"cssidx"
+	"cssidx/internal/parallel"
 )
 
 // TestWarmHitAllocs pins the allocation count of the exact-hit path of every
@@ -201,5 +206,155 @@ func TestJoinAdmitCopiesPairsOnce(t *testing.T) {
 	t.Logf("%d admitted pairs, 8·pairs + %d bytes allocated", pairs, best)
 	if best > slack {
 		t.Errorf("an admitting join allocated 8·pairs + %d bytes for %d pairs, over 8·pairs + %d", best, pairs, slack)
+	}
+}
+
+// TestColdJoinStagesOnce: an admitting join whose pair set is too large for
+// the staging pool to keep runs cold every time (two workers here, 30 chunks
+// a span).  Its staging is sized from each chunk's count before the chunk
+// emits — the span's pairs projected from its rate so far — so it is
+// allocated about once: the join stays under 12 bytes a pair past the 8 the
+// cache's two columns take, plus a constant.  Staging grown by append, which
+// copies the buffer at every 1.25× step, costs 37 bytes a pair here.
+func TestColdJoinStagesOnce(t *testing.T) {
+	cached, _, g := cachePair(t, 3000, 98)
+	aIx, _ := cached.Index("a")
+	aVals, _ := cached.Column("a")
+	const runs, slack, perPair = 4, 8192, 12
+	var ms runtime.MemStats
+	best, pairs := int64(math.MaxInt64), 0 // best: the fewest bytes past 8 per pair
+	for i := range runs {
+		outer := NewTable(fmt.Sprintf("cold%d", i))
+		if err := outer.AddColumn("fk", g.Lookups(distinctValues(aVals), 60_000)); err != nil {
+			t.Fatal(err)
+		}
+		outer.cache.Store(cached.Cache())
+		inserts := cached.Cache().Stats().Inserts
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		n, err := JoinWith(outer, "fk", aIx, JoinOptions{par: parallel.Options{Workers: 2}}, func(o, i uint32) {})
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n <= maxPooledPairs || cached.Cache().Stats().Inserts != inserts+1 {
+			t.Fatalf("join %d: %d pairs, admitted %v: the pin needs an admitted join the pool does not keep",
+				i, n, cached.Cache().Stats().Inserts == inserts+1)
+		}
+		if over := int64(ms.TotalAlloc-before) - 8*int64(n); over < best {
+			best, pairs = over, n
+		}
+	}
+	t.Logf("%d admitted pairs, 8·pairs + %d bytes allocated (%.1f per pair)", pairs, best, float64(best)/float64(pairs))
+	if limit := perPair*int64(pairs) + slack; best > limit {
+		t.Errorf("a cold admitting join allocated 8·pairs + %d bytes for %d pairs, over 8·pairs + %d·pairs + %d",
+			best, pairs, perPair, slack)
+	}
+}
+
+// TestAbsorbAllocatesOnlyPublished: an absorb stream allocates the runs its
+// epochs publish — each run's pairs and its bloom filter — plus, per absorb,
+// a constant for the epoch and its run slice.  A cascade merged pair by pair
+// would allocate every intermediate run and its filter too, and a batch
+// sorted through a heap scratch its ping-pong buffers: kilobytes a batch.
+func TestAbsorbAllocatesOnlyPublished(t *testing.T) {
+	const baseRows, batches, batch, slack = 20_000, 300, 256, 1024
+	rng := rand.New(rand.NewSource(26))
+	tab := NewTable("t")
+	vals := make([]uint32, baseRows+batches*batch)
+	for i := range vals {
+		vals[i] = uint32(rng.Intn(5000))
+	}
+	if err := tab.AddColumn("k", vals[:baseRows]); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	published := uint64(0)
+	for i := range batches {
+		prev := ix.cur.Load().runs
+		from := baseRows + i*batch
+		ix.absorb(vals[from:from+batch], uint32(from))
+		for _, r := range ix.cur.Load().runs {
+			if !slices.ContainsFunc(prev, func(p idxRun) bool { return &p.vals[0] == &r.vals[0] }) {
+				published += uint64(r.spaceBytes())
+			}
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	got := ms.TotalAlloc - before
+	t.Logf("%d absorbs: %d B allocated, %d B of runs and filters published", batches, got, published)
+	if limit := published + batches*slack; got > limit {
+		t.Errorf("%d absorbs allocated %d B: over the %d B published + %d B a batch", batches, got, published, slack)
+	}
+}
+
+// TestFoldAllocatesOnlyBase: a fold allocates the base arrays it publishes —
+// keys and RIDs, 8 bytes a row per index — and what building each index's
+// search structure over them allocates (measured apart, over the published
+// keys), plus a constant: every index already holds its tail sorted in its
+// runs, so nothing is sorted or merged into a scratch array first.
+func TestFoldAllocatesOnlyBase(t *testing.T) {
+	const baseRows, tailRows, batch, slack = 100_000, 12_800, 256, 64 << 10
+	rng := rand.New(rand.NewSource(27))
+	tab := NewTable("t")
+	tab.fold = neverFold
+	gen := func(n int) map[string][]uint32 {
+		cols := map[string][]uint32{}
+		for _, c := range []string{"k", "s", "h", "v"} {
+			cols[c] = make([]uint32, n)
+			for i := range cols[c] {
+				cols[c][i] = uint32(rng.Intn(1 << 20))
+			}
+		}
+		return cols
+	}
+	base := gen(baseRows)
+	for _, c := range []string{"k", "s", "h", "v"} {
+		if err := tab.AddColumn(c, base[c]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range []struct {
+		col  string
+		kind cssidx.Kind
+	}{{"k", cssidx.KindLevelCSS}, {"h", cssidx.KindHash}} {
+		if _, err := tab.BuildIndex(b.col, b.kind, cssidx.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tab.BuildShardedIndex("s", 4); err != nil {
+		t.Fatal(err)
+	}
+	for done := 0; done < tailRows; done += batch {
+		if err := tab.AppendRows(gen(batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ms runtime.MemStats
+	allocated := func(f func()) uint64 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		f()
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	got := allocated(tab.Compact)
+	if tab.DeltaRows() != 0 {
+		t.Fatal("Compact left rows outstanding")
+	}
+	published := uint64(0)
+	for _, ix := range tab.indexes {
+		s := ix.cur.Load()
+		published += 8*uint64(len(s.keys)) + allocated(func() { ix.structure(&segment{keys: s.keys, rids: s.rids}) })
+	}
+	t.Logf("fold of %d+%d rows: %d B allocated, %d B for base arrays and structure builds", baseRows, tailRows, got, published)
+	if limit := published + slack; got > limit {
+		t.Errorf("a fold allocated %d B: over the %d B of base arrays and structure builds + %d", got, published, slack)
 	}
 }

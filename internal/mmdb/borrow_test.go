@@ -394,7 +394,7 @@ func testSharedArraysAppends(t *testing.T) {
 			before[r] = calls[r].Load()
 		}
 		for r := range calls {
-			for calls[r].Load() <= before[r]+1 {
+			for c := calls[r].Load(); c <= before[r]+1 && c < 1<<40; c = calls[r].Load() {
 				runtime.Gosched()
 			}
 		}

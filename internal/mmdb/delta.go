@@ -10,23 +10,27 @@ package mmdb
 // serves base ∪ delta merged by (value, RID).  Because appended RIDs all
 // exceed resident RIDs and the build's radix sort is stable, that merged
 // order is bit-identical to what a full rebuild would produce — the delta
-// layer is invisible to results, only to build cost.  Once the delta has
-// grown to a fixed fraction of the base (foldDenominator), the batch *folds*,
-// and the fold is a merge too (Table.foldRows): each index merges its sorted
-// base with the tail's sorted pairs, base first on ties — O(n + tail) where a
-// rebuild re-sorts every index, and byte-identical to one for the same two
-// reasons.  A grouped column's domain grows by the tail's new values, which
-// shifts its old IDs monotonically (IDs are ranks), so its memoized IDs
-// follow by one remap.
+// layer is invisible to results, only to build cost.  It builds only what an
+// epoch publishes: a batch sorts through stack buffers into its run, and a
+// cascade of the geometric tier merges once into one array with one bloom
+// filter (pushRun).  Once the delta has grown to a fixed fraction of the base
+// (foldDenominator), the batch *folds*, and the fold is the range read's own
+// weave over the whole key space: the runs hold the tail sorted, the batch
+// joins them as one more run, and each index weaves its base with them —
+// O(n + tail·log) where a rebuild re-sorts every index, and byte-identical to
+// one for the same two reasons.  A grouped column's domain grows by the
+// tail's new values, which shifts its old IDs monotonically (IDs are ranks),
+// so its memoized IDs follow by one remap.
 //
 // One key space is the crux: the index base arrays, the delta runs and the
 // result cache's runs all hold raw values, so a run weaves into the base by
-// plain comparison, a fold merges without translating, and the cache keys
+// plain comparison, a fold weaves without translating, and the cache keys
 // ranges by raw closed bounds (qcache).
 
 import (
 	"cssidx/internal/binsearch"
 	"cssidx/internal/bloom"
+	"cssidx/internal/parallel"
 	"cssidx/internal/sortu32"
 )
 
@@ -83,45 +87,68 @@ type idxRun struct {
 // list; row i has RID startRID+i.  The stable pair sort keeps equal values in
 // ascending-RID order.
 func sortedPairsOf(vals []uint32, startRID uint32) (v, r []uint32) {
-	v = append([]uint32(nil), vals...)
-	r = make([]uint32, len(v))
-	for i := range r {
-		r[i] = startRID + uint32(i)
-	}
-	sortu32.SortPairs(v, r)
+	v, r = make([]uint32, len(vals)), make([]uint32, len(vals))
+	sortPairsInto(v, r, vals, startRID)
 	return v, r
 }
 
-// newIdxRun sorts one appended batch into a run.
-func newIdxRun(vals []uint32, startRID uint32) idxRun {
-	v, r := sortedPairsOf(vals, startRID)
-	return idxRun{vals: v, rids: r, min: v[0], max: v[len(v)-1], filter: bloom.Build(v)}
-}
-
-// pushRun returns the tier with a freshly absorbed run on the end, tiered
-// geometrically: while the run before the last holds fewer than twice its
-// pairs the two merge.  Sizes therefore at least halve along the slice, so
-// an index holds at most ⌊log2(deltaRows/batch)⌋+1 runs, every pair is
-// merged O(log) times over the delta's life, and an absorb never touches
-// the large old runs it does not outgrow — reads probe the runs as they
-// are and never merge them.  Runs hold disjoint ascending RID intervals in
-// slice order, so the earlier-run-wins merge preserves (value, RID) order.
-// The result is a fresh slice: published epochs keep theirs untouched.
-func pushRun(runs []idxRun, r idxRun) []idxRun {
-	out := append(make([]idxRun, 0, len(runs)+1), runs...)
-	out = append(out, r)
-	for n := len(out); n >= 2 && len(out[n-2].vals) < 2*len(out[n-1].vals); n-- {
-		out[n-2] = mergeIdxRuns(out[n-2], out[n-1])
-		out = out[:n-1]
+// sortPairsInto writes vals' pairs, sorted, into v and r.  An append batch —
+// up to 1,024 rows — sorts through stack buffers, so absorbing it allocates
+// only what it publishes; a column's worth is partitioned across the worker
+// pool.
+func sortPairsInto(v, r, vals []uint32, startRID uint32) {
+	copy(v, vals)
+	for i := range r {
+		r[i] = startRID + uint32(i)
 	}
-	return out
+	var tmpK, tmpV [1024]uint32
+	if len(v) > len(tmpK) {
+		sortu32.SortPairsParallel(v, r, nil, nil, nil, parallel.Options{})
+		return
+	}
+	sortu32.SortPairsScratch(v, r, tmpK[:], tmpV[:])
 }
 
-// mergeIdxRuns merges two runs by (value, RID); a wins ties, which is
-// (value, RID) order because every b-RID exceeds every a-RID.
-func mergeIdxRuns(a, b idxRun) idxRun {
-	vals, rids := sortu32.MergePairs(a.vals, a.rids, b.vals, b.rids)
-	return idxRun{vals: vals, rids: rids, min: vals[0], max: vals[len(vals)-1], filter: bloom.Build(vals)}
+// pushRun returns the tier with the batch vals (row i has RID startRID+i)
+// absorbed on the end, tiered geometrically: the batch merges with the runs
+// before it while the one before holds fewer than twice the pairs merged so
+// far.  Sizes therefore at least halve along the slice, so an index holds at
+// most ⌊log2(deltaRows/batch)⌋+1 runs, every pair is merged O(log) times over
+// the delta's life, and an absorb never touches the large old runs it does
+// not outgrow — reads probe the runs as they are and never merge them.
+//
+// The cascade merges in one pass: one output array at its final size, the
+// batch sorted into its end, each older run merged into its tail, newest
+// first, winning ties (its RIDs are smaller).  Writes trail the tail's reads
+// by the older run's unmerged pairs, so no scratch is needed; only the run
+// published gets a bloom filter.  Published epochs keep their slices.
+func pushRun(runs []idxRun, vals []uint32, startRID uint32) []idxRun {
+	k, n := len(runs), len(vals)
+	for k > 0 && len(runs[k-1].vals) < 2*n {
+		k--
+		n += len(runs[k].vals)
+	}
+	v, r := make([]uint32, n), make([]uint32, n)
+	t := n - len(vals) // the merged tail's start
+	sortPairsInto(v[t:], r[t:], vals, startRID)
+	for i := len(runs) - 1; i >= k; i-- {
+		a, tail := &runs[i], t
+		t -= len(a.vals)
+		o, j := t, 0
+		for ; j < len(a.vals) && tail < n; o++ {
+			if a.vals[j] <= v[tail] {
+				v[o], r[o] = a.vals[j], a.rids[j]
+				j++
+			} else {
+				v[o], r[o] = v[tail], r[tail]
+				tail++
+			}
+		}
+		copy(v[o:], a.vals[j:])
+		copy(r[o:], a.rids[j:])
+	}
+	out := append(make([]idxRun, 0, k+1), runs[:k]...)
+	return append(out, idxRun{vals: v, rids: r, min: v[0], max: v[n-1], filter: bloom.Build(v)})
 }
 
 // equalRange returns the half-open positions of value v, empty when the

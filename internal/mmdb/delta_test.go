@@ -9,12 +9,16 @@ package mmdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"cssidx"
+	"cssidx/internal/bloom"
 	"cssidx/internal/parallel"
+	"cssidx/internal/sortu32"
 	"cssidx/internal/workload"
 )
 
@@ -637,5 +641,95 @@ func TestEmptyAppendIsNotAFold(t *testing.T) {
 		if n := tab.Cache().Stats().Entries; n != 0 {
 			t.Fatalf("Compact, %s: %d cached entries survived the fold", what, n)
 		}
+	}
+}
+
+// pushRunPairwise is the tier's reference: the batch becomes a run of its
+// own, then the last two runs merge pair by pair while the rule holds, each
+// merge a fresh pair of arrays and a fresh bloom filter.  pushRun must
+// publish exactly what it publishes, in one pass.
+func pushRunPairwise(runs []idxRun, vals []uint32, startRID uint32) []idxRun {
+	run := func(v, r []uint32) idxRun {
+		return idxRun{vals: v, rids: r, min: v[0], max: v[len(v)-1], filter: bloom.Build(v)}
+	}
+	out := append(append(make([]idxRun, 0, len(runs)+1), runs...), run(sortedPairsOf(vals, startRID)))
+	for n := len(out); n >= 2 && len(out[n-2].vals) < 2*len(out[n-1].vals); n-- {
+		out[n-2] = run(sortu32.MergePairs(out[n-2].vals, out[n-2].rids, out[n-1].vals, out[n-1].rids))
+		out = out[:n-1]
+	}
+	return out
+}
+
+// TestPushRunMatchesPairwise drives random absorb streams through pushRun
+// and the pairwise reference in step: after every batch the two tiers must
+// be equal byte for byte — run sizes, pairs, fences and bloom filters — and
+// the runs the previous state published must be untouched.  Batches range
+// from one row to more than the whole delta (a cascade that swallows every
+// run; the tier empties, as a fold would, past 8,000 rows), and values come
+// from a small domain with 0 and MaxUint32 mixed in, so equal values meet
+// across runs and at the key space's edges.
+func TestPushRunMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	cascades, deep := 0, 0
+	for stream := 0; stream < 40; stream++ {
+		var got, want []idxRun
+		rid, span := uint32(0), 1+rng.Intn(1<<uint(2+stream%20))
+		for step := 0; step < 120; step++ {
+			delta := 0
+			for _, r := range got {
+				delta += len(r.vals)
+			}
+			if delta > 8000 { // a fold empties the tier
+				got, want = nil, nil
+				delta = 0
+			}
+			n := 1 + rng.Intn(300)
+			switch rng.Intn(10) {
+			case 0:
+				n = 1 + rng.Intn(4)
+			case 1:
+				n = delta + 1 + rng.Intn(500) // beyond the resident runs
+			}
+			vals := make([]uint32, n)
+			for i := range vals {
+				switch rng.Intn(16) {
+				case 0:
+					vals[i] = 0
+				case 1:
+					vals[i] = math.MaxUint32
+				default:
+					vals[i] = uint32(rng.Intn(span)) * (math.MaxUint32 / uint32(span))
+				}
+			}
+			prev := slices.Clone(got)
+			prevPairs := make([][2][]uint32, len(got))
+			for i, r := range got {
+				prevPairs[i] = [2][]uint32{slices.Clone(r.vals), slices.Clone(r.rids)}
+			}
+			got, want = pushRun(got, vals, rid), pushRunPairwise(want, vals, rid)
+			rid += uint32(n)
+			tag := fmt.Sprintf("stream %d step %d (+%d rows, %d runs before)", stream, step, n, len(prev))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: one-pass tier differs from the pairwise reference", tag)
+			}
+			if err := checkRuns(got); err != nil {
+				t.Fatalf("%s: %v", tag, err)
+			}
+			for i, r := range prev {
+				if !slices.Equal(r.vals, prevPairs[i][0]) || !slices.Equal(r.rids, prevPairs[i][1]) {
+					t.Fatalf("%s: run %d of the previous state was written", tag, i)
+				}
+			}
+			if merged := len(prev) + 1 - len(got); merged > 0 {
+				cascades++
+				if merged > 1 {
+					deep++
+				}
+			}
+		}
+	}
+	t.Logf("%d cascades, %d of them over more than one older run", cascades, deep)
+	if cascades < 1000 || deep < 200 {
+		t.Fatalf("only %d cascades (%d deep): the streams do not exercise the merge", cascades, deep)
 	}
 }

@@ -82,7 +82,7 @@ func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) 
 			t.Fatalf("%s: column %s: bounds [%d,%d], a fresh column's [%d,%d]", tag, c.name, got.min, got.max, want.min, want.max)
 		}
 		if memo := got.grp.Load(); memo != nil {
-			ref, _, err := want.groupsOf(len(want.raw), nil, nil)
+			ref, _, err := want.groupsOf(len(want.raw), nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -483,7 +483,7 @@ func TestShardedReadersDuringFolds(t *testing.T) {
 	var marks [readers]int64
 	for b := 0; b < batches; b++ {
 		for w := range answers {
-			for answers[w].Load() <= marks[w] {
+			for c := answers[w].Load(); c <= marks[w] && c < 1<<40; c = answers[w].Load() {
 				runtime.Gosched()
 			}
 			marks[w] = answers[w].Load()
@@ -560,5 +560,113 @@ func TestRegisteredSeries(t *testing.T) {
 	}
 	if a, f := histAbsorbNs.Count()-absorbs0, histFoldNs.Count()-folds0; a != 3 || f != 1 {
 		t.Fatalf("append histograms recorded %d absorbs and %d folds, want 3 and 1", a, f)
+	}
+}
+
+// TestFoldWeaveCases folds one table of every index kind — a level CSS-tree,
+// a sharded and a hash index (all three also grouped by, so each fold carries
+// a domain and IDs beside the weave), and an unindexed column — through
+// each way a fold meets its runs, checking every fold against a from-scratch
+// build: Compact of an empty table, an append onto the empty base (the batch
+// is the weave's one run), Compact over absorbed runs with no batch, and an
+// append that crosses the trigger with runs outstanding (the batch joins them).
+func TestFoldWeaveCases(t *testing.T) {
+	cols := []foldCol{{name: "l", span: 300}, {name: "s", span: 300}, {name: "h", span: 300}, {name: "v"}}
+	rng := rand.New(rand.NewSource(52))
+	live := NewTable("live")
+	defer live.Close()
+	for _, c := range cols {
+		if err := live.AddColumn(c.name, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := live.BuildIndex("l", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.BuildShardedIndex("s", 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.BuildIndex("h", cssidx.KindHash, cssidx.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	appendRows := func(n int) {
+		t.Helper()
+		batch := map[string][]uint32{}
+		for _, c := range cols {
+			vals := make([]uint32, n)
+			for i := range vals {
+				switch rng.Intn(12) {
+				case 0:
+					vals[i] = 0
+				case 1:
+					vals[i] = math.MaxUint32
+				default:
+					vals[i] = rng.Uint32()
+					if c.span > 0 {
+						vals[i] %= uint32(c.span)
+					}
+				}
+			}
+			batch[c.name] = vals
+		}
+		if err := live.AppendRows(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	groupBy := func() {
+		t.Helper()
+		for _, c := range []string{"l", "s"} {
+			if _, err := GroupAggregate(live, c, "v", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	gen := live.Generation()
+	live.Compact()
+	for _, ix := range live.indexes {
+		if s := ix.cur.Load(); len(s.keys) != 0 || len(s.rids) != 0 || len(s.runs) != 0 {
+			t.Fatalf("Compact of an empty table: index %s holds %d keys, %d runs", ix.col.name, len(s.keys), len(s.runs))
+		}
+	}
+	if live.Generation() == gen {
+		t.Fatal("Compact of an empty table did not fold")
+	}
+	groupBy() // domains over no rows, kept current from here on
+
+	appendRows(40) // onto an empty base: folds at once, the batch its only run
+	checkAgainstScratch(t, "append onto an empty base", live, cols)
+	// The hash column's first group-by reads its index's keys and RIDs.
+	if _, err := GroupAggregate(live, "h", "v", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	live.fold = neverFold
+	for _, n := range []int{30, 12, 5, 2} { // each under half the last: four runs
+		appendRows(n)
+	}
+	if runs := len(live.indexes["l"].cur.Load().runs); runs != 4 {
+		t.Fatalf("%d runs outstanding, want 4", runs)
+	}
+	live.Compact()
+	checkAgainstScratch(t, "Compact over runs", live, cols)
+
+	live.fold = foldPolicy{}
+	for live.DeltaRows()*foldDenominator+20*foldDenominator < live.BaseRows() || live.DeltaRows() == 0 {
+		appendRows(20)
+	}
+	if len(live.indexes["s"].cur.Load().runs) == 0 {
+		t.Fatal("no runs outstanding before the triggering append")
+	}
+	gen = live.Generation()
+	appendRows(20)
+	if live.Generation() == gen {
+		t.Fatal("the triggering append did not fold")
+	}
+	checkAgainstScratch(t, "an append that folds over runs", live, cols)
+	for _, c := range []string{"l", "s", "h"} {
+		if live.cols[c].grp.Load() == nil {
+			t.Fatalf("a fold dropped column %s's domain", c)
+		}
 	}
 }

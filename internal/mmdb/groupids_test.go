@@ -15,15 +15,20 @@ import (
 	"time"
 
 	"cssidx"
-	"cssidx/internal/domain"
 	"cssidx/internal/governor"
 	"cssidx/internal/workload"
 )
 
 // freshIDs returns the IDs a domain built from scratch gives the column's
-// base rows [0, base).
+// base rows [0, base): each value's rank among the distinct values, found by
+// binary search.
 func freshIDs(c *Column, base int) []uint32 {
-	_, ids := domain.BuildInt(c.raw[:base])
+	dom := slices.Compact(slices.Sorted(slices.Values(c.raw[:base])))
+	ids := make([]uint32, base)
+	for i, v := range c.raw[:base] {
+		id, _ := slices.BinarySearch(dom, v)
+		ids[i] = uint32(id)
+	}
 	return ids
 }
 

@@ -352,7 +352,7 @@ func BenchmarkFold(b *testing.B) {
 		t := clone()
 		start := time.Now()
 		for _, name := range t.order {
-			t.cols[name].fold(t.baseRows, t.indexes[name] != nil)
+			t.cols[name].fold(t.baseRows)
 		}
 		domain += time.Since(start)
 		b.StartTimer()

@@ -189,34 +189,54 @@ func (c *Column) spread(lo, hi uint32) float64 {
 }
 
 // groupsOf returns the column's group-by memo over the base rows [0, base),
-// building it on first use: the domain, then the IDs a chunk at a time, each
-// chunk a tick of cp, so a first group-by observes its deadline and
-// cancellation while it builds.  The build is charged to ctl's budget before
-// it allocates: the ID array and the sorted copy the domain is deduplicated
-// from, four bytes a row each.  Concurrent first calls each build, and the
-// first to publish wins for all of them; an aborted build publishes nothing.
-func (c *Column) groupsOf(base int, ctl *governor.Ctl, cp *governor.Checkpoint) (g *groups, built bool, err error) {
+// building it on first use from one (value, RID) order of the base rows —
+// seg's keys and RIDs when the column is indexed (seg non-nil), else one pair
+// sort — with no tree probe per row: a walk down that order gives each row
+// its rank among the distinct values, its ID, scattered by RID a chunk at a
+// time, each chunk a tick of cp, so a first group-by observes its deadline
+// and cancellation while it builds.  Each array is charged to ctl's budget
+// before it is allocated: the sort's 16 bytes a row (pairs and ping-pong
+// buffers), the IDs' 4, the domain's 4 a distinct value.  Concurrent first
+// calls each build, the first to publish wins; an abort publishes nothing.
+func (c *Column) groupsOf(base int, seg *segment, ctl *governor.Ctl, cp *governor.Checkpoint) (g *groups, built bool, err error) {
 	if g = c.grp.Load(); g != nil {
 		return g, false, nil
 	}
-	if err := ctl.Charge(8 * int64(base)); err != nil {
+	var keys, rids []uint32
+	if seg != nil {
+		keys, rids = seg.keys, seg.rids
+	} else if err := ctl.Charge(16 * int64(base)); err != nil {
+		return nil, false, err
+	} else {
+		keys, rids = sortedPairsOf(c.raw[:base], 0)
+	}
+	if err := ctl.Charge(4 * int64(base)); err != nil {
 		return nil, false, err
 	}
-	g = &groups{dom: domain.NewInt(c.raw[:base]), ids: make([]uint32, base)}
+	ids, id := make([]uint32, base), uint32(0)
 	for lo := 0; lo < base; lo += encodeChunk {
 		hi := min(lo+encodeChunk, base)
-		g.dom.Encode(c.raw[lo:hi], g.ids[lo:hi])
+		for i := lo; i < hi; i++ {
+			if i > 0 && keys[i] != keys[i-1] {
+				id++
+			}
+			ids[rids[i]] = id
+		}
 		if err := cp.TickN(hi - lo); err != nil {
 			return nil, false, err
 		}
 	}
+	if err := ctl.Charge(4 * int64(min(base, int(id)+1))); err != nil {
+		return nil, false, err
+	}
+	g = &groups{dom: domain.NewInt(keys), ids: ids}
 	if !c.grp.CompareAndSwap(nil, g) {
 		g = c.grp.Load()
 	}
 	return g, true, nil
 }
 
-// encodeChunk is how many rows a group-by domain encodes between two ticks
+// encodeChunk is how many rows a first group-by gives IDs between two ticks
 // of its checkpoint.
 const encodeChunk = 4096
 
@@ -360,7 +380,7 @@ func (ix *SortedIndex) absorb(vals []uint32, startRID uint32) {
 	next.seq++
 	next.uid = epochUID.Add(1)
 	next.tok.Epoch += uint64(len(vals))
-	next.runs = pushRun(next.runs, newIdxRun(vals, startRID))
+	next.runs = pushRun(next.runs, vals, startRID)
 	ix.cur.Store(&next)
 }
 
@@ -560,30 +580,6 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 	w := opts.par.WorkersFor(nRows)
 	st.ex.Attr("path", "indexed-nested-loop").AttrInt("outer_rows", nRows).AttrInt("batch", batchSize).AttrInt("workers", w)
 
-	// joinSpan probes rows [lo, hi) in chunks, emitting through spanEmit;
-	// a governed join pays one checkpoint consult per chunk and charges
-	// the budget 8 bytes per staged pair.
-	joinSpan := func(lo, hi int, spanEmit func(outerRID, innerRID uint32)) (int, error) {
-		sc := newProbeScratch(batchSize)
-		defer scratchPool.Put(sc)
-		cp := e.ctl.Checkpoint()
-		count := 0
-		for base := lo; base < hi; base += batchSize {
-			end := min(base+batchSize, hi)
-			var chunkEmit func(ordinal int, rid uint32)
-			if spanEmit != nil {
-				chunkEmit = func(ordinal int, rid uint32) { spanEmit(uint32(base+ordinal), rid) }
-			}
-			n := seg.probeEqual(col.raw[base:end], sc, chunkEmit)
-			count += n
-			cp.Charge(8 * int64(n))
-			if err := cp.TickN(end - base); err != nil {
-				return count, err
-			}
-		}
-		return count, cp.Flush()
-	}
-
 	// The sequential uncached join streams: emit runs as pairs are found.
 	// Every other shape stages each span's pairs, in pooled buffers, and
 	// replays them in span order, so the emission order is identical at
@@ -605,20 +601,50 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 			pairStages.Put(stage)
 		}()
 	}
-	sink := func(t int) func(outerRID, innerRID uint32) {
-		if bufs == nil {
-			return emit // streaming (w == 1), or count-only (nil)
+	// joinSpan probes span t, rows [lo, hi), in chunks, staging each chunk's
+	// pairs in bufs[t] or streaming them to emit; a governed join pays one
+	// checkpoint consult per chunk and charges the budget 8 bytes per pair.
+	// A staging buffer that must grow is sized for the span's pairs projected
+	// from its rate so far, a sixteenth over but at most eight times the
+	// pairs found: an even join allocates it once or twice, where append's
+	// 1.25× steps copied it over and over.
+	joinSpan := func(t, lo, hi int) (int, error) {
+		sc := newProbeScratch(batchSize)
+		defer scratchPool.Put(sc)
+		cp := e.ctl.Checkpoint()
+		count := 0
+		for base := lo; base < hi; base += batchSize {
+			end := min(base+batchSize, hi)
+			chunk := col.raw[base:end]
+			n := seg.countEqual(chunk, sc)
+			count += n
+			switch {
+			case bufs != nil:
+				buf := bufs[t]
+				if need := len(buf) + n; need > cap(buf) {
+					proj := need * (hi - lo) / (end - lo)
+					buf = append(make([]joinPair, 0, min(proj+proj/16, 8*need)), buf...)
+				}
+				seg.emitEqual(chunk, sc, func(ordinal int, rid uint32) { buf = append(buf, joinPair{uint32(base + ordinal), rid}) })
+				bufs[t] = buf
+			case emit != nil:
+				seg.emitEqual(chunk, sc, func(ordinal int, rid uint32) { emit(uint32(base+ordinal), rid) })
+			}
+			cp.Charge(8 * int64(n))
+			if err := cp.TickN(end - base); err != nil {
+				return count, err
+			}
 		}
-		return func(o, i uint32) { bufs[t] = append(bufs[t], joinPair{o, i}) }
+		return count, cp.Flush()
 	}
 	count := 0
 	if w <= 1 {
-		count, err = joinSpan(0, nRows, sink(0))
+		count, err = joinSpan(0, 0, nRows)
 	} else {
 		counts := make([]int, w)
 		err = fanOut(e.ctl, w, nRows, opts.par, func(t int) (err error) {
 			lo, hi := parallel.Span(nRows, w, t)
-			counts[t], err = joinSpan(lo, hi, sink(t))
+			counts[t], err = joinSpan(t, lo, hi)
 			return err
 		})
 		for _, c := range counts {
@@ -780,20 +806,27 @@ func validateBatch(names []string, newCols map[string][]uint32) (int, error) {
 }
 
 // foldRows brings the frozen base forward over every row — the unfolded
-// tail plus this batch — by merging, not rebuilding: per column the tail is
-// sorted once into (value, RID) pairs, and each index merges its base with
-// them (Column.fold, mergeFold).  Everything published is a fresh array;
-// readers pinned to the previous state keep reading theirs.  Then the
-// generation moves and the table's cached entries are swept.
+// tail plus this batch — by merging, not rebuilding: each index's runs hold
+// the tail sorted, the folding batch joins them as one more run (no epoch
+// publishes it, so it is neither tiered nor filtered), and the new base is
+// the range read's own weave of the old base with every run over the whole
+// key space.  Everything published is a fresh array; readers pinned to the
+// previous state keep reading theirs.  Then the generation moves and the
+// table's cached entries are swept.
 func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 	for _, name := range t.order {
 		c := t.cols[name]
 		c.raw = append(c.raw, newCols[name]...)
-		ix := t.indexes[name]
-		tailKeys, tailRids := c.fold(t.baseRows, ix != nil)
-		if ix != nil {
+		c.fold(t.baseRows)
+		if ix := t.indexes[name]; ix != nil {
 			old := ix.cur.Load()
-			ix.install(mergeFold(old.keys, old.rids, tailKeys, tailRids))
+			runs := old.runs
+			if batch > 0 {
+				v, r := sortedPairsOf(newCols[name], uint32(t.rows))
+				runs = append(runs[:len(runs):len(runs)], idxRun{vals: v, rids: r, min: v[0], max: v[batch-1]})
+			}
+			rids, keys := mergeRangeDelta(old.keys, old.rids, 0, len(old.keys), runs, 0, math.MaxUint32, true)
+			ix.install(keys, rids)
 		}
 	}
 	t.rows += batch
@@ -810,61 +843,34 @@ func (t *Table) foldRows(newCols map[string][]uint32, batch int) {
 }
 
 // fold moves the column's base forward over all of raw, of which rows
-// [0, base) are the old base and raw[base:] the tail.  The bounds widen by
-// the tail.  When wantPairs (or the column is grouped), the tail is sorted
-// into (value, RID) pairs — what the delta runs plus the folding batch hold,
-// sorted once for every index on the column — and returned.  A grouped
-// column's memo grows with them: the domain is extended by the tail's sorted
-// values, the base IDs are carried over by one gather through the remap (a
-// copy when the tail brought no new value), and the tail's IDs come from one
-// walk over the grown domain (EncodeSorted) — no tree probe per row.
-func (c *Column) fold(base int, wantPairs bool) (tailKeys, tailRids []uint32) {
+// [0, base) are the old base and raw[base:] the tail: the bounds widen by the
+// tail.  A grouped column's memo grows with it: the tail is sorted into
+// (value, RID) pairs, the domain is extended by the sorted values, the base
+// IDs are carried over by one gather through the remap (a copy when the tail
+// brought no new value), and the tail's IDs come from one walk over the grown
+// domain (EncodeSorted) — no tree probe per row.
+func (c *Column) fold(base int) {
 	tail := c.raw[base:]
 	c.widen(tail)
 	memo := c.grp.Load()
-	if !wantPairs && memo == nil {
-		return nil, nil
+	if memo == nil {
+		return
 	}
-	tailKeys, tailRids = sortedPairsOf(tail, uint32(base))
-	if memo != nil {
-		dom, remap := memo.dom.Extend(tailKeys)
-		ids := make([]uint32, len(c.raw))
-		if remap == nil {
-			copy(ids, memo.ids)
-		} else {
-			for i, id := range memo.ids {
-				ids[i] = remap[id]
-			}
+	tailKeys, tailRids := sortedPairsOf(tail, uint32(base))
+	dom, remap := memo.dom.Extend(tailKeys)
+	ids := make([]uint32, len(c.raw))
+	if remap == nil {
+		copy(ids, memo.ids)
+	} else {
+		for i, id := range memo.ids {
+			ids[i] = remap[id]
 		}
-		tailIDs := make([]uint32, len(tailKeys))
-		dom.EncodeSorted(tailKeys, tailIDs)
-		for i, rid := range tailRids {
-			ids[rid] = tailIDs[i]
-		}
-		c.grp.Store(&groups{dom: dom, ids: ids})
 	}
-	return tailKeys, tailRids
-}
-
-// mergeFold returns an index's base pairs after a fold: the old base merged
-// with the tail's pairs, the base winning ties.  Every tail RID exceeds every
-// base RID, so base-first on equal keys is (value, RID) order — the arrays
-// are byte-identical to a stable sort of the whole column (what BuildIndex
-// sorts).
-func mergeFold(keys, rids, tailKeys, tailRids []uint32) (outKeys, outRids []uint32) {
-	n := len(keys) + len(tailKeys)
-	outKeys, outRids = make([]uint32, n), make([]uint32, n)
-	i, o := 0, 0
-	for j, tk := range tailKeys {
-		for ; i < len(keys) && keys[i] <= tk; i, o = i+1, o+1 {
-			outKeys[o], outRids[o] = keys[i], rids[i]
-		}
-		outKeys[o], outRids[o] = tk, tailRids[j]
-		o++
+	dom.EncodeSorted(tailKeys, tailKeys)
+	for i, rid := range tailRids {
+		ids[rid] = tailKeys[i]
 	}
-	copy(outKeys[o:], keys[i:])
-	copy(outRids[o:], rids[i:])
-	return outKeys, outRids
+	c.grp.Store(&groups{dom: dom, ids: ids})
 }
 
 // absorbRows is the delta path: raw columns grow, the frozen base does

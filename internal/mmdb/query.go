@@ -233,7 +233,7 @@ func groupAggregate(t *Table, groupCol, measureCol string, rids []uint32, e env)
 	}
 	defer st.release()
 	cp := e.ctl.Checkpoint()
-	grp, built, err := gc.groupsOf(t.baseRows, e.ctl, cp)
+	grp, built, err := gc.groupsOf(t.baseRows, t.seg(groupCol), e.ctl, cp)
 	if err != nil {
 		return nil, st.abort(err)
 	}
@@ -420,6 +420,19 @@ func planRange(c *Column, seg *segment, lo, hi uint32) (p qcache.Plan, first, la
 	return rangePath(seg, seg.share(last-first)), first, last
 }
 
+// belowBase counts a cached answer's RIDs below the last fold.
+func (t *Table) belowBase(rids []uint32) (n int) {
+	if t.rows == t.baseRows {
+		return len(rids)
+	}
+	for _, r := range rids {
+		if int(r) < t.baseRows {
+			n++
+		}
+	}
+	return n
+}
+
 // share is the fraction of the segment's base rows that n rows are.
 func (s *segment) share(n int) float64 {
 	if len(s.keys) == 0 {
@@ -524,7 +537,11 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	key := rangeFP(t.name, col, qcache.LayerTable, lo, hi)
 	a := qc.Find(key, rd, nil)
 	p, first, last := a.Plan, 0, 0
-	if a.Kind != qcache.HitExact {
+	switch a.Kind {
+	case qcache.HitExact:
+	case qcache.HitContained: // every row in range: those below the fold are the bounds' span
+		p = rangePath(seg, seg.share(t.belowBase(a.RIDs)))
+	default:
 		p, first, last = planRange(c, seg, lo, hi)
 	}
 	plan := t.replay(p)
@@ -754,13 +771,7 @@ func (t *Table) selectIn(e env, col string, values []uint32) ([]uint32, Plan, er
 	case a.Kind == qcache.HitSubset:
 		// A replay holds every row of its values, so its rows below the
 		// last fold are the base rows an index probe would count.
-		n := 0
-		for _, r := range a.RIDs {
-			if int(r) < t.baseRows {
-				n++
-			}
-		}
-		p = inPath(seg, seg.share(n))
+		p = inPath(seg, seg.share(t.belowBase(a.RIDs)))
 	default:
 		p = planIn(c, seg, distinct)
 	}

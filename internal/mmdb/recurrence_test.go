@@ -383,7 +383,7 @@ func TestRecurrenceRaceSharded(t *testing.T) {
 	var marks [readers]int64
 	for i, b := range batches {
 		for r := range rounds {
-			for rounds[r].Load() < marks[r]+2 {
+			for c := rounds[r].Load(); c < marks[r]+2 && c < 1<<40; c = rounds[r].Load() {
 				runtime.Gosched()
 			}
 		}

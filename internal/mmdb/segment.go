@@ -162,33 +162,40 @@ func (s *segment) equalRanges(values []uint32, sc *probeScratch) (first, last []
 	return first, last
 }
 
-// probeEqual answers one join chunk: emit runs per matching occurrence with
-// the value's ordinal in the chunk and the matching row's RID, in chunk
-// order then ascending RID (base rows before delta rows); it returns the
-// number of occurrences.  Safe for concurrent calls with distinct scratches.
-func (s *segment) probeEqual(values []uint32, sc *probeScratch, emit func(ordinal int, rid uint32)) int {
+// countEqual resolves one join chunk into sc with one batched equal-range
+// probe and returns its matching rows, base and delta, before any is emitted.
+func (s *segment) countEqual(values []uint32, sc *probeScratch) int {
 	first, last := s.equalRanges(values, sc)
 	count := 0
 	for i, v := range values {
-		if f, l := first[i], last[i]; f >= 0 {
-			count += int(l - f)
-			if emit != nil {
-				for pos := f; pos < l; pos++ {
-					emit(i, s.rids[pos])
-				}
-			}
+		if f := first[i]; f >= 0 {
+			count += int(last[i] - f)
 		}
 		for ri := range s.runs {
 			f, l := s.runs[ri].equalRange(v)
 			count += l - f
-			if emit != nil {
-				for k := f; k < l; k++ {
-					emit(i, s.runs[ri].rids[k])
-				}
-			}
 		}
 	}
 	return count
+}
+
+// emitEqual emits the chunk countEqual resolved into sc: each match's ordinal
+// in the chunk and RID, in chunk order then ascending RID (base rows first).
+// Safe for concurrent calls with distinct scratches.
+func (s *segment) emitEqual(values []uint32, sc *probeScratch, emit func(ordinal int, rid uint32)) {
+	for i, v := range values {
+		if f, l := sc.first[i], sc.last[i]; f >= 0 {
+			for _, rid := range s.rids[f:l] {
+				emit(i, rid)
+			}
+		}
+		for ri := range s.runs {
+			f, l := s.runs[ri].equalRange(v)
+			for _, rid := range s.runs[ri].rids[f:l] {
+				emit(i, rid)
+			}
+		}
+	}
 }
 
 // selectIn is the one IN-list driver.  The pre-deduplicated values are

@@ -12,8 +12,8 @@
 // builds RID lists sorted by an attribute (§2.2); SortPairsParallel
 // partitions large batches across a worker pool and finishes each bucket
 // with the same core; Unique turns a probe batch into its distinct keys and
-// the maps that scatter their answers back.  Merge and MergePairs combine
-// sorted runs for the batch-update path.
+// the maps that scatter their answers back.  MergePairs combines two sorted
+// runs of pairs.
 package sortu32
 
 // insertionThreshold is the size below which insertion sort wins.
@@ -191,28 +191,9 @@ func insertionPairs(keys, vals []uint32) {
 	}
 }
 
-// Merge merges two ascending slices into a new ascending slice (stable:
-// ties take from a first) — the batch-update path: sorted base plus sorted
-// batch.
-func Merge(a, b []uint32) []uint32 {
-	out := make([]uint32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// MergePairs is Merge over (key, payload) pairs: two lists each ascending by
-// key merge into fresh slices, a's pairs first on equal keys — which keeps
-// (key, payload) order whenever every payload of b exceeds every payload of a
+// MergePairs merges two lists of (key, payload) pairs, each ascending by key,
+// into fresh slices, a's pairs first on equal keys — which keeps (key,
+// payload) order whenever every payload of b exceeds every payload of a
 // (appended RIDs; the delta layer's and the result cache's invariant).
 func MergePairs(ak, ap, bk, bp []uint32) (keys, payload []uint32) {
 	keys = make([]uint32, 0, len(ak)+len(bk))

@@ -2,6 +2,7 @@ package sortu32
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -141,8 +142,8 @@ func TestMerge(t *testing.T) {
 		{[]uint32{5, 6}, []uint32{1, 2}, []uint32{1, 2, 5, 6}},
 	}
 	for _, c := range cases {
-		got := Merge(c.a, c.b)
-		if len(got) != len(c.want) {
+		got, payload := MergePairs(c.a, c.a, c.b, c.b) // each key its own payload
+		if len(got) != len(c.want) || !slices.Equal(got, payload) {
 			t.Errorf("Merge(%v,%v)=%v", c.a, c.b, got)
 			continue
 		}
@@ -161,8 +162,8 @@ func TestMergeQuickProperty(t *testing.T) {
 		b := append([]uint32(nil), rb...)
 		Sort(a)
 		Sort(b)
-		m := Merge(a, b)
-		return IsSorted(m) && len(m) == len(a)+len(b)
+		m, p := MergePairs(a, a, b, b)
+		return IsSorted(m) && len(m) == len(a)+len(b) && slices.Equal(m, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
