@@ -26,23 +26,41 @@ func NewInt(sorted []uint32) *IntDomain {
 
 // BuildInt constructs the domain of column and returns it together with the
 // column re-encoded as domain IDs (ids[i] is the rank of column[i]): one
-// (value, row) pair sort, then one walk down it that counts the distinct
-// values so far — each row's rank — and scatters it to the row.
+// (value, row) pair sort, then one Rank walk down it.
 func BuildInt(column []uint32) (*IntDomain, []uint32) {
 	keys, rows := append([]uint32(nil), column...), make([]uint32, len(column))
 	for i := range rows {
 		rows[i] = uint32(i)
 	}
 	sortu32.SortPairs(keys, rows)
-	ids, id := make([]uint32, len(column)), uint32(0)
-	for i, row := range rows {
-		if i > 0 && keys[i] != keys[i-1] {
-			id++
-		}
-		ids[row] = id
-	}
+	ids := make([]uint32, len(column))
+	Rank(keys, rows, ids, func(int) error { return nil })
 	return NewInt(keys), ids
 }
+
+// Rank stores at ids[rows[i]] the rank of sorted[i] among sorted's distinct
+// values — its domain ID, counted by one walk with no search — and calls
+// tick after every rankChunk rows with the rows ranked; an error from tick
+// stops the walk.  Rank returns the domain's size.
+func Rank(sorted, rows, ids []uint32, tick func(rows int) error) (int, error) {
+	id := uint32(0)
+	for lo := 0; lo < len(sorted); lo += rankChunk {
+		hi := min(lo+rankChunk, len(sorted))
+		for i := lo; i < hi; i++ {
+			if i > 0 && sorted[i] != sorted[i-1] {
+				id++
+			}
+			ids[rows[i]] = id
+		}
+		if err := tick(hi - lo); err != nil {
+			return 0, err
+		}
+	}
+	return min(len(sorted), int(id)+1), nil
+}
+
+// rankChunk is how many rows Rank ranks between two calls of its tick.
+const rankChunk = 4096
 
 // EncodeSorted stores the domain ID of sorted[i] into ids[i] (len(ids) must
 // equal len(sorted); ids may be sorted itself).  The values must ascend, so

@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -38,6 +39,38 @@ func TestBuildIntRoundTrip(t *testing.T) {
 		if ids[i] != wantIDs[i] {
 			t.Errorf("ids[%d]=%d, want %d", i, ids[i], wantIDs[i])
 		}
+	}
+}
+
+// TestRankTicksAndStops: Rank ticks once per rankChunk rows with the rows
+// it ranked, returns the domain's size, and stops at a tick's error.
+func TestRankTicksAndStops(t *testing.T) {
+	n := 2*rankChunk + 7
+	sorted, rows := make([]uint32, n), make([]uint32, n)
+	for i := range sorted {
+		sorted[i], rows[i] = uint32(i/3), uint32(n-1-i)
+	}
+	ids := make([]uint32, n)
+	var ticks []int
+	distinct, err := Rank(sorted, rows, ids, func(k int) error { ticks = append(ticks, k); return nil })
+	if err != nil || distinct != (n+2)/3 {
+		t.Fatalf("Rank = %d, %v; want %d distinct", distinct, err, (n+2)/3)
+	}
+	if !slices.Equal(ticks, []int{rankChunk, rankChunk, 7}) {
+		t.Errorf("ticks %v, want [%d %d 7]", ticks, rankChunk, rankChunk)
+	}
+	for i := range sorted {
+		if ids[rows[i]] != sorted[i] {
+			t.Fatalf("row %d: id %d, want %d", rows[i], ids[rows[i]], sorted[i])
+		}
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if _, err := Rank(sorted, rows, ids, func(int) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Errorf("Rank with a failing tick: %v after %d ticks, want the tick's error after 1", err, calls)
+	}
+	if distinct, _ := Rank(nil, nil, nil, nil); distinct != 0 {
+		t.Errorf("Rank of nothing: %d distinct", distinct)
 	}
 }
 

@@ -3,6 +3,7 @@
 package mmdb
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"cssidx"
+	"cssidx/internal/governor"
 	"cssidx/internal/parallel"
 )
 
@@ -211,7 +213,7 @@ func TestJoinAdmitCopiesPairsOnce(t *testing.T) {
 
 // TestColdJoinStagesOnce: an admitting join whose pair set is too large for
 // the staging pool to keep runs cold every time (two workers here, 30 chunks
-// a span).  Its staging is sized from each chunk's count before the chunk
+// a span).  Its staging is sized from each chunk's base pairs before the chunk
 // emits — the span's pairs projected from its rate so far — so it is
 // allocated about once: the join stays under 12 bytes a pair past the 8 the
 // cache's two columns take, plus a constant.  Staging grown by append, which
@@ -249,6 +251,58 @@ func TestColdJoinStagesOnce(t *testing.T) {
 	if limit := perPair*int64(pairs) + slack; best > limit {
 		t.Errorf("a cold admitting join allocated 8·pairs + %d bytes for %d pairs, over 8·pairs + %d·pairs + %d",
 			best, pairs, perPair, slack)
+	}
+}
+
+// TestSkewedJoinChargesItsStaging: a span whose first chunk is dense and the
+// rest empty projects far more pairs than it finds, so its staging holds
+// room no pair fills — up to eight times the pairs.  The budget is charged
+// for that room too: a governed join allocates no more than it charges, plus
+// a constant.  Charged 8 bytes a pair only, the join allocates about eight
+// times its charge here.
+func TestSkewedJoinChargesItsStaging(t *testing.T) {
+	const innerVals, dup, spanRows, slack = 100, 50, 20_000, 64 << 10
+	inner := NewTable("inner")
+	a := make([]uint32, innerVals*dup)
+	for i := range a {
+		a[i] = uint32(i % innerVals)
+	}
+	if err := inner.AddColumn("a", a); err != nil {
+		t.Fatal(err)
+	}
+	aIx, err := inner.BuildIndex("a", cssidx.KindLevelCSS, cssidx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fk := make([]uint32, 2*spanRows)
+	for i := range fk {
+		fk[i] = 1 << 20 // in no inner row
+		if i%spanRows < cssidx.DefaultBatchSize {
+			fk[i] = uint32(i % innerVals)
+		}
+	}
+	outer := NewTable("outer")
+	if err := outer.AddColumn("fk", fk); err != nil {
+		t.Fatal(err)
+	}
+	ctx := governor.WithBudget(context.Background(), 1<<40)
+	runtime.GC()
+	runtime.GC() // an empty staging pool: every span grows its buffer
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	n, err := JoinWithCtx(ctx, outer, "fk", aIx, JoinOptions{par: parallel.Options{Workers: 2}}, func(o, i uint32) {}, nil)
+	runtime.ReadMemStats(&ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * cssidx.DefaultBatchSize * dup; n != want {
+		t.Fatalf("%d pairs, want %d", n, want)
+	}
+	alloc, charged := int64(ms.TotalAlloc-before), governor.ContextBudget(ctx).Used()
+	t.Logf("%d pairs: %d bytes allocated, %d charged", n, alloc, charged)
+	if alloc > charged+slack {
+		t.Errorf("a skewed join allocated %d bytes but charged its budget %d, over %d slack", alloc, charged, slack)
 	}
 }
 

@@ -30,7 +30,6 @@ package mmdb
 import (
 	"cssidx/internal/binsearch"
 	"cssidx/internal/bloom"
-	"cssidx/internal/parallel"
 	"cssidx/internal/sortu32"
 )
 
@@ -94,18 +93,13 @@ func sortedPairsOf(vals []uint32, startRID uint32) (v, r []uint32) {
 
 // sortPairsInto writes vals' pairs, sorted, into v and r.  An append batch —
 // up to 1,024 rows — sorts through stack buffers, so absorbing it allocates
-// only what it publishes; a column's worth is partitioned across the worker
-// pool.
+// only what it publishes; a larger sort allocates its own.
 func sortPairsInto(v, r, vals []uint32, startRID uint32) {
 	copy(v, vals)
 	for i := range r {
 		r[i] = startRID + uint32(i)
 	}
 	var tmpK, tmpV [1024]uint32
-	if len(v) > len(tmpK) {
-		sortu32.SortPairsParallel(v, r, nil, nil, nil, parallel.Options{})
-		return
-	}
 	sortu32.SortPairsScratch(v, r, tmpK[:], tmpV[:])
 }
 

@@ -191,13 +191,12 @@ func (c *Column) spread(lo, hi uint32) float64 {
 // groupsOf returns the column's group-by memo over the base rows [0, base),
 // building it on first use from one (value, RID) order of the base rows —
 // seg's keys and RIDs when the column is indexed (seg non-nil), else one pair
-// sort — with no tree probe per row: a walk down that order gives each row
-// its rank among the distinct values, its ID, scattered by RID a chunk at a
-// time, each chunk a tick of cp, so a first group-by observes its deadline
-// and cancellation while it builds.  Each array is charged to ctl's budget
-// before it is allocated: the sort's 16 bytes a row (pairs and ping-pong
-// buffers), the IDs' 4, the domain's 4 a distinct value.  Concurrent first
-// calls each build, the first to publish wins; an abort publishes nothing.
+// sort — that domain.Rank walks with no tree probe per row, each chunk a tick
+// of cp, so a first group-by observes its deadline and cancellation while it
+// builds.  Each array is charged to ctl's budget before it is allocated: the
+// sort's 16 bytes a row (pairs and ping-pong buffers), the IDs' 4, the
+// domain's 4 a distinct value.  Concurrent first calls each build, the first
+// to publish wins; an abort publishes nothing.
 func (c *Column) groupsOf(base int, seg *segment, ctl *governor.Ctl, cp *governor.Checkpoint) (g *groups, built bool, err error) {
 	if g = c.grp.Load(); g != nil {
 		return g, false, nil
@@ -213,20 +212,12 @@ func (c *Column) groupsOf(base int, seg *segment, ctl *governor.Ctl, cp *governo
 	if err := ctl.Charge(4 * int64(base)); err != nil {
 		return nil, false, err
 	}
-	ids, id := make([]uint32, base), uint32(0)
-	for lo := 0; lo < base; lo += encodeChunk {
-		hi := min(lo+encodeChunk, base)
-		for i := lo; i < hi; i++ {
-			if i > 0 && keys[i] != keys[i-1] {
-				id++
-			}
-			ids[rids[i]] = id
-		}
-		if err := cp.TickN(hi - lo); err != nil {
-			return nil, false, err
-		}
+	ids := make([]uint32, base)
+	distinct, err := domain.Rank(keys, rids, ids, cp.TickN)
+	if err != nil {
+		return nil, false, err
 	}
-	if err := ctl.Charge(4 * int64(min(base, int(id)+1))); err != nil {
+	if err := ctl.Charge(4 * int64(distinct)); err != nil {
 		return nil, false, err
 	}
 	g = &groups{dom: domain.NewInt(keys), ids: ids}
@@ -235,10 +226,6 @@ func (c *Column) groupsOf(base int, seg *segment, ctl *governor.Ctl, cp *governo
 	}
 	return g, true, nil
 }
-
-// encodeChunk is how many rows a first group-by gives IDs between two ticks
-// of its checkpoint.
-const encodeChunk = 4096
 
 // --- sorted RID lists with a search index ----------------------------------
 
@@ -604,10 +591,9 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 	// joinSpan probes span t, rows [lo, hi), in chunks, staging each chunk's
 	// pairs in bufs[t] or streaming them to emit; a governed join pays one
 	// checkpoint consult per chunk and charges the budget 8 bytes per pair.
-	// A staging buffer that must grow is sized for the span's pairs projected
-	// from its rate so far, a sixteenth over but at most eight times the
-	// pairs found: an even join allocates it once or twice, where append's
-	// 1.25× steps copied it over and over.
+	// A staging buffer too small for a chunk's base pairs grows once, to the
+	// span's pairs projected from its rate so far (a sixteenth over, at most
+	// 8× the pairs found), and the budget is charged for its room too.
 	joinSpan := func(t, lo, hi int) (int, error) {
 		sc := newProbeScratch(batchSize)
 		defer scratchPool.Put(sc)
@@ -616,20 +602,23 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 		for base := lo; base < hi; base += batchSize {
 			end := min(base+batchSize, hi)
 			chunk := col.raw[base:end]
-			n := seg.countEqual(chunk, sc)
-			count += n
-			switch {
-			case bufs != nil:
-				buf := bufs[t]
-				if need := len(buf) + n; need > cap(buf) {
+			first, last := seg.equalRanges(chunk, sc)
+			var n int
+			if bufs != nil {
+				buf, held := bufs[t], cap(bufs[t])
+				if need := len(buf) + spanRows(first, last); need > held {
 					proj := need * (hi - lo) / (end - lo)
 					buf = append(make([]joinPair, 0, min(proj+proj/16, 8*need)), buf...)
 				}
-				seg.emitEqual(chunk, sc, func(ordinal int, rid uint32) { buf = append(buf, joinPair{uint32(base + ordinal), rid}) })
+				n = seg.probeEqual(chunk, uint32(base), sc, func(o, i uint32) { buf = append(buf, joinPair{o, i}) })
+				if cap(buf) != held {
+					cp.Charge(8 * int64(cap(buf)-len(buf)))
+				}
 				bufs[t] = buf
-			case emit != nil:
-				seg.emitEqual(chunk, sc, func(ordinal int, rid uint32) { emit(uint32(base+ordinal), rid) })
+			} else {
+				n = seg.probeEqual(chunk, uint32(base), sc, emit)
 			}
+			count += n
 			cp.Charge(8 * int64(n))
 			if err := cp.TickN(end - base); err != nil {
 				return count, err

@@ -335,3 +335,48 @@ func BenchmarkParallelJoin(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkJoinOverRuns is an emitting join against an inner index with
+// eight delta runs outstanding, streamed on one worker and staged across
+// GOMAXPROCS: every probe value also searches each run.
+func BenchmarkJoinOverRuns(b *testing.B) {
+	g := workload.New(5)
+	innerN, outerN, batch := 1_000_000, 1<<17, 256
+	if testing.Short() {
+		innerN, outerN, batch = 100_000, 1<<15, 32
+	}
+	innerKeys := g.SortedUniform(innerN)
+	inner, outer := NewTable("inner"), NewTable("outer")
+	if err := inner.AddColumn("k", innerKeys); err != nil {
+		b.Fatal(err)
+	}
+	if err := outer.AddColumn("k", g.Lookups(innerKeys, outerN)); err != nil {
+		b.Fatal(err)
+	}
+	ix, err := inner.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range 255 {
+		if err := inner.AppendRows(map[string][]uint32{"k": g.Lookups(innerKeys, batch)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if runs := len(ix.cur.Load().runs); runs != 8 {
+		b.Fatalf("%d runs outstanding, want 8", runs)
+	}
+	for _, w := range []int{1, 0} {
+		name := fmt.Sprintf("workers=%d", w)
+		if w == 0 {
+			name = "workers=GOMAXPROCS"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := JoinWith(outer, "k", ix, JoinOptions{par: parallel.Options{Workers: w}}, func(o, i uint32) {}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(outerN)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mprobes/s")
+		})
+	}
+}

@@ -696,10 +696,16 @@ func (s *segment) baseRowsIn(distinct []uint32) int {
 	for i := 0; i < len(distinct); i += len(first) {
 		chunk := distinct[i:min(i+len(first), len(distinct))]
 		s.equalRangeBatch(chunk, first[:len(chunk)], last[:len(chunk)])
-		for j, f := range first[:len(chunk)] {
-			if f >= 0 {
-				n += int(last[j] - f)
-			}
+		n += spanRows(first[:len(chunk)], last[:len(chunk)])
+	}
+	return n
+}
+
+// spanRows sums the base rows of equal ranges (a negative first holds none).
+func spanRows(first, last []int32) (n int) {
+	for i, f := range first {
+		if f >= 0 {
+			n += int(last[i] - f)
 		}
 	}
 	return n

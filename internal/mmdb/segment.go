@@ -162,40 +162,32 @@ func (s *segment) equalRanges(values []uint32, sc *probeScratch) (first, last []
 	return first, last
 }
 
-// countEqual resolves one join chunk into sc with one batched equal-range
-// probe and returns its matching rows, base and delta, before any is emitted.
-func (s *segment) countEqual(values []uint32, sc *probeScratch) int {
-	first, last := s.equalRanges(values, sc)
+// probeEqual answers the join chunk of outer rows from base whose equal
+// ranges equalRanges resolved into sc: emit, unless nil, runs per match with
+// the outer and inner RIDs, in outer order then ascending inner RID (base
+// rows first); it returns the matches.  Safe with distinct scratches.
+func (s *segment) probeEqual(values []uint32, base uint32, sc *probeScratch, emit func(outerRID, innerRID uint32)) int {
 	count := 0
 	for i, v := range values {
-		if f := first[i]; f >= 0 {
-			count += int(last[i] - f)
+		if f, l := sc.first[i], sc.last[i]; f >= 0 {
+			count += int(l - f)
+			if emit != nil {
+				for _, rid := range s.rids[f:l] {
+					emit(base+uint32(i), rid)
+				}
+			}
 		}
 		for ri := range s.runs {
 			f, l := s.runs[ri].equalRange(v)
 			count += l - f
+			if emit != nil {
+				for _, rid := range s.runs[ri].rids[f:l] {
+					emit(base+uint32(i), rid)
+				}
+			}
 		}
 	}
 	return count
-}
-
-// emitEqual emits the chunk countEqual resolved into sc: each match's ordinal
-// in the chunk and RID, in chunk order then ascending RID (base rows first).
-// Safe for concurrent calls with distinct scratches.
-func (s *segment) emitEqual(values []uint32, sc *probeScratch, emit func(ordinal int, rid uint32)) {
-	for i, v := range values {
-		if f, l := sc.first[i], sc.last[i]; f >= 0 {
-			for _, rid := range s.rids[f:l] {
-				emit(i, rid)
-			}
-		}
-		for ri := range s.runs {
-			f, l := s.runs[ri].equalRange(v)
-			for _, rid := range s.runs[ri].rids[f:l] {
-				emit(i, rid)
-			}
-		}
-	}
 }
 
 // selectIn is the one IN-list driver.  The pre-deduplicated values are
