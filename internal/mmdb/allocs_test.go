@@ -14,6 +14,7 @@ import (
 	"cssidx"
 	"cssidx/internal/governor"
 	"cssidx/internal/parallel"
+	"cssidx/internal/workload"
 )
 
 // TestWarmHitAllocs pins the allocation count of the exact-hit path of every
@@ -29,7 +30,8 @@ import (
 // themselves and allocates nothing, like the count-only one.  The race
 // detector's instrumentation moves a count, hence the build tag.
 func TestWarmHitAllocs(t *testing.T) {
-	cached, _, g := cachePair(t, 3000, 91)
+	cached, _ := pairTables(t, 3000, 91)
+	g := workload.New(91)
 	outer := NewTable("o")
 	aVals, _ := cached.Column("a")
 	if err := outer.AddColumn("fk", g.Lookups(distinctValues(aVals), 500)); err != nil {
@@ -74,8 +76,9 @@ func TestWarmHitAllocs(t *testing.T) {
 // today).  The emitting join's first sight streams: a staged one would pay a
 // growing pair buffer per worker on top.
 func TestFirstSightStagesNothing(t *testing.T) {
-	cached, plain, g := cachePair(t, 20000, 93)
-	cached.EnableCache(CacheOptions{}) // cachePair's admits at first sight
+	cached, plain := pairTables(t, 20000, 93)
+	g := workload.New(93)
+	cached.EnableCache(CacheOptions{}) // pairTables admits at first sight
 	aVals, _ := plain.Column("a")
 	dom := distinctValues(aVals)
 	// Each surface draws its i-th question from the column's domain, so the
@@ -132,7 +135,7 @@ func TestFirstSightStagesNothing(t *testing.T) {
 // RIDs.  The smallest of a few calls is taken, since a collection between
 // two can empty the row-map pool.
 func TestWhereAllocatesOnlyResult(t *testing.T) {
-	_, plain, _ := cachePair(t, 40000, 95)
+	_, plain := pairTables(t, 40000, 95)
 	aVals, _ := plain.Column("a")
 	bVals, _ := plain.Column("b")
 	ad, bd := distinctValues(aVals), distinctValues(bVals)
@@ -175,7 +178,8 @@ func TestWhereAllocatesOnlyResult(t *testing.T) {
 // is a fresh question (its own outer table on the shared cache), and the
 // smallest of a few is taken, since a collection can empty the pool.
 func TestJoinAdmitCopiesPairsOnce(t *testing.T) {
-	cached, _, g := cachePair(t, 3000, 97)
+	cached, _ := pairTables(t, 3000, 97)
+	g := workload.New(97)
 	aIx, _ := cached.Index("a")
 	aVals, _ := cached.Column("a")
 	const runs, slack = 6, 4096
@@ -219,7 +223,8 @@ func TestJoinAdmitCopiesPairsOnce(t *testing.T) {
 // cache's two columns take, plus a constant.  Staging grown by append, which
 // copies the buffer at every 1.25× step, costs 37 bytes a pair here.
 func TestColdJoinStagesOnce(t *testing.T) {
-	cached, _, g := cachePair(t, 3000, 98)
+	cached, _ := pairTables(t, 3000, 98)
+	g := workload.New(98)
 	aIx, _ := cached.Index("a")
 	aVals, _ := cached.Column("a")
 	const runs, slack, perPair = 4, 8192, 12

@@ -125,7 +125,7 @@ func TestSharedArraysStayIntact(t *testing.T) {
 
 func testSharedArraysQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	w := newWhereTable(t, rng, 3000, 0)
+	w := whereOps(t, rng, 3000, 0)
 	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
 	kIx, _ := w.tab.Index("k")
 	sIx, _ := w.tab.Index("s")
@@ -142,17 +142,7 @@ func testSharedArraysQueries(t *testing.T) {
 	for round, step := range []string{"no delta runs", "after an absorb", "after a fold"} {
 		switch round {
 		case 1:
-			batch := map[string][]uint32{}
-			for _, c := range whereCols {
-				vals := make([]uint32, 150)
-				for i := range vals {
-					vals[i] = uint32(rng.Intn(2*w.card[c] + 8))
-				}
-				batch[c], w.raw[c] = vals, append(w.raw[c], vals...)
-			}
-			if err := w.tab.AppendRows(batch); err != nil {
-				t.Fatal(err)
-			}
+			w.append(t, w.batch(150, whereTail(rng)))
 		case 2:
 			w.tab.Compact()
 		}
@@ -160,15 +150,15 @@ func testSharedArraysQueries(t *testing.T) {
 		for q := 0; q < 40; q++ {
 			preds := make([]RangePred, 1+rng.Intn(4))
 			for i := range preds {
-				preds[i] = w.pred(rng)
+				preds[i] = wherePred(w, rng)
 			}
 			wheres = append(wheres, preds)
 		}
 		var ranges, ins []RangePred
 		for q := 0; q < 12; q++ {
-			ranges = append(ranges, w.predOn(rng, []string{"k", "s"}[q%2]))
+			ranges = append(ranges, wherePredOn(w, rng, []string{"k", "s"}[q%2]))
 			c := []string{"k", "h", "u"}[q%3]
-			lo := uint32(rng.Intn(2 * w.card[c]))
+			lo := uint32(rng.Intn(2 * int(w.col(c).span)))
 			ins = append(ins, RangePred{Col: c, Lo: lo, Hi: lo + uint32(rng.Intn(40))})
 		}
 		inList := func(p RangePred) []uint32 {

@@ -15,9 +15,11 @@ package mmdb
 // does every SelectWhere conjunction.  Within a generation the plan is a
 // function of the question alone, so the entry a miss inserts stores that
 // miss's plan (qcache.Plan: path, selectivity, reason) and an exact hit
-// replays it without probing the index; a subset replay counts the IN-list's
-// base rows off its RIDs, and a containment hit still plans.  An index's own SelectRange is never planned; it caches at the epoch
-// layer, stamped with the epoch it read.
+// replays it without probing the index; a subset replay and a containment
+// hit count the base rows they hold off their RIDs below the last fold
+// (Table.belowBase), with no descent either.  An index's own SelectRange is
+// never planned; it caches at the epoch layer, stamped with the epoch it
+// read.
 //
 // Nothing is cached at first sight.  Every miss is settled with the cache's
 // admission verdict (qcache/door.go: has this question missed before?), and

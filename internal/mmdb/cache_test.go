@@ -2,7 +2,6 @@ package mmdb
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,178 +10,8 @@ import (
 	"cssidx/internal/workload"
 )
 
-// cachePair builds two identical tables — one with an admit-everything
-// cache, one with caching disabled — so every query can be checked
-// bit-identical across the two.
-func cachePair(t *testing.T, n int, seed int64) (cached, plain *Table, g *workload.Gen) {
-	t.Helper()
-	g = workload.New(seed)
-	a := g.Lookups(g.SortedUniform(n/2+1), n) // duplicates guaranteed
-	b := g.Lookups(g.SortedUniform(n/4+1), n)
-	c := g.Lookups(g.SortedUniform(64), n) // low cardinality for IN/hash
-	build := func(name string) *Table {
-		tab := NewTable(name)
-		for col, vals := range map[string][]uint32{"a": a, "b": b, "c": c} {
-			if err := tab.AddColumn(col, vals); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := tab.BuildIndex("a", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tab.BuildIndex("c", cssidx.KindHash, cssidx.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tab.BuildShardedIndex("b", 4); err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
-	cached = build("t")
-	cached.EnableCache(CacheOptions{MinCostNs: -1})
-	plain = build("t")
-	return cached, plain, g
-}
-
-func mustEqualU32(t *testing.T, what string, got, want []uint32) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: [%d] = %d, want %d", what, i, got[i], want[i])
-		}
-	}
-}
-
-// queryBattery drives every cached query surface on both tables and
-// demands bit-identical results.  Each query runs twice against the cached
-// table so both the fill pass and the hit pass are compared.
-func queryBattery(t *testing.T, cached, plain *Table, g *workload.Gen, tag string) {
-	t.Helper()
-	aCol, _ := plain.Column("a")
-	ranges := [][2]uint32{
-		{0, math.MaxUint32},
-		{1 << 28, 1<<28 + 1<<26},
-		{0, 1 << 30},
-		{5, 4}, // empty
-	}
-	if vals := distinctValues(aCol); len(vals) > 10 {
-		ranges = append(ranges, [2]uint32{vals[2], vals[len(vals)/3]})
-	}
-	for _, r := range ranges {
-		want, wantPlan, err := plain.SelectRange("a", r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			got, gotPlan, err := cached.SelectRange("a", r[0], r[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotPlan != wantPlan {
-				t.Fatalf("%s range plan pass %d: %+v vs %+v", tag, pass, gotPlan, wantPlan)
-			}
-			mustEqualU32(t, fmt.Sprintf("%s SelectRange[%d,%d] pass %d", tag, r[0], r[1], pass), got, want)
-		}
-	}
-
-	cVals, _ := plain.Column("c")
-	inLists := [][]uint32{
-		g.Lookups(distinctValues(cVals), 5),
-		g.Lookups(distinctValues(cVals), 40), // forces dups in the list
-		{1, 2, 3},                            // mostly absent
-	}
-	for li, list := range inLists {
-		for _, col := range []string{"c", "b"} {
-			want, _, err := plain.SelectIn(col, list)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pass := 0; pass < 2; pass++ {
-				got, _, err := cached.SelectIn(col, list)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustEqualU32(t, fmt.Sprintf("%s SelectIn %s #%d pass %d", tag, col, li, pass), got, want)
-			}
-		}
-	}
-
-	wheres := [][]RangePred{
-		{{Col: "a", Lo: 0, Hi: 1 << 30}, {Col: "b", Lo: 1 << 27, Hi: 1 << 31}},
-		{{Col: "a", Lo: 1 << 26, Hi: 1 << 31}, {Col: "a", Lo: 0, Hi: 1 << 30}, {Col: "c", Lo: 0, Hi: math.MaxUint32}},
-		{{Col: "b", Lo: 7, Hi: 3}}, // empty conjunct
-	}
-	for wi, preds := range wheres {
-		want, wantPlans, err := plain.SelectWhere(preds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			got, gotPlans, err := cached.SelectWhere(preds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotPlans) != len(wantPlans) {
-				t.Fatalf("%s where #%d: plan count", tag, wi)
-			}
-			for i := range gotPlans {
-				if gotPlans[i] != wantPlans[i] {
-					t.Fatalf("%s where #%d plan %d: %+v vs %+v", tag, wi, i, gotPlans[i], wantPlans[i])
-				}
-			}
-			mustEqualU32(t, fmt.Sprintf("%s SelectWhere #%d pass %d", tag, wi, pass), got, want)
-		}
-	}
-
-	// Sharded surfaces directly (epoch-stamped entries).
-	shC, _ := cached.ShardedIndex("b")
-	shP, _ := plain.ShardedIndex("b")
-	want, err := shP.SelectRange(1<<27, 1<<31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		got, err := shC.SelectRange(1<<27, 1<<31)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualU32(t, fmt.Sprintf("%s sharded SelectRange pass %d", tag, pass), got, want)
-	}
-}
-
-func TestCacheDifferentialAllSurfaces(t *testing.T) {
-	cached, plain, g := cachePair(t, 4000, 11)
-	queryBattery(t, cached, plain, g, "gen1")
-	if s := cached.Cache().Stats(); s.Hits == 0 || s.Inserts == 0 {
-		t.Fatalf("cache never engaged: %+v", s)
-	}
-	// Batch update: both tables append the same rows; the cached table's
-	// generation moves and every stale entry must stop matching.
-	batch := map[string][]uint32{
-		"a": g.Lookups(g.SortedUniform(500), 1000),
-		"b": g.Lookups(g.SortedUniform(500), 1000),
-		"c": g.Lookups(g.SortedUniform(64), 1000),
-	}
-	if err := cached.AppendRows(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.AppendRows(batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := cached.Generation(); got != 2 {
-		t.Fatalf("generation %d, want 2", got)
-	}
-	queryBattery(t, cached, plain, g, "gen2")
-	if s := cached.Cache().Stats(); s.Invalidations == 0 {
-		t.Fatalf("append invalidated nothing: %+v", s)
-	}
-}
-
 func TestCacheContainmentAcrossQueries(t *testing.T) {
-	cached, plain, _ := cachePair(t, 4000, 17)
+	cached, plain := pairTables(t, 4000, 17)
 	aCol, _ := plain.Column("a")
 	vals := distinctValues(aCol)
 	wideLo, wideHi := vals[0], vals[len(vals)/6] // selective: index path

@@ -1,11 +1,9 @@
 package mmdb
 
-// Differential tests for the delta layer: a live table absorbing append
-// batches must stay bit-identical, on every read surface, to an oracle
-// twin that folds every batch the pre-delta way.  The sequences are chosen
-// to drive the live table through absorbs, the geometric tier's run merges
-// (partial and cascading) and size-triggered folds, and a second leg holds
-// one to eight live runs against a table rebuilt from scratch.
+// Tests of the delta layer's bookkeeping: the fold trigger and schedules,
+// the run tier's invariants (checkRuns, which the table-ops generator applies
+// after every step) and the one-pass cascade against a pairwise reference.
+// Every read surface across absorbs and folds is FuzzTableOps' (ops_test.go).
 
 import (
 	"fmt"
@@ -17,7 +15,6 @@ import (
 
 	"cssidx"
 	"cssidx/internal/bloom"
-	"cssidx/internal/parallel"
 	"cssidx/internal/sortu32"
 	"cssidx/internal/workload"
 )
@@ -27,47 +24,6 @@ var (
 	foldEveryBatch = foldPolicy{always: true}
 	neverFold      = foldPolicy{minRows: 1 << 30}
 )
-
-// twin is one half of a differential pair: a table with a sorted index on
-// "k", a sharded index on "s", and a plain measure column "v".
-type twin struct {
-	tab *Table
-	kIx *SortedIndex
-	sIx *SortedIndex
-}
-
-func newTwin(t *testing.T, name string, pol foldPolicy, cols map[string][]uint32, cache bool) *twin {
-	t.Helper()
-	tab := NewTable(name)
-	tab.fold = pol
-	for _, c := range []string{"k", "s", "v"} {
-		if err := tab.AddColumn(c, cols[c]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kIx, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sIx, err := tab.BuildShardedIndex("s", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache {
-		tab.EnableCache(CacheOptions{MinCostNs: -1})
-	}
-	return &twin{tab: tab, kIx: kIx, sIx: sIx}
-}
-
-func (w *twin) close() { w.sIx.Close() }
-
-func genCols(g *workload.Gen, base []uint32, n int) map[string][]uint32 {
-	return map[string][]uint32{
-		"k": g.Lookups(base, n),
-		"s": g.Lookups(base, n),
-		"v": g.Lookups(base, n),
-	}
-}
 
 // checkRuns verifies the structural invariants of one index's delta tier:
 // every run sorted by (value, RID) with fences and bloom filter admitting
@@ -105,341 +61,6 @@ func checkRuns(runs []idxRun) error {
 		}
 	}
 	return nil
-}
-
-// checkTwinRuns applies checkRuns to both of a twin's indexes.
-func checkTwinRuns(t *testing.T, tag string, w *twin) {
-	t.Helper()
-	if err := checkRuns(w.kIx.cur.Load().runs); err != nil {
-		t.Fatalf("%s sorted index: %v", tag, err)
-	}
-	if err := checkRuns(w.sIx.cur.Load().runs); err != nil {
-		t.Fatalf("%s sharded epoch: %v", tag, err)
-	}
-}
-
-// checkSurfaces compares every read surface of live against oracle.  hot
-// values join the generated probes: callers pass values they know sit in
-// the base and in several runs at once.
-func checkSurfaces(t *testing.T, tag string, g *workload.Gen, base []uint32, live, oracle *twin, hot ...uint32) {
-	t.Helper()
-	probes := g.Lookups(base, 6)
-	probes = append(probes, probes[0]+1) // likely absent value
-	probes = append(probes, hot...)
-
-	for _, p := range probes {
-		mustEqualU32(t, tag+" SelectEqual(k)", live.kIx.SelectEqual(p), oracle.kIx.SelectEqual(p))
-		mustEqualU32(t, tag+" SelectEqual(s)", live.sIx.SelectEqual(p), oracle.sIx.SelectEqual(p))
-	}
-
-	ranges := [][2]uint32{
-		{0, ^uint32(0)},              // everything
-		{probes[0], probes[0] + 1e9}, // wide
-		{probes[1], probes[1]},       // point
-		{5, 4},                       // empty (lo > hi)
-	}
-	for _, r := range ranges {
-		lo, hi := r[0], r[1]
-		lr, lp, err := live.tab.SelectRange("k", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		or, op, err := oracle.tab.SelectRange("k", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualPlanned(t, fmt.Sprintf("%s SelectRange(k,[%d,%d])", tag, lo, hi), lr, or, lp, op)
-
-		ls, err := live.sIx.SelectRange(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		os, err := oracle.sIx.SelectRange(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualU32(t, fmt.Sprintf("%s ShardedRange([%d,%d])", tag, lo, hi), ls, os)
-
-		lk, err := live.kIx.SelectRange(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok, err := oracle.kIx.SelectRange(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualU32(t, fmt.Sprintf("%s IndexRange(k,[%d,%d])", tag, lo, hi), lk, ok)
-
-		lv, _, err := live.tab.SelectRange("v", lo, hi) // scan path
-		if err != nil {
-			t.Fatal(err)
-		}
-		ov, _, err := oracle.tab.SelectRange("v", lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualU32(t, fmt.Sprintf("%s ScanRange(v,[%d,%d])", tag, lo, hi), lv, ov)
-	}
-
-	inList := append(g.Lookups(base, 5), probes[0]+1, probes[1])
-	inList = append(inList, hot...)
-	// The index's own IN driver, whatever path the table's planner and
-	// cache pick below: plain, and grouped with its value offsets.
-	mustEqualU32(t, tag+" index IN (k)", indexIn(live.kIx, inList), indexIn(oracle.kIx, inList))
-	lr, lgo, err := live.kIx.cur.Load().selectIn(nil, dedupeValues(inList), true, parallel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	or, ogo, err := oracle.kIx.cur.Load().selectIn(nil, dedupeValues(inList), true, parallel.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualU32(t, tag+" grouped selectIn(k) rows", lr, or)
-	mustEqualU32(t, tag+" grouped selectIn(k) offsets", lgo, ogo)
-	li, _, err := live.tab.SelectIn("k", inList)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oi, _, err := oracle.tab.SelectIn("k", inList)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualU32(t, tag+" SelectIn(k)", li, oi)
-	mustEqualU32(t, tag+" ShardedIn(s)", indexIn(live.sIx, inList), indexIn(oracle.sIx, inList))
-
-	preds := []RangePred{
-		{Col: "k", Lo: probes[0], Hi: probes[0] + 1e9},
-		{Col: "v", Lo: 0, Hi: ^uint32(0) - 1},
-	}
-	lw, _, err := live.tab.SelectWhere(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ow, _, err := oracle.tab.SelectWhere(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualU32(t, tag+" SelectWhere", lw, ow)
-
-	lg, err := GroupAggregate(live.tab, "k", "v", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	og, err := GroupAggregate(oracle.tab, "k", "v", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lg) != len(og) {
-		t.Fatalf("%s GroupAggregate: %d groups, want %d", tag, len(lg), len(og))
-	}
-	for i := range lg {
-		if lg[i] != og[i] {
-			t.Fatalf("%s GroupAggregate[%d]: %+v, want %+v", tag, i, lg[i], og[i])
-		}
-	}
-}
-
-// checkJoin compares the (outerRID, innerRID) pair stream of live vs oracle
-// for both inner index flavors.
-func checkJoin(t *testing.T, tag string, live, oracle *twin, liveInner, oracleInner *twin) {
-	t.Helper()
-	collect := func(outer *Table, inner *SortedIndex) (a, b []uint32) {
-		if _, err := JoinWith(outer, "k", inner, JoinOptions{}, func(o, i uint32) {
-			a = append(a, o)
-			b = append(b, i)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return a, b
-	}
-	lo, li := collect(live.tab, liveInner.kIx)
-	oo, oi := collect(oracle.tab, oracleInner.kIx)
-	mustEqualU32(t, tag+" join(sorted) outer RIDs", lo, oo)
-	mustEqualU32(t, tag+" join(sorted) inner RIDs", li, oi)
-
-	lo, li = collect(live.tab, liveInner.sIx)
-	oo, oi = collect(oracle.tab, oracleInner.sIx)
-	mustEqualU32(t, tag+" join(sharded) outer RIDs", lo, oo)
-	mustEqualU32(t, tag+" join(sharded) inner RIDs", li, oi)
-}
-
-// mustEqualPlanned compares two table-level answers, whose order follows the
-// access path (value order through an index, row order from a scan): in
-// order when both tables took one path, as sets otherwise.  A table with
-// unfolded rows prices a range by the rows of its own base, which are not
-// its folded twin's, so near the break-even the two may choose differently.
-func mustEqualPlanned(t *testing.T, what string, got, want []uint32, gotPlan, wantPlan Plan) {
-	t.Helper()
-	if gotPlan.UseIndex != wantPlan.UseIndex {
-		got, want = slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))
-	}
-	mustEqualU32(t, what, got, want)
-}
-
-// TestDeltaDifferentialAllSurfaces drives a live table through absorbs, run
-// merges and folds and checks every surface against an always-fold oracle
-// after each batch.  Run twice: without a cache (pure computation) and with
-// one (cached fills, patched entries and containment hits must not change a
-// single RID).
-func TestDeltaDifferentialAllSurfaces(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cached=%v", cached), func(t *testing.T) {
-			g := workload.New(71)
-			base := g.SortedUniform(500)
-			initial := genCols(g, base, 3000)
-			// minRows keeps the live table absorbing through enough
-			// batches to stack and merge several runs before its first fold.
-			live := newTwin(t, "t", foldPolicy{minRows: 600}, initial, cached)
-			defer live.close()
-			oracle := newTwin(t, "t", foldEveryBatch, initial, false)
-			defer oracle.close()
-
-			innerCols := genCols(g, base, 800)
-			liveInner := newTwin(t, "d", foldPolicy{minRows: 200}, innerCols, false)
-			defer liveInner.close()
-			oracleInner := newTwin(t, "d", foldEveryBatch, innerCols, false)
-			defer oracleInner.close()
-
-			// 8 batches against the geometric tier (a run merges into its
-			// predecessor while that holds fewer than twice its pairs):
-			// batches 1..4 stack four runs (320, 100, 30, 12), batch 5
-			// cascades 12+12 → 24, 30+24 → 54, 100+54 → 154 and stops at
-			// 320 ≥ 2·154, batch 6 brings the delta to 874 ≥ minRows
-			// with 874·8 ≥ base and folds, then two more absorbs leave two
-			// runs at rest on the new base.
-			sizes := []int{320, 100, 30, 12, 12, 400, 50, 20}
-			wantRuns := []int{1, 2, 3, 4, 2, 0, 1, 2}
-			for bi, n := range sizes {
-				batch := genCols(g, base, n)
-				if err := live.tab.AppendRows(batch); err != nil {
-					t.Fatal(err)
-				}
-				if err := oracle.tab.AppendRows(batch); err != nil {
-					t.Fatal(err)
-				}
-				ib := genCols(g, base, n/2)
-				if err := liveInner.tab.AppendRows(ib); err != nil {
-					t.Fatal(err)
-				}
-				if err := oracleInner.tab.AppendRows(ib); err != nil {
-					t.Fatal(err)
-				}
-				tag := fmt.Sprintf("batch %d", bi)
-				if got := len(live.kIx.cur.Load().runs); got != wantRuns[bi] {
-					t.Fatalf("%s: %d live runs, want %d", tag, got, wantRuns[bi])
-				}
-				checkTwinRuns(t, tag, live)
-				checkTwinRuns(t, tag, liveInner)
-				checkSurfaces(t, tag, g, base, live, oracle)
-				checkJoin(t, tag, live, oracle, liveInner, oracleInner)
-				if cached {
-					// Second pass over the same surfaces: served from the
-					// cache (exact, containment or patched entries), must
-					// still be bit-identical.
-					checkSurfaces(t, tag+" (replay)", g, base, live, oracle)
-				}
-			}
-			if live.tab.Generation() < 2 {
-				t.Fatalf("fold never triggered: gen %d", live.tab.Generation())
-			}
-			if live.tab.DeltaRows() == 0 {
-				t.Fatal("sequence ended with an empty delta; absorbs untested at rest")
-			}
-			if cached {
-				s := live.tab.Cache().Stats()
-				if s.Hits == 0 || s.Patches == 0 {
-					t.Fatalf("cache never exercised across absorbs: %+v", s)
-				}
-			}
-		})
-	}
-}
-
-// TestDeltaManyRunsAgainstRebuild holds one to eight live runs — batch sizes
-// more than halve, so the geometric tier cannot collapse them — then pushes
-// batches that merge part of the tier and finally all of it, and after
-// every step compares each surface of both index types with a table rebuilt
-// from scratch over the same rows.  A handful of hot values ride in every
-// batch, so they sit in the base and in every live run at once: the order
-// of their RIDs across runs is what a read-time weave can get wrong.
-func TestDeltaManyRunsAgainstRebuild(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		for _, seed := range []int64{1, 2, 3} {
-			t.Run(fmt.Sprintf("cached=%v/seed=%d", cached, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				g := workload.New(100 + seed)
-				dict := g.SortedUniform(300)
-				hot := g.Lookups(dict, 4)
-				all := genCols(g, dict, 6000)
-				live := newTwin(t, "t", neverFold, all, cached)
-				defer live.close()
-				// A small fixed outer keeps the join's pair stream short; the
-				// index under test is the inner.
-				outerCols := genCols(g, dict, 400)
-				copy(outerCols["k"], hot)
-				outer := newTwin(t, "o", foldPolicy{}, outerCols, false)
-				defer outer.close()
-
-				// Eight shrinking batches, each under half its predecessor,
-				// then three that merge back: the smallest run's size again
-				// (a partial cascade), a mid-sized one, and one larger than
-				// the whole delta (everything collapses into one run).
-				sizes := make([]int, 8)
-				sizes[0] = 2400 + rng.Intn(400)
-				for i := 1; i < len(sizes); i++ {
-					sizes[i] = sizes[i-1]/2 - 1 - rng.Intn(sizes[i-1]/32+1)
-				}
-				sizes = append(sizes, sizes[7], sizes[3], 3*sizes[0])
-				maxRuns := 0
-				for step, n := range sizes {
-					batch := genCols(g, dict, n)
-					for _, c := range []string{"k", "s"} {
-						for i, h := range hot {
-							batch[c][rng.Intn(n/len(hot))*len(hot)+i] = h
-						}
-					}
-					if err := live.tab.AppendRows(batch); err != nil {
-						t.Fatal(err)
-					}
-					for c, vals := range batch {
-						all[c] = append(all[c], vals...)
-					}
-					tag := fmt.Sprintf("step %d (+%d rows)", step, n)
-					if step < 8 && len(live.kIx.cur.Load().runs) != step+1 {
-						t.Fatalf("%s: %d live runs, want %d", tag, len(live.kIx.cur.Load().runs), step+1)
-					}
-					maxRuns = max(maxRuns, len(live.kIx.cur.Load().runs))
-					checkTwinRuns(t, tag, live)
-					if step >= 2 {
-						for _, h := range hot {
-							in := 0
-							for i := range live.kIx.cur.Load().runs {
-								if f, l := live.kIx.cur.Load().runs[i].equalRange(h); f < l {
-									in++
-								}
-							}
-							if in < min(3, len(live.kIx.cur.Load().runs)) {
-								t.Fatalf("%s: hot value %d sits in %d runs", tag, h, in)
-							}
-						}
-					}
-					rebuilt := newTwin(t, "t", foldEveryBatch, all, false)
-					checkSurfaces(t, tag, g, dict, live, rebuilt, hot...)
-					checkJoin(t, tag, outer, outer, live, rebuilt)
-					if cached {
-						checkSurfaces(t, tag+" (replay)", g, dict, live, rebuilt, hot...)
-					}
-					rebuilt.close()
-				}
-				if maxRuns != 8 || len(live.kIx.cur.Load().runs) != 1 {
-					t.Fatalf("tier peaked at %d runs and ended with %d, want 8 and 1", maxRuns, len(live.kIx.cur.Load().runs))
-				}
-				if live.tab.Generation() != 1 {
-					t.Fatalf("live table folded: generation %d", live.tab.Generation())
-				}
-			})
-		}
-	}
 }
 
 // TestDeltaFoldPolicy pins the absorb/fold decision and the bookkeeping it

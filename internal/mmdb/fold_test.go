@@ -1,11 +1,12 @@
 package mmdb
 
-// Differential tests for the fold: it merges — each index merges its base
-// with the tail's pairs, a grouped column's domain grows by a remap — and must
-// publish arrays byte-identical to a table built from scratch over the same
-// rows (NewTable + AddColumn + BuildIndex / BuildShardedIndex), which shares
-// no code with the merge beyond the structure build.  One byte-driven
-// operation stream serves the random differential and the fuzz target.
+// Tests of the fold: it weaves — each index weaves its base with the runs, a
+// grouped column's domain grows by a remap — and must publish arrays
+// byte-identical to a table built from scratch over the same rows (NewTable +
+// AddColumn + BuildIndex / BuildShardedIndex), which shares no code with the
+// weave beyond the structure build: checkAgainstScratch, which the table-ops
+// generator applies after every fold it causes, and the boundary cases by
+// hand.
 
 import (
 	"bytes"
@@ -23,63 +24,26 @@ import (
 	"cssidx/internal/telemetry"
 )
 
-// foldCol is one column of a fold-differential table.
-type foldCol struct {
-	name string
-	span int // 0 = the whole uint32 range (nearly every value new)
-}
-
-// byteStream hands out the bytes of a fuzz input; an exhausted stream reads
-// as zeros and reports done.
-type byteStream struct{ data []byte }
-
-func (s *byteStream) done() bool { return len(s.data) == 0 }
-
-func (s *byteStream) next() byte {
-	if len(s.data) == 0 {
-		return 0
-	}
-	b := s.data[0]
-	s.data = s.data[1:]
-	return b
-}
-
-// value draws one column value: within the column's span, with the domain's
-// edge values 0 and MaxUint32 mixed in.
-func (s *byteStream) value(c foldCol) uint32 {
-	sel := s.next()
-	switch {
-	case sel < 8:
-		return 0
-	case sel < 16:
-		return math.MaxUint32
-	}
-	v := uint32(sel)<<24 | uint32(s.next())<<12 | uint32(s.next())
-	if c.span > 0 {
-		v %= uint32(c.span)
-	}
-	return v
-}
-
 // checkAgainstScratch compares the live table's folded state byte for byte
 // with a table built from scratch over the same raw columns: bounds, index
-// arrays and answers, and — where a group-by built them — the domain and IDs.
-func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) {
+// arrays and probes, and — where a group-by built them — the domain and IDs.
+// Nothing it asks goes through the result cache.
+func checkAgainstScratch(t *testing.T, tag string, live *Table) {
 	t.Helper()
 	if live.DeltaRows() != 0 {
 		t.Fatalf("%s: %d rows still unfolded", tag, live.DeltaRows())
 	}
 	scratch := NewTable("scratch")
-	for _, c := range cols {
-		if err := scratch.AddColumn(c.name, live.cols[c.name].raw); err != nil {
+	for _, name := range live.order {
+		if err := scratch.AddColumn(name, live.cols[name].raw); err != nil {
 			t.Fatal(err)
 		}
 	}
 	defer scratch.Close()
-	for _, c := range cols {
-		got, want := live.cols[c.name], scratch.cols[c.name]
+	for _, name := range live.order {
+		got, want := live.cols[name], scratch.cols[name]
 		if got.min != want.min || got.max != want.max {
-			t.Fatalf("%s: column %s: bounds [%d,%d], a fresh column's [%d,%d]", tag, c.name, got.min, got.max, want.min, want.max)
+			t.Fatalf("%s: column %s: bounds [%d,%d], a fresh column's [%d,%d]", tag, name, got.min, got.max, want.min, want.max)
 		}
 		if memo := got.grp.Load(); memo != nil {
 			ref, _, err := want.groupsOf(len(want.raw), nil, nil, nil)
@@ -87,161 +51,51 @@ func checkAgainstScratch(t *testing.T, tag string, live *Table, cols []foldCol) 
 				t.Fatal(err)
 			}
 			if memo.dom.Len() != ref.dom.Len() {
-				t.Fatalf("%s: column %s: domain of %d values, a fresh build's %d", tag, c.name, memo.dom.Len(), ref.dom.Len())
+				t.Fatalf("%s: column %s: domain of %d values, a fresh build's %d", tag, name, memo.dom.Len(), ref.dom.Len())
 			}
 			for id := range ref.dom.Len() {
 				if memo.dom.Value(uint32(id)) != ref.dom.Value(uint32(id)) {
-					t.Fatalf("%s: column %s: domain value %d differs from a fresh build's", tag, c.name, id)
+					t.Fatalf("%s: column %s: domain value %d differs from a fresh build's", tag, name, id)
 				}
 			}
 			if !slices.Equal(memo.ids, ref.ids) {
-				t.Fatalf("%s: column %s: memoized IDs differ from a fresh build's", tag, c.name)
+				t.Fatalf("%s: column %s: memoized IDs differ from a fresh build's", tag, name)
 			}
+		}
+		ix, ok := live.indexes[name]
+		if !ok {
+			continue
+		}
+		ref, err := scratch.buildIndex(name, ix.kind, ix.structure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, r := ix.cur.Load(), ref.cur.Load()
+		if !slices.Equal(s.keys, r.keys) || !slices.Equal(s.rids, r.rids) {
+			t.Fatalf("%s: index on %s: base arrays differ from a from-scratch build", tag, name)
+		}
+		if len(s.runs) != 0 || s.tok.Epoch != uint64(live.rows) {
+			t.Fatalf("%s: index on %s: %d runs left, rows covered %d of %d",
+				tag, name, len(s.runs), s.tok.Epoch, live.rows)
+		}
+		if len(got.raw) == 0 {
+			continue
 		}
 		lo, hi := got.raw[0], got.raw[len(got.raw)/2]
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		if ix, ok := live.indexes[c.name]; ok {
-			ref, err := scratch.buildIndex(c.name, ix.kind, ix.structure)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, r := ix.cur.Load(), ref.cur.Load()
-			if !slices.Equal(s.keys, r.keys) || !slices.Equal(s.rids, r.rids) {
-				t.Fatalf("%s: index on %s: base arrays differ from a from-scratch build", tag, c.name)
-			}
-			if len(s.runs) != 0 || s.tok.Epoch != uint64(live.rows) {
-				t.Fatalf("%s: index on %s: %d runs left, rows covered %d of %d",
-					tag, c.name, len(s.runs), s.tok.Epoch, live.rows)
-			}
-			if !slices.Equal(ix.SelectEqual(hi), ref.SelectEqual(hi)) {
-				t.Fatalf("%s: index on %s: SelectEqual(%d) differs", tag, c.name, hi)
-			}
-			a, err1 := ix.SelectRange(lo, hi)
-			b, err2 := ref.SelectRange(lo, hi)
-			if err1 != err2 || !slices.Equal(a, b) {
-				t.Fatalf("%s: index on %s: SelectRange(%d,%d) differs (%v, %v)", tag, c.name, lo, hi, err1, err2)
+		if !slices.Equal(ix.SelectEqual(hi), ref.SelectEqual(hi)) {
+			t.Fatalf("%s: index on %s: SelectEqual(%d) differs", tag, name, hi)
+		}
+		// The search structure, probed where no result cache sees it.
+		if s.ord != nil {
+			f1, l1 := s.bounds(lo, hi)
+			if f2, l2 := r.bounds(lo, hi); f1 != f2 || l1 != l2 {
+				t.Fatalf("%s: index on %s: range [%d,%d] spans base positions [%d,%d), a from-scratch build's [%d,%d)",
+					tag, name, lo, hi, f1, l1, f2, l2)
 			}
 		}
-	}
-}
-
-// runFoldOps decodes one operation stream and checks every fold it causes.
-// The first bytes pick the policy, the column count and each column's
-// cardinality and indexes; then each operation is an append (empty = a
-// Compact, whether or not runs are outstanding), an index build — which,
-// landing on an unfolded tail, must hand the tail to the new index as one
-// run for the next fold to merge — or a group-by, which builds the column's
-// domain and IDs for every later fold to keep current.  The first column is
-// grouped by before any append.
-func runFoldOps(t *testing.T, data []byte) (folds int) {
-	s := &byteStream{data: data}
-	pol := []foldPolicy{{}, {denom: 2, minRows: 48}, foldEveryBatch}[s.next()%3]
-	cols := make([]foldCol, 1+s.next()%3)
-	sels := make([]byte, len(cols))
-	live := NewTable("live")
-	live.fold = pol
-	defer live.Close()
-	baseRows := int(s.next()) % 5 * 40 // 0 = every column starts empty
-	for i := range cols {
-		sels[i] = s.next()
-		cols[i] = foldCol{name: string(rune('a' + i)), span: []int{6, 300, 0}[sels[i]%3]}
-		vals := make([]uint32, baseRows)
-		for j := range vals {
-			vals[j] = s.value(cols[i])
-		}
-		if err := live.AddColumn(cols[i].name, vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// sel's bits: 4 = an index searched by a level CSS-tree (16 = by
-	// hashing, which has no ordered access; its base arrays fold alike), 8 =
-	// a sharded index.  A column holds one index, so 4|8 means build, then
-	// replace: the sharded build closes and supersedes the other.
-	build := func(c foldCol, sel byte) {
-		if sel&4 != 0 {
-			kind := cssidx.KindLevelCSS
-			if sel&16 != 0 {
-				kind = cssidx.KindHash
-			}
-			if _, err := live.BuildIndex(c.name, kind, cssidx.Options{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if sel&8 != 0 {
-			if _, err := live.BuildShardedIndex(c.name, 3); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	groupBy := func(c foldCol) {
-		if _, err := GroupAggregate(live, c.name, c.name, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, c := range cols {
-		build(c, sels[i])
-	}
-	groupBy(cols[0])
-	for op := 0; !s.done(); op++ {
-		b := s.next()
-		if b >= 240 { // an index arrives late, maybe over an unfolded tail
-			build(cols[int(b)%len(cols)], s.next())
-			continue
-		}
-		if b >= 232 { // a group-by, maybe over an unfolded tail
-			groupBy(cols[int(b)%len(cols)])
-			continue
-		}
-		n := 0
-		if b >= 16 {
-			n = 1 + int(b)%97
-		}
-		batch := map[string][]uint32{}
-		for _, c := range cols {
-			vals := make([]uint32, n)
-			for j := range vals {
-				vals[j] = s.value(c)
-			}
-			batch[c.name] = vals
-		}
-		base0, gen0 := live.BaseRows(), live.Generation()
-		if n == 0 {
-			live.Compact()
-		} else if err := live.AppendRows(batch); err != nil {
-			t.Fatal(err)
-		}
-		if live.Generation() == gen0 {
-			continue // absorbed
-		}
-		folds++
-		if live.rows == 0 {
-			continue
-		}
-		checkAgainstScratch(t, fmt.Sprintf("op %d (fold of rows %d..%d)", op, base0, live.rows), live, cols)
-		if live.cols[cols[0].name].grp.Load() == nil {
-			t.Fatalf("op %d: a fold dropped the domain and IDs of a grouped column", op)
-		}
-	}
-	return folds
-}
-
-func TestFoldMergeMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	folds := 0
-	for stream := 0; stream < 90; stream++ {
-		data := make([]byte, 400+rng.Intn(5000))
-		rng.Read(data)
-		data[0], data[1] = byte(stream), byte(stream/3) // every policy × every column count
-		if stream%5 == 0 {
-			data[2] = 0 // an empty table: the first fold has no base to merge into
-		}
-		folds += runFoldOps(t, data)
-	}
-	t.Logf("%d folds checked", folds)
-	if folds < 500 {
-		t.Fatalf("only %d folds checked", folds)
 	}
 }
 
@@ -251,17 +105,8 @@ func TestFoldMergeMatchesRebuild(t *testing.T) {
 // smallest and above the largest resident one, and a tail that brings no new
 // value at all (the domain must be carried over, not rebuilt).
 func TestFoldPinnedCases(t *testing.T) {
-	cols := []foldCol{{name: "k"}, {name: "s"}, {name: "v"}}
-	live := NewTable("live")
+	live := newOpsTable(t, NewTable("live"), []opsCol{{"k", int(cssidx.KindLevelCSS), 0}, {"s", ixNone, 0}, {"v", ixNone, 0}}, 0, nil).tab
 	defer live.Close()
-	for _, c := range cols {
-		if err := live.AddColumn(c.name, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := live.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
-		t.Fatal(err)
-	}
 	appendAll := func(vals ...uint32) {
 		t.Helper()
 		if err := live.AppendRows(map[string][]uint32{"k": vals, "s": vals, "v": vals}); err != nil {
@@ -270,7 +115,7 @@ func TestFoldPinnedCases(t *testing.T) {
 	}
 	folded := func(tag string) {
 		t.Helper()
-		checkAgainstScratch(t, tag, live, cols)
+		checkAgainstScratch(t, tag, live)
 	}
 	live.Compact() // nothing to fold, nothing to merge
 	appendAll(500, 100, 300, 100, 900)
@@ -314,19 +159,6 @@ func TestFoldPinnedCases(t *testing.T) {
 		appendAll(i*37%400, 1000+i, i*37%400)
 		folded("merge per batch")
 	}
-}
-
-func FuzzFoldOps(f *testing.F) {
-	f.Add([]byte{0, 2, 1, 4, 8, 2, 20, 30, 40, 50, 60, 70, 0, 90, 100, 110, 120, 130, 140, 150, 0, 0})
-	f.Add([]byte{2, 1, 0, 13, 6, 200, 1, 2, 3, 9, 250, 251, 252, 17, 17, 17, 0, 248, 30, 31, 32, 33, 34, 35, 0})
-	f.Add([]byte{1, 0, 4, 14, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 100, 255, 0, 100, 5, 12, 0})
-	f.Add(bytes.Repeat([]byte{7, 15, 31, 63, 127, 255, 0, 96}, 40))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 || len(data) > 4096 {
-			t.Skip()
-		}
-		runFoldOps(t, data)
-	})
 }
 
 // TestShardedReadersDuringFolds races readers against folding appends:
@@ -505,7 +337,7 @@ func TestShardedReadersDuringFolds(t *testing.T) {
 		}
 	}
 	inner.Compact()
-	checkAgainstScratch(t, "after the race", inner, []foldCol{{name: "k"}})
+	checkAgainstScratch(t, "after the race", inner)
 }
 
 // TestRegisteredSeries pins the mmdb layer's metric catalogue: the query
@@ -571,47 +403,22 @@ func TestRegisteredSeries(t *testing.T) {
 // is the weave's one run), Compact over absorbed runs with no batch, and an
 // append that crosses the trigger with runs outstanding (the batch joins them).
 func TestFoldWeaveCases(t *testing.T) {
-	cols := []foldCol{{name: "l", span: 300}, {name: "s", span: 300}, {name: "h", span: 300}, {name: "v"}}
 	rng := rand.New(rand.NewSource(52))
-	live := NewTable("live")
+	o := newOpsTable(t, NewTable("live"), []opsCol{{"l", int(cssidx.KindLevelCSS), 300}, {"s", ixSharded, 300},
+		{"h", int(cssidx.KindHash), 300}, {"v", ixNone, 0}}, 0, nil)
+	live := o.tab
 	defer live.Close()
-	for _, c := range cols {
-		if err := live.AddColumn(c.name, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := live.BuildIndex("l", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := live.BuildShardedIndex("s", 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := live.BuildIndex("h", cssidx.KindHash, cssidx.Options{}); err != nil {
-		t.Fatal(err)
-	}
 	appendRows := func(n int) {
 		t.Helper()
-		batch := map[string][]uint32{}
-		for _, c := range cols {
-			vals := make([]uint32, n)
-			for i := range vals {
-				switch rng.Intn(12) {
-				case 0:
-					vals[i] = 0
-				case 1:
-					vals[i] = math.MaxUint32
-				default:
-					vals[i] = rng.Uint32()
-					if c.span > 0 {
-						vals[i] %= uint32(c.span)
-					}
-				}
+		o.append(t, o.batch(n, func(c opsCol) uint32 {
+			switch rng.Intn(12) {
+			case 0:
+				return 0
+			case 1:
+				return math.MaxUint32
 			}
-			batch[c.name] = vals
-		}
-		if err := live.AppendRows(batch); err != nil {
-			t.Fatal(err)
-		}
+			return spreadValue(rng, c.span)
+		}))
 	}
 	groupBy := func() {
 		t.Helper()
@@ -635,7 +442,7 @@ func TestFoldWeaveCases(t *testing.T) {
 	groupBy() // domains over no rows, kept current from here on
 
 	appendRows(40) // onto an empty base: folds at once, the batch its only run
-	checkAgainstScratch(t, "append onto an empty base", live, cols)
+	checkAgainstScratch(t, "append onto an empty base", live)
 	// The hash column's first group-by reads its index's keys and RIDs.
 	if _, err := GroupAggregate(live, "h", "v", nil); err != nil {
 		t.Fatal(err)
@@ -649,7 +456,7 @@ func TestFoldWeaveCases(t *testing.T) {
 		t.Fatalf("%d runs outstanding, want 4", runs)
 	}
 	live.Compact()
-	checkAgainstScratch(t, "Compact over runs", live, cols)
+	checkAgainstScratch(t, "Compact over runs", live)
 
 	live.fold = foldPolicy{}
 	for live.DeltaRows()*foldDenominator+20*foldDenominator < live.BaseRows() || live.DeltaRows() == 0 {
@@ -663,7 +470,7 @@ func TestFoldWeaveCases(t *testing.T) {
 	if live.Generation() == gen {
 		t.Fatal("the triggering append did not fold")
 	}
-	checkAgainstScratch(t, "an append that folds over runs", live, cols)
+	checkAgainstScratch(t, "an append that folds over runs", live)
 	for _, c := range []string{"l", "s", "h"} {
 		if live.cols[c].grp.Load() == nil {
 			t.Fatalf("a fold dropped column %s's domain", c)

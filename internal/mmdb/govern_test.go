@@ -27,7 +27,7 @@ func governedCtx() (context.Context, context.CancelFunc) {
 // same algorithm: every *Ctx surface under a live (never-aborting)
 // governed context returns bit-identical results to its legacy twin.
 func TestCtxSurfacesMatchLegacy(t *testing.T) {
-	cached, plain, _ := cachePair(t, 3000, 71)
+	cached, plain := pairTables(t, 3000, 71)
 	ctx, cancel := governedCtx()
 	defer cancel()
 
@@ -98,7 +98,7 @@ func TestCtxSurfacesMatchLegacy(t *testing.T) {
 // TestPreCancelledTypedErrors proves an already-dead context aborts every
 // surface with the precise typed error before touching the cache.
 func TestPreCancelledTypedErrors(t *testing.T) {
-	cached, _, _ := cachePair(t, 1000, 72)
+	cached, _ := pairTables(t, 1000, 72)
 	before := cached.Cache().Stats()
 
 	dead, cancel := context.WithCancel(context.Background())
@@ -145,7 +145,7 @@ func TestPreCancelledTypedErrors(t *testing.T) {
 // either no cache entry or a valid one, and the identical query re-run
 // without governance returns the exact oracle result.
 func TestBudgetAbortThenCleanRefill(t *testing.T) {
-	cached, plain, _ := cachePair(t, 4000, 73)
+	cached, plain := pairTables(t, 4000, 73)
 
 	type q struct {
 		name string
@@ -235,7 +235,7 @@ func TestBudgetAbortThenCleanRefill(t *testing.T) {
 // cancellation mid-cache-fill never publishes a torn entry and never
 // corrupts a concurrent identical query.
 func TestCancelMidFillCacheRace(t *testing.T) {
-	cached, plain, _ := cachePair(t, 6000, 74)
+	cached, plain := pairTables(t, 6000, 74)
 	want, _, err := plain.SelectRange("a", 0, math.MaxUint32)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestCancelMidFillCacheRace(t *testing.T) {
 // (ClassAggregate, shed first) while a query whose answer is already cached
 // is still served (cache hits never enter admission).
 func TestAdmissionShedAndCacheHitUnderOverload(t *testing.T) {
-	cached, _, _ := cachePair(t, 2000, 75)
+	cached, _ := pairTables(t, 2000, 75)
 	gov := governor.NewAdmission(governor.Options{MaxConcurrent: 1, MaxQueue: 0})
 	cached.AttachGovernor(gov)
 
@@ -462,7 +462,7 @@ func TestJoinWithCtxGoverned(t *testing.T) {
 // uncharged: their copy is of an answer already paid for, and cached
 // answers are what a constrained query is still served.
 func TestReusePathsChargeBudget(t *testing.T) {
-	cached, _, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 53)
+	cached, g, base := reuseTable(t, 53), workload.New(53), grid(2000)
 	pool := g.Lookups(base, 20)
 	tiny := func() context.Context { return governor.WithBudget(context.Background(), 8) }
 	rng := func(i int) (lo, hi uint32) { return base[i], base[i+260] }

@@ -1,9 +1,7 @@
 package mmdb
 
 import (
-	"errors"
 	"slices"
-	"sort"
 	"testing"
 
 	"cssidx"
@@ -42,56 +40,6 @@ func TestAddColumnValidation(t *testing.T) {
 	}
 	if tab.Rows() != 2 || len(tab.Columns()) != 1 {
 		t.Errorf("rows=%d cols=%v", tab.Rows(), tab.Columns())
-	}
-}
-
-func TestSelectEqualAllKinds(t *testing.T) {
-	tab := fixture(t)
-	for _, kind := range cssidx.Kinds() {
-		ix, err := tab.BuildIndex("amount", kind, cssidx.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids := ix.SelectEqual(30)
-		if len(rids) != 3 {
-			t.Fatalf("%v: SelectEqual(30)=%v, want 3 rids", kind, rids)
-		}
-		got := map[uint32]bool{}
-		for _, r := range rids {
-			got[r] = true
-		}
-		for _, want := range []uint32{2, 5, 6} {
-			if !got[want] {
-				t.Errorf("%v: missing rid %d in %v", kind, want, rids)
-			}
-		}
-		if rids := ix.SelectEqual(31); rids != nil {
-			t.Errorf("%v: SelectEqual(31)=%v, want none", kind, rids)
-		}
-	}
-}
-
-func TestSelectRangeOrderedKinds(t *testing.T) {
-	tab := fixture(t)
-	for _, kind := range cssidx.Kinds() {
-		ix, err := tab.BuildIndex("amount", kind, cssidx.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids, err := ix.SelectRange(10, 30)
-		if kind == cssidx.KindHash {
-			if !errors.Is(err, ErrNoOrderedAccess) {
-				t.Errorf("hash range query: err=%v, want ErrNoOrderedAccess", err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		// amounts ≤30: rows 1,3 (10) and 2,5,6 (30) = 5 rows.
-		if len(rids) != 5 {
-			t.Errorf("%v: SelectRange(10,30)=%v, want 5 rids", kind, rids)
-		}
 	}
 }
 
@@ -249,35 +197,6 @@ func TestBatchUpdateValidation(t *testing.T) {
 	}
 	if err := NewTable("empty").AppendRows(nil); err == nil {
 		t.Error("append to empty table accepted")
-	}
-}
-
-func TestSelectEqualMatchesScan(t *testing.T) {
-	g := workload.New(121)
-	vals := g.Shuffled(g.SortedWithDuplicates(20000, 4))
-	tab := NewTable("t")
-	if err := tab.AddColumn("v", vals); err != nil {
-		t.Fatal(err)
-	}
-	ix, _ := tab.BuildIndex("v", cssidx.KindFullCSS, cssidx.Options{})
-	probes := g.Lookups(vals, 200)
-	for _, v := range probes {
-		got := append([]uint32(nil), ix.SelectEqual(v)...)
-		var want []uint32
-		for r, rv := range vals {
-			if rv == v {
-				want = append(want, uint32(r))
-			}
-		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		if len(got) != len(want) {
-			t.Fatalf("SelectEqual(%d): %d rids, scan found %d", v, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("SelectEqual(%d) diverges from scan at %d", v, i)
-			}
-		}
 	}
 }
 

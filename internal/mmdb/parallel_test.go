@@ -10,11 +10,6 @@ import (
 	"cssidx/internal/workload"
 )
 
-// parallelForce builds worker options that engage at any batch size.
-func parallelForce(w int) parallel.Options {
-	return parallel.Options{Workers: w, MinBatchPerWorker: 1}
-}
-
 // joinPairs collects a join's emission stream.
 type joinPairs struct{ outer, inner []uint32 }
 
@@ -48,68 +43,6 @@ func buildJoinTables(t *testing.T, seed int64, innerRows, outerRows int) (*Table
 		t.Fatal(err)
 	}
 	return inner, outer
-}
-
-// TestJoinShardedMatchesSortedIndex proves the sharded inner path emits the
-// exact pair stream of the SortedIndex path: same domain, same stable radix
-// sort, same emission order.
-func TestJoinShardedMatchesSortedIndex(t *testing.T) {
-	inner, outer := buildJoinTables(t, 41, 6000, 4000)
-	ix, err := inner.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := inner.BuildShardedIndex("k", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	for _, bs := range []int{0, 1, 64, 700} {
-		nSorted, pSorted := collectJoin(t, outer, "k", ix, JoinOptions{batch: bs})
-		nSharded, pSharded := collectJoin(t, outer, "k", sh, JoinOptions{batch: bs})
-		if nSorted != nSharded {
-			t.Fatalf("bs=%d: sorted %d pairs, sharded %d", bs, nSorted, nSharded)
-		}
-		for i := range pSorted.outer {
-			if pSorted.outer[i] != pSharded.outer[i] || pSorted.inner[i] != pSharded.inner[i] {
-				t.Fatalf("bs=%d pair %d: sorted (%d,%d) sharded (%d,%d)", bs, i,
-					pSorted.outer[i], pSorted.inner[i], pSharded.outer[i], pSharded.inner[i])
-			}
-		}
-	}
-}
-
-// TestJoinParallelMatchesSequential proves worker count never changes the
-// join result: same count, same pairs, same order.
-func TestJoinParallelMatchesSequential(t *testing.T) {
-	inner, outer := buildJoinTables(t, 42, 5000, 6000)
-	ix, err := inner.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := inner.BuildShardedIndex("k", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	for _, in := range []*SortedIndex{ix, sh} {
-		_, want := collectJoin(t, outer, "k", in, JoinOptions{par: parallel.Options{Workers: 1}})
-		for _, par := range []parallel.Options{
-			{Workers: 4, MinBatchPerWorker: 256},
-			{Workers: 3, MinBatchPerWorker: 1},
-		} {
-			_, got := collectJoin(t, outer, "k", in, JoinOptions{batch: 128, par: par})
-			if len(got.outer) != len(want.outer) {
-				t.Fatalf("par=%+v: %d pairs, want %d", par, len(got.outer), len(want.outer))
-			}
-			for i := range want.outer {
-				if got.outer[i] != want.outer[i] || got.inner[i] != want.inner[i] {
-					t.Fatalf("par=%+v pair %d: got (%d,%d) want (%d,%d)", par, i,
-						got.outer[i], got.inner[i], want.outer[i], want.inner[i])
-				}
-			}
-		}
-	}
 }
 
 // TestJoinShardedDuringAppendRows drives joins against a sharded inner while
@@ -186,118 +119,6 @@ func TestJoinShardedDuringAppendRows(t *testing.T) {
 		t.Fatalf("final join count %d, want %d", n, appends*512)
 	}
 	shFinal.Close()
-}
-
-// TestSelectInParallelMatchesSequential proves the parallel IN-list fan-out
-// returns the identical RID stream on both index types.
-func TestSelectInParallelMatchesSequential(t *testing.T) {
-	g := workload.New(44)
-	keys := g.SortedWithDuplicates(9000, 4)
-	tbl := NewTable("t")
-	if err := tbl.AddColumn("k", keys); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := tbl.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := tbl.BuildShardedIndex("k", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	values := append(g.Lookups(keys, 6000), g.Misses(keys, 2000)...)
-
-	// The sequential oracle: per-value equal ranges in list order.
-	want := indexIn(ix, values)
-	got := indexIn(sh, values)
-	if len(got) != len(want) {
-		t.Fatalf("sharded SelectIn %d rids, sorted %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rid %d: sharded %d, sorted %d", i, got[i], want[i])
-		}
-	}
-}
-
-// TestInDriverMatchesRebuiltOracle pins the one IN driver (segment.selectIn)
-// to what the three drivers it replaced produced: for every listed value in
-// list order, the RIDs of the rows holding it, ascending — which is what an
-// index rebuilt over all rows returns — on an ordered SortedIndex, a hash
-// SortedIndex and a sharded epoch, with and without delta runs, at one
-// worker and at four, with and without group offsets.
-func TestInDriverMatchesRebuiltOracle(t *testing.T) {
-	g := workload.New(45)
-	base := g.SortedWithDuplicates(6000, 3)
-	vals := g.Shuffled(base)
-	tbl := NewTable("t")
-	tbl.fold = neverFold
-	for _, c := range []string{"o", "h", "s"} {
-		if err := tbl.AddColumn(c, vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ord, err := tbl.BuildIndex("o", cssidx.KindLevelCSS, cssidx.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err := tbl.BuildIndex("h", cssidx.KindHash, cssidx.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := tbl.BuildShardedIndex("s", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	all := vals
-	list := dedupeValues(append(g.Lookups(base, 2500), g.Misses(base, 700)...)) // several chunks, some absent
-
-	check := func(tag string) {
-		t.Helper()
-		rowsOf := map[uint32][]uint32{}
-		for rid, v := range all {
-			rowsOf[v] = append(rowsOf[v], uint32(rid))
-		}
-		var want, wantOff []uint32
-		for _, v := range list {
-			wantOff = append(wantOff, uint32(len(want)))
-			want = append(want, rowsOf[v]...)
-		}
-		wantOff = append(wantOff, uint32(len(want)))
-		segs := map[string]*segment{"ordered": &ord.cur.Load().segment, "hash": &hash.cur.Load().segment, "sharded": &sh.cur.Load().segment}
-		for name, seg := range segs {
-			for _, w := range []int{1, 4} {
-				for _, groups := range []bool{false, true} {
-					what := fmt.Sprintf("%s %s workers=%d groups=%v", tag, name, w, groups)
-					got, goff, err := seg.selectIn(nil, list, groups, parallelForce(w))
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustEqualU32(t, what+" rows", got, want)
-					if groups {
-						mustEqualU32(t, what+" offsets", goff, wantOff)
-					} else if goff != nil {
-						t.Fatalf("%s: offsets returned unasked", what)
-					}
-				}
-			}
-		}
-	}
-	check("base")
-	for round := 0; round < 3; round++ {
-		batch := append(g.Lookups(base, 150), g.Misses(base, 50)...)
-		all = append(all, batch...)
-		if err := tbl.AppendRows(map[string][]uint32{"o": batch, "h": batch, "s": batch}); err != nil {
-			t.Fatal(err)
-		}
-		list = dedupeValues(append(list, batch[:40]...)) // values only the runs hold
-	}
-	if len(ord.cur.Load().runs) == 0 || tbl.DeltaRows() != 600 {
-		t.Fatalf("appends did not absorb: %d runs, %d delta rows", len(ord.cur.Load().runs), tbl.DeltaRows())
-	}
-	check("runs")
 }
 
 // BenchmarkParallelJoin drives the §2.2 join through the worker pool at one,

@@ -155,47 +155,6 @@ func TestPlanRangeNoIndexFallsBackToScan(t *testing.T) {
 	}
 }
 
-func TestSelectRangeIndexAndScanAgree(t *testing.T) {
-	g := workload.New(161)
-	vals := g.Shuffled(g.SortedWithDuplicates(20000, 3))
-	tab := NewTable("t")
-	if err := tab.AddColumn("v", vals); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.BuildIndex("v", cssidx.KindFullCSS, cssidx.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	sorted := append([]uint32(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, rng := range [][2]uint32{
-		{sorted[10], sorted[50]},        // narrow → index
-		{sorted[0], sorted[19000]},      // wide → scan
-		{sorted[5000], sorted[5000]},    // point
-		{sorted[19999] + 1, ^uint32(0)}, // empty above
-	} {
-		viaTable, plan, err := tab.SelectRange("v", rng[0], rng[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		var viaScan []uint32
-		for row, v := range vals {
-			if v >= rng[0] && v <= rng[1] {
-				viaScan = append(viaScan, uint32(row))
-			}
-		}
-		a := append([]uint32(nil), viaTable...)
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		if len(a) != len(viaScan) {
-			t.Fatalf("range %v (plan %+v): %d rows vs scan %d", rng, plan, len(a), len(viaScan))
-		}
-		for i := range a {
-			if a[i] != viaScan[i] {
-				t.Fatalf("range %v: rid sets diverge at %d", rng, i)
-			}
-		}
-	}
-}
-
 func TestSelectWhereConjunction(t *testing.T) {
 	g := workload.New(162)
 	n := 20000

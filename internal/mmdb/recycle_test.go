@@ -1,16 +1,15 @@
 package mmdb
 
-// Differential tests for the intermediate-reuse (recycler) paths:
-// containment, IN-list subset replay and GroupAggregate caching must stay
-// bit-identical to uncached execution — across every ordered index kind,
-// absorbed appends and sharded epoch swaps — on streams of overlapping
-// windows and near-superset lists, which no single entry answers and which
-// must therefore miss, execute and admit.  The hit-kind counters prove which
-// paths served.
+// Tests of the intermediate-reuse (recycler) paths under concurrency and
+// EXPLAIN: containment, IN-list subset replay and aggregate hits racing
+// sharded epoch swaps, and the hit-kind counters agreeing with what every
+// cache stage printed.  Their answers against a scan of the rows, across
+// every index kind, absorbs and folds, are FuzzTableOps' (ops_test.go).
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,279 +20,18 @@ import (
 	"cssidx/internal/workload"
 )
 
-// recyclePair builds cached/plain twins with one sorted index of the given
-// kind on "a", a sharded index on "b", and a measure column "v", with folds
-// disabled so appends absorb (the recycler's home turf).
-func recyclePair(t *testing.T, kind cssidx.Kind, n int, seed int64) (cached, plain *Table, g *workload.Gen, base []uint32) {
+// reuseCols are the columns the reuse tests ask over: a under a level
+// CSS-tree, b sharded, v a measure, each drawing from 2,000 values (grid).
+var reuseCols = []opsCol{{"a", int(cssidx.KindLevelCSS), 2000}, {"b", ixSharded, 2000}, {"v", ixNone, 2000}}
+
+// reuseTable builds reuseCols over 4,000 rows drawn from seed, folds off so
+// appends absorb, with a cache admitting at first sight.
+func reuseTable(t *testing.T, seed int64) *Table {
 	t.Helper()
-	g = workload.New(seed)
-	base = g.SortedUniform(n / 2)
-	cols := map[string][]uint32{
-		"a": g.Lookups(base, n),
-		"b": g.Lookups(base, n),
-		"v": g.Lookups(base, n),
-	}
-	build := func() *Table {
-		tab := NewTable("t")
-		tab.fold = neverFold
-		for _, c := range []string{"a", "b", "v"} {
-			if err := tab.AddColumn(c, cols[c]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := tab.BuildIndex("a", kind, cssidx.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tab.BuildShardedIndex("b", 4); err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
-	cached = build()
-	cached.EnableCache(CacheOptions{MinCostNs: -1})
-	plain = build()
-	return cached, plain, g, base
-}
-
-// orderedKinds returns every index kind with ordered access (range surface).
-func orderedKinds() []cssidx.Kind {
-	var out []cssidx.Kind
-	for _, k := range cssidx.Kinds() {
-		if k != cssidx.KindHash {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// TestOverlappingRangesDifferential marches an overlapping window across the
-// value space — the shifting-dashboard pattern — interleaved with absorbed
-// appends, on every ordered index kind.  Every window must be bit-identical
-// to the uncached twin; no single cached run covers a window, so none is
-// answered from the cache, and the repeat of a window is an exact hit.
-func TestOverlappingRangesDifferential(t *testing.T) {
-	for _, kind := range orderedKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			cached, plain, g, base := recyclePair(t, kind, 4000, 41)
-			vals := base
-			width := len(vals) / 12 // ~8% selectivity: index path
-			step := width / 4
-			for q := 0; q*step+width < len(vals); q++ {
-				lo, hi := vals[q*step], vals[q*step+width]
-				want, _, err := plain.SelectRange("a", lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, _, err := cached.SelectRange("a", lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustEqualU32(t, fmt.Sprintf("%v window %d", kind, q), got, want)
-				if q%5 == 4 { // absorb mid-stream: later windows weave the delta in
-					batch := map[string][]uint32{
-						"a": g.Lookups(base, 40), "b": g.Lookups(base, 40), "v": g.Lookups(base, 40),
-					}
-					if err := cached.AppendRows(batch); err != nil {
-						t.Fatal(err)
-					}
-					if err := plain.AppendRows(batch); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			s := cached.Cache().Stats()
-			if s.StitchedHits != 0 || s.GapProbes != 0 || s.Hits != 0 {
-				t.Fatalf("%v: an overlapping window was answered from the cache: %+v", kind, s)
-			}
-			lo, hi := vals[step], vals[step+width]
-			want, _, err := plain.SelectRange("a", lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := cached.SelectRange("a", lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustEqualU32(t, fmt.Sprintf("%v repeated window", kind), got, want)
-			if s := cached.Cache().Stats(); s.Hits != 1 || s.ContainedHits != 0 {
-				t.Fatalf("%v: the repeat of a window was not an exact hit: %+v", kind, s)
-			}
-			if cached.Generation() != 1 {
-				t.Fatalf("%v: fold happened, stream invalid", kind)
-			}
-		})
-	}
-}
-
-// TestOverlappingWhereConjunct checks the SelectWhere conjunct path the same
-// way: a conjunct that only overlaps an earlier query's cached run is a miss
-// that executes and admits, and its repeat is an exact conjunct hit.
-func TestOverlappingWhereConjunct(t *testing.T) {
-	cached, plain, _, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 43)
-	lo1, hi1 := base[100], base[360]
-	lo2, hi2 := base[200], base[460] // overlaps [lo1, hi1]
-	if _, _, err := cached.SelectRange("a", lo1, hi1); err != nil {
-		t.Fatal(err)
-	}
-	preds := []RangePred{{Col: "a", Lo: lo2, Hi: hi2}, {Col: "v", Lo: 0, Hi: ^uint32(0) - 1}}
-	want, _, err := plain.SelectWhere(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := cached.Cache().Stats()
-	got, _, err := cached.SelectWhere(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualU32(t, "overlapping where", got, want)
-	s := cached.Cache().Stats()
-	if s.StitchedHits != 0 || s.GapProbes != 0 || s.Hits != before.Hits {
-		t.Fatalf("an overlapping conjunct was answered from the cache: %+v -> %+v", before, s)
-	}
-	// The conjunct's run was admitted: a different conjunction sharing it
-	// finds it by exact match.
-	preds[1].Hi--
-	want, _, err = plain.SelectWhere(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err = cached.SelectWhere(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualU32(t, "overlapping where, conjunct repeated", got, want)
-	if r := cached.Cache().Stats(); r.Hits != s.Hits+1 || r.ContainedHits != s.ContainedHits {
-		t.Fatalf("the repeated conjunct was not an exact hit: %+v -> %+v", s, r)
-	}
-}
-
-// TestInSubsetNearSupersetDifferential replays subset IN-lists from a cached
-// grouped entry and recomputes near-supersets, on a column under a sorted
-// index and on one under a sharded index, across absorbed appends.
-func TestInSubsetNearSupersetDifferential(t *testing.T) {
-	cached, plain, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 47)
-	pool := g.Lookups(base, 24)
-
-	check := func(tag string, list []uint32) {
-		t.Helper()
-		for _, col := range []string{"a", "b"} {
-			want, _, err := plain.SelectIn(col, list)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := cached.SelectIn(col, list)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustEqualU32(t, tag+" "+col, got, want)
-		}
-	}
-
-	check("fill", pool) // seeds the grouped entries
-	check("subset", pool[3:15])
-	check("subset-reordered", []uint32{pool[9], pool[2], pool[5]})
-	near := append(append([]uint32(nil), pool...), base[7]+1) // one unseen value
-	s := cached.Cache().Stats()
-	check("near-superset", near)
-	if r := cached.Cache().Stats(); r.Hits != s.Hits || r.Misses != s.Misses+2 || r.Inserts != s.Inserts+2 {
-		t.Fatalf("a near-superset was not a miss that admits, once per layer: %+v -> %+v", s, r)
-	}
-	s = cached.Cache().Stats()
-	check("near-superset repeated", near)
-	if r := cached.Cache().Stats(); r.Hits != s.Hits+2 || r.SubsetHits != s.SubsetHits || r.Misses != s.Misses {
-		t.Fatalf("the repeat of a near-superset was not an exact hit: %+v -> %+v", s, r)
-	}
-	if s = cached.Cache().Stats(); s.SubsetHits == 0 || s.SupersetHits != 0 || s.MissingKeyProbes != 0 {
-		t.Fatalf("IN reuse: subset replay never engaged, or a retired counter moved: %+v", s)
-	}
-
-	// Absorb, then replay: grouped entries must splice and keep serving.
-	batch := map[string][]uint32{
-		"a": g.Lookups(pool, 60), "b": g.Lookups(pool, 60), "v": g.Lookups(pool, 60),
-	}
-	if err := cached.AppendRows(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.AppendRows(batch); err != nil {
-		t.Fatal(err)
-	}
-	check("post-absorb fill", pool)
-	check("post-absorb subset", pool[1:9])
-	if s := cached.Cache().Stats(); s.Patches == 0 {
-		t.Fatalf("no entry was brought current after an absorb: %+v", s)
-	}
-}
-
-// TestGroupAggregateCachedDifferential covers the aggregate cache through
-// repeats (hits), absorbs (the next hit merges the tail), folds (drop +
-// recompute) and explicit-RID sources (re-stamped entries).
-func TestGroupAggregateCachedDifferential(t *testing.T) {
-	cached, plain, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 53)
-
-	checkAgg := func(tag string, rids []uint32) {
-		t.Helper()
-		want, err := GroupAggregate(plain, "a", "v", rids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			got, err := GroupAggregate(cached, "a", "v", rids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s pass %d: %d groups, want %d", tag, pass, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s pass %d [%d]: %+v, want %+v", tag, pass, i, got[i], want[i])
-				}
-			}
-		}
-	}
-
-	checkAgg("all-rows", nil)
-	sub, _, err := plain.SelectRange("a", base[10], base[len(base)/4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgg("explicit-rids", sub)
-	checkAgg("empty-rids", []uint32{}) // distinct fingerprint from nil
-	if s := cached.Cache().Stats(); s.AggregateHits == 0 {
-		t.Fatalf("aggregate cache never hit: %+v", s)
-	}
-
-	// Absorb: the all-rows entry must patch to the recomputed answer.
-	for round := 0; round < 3; round++ {
-		batch := map[string][]uint32{
-			"a": g.Lookups(base, 50), "b": g.Lookups(base, 50), "v": g.Lookups(base, 50),
-		}
-		if err := cached.AppendRows(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := plain.AppendRows(batch); err != nil {
-			t.Fatal(err)
-		}
-		checkAgg(fmt.Sprintf("post-absorb %d", round), nil)
-		checkAgg(fmt.Sprintf("post-absorb %d explicit", round), sub)
-	}
-
-	// Fold: entries drop, recompute must refill and match.
-	cached.fold = foldPolicy{}
-	plain.fold = foldPolicy{}
-	batch := map[string][]uint32{
-		"a": g.Lookups(base, 3000), "b": g.Lookups(base, 3000), "v": g.Lookups(base, 3000),
-	}
-	if err := cached.AppendRows(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.AppendRows(batch); err != nil {
-		t.Fatal(err)
-	}
-	if cached.Generation() != 2 {
-		t.Fatal("fold expected")
-	}
-	checkAgg("post-fold", nil)
+	tab := newOpsTable(t, NewTable("t"), reuseCols, 4000, spread(rand.New(rand.NewSource(seed)))).tab
+	tab.fold = neverFold
+	tab.EnableCache(CacheOptions{MinCostNs: -1})
+	return tab
 }
 
 // TestRecycleRaceSharded is the -race gate for the reuse paths against
@@ -406,7 +144,7 @@ func TestRecycleRaceSharded(t *testing.T) {
 // see half a settlement: lookups settled (Hits + Misses) and exact hits (Hits
 // less the three reuse kinds) only grow.
 func TestHitKindsSumToHits(t *testing.T) {
-	cached, _, g, base := recyclePair(t, cssidx.KindLevelCSS, 4000, 61)
+	cached, g, base := reuseTable(t, 61), workload.New(61), grid(2000)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup

@@ -9,28 +9,6 @@ import (
 	"cssidx/internal/qcache"
 )
 
-// absorb appends n rows in small batches, left unfolded: values drawn like
-// newWhereTable's tail, so some are odd or past the base domain.
-func (w *whereTable) absorb(t *testing.T, rng *rand.Rand, n int) {
-	t.Helper()
-	for done := 0; done < n; {
-		m := min(1+rng.Intn(32), n-done)
-		batch := map[string][]uint32{}
-		for _, c := range whereCols {
-			vals := make([]uint32, m)
-			for i := range vals {
-				vals[i] = uint32(rng.Intn(2*w.card[c] + 8))
-			}
-			batch[c] = vals
-			w.raw[c] = append(w.raw[c], vals...)
-		}
-		if err := w.tab.AppendRows(batch); err != nil {
-			t.Fatal(err)
-		}
-		done += m
-	}
-}
-
 // TestHitReplaysPlan: a hit returns the plan the planner gives the question
 // afresh, field for field, Why byte for byte — whatever answered it: an
 // exact range hit through a level CSS-tree index, scan-planned on that
@@ -43,9 +21,9 @@ func (w *whereTable) absorb(t *testing.T, rng *rand.Rand, n int) {
 // questions a plan proves empty must leave no trace in the counters.
 func TestHitReplaysPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	w := newWhereTable(t, rng, 2000, 0)
+	w := whereOps(t, rng, 2000, 0)
 	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
-	top := uint32(2 * w.card["k"])
+	top := uint32(2 * int(w.col("k").span))
 
 	// The IN parent on k lists base values, values only the appended tail
 	// will hold (odd) and values nothing holds; its subsets replay from it.
@@ -113,7 +91,7 @@ func TestHitReplaysPlan(t *testing.T) {
 	for _, state := range []string{"rows == baseRows", "after absorbed appends", "after a fold"} {
 		switch state {
 		case "after absorbed appends":
-			w.absorb(t, rng, 300)
+			absorbTail(t, w, rng, 300)
 		case "after a fold":
 			w.tab.Compact()
 		}
@@ -170,8 +148,8 @@ func TestHitReplaysPlan(t *testing.T) {
 // planner's plan instead, or misses.
 func TestHitRunsNoPlanning(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	w := newWhereTable(t, rng, 2000, 0)
-	w.absorb(t, rng, 100)
+	w := whereOps(t, rng, 2000, 0)
+	absorbTail(t, w, rng, 100)
 	stored := qcache.Plan{UseIndex: true, Frac: 0.5, Why: "stored with the entry"}
 	want := Plan{UseIndex: true, EstRows: w.tab.Rows() / 2, Why: stored.Why}
 	list := []uint32{2, 40, 41, 90, 96}
@@ -220,17 +198,17 @@ func TestHitRunsNoPlanning(t *testing.T) {
 // (Patches) rather than dropped (Invalidations).
 func TestWhereHitAfterAbsorb(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	w := newWhereTable(t, rng, 2000, 0)
+	w := whereOps(t, rng, 2000, 0)
 	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
 	for _, preds := range [][]RangePred{
 		{{"k", 100, 900}, {"u", 0, 70}},
 		{{"s", 0, 200}, {"h", 2, 20}, {"u", 10, 127}},
 	} {
-		w.check(t, "cold", preds)
+		checkWhere(t, w, "cold", preds)
 		for round := 0; round < 4; round++ {
-			w.absorb(t, rng, 40)
+			absorbTail(t, w, rng, 40)
 			before := qc.Stats()
-			w.check(t, fmt.Sprintf("after %d absorbs", round+1), preds)
+			checkWhere(t, w, fmt.Sprintf("after %d absorbs", round+1), preds)
 			s := qc.Stats()
 			if s.Hits != before.Hits+1 || s.Misses != before.Misses || s.Patches != before.Patches+1 || s.Invalidations != before.Invalidations {
 				t.Fatalf("%v after %d absorbs: not a hit brought current: %+v → %+v", preds, round+1, before, s)

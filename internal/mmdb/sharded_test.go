@@ -29,62 +29,6 @@ func shardedFixture(t *testing.T, rows int, seed int64) (*Table, []uint32) {
 	return tbl, vals
 }
 
-// TestShardedIndexMatchesSortedIndex: the sharded index must answer every
-// selection exactly like the single-threaded SortedIndex (as RID sets;
-// within duplicate runs the orders may differ because the two paths sort
-// pairs differently).
-func TestShardedIndexMatchesSortedIndex(t *testing.T) {
-	tbl, vals := shardedFixture(t, 8000, 41)
-	ref, err := tbl.BuildIndex("qty", cssidx.KindLevelCSS, cssidx.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := tbl.BuildShardedIndex("qty", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-
-	asSet := func(rids []uint32) map[uint32]bool {
-		m := make(map[uint32]bool, len(rids))
-		for _, r := range rids {
-			m[r] = true
-		}
-		return m
-	}
-	sameSet := func(a, b []uint32) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		sa := asSet(a)
-		for _, r := range b {
-			if !sa[r] {
-				return false
-			}
-		}
-		return true
-	}
-
-	for _, v := range []uint32{0, 1, vals[0], vals[100], 1999, 5000} {
-		if !sameSet(ref.SelectEqual(v), sh.SelectEqual(v)) {
-			t.Fatalf("SelectEqual(%d) differs between sorted and sharded", v)
-		}
-	}
-	for _, r := range [][2]uint32{{0, 10}, {100, 500}, {1990, 5000}, {7, 7}, {5000, 4000}} {
-		want, err := ref.SelectRange(r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sh.SelectRange(r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameSet(want, got) {
-			t.Fatalf("SelectRange(%d,%d): %d vs %d rids", r[0], r[1], len(want), len(got))
-		}
-	}
-}
-
 // TestShardedIndexServesDuringAppendRows runs concurrent range queries
 // against the sharded index while AppendRows repeatedly rebuilds it; every
 // answer must be internally consistent with some published epoch.  The

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -15,77 +14,53 @@ import (
 	"cssidx/internal/governor"
 )
 
-// whereCols are the columns of a whereTable, one per access path a
-// conjunct can take: k under a level CSS-tree, h hashed (so it scans), s
-// sharded only, u unindexed.
-var whereCols = []string{"k", "h", "s", "u"}
-
-// whereTable is a table plus a plain copy of its raw columns, the oracle a
-// conjunction is checked against by brute-force scan.
-type whereTable struct {
-	tab  *Table
-	raw  map[string][]uint32
-	card map[string]int // base values of a column are the even numbers below 2·card
+// whereCols are one column per access path a conjunct can take — k under a
+// level CSS-tree, h hashed (so a range scans), s sharded, u unindexed — for
+// a table of base rows.  A column's base values are the even numbers below
+// twice its span (whereBase); appended ones are any below twice its span
+// plus 8 (whereTail), so a tail holds values no base row does.
+func whereCols(base int) []opsCol {
+	return []opsCol{{"k", int(cssidx.KindLevelCSS), uint32(base/2 + 1)}, {"h", int(cssidx.KindHash), 16},
+		{"s", ixSharded, uint32(base/8 + 1)}, {"u", ixNone, 64}}
 }
 
-// newWhereTable builds base rows whose values are even, then absorbs tail
-// rows (left unfolded) whose values may be odd or beyond the base domain —
-// values the frozen dictionaries have never seen.
-func newWhereTable(t testing.TB, rng *rand.Rand, base, tail int) *whereTable {
+func whereBase(rng *rand.Rand) func(opsCol) uint32 {
+	return func(c opsCol) uint32 { return 2 * uint32(rng.Intn(int(c.span))) }
+}
+
+func whereTail(rng *rand.Rand) func(opsCol) uint32 {
+	return func(c opsCol) uint32 { return uint32(rng.Intn(2*int(c.span) + 8)) }
+}
+
+// whereOps builds whereCols over base rows with folds off, then absorbs a
+// tail of tail rows.
+func whereOps(t testing.TB, rng *rand.Rand, base, tail int) *opsTable {
 	t.Helper()
-	w := &whereTable{tab: NewTable("w"), raw: map[string][]uint32{},
-		card: map[string]int{"k": base/2 + 1, "h": 16, "s": base/8 + 1, "u": 64}}
+	w := newOpsTable(t, NewTable("w"), whereCols(base), base, whereBase(rng))
 	w.tab.fold = neverFold
-	for _, c := range whereCols {
-		vals := make([]uint32, base)
-		for i := range vals {
-			vals[i] = 2 * uint32(rng.Intn(w.card[c]))
-		}
-		w.raw[c] = vals
-		if err := w.tab.AddColumn(c, slices.Clone(vals)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.tab.BuildIndex("h", cssidx.KindHash, cssidx.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.tab.BuildShardedIndex("s", 4); err != nil {
-		t.Fatal(err)
-	}
-	for done := 0; done < tail; {
-		n := min(1+rng.Intn(32), tail-done)
-		batch := map[string][]uint32{}
-		for _, c := range whereCols {
-			vals := make([]uint32, n)
-			for i := range vals {
-				vals[i] = uint32(rng.Intn(2*w.card[c] + 8))
-			}
-			batch[c] = vals
-			w.raw[c] = append(w.raw[c], vals...)
-		}
-		if err := w.tab.AppendRows(batch); err != nil {
-			t.Fatal(err)
-		}
-		done += n
-	}
-	if got := w.tab.DeltaRows(); got != tail {
-		t.Fatalf("tail of %d rows left %d delta rows: the tail must stay unfolded", tail, got)
-	}
+	absorbTail(t, w, rng, tail)
 	return w
 }
 
-// pred draws one conjunct: usually a range between two values, sometimes
-// open-ended (Hi = MaxUint32), inverted (Lo > Hi), or strictly between two
-// even base values (an empty frozen ID range).
-func (w *whereTable) pred(rng *rand.Rand) RangePred {
-	return w.predOn(rng, whereCols[rng.Intn(len(whereCols))])
+// absorbTail appends n rows drawn by whereTail, in batches of 1–32.
+func absorbTail(t testing.TB, w *opsTable, rng *rand.Rand, n int) {
+	t.Helper()
+	for done := 0; done < n; {
+		m := min(1+rng.Intn(32), n-done)
+		w.append(t, w.batch(m, whereTail(rng)))
+		done += m
+	}
 }
 
-func (w *whereTable) predOn(rng *rand.Rand, c string) RangePred {
-	top := 2*w.card[c] + 8
+// wherePred draws one conjunct on a column of w: usually a range between two
+// values, sometimes open-ended (Hi = MaxUint32), inverted (Lo > Hi), or an
+// odd point, which no base row holds.
+func wherePred(w *opsTable, rng *rand.Rand) RangePred {
+	return wherePredOn(w, rng, w.cols[rng.Intn(len(w.cols))].name)
+}
+
+func wherePredOn(w *opsTable, rng *rand.Rand, c string) RangePred {
+	top := 2*int(w.col(c).span) + 8
 	lo := uint32(rng.Intn(top))
 	switch rng.Intn(8) {
 	case 0:
@@ -103,32 +78,14 @@ func (w *whereTable) predOn(rng *rand.Rand, c string) RangePred {
 	return RangePred{Col: c, Lo: lo, Hi: lo + uint32(width)}
 }
 
-// scan is the oracle: every row satisfying every conjunct, ascending.
-func (w *whereTable) scan(preds []RangePred) []uint32 {
-	var out []uint32
-	for row := range w.raw["k"] {
-		ok := true
-		for _, p := range preds {
-			if v := w.raw[p.Col][row]; v < p.Lo || v > p.Hi {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, uint32(row))
-		}
-	}
-	return out
-}
-
-func (w *whereTable) check(t *testing.T, tag string, preds []RangePred) {
+// checkWhere holds a conjunction's answer to a scan of the rows.
+func checkWhere(t *testing.T, w *opsTable, tag string, preds []RangePred) {
 	t.Helper()
 	got, _, err := w.tab.SelectWhere(preds)
 	if err != nil {
 		t.Fatalf("%s %v: %v", tag, preds, err)
 	}
-	want := w.scan(preds)
-	if !slices.Equal(got, want) {
+	if want := w.scan(preds); !slices.Equal(got, want) {
 		t.Fatalf("%s %v:\n got %v\nwant %v", tag, preds, got, want)
 	}
 }
@@ -146,65 +103,12 @@ func mustPoolZero(t *testing.T, tag string) {
 	}
 }
 
-// TestSelectWhereMatchesScan is the conjunction's differential: random
-// tables with and without an absorbed tail, 1–4 conjuncts over every access
-// path, each answer equal to a brute-force scan of the raw columns — under
-// caching off, admit-all and default admission, asked three times so the
-// cached paths answer too.
-func TestSelectWhereMatchesScan(t *testing.T) {
-	caches := []struct {
-		name string
-		on   bool
-		opts CacheOptions
-	}{{"off", false, CacheOptions{}}, {"admit-all", true, CacheOptions{MinCostNs: -1}}, {"default", true, CacheOptions{}}}
-	rng := rand.New(rand.NewSource(27))
-	for round := 0; round < 6; round++ {
-		base := 200 + rng.Intn(2000)
-		tail := 0
-		if round%3 != 0 {
-			tail = 64 + rng.Intn(base/4) // past a word of the row map
-		}
-		for _, cm := range caches {
-			w := newWhereTable(t, rng, base, tail)
-			if cm.on {
-				w.tab.EnableCache(cm.opts)
-			}
-			tag := fmt.Sprintf("round %d (%d+%d rows, cache %s)", round, base, tail, cm.name)
-			for q := 0; q < 60; q++ {
-				preds := make([]RangePred, 1+rng.Intn(4))
-				for i := range preds {
-					preds[i] = w.pred(rng)
-				}
-				if len(preds) > 1 && rng.Intn(3) == 0 { // two predicates on one column
-					preds[1] = w.predOn(rng, preds[0].Col)
-				}
-				for ask := 0; ask < 3; ask++ {
-					w.check(t, tag, preds)
-				}
-			}
-			// The tail's last row, matched through every access path at
-			// once: the row map must cover unfolded tail RIDs.
-			if tail > 0 {
-				runtime.GC() // empty the pool, so no larger map left by
-				runtime.GC() // an earlier table can hide a short one
-				var preds []RangePred
-				for _, c := range whereCols {
-					v := w.raw[c][base+tail-1]
-					preds = append(preds, RangePred{Col: c, Lo: v, Hi: v})
-				}
-				w.check(t, tag+" last tail row", preds)
-			}
-			mustPoolZero(t, tag)
-		}
-	}
-}
-
 // TestSelectWhereEmptyConjunctShortCircuits: a conjunct the plan proves
 // empty answers the conjunction alone — the other conjuncts are neither
 // probed nor offered to the cache.
 func TestSelectWhereEmptyConjunctShortCircuits(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	w := newWhereTable(t, rng, 1000, 0)
+	w := whereOps(t, rng, 1000, 0)
 	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
 	for _, empty := range []RangePred{{Col: "k", Lo: 9, Hi: 3}, {Col: "s", Lo: 7, Hi: 7}} {
 		before := qc.Stats()
@@ -218,13 +122,13 @@ func TestSelectWhereEmptyConjunctShortCircuits(t *testing.T) {
 	}
 	// With an unfolded tail, an empty frozen ID range is not empty: the
 	// tail may hold the value.
-	w = newWhereTable(t, rng, 1000, 200)
+	w = whereOps(t, rng, 1000, 200)
 	odd := slices.IndexFunc(w.raw["k"], func(v uint32) bool { return v%2 == 1 })
 	if odd < 0 {
 		t.Fatal("the tail holds no value outside the dictionary")
 	}
 	v := w.raw["k"][odd]
-	w.check(t, "tail", []RangePred{{Col: "u", Lo: 0, Hi: math.MaxUint32}, {Col: "k", Lo: v, Hi: v}})
+	checkWhere(t, w, "tail", []RangePred{{Col: "u", Lo: 0, Hi: math.MaxUint32}, {Col: "k", Lo: v, Hi: v}})
 }
 
 // TestBitmapIntersect drives the intersection kernel directly: sets in row
@@ -330,7 +234,7 @@ func popcount(bm []uint64) int {
 // budget or a cancelled context returns the row map clean.
 func TestSelectWhereAbortLeavesPoolZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	w := newWhereTable(t, rng, 4000, 100)
+	w := whereOps(t, rng, 4000, 100)
 	preds := []RangePred{{Col: "u", Lo: 0, Hi: 60}, {Col: "h", Lo: 0, Hi: 20}, {Col: "k", Lo: 0, Hi: 1000}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -340,7 +244,7 @@ func TestSelectWhereAbortLeavesPoolZero(t *testing.T) {
 		}
 		mustPoolZero(t, name)
 	}
-	w.check(t, "after aborts", preds)
+	checkWhere(t, w, "after aborts", preds)
 	mustPoolZero(t, "after aborts")
 }
 
@@ -348,14 +252,14 @@ func TestSelectWhereAbortLeavesPoolZero(t *testing.T) {
 // goroutines on one cached table, all sharing the row-map pool.
 func TestConcurrentSelectWhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	w := newWhereTable(t, rng, 3000, 300)
+	w := whereOps(t, rng, 3000, 300)
 	w.tab.EnableCache(CacheOptions{})
 	questions := make([][]RangePred, 40)
 	want := make([][]uint32, len(questions))
 	for i := range questions {
-		questions[i] = []RangePred{w.pred(rng), w.pred(rng)}
+		questions[i] = []RangePred{wherePred(w, rng), wherePred(w, rng)}
 		if i%3 == 0 {
-			questions[i] = append(questions[i], w.pred(rng))
+			questions[i] = append(questions[i], wherePred(w, rng))
 		}
 		want[i] = w.scan(questions[i])
 	}

@@ -8,9 +8,9 @@ package qcache
 // question seen twice and then dropped — still enters cold, so it recycles
 // its own slot instead of flushing the warmed working set: the scan
 // resistance the paper's buffer-management ancestors (CLOCK, GCLOCK) bought
-// for page caches, applied to query results.  Benefit feeds in twice:
-// observed hit rate through the ref lives, and recompute cost through the
-// extra life that admission grants expensive entries.
+// for page caches, applied to query results.  Benefit feeds in once, as
+// observed hit rate through the ref lives; recompute cost decides admission
+// only (qcache.go).
 
 // evictFor frees room for `need` more bytes, evicting cold entries under
 // the hand until the stripe fits its budget share again.  It returns false

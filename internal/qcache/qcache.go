@@ -31,11 +31,12 @@
 // question passed the door is then admitted on benefit, as before: its
 // estimated recompute cost (the caller passes the max of the measured
 // elapsed time and the planner's cost-model estimate) must clear
-// Options.MinCostNs and its bytes fit the stripe's share of the budget;
-// expensive entries start with an extra CLOCK life.  A negative MinCostNs
-// switches both tests off (admit everything).  Eviction is a CLOCK sweep:
-// entries enter cold (ref 0) and only observed hits warm them, so what does
-// get admitted still cannot flush the working set of a hot dashboard.
+// Options.MinCostNs and its bytes fit the stripe's share of the budget.  A
+// negative MinCostNs switches both tests off (admit everything).  Eviction is
+// a CLOCK sweep: every entry enters cold (ref 0) and only observed hits warm
+// it, so what does get admitted still cannot flush the working set of a hot
+// dashboard, and which entries survive is a function of the op stream, not
+// of how fast the host computed them.
 //
 // Beyond exact replay, the cache is an intermediate-reuse engine (the
 // recycler) with one contract: a lookup returns a complete answer from one
@@ -558,11 +559,6 @@ func (c *Cache) insert(e *entry, owned bool) {
 		e.preds = append([]PredBound(nil), e.preds...)
 		e.goff = append([]uint32(nil), e.goff...)
 		e.aggs = append([]AggRow(nil), e.aggs...)
-	}
-	// Expensive results get one extra CLOCK life up front: benefit-based
-	// admission's counterpart on the eviction side.
-	if c.opts.MinCostNs > 0 && e.cost >= 8*c.opts.MinCostNs {
-		e.ref = 1
 	}
 
 	st := c.stripeFor(e.key)
