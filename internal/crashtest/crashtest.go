@@ -19,6 +19,9 @@
 // A workload that passes under the failfs crash model — nothing durable
 // until synced, torn unsynced tails — recovers on any real filesystem
 // that honors fsync.
+//
+// The sharded index's workload is an input of its op generator
+// (shardops.go), which the shard and simidx tests share.
 package crashtest
 
 import (
@@ -62,7 +65,7 @@ func checkPrefix(lastSeq uint64, out outcome) error {
 	return nil
 }
 
-// script is one workload of the matrix; see shardScript and tableScript.
+// script is one workload of the matrix; see opsScript and tableScript.
 type script interface {
 	// play runs the workload to completion or to the crash.
 	play(fsys *failfs.Mem, pol wal.Policy) (outcome, error)

@@ -3,7 +3,6 @@ package crashtest
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"cssidx"
 	"cssidx/internal/failfs"
@@ -11,216 +10,13 @@ import (
 	"cssidx/internal/wal"
 )
 
-// --- sharded-index workload --------------------------------------------------
-
-const (
-	opInsert = iota
-	opDelete
-	opCheckpoint
-)
-
-type shardOp struct {
-	kind int
-	keys []uint32
-}
-
-// shardScript drives a DurableSharded: interleaved insert and delete
-// batches with three checkpoints, so crash points land inside appends,
-// syncs, the snapshot save into the spare, the exchange, the log's header
-// rewrite, and the directory commits around them.  A record is 21+4n
-// bytes for n keys, and each checkpoint's records overwrite the previous
-// epoch's from the front: the first record after the first checkpoint
-// covers a stale one exactly, the next covers one partly.  The last epoch
-// is one-key records, as long as verify's post-recovery insert, so a
-// recovery that kept a record past a hole would see it come back.
-type shardScript struct {
-	ops []shardOp
-}
-
-func newShardScript() *shardScript {
-	return &shardScript{ops: []shardOp{
-		{opInsert, []uint32{10, 30, 20, 40, 50}},
-		{opInsert, []uint32{15, 25, 35}},
-		{opDelete, []uint32{30, 99}}, // 99 absent: multiset no-op
-		{opInsert, []uint32{30, 30}}, // duplicate keys
-		{opCheckpoint, nil},
-		{opInsert, []uint32{5, 45, 55, 65, 75}}, // exactly over the first record
-		{opDelete, []uint32{10}},                // partly over the second
-		{opCheckpoint, nil},
-		{opInsert, []uint32{60}},
-		{opDelete, []uint32{45}},
-		{opCheckpoint, nil},
-		{opInsert, []uint32{61}},
-		{opDelete, []uint32{5}},
-		{opInsert, []uint32{62}},
-		{opInsert, []uint32{63}},
-	}}
-}
-
-func (s *shardScript) play(fsys *failfs.Mem, pol wal.Policy) (outcome, error) {
-	var out outcome
-	x, err := cssidx.OpenWAL(fsys, "db", "idx", pol)
-	if err != nil {
-		return out, err
-	}
-	defer x.Close() // post-crash the log close fails; the rebuilder still stops
-	for _, op := range s.ops {
-		switch op.kind {
-		case opInsert, opDelete:
-			out.inFlight = true
-			if op.kind == opInsert {
-				err = x.Insert(op.keys...)
-			} else {
-				err = x.Delete(op.keys...)
-			}
-			if err != nil {
-				return out, err
-			}
-			out.inFlight = false
-			out.acked++
-			if d := x.SyncedSeq(); d > out.durable {
-				out.durable = d
-			}
-		case opCheckpoint:
-			if err := x.Checkpoint(); err != nil {
-				return out, err
-			}
-			// A completed checkpoint makes everything absorbed durable,
-			// whatever the policy.
-			if d := x.LastSeq(); d > out.durable {
-				out.durable = d
-			}
-		}
-	}
-	if err := x.Close(); err != nil {
-		return out, err
-	}
-	// Clean close syncs the log: every acked batch is now promised.
-	out.durable = out.acked
-	return out, nil
-}
-
-// oracleKeys replays the first k mutation batches into a plain multiset
-// and returns its sorted contents.
-func (s *shardScript) oracleKeys(k uint64) []uint32 {
-	count := map[uint32]int{}
-	var applied uint64
-	for _, op := range s.ops {
-		if op.kind == opCheckpoint {
-			continue
-		}
-		if applied == k {
-			break
-		}
-		applied++
-		for _, key := range op.keys {
-			if op.kind == opInsert {
-				count[key]++
-			} else if count[key] > 0 {
-				count[key]--
-			}
-		}
-	}
-	var keys []uint32
-	for key, n := range count {
-		for i := 0; i < n; i++ {
-			keys = append(keys, key)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func (s *shardScript) verify(fsys *failfs.Mem, pol wal.Policy, out outcome) error {
-	x, err := cssidx.OpenWAL(fsys, "db", "idx", pol)
-	if err != nil {
-		return fmt.Errorf("reopen: %w", err)
-	}
-	defer x.Close()
-	k := x.LastSeq()
-	if err := checkPrefix(k, out); err != nil {
-		return err
-	}
-
-	want := s.oracleKeys(k)
-	oracle := cssidx.NewSharded(want, cssidx.ShardedOptions[uint32]{Shards: 2})
-	defer oracle.Close()
-
-	if x.Len() != len(want) {
-		return fmt.Errorf("recovered %d keys, oracle has %d", x.Len(), len(want))
-	}
-	// Full ordered scan: the recovered sorted view must be the oracle's.
-	i := 0
-	var scanErr error
-	x.Ascend(0, ^uint32(0), func(pos int, key uint32) bool {
-		if i >= len(want) || key != want[i] || pos != i {
-			scanErr = fmt.Errorf("scan[%d] = (pos %d, key %d), want (pos %d, key %d)", i, pos, key, i, want[i])
-			return false
-		}
-		i++
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-
-	// Point, lower-bound, equal-range and batch probes, bit-identical.
-	probes := []uint32{0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 60, 99, 1 << 31}
-	for _, p := range probes {
-		if g, w := x.Search(p), oracle.Search(p); g != w {
-			return fmt.Errorf("Search(%d) = %d, oracle %d", p, g, w)
-		}
-		if g, w := x.LowerBound(p), oracle.LowerBound(p); g != w {
-			return fmt.Errorf("LowerBound(%d) = %d, oracle %d", p, g, w)
-		}
-		gf, gl := x.EqualRange(p)
-		wf, wl := oracle.EqualRange(p)
-		if gf != wf || gl != wl {
-			return fmt.Errorf("EqualRange(%d) = [%d,%d), oracle [%d,%d)", p, gf, gl, wf, wl)
-		}
-	}
-	got := make([]int32, len(probes))
-	wantPos := make([]int32, len(probes))
-	x.SearchBatch(probes, got)
-	oracle.SearchBatch(probes, wantPos)
-	for i := range probes {
-		if got[i] != wantPos[i] {
-			return fmt.Errorf("SearchBatch[%d]=%d, oracle %d", i, got[i], wantPos[i])
-		}
-	}
-
-	// The recovered store must still accept writes, and a reopen must
-	// find exactly the recovered state plus that write: nothing cut at
-	// recovery may come back behind it.
-	if err := x.Insert(777); err != nil {
-		return fmt.Errorf("post-recovery insert: %w", err)
-	}
-	x.ShardedIndex.Sync()
-	if x.Search(777) < 0 {
-		return fmt.Errorf("post-recovery insert not visible")
-	}
-	if err := x.Close(); err != nil {
-		return err
-	}
-	y, err := cssidx.OpenWAL(fsys, "db", "idx", pol)
-	if err != nil {
-		return fmt.Errorf("second reopen: %w", err)
-	}
-	defer y.Close()
-	if y.LastSeq() != k+1 || y.Len() != len(want)+1 || y.Search(777) < 0 {
-		return fmt.Errorf("second reopen: seq %d, %d keys; want seq %d, %d keys with 777",
-			y.LastSeq(), y.Len(), k+1, len(want)+1)
-	}
-	return nil
-}
-
 // --- mmdb table workload -----------------------------------------------------
 
 // tableScript drives a DurableTable: a schema-defining first batch, more
 // appends (sized to cross the delta/fold thresholds both ways), three
 // checkpoints, then verification across every read surface — column
 // values, point/range/IN selects, an aggregate count and a join.  A
-// record is 38+8n bytes for n rows; as in shardScript, the first record
+// record is 38+8n bytes for n rows; as in shardMatrixInput, the first record
 // after the first checkpoint overwrites a stale one exactly and the next
 // partly, and the last epoch is one-row records, as long as verify's
 // post-recovery append.

@@ -646,8 +646,8 @@ func joinWith(e env, outer *Table, outerCol string, inner *SortedIndex, opts Joi
 	st.ex.AttrInt("pairs", count)
 	st.ex.End()
 	// A pair set admission would reject anyway (oversized for the cache)
-	// is not worth staging a second copy of.
-	if cacheable && qcache.EntryBytesForPairs(count) > qc.MaxEntryBytes() {
+	// is not worth staging a second copy of; the cache counts the reject.
+	if cacheable && !qc.FitsPairs(jkey, count) {
 		cacheable = false
 	}
 	// The cache takes the two columns as they are (InsertPair owns them):

@@ -25,8 +25,8 @@ package mmdb
 //     containment, subset-replay and refreshed hits all answer.
 //
 // After every step the answers equal the model's, the cache's misses are
-// each deferred, inserted, rejected or a known unfilled kind (a count-only or
-// oversized join), every index's delta runs keep their invariants
+// each deferred, inserted, rejected or a known unfilled kind (a count-only
+// join), every index's delta runs keep their invariants
 // (checkRuns), and every fold leaves state byte-identical to a from-scratch
 // build (checkAgainstScratch).  At default admission a question's first miss
 // is deferred, its next reaches admission, and once admitted it hits while
@@ -473,6 +473,7 @@ type opsRun struct {
 	muts      int             // table mutations so far (appends, Compacts, builds)
 	lastBatch int             // the rows of the main table's last append
 	unfilled  int64           // misses that by design neither defer nor reach admission
+	maxRows   int             // the main table's cap (opsMaxRows, or FuzzTableOps')
 	step      int
 	config    string
 	gen, oGen uint64
@@ -484,8 +485,12 @@ type opsRun struct {
 var opsNames = []string{"a", "b", "c"}
 
 // runTableOps decodes and runs one input, and tallies what it exercised.
-func runTableOps(t *testing.T, data []byte) opsTally {
-	r := &opsRun{t: t, s: opsStream{data: data}, seen: map[string]*opsSeen{}, grouped: map[string]bool{}, tally: opsTally{}}
+func runTableOps(t *testing.T, data []byte) opsTally { return runOps(t, data, opsMaxRows) }
+
+// runOps is runTableOps over tables of about maxRows rows at most: a
+// smaller cap also keeps the base and every append a fraction of it.
+func runOps(t *testing.T, data []byte, maxRows int) opsTally {
+	r := &opsRun{t: t, s: opsStream{data: data}, seen: map[string]*opsSeen{}, grouped: map[string]bool{}, tally: opsTally{}, maxRows: maxRows}
 	r.cache = int(r.s.next()) % 3
 	fold := opsFolds[int(r.s.next())%len(opsFolds)]
 	if r.s.next()%2 == 0 {
@@ -496,7 +501,7 @@ func runTableOps(t *testing.T, data []byte) opsTally {
 	r.opts.batch = []int{0, 1, 7}[int(r.s.next())%3]
 	sets := opsBaseSets()
 	set := int(r.s.next()) % len(sets)
-	baseRows := int(r.s.next()%8) * 64
+	baseRows := min(int(r.s.next()%8)*64, maxRows/4)
 	outerRows := 1 + int(r.s.next()%4)*13
 	cols := make([]opsCol, len(opsNames))
 	for i := range cols {
@@ -588,14 +593,15 @@ func (r *opsRun) draw(c opsCol) uint32 {
 // opsMaxRows caps the generated table: past it an append brings one row.
 const opsMaxRows = 6000
 
-// appendRows lands a batch: 0–47 rows; for one append in four up to 1,500;
+// appendRows lands a batch: 0–47 rows; for one append in four up to 1,500
+// (a quarter of the table's cap);
 // for one in four a third of the table's last batch, so runs too small to
 // merge stack up; one in eight goes to the outer table instead.
 func (r *opsRun) appendRows(op byte) {
 	n := int(r.s.next()) % 48
 	switch op % 4 {
 	case 0:
-		n = min(6*int(r.s.next()), 1500)
+		n = min(6*int(r.s.next()), r.maxRows/4)
 	case 2:
 		n = r.lastBatch / 3
 	}
@@ -603,7 +609,7 @@ func (r *opsRun) appendRows(op byte) {
 	if op%8 == 1 {
 		to, n = r.o, n%24
 	}
-	if to.tab.Rows() > opsMaxRows {
+	if to.tab.Rows() > r.maxRows {
 		n = min(n, 1)
 	}
 	to.append(r.t, to.batch(n, r.draw))
@@ -875,7 +881,10 @@ func (r *opsRun) ask(q opsQuestion) {
 				r.tally["staged two-worker join"]++
 			}
 		}
-		fillable = q.emit && qcache.EntryBytesForPairs(n) <= r.qc.MaxEntryBytes()
+		fillable = q.emit // an oversized pair set is rejected unstaged
+		if q.emit && qcache.EntryBytesForPairs(n) > r.qc.MaxEntryBytes() {
+			r.tally["oversized emitting join"]++
+		}
 	case opsEqual:
 		ix, _ := tab.Index(q.col)
 		r.equal(q, "rows", ix.SelectEqual(q.lo), r.main.rows(q.col, func(v uint32) bool { return v == q.lo }))
@@ -1085,21 +1094,26 @@ func TestTableOps(t *testing.T) {
 	}
 }
 
-// FuzzTableOps starts from the inputs that begin at the adversarial key sets.
+// FuzzTableOps starts from the inputs that begin at the adversarial key
+// sets, in a shape a fuzzer can run hundreds of a second: cut to their first
+// opsFuzzBytes, a few dozen steps, over tables of a few hundred rows.
 func FuzzTableOps(f *testing.F) {
 	names, inputs := opsSeeds()
 	for i, data := range inputs {
 		if strings.HasPrefix(names[i], "set=") {
-			f.Add(data)
+			f.Add(data[:opsFuzzBytes])
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1024 {
+		if len(data) > opsFuzzBytes {
 			t.Skip()
 		}
-		runTableOps(t, data)
+		runOps(t, data, 512)
 	})
 }
+
+// opsFuzzBytes bounds FuzzTableOps' inputs.
+const opsFuzzBytes = 96
 
 // --- focused inputs ---------------------------------------------------------
 
@@ -1310,6 +1324,23 @@ func TestJoinBatchSizesAgree(t *testing.T) {
 // TestJoinParallelMatchesSequential: joins staged over two workers.
 func TestJoinParallelMatchesSequential(t *testing.T) {
 	joinFocus(2, 0, opsTrio).run(t, 8, "staged two-worker join")
+}
+
+// TestOversizedJoinCountsItsReject: emitting joins whose pair sets outgrow
+// the cache's entry bound — hundreds of outer rows against inner columns of
+// six values — are rejected without being staged, and the reject is counted,
+// so every miss still reconciles.
+func TestOversizedJoinCountsItsReject(t *testing.T) {
+	f := opsFocus{cache: opsAdmitAll, baseRows: 448, ix: opsTrio, steps: 260, appends: 12, questions: 1, kinds: []opsKind{opsJoin}}
+	f.run(t, 22, "oversized emitting join")
+}
+
+// TestEmptyRangeEntryKeepsKeyOrder: a range asked of an empty sharded
+// column is admitted as an index-path entry with no rows; refreshed after
+// appends it must merge its rows by value, not append them in RID order
+// (found by FuzzTableOps).
+func TestEmptyRangeEntryKeepsKeyOrder(t *testing.T) {
+	runTableOps(t, []byte("110020000001000A1X00X00X00X00780100100100X"))
 }
 
 // TestJoinShardedMatchesSortedIndex: joins over sharded inners.

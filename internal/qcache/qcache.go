@@ -520,6 +520,20 @@ const entryOverheadBytes = 160
 // staging results admission would reject.
 func EntryBytesForPairs(count int) int64 { return entryOverheadBytes + 8*int64(count) }
 
+// FitsPairs reports whether a join-pair result of count pairs is within
+// MaxEntryBytes.  When it is not, it counts the rejection admission would
+// make, so a caller that skips staging the result still settles the miss
+// its lookup counted.
+func (c *Cache) FitsPairs(k Key, count int) bool {
+	if EntryBytesForPairs(count) <= c.MaxEntryBytes() {
+		return true
+	}
+	if c.Enabled() {
+		c.countReject(k)
+	}
+	return false
+}
+
 // payloadBytes charges an entry for its payload slices plus the fixed
 // overhead; shared between insert admission and a refresh's re-accounting.
 func payloadBytes(e *entry) int64 {
@@ -554,7 +568,7 @@ func (c *Cache) insert(e *entry, owned bool) {
 	// caller's: InsertIn built them for this entry.
 	if !owned {
 		e.rids = append([]uint32(nil), e.rids...)
-		e.keys = append([]uint32(nil), e.keys...)
+		e.keys = slices.Clone(e.keys) // nil stays nil: a row-order range
 		e.inner = append([]uint32(nil), e.inner...)
 		e.preds = append([]PredBound(nil), e.preds...)
 		e.goff = append([]uint32(nil), e.goff...)

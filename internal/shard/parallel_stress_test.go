@@ -244,31 +244,3 @@ func TestChooseKeyOrderMatchesSortedSample(t *testing.T) {
 		t.Fatalf("decisions %v: the batches must exercise both orders", seen)
 	}
 }
-
-// pathBatches derives one batch per probe order from probes and asserts the
-// sampler's choice for each: input drops repeated probes, so no sampled
-// value repeats and it runs input-order at any length; keyOrdered
-// interleaves probes with probes[0] up to at least adaptiveMinBatch probes,
-// so half the sample or more repeats one key and it runs key-ordered.
-func pathBatches(t testing.TB, probes []uint32) (input, keyOrdered []uint32) {
-	t.Helper()
-	seen := make(map[uint32]bool, len(probes))
-	for _, p := range probes {
-		if !seen[p] {
-			seen[p] = true
-			input = append(input, p)
-		}
-	}
-	keyOrdered = make([]uint32, max(2*len(probes), adaptiveMinBatch))
-	for i := range keyOrdered {
-		keyOrdered[i] = probes[0]
-		if i%2 == 1 {
-			keyOrdered[i] = probes[i/2%len(probes)]
-		}
-	}
-	if ChooseKeyOrder(input) || !ChooseKeyOrder(keyOrdered) {
-		t.Fatalf("sampler: distinct batch key-ordered %v, hot-key batch key-ordered %v",
-			ChooseKeyOrder(input), ChooseKeyOrder(keyOrdered))
-	}
-	return input, keyOrdered
-}

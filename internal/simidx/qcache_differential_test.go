@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"cssidx"
+	"cssidx/internal/crashtest"
 	"cssidx/internal/mmdb"
 	"cssidx/internal/workload"
 )
@@ -104,7 +105,7 @@ func cacheBattery(t *testing.T, cached, plain *mmdb.Table, probes []uint32, tag 
 
 func TestQCacheDifferentialAdversarial(t *testing.T) {
 	g := workload.New(77)
-	sets := adversarialSets()
+	sets := crashtest.AdversarialSets()
 	sets["random-dups"] = g.Lookups(g.SortedUniform(512), 1024)
 	for name, keys := range sets {
 		t.Run(name, func(t *testing.T) {
