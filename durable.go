@@ -158,17 +158,10 @@ func (shardCodec) Save(w io.Writer, x *ShardedIndex[uint32], seq uint64) error {
 	return shard.Save(w, x.Snapshot(), seq)
 }
 
-// Apply replays one record.  A delete record is absorbed before the next
-// record is enqueued: drained together with a later record's inserts it
-// would apply after them (a drained batch inserts first), and recovery would
-// not be the logged sequence.
 func (shardCodec) Apply(x *ShardedIndex[uint32], payload []byte) error {
 	op, keys, err := decodeShardOp(payload)
 	if err == nil {
 		applyShardOp(x, op, keys)
-		if op == shardOpDelete {
-			x.Sync()
-		}
 	}
 	return err
 }

@@ -64,6 +64,18 @@ func TestShardOpsRecover(t *testing.T) {
 	}
 }
 
+// TestDeleteThenInsertRecovers: a durable Delete of keys with no occurrence
+// left, then an Insert of the same keys with no Sync between, answers the
+// call order live (one occurrence each) and again after every crash, under
+// every policy: the log replays its records in the same order the live
+// index applied them.
+func TestDeleteThenInsertRecovers(t *testing.T) {
+	for leg := 1; leg <= len(Policies()); leg++ {
+		ShardFocus{Rows: 200, Span: 1, Shards: 4, Leg: leg, Steps: 40, Batch: 64, Inserts: 2, Deletes: 1, Reinserts: 4, Crashes: 2}.
+			Run(t, int64(leg), ShardHooks{}, "delete then insert of a missing key", "recovery")
+	}
+}
+
 func TestTableCrashMatrix(t *testing.T) {
 	for _, pol := range Policies() {
 		pol := pol

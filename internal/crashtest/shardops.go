@@ -6,7 +6,8 @@ package crashtest
 // would, and a durable index recovers exactly an acknowledged prefix of its
 // batches.  The generator (RunShardOps) decodes a byte string: configuration
 // bytes, then steps, each an insert or delete batch, one insert-and-delete
-// batch drained together, Sync, Compact, and on the durable leg a Checkpoint
+// batch drained together, a delete batch and then an insert of its keys
+// with no Sync between, Sync, Compact, and on the durable leg a Checkpoint
 // or a crash some filesystem operations ahead.  After every step Check
 // passes and every read surface equals the model (verify); after a crash
 // the reopened index holds exactly an acknowledged prefix (checkPrefix),
@@ -122,7 +123,7 @@ type ShardHooks struct {
 // probes in 7- and 64-probe chunks, or ascending.
 var (
 	shardSpans  = []uint32{6, 256, 5000, 0}
-	shardCounts = []int{1, 3, 4}
+	shardCounts = []int{1, 3, 4, 8, 16}
 )
 
 const (
@@ -143,7 +144,8 @@ type shardConfig struct {
 const (
 	stepInsert     = 80
 	stepDelete     = 140
-	stepDrain      = 180
+	stepDrain      = 170
+	stepReinsert   = 180
 	stepSync       = 196
 	stepCompact    = 216
 	stepCheckpoint = 236
@@ -173,13 +175,12 @@ type shardRun struct {
 	frozenM Model       // and the model then
 
 	// The durable leg: the store, its filesystem and policy, the base its
-	// first snapshot holds (saved: durably), every batch logged since by
-	// sequence, what was acknowledged and promised, and a crash scheduled.
+	// first snapshot holds, every batch logged since by sequence, what was
+	// acknowledged and promised, and a crash scheduled.
 	d     *cssidx.DurableSharded
 	fsys  *failfs.Mem
 	pol   wal.Policy
 	base  Model
-	saved bool
 	recs  []shardRec
 	out   outcome
 	armed bool
@@ -195,11 +196,14 @@ func (r *shardRun) next() byte {
 	return b
 }
 
-// newShardRun decodes the configuration and draws the base.
-func newShardRun(data []byte, hooks ShardHooks) *shardRun {
+// newShardRun decodes the configuration and draws the base, unless one is
+// given.
+func newShardRun(data []byte, hooks ShardHooks, base []uint32) *shardRun {
 	r := &shardRun{data: data, hooks: hooks, tally: map[string]int{}}
 	c := &r.cfg
-	c.Set, c.Rows = int(r.next())%(len(setNames)+1), int(r.next()%128)*40
+	c.Set = int(r.next()) % (len(setNames) + 1)
+	rows := r.next() // the low seven bits count 40s, or 640s with the top bit set
+	c.Rows = int(rows%128) * 40 << (4 * (rows >> 7))
 	c.Span, c.Shards = shardSpans[int(r.next())%len(shardSpans)], shardCounts[int(r.next())%len(shardCounts)]
 	c.Fold = int(r.next()) % (FoldEveryBatch + 1)
 	b := r.next()
@@ -207,9 +211,12 @@ func newShardRun(data []byte, hooks ShardHooks) *shardRun {
 	c.Leg, c.seed = int(r.next())%(len(Policies())+1), r.next()
 	r.src = rand.NewPCG(uint64(c.seed), 0)
 	r.rng = rand.New(r.src)
-	if c.Set > 0 {
+	switch {
+	case base != nil:
+		r.base = slices.Sorted(slices.Values(base))
+	case c.Set > 0:
 		r.base = AdversarialSets()[setNames[c.Set-1]]
-	} else {
+	default:
 		for range c.Rows {
 			r.base = append(r.base, r.draw())
 		}
@@ -296,19 +303,20 @@ func FuzzShardOps(t testing.TB, data []byte, hooks ShardHooks) map[string]int {
 		data = slices.Clone(data)
 		data[1] %= 6
 	}
-	return RunShardOps(t, data, hooks, true)
+	return RunShardOps(t, nil, data, hooks, true)
 }
 
-// RunShardOps decodes and runs one input, verifying every surface after
-// every step (after the last only, if sparse); it fails t at the first
-// answer that differs from the model's, and tallies the paths it exercised.
-func RunShardOps(t testing.TB, data []byte, hooks ShardHooks, sparse bool) map[string]int {
+// RunShardOps decodes and runs one input over base, or over the base it
+// draws when base is nil, verifying every surface after every step (after
+// the last only, if sparse); it fails t at the first answer that differs
+// from the model's, and tallies the paths it exercised.
+func RunShardOps(t testing.TB, base []uint32, data []byte, hooks ShardHooks, sparse bool) map[string]int {
 	t.Helper()
-	r, step := newShardRun(data, hooks), 0
+	r, step := newShardRun(data, hooks, base), 0
 	r.sparse = sparse
 	fail := func(err error) {
 		t.Helper()
-		t.Fatalf("step %d: %v\nconfiguration: %+v\ninput: %v", step, err, r.cfg, data)
+		t.Fatalf("step %d: %v\nconfiguration: %+v, base given: %v\ninput: %v", step, err, r.cfg, base != nil, data)
 	}
 	defer func() { // an engine panic fails this input, with where it happened
 		if p := recover(); p != nil {
@@ -332,9 +340,11 @@ func RunShardOps(t testing.TB, data []byte, hooks ShardHooks, sparse bool) map[s
 	if err == nil {
 		err = r.check(true)
 	}
-	if err == nil && r.d == nil { // Close, twice, drains a batch never synced; Sync after it returns
-		r.last = r.inserts(8)
+	if err == nil && r.d == nil { // Close, twice, drains batches never synced, in call order; Sync after it returns
+		r.last = r.deletes(8, nil)
+		r.x.Delete(r.last...)
 		r.x.Insert(r.last...)
+		r.m.delete(r.last...)
 		r.m.insert(r.last...)
 		r.x.Close()
 		r.x.Close()
@@ -371,7 +381,6 @@ func (r *shardRun) open(fsys *failfs.Mem, pol wal.Policy) error {
 			return err
 		}
 	}
-	r.saved = true
 	return r.reopen()
 }
 
@@ -434,6 +443,14 @@ func (r *shardRun) step(i int, checked bool) error {
 		r.m.delete(del...)
 		r.ins, r.last = ins, append(slices.Clone(ins), del...)
 		r.tally["drained batch"]++
+	case op < stepReinsert: // the later insert applies after the deletes, though no Sync separates them
+		keys := r.deletes(int(r.next())%32, prevIns)
+		if err = r.write(true, keys); err == nil {
+			if len(r.m) > size-len(keys) {
+				r.tally["delete then insert of a missing key"]++
+			}
+			err = r.write(false, keys)
+		}
 	case op < stepSync:
 		r.x.Sync()
 	case op < stepCompact:
@@ -490,9 +507,7 @@ func (r *shardRun) step(i int, checked bool) error {
 }
 
 // write applies one batch: logged first on the durable leg, where an error
-// is the crash, then the model follows.  A delete is synced at once: drained
-// together with a later insert of its key it would apply after it (a drained
-// batch inserts first), which no model can tell from the call order.
+// is the crash, then the model follows.
 func (r *shardRun) write(del bool, keys []uint32) error {
 	if len(keys) == 0 {
 		return nil
@@ -517,7 +532,6 @@ func (r *shardRun) write(del bool, keys []uint32) error {
 	}
 	if del {
 		r.m.delete(keys...)
-		r.x.Sync()
 	} else {
 		r.m.insert(keys...)
 		r.ins = append(r.ins, keys...)
@@ -549,10 +563,7 @@ func (r *shardRun) recover(crash bool) error {
 	if k > r.out.acked {
 		r.tally["in-flight batch recovered"]++
 	}
-	r.recs, r.m = r.recs[:k], nil
-	if r.saved {
-		r.m = slices.Clone(r.base)
-	}
+	r.recs, r.m = r.recs[:k], slices.Clone(r.base)
 	for _, rec := range r.recs {
 		if rec.del {
 			r.m.delete(rec.keys...)
@@ -601,11 +612,12 @@ func (r *shardRun) check(all bool) error {
 }
 
 // verify holds the index to the model on every read surface: the scalar
-// reads and Len of the index and of a Snapshot; Key at every position; the
-// RangeAll, Range and Ascend walks; the three batch kernels of the index
-// and the snapshot on each of the mix's batches — in a sparse run, each
-// batch on one of the two in turn; and the last check's Snapshot, frozen.  The probes are the key space's edges,
-// the last step's keys, and a sample of the model's keys with their
+// reads and Len of the index and of a Snapshot; Key at every position (at
+// about 4,096 spread over a larger model); the RangeAll, Range and Ascend
+// walks; the three batch kernels of the index and the snapshot on each of
+// the mix's batches — in a sparse run, each batch on one of the two in turn;
+// and the last check's Snapshot, frozen.  The probes are the key space's
+// edges, the last step's keys, and a sample of the model's keys with their
 // neighbours (fewer of each in a sparse run).
 func (r *shardRun) verify() error {
 	x, v, m, n := r.x, r.x.Snapshot(), r.m, 12
@@ -625,9 +637,9 @@ func (r *shardRun) verify() error {
 	if err := verifyScalar(v, m, probes); err != nil {
 		return fmt.Errorf("Snapshot: %w", err)
 	}
-	for pos, want := range m {
-		if got := v.Key(pos); got != want {
-			return fmt.Errorf("Key(%d)=%d, the model %d", pos, got, want)
+	for pos := 0; pos < len(m); pos += 1 + len(m)/4096 { // every position of a small model
+		if got := v.Key(pos); got != m[pos] {
+			return fmt.Errorf("Key(%d)=%d, the model %d", pos, got, m[pos])
 		}
 	}
 	if err := walk("RangeAll", v.RangeAll(), m, 0, len(m)); err != nil {
@@ -790,7 +802,7 @@ type opsScript struct {
 }
 
 func (s *opsScript) play(fsys *failfs.Mem, pol wal.Policy) (outcome, error) {
-	s.r = newShardRun(s.data, ShardHooks{})
+	s.r = newShardRun(s.data, ShardHooks{}, nil)
 	r := s.r
 	r.cfg.Leg = 1 // durable, under pol
 	err := r.open(fsys, pol)
@@ -814,17 +826,18 @@ func (s *opsScript) verify(fsys *failfs.Mem, pol wal.Policy, out outcome) error 
 // RunShardOps decodes, then steps drawn by weight, each batch's size (and
 // each crash's distance) drawn below Batch, 32 when 0.
 type ShardFocus struct {
-	Set    int  // 0 draws Rows keys; i > 0 starts at SetNames()[i-1]
-	Rows   int  // a multiple of 40 below 5,120
-	Span   int  // an index into the spans: 6 values, 256, 5,000, any uint32
-	Shards int  // 1, 3 or 4
-	Fold   int  // FoldDefault…FoldEveryBatch
-	FanOut bool // SetParallel with four workers and tiny spans
-	Mix    int  // the probe-order mix
-	Leg    int  // 0 in memory; i > 0 durable under Policies()[i-1]
+	Base   []uint32 // the base, when given; Set and Rows then pick nothing
+	Set    int      // 0 draws Rows keys; i > 0 starts at SetNames()[i-1]
+	Rows   int      // a multiple of 40 below 5,120, or of 640 below 81,920
+	Span   int      // an index into the spans: 6 values, 256, 5,000, any uint32
+	Shards int      // 1, 3, 4, 8 or 16
+	Fold   int      // FoldDefault…FoldEveryBatch
+	FanOut bool     // SetParallel with four workers and tiny spans
+	Mix    int      // the probe-order mix
+	Leg    int      // 0 in memory; i > 0 durable under Policies()[i-1]
 
-	Steps, Batch                                                    int
-	Inserts, Deletes, Drains, Syncs, Compacts, Checkpoints, Crashes int // step weights
+	Steps, Batch                                                               int
+	Inserts, Deletes, Drains, Reinserts, Syncs, Compacts, Checkpoints, Crashes int // step weights
 }
 
 // Input encodes the focus, its steps drawn from seed.
@@ -834,17 +847,21 @@ func (f ShardFocus) Input(seed int64) []byte {
 	if f.FanOut {
 		fan |= 1
 	}
-	data := []byte{byte(f.Set), byte(f.Rows / 40), byte(f.Span), byte(max(slices.Index(shardCounts, f.Shards), 0)),
+	rows := byte(f.Rows / 40)
+	if f.Rows >= 128*40 {
+		rows = 128 | byte(f.Rows/640)
+	}
+	data := []byte{byte(f.Set), rows, byte(f.Span), byte(max(slices.Index(shardCounts, f.Shards), 0)),
 		byte(f.Fold), fan, byte(f.Leg), byte(rng.IntN(256))}
-	bounds := []int{0, stepInsert, stepDelete, stepDrain, stepSync, stepCompact, stepCheckpoint, 256}
-	weights := []int{f.Inserts, f.Deletes, f.Drains, f.Syncs, f.Compacts, f.Checkpoints, f.Crashes}
+	bounds := []int{0, stepInsert, stepDelete, stepDrain, stepReinsert, stepSync, stepCompact, stepCheckpoint, 256}
+	weights := []int{f.Inserts, f.Deletes, f.Drains, f.Reinserts, f.Syncs, f.Compacts, f.Checkpoints, f.Crashes}
 	for range f.Steps {
-		w, kind := rng.IntN(f.Inserts+f.Deletes+f.Drains+f.Syncs+f.Compacts+f.Checkpoints+f.Crashes), 0
+		w, kind := rng.IntN(f.Inserts+f.Deletes+f.Drains+f.Reinserts+f.Syncs+f.Compacts+f.Checkpoints+f.Crashes), 0
 		for ; w >= weights[kind]; kind++ {
 			w -= weights[kind]
 		}
 		data = append(data, byte(rng.IntN(256)), byte(bounds[kind]+rng.IntN(bounds[kind+1]-bounds[kind])))
-		if kind <= 2 || kind == 6 { // a batch's size, a crash's distance
+		if kind <= 3 || kind == 7 { // a batch's size, a crash's distance
 			data = append(data, byte(rng.IntN(cmp.Or(f.Batch, 32))))
 		}
 	}
@@ -855,7 +872,7 @@ func (f ShardFocus) Input(seed int64) []byte {
 // need.
 func (f ShardFocus) Run(t testing.TB, seed int64, hooks ShardHooks, need ...string) {
 	t.Helper()
-	tally := RunShardOps(t, f.Input(seed), hooks, false)
+	tally := RunShardOps(t, f.Base, f.Input(seed), hooks, false)
 	for _, path := range need {
 		if tally[path] == 0 {
 			t.Errorf("the input reaches no %s: %v", path, tally)

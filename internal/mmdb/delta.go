@@ -214,9 +214,6 @@ func mergeRangeDelta(keys, rids []uint32, first, last int, runs []idxRun, lo, hi
 		}
 	}
 	if total == 0 {
-		if wantKeys {
-			return nil, []uint32{} // an empty run still says the rows are in key order
-		}
 		return nil, nil
 	}
 	outRids = make([]uint32, total)

@@ -572,7 +572,7 @@ func (t *Table) selectRange(e env, col string, lo, hi uint32) ([]uint32, Plan, e
 	// exact-only entries (no key run, no containment slicing).
 	if admit {
 		ad := e.sp.Child("admit")
-		qc.InsertRange(key, rd.Tok, nil, out, recomputeCost(time.Since(st.start), plan, t.rows), p)
+		qc.InsertRangeRows(key, rd.Tok, out, recomputeCost(time.Since(st.start), plan, t.rows), p)
 		ad.End()
 	}
 	return out, plan, nil
@@ -1020,8 +1020,11 @@ func (t *Table) selectWhere(e env, preds []RangePred) ([]uint32, []Plan, error) 
 			cj.Attr("path", "scan").AttrInt("rows", len(rids))
 		}
 		cj.End()
-		if adm {
+		switch {
+		case adm && plans[i].UseIndex:
 			qc.InsertRange(ckey, rd.Tok, keys, rids, estRecomputeNs(plans[i], t.rows), bounds[i].Plan)
+		case adm:
+			qc.InsertRangeRows(ckey, rd.Tok, rids, estRecomputeNs(plans[i], t.rows), bounds[i].Plan)
 		}
 	}
 

@@ -173,7 +173,7 @@ func TestHitRunsNoPlanning(t *testing.T) {
 	}
 	qc := w.tab.EnableCache(CacheOptions{MinCostNs: -1})
 	for i, col := range []string{"k", "s"} {
-		qc.InsertRange(rangeFP(w.tab.name, col, qcache.LayerTable, 40, 90), w.tab.token(), nil, answers[2*i], 1<<20, stored)
+		qc.InsertRangeRows(rangeFP(w.tab.name, col, qcache.LayerTable, 40, 90), w.tab.token(), answers[2*i], 1<<20, stored)
 		qc.InsertIn(inFP(w.tab.name, col, list), w.tab.token(), list, nil, answers[2*i+1], 1<<20, stored)
 	}
 	for i, q := range questions {

@@ -41,6 +41,7 @@ func (c *Cache) settle(k Key, a Answer) ([]uint32, HitKind, int, bool) {
 type Resident struct {
 	Key        Key
 	Tok        Token
+	Ordered    bool // a range in key order, Keys its value run
 	Keys, RIDs []uint32
 	Vals, Goff []uint32 // an IN entry's sorted values; group offsets when grouped
 	S2G        []uint32
@@ -63,16 +64,16 @@ func CheckStructure(t *testing.T, c *Cache) []Resident {
 		st.mu.Lock()
 		keyed := 0
 		for k, e := range st.m {
-			out = append(out, Resident{Key: k, Tok: e.tok, Keys: e.keys, RIDs: e.rids, Vals: e.vals,
+			out = append(out, Resident{Key: k, Tok: e.tok, Ordered: e.ordered, Keys: e.keys, RIDs: e.rids, Vals: e.vals,
 				Goff: e.goff, S2G: e.s2g, Aggs: e.aggs, AggMeasure: e.aggMeasure, AggAll: e.aggAll})
-			if e.keys != nil {
+			if e.ordered {
 				keyed++
 			}
 		}
 		for ck, list := range st.ranges {
 			keyed -= len(list)
 			for i, e := range list {
-				if e.dead || e.keys == nil || st.m[e.key] != e || e.key.column() != ck || e.lo != e.key.Lo || e.hi != e.key.Hi {
+				if e.dead || !e.ordered || st.m[e.key] != e || e.key.column() != ck || e.lo != e.key.Lo || e.hi != e.key.Hi {
 					t.Fatalf("%+v: interval map holds %+v (dead=%v), not a live keyed run of the column", ck, e.key, e.dead)
 				}
 				if i > 0 && (list[i-1].lo > e.lo || (list[i-1].lo == e.lo && list[i-1].hi >= e.hi)) {

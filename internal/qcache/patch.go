@@ -132,7 +132,7 @@ func extend(e *entry, rd Reader) (ne *entry, merged int, ok bool) {
 	preds := e.preds
 	switch e.key.Kind {
 	case KindRange:
-		if e.keys != nil {
+		if e.ordered {
 			if rd.Runs == nil {
 				return nil, 0, false
 			}

@@ -140,7 +140,7 @@ func TestContainmentBringsItsSourceCurrent(t *testing.T) {
 func TestPatchAppendsToRowOrderRange(t *testing.T) {
 	c := New(admitAll(Options{}))
 	// Scan-path entry: row-order rids, no key run.
-	c.InsertRange(rangeKey("t", "a", 10, 19), mark500, nil, []uint32{4, 7, 9}, 10, Plan{})
+	c.InsertRangeRows(rangeKey("t", "a", 10, 19), mark500, []uint32{4, 7, 9}, 10, Plan{})
 	rd := appended(map[string][]uint32{"a": {15, 3, 12}}).reader(1)
 	got, tail, ok, _ := c.Lookup(rangeKey("t", "a", 10, 19), rd)
 	if !ok || tail != 2 || fmt.Sprint(got) != fmt.Sprint([]uint32{4, 7, 9, 500, 502}) {

@@ -108,11 +108,13 @@ type entry struct {
 	key Key
 	tok Token
 
-	// Range payload: keys is the sorted raw-value run aligned with rids
-	// (nil for exact-only entries), and lo/hi the covered closed value
-	// bounds.
-	lo, hi uint32
-	keys   []uint32
+	// Range payload: lo/hi are the covered closed value bounds.  An ordered
+	// range holds its rows in (value, RID) order and keys, the raw-value run
+	// aligned with rids, for containment slicing and splicing; any other
+	// range holds its rows in RID order, for exact reuse only.
+	lo, hi  uint32
+	ordered bool
+	keys    []uint32
 
 	rids []uint32
 	// inner is the second column of a join-pair result (rids holds the
@@ -434,13 +436,19 @@ func (e *entry) span(lo, hi uint32) (first, last int) {
 // is copied, except InsertPair's; admission may reject (cost floor,
 // oversized, or unevictable pressure).
 //
-// InsertRange caches a range result together with its sorted raw key run
-// (keys[i] is the raw column value at rids[i]; nil disables containment
-// reuse for this entry, e.g. scan-path results in row order) and the plan
-// that computed it.  k.Lo/k.Hi must be the closed raw value bounds the run
-// covers.
+// InsertRange caches an index-path range result in key order together
+// with its sorted raw key run (keys[i] is the raw column value at rids[i])
+// and the plan that computed it, so any subrange is answered by slicing it
+// (containment reuse).  k.Lo/k.Hi must be the closed raw value bounds the
+// run covers.
 func (c *Cache) InsertRange(k Key, tok Token, keys, rids []uint32, costNs int64, plan Plan) {
-	c.insert(&entry{key: k, tok: tok, lo: k.Lo, hi: k.Hi, keys: keys, rids: rids, cost: costNs, plan: plan}, false)
+	c.insert(&entry{key: k, tok: tok, lo: k.Lo, hi: k.Hi, ordered: true, keys: keys, rids: rids, cost: costNs, plan: plan}, false)
+}
+
+// InsertRangeRows caches a range result in row order (a scan's) and the
+// plan that computed it: exact reuse only.
+func (c *Cache) InsertRangeRows(k Key, tok Token, rids []uint32, costNs int64, plan Plan) {
+	c.insert(&entry{key: k, tok: tok, lo: k.Lo, hi: k.Hi, rids: rids, cost: costNs, plan: plan}, false)
 }
 
 // InsertIn caches an IN-list result and the plan that computed it.  distinct
@@ -568,7 +576,7 @@ func (c *Cache) insert(e *entry, owned bool) {
 	// caller's: InsertIn built them for this entry.
 	if !owned {
 		e.rids = append([]uint32(nil), e.rids...)
-		e.keys = slices.Clone(e.keys) // nil stays nil: a row-order range
+		e.keys = append([]uint32(nil), e.keys...)
 		e.inner = append([]uint32(nil), e.inner...)
 		e.preds = append([]PredBound(nil), e.preds...)
 		e.goff = append([]uint32(nil), e.goff...)
@@ -655,7 +663,7 @@ func (c *Cache) DropTable(table string) {
 // query they could, so keeping them only bloats the interval walk.
 // Caller holds the stripe lock.
 func (st *stripe) link(e *entry, c *Cache) {
-	if e.keys != nil {
+	if e.ordered {
 		ck := e.key.column()
 		list := st.ranges[ck]
 		for i := 0; i < len(list); {
@@ -713,7 +721,7 @@ func (st *stripe) remove(e *entry, c *Cache) {
 		return
 	}
 	delete(st.m, e.key)
-	if e.keys != nil {
+	if e.ordered {
 		ck := e.key.column()
 		list := st.ranges[ck]
 		// The list is ordered by (lo, hi): binary-search to the first run

@@ -130,8 +130,8 @@ func TestContainmentReuse(t *testing.T) {
 func TestExactOnlyEntriesSkipContainment(t *testing.T) {
 	c := New(admitAll(Options{}))
 	tok := Token{Gen: 1}
-	// nil key run = scan-path result; exact reuse only.
-	c.InsertRange(rangeKey("t", "a", 10, 20), tok, nil, seq(0, 5), 10, Plan{})
+	// A row-order range is a scan-path result: exact reuse only.
+	c.InsertRangeRows(rangeKey("t", "a", 10, 20), tok, seq(0, 5), 10, Plan{})
 	if _, _, ok, _ := c.Lookup(rangeKey("t", "a", 10, 20), at(tok)); !ok {
 		t.Fatal("exact lookup must still hit")
 	}

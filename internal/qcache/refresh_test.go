@@ -208,11 +208,11 @@ func checkCacheMarks(t *testing.T, step string, s *side, rows map[string][]uint3
 		}
 		switch e.Key.Kind {
 		case qcache.KindRange:
-			vals, rids := matching(e.Keys != nil, func(v uint32) bool { return v >= e.Key.Lo && v <= e.Key.Hi })
+			vals, rids := matching(e.Ordered, func(v uint32) bool { return v >= e.Key.Lo && v <= e.Key.Hi })
 			if !slices.Equal(e.RIDs, rids) {
 				bad("RIDs", e.RIDs, rids)
 			}
-			if e.Keys != nil && !slices.Equal(e.Keys, vals) {
+			if e.Ordered && !slices.Equal(e.Keys, vals) {
 				bad("key run", e.Keys, vals)
 			}
 		case qcache.KindIn:

@@ -6,6 +6,7 @@
 package shard
 
 import (
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -37,6 +38,9 @@ func TestSearchBatchAllocs(t *testing.T) {
 			t.Fatalf("uniform batch %d runs key-ordered", i)
 		}
 	}
+	// A collection empties the pools; with none from here on, the counts and
+	// the pool check below see exactly what the batches left there.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	first, last := make([]int32, 512), make([]int32, 512)
 	v, fz := x.Snapshot(), Freeze(keys, x.bounds, x.m)
 	methods := []struct {

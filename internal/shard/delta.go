@@ -16,7 +16,8 @@ package shard
 // len(ins) − len(tomb).  A drained batch is absorbed in O(delta): inserts
 // merge into ins; each delete cancels an ins key if there is one, else
 // tombstones a still-live base occurrence, else is ignored (multiset
-// semantics, inserts before deletes within one drained batch).  Only when
+// semantics, inserts before deletes within one batch, which is call order:
+// an insert after pending deletes opens the next batch).  Only when
 // len(ins)+len(tomb) reaches 1/foldDenominator of the base does the shard
 // fold — the original rebuild, now a span copy (mergedKeys) and a tree build.
 //

@@ -41,23 +41,25 @@ func TestDeltaDisabledNeverAbsorbs(t *testing.T) {
 
 // TestDeleteAbsorbDifferential: deletes of keys inserted the step before and
 // in the same drained batch, of resident keys once and more times than they
-// occur, and of absent keys, under the schedules that keep a delta.
+// occur, and of absent keys, each followed by an insert of the same keys
+// with no Sync between, under the schedules that keep a delta.
 func TestDeleteAbsorbDifferential(t *testing.T) {
 	for _, fold := range []int{crashtest.FoldDefault, crashtest.FoldSmall, crashtest.FoldNever} {
 		t.Run(fmt.Sprint("fold=", fold), func(t *testing.T) {
 			f := crashtest.ShardFocus{Rows: 4000, Span: 1, Shards: 4, Fold: fold, Steps: 30,
-				Inserts: 2, Deletes: 2, Drains: 3, Compacts: 1}
-			f.Run(t, 23, hooks, "tombstones", "cancelled insert", "drained batch", "over-delete")
+				Inserts: 2, Deletes: 2, Drains: 3, Reinserts: 2, Compacts: 1}
+			f.Run(t, 23, hooks, "tombstones", "cancelled insert", "drained batch", "over-delete", "delete then insert of a missing key")
 		})
 	}
 }
 
 // TestReadsMatchOracleAcrossShardCounts: one base of duplicated keys under
-// every shard count.
+// every shard count, and a base of tens of thousands over 16 shards.
 func TestReadsMatchOracleAcrossShardCounts(t *testing.T) {
-	for _, shards := range []int{1, 3, 4} {
+	for _, shards := range []int{1, 3, 4, 8, 16} {
 		crashtest.ShardFocus{Rows: 5000, Span: 2, Shards: shards, Steps: 3, Inserts: 1, Syncs: 1}.Run(t, 1, hooks)
 	}
+	crashtest.ShardFocus{Rows: 40960, Span: 3, Shards: 16, Steps: 4, Batch: 64, Inserts: 2, Deletes: 1, Reinserts: 1}.Run(t, 2, hooks)
 }
 
 // TestEmptyAndTiny: every adversarial set, across inserts, deletes, drained
@@ -115,7 +117,7 @@ func TestSaveLoadWithTombstones(t *testing.T) {
 // to thousands of keys.
 func TestBatchMatchesOracle(t *testing.T) {
 	for _, rows := range []int{0, 40, 160, 4000} {
-		for _, shards := range []int{1, 3, 4} {
+		for _, shards := range []int{1, 3, 4, 8, 16} {
 			for mix, fan := range []bool{false, true, true} {
 				crashtest.ShardFocus{Rows: rows, Span: 2, Shards: shards, FanOut: fan, Mix: mix, Steps: 3, Inserts: 2, Deletes: 1}.Run(t, int64(rows+shards), hooks)
 			}

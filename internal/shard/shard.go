@@ -8,9 +8,10 @@
 // boundaries, loads that shard's current snapshot with a single atomic
 // pointer load, and searches an immutable tree.  Writers never touch a
 // published tree; Insert/Delete only append to a per-shard pending batch
-// under a short mutex.  One background goroutine drains dirty shards and
-// publishes each shard's next state with an epoch-swap: a new snapshot whose
-// epoch is one greater than the one it replaces.  A small batch — inserts
+// under a short mutex, and updates apply in call order.  One background
+// goroutine drains dirty shards and publishes each shard's next state with
+// an epoch-swap: a new snapshot whose epoch is one greater than the one it
+// replaces.  A small batch — inserts
 // and deletes alike — is absorbed into the shard's delta (an insert run and
 // a tombstone run beside the unchanged base, delta.go) in O(delta); once the
 // delta reaches the fold threshold the shard is rebuilt the §2.3 way, into a
@@ -67,14 +68,21 @@ type snapshot struct {
 }
 
 // shardState is one range shard: the current snapshot plus the pending
-// update batch the background goroutine has not yet absorbed.
+// update batches the background goroutine has not yet absorbed.  A batch
+// applies its inserts before its deletes, so an insert enqueued after
+// pending deletes closes their batch and opens the next: the batches apply
+// in call order.
 type shardState struct {
 	cur atomic.Pointer[snapshot]
 
 	mu      sync.Mutex // guards the pending batches only
-	insPend []uint32
+	closed  []pending  // the earlier batches, oldest first
+	insPend []uint32   // the open batch
 	delPend []uint32
 }
+
+// pending is one closed batch: one absorb's worth of updates.
+type pending struct{ ins, del []uint32 }
 
 // Index is a concurrently servable index over a multiset of keys:
 // lock-free Search/LowerBound/EqualRange/range scans, batched Insert/Delete
@@ -278,7 +286,9 @@ func (x *Index) EqualRange(key uint32) (first, last int) {
 func (x *Index) Insert(keys ...uint32) { x.enqueue(keys, true) }
 
 // Delete enqueues keys for deletion with multiset semantics: each requested
-// key removes at most one occurrence; absent keys are ignored.
+// key removes at most one occurrence; absent keys are ignored.  Updates
+// apply in call order, so a Delete of an absent key followed by an Insert of
+// it leaves one occurrence, Sync or no Sync between them.
 func (x *Index) Delete(keys ...uint32) { x.enqueue(keys, false) }
 
 // enqueue routes the keys to their shards' pending batches: it groups them
@@ -298,6 +308,10 @@ func (x *Index) enqueue(keys []uint32, ins bool) {
 		}
 		st.mu.Lock()
 		if ins {
+			if len(st.delPend) > 0 {
+				st.closed = append(st.closed, pending{st.insPend, st.delPend})
+				st.insPend, st.delPend = nil, nil
+			}
 			st.insPend = append(st.insPend, group...)
 		} else {
 			st.delPend = append(st.delPend, group...)
@@ -364,36 +378,44 @@ func (x *Index) publish(s *shardState, next *snapshot, folded bool, start time.T
 }
 
 // drain repeatedly sweeps the shards, absorbing and publishing any pending
-// batches, until a full sweep finds nothing to do.  Every batch goes through
-// absorb (delta.go); the shard then folds — the full §2.3 rebuild — only if
-// its delta has reached the policy's threshold.  A batch that changes
-// nothing on a shard with no delta (deletes of absent keys) publishes nothing.
+// batches in call order, until a full sweep finds nothing to do.
 func (x *Index) drain() {
 	for {
 		dirty := false
 		for _, s := range x.shards {
 			s.mu.Lock()
-			ins, del := s.insPend, s.delPend
-			s.insPend, s.delPend = nil, nil
+			closed, ins, del := s.closed, s.insPend, s.delPend
+			s.closed, s.insPend, s.delPend = nil, nil, nil
 			s.mu.Unlock()
-			if len(ins) == 0 && len(del) == 0 {
-				continue
+			for _, b := range closed {
+				x.absorbBatch(s, b.ins, b.del)
 			}
-			dirty = true
-			start := telemetry.Now()
-			old := s.cur.Load()
-			next := absorb(old, ins, del)
-			if old.deltaKeys() == 0 && next.deltaKeys() == 0 {
-				continue // deletes of absent keys only: nothing changed, nothing to publish
+			if len(ins) > 0 || len(del) > 0 {
+				x.absorbBatch(s, ins, del)
 			}
-			fold := next.deltaKeys() > 0 && x.delta.shouldFold(next.deltaKeys(), len(next.keys))
-			if fold {
-				next = x.fold(next, next.epoch)
-			}
-			x.publish(s, next, fold, start)
+			dirty = dirty || len(closed) > 0 || len(ins) > 0 || len(del) > 0
 		}
 		if !dirty {
 			return
 		}
 	}
+}
+
+// absorbBatch publishes shard s's next epoch with one batch absorbed.
+// Every batch goes through absorb (delta.go); the shard then folds — the
+// full §2.3 rebuild — only if its delta has reached the policy's threshold.
+// A batch that changes nothing on a shard with no delta (deletes of absent
+// keys) publishes nothing.
+func (x *Index) absorbBatch(s *shardState, ins, del []uint32) {
+	start := telemetry.Now()
+	old := s.cur.Load()
+	next := absorb(old, ins, del)
+	if old.deltaKeys() == 0 && next.deltaKeys() == 0 {
+		return // deletes of absent keys only: nothing changed, nothing to publish
+	}
+	fold := next.deltaKeys() > 0 && x.delta.shouldFold(next.deltaKeys(), len(next.keys))
+	if fold {
+		next = x.fold(next, next.epoch)
+	}
+	x.publish(s, next, fold, start)
 }

@@ -11,6 +11,7 @@ package simidx_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cssidx"
@@ -19,87 +20,58 @@ import (
 	"cssidx/internal/workload"
 )
 
-func buildCachePairTables(t *testing.T, keys []uint32) (cached, plain *mmdb.Table) {
+// buildCachePairTables loads keys into two tables indexed by kind: cached
+// admits every result, plain has no cache.
+func buildCachePairTables(t *testing.T, keys []uint32, kind cssidx.Kind) (cached, plain *mmdb.Table) {
 	t.Helper()
 	build := func() *mmdb.Table {
 		tab := mmdb.NewTable("t")
 		if err := tab.AddColumn("k", keys); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tab.BuildIndex("k", cssidx.KindLevelCSS, cssidx.Options{}); err != nil {
+		if _, err := tab.BuildIndex("k", kind, cssidx.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return tab
 	}
 	cached = build()
 	cached.EnableCache(mmdb.CacheOptions{MinCostNs: -1})
-	plain = build()
-	return cached, plain
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return cached, build()
 }
 
 // cacheBattery compares every query surface across the cached/uncached
 // pair, running each query twice on the cached side (fill, then hit).
 func cacheBattery(t *testing.T, cached, plain *mmdb.Table, probes []uint32, tag string) {
 	t.Helper()
-	for i := 0; i+1 < len(probes); i += 2 {
-		lo, hi := probes[i], probes[i+1]
-		if lo > hi {
-			lo, hi = hi, lo
+	agree := func(query string, ask func(tab *mmdb.Table) ([]uint32, error)) {
+		t.Helper()
+		want, err := ask(plain)
+		for pass := 0; err == nil && pass < 2; pass++ {
+			var got []uint32
+			if got, err = ask(cached); err == nil && !slices.Equal(got, want) {
+				t.Fatalf("%s %s pass %d: %v != %v", tag, query, pass, got, want)
+			}
 		}
-		want, _, err := plain.SelectRange("k", lo, hi)
 		if err != nil {
 			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			got, _, err := cached.SelectRange("k", lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalU32(got, want) {
-				t.Fatalf("%s SelectRange[%d,%d] pass %d: %v != %v", tag, lo, hi, pass, got, want)
-			}
-		}
-		wantW, _, err := plain.SelectWhere([]mmdb.RangePred{{Col: "k", Lo: lo, Hi: hi}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			got, _, err := cached.SelectWhere([]mmdb.RangePred{{Col: "k", Lo: lo, Hi: hi}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalU32(got, wantW) {
-				t.Fatalf("%s SelectWhere[%d,%d] pass %d: %v != %v", tag, lo, hi, pass, got, wantW)
-			}
 		}
 	}
+	for i := 0; i+1 < len(probes); i += 2 {
+		lo, hi := min(probes[i], probes[i+1]), max(probes[i], probes[i+1])
+		agree(fmt.Sprintf("SelectRange[%d,%d]", lo, hi), func(tab *mmdb.Table) ([]uint32, error) {
+			rids, _, err := tab.SelectRange("k", lo, hi)
+			return rids, err
+		})
+		agree(fmt.Sprintf("SelectWhere[%d,%d]", lo, hi), func(tab *mmdb.Table) ([]uint32, error) {
+			rids, _, err := tab.SelectWhere([]mmdb.RangePred{{Col: "k", Lo: lo, Hi: hi}})
+			return rids, err
+		})
+	}
 	for size := 1; size <= len(probes); size *= 4 {
-		list := probes[:size]
-		want, _, err := plain.SelectIn("k", list)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			got, _, err := cached.SelectIn("k", list)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !equalU32(got, want) {
-				t.Fatalf("%s SelectIn size %d pass %d: %v != %v", tag, size, pass, got, want)
-			}
-		}
+		agree(fmt.Sprintf("SelectIn size %d", size), func(tab *mmdb.Table) ([]uint32, error) {
+			rids, _, err := tab.SelectIn("k", probes[:size])
+			return rids, err
+		})
 	}
 }
 
@@ -109,7 +81,7 @@ func TestQCacheDifferentialAdversarial(t *testing.T) {
 	sets["random-dups"] = g.Lookups(g.SortedUniform(512), 1024)
 	for name, keys := range sets {
 		t.Run(name, func(t *testing.T) {
-			cached, plain := buildCachePairTables(t, keys)
+			cached, plain := buildCachePairTables(t, keys, cssidx.KindLevelCSS)
 			probes := probeSet(keys, g)
 			if len(probes) > 256 {
 				probes = probes[:256]
@@ -145,21 +117,8 @@ func TestQCacheDifferentialKinds(t *testing.T) {
 	}
 	for _, kind := range kinds {
 		t.Run(fmt.Sprint(kind), func(t *testing.T) {
-			build := func() *mmdb.Table {
-				tab := mmdb.NewTable("t")
-				if err := tab.AddColumn("k", keys); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := tab.BuildIndex("k", kind, cssidx.Options{}); err != nil {
-					t.Fatal(err)
-				}
-				return tab
-			}
-			cached := build()
-			cached.EnableCache(mmdb.CacheOptions{MinCostNs: -1})
-			plain := build()
-			probes := probeSet(keys, g)[:64]
-			cacheBattery(t, cached, plain, probes, "kinds")
+			cached, plain := buildCachePairTables(t, keys, kind)
+			cacheBattery(t, cached, plain, probeSet(keys, g)[:64], "kinds")
 		})
 	}
 }
