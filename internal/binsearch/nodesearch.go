@@ -23,7 +23,10 @@ package binsearch
 // is bit-identical to NodeLowerBoundScalar on every sorted window — the
 // differential battery in nodesearch_test.go proves it exhaustively.
 
-import "os"
+import (
+	"os"
+	"unsafe"
+)
 
 // Kernel identifies a node-search dispatch tier.
 type Kernel uint8
@@ -243,34 +246,79 @@ func DescendLevel(dir []uint32, m, fan, lNode int, probes []uint32, nodes []int3
 	}
 }
 
-// --- leaf-pass kernel --------------------------------------------------------
+// --- leaf passes -------------------------------------------------------------
 
-// LeafLowerBounds finishes a lockstep group on its leaves: for every j it
-// stores los[j] plus the count of keys[los[j]:his[j]] below probes[j] — the
-// probe's lower bound — into out[j].  A window not inside keys[:len(keys)]
-// panics.  One call replaces len(probes) NodeLowerBound
-// calls.
+// LeafOp names the answer AnswerLeaves stores for each probe.
+type LeafOp uint8
+
+const (
+	// OpLowerBound stores the probe's lower bound into first.
+	OpLowerBound LeafOp = iota
+	// OpSearch stores the lower bound into first if the key is there, −1
+	// otherwise.
+	OpSearch
+	// OpEqualRange stores the half-open run of the key into (first, last).
+	OpEqualRange
+)
+
+// CanAnswerLeaves reports whether AnswerLeaves finishes a lockstep group on
+// leaves of m keys: under the simd tier, for the cache-line leaf (m = 16).
+// Every other tier, leaf size and architecture finishes each probe with its
+// own search, and AnswerLeaves must not be called there.
+func CanAnswerLeaves(m int) bool { return activeKernel == KernelSIMD && m == 16 }
+
+// LocateLeaves is the first leaf pass of a lockstep group: for every j it
+// stores the window [los[j], his[j]) that leaf node nodes[j] covers in a
+// tree with leaves of m keys — the numbering of csstree.Geometry.LeafRange,
+// whose Mark, Padded and BottomEnd it takes (0 ≤ bottomEnd), with N =
+// len(keys) — and prefetches the window's first line, so whatever searches
+// the leaves next finds the whole group's lines in flight.  It reads
+// nothing from keys; a node number that names no leaf yields a window
+// AnswerLeaves declines.  The pass is not tier-dispatched: it uses no
+// vector instruction.  Where the architecture has no pass (anything but
+// amd64) it stores nothing and reports false, and the caller maps the
+// windows itself.
+func LocateLeaves(keys []uint32, m, mark, padded, bottomEnd int, nodes, los, his []int32) bool {
+	n := len(nodes)
+	if len(los) != n || len(his) != n || m < 1 || bottomEnd < 0 {
+		panic("binsearch: LocateLeaves: group size mismatch or bad layout")
+	}
+	if !locateAvailable {
+		return false
+	}
+	if n > 0 {
+		locateLeaves(unsafe.SliceData(keys), int64(len(keys)), int64(m), int64(mark), int64(padded), int64(bottomEnd), &nodes[0], &los[0], &his[0], int64(n))
+	}
+	return true
+}
+
+// AnswerLeaves is the second leaf pass: for every j whose window [los[j],
+// his[j]) is a whole 16-key leaf inside keys it counts the leaf's keys
+// below probes[j] and stores op's answer into first[j] (and last[j]) from
+// that one line.  Every other j — a partial, empty or out-of-range window,
+// or a probe whose answer reaches past the leaf (Search above the leaf's
+// last key, EqualRange at or above it) — is left as it was and its index
+// goes to todo; AnswerLeaves returns how many did, and the caller finishes
+// those.  first, todo and los/his are as long as probes, and last too for
+// OpEqualRange (it is unused otherwise).
 //
-// The SIMD tier answers every whole 16-key leaf in one assembly loop that
-// reads exactly keys[lo:lo+16], then searches the other windows — partial
-// and dangling leaves, other node sizes — with NodeLowerBound; every other
-// tier and architecture loops NodeLowerBound over all of them.  The answers
-// are identical.
-func LeafLowerBounds(keys []uint32, los, his []int32, probes []uint32, out []int32) {
+// Memory safety does not depend on the windows: a window is checked before
+// any load, and the loads read exactly keys[lo:lo+16].  The pass does not
+// dispatch on the tier; CanAnswerLeaves is the caller's gate.
+func AnswerLeaves(op LeafOp, keys, probes []uint32, los, his, first, last, todo []int32) int {
 	n := len(probes)
-	if len(los) != n || len(his) != n || len(out) != n {
-		panic("binsearch: LeafLowerBounds: group size mismatch")
+	if len(los) != n || len(his) != n || len(first) != n || len(todo) != n ||
+		(op == OpEqualRange && len(last) != n) || op > OpEqualRange || !simdAvailable {
+		panic("binsearch: AnswerLeaves: group size mismatch or no kernel")
 	}
-	keys = keys[:len(keys):len(keys)] // a window past len panics, even within cap
-	vector := activeKernel == KernelSIMD && n > 0 && len(keys) >= 16
-	if vector {
-		simdLeafLowerBounds(&keys[0], int64(len(keys)), &los[0], &his[0], &probes[0], &out[0], int64(n))
+	if n == 0 {
+		return 0
 	}
-	for j, p := range probes {
-		lo, hi := int(los[j]), int(his[j])
-		if vector && hi-lo == 16 && lo >= 0 && lo <= len(keys)-16 {
-			continue // the kernel's window
+	if len(keys) < 16 { // no whole leaf: every probe is the caller's
+		for j := range todo {
+			todo[j] = int32(j)
 		}
-		out[j] = int32(lo + NodeLowerBound(keys[lo:hi], hi-lo, p))
+		return n
 	}
+	return int(answerLeaves16(int64(op), &keys[0], int64(len(keys)), &probes[0], &los[0], &his[0], &first[0], unsafe.SliceData(last), &todo[0], int64(n)))
 }

@@ -106,26 +106,21 @@ func avx512Descend15(dir *uint32, lNode int64, probes *uint32, nodes *int32, n i
 //go:noescape
 func avx512Descend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n int64)
 
-// simdLeafLowerBounds is the leaf pass behind LeafLowerBounds: it answers
-// the whole 16-key windows inside keys and skips the rest, which
-// LeafLowerBounds searches itself; nkeys is len(keys) and at least 16.
-//
-//go:noescape
-func simdLeafLowerBounds(keys *uint32, nkeys int64, los, his *int32, probes *uint32, out *int32, n int64)
+// The leaf passes behind LocateLeaves and AnswerLeaves: one loop each over
+// the n probes of a lockstep group.  The locate pass, on leaves of m keys,
+// loads nothing from keys; the answer pass, on 16-key leaves (op is a
+// LeafOp), reads a window only once it is checked to be a whole leaf
+// inside keys[:nkeys].
+
+// locateAvailable reports whether LocateLeaves has its pass: always on
+// amd64, whose baseline has every instruction it uses.
+const locateAvailable = true
 
 //go:noescape
-func prefetchAt(base *uint32, idx *int32, n int64)
+func locateLeaves(keys *uint32, nkeys, m, mark, padded, bottomEnd int64, nodes, los, his *int32, n int64)
 
-// PrefetchAt asks for the cache line holding a[idx[j]], for every j, ahead
-// of the reads that follow.  It is a hint: an index outside a is harmless
-// (a prefetch never faults), and architectures without the instruction
-// wired up do nothing.  It is not tier-dispatched — PREFETCHT0 is baseline
-// amd64 and changes no result.
-func PrefetchAt(a []uint32, idx []int32) {
-	if len(a) > 0 && len(idx) > 0 {
-		prefetchAt(&a[0], &idx[0], int64(len(idx)))
-	}
-}
+//go:noescape
+func answerLeaves16(op int64, keys *uint32, nkeys int64, probes *uint32, los, his, first, last, todo *int32, n int64) int64
 
 // nodeLowerBoundSIMD is the SIMD tier body: the specialised vector kernels
 // for the node sizes the trees use, the strip-mined count kernel for other

@@ -1,5 +1,5 @@
 // AVX2 node-search kernels, plus the AVX-512 body of the level pass
-// (LEVELPASS512).  A node is a short sorted window of uint32 keys; the
+// (LEVELPASS512) and the two leaf passes that finish a lockstep group.  A node is a short sorted window of uint32 keys; the
 // leftmost slot ≥ the probe equals the COUNT of slots < the probe, so
 // each kernel compares the whole window against the broadcast
 // key (8 slots per compare), extracts the compare mask (VPMOVMSKB, 4 mask
@@ -434,71 +434,160 @@ TEXT ·avx512Descend16(SB), NOSPLIT, $0-40
 	VZEROUPPER
 	RET
 
-// func simdLeafLowerBounds(keys *uint32, nkeys int64, los, his *int32, probes *uint32, out *int32, n int64)
-// The leaf pass of a lockstep group: for each j whose window [los[j],
-// his[j]) is a whole 16-key leaf inside keys, out[j] = los[j] + the count of
-// its keys < probes[j], counted exactly as simdLB16 does.  Any other j —
-// a partial or dangling leaf, or a window not inside keys (lo compared
-// unsigned, so a negative one fails too) — is skipped and its out[j] left
-// as it was; the loads read exactly keys[lo:lo+16].
+// func locateLeaves(keys *uint32, nkeys, m, mark, padded, bottomEnd int64, nodes, los, his *int32, n int64)
+// The leaf-locate pass of a lockstep group (see LocateLeaves): for each j
+// it maps leaf node d = nodes[j] to its window exactly as
+// csstree.Geometry.LeafRange does for leaves of m keys, with diff = m·d −
+// mark:
 //
-// AX keys  R8 nkeys−16  R13 los  R12 his  BX probes  DX out  CX n  R9 j
-// R10 lo  R11 hi−lo, then &keys[lo]  SI/DI masks → count  DI answer
-TEXT ·simdLeafLowerBounds(SB), NOSPLIT, $0-56
+//	region I  (diff ≥ 0): lo = min(diff, bottomEnd), hi = min(diff+m, bottomEnd)
+//	region II (diff < 0): lo = padded + diff,       hi = min(lo+m, nkeys)
+//
+// stores lo and hi (their low 32 bits, as Go's int32 conversion keeps),
+// and prefetches the line of keys[lo].  Both regions are computed and the
+// right one kept by conditional moves, so a group that straddles the mark
+// costs no mispredicted branch.  bottomEnd ≥ 0, so the clamped region-I lo
+// is negative exactly when diff is: its sign picks the region.  Nothing is
+// loaded from keys; a prefetch never faults, whatever lo is.  Every
+// instruction is baseline amd64, so the pass runs under every tier.
+//
+// AX keys  R8 nkeys  CX m  R9 padded−mark  R11 bottomEnd  BX nodes  SI los
+// DI his  DX j  R12 m·d, then diff, then lo  R13 region II lo
+// R10 region II hi  R14 hi
+TEXT ·locateLeaves(SB), NOSPLIT, $0-80
 	MOVQ keys+0(FP), AX
 	MOVQ nkeys+8(FP), R8
-	SUBQ $16, R8
-	MOVQ los+16(FP), R13
-	MOVQ his+24(FP), R12
-	MOVQ probes+32(FP), BX
-	MOVQ out+40(FP), DX
-	MOVQ n+48(FP), CX
-	XORQ R9, R9
-	JMP leaftest
-leafloop:
-	MOVLQSX (R13)(R9*4), R10
+	MOVQ m+16(FP), CX
+	MOVQ padded+32(FP), R9
+	SUBQ mark+24(FP), R9
+	MOVQ bottomEnd+40(FP), R11
+	MOVQ nodes+48(FP), BX
+	MOVQ los+56(FP), SI
+	MOVQ his+64(FP), DI
+	XORQ DX, DX
+	JMP locatetest
+locateloop:
+	MOVLQSX (BX)(DX*4), R12
+	IMULQ CX, R12
+	LEAQ (R12)(R9*1), R13
+	LEAQ (R13)(CX*1), R10
 	CMPQ R10, R8
-	JHI leafnext
-	MOVLQSX (R12)(R9*4), R11
-	SUBQ R10, R11
-	CMPQ R11, $16
-	JNE leafnext
-	LEAQ (AX)(R10*4), R11
-	VPBROADCASTD (BX)(R9*4), Y0
-	VPMAXUD (R11), Y0, Y2
-	VPCMPEQD (R11), Y2, Y2
-	VPMOVMSKB Y2, SI
-	VPMAXUD 32(R11), Y0, Y3
-	VPCMPEQD 32(R11), Y3, Y3
-	VPMOVMSKB Y3, DI
-	SHLQ $32, DI
-	ORQ DI, SI
-	POPCNTQ SI, SI
-	SHRQ $2, SI
-	LEAQ 16(R10), DI
-	SUBQ SI, DI
-	MOVL DI, (DX)(R9*4)
-leafnext:
-	INCQ R9
-leaftest:
-	CMPQ R9, CX
-	JLT leafloop
-	VZEROUPPER
+	CMOVQGT R8, R10
+	SUBQ mark+24(FP), R12
+	LEAQ (R12)(CX*1), R14
+	CMPQ R12, R11
+	CMOVQGT R11, R12
+	CMPQ R14, R11
+	CMOVQGT R11, R14
+	TESTQ R12, R12
+	CMOVQLT R13, R12
+	CMOVQLT R10, R14
+	MOVL R12, (SI)(DX*4)
+	MOVL R14, (DI)(DX*4)
+	PREFETCHT0 (AX)(R12*4)
+	INCQ DX
+locatetest:
+	CMPQ DX, n+72(FP)
+	JLT locateloop
 	RET
 
-// func prefetchAt(base *uint32, idx *int32, n int64)
-// Prefetches the line of base[idx[j]] for j < n.
-TEXT ·prefetchAt(SB), NOSPLIT, $0-24
-	MOVQ base+0(FP), AX
-	MOVQ idx+8(FP), BX
-	MOVQ n+16(FP), CX
+// func answerLeaves16(op int64, keys *uint32, nkeys int64, probes *uint32, los, his, first, last, todo *int32, n int64) int64
+// The leaf-answer pass of a lockstep group (see AnswerLeaves).  For each j
+// whose window [los[j], his[j]) is a whole 16-key leaf inside keys (lo
+// compared unsigned against nkeys−16, so a negative one fails too, then
+// hi − lo == 16) it counts the leaf's keys below the probe as simdLB16
+// does — the probe's lower bound is lo + that count — and stores op's
+// answer:
+//
+//	0 LowerBound  first = the lower bound; the leaf holds it whatever the
+//	              probe, lo+16 included
+//	1 Search      first = the lower bound if a slot equals the probe, −1
+//	              otherwise
+//	2 EqualRange  first = the lower bound, last = first + the slots equal
+//	              to the probe
+//
+// Every other j is left as it was and appended to todo: a window that is
+// not a whole leaf, a Search probe above the leaf's last key (its lower
+// bound is the next leaf's first key, not on this line) and an EqualRange
+// probe at or above it (its run may go on past the line).  The pass
+// returns how many it appended.  The loads read exactly keys[lo:lo+16];
+// nkeys must be at least 16.  The op branch goes the same way for every
+// probe of a call, so it predicts perfectly.  A pack folds each pair of
+// compare vectors into one mask of two bits per slot, so one popcount
+// counts the sixteen.
+//
+// R14 op  AX keys  R8 nkeys−16  BX probes  R13 los  R12 his  DX first
+// CX n  R9 j  R10 probes handed back  R11 lo  SI/DI scratch, DI the bound
+TEXT ·answerLeaves16(SB), NOSPLIT, $0-88
+	MOVQ op+0(FP), R14
+	MOVQ keys+8(FP), AX
+	MOVQ nkeys+16(FP), R8
+	SUBQ $16, R8
+	MOVQ probes+24(FP), BX
+	MOVQ los+32(FP), R13
+	MOVQ his+40(FP), R12
+	MOVQ first+48(FP), DX
+	MOVQ n+72(FP), CX
 	XORQ R9, R9
-	JMP pftest
-pfloop:
-	MOVLQSX (BX)(R9*4), R10
-	PREFETCHT0 (AX)(R10*4)
+	XORQ R10, R10
+	JMP answertest
+answerloop:
+	MOVLQSX (R13)(R9*4), R11
+	CMPQ R11, R8
+	JHI handback
+	MOVLQSX (R12)(R9*4), SI
+	SUBQ R11, SI
+	CMPQ SI, $16
+	JNE handback
+	VPBROADCASTD (BX)(R9*4), Y0
+	VPMAXUD (AX)(R11*4), Y0, Y2
+	VPCMPEQD (AX)(R11*4), Y2, Y2
+	VPMAXUD 32(AX)(R11*4), Y0, Y3
+	VPCMPEQD 32(AX)(R11*4), Y3, Y3
+	VPACKSSDW Y3, Y2, Y2
+	VPMOVMSKB Y2, SI
+	POPCNTL SI, SI
+	SHRL $1, SI
+	LEAQ 16(R11), DI
+	SUBQ SI, DI
+	TESTQ R14, R14
+	JEQ store
+	MOVL (BX)(R9*4), SI
+	CMPQ R14, $1
+	JNE equalrange
+	CMPL 60(AX)(R11*4), SI
+	JCS handback
+	VPCMPEQD (AX)(R11*4), Y0, Y4
+	VPCMPEQD 32(AX)(R11*4), Y0, Y5
+	VPOR Y5, Y4, Y4
+	VPTEST Y4, Y4
+	MOVQ $-1, SI
+	CMOVQEQ SI, DI
+	JMP store
+equalrange:
+	CMPL 60(AX)(R11*4), SI
+	JLS handback
+	VPCMPEQD (AX)(R11*4), Y0, Y4
+	VPCMPEQD 32(AX)(R11*4), Y0, Y5
+	VPACKSSDW Y5, Y4, Y4
+	VPMOVMSKB Y4, SI
+	POPCNTL SI, SI
+	SHRL $1, SI
+	ADDQ DI, SI
+	MOVQ last+56(FP), R11
+	MOVL SI, (R11)(R9*4)
+store:
+	MOVL DI, (DX)(R9*4)
+	JMP answernext
+handback:
+	MOVQ todo+64(FP), SI
+	MOVL R9, (SI)(R10*4)
+	INCQ R10
+answernext:
 	INCQ R9
-pftest:
+answertest:
 	CMPQ R9, CX
-	JLT pfloop
+	JLT answerloop
+	MOVQ R10, ret+80(FP)
+	VZEROUPPER
 	RET

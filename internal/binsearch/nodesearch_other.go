@@ -49,12 +49,15 @@ func avx512Descend16(dir *uint32, lNode int64, probes *uint32, nodes *int32, n i
 	panic("binsearch: simd kernel on non-amd64 build")
 }
 
-// The leaf-pass kernel is unreachable too: LeafLowerBounds loops
-// NodeLowerBound over every window on this architecture.
-func simdLeafLowerBounds(keys *uint32, nkeys int64, los, his *int32, probes *uint32, out *int32, n int64) {
-	panic("binsearch: simd kernel on non-amd64 build")
+// The leaf passes are unreachable too: LocateLeaves reports false and
+// CanAnswerLeaves is false, so the caller maps and finishes every probe
+// itself on this architecture.
+const locateAvailable = false
+
+func locateLeaves(keys *uint32, nkeys, m, mark, padded, bottomEnd int64, nodes, los, his *int32, n int64) {
+	panic("binsearch: leaf-locate pass on non-amd64 build")
 }
 
-// PrefetchAt is a no-op here (see nodesearch_amd64.go): Go has no portable
-// prefetch, and the hint changes no result.
-func PrefetchAt(a []uint32, idx []int32) {}
+func answerLeaves16(op int64, keys *uint32, nkeys int64, probes *uint32, los, his, first, last, todo *int32, n int64) int64 {
+	panic("binsearch: simd kernel on non-amd64 build")
+}

@@ -5,11 +5,13 @@ package binsearch
 // branchy NodeLowerBoundScalar oracle on every node size m∈{1..64}, over
 // adversarial windows (duplicate-saturated, boundary-value, padded) and
 // every distinguishing probe, for the single-probe kernels, the 16-wide
-// multi-probe kernel and the level-pass kernel.  A fuzz target extends the
-// same invariant to arbitrary windows.
+// multi-probe kernel, the level-pass kernel and the leaf-answer pass.  A
+// fuzz target extends the same invariant to arbitrary windows.
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"cssidx/internal/mem"
@@ -211,14 +213,25 @@ func checkDescendLevel(t *testing.T, k Kernel) {
 	}
 }
 
-// TestLeafLowerBoundsMatchNodeLowerBound checks the leaf pass under every
-// tier: on sorted arrays with duplicate runs, every window keys[lo:lo+width]
-// of 0 to 16 keys must answer lo + the oracle's lower bound for 0,
-// MaxUint32, every key and every key ±1.  The last cases are a mixed group
-// in which each probe has its own window, and key arrays shorter than a
-// leaf.
+// TestLeafLowerBoundsMatchNodeLowerBound checks the leaf-answer pass, for
+// every op, against the oracle: on sorted arrays with duplicate runs, every
+// window keys[lo:lo+width] of 0 to 16 keys, probed at 0, MaxUint32, every
+// key and every key ±1.  A whole 16-key window must answer as
+// NodeLowerBoundScalar and the scalar finish do, or hand the probe back
+// where its answer reaches past the leaf — the duplicate runs end inside,
+// at and past the leaf's end, so EqualRange meets all three; any other
+// window hands every probe back, untouched.  The last cases are a mixed
+// group in which each probe has its own window, and key arrays shorter
+// than a leaf.  The pass does not dispatch on the tier, so each tier runs
+// the same kernel; only CanAnswerLeaves tells them apart.
 func TestLeafLowerBoundsMatchNodeLowerBound(t *testing.T) {
 	withKernel(t, func(t *testing.T, k Kernel) {
+		if CanAnswerLeaves(16) != (k == KernelSIMD) || CanAnswerLeaves(15) || CanAnswerLeaves(32) {
+			t.Fatalf("%v: CanAnswerLeaves(16)=%v CanAnswerLeaves(15)=%v CanAnswerLeaves(32)=%v", k, CanAnswerLeaves(16), CanAnswerLeaves(15), CanAnswerLeaves(32))
+		}
+		if !simdAvailable {
+			return // no kernel to run on this CPU
+		}
 		g := workload.New(13)
 		for _, n := range []int{0, 5, 15, 16, 17, 40, 200} {
 			for dist, keys := range map[string][]uint32{
@@ -228,85 +241,124 @@ func TestLeafLowerBoundsMatchNodeLowerBound(t *testing.T) {
 				probes := probesFor(keys)
 				los := make([]int32, len(probes))
 				his := make([]int32, len(probes))
-				out := make([]int32, len(probes))
 				for lo := 0; lo <= n; lo++ {
 					for width := 0; width <= 16 && lo+width <= n; width++ {
 						for j := range probes {
 							los[j], his[j] = int32(lo), int32(lo+width)
 						}
-						LeafLowerBounds(keys, los, his, probes, out)
-						for j, p := range probes {
-							if want := int32(lo + NodeLowerBoundScalar(keys[lo:lo+width], width, p)); out[j] != want {
-								t.Fatalf("%v %s n=%d window [%d,%d) probe %d: out %d, want %d", k, dist, n, lo, lo+width, p, out[j], want)
-							}
-						}
+						checkAnswerLeaves(t, fmt.Sprintf("%v %s n=%d window [%d,%d)", k, dist, n, lo, lo+width), keys, probes, los, his)
 					}
 				}
 				if n < 16 {
 					continue
 				}
 				// One group, a window per probe: whole, partial and empty.
-				windows := [][2]int{{0, 16}, {n - 16, n}, {(n - 15) / 2, (n-15)/2 + 15}, {3, 3}, {n, n}, {1, 16}, {n - 15, n}}
+				windows := [][2]int{{0, 16}, {n - 16, n}, {(n - 15) / 2, (n-15)/2 + 15}, {3, 3}, {n, n}, {1, 16}, {n - 15, n}, {(n - 16) / 2, (n-16)/2 + 16}}
 				for j := range probes {
 					w := windows[j%len(windows)]
 					los[j], his[j] = int32(w[0]), int32(w[1])
 				}
-				LeafLowerBounds(keys, los, his, probes, out)
-				for j, p := range probes {
-					lo, hi := int(los[j]), int(his[j])
-					if want := int32(lo + NodeLowerBoundScalar(keys[lo:hi], hi-lo, p)); out[j] != want {
-						t.Fatalf("%v %s n=%d mixed group: window [%d,%d) probe %d: out %d, want %d", k, dist, n, lo, hi, p, out[j], want)
-					}
-				}
+				checkAnswerLeaves(t, fmt.Sprintf("%v %s n=%d mixed group", k, dist, n), keys, probes, los, his)
 			}
 		}
 	})
 }
 
-// TestLeafKernelAnswersOnlyWholeLeaves pins the assembly leaf pass's own
-// rule, which LeafLowerBounds's follow-up search would otherwise hide: it
-// writes out[j] for a window of exactly 16 keys inside keys and for no
-// other — partial, negative, straddling the end or far past it.
-func TestLeafKernelAnswersOnlyWholeLeaves(t *testing.T) {
-	if !simdAvailable {
-		t.Skip("no SIMD tier on this CPU")
-	}
+// checkAnswerLeaves runs AnswerLeaves for every op over one group and
+// requires each probe to be answered as the oracle answers it, or handed
+// back untouched exactly when the pass's rule says so: its window is not a
+// whole 16-key leaf inside keys (the only windows the oracle is asked
+// about), or its answer reaches past the leaf.
+func checkAnswerLeaves(t *testing.T, what string, keys, probes []uint32, los, his []int32) {
+	t.Helper()
 	const untouched = -7
-	keys := workload.New(17).SortedWithDuplicates(40, 4)
-	n := len(keys)
-	probes := probesFor(keys)
-	windows := [][2]int{{0, 16}, {n - 16, n}, {n / 2, n/2 + 15}, {3, 3}, {1, 16}, {-16, 0}, {-5, 11}, {n - 15, n + 1}, {n, n + 16}, {1 << 30, 1<<30 + 16}}
-	los := make([]int32, len(probes))
-	his := make([]int32, len(probes))
-	out := make([]int32, len(probes))
-	for j := range probes {
-		w := windows[j%len(windows)]
-		los[j], his[j], out[j] = int32(w[0]), int32(w[1]), untouched
-	}
-	simdLeafLowerBounds(&keys[0], int64(n), &los[0], &his[0], &probes[0], &out[0], int64(len(probes)))
-	for j, p := range probes {
-		lo, hi := int(los[j]), int(his[j])
-		want := int32(untouched)
-		if hi-lo == 16 && lo >= 0 && hi <= n {
-			want = int32(lo + NodeLowerBoundScalar(keys[lo:hi], 16, p))
+	n := len(probes)
+	first, last, todo := make([]int32, n), make([]int32, n), make([]int32, n)
+	for _, op := range []LeafOp{OpLowerBound, OpSearch, OpEqualRange} {
+		for j := range first {
+			first[j], last[j] = untouched, untouched
 		}
-		if out[j] != want {
-			t.Fatalf("window [%d,%d) probe %d: out %d, want %d", lo, hi, p, out[j], want)
+		left := AnswerLeaves(op, keys, probes, los, his, first, last, todo)
+		var want []int32
+		for j, p := range probes {
+			lo, hi := int(los[j]), int(his[j])
+			if lo < 0 || hi != lo+16 || hi > len(keys) ||
+				(op == OpSearch && keys[hi-1] < p) || (op == OpEqualRange && keys[hi-1] <= p) {
+				want = append(want, int32(j))
+				if first[j] != untouched || last[j] != untouched {
+					t.Fatalf("%s op %d probe %d: handed back but wrote [%d,%d)", what, op, p, first[j], last[j])
+				}
+				continue
+			}
+			pos := lo + NodeLowerBoundScalar(keys[lo:hi], 16, p)
+			wantFirst, wantLast := int32(pos), int32(untouched)
+			switch op {
+			case OpSearch:
+				if pos == len(keys) || keys[pos] != p {
+					wantFirst = -1
+				}
+			case OpEqualRange:
+				end := pos
+				for end < len(keys) && keys[end] == p {
+					end++
+				}
+				wantLast = int32(end)
+			}
+			if first[j] != wantFirst || last[j] != wantLast {
+				t.Fatalf("%s op %d window [%d,%d) probe %d: got (%d, %d), want (%d, %d)", what, op, lo, hi, p, first[j], last[j], wantFirst, wantLast)
+			}
+		}
+		if !slices.Equal(todo[:left], want) {
+			t.Fatalf("%s op %d: handed back %v, want %v", what, op, todo[:left], want)
 		}
 	}
 }
 
-// TestLeafLowerBoundsChecksSizes pins the panics: a group whose slices
-// disagree in length, and a window not inside keys.
+// TestLeafKernelAnswersOnlyWholeLeaves pins the answer pass's window rule
+// on windows no tree yields — negative, straddling the end, far past it, or
+// of the wrong width: each is handed back and never loaded, whatever its
+// bounds (lo is compared unsigned, so a negative one fails too).
+func TestLeafKernelAnswersOnlyWholeLeaves(t *testing.T) {
+	if !simdAvailable {
+		t.Skip("no SIMD tier on this CPU")
+	}
+	keys := workload.New(17).SortedWithDuplicates(40, 4)
+	n := len(keys)
+	probes := probesFor(keys)
+	windows := [][2]int{{0, 16}, {n - 16, n}, {n / 2, n/2 + 15}, {3, 3}, {1, 16}, {-16, 0}, {-5, 11}, {n - 15, n + 1}, {n, n + 16},
+		{1 << 30, 1<<30 + 16}, {math.MinInt32, math.MinInt32 + 16}, {math.MaxInt32 - 16, math.MaxInt32}, {0, 32}, {4, -12}}
+	los := make([]int32, len(probes))
+	his := make([]int32, len(probes))
+	for j := range probes {
+		w := windows[j%len(windows)]
+		los[j], his[j] = int32(w[0]), int32(w[1])
+	}
+	checkAnswerLeaves(t, "out-of-range windows", keys, probes, los, his)
+}
+
+// TestLeafLowerBoundsChecksSizes pins the panics of the two leaf passes: a
+// group whose slices disagree in length, an EqualRange with no last, an op
+// past the three, a leaf of no keys, a negative bottomEnd — and, on a CPU
+// with no SIMD tier, any answer-pass call at all.
 func TestLeafLowerBoundsChecksSizes(t *testing.T) {
 	keys := make([]uint32, 32)
+	two := func() []int32 { return make([]int32, 2) }
+	probes := make([]uint32, 2)
 	withKernel(t, func(t *testing.T, k Kernel) {
-		for name, call := range map[string]func(){
-			"group size":        func() { LeafLowerBounds(keys, make([]int32, 2), make([]int32, 2), make([]uint32, 2), make([]int32, 3)) },
-			"negative window":   func() { LeafLowerBounds(keys, []int32{-16}, []int32{0}, []uint32{1}, make([]int32, 1)) },
-			"window past end":   func() { LeafLowerBounds(keys, []int32{20}, []int32{36}, []uint32{1}, make([]int32, 1)) },
-			"window over short": func() { LeafLowerBounds(keys[:15], []int32{0}, []int32{16}, []uint32{1}, make([]int32, 1)) },
-		} {
+		calls := map[string]func(){
+			"locate group size":   func() { LocateLeaves(keys, 16, 0, 32, 32, two(), two(), make([]int32, 3)) },
+			"locate bottomEnd":    func() { LocateLeaves(keys, 16, 0, 32, -1, two(), two(), two()) },
+			"locate leaf size":    func() { LocateLeaves(keys, 0, 0, 32, 32, two(), two(), two()) },
+			"answer group size":   func() { AnswerLeaves(OpLowerBound, keys, probes, two(), two(), make([]int32, 3), nil, two()) },
+			"answer windows":      func() { AnswerLeaves(OpSearch, keys, probes, two(), make([]int32, 1), two(), nil, two()) },
+			"answer short todo":   func() { AnswerLeaves(OpSearch, keys, probes, two(), two(), two(), nil, make([]int32, 1)) },
+			"equal range no last": func() { AnswerLeaves(OpEqualRange, keys, probes, two(), two(), two(), nil, two()) },
+			"unknown op":          func() { AnswerLeaves(OpEqualRange+1, keys, probes, two(), two(), two(), two(), two()) },
+		}
+		if !simdAvailable {
+			calls["answer without kernel"] = func() { AnswerLeaves(OpLowerBound, keys, probes, two(), two(), two(), nil, two()) }
+		}
+		for name, call := range calls {
 			func() {
 				defer func() {
 					if recover() == nil {

@@ -8,11 +8,15 @@ package csstree
 // which searches every probe's node, stores its child and prefetches the
 // child's line, so by the time the next pass reads a node its miss has been
 // in flight for a whole group's worth of work.  After Depth passes every
-// probe is on a leaf: the leaf lines are prefetched the same way, one
-// leaf-pass call (binsearch.LeafLowerBounds) finds every probe's lower
-// bound in its leaf, and a loop finishes each answer — Search's match test,
-// EqualRange's duplicate scan — on the line just read, rather than in a
-// second walk over the key array after the lines have gone cold.
+// probe is on a leaf, and the leaf-locate pass (binsearch.LocateLeaves, one
+// call) maps every probe's leaf to its window of the array and prefetches
+// its line.  Where binsearch.CanAnswerLeaves holds (the simd tier, 16-key
+// leaves) one more call, the leaf-answer pass, stores each op's answer —
+// the lower bound, Search's match test, EqualRange's run — from the line
+// just read, and Go finishes only the probes it hands back: a partial or
+// dangling leaf, a probe above its leaf's last key, or an EqualRange run
+// reaching the leaf's end.  Every other tier and leaf size finishes each
+// probe in Go the same way.
 //
 // Tree.descend is the only copy of that descent: the three batch methods
 // call it, with the fan-out read from the geometry whichever build made the
@@ -28,32 +32,20 @@ import "cssidx/internal/binsearch"
 // prefetches, not the out-of-order window, carry the overlap, so the width
 // is set by how long a miss takes against how long a probe's node search
 // does: 64 searches cover a DRAM round trip with room to spare, and the
-// group's state (three 256-byte arrays) stays in L1 on the stack.  Widths
+// group's state (four 256-byte arrays) stays in L1 on the stack.  Widths
 // 16, 32 and 128 measured no better.
 const groupWidth = 64
 
-// batchOp selects what descend stores for each probe.
-type batchOp uint8
-
-const (
-	// batchLowerBound stores LowerBound(probe) into first.
-	batchLowerBound batchOp = iota
-	// batchSearch stores Search(probe) into first: the leftmost position,
-	// or -1 if the probe is absent.
-	batchSearch
-	// batchEqualRange stores EqualRange(probe) into (first, last).
-	batchEqualRange
-)
-
 // descend answers every probe against the tree.  first (and, for
-// batchEqualRange, last) must be as long as probes; last is otherwise
-// unused.  It allocates nothing.
-func (t *Tree) descend(op batchOp, probes []uint32, first, last []int32) {
+// OpEqualRange, last) must be as long as probes; last is otherwise unused.
+// It allocates nothing.
+func (t *Tree) descend(op binsearch.LeafOp, probes []uint32, first, last []int32) {
 	g, dir, keys := &t.g, t.dir, t.keys
-	if len(first) != len(probes) || (op == batchEqualRange && len(last) != len(probes)) {
+	if len(first) != len(probes) || (op == binsearch.OpEqualRange && len(last) != len(probes)) {
 		panic("csstree: probes/out length mismatch")
 	}
-	var nodes, los, his, lbs [groupWidth]int32
+	answer := binsearch.CanAnswerLeaves(g.M)
+	var nodes, los, his, todo [groupWidth]int32
 	for i := 0; i < len(probes); i += groupWidth {
 		group := probes[i:min(i+groupWidth, len(probes))]
 		n := len(group)
@@ -65,46 +57,65 @@ func (t *Tree) descend(op batchOp, probes []uint32, first, last []int32) {
 		for pass := 0; pass < g.Depth; pass++ {
 			binsearch.DescendLevel(dir, g.M, g.Fanout, g.LNode, group, nodes[:n])
 		}
-		for j, d := range nodes[:n] {
-			lo, hi := g.LeafRange(int(d))
-			los[j], his[j] = int32(lo), int32(hi)
-		}
-		binsearch.PrefetchAt(keys, los[:n])
-		binsearch.LeafLowerBounds(keys, los[:n], his[:n], group, lbs[:n])
-		for j, p := range group {
-			pos := int(lbs[j])
-			switch op {
-			case batchSearch:
-				if pos >= len(keys) || keys[pos] != p {
-					pos = -1
-				}
-			case batchEqualRange:
-				end := pos
-				for end < len(keys) && keys[end] == p {
-					end++
-				}
-				last[i+j] = int32(end)
+		if !binsearch.LocateLeaves(keys, g.M, g.MarkKeys, g.PaddedKeys, g.BottomEnd, nodes[:n], los[:n], his[:n]) {
+			for j, d := range nodes[:n] {
+				lo, hi := g.LeafRange(int(d))
+				los[j], his[j] = int32(lo), int32(hi)
 			}
-			first[i+j] = int32(pos)
+		}
+		if !answer {
+			for j, p := range group {
+				t.finish(op, p, int(los[j]), int(his[j]), i+j, first, last)
+			}
+			continue
+		}
+		var lastGroup []int32
+		if op == binsearch.OpEqualRange {
+			lastGroup = last[i : i+n]
+		}
+		left := binsearch.AnswerLeaves(op, keys, group, los[:n], his[:n], first[i:i+n], lastGroup, todo[:n])
+		for _, j := range todo[:left] {
+			t.finish(op, group[j], int(los[j]), int(his[j]), i+int(j), first, last)
 		}
 	}
+}
+
+// finish answers probe p, which the descent has brought to the leaf
+// keys[lo:hi], into first[at] (and last[at]) by the scalar methods' own
+// steps.
+func (t *Tree) finish(op binsearch.LeafOp, p uint32, lo, hi, at int, first, last []int32) {
+	keys := t.keys
+	pos := lo + binsearch.NodeLowerBound(keys[lo:hi], hi-lo, p)
+	switch op {
+	case binsearch.OpSearch:
+		if pos >= len(keys) || keys[pos] != p {
+			pos = -1
+		}
+	case binsearch.OpEqualRange:
+		end := pos
+		for end < len(keys) && keys[end] == p {
+			end++
+		}
+		last[at] = int32(end)
+	}
+	first[at] = int32(pos)
 }
 
 // LowerBoundBatch computes LowerBound for every probe into out
 // (len(out) must equal len(probes)).
 func (t *Tree) LowerBoundBatch(probes []uint32, out []int32) {
-	t.descend(batchLowerBound, probes, out, nil)
+	t.descend(binsearch.OpLowerBound, probes, out, nil)
 }
 
 // SearchBatch computes Search for every probe into out (len(out) must equal
 // len(probes)): the position of the leftmost occurrence, or -1 if absent.
 func (t *Tree) SearchBatch(probes []uint32, out []int32) {
-	t.descend(batchSearch, probes, out, nil)
+	t.descend(binsearch.OpSearch, probes, out, nil)
 }
 
 // EqualRangeBatch computes EqualRange for every probe: first and last receive
 // the half-open position range of each probe's occurrences (all three slices
 // must have equal length).
 func (t *Tree) EqualRangeBatch(probes []uint32, first, last []int32) {
-	t.descend(batchEqualRange, probes, first, last)
+	t.descend(binsearch.OpEqualRange, probes, first, last)
 }

@@ -47,8 +47,9 @@ func TestBatchCorruptDirectoryAgainstGuardPage(t *testing.T) {
 // TestBatchKeysAgainstGuardPage puts the key array against the guard page:
 // trees over it, probed at its last keys, must answer as the scalar methods
 // do under every tier.  With n a multiple of 16 the last leaf is a whole
-// cache line, so the leaf pass's vector loads end at the array's last byte;
-// otherwise it is partial and the per-probe search must stop at n.
+// cache line, so the leaf-answer pass's vector loads end at the array's
+// last byte; otherwise it is partial and the per-probe search must stop at
+// n.
 func TestBatchKeysAgainstGuardPage(t *testing.T) {
 	g := workload.New(187)
 	forEachKernel(t, func(kern binsearch.Kernel) {
@@ -66,4 +67,16 @@ func TestBatchKeysAgainstGuardPage(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLeafPassesAgainstGuardPage runs checkLeafPasses with the key array
+// against the guard page: a whole last leaf's loads end at the array's
+// last byte, and a window reaching past it must be handed back unread.
+func TestLeafPassesAgainstGuardPage(t *testing.T) {
+	g := workload.New(190)
+	for _, n := range []int{16, 32, 4096, 70000, 70001, 70015} {
+		keys := guardedU32(t, n)
+		copy(keys, g.SortedWithDuplicates(n, 3))
+		checkLeafPasses(t, keys)
+	}
 }

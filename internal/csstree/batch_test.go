@@ -186,24 +186,140 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 var sinkBatch int
 
 // BenchmarkDescendBatch prices the whole lockstep descent out of cache: a
-// level tree over 4M uniform keys (16 MB, beyond L2), 16,384-probe
-// SearchBatch calls cycling through eight batches.  ns/probe covers the
-// level passes, the leaf pass and the match test; it allocates nothing.
+// level tree over 4M uniform keys (16 MB, beyond L2), 16,384-probe batches
+// cycling through eight, one leg per batch method.  ns/probe covers the
+// level passes, the leaf passes and the op's finish; no leg allocates.
 func BenchmarkDescendBatch(b *testing.B) {
 	const batch = 16_384
 	g := workload.New(188)
 	keys := g.SortedUniform(4 << 20)
 	tr := BuildLevel(keys, 16)
 	probes := g.Lookups(keys, 8*batch)
-	out := make([]int32, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := i % 8 * batch
-		tr.SearchBatch(probes[lo:lo+batch], out)
+	first, last := make([]int32, batch), make([]int32, batch)
+	for _, leg := range []struct {
+		name string
+		run  func(probes []uint32)
+	}{
+		{"LowerBound", func(p []uint32) { tr.LowerBoundBatch(p, first) }},
+		{"Search", func(p []uint32) { tr.SearchBatch(p, first) }},
+		{"EqualRange", func(p []uint32) { tr.EqualRangeBatch(p, first, last) }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lo := i % 8 * batch
+				leg.run(probes[lo : lo+batch])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/probe")
+			sinkBatch += int(first[0])
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/probe")
-	sinkBatch += int(out[0])
+}
+
+// TestLocateLeavesMatchesLeafRange checks binsearch's two leaf passes
+// against the geometry on plain slices; batch_guard_linux_test.go runs the
+// same check with the key array against a guard page.
+func TestLocateLeavesMatchesLeafRange(t *testing.T) {
+	g := workload.New(189)
+	for _, n := range append([]int{0, 31, 33, 4111}, batchKeyCounts...) {
+		checkLeafPasses(t, g.SortedWithDuplicates(n, 3))
+	}
+}
+
+// checkLeafPasses hands binsearch's leaf passes every node number up to the
+// last child of full and level trees over keys — region I and II leaves,
+// dangling and partial last leaves, and the internal nodes no descent
+// stops at — and numbers that name nothing (negative, huge).  The locate
+// pass must store LeafRange's window for each, at every node size.  On
+// 16-key leaves, where the CPU has the simd tier, the answer pass must then
+// answer every op exactly as finish does or hand the probe back, and must
+// hand back every window that is not a whole leaf inside keys without
+// reading it.  Each node's probes are that leaf's first and last keys and
+// their neighbours, so Search and EqualRange meet leaves whose answer lies
+// past their end.  A number that names nothing may still locate a whole
+// window inside keys (the window is truncated to int32 as LeafRange's is);
+// the answer must then be finish's over that window.
+func checkLeafPasses(t *testing.T, keys []uint32) {
+	t.Helper()
+	pool := []uint32{0, ^uint32(0), 1}
+	if len(keys) > 0 {
+		pool = append(pool, keys[len(keys)-1], keys[len(keys)-1]+1)
+	}
+	for _, m := range []int{16, 2, 5, 8, 17, 64} {
+		trees := map[string]*Tree{"full": BuildFull(keys, m)}
+		if m&(m-1) == 0 {
+			trees["level"] = BuildLevel(keys, m)
+		}
+		for kind, tr := range trees {
+			geo := tr.Geometry()
+			var nodes []int32
+			for d := 0; d <= geo.LNode*geo.Fanout+geo.Fanout; d++ {
+				nodes = append(nodes, int32(d))
+			}
+			nodes = append(nodes, -1, -2, math.MinInt32, math.MaxInt32, math.MaxInt32/16, math.MinInt32/16)
+			var probes []uint32
+			for j, d := range nodes {
+				lo, hi := geo.LeafRange(int(d))
+				p := pool[j%len(pool)]
+				if lo >= 0 && lo < hi && hi <= len(keys) {
+					p = []uint32{keys[lo] - 1, keys[lo], keys[hi-1] - 1, keys[hi-1], keys[hi-1] + 1, p}[j%6]
+				}
+				probes = append(probes, p)
+			}
+			for lo := 0; lo < len(nodes); lo += groupWidth {
+				hi := min(lo+groupWidth, len(nodes))
+				checkLeafGroup(t, fmt.Sprintf("%s m=%d n=%d", kind, m, len(keys)), tr, probes[lo:hi], nodes[lo:hi])
+			}
+		}
+	}
+}
+
+// checkLeafGroup runs the leaf passes over one group for checkLeafPasses.
+func checkLeafGroup(t *testing.T, what string, tr *Tree, probes []uint32, nodes []int32) {
+	t.Helper()
+	geo, keys, n := tr.Geometry(), tr.Keys(), len(probes)
+	var los, his, todo, first, last, wantFirst, wantLast [groupWidth]int32
+	if !binsearch.LocateLeaves(keys, geo.M, geo.MarkKeys, geo.PaddedKeys, geo.BottomEnd, nodes, los[:n], his[:n]) {
+		return // no leaf passes on this architecture
+	}
+	for j, d := range nodes {
+		if lo, hi := geo.LeafRange(int(d)); los[j] != int32(lo) || his[j] != int32(hi) {
+			t.Fatalf("%s: node %d located at [%d,%d), LeafRange [%d,%d)", what, d, los[j], his[j], lo, hi)
+		}
+	}
+	if geo.M != 16 || !binsearch.KernelAvailable(binsearch.KernelSIMD) {
+		return
+	}
+	for _, op := range []binsearch.LeafOp{binsearch.OpLowerBound, binsearch.OpSearch, binsearch.OpEqualRange} {
+		const untouched = -7
+		for j := range n {
+			first[j], last[j] = untouched, untouched
+		}
+		left := binsearch.AnswerLeaves(op, keys, probes, los[:n], his[:n], first[:n], last[:n], todo[:n])
+		handed := make(map[int32]bool, left)
+		for _, j := range todo[:left] {
+			handed[j] = true
+		}
+		for j, p := range probes {
+			lo, hi := int(los[j]), int(his[j])
+			whole := lo >= 0 && hi == lo+16 && hi <= len(keys)
+			if !whole && !handed[int32(j)] {
+				t.Fatalf("%s op %d: node %d's window [%d,%d) is not a whole leaf but was answered", what, op, nodes[j], lo, hi)
+			}
+			if handed[int32(j)] {
+				if first[j] != untouched || last[j] != untouched {
+					t.Fatalf("%s op %d: node %d handed back but written", what, op, nodes[j])
+				}
+				continue
+			}
+			wantLast[j] = untouched
+			tr.finish(op, p, lo, hi, j, wantFirst[:], wantLast[:])
+			if first[j] != wantFirst[j] || last[j] != wantLast[j] {
+				t.Fatalf("%s op %d: node %d probe %d answered (%d, %d), finish (%d, %d)",
+					what, op, nodes[j], p, first[j], last[j], wantFirst[j], wantLast[j])
+			}
+		}
+	}
 }
 
 // TestBatchAllKernelTiers is the differential battery of the lockstep

@@ -139,8 +139,9 @@ func (g Geometry) Levels() int { return g.Depth + 1 }
 // switch of Figure 3 and clamping padding.  A dangling leaf (beyond the
 // real data) yields an empty range whose position is the correct global
 // lower bound for any probe routed to it.  The receiver is a pointer because
-// the batch descent calls this once per probe and a value receiver copies
-// the whole struct each time.
+// the portable batch finish calls this once per probe and a value receiver
+// copies the whole struct each time.  binsearch.LocateLeaves is the same
+// arithmetic for 16-key leaves, in assembly.
 func (g *Geometry) LeafRange(d int) (lo, hi int) {
 	diff := d*g.M - g.MarkKeys
 	if diff < 0 {

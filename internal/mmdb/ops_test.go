@@ -1261,17 +1261,19 @@ func TestFoldMergeMatchesRebuild(t *testing.T) {
 	}
 }
 
-// FuzzFoldOps explores from fold-heavy inputs, one per fold schedule.
+// FuzzFoldOps explores from fold-heavy inputs, one per fold schedule, in
+// FuzzTableOps' shape: each cut to its first opsFuzzBytes, over tables of a
+// few hundred rows.
 func FuzzFoldOps(f *testing.F) {
 	for fold := range opsFolds {
 		f.Add(opsFocus{fold: fold, ix: [3]int{ixLevel, ixSharded, ixNone}, span: [3]int{1, 0, 2},
-			steps: 60, appends: 6, compacts: 2, builds: 1, questions: 2, kinds: []opsKind{opsAgg}}.input(int64(fold)))
+			steps: 60, appends: 6, compacts: 2, builds: 1, questions: 2, kinds: []opsKind{opsAgg}}.input(int64(fold))[:opsFuzzBytes])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1024 {
+		if len(data) > opsFuzzBytes {
 			t.Skip()
 		}
-		runTableOps(t, data)
+		runOps(t, data, 512)
 	})
 }
 
