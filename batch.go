@@ -119,7 +119,7 @@ func checkBatchLen(probes, out int) {
 // --- sort-probes-first schedule ---------------------------------------------
 
 // SortedBatch wraps a BatchOrderedIndex with the sort-probes-first schedule:
-// each batch is radix-sorted by key and deduplicated before the lockstep
+// each batch is sorted by key and deduplicated before the lockstep
 // descent, and results scatter back to input order.  Sorted probes walk
 // neighbouring root-to-leaf paths (each directory node is touched once per
 // batch) and repeated probes descend once — the probe-scheduling payoff of

@@ -18,9 +18,9 @@ package binsearch
 //	        is the scalar ladder.
 //
 // The tier is selected once at package init from CPU feature detection
-// (hand-rolled CPUID, no external deps) and can be overridden with
-// CSSIDX_NODESEARCH=scalar|simd for testing and ablation.  Every tier
-// is bit-identical to NodeLowerBoundScalar on every sorted window — the
+// (internal/cpu's hand-rolled CPUID, no external deps) and can be
+// overridden with CSSIDX_NODESEARCH=scalar|simd for testing and ablation.
+// Every tier is bit-identical to NodeLowerBoundScalar on every sorted window — the
 // differential battery in nodesearch_test.go proves it exhaustively.
 
 import (

@@ -1,54 +1,17 @@
 package binsearch
 
-// AVX2 node-search kernels (see nodesearch_amd64.s) and the hand-rolled CPU
-// feature detection that gates them.  No external dependencies: AVX2 needs
-// CPUID leaf 7 EBX bit 5, and — because the OS must save the YMM state
-// across context switches — CPUID leaf 1 OSXSAVE+AVX plus XGETBV confirming
-// XMM and YMM state are enabled.  This is the same probe sequence
-// golang.org/x/sys/cpu performs; inlined here so the package stays
-// dependency-free.
+// AVX2 node-search kernels (see nodesearch_amd64.s), gated by the CPU
+// feature probe in internal/cpu.
+
+import "cssidx/internal/cpu"
 
 var (
 	// simdAvailable reports whether the AVX2 tier can run on this CPU.
-	simdAvailable = detectAVX2()
+	simdAvailable = cpu.AVX2
 	// avx512Available reports whether the simd tier's level pass can use
 	// its AVX-512 body.
-	avx512Available = simdAvailable && detectAVX512()
+	avx512Available = cpu.AVX512
 )
-
-// cpuidAsm and xgetbv0 are implemented in cpu_amd64.s.
-func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax, edx uint32)
-
-// detectAVX512 reports AVX512F (CPUID leaf 7 EBX bit 16) with the opmask,
-// ZMM_Hi256 and Hi16_ZMM state (XCR0 bits 5–7) enabled by the OS.  It is
-// consulted only after detectAVX2, which has checked OSXSAVE.
-func detectAVX512() bool {
-	if xcr0, _ := xgetbv0(); xcr0&0xE0 != 0xE0 {
-		return false
-	}
-	_, ebx7, _, _ := cpuidAsm(7, 0)
-	return ebx7&(1<<16) != 0
-}
-
-func detectAVX2() bool {
-	maxID, _, _, _ := cpuidAsm(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuidAsm(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	// XCR0 bits 1 (SSE/XMM) and 2 (AVX/YMM) must both be OS-enabled.
-	if xcr0, _ := xgetbv0(); xcr0&0x6 != 0x6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuidAsm(7, 0)
-	return ebx7&(1<<5) != 0 // AVX2
-}
 
 // The single-node kernels answer one probe against a node of exactly the
 // named slot count; simdCountLT counts slots < key over any multiple of 8;

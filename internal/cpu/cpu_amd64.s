@@ -1,5 +1,5 @@
-// CPU feature probes for the node-search kernel dispatch: raw CPUID and
-// XGETBV, consumed by detectAVX2 in nodesearch_amd64.go.
+// Raw CPUID and XGETBV, consumed by detectAVX2 and detectAVX512 in
+// cpu_amd64.go.
 
 #include "textflag.h"
 

@@ -20,8 +20,10 @@ package shard
 // neighbouring root-to-leaf paths: a skewed batch touches each directory
 // node once instead of bouncing randomly across the directory.  The plan is
 // one call, sortu32.Unique.Sort, which returns the distinct probes with the
-// perm and expand maps the scatter needs (batches of 32K probes or more
-// sort across the worker pool).
+// perm and expand maps the scatter needs: on an AVX-512 host a batch below
+// the crossover sorts in sortu32's assembly sorting network, any other
+// through its LSD core, and batches of 32K probes or more sort across the
+// worker pool.
 //
 // Parallelism.  The per-shard probe runs are independent — disjoint probe
 // spans, disjoint result spans, immutable snapshots — so they execute across

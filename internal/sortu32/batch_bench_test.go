@@ -1,9 +1,11 @@
 package sortu32
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"cssidx/internal/cpu"
 	"cssidx/internal/parallel"
 )
 
@@ -24,25 +26,25 @@ func zipfBatches(count, size int) [][]uint32 {
 	return out
 }
 
-// BenchmarkSortBatchZipf512 prices one key-ordered probe batch of
-// serve_sharded's shape: "unique" is the whole Unique.Sort (copy, sort,
-// dedupe), "pairs" the bare SortPairsScratch of (key, index) it replaced.
-func BenchmarkSortBatchZipf512(b *testing.B) {
-	batches := zipfBatches(1024, 512)
-	b.Run("unique", func(b *testing.B) {
-		var u Unique
-		for i := 0; b.Loop(); i++ {
-			u.Sort(batches[i%len(batches)], parallel.Options{Workers: 1})
+// BenchmarkSortBatchZipf prices one key-ordered probe plan (Unique.Sort:
+// pack, sort, dedupe) of serve_sharded's Zipf-1.1 shape at each batch size,
+// through the sorting network ("kernel", AVX-512 hosts only) and through
+// the LSD body ("lsd"): the rows networkMax is read from.
+func BenchmarkSortBatchZipf(b *testing.B) {
+	defer func(prev bool) { network512 = prev }(network512)
+	for _, size := range []int{64, 128, 256, 512, 1024, 2048, 4096, networkMax, 24576, 32767} {
+		batches := zipfBatches(max(1, 256*1024/size), size)
+		for _, body := range []string{"kernel", "lsd"} {
+			b.Run(fmt.Sprintf("n=%d/%s", size, body), func(b *testing.B) {
+				if body == "kernel" && !cpu.AVX512 {
+					b.Skip("no AVX-512")
+				}
+				network512 = body == "kernel"
+				var u Unique
+				for i := 0; b.Loop(); i++ {
+					u.Sort(batches[i%len(batches)], parallel.Options{Workers: 1})
+				}
+			})
 		}
-	})
-	b.Run("pairs", func(b *testing.B) {
-		keys, vals, tmpK, tmpV := make([]uint32, 512), make([]uint32, 512), make([]uint32, 512), make([]uint32, 512)
-		for i := 0; b.Loop(); i++ {
-			copy(keys, batches[i%len(batches)])
-			for j := range vals {
-				vals[j] = uint32(j)
-			}
-			SortPairsScratch(keys, vals, tmpK, tmpV)
-		}
-	})
+	}
 }

@@ -3,17 +3,21 @@
 // the OLAP maintenance cycle (§2.3) re-sorts after batch updates, and the
 // key-ordered probe schedule sorts every skewed probe batch.
 //
-// Every sort runs on one LSD radix core (lsd) over 4-byte keys: a single
-// read of the input builds all four 8-bit digit histograms, a digit on which
-// every key agrees costs nothing, and each other digit costs one stable
-// scatter — a cache-conscious sort in the spirit of the paper's cited work
-// (LaMarca & Ladner; AlphaSort) that streams the array instead of probing
-// it.  Sort orders keys; SortPairs co-sorts a payload, which is how mmdb
-// builds RID lists sorted by an attribute (§2.2); SortPairsParallel
-// partitions large batches across a worker pool and finishes each bucket
-// with the same core; Unique turns a probe batch into its distinct keys and
-// the maps that scatter their answers back.  MergePairs combines two sorted
-// runs of pairs.
+// Every sort but one runs on one LSD radix core (lsd) over 4-byte keys: a
+// single read of the input builds all four 8-bit digit histograms, a digit
+// on which every key agrees costs nothing, and each other digit costs one
+// stable scatter — a cache-conscious sort in the spirit of the paper's
+// cited work (LaMarca & Ladner; AlphaSort) that streams the array instead
+// of probing it.  Sort orders keys; SortPairs co-sorts a payload, which is
+// how mmdb builds RID lists sorted by an attribute (§2.2);
+// SortPairsParallel partitions large batches across a worker pool and
+// finishes each bucket with the same core; Unique turns a probe batch into
+// its distinct keys and the maps that scatter their answers back.
+// MergePairs combines two sorted runs of pairs.
+//
+// The exception is Unique's batch below the crossover on an AVX-512 host:
+// there a bitonic sorting network (sortnet_amd64.s) sorts the packed
+// (key, index) words in zmm registers, and the LSD core is the fallback.
 package sortu32
 
 // insertionThreshold is the size below which insertion sort wins.

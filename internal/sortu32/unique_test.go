@@ -9,12 +9,14 @@ import (
 	"slices"
 	"testing"
 
+	"cssidx/internal/cpu"
 	"cssidx/internal/parallel"
 )
 
 // uniqueDist generates the key shapes Unique.Sort must get right: random
-// and skewed batches, the degenerate orders, the extreme values, and keys
-// varying in one byte only (so every digit is alone in splitting them).
+// and skewed batches, the degenerate orders, the extreme values (and the
+// largest key last), and keys varying in one byte only (so every digit is
+// alone in splitting them).
 func uniqueDist(name string, n int, rng *rand.Rand) []uint32 {
 	keys := make([]uint32, n)
 	switch name {
@@ -42,6 +44,13 @@ func uniqueDist(name string, n int, rng *rand.Rand) []uint32 {
 		for i := range keys {
 			keys[i] = uint32(rng.Intn(2)) * math.MaxUint32
 		}
+	case "max-last": // the largest key beside the network's all-ones padding
+		for i := range keys {
+			keys[i] = rng.Uint32()
+		}
+		if n > 0 {
+			keys[n-1] = math.MaxUint32
+		}
 	default: // "byte<d>": only byte d varies
 		var d int
 		fmt.Sscanf(name, "byte%d", &d)
@@ -54,12 +63,12 @@ func uniqueDist(name string, n int, rng *rand.Rand) []uint32 {
 
 // checkUnique holds one Unique.Sort to its definition: a stable sort of the
 // (key, index) pairs followed by an adjacent-equal dedupe.
-func checkUnique(t testing.TB, u *Unique, probes []uint32, opts parallel.Options) {
+func checkUnique(t testing.TB, body string, u *Unique, probes []uint32, opts parallel.Options) {
 	t.Helper()
 	in := slices.Clone(probes)
 	distinct, perm, expand := u.Sort(probes, opts)
 	if !slices.Equal(probes, in) {
-		t.Fatal("Sort modified its input")
+		t.Fatalf("%s: Sort modified its input", body)
 	}
 	type pair struct{ k, i uint32 }
 	ref := make([]pair, len(probes))
@@ -74,10 +83,10 @@ func checkUnique(t testing.TB, u *Unique, probes []uint32, opts parallel.Options
 		}
 	}
 	if !slices.Equal(distinct, want) {
-		t.Fatalf("n=%d: %d distinct keys, want %d", len(probes), len(distinct), len(want))
+		t.Fatalf("%s n=%d: %d distinct keys, want %d", body, len(probes), len(distinct), len(want))
 	}
 	if len(perm) != len(probes) || len(expand) != len(probes) {
-		t.Fatalf("n=%d: len(perm)=%d len(expand)=%d", len(probes), len(perm), len(expand))
+		t.Fatalf("%s n=%d: len(perm)=%d len(expand)=%d", body, len(probes), len(perm), len(expand))
 	}
 	slot := int32(-1)
 	for j, p := range ref {
@@ -85,34 +94,67 @@ func checkUnique(t testing.TB, u *Unique, probes []uint32, opts parallel.Options
 			slot++
 		}
 		if perm[j] != p.i || expand[j] != slot {
-			t.Fatalf("n=%d: [%d] perm %d expand %d, want %d %d", len(probes), j, perm[j], expand[j], p.i, slot)
+			t.Fatalf("%s n=%d: [%d] perm %d expand %d, want %d %d", body, len(probes), j, perm[j], expand[j], p.i, slot)
 		}
 	}
 }
 
+// forEachBody runs f once per body Unique.Sort can take below
+// parallelSortMin: the sorting network (on AVX-512 hosts only) and the LSD
+// body.
+func forEachBody(f func(body string)) {
+	defer func(prev bool) { network512 = prev }(network512)
+	for _, network := range []bool{true, false} {
+		if network && !cpu.AVX512 {
+			continue
+		}
+		network512 = network
+		if network {
+			f("kernel")
+		} else {
+			f("lsd")
+		}
+	}
+}
+
+// uniqueSizes are the batch sizes at every edge of the sorting network:
+// below, at and above one register (8 words), one 64-word block, the first
+// block pairs, odd block counts that merge with a partnerless block, and
+// the crossover to the LSD body; then the partition's edge.
+var uniqueSizes = []int{0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 383, 511, 512, 513,
+	1023, 1024, 1025, networkMax - 1, networkMax, networkMax + 1, 32_767, 32_768, 100_000}
+
 func TestUniqueSortMatchesStableSort(t *testing.T) {
 	raiseGOMAXPROCS(t)
 	rng := rand.New(rand.NewSource(34))
-	dists := []string{"uniform", "zipf", "all-equal", "ascending", "descending", "extremes", "byte0", "byte1", "byte2", "byte3"}
+	dists := []string{"uniform", "zipf", "all-equal", "ascending", "descending", "extremes", "max-last", "byte0", "byte1", "byte2", "byte3"}
 	for _, workers := range []int{1, 4} {
 		opts := parallel.Options{Workers: workers, MinBatchPerWorker: 1024}
 		var u Unique // reused across sizes, as a pooled scratch is
-		for _, n := range []int{0, 1, 63, 64, 65, 512, 32_767, 32_768, 100_000} {
+		for _, n := range uniqueSizes {
 			for _, dist := range dists {
 				t.Run(fmt.Sprintf("workers=%d/n=%d/%s", workers, n, dist), func(t *testing.T) {
-					checkUnique(t, &u, uniqueDist(dist, n, rng), opts)
+					probes := uniqueDist(dist, n, rng)
+					forEachBody(func(body string) { checkUnique(t, body, &u, probes, opts) })
 				})
 			}
 		}
 	}
 }
 
-// FuzzSortUnique feeds arbitrary keys through Unique.Sort; wide inputs are
-// tiled past parallelSortMin and sorted through the four-worker partition.
+// FuzzSortUnique feeds arbitrary keys through Unique.Sort under each body;
+// wide inputs are tiled past parallelSortMin and sorted through the
+// four-worker partition.
 func FuzzSortUnique(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, false)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0}, true)
+	maxLast := make([]byte, 4*65) // 65 keys, the last MaxUint32: a probe beside the padding
+	for i := range maxLast {
+		maxLast[i] = byte(i * 7)
+	}
+	copy(maxLast[4*64:], []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(maxLast, false)
 	f.Fuzz(func(t *testing.T, data []byte, wide bool) {
 		keys := make([]uint32, len(data)/4)
 		for i := range keys {
@@ -126,7 +168,7 @@ func FuzzSortUnique(f *testing.F) {
 			opts = parallel.Options{Workers: 4, MinBatchPerWorker: 1024}
 		}
 		var u Unique
-		checkUnique(t, &u, keys, opts)
+		forEachBody(func(body string) { checkUnique(t, body, &u, keys, opts) })
 	})
 }
 
