@@ -274,7 +274,9 @@ func runBatchMode(ctx context.Context, stdout, stderr io.Writer, kindName string
 		return 2
 	}
 	// keyOrder resolves the requested schedule against one batch: auto asks
-	// the sharded engine's sampler, the others answer the same every batch.
+	// the sharded engine's sampler — the whole rule on the plain index,
+	// which is one key range (only a multi-shard view sorts network-sized
+	// batches outright) — the others answer the same every batch.
 	var keyOrder func([]uint32) bool
 	requested := scheduleName
 	switch scheduleName {

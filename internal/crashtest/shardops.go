@@ -110,10 +110,14 @@ const (
 
 // ShardHooks reach what the shard package does not export.  Fold sets an
 // index's fold schedule; Drain enqueues ins and del as one batch the
-// rebuilder drains together, and waits for it.
+// rebuilder drains together, and waits for it; KeyOrdered reports whether
+// v's batch methods run probes in key order, and with it the tally counts
+// each verified batch under its plan ("key-order plan", "input-order
+// plan").
 type ShardHooks struct {
-	Fold  func(x *shard.Index, schedule int)
-	Drain func(x *shard.Index, ins, del []uint32)
+	Fold       func(x *shard.Index, schedule int)
+	Drain      func(x *shard.Index, ins, del []uint32)
+	KeyOrdered func(v *shard.View, probes []uint32) bool
 }
 
 // The configuration's axes: the spans a key draw picks from (six values,
@@ -680,8 +684,16 @@ func (r *shardRun) verify() error {
 		if r.sparse {
 			surfaces = surfaces[i%2 : i%2+1]
 		}
+		plan := "unreported"
+		if r.hooks.KeyOrdered != nil {
+			plan = "input-order"
+			if r.hooks.KeyOrdered(v, b) {
+				plan = "key-order"
+			}
+			r.tally[plan+" plan"]++
+		}
 		if err := verifyBatch(surfaces, m, b); err != nil {
-			return fmt.Errorf("%w (a batch of %d, key order %v)", err, len(b), shard.ChooseKeyOrder(b))
+			return fmt.Errorf("%w (a batch of %d, %s plan; the sample says key order %v)", err, len(b), plan, shard.ChooseKeyOrder(b))
 		}
 	}
 	// The last full check's Snapshot is frozen: whatever the steps since, it
@@ -769,9 +781,11 @@ func verifyBatch(surfaces []batcher, m Model, probes []uint32) error {
 
 // probeOrders derives one batch per probe order from probes (at least one)
 // and checks the engine's sampler picks each: input drops repeated probes,
-// so no sampled value repeats and it runs in input order at any length;
-// keyOrdered interleaves probes with probes[0] up to at least 128 probes,
-// so half its sample or more repeats one key and it runs in key order.
+// so no sampled value repeats and the sample says input order at any
+// length (a multi-shard view still sorts it at 128 to 8,192 probes where
+// the sorting network runs); keyOrdered interleaves probes with probes[0] up
+// to at least 128 probes, so half its sample or more repeats one key and it
+// runs in key order on any view.
 func probeOrders(probes []uint32) (input, keyOrdered []uint32, err error) {
 	seen := make(map[uint32]bool, len(probes))
 	for _, p := range probes {

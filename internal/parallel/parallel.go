@@ -275,6 +275,15 @@ func (o Options) WorkersFor(total int) int {
 	return w
 }
 
+// Sequential reports whether Run(n, o, body) runs the whole span as one
+// call on the calling goroutine, with no calibration (none for n = 0): a
+// caller on a hot path can then call its body over [0, n) itself and
+// allocate no closure.
+func (o Options) Sequential(n int) bool {
+	o, calibrate := o.Resolved()
+	return !(calibrate && n >= 2*calibSpan) && o.WorkersFor(n) == 1
+}
+
 // Span returns the t-th of w contiguous spans partitioning [0, n): callers
 // that stage per-span outputs (a buffer per worker) use it with Do so their
 // split agrees with Run's.

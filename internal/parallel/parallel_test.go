@@ -74,6 +74,32 @@ func TestRunSequentialFallbackSingleCall(t *testing.T) {
 	Run(0, Options{}, func(lo, hi int) { t.Error("body called for n=0") })
 }
 
+// TestSequentialMatchesRun holds Sequential to what Run does: true exactly
+// when Run calls body(0, n) once, and an uncalibrated tuner's first large
+// batch, which Run splits to time a prefix, is not sequential.
+func TestSequentialMatchesRun(t *testing.T) {
+	for _, opts := range []Options{
+		{Workers: 1}, {Workers: 4, MinBatchPerWorker: 100}, {Workers: 8, MinBatchPerWorker: 1000}, {Workers: 1, Tuner: &Tuner{}},
+	} {
+		for _, n := range []int{1, 100, 399, 400, 2*calibSpan - 1, 2 * calibSpan} {
+			var calls, whole atomic.Int32
+			seq := opts.Sequential(n)
+			Run(n, opts, func(lo, hi int) {
+				calls.Add(1)
+				if lo == 0 && hi == n {
+					whole.Add(1)
+				}
+			})
+			if want := calls.Load() == 1 && whole.Load() == 1; seq != want {
+				t.Errorf("%+v n=%d: Sequential %v, Run made %d calls", opts, n, seq, calls.Load())
+			}
+			if opts.Tuner != nil {
+				opts.Tuner = &Tuner{} // uncalibrated again for the next size
+			}
+		}
+	}
+}
+
 func TestDoRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		for _, tasks := range []int{0, 1, 3, 57} {

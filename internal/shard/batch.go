@@ -9,21 +9,27 @@ package shard
 //
 // Two execution dimensions sit on top of the partitioning:
 //
-// Probe order.  Each batch descends in input order or in key order, and the
-// engine picks per batch from a sampled duplicate count (ChooseKeyOrder):
-// skew is a property of the probe stream, not of the index, so the batch
-// itself is the right thing to inspect.  The key-ordered plan sorts the
-// batch by probe key before the descent (results still scatter back to
-// input order) and deduplicates it: repeated probes descend once and fan
-// their result out.  Because shards are key ranges, sorting also groups
-// probes by shard for free, and inside a shard consecutive probes then walk
-// neighbouring root-to-leaf paths: a skewed batch touches each directory
-// node once instead of bouncing randomly across the directory.  The plan is
-// one call, sortu32.Unique.Sort, which returns the distinct probes with the
-// perm and expand maps the scatter needs: on an AVX-512 host a batch below
-// the crossover sorts in sortu32's assembly sorting network, any other
-// through its LSD core, and batches of 32K probes or more sort across the
-// worker pool.
+// Probe order.  Each batch descends in input order or in key order.  The
+// key-ordered plan sorts the batch by probe key before the descent (results
+// still scatter back to input order) and deduplicates it: repeated probes
+// descend once and fan their result out.  Because shards are key ranges,
+// sorting also groups probes by shard for free, and inside a shard
+// consecutive probes then walk neighbouring root-to-leaf paths, so a batch
+// touches each directory node once instead of bouncing randomly across the
+// directory — skewed or not.  The plan is one call, sortu32.Unique.Sort,
+// which returns the distinct probes with the perm and expand maps the
+// scatter needs: on an AVX-512 host a batch of up to sortu32's network
+// limit sorts in its assembly sorting network, any other through its LSD
+// core, and batches of 32K probes or more sort across the worker pool.
+//
+// The rule (View.keyOrdered): a view with more than one shard runs every
+// batch of adaptiveMinBatch to sortedMax probes in key order, with no
+// sample, wherever the sorting network takes it — measured over 8 shards,
+// input order lost there on uniform and Zipf batches alike.  Everywhere
+// else — one shard, larger batches, hosts without AVX-512 — the engine
+// samples the batch for duplicates (ChooseKeyOrder): there only skew pays
+// for the sort, and skew is a property of the probe stream, not of the
+// index, so the batch itself is the right thing to inspect.
 //
 // Parallelism.  The per-shard probe runs are independent — disjoint probe
 // spans, disjoint result spans, immutable snapshots — so they execute across
@@ -47,17 +53,30 @@ import (
 // Sampling parameters: sampleSize probes are inspected per batch (strided
 // across it); the key-ordered plan is chosen when the sample holds at least
 // dupThreshold duplicated values.  Batches below adaptiveMinBatch always run
-// input-order — the sort cannot amortise.
+// input-order — the sort cannot amortise — on any view.
 const (
 	adaptiveMinBatch = 128
 	sampleSize       = 64
 	dupThreshold     = 4 // ≥4/64 ≈ 6% sampled duplicates → sort pays
 )
 
-// ChooseKeyOrder reports whether a batch of these probes descends in key
-// order (sorted and deduplicated) rather than input order: exactly the
-// decision the batch methods make, exported so callers that report timings
-// can tag each batch with the order that ran.
+// sortedMax is the largest batch a multi-shard view sorts with no sample.
+// Over 8 shards of 500K keys (2-vCPU Emerald Rapids guest, ns/probe median
+// of 9 alternating rounds, input against key order), uniform batches on
+// one worker read 33.4 against 28.8 at 2,048 probes, 28.1 against 26.1 at
+// 6,144, 28.3 against 29.5 at 8,192 (32.0 against 28.9 on two workers)
+// and 28.2 against 31.8 at 12,288: past here the network's n·log²n sort
+// costs more than sorted probes save a uniform batch, and the sample
+// decides.
+const sortedMax = 8192
+
+// ChooseKeyOrder reports whether a sample of these probes holds enough
+// duplicates for the key-ordered plan (sorted and deduplicated) to beat
+// input order.  It decides a sharded batch's order wherever the View's rule
+// does not take key order outright — a single-shard view, a batch above
+// sortedMax probes, a host without AVX-512; see keyOrdered —
+// and it is the whole of cssx -schedule auto's choice between the plain
+// index and its cssidx.SortedBatch.
 func ChooseKeyOrder(probes []uint32) bool {
 	n := len(probes)
 	if n < adaptiveMinBatch {
@@ -92,6 +111,19 @@ func ChooseKeyOrder(probes []uint32) bool {
 		slots[h] = v + 1
 	}
 	return dups >= dupThreshold
+}
+
+// keyOrdered reports whether a batch of these probes descends in key order
+// on v: exactly the decision v's batch methods make.  A view of more than
+// one shard takes key order for every batch of adaptiveMinBatch to
+// sortedMax probes that sortu32 sorts in its network; ChooseKeyOrder
+// decides the rest.
+func (v *View) keyOrdered(probes []uint32) bool {
+	n := len(probes)
+	if len(v.snaps) > 1 && n >= adaptiveMinBatch && n <= sortedMax && sortu32.NetworkSorts(n) {
+		return true
+	}
+	return ChooseKeyOrder(probes)
 }
 
 // batchRun is a maximal run of grouped probes landing in one shard:
@@ -276,15 +308,20 @@ func (v *View) descend(op batchOp, r batchRun, gathered []uint32, res, resL []in
 }
 
 // batch answers probes into out (and last, for opEqualRange) in the probe
-// order ChooseKeyOrder picks; results are identical in either order and
-// under every worker count.
+// order keyOrdered picks; results are identical in either order and under
+// every worker count.
 func (v *View) batch(op batchOp, probes []uint32, out, last []int32) {
 	v.observeTuner()
-	keyOrdered := ChooseKeyOrder(probes)
+	keyOrdered := v.keyOrdered(probes)
 	if len(v.snaps) == 1 && !keyOrdered {
 		// Single shard, input order: descend straight into out (offset 0),
-		// splitting the batch across workers.
+		// splitting the batch across workers; a one-worker batch runs
+		// here, with no closure to allocate.
 		noteBatchSingle(len(probes))
+		if v.par.Sequential(len(probes)) {
+			v.descend(op, batchRun{hi: len(probes)}, probes, out, last)
+			return
+		}
 		parallel.Run(len(probes), v.par, func(lo, hi int) {
 			v.descend(op, batchRun{lo: lo, hi: hi}, probes, out, last)
 		})
@@ -377,16 +414,31 @@ func (v *View) scatter(perm []uint32, expand []int32, out, res, outL, resL []int
 	})
 }
 
-// scatterSpan is scatter's loop over positions [lo, hi) of perm.
+// scatterSpan is scatter's loop over positions [lo, hi) of perm, one loop
+// per shape — input order or key order, and outL given or not — so no
+// element pays a branch on the shape.
 func scatterSpan(lo, hi int, perm []uint32, expand []int32, out, res, outL, resL []int32) {
-	for j := lo; j < hi; j++ {
-		e := int32(j)
-		if expand != nil {
-			e = expand[j]
+	perm = perm[lo:hi]
+	if expand == nil {
+		res = res[lo:hi]
+		for j, p := range perm {
+			out[p] = res[j]
 		}
-		out[perm[j]] = res[e]
 		if outL != nil {
-			outL[perm[j]] = resL[e]
+			resL = resL[lo:hi]
+			for j, p := range perm {
+				outL[p] = resL[j]
+			}
+		}
+		return
+	}
+	expand = expand[lo:hi]
+	for j, p := range perm {
+		out[p] = res[expand[j]]
+	}
+	if outL != nil {
+		for j, p := range perm {
+			outL[p] = resL[expand[j]]
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -48,9 +49,11 @@ func deltaBatch(g *workload.Gen, keys []uint32, num, den int) (ins, del []uint32
 }
 
 // BenchmarkSearchBatchDelta prices what an outstanding delta costs the read
-// path: the same 512-probe Zipf batches against an index with no delta and
-// against ones carrying half and all of the delta the default policy lets
-// a shard reach before it folds.
+// path: the same batches against an index with no delta and against ones
+// carrying half and all of the delta the default policy lets a shard reach
+// before it folds.  The batches are serve_sharded's 512-probe Zipf ones
+// ("zipf=512") and uniform batches of resident keys at 128, 512 and 4,096
+// probes ("uniform=<n>"), which the multi-shard rule sorts too.
 func BenchmarkSearchBatchDelta(b *testing.B) {
 	for _, load := range deltaLoads {
 		b.Run("delta="+load.name, func(b *testing.B) {
@@ -62,10 +65,28 @@ func BenchmarkSearchBatchDelta(b *testing.B) {
 				x.Delete(del...)
 				x.Sync()
 			}
-			out := make([]int32, 512)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x.SearchBatch(reads[i%len(reads)], out)
+			legs := []struct {
+				name    string
+				batches [][]uint32
+			}{{"zipf=512", reads}}
+			g := workload.New(5)
+			for _, n := range []int{128, 512, 4096} {
+				batches := make([][]uint32, max(8, 64*512/n))
+				for i := range batches {
+					batches[i] = g.Lookups(keys, n)
+				}
+				legs = append(legs, struct {
+					name    string
+					batches [][]uint32
+				}{fmt.Sprint("uniform=", n), batches})
+			}
+			for _, leg := range legs {
+				b.Run(leg.name, func(b *testing.B) {
+					out := make([]int32, len(leg.batches[0]))
+					for i := 0; b.Loop(); i++ {
+						x.SearchBatch(leg.batches[i%len(leg.batches)], out)
+					}
+				})
 			}
 		})
 	}

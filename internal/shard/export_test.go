@@ -11,6 +11,9 @@ func NewEqual(keys []uint32, nshards int, m int) *Index {
 // order of its FoldDefault…FoldEveryBatch.
 var foldSchedules = []deltaPolicy{{}, {foldDenom: 8, minFold: 16}, neverFold, foldEveryBatch}
 
+// KeyOrdered reports whether v's batch methods run probes in key order.
+func KeyOrdered(v *View, probes []uint32) bool { return v.keyOrdered(probes) }
+
 // FoldSchedule sets x's fold policy to crashtest's schedule.
 func FoldSchedule(x *Index, schedule int) { x.delta = foldSchedules[schedule] }
 

@@ -13,7 +13,7 @@ import (
 	"cssidx/internal/shard"
 )
 
-var hooks = crashtest.ShardHooks{Fold: shard.FoldSchedule, Drain: shard.EnqueueTogether}
+var hooks = crashtest.ShardHooks{Fold: shard.FoldSchedule, Drain: shard.EnqueueTogether, KeyOrdered: shard.KeyOrdered}
 
 // TestInsertDeleteMatchesOracle: insert and delete batches over a base of
 // distinct keys, four shards, the default schedule.
@@ -121,6 +121,18 @@ func TestBatchMatchesOracle(t *testing.T) {
 			for mix, fan := range []bool{false, true, true} {
 				crashtest.ShardFocus{Rows: rows, Span: 2, Shards: shards, FanOut: fan, Mix: mix, Steps: 3, Inserts: 2, Deletes: 1}.Run(t, int64(rows+shards), hooks)
 			}
+		}
+	}
+}
+
+// TestBatchPlansReached: the generator's batches run in both probe orders
+// on one shard and on four, whichever plan the multi-shard rule takes for
+// its distinct-probe batches.
+func TestBatchPlansReached(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for mix := range 3 {
+			crashtest.ShardFocus{Rows: 2000, Span: 2, Shards: shards, Mix: mix, Steps: 4, Inserts: 2, Deletes: 1}.
+				Run(t, int64(shards), hooks, "input-order plan", "key-order plan")
 		}
 	}
 }

@@ -8,15 +8,18 @@ import (
 	"testing"
 	"time"
 
+	"cssidx/internal/cpu"
 	"cssidx/internal/parallel"
 	"cssidx/internal/workload"
 )
 
 // TestParallelBatchesDuringEpochSwaps is the race stress test for the
 // parallel batch engine: reader goroutines drive batched probes — each batch
-// itself fanned across the engine's worker pool, alternating a distinct
-// batch (input order) and a hot-key batch (key order) — while the background
-// rebuilder publishes epoch-swaps.  Run with -race.  Each batch is verified
+// itself fanned across the engine's worker pool, taking turns between a
+// uniform batch over one shard (input order), a hot-key batch over four
+// (key order) and a uniform batch over four (key order wherever the
+// sorting network runs) — while the background rebuilders publish
+// epoch-swaps.  Run with -race.  Each batch is verified
 // bit-identical to the scalar methods of the same frozen View, which is
 // exactly the engine's correctness contract: one snapshot epoch per batch,
 // regardless of workers, probe order, or concurrent rebuilds.
@@ -30,11 +33,14 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 	)
 	g := workload.New(601)
 	keys := g.SortedUniform(30000)
-	x := NewEqual(keys, 4, 16)
+	x, x1 := NewEqual(keys, 4, 16), NewEqual(keys, 1, 16)
 	defer x.Close()
+	defer x1.Close()
 	// Force the pool on: more workers than cores, spans small enough that
 	// every batch really fans out.
-	x.SetParallel(parallel.Options{Workers: 4, MinBatchPerWorker: 128})
+	for _, x := range []*Index{x, x1} {
+		x.SetParallel(parallel.Options{Workers: 4, MinBatchPerWorker: 128})
+	}
 
 	stop := make(chan struct{})
 	var batches atomic.Int64
@@ -61,10 +67,11 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 					return
 				default:
 				}
-				// Uniform probes, and on every other batch a hot key in a
-				// third of the slots: the sampler must send the first down
-				// the input-order path and the second down the key-ordered.
-				hot, skewed := uint32(rng.Int63n(workload.MaxKey)), n%2 == 1
+				// Uniform probes, and on every third batch a hot key in a
+				// third of the slots: the single shard must run a uniform
+				// batch in input order, and four shards a skewed one in key
+				// order.
+				hot, skewed, single := uint32(rng.Int63n(workload.MaxKey)), n%3 == 1, n%3 == 0
 				for i := range probes {
 					if skewed && rng.Intn(3) == 0 {
 						probes[i] = hot
@@ -72,11 +79,14 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 						probes[i] = uint32(rng.Int63n(workload.MaxKey))
 					}
 				}
-				if ChooseKeyOrder(probes) != skewed {
-					fail("the sampler picked the wrong probe order")
+				v := x.Snapshot()
+				if single {
+					v = x1.Snapshot()
+				}
+				if keyOrdered := v.keyOrdered(probes); single && keyOrdered || skewed && !keyOrdered {
+					fail("the batch plan picked the wrong probe order")
 					return
 				}
-				v := x.Snapshot()
 				v.SearchBatch(probes, out)
 				v.EqualRangeBatch(probes, first, last)
 				// Spot-check against the same frozen view's scalar answers.
@@ -113,10 +123,12 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 		for i := range batch {
 			batch[i] = uint32(rng.Int63n(workload.MaxKey))
 		}
-		x.Insert(batch...)
-		x.Sync()
-		x.Delete(batch...)
-		x.Sync()
+		for _, x := range []*Index{x, x1} {
+			x.Insert(batch...)
+			x.Sync()
+			x.Delete(batch...)
+			x.Sync()
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -163,6 +175,63 @@ func TestAdaptiveScheduleChoice(t *testing.T) {
 	if ChooseKeyOrder(tiny) {
 		t.Error("sub-threshold batch chose the key-ordered plan")
 	}
+}
+
+// TestKeyOrderedRule pins the batch plan's rule: a view of more than one
+// shard descends every batch of 128 to 8,192 probes in key order on an
+// AVX-512 host, whatever the sample says; a single-shard view, smaller
+// batches, larger ones and every batch on other hosts follow the sample.
+func TestKeyOrderedRule(t *testing.T) {
+	keys := workload.New(603).SortedUniform(20000)
+	multi, single := Freeze(keys, Boundaries(keys, 8), 16), Freeze(keys, nil, 16)
+	if len(multi.snaps) != 8 || len(single.snaps) != 1 {
+		t.Fatalf("views of %d and %d shards, want 8 and 1", len(multi.snaps), len(single.snaps))
+	}
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 64, adaptiveMinBatch - 1, adaptiveMinBatch, 512, 4096, 8192, 8193, 16384, 40000} {
+		distinct, hot := make([]uint32, n), make([]uint32, n)
+		for i := range distinct {
+			distinct[i] = uint32(i)*2654435761 ^ 0x5bd1e995 // a bijection: no value repeats
+			hot[i] = uint32(rng.Intn(3))
+		}
+		if n >= adaptiveMinBatch && (ChooseKeyOrder(distinct) || !ChooseKeyOrder(hot)) {
+			t.Fatalf("n=%d: the sample says %v for distinct probes and %v for three hot keys", n, ChooseKeyOrder(distinct), ChooseKeyOrder(hot))
+		}
+		network := cpu.AVX512 && n >= adaptiveMinBatch && n <= 8192
+		for _, c := range []struct {
+			name   string
+			probes []uint32
+		}{{"distinct", distinct}, {"hot", hot}} {
+			sample := ChooseKeyOrder(c.probes)
+			if got := single.keyOrdered(c.probes); got != sample {
+				t.Errorf("n=%d %s: one shard takes key order %v, the sample says %v", n, c.name, got, sample)
+			}
+			if got := multi.keyOrdered(c.probes); got != (sample || network) {
+				t.Errorf("n=%d %s: eight shards take key order %v, want %v (sample %v, network %v)", n, c.name, got, sample || network, sample, network)
+			}
+			for _, v := range []*View{single, multi} {
+				want, got := v.keyOrdered(c.probes), ranKeyOrder(v, c.probes)
+				for try := 1; want && !got && try < 8; try++ { // a dropped put reads as input order
+					got = ranKeyOrder(v, c.probes)
+				}
+				if got != want {
+					t.Errorf("n=%d %s, %d shards: the batch ran key order %v, the rule says %v", n, c.name, len(v.snaps), got, want)
+				}
+			}
+		}
+	}
+}
+
+// ranKeyOrder runs a SearchBatch of probes on v over a fresh scratch pool
+// and reports whether it ran the key-ordered plan: the one plan that leaves
+// shard runs in the scratch without counting probes per shard (one shard's
+// input order takes no scratch).  Under the race detector sync.Pool drops a
+// quarter of its puts, so a key-ordered batch can read as input order.
+func ranKeyOrder(v *View, probes []uint32) bool {
+	v.pool = &sync.Pool{}
+	v.SearchBatch(probes, make([]int32, len(probes)))
+	s, _ := v.pool.Get().(*batchScratch)
+	return s != nil && len(s.runs) > 0 && s.counts[len(s.counts)-1] == 0
 }
 
 // sortedSampleKeyOrder is ChooseKeyOrder as it was first written, kept as

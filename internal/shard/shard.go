@@ -27,11 +27,12 @@
 // is no skew-aware split from a sample of the probe distribution — skew is a
 // property of the probe stream, which each batch inspects for itself.
 //
-// The engine makes its own serving decisions: each batch's probe order comes
-// from a sample of the batch (ChooseKeyOrder, batch.go), and a shard folds
-// at fixed thresholds (delta.go) or on Compact.  The worker pool
-// (SetParallel) is the one setting, and only tests and in-module harnesses
-// bring it.
+// The engine makes its own serving decisions: a multi-shard batch of 128
+// to 8,192 probes descends in key order wherever sortu32's sorting network
+// runs, any other batch's probe order comes from a sample of the batch
+// (View.keyOrdered and ChooseKeyOrder, batch.go), and a shard folds at
+// fixed thresholds (delta.go) or on Compact.  The worker pool (SetParallel)
+// is the one setting, and only tests and in-module harnesses bring it.
 //
 // A column that is never updated needs none of the update machinery: Freeze
 // builds the same shards straight into a frozen View, with no rebuilder
@@ -230,9 +231,19 @@ func (x *Index) Len() int {
 	return n
 }
 
-// route returns the shard that serves key under the split boundaries.
+// route returns the shard that serves key under the split boundaries: the
+// number of bounds at or below key.  It is a branch-free binary search:
+// every key takes the same ⌈log₂(len(bounds)+1)⌉ steps, and each step
+// moves base by half or by nothing under a mask (the sign of key − bound,
+// taken in 64 bits), so a random key costs no mispredicted branch.
 func route(bounds []uint32, key uint32) int {
-	return sort.Search(len(bounds), func(i int) bool { return key < bounds[i] })
+	base, n := 0, len(bounds)+1 // the answer lies in [base, base+n)
+	for n > 1 {
+		half := n / 2
+		base += half & (int((uint64(key)-uint64(bounds[base+half-1]))>>63) - 1)
+		n -= half
+	}
+	return base
 }
 
 // shardFor routes a key to its shard.

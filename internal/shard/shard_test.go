@@ -2,12 +2,43 @@ package shard
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"testing"
 
 	"cssidx/internal/workload"
 )
+
+// TestRouteMatchesSearch holds the branch-free route to sort.Search over 0
+// to 64 bounds, distinct and repeated, with keys at 0, at MaxUint32, at
+// every bound and one either side of it.
+func TestRouteMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for nb := 0; nb <= 64; nb++ {
+		for _, span := range []uint32{math.MaxUint32, uint32(nb) / 2} { // the whole key space; a few repeated values
+			bounds := make([]uint32, nb)
+			for i := range bounds {
+				bounds[i] = rng.Uint32()
+				if span < math.MaxUint32 {
+					bounds[i] = uint32(rng.Intn(int(span)+1)) * 1000
+				}
+			}
+			slices.Sort(bounds)
+			keys := []uint32{0, math.MaxUint32}
+			for _, b := range bounds {
+				keys = append(keys, b-1, b, b+1) // wraps at the edges: still keys to route
+			}
+			for _, k := range keys {
+				want := sort.Search(nb, func(i int) bool { return k < bounds[i] })
+				if got := route(bounds, k); got != want {
+					t.Fatalf("%d bounds %v: route(%d) = %d, sort.Search says %d", nb, bounds, k, got, want)
+				}
+			}
+		}
+	}
+}
 
 func TestBoundariesEqualCount(t *testing.T) {
 	g := workload.New(3)

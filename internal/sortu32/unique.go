@@ -20,6 +20,10 @@ var network512 = cpu.AVX512
 // 32,767 (faster in 3 of 5).
 const networkMax = 16_384
 
+// NetworkSorts reports whether Unique.Sort hands a batch of n probes to the
+// sorting network: on an AVX-512 host, 1 to networkMax probes.
+func NetworkSorts(n int) bool { return network512 && n > 0 && n <= networkMax }
+
 // Unique sorts probe batches for the key-ordered probe schedule (shard's
 // batches and cssidx.SortedBatch): a batch comes back as its distinct keys
 // ascending plus the two maps that scatter their answers to input order.
@@ -61,7 +65,7 @@ func (u *Unique) Sort(probes []uint32, opts parallel.Options) (distinct, perm []
 			keys[i], perm[i] = p, uint32(i)
 		}
 		SortPairsParallel(keys, perm, u.tmpK, u.tmpV, u.hist, opts)
-	} else if n > 0 && network512 && n <= networkMax {
+	} else if NetworkSorts(n) {
 		if size := (n + 63) &^ 63; cap(u.pair) < size {
 			u.pair = make([]uint64, size)
 		}
@@ -81,6 +85,9 @@ func (u *Unique) Sort(probes []uint32, opts parallel.Options) (distinct, perm []
 			pair[i] = uint64(k)<<32 | uint64(i)
 		}
 		pair, _ = lsd(pair, nil, u.tmp, nil, &h, 32)
+		// The slot counter compiles to a CMOV and the bounds checks are
+		// always predicted: about 1 ns a probe.  Split into separate passes,
+		// or with pointer stores and no checks, it read no faster.
 		prev, uq := uint32(pair[0]>>32), int32(0)
 		for j, x := range pair {
 			k := uint32(x >> 32)

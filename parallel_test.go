@@ -173,30 +173,43 @@ func TestSortedOverParallelComposition(t *testing.T) {
 
 // TestShardedParallelSchedulesMatchScalar drives both probe orders × every
 // worker configuration of the sharded batch surface against the scalar
-// methods: the sampler sends the uniform stream down the input-order path
-// and the skewed one down the key-ordered path.
+// methods.  The skewed stream runs key-ordered on five shards.  The uniform
+// stream runs in input order on one shard, where the sample decides, and in
+// batches under 128 probes on five, which never sort; whole, on five
+// shards, it takes the multi-shard rule's order.
 func TestShardedParallelSchedulesMatchScalar(t *testing.T) {
 	g := workload.New(35)
 	keys := g.SortedWithDuplicates(30000, 4)
-	streams := map[string][]uint32{
-		"uniform": append(g.Lookups(keys, 4000), g.Misses(keys, 1000)...),
-		"skewed":  g.ZipfLookups(keys, 5000, 1.3),
+	uniform := append(g.Lookups(keys, 4000), g.Misses(keys, 1000)...)
+	skewed := g.ZipfLookups(keys, 5000, 1.3)
+	if shard.ChooseKeyOrder(uniform) || !shard.ChooseKeyOrder(skewed) {
+		t.Fatalf("the sample takes key order %v for the uniform stream and %v for the skewed one", shard.ChooseKeyOrder(uniform), shard.ChooseKeyOrder(skewed))
 	}
-	for name, probes := range streams {
-		if got, want := shard.ChooseKeyOrder(probes), name == "skewed"; got != want {
-			t.Fatalf("%s stream: key-ordered %v, want %v", name, got, want)
-		}
+	for _, c := range []struct {
+		name          string
+		probes        []uint32
+		shards, batch int
+	}{
+		{"skewed", skewed, 5, len(skewed)},
+		{"uniform, one shard", uniform, 1, len(uniform)},
+		{"uniform, 100-probe batches", uniform, 5, 100},
+		{"uniform", uniform, 5, len(uniform)},
+	} {
 		for _, par := range []parallel.Options{{Workers: 1}, {Workers: 4, MinBatchPerWorker: 128}} {
-			idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: 5})
+			name, probes := c.name, c.probes
+			idx := cssidx.NewSharded(keys, cssidx.ShardedOptions[uint32]{Shards: c.shards})
 			idx.SetParallel(par)
 			v := idx.Snapshot()
 			out := make([]int32, len(probes))
 			first := make([]int32, len(probes))
 			last := make([]int32, len(probes))
-			v.SearchBatch(probes, out)
-			v.EqualRangeBatch(probes, first, last)
 			lb := make([]int32, len(probes))
-			v.LowerBoundBatch(probes, lb)
+			for lo := 0; lo < len(probes); lo += c.batch {
+				hi := min(lo+c.batch, len(probes))
+				v.SearchBatch(probes[lo:hi], out[lo:hi])
+				v.EqualRangeBatch(probes[lo:hi], first[lo:hi], last[lo:hi])
+				v.LowerBoundBatch(probes[lo:hi], lb[lo:hi])
+			}
 			for i, p := range probes {
 				if want := int32(v.Search(p)); out[i] != want {
 					t.Fatalf("%s par=%+v SearchBatch[%d]=%d want %d", name, par, i, out[i], want)

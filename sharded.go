@@ -20,10 +20,12 @@ import "cssidx/internal/shard"
 //
 // What the engine decides itself is not an option: each shard's CSS-tree has
 // one-cache-line nodes (shard.Slots, as DefaultNodeBytes gives), the split
-// gives every shard the same key count, each batch descends in input or key
-// order as its sampled duplicate count says, its worker spans follow the
-// calibrated per-probe cost, and a shard's delta folds at 1/256 of its base
-// (and at least 512 keys) — call Compact for a fold sooner.
+// gives every shard the same key count, a batch of 128 to 8,192 probes over
+// several shards descends in key order wherever the sorting network runs
+// and any other batch in input or key order as its sampled duplicate count
+// says (shard.ChooseKeyOrder), its worker spans follow the calibrated
+// per-probe cost, and a shard's delta folds at 1/256 of its base (and at
+// least 512 keys) — call Compact for a fold sooner.
 type ShardedOptions[K Key] = struct {
 	// Shards is the number of range shards; 0 picks GOMAXPROCS (capped at 16).
 	Shards int
