@@ -782,7 +782,7 @@ func verifyBatch(surfaces []batcher, m Model, probes []uint32) error {
 // probeOrders derives one batch per probe order from probes (at least one)
 // and checks the engine's sampler picks each: input drops repeated probes,
 // so no sampled value repeats and the sample says input order at any
-// length (a multi-shard view still sorts it at 128 to 8,192 probes where
+// length (a multi-shard view still sorts it at 128 to 2,048 probes where
 // the sorting network runs); keyOrdered interleaves probes with probes[0] up
 // to at least 128 probes, so half its sample or more repeats one key and it
 // runs in key order on any view.

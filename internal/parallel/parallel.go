@@ -281,6 +281,12 @@ func (o Options) WorkersFor(total int) int {
 // allocate no closure.
 func (o Options) Sequential(n int) bool {
 	o, calibrate := o.Resolved()
+	return o.sequential(n, calibrate)
+}
+
+// sequential is Sequential over options already resolved: the one place
+// the decision is made, for Run and for its callers.
+func (o Options) sequential(n int, calibrate bool) bool {
 	return !(calibrate && n >= 2*calibSpan) && o.WorkersFor(n) == 1
 }
 
@@ -310,6 +316,14 @@ func Span(n, w, t int) (lo, hi int) {
 // original stack.
 func Run(n int, opts Options, body func(lo, hi int)) {
 	opts, calibrate := opts.Resolved()
+	if opts.sequential(n, calibrate) {
+		if n > 0 {
+			// Sequential path: body runs on the calling goroutine and a
+			// panic propagates unwrapped, stack intact.
+			body(0, n)
+		}
+		return
+	}
 	lo := 0
 	if calibrate && n >= 2*calibSpan {
 		start := time.Now()
@@ -320,11 +334,7 @@ func Run(n int, opts Options, body func(lo, hi int)) {
 	total := n - lo
 	w := opts.WorkersFor(total)
 	if w == 1 {
-		if total > 0 {
-			// Sequential path: body runs on the calling goroutine and a
-			// panic propagates unwrapped, stack intact.
-			body(lo, n)
-		}
+		body(lo, n) // the rest of a calibrated batch, still one worker's
 		return
 	}
 	stride := opts.CheckpointStride

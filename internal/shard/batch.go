@@ -24,12 +24,14 @@ package shard
 //
 // The rule (View.keyOrdered): a view with more than one shard runs every
 // batch of adaptiveMinBatch to sortedMax probes in key order, with no
-// sample, wherever the sorting network takes it — measured over 8 shards,
-// input order lost there on uniform and Zipf batches alike.  Everywhere
-// else — one shard, larger batches, hosts without AVX-512 — the engine
-// samples the batch for duplicates (ChooseKeyOrder): there only skew pays
-// for the sort, and skew is a property of the probe stream, not of the
-// index, so the batch itself is the right thing to inspect.
+// sample, wherever the sorting network takes it.  Measured over 2, 4 and 8
+// shards, key order won or tied every one of those sizes on uniform and
+// Zipf batches, and the sample the rule skips is itself ≈0.8 µs of a
+// 512-probe batch whose probes are not yet in cache.  Everywhere else —
+// one shard, larger batches, hosts without AVX-512 — the engine samples
+// the batch for duplicates (ChooseKeyOrder): there only skew pays for the
+// sort, and skew is a property of the probe stream, not of the index, so
+// the batch itself is the right thing to inspect.
 //
 // Parallelism.  The per-shard probe runs are independent — disjoint probe
 // spans, disjoint result spans, immutable snapshots — so they execute across
@@ -61,14 +63,14 @@ const (
 )
 
 // sortedMax is the largest batch a multi-shard view sorts with no sample.
-// Over 8 shards of 500K keys (2-vCPU Emerald Rapids guest, ns/probe median
-// of 9 alternating rounds, input against key order), uniform batches on
-// one worker read 33.4 against 28.8 at 2,048 probes, 28.1 against 26.1 at
-// 6,144, 28.3 against 29.5 at 8,192 (32.0 against 28.9 on two workers)
-// and 28.2 against 31.8 at 12,288: past here the network's n·log²n sort
-// costs more than sorted probes save a uniform batch, and the sample
-// decides.
-const sortedMax = 8192
+// Over 4M uniform keys (2-vCPU Emerald Rapids guest, one worker, ns/probe
+// median of 15 or 21 alternating rounds, input against key order), key
+// order won or tied up to here on every shard count measured: 2,048 probes
+// read 30.2 against 24.8 on 2 shards, 24.7 against 24.5 on 4 and 24.3
+// against 23.3 on 8.  At 4,096 a 4-shard batch read 21.3 against 22.2
+// (input order faster in three runs of three), and at 8,192 input order
+// won on 2, 4 and 8 shards.
+const sortedMax = 2048
 
 // ChooseKeyOrder reports whether a sample of these probes holds enough
 // duplicates for the key-ordered plan (sorted and deduplicated) to beat

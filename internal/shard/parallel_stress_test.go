@@ -17,10 +17,11 @@ import (
 // parallel batch engine: reader goroutines drive batched probes — each batch
 // itself fanned across the engine's worker pool, taking turns between a
 // uniform batch over one shard (input order), a hot-key batch over four
-// (key order) and a uniform batch over four (key order wherever the
-// sorting network runs) — while the background rebuilders publish
-// epoch-swaps.  Run with -race.  Each batch is verified
-// bit-identical to the scalar methods of the same frozen View, which is
+// (key order), a uniform batch over four (key order wherever the sorting
+// network runs) and a uniform batch over four too large for the rule
+// (input order) — while the background rebuilders publish epoch-swaps.
+// Run with -race.  Each batch is verified bit-identical to the scalar
+// methods of the same frozen View, which is
 // exactly the engine's correctness contract: one snapshot epoch per batch,
 // regardless of workers, probe order, or concurrent rebuilds.
 func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
@@ -29,6 +30,7 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 		rounds    = 25
 		writeSize = 200
 		probeSize = 2000
+		wideSize  = 10000 // above sortedMax: input order on four shards
 		minSwaps  = 50
 	)
 	g := workload.New(601)
@@ -57,21 +59,26 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			probes := make([]uint32, probeSize)
-			out := make([]int32, probeSize)
-			first := make([]int32, probeSize)
-			last := make([]int32, probeSize)
+			probeBuf := make([]uint32, wideSize)
+			outBuf := make([]int32, wideSize)
+			firstBuf := make([]int32, wideSize)
+			lastBuf := make([]int32, wideSize)
 			for n := seed; ; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				// Uniform probes, and on every third batch a hot key in a
+				// Uniform probes, and on every fourth batch a hot key in a
 				// third of the slots: the single shard must run a uniform
-				// batch in input order, and four shards a skewed one in key
-				// order.
-				hot, skewed, single := uint32(rng.Int63n(workload.MaxKey)), n%3 == 1, n%3 == 0
+				// batch in input order, four shards a skewed one in key
+				// order and a wide uniform one in input order.
+				hot, skewed, single, wide := uint32(rng.Int63n(workload.MaxKey)), n%4 == 1, n%4 == 0, n%4 == 3
+				size := probeSize
+				if wide {
+					size = wideSize
+				}
+				probes, out, first, last := probeBuf[:size], outBuf[:size], firstBuf[:size], lastBuf[:size]
 				for i := range probes {
 					if skewed && rng.Intn(3) == 0 {
 						probes[i] = hot
@@ -83,7 +90,7 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 				if single {
 					v = x1.Snapshot()
 				}
-				if keyOrdered := v.keyOrdered(probes); single && keyOrdered || skewed && !keyOrdered {
+				if keyOrdered := v.keyOrdered(probes); (single || wide) && keyOrdered || skewed && !keyOrdered {
 					fail("the batch plan picked the wrong probe order")
 					return
 				}
@@ -91,7 +98,7 @@ func TestParallelBatchesDuringEpochSwaps(t *testing.T) {
 				v.EqualRangeBatch(probes, first, last)
 				// Spot-check against the same frozen view's scalar answers.
 				for i := 0; i < 64; i++ {
-					j := rng.Intn(probeSize)
+					j := rng.Intn(size)
 					p := probes[j]
 					if want := v.Search(p); int(out[j]) != want {
 						fail("parallel SearchBatch diverged from scalar on one View")
@@ -178,7 +185,7 @@ func TestAdaptiveScheduleChoice(t *testing.T) {
 }
 
 // TestKeyOrderedRule pins the batch plan's rule: a view of more than one
-// shard descends every batch of 128 to 8,192 probes in key order on an
+// shard descends every batch of 128 to 2,048 probes in key order on an
 // AVX-512 host, whatever the sample says; a single-shard view, smaller
 // batches, larger ones and every batch on other hosts follow the sample.
 func TestKeyOrderedRule(t *testing.T) {
@@ -188,7 +195,7 @@ func TestKeyOrderedRule(t *testing.T) {
 		t.Fatalf("views of %d and %d shards, want 8 and 1", len(multi.snaps), len(single.snaps))
 	}
 	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{1, 64, adaptiveMinBatch - 1, adaptiveMinBatch, 512, 4096, 8192, 8193, 16384, 40000} {
+	for _, n := range []int{1, 64, adaptiveMinBatch - 1, adaptiveMinBatch, 512, sortedMax, sortedMax + 1, 8192, 16384, 40000} {
 		distinct, hot := make([]uint32, n), make([]uint32, n)
 		for i := range distinct {
 			distinct[i] = uint32(i)*2654435761 ^ 0x5bd1e995 // a bijection: no value repeats
@@ -197,7 +204,7 @@ func TestKeyOrderedRule(t *testing.T) {
 		if n >= adaptiveMinBatch && (ChooseKeyOrder(distinct) || !ChooseKeyOrder(hot)) {
 			t.Fatalf("n=%d: the sample says %v for distinct probes and %v for three hot keys", n, ChooseKeyOrder(distinct), ChooseKeyOrder(hot))
 		}
-		network := cpu.AVX512 && n >= adaptiveMinBatch && n <= 8192
+		network := cpu.AVX512 && n >= adaptiveMinBatch && n <= 2048
 		for _, c := range []struct {
 			name   string
 			probes []uint32

@@ -28,7 +28,7 @@
 // property of the probe stream, which each batch inspects for itself.
 //
 // The engine makes its own serving decisions: a multi-shard batch of 128
-// to 8,192 probes descends in key order wherever sortu32's sorting network
+// to 2,048 probes descends in key order wherever sortu32's sorting network
 // runs, any other batch's probe order comes from a sample of the batch
 // (View.keyOrdered and ChooseKeyOrder, batch.go), and a shard folds at
 // fixed thresholds (delta.go) or on Compact.  The worker pool (SetParallel)

@@ -175,12 +175,15 @@ func TestSortedOverParallelComposition(t *testing.T) {
 // worker configuration of the sharded batch surface against the scalar
 // methods.  The skewed stream runs key-ordered on five shards.  The uniform
 // stream runs in input order on one shard, where the sample decides, and in
-// batches under 128 probes on five, which never sort; whole, on five
-// shards, it takes the multi-shard rule's order.
+// batches under 128 probes on five, which never sort.  In 1,000-probe
+// batches on five shards it takes the multi-shard rule's order (key order
+// wherever the sorting network runs); whole, on five shards, it is larger
+// than any batch the network sorts, so the sample decides and it runs in
+// input order, fanned out.
 func TestShardedParallelSchedulesMatchScalar(t *testing.T) {
 	g := workload.New(35)
 	keys := g.SortedWithDuplicates(30000, 4)
-	uniform := append(g.Lookups(keys, 4000), g.Misses(keys, 1000)...)
+	uniform := append(g.Lookups(keys, 16000), g.Misses(keys, 4000)...)
 	skewed := g.ZipfLookups(keys, 5000, 1.3)
 	if shard.ChooseKeyOrder(uniform) || !shard.ChooseKeyOrder(skewed) {
 		t.Fatalf("the sample takes key order %v for the uniform stream and %v for the skewed one", shard.ChooseKeyOrder(uniform), shard.ChooseKeyOrder(skewed))
@@ -193,6 +196,7 @@ func TestShardedParallelSchedulesMatchScalar(t *testing.T) {
 		{"skewed", skewed, 5, len(skewed)},
 		{"uniform, one shard", uniform, 1, len(uniform)},
 		{"uniform, 100-probe batches", uniform, 5, 100},
+		{"uniform, 1,000-probe batches", uniform, 5, 1000},
 		{"uniform", uniform, 5, len(uniform)},
 	} {
 		for _, par := range []parallel.Options{{Workers: 1}, {Workers: 4, MinBatchPerWorker: 128}} {

@@ -20,7 +20,7 @@ import "cssidx/internal/shard"
 //
 // What the engine decides itself is not an option: each shard's CSS-tree has
 // one-cache-line nodes (shard.Slots, as DefaultNodeBytes gives), the split
-// gives every shard the same key count, a batch of 128 to 8,192 probes over
+// gives every shard the same key count, a batch of 128 to 2,048 probes over
 // several shards descends in key order wherever the sorting network runs
 // and any other batch in input or key order as its sampled duplicate count
 // says (shard.ChooseKeyOrder), its worker spans follow the calibrated
